@@ -167,7 +167,17 @@ func chunkSum(fold uint64, seq, size int) uint64 {
 // ledger node at construction; a nil syncer disables state-sync.
 type StateSyncer interface {
 	// SyncSnapshot returns the latest sealed checkpoint snapshot, if any.
+	// Last, Chain and Bytes are final — enough to match it against a
+	// certified header; State is complete only after ServeSnapshot.
 	SyncSnapshot() (*checkpoint.Snapshot, bool)
+	// ServeSnapshot returns the snapshot to offer a peer for one that
+	// SyncSnapshot returned earlier (the certified one, not necessarily the
+	// newest): the same snapshot with its State completed, which the
+	// application does once and never writes again — or, from a Byzantine
+	// application, a forgery of it that reuses the legitimate certificate
+	// (the attack the header binding exists to stop). Either keeps
+	// Last.Height.
+	ServeSnapshot(snap *checkpoint.Snapshot) *checkpoint.Snapshot
 	// InstallSync verifies a peer snapshot against local state and adopts
 	// it, returning false (state untouched) when stale or inconsistent.
 	// The certificate binding the snapshot to a quorum-signed header is
@@ -183,14 +193,6 @@ type StateSyncer interface {
 	// sealing is accepted (the quorum vets it — a validator cannot
 	// falsify state it has not reached).
 	VerifyCommitment(epoch, fold uint64) bool
-}
-
-// SnapshotForger is implemented by Byzantine applications that corrupt
-// the snapshot they serve while reusing the legitimate certificate (the
-// forged-snapshot attack the header binding exists to stop). A nil return
-// serves the snapshot unmodified.
-type SnapshotForger interface {
-	ForgeSyncSnapshot(snap *checkpoint.Snapshot) *checkpoint.Snapshot
 }
 
 // BreakHeaderBindForTest disables the requester-side verification of
@@ -435,8 +437,8 @@ type Node struct {
 	// snapshot for which a commit certificate binding its chain fold was
 	// observed (commit() refreshes it); servableProp/servableCert are that
 	// certificate. serveSnap/serveFold name the snapshot most recently
-	// offered — the chunk source — which under a Byzantine SnapshotForger
-	// differs from servableSnap.
+	// offered — the chunk source — which from a Byzantine application is a
+	// forgery of servableSnap.
 	servableSnap *checkpoint.Snapshot
 	servableProp *Proposal
 	servableCert []*Vote
@@ -1147,18 +1149,14 @@ func (n *Node) handleBlockRequest(from wire.NodeID, req *BlockRequest) {
 	// its chain fold is never served — the requester could not verify it,
 	// and its retry backoff finds a peer that can prove its offer.
 	if req.BlockID == "" && n.syncer != nil && n.servableSnap != nil {
-		snap := n.servableSnap
-		// The forged-snapshot attack: a Byzantine server corrupts the
-		// snapshot but attaches the legitimate certificate. The requester's
-		// fold check is what catches the mismatch.
-		if f, ok := n.syncer.(SnapshotForger); ok {
-			if forged := f.ForgeSyncSnapshot(snap); forged != nil {
-				snap = forged
-			}
-		}
-		if snap.Last.Height < req.Height {
+		if n.servableSnap.Last.Height < req.Height {
 			return
 		}
+		// Only now is the snapshot's O(state) half built. A Byzantine server
+		// returns a corrupted snapshot here and attaches the legitimate
+		// certificate below; the requester's fold check is what catches the
+		// mismatch.
+		snap := n.syncer.ServeSnapshot(n.servableSnap)
 		n.serveSnap = snap
 		n.serveFold = checkpoint.FoldChain(snap.Chain)
 		cb := n.params.SyncChunkBytes

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/consensus"
 	"repro/internal/wire"
 )
 
@@ -112,14 +113,25 @@ func (s *Server) prune(ck checkpoint.Checkpoint) {
 
 // SyncState is the application half of a state-sync snapshot: the
 // Setchain state needed on top of the checkpoint chain to resume from the
-// seal height. EVERYTHING here is a frozen copy taken at seal time,
-// inside the serving server's own event — epoch structs, the membership
-// index, the set map. Earlier revisions shared the server's live maps and
-// epoch pointers, which violated the read-only-shared-payload convention
-// of partitioned runs (DESIGN.md §12): an installer iterating the maps
-// raced the serving node mutating them on another partition. Only the
-// leaf *wire.Element and *wire.EpochProof pointers are shared — those are
-// immutable wire payloads, exactly what the convention permits.
+// seal height. It is built in two halves, both inside the serving server's
+// own events, and shares nothing mutable with that server (DESIGN.md §11,
+// §12):
+//
+//   - the small half — whatever is mutable as of the seal height: suffix
+//     epochs, their proof-signer sets, Hashchain's pending signers,
+//     LastEpoch, CkptBytes — is copied at the seal (freezeSyncState), the
+//     only moment it has its seal-height value;
+//   - the big half — Members and Set, O(total state) — is built the first
+//     time the snapshot is offered to a peer (ServeSnapshot). The maps it
+//     is filtered from are grow-only and a key's value never changes, so
+//     the filter returns the seal-time index at any later moment.
+//
+// Nothing is written after the first hand-off: a requester on another
+// partition reads the snapshot while the serving server keeps mutating its
+// live maps, and re-serving the same snapshot only reads it. Only the leaf
+// *wire.Element and *wire.EpochProof pointers are shared with the server —
+// immutable wire payloads, exactly what the read-only-shared-payload
+// convention permits.
 type SyncState struct {
 	// Epochs are frozen copies of the created epochs above the checkpoint
 	// as of the seal height, ascending by number.
@@ -130,11 +142,11 @@ type SyncState struct {
 	// LastEpoch is the highest created epoch at seal time (the checkpoint
 	// epoch when Epochs is empty).
 	LastEpoch uint64
-	// Members is a frozen copy of the id→epoch index at seal time; every
-	// entry has epoch <= LastEpoch.
+	// Members is the id→epoch index through LastEpoch. Nil until the
+	// snapshot is first served.
 	Members map[wire.ElementID]uint64
-	// Set is a frozen copy of the_set at seal time, keyed consistently
-	// with Members.
+	// Set is the_set restricted to Members' keys. Nil until the snapshot is
+	// first served.
 	Set map[wire.ElementID]*wire.Element
 	// PendingSigners carries Hashchain's ledger signer sets for batches
 	// not yet consolidated at seal time: their remaining signatures arrive
@@ -147,26 +159,21 @@ type SyncState struct {
 	CkptBytes uint64
 }
 
-// freezeSyncState captures the snapshot served for state-sync requests
-// targeting heights at or below this checkpoint. The copy happens here,
-// in the serving server's own event, because that is the only
-// single-owner moment: once the snapshot is handed to a requester it is
-// read on other partitions while this server keeps mutating its live
-// maps, so anything short of a freeze-time copy is a data race.
+var _ consensus.StateSyncer = (*Server)(nil)
+
+// freezeSyncState captures the seal-time half of the snapshot for this
+// checkpoint, at a cost bounded by the checkpoint interval: the epochs
+// above the checkpoint and their proof state are live structures that
+// keep changing, so they are copied now. Members and Set are left to
+// ServeSnapshot, and Chain is a capped prefix of the append-only
+// checkpoint chain — later seals append past it (or reallocate), never
+// into it.
 func (s *Server) freezeSyncState(ck checkpoint.Checkpoint) {
 	created := s.prunedEpochs + uint64(len(s.history))
 	st := &SyncState{
 		LastEpoch: created,
-		Members:   make(map[wire.ElementID]uint64, len(s.inHistory)),
-		Set:       make(map[wire.ElementID]*wire.Element, len(s.theSet)),
 		Proofs:    make(map[uint64]map[wire.NodeID]*wire.EpochProof),
 		CkptBytes: s.ckptBytes,
-	}
-	for id, epn := range s.inHistory {
-		st.Members[id] = epn
-	}
-	for id, el := range s.theSet {
-		st.Set[id] = el
 	}
 	size := int(s.ckptBytes) + len(s.checkpoints)*checkpointBinSize
 	for e := ck.Epoch + 1; e <= created; e++ {
@@ -198,19 +205,52 @@ func (s *Server) freezeSyncState(ck checkpoint.Checkpoint) {
 			size += len(ids) * proofWireSize
 		}
 	}
+	n := len(s.checkpoints)
 	s.syncState = &checkpoint.Snapshot{
 		Last:  ck,
-		Chain: append([]checkpoint.Checkpoint(nil), s.checkpoints...),
+		Chain: s.checkpoints[:n:n],
 		State: st,
 		Bytes: size,
 	}
 }
 
-// SyncSnapshot implements consensus.StateSyncer: the latest frozen
-// snapshot, served to peers requesting heights below the checkpoint
-// horizon.
+// SyncSnapshot implements consensus.StateSyncer: the latest sealed
+// snapshot. Its identity (Last, Chain, Bytes) is final; its State is
+// complete only in what ServeSnapshot returns for it.
 func (s *Server) SyncSnapshot() (*checkpoint.Snapshot, bool) {
 	return s.syncState, s.syncState != nil
+}
+
+// ServeSnapshot implements consensus.StateSyncer: complete a snapshot this
+// server sealed — the newest, or an older one consensus still holds a
+// certificate for — by building its Members and Set, once, from the live
+// maps. That is exact at any time after the seal: inHistory and theSet
+// only grow and never rebind a key, and epochs are created in number
+// order, so the entries at or below LastEpoch are precisely the seal-time
+// index. (Set-only entries, added but not yet in an epoch at the seal, are
+// not carried: InstallSync ignores them and Bytes never counted them.)
+// Under the ForgeSnapshot behavior the offer is a forgery built on top.
+func (s *Server) ServeSnapshot(snap *checkpoint.Snapshot) *checkpoint.Snapshot {
+	st := snap.State.(*SyncState)
+	if st.Members == nil {
+		n := snap.Last.Elements
+		for _, ep := range st.Epochs {
+			n += uint64(len(ep.Elements))
+		}
+		members := make(map[wire.ElementID]uint64, n)
+		set := make(map[wire.ElementID]*wire.Element, n)
+		for id, epn := range s.inHistory {
+			if epn <= st.LastEpoch {
+				members[id] = epn
+				set[id] = s.theSet[id]
+			}
+		}
+		st.Members, st.Set = members, set
+	}
+	if s.behavior != nil && s.behavior.ForgeSnapshot {
+		return s.forgeSnapshot(snap, st)
+	}
+	return snap
 }
 
 // InstallSync implements consensus.StateSyncer: adopt a peer's checkpoint
@@ -334,9 +374,6 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	s.ckptBytes = st.CkptBytes
 	s.history = append([]*Epoch(nil), st.Epochs...)
 	for id, epn := range st.Members {
-		if epn > st.LastEpoch {
-			continue
-		}
 		if _, in := s.inHistory[id]; !in {
 			s.inHistory[id] = epn
 			if _, ok := s.theSet[id]; !ok {
@@ -453,24 +490,16 @@ func (s *Server) VerifyCommitment(epoch, fold uint64) bool {
 	return epoch == 0 && fold == h
 }
 
-// ForgeSyncSnapshot implements consensus.SnapshotForger when the server's
-// Byzantine behavior enables ForgeSnapshot: a deep-copied snapshot
-// extended with one fabricated checkpoint that "settles" the honest
-// suffix plus a forged epoch of bogus elements. The forgery is crafted to
-// pass every LOCAL check a behind requester can run — internally
-// consistent digests, hashes, and element counts — so before the header
-// binding it installed cleanly and smuggled bogus elements into the
-// requester's set; the certified fold check rejects it because the
-// fabricated chain cannot fold to any quorum-signed commitment. Returns
-// nil (serve honestly) when the behavior is off.
-func (s *Server) ForgeSyncSnapshot(snap *checkpoint.Snapshot) *checkpoint.Snapshot {
-	if s.behavior == nil || !s.behavior.ForgeSnapshot || snap == nil {
-		return nil
-	}
-	st, ok := snap.State.(*SyncState)
-	if !ok || st == nil {
-		return nil
-	}
+// forgeSnapshot is the ForgeSnapshot behavior's offer: a deep copy of a
+// served snapshot extended with one fabricated checkpoint that "settles"
+// the honest suffix plus a forged epoch of bogus elements. The forgery is
+// crafted to pass every LOCAL check a behind requester can run —
+// internally consistent digests, hashes, and element counts — so before
+// the header binding it installed cleanly and smuggled bogus elements into
+// the requester's set; the certified fold check rejects it because the
+// fabricated chain cannot fold to any quorum-signed commitment. It keeps
+// Last.Height, so it is offered exactly when the honest snapshot would be.
+func (s *Server) forgeSnapshot(snap *checkpoint.Snapshot, st *SyncState) *checkpoint.Snapshot {
 	const bogusN = 3
 	forgedNum := st.LastEpoch + 1
 	bogus := make([]*wire.Element, 0, bogusN)

@@ -21,23 +21,33 @@ import (
 // documented residual hole (they need Merkle state proofs) and are not
 // generated.
 func FuzzInstallSync(f *testing.F) {
-	s, d := deployFull(21, 4, core.Options{
-		Algorithm: core.Hashchain, CollectorLimit: 10,
-		CheckpointInterval: 2, Prune: true,
-	})
+	s, d := deployFull(21, 4, checkpointedOpts)
 	addElements(s, d, 120)
 	s.RunUntil(5 * time.Second) // mid-run: sealed chain AND unsettled suffix epochs
-	snap, ok := d.Servers[0].SyncSnapshot()
+	sealed, ok := d.Servers[0].SyncSnapshot()
 	if !ok {
-		f.Fatal("no snapshot frozen after 5s")
+		f.Fatal("no snapshot sealed after 5s")
 	}
+	snap := d.Servers[0].ServeSnapshot(sealed)
 	base := snap.State.(*core.SyncState)
-	if len(snap.Chain) < 2 || len(base.Epochs) == 0 {
-		f.Fatalf("weak base snapshot (chain %d, suffix %d); tune the workload",
-			len(snap.Chain), len(base.Epochs))
+	if len(snap.Chain) < 2 || len(base.Epochs) == 0 || uint64(len(base.Members)) <= snap.Last.Elements {
+		f.Fatalf("weak base snapshot (chain %d, suffix %d, members %d); tune the workload",
+			len(snap.Chain), len(base.Epochs), len(base.Members))
 	}
 	certEpoch, certFold := snap.Last.Epoch, checkpoint.FoldChain(snap.Chain)
 	d.Stop()
+
+	freshVictim := func() (*core.Deployment, *core.Server) {
+		_, fd := deployFull(22, 4, checkpointedOpts)
+		return fd, fd.Servers[0]
+	}
+	// The unmutated copy must install, or every mutation below is rejected
+	// for the base's own defect and the oracle never runs.
+	fd, victim := freshVictim()
+	if !victim.InstallSync(mutateSnapshot(snap, nil)) {
+		f.Fatal("the served snapshot itself does not install; the fuzz target is vacuous")
+	}
+	fd.Stop()
 
 	for _, seed := range [][]byte{
 		{}, {0, 0}, {1, 0}, {1, 1}, {2, 3}, {3, 1}, {4, 0}, {4, 1},
@@ -47,12 +57,8 @@ func FuzzInstallSync(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mut := mutateSnapshot(snap, data)
-		_, fd := deployFull(22, 4, core.Options{
-			Algorithm: core.Hashchain, CollectorLimit: 10,
-			CheckpointInterval: 2, Prune: true,
-		})
+		fd, victim := freshVictim()
 		defer fd.Stop()
-		victim := fd.Servers[0]
 		gate := len(mut.Chain) > 0 && mut.Last.Epoch == certEpoch &&
 			checkpoint.FoldChain(mut.Chain) == certFold
 		installed := victim.InstallSync(mut) // must never panic

@@ -1,22 +1,28 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
+
+// checkpointedOpts is the deployment every state-sync test here runs:
+// Hashchain sealing every second settled epoch, pruning on.
+var checkpointedOpts = core.Options{
+	Algorithm: core.Hashchain, CollectorLimit: 10,
+	CheckpointInterval: 2, Prune: true,
+}
 
 // deployCheckpointed builds a 4-server Full-mode Hashchain deployment with
 // checkpointing + pruning on, feeds it elements and quiesces, so every
-// server has a sealed chain and a frozen state-sync snapshot.
+// server has a sealed chain and a state-sync snapshot to serve.
 func deployCheckpointed(t *testing.T, seed int64) *core.Deployment {
 	t.Helper()
-	s, d := deployFull(seed, 4, core.Options{
-		Algorithm: core.Hashchain, CollectorLimit: 10,
-		CheckpointInterval: 2, Prune: true,
-	})
+	s, d := deployFull(seed, 4, checkpointedOpts)
 	addElements(s, d, 60)
 	runQuiesce(s, d, 20*time.Second)
 	d.Stop()
@@ -72,14 +78,21 @@ func TestHeaderCommitmentAcrossServers(t *testing.T) {
 func TestForgedSnapshotInstallsLocallyButBreaksFold(t *testing.T) {
 	d := deployCheckpointed(t, 12)
 	forger := d.Servers[3]
-	forger.SetBehavior(&core.Behavior{ForgeSnapshot: true})
 	snap, ok := forger.SyncSnapshot()
 	if !ok {
-		t.Fatal("no frozen snapshot to forge")
+		t.Fatal("no sealed snapshot to forge")
 	}
-	forged := forger.ForgeSyncSnapshot(snap)
-	if forged == nil {
-		t.Fatal("ForgeSnapshot behavior returned no forgery")
+	if forger.ServeSnapshot(snap) != snap {
+		t.Fatal("a correct server offered something other than the snapshot it sealed")
+	}
+	forger.SetBehavior(&core.Behavior{ForgeSnapshot: true})
+	forged := forger.ServeSnapshot(snap)
+	if forged == snap {
+		t.Fatal("ForgeSnapshot behavior served the honest snapshot")
+	}
+	if forged.Last.Height != snap.Last.Height {
+		t.Fatalf("forgery moved Last.Height %d -> %d: consensus decides whether to "+
+			"offer from the honest handle's height", snap.Last.Height, forged.Last.Height)
 	}
 	if forged.Last.Epoch != snap.Last.Epoch+1 || len(forged.Chain) != len(snap.Chain)+1 {
 		t.Fatalf("forgery shape wrong: Last.Epoch %d vs honest %d, chain %d vs %d",
@@ -90,10 +103,7 @@ func TestForgedSnapshotInstallsLocallyButBreaksFold(t *testing.T) {
 	}
 	// A maximally-behind requester (fresh server, empty chain): every local
 	// check passes and the forgery installs — the pre-binding trust hole.
-	_, fresh := deployFull(13, 4, core.Options{
-		Algorithm: core.Hashchain, CollectorLimit: 10,
-		CheckpointInterval: 2, Prune: true,
-	})
+	_, fresh := deployFull(13, 4, checkpointedOpts)
 	victim := fresh.Servers[0]
 	if !victim.InstallSync(forged) {
 		t.Fatal("forgery rejected by InstallSync's local checks — it is no longer " +
@@ -112,26 +122,30 @@ func TestForgedSnapshotInstallsLocallyButBreaksFold(t *testing.T) {
 }
 
 // A served snapshot must stay readable while the serving server keeps
-// running: everything in SyncState is a freeze-time copy, so concurrent
+// running: the seal-time half of SyncState is a copy, the serve-time half
+// is built once from the live maps and never written again, so concurrent
 // iteration by an installer (another partition in a parallel run) must not
-// race the server's live maps. Run under -race; a regression back to
-// sharing live maps fails here deterministically.
+// race the server mutating its live maps, sealing further checkpoints, or
+// serving the same snapshot again. Run under -race; handing out the live
+// maps, or rebuilding Members/Set on a second serve, fails here
+// deterministically.
 func TestSyncSnapshotReadsDoNotRaceServingServer(t *testing.T) {
-	s, d := deployFull(14, 4, core.Options{
-		Algorithm: core.Hashchain, CollectorLimit: 10,
-		CheckpointInterval: 2, Prune: true,
-	})
+	s, d := deployFull(14, 4, checkpointedOpts)
 	addElements(s, d, 200) // 50ms spacing: injection runs to t=10s
 	s.RunUntil(4 * time.Second)
-	snap, ok := d.Servers[0].SyncSnapshot()
+	sealed, ok := d.Servers[0].SyncSnapshot()
 	if !ok {
-		t.Fatal("no snapshot frozen after 4s; tune the workload")
+		t.Fatal("no snapshot sealed after 4s; tune the workload")
 	}
+	snap := d.Servers[0].ServeSnapshot(sealed)
 	st := snap.State.(*core.SyncState)
+	if len(st.Members) == 0 || len(st.Set) != len(st.Members) {
+		t.Fatalf("served snapshot carries %d members, %d set entries", len(st.Members), len(st.Set))
+	}
 
-	// Walk every frozen structure for the entire remainder of the run,
-	// while the serving server keeps adding elements, creating epochs and
-	// sealing checkpoints on the main goroutine.
+	// Walk every structure of the served snapshot for the entire remainder
+	// of the run, while the serving server keeps adding elements, creating
+	// epochs, sealing checkpoints and re-serving on the main goroutine.
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -145,20 +159,152 @@ func TestSyncSnapshotReadsDoNotRaceServingServer(t *testing.T) {
 			var n int
 			for id, epn := range st.Members {
 				if epn > st.LastEpoch {
-					panic("frozen index entry above LastEpoch")
+					panic("served index entry above LastEpoch")
 				}
-				if st.Set[id] != nil {
-					n += st.Set[id].Size
-				}
+				n += st.Set[id].Size
 			}
 			for _, ep := range st.Epochs {
 				n += len(ep.Elements) + len(ep.Hash)
 			}
+			for _, ck := range snap.Chain {
+				n += int(ck.Epoch)
+			}
 			_ = n
 		}
 	}()
+	seals := len(d.Servers[0].Checkpoints())
+	for at := 5 * time.Second; at <= 10*time.Second; at += time.Second {
+		s.RunUntil(at)
+		if d.Servers[0].ServeSnapshot(sealed) != snap {
+			t.Error("re-serving a snapshot returned a different one")
+		}
+	}
 	runQuiesce(s, d, 15*time.Second)
 	close(stop)
 	<-done
 	d.Stop()
+	if len(d.Servers[0].Checkpoints()) == seals {
+		t.Fatal("the server sealed nothing while the snapshot was being read; tune the workload")
+	}
+}
+
+// Sealing leaves the O(state) half of the snapshot unbuilt: a fault-free
+// run serves no snapshot, so no server may have paid for one.
+func TestSealDoesNotBuildMembersOrSet(t *testing.T) {
+	d := deployCheckpointed(t, 15)
+	for i, srv := range d.Servers {
+		snap, ok := srv.SyncSnapshot()
+		if !ok {
+			t.Fatalf("server %d sealed no snapshot; the laziness test is vacuous", i)
+		}
+		if st := snap.State.(*core.SyncState); st.Members != nil || st.Set != nil {
+			t.Fatalf("server %d built Members (%d) / Set (%d) for a snapshot nobody asked for",
+				i, len(st.Members), len(st.Set))
+		}
+	}
+}
+
+// Late-serve equivalence: a snapshot completed long after its seal —
+// after more epochs, more seals and a prune — is the snapshot that would
+// have been served at once. Two same-seed deployments take the snapshot
+// at t1; A serves it there, B runs to quiescence first. B's late Members
+// and Set must match both A's and the eager copy of B's own maps taken at
+// t1 (element pointers included: a key is never rebound), the chain of
+// the t1 snapshot must not have moved under B's later seals, and fresh
+// victims installing either must end in identical state.
+func TestLateServeEquivalence(t *testing.T) {
+	const t1 = 4 * time.Second
+	start := func() (*sim.Simulator, *core.Deployment, *checkpoint.Snapshot) {
+		s, d := deployFull(31, 4, checkpointedOpts)
+		addElements(s, d, 200) // 50ms spacing: injection runs to t=10s
+		s.RunUntil(t1)
+		sealed, ok := d.Servers[0].SyncSnapshot()
+		if !ok {
+			t.Fatal("no snapshot sealed at t1; tune the workload")
+		}
+		return s, d, sealed
+	}
+	_, da, sealedA := start()
+	sb, db, sealedB := start()
+	if sealedA.Last != sealedB.Last || sealedA.Bytes != sealedB.Bytes {
+		t.Fatalf("same-seed deployments sealed different snapshots: %+v vs %+v", sealedA.Last, sealedB.Last)
+	}
+	early := da.Servers[0].ServeSnapshot(sealedA)
+	da.Stop()
+
+	srvB := db.Servers[0]
+	refMembers, refSet := srvB.EagerSyncMaps()
+	chainT1 := append([]checkpoint.Checkpoint(nil), sealedB.Chain...)
+	before := srvB.Get()
+	runQuiesce(sb, db, 20*time.Second)
+	db.Stop()
+	after := srvB.Get()
+	if after.Epoch <= before.Epoch || len(after.Checkpoints) <= len(before.Checkpoints) ||
+		after.PrunedEpochs <= before.PrunedEpochs {
+		t.Fatalf("B did not move on past t1 (epochs %d->%d, seals %d->%d, pruned %d->%d); tune the workload",
+			before.Epoch, after.Epoch, len(before.Checkpoints), len(after.Checkpoints),
+			before.PrunedEpochs, after.PrunedEpochs)
+	}
+	t.Logf("checkpoint %d's snapshot served with the server at epoch %d, and at epoch %d after %d more seals",
+		sealedB.Last.Epoch, before.Epoch, after.Epoch, len(after.Checkpoints)-len(before.Checkpoints))
+	late := srvB.ServeSnapshot(sealedB)
+	if late != sealedB {
+		t.Fatal("a correct server offered something other than the snapshot it sealed")
+	}
+	if !reflect.DeepEqual(late.Chain, chainT1) {
+		t.Fatalf("later seals rewrote the t1 snapshot's chain:\n got %+v\nwant %+v", late.Chain, chainT1)
+	}
+
+	est, lst := early.State.(*core.SyncState), late.State.(*core.SyncState)
+	if len(lst.Members) == 0 || len(lst.Set) != len(lst.Members) {
+		t.Fatalf("late snapshot carries %d members, %d set entries", len(lst.Members), len(lst.Set))
+	}
+	// Against the eager copy: exactly its entries through LastEpoch, same
+	// epoch numbers, same element pointers.
+	var through int
+	for id, epn := range refMembers {
+		if epn > lst.LastEpoch {
+			continue
+		}
+		through++
+		if got, ok := lst.Members[id]; !ok || got != epn {
+			t.Fatalf("member %x: late index says %d (present %v), the t1 copy says %d", id[:4], got, ok, epn)
+		}
+		if lst.Set[id] != refSet[id] {
+			t.Fatalf("member %x: late Set holds a different element than the_set did at t1", id[:4])
+		}
+	}
+	if through != len(lst.Members) {
+		t.Fatalf("late index has %d entries, the t1 copy %d through epoch %d", len(lst.Members), through, lst.LastEpoch)
+	}
+	// Against A's immediate serve.
+	if !reflect.DeepEqual(est.Members, lst.Members) {
+		t.Fatalf("Members differ between the immediate (%d) and the late (%d) serve", len(est.Members), len(lst.Members))
+	}
+	for id := range est.Members {
+		if !reflect.DeepEqual(est.Set[id], lst.Set[id]) {
+			t.Fatalf("member %x: Set differs between the immediate and the late serve", id[:4])
+		}
+	}
+
+	install := func(snap *checkpoint.Snapshot) (core.Snapshot, uint64) {
+		_, fresh := deployFull(32, 4, checkpointedOpts)
+		defer fresh.Stop()
+		victim := fresh.Servers[0]
+		if !victim.InstallSync(snap) {
+			t.Fatal("snapshot rejected by a fresh server")
+		}
+		return victim.Get(), victim.Settled()
+	}
+	gotA, settledA := install(early)
+	gotB, settledB := install(late)
+	if settledA != settledB || !reflect.DeepEqual(gotA, gotB) {
+		t.Fatalf("victims diverge: settled %d vs %d, epoch %d vs %d, set %d vs %d, checkpoints %d vs %d",
+			settledA, settledB, gotA.Epoch, gotB.Epoch, len(gotA.TheSet), len(gotB.TheSet),
+			len(gotA.Checkpoints), len(gotB.Checkpoints))
+	}
+	if len(gotB.TheSet) != len(lst.Members) || len(gotB.Checkpoints) != len(chainT1) {
+		t.Fatalf("victim holds %d elements and %d checkpoints; the snapshot carried %d and %d",
+			len(gotB.TheSet), len(gotB.Checkpoints), len(lst.Members), len(chainT1))
+	}
 }

@@ -273,7 +273,10 @@ func (c *Cluster) SetApp(id wire.NodeID, app abci.Application) {
 	node.Cons = consensus.NewNode(id, validators, node.sim, c.Net, node.Cons.Params(),
 		c.Suite, key, c.Registry, node.Pool, app)
 	// Applications that checkpoint (core.Server) also serve and install
-	// state-sync snapshots for deep catch-up.
+	// state-sync snapshots for deep catch-up. Applications without
+	// checkpoints fail the assertion on purpose; core.Server pins its own
+	// conformance at compile time, so a signature drift there is a build
+	// error and not state-sync silently off.
 	if syncer, ok := app.(consensus.StateSyncer); ok {
 		node.Cons.SetStateSyncer(syncer)
 	}
