@@ -256,9 +256,14 @@ func (q *relayQueue) push(e Entry) bool {
 }
 
 // drain removes and returns every queued entry still inside ttl, plus the
-// count it expired.
+// count it expired. The result is nil for an empty queue and otherwise a
+// fresh slice sized once to the backlog: it leaves inside an Envelope, so
+// it can be neither pooled nor a view of the queue's own storage.
 func (q *relayQueue) drain(now, ttl time.Duration) ([]Entry, uint64) {
-	var out []Entry
+	if q.len() == 0 {
+		return nil, 0
+	}
+	out := make([]Entry, 0, q.len())
 	var expired uint64
 	for ; q.head < len(q.entries); q.head++ {
 		e := q.entries[q.head]

@@ -100,6 +100,44 @@ func TestEntryTTLExpiry(t *testing.T) {
 	}
 }
 
+// A flush allocates its result once, at the backlog's size, and a flush of
+// an empty queue allocates nothing and returns nil. Each result is its own
+// slice: it leaves in an Envelope, so a later flush must not write over it.
+func TestFlushAllocatesResultOnce(t *testing.T) {
+	cfg := testConfig()
+	cfg.QueueCap = 0
+	r := NewRelay([]wire.NodeID{1}, cfg)
+	if got := r.Flush(1, 0); got != nil {
+		t.Fatalf("flush of an empty queue = %v, want nil", got)
+	}
+	var first []Entry
+	var seq uint64
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 100; i++ {
+			r.Enqueue(1, entry(0, seq), 0)
+			seq++
+		}
+		out := r.Flush(1, 0)
+		if len(out) != 100 || cap(out) != 100 {
+			t.Fatalf("flush len/cap = %d/%d, want 100/100", len(out), cap(out))
+		}
+		if first == nil {
+			first = out
+		}
+		if r.Flush(1, 0) != nil {
+			t.Fatal("second flush not nil")
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("enqueue 100 + flush allocates %.1f times, want 1 (the result)", allocs)
+	}
+	for i, e := range first {
+		if e.Digest.Seq != uint64(i) {
+			t.Fatalf("first flush's entry %d was overwritten by a later one", i)
+		}
+	}
+}
+
 func TestMaxHopsBackstop(t *testing.T) {
 	cfg := testConfig()
 	r := NewRelay([]wire.NodeID{1, 2}, cfg)

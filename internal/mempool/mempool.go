@@ -4,6 +4,14 @@
 // 10,000,000 transactions or 2 GB), gossip replication to peers, and
 // reaping for block proposals.
 //
+// The pool is two structures. entries maps a transaction's 32-byte
+// wire.TxKey to its admission sequence number, or to a tombstone once the
+// transaction committed; it holds no pointers, so the garbage collector
+// never scans it, and it is probed once per arrival — most arrivals being
+// gossip duplicates. order is the FIFO ring of pooled transactions in
+// admission order, indexed by sequence number, which Reap walks without
+// touching the map.
+//
 // See DESIGN.md §4 (ledger stack).
 package mempool
 
@@ -60,14 +68,21 @@ type Mempool struct {
 	check CheckFunc
 	enter EnterFunc
 
-	// entries is pool ∪ committed in one map: a non-nil value is a pooled
-	// transaction, a nil value is a tombstone for a committed (or evicted)
+	// entries is pool ∪ committed in one map: a positive value is a pooled
+	// transaction's admission sequence number, tombstone marks a committed
 	// key that must never re-enter. One map instead of a pool map plus a
-	// seen-set halves the hot-path key inserts.
-	entries map[wire.TxKey]*wire.Tx
-	order   []wire.TxKey // admission order for reaping
-	live    int          // entries with non-nil value
-	bytes   int
+	// seen-set halves the hot-path key inserts, and a value without
+	// pointers keeps the whole map out of the garbage collector's scan.
+	entries map[wire.TxKey]int64
+	// order is the admission-order ring: the transaction with sequence
+	// number seq sits at order[seq-base] until it commits, when its slot is
+	// set to nil in place. Everything before head is nil; compact advances
+	// head and slides the live tail down once head passes the midpoint.
+	order []*wire.Tx
+	head  int
+	base  int64 // sequence number of order[0]; the first admission gets 1
+	live  int   // entries with a positive value
+	bytes int
 
 	// tombstones logs committed keys by commit height so checkpointing can
 	// drop tombstones below the prune horizon (PruneTombstonesBelow).
@@ -100,6 +115,9 @@ type Mempool struct {
 	duplicate        uint64
 	tombstonesPruned uint64
 }
+
+// tombstone is the entries value of a committed key.
+const tombstone int64 = -1
 
 // tombstoneBatch records the keys tombstoned by one committed block.
 type tombstoneBatch struct {
@@ -137,7 +155,8 @@ func New(id wire.NodeID, s *sim.Simulator, net *netsim.Network, peers []wire.Nod
 		cfg:     cfg,
 		check:   check,
 		enter:   enter,
-		entries: make(map[wire.TxKey]*wire.Tx),
+		entries: make(map[wire.TxKey]int64),
+		base:    1,
 		peers:   peers,
 	}
 }
@@ -193,9 +212,9 @@ func (m *Mempool) add(tx *wire.Tx, gossip bool) bool {
 		m.dropped++
 		return false
 	}
-	m.entries[key] = tx
+	m.entries[key] = m.base + int64(len(m.order))
 	m.live++
-	m.order = append(m.order, key)
+	m.order = append(m.order, tx)
 	m.bytes += tx.WireSize()
 	m.admitted++
 	if m.enter != nil {
@@ -241,8 +260,7 @@ func (m *Mempool) flush() {
 func (m *Mempool) Reap(maxBytes int) []*wire.Tx {
 	var out []*wire.Tx
 	total := 0
-	for _, key := range m.order {
-		tx := m.entries[key]
+	for _, tx := range m.order[m.head:] {
 		if tx == nil {
 			continue
 		}
@@ -259,8 +277,8 @@ func (m *Mempool) Reap(maxBytes int) []*wire.Tx {
 }
 
 // RemoveCommitted evicts transactions included in the block committed at
-// the given height and compacts the admission order lazily. The keys stay
-// as tombstones, so committed transactions can never re-enter this pool —
+// the given height and compacts the admission ring. The keys stay as
+// tombstones, so committed transactions can never re-enter this pool —
 // until PruneTombstonesBelow drops tombstones the checkpoint horizon has
 // made redundant.
 func (m *Mempool) RemoveCommitted(height uint64, txs []*wire.Tx) {
@@ -269,12 +287,15 @@ func (m *Mempool) RemoveCommitted(height uint64, txs []*wire.Tx) {
 		key := tx.MapKey()
 		// A committed tx may have never reached this pool (e.g. it was
 		// proposed by another node before gossip arrived). Tombstone it so
-		// late gossip is dropped.
-		if old := m.entries[key]; old != nil {
-			m.bytes -= old.WireSize()
+		// late gossip is dropped. A block that lists a tx twice finds the
+		// tombstone the second time and frees its slot only once.
+		if seq := m.entries[key]; seq > 0 {
+			slot := seq - m.base
+			m.bytes -= m.order[slot].WireSize()
 			m.live--
+			m.order[slot] = nil
 		}
-		m.entries[key] = nil
+		m.entries[key] = tombstone
 		keys = append(keys, key)
 	}
 	if len(keys) > 0 {
@@ -296,7 +317,9 @@ func (m *Mempool) PruneTombstonesBelow(height uint64) {
 	cut := 0
 	for cut < len(m.tombstones) && m.tombstones[cut].height <= height {
 		for _, key := range m.tombstones[cut].keys {
-			if tx, ok := m.entries[key]; ok && tx == nil {
+			// A key pruned earlier, re-admitted by late gossip and live
+			// again has a positive entry and stays.
+			if m.entries[key] == tombstone {
 				delete(m.entries, key)
 				m.tombstonesPruned++
 			}
@@ -315,18 +338,23 @@ func (m *Mempool) TombstonedKeys() int { return len(m.entries) - m.live }
 // TombstonesPruned returns how many tombstones pruning has dropped.
 func (m *Mempool) TombstonesPruned() uint64 { return m.tombstonesPruned }
 
+// compact advances head past the freed slots at the front of the ring
+// and, once they are more than half of it, slides the remainder down to
+// index 0. A slide copies fewer slots than head advanced since the last
+// one, so compaction is amortized O(1) per committed transaction and does
+// no map lookups.
 func (m *Mempool) compact() {
-	// Rebuild order only when it is mostly tombstones to keep Reap cheap.
-	if len(m.order) < 64 || m.live*2 > len(m.order) {
+	for m.head < len(m.order) && m.order[m.head] == nil {
+		m.head++
+	}
+	if m.head < 64 || m.head*2 <= len(m.order) {
 		return
 	}
-	liveOrder := m.order[:0]
-	for _, key := range m.order {
-		if m.entries[key] != nil {
-			liveOrder = append(liveOrder, key)
-		}
-	}
-	m.order = liveOrder
+	n := copy(m.order, m.order[m.head:])
+	clear(m.order[n:]) // release the transactions the stale tail still points at
+	m.order = m.order[:n]
+	m.base += int64(m.head)
+	m.head = 0
 }
 
 // Size returns the number of pooled transactions.
@@ -337,7 +365,7 @@ func (m *Mempool) Bytes() int { return m.bytes }
 
 // Has reports whether the pool currently holds the given tx key.
 func (m *Mempool) Has(key wire.TxKey) bool {
-	return m.entries[key] != nil
+	return m.entries[key] > 0
 }
 
 // Stats returns counters (admitted, rejected by CheckTx, dropped by

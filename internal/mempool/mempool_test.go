@@ -2,6 +2,7 @@ package mempool
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -203,12 +204,48 @@ func TestRemoveCommittedNeverSeen(t *testing.T) {
 	p := pools[0]
 	tx := elemTx(9, 100)
 	p.RemoveCommitted(1, []*wire.Tx{tx}) // seen-marking path
+	if p.Size() != 0 || p.Bytes() != 0 || p.TombstonedKeys() != 1 {
+		t.Fatalf("size/bytes/tombstones = %d/%d/%d after committing a never-seen tx, want 0/0/1",
+			p.Size(), p.Bytes(), p.TombstonedKeys())
+	}
 	s.After(0, func() {
 		if p.AddTx(tx) {
 			t.Error("committed-elsewhere tx admitted")
 		}
+		p.ReceiveGossip(&GossipMsg{Txs: []*wire.Tx{tx}})
 	})
 	s.Run()
+	if _, _, _, dup := p.Stats(); dup != 2 || p.Size() != 0 || len(p.Reap(1<<20)) != 0 {
+		t.Fatalf("late submission and late gossip: duplicates = %d, size = %d, want 2 and 0", dup, p.Size())
+	}
+}
+
+// A Byzantine proposer can list one transaction twice in a block. The
+// second listing finds the tombstone the first one left: live and bytes go
+// down once, and the slot that is freed is the transaction's own.
+func TestRemoveCommittedSameTxTwice(t *testing.T) {
+	s, pools := newTestPools(t, 1, Config{})
+	p := pools[0]
+	var txs []*wire.Tx
+	s.After(0, func() {
+		for i := 0; i < 4; i++ {
+			txs = append(txs, elemTx(i, 100+i))
+			p.AddTx(txs[i])
+		}
+	})
+	s.Run()
+	p.RemoveCommitted(1, []*wire.Tx{txs[1], txs[1]})
+	if p.Size() != 3 || p.Bytes() != 100+102+103 || p.TombstonedKeys() != 1 {
+		t.Fatalf("size/bytes/tombstones = %d/%d/%d, want 3/305/1", p.Size(), p.Bytes(), p.TombstonedKeys())
+	}
+	got := p.Reap(1 << 20)
+	if len(got) != 3 || got[0] != txs[0] || got[1] != txs[2] || got[2] != txs[3] {
+		t.Fatalf("reap after the double listing = %v, want txs 0, 2, 3", got)
+	}
+	p.PruneTombstonesBelow(1)
+	if p.TombstonesPruned() != 1 || p.TombstonedKeys() != 0 {
+		t.Fatalf("pruned/tombstones = %d/%d, want 1/0", p.TombstonesPruned(), p.TombstonedKeys())
+	}
 }
 
 func TestReapRespectsRemoval(t *testing.T) {
@@ -233,6 +270,9 @@ func TestReapRespectsRemoval(t *testing.T) {
 	}
 }
 
+// The ring slides once the freed front is at least 64 slots and more than
+// half of it: the survivors move to index 0, base moves by as much, and
+// every sequence number in the index still finds its own slot.
 func TestCompactKeepsOrder(t *testing.T) {
 	s, pools := newTestPools(t, 1, Config{})
 	p := pools[0]
@@ -245,15 +285,37 @@ func TestCompactKeepsOrder(t *testing.T) {
 		}
 	})
 	s.Run()
-	p.RemoveCommitted(1, txs[:150]) // triggers compaction
-	got := p.Reap(1 << 20)
-	if len(got) != 50 {
-		t.Fatalf("reaped %d, want 50", len(got))
+	p.RemoveCommitted(1, txs[:100]) // head reaches the midpoint: no slide yet
+	if p.head != 100 || p.base != 1 || len(p.order) != 200 {
+		t.Fatalf("head/base/len = %d/%d/%d at the midpoint, want 100/1/200", p.head, p.base, len(p.order))
 	}
-	for i, tx := range got {
-		if want := byte(150 + i); tx.Element.ID[0] != want {
-			t.Fatalf("order broken after compact at %d", i)
+	// A hole in the middle does not move head and is not compacted away.
+	p.RemoveCommitted(2, txs[170:180])
+	if p.head != 100 || len(p.order) != 200 {
+		t.Fatalf("head/len = %d/%d after a mid-ring commit, want 100/200", p.head, len(p.order))
+	}
+	p.RemoveCommitted(3, txs[100:150]) // head passes the midpoint: slide
+	if p.head != 0 || p.base != 151 || len(p.order) != 50 {
+		t.Fatalf("head/base/len = %d/%d/%d after the slide, want 0/151/50", p.head, p.base, len(p.order))
+	}
+	for _, tx := range p.order[len(p.order):200] {
+		if tx != nil {
+			t.Fatal("slide left a transaction pointer in the stale tail")
 		}
+	}
+	want := slices.Concat(txs[150:170], txs[180:])
+	if got := p.Reap(1 << 20); !slices.Equal(got, want) {
+		t.Fatalf("reaped %d txs after the slide, want the 40 survivors in admission order", len(got))
+	}
+	// Sequence numbers issued before the slide still address their slots,
+	// and ones issued after it continue the same numbering.
+	late := elemTx(500, 10)
+	s.After(0, func() { p.AddTx(late) })
+	s.Run()
+	p.RemoveCommitted(4, []*wire.Tx{txs[199], txs[150]})
+	want = append(slices.Clone(want[1:39]), late)
+	if got := p.Reap(1 << 20); !slices.Equal(got, want) || p.Size() != 39 || p.Bytes() != 390 {
+		t.Fatalf("after the slide: reaped %d txs, size %d, bytes %d; want 39/39/390", len(got), p.Size(), p.Bytes())
 	}
 }
 
@@ -320,6 +382,58 @@ func BenchmarkAddReapRemove(b *testing.B) {
 	}
 }
 
+// benchPool returns one peerless pool holding n element transactions.
+func benchPool(n int) (*Mempool, []*wire.Tx) {
+	p := New(0, sim.New(1), nil, nil, Config{}, nil, nil)
+	txs := make([]*wire.Tx, n)
+	for i := range txs {
+		txs[i] = elemTx(i, 438)
+		p.AddTx(txs[i])
+	}
+	return p, txs
+}
+
+// Nine arrivals in ten are gossip duplicates on vanilla_backlog: one probe
+// of the index by a key the pool already holds.
+func BenchmarkAddDuplicate(b *testing.B) {
+	p, txs := benchPool(60_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.AddTx(txs[i%len(txs)])
+	}
+}
+
+// One block's worth of Reap from the head of a 60,000-transaction backlog
+// whose first third and a band in the middle have committed.
+func BenchmarkReapUnderBacklog(b *testing.B) {
+	p, txs := benchPool(60_000)
+	p.RemoveCommitted(1, txs[:20_000])
+	p.RemoveCommitted(2, txs[25_000:35_000])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := p.Reap(1 << 20); len(got) == 0 {
+			b.Fatal("empty reap")
+		}
+	}
+}
+
+// The duplicate path is a key built on the stack and one map probe.
+func TestDuplicateAddAllocFree(t *testing.T) {
+	p, txs := benchPool(1000)
+	i := 0
+	avg := testing.AllocsPerRun(1000, func() {
+		if p.AddTx(txs[i%len(txs)]) {
+			t.Fatal("duplicate admitted")
+		}
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("duplicate AddTx allocates %.2f/op, want 0", avg)
+	}
+}
+
 // Tombstones below the checkpoint horizon are dropped, tombstones above
 // it retained, and the retained ones keep blocking re-entry. A pruned
 // key CAN re-enter — the documented worst case, which the application
@@ -370,5 +484,36 @@ func TestPruneTombstonesBelow(t *testing.T) {
 	p.PruneTombstonesBelow(2)
 	if got := p.TombstonesPruned(); got != 8 {
 		t.Fatalf("re-prune moved the counter: %d, want 8", got)
+	}
+}
+
+// A tombstone log entry can outlive its tombstone: a key committed at two
+// heights is pruned with the first, re-admitted by late gossip, and is
+// live when the horizon passes the second. Pruning must leave it pooled.
+func TestPruneKeepsReadmittedKey(t *testing.T) {
+	s, pools := newTestPools(t, 1, Config{})
+	p := pools[0]
+	tx := elemTx(3, 100)
+	s.After(0, func() { p.AddTx(tx) })
+	s.Run()
+	p.RemoveCommitted(1, []*wire.Tx{tx})
+	p.RemoveCommitted(5, []*wire.Tx{tx}) // re-proposed: logged again at height 5
+	p.PruneTombstonesBelow(3)
+	if p.TombstonedKeys() != 0 || p.TombstonesPruned() != 1 {
+		t.Fatalf("tombstones/pruned = %d/%d after the first prune, want 0/1", p.TombstonedKeys(), p.TombstonesPruned())
+	}
+	s.After(0, func() {
+		if !p.AddTx(tx) {
+			t.Error("pruned key not re-admitted")
+		}
+	})
+	s.Run()
+	p.PruneTombstonesBelow(5)
+	if !p.Has(tx.MapKey()) || p.Size() != 1 || p.Bytes() != 100 || p.TombstonesPruned() != 1 {
+		t.Fatalf("prune touched a live key: has=%v size=%d bytes=%d pruned=%d, want true/1/100/1",
+			p.Has(tx.MapKey()), p.Size(), p.Bytes(), p.TombstonesPruned())
+	}
+	if got := p.Reap(1 << 20); len(got) != 1 || got[0] != tx {
+		t.Fatalf("re-admitted tx not reaped: %v", got)
 	}
 }

@@ -263,35 +263,60 @@ func (tx *Tx) Key() string {
 	}
 }
 
-// TxKey is the comparable dedup identity of a ledger transaction: the
-// fields that make the transaction unique, packed into a fixed-size value
-// so mempool and metrics maps never build string keys on the hot path.
-// Kind discriminates the populated fields: elements intern their 16-byte id
-// into H, hash-batches intern the batch hash into H with the signer in A,
-// proofs pack (epoch, signer) into (A, B), and compressed batches pack
-// (origin, seq) into (A, B).
+// TxKeyHashPrefix is how many leading bytes of a batch hash a hash-batch's
+// TxKey keeps: 176 bits, above the 160 a collision-resistant prefix of a
+// full-mode SHA-512 needs, and well past the first 8-byte word that holds
+// all the entropy a FastSuite digest has.
+const TxKeyHashPrefix = 22
+
+// TxKey is the comparable dedup identity of a ledger transaction, packed
+// into 32 bytes so mempool and metrics maps never build string keys on the
+// hot path. The layout has no padding and no pointers (wire_test.go pins
+// both), which is what lets Go hash and compare it as plain memory instead
+// of through a generated per-field routine, and lets the garbage collector
+// skip a map keyed by it. CometBFT keys its mempool cache the same way, by
+// the 32-byte sha256 of the transaction.
+//
+// kind discriminates how the other fields are filled:
+//
+//	element           h[:16] = id
+//	proof             a = epoch,  h[:8] = signer (little-endian)
+//	compressed batch  a = origin, h[:8] = seq (little-endian)
+//	hash-batch        a = signer, n = hash length, h = hash[:TxKeyHashPrefix]
+//
+// The first three are exact: every identifying field is stored whole, so
+// distinct transactions have distinct keys. A hash-batch is identified by
+// its signer, its hash length (capped at DigestSize, as DigestOf caps it)
+// and the hash prefix; the signer stays in the key, so a Byzantine sender
+// that grinds a shared prefix can only shadow its own hash-batches. Code
+// that needs the whole hash (batchstore, hashchain) keys by Digest.
 type TxKey struct {
-	Kind TxKind
-	H    Digest
-	A, B uint64
+	a    uint64
+	h    [TxKeyHashPrefix]byte
+	n    uint8
+	kind TxKind
 }
 
 // MapKey returns the transaction's comparable dedup key.
 func (tx *Tx) MapKey() TxKey {
+	k := TxKey{kind: tx.Kind}
 	switch tx.Kind {
 	case TxElement:
-		return TxKey{Kind: TxElement, H: DigestOf(tx.Element.ID[:])}
+		copy(k.h[:], tx.Element.ID[:])
 	case TxProof:
-		return TxKey{Kind: TxProof, A: tx.Proof.Epoch, B: uint64(tx.Proof.Signer)}
+		k.a = tx.Proof.Epoch
+		binary.LittleEndian.PutUint64(k.h[:], uint64(tx.Proof.Signer))
 	case TxCompressedBatch:
-		return TxKey{Kind: TxCompressedBatch,
-			A: uint64(tx.Compressed.Origin), B: tx.Compressed.Seq}
+		k.a = uint64(tx.Compressed.Origin)
+		binary.LittleEndian.PutUint64(k.h[:], tx.Compressed.Seq)
 	case TxHashBatch:
-		return TxKey{Kind: TxHashBatch,
-			H: DigestOf(tx.HashBatch.Hash), A: uint64(tx.HashBatch.Signer)}
+		k.a = uint64(tx.HashBatch.Signer)
+		k.n = uint8(min(len(tx.HashBatch.Hash), DigestSize))
+		copy(k.h[:], tx.HashBatch.Hash)
 	default:
 		return TxKey{}
 	}
+	return k
 }
 
 // AppendKey appends an unambiguous binary form of the transaction's dedup

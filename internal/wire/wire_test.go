@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/setcrypto"
 )
@@ -201,11 +203,40 @@ func TestDigestBytesRoundTrip(t *testing.T) {
 	}
 }
 
-// MapKey must discriminate exactly as the diagnostic string Key does.
+// TxKey is 32 bytes with no padding between or after its fields. That is
+// the reason a map keyed by it takes Go's fast path: a struct of plain
+// memory without padding is hashed and compared as one run of bytes
+// (memhash/memequal), where a struct with padding — the 88-byte key this
+// replaced — goes through a generated routine that walks the fields.
+func TestTxKeyLayout(t *testing.T) {
+	var k TxKey
+	if got := unsafe.Sizeof(k); got != 32 {
+		t.Fatalf("sizeof(TxKey) = %d, want 32", got)
+	}
+	if sum := unsafe.Sizeof(k.a) + unsafe.Sizeof(k.h) + unsafe.Sizeof(k.n) + unsafe.Sizeof(k.kind); sum != unsafe.Sizeof(k) {
+		t.Fatalf("TxKey fields add up to %d bytes of %d: the layout has padding", sum, unsafe.Sizeof(k))
+	}
+}
+
+// MapKey must discriminate exactly as the diagnostic string Key does,
+// including on inputs chosen so that one kind's packed fields spell out
+// another kind's bytes.
 func TestMapKeysDistinct(t *testing.T) {
 	e := &Element{Size: 1}
 	e.ID[0] = 9
 	h64 := bytes.Repeat([]byte{3}, 64)
+	// An element id whose 16 bytes are what a proof (epoch 7, signer 2) or a
+	// compressed batch (origin 7, seq 2) would pack if a and h were adjacent.
+	packed := &Element{Size: 1}
+	binary.LittleEndian.PutUint64(packed.ID[:8], 7)
+	binary.LittleEndian.PutUint64(packed.ID[8:], 2)
+	// The same numbers where the key really puts them: id = h[:16] of a
+	// proof with signer 2, epoch aside.
+	inH := &Element{Size: 1}
+	binary.LittleEndian.PutUint64(inH.ID[:8], 2)
+	// A hash-batch whose hash starts with those bytes and whose signer is 7.
+	hashLike := append(binary.LittleEndian.AppendUint64(nil, 2), make([]byte, 56)...)
+	const bigSigner = NodeID(1<<48 + 5)
 	txs := []*Tx{
 		{Kind: TxElement, Element: e},
 		{Kind: TxProof, Proof: &EpochProof{Epoch: 1, Signer: 2}},
@@ -216,6 +247,41 @@ func TestMapKeysDistinct(t *testing.T) {
 		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: []byte("h"), Signer: 1}},
 		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: []byte("h"), Signer: 2}},
 		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: h64, Signer: 2}},
+
+		// Cross-kind: the same numbers as an element, a proof, a compressed
+		// batch (both ways round) and a hash-batch.
+		{Kind: TxElement, Element: packed},
+		{Kind: TxElement, Element: inH},
+		{Kind: TxElement, Element: &Element{Size: 1}}, // all-zero id
+		{Kind: TxProof, Proof: &EpochProof{Epoch: 7, Signer: 2}},
+		{Kind: TxProof, Proof: &EpochProof{Epoch: 2, Signer: 7}},
+		{Kind: TxProof, Proof: &EpochProof{}},
+		{Kind: TxCompressedBatch, Compressed: &CompressedBatch{Origin: 7, Seq: 2}},
+		{Kind: TxCompressedBatch, Compressed: &CompressedBatch{Origin: 2, Seq: 7}},
+		{Kind: TxCompressedBatch, Compressed: &CompressedBatch{}},
+		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: hashLike, Signer: 7}},
+		{Kind: TxHashBatch, HashBatch: &HashBatch{}},
+
+		// Hash-batches that share every kept prefix byte and differ in
+		// length (a hash and its zero-padded extensions), or in signer.
+		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: h64[:TxKeyHashPrefix], Signer: 2}},
+		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: h64[:TxKeyHashPrefix+1], Signer: 2}},
+		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: h64[:63], Signer: 2}},
+		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: []byte{0}, Signer: 2}},
+		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: []byte{0, 0}, Signer: 2}},
+		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: h64, Signer: 3}},
+
+		// Signers at and above 2^48: all 64 bits count, for every kind that
+		// carries one.
+		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: h64, Signer: bigSigner}},
+		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: h64, Signer: bigSigner - 5}},
+		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: h64, Signer: 5}},
+		{Kind: TxProof, Proof: &EpochProof{Epoch: 1, Signer: bigSigner}},
+		{Kind: TxProof, Proof: &EpochProof{Epoch: 1, Signer: 5}},
+		{Kind: TxProof, Proof: &EpochProof{Epoch: 1<<63 + 1, Signer: 2}},
+		{Kind: TxCompressedBatch, Compressed: &CompressedBatch{Origin: bigSigner, Seq: 1}},
+		{Kind: TxCompressedBatch, Compressed: &CompressedBatch{Origin: 5, Seq: 1}},
+		{Kind: TxCompressedBatch, Compressed: &CompressedBatch{Origin: 1, Seq: 1<<63 + 1}},
 	}
 	seenMap := make(map[TxKey]int)
 	seenAppend := make(map[string]int)
@@ -230,6 +296,34 @@ func TestMapKeysDistinct(t *testing.T) {
 			t.Fatalf("tx %d AppendKey collides with tx %d", i, j)
 		}
 		seenAppend[ak] = i
+	}
+}
+
+// The one place MapKey is coarser than AppendKey, stated so that nobody
+// finds it by accident: two hash-batches of one signer whose hashes have
+// the same length and the same first TxKeyHashPrefix bytes are one
+// transaction to the mempool. Another signer's hash-batch never is.
+func TestHashBatchKeyIsSignerLengthPrefix(t *testing.T) {
+	a := bytes.Repeat([]byte{3}, 64)
+	b := bytes.Clone(a)
+	b[TxKeyHashPrefix] ^= 1
+	key := func(h []byte, signer NodeID) TxKey {
+		return (&Tx{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: h, Signer: signer}}).MapKey()
+	}
+	if key(a, 1) != key(b, 1) {
+		t.Fatal("hashes that differ only past the kept prefix have different keys: the prefix is longer than documented")
+	}
+	if key(a, 1) == key(b, 2) || key(a, 1) == key(a, 2) {
+		t.Fatal("a hash-batch key ignores its signer")
+	}
+	b = bytes.Clone(a)
+	b[TxKeyHashPrefix-1] ^= 1
+	if key(a, 1) == key(b, 1) {
+		t.Fatal("a hash-batch key ignores the last kept prefix byte")
+	}
+	// Over-long hashes are capped at DigestSize, as DigestOf caps them.
+	if long := append(bytes.Clone(a), 9, 9); key(long, 1) != key(a, 1) {
+		t.Fatal("a hash longer than DigestSize is not capped like DigestOf caps it")
 	}
 }
 
