@@ -155,6 +155,12 @@ func main() {
 	workers := flag.Int("workers", 0, "study executor workers (0 = GOMAXPROCS)")
 	artifactOut := flag.String("artifact", "", "write a versioned run artifact (results + provenance) to this file")
 	flag.Parse()
+	// A bad -scale is a usage error, caught before any study expands the
+	// registry with it (those expansions panic on a conversion error).
+	if err := spec.CheckScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "-scale: %v\n", err)
+		os.Exit(2)
+	}
 	harness.SetWorkers(*workers)
 
 	var faultPlan *spec.FaultSpec

@@ -56,6 +56,10 @@ func main() {
 	entries := flag.String("entries", "", "with -emit-artifact: run only these comma-separated entries and merge their records into the existing artifact")
 	workers := flag.Int("workers", 0, "study executor workers (0 = GOMAXPROCS)")
 	flag.Parse()
+	if err := spec.CheckScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "setchain-report: -scale: %v\n", err)
+		os.Exit(2)
+	}
 	harness.SetWorkers(*workers)
 
 	if *emit != "" {

@@ -165,8 +165,12 @@ func nodeGroups(groups [][]int) [][]wire.NodeID {
 // FromSpecScaled converts the spec and applies a run-time scale factor on
 // top of the spec's own: Scale multiplies (shrinking rate and send window
 // at run time), and an explicitly-set horizon shrinks with it — exactly
-// the scaling rule the study functions have always used. scale 0 means 1.
+// the scaling rule the study functions have always used. scale 0 means 1;
+// a negative or non-finite scale is an error.
 func FromSpecScaled(sp spec.ScenarioSpec, scale float64) (Scenario, error) {
+	if err := spec.CheckScale(scale); err != nil {
+		return Scenario{}, err
+	}
 	sc, err := FromSpec(sp)
 	if err != nil {
 		return Scenario{}, err

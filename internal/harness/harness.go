@@ -6,11 +6,15 @@
 //
 // Scenarios are data: the study functions expand entries of the
 // internal/spec registry into Scenario lists and fan them across the
-// RunMany worker pool. See DESIGN.md §2 (layering), §6 (the parallel
-// executor) and §7 (the spec/registry layer).
+// RunMany worker pool. Every scenario, sharded or not, goes through the
+// one executor in this file (runScenario): it deploys max(Shards, 1)
+// Setchain instances with internal/shard, drives them, and harvests and
+// checks them in one loop. See DESIGN.md §2 (layering), §6 (the parallel
+// executor), §7 (the spec/registry layer) and §10 (one executor).
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -102,11 +106,12 @@ type Scenario struct {
 	// Setchain instances — each a Servers-sized consensus group — inside
 	// one shared network, with elements routed by id digest and Rate the
 	// aggregate across all shards (internal/shard, DESIGN.md §10). 0 or 1
-	// runs the classic single instance.
+	// is the paper's single instance: the same deployment with one shard,
+	// without the cross-shard view and check that only several shards need.
 	Shards int
 	// IntraWorkers runs the scenario's own event population on this many
 	// concurrent workers via lookahead-bounded partitioned execution
-	// (DESIGN.md §12): one partition per server node single-instance, one
+	// (DESIGN.md §12): one partition per server node with one instance, one
 	// per shard when Shards > 1. Results are byte-identical to the
 	// sequential schedule — this knob may only change wall-clock time.
 	// 0 or 1 runs exactly today's single-queue path; configurations the
@@ -257,10 +262,10 @@ type Result struct {
 	Events uint64
 	// Invariant is the end-of-run safety verdict: nil when every Setchain
 	// safety invariant held across the correct servers (internal/invariant;
-	// checked on every scenario, faulted or not). For sharded scenarios it
-	// joins every shard's per-shard check with the cross-shard check
-	// (router completeness, no cross-shard duplication or fabrication,
-	// superepoch integrity). A non-nil value is a safety violation — a bug
+	// checked on every scenario, faulted or not): every shard's own check
+	// joined, when Shards > 1, with the cross-shard check (router
+	// completeness, no cross-shard duplication or fabrication, superepoch
+	// integrity). A non-nil value is a safety violation — a bug
 	// in the system under test or the checker — and also increments the
 	// package-wide InvariantViolations counter.
 	Invariant error
@@ -269,8 +274,8 @@ type Result struct {
 	PerShard []shard.Stats
 	// SuperDigests is the sharded run's cross-shard superepoch digest
 	// sequence (internal/shard.View.Digests): the compact fingerprint
-	// "same seed ⇒ same superepoch sequence" pins. Nil for single-instance
-	// runs.
+	// "same seed ⇒ same superepoch sequence" pins. Nil unless Shards > 1
+	// (one shard's merge is its own history).
 	SuperDigests []uint64
 	// CheckpointSeals counts pruning checkpoints the observer(s) sealed
 	// (summed across shards in a sharded run); 0 when checkpointing is off.
@@ -307,8 +312,8 @@ type Result struct {
 	// Gossip aggregates the mesh overlay's counters (zero value on the
 	// broadcast transport).
 	Gossip netsim.MeshStats
-	// Open-system measurements (DESIGN.md §14), identical on both
-	// executor paths: Offered counts every add attempted (accepted +
+	// Open-system measurements (DESIGN.md §14), booked by the generator's
+	// workload.Account: Offered counts every add attempted (accepted +
 	// rejected), Rejected the adds admission control (or validation)
 	// refused, Fairness is Jain's index over per-client acceptance
 	// ratios (1.0 when nothing was refused or all clients are served
@@ -322,10 +327,9 @@ type Result struct {
 }
 
 // deployConfig derives the server options and ledger config a defaulted
-// scenario prescribes — the one definition both the single-instance and
-// the sharded executor paths build their deployments from, so a
-// scale_tput entry's S=1 and S=4 cells cannot silently run different
-// configurations.
+// scenario prescribes; every server of every shard gets the same, so a
+// scale_tput entry's S=1 and S=4 cells differ in nothing but the shard
+// count.
 func deployConfig(sc Scenario) (core.Options, ledger.Config) {
 	netCfg := netsim.DefaultLANConfig()
 	netCfg.ExtraDelay = sc.NetworkDelay
@@ -383,52 +387,60 @@ func Run(sc Scenario) *Result {
 	return runScenario(sc)
 }
 
-// runScenario is the side-effect-free core of Run: it builds a fresh
-// simulator and deployment from the scenario alone, so concurrent calls
-// never share state and a scenario's result is a pure function of its
-// configuration (see RunMany).
+// runScenario is the side-effect-free core of Run, and the one place a
+// scenario is deployed and driven: it builds a fresh simulator and a
+// shard.Deployment of max(Shards, 1) instances from the scenario alone, so
+// concurrent calls never share state and a scenario's result is a pure
+// function of its configuration (see RunMany). The classic single
+// instance is the one-shard deployment (DESIGN.md §10).
 func runScenario(sc Scenario) *Result {
 	sc = sc.withDefaults()
-	if sc.Shards > 1 {
-		return runShardedScenario(sc)
-	}
-	n := sc.Servers
+	n, shards := sc.Servers, max(sc.Shards, 1)
 	opts, lcfg := deployConfig(sc)
 
-	// Partitioned execution (IntraWorkers > 1): every server node owns its
-	// own event queue, advanced concurrently in lookahead-bounded rounds;
-	// client injection, fault plans and the drain run on the home queue at
-	// round barriers. Byte-identical to the sequential path (DESIGN.md §12).
-	var world *sim.World
+	// Partitioned execution (IntraWorkers > 1): every partition owns its own
+	// event queue, advanced concurrently in lookahead-bounded rounds; client
+	// injection, fault plans and the drain run on the home queue at round
+	// barriers. Byte-identical to the sequential path (DESIGN.md §12). One
+	// instance partitions per server node; several partition per shard —
+	// shards interact only through the shared fabric, whose minimum
+	// cross-shard link delay bounds each round.
 	var s *sim.Simulator
+	var world *sim.World
+	var engine runner
 	if iw := effectiveIntraWorkers(sc, opts); iw > 1 {
-		world, lcfg.SimFor = newIntraWorld(sc.Seed, n, iw, func(id wire.NodeID) int { return int(id) })
-		s = world.Home()
+		parts, nodesPerPart := n, 1
+		if shards > 1 {
+			parts, nodesPerPart = shards, n
+		}
+		world, lcfg.SimFor = newIntraWorld(sc.Seed, parts, iw,
+			func(id wire.NodeID) int { return int(id) / nodesPerPart })
+		s, engine = world.Home(), world
 	} else {
 		s = sim.New(sc.Seed)
-	}
-	var engine runner = s
-	recSim := s
-	if world != nil {
-		engine = world
-		recSim = world.Part(0) // the observer's partition clock
+		engine = s
 	}
 
-	rec := metrics.New(recSim, sc.Level, n, opts.F, 0)
-	d := core.Deploy(s, n, lcfg, opts, rec)
-	applyByzantine(d, sc.Byzantine)
-	sc.Faults.Scaled(sc.Scale).Install(s, d.Ledger.Net)
+	d := shard.Deploy(s, shards, n, lcfg, opts, sc.Level)
 	if world != nil {
-		world.SetLookahead(d.Ledger.Net.Lookahead)
+		world.SetLookahead(d.Net.Lookahead)
 	}
+	for _, sd := range d.Shards {
+		// The highest-indexed servers of EVERY shard misbehave; each
+		// shard's observer (its first server) stays correct.
+		applyByzantine(sd, sc.Byzantine)
+	}
+	// One shared fault controller: plan node ids are global, so a
+	// partition can just as well split a shard internally as cut across
+	// shard boundaries.
+	sc.Faults.Scaled(sc.Scale).Install(s, d.Net)
 
-	gen := workload.New(d, rec, workload.Config{
+	gen := shard.NewGenerator(d, shard.WorkloadConfig{
 		Rate:         sc.Rate,
 		Duration:     sc.SendFor,
 		Sizes:        sc.Sizes,
 		Tick:         sc.Tick,
 		FullPayloads: sc.Mode == core.Full,
-		TrackIDs:     true, // the invariant checker compares against these
 		Open:         sc.Open.Scaled(sc.Scale),
 		Seed:         sc.Seed,
 	})
@@ -439,66 +451,122 @@ func runScenario(sc Scenario) *Result {
 
 	res := &Result{
 		Scenario:   sc,
-		Injected:   rec.TotalInjected(),
-		Committed:  rec.TotalCommitted(),
-		Eff50:      rec.Efficiency(sc.SendFor),
-		Eff75:      rec.Efficiency(sc.SendFor * 3 / 2),
-		Eff100:     rec.Efficiency(sc.SendFor * 2),
-		AvgTput:    rec.AvgThroughputUpTo(sc.SendFor),
-		Series:     rec.ThroughputSeries(9 * time.Second),
 		CommitFrac: make(map[int]time.Duration),
-		Analytical: sc.Spec.AnalyticalThroughput(n),
-		Blocks:     int(d.Ledger.Nodes[0].Cons.HeightCommitted()),
+		// Shards are independent instances, so the Appendix D model value
+		// for the aggregate is S times the per-instance one.
+		Analytical: sc.Spec.AnalyticalThroughput(n) * float64(shards),
 		Events:     engine.Executed(),
-		Recorder:   rec,
+		NetMsgs:    d.Net.Messages(),
+		NetBytes:   d.Net.BytesSent(),
+		Offered:    gen.Offered(),
+		Rejected:   gen.Rejected(),
+		Fairness:   gen.Fairness(),
 	}
-	fracs := map[int]float64{0: 0, 10: 0.10, 20: 0.20, 30: 0.30, 40: 0.40, 50: 0.50}
-	for pct, frac := range fracs {
-		if t, ok := rec.CommitTimeAtFraction(frac); ok {
-			res.CommitFrac[pct] = t
-		}
+	if shards == 1 {
+		res.Recorder = d.Recorders[0] // Fig. 4's stage CDFs read it
 	}
-	res.CheckpointSeals = rec.CheckpointSeals()
+
+	// Harvest the per-shard recorders and check each shard. Totals and
+	// counters sum; series and commit fractions come from the merged time
+	// buckets, so they keep exactly the bucket semantics of a single
+	// recorder (widths are reconciled by MergeBuckets when a long run
+	// coarsened a shard, and one shard's buckets merge to themselves).
+	// Safety invariants are checked on EVERY scenario — chaos or not — so
+	// any run of any study doubles as a machine-checked safety argument.
+	var buckets []uint64
+	var bw time.Duration
+	var errs []error
 	ckd := checkpoint.Seed()
-	for _, srv := range d.Servers {
-		res.SyncInstalls += srv.SyncInstalls()
-		ckd = checkpoint.Mix64(ckd, checkpoint.FoldChain(srv.Checkpoints()))
+	for k, sd := range d.Shards {
+		rec := d.Recorders[k]
+		blocks := int(sd.Ledger.Nodes[0].Cons.HeightCommitted())
+		res.Injected += rec.TotalInjected()
+		res.Committed += rec.TotalCommitted()
+		res.AvgTput += rec.AvgThroughputUpTo(sc.SendFor)
+		res.Blocks += blocks
+		res.CheckpointSeals += rec.CheckpointSeals()
+		bw, buckets = metrics.MergeBuckets(bw, buckets, rec.BucketWidth(), rec.CommittedPerSecond())
+		if shards > 1 {
+			snap := sd.Server(d.Observer(k)).Get()
+			res.PerShard = append(res.PerShard, shard.Stats{
+				Shard:     k,
+				Injected:  rec.TotalInjected(),
+				Committed: rec.TotalCommitted(),
+				AvgTput:   rec.AvgThroughputUpTo(sc.SendFor),
+				Epochs:    int(snap.PrunedEpochs) + len(snap.History),
+				Blocks:    blocks,
+			})
+		}
+		for _, srv := range sd.Servers {
+			res.SyncInstalls += srv.SyncInstalls()
+			ckd = checkpoint.Mix64(ckd, checkpoint.FoldChain(srv.Checkpoints()))
+		}
+		for _, node := range sd.Ledger.Nodes {
+			res.SyncRejected += node.Cons.SyncRejects()
+			_, deferred, expired := node.Pool.AdmissionStats()
+			res.DeferredTxs += deferred
+			res.ExpiredTxs += expired
+		}
+		if sd.Ledger.Mesh != nil {
+			res.Gossip.Add(sd.Ledger.Mesh.Stats())
+		}
+		if err := invariant.Check(sd, invariant.Config{
+			Correct:         correctServerIDs(d.Observer(k), n, sc.Byzantine),
+			Injected:        gen.InjectedIDs(),
+			Rejected:        gen.RejectedIDs(),
+			CommittedEpochs: rec.CommittedEpochSizes(),
+			Observer:        d.Observer(k),
+			FoldedEpochs:    rec.FoldedEpochs(),
+			FoldedCommitted: rec.FoldedCommitted(),
+		}); err != nil {
+			errs = append(errs, err)
+		}
 	}
 	if sc.CheckpointInterval > 0 {
 		res.CkptDigest = ckd
 	}
-	for _, node := range d.Ledger.Nodes {
-		res.SyncRejected += node.Cons.SyncRejects()
+	res.Eff50 = bucketEfficiency(bw, buckets, res.Injected, sc.SendFor)
+	res.Eff75 = bucketEfficiency(bw, buckets, res.Injected, sc.SendFor*3/2)
+	res.Eff100 = bucketEfficiency(bw, buckets, res.Injected, sc.SendFor*2)
+	res.Series = metrics.BucketSeries(bw, buckets, 9*time.Second)
+	fracs := map[int]float64{0: 0, 10: 0.10, 20: 0.20, 30: 0.30, 40: 0.40, 50: 0.50}
+	for pct, frac := range fracs {
+		if t, ok := metrics.BucketTimeAtFraction(bw, buckets, res.Injected, frac); ok {
+			res.CommitFrac[pct] = t
+		}
 	}
-	res.NetMsgs = d.Ledger.Net.Messages()
-	res.NetBytes = d.Ledger.Net.BytesSent()
-	if d.Ledger.Mesh != nil {
-		res.Gossip = d.Ledger.Mesh.Stats()
+
+	// Several shards must also compose — router completeness, no
+	// cross-shard duplication or fabrication, superepoch integrity. All of
+	// it is vacuous for one shard (everything routes to shard 0 and the
+	// merge is the shard's own history), so the view is not built there.
+	if shards > 1 {
+		view := d.View()
+		res.SuperDigests = view.Digests()
+		if err := invariant.CheckCross(view, invariant.CrossConfig{
+			Shards:   shards,
+			Injected: gen.InjectedIDs(),
+		}); err != nil {
+			errs = append(errs, err)
+		}
 	}
-	res.Offered = gen.Offered()
-	res.Rejected = gen.Rejected()
-	res.Fairness = gen.Fairness()
-	for _, node := range d.Ledger.Nodes {
-		_, deferred, expired := node.Pool.AdmissionStats()
-		res.DeferredTxs += deferred
-		res.ExpiredTxs += expired
-	}
-	// Safety invariants are checked on EVERY scenario — chaos or not — so
-	// any run of any study doubles as a machine-checked safety argument.
-	res.Invariant = invariant.Check(d, invariant.Config{
-		Correct:         correctServerIDs(sc.Servers, sc.Byzantine),
-		Injected:        gen.InjectedIDs(),
-		Rejected:        gen.RejectedIDs(),
-		CommittedEpochs: rec.CommittedEpochSizes(),
-		Observer:        0,
-		FoldedEpochs:    rec.FoldedEpochs(),
-		FoldedCommitted: rec.FoldedCommitted(),
-	})
+	res.Invariant = errors.Join(errs...)
 	if res.Invariant != nil {
 		invariantViolations.Add(1)
 	}
 	measureHeap(res, d)
 	return res
+}
+
+// bucketEfficiency is the paper's efficiency metric over merged buckets:
+// committed by t divided by total injected. The bucket math itself is the
+// metrics package's (BucketCommittedBy and friends), the same a single
+// Recorder's query methods use.
+func bucketEfficiency(width time.Duration, buckets []uint64, injected uint64, t time.Duration) float64 {
+	if injected == 0 {
+		return 0
+	}
+	return float64(metrics.BucketCommittedBy(width, buckets, t)) / float64(injected)
 }
 
 // measureHeap enforces a scenario's heap ceiling: a forced GC followed by
@@ -541,22 +609,23 @@ var invariantViolations atomic.Uint64
 // safety check since process start.
 func InvariantViolations() uint64 { return invariantViolations.Load() }
 
-// correctServerIDs lists the servers applyByzantine left correct: all of
-// them, minus the Faulty highest-indexed ones (server 0, the metrics
-// observer, is never made faulty). Plan-scheduled crashes do NOT remove a
-// server from this list — a crashed-but-honest server's history must still
-// be a consistent prefix.
-func correctServerIDs(n int, cfg ByzantineCfg) []wire.NodeID {
+// correctServerIDs lists the servers applyByzantine left correct in the
+// shard whose first server is first: all n of them, minus the Faulty
+// highest-indexed ones (the first server, the shard's metrics observer, is
+// never made faulty). Plan-scheduled crashes do NOT remove a server from
+// this list — a crashed-but-honest server's history must still be a
+// consistent prefix.
+func correctServerIDs(first wire.NodeID, n int, cfg ByzantineCfg) []wire.NodeID {
 	firstFaulty := n
 	if cfg.Faulty > 0 && len(cfg.Behaviors) > 0 {
 		firstFaulty = n - cfg.Faulty
 		if firstFaulty < 1 {
-			firstFaulty = 1 // mirror applyByzantine: server 0 stays correct
+			firstFaulty = 1 // mirror applyByzantine: the observer stays correct
 		}
 	}
 	ids := make([]wire.NodeID, 0, firstFaulty)
 	for i := 0; i < firstFaulty; i++ {
-		ids = append(ids, wire.NodeID(i))
+		ids = append(ids, first+wire.NodeID(i))
 	}
 	return ids
 }

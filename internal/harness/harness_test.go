@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/spec"
 )
 
 // Harness tests run at reduced scale: rates and send windows shrink
@@ -162,6 +165,29 @@ func TestScaleShrinksRun(t *testing.T) {
 	// 1000 el/s * 0.1 for 5 s => ~500 elements.
 	if res.Injected < 400 || res.Injected > 600 {
 		t.Fatalf("scaled injection = %d, want ~500", res.Injected)
+	}
+}
+
+// The run-time scale gets the spec layer's rule: finite and >= 0, with 0
+// meaning 1. A negative or NaN scale used to convert into a cell that sent
+// nothing and passed every check.
+func TestFromSpecScaledValidatesScale(t *testing.T) {
+	cell := spec.MustGet("chaos_crash").Cells[0]
+	for _, bad := range []float64{-1, -0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := FromSpecScaled(cell, bad); err == nil {
+			t.Errorf("FromSpecScaled accepted scale %v", bad)
+		}
+	}
+	zero, err := FromSpecScaled(cell, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := FromSpecScaled(cell, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(zero, one) {
+		t.Errorf("scale 0 and scale 1 convert differently:\n%+v\n%+v", zero, one)
 	}
 }
 

@@ -67,9 +67,9 @@ func TestBreakAdmissionForTest(t *testing.T) {
 	}
 }
 
-// TestShardedAdmissionRejects pins the satellite fix: admission rejections
-// route through the shared Account on the SHARDED executor path too, so
-// Generator.Rejected() counts on both paths.
+// TestShardedAdmissionRejects pins that admission rejections reach the
+// shared Account when the router sends an element to another shard's
+// server, so Result.Rejected counts them at any shard count.
 func TestShardedAdmissionRejects(t *testing.T) {
 	sc := saturatingScenario()
 	sc.Name = "open-saturate-sharded"
@@ -77,7 +77,7 @@ func TestShardedAdmissionRejects(t *testing.T) {
 	sc.Rate = 16000 // keep each shard's 8,000 el/s share past its knee
 	res := Run(sc)
 	if res.Rejected == 0 {
-		t.Fatal("sharded saturating run rejected nothing — the sharded path drops rejections")
+		t.Fatal("sharded saturating run rejected nothing — routed adds drop rejections")
 	}
 	if res.Offered != res.Injected+res.Rejected {
 		t.Fatalf("offered %d != injected %d + rejected %d",

@@ -2,7 +2,7 @@ package harness
 
 // Intra-run parallel execution (Scenario.IntraWorkers > 1): the scenario's
 // event population is split across per-partition event queues — one
-// partition per server node for a single-instance run, one per shard for a
+// partition per server node for a one-instance run, one per shard for a
 // sharded run — advanced concurrently in lookahead-bounded rounds by a
 // sim.World (DESIGN.md §12). Results are byte-identical to IntraWorkers=1:
 // same metrics fingerprints, superepoch digests, checkpoint seals, and

@@ -61,7 +61,7 @@ func cloneView(v *shard.View) *shard.View {
 			hists[k][i] = cp
 		}
 	}
-	return shard.NewView(hists)
+	return shard.NewPrunedView(hists, nil, nil)
 }
 
 // TestCheckCrossPassesOnCorrectRun pins the baseline: a real sharded run
@@ -103,7 +103,7 @@ func TestCheckCrossDetectsCorruption(t *testing.T) {
 				src := firstEpochWithElements(v, 0)
 				dst := firstEpochWithElements(v, 1)
 				dst.Elements = append(dst.Elements, src.Elements[0])
-				v.Supers = shard.Merge(v.Histories)
+				v.Supers = shard.MergeFrom(v.Histories, nil)
 			},
 			want: "duplicated across shards",
 		},
@@ -130,7 +130,7 @@ func TestCheckCrossDetectsCorruption(t *testing.T) {
 				e := src.Elements[0]
 				src.Elements = src.Elements[1:]
 				dst.Elements = append(dst.Elements, e)
-				v.Supers = shard.Merge(v.Histories)
+				v.Supers = shard.MergeFrom(v.Histories, nil)
 			},
 			want: "misrouted element",
 		},
@@ -152,7 +152,7 @@ func TestCheckCrossDetectsCorruption(t *testing.T) {
 				}
 				ep := firstEpochWithElements(v, 1)
 				ep.Elements = append(ep.Elements, &e)
-				v.Supers = shard.Merge(v.Histories)
+				v.Supers = shard.MergeFrom(v.Histories, nil)
 			},
 			want: "fabricated element",
 		},

@@ -108,7 +108,6 @@ type Recorder struct {
 
 	// Checkpoint accounting (CheckpointSealed).
 	ckptSeals    uint64
-	lastCkpt     checkpoint.Checkpoint
 	foldedEpochs uint64 // highest epoch folded out of the per-epoch maps
 	foldedComm   uint64 // committed elements folded (sum of dropped sizes)
 
@@ -320,7 +319,6 @@ func (r *Recorder) CheckpointSealed(node wire.NodeID, ck checkpoint.Checkpoint, 
 		return
 	}
 	r.ckptSeals++
-	r.lastCkpt = ck
 	if !prune {
 		return
 	}
@@ -338,10 +336,6 @@ func (r *Recorder) CheckpointSealed(node wire.NodeID, ck checkpoint.Checkpoint, 
 
 // CheckpointSeals returns how many checkpoints the observer sealed.
 func (r *Recorder) CheckpointSeals() uint64 { return r.ckptSeals }
-
-// LastCheckpoint returns the observer's most recent checkpoint (zero value
-// when none sealed).
-func (r *Recorder) LastCheckpoint() checkpoint.Checkpoint { return r.lastCkpt }
 
 // FoldedEpochs returns the highest epoch folded below the prune horizon.
 func (r *Recorder) FoldedEpochs() uint64 { return r.foldedEpochs }
@@ -380,8 +374,8 @@ func (r *Recorder) BucketWidth() time.Duration { return r.bw }
 // CommittedPerSecond returns a copy of the committed-element buckets.
 // Bucket i covers virtual time [i·w, (i+1)·w) with w = BucketWidth() —
 // one second for any run short enough to never coarsen. Aggregators — the
-// sharded executor merges several recorders' buckets via MergeBuckets —
-// use it to compute global series and commit-time fractions with the same
+// harness merges its per-shard recorders' buckets via MergeBuckets — use
+// it to compute global series and commit-time fractions with the same
 // bucket semantics a single recorder has.
 func (r *Recorder) CommittedPerSecond() []uint64 {
 	return append([]uint64(nil), r.committed...)
@@ -393,10 +387,9 @@ func (r *Recorder) CommittedBy(t time.Duration) uint64 {
 }
 
 // BucketCommittedBy is CommittedBy over a caller-held bucket slice of the
-// given width (bucket i covers [i·w, (i+1)·w)). Aggregators — the sharded
-// executor merges several recorders' buckets — share this one
-// implementation so their checkpoint semantics cannot drift from a
-// single recorder's.
+// given width (bucket i covers [i·w, (i+1)·w)). Aggregators — the harness
+// merges its per-shard recorders' buckets — share this one implementation
+// so their checkpoint semantics cannot drift from a single recorder's.
 func BucketCommittedBy(width time.Duration, buckets []uint64, t time.Duration) uint64 {
 	var sum uint64
 	limit := int(t / width)

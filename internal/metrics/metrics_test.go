@@ -345,7 +345,7 @@ func TestBucketBudgetZeroDisablesCoarsening(t *testing.T) {
 // MergeBuckets reconciles series of different (power-of-two-related)
 // widths by coarsening the finer one, preserves totals, pads length
 // mismatches and treats a nil first series as the additive identity —
-// without mutating its inputs (the sharded executor reuses per-shard
+// without mutating its inputs (the harness reuses per-shard
 // slices after merging).
 func TestMergeBucketsReconcilesWidths(t *testing.T) {
 	b1 := []uint64{1, 2, 3, 4}

@@ -206,9 +206,6 @@ func NewMesh(net *Network, ids []wire.NodeID, fanout int) *Mesh {
 // Fanout returns the configured fanout.
 func (m *Mesh) Fanout() int { return m.fanout }
 
-// Peers returns node id's neighbors (sorted, shared slice — read only).
-func (m *Mesh) Peers(id wire.NodeID) []wire.NodeID { return m.peers[id] }
-
 // SetDeliver installs the local delivery callback for a node.
 func (m *Mesh) SetDeliver(id wire.NodeID, fn DeliverFunc) {
 	ep, ok := m.eps[id]

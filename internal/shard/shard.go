@@ -25,7 +25,9 @@
 // no cross-shard transaction, only deterministic routing at injection and
 // deterministic merging at observation — the standard scale-out shape of
 // multi-chain systems (one consensus group per shard, a global view
-// derived above them). See DESIGN.md §10.
+// derived above them). One shard is the paper's single Setchain instance,
+// id for id, and it is how the harness runs it: there is no other
+// deployment path. See DESIGN.md §10.
 package shard
 
 import (
@@ -94,10 +96,15 @@ func Deploy(s *sim.Simulator, shards, servers int, lcfg ledger.Config, opts core
 		cfg := lcfg
 		cfg.Network = d.Net
 		cfg.FirstID = d.Observer(k)
-		// Client ids start above the whole server id space and are disjoint
-		// per shard, so element ids (which embed the client id) are globally
-		// unique and the PKI slots of clients and servers never collide.
-		cfg.ClientIDBase = shards*servers + k*servers
+		// With several shards, client ids start above the whole server id
+		// space and are disjoint per shard, so element ids (which embed the
+		// client id) are globally unique and the PKI slots of clients and
+		// servers never collide. One shard is the classic instance and keeps
+		// the classic base 0: element ids, epoch hashes and every figure
+		// derived from them are those of core.Deploy called directly.
+		if shards > 1 {
+			cfg.ClientIDBase = shards*servers + k*servers
+		}
 		d.Shards = append(d.Shards, core.Deploy(s, servers, cfg, opts, rec))
 		d.Recorders = append(d.Recorders, rec)
 	}
@@ -167,25 +174,17 @@ type Stats struct {
 // zero-copy views of live server state. Observers that pruned under a
 // checkpoint horizon contribute their base and checkpoint chain, so the
 // merge starts above the highest pruned prefix and the cross-shard
-// checker can account for what was dropped.
+// checker can account for what was dropped; all-zero bases merge from
+// epoch 1.
 func (d *Deployment) View() *View {
 	hists := make([][]*core.Epoch, len(d.Shards))
 	bases := make([]uint64, len(d.Shards))
 	cks := make([][]checkpoint.Checkpoint, len(d.Shards))
-	pruned := false
 	for k, sh := range d.Shards {
 		snap := sh.Server(d.Observer(k)).Get()
 		hists[k] = snap.History
 		bases[k] = snap.PrunedEpochs
 		cks[k] = snap.Checkpoints
-		pruned = pruned || snap.PrunedEpochs > 0
-	}
-	if !pruned {
-		// Checkpoint chains still travel (the checker verifies them even
-		// unpruned); nil bases keep the classic merge bit-identical.
-		v := NewView(hists)
-		v.Checkpoints = cks
-		return v
 	}
 	return NewPrunedView(hists, bases, cks)
 }

@@ -31,7 +31,7 @@ func TestMergeSuperepochs(t *testing.T) {
 		{epoch(1, 4)},
 		{epoch(1, 5), epoch(2, 6)},
 	}
-	supers := Merge(histories)
+	supers := MergeFrom(histories, nil)
 	if len(supers) != 3 {
 		t.Fatalf("got %d superepochs, want 3", len(supers))
 	}
@@ -63,7 +63,7 @@ func TestMergeSuperepochs(t *testing.T) {
 	// The digest must be sensitive to content: change one epoch hash and
 	// superepoch 2's digest (and only it) must move.
 	histories[2][1].Hash[1] ^= 0x01
-	again := Merge(histories)
+	again := MergeFrom(histories, nil)
 	if again[1].Digest == supers[1].Digest {
 		t.Error("digest unchanged after corrupting a contributing epoch hash")
 	}
@@ -72,12 +72,9 @@ func TestMergeSuperepochs(t *testing.T) {
 	}
 }
 
-// deployTestWorld runs a small 2-shard deployment end to end and returns
-// the deployment and its generator.
-func deployTestWorld(t *testing.T, shards int, rate float64) (*Deployment, *Generator) {
-	t.Helper()
-	s := sim.New(7)
-	d := Deploy(s, shards, 4, ledger.Config{
+// testDeploy builds (without running) a deployment of 4-server shards.
+func testDeploy(s *sim.Simulator, shards int) *Deployment {
+	return Deploy(s, shards, 4, ledger.Config{
 		Net:       netsim.DefaultLANConfig(),
 		Consensus: consensus.PaperParams(),
 		Mempool:   mempool.PaperConfig(),
@@ -87,6 +84,56 @@ func deployTestWorld(t *testing.T, shards int, rate float64) (*Deployment, *Gene
 		Costs:          core.PaperCostModel(),
 		F:              1,
 	}, metrics.LevelThroughput)
+}
+
+// One shard is the classic instance, id for id: nodes 0..n-1 observed by
+// node 0, clients 0..n-1 (the base core.Deploy uses on its own — element
+// ids embed the client id, so any other base would move every epoch hash),
+// one recorder (that the router has nowhere to send but shard 0 is
+// FuzzShardRouter's Route(id, 1) == 0). Several shards lift client ids
+// above the whole S·n server id space and keep them pairwise disjoint.
+func TestDeployIDSpaces(t *testing.T) {
+	const n = 4
+	one := testDeploy(sim.New(7), 1)
+	if one.Count() != 1 || len(one.Recorders) != 1 {
+		t.Fatalf("one shard deploys %d shards, %d recorders", one.Count(), len(one.Recorders))
+	}
+	if one.Observer(0) != 0 {
+		t.Errorf("observer of the single shard is node %d, want 0", one.Observer(0))
+	}
+	for i := 0; i < n; i++ {
+		if id := one.Shards[0].Servers[i].ID(); id != wire.NodeID(i) {
+			t.Errorf("S=1 server %d carries node id %d", i, id)
+		}
+		if id := one.Shards[0].Clients[i].ID(); id != wire.ClientID(i) {
+			t.Errorf("S=1 client %d carries client id %d, want the classic %d", i, id, i)
+		}
+	}
+
+	three := testDeploy(sim.New(7), 3)
+	seen := map[wire.ClientID]int{}
+	for k, sd := range three.Shards {
+		for _, cl := range sd.Clients {
+			if int(cl.ID()) < 3*n {
+				t.Errorf("S=3 shard %d client id %d collides with the server id space [0,%d)", k, cl.ID(), 3*n)
+			}
+			if prev, dup := seen[cl.ID()]; dup {
+				t.Errorf("S=3 client id %d used by shards %d and %d", cl.ID(), prev, k)
+			}
+			seen[cl.ID()] = k
+		}
+	}
+	if len(seen) != 3*n {
+		t.Errorf("S=3 has %d distinct client ids, want %d", len(seen), 3*n)
+	}
+}
+
+// deployTestWorld runs a small 2-shard deployment end to end and returns
+// the deployment and its generator.
+func deployTestWorld(t *testing.T, shards int, rate float64) (*Deployment, *Generator) {
+	t.Helper()
+	s := sim.New(7)
+	d := testDeploy(s, shards)
 	gen := NewGenerator(d, WorkloadConfig{Rate: rate, Duration: 6 * time.Second})
 	d.Start()
 	gen.Start()
@@ -138,7 +185,7 @@ func TestDeploymentRoutesAndCommits(t *testing.T) {
 	if len(view.Supers) == 0 {
 		t.Fatal("no superepochs")
 	}
-	recomputed := Merge(view.Histories)
+	recomputed := MergeFrom(view.Histories, view.Bases)
 	if len(recomputed) != len(view.Supers) {
 		t.Fatalf("view has %d superepochs, merge yields %d", len(view.Supers), len(recomputed))
 	}
@@ -160,18 +207,19 @@ func TestDeploymentRoutesAndCommits(t *testing.T) {
 	}
 }
 
-// MergeFrom with nil or all-zero bases must reproduce Merge bit for bit
-// (Merge is defined as the zero-base special case), and with real bases —
-// per-shard pruned prefixes — the merged suffix must carry the same
-// numbers and digests as merging the full unpruned histories would. That
-// equivalence is what lets the cross-shard checker keep verifying
-// superepoch digests after checkpoint pruning dropped the prefix.
+// MergeFrom with all-zero or short bases must reproduce the nil-bases
+// merge bit for bit (Deployment.View always passes a bases slice), and
+// with real bases — per-shard pruned prefixes — the merged suffix must
+// carry the same numbers and digests as merging the full unpruned
+// histories would. That equivalence is what lets the cross-shard checker
+// keep verifying superepoch digests after checkpoint pruning dropped the
+// prefix.
 func TestMergeFromBasesAlignPrunedHistories(t *testing.T) {
 	full := [][]*core.Epoch{
 		{epoch(1, 1), epoch(2, 2), epoch(3, 3), epoch(4, 4)},
 		{epoch(1, 5), epoch(2, 6), epoch(3, 7), epoch(4, 8)},
 	}
-	want := Merge(full)
+	want := MergeFrom(full, nil)
 
 	same := func(name string, got []*Superepoch, wantTail []*Superepoch) {
 		t.Helper()
@@ -189,7 +237,6 @@ func TestMergeFromBasesAlignPrunedHistories(t *testing.T) {
 			}
 		}
 	}
-	same("nil bases", MergeFrom(full, nil), want)
 	same("zero bases", MergeFrom(full, []uint64{0, 0}), want)
 	// Short base slice: missing entries default to zero.
 	same("short bases", MergeFrom(full, []uint64{0}), want)

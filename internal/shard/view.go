@@ -68,14 +68,9 @@ type View struct {
 	Supers []*Superepoch
 }
 
-// NewView merges per-shard histories into the superepoch sequence
-// (unpruned: all bases zero).
-func NewView(histories [][]*core.Epoch) *View {
-	return &View{Histories: histories, Supers: Merge(histories)}
-}
-
 // NewPrunedView merges per-shard histories whose settled prefixes may have
-// been pruned below per-shard checkpoint horizons.
+// been pruned below per-shard checkpoint horizons; nil bases and chains
+// describe a deployment that never checkpointed.
 func NewPrunedView(histories [][]*core.Epoch, bases []uint64, cks [][]checkpoint.Checkpoint) *View {
 	return &View{
 		Histories:   histories,
@@ -85,18 +80,13 @@ func NewPrunedView(histories [][]*core.Epoch, bases []uint64, cks [][]checkpoint
 	}
 }
 
-// Merge builds the superepoch sequence: for i = 1..max(len(history)),
+// MergeFrom builds the superepoch sequence from histories with per-shard
+// pruned-epoch bases: shard k's history[j] is epoch bases[k]+j+1, and
 // superepoch i collects epoch i of every shard that has one, in shard
-// order, and seals the set under a digest.
-func Merge(histories [][]*core.Epoch) []*Superepoch {
-	return MergeFrom(histories, nil)
-}
-
-// MergeFrom is Merge for histories with per-shard pruned-epoch bases:
-// shard k's history[j] is epoch bases[k]+j+1. Superepochs are built for
-// every number above max(bases) — below that, at least one shard's part
-// has been pruned and the prefix is covered by checkpoint digests instead.
-// A nil (or all-zero) bases reproduces Merge bit for bit.
+// order, sealed under a digest. Superepochs are built for every number
+// above max(bases) — below that, at least one shard's part has been pruned
+// and the prefix is covered by checkpoint digests instead. A nil (or
+// all-zero) bases merges from epoch 1.
 func MergeFrom(histories [][]*core.Epoch, bases []uint64) []*Superepoch {
 	baseOf := func(k int) uint64 {
 		if k < len(bases) {

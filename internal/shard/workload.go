@@ -6,19 +6,19 @@ import (
 	"repro/internal/workload"
 )
 
-// The sharded workload generator IS internal/workload's injection shape
-// — it schedules through workload.Ticks (or workload.OpenTicks for
-// open-system cells) and builds elements through workload.BuildElement,
-// so the timing and element construction cannot fork from the
-// single-instance generator — with one difference: after a client creates
-// an element, the ROUTER decides which shard commits it. The client then
-// adds it to its local-index server on the owning shard (client i of any
-// shard talks to server i of the target shard), and the owning shard's
-// recorder books the injection. Ids are always tracked: the cross-shard
-// checker needs the exact injected set. All accounting — accepted,
-// rejected, offered, fairness — goes through the same workload.Account
-// the single-instance generator uses, so admission rejections surface
-// identically on both executor paths.
+// The routed workload generator — the one the harness drives every
+// scenario with — IS internal/workload's injection shape: it schedules
+// through workload.Ticks (or workload.OpenTicks for open-system cells) and
+// builds elements through workload.BuildElement, so timing and element
+// construction cannot fork from workload.Generator, with one difference:
+// after a client creates an element, the ROUTER decides which shard
+// commits it. The client then adds it to its local-index server on the
+// owning shard (client i of any shard talks to server i of the target
+// shard), and the owning shard's recorder books the injection. With one
+// shard the router always answers 0 and this is workload.Generator draw
+// for draw. Ids are always tracked: the checkers need the exact injected
+// set. All accounting — accepted, rejected, offered, fairness — goes
+// through workload.Account.
 
 // WorkloadConfig drives a sharded generation run; the fields mirror
 // workload.Config.

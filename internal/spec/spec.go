@@ -15,6 +15,7 @@ package spec
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 )
@@ -210,9 +211,10 @@ type ScenarioSpec struct {
 	Servers int `json:"servers,omitempty"`
 	// Shards splits the element space across this many independent
 	// Setchain instances inside one shared network, routed by element-id
-	// digest (internal/shard; beyond the paper). 0 or 1 runs the classic
-	// single instance; the zero value stays unset so pre-sharding specs
-	// and artifacts round-trip unchanged.
+	// digest (internal/shard; beyond the paper). 0 or 1 is the paper's
+	// single instance — the one-shard case of the same deployment — and
+	// the zero value stays unset so pre-sharding specs and artifacts
+	// round-trip unchanged.
 	Shards int `json:"shards,omitempty"`
 	// IntraWorkers runs the scenario's own event population on this many
 	// concurrent workers via lookahead-bounded partitioned execution (one
@@ -392,6 +394,16 @@ func hasBehavior(names []string, want string) bool {
 	return false
 }
 
+// CheckScale is the one rule for a scale factor, a spec's own or a run-time
+// -scale flag's: finite and >= 0, where 0 means 1. A negative or NaN scale
+// would otherwise run a cell that sends nothing and reports success.
+func CheckScale(scale float64) error {
+	if !(scale >= 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("scale must be finite and >= 0, got %g", scale)
+	}
+	return nil
+}
+
 // Validate reports the first problem with the spec, or nil. Call after
 // WithDefaults; a defaulted registry cell always validates.
 func (s ScenarioSpec) Validate() error {
@@ -456,8 +468,8 @@ func (s ScenarioSpec) Validate() error {
 	if s.SyncChunkBytes < 0 {
 		return fmt.Errorf("sync_chunk_bytes must be >= 0, got %d", s.SyncChunkBytes)
 	}
-	if s.Scale < 0 {
-		return fmt.Errorf("scale must be >= 0, got %g", s.Scale)
+	if err := CheckScale(s.Scale); err != nil {
+		return err
 	}
 	switch s.Metrics {
 	case "", MetricsThroughput, MetricsStages:

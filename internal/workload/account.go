@@ -2,11 +2,11 @@ package workload
 
 import "repro/internal/wire"
 
-// Account is the injection ledger shared by the single-instance and
-// sharded generators: ONE definition of accepted, rejected and offered
-// counts, tracked ids, and the per-source series behind the fairness
-// index. Both executor paths book every attempt here, so admission
-// rejections surface identically whether a run is sharded or not.
+// Account is the injection ledger every generator embeds — the routed one
+// the harness runs (internal/shard) and this package's own: ONE definition
+// of accepted, rejected and offered counts, tracked ids, and the
+// per-source series behind the fairness index, so admission rejections
+// surface identically however many shards a run has.
 type Account struct {
 	injected uint64
 	rejected uint64

@@ -135,9 +135,9 @@ func (g *Generator) Start() {
 }
 
 // Ticks schedules the canonical staggered injection loop — the ONE
-// definition of the workload's timing shape, shared with the sharded
-// generator (internal/shard) so sharded and single-instance runs inject
-// identically: each of n clients starts at a random offset within one
+// definition of the workload's timing shape, shared with the routed
+// generator (internal/shard) so the two cannot inject differently: each
+// of n clients starts at a random offset within one
 // tick (no lockstep bursts) and converts its per-client rate into
 // integer bursts per tick with a fractional carry, preserving per-second
 // totals at any rate.
