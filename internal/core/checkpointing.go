@@ -93,7 +93,7 @@ func (s *Server) seal(target uint64) {
 // prune drops settled state at or below the checkpoint horizon: the
 // server's epoch slices and proof maps, the ledger node's per-height
 // blocks and commit certificates, and the mempool's committed-key
-// tombstones. the_set and the id→epoch membership index stay — they ARE
+// tombstones. The element index — the_set and each id's epoch — stays: it IS
 // the replicated set and the exactly-once filter; what pruning removes is
 // the per-epoch and per-block history that only re-proves the past.
 func (s *Server) prune(ck checkpoint.Checkpoint) {
@@ -122,13 +122,14 @@ func (s *Server) prune(ck checkpoint.Checkpoint) {
 //     LastEpoch, CkptBytes — is copied at the seal (freezeSyncState), the
 //     only moment it has its seal-height value;
 //   - the big half — Members and Set, O(total state) — is built the first
-//     time the snapshot is offered to a peer (ServeSnapshot). The maps it
-//     is filtered from are grow-only and a key's value never changes, so
-//     the filter returns the seal-time index at any later moment.
+//     time the snapshot is offered to a peer (ServeSnapshot). The element
+//     index it is filtered from is grow-only and an entry, once stamped,
+//     never changes, so the filter returns the seal-time index at any later
+//     moment.
 //
 // Nothing is written after the first hand-off: a requester on another
 // partition reads the snapshot while the serving server keeps mutating its
-// live maps, and re-serving the same snapshot only reads it. Only the leaf
+// live index, and re-serving the same snapshot only reads it. Only the leaf
 // *wire.Element and *wire.EpochProof pointers are shared with the server —
 // immutable wire payloads, exactly what the read-only-shared-payload
 // convention permits.
@@ -224,11 +225,12 @@ func (s *Server) SyncSnapshot() (*checkpoint.Snapshot, bool) {
 // ServeSnapshot implements consensus.StateSyncer: complete a snapshot this
 // server sealed — the newest, or an older one consensus still holds a
 // certificate for — by building its Members and Set, once, from the live
-// maps. That is exact at any time after the seal: inHistory and theSet
-// only grow and never rebind a key, and epochs are created in number
-// order, so the entries at or below LastEpoch are precisely the seal-time
-// index. (Set-only entries, added but not yet in an epoch at the seal, are
-// not carried: InstallSync ignores them and Bytes never counted them.)
+// element index. That is exact at any time after the seal: the index only
+// grows, never rebinds an id and never restamps one, and epochs are created
+// in number order, so the entries stamped at or below LastEpoch are
+// precisely the seal-time index. (Set-only entries, added but not yet in an
+// epoch at the seal, are not carried: InstallSync ignores them and Bytes
+// never counted them.)
 // Under the ForgeSnapshot behavior the offer is a forgery built on top.
 func (s *Server) ServeSnapshot(snap *checkpoint.Snapshot) *checkpoint.Snapshot {
 	st := snap.State.(*SyncState)
@@ -239,10 +241,10 @@ func (s *Server) ServeSnapshot(snap *checkpoint.Snapshot) *checkpoint.Snapshot {
 		}
 		members := make(map[wire.ElementID]uint64, n)
 		set := make(map[wire.ElementID]*wire.Element, n)
-		for id, epn := range s.inHistory {
-			if epn <= st.LastEpoch {
-				members[id] = epn
-				set[id] = s.theSet[id]
+		for id, ent := range s.elems.m.All() {
+			if ent.epoch != 0 && ent.epoch <= st.LastEpoch {
+				members[id] = ent.epoch
+				set[id] = ent.e
 			}
 		}
 		st.Members, st.Set = members, set
@@ -285,11 +287,11 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	// many elements at or below ck.Epoch (and none beyond LastEpoch), so a
 	// peer cannot pad the set with elements hidden below the prune horizon.
 	// Set-only entries (added but not yet stamped into an epoch) are legal
-	// and ignored at adoption; an INDEXED element missing from the set is
-	// not — the index would dangle.
+	// and ignored at adoption; an INDEXED element missing from the set, or
+	// filed under an id that is not its own, is not — the index would dangle.
 	var below uint64
 	for id, epn := range st.Members {
-		if st.Set[id] == nil {
+		if el := st.Set[id]; el == nil || el.ID != id {
 			return false
 		}
 		switch {
@@ -374,14 +376,7 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	s.ckptBytes = st.CkptBytes
 	s.history = append([]*Epoch(nil), st.Epochs...)
 	for id, epn := range st.Members {
-		if _, in := s.inHistory[id]; !in {
-			s.inHistory[id] = epn
-			if _, ok := s.theSet[id]; !ok {
-				if el := st.Set[id]; el != nil {
-					s.theSet[id] = el
-				}
-			}
-		}
+		s.elems.Stamp(st.Set[id], epn)
 	}
 	s.proofs = make(map[uint64]map[wire.NodeID]*wire.EpochProof, len(st.Proofs))
 	for e, by := range st.Proofs {

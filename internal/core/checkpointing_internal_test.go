@@ -10,17 +10,17 @@ import (
 	"repro/internal/wire"
 )
 
-// EagerSyncMaps is the copy of inHistory and theSet that every seal used to
-// make, kept as the reference implementation TestLateServeEquivalence holds
-// ServeSnapshot's serve-time filter against.
+// EagerSyncMaps is the copy of the membership index and the_set that every
+// seal used to make, kept as the reference implementation
+// TestLateServeEquivalence holds ServeSnapshot's serve-time filter against.
 func (s *Server) EagerSyncMaps() (map[wire.ElementID]uint64, map[wire.ElementID]*wire.Element) {
-	members := make(map[wire.ElementID]uint64, len(s.inHistory))
-	for id, epn := range s.inHistory {
-		members[id] = epn
-	}
-	set := make(map[wire.ElementID]*wire.Element, len(s.theSet))
-	for id, el := range s.theSet {
-		set[id] = el
+	members := make(map[wire.ElementID]uint64)
+	set := make(map[wire.ElementID]*wire.Element, s.elems.Len())
+	for id, ent := range s.elems.m.All() {
+		if ent.epoch != 0 {
+			members[id] = ent.epoch
+		}
+		set[id] = ent.e
 	}
 	return members, set
 }
@@ -60,12 +60,12 @@ func sealAllocBytes(elements int) uint64 {
 
 // A seal costs O(checkpoint interval), not O(state): ten times the set
 // must not show in what one seal allocates. With the per-seal copy of
-// theSet and inHistory this ratio was about ten (hundreds of KiB against
-// MiB). TotalAlloc is process-wide, and whatever else allocates meanwhile
-// (the collector, goroutines earlier tests left winding down) only ever
-// adds, so each figure is the least of five measurements; the 4 KiB of
-// slack keeps what survives that from deciding between two sub-KiB
-// figures.
+// the_set and the membership index this ratio was about ten (hundreds of
+// KiB against MiB). TotalAlloc is process-wide, and whatever else allocates
+// meanwhile (the collector, goroutines earlier tests left winding down)
+// only ever adds, so each figure is the least of five measurements; the
+// 4 KiB of slack keeps what survives that from deciding between two
+// sub-KiB figures.
 func TestSealAllocationIndependentOfSetSize(t *testing.T) {
 	least := func(elements int) uint64 {
 		m := sealAllocBytes(elements)

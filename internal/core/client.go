@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -50,11 +49,11 @@ func (c *Client) PublicKey() setcrypto.PublicKey { return c.key.Public }
 func (c *Client) NewElement(payload []byte) *wire.Element {
 	c.seq++
 	e := &wire.Element{
+		ID:      wire.NewElementID(c.id, c.seq),
 		Client:  c.id,
 		Seq:     c.seq,
 		Payload: payload,
 	}
-	c.fillID(e)
 	e.Sig = c.suite.Sign(c.key, e.SigningBytes())
 	e.Size = wire.ElementHeaderSize + len(payload) + len(e.Sig)
 	return e
@@ -64,14 +63,7 @@ func (c *Client) NewElement(payload []byte) *wire.Element {
 // size, for Modeled-mode simulations.
 func (c *Client) NewModeledElement(size int) *wire.Element {
 	c.seq++
-	e := &wire.Element{Client: c.id, Seq: c.seq, Size: size}
-	c.fillID(e)
-	return e
-}
-
-func (c *Client) fillID(e *wire.Element) {
-	binary.LittleEndian.PutUint64(e.ID[0:8], uint64(c.id))
-	binary.LittleEndian.PutUint64(e.ID[8:16], e.Seq)
+	return &wire.Element{ID: wire.NewElementID(c.id, c.seq), Client: c.id, Seq: c.seq, Size: size}
 }
 
 // Verification errors.

@@ -62,7 +62,7 @@ func checkProperties(t *testing.T, d *core.Deployment, ids []wire.ElementID, exp
 		// Property 1 (Consistent-Sets): H[i] ⊆ T.
 		for _, ep := range snap.History {
 			for _, e := range ep.Elements {
-				if _, ok := snap.TheSet[e.ID]; !ok {
+				if !snap.TheSet.Has(e.ID) {
 					t.Fatalf("server %d: epoch %d element %v not in the_set", si, ep.Number, e.ID)
 				}
 			}
@@ -79,7 +79,7 @@ func checkProperties(t *testing.T, d *core.Deployment, ids []wire.ElementID, exp
 		}
 		// Property 7 (Add-before-Get): everything in the_set was added by
 		// a known client (no fabricated elements).
-		for id := range snap.TheSet {
+		for id := range snap.TheSet.All() {
 			if !known[id] {
 				t.Fatalf("server %d: the_set contains unknown element %v", si, id)
 			}
@@ -424,7 +424,7 @@ func TestHashchainWrongBatchRejected(t *testing.T) {
 	}
 	for si := 0; si < 3; si++ {
 		snap := d.Servers[si].Get()
-		for id := range snap.TheSet {
+		for id := range snap.TheSet.All() {
 			if !known[id] {
 				t.Fatalf("server %d accepted element from a hash-mismatched batch", si)
 			}

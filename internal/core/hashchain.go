@@ -286,9 +286,7 @@ func (h *hashchainAlg) lightProcess(hb *wire.HashBatch, key wire.Digest, next fu
 		s.runCosted(cost, func() {
 			h.extractProofsOnce(key, b)
 			for _, e := range valid {
-				if _, ok := s.theSet[e.ID]; !ok {
-					s.theSet[e.ID] = e
-				}
+				s.elems.Add(e)
 			}
 			h.maybeConsolidate(key)
 			next()
@@ -344,9 +342,7 @@ func (h *hashchainAlg) withContent(key wire.Digest, hash []byte, next func()) {
 		h.validElems[key] = valid
 		h.extractProofsOnce(key, b)
 		for _, e := range valid {
-			if _, ok := s.theSet[e.ID]; !ok {
-				s.theSet[e.ID] = e
-			}
+			s.elems.Add(e)
 		}
 		h.cosignAndConsolidate(key, hash, next)
 	})
@@ -381,7 +377,7 @@ func (h *hashchainAlg) maybeConsolidate(key wire.Digest) {
 	delete(h.signers, key)
 	g := make([]*wire.Element, 0, len(h.validElems[key]))
 	for _, e := range h.validElems[key] {
-		if _, in := s.inHistory[e.ID]; !in {
+		if s.elems.Epoch(e.ID) == 0 {
 			g = append(g, e)
 		}
 	}

@@ -66,7 +66,7 @@ func FuzzInstallSync(f *testing.F) {
 			return
 		}
 		// Both layers passed: the installed state must be the certified one.
-		for _, el := range victim.Get().TheSet {
+		for _, el := range victim.Get().TheSet.All() {
 			if el.Bogus {
 				t.Fatalf("bogus element %x installed through the certified pipeline", el.ID[:4])
 			}

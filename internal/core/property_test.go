@@ -233,7 +233,7 @@ func TestDrainFlushesPartialBatches(t *testing.T) {
 	s.RunUntil(40 * time.Second)
 	d.Stop()
 	snap := d.Servers[1].Get()
-	if _, ok := snap.TheSet[e.ID]; !ok {
+	if !snap.TheSet.Has(e.ID) {
 		t.Fatal("drained element never propagated")
 	}
 }

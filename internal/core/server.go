@@ -35,8 +35,11 @@ type Epoch struct {
 // It is a zero-copy view of live server state, valid until the next
 // simulator event; callers must treat it as read-only.
 type Snapshot struct {
-	Server  wire.NodeID
-	TheSet  map[wire.ElementID]*wire.Element
+	Server wire.NodeID
+	// TheSet is the server's own element index, not a copy. Even reading it
+	// moves its cursor, so read it where the server's events run or after
+	// the run, never beside them.
+	TheSet  *ElemIndex
 	History []*Epoch
 	Epoch   uint64
 	Proofs  map[uint64]map[wire.NodeID]*wire.EpochProof
@@ -79,11 +82,11 @@ type Server struct {
 	key      setcrypto.KeyPair
 	registry *setcrypto.Registry
 
-	// Setchain state (paper §2): the_set, history, epoch, proofs.
-	theSet    map[wire.ElementID]*wire.Element
-	history   []*Epoch
-	inHistory map[wire.ElementID]uint64
-	proofs    map[uint64]map[wire.NodeID]*wire.EpochProof
+	// Setchain state (paper §2): the_set, history, epoch, proofs. elems is
+	// the_set and the id→epoch index over history in one container.
+	elems   ElemIndex
+	history []*Epoch
+	proofs  map[uint64]map[wire.NodeID]*wire.EpochProof
 
 	// Checkpointing state (checkpointing.go). history is base-offset:
 	// history[i] is epoch prunedEpochs+i+1; epochs at or below
@@ -102,6 +105,8 @@ type Server struct {
 	// commitment proposers stamp — maintained incrementally at each seal
 	// and recomputed on a state-sync install.
 	ckptFold uint64
+
+	epochBuf []byte // scratch for epochHashFor's input, reused across epochs
 
 	alg      algorithm
 	coll     *collector.Collector
@@ -129,19 +134,17 @@ func NewServer(node *ledger.Node, s *sim.Simulator, n int, suite setcrypto.Suite
 	key setcrypto.KeyPair, registry *setcrypto.Registry, opts Options) *Server {
 	opts = opts.withDefaults(n)
 	srv := &Server{
-		id:        node.ID,
-		n:         n,
-		opts:      opts,
-		sim:       s,
-		cpu:       s.NewResource(fmt.Sprintf("setchain-cpu-%d", node.ID)),
-		node:      node,
-		suite:     suite,
-		key:       key,
-		registry:  registry,
-		theSet:    make(map[wire.ElementID]*wire.Element),
-		inHistory: make(map[wire.ElementID]uint64),
-		proofs:    make(map[uint64]map[wire.NodeID]*wire.EpochProof),
-		ckptFold:  checkpoint.Seed(),
+		id:       node.ID,
+		n:        n,
+		opts:     opts,
+		sim:      s,
+		cpu:      s.NewResource(fmt.Sprintf("setchain-cpu-%d", node.ID)),
+		node:     node,
+		suite:    suite,
+		key:      key,
+		registry: registry,
+		proofs:   make(map[uint64]map[wire.NodeID]*wire.EpochProof),
+		ckptFold: checkpoint.Seed(),
 	}
 	switch opts.Algorithm {
 	case Vanilla:
@@ -183,7 +186,7 @@ func (s *Server) Add(e *wire.Element) error {
 		s.addsRejected++
 		return ErrInvalidElement
 	}
-	if _, dup := s.theSet[e.ID]; dup {
+	if s.elems.Has(e.ID) {
 		s.addsRejected++
 		return ErrDuplicate
 	}
@@ -194,7 +197,7 @@ func (s *Server) Add(e *wire.Element) error {
 		s.addsRejected++
 		return ErrAdmission
 	}
-	s.theSet[e.ID] = e
+	s.elems.Add(e)
 	s.addsAccepted++
 	addCost := s.opts.Costs.VerifyElement + s.opts.Costs.PerElement
 	if s.opts.Light {
@@ -210,7 +213,7 @@ func (s *Server) Add(e *wire.Element) error {
 func (s *Server) Get() Snapshot {
 	return Snapshot{
 		Server:         s.id,
-		TheSet:         s.theSet,
+		TheSet:         &s.elems,
 		History:        s.history,
 		Epoch:          s.prunedEpochs + uint64(len(s.history)),
 		Proofs:         s.proofs,
@@ -337,9 +340,11 @@ func (s *Server) validElement(e *wire.Element) bool {
 // the n server ids.
 func clientKeyOffset(n int) int { return n }
 
-// epochHashFor computes the canonical epoch hash Hash(i, history[i]).
+// epochHashFor computes the canonical epoch hash Hash(i, history[i]). The
+// input is built in the server's scratch buffer: HashData does not retain it.
 func (s *Server) epochHashFor(number uint64, elems []*wire.Element) []byte {
-	return s.suite.HashData(wire.EpochHashInput(number, elems))
+	s.epochBuf = wire.AppendEpochHashInput(s.epochBuf[:0], number, elems)
+	return s.suite.HashData(s.epochBuf)
 }
 
 // createEpoch appends a new epoch built from the valid fresh elements in G
@@ -351,12 +356,7 @@ func (s *Server) createEpoch(g []*wire.Element) *wire.EpochProof {
 	ep := &Epoch{Number: number, Elements: g, Hash: hash}
 	s.history = append(s.history, ep)
 	for _, e := range g {
-		s.inHistory[e.ID] = number
-		// Get-Global/Consistent-Sets: epoch elements enter the_set even if
-		// this server never saw their add.
-		if _, ok := s.theSet[e.ID]; !ok {
-			s.theSet[e.ID] = e
-		}
+		s.elems.Stamp(e, number)
 	}
 	s.epochsMade++
 	if s.rec != nil {
@@ -423,7 +423,7 @@ func (s *Server) freshValid(elems []*wire.Element) []*wire.Element {
 		if !s.validElement(e) {
 			continue
 		}
-		if _, in := s.inHistory[e.ID]; in {
+		if s.elems.Epoch(e.ID) != 0 {
 			continue
 		}
 		g = append(g, e)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // checkpointedOpts is the deployment every state-sync test here runs:
@@ -110,7 +111,7 @@ func TestForgedSnapshotInstallsLocallyButBreaksFold(t *testing.T) {
 			"the certified-fold check doing the work, and the sabotage tests are vacuous")
 	}
 	var smuggled int
-	for _, el := range victim.Get().TheSet {
+	for _, el := range victim.Get().TheSet.All() {
 		if el.Bogus {
 			smuggled++
 		}
@@ -298,13 +299,51 @@ func TestLateServeEquivalence(t *testing.T) {
 	}
 	gotA, settledA := install(early)
 	gotB, settledB := install(late)
-	if settledA != settledB || !reflect.DeepEqual(gotA, gotB) {
+	// The element index is compared by content — its pages and cursor
+	// depend on the order of reads and writes — and the rest field by field.
+	setA, setB := gotA.TheSet, gotB.TheSet
+	gotA.TheSet, gotB.TheSet = nil, nil
+	if settledA != settledB || !setA.Equal(setB) || !reflect.DeepEqual(gotA, gotB) {
 		t.Fatalf("victims diverge: settled %d vs %d, epoch %d vs %d, set %d vs %d, checkpoints %d vs %d",
-			settledA, settledB, gotA.Epoch, gotB.Epoch, len(gotA.TheSet), len(gotB.TheSet),
+			settledA, settledB, gotA.Epoch, gotB.Epoch, setA.Len(), setB.Len(),
 			len(gotA.Checkpoints), len(gotB.Checkpoints))
 	}
-	if len(gotB.TheSet) != len(lst.Members) || len(gotB.Checkpoints) != len(chainT1) {
+	if setB.Len() != len(lst.Members) || len(gotB.Checkpoints) != len(chainT1) {
 		t.Fatalf("victim holds %d elements and %d checkpoints; the snapshot carried %d and %d",
-			len(gotB.TheSet), len(gotB.Checkpoints), len(lst.Members), len(chainT1))
+			setB.Len(), len(gotB.Checkpoints), len(lst.Members), len(chainT1))
+	}
+}
+
+// A snapshot whose Set files an element under an id that is not the
+// element's own must not install: the installer's index is keyed by the
+// element's id, so the entry would land beside the one the membership index
+// promised.
+func TestInstallSyncRejectsElementFiledUnderAnotherID(t *testing.T) {
+	d := deployCheckpointed(t, 16)
+	sealed, ok := d.Servers[0].SyncSnapshot()
+	if !ok {
+		t.Fatal("no sealed snapshot to serve")
+	}
+	mut := mutateSnapshot(d.Servers[0].ServeSnapshot(sealed), nil)
+	st := mut.State.(*core.SyncState)
+	var a, b *wire.Element
+	for _, el := range st.Set {
+		if a == nil {
+			a = el
+		} else if b == nil {
+			b = el
+		}
+	}
+	if b == nil {
+		t.Fatal("snapshot carries fewer than two elements; tune the workload")
+	}
+	_, fresh := deployFull(17, 4, checkpointedOpts)
+	defer fresh.Stop()
+	if !fresh.Servers[1].InstallSync(mutateSnapshot(mut, nil)) {
+		t.Fatal("the unmutated copy does not install; the test is vacuous")
+	}
+	st.Set[a.ID], st.Set[b.ID] = b, a
+	if fresh.Servers[0].InstallSync(mut) {
+		t.Fatal("a snapshot with two Set entries swapped installed")
 	}
 }

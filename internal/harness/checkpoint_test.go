@@ -128,11 +128,11 @@ func TestRecoveredNodeMatchesNeverCrashedPeer(t *testing.T) {
 		}
 	}
 	// The replicated set: identical membership.
-	if len(cs.TheSet) != len(ps.TheSet) {
-		t.Fatalf("set sizes differ: recovered %d, peer %d", len(cs.TheSet), len(ps.TheSet))
+	if cs.TheSet.Len() != ps.TheSet.Len() {
+		t.Fatalf("set sizes differ: recovered %d, peer %d", cs.TheSet.Len(), ps.TheSet.Len())
 	}
-	for id := range ps.TheSet {
-		if _, ok := cs.TheSet[id]; !ok {
+	for id := range ps.TheSet.All() {
+		if !cs.TheSet.Has(id) {
 			t.Fatalf("element %x missing from recovered node's set", id[:4])
 		}
 	}

@@ -57,12 +57,15 @@ func workersConfigured() int {
 
 // inFlightElementBudget bounds the elements materialized by concurrently
 // running cells when the worker count is chosen automatically. A paper-scale
-// cell keeps every element in per-server sets across 10 servers (roughly a
-// kilobyte per element all-in), so ~4M in-flight elements keeps peak memory
-// in the single-digit-GB range that the previously sequential studies
-// already needed for their largest single cell. Explicit SetWorkers /
-// SETCHAIN_WORKERS / -workers settings bypass this cap.
-const inFlightElementBudget = 4e6
+// cell keeps every element in per-server sets across 10 servers: measured,
+// 474 bytes of live heap per element all-in (bench workload hash10k, n = 10:
+// live_heap_mb 135.7 MiB ÷ attempted 300,000; `bash bench/run.sh -workload
+// hash10k -trace 0` re-measures it), so 8M in-flight elements peak near 4 GB
+// — what 4M did while the same figure was 1.19 KB, and within what the
+// previously sequential studies already needed for their largest single
+// cell. Explicit SetWorkers / SETCHAIN_WORKERS / -workers settings bypass
+// this cap.
+const inFlightElementBudget = 8e6
 
 // estimatedElements approximates how many elements a cell materializes:
 // the send rate times the send window (after scaling and defaulting).

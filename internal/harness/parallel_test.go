@@ -83,13 +83,13 @@ func TestAutoWorkersCapsMemoryHeavyCells(t *testing.T) {
 	if got := autoWorkers(small); got < 1 {
 		t.Fatalf("autoWorkers(small) = %d, want >= 1", got)
 	}
-	// 150k el/s for 50 s = 7.5M elements: above the whole in-flight
+	// 150k el/s for 50 s = 7.5M elements: two of them exceed the in-flight
 	// budget, so only one such cell may run at a time.
 	huge := []Scenario{
 		{Spec: SpecHash500, Rate: 150000},
 		{Spec: SpecHash500, Rate: 150000},
 	}
 	if got := autoWorkers(huge); got != 1 {
-		t.Fatalf("autoWorkers(huge) = %d, want 1 (7.5M-element cells exceed the budget)", got)
+		t.Fatalf("autoWorkers(huge) = %d, want 1 (two 7.5M-element cells exceed the budget)", got)
 	}
 }

@@ -1,9 +1,6 @@
 package invariant
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/shard"
 	"repro/internal/wire"
 )
@@ -38,44 +35,38 @@ type CrossConfig struct {
 	// Injected is the set of element ids the workload's clients created
 	// and servers accepted, across all shards. Nil skips the fabrication
 	// check.
-	Injected map[wire.ElementID]struct{}
+	Injected *wire.IDMap[struct{}]
 }
 
 // CheckCross verifies the cross-shard invariants against a deployment's
-// aggregated view and returns all violations joined into one error, or
-// nil. The view's Histories are each shard observer's final history (per
-// shard correctness is Check's job, run per shard); Supers is the merged
-// sequence under test.
+// aggregated view and returns the violations joined into one error, capped
+// like Check's, or nil. The view's Histories are each shard observer's final
+// history (per shard correctness is Check's job, run per shard); Supers is
+// the merged sequence under test.
 func CheckCross(v *shard.View, cfg CrossConfig) error {
-	var errs []error
+	var rep report
 	if len(v.Histories) != cfg.Shards {
-		errs = append(errs, fmt.Errorf(
-			"view has %d shard histories, deployment ran %d shards", len(v.Histories), cfg.Shards))
+		rep.addf("view has %d shard histories, deployment ran %d shards", len(v.Histories), cfg.Shards)
 	}
 
 	// Router completeness, cross-shard duplication and fabrication: one
 	// pass over every shard's every epoch.
-	owner := make(map[wire.ElementID]int)
+	var owner wire.IDMap[int]
 	for s, hist := range v.Histories {
 		for _, ep := range hist {
 			for _, e := range ep.Elements {
 				if want := shard.Route(e.ID, cfg.Shards); want != s {
-					errs = append(errs, fmt.Errorf(
-						"misrouted element %v: committed by shard %d, router owns it to shard %d",
-						e.ID, s, want))
+					rep.addf("misrouted element %v: committed by shard %d, router owns it to shard %d",
+						e.ID, s, want)
 				}
-				if prev, dup := owner[e.ID]; dup && prev != s {
-					errs = append(errs, fmt.Errorf(
-						"element %v duplicated across shards %d and %d", e.ID, prev, s))
-				} else {
-					owner[e.ID] = s
+				if prev, fresh := owner.Slot(e.ID); fresh {
+					*prev = s
+				} else if *prev != s {
+					rep.addf("element %v duplicated across shards %d and %d", e.ID, *prev, s)
 				}
-				if cfg.Injected != nil {
-					if _, ok := cfg.Injected[e.ID]; !ok {
-						errs = append(errs, fmt.Errorf(
-							"shard %d: fabricated element %v in epoch %d: never injected by the workload",
-							s, e.ID, ep.Number))
-					}
+				if cfg.Injected != nil && !cfg.Injected.Has(e.ID) {
+					rep.addf("shard %d: fabricated element %v in epoch %d: never injected by the workload",
+						s, e.ID, ep.Number)
 				}
 			}
 		}
@@ -103,14 +94,12 @@ func CheckCross(v *shard.View, cfg CrossConfig) error {
 			}
 		}
 		if sealed < base {
-			errs = append(errs, fmt.Errorf(
-				"shard %d: history pruned below epoch %d but checkpoints only seal through %d",
-				s, base+1, sealed))
+			rep.addf("shard %d: history pruned below epoch %d but checkpoints only seal through %d",
+				s, base+1, sealed)
 		}
 		if len(hist) > 0 && hist[0].Number != base+1 {
-			errs = append(errs, fmt.Errorf(
-				"shard %d: retained history starts at epoch %d, base says %d",
-				s, hist[0].Number, base+1))
+			rep.addf("shard %d: retained history starts at epoch %d, base says %d",
+				s, hist[0].Number, base+1)
 		}
 	}
 
@@ -118,36 +107,31 @@ func CheckCross(v *shard.View, cfg CrossConfig) error {
 	// deterministic merge of the histories above the pruned bases.
 	want := shard.MergeFrom(v.Histories, v.Bases)
 	if len(v.Supers) != len(want) {
-		errs = append(errs, fmt.Errorf(
-			"superepoch sequence has %d entries, merge of the shard histories yields %d",
-			len(v.Supers), len(want)))
+		rep.addf("superepoch sequence has %d entries, merge of the shard histories yields %d",
+			len(v.Supers), len(want))
 	}
 	for i := 0; i < len(v.Supers) && i < len(want); i++ {
 		got, exp := v.Supers[i], want[i]
 		if got.Number != exp.Number {
-			errs = append(errs, fmt.Errorf(
-				"superepoch at position %d is numbered %d, want %d (sequence must be contiguous 1..K)",
-				i, got.Number, exp.Number))
+			rep.addf("superepoch at position %d is numbered %d, want %d (sequence must be contiguous 1..K)",
+				i, got.Number, exp.Number)
 		}
 		if len(got.Parts) != len(exp.Parts) {
-			errs = append(errs, fmt.Errorf(
-				"superepoch %d has %d shard parts, merge yields %d (a shard's epoch was dropped or invented)",
-				exp.Number, len(got.Parts), len(exp.Parts)))
+			rep.addf("superepoch %d has %d shard parts, merge yields %d (a shard's epoch was dropped or invented)",
+				exp.Number, len(got.Parts), len(exp.Parts))
 			continue
 		}
 		for j := range got.Parts {
 			if got.Parts[j].Shard != exp.Parts[j].Shard {
-				errs = append(errs, fmt.Errorf(
-					"superepoch %d part %d comes from shard %d, want shard %d (parts are shard-ascending)",
-					exp.Number, j, got.Parts[j].Shard, exp.Parts[j].Shard))
+				rep.addf("superepoch %d part %d comes from shard %d, want shard %d (parts are shard-ascending)",
+					exp.Number, j, got.Parts[j].Shard, exp.Parts[j].Shard)
 			}
 		}
 		if got.Digest != exp.Digest {
-			errs = append(errs, fmt.Errorf(
-				"superepoch %d digest %016x does not match the merge's %016x",
-				exp.Number, got.Digest, exp.Digest))
+			rep.addf("superepoch %d digest %016x does not match the merge's %016x",
+				exp.Number, got.Digest, exp.Digest)
 		}
 	}
 
-	return errors.Join(errs...)
+	return rep.err()
 }

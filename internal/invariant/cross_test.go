@@ -147,7 +147,7 @@ func TestCheckCrossDetectsCorruption(t *testing.T) {
 						break
 					}
 				}
-				if _, injected := cfg.Injected[e.ID]; injected {
+				if cfg.Injected.Has(e.ID) {
 					t.Fatal("fabricated id collides with an injected one")
 				}
 				ep := firstEpochWithElements(v, 1)

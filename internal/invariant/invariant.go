@@ -56,7 +56,7 @@ type Config struct {
 	Correct []wire.NodeID
 	// Injected is the set of element ids the workload's clients created
 	// and servers accepted. Nil skips the fabrication check.
-	Injected map[wire.ElementID]struct{}
+	Injected *wire.IDMap[struct{}]
 	// Rejected is the set of element ids admission control refused
 	// (workload.Account.RejectedIDs). A rejected element must never
 	// appear in a committed epoch: the server returned an error to the
@@ -64,7 +64,7 @@ type Config struct {
 	// contract. Rejected ids are deliberately NOT in Injected — they also
 	// trip the fabrication check — but this check names the violation
 	// precisely. Nil skips it.
-	Rejected map[wire.ElementID]struct{}
+	Rejected *wire.IDMap[struct{}]
 	// CommittedEpochs maps epoch number → element count for every epoch
 	// the observer saw gain f+1 epoch-proofs on the ledger
 	// (metrics.Recorder.CommittedEpochSizes). Nil skips the loss check.
@@ -82,11 +82,40 @@ type Config struct {
 	FoldedCommitted uint64
 }
 
+// maxReported is how many violations a report carries verbatim. A
+// systematic fault offends once per (server, element) — millions of times on
+// a heavy run — and nobody reads past the first screen; the rest are counted.
+const maxReported = 64
+
+// report collects violations: the first maxReported formatted, the rest
+// only counted.
+type report struct {
+	errs    []error
+	dropped int
+}
+
+func (r *report) addf(format string, args ...any) {
+	if len(r.errs) < maxReported {
+		r.errs = append(r.errs, fmt.Errorf(format, args...))
+	} else {
+		r.dropped++
+	}
+}
+
+// err joins the violations into one error, nil when there were none.
+func (r *report) err() error {
+	if r.dropped > 0 {
+		return errors.Join(append(r.errs, fmt.Errorf("… and %d more violations", r.dropped))...)
+	}
+	return errors.Join(r.errs...)
+}
+
 // Check verifies every invariant against the deployment's final state and
-// returns all violations joined into one error, or nil. Call it after the
-// run stopped; it only reads server state.
+// returns the violations joined into one error (the first maxReported
+// verbatim, then a count of the rest), or nil. Call it after the run
+// stopped; it only reads server state.
 func Check(d *core.Deployment, cfg Config) error {
-	var errs []error
+	var rep report
 	snaps := make(map[wire.NodeID]core.Snapshot, len(cfg.Correct))
 	for _, id := range cfg.Correct {
 		// Resolve by node id, not slice index: sharded worlds offset every
@@ -94,7 +123,7 @@ func Check(d *core.Deployment, cfg Config) error {
 		// are not their positions.
 		srv := d.Server(id)
 		if srv == nil {
-			errs = append(errs, fmt.Errorf("correct server %d not in deployment of %d", id, len(d.Servers)))
+			rep.addf("correct server %d not in deployment of %d", id, len(d.Servers))
 			continue
 		}
 		snaps[id] = srv.Get()
@@ -103,48 +132,42 @@ func Check(d *core.Deployment, cfg Config) error {
 	// Per-server checks: monotone numbering (base-offset when a checkpoint
 	// pruned the prefix), no duplication, no fabrication — one pass over
 	// each correct history — plus self-consistency of the server's sealed
-	// checkpoint chain.
+	// checkpoint chain. seen maps each id in the server's retained history
+	// to its epoch; it is one container, emptied between servers, because
+	// correct servers hold the same ids and the second pass reuses every
+	// page the first allocated.
+	var seen wire.IDMap[uint64]
 	for _, id := range cfg.Correct {
 		snap, ok := snaps[id]
 		if !ok {
 			continue
 		}
-		for _, err := range checkCheckpoints(id, snap) {
-			errs = append(errs, err)
-		}
-		seen := make(map[wire.ElementID]uint64, len(snap.TheSet))
+		checkCheckpoints(&rep, id, snap)
+		seen.Reset()
 		for i, ep := range snap.History {
 			if ep.Number != snap.PrunedEpochs+uint64(i+1) {
-				errs = append(errs, fmt.Errorf(
-					"server %d: non-monotone history: epoch at position %d (base %d) is numbered %d",
-					id, i, snap.PrunedEpochs, ep.Number))
+				rep.addf("server %d: non-monotone history: epoch at position %d (base %d) is numbered %d",
+					id, i, snap.PrunedEpochs, ep.Number)
 			}
 			for _, e := range ep.Elements {
-				if prev, dup := seen[e.ID]; dup {
-					errs = append(errs, fmt.Errorf(
-						"server %d: element %v duplicated: epochs %d and %d",
-						id, e.ID, prev, ep.Number))
+				at, fresh := seen.Slot(e.ID)
+				if !fresh {
+					rep.addf("server %d: element %v duplicated: epochs %d and %d",
+						id, e.ID, *at, ep.Number)
 				}
-				seen[e.ID] = ep.Number
+				*at = ep.Number
 				if e.Bogus {
-					errs = append(errs, fmt.Errorf(
-						"server %d: invalid (bogus) element %v committed in epoch %d",
-						id, e.ID, ep.Number))
+					rep.addf("server %d: invalid (bogus) element %v committed in epoch %d",
+						id, e.ID, ep.Number)
 				}
-				if cfg.Rejected != nil {
-					if _, rej := cfg.Rejected[e.ID]; rej {
-						errs = append(errs, fmt.Errorf(
-							"server %d: admission-rejected element %v committed in epoch %d",
-							id, e.ID, ep.Number))
-						continue // already flagged; skip the fabrication double-report
-					}
+				if cfg.Rejected != nil && cfg.Rejected.Has(e.ID) {
+					rep.addf("server %d: admission-rejected element %v committed in epoch %d",
+						id, e.ID, ep.Number)
+					continue // already flagged; skip the fabrication double-report
 				}
-				if cfg.Injected != nil {
-					if _, ok := cfg.Injected[e.ID]; !ok {
-						errs = append(errs, fmt.Errorf(
-							"server %d: fabricated element %v in epoch %d: never injected by the workload",
-							id, e.ID, ep.Number))
-					}
+				if cfg.Injected != nil && !cfg.Injected.Has(e.ID) {
+					rep.addf("server %d: fabricated element %v in epoch %d: never injected by the workload",
+						id, e.ID, ep.Number)
 				}
 			}
 		}
@@ -153,22 +176,18 @@ func Check(d *core.Deployment, cfg Config) error {
 		// exactly an attempt to smuggle elements in under the prune horizon
 		// where the per-epoch scan above cannot see them. Every set entry not
 		// accounted for by retained history must still be valid and injected.
-		for eid, e := range snap.TheSet {
-			if _, inHistory := seen[eid]; inHistory {
+		for eid, e := range snap.TheSet.All() {
+			if seen.Has(eid) {
 				continue
 			}
 			if e.Bogus {
-				errs = append(errs, fmt.Errorf(
-					"server %d: invalid (bogus) element %v in the set below the prune horizon",
-					id, eid))
+				rep.addf("server %d: invalid (bogus) element %v in the set below the prune horizon",
+					id, eid)
 				continue
 			}
-			if cfg.Injected != nil {
-				if _, ok := cfg.Injected[eid]; !ok {
-					errs = append(errs, fmt.Errorf(
-						"server %d: fabricated element %v in the set: never injected by the workload",
-						id, eid))
-				}
+			if cfg.Injected != nil && !cfg.Injected.Has(eid) {
+				rep.addf("server %d: fabricated element %v in the set: never injected by the workload",
+					id, eid)
 			}
 		}
 	}
@@ -205,9 +224,8 @@ func Check(d *core.Deployment, cfg Config) error {
 				// Content comparison (Same): seal heights are per-server
 				// prune metadata and may legitimately trail under faults.
 				if !cks[i].Same(refCks[i]) {
-					errs = append(errs, fmt.Errorf(
-						"servers %d and %d diverge: checkpoint %d is %+v vs %+v",
-						id, ref, i+1, cks[i], refCks[i]))
+					rep.addf("servers %d and %d diverge: checkpoint %d is %+v vs %+v",
+						id, ref, i+1, cks[i], refCks[i])
 				}
 			}
 			// Retained-epoch overlap, aligned by absolute number.
@@ -223,12 +241,11 @@ func Check(d *core.Deployment, cfg Config) error {
 				ep := snap.History[num-1-snap.PrunedEpochs]
 				re := refSnap.History[num-1-refSnap.PrunedEpochs]
 				if !bytes.Equal(ep.Hash, re.Hash) {
-					errs = append(errs, fmt.Errorf(
-						"servers %d and %d diverge: epoch %d hashes differ", id, ref, num))
+					rep.addf("servers %d and %d diverge: epoch %d hashes differ", id, ref, num)
 				}
 				if err := sameElements(ep, re); err != nil {
-					errs = append(errs, fmt.Errorf("servers %d and %d diverge at epoch %d: %w",
-						id, ref, num, err))
+					rep.addf("servers %d and %d diverge at epoch %d: %w",
+						id, ref, num, err)
 				}
 			}
 		}
@@ -241,16 +258,14 @@ func Check(d *core.Deployment, cfg Config) error {
 	if cfg.CommittedEpochs != nil {
 		obs, ok := snaps[cfg.Observer]
 		if !ok && (len(cfg.CommittedEpochs) > 0 || cfg.FoldedEpochs > 0) {
-			errs = append(errs, fmt.Errorf(
-				"observer %d not among correct servers; cannot verify %d committed epochs",
-				cfg.Observer, len(cfg.CommittedEpochs)))
+			rep.addf("observer %d not among correct servers; cannot verify %d committed epochs",
+				cfg.Observer, len(cfg.CommittedEpochs))
 		} else if ok {
 			total := obs.PrunedEpochs + uint64(len(obs.History))
 			for epoch, count := range cfg.CommittedEpochs {
 				if epoch == 0 || epoch > total {
-					errs = append(errs, fmt.Errorf(
-						"committed epoch %d lost: observer %d history ends at epoch %d",
-						epoch, cfg.Observer, total))
+					rep.addf("committed epoch %d lost: observer %d history ends at epoch %d",
+						epoch, cfg.Observer, total)
 					continue
 				}
 				if epoch <= obs.PrunedEpochs {
@@ -260,9 +275,8 @@ func Check(d *core.Deployment, cfg Config) error {
 					continue
 				}
 				if got := len(obs.History[epoch-1-obs.PrunedEpochs].Elements); got != count {
-					errs = append(errs, fmt.Errorf(
-						"committed epoch %d on observer %d has %d elements, recorder saw %d at creation",
-						epoch, cfg.Observer, got, count))
+					rep.addf("committed epoch %d on observer %d has %d elements, recorder saw %d at creation",
+						epoch, cfg.Observer, got, count)
 				}
 			}
 			// Committed epochs folded below the prune horizon: their element
@@ -275,43 +289,38 @@ func Check(d *core.Deployment, cfg Config) error {
 					if ck.Epoch == cfg.FoldedEpochs {
 						found = true
 						if ck.Elements != cfg.FoldedCommitted {
-							errs = append(errs, fmt.Errorf(
-								"folded committed elements through epoch %d: recorder saw %d, observer checkpoint holds %d",
-								cfg.FoldedEpochs, cfg.FoldedCommitted, ck.Elements))
+							rep.addf("folded committed elements through epoch %d: recorder saw %d, observer checkpoint holds %d",
+								cfg.FoldedEpochs, cfg.FoldedCommitted, ck.Elements)
 						}
 					}
 				}
 				if !found {
-					errs = append(errs, fmt.Errorf(
-						"recorder folded epochs through %d but observer %d has no checkpoint there",
-						cfg.FoldedEpochs, cfg.Observer))
+					rep.addf("recorder folded epochs through %d but observer %d has no checkpoint there",
+						cfg.FoldedEpochs, cfg.Observer)
 				}
 			}
 		}
 	}
 
-	return errors.Join(errs...)
+	return rep.err()
 }
 
 // checkCheckpoints verifies one server's sealed checkpoint chain against
 // its own retained state: ascending seal points, digests that recompute
 // from retained epochs wherever the covered range is still present, and
 // pruned-prefix bookkeeping that matches the horizon checkpoint.
-func checkCheckpoints(id wire.NodeID, snap core.Snapshot) []error {
-	var errs []error
+func checkCheckpoints(rep *report, id wire.NodeID, snap core.Snapshot) {
 	total := snap.PrunedEpochs + uint64(len(snap.History))
 	prev := checkpoint.Checkpoint{Digest: checkpoint.Seed()}
 	for i, ck := range snap.Checkpoints {
 		if ck.Epoch <= prev.Epoch || ck.Height < prev.Height || ck.Elements < prev.Elements {
-			errs = append(errs, fmt.Errorf(
-				"server %d: checkpoint %d (%+v) does not extend %+v", id, i+1, ck, prev))
+			rep.addf("server %d: checkpoint %d (%+v) does not extend %+v", id, i+1, ck, prev)
 			prev = ck
 			continue
 		}
 		if ck.Epoch > total {
-			errs = append(errs, fmt.Errorf(
-				"server %d: checkpoint %d seals epoch %d beyond history end %d",
-				id, i+1, ck.Epoch, total))
+			rep.addf("server %d: checkpoint %d seals epoch %d beyond history end %d",
+				id, i+1, ck.Epoch, total)
 			prev = ck
 			continue
 		}
@@ -327,14 +336,12 @@ func checkCheckpoints(id wire.NodeID, snap core.Snapshot) []error {
 				elems += uint64(len(ep.Elements))
 			}
 			if d != ck.Digest {
-				errs = append(errs, fmt.Errorf(
-					"server %d: checkpoint at epoch %d: digest does not recompute from history",
-					id, ck.Epoch))
+				rep.addf("server %d: checkpoint at epoch %d: digest does not recompute from history",
+					id, ck.Epoch)
 			}
 			if elems != ck.Elements {
-				errs = append(errs, fmt.Errorf(
-					"server %d: checkpoint at epoch %d: cumulative elements %d, history holds %d",
-					id, ck.Epoch, ck.Elements, elems))
+				rep.addf("server %d: checkpoint at epoch %d: cumulative elements %d, history holds %d",
+					id, ck.Epoch, ck.Elements, elems)
 			}
 		}
 		prev = ck
@@ -345,19 +352,16 @@ func checkCheckpoints(id wire.NodeID, snap core.Snapshot) []error {
 			if ck.Epoch == snap.PrunedEpochs {
 				found = true
 				if ck.Elements != snap.PrunedElements {
-					errs = append(errs, fmt.Errorf(
-						"server %d: pruned %d elements but horizon checkpoint at epoch %d holds %d",
-						id, snap.PrunedElements, ck.Epoch, ck.Elements))
+					rep.addf("server %d: pruned %d elements but horizon checkpoint at epoch %d holds %d",
+						id, snap.PrunedElements, ck.Epoch, ck.Elements)
 				}
 			}
 		}
 		if !found {
-			errs = append(errs, fmt.Errorf(
-				"server %d: history pruned to epoch %d with no checkpoint sealing it",
-				id, snap.PrunedEpochs))
+			rep.addf("server %d: history pruned to epoch %d with no checkpoint sealing it",
+				id, snap.PrunedEpochs)
 		}
 	}
-	return errs
 }
 
 // sameElements compares two epochs' element-id sequences (order matters:

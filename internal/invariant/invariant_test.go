@@ -1,6 +1,8 @@
 package invariant
 
 import (
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -227,15 +229,15 @@ func TestCheckerDetectsCommittedRejectedElement(t *testing.T) {
 	if err := Check(d, cfg); err != nil {
 		t.Fatalf("correct admission run violates invariants: %v", err)
 	}
-	for id := range cfg.Rejected {
-		if _, ok := cfg.Injected[id]; ok {
+	for id := range cfg.Rejected.All() {
+		if cfg.Injected.Has(id) {
 			t.Fatalf("id %v booked both injected and rejected", id)
 		}
 	}
 	// Splice a rejected element into a committed epoch on one server: the
 	// checker must name the admission violation precisely.
 	var rejID wire.ElementID
-	for id := range cfg.Rejected {
+	for id := range cfg.Rejected.All() {
 		rejID = id
 		break
 	}
@@ -372,5 +374,199 @@ func TestCheckerDetectsCheckpointCorruption(t *testing.T) {
 				t.Fatalf("violation %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// idWords splits an id into the two words the paged id containers key on:
+// the client word, kept whole, and the sequence word, whose top 58 bits
+// name the page.
+func idWords(id wire.ElementID) (client, seq uint64) {
+	return binary.LittleEndian.Uint64(id[0:8]), binary.LittleEndian.Uint64(id[8:16])
+}
+
+func samePage(a, b wire.ElementID) bool {
+	ac, as := idWords(a)
+	bc, bs := idWords(b)
+	return ac == bc && as>>6 == bs>>6
+}
+
+// Corruptions a hashed map of whole ids could not get wrong but a paged
+// container could: they differ from valid state only in one of the two
+// words the page key is built from, or sit in a page beside valid ids.
+func TestCheckerDetectsCorruptionWithinAPage(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(t *testing.T, d *core.Deployment, cfg Config)
+		want   []string
+		count  int // lines the violation must have on the mutated server
+	}{
+		{
+			name: "duplicate across two epochs, both ids in one page",
+			mutate: func(t *testing.T, d *core.Deployment, cfg Config) {
+				// Overwrite an element of a later epoch with its page
+				// neighbour from an earlier one: the page then holds one id
+				// twice and its other ids once.
+				hist := d.Servers[1].Get().History
+				for i, early := range hist {
+					for _, a := range early.Elements {
+						for _, late := range hist[i+1:] {
+							for k, b := range late.Elements {
+								if a.ID != b.ID && samePage(a.ID, b.ID) {
+									late.Elements[k] = a
+									return
+								}
+							}
+						}
+					}
+				}
+				t.Fatal("no page spans two epochs; tune the workload")
+			},
+			want:  []string{"server 1: element", "duplicated"},
+			count: 1,
+		},
+		{
+			name: "fabricated id equal to an injected one in the sequence word",
+			mutate: func(t *testing.T, d *core.Deployment, cfg Config) {
+				ep := lastEpoch(t, d, 2)
+				forged := *ep.Elements[0]
+				forged.ID[4] ^= 0x80 // another client, same sequence number
+				if cfg.Injected.Has(forged.ID) {
+					t.Fatal("forged id collides with an injected one")
+				}
+				ep.Elements[0] = &forged
+			},
+			want:  []string{"server 2: fabricated element"},
+			count: 1,
+		},
+		{
+			name: "fabricated id equal to an injected one in the client word",
+			mutate: func(t *testing.T, d *core.Deployment, cfg Config) {
+				ep := lastEpoch(t, d, 2)
+				forged := *ep.Elements[0]
+				forged.ID[13] ^= 0x01 // same client, same bit of a page far away
+				if cfg.Injected.Has(forged.ID) {
+					t.Fatal("forged id collides with an injected one")
+				}
+				ep.Elements[0] = &forged
+			},
+			want:  []string{"server 2: fabricated element"},
+			count: 1,
+		},
+		{
+			name: "bogus element in the set below the prune horizon, in a page of valid ids",
+			mutate: func(t *testing.T, d *core.Deployment, cfg Config) {
+				// The id after a client's last: never injected, in no epoch,
+				// one bit away from ids that are both.
+				snap := d.Servers[3].Get()
+				var free *wire.ElementID
+				for id := range snap.TheSet.All() {
+					next := id
+					next[8]++
+					if next[8] != 0 && samePage(id, next) && !cfg.Injected.Has(next) {
+						free = &next
+						break
+					}
+				}
+				if free == nil {
+					t.Fatal("no free id beside a valid one; tune the workload")
+				}
+				if !snap.TheSet.Add(&wire.Element{ID: *free, Client: wire.ClientID(-1), Size: 100, Bogus: true}) {
+					t.Fatal("the smuggled id was already in the set")
+				}
+			},
+			want:  []string{"server 3: invalid (bogus) element", "in the set below the prune horizon"},
+			count: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, cfg := runSmall(t)
+			tc.mutate(t, d, cfg)
+			err := Check(d, cfg)
+			if err == nil {
+				t.Fatal("checker stayed green on a corrupted ledger")
+			}
+			lines := 0
+			for _, line := range strings.Split(err.Error(), "\n") {
+				match := true
+				for _, want := range tc.want {
+					match = match && strings.Contains(line, want)
+				}
+				if match {
+					lines++
+				}
+			}
+			if lines != tc.count {
+				t.Fatalf("violation has %d lines mentioning %q, want %d:\n%v", lines, tc.want, tc.count, err)
+			}
+		})
+	}
+}
+
+// A nil Injected set skips the fabrication check in the scan of the set as
+// it does in the scan of the history: a valid element nobody injected, in
+// the_set of one server and in no epoch.
+func TestCheckerNilInjectedSkipsSetScan(t *testing.T) {
+	d, cfg := runSmall(t)
+	stray := &wire.Element{ID: wire.ElementID{0xDE, 0xAD}, Size: 100}
+	d.Servers[3].Get().TheSet.Add(stray)
+	if err := Check(d, cfg); err == nil || !strings.Contains(err.Error(), "fabricated element") {
+		t.Fatalf("want a fabrication in the set, got %v", err)
+	}
+	cfg.Injected = nil
+	if err := Check(d, cfg); err != nil {
+		t.Fatalf("nil Injected must skip the fabrication check: %v", err)
+	}
+}
+
+// A systematic fault offends once per element; the report keeps the first
+// maxReported violations verbatim and counts the rest exactly.
+func TestCheckerReportIsBounded(t *testing.T) {
+	d, cfg := runSmall(t)
+	// Forge every element of server 1's history: one fabrication per
+	// element, and one divergence from the reference per non-empty epoch.
+	violations := 0
+	for _, ep := range d.Servers[1].Get().History {
+		for i, e := range ep.Elements {
+			forged := *e
+			forged.ID[7] = 0xFA
+			ep.Elements[i] = &forged
+			violations++
+		}
+		if len(ep.Elements) > 0 {
+			violations++
+		}
+	}
+	t.Logf("%d violations", violations)
+	if violations <= 10*maxReported {
+		t.Fatalf("only %d violations; the bound would hardly be tested", violations)
+	}
+	err := Check(d, cfg)
+	if err == nil {
+		t.Fatal("checker stayed green on a history forged at every element")
+	}
+	lines := strings.Split(err.Error(), "\n")
+	if len(lines) != maxReported+1 {
+		t.Fatalf("report has %d lines, want %d violations and one count", len(lines), maxReported)
+	}
+	for _, line := range lines[:maxReported] {
+		if !strings.Contains(line, "server 1: fabricated element") {
+			t.Fatalf("one of the first %d lines is not a violation verbatim: %q", maxReported, line)
+		}
+	}
+	if want := fmt.Sprintf("… and %d more violations", violations-maxReported); lines[maxReported] != want {
+		t.Fatalf("last line %q, want %q", lines[maxReported], want)
+	}
+
+	// At the bound exactly, nothing is counted.
+	var rep report
+	for i := 0; i < maxReported; i++ {
+		rep.addf("violation %d", i)
+	}
+	if got := strings.Count(rep.err().Error(), "\n"); got != maxReported-1 {
+		t.Fatalf("%d violations render as %d lines", maxReported, got+1)
+	}
+	if (&report{}).err() != nil {
+		t.Fatal("an empty report is not a nil error")
 	}
 }

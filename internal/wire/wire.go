@@ -30,6 +30,18 @@ type ElementID [16]byte
 // String renders the id as hex for logs.
 func (id ElementID) String() string { return fmt.Sprintf("%x", id[:8]) }
 
+// NewElementID is the one definition of how a client names its elements:
+// the client id in the first eight bytes, the client's sequence number in
+// the last eight, both little-endian. A client's ids are therefore
+// consecutive integers in the low word — the density IDMap's pages are built
+// around, which idmap_test.go pins.
+func NewElementID(client ClientID, seq uint64) ElementID {
+	var id ElementID
+	binary.LittleEndian.PutUint64(id[0:8], uint64(client))
+	binary.LittleEndian.PutUint64(id[8:16], seq)
+	return id
+}
+
 // Wire size constants measured by the paper's evaluation (§4): an
 // epoch-proof and a hash-batch are each 139 bytes on the ledger; the
 // average Arbitrum element is 438 bytes.
@@ -361,17 +373,22 @@ type Block struct {
 	CkptFold  uint64 // checkpoint chain fold through CkptEpoch
 }
 
-// EpochHashInput builds the canonical byte string hashed to identify an
-// epoch: the epoch number followed by the ids of its elements in ledger
-// order. All correct servers derive identical input for the same epoch,
-// which is what makes epoch-proofs comparable across servers.
-func EpochHashInput(epoch uint64, elems []*Element) []byte {
-	buf := make([]byte, 0, 8+len(elems)*16)
-	buf = binary.LittleEndian.AppendUint64(buf, epoch)
+// AppendEpochHashInput appends to dst the canonical byte string hashed to
+// identify an epoch: the epoch number followed by the ids of its elements
+// in ledger order. All correct servers derive identical input for the same
+// epoch, which is what makes epoch-proofs comparable across servers.
+func AppendEpochHashInput(dst []byte, epoch uint64, elems []*Element) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, epoch)
 	for _, e := range elems {
-		buf = append(buf, e.ID[:]...)
+		dst = append(dst, e.ID[:]...)
 	}
-	return buf
+	return dst
+}
+
+// EpochHashInput is AppendEpochHashInput into a fresh buffer, for callers
+// with no scratch buffer of their own to reuse.
+func EpochHashInput(epoch uint64, elems []*Element) []byte {
+	return AppendEpochHashInput(make([]byte, 0, 8+len(elems)*16), epoch, elems)
 }
 
 // VerifyEpochProof checks an epoch-proof against the expected epoch hash

@@ -137,6 +137,35 @@ func TestEpochHashInputOrderSensitive(t *testing.T) {
 	}
 }
 
+// A server builds every epoch's hash input in one scratch buffer, which is
+// sound only if no suite's HashData keeps a reference into its input: hash,
+// overwrite the buffer with the next epoch's input, and the first digest
+// must not have moved.
+func TestEpochHashDoesNotRetainItsInput(t *testing.T) {
+	a, b := &Element{ID: NewElementID(1, 1)}, &Element{ID: NewElementID(2, 9)}
+	for _, suite := range []setcrypto.Suite{setcrypto.FastSuite{}, setcrypto.Ed25519Suite{}} {
+		buf := AppendEpochHashInput(nil, 3, []*Element{a, b})
+		if !bytes.Equal(buf, EpochHashInput(3, []*Element{a, b})) {
+			t.Fatal("AppendEpochHashInput and EpochHashInput build different inputs")
+		}
+		got := suite.HashData(buf)
+		want := bytes.Clone(got)
+		for i := range buf {
+			buf[i] = 0xFF
+		}
+		buf = AppendEpochHashInput(buf[:0], 4, []*Element{b, a})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: digest changed when its input buffer was reused", suite.Name())
+		}
+		if !bytes.Equal(want, suite.HashData(EpochHashInput(3, []*Element{a, b}))) {
+			t.Fatalf("%s: digest of the reused buffer differs from a fresh one's", suite.Name())
+		}
+		if bytes.Equal(want, suite.HashData(buf)) {
+			t.Fatalf("%s: two epochs hash alike", suite.Name())
+		}
+	}
+}
+
 func TestVerifyEpochProof(t *testing.T) {
 	suite := setcrypto.FastSuite{}
 	reg := setcrypto.NewRegistry()

@@ -11,8 +11,8 @@ type Account struct {
 	injected uint64
 	rejected uint64
 
-	ids         map[wire.ElementID]struct{}
-	rejectedIDs map[wire.ElementID]struct{}
+	ids         *wire.IDMap[struct{}]
+	rejectedIDs *wire.IDMap[struct{}]
 
 	offeredBy  []uint64
 	acceptedBy []uint64
@@ -27,8 +27,8 @@ func NewAccount(sources int, trackIDs bool) *Account {
 		acceptedBy: make([]uint64, sources),
 	}
 	if trackIDs {
-		a.ids = make(map[wire.ElementID]struct{})
-		a.rejectedIDs = make(map[wire.ElementID]struct{})
+		a.ids = new(wire.IDMap[struct{}])
+		a.rejectedIDs = new(wire.IDMap[struct{}])
 	}
 	return a
 }
@@ -39,7 +39,7 @@ func (a *Account) Accept(e *wire.Element, source int) {
 	a.offeredBy[source]++
 	a.acceptedBy[source]++
 	if a.ids != nil {
-		a.ids[e.ID] = struct{}{}
+		a.ids.Put(e.ID, struct{}{})
 	}
 }
 
@@ -51,7 +51,7 @@ func (a *Account) Reject(e *wire.Element, source int) {
 	a.rejected++
 	a.offeredBy[source]++
 	if a.rejectedIDs != nil {
-		a.rejectedIDs[e.ID] = struct{}{}
+		a.rejectedIDs.Put(e.ID, struct{}{})
 	}
 }
 
@@ -65,12 +65,13 @@ func (a *Account) Rejected() uint64 { return a.rejected }
 func (a *Account) Offered() uint64 { return a.injected + a.rejected }
 
 // InjectedIDs returns the accepted ids, or nil unless ids are tracked.
-// The map is live state; treat it as read-only.
-func (a *Account) InjectedIDs() map[wire.ElementID]struct{} { return a.ids }
+// The map is live state; treat it as read-only, and read it only where the
+// account's owner runs or after the run (wire.IDMap has one owner).
+func (a *Account) InjectedIDs() *wire.IDMap[struct{}] { return a.ids }
 
-// RejectedIDs returns the refused ids, or nil unless ids are tracked.
-// The map is live state; treat it as read-only.
-func (a *Account) RejectedIDs() map[wire.ElementID]struct{} { return a.rejectedIDs }
+// RejectedIDs returns the refused ids, or nil unless ids are tracked, under
+// the same rules as InjectedIDs.
+func (a *Account) RejectedIDs() *wire.IDMap[struct{}] { return a.rejectedIDs }
 
 // Fairness returns Jain's index over the per-source acceptance ratios
 // (accepted/offered) of every source that offered at least one element:

@@ -233,9 +233,7 @@ func (c *Client) Confirm(askServer int, id ElementID) (uint64, error) {
 // InSet reports whether a server's the_set contains the element (weaker
 // than Confirm: no proof verification).
 func (c *Client) InSet(askServer int, id ElementID) bool {
-	snap := c.net.dep.Servers[askServer].Get()
-	_, ok := snap.TheSet[id]
-	return ok
+	return c.net.dep.Servers[askServer].Get().TheSet.Has(id)
 }
 
 // Find returns the epoch containing the element at a server, or nil.
