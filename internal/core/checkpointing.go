@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"sort"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -404,16 +403,11 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 }
 
 // pendingSigners snapshots Hashchain's per-batch ledger signer sets for
-// unconsolidated batches, each sorted for deterministic installs.
+// unconsolidated batches, each ascending for deterministic installs.
 func (h *hashchainAlg) pendingSigners() map[wire.Digest][]wire.NodeID {
-	out := make(map[wire.Digest][]wire.NodeID, len(h.signers))
-	for key, set := range h.signers {
-		ids := make([]wire.NodeID, 0, len(set))
-		for id := range set {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		out[key] = ids
+	out := make(map[wire.Digest][]wire.NodeID, len(h.pending))
+	for _, r := range h.pending {
+		out[wire.DigestOf(r.hash)] = r.signers.ids()
 	}
 	return out
 }
@@ -421,18 +415,25 @@ func (h *hashchainAlg) pendingSigners() map[wire.Digest][]wire.NodeID {
 // installPending replaces the signer state with a snapshot's pending
 // sets: signatures in blocks at or below the seal height are invisible to
 // the installing node, so the suffix replay must count on top of these.
-// Own-signature memory is rebuilt from the sets to avoid double-signing.
+// Everything else a record holds — content, consolidation, a fetch in
+// flight — is this server's own and stays. Own-signature memory is rebuilt
+// from the sets to avoid double-signing. A signer the registry does not
+// know cannot have signed anything and is skipped.
 func (h *hashchainAlg) installPending(pending map[wire.Digest][]wire.NodeID) {
-	h.signers = make(map[wire.Digest]map[wire.NodeID]bool, len(pending))
+	for len(h.pending) > 0 {
+		h.releaseSigners(h.pending[len(h.pending)-1])
+	}
 	for key, ids := range pending {
-		set := make(map[wire.NodeID]bool, len(ids))
+		r := h.rec(key.Bytes())
 		for _, id := range ids {
-			set[id] = true
+			if h.s.registry.Lookup(int(id)) == nil {
+				continue
+			}
+			h.addSigner(r, id)
 			if id == h.s.id {
-				h.signedOwn[key] = true
+				r.signedOwn = true
 			}
 		}
-		h.signers[key] = set
 	}
 }
 

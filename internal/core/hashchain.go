@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"time"
 
 	"repro/internal/batchstore"
@@ -41,31 +42,112 @@ import (
 // The Light variant removes hash-reversal and validation (paper Fig. 2):
 // batches come from a shared oracle store and servers co-sign unseen hashes
 // without verification, isolating the hash-reversal bottleneck.
+//
+// Every batch costs n hash-batch transactions and every one of them is
+// processed by n servers, so the step below runs n² times per batch. It is
+// kept to one map probe and no allocation: everything a server knows about
+// a batch hash lives in one batchRec, and the walk over a block is one
+// cursor whose callback is bound once (DESIGN.md §3).
 type hashchainAlg struct {
 	s   *Server
 	seq uint64 // request ids
 
 	hashBuf []byte // scratch for modeled batch hashing, reused across flushes
 
-	signers      map[wire.Digest]map[wire.NodeID]bool
-	signedOwn    map[wire.Digest]bool
-	contentDone  map[wire.Digest]bool
-	proofsDone   map[wire.Digest]bool // proofs extracted at ledger time (once)
-	validElems   map[wire.Digest][]*wire.Element
-	consolidated map[wire.Digest]bool
-	fetches      map[wire.Digest]*fetchState
+	// recs holds one record per batch hash this server has met, in a block,
+	// in its mempool or in a snapshot. Records are never deleted.
+	recs map[wire.Digest]*batchRec
+	// pending lists the records with a non-empty signer set, in no
+	// particular order: what a state-sync snapshot ships (pendingSigners).
+	pending []*batchRec
+
+	// cur walks the block being processed. A server processes one block at
+	// a time (Server.processing), so one cursor serves; stepFn is its step
+	// method bound once, handed to the CPU resource as it is.
+	cur    blockCursor
+	stepFn func()
 
 	// Stats.
 	requestsSent   uint64
 	requestsServed uint64
 	fetchFailures  uint64
 	stallRetries   uint64
+	consolidated   int
+}
+
+// batchRec is one server's whole state for one batch hash.
+type batchRec struct {
+	hash []byte
+	// batch caches the store's answer once it has one (the store never
+	// deletes); nil means "ask again".
+	batch *wire.Batch
+	// valid is the batch's valid elements between content extraction and
+	// consolidation.
+	valid []*wire.Element
+	// fetch is the recovery in progress or the memory of a failed one; nil
+	// otherwise.
+	fetch *fetchState
+	// signers is the set of servers whose hash-batch for this hash has been
+	// seen on the ledger. Consolidation releases it; a state-sync install
+	// replaces it. pendIdx is the record's position in hashchainAlg.pending
+	// while the set is non-empty.
+	signers nodeSet
+	pendIdx int
+
+	signedOwn    bool // own hash-batch appended (or seen in a snapshot)
+	contentDone  bool // elements validated and added to the_set
+	proofsDone   bool // proofs extracted at ledger time (once)
+	consolidated bool
+}
+
+// nodeSet is a set of node ids as a bitset indexed by id, grown on demand.
+// Ids are registry-known by the time they get here — a ledger signer passed
+// validHashBatchSig, a snapshot's signer passes installPending's lookup — so
+// they are small and non-negative (servers are FirstID+i).
+type nodeSet struct {
+	words []uint64
+	n     int
+}
+
+func (s *nodeSet) has(id wire.NodeID) bool {
+	w := int(id >> 6)
+	return w < len(s.words) && s.words[w]&(1<<(id&63)) != 0
+}
+
+func (s *nodeSet) add(id wire.NodeID) {
+	w := int(id >> 6)
+	for w >= len(s.words) {
+		s.words = append(s.words, 0)
+	}
+	if bit := uint64(1) << (id & 63); s.words[w]&bit == 0 {
+		s.words[w] |= bit
+		s.n++
+	}
+}
+
+// ids returns the members in ascending order.
+func (s *nodeSet) ids() []wire.NodeID {
+	out := make([]wire.NodeID, 0, s.n)
+	for w, word := range s.words {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, wire.NodeID(w<<6|bits.TrailingZeros64(word)))
+		}
+	}
+	return out
+}
+
+// blockCursor is the position of block processing: txs[i] is the next
+// transaction to look at, done what to call after the last.
+type blockCursor struct {
+	txs  []*wire.Tx
+	i    int
+	done func()
 }
 
 type fetchState struct {
-	hash       []byte
+	rec        *batchRec
 	candidates []wire.NodeID
-	tried      map[wire.NodeID]bool
+	tried      nodeSet
 	inFlight   bool
 	reqID      uint64
 	timer      sim.Event
@@ -73,19 +155,53 @@ type fetchState struct {
 }
 
 func newHashchainAlg(s *Server) *hashchainAlg {
-	h := &hashchainAlg{
-		s:            s,
-		signers:      make(map[wire.Digest]map[wire.NodeID]bool),
-		signedOwn:    make(map[wire.Digest]bool),
-		contentDone:  make(map[wire.Digest]bool),
-		proofsDone:   make(map[wire.Digest]bool),
-		validElems:   make(map[wire.Digest][]*wire.Element),
-		consolidated: make(map[wire.Digest]bool),
-		fetches:      make(map[wire.Digest]*fetchState),
-	}
+	h := &hashchainAlg{s: s, recs: make(map[wire.Digest]*batchRec)}
+	h.stepFn = h.step
 	s.coll = collector.New(s.sim, s.opts.CollectorLimit, s.opts.CollectorTimeout, h.flushBatch)
 	s.store = batchstore.New()
 	return h
+}
+
+// rec returns the record for a batch hash, creating it on first sight.
+func (h *hashchainAlg) rec(hash []byte) *batchRec {
+	key := wire.DigestOf(hash)
+	r := h.recs[key]
+	if r == nil {
+		r = &batchRec{hash: hash}
+		h.recs[key] = r
+	}
+	return r
+}
+
+// content returns the record's batch if the local store has it.
+func (h *hashchainAlg) content(r *batchRec) *wire.Batch {
+	if r.batch == nil {
+		r.batch = h.s.store.Get(r.hash)
+	}
+	return r.batch
+}
+
+// addSigner counts id as a ledger signer of r.
+func (h *hashchainAlg) addSigner(r *batchRec, id wire.NodeID) {
+	if r.signers.n == 0 {
+		r.pendIdx = len(h.pending)
+		h.pending = append(h.pending, r)
+	}
+	r.signers.add(id)
+}
+
+// releaseSigners empties r's signer set and takes r off the pending list.
+func (h *hashchainAlg) releaseSigners(r *batchRec) {
+	if r.signers.n == 0 {
+		return
+	}
+	last := len(h.pending) - 1
+	moved := h.pending[last]
+	h.pending[r.pendIdx] = moved
+	moved.pendIdx = r.pendIdx
+	h.pending[last] = nil
+	h.pending = h.pending[:last]
+	r.signers = nodeSet{}
 }
 
 func (h *hashchainAlg) onAdd(e *wire.Element) { h.s.coll.AddElement(e) }
@@ -119,7 +235,6 @@ func (h *hashchainAlg) flushBatch(b *wire.Batch) {
 	s := h.s
 	s.injectBogus(b)
 	hash := h.batchHash(b)
-	key := wire.DigestOf(hash)
 	s.store.Register(hash, b)
 	if s.opts.Light && s.opts.SharedStore != nil {
 		s.opts.SharedStore.Register(hash, b)
@@ -132,9 +247,10 @@ func (h *hashchainAlg) flushBatch(b *wire.Batch) {
 			valid = append(valid, e)
 		}
 	}
-	h.validElems[key] = valid
-	h.contentDone[key] = true
-	h.signedOwn[key] = true
+	r := h.rec(hash)
+	r.valid = valid
+	r.contentDone = true
+	r.signedOwn = true
 
 	s.chargeCPU(time.Duration(b.RawSize())*s.opts.Costs.HashPerByte +
 		s.opts.Costs.SignCost + s.opts.Costs.PerBatch)
@@ -157,8 +273,10 @@ func (h *hashchainAlg) checkTx(tx *wire.Tx) bool {
 	if !h.validHashBatchSig(hb) {
 		return false
 	}
-	if !h.s.opts.Light && !h.s.store.Has(hb.Hash) {
-		h.prefetch(hb.Hash, hb.Signer)
+	if !h.s.opts.Light {
+		if r := h.rec(hb.Hash); h.content(r) == nil {
+			h.prefetch(r, hb.Signer)
+		}
 	}
 	return true
 }
@@ -174,127 +292,127 @@ func (h *hashchainAlg) validHashBatchSig(hb *wire.HashBatch) bool {
 // processBlock walks the block's hash-batches strictly in order, keeping
 // epoch consolidation deterministic across servers.
 func (h *hashchainAlg) processBlock(b *wire.Block, done func()) {
-	h.processTx(b.Txs, 0, done)
+	h.cur = blockCursor{txs: b.Txs, done: done}
+	h.next()
 }
 
-func (h *hashchainAlg) processTx(txs []*wire.Tx, i int, done func()) {
-	s := h.s
-	// Skip non-hash-batch transactions iteratively (no stack growth).
-	for i < len(txs) && txs[i].Kind != wire.TxHashBatch {
-		i++
+// next submits the step for the block's next hash-batch, or finishes the
+// block. Every path out of step reaches it exactly once — directly, or
+// through the one callback fetch owes each caller — which is what lets one
+// cursor stand in for a chain of continuations.
+func (h *hashchainAlg) next() {
+	c := &h.cur
+	for c.i < len(c.txs) && c.txs[c.i].Kind != wire.TxHashBatch {
+		c.i++
 	}
-	if i >= len(txs) {
-		done()
+	if c.i >= len(c.txs) {
+		done := c.done
+		h.cur = blockCursor{}
+		done() // may start the next block, which resets the cursor
 		return
 	}
-	hb := txs[i].HashBatch
-	next := func() { h.processTx(txs, i+1, done) }
-	s.runCosted(s.opts.Costs.VerifySig, func() {
-		if !s.opts.Light && !h.validHashBatchSig(hb) {
-			next()
+	h.s.runCosted(h.s.opts.Costs.VerifySig, h.stepFn)
+}
+
+// step processes the hash-batch under the cursor: count its signer, make
+// sure the batch is local, extract its content (once), co-sign (once),
+// consolidate at f+1 signers.
+func (h *hashchainAlg) step() {
+	s := h.s
+	hb := h.cur.txs[h.cur.i].HashBatch
+	h.cur.i++
+	if !s.opts.Light && !h.validHashBatchSig(hb) {
+		h.next()
+		return
+	}
+	r := h.rec(hb.Hash)
+	if r.consolidated {
+		// Signer counting stops at consolidation: the set was released
+		// (maybeConsolidate) and late signatures change nothing.
+		h.next()
+		return
+	}
+	h.addSigner(r, hb.Signer)
+	if s.opts.Light {
+		h.lightProcess(r)
+		return
+	}
+	if h.content(r) != nil {
+		h.withContent(r)
+		return
+	}
+	// Batch missing. Before the f+1 threshold a bounded recovery
+	// attempt suffices (pseudocode lines 26-29: continue on failure);
+	// at or past the threshold the batch MUST be recovered to keep
+	// consolidation order consistent, so retry until success.
+	mustHave := r.signers.n >= s.opts.F+1
+	h.fetch(r, hb.Signer, func(ok bool) {
+		if ok {
+			h.withContent(r)
 			return
 		}
-		key := wire.DigestOf(hb.Hash)
-		if h.consolidated[key] {
-			// Signer counting stops at consolidation: the set was released
-			// (maybeConsolidate) and late signatures change nothing.
-			next()
+		if !mustHave {
+			h.fetchFailures++
+			h.next()
 			return
 		}
-		set := h.signers[key]
-		if set == nil {
-			set = make(map[wire.NodeID]bool)
-			h.signers[key] = set
-		}
-		set[hb.Signer] = true
-		if s.opts.Light {
-			h.lightProcess(hb, key, next)
-			return
-		}
-		if s.store.Has(hb.Hash) {
-			h.withContent(key, hb.Hash, next)
-			return
-		}
-		// Batch missing. Before the f+1 threshold a bounded recovery
-		// attempt suffices (pseudocode lines 26-29: continue on failure);
-		// at or past the threshold the batch MUST be recovered to keep
-		// consolidation order consistent, so retry until success.
-		mustHave := len(set) >= s.opts.F+1
-		h.fetch(hb.Hash, hb.Signer, func(ok bool) {
-			if ok {
-				h.withContent(key, hb.Hash, next)
-				return
-			}
-			if !mustHave {
-				h.fetchFailures++
-				next()
-				return
-			}
-			h.stallRetries++
-			s.sim.After(s.opts.RetryBackoff, func() {
-				h.retryUntilRecovered(key, hb.Hash, next)
-			})
-		})
+		h.stallRetries++
+		s.sim.After(s.opts.RetryBackoff, func() { h.retryUntilRecovered(r) })
 	})
 }
 
-func (h *hashchainAlg) retryUntilRecovered(key wire.Digest, hash []byte, next func()) {
-	if h.s.store.Has(hash) {
-		h.withContent(key, hash, next)
+func (h *hashchainAlg) retryUntilRecovered(r *batchRec) {
+	if h.content(r) != nil {
+		h.withContent(r)
 		return
 	}
 	// The batch MUST be recovered (f+1 signers, >= 1 correct): clear the
 	// failure memory so all candidates are retried from scratch.
-	if st := h.fetches[key]; st != nil && !st.inFlight {
-		st.tried = make(map[wire.NodeID]bool)
+	if st := r.fetch; st != nil && !st.inFlight {
+		st.tried = nodeSet{}
 	}
-	h.fetch(hash, -1, func(ok bool) {
+	h.fetch(r, -1, func(ok bool) {
 		if ok {
-			h.withContent(key, hash, next)
+			h.withContent(r)
 			return
 		}
 		h.stallRetries++
-		h.s.sim.After(h.s.opts.RetryBackoff, func() {
-			h.retryUntilRecovered(key, hash, next)
-		})
+		h.s.sim.After(h.s.opts.RetryBackoff, func() { h.retryUntilRecovered(r) })
 	})
 }
 
 // lightProcess handles a hash-batch with hash-reversal disabled: co-sign
 // without verification; batch content comes from the shared oracle.
-func (h *hashchainAlg) lightProcess(hb *wire.HashBatch, key wire.Digest, next func()) {
+func (h *hashchainAlg) lightProcess(r *batchRec) {
 	s := h.s
-	if !s.store.Has(hb.Hash) && s.opts.SharedStore != nil {
-		if b := s.opts.SharedStore.Get(hb.Hash); b != nil {
-			s.store.Register(hb.Hash, b)
+	b := h.content(r)
+	if b == nil && s.opts.SharedStore != nil {
+		if b = s.opts.SharedStore.Get(r.hash); b != nil {
+			s.store.Register(r.hash, b)
+			r.batch = b
 		}
 	}
-	if !h.signedOwn[key] {
-		h.signedOwn[key] = true
-		s.chargeCPU(s.opts.Costs.SignCost)
-		own := &wire.HashBatch{Hash: hb.Hash, Sig: s.suite.Sign(s.key, hb.Hash), Signer: s.id}
-		s.node.Append(&wire.Tx{Kind: wire.TxHashBatch, HashBatch: own})
-	}
-	if b := s.store.Get(hb.Hash); b != nil && h.contentDone[key] {
-		h.extractProofsOnce(key, b)
-	}
-	if b := s.store.Get(hb.Hash); b != nil && !h.contentDone[key] {
-		h.contentDone[key] = true
+	h.cosign(r)
+	if b != nil && !r.contentDone {
+		r.contentDone = true
 		valid := b.Elements // Light: all servers correct, skip validation
-		h.validElems[key] = valid
+		r.valid = valid
 		cost := time.Duration(len(valid)) * s.opts.Costs.PerElement
 		s.runCosted(cost, func() {
-			h.extractProofsOnce(key, b)
+			h.extractProofsOnce(r, b)
 			for _, e := range valid {
 				s.elems.Add(e)
 			}
-			h.maybeConsolidate(key)
-			next()
+			h.maybeConsolidate(r)
+			h.next()
 		})
 		return
 	}
-	h.maybeConsolidate(key)
-	next()
+	if b != nil {
+		h.extractProofsOnce(r, b)
+	}
+	h.maybeConsolidate(r)
+	h.next()
 }
 
 // extractProofsOnce records a batch's epoch-proofs the first time the
@@ -302,11 +420,11 @@ func (h *hashchainAlg) lightProcess(hb *wire.HashBatch, key wire.Digest, next fu
 // because a server's own batches have their elements validated at Add time
 // (contentDone is pre-set at flush) while their proofs still only count
 // once a block carries the batch's hash.
-func (h *hashchainAlg) extractProofsOnce(key wire.Digest, b *wire.Batch) {
-	if h.proofsDone[key] {
+func (h *hashchainAlg) extractProofsOnce(r *batchRec, b *wire.Batch) {
+	if r.proofsDone {
 		return
 	}
-	h.proofsDone[key] = true
+	r.proofsDone = true
 	for _, p := range b.Proofs {
 		h.s.acceptProof(p)
 	}
@@ -314,19 +432,19 @@ func (h *hashchainAlg) extractProofsOnce(key wire.Digest, b *wire.Batch) {
 
 // withContent runs content extraction (once), co-signing (once) and the
 // consolidation check for a locally available batch, then continues.
-func (h *hashchainAlg) withContent(key wire.Digest, hash []byte, next func()) {
+func (h *hashchainAlg) withContent(r *batchRec) {
 	s := h.s
-	b := s.store.Get(hash)
+	b := h.content(r)
 	if b == nil { // raced with nothing: treat as recovery failure
-		next()
+		h.next()
 		return
 	}
-	if h.contentDone[key] {
-		h.extractProofsOnce(key, b)
-		h.cosignAndConsolidate(key, hash, next)
+	if r.contentDone {
+		h.extractProofsOnce(r, b)
+		h.cosignAndConsolidate(r)
 		return
 	}
-	h.contentDone[key] = true
+	r.contentDone = true
 	// First contact with this batch's content: verify every element (the
 	// per-element cost that produces the paper's ~20k el/s ceiling) and
 	// extract proofs.
@@ -339,49 +457,53 @@ func (h *hashchainAlg) withContent(key wire.Digest, hash []byte, next func()) {
 				valid = append(valid, e)
 			}
 		}
-		h.validElems[key] = valid
-		h.extractProofsOnce(key, b)
+		r.valid = valid
+		h.extractProofsOnce(r, b)
 		for _, e := range valid {
 			s.elems.Add(e)
 		}
-		h.cosignAndConsolidate(key, hash, next)
+		h.cosignAndConsolidate(r)
 	})
 }
 
-func (h *hashchainAlg) cosignAndConsolidate(key wire.Digest, hash []byte, next func()) {
-	s := h.s
-	if !h.signedOwn[key] {
-		h.signedOwn[key] = true
-		s.chargeCPU(s.opts.Costs.SignCost)
-		own := &wire.HashBatch{Hash: hash, Sig: s.suite.Sign(s.key, hash), Signer: s.id}
-		s.node.Append(&wire.Tx{Kind: wire.TxHashBatch, HashBatch: own})
+// cosign appends this server's own hash-batch for r, once.
+func (h *hashchainAlg) cosign(r *batchRec) {
+	if r.signedOwn {
+		return
 	}
-	h.maybeConsolidate(key)
-	next()
+	s := h.s
+	r.signedOwn = true
+	s.chargeCPU(s.opts.Costs.SignCost)
+	own := &wire.HashBatch{Hash: r.hash, Sig: s.suite.Sign(s.key, r.hash), Signer: s.id}
+	s.node.Append(&wire.Tx{Kind: wire.TxHashBatch, HashBatch: own})
+}
+
+func (h *hashchainAlg) cosignAndConsolidate(r *batchRec) {
+	h.cosign(r)
+	h.maybeConsolidate(r)
+	h.next()
 }
 
 // maybeConsolidate performs epoch consolidation once f+1 distinct servers
 // have signed the hash on the ledger and the content is known.
-func (h *hashchainAlg) maybeConsolidate(key wire.Digest) {
+func (h *hashchainAlg) maybeConsolidate(r *batchRec) {
 	s := h.s
-	if h.consolidated[key] || !h.contentDone[key] {
+	if r.consolidated || !r.contentDone || r.signers.n < s.opts.F+1 {
 		return
 	}
-	if len(h.signers[key]) < s.opts.F+1 {
-		return
-	}
-	h.consolidated[key] = true
+	r.consolidated = true
+	h.consolidated++
 	// Release the signer set: consolidation position is fixed, and keeping
 	// only unconsolidated sets is what lets state-sync ship exactly the
 	// pending signatures (pendingSigners in checkpointing.go).
-	delete(h.signers, key)
-	g := make([]*wire.Element, 0, len(h.validElems[key]))
-	for _, e := range h.validElems[key] {
+	h.releaseSigners(r)
+	g := make([]*wire.Element, 0, len(r.valid))
+	for _, e := range r.valid {
 		if s.elems.Epoch(e.ID) == 0 {
 			g = append(g, e)
 		}
 	}
-	delete(h.validElems, key)
+	r.valid = nil
 	if len(g) == 0 {
 		return // proof-only batch: no epoch (quiescence, see vanillaAlg)
 	}
@@ -392,32 +514,31 @@ func (h *hashchainAlg) maybeConsolidate(key wire.Digest) {
 // --- batch recovery (Request_batch) ---
 
 // prefetch starts recovery for a hash first seen in the mempool.
-func (h *hashchainAlg) prefetch(hash []byte, signer wire.NodeID) {
-	key := wire.DigestOf(hash)
-	if h.fetches[key] != nil || h.consolidated[key] {
+func (h *hashchainAlg) prefetch(r *batchRec, signer wire.NodeID) {
+	if r.fetch != nil || r.consolidated {
 		return
 	}
-	h.fetch(hash, signer, func(bool) {})
+	h.fetch(r, signer, func(bool) {})
 }
 
-// fetch recovers the batch for hash, trying candidate signers one at a time
-// with RequestTimeout each, and calls cb exactly once. hint names a known
-// signer to try first (-1 for none); known ledger signers are also tried.
-func (h *hashchainAlg) fetch(hash []byte, hint wire.NodeID, cb func(ok bool)) {
-	if h.s.store.Has(hash) {
+// fetch recovers r's batch, trying candidate signers one at a time with
+// RequestTimeout each, and calls cb exactly once — block processing parks
+// its cursor on that promise (next). hint names a known signer to try first
+// (-1 for none); known ledger signers follow in ascending id order.
+func (h *hashchainAlg) fetch(r *batchRec, hint wire.NodeID, cb func(ok bool)) {
+	if h.content(r) != nil {
 		cb(true)
 		return
 	}
-	key := wire.DigestOf(hash)
-	st := h.fetches[key]
+	st := r.fetch
 	if st == nil {
-		st = &fetchState{hash: hash, tried: make(map[wire.NodeID]bool)}
-		h.fetches[key] = st
+		st = &fetchState{rec: r}
+		r.fetch = st
 	}
 	if hint >= 0 && hint != h.s.id {
 		st.addCandidate(hint)
 	}
-	for signer := range h.signers[key] {
+	for _, signer := range r.signers.ids() {
 		if signer != h.s.id {
 			st.addCandidate(signer)
 		}
@@ -440,7 +561,7 @@ func (st *fetchState) addCandidate(id wire.NodeID) {
 func (h *hashchainAlg) tryNextCandidate(st *fetchState) {
 	var target wire.NodeID = -1
 	for _, c := range st.candidates {
-		if !st.tried[c] {
+		if !st.tried.has(c) {
 			target = c
 			break
 		}
@@ -449,12 +570,12 @@ func (h *hashchainAlg) tryNextCandidate(st *fetchState) {
 		h.failFetch(st)
 		return
 	}
-	st.tried[target] = true
+	st.tried.add(target)
 	st.inFlight = true
 	h.seq++
 	st.reqID = h.seq
 	h.requestsSent++
-	h.s.node.Send(target, &batchstore.Request{Hash: st.hash, ReqID: st.reqID},
+	h.s.node.Send(target, &batchstore.Request{Hash: st.rec.hash, ReqID: st.reqID},
 		batchstore.RequestWireSize)
 	reqID := st.reqID
 	st.timer = h.s.sim.After(h.s.opts.RequestTimeout, func() {
@@ -467,13 +588,13 @@ func (h *hashchainAlg) tryNextCandidate(st *fetchState) {
 
 // resolveFetch completes a successful recovery: the batch is registered,
 // so the state can be discarded entirely.
-func (h *hashchainAlg) resolveFetch(st *fetchState, ok bool) {
-	delete(h.fetches, wire.DigestOf(st.hash))
+func (h *hashchainAlg) resolveFetch(st *fetchState) {
+	st.rec.fetch = nil
 	st.timer.Cancel()
 	waiters := st.waiters
 	st.waiters = nil
 	for _, w := range waiters {
-		w(ok)
+		w(true)
 	}
 }
 
@@ -526,8 +647,12 @@ func (h *hashchainAlg) serveRequest(from wire.NodeID, req *batchstore.Request) {
 
 func (h *hashchainAlg) handleResponse(from wire.NodeID, resp *batchstore.Response) {
 	s := h.s
-	key := wire.DigestOf(resp.Hash)
-	st := h.fetches[key]
+	// A plain lookup: an unsolicited response must not create a record.
+	r := h.recs[wire.DigestOf(resp.Hash)]
+	if r == nil {
+		return
+	}
+	st := r.fetch
 	if st == nil || !st.inFlight || st.reqID != resp.ReqID {
 		return // stale or unsolicited
 	}
@@ -547,7 +672,7 @@ func (h *hashchainAlg) handleResponse(from wire.NodeID, resp *batchstore.Respons
 			return
 		}
 		s.store.Register(resp.Hash, batch)
-		h.resolveFetch(st, true)
+		h.resolveFetch(st)
 	})
 }
 
@@ -572,6 +697,6 @@ func (s *Server) HashchainStats() HashchainStats {
 		RequestsServed: h.requestsServed,
 		FetchFailures:  h.fetchFailures,
 		StallRetries:   h.stallRetries,
-		Consolidated:   len(h.consolidated),
+		Consolidated:   h.consolidated,
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -74,6 +75,12 @@ func FuzzInstallSync(f *testing.F) {
 		cks := victim.Checkpoints()
 		if len(cks) == 0 || !cks[len(cks)-1].Same(snap.Last) {
 			t.Fatal("installed chain head differs from the certified checkpoint")
+		}
+		// No mutation touches the pending signer sets: the victim's batch
+		// records must now hold exactly the snapshot's.
+		if got := victim.PendingSigners(); len(got) != len(base.PendingSigners) ||
+			(len(got) > 0 && !reflect.DeepEqual(got, base.PendingSigners)) {
+			t.Fatalf("installed pending signer sets %v, the snapshot's are %v", got, base.PendingSigners)
 		}
 	})
 }

@@ -1,11 +1,12 @@
 // Package gossip implements the votepool-style relay that backs the mesh
-// transport (DESIGN.md §13): a digest-keyed dedup cache with TTL expiry
-// plus bounded, expiring per-peer relay queues. The design follows
-// CometBFT's votepool — entries carry a digest, a relay remembers which
-// digests it has seen, fresh entries are re-queued to every peer except
-// the one they arrived from, and both the memory of seen digests and the
-// queued entries expire — with the CAC framing from PAPERS.md: a relay
-// queue is a finite, droppable resource, never an unbounded mailbox.
+// transport (DESIGN.md §13): a dedup cache — one bit per (origin, sequence
+// number), with TTL expiry — plus bounded, expiring per-peer relay queues.
+// The design follows CometBFT's votepool — entries carry a digest, a relay
+// remembers which digests it has seen, fresh entries are re-queued to every
+// peer except the one they arrived from, and both the memory of seen
+// digests and the queued entries expire — with the CAC framing from
+// PAPERS.md: a relay queue is a finite, droppable resource, never an
+// unbounded mailbox.
 //
 // The package is pure bookkeeping over virtual timestamps: no timers, no
 // simulator, no network. All expiry happens lazily against the caller's
@@ -88,7 +89,7 @@ type Relay struct {
 	cfg    Config
 	peers  []wire.NodeID
 	dedup  dedupCache
-	queues map[wire.NodeID]*relayQueue
+	queues []relayQueue // queues[i] holds the backlog toward peers[i]
 
 	// Stats counters, all monotone.
 	relayed    uint64 // fresh entries fanned out to peer queues
@@ -105,16 +106,12 @@ type Stats struct {
 	Expired    uint64
 }
 
-// NewRelay builds a relay with one queue per peer.
+// NewRelay builds a relay with one queue per peer. Enqueue and Flush name a
+// peer by its index in peers.
 func NewRelay(peers []wire.NodeID, cfg Config) *Relay {
-	r := &Relay{
-		cfg:    cfg,
-		peers:  peers,
-		dedup:  dedupCache{seen: make(map[Digest]time.Duration)},
-		queues: make(map[wire.NodeID]*relayQueue, len(peers)),
-	}
-	for _, p := range peers {
-		r.queues[p] = &relayQueue{cap: cfg.QueueCap}
+	r := &Relay{cfg: cfg, peers: peers, queues: make([]relayQueue, len(peers))}
+	for i := range r.queues {
+		r.queues[i].cap = cfg.QueueCap
 	}
 	return r
 }
@@ -139,42 +136,30 @@ func (r *Relay) Ingest(from wire.NodeID, e Entry, now time.Duration) bool {
 	if e.Hops < r.cfg.MaxHops {
 		fwd := e
 		fwd.Hops++
-		for _, p := range r.peers {
+		for i, p := range r.peers {
 			if p == from || p == e.Digest.Origin {
 				continue
 			}
-			r.push(p, fwd, now)
+			r.Enqueue(i, fwd, now)
 		}
 		r.relayed++
 	}
 	return true
 }
 
-// Enqueue queues an entry toward one peer, for originators fanning out a
+// Enqueue queues an entry toward peers[peer], for originators fanning out a
 // new message (hop 0) to their whole neighborhood.
-func (r *Relay) Enqueue(peer wire.NodeID, e Entry, now time.Duration) {
-	r.push(peer, e, now)
-}
-
-func (r *Relay) push(peer wire.NodeID, e Entry, now time.Duration) {
-	q, ok := r.queues[peer]
-	if !ok {
-		panic("gossip: enqueue to unknown peer")
-	}
+func (r *Relay) Enqueue(peer int, e Entry, now time.Duration) {
 	e.enqueued = now
-	if !q.push(e) {
+	if !r.queues[peer].push(e) {
 		r.queueDrops++
 	}
 }
 
-// Flush drains the non-expired backlog queued toward one peer, in FIFO
+// Flush drains the non-expired backlog queued toward peers[peer], in FIFO
 // order. Entries past EntryTTL are counted and discarded.
-func (r *Relay) Flush(peer wire.NodeID, now time.Duration) []Entry {
-	q, ok := r.queues[peer]
-	if !ok {
-		return nil
-	}
-	out, exp := q.drain(now, r.cfg.EntryTTL)
+func (r *Relay) Flush(peer int, now time.Duration) []Entry {
+	out, exp := r.queues[peer].drain(now, r.cfg.EntryTTL)
 	r.expired += exp
 	return out
 }
@@ -189,19 +174,77 @@ func (r *Relay) Stats() Stats {
 	}
 }
 
-// dedupCache remembers seen digests until their expiry. Expiry is lazy: a
-// FIFO of (digest, expiry) pairs is scanned from the head on every mark,
-// so the cache needs no timers and its state advances only on its owning
-// node's events — the PDES-safety property. Amortized O(1) per mark.
+// dedupCache remembers seen digests until their expiry. A digest's two
+// halves are a node id and a counter, so the memory is a bitmap over Seq,
+// not a hash table of pairs: a page holds the bits of seqPageSize
+// consecutive sequence numbers of one origin, and pages — the only thing
+// hashed — are few enough to stay in cache. Seq is arbitrary to this
+// package: a sequence number far from every other costs one page, whatever
+// the distance, and a page whose last bit clears is released.
+//
+// Expiry is lazy: a FIFO of (digest, expiry) slots is scanned from the head
+// on every mark, so the cache needs no timers and its state advances only
+// on its owning node's events — the PDES-safety property. Amortized O(1) per
+// mark.
+//
+// The bitmap stores no expiry and needs none. A bit is set only by a mark
+// that found it clear, and that mark queues exactly one slot; a bit is
+// cleared only when its slot is popped. So a set bit always has exactly one
+// queued slot, that slot carries the digest's one live expiry, and because
+// expire runs before every lookup, "bit set" is "marked and not yet
+// expired" — the verdict a digest→expiry table gives, on every call.
 type dedupCache struct {
-	seen map[Digest]time.Duration // digest -> expiry
+	pages map[seqPageKey]*seqPage
+	// cur remembers the page last touched for each origin (direct-mapped by
+	// origin, so two origins may share a slot and evict each other): an
+	// origin's consecutive sequence numbers reach their page without
+	// hashing, however the origins interleave.
+	cur [dedupCursors]struct {
+		key seqPageKey
+		p   *seqPage
+	}
+
 	fifo []dedupSlot
 	head int
 }
 
+const (
+	seqPageShift = 9
+	seqPageSize  = 1 << seqPageShift
+	dedupCursors = 64
+)
+
+type seqPageKey struct {
+	origin wire.NodeID
+	page   uint64 // Seq >> seqPageShift
+}
+
+type seqPage [seqPageSize / 64]uint64
+
 type dedupSlot struct {
 	d   Digest
 	exp time.Duration
+}
+
+// page returns the page holding d's bit, made if need be, and d's word and
+// mask within it, and leaves the origin's cursor on it.
+func (c *dedupCache) page(d Digest) (p *seqPage, word int, mask uint64) {
+	k := seqPageKey{d.Origin, d.Seq >> seqPageShift}
+	word, mask = int(d.Seq%seqPageSize)/64, 1<<(d.Seq%64)
+	cur := &c.cur[uint(d.Origin)%dedupCursors]
+	if cur.p != nil && cur.key == k {
+		return cur.p, word, mask
+	}
+	p = c.pages[k]
+	if p == nil {
+		if c.pages == nil {
+			c.pages = make(map[seqPageKey]*seqPage)
+		}
+		p = new(seqPage)
+		c.pages[k] = p
+	}
+	cur.key, cur.p = k, p
+	return p, word, mask
 }
 
 // mark records the digest as seen until now+ttl and reports whether it
@@ -211,29 +254,35 @@ func (c *dedupCache) mark(d Digest, now, ttl time.Duration) bool {
 		return true
 	}
 	c.expire(now)
-	if _, ok := c.seen[d]; ok {
+	p, word, mask := c.page(d)
+	if p[word]&mask != 0 {
 		return false
 	}
-	exp := now + ttl
-	c.seen[d] = exp
-	c.fifo = append(c.fifo, dedupSlot{d: d, exp: exp})
+	p[word] |= mask
+	c.fifo = append(c.fifo, dedupSlot{d: d, exp: now + ttl})
 	return true
 }
 
-// expire pops lapsed slots off the FIFO head. A digest re-marked after
-// expiry gets a new slot, so a slot's digest is deleted from the map only
-// while the map still holds the slot's own (lapsed) expiry.
+// expire pops lapsed slots off the FIFO head, clearing each one's bit.
 func (c *dedupCache) expire(now time.Duration) {
 	for c.head < len(c.fifo) && c.fifo[c.head].exp <= now {
-		s := c.fifo[c.head]
-		if exp, ok := c.seen[s.d]; ok && exp <= now {
-			delete(c.seen, s.d)
-		}
+		c.clear(c.fifo[c.head].d)
 		c.head++
 	}
 	if c.head > len(c.fifo)/2 && c.head > 32 {
 		c.fifo = append(c.fifo[:0:0], c.fifo[c.head:]...)
 		c.head = 0
+	}
+}
+
+// clear forgets d, releasing its page if that was the page's last bit.
+func (c *dedupCache) clear(d Digest) {
+	p, word, mask := c.page(d) // there already: a queued slot's bit is set
+	p[word] &^= mask
+	if *p == (seqPage{}) {
+		cur := &c.cur[uint(d.Origin)%dedupCursors]
+		delete(c.pages, cur.key)
+		cur.p = nil
 	}
 }
 

@@ -230,8 +230,8 @@ func (m *Mesh) Gossip(from wire.NodeID, payload any, size int) {
 	ep.relay.Observe(d, now)
 	ep.originated++
 	e := gossip.Entry{Digest: d, Payload: payload, Size: size}
-	for _, p := range ep.peers {
-		ep.relay.Enqueue(p, e, now)
+	for i := range ep.peers {
+		ep.relay.Enqueue(i, e, now)
 	}
 	ep.armFlush()
 }
@@ -272,8 +272,8 @@ func (ep *meshEndpoint) armFlush() {
 // it the sender-rng fault/jitter draw sequence — is deterministic.
 func (ep *meshEndpoint) flush() {
 	ep.flushArmed = false
-	for _, p := range ep.peers {
-		entries := ep.relay.Flush(p, ep.sim.Now())
+	for i, p := range ep.peers {
+		entries := ep.relay.Flush(i, ep.sim.Now())
 		if len(entries) == 0 {
 			continue
 		}

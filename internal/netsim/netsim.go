@@ -77,6 +77,7 @@ type Network struct {
 }
 
 type node struct {
+	net     *Network
 	id      wire.NodeID
 	handler Handler
 	egress  *sim.Resource
@@ -92,6 +93,10 @@ type node struct {
 	// down caches whether any fault cause currently holds the node down;
 	// only Faults.SetDown writes it (single fault-state owner).
 	down bool
+	// free is the node's list of spare message records (see msg): Send takes
+	// from the sender's list, delivery returns to the receiver's.
+	free  *msg
+	nfree int
 
 	// Per-node stats, attributed to the sending node so concurrent
 	// partitions never share a counter; network totals are summed on read.
@@ -136,6 +141,7 @@ func (n *Network) AddNode(id wire.NodeID, h Handler) {
 	}
 	ns := n.simOf(id)
 	n.nodes[id] = &node{
+		net:     n,
 		id:      id,
 		handler: h,
 		sim:     ns,
@@ -191,7 +197,9 @@ func (n *Network) Send(from, to wire.NodeID, payload any, size int) {
 	src.bytesOut += uint64(size)
 
 	if from == to {
-		src.sim.After(time.Microsecond, func() { n.deliver(src.id, dst, payload, size) })
+		m := src.takeMsg()
+		m.src, m.dst, m.payload, m.size = src, dst, payload, size
+		src.sim.After(time.Microsecond, m.deliverFn)
 		return
 	}
 
@@ -229,15 +237,59 @@ func (n *Network) Send(from, to wire.NodeID, payload any, size int) {
 	}
 	// The sender's egress serializes transmissions; propagation then runs
 	// concurrently with later transmissions.
-	src.egress.Submit(txTime, func() {
-		if dup {
-			src.duplicated++
-		}
-		n.propagate(src, dst, prop, payload, size)
-		if dup {
-			n.propagate(src, dst, prop+n.cfg.BaseLatency, payload, size)
-		}
-	})
+	m := src.takeMsg()
+	m.src, m.dst, m.prop, m.payload, m.size, m.dup = src, dst, prop, payload, size, dup
+	src.egress.Submit(txTime, m.grantFn)
+}
+
+// msg is one message on its way from Send to its handler. The two events
+// of its life — the sender's egress grant, then delivery — are its own
+// methods, bound once when the record is made, so a message schedules no
+// closure; and the record itself is reused: Send takes one from the SENDING
+// node's free list and delivery returns it to the RECEIVING node's. Each
+// list is therefore touched only by events of the node that owns it, which
+// is the partitioned executor's rule (DESIGN.md §12) — no shared pool, no
+// lock. Records drift toward nodes that receive more than they send; a full
+// list (maxFreeMsgs) leaves the surplus to the collector.
+type msg struct {
+	src, dst *node
+	prop     time.Duration
+	payload  any
+	size     int
+	dup      bool
+	next     *msg // free-list link
+
+	grantFn   func() // m.granted
+	deliverFn func() // m.deliver
+}
+
+const maxFreeMsgs = 1024
+
+func (nd *node) takeMsg() *msg {
+	m := nd.free
+	if m == nil {
+		m = &msg{}
+		m.grantFn, m.deliverFn = m.granted, m.deliver
+		return m
+	}
+	nd.free, m.next = m.next, nil
+	nd.nfree--
+	return m
+}
+
+// granted runs when the sender's egress has transmitted the message.
+func (m *msg) granted() {
+	if m.dup {
+		// The duplicate is a message of its own, a base latency behind.
+		m.src.duplicated++
+		d := m.src.takeMsg()
+		d.src, d.dst, d.payload, d.size = m.src, m.dst, m.payload, m.size
+		d.prop = m.prop + m.src.net.cfg.BaseLatency
+		m.propagate()
+		d.propagate()
+		return
+	}
+	m.propagate()
 }
 
 // propagate schedules delivery prop after the egress grant. When source and
@@ -245,15 +297,24 @@ func (n *Network) Send(from, to wire.NodeID, payload any, size int) {
 // the destination's inbox; prop includes the cross-partition link floor
 // (BaseLatency + ExtraDelay + LinkFault.ExtraDelay), which is what makes
 // the Lookahead window safe.
-func (n *Network) propagate(src, dst *node, prop time.Duration, payload any, size int) {
-	if src.sim == dst.sim {
-		src.sim.After(prop, func() { n.deliver(src.id, dst, payload, size) })
+func (m *msg) propagate() {
+	src := m.src.sim
+	if dst := m.dst.sim; src != dst {
+		src.SendCross(dst, src.Now()+m.prop, m.deliverFn)
 		return
 	}
-	src.sim.SendCross(dst.sim, src.sim.Now()+prop, func() { n.deliver(src.id, dst, payload, size) })
+	src.After(m.prop, m.deliverFn)
 }
 
-func (n *Network) deliver(from wire.NodeID, dst *node, payload any, size int) {
+// deliver hands the message to the destination's handler, after giving the
+// record back: the handler may send, and may as well reuse it.
+func (m *msg) deliver() {
+	from, dst, payload, size := m.src.id, m.dst, m.payload, m.size
+	m.src, m.dst, m.payload = nil, nil, nil
+	if dst.nfree < maxFreeMsgs {
+		m.next, dst.free = dst.free, m
+		dst.nfree++
+	}
 	if dst.down || dst.handler == nil {
 		return
 	}
