@@ -235,26 +235,27 @@ func EncodeTx(tx *wire.Tx) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeTx reverses EncodeTx.
+// DecodeTx reverses EncodeTx. The transaction comes from the wire
+// constructors, so it carries its dedup key like one built locally.
 func DecodeTx(data []byte) (*wire.Tx, error) {
 	if len(data) == 0 {
 		return nil, ErrTruncated
 	}
 	r := &reader{buf: data, off: 1}
-	tx := &wire.Tx{Kind: wire.TxKind(data[0])}
-	switch tx.Kind {
+	var tx *wire.Tx
+	switch wire.TxKind(data[0]) {
 	case wire.TxElement:
 		e, err := decodeElement(r)
 		if err != nil {
 			return nil, err
 		}
-		tx.Element = e
+		tx = wire.NewElementTx(e)
 	case wire.TxProof:
 		p, err := decodeProof(r)
 		if err != nil {
 			return nil, err
 		}
-		tx.Proof = p
+		tx = wire.NewProofTx(p)
 	case wire.TxCompressedBatch:
 		data, err := r.lenBytes()
 		if err != nil {
@@ -274,7 +275,7 @@ func DecodeTx(data []byte) (*wire.Tx, error) {
 		if cb.Seq, err = r.uint64(); err != nil {
 			return nil, err
 		}
-		tx.Compressed = cb
+		tx = wire.NewCompressedTx(cb)
 	case wire.TxHashBatch:
 		h, err := r.lenBytes()
 		if err != nil {
@@ -291,7 +292,7 @@ func DecodeTx(data []byte) (*wire.Tx, error) {
 			return nil, err
 		}
 		hb.Signer = wire.NodeID(signer)
-		tx.HashBatch = hb
+		tx = wire.NewHashBatchTx(hb)
 	default:
 		return nil, ErrBadKind
 	}

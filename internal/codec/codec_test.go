@@ -103,15 +103,26 @@ func TestDecodeBatchHostileLengths(t *testing.T) {
 
 func TestTxRoundTripAllKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	// Constructor-built, so DeepEqual below also demands that the decoded
+	// transaction carries its dedup key like the original.
 	txs := []*wire.Tx{
-		{Kind: wire.TxElement, Element: randElement(rng)},
-		{Kind: wire.TxProof, Proof: randProof(rng)},
-		{Kind: wire.TxCompressedBatch, Compressed: &wire.CompressedBatch{
+		wire.NewElementTx(randElement(rng)),
+		wire.NewProofTx(randProof(rng)),
+		wire.NewCompressedTx(&wire.CompressedBatch{
 			Data: []byte{1, 2, 3, 4}, CompSize: 4, Origin: 3, Seq: 17,
-		}},
-		{Kind: wire.TxHashBatch, HashBatch: &wire.HashBatch{
+		}),
+		wire.NewHashBatchTx(&wire.HashBatch{
 			Hash: bytes.Repeat([]byte{7}, 64), Sig: bytes.Repeat([]byte{9}, 64), Signer: 2,
-		}},
+		}),
+	}
+	// Hash lengths the key treats differently: none, exactly the prefix it
+	// keeps, and one longer than a digest.
+	for _, n := range []int{0, wire.TxKeyHashPrefix, wire.DigestSize + 36} {
+		hb := &wire.HashBatch{Sig: []byte{9}, Signer: 2}
+		if n > 0 {
+			hb.Hash = bytes.Repeat([]byte{7}, n)
+		}
+		txs = append(txs, wire.NewHashBatchTx(hb))
 	}
 	for _, tx := range txs {
 		enc, err := EncodeTx(tx)
@@ -124,6 +135,16 @@ func TestTxRoundTripAllKinds(t *testing.T) {
 		}
 		if !reflect.DeepEqual(tx, dec) {
 			t.Fatalf("tx kind %v did not round-trip", tx.Kind)
+		}
+		// The same payload as a literal has no stored key and is the same
+		// transaction to everything that asks.
+		lit := &wire.Tx{Kind: tx.Kind, Element: tx.Element, Proof: tx.Proof, Compressed: tx.Compressed, HashBatch: tx.HashBatch}
+		if reflect.DeepEqual(lit, dec) {
+			t.Fatalf("tx kind %v: decoded tx carries no key", tx.Kind)
+		}
+		litEnc, err := EncodeTx(lit)
+		if err != nil || !bytes.Equal(litEnc, enc) || lit.MapKey() != dec.MapKey() {
+			t.Fatalf("tx kind %v: literal and decoded tx differ (err %v)", tx.Kind, err)
 		}
 	}
 }

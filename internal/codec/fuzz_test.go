@@ -41,6 +41,9 @@ func FuzzTxCodecRoundTrip(f *testing.F) {
 	f.Add(uint8(wire.TxProof), int64(-1), uint64(0), 0, []byte{}, []byte{})
 	f.Add(uint8(wire.TxCompressedBatch), int64(2), uint64(7), 139, []byte("deflate"), []byte(nil))
 	f.Add(uint8(wire.TxHashBatch), int64(5), uint64(1), 64, []byte("hash"), []byte("s"))
+	for _, n := range []int{0, wire.TxKeyHashPrefix, wire.DigestSize, wire.DigestSize + 36} {
+		f.Add(uint8(wire.TxHashBatch), int64(5), uint64(1), 64, bytes.Repeat([]byte{7}, n), []byte("s"))
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, id int64, seq uint64, size int, blobA, blobB []byte) {
 		var tx *wire.Tx
 		switch wire.TxKind(kind) {
@@ -78,6 +81,9 @@ func FuzzTxCodecRoundTrip(f *testing.F) {
 		}
 		if dec.Kind != tx.Kind {
 			t.Fatalf("kind changed: %d -> %d", tx.Kind, dec.Kind)
+		}
+		if dec.MapKey() != tx.MapKey() {
+			t.Fatalf("dedup key changed: %v -> %v", tx.MapKey(), dec.MapKey())
 		}
 	})
 }

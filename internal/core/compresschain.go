@@ -51,7 +51,7 @@ func (c *compressAlg) flushBatch(b *wire.Batch) {
 		cb.Original = b
 	}
 	s.chargeCPU(time.Duration(raw)*s.opts.Costs.CompressPerByte + s.opts.Costs.PerBatch)
-	tx := &wire.Tx{Kind: wire.TxCompressedBatch, Compressed: cb}
+	tx := wire.NewCompressedTx(cb)
 	if s.rec != nil {
 		s.rec.RegisterCarrier(tx.MapKey(), b.Elements)
 	}

@@ -255,7 +255,7 @@ func (h *hashchainAlg) flushBatch(b *wire.Batch) {
 	s.chargeCPU(time.Duration(b.RawSize())*s.opts.Costs.HashPerByte +
 		s.opts.Costs.SignCost + s.opts.Costs.PerBatch)
 	hb := &wire.HashBatch{Hash: hash, Sig: s.suite.Sign(s.key, hash), Signer: s.id}
-	tx := &wire.Tx{Kind: wire.TxHashBatch, HashBatch: hb}
+	tx := wire.NewHashBatchTx(hb)
 	if s.rec != nil {
 		s.rec.RegisterCarrier(tx.MapKey(), b.Elements)
 	}
@@ -475,7 +475,7 @@ func (h *hashchainAlg) cosign(r *batchRec) {
 	r.signedOwn = true
 	s.chargeCPU(s.opts.Costs.SignCost)
 	own := &wire.HashBatch{Hash: r.hash, Sig: s.suite.Sign(s.key, r.hash), Signer: s.id}
-	s.node.Append(&wire.Tx{Kind: wire.TxHashBatch, HashBatch: own})
+	s.node.Append(wire.NewHashBatchTx(own))
 }
 
 func (h *hashchainAlg) cosignAndConsolidate(r *batchRec) {

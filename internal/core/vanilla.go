@@ -22,7 +22,7 @@ type vanillaAlg struct {
 }
 
 func (v *vanillaAlg) onAdd(e *wire.Element) {
-	tx := &wire.Tx{Kind: wire.TxElement, Element: e}
+	tx := wire.NewElementTx(e)
 	if v.s.rec != nil {
 		v.s.rec.RegisterCarrier(tx.MapKey(), []*wire.Element{e})
 	}
@@ -57,7 +57,7 @@ func (v *vanillaAlg) processBlock(b *wire.Block, done func()) {
 		g := s.freshValid(elems)
 		if len(g) > 0 {
 			p := s.createEpoch(g)
-			s.node.Append(&wire.Tx{Kind: wire.TxProof, Proof: p})
+			s.node.Append(wire.NewProofTx(p))
 		}
 		done()
 	})

@@ -4,13 +4,16 @@
 // 10,000,000 transactions or 2 GB), gossip replication to peers, and
 // reaping for block proposals.
 //
-// The pool is two structures. entries maps a transaction's 32-byte
-// wire.TxKey to its admission sequence number, or to a tombstone once the
-// transaction committed; it holds no pointers, so the garbage collector
-// never scans it, and it is probed once per arrival — most arrivals being
-// gossip duplicates. order is the FIFO ring of pooled transactions in
-// admission order, indexed by sequence number, which Reap walks without
-// touching the map.
+// The pool is an index, a ring and a log. entries (index.go) is an open-addressing
+// table from a transaction's 32-byte wire.TxKey to its admission sequence
+// number, or to a tombstone once the transaction committed; a slot is the
+// key and the value, 40 bytes without pointers, so the garbage collector
+// never scans the table, and it is probed once per arrival — most arrivals
+// being gossip duplicates, which carry their key ready-made (wire.Tx). order
+// is the FIFO ring of pooled transactions in admission order, indexed by
+// sequence number, which Reap walks without touching the table. The log of
+// what each block tombstoned, kept for pruning, is the block's own
+// transaction slice.
 //
 // See DESIGN.md §4 (ledger stack).
 package mempool
@@ -68,12 +71,12 @@ type Mempool struct {
 	check CheckFunc
 	enter EnterFunc
 
-	// entries is pool ∪ committed in one map: a positive value is a pooled
-	// transaction's admission sequence number, tombstone marks a committed
-	// key that must never re-enter. One map instead of a pool map plus a
-	// seen-set halves the hot-path key inserts, and a value without
-	// pointers keeps the whole map out of the garbage collector's scan.
-	entries map[wire.TxKey]int64
+	// entries is pool ∪ committed in one table: a positive value is a
+	// pooled transaction's admission sequence number, tombstone marks a
+	// committed key that must never re-enter. One table instead of a pool
+	// index plus a seen-set halves the hot-path key inserts, and slots
+	// without pointers keep it out of the garbage collector's scan.
+	entries txIndex
 	// order is the admission-order ring: the transaction with sequence
 	// number seq sits at order[seq-base] until it commits, when its slot is
 	// set to nil in place. Everything before head is nil; compact advances
@@ -84,7 +87,7 @@ type Mempool struct {
 	live  int   // entries with a positive value
 	bytes int
 
-	// tombstones logs committed keys by commit height so checkpointing can
+	// tombstones logs committed blocks by commit height so checkpointing can
 	// drop tombstones below the prune horizon (PruneTombstonesBelow).
 	// Without pruning the log — like the tombstones themselves — grows with
 	// total committed transactions, which is exactly the unbounded growth
@@ -119,10 +122,13 @@ type Mempool struct {
 // tombstone is the entries value of a committed key.
 const tombstone int64 = -1
 
-// tombstoneBatch records the keys tombstoned by one committed block.
+// tombstoneBatch records what one committed block tombstoned: the block's
+// own transaction slice, not a copy of its keys. The block is immutable and
+// consensus holds it at least as long — ledger.Node.Checkpointed cuts this
+// log and consensus's chain at the same height.
 type tombstoneBatch struct {
 	height uint64
-	keys   []wire.TxKey
+	txs    []*wire.Tx
 }
 
 // New creates a mempool for a node. peers is the set of other nodes gossip
@@ -149,15 +155,14 @@ func New(id wire.NodeID, s *sim.Simulator, net *netsim.Network, peers []wire.Nod
 		}
 	}
 	return &Mempool{
-		id:      id,
-		sim:     s,
-		net:     net,
-		cfg:     cfg,
-		check:   check,
-		enter:   enter,
-		entries: make(map[wire.TxKey]int64),
-		base:    1,
-		peers:   peers,
+		id:    id,
+		sim:   s,
+		net:   net,
+		cfg:   cfg,
+		check: check,
+		enter: enter,
+		base:  1,
+		peers: peers,
 	}
 }
 
@@ -200,7 +205,13 @@ func (m *Mempool) ReceiveGossip(msg *GossipMsg) {
 
 func (m *Mempool) add(tx *wire.Tx, gossip bool) bool {
 	key := tx.MapKey()
-	if _, ok := m.entries[key]; ok {
+	if key.IsZero() {
+		// No payload of the kind it names, or no known kind: nothing to
+		// identify it by and nothing CheckTx could inspect.
+		m.rejected++
+		return false
+	}
+	if m.entries.get(&key) != 0 {
 		m.duplicate++
 		return false
 	}
@@ -212,7 +223,9 @@ func (m *Mempool) add(tx *wire.Tx, gossip bool) bool {
 		m.dropped++
 		return false
 	}
-	m.entries[key] = m.base + int64(len(m.order))
+	// A second probe rather than a slot remembered from the first: check
+	// runs application code between the two.
+	m.entries.swap(&key, m.base+int64(len(m.order)))
 	m.live++
 	m.order = append(m.order, tx)
 	m.bytes += tx.WireSize()
@@ -280,26 +293,28 @@ func (m *Mempool) Reap(maxBytes int) []*wire.Tx {
 // the given height and compacts the admission ring. The keys stay as
 // tombstones, so committed transactions can never re-enter this pool —
 // until PruneTombstonesBelow drops tombstones the checkpoint horizon has
-// made redundant.
+// made redundant. The pool keeps txs itself (not a copy) until then: the
+// caller must not modify the slice afterwards. A committed block's Txs
+// never change, which is what consensus passes.
 func (m *Mempool) RemoveCommitted(height uint64, txs []*wire.Tx) {
-	keys := make([]wire.TxKey, 0, len(txs))
 	for _, tx := range txs {
 		key := tx.MapKey()
+		if key.IsZero() {
+			continue // malformed: never pooled, nothing to tombstone
+		}
 		// A committed tx may have never reached this pool (e.g. it was
 		// proposed by another node before gossip arrived). Tombstone it so
 		// late gossip is dropped. A block that lists a tx twice finds the
 		// tombstone the second time and frees its slot only once.
-		if seq := m.entries[key]; seq > 0 {
+		if seq := m.entries.swap(&key, tombstone); seq > 0 {
 			slot := seq - m.base
 			m.bytes -= m.order[slot].WireSize()
 			m.live--
 			m.order[slot] = nil
 		}
-		m.entries[key] = tombstone
-		keys = append(keys, key)
 	}
-	if len(keys) > 0 {
-		m.tombstones = append(m.tombstones, tombstoneBatch{height: height, keys: keys})
+	if len(txs) > 0 {
+		m.tombstones = append(m.tombstones, tombstoneBatch{height: height, txs: txs})
 	}
 	m.compact()
 	// Commits free pool space: let deferred transactions in.
@@ -316,11 +331,12 @@ func (m *Mempool) RemoveCommitted(height uint64, txs []*wire.Tx) {
 func (m *Mempool) PruneTombstonesBelow(height uint64) {
 	cut := 0
 	for cut < len(m.tombstones) && m.tombstones[cut].height <= height {
-		for _, key := range m.tombstones[cut].keys {
+		for _, tx := range m.tombstones[cut].txs {
 			// A key pruned earlier, re-admitted by late gossip and live
 			// again has a positive entry and stays.
-			if m.entries[key] == tombstone {
-				delete(m.entries, key)
+			key := tx.MapKey()
+			if m.entries.get(&key) == tombstone {
+				m.entries.del(&key)
 				m.tombstonesPruned++
 			}
 		}
@@ -333,7 +349,7 @@ func (m *Mempool) PruneTombstonesBelow(height uint64) {
 
 // TombstonedKeys returns how many committed-key tombstones the pool holds
 // (soak assertions pin this as bounded under pruning).
-func (m *Mempool) TombstonedKeys() int { return len(m.entries) - m.live }
+func (m *Mempool) TombstonedKeys() int { return m.entries.n - m.live }
 
 // TombstonesPruned returns how many tombstones pruning has dropped.
 func (m *Mempool) TombstonesPruned() uint64 { return m.tombstonesPruned }
@@ -342,7 +358,7 @@ func (m *Mempool) TombstonesPruned() uint64 { return m.tombstonesPruned }
 // and, once they are more than half of it, slides the remainder down to
 // index 0. A slide copies fewer slots than head advanced since the last
 // one, so compaction is amortized O(1) per committed transaction and does
-// no map lookups.
+// no index lookups.
 func (m *Mempool) compact() {
 	for m.head < len(m.order) && m.order[m.head] == nil {
 		m.head++
@@ -365,7 +381,7 @@ func (m *Mempool) Bytes() int { return m.bytes }
 
 // Has reports whether the pool currently holds the given tx key.
 func (m *Mempool) Has(key wire.TxKey) bool {
-	return m.entries[key] > 0
+	return m.entries.get(&key) > 0
 }
 
 // Stats returns counters (admitted, rejected by CheckTx, dropped by

@@ -120,6 +120,30 @@ func TestCheckTxRejection(t *testing.T) {
 	}
 }
 
+// A transaction that names a kind and carries no payload of that kind (or
+// names no known kind) is refused before CheckTx is asked: CheckTx reads the
+// payload, and so did the key builder — at the parent commit the first line
+// of add was a nil dereference. It is counted rejected, by submission and by
+// gossip alike, and a block that lists one leaves no tombstone.
+func TestMalformedTxRefused(t *testing.T) {
+	for _, kind := range []wire.TxKind{wire.TxElement, wire.TxProof, wire.TxCompressedBatch, wire.TxHashBatch, 0, 99} {
+		checked := 0
+		p := New(0, sim.New(1), nil, nil, Config{}, func(*wire.Tx) bool { checked++; return true }, nil)
+		tx := &wire.Tx{Kind: kind}
+		if p.AddTx(tx) {
+			t.Errorf("kind %v without payload admitted", kind)
+		}
+		p.ReceiveGossip(&GossipMsg{Txs: []*wire.Tx{tx, tx}})
+		p.RemoveCommitted(1, []*wire.Tx{tx})
+		p.PruneTombstonesBelow(1)
+		_, rejected, _, duplicate := p.Stats()
+		if rejected != 3 || duplicate != 0 || checked != 0 || p.Size() != 0 || p.TombstonedKeys() != 0 || p.TombstonesPruned() != 0 {
+			t.Errorf("kind %v: rejected/duplicate/CheckTx calls = %d/%d/%d, size/tombstones/pruned = %d/%d/%d, want 3/0/0 and 0/0/0",
+				kind, rejected, duplicate, checked, p.Size(), p.TombstonedKeys(), p.TombstonesPruned())
+		}
+	}
+}
+
 func TestCapacityLimits(t *testing.T) {
 	s, pools := newTestPools(t, 1, Config{MaxTxs: 3, MaxBytes: 1 << 20})
 	p := pools[0]
@@ -419,7 +443,10 @@ func BenchmarkReapUnderBacklog(b *testing.B) {
 	}
 }
 
-// The duplicate path is a key built on the stack and one map probe.
+// The duplicate path is a key read (or built on the stack) and one probe of
+// the index; committing a block logs the block's own slice, so it costs at
+// most the log's append however many transactions the block lists (it was
+// one 32-byte key copied per transaction per pool).
 func TestDuplicateAddAllocFree(t *testing.T) {
 	p, txs := benchPool(1000)
 	i := 0
@@ -431,6 +458,52 @@ func TestDuplicateAddAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("duplicate AddTx allocates %.2f/op, want 0", avg)
+	}
+
+	for _, blockLen := range []int{1, 10, 500} {
+		p, txs := benchPool(20 * blockLen)
+		height := uint64(0)
+		avg := testing.AllocsPerRun(19, func() { // 1 warm-up + 19 runs: every block is a fresh one
+			p.RemoveCommitted(height+1, txs[int(height)*blockLen:][:blockLen])
+			height++
+		})
+		if avg > 1 || p.Size() != 0 || p.TombstonedKeys() != 20*blockLen {
+			t.Fatalf("RemoveCommitted of %d txs allocates %.2f/block, want at most 1 (size %d, tombstones %d)",
+				blockLen, avg, p.Size(), p.TombstonedKeys())
+		}
+	}
+}
+
+// The tombstone log is the committed block's own slice: the caller keeps
+// using it (consensus keeps the block in its chain) and does not modify it,
+// and pruning still finds every key through it.
+func TestTombstoneLogAliasesBlock(t *testing.T) {
+	p, txs := benchPool(12)
+	block := txs[2:9]
+	kept := slices.Clone(block)
+	p.RemoveCommitted(4, block)
+	if got := p.tombstones[0].txs; len(got) != len(block) || &got[0] != &block[0] {
+		t.Fatal("the log holds a copy of the block's transactions, not the block's slice")
+	}
+	p.RemoveCommitted(5, txs[9:])
+	if !slices.Equal(block, kept) {
+		t.Fatal("the pool modified the caller's slice")
+	}
+	if p.Size() != 2 || p.TombstonedKeys() != 10 {
+		t.Fatalf("size/tombstones = %d/%d, want 2/10", p.Size(), p.TombstonedKeys())
+	}
+	p.PruneTombstonesBelow(4)
+	if p.TombstonedKeys() != 3 || p.TombstonesPruned() != 7 || len(p.tombstones) != 1 {
+		t.Fatalf("tombstones/pruned/log = %d/%d/%d after pruning the block's height, want 3/7/1",
+			p.TombstonedKeys(), p.TombstonesPruned(), len(p.tombstones))
+	}
+	for _, tx := range block {
+		if !p.AddTx(tx) {
+			t.Fatalf("%s: pruned key not re-admitted", tx.Key())
+		}
+	}
+	if p.AddTx(txs[9]) {
+		t.Fatal("a tombstone above the horizon was pruned")
 	}
 }
 

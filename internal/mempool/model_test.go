@@ -19,7 +19,7 @@ type oracle struct {
 	pool     []*wire.Tx
 	state    map[wire.TxKey]int8 // absent 0, pooled 1, tombstone 2
 	bytes    int
-	log      []tombstoneBatch
+	log      []oracleBatch
 	deferred []deferredTx
 
 	admitted, rejected, dropped, duplicate, pruned uint64
@@ -28,6 +28,13 @@ type oracle struct {
 	everPruned map[wire.TxKey]bool
 	readmitted int // admissions of a key an earlier prune had dropped
 	keptLive   int // logged keys a prune found pooled again and left alone
+}
+
+// oracleBatch is the oracle's log entry for one committed block: its own
+// copy of the keys, where the pool keeps the caller's slice.
+type oracleBatch struct {
+	height uint64
+	keys   []wire.TxKey
 }
 
 func (o *oracle) saturated() bool {
@@ -97,7 +104,7 @@ func (o *oracle) remove(height uint64, txs []*wire.Tx, now time.Duration) {
 		keys = append(keys, key)
 	}
 	if len(keys) > 0 {
-		o.log = append(o.log, tombstoneBatch{height: height, keys: keys})
+		o.log = append(o.log, oracleBatch{height: height, keys: keys})
 	}
 	for len(o.deferred) > 0 && !o.saturated() {
 		d := o.deferred[0]
@@ -138,21 +145,46 @@ func (o *oracle) advance(now time.Duration) {
 func modelCheck(tx *wire.Tx) bool { return tx.WireSize()%11 != 0 }
 
 // modelTx builds the i-th transaction of the driver's universe: all four
-// kinds, sizes from 50 to 449 bytes, every key distinct.
+// kinds, sizes from 50 to 449 bytes, every key distinct, every other group
+// of four through the wire constructors (key built once and carried) and the
+// rest by literal (key built on each MapKey).
 func modelTx(i int) *wire.Tx {
 	size := 50 + i*37%400
+	var tx *wire.Tx
 	switch i % 4 {
 	case 0:
-		return elemTx(i, size)
+		tx = elemTx(i, size)
 	case 1:
-		return &wire.Tx{Kind: wire.TxProof, Proof: &wire.EpochProof{Epoch: uint64(i), Signer: wire.NodeID(i % 5)}}
+		tx = &wire.Tx{Kind: wire.TxProof, Proof: &wire.EpochProof{Epoch: uint64(i), Signer: wire.NodeID(i % 5)}}
 	case 2:
-		return &wire.Tx{Kind: wire.TxCompressedBatch,
+		tx = &wire.Tx{Kind: wire.TxCompressedBatch,
 			Compressed: &wire.CompressedBatch{Origin: wire.NodeID(i % 3), Seq: uint64(i), CompSize: size}}
 	default:
 		hash := make([]byte, 64)
 		hash[0], hash[1], hash[2] = byte(i), byte(i>>8), byte(i>>16)
-		return &wire.Tx{Kind: wire.TxHashBatch, HashBatch: &wire.HashBatch{Hash: hash, Signer: wire.NodeID(i % 4)}}
+		tx = &wire.Tx{Kind: wire.TxHashBatch, HashBatch: &wire.HashBatch{Hash: hash, Signer: wire.NodeID(i % 4)}}
+	}
+	if i/4%2 == 1 {
+		return twinTx(tx, true)
+	}
+	return tx
+}
+
+// twinTx returns a second transaction with tx's payload, so the same
+// identity: through the constructor of its kind, or as a literal.
+func twinTx(tx *wire.Tx, constructed bool) *wire.Tx {
+	if !constructed {
+		return &wire.Tx{Kind: tx.Kind, Element: tx.Element, Proof: tx.Proof, Compressed: tx.Compressed, HashBatch: tx.HashBatch}
+	}
+	switch tx.Kind {
+	case wire.TxElement:
+		return wire.NewElementTx(tx.Element)
+	case wire.TxProof:
+		return wire.NewProofTx(tx.Proof)
+	case wire.TxCompressedBatch:
+		return wire.NewCompressedTx(tx.Compressed)
+	default:
+		return wire.NewHashBatchTx(tx.HashBatch)
 	}
 }
 
@@ -169,7 +201,7 @@ var modelConfigs = []Config{
 // modelCoverage counts what runs of the driver reached, so the seeded
 // test can refuse to pass on sequences that never slid the ring.
 type modelCoverage struct {
-	slides, readmitted, keptLive, holes, deferred, expired int
+	slides, readmitted, keptLive, holes, deferred, expired, twins int
 }
 
 // runModel interprets data as a sequence of pool operations, applies each
@@ -198,8 +230,11 @@ func runModel(t *testing.T, cfg Config, data []byte, cov *modelCoverage) {
 	// from the last committed block or one of the last 96 offered — pooled,
 	// committed, pruned or refused. Recent ones, so that the same key comes
 	// back often enough to be committed at two heights and re-admitted
-	// between two prunes. One input byte per old transaction and two per
-	// burst of new ones keep sequences that slide the ring short.
+	// between two prunes. One time in five it is not that transaction but a
+	// twin of it, so a key carried in a Tx and the same key built from a
+	// literal's payload have to find each other in the index. One input byte
+	// per old transaction and two per burst of new ones keep sequences that
+	// slide the ring short.
 	fresh := func() *wire.Tx {
 		tx := modelTx(len(universe))
 		universe = append(universe, tx)
@@ -214,6 +249,10 @@ func runModel(t *testing.T, cfg Config, data []byte, cov *modelCoverage) {
 		tx := universe[len(universe)-1-c/2%min(len(universe), 96)]
 		if c%2 == 0 && len(last) > 0 {
 			tx = last[c/2%len(last)]
+		}
+		if c%5 == 0 {
+			tx = twinTx(tx, c%10 == 0)
+			cov.twins++
 		}
 		touched = append(touched, tx)
 		return tx
@@ -353,7 +392,7 @@ func TestMempoolModel(t *testing.T) {
 		}
 	}
 	t.Logf("reached: %+v", cov)
-	if cov.slides < 3 || cov.readmitted == 0 || cov.keptLive == 0 || cov.holes == 0 || cov.deferred == 0 || cov.expired == 0 {
+	if cov.slides < 3 || cov.readmitted == 0 || cov.keptLive == 0 || cov.holes == 0 || cov.deferred == 0 || cov.expired == 0 || cov.twins == 0 {
 		t.Errorf("the sequences no longer reach every case the model is for: %+v", cov)
 	}
 }

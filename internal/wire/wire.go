@@ -231,26 +231,59 @@ func (k TxKind) String() string {
 	}
 }
 
-// Tx is the ledger transaction envelope. Exactly one payload field is
-// non-nil, matching Kind.
+// Tx is the ledger transaction envelope: Kind names the one payload field
+// that is set. The constructors (NewElementTx, NewProofTx, NewCompressedTx,
+// NewHashBatchTx) give exactly that and build the dedup key once, where the
+// transaction is built; a literal &Tx{Kind: …, …: …} is the same transaction
+// with the key built on every MapKey call. A Tx whose Kind is unknown or
+// whose named payload is nil is malformed: its key is the zero TxKey and its
+// wire size is 0, and a mempool refuses it before CheckTx sees it.
+//
+// A *Tx is immutable once built and is shared by every server's pool and
+// block — under PDES by every partition's goroutine — which is why key is
+// written by the constructors only and never filled in lazily by a reader.
 type Tx struct {
 	Kind       TxKind
 	Element    *Element
 	Proof      *EpochProof
 	Compressed *CompressedBatch
 	HashBatch  *HashBatch
+
+	key TxKey // zero unless a constructor built the Tx
 }
 
-// WireSize returns the transaction's ledger footprint.
+// NewElementTx wraps a client element as Vanilla's ledger transaction.
+func NewElementTx(e *Element) *Tx { return newTx(Tx{Kind: TxElement, Element: e}) }
+
+// NewProofTx wraps an epoch-proof as Vanilla's ledger transaction.
+func NewProofTx(p *EpochProof) *Tx { return newTx(Tx{Kind: TxProof, Proof: p}) }
+
+// NewCompressedTx wraps a compressed batch as Compresschain's ledger
+// transaction.
+func NewCompressedTx(cb *CompressedBatch) *Tx {
+	return newTx(Tx{Kind: TxCompressedBatch, Compressed: cb})
+}
+
+// NewHashBatchTx wraps a signed batch hash as Hashchain's ledger
+// transaction.
+func NewHashBatchTx(hb *HashBatch) *Tx { return newTx(Tx{Kind: TxHashBatch, HashBatch: hb}) }
+
+func newTx(tx Tx) *Tx {
+	tx.key = tx.buildKey()
+	return &tx
+}
+
+// WireSize returns the transaction's ledger footprint, 0 for a malformed
+// transaction.
 func (tx *Tx) WireSize() int {
-	switch tx.Kind {
-	case TxElement:
+	switch {
+	case tx.Kind == TxElement && tx.Element != nil:
 		return tx.Element.WireSize()
-	case TxProof:
+	case tx.Kind == TxProof && tx.Proof != nil:
 		return tx.Proof.WireSize()
-	case TxCompressedBatch:
+	case tx.Kind == TxCompressedBatch && tx.Compressed != nil:
 		return tx.Compressed.WireSize()
-	case TxHashBatch:
+	case tx.Kind == TxHashBatch && tx.HashBatch != nil:
 		return tx.HashBatch.WireSize()
 	default:
 		return 0
@@ -282,12 +315,15 @@ func (tx *Tx) Key() string {
 const TxKeyHashPrefix = 22
 
 // TxKey is the comparable dedup identity of a ledger transaction, packed
-// into 32 bytes so mempool and metrics maps never build string keys on the
-// hot path. The layout has no padding and no pointers (wire_test.go pins
-// both), which is what lets Go hash and compare it as plain memory instead
-// of through a generated per-field routine, and lets the garbage collector
-// skip a map keyed by it. CometBFT keys its mempool cache the same way, by
-// the 32-byte sha256 of the transaction.
+// into 32 bytes so the mempool's index and the metrics maps never build
+// string keys on the hot path. The layout has no padding and no pointers
+// (wire_test.go pins both), which is what lets Go hash and compare it as
+// plain memory instead of through a generated per-field routine, and lets
+// the garbage collector skip a table keyed by it. CometBFT keys its mempool
+// cache the same way, by the 32-byte sha256 of the transaction. The fields
+// are unexported and Tx.buildKey is the only code that fills them: the Tx
+// constructors call it once, MapKey calls it for a Tx built by literal. The
+// zero TxKey belongs to no well-formed transaction (kind is at least 1).
 //
 // kind discriminates how the other fields are filled:
 //
@@ -309,19 +345,43 @@ type TxKey struct {
 	kind TxKind
 }
 
-// MapKey returns the transaction's comparable dedup key.
+// IsZero reports whether k is the zero TxKey, the key of a malformed
+// transaction. buildKey sets a non-zero kind or nothing at all, so the kind
+// byte decides.
+func (k TxKey) IsZero() bool { return k.kind == 0 }
+
+// Words returns the key's 32 bytes as four little-endian words, for a table
+// that hashes keys itself. Sequential element ids and proof epochs differ in
+// one word only — which one depends on the kind — so a hash has to mix all
+// four.
+func (k *TxKey) Words() (w0, w1, w2, w3 uint64) {
+	w3 = uint64(binary.LittleEndian.Uint32(k.h[16:20])) | uint64(binary.LittleEndian.Uint16(k.h[20:22]))<<32 |
+		uint64(k.n)<<48 | uint64(k.kind)<<56
+	return k.a, binary.LittleEndian.Uint64(k.h[0:8]), binary.LittleEndian.Uint64(k.h[8:16]), w3
+}
+
+// MapKey returns the transaction's comparable dedup key: the one a
+// constructor stored, or for a literal-built Tx the same key built now.
 func (tx *Tx) MapKey() TxKey {
+	if !tx.key.IsZero() {
+		return tx.key
+	}
+	return tx.buildKey()
+}
+
+// buildKey is the one place a TxKey is filled in.
+func (tx *Tx) buildKey() TxKey {
 	k := TxKey{kind: tx.Kind}
-	switch tx.Kind {
-	case TxElement:
+	switch {
+	case tx.Kind == TxElement && tx.Element != nil:
 		copy(k.h[:], tx.Element.ID[:])
-	case TxProof:
+	case tx.Kind == TxProof && tx.Proof != nil:
 		k.a = tx.Proof.Epoch
 		binary.LittleEndian.PutUint64(k.h[:], uint64(tx.Proof.Signer))
-	case TxCompressedBatch:
+	case tx.Kind == TxCompressedBatch && tx.Compressed != nil:
 		k.a = uint64(tx.Compressed.Origin)
 		binary.LittleEndian.PutUint64(k.h[:], tx.Compressed.Seq)
-	case TxHashBatch:
+	case tx.Kind == TxHashBatch && tx.HashBatch != nil:
 		k.a = uint64(tx.HashBatch.Signer)
 		k.n = uint8(min(len(tx.HashBatch.Hash), DigestSize))
 		copy(k.h[:], tx.HashBatch.Hash)
