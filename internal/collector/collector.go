@@ -14,7 +14,11 @@ import (
 	"repro/internal/wire"
 )
 
-// ReadyFunc receives a non-empty batch when the collector flushes.
+// ReadyFunc receives a non-empty batch when the collector flushes. The batch
+// is the receiver's from then on: every flush hands over a fresh wire.Batch
+// and the collector starts the next one from nothing. That is load-bearing —
+// the flushed batch's Elements become the epoch's own slice on every server
+// (wire.Batch) — so the collector must not turn into a buffer it reuses.
 type ReadyFunc func(b *wire.Batch)
 
 // Collector accumulates a batch and signals readiness by size or timeout.

@@ -111,14 +111,11 @@ func (c *compressAlg) processBlock(b *wire.Block, done func()) {
 			for _, p := range batch.Proofs {
 				s.acceptProof(p)
 			}
-			g := s.freshValid(batch.Elements)
-			if len(g) == 0 {
-				// Proof-only (or fully duplicate) batches contribute no
-				// epoch; see the quiescence note on vanillaAlg.
-				continue
+			// Proof-only (or fully duplicate) batches contribute no epoch;
+			// see the quiescence note on vanillaAlg.
+			if p := s.createEpoch(s.valid(batch.Elements)); p != nil {
+				s.coll.AddProof(p)
 			}
-			p := s.createEpoch(g)
-			s.coll.AddProof(p)
 		}
 		done()
 	})

@@ -44,11 +44,15 @@ func (x *ElemIndex) Add(e *wire.Element) bool {
 }
 
 // Stamp records that epoch contains e, adding e to the_set if this server
-// never saw its add (Get-Global/Consistent-Sets). The first stamp stands.
-func (x *ElemIndex) Stamp(e *wire.Element, epoch uint64) {
-	if ent, _ := x.entry(e); ent.epoch == 0 {
-		ent.epoch = epoch
+// never saw its add (Get-Global/Consistent-Sets), and reports whether it did:
+// the first stamp stands, and an id that already has one is left as it is.
+func (x *ElemIndex) Stamp(e *wire.Element, epoch uint64) bool {
+	ent, _ := x.entry(e)
+	if ent.epoch != 0 {
+		return false
 	}
+	ent.epoch = epoch
+	return true
 }
 
 // Epoch returns the epoch that stamped id, or 0 if none has (whether or not
@@ -66,13 +70,25 @@ func (x *ElemIndex) Len() int { return x.m.Len() }
 
 // All iterates over the_set in unspecified order.
 func (x *ElemIndex) All() iter.Seq2[wire.ElementID, *wire.Element] {
+	return x.Without(&wire.IDMap[uint64]{})
+}
+
+// Without iterates over the_set ∖ ids: the entries of the_set whose id is
+// not a key of ids, a page at a time (wire.Diff).
+func (x *ElemIndex) Without(ids *wire.IDMap[uint64]) iter.Seq2[wire.ElementID, *wire.Element] {
 	return func(yield func(wire.ElementID, *wire.Element) bool) {
-		for id, ent := range x.m.All() {
+		for id, ent := range wire.Diff(&x.m, ids) {
 			if !yield(id, ent.e) {
 				return
 			}
 		}
 	}
+}
+
+// Missing iterates over ids ∖ the_set: the entries of ids whose id is not in
+// the_set.
+func (x *ElemIndex) Missing(ids *wire.IDMap[uint64]) iter.Seq2[wire.ElementID, uint64] {
+	return wire.Diff(ids, &x.m)
 }
 
 // Equal reports whether x and y hold the same ids, bound to equal elements

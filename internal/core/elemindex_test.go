@@ -20,13 +20,16 @@ func TestElemIndexNeverRebindsOrRestamps(t *testing.T) {
 	if x.Epoch(id) != 0 || !x.Has(id) {
 		t.Fatalf("an added element is in the_set and in no epoch; got epoch %d, has %v", x.Epoch(id), x.Has(id))
 	}
-	x.Stamp(second, 4)
-	x.Stamp(second, 9)
+	if !x.Stamp(second, 4) || x.Stamp(second, 9) || x.Stamp(first, 9) {
+		t.Fatal("Stamp must report the first stamp of an id as made and any later one as not")
+	}
 	if x.Epoch(id) != 4 {
 		t.Fatalf("epoch %d after stamps 4 and 9, want the first", x.Epoch(id))
 	}
 	stampedOnly := &wire.Element{ID: wire.NewElementID(1, 71), Size: 3}
-	x.Stamp(stampedOnly, 5)
+	if !x.Stamp(stampedOnly, 5) {
+		t.Fatal("Stamp of an id never added must add and stamp it")
+	}
 	absent := wire.NewElementID(2, 70) // the first id's sequence number, another client
 	if x.Len() != 2 || !x.Has(stampedOnly.ID) || x.Has(absent) || x.Epoch(absent) != 0 {
 		t.Fatalf("len %d, stamped-only present %v, absent id present %v", x.Len(), x.Has(stampedOnly.ID), x.Has(absent))
@@ -35,6 +38,25 @@ func TestElemIndexNeverRebindsOrRestamps(t *testing.T) {
 		if want := map[wire.ElementID]*wire.Element{id: first, stampedOnly.ID: stampedOnly}[got]; e != want {
 			t.Fatalf("id %v is bound to %p, want %p", got, e, want)
 		}
+	}
+
+	// The two differences the checker reads: the_set ∖ ids and ids ∖ the_set.
+	var ids wire.IDMap[uint64]
+	ids.Put(id, 4)
+	ids.Put(absent, 6)
+	yields := 0
+	for got, e := range x.Without(&ids) {
+		if yields++; got != stampedOnly.ID || e != stampedOnly {
+			t.Fatalf("the_set without {first, absent} yields %v", got)
+		}
+	}
+	for got, epoch := range x.Missing(&ids) {
+		if yields++; got != absent || epoch != 6 {
+			t.Fatalf("{first, absent} missing from the_set yields %v of epoch %d", got, epoch)
+		}
+	}
+	if yields != 2 {
+		t.Fatalf("the two differences yield %d entries, want one each", yields)
 	}
 
 	// Equal is by content: the same entries inserted in another order, with

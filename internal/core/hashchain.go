@@ -241,14 +241,8 @@ func (h *hashchainAlg) flushBatch(b *wire.Batch) {
 	}
 	// Our own elements were validated at Add; cache them as this batch's
 	// valid set so consolidation does not re-verify.
-	valid := make([]*wire.Element, 0, len(b.Elements))
-	for _, e := range b.Elements {
-		if s.validElement(e) {
-			valid = append(valid, e)
-		}
-	}
 	r := h.rec(hash)
-	r.valid = valid
+	r.valid = s.valid(b.Elements)
 	r.contentDone = true
 	r.signedOwn = true
 
@@ -451,15 +445,9 @@ func (h *hashchainAlg) withContent(r *batchRec) {
 	cost := time.Duration(len(b.Elements))*(s.opts.Costs.VerifyElement+s.opts.Costs.PerElement) +
 		s.opts.Costs.PerBatch
 	s.runCosted(cost, func() {
-		valid := make([]*wire.Element, 0, len(b.Elements))
-		for _, e := range b.Elements {
-			if s.validElement(e) {
-				valid = append(valid, e)
-			}
-		}
-		r.valid = valid
+		r.valid = s.valid(b.Elements)
 		h.extractProofsOnce(r, b)
-		for _, e := range valid {
+		for _, e := range r.valid {
 			s.elems.Add(e)
 		}
 		h.cosignAndConsolidate(r)
@@ -497,18 +485,13 @@ func (h *hashchainAlg) maybeConsolidate(r *batchRec) {
 	// only unconsolidated sets is what lets state-sync ship exactly the
 	// pending signatures (pendingSigners in checkpointing.go).
 	h.releaseSigners(r)
-	g := make([]*wire.Element, 0, len(r.valid))
-	for _, e := range r.valid {
-		if s.elems.Epoch(e.ID) == 0 {
-			g = append(g, e)
-		}
-	}
+	valid := r.valid
 	r.valid = nil
-	if len(g) == 0 {
-		return // proof-only batch: no epoch (quiescence, see vanillaAlg)
+	// A proof-only or fully duplicate batch makes no epoch (quiescence, see
+	// vanillaAlg).
+	if p := s.createEpoch(valid); p != nil {
+		s.coll.AddProof(p)
 	}
-	p := s.createEpoch(g)
-	s.coll.AddProof(p)
 }
 
 // --- batch recovery (Request_batch) ---
@@ -634,6 +617,7 @@ func (h *hashchainAlg) serveRequest(from wire.NodeID, req *batchstore.Request) {
 	b := s.store.Get(req.Hash)
 	resp := &batchstore.Response{Hash: req.Hash, ReqID: req.ReqID, Found: b != nil, Batch: b}
 	if b != nil && s.behavior != nil && s.behavior.ServeWrongBatch {
+		// A copy: the stored batch is shared with every server and epoch.
 		wrong := &wire.Batch{Elements: append([]*wire.Element(nil), b.Elements...)}
 		junk := &wire.Element{Size: 438, Bogus: true}
 		junk.ID[0] = 0xEE

@@ -24,7 +24,9 @@ var (
 
 // Epoch is one entry of the Setchain history: an epoch number and the set
 // of elements stamped with it. Elements keep their ledger order so all
-// servers hash the epoch identically.
+// servers hash the epoch identically. Elements is read-only: an epoch made
+// of a whole batch is the batch's own slice, the same array on every server
+// (filter), and only an epoch some element was dropped from is a copy.
 type Epoch struct {
 	Number   uint64
 	Elements []*wire.Element
@@ -347,17 +349,47 @@ func (s *Server) epochHashFor(number uint64, elems []*wire.Element) []byte {
 	return s.suite.HashData(s.epochBuf)
 }
 
-// createEpoch appends a new epoch built from the valid fresh elements in G
-// (already deduplicated against history by the caller) and returns its
-// epoch-proof, signed by this server. Elements keep their given order.
-func (s *Server) createEpoch(g []*wire.Element) *wire.EpochProof {
-	number := s.prunedEpochs + uint64(len(s.history)) + 1
-	hash := s.epochHashFor(number, g)
-	ep := &Epoch{Number: number, Elements: g, Hash: hash}
-	s.history = append(s.history, ep)
-	for _, e := range g {
-		s.elems.Stamp(e, number)
+// filter returns the elements of elems that keep accepts, in order; keep is
+// called once per element, in order. When it accepts them all the result is
+// elems itself, capped at its length so that an append to the result can
+// never write into the array behind elems; otherwise it is a fresh slice
+// that shares nothing with elems. A batch's Elements are frozen once hashed
+// (wire.Batch), so the common case — nothing dropped — makes an epoch the
+// batch's own slice on every server instead of a copy per server.
+func filter(elems []*wire.Element, keep func(*wire.Element) bool) []*wire.Element {
+	for i, e := range elems {
+		if keep(e) {
+			continue
+		}
+		out := append(make([]*wire.Element, 0, len(elems)-1), elems[:i]...)
+		for _, e := range elems[i+1:] {
+			if keep(e) {
+				out = append(out, e)
+			}
+		}
+		return out
 	}
+	return elems[:len(elems):len(elems)]
+}
+
+// valid returns the valid elements of elems (filter's aliasing rule applies).
+func (s *Server) valid(elems []*wire.Element) []*wire.Element {
+	return filter(elems, s.validElement)
+}
+
+// createEpoch makes the next epoch of those of the given valid elements that
+// no epoch holds yet, in their given order, and returns its epoch-proof
+// signed by this server — or nil, creating nothing, when none is fresh. It
+// stamps as it filters: a second occurrence of an id within elems meets the
+// first one's stamp and is dropped like any other element already in history.
+func (s *Server) createEpoch(elems []*wire.Element) *wire.EpochProof {
+	number := s.prunedEpochs + uint64(len(s.history)) + 1
+	g := filter(elems, func(e *wire.Element) bool { return s.elems.Stamp(e, number) })
+	if len(g) == 0 {
+		return nil
+	}
+	hash := s.epochHashFor(number, g)
+	s.history = append(s.history, &Epoch{Number: number, Elements: g, Hash: hash})
 	s.epochsMade++
 	if s.rec != nil {
 		s.rec.EpochCreated(s.id, number, g)
@@ -415,23 +447,9 @@ func (s *Server) acceptProof(p *wire.EpochProof) bool {
 	return true
 }
 
-// freshValid filters a batch's elements to the valid ones not yet in
-// history, preserving order — the G extraction shared by all algorithms.
-func (s *Server) freshValid(elems []*wire.Element) []*wire.Element {
-	var g []*wire.Element
-	for _, e := range elems {
-		if !s.validElement(e) {
-			continue
-		}
-		if s.elems.Epoch(e.ID) != 0 {
-			continue
-		}
-		g = append(g, e)
-	}
-	return g
-}
-
-// injectBogus appends Byzantine junk elements to a batch when configured.
+// injectBogus appends Byzantine junk elements to a batch when configured. It
+// runs on the server's own fresh batch before the batch is hashed or
+// compressed — the last moment anything may change one (wire.Batch).
 func (s *Server) injectBogus(b *wire.Batch) {
 	if s.behavior == nil || s.behavior.InjectBogusElements == 0 {
 		return

@@ -54,9 +54,7 @@ func (v *vanillaAlg) processBlock(b *wire.Block, done func()) {
 				elems = append(elems, tx.Element)
 			}
 		}
-		g := s.freshValid(elems)
-		if len(g) > 0 {
-			p := s.createEpoch(g)
+		if p := s.createEpoch(s.valid(elems)); p != nil {
 			s.node.Append(wire.NewProofTx(p))
 		}
 		done()

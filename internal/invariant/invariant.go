@@ -12,6 +12,9 @@
 //     servers are prefixes of one common history);
 //   - no duplication: an element is stamped with at most one epoch per
 //     server (the_set is a set);
+//   - history ⊆ the_set: every element of a server's epochs is in that
+//     server's the_set (Consistent-Sets), and every element of the_set
+//     that no retained epoch accounts for is valid and was injected;
 //   - no fabrication: every element in a correct history was injected by
 //     the workload's clients and is valid — a Byzantine server cannot
 //     smuggle elements into correct servers' histories;
@@ -25,6 +28,11 @@
 // up to k; combined with no-fabrication over the injected set, any
 // committed element a run could lose or invent shows up as a finite-state
 // difference the checker catches.
+//
+// Correct servers hold the same epochs, so the per-element checks run once,
+// on a reference server; a server whose epochs are the reference's, address
+// for address, is not walked again (checkSnaps; DESIGN.md §8 has the
+// argument, and oracle_test.go the one-server-at-a-time pass it is held to).
 //
 // The checker must not be vacuously green: harness tests corrupt a
 // correct server's ledger on purpose and assert the checker fails
@@ -41,6 +49,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -92,7 +101,13 @@ const maxReported = 64
 type report struct {
 	errs    []error
 	dropped int
+	// visited counts the elements walkHistory looked at, for the test that
+	// pins the shared walk's cost.
+	visited int
 }
+
+// count returns the number of violations so far.
+func (r *report) count() int { return len(r.errs) + r.dropped }
 
 func (r *report) addf(format string, args ...any) {
 	if len(r.errs) < maxReported {
@@ -115,7 +130,7 @@ func (r *report) err() error {
 // verbatim, then a count of the rest), or nil. Call it after the run
 // stopped; it only reads server state.
 func Check(d *core.Deployment, cfg Config) error {
-	var rep report
+	rep := &report{}
 	snaps := make(map[wire.NodeID]core.Snapshot, len(cfg.Correct))
 	for _, id := range cfg.Correct {
 		// Resolve by node id, not slice index: sharded worlds offset every
@@ -128,79 +143,18 @@ func Check(d *core.Deployment, cfg Config) error {
 		}
 		snaps[id] = srv.Get()
 	}
+	checkSnaps(rep, snaps, cfg)
+	return rep.err()
+}
 
-	// Per-server checks: monotone numbering (base-offset when a checkpoint
-	// pruned the prefix), no duplication, no fabrication — one pass over
-	// each correct history — plus self-consistency of the server's sealed
-	// checkpoint chain. seen maps each id in the server's retained history
-	// to its epoch; it is one container, emptied between servers, because
-	// correct servers hold the same ids and the second pass reuses every
-	// page the first allocated.
-	var seen wire.IDMap[uint64]
-	for _, id := range cfg.Correct {
-		snap, ok := snaps[id]
-		if !ok {
-			continue
-		}
-		checkCheckpoints(&rep, id, snap)
-		seen.Reset()
-		for i, ep := range snap.History {
-			if ep.Number != snap.PrunedEpochs+uint64(i+1) {
-				rep.addf("server %d: non-monotone history: epoch at position %d (base %d) is numbered %d",
-					id, i, snap.PrunedEpochs, ep.Number)
-			}
-			for _, e := range ep.Elements {
-				at, fresh := seen.Slot(e.ID)
-				if !fresh {
-					rep.addf("server %d: element %v duplicated: epochs %d and %d",
-						id, e.ID, *at, ep.Number)
-				}
-				*at = ep.Number
-				if e.Bogus {
-					rep.addf("server %d: invalid (bogus) element %v committed in epoch %d",
-						id, e.ID, ep.Number)
-				}
-				if cfg.Rejected != nil && cfg.Rejected.Has(e.ID) {
-					rep.addf("server %d: admission-rejected element %v committed in epoch %d",
-						id, e.ID, ep.Number)
-					continue // already flagged; skip the fabrication double-report
-				}
-				if cfg.Injected != nil && !cfg.Injected.Has(e.ID) {
-					rep.addf("server %d: fabricated element %v in epoch %d: never injected by the workload",
-						id, e.ID, ep.Number)
-				}
-			}
-		}
-		// The set itself, below the retained history: pruning drops settled
-		// epochs but never the_set, and a forged state-sync snapshot is
-		// exactly an attempt to smuggle elements in under the prune horizon
-		// where the per-epoch scan above cannot see them. Every set entry not
-		// accounted for by retained history must still be valid and injected.
-		for eid, e := range snap.TheSet.All() {
-			if seen.Has(eid) {
-				continue
-			}
-			if e.Bogus {
-				rep.addf("server %d: invalid (bogus) element %v in the set below the prune horizon",
-					id, eid)
-				continue
-			}
-			if cfg.Injected != nil && !cfg.Injected.Has(eid) {
-				rep.addf("server %d: fabricated element %v in the set: never injected by the workload",
-					id, eid)
-			}
-		}
-	}
-
-	// Epoch-prefix consistency: compare every correct server against the
-	// correct server with the longest history (by total epoch count —
-	// pruned prefix included). Pairwise agreement follows transitively,
-	// and one reference keeps the pass O(n·history) instead of
-	// O(n²·history). Histories are aligned by absolute epoch number; where
-	// a pruned prefix leaves no epochs to compare, the servers' checkpoint
-	// chains stand in for them — seal points are deterministic, so correct
-	// servers must have sealed bit-identical checkpoints, and a chain
-	// entry's digest commits to every epoch hash in its range.
+// checkSnaps checks the final states of the correct servers that were found.
+func checkSnaps(rep *report, snaps map[wire.NodeID]core.Snapshot, cfg Config) {
+	// The reference is the correct server with the longest history (by total
+	// epoch count — pruned prefix included); a server outside cfg.Correct is
+	// never it, whatever it holds. It is walked element by element. Another
+	// correct server that mirrors a clean reference has the reference's
+	// per-element verdicts — none — and is not walked again; one that does
+	// not, for whatever reason, is walked in full with a seen map of its own.
 	var ref wire.NodeID
 	refTotal := -1
 	for _, id := range cfg.Correct {
@@ -212,49 +166,36 @@ func Check(d *core.Deployment, cfg Config) error {
 	}
 	if refTotal >= 0 {
 		refSnap := snaps[ref]
+		var refSeen, seen wire.IDMap[uint64]
+		checkCheckpoints(rep, ref, refSnap)
+		before := rep.count()
+		walkHistory(rep, cfg, ref, refSnap, &refSeen)
+		refClean := rep.count() == before
+		checkSet(rep, cfg, ref, refSnap, &refSeen)
 		for _, id := range cfg.Correct {
 			snap, ok := snaps[id]
 			if !ok || id == ref {
 				continue
 			}
-			// Checkpoint chains must agree entry for entry on the common
-			// prefix — this is the only witness for epochs both sides pruned.
-			cks, refCks := snap.Checkpoints, refSnap.Checkpoints
-			for i := 0; i < len(cks) && i < len(refCks); i++ {
-				// Content comparison (Same): seal heights are per-server
-				// prune metadata and may legitimately trail under faults.
-				if !cks[i].Same(refCks[i]) {
-					rep.addf("servers %d and %d diverge: checkpoint %d is %+v vs %+v",
-						id, ref, i+1, cks[i], refCks[i])
-				}
+			checkCheckpoints(rep, id, snap)
+			mirrored, ids := refClean && mirrors(snap, refSnap), &refSeen
+			if !mirrored {
+				seen.Reset()
+				walkHistory(rep, cfg, id, snap, &seen)
+				ids = &seen
 			}
-			// Retained-epoch overlap, aligned by absolute number.
-			lo := snap.PrunedEpochs
-			if refSnap.PrunedEpochs > lo {
-				lo = refSnap.PrunedEpochs
-			}
-			hi := snap.PrunedEpochs + uint64(len(snap.History))
-			if top := refSnap.PrunedEpochs + uint64(len(refSnap.History)); top < hi {
-				hi = top
-			}
-			for num := lo + 1; num <= hi; num++ {
-				ep := snap.History[num-1-snap.PrunedEpochs]
-				re := refSnap.History[num-1-refSnap.PrunedEpochs]
-				if !bytes.Equal(ep.Hash, re.Hash) {
-					rep.addf("servers %d and %d diverge: epoch %d hashes differ", id, ref, num)
-				}
-				if err := sameElements(ep, re); err != nil {
-					rep.addf("servers %d and %d diverge at epoch %d: %w",
-						id, ref, num, err)
-				}
-			}
+			checkSet(rep, cfg, id, snap, ids)
+			checkPrefix(rep, id, snap, ref, refSnap, mirrored)
 		}
 	}
+	checkLoss(rep, snaps, cfg)
+}
 
-	// No committed element lost: every epoch the observer saw commit must
-	// still be in the observer's history with the recorded element count.
-	// (Prefix consistency then extends the guarantee to every correct
-	// server whose history reaches that epoch.)
+// checkLoss is "no committed element lost": every epoch the observer saw
+// commit must still be in the observer's history with the recorded element
+// count. (Prefix consistency then extends the guarantee to every correct
+// server whose history reaches that epoch.)
+func checkLoss(rep *report, snaps map[wire.NodeID]core.Snapshot, cfg Config) {
 	if cfg.CommittedEpochs != nil {
 		obs, ok := snaps[cfg.Observer]
 		if !ok && (len(cfg.CommittedEpochs) > 0 || cfg.FoldedEpochs > 0) {
@@ -301,8 +242,127 @@ func Check(d *core.Deployment, cfg Config) error {
 			}
 		}
 	}
+}
 
-	return rep.err()
+// walkHistory is the per-element pass over one server's retained history:
+// monotone numbering (base-offset when a checkpoint pruned the prefix), no
+// duplication, no fabrication. It leaves in seen, which must be empty, the
+// epoch of every id the history holds.
+func walkHistory(rep *report, cfg Config, id wire.NodeID, snap core.Snapshot, seen *wire.IDMap[uint64]) {
+	for i, ep := range snap.History {
+		if ep.Number != snap.PrunedEpochs+uint64(i+1) {
+			rep.addf("server %d: non-monotone history: epoch at position %d (base %d) is numbered %d",
+				id, i, snap.PrunedEpochs, ep.Number)
+		}
+		rep.visited += len(ep.Elements)
+		for _, e := range ep.Elements {
+			at, fresh := seen.Slot(e.ID)
+			if !fresh {
+				rep.addf("server %d: element %v duplicated: epochs %d and %d",
+					id, e.ID, *at, ep.Number)
+			}
+			*at = ep.Number
+			if e.Bogus {
+				rep.addf("server %d: invalid (bogus) element %v committed in epoch %d",
+					id, e.ID, ep.Number)
+			}
+			if cfg.Rejected != nil && cfg.Rejected.Has(e.ID) {
+				rep.addf("server %d: admission-rejected element %v committed in epoch %d",
+					id, e.ID, ep.Number)
+				continue // already flagged; skip the fabrication double-report
+			}
+			if cfg.Injected != nil && !cfg.Injected.Has(e.ID) {
+				rep.addf("server %d: fabricated element %v in epoch %d: never injected by the workload",
+					id, e.ID, ep.Number)
+			}
+		}
+	}
+}
+
+// mirrors reports whether snap retains exactly the reference's epochs, each
+// the same elements at the same addresses: the same slice (one comparison —
+// an epoch that is its batch's own slice, core's filter) or an equal sequence
+// of element pointers (8-byte compares, no pointer chased). The same objects
+// in the same places have the same ids, validity and membership in the
+// injected and rejected sets: walkHistory would find here what it found there.
+func mirrors(snap, ref core.Snapshot) bool {
+	if snap.PrunedEpochs != ref.PrunedEpochs || len(snap.History) != len(ref.History) {
+		return false
+	}
+	for i, ep := range snap.History {
+		a, b := ep.Elements, ref.History[i].Elements
+		if ep.Number != ref.History[i].Number || len(a) != len(b) ||
+			len(a) > 0 && &a[0] != &b[0] && !slices.Equal(a, b) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSet compares the_set of one server with seen, the ids of its retained
+// history — taken from the walk, never from the stamps of the server under
+// test. Both differences are read off the two containers' page bitmaps
+// (wire.Diff), not probed id by id.
+func checkSet(rep *report, cfg Config, id wire.NodeID, snap core.Snapshot, seen *wire.IDMap[uint64]) {
+	// the_set ∖ history: pruning drops settled epochs but never the_set, and
+	// a forged state-sync snapshot is exactly an attempt to smuggle elements
+	// in under the prune horizon where the per-epoch scan cannot see them.
+	// Every set entry not accounted for by retained history must still be
+	// valid and injected.
+	for eid, e := range snap.TheSet.Without(seen) {
+		if e.Bogus {
+			rep.addf("server %d: invalid (bogus) element %v in the set below the prune horizon",
+				id, eid)
+			continue
+		}
+		if cfg.Injected != nil && !cfg.Injected.Has(eid) {
+			rep.addf("server %d: fabricated element %v in the set: never injected by the workload",
+				id, eid)
+		}
+	}
+	// history ∖ the_set must be empty: an epoch is a subset of the_set.
+	for eid, epoch := range snap.TheSet.Missing(seen) {
+		rep.addf("server %d: element %v of epoch %d is not in the set", id, eid, epoch)
+	}
+}
+
+// checkPrefix is epoch-prefix consistency of one server against the
+// reference. Pairwise agreement follows transitively, and one reference
+// keeps the pass O(n·history) instead of O(n²·history). Histories are aligned
+// by absolute epoch number; where a pruned prefix leaves no epochs to
+// compare, the servers' checkpoint chains stand in for them — seal points are
+// deterministic, so correct servers must have sealed bit-identical
+// checkpoints, and a chain entry's digest commits to every epoch hash in its
+// range. A server that mirrors the reference holds the very same elements;
+// only its hashes, which are its own, remain to compare.
+func checkPrefix(rep *report, id wire.NodeID, snap core.Snapshot, ref wire.NodeID, refSnap core.Snapshot, mirrored bool) {
+	// Checkpoint chains must agree entry for entry on the common prefix —
+	// this is the only witness for epochs both sides pruned.
+	cks, refCks := snap.Checkpoints, refSnap.Checkpoints
+	for i := 0; i < len(cks) && i < len(refCks); i++ {
+		// Content comparison (Same): seal heights are per-server prune
+		// metadata and may legitimately trail under faults.
+		if !cks[i].Same(refCks[i]) {
+			rep.addf("servers %d and %d diverge: checkpoint %d is %+v vs %+v",
+				id, ref, i+1, cks[i], refCks[i])
+		}
+	}
+	// Retained-epoch overlap, aligned by absolute number.
+	lo := max(snap.PrunedEpochs, refSnap.PrunedEpochs)
+	hi := min(snap.PrunedEpochs+uint64(len(snap.History)), refSnap.PrunedEpochs+uint64(len(refSnap.History)))
+	for num := lo + 1; num <= hi; num++ {
+		ep := snap.History[num-1-snap.PrunedEpochs]
+		re := refSnap.History[num-1-refSnap.PrunedEpochs]
+		if !bytes.Equal(ep.Hash, re.Hash) {
+			rep.addf("servers %d and %d diverge: epoch %d hashes differ", id, ref, num)
+		}
+		if mirrored {
+			continue
+		}
+		if err := sameElements(ep, re); err != nil {
+			rep.addf("servers %d and %d diverge at epoch %d: %w", id, ref, num, err)
+		}
+	}
 }
 
 // checkCheckpoints verifies one server's sealed checkpoint chain against

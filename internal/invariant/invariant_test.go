@@ -3,6 +3,7 @@ package invariant
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,36 +23,7 @@ import (
 // deployment plus the checker Config describing it.
 func runSmall(t *testing.T) (*core.Deployment, Config) {
 	t.Helper()
-	s := sim.New(1)
-	const n = 4
-	f := (n - 1) / 2
-	rec := metrics.New(s, metrics.LevelThroughput, n, f, 0)
-	d := core.Deploy(s, n, ledger.Config{
-		Net:       netsim.DefaultLANConfig(),
-		Consensus: consensus.PaperParams(),
-		Mempool:   mempool.PaperConfig(),
-	}, core.Options{
-		Algorithm:      core.Hashchain,
-		CollectorLimit: 100,
-		Costs:          core.PaperCostModel(),
-		F:              f,
-	}, rec)
-	gen := workload.New(d, rec, workload.Config{
-		Rate: 400, Duration: 6 * time.Second, TrackIDs: true,
-	})
-	d.Start()
-	gen.Start()
-	s.RunUntil(25 * time.Second)
-	d.Stop()
-	if rec.TotalCommitted() == 0 {
-		t.Fatal("small run committed nothing; checker would be vacuous")
-	}
-	return d, Config{
-		Correct:         []wire.NodeID{0, 1, 2, 3},
-		Injected:        gen.InjectedIDs(),
-		CommittedEpochs: rec.CommittedEpochSizes(),
-		Observer:        0,
-	}
+	return run(t, core.Options{Algorithm: core.Hashchain})
 }
 
 func TestCheckerPassesOnCorrectRun(t *testing.T) {
@@ -74,6 +46,15 @@ func lastEpoch(t *testing.T, d *core.Deployment, id int) *core.Epoch {
 	return nil
 }
 
+// own gives ep a private copy of its element slice and returns ep. On a
+// clean run an epoch is its batch's own slice on every server (core's
+// filter), so a test that writes into one server's epoch un-shares it first;
+// otherwise it corrupts every server at once.
+func own(ep *core.Epoch) *core.Epoch {
+	ep.Elements = slices.Clone(ep.Elements)
+	return ep
+}
+
 // The mutation smoke tests: the checker must detect a deliberately
 // corrupted ledger, proving it is not vacuously green.
 func TestCheckerDetectsCorruption(t *testing.T) {
@@ -93,7 +74,7 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 		{
 			name: "fabricated element swapped into one server's epoch",
 			mutate: func(t *testing.T, d *core.Deployment) {
-				ep := lastEpoch(t, d, 2)
+				ep := own(lastEpoch(t, d, 2))
 				forged := *ep.Elements[0]
 				forged.ID = wire.ElementID{0xDE, 0xAD, 0xBE, 0xEF}
 				ep.Elements[0] = &forged
@@ -137,7 +118,7 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 				if len(nonEmpty) < 2 {
 					t.Skip("need two non-empty epochs")
 				}
-				last := nonEmpty[len(nonEmpty)-1]
+				last := own(nonEmpty[len(nonEmpty)-1])
 				last.Elements[0] = nonEmpty[0].Elements[0]
 			},
 			want: "duplicated",
@@ -241,7 +222,7 @@ func TestCheckerDetectsCommittedRejectedElement(t *testing.T) {
 		rejID = id
 		break
 	}
-	ep := lastEpoch(t, d, 2)
+	ep := own(lastEpoch(t, d, 2))
 	forged := *ep.Elements[0]
 	forged.ID = rejID
 	ep.Elements[0] = &forged
@@ -266,37 +247,11 @@ func TestCheckerDetectsCommittedRejectedElement(t *testing.T) {
 // end and the checkpoint checker runs in its strictest mode.
 func runSmallCkpt(t *testing.T) (*core.Deployment, Config) {
 	t.Helper()
-	s := sim.New(1)
-	const n = 4
-	f := (n - 1) / 2
-	rec := metrics.New(s, metrics.LevelThroughput, n, f, 0)
-	d := core.Deploy(s, n, ledger.Config{
-		Net:       netsim.DefaultLANConfig(),
-		Consensus: consensus.PaperParams(),
-		Mempool:   mempool.PaperConfig(),
-	}, core.Options{
-		Algorithm:          core.Hashchain,
-		CollectorLimit:     100,
-		Costs:              core.PaperCostModel(),
-		F:                  f,
-		CheckpointInterval: 2,
-	}, rec)
-	gen := workload.New(d, rec, workload.Config{
-		Rate: 400, Duration: 6 * time.Second, TrackIDs: true,
-	})
-	d.Start()
-	gen.Start()
-	s.RunUntil(25 * time.Second)
-	d.Stop()
+	d, cfg := run(t, core.Options{Algorithm: core.Hashchain, CheckpointInterval: 2})
 	if len(d.Servers[0].Get().Checkpoints) == 0 {
 		t.Fatal("run sealed no checkpoints; checkpoint checks would be vacuous")
 	}
-	return d, Config{
-		Correct:         []wire.NodeID{0, 1, 2, 3},
-		Injected:        gen.InjectedIDs(),
-		CommittedEpochs: rec.CommittedEpochSizes(),
-		Observer:        0,
-	}
+	return d, cfg
 }
 
 // The checkpoint arm of the checker must catch corrupted chains — and,
@@ -412,7 +367,7 @@ func TestCheckerDetectsCorruptionWithinAPage(t *testing.T) {
 						for _, late := range hist[i+1:] {
 							for k, b := range late.Elements {
 								if a.ID != b.ID && samePage(a.ID, b.ID) {
-									late.Elements[k] = a
+									own(late).Elements[k] = a
 									return
 								}
 							}
@@ -427,7 +382,7 @@ func TestCheckerDetectsCorruptionWithinAPage(t *testing.T) {
 		{
 			name: "fabricated id equal to an injected one in the sequence word",
 			mutate: func(t *testing.T, d *core.Deployment, cfg Config) {
-				ep := lastEpoch(t, d, 2)
+				ep := own(lastEpoch(t, d, 2))
 				forged := *ep.Elements[0]
 				forged.ID[4] ^= 0x80 // another client, same sequence number
 				if cfg.Injected.Has(forged.ID) {
@@ -441,7 +396,7 @@ func TestCheckerDetectsCorruptionWithinAPage(t *testing.T) {
 		{
 			name: "fabricated id equal to an injected one in the client word",
 			mutate: func(t *testing.T, d *core.Deployment, cfg Config) {
-				ep := lastEpoch(t, d, 2)
+				ep := own(lastEpoch(t, d, 2))
 				forged := *ep.Elements[0]
 				forged.ID[13] ^= 0x01 // same client, same bit of a page far away
 				if cfg.Injected.Has(forged.ID) {
@@ -523,14 +478,17 @@ func TestCheckerNilInjectedSkipsSetScan(t *testing.T) {
 // maxReported violations verbatim and counts the rest exactly.
 func TestCheckerReportIsBounded(t *testing.T) {
 	d, cfg := runSmall(t)
-	// Forge every element of server 1's history: one fabrication per
-	// element, and one divergence from the reference per non-empty epoch.
+	// Forge every element of server 1's history, as a server that also holds
+	// its forgeries in the_set: one fabrication per element, and one
+	// divergence from the reference per non-empty epoch.
 	violations := 0
-	for _, ep := range d.Servers[1].Get().History {
-		for i, e := range ep.Elements {
+	snap := d.Servers[1].Get()
+	for _, ep := range snap.History {
+		for i, e := range own(ep).Elements {
 			forged := *e
 			forged.ID[7] = 0xFA
 			ep.Elements[i] = &forged
+			snap.TheSet.Add(&forged)
 			violations++
 		}
 		if len(ep.Elements) > 0 {

@@ -12,6 +12,10 @@ import (
 // can refuse to pass on sequences that stopped exercising a path.
 type idModelCoverage struct {
 	inserts, middle, grown, overwrites, resets, absent int
+	// Diff against the second map: ids kept and ids removed, comparisons
+	// made while the second map was empty, pages of the first map that the
+	// second lacks, and pages with all 64 ids present.
+	diffKept, diffRemoved, diffEmptyOther, diffLonePages, fullPages int
 }
 
 // runIDMapModel interprets data as a sequence of operations on an IDMap[V],
@@ -29,11 +33,17 @@ type idModelCoverage struct {
 //   - the boundary sequence numbers 0, 63, 64, 2⁶⁴−1 and their neighbours;
 //   - an id seen before with only its client word changed, and one with
 //     only its sequence word changed to the same bit of another page.
+//
+// A second map, an id set, takes the ids of about one operation in three —
+// whatever that operation did with them in the first — and after every step
+// Diff in both directions is compared with the difference of the two Go maps.
 func runIDMapModel[V comparable](t *testing.T, data []byte, val func(k uint64) V, cov *idModelCoverage) {
 	t.Helper()
 	var (
 		m      IDMap[V]
 		oracle = make(map[ElementID]V)
+		other  IDMap[struct{}]
+		others = make(map[ElementID]struct{})
 		seen   []ElementID
 		nextOf [4]uint64
 		writes uint64
@@ -140,17 +150,65 @@ func runIDMapModel[V comparable](t *testing.T, data []byte, val func(k uint64) V
 				cov.overwrites++
 			}
 		}
-		if next()%64 == 0 {
+		switch next() % 64 {
+		case 0:
 			m.Reset()
 			clear(oracle)
 			cov.resets++
+		case 1:
+			other.Reset()
+			clear(others)
+		default:
+			if step%3 == 0 {
+				for _, id := range ids {
+					other.Put(id, struct{}{})
+					others[id] = struct{}{}
+				}
+			}
 		}
 		seen = append(seen, ids...)
 		if len(seen) > 256 {
 			seen = seen[len(seen)-256:]
 		}
 		compareIDMap(t, step, &m, oracle, seen)
+		kept, removed := compareDiff(t, step, &m, &other, oracle, others)
+		compareDiff(t, step, &other, &m, others, oracle)
+		cov.diffKept += kept
+		cov.diffRemoved += removed
+		if len(others) == 0 {
+			cov.diffEmptyOther++
+		}
+		for k, p := range m.pages {
+			if p.bits != 0 && other.pages[k] == nil {
+				cov.diffLonePages++
+			}
+			if p.bits == math.MaxUint64 {
+				cov.fullPages++
+			}
+		}
 	}
+}
+
+// compareDiff checks that Diff(a, b) yields exactly the pairs of a whose id
+// is not in b, each once, and returns how many it kept and how many b removed.
+func compareDiff[V comparable, W any](t *testing.T, step int, a *IDMap[V], b *IDMap[W], inA map[ElementID]V, inB map[ElementID]W) (kept, removed int) {
+	t.Helper()
+	for id, v := range Diff(a, b) {
+		want, ok := inA[id]
+		if _, excluded := inB[id]; !ok || excluded || v != want {
+			t.Fatalf("step %d: Diff yields %x = %v; first map has it: %v (as %v), second has it: %v", step, id[:], v, ok, want, excluded)
+		}
+		kept++
+	}
+	for id := range inA {
+		if _, excluded := inB[id]; excluded {
+			removed++
+		}
+	}
+	if kept+removed != len(inA) {
+		t.Fatalf("step %d: Diff yields %d pairs, want %d (%d ids, %d of them in the second map)", step, kept, len(inA)-removed, len(inA), removed)
+	}
+	return kept, removed
 }
 
 // compareIDMap checks Len, All (every pair once, none missing), and Get and
@@ -198,7 +256,8 @@ func TestIDMapModel(t *testing.T) {
 		runIDMapModel(t, idModelStream(seed, 4000), func(uint64) struct{} { return struct{}{} }, new(idModelCoverage))
 	}
 	t.Logf("reached: %+v", cov)
-	if cov.inserts < 1000 || cov.middle < 100 || cov.grown < 10 || cov.overwrites < 100 || cov.resets < 3 || cov.absent < 100 {
+	if cov.inserts < 1000 || cov.middle < 100 || cov.grown < 10 || cov.overwrites < 100 || cov.resets < 3 || cov.absent < 100 ||
+		cov.diffKept < 1000 || cov.diffRemoved < 1000 || cov.diffEmptyOther < 10 || cov.diffLonePages < 100 || cov.fullPages < 10 {
 		t.Errorf("the sequences no longer reach every case the model is for: %+v", cov)
 	}
 }

@@ -159,6 +159,13 @@ func (d Digest) Bytes() []byte { return d.b[:d.n] }
 
 // Batch is a collector's accumulated content: client elements plus
 // epoch-proofs generated by this server since the last flush.
+//
+// A Batch's Elements are frozen from the moment the batch is hashed (or
+// compressed): every server that receives the batch, and every epoch made
+// of it, holds this very slice, not a copy (core's filter). Whatever changes
+// a batch does so before that moment (a Byzantine server padding its own
+// flush) or to a copy (a Byzantine server answering a request with an
+// altered batch); nothing appends to or writes into Elements afterwards.
 type Batch struct {
 	Elements []*Element
 	Proofs   []*EpochProof
