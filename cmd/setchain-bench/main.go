@@ -6,7 +6,6 @@
 //
 //	setchain-bench -exp all            # everything (minutes at -scale 1)
 //	setchain-bench -exp fig1 -scale 0.2
-//	setchain-bench -exp perf -artifact BENCH_pr4.json
 //	setchain-bench -spec examples/specs/fig4.json
 //	setchain-bench -spec examples/specs/wan.json -matrix servers=4,8,16
 //	setchain-bench -exp fig4 -matrix delay=0s,30ms,100ms
@@ -52,18 +51,15 @@
 // independent study cells run concurrently, each simulation still
 // single-threaded and deterministic. -artifact FILE writes a versioned
 // machine-readable run artifact (internal/report schema: provenance,
-// per-experiment wall time and metrics, and one record per simulation
-// cell) — the successor of the earlier ad-hoc -json baselines, still
-// committed as BENCH_*.json to track the perf trajectory and consumed by
-// cmd/setchain-report for RESULTS.md fidelity tables.
+// per-experiment wall time, and one record per simulation cell), the
+// format cmd/setchain-report reads for RESULTS.md's fidelity tables.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -76,53 +72,42 @@ import (
 	"repro/internal/textplot"
 )
 
-// runners maps registry entries to their figure-specific renderers.
-// Entries without a runner (future registry additions) fall back to the
-// generic results table, so registering an experiment is enough to make
-// it runnable. The -list order is the registry's.
-var runners = map[string]func(scale float64){
-	"table1":    runTable1,
-	"table2":    runTable2,
-	"fig1":      runFig1,
-	"fig2left":  runFig2Left,
-	"fig2right": runFig2Right,
-	"fig3a":     runFig3a,
-	"fig3b":     runFig3b,
-	"fig3c":     runFig3c,
-	"fig4":      runFig4,
-	"fig5a":     runFig5a,
-	"fig5b":     runFig5b,
-	"fig5c":     runFig5c,
-	"d1":        runD1,
-	"perf":      runPerf,
+// renderers maps registry entries to their figure-specific renderers:
+// pure functions of the entry and its cells' results (nil for an analytic
+// entry), in cell order. Entries without one (every entry beyond the
+// paper's figures) print the generic results table, so registering an
+// experiment is enough to make it runnable. The -list order is the
+// registry's.
+var renderers = map[string]func(w io.Writer, e spec.Entry, results []*harness.Result){
+	"table1":    renderTable1,
+	"table2":    renderTable2,
+	"fig1":      renderFig1,
+	"fig2left":  renderFig2Left,
+	"fig2right": renderFig2Right,
+	"fig3a":     effChart,
+	"fig3b":     effChart,
+	"fig3c":     effChart,
+	"fig4":      renderFig4,
+	"fig5a":     commitChart,
+	"fig5b":     commitChart,
+	"fig5c":     commitChart,
+	"d1":        renderD1,
+}
+
+// gridTitles are the chart titles of the Fig. 3 and Fig. 5 grids, which
+// share one renderer each.
+var gridTitles = map[string]string{
+	"fig3a": "Fig. 3a: efficiency vs sending rate (10 servers, no delay)",
+	"fig3b": "Fig. 3b: efficiency vs number of servers (10,000 el/s, no delay)",
+	"fig3c": "Fig. 3c: efficiency vs network delay (10 servers, 10,000 el/s)",
+	"fig5a": "Fig. 5a: commit times vs sending rate (10 servers, no delay)",
+	"fig5b": "Fig. 5b: commit times vs number of servers (10,000 el/s)",
+	"fig5c": "Fig. 5c: commit times vs network delay (10 servers, 10,000 el/s)",
 }
 
 // currentRecord is the -artifact record of the experiment currently
 // running (see timed in main).
 var currentRecord *report.ExperimentRecord
-
-// recordMetric attaches an experiment-level metric (the perf probe's
-// wall-clock family) to the experiment currently running.
-func recordMetric(name string, v float64) {
-	if currentRecord == nil {
-		return
-	}
-	if currentRecord.Metrics == nil {
-		currentRecord.Metrics = make(map[string]float64)
-	}
-	currentRecord.Metrics[name] = v
-}
-
-// captureCells attaches per-cell records — defaulted spec, measurements,
-// invariant verdict — to the experiment currently running. Every runner
-// calls it with the entry's cells and their results in cell order, so a
-// -artifact file carries the full measurement set of whatever ran.
-func captureCells(cells []spec.ScenarioSpec, results []*harness.Result) {
-	if currentRecord == nil {
-		return
-	}
-	currentRecord.Cells = report.FromResults(currentRecord.Name, cells, results).Cells
-}
 
 // matrixFlags accumulates repeated -matrix overrides into axes.
 type matrixFlags []spec.Axis
@@ -155,8 +140,7 @@ func main() {
 	workers := flag.Int("workers", 0, "study executor workers (0 = GOMAXPROCS)")
 	artifactOut := flag.String("artifact", "", "write a versioned run artifact (results + provenance) to this file")
 	flag.Parse()
-	// A bad -scale is a usage error, caught before any study expands the
-	// registry with it (those expansions panic on a conversion error).
+	// A bad -scale is a usage error (exit 2), caught before anything runs.
 	if err := spec.CheckScale(*scale); err != nil {
 		fmt.Fprintf(os.Stderr, "-scale: %v\n", err)
 		os.Exit(2)
@@ -213,10 +197,7 @@ func main() {
 		}
 		cells = withFaults(cells, faultPlan)
 		timed(*specFile, "scenario document", func() {
-			if err := runCells(cells, *scale); err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				os.Exit(1)
-			}
+			renderTable(os.Stdout, spec.Entry{Cells: cells}, runCells(cells, *scale))
 		})
 	case *exp == "all":
 		if len(matrix) > 0 || faultPlan != nil {
@@ -325,38 +306,51 @@ func wrap(s string, width int) []string {
 	return lines
 }
 
-// runEntry runs one registry entry: through its figure-specific renderer
-// when it has one and no matrix/fault overrides are in play, otherwise
-// through the generic results table over its (expanded) cells.
+// runEntry runs one registry entry: its cells — crossed with -matrix and
+// layered with -faults when given — execute once on the worker pool, and
+// the results go to the entry's figure-specific renderer, or to the generic
+// results table when it has none or an override changed the cell list.
 func runEntry(e spec.Entry, matrix []spec.Axis, faultPlan *spec.FaultSpec, scale float64) {
-	if run, ok := runners[e.Name]; ok && len(matrix) == 0 && faultPlan == nil {
-		run(scale)
-		return
+	overridden := len(matrix) > 0 || faultPlan != nil
+	render, ok := renderers[e.Name]
+	if !ok || overridden {
+		render = renderTable
 	}
 	if len(e.Cells) == 0 {
-		fmt.Fprintf(os.Stderr, "entry %q is analytic: it has no cells to expand with -matrix/-faults\n", e.Name)
-		os.Exit(2)
+		if overridden {
+			fmt.Fprintf(os.Stderr, "entry %q is analytic: it has no cells to expand with -matrix/-faults\n", e.Name)
+			os.Exit(2)
+		}
+		render(os.Stdout, e, nil)
+		return
 	}
 	cells, err := spec.Expand(e.Cells, matrix...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
 	}
-	cells = withFaults(cells, faultPlan)
-	if err := runCells(cells, scale); err != nil {
+	e.Cells = withFaults(cells, faultPlan)
+	render(os.Stdout, e, runCells(e.Cells, scale))
+}
+
+// runCells executes expanded scenario cells on the worker pool and
+// attaches their records — defaulted spec, measurements, invariant verdict
+// — to the -artifact experiment currently running.
+func runCells(cells []spec.ScenarioSpec, scale float64) []*harness.Result {
+	results, err := harness.RunSpecs(cells, scale)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
 	}
+	if currentRecord != nil {
+		currentRecord.Cells = report.FromResults(currentRecord.Name, cells, results).Cells
+	}
+	return results
 }
 
-// runCells executes expanded scenario cells on the worker pool and prints
-// the generic results table.
-func runCells(cells []spec.ScenarioSpec, scale float64) error {
-	results, err := harness.RunSpecs(cells, scale)
-	if err != nil {
-		return err
-	}
-	captureCells(cells, results)
+// renderTable prints the generic results table of any cell list.
+func renderTable(w io.Writer, e spec.Entry, results []*harness.Result) {
+	cells := e.Cells
 	stages := false
 	for _, c := range cells {
 		if c.Metrics == spec.MetricsStages {
@@ -486,9 +480,8 @@ func runCells(cells []spec.ScenarioSpec, scale float64) error {
 			row = append(row, p50, p99)
 		}
 		t.AddRow(row...)
-		recordMetric(fmt.Sprintf("cell%d_avg_tput", i), res.AvgTput)
 	}
-	fmt.Print(t.Render())
+	fmt.Fprint(w, t.Render())
 	// Sharded cells get a per-shard breakdown under the table: the
 	// aggregate hides router balance and straggler shards.
 	for i, res := range results {
@@ -499,123 +492,15 @@ func runCells(cells []spec.ScenarioSpec, scale float64) error {
 		if cells[i].Group != "" {
 			label = cells[i].Group + " " + label
 		}
-		fmt.Printf("\n%s — %d superepochs; per shard:\n", label, len(res.SuperDigests))
+		fmt.Fprintf(w, "\n%s — %d superepochs; per shard:\n", label, len(res.SuperDigests))
 		for _, st := range res.PerShard {
-			fmt.Printf("  shard %d: injected %d, committed %d, avg %.0f el/s, %d epochs, %d blocks\n",
+			fmt.Fprintf(w, "  shard %d: injected %d, committed %d, avg %.0f el/s, %d epochs, %d blocks\n",
 				st.Shard, st.Injected, st.Committed, st.AvgTput, st.Epochs, st.Blocks)
 		}
 	}
-	return nil
 }
 
-// runPerf measures the simulator's speedup — virtual seconds simulated per
-// wall-clock second — on the Fig. 4 workload (Hashchain c=100, 1,250 el/s),
-// the same cell BenchmarkAblationVirtualTime uses, plus a parallel sweep of
-// that cell across the worker pool to expose executor scaling. Committed
-// BENCH_*.json files track these numbers across changes.
-func runPerf(scale float64) {
-	sc := harness.Scenario{Spec: harness.SpecHash100, Rate: 1250, Scale: scale}
-
-	start := time.Now()
-	res := harness.Run(sc)
-	wall := time.Since(start).Seconds()
-	captureCells(spec.MustGet("perf").Cells, []*harness.Result{res})
-	virtual := res.Scenario.Horizon.Seconds()
-	if wall > 0 {
-		recordMetric("virtual_s_per_wall_s", virtual/wall)
-		recordMetric("events_per_wall_s", float64(res.Events)/wall)
-	}
-	recordMetric("events", float64(res.Events))
-	recordMetric("single_run_wall_s", wall)
-	fmt.Printf("single cell: %.0f virtual s in %.3f wall s  =>  %.0f virtual_s/wall_s, %d events\n",
-		virtual, wall, virtual/wall, res.Events)
-
-	const sweepCells = 4
-	cells := make([]harness.Scenario, sweepCells)
-	for i := range cells {
-		cells[i] = sc
-	}
-	start = time.Now()
-	harness.RunMany(cells)
-	sweepWall := time.Since(start).Seconds()
-	if sweepWall > 0 {
-		recordMetric("sweep_cells", sweepCells)
-		recordMetric("sweep_wall_s", sweepWall)
-		recordMetric("sweep_speedup_vs_serial", sweepCells*wall/sweepWall)
-	}
-	fmt.Printf("%d-cell sweep on %d workers: %.3f wall s (%.2fx vs serial estimate)\n",
-		sweepCells, harness.Workers(), sweepWall, sweepCells*wall/sweepWall)
-
-	// Intra-run parallel PDES probe (DESIGN.md §12): the S=8 scale_tput
-	// cell — eight shards, so eight partition queues — at IntraWorkers 1
-	// versus NumCPU inside ONE run. Byte-identity of the two fingerprints
-	// is machine-independent and gated by benchgate on every artifact that
-	// records it; the speedup depends on real cores and is recorded for
-	// the perf trajectory only on multi-core hosts (with one core both
-	// runs are IW=1 and the ratio is noise).
-	cells, err := harness.EntryScenarios("scale_tput", scale)
-	if err != nil || len(cells) < 4 {
-		fmt.Fprintf(os.Stderr, "intra probe: scale_tput cells unavailable: %v\n", err)
-		return
-	}
-	psc := cells[3] // S=8
-	psc.IntraWorkers = 1
-	start = time.Now()
-	seq := harness.Run(psc)
-	seqWall := time.Since(start).Seconds()
-	iw := runtime.NumCPU()
-	psc.IntraWorkers = iw
-	start = time.Now()
-	par := harness.Run(psc)
-	parWall := time.Since(start).Seconds()
-	identical := bytes.Equal(harness.Fingerprint(seq), harness.Fingerprint(par))
-	recordMetric("intra_workers", float64(iw))
-	if identical {
-		recordMetric("intra_byte_identical", 1)
-	} else {
-		recordMetric("intra_byte_identical", 0)
-	}
-	recordMetric("intra_wall_iw1_s", seqWall)
-	recordMetric("intra_wall_iwn_s", parWall)
-	// With one core both runs use IW=1 and the ratio is pure timer noise;
-	// recording it would bake a meaningless floor into the committed
-	// baseline and flap benchgate's speedup comparison on the next one.
-	if iw > 1 && parWall > 0 {
-		recordMetric("intra_speedup", seqWall/parWall)
-	}
-	fmt.Printf("intra-run PDES probe (%s, S=8): IW=1 %.3f s, IW=%d %.3f s, speedup %.2fx, byte-identical=%v\n",
-		psc.Name, seqWall, iw, parWall, seqWall/parWall, identical)
-	if !identical {
-		fmt.Fprintln(os.Stderr, "intra probe: IntraWorkers changed the result — the PDES equivalence contract is broken")
-		os.Exit(1)
-	}
-
-	// Mesh transport probe (DESIGN.md §13): the mesh_vs_broadcast pair — the
-	// same n=50 workload on the flat broadcast transport and on the fanout-8
-	// gossip mesh. Messages per committed element are deterministic, so the
-	// committed baseline pins the Θ(n²)→O(n·fanout) reduction and benchgate
-	// fails any artifact where the mesh stops clearing 2x.
-	mcells, err := harness.EntryScenarios("mesh_vs_broadcast", scale)
-	if err != nil || len(mcells) != 2 {
-		fmt.Fprintf(os.Stderr, "mesh probe: mesh_vs_broadcast cells unavailable: %v\n", err)
-		return
-	}
-	bres, mres := harness.Run(mcells[0]), harness.Run(mcells[1])
-	if bres.Committed == 0 || mres.Committed == 0 {
-		fmt.Fprintf(os.Stderr, "mesh probe: no commits (broadcast %d, mesh %d) — metrics not recorded\n",
-			bres.Committed, mres.Committed)
-		return
-	}
-	bper := float64(bres.NetMsgs) / float64(bres.Committed)
-	mper := float64(mres.NetMsgs) / float64(mres.Committed)
-	recordMetric("bcast_msgs_per_commit", bper)
-	recordMetric("mesh_msgs_per_commit", mper)
-	recordMetric("mesh_msgs_ratio", mper/bper)
-	fmt.Printf("mesh probe (n=50): broadcast %.1f msgs/commit, mesh f=%d %.1f msgs/commit, ratio %.3f\n",
-		bper, mcells[1].Fanout, mper, mper/bper)
-}
-
-func runTable1(float64) {
+func renderTable1(w io.Writer, _ spec.Entry, _ []*harness.Result) {
 	g := harness.PaperGrid()
 	t := &textplot.Table{
 		Title:   "Table 1: Parameters for Setchain evaluation",
@@ -625,7 +510,7 @@ func runTable1(float64) {
 	t.AddRow("collector_limit", "Collector size (el)", joinI(g.Collectors))
 	t.AddRow("server_count", "Number of servers", joinI(g.ServerCounts))
 	t.AddRow("network_delay", "Delay increase (ms)", joinD(g.NetworkDelays))
-	fmt.Print(t.Render())
+	fmt.Fprint(w, t.Render())
 }
 
 func joinF(vs []float64) string {
@@ -652,57 +537,63 @@ func joinD(vs []time.Duration) string {
 	return strings.Join(p, ", ")
 }
 
-func runTable2(scale float64) {
+// renderTable2 prints one row per Fig. 1 cell; a cell's Group is its panel.
+func renderTable2(w io.Writer, e spec.Entry, results []*harness.Result) {
 	t := &textplot.Table{
 		Title: "Table 2: Throughput comparison (avg to end of sending) for Fig. 1\n" +
 			"paper:  left  V=171  C=996  H=4183 | center C=571 H=2540 | right C=743 H=7369",
 		Headers: []string{"Panel", "Algorithm", "Measured el/s", "Analytical el/s"},
 	}
-	var all []*harness.Result
-	for _, panel := range harness.Fig1Panels() {
-		for _, res := range harness.RunFig1Panel(panel, scale) {
-			all = append(all, res)
-			t.AddRow(panel.Name, res.Scenario.Spec.Label(),
-				fmt.Sprintf("%.0f", res.AvgTput), fmt.Sprintf("%.0f", res.Analytical))
-		}
+	for i, res := range results {
+		t.AddRow(e.Cells[i].Group, res.Scenario.Spec.Label(),
+			fmt.Sprintf("%.0f", res.AvgTput), fmt.Sprintf("%.0f", res.Analytical))
 	}
-	captureCells(spec.MustGet("table2").Cells, all)
-	fmt.Print(t.Render())
+	fmt.Fprint(w, t.Render())
 }
 
-func runFig1(scale float64) {
-	var all []*harness.Result
-	for _, panel := range harness.Fig1Panels() {
-		results := harness.RunFig1Panel(panel, scale)
-		all = append(all, results...)
+// seriesXY splits a result's throughput curve into plot coordinates.
+func seriesXY(res *harness.Result) (xs, ys []float64) {
+	for _, pt := range res.Series {
+		xs = append(xs, pt.Time.Seconds())
+		ys = append(ys, pt.Rate)
+	}
+	return xs, ys
+}
+
+// renderFig1 plots one panel per run of consecutive cells sharing a Group.
+// A panel's title takes its rate from the results (the rate that ran, scale
+// applied) and its collector size from the largest among its variants
+// (Vanilla has none).
+func renderFig1(w io.Writer, e spec.Entry, results []*harness.Result) {
+	for lo := 0; lo < len(results); {
+		hi := lo + 1
+		for hi < len(results) && e.Cells[hi].Group == e.Cells[lo].Group {
+			hi++
+		}
+		panel := results[lo:hi]
+		collector := 0
+		for _, res := range panel {
+			collector = max(collector, res.Scenario.Spec.Collector)
+		}
 		p := &textplot.LinePlot{
 			Title: fmt.Sprintf("Fig. 1 (%s): throughput over time — rate %.0f el/s, c=%d, 10 servers",
-				panel.Name, panel.Rate*scale, panel.Collector),
+				e.Cells[lo].Group, panel[0].Scenario.Rate, collector),
 			XLabel: "time (s)", YLabel: "el/s (9 s rolling avg)",
 			LogY:   true,
 			HLines: map[string]float64{},
 		}
-		for _, res := range results {
-			var xs, ys []float64
-			for _, pt := range res.Series {
-				xs = append(xs, pt.Time.Seconds())
-				ys = append(ys, pt.Rate)
-			}
+		for _, res := range panel {
+			xs, ys := seriesXY(res)
 			p.Add(res.Scenario.Spec.Label(), xs, ys)
-			bound := res.Analytical
-			if res.Scenario.Rate < bound {
-				bound = res.Scenario.Rate
-			}
-			p.HLines["min(rate,analytic) "+res.Scenario.Spec.Label()] = bound
+			p.HLines["min(rate,analytic) "+res.Scenario.Spec.Label()] = min(res.Scenario.Rate, res.Analytical)
 		}
-		fmt.Print(p.Render())
-		fmt.Println()
+		fmt.Fprint(w, p.Render())
+		fmt.Fprintln(w)
+		lo = hi
 	}
-	captureCells(spec.MustGet("fig1").Cells, all)
 }
 
-func runFig2Left(scale float64) {
-	results := harness.RunLimitStudy(scale)
+func renderFig2Left(w io.Writer, e spec.Entry, results []*harness.Result) {
 	p := &textplot.LinePlot{
 		Title: "Fig. 2 (left): highest throughput, c=500, 10 servers\n" +
 			"paper: Hashchain w/ reversal avg 20,061 el/s; Hashchain Light avg 133,882 el/s",
@@ -710,26 +601,19 @@ func runFig2Left(scale float64) {
 		LogY: true,
 	}
 	t := &textplot.Table{Headers: []string{"Variant", "Sending el/s", "Avg to send-end el/s", "Analytical el/s"}}
-	var all []*harness.Result
-	for _, lr := range results {
-		res := lr.Result
-		all = append(all, res)
-		var xs, ys []float64
-		for _, pt := range res.Series {
-			xs = append(xs, pt.Time.Seconds())
-			ys = append(ys, pt.Rate)
-		}
-		p.Add(lr.Label, xs, ys)
-		t.AddRow(lr.Label, fmt.Sprintf("%.0f", res.Scenario.Rate),
+	for i, res := range results {
+		label := e.Cells[i].Label()
+		xs, ys := seriesXY(res)
+		p.Add(label, xs, ys)
+		t.AddRow(label, fmt.Sprintf("%.0f", res.Scenario.Rate),
 			fmt.Sprintf("%.0f", res.AvgTput), fmt.Sprintf("%.0f", res.Analytical))
 	}
-	captureCells(spec.MustGet("fig2left").Cells, all)
-	fmt.Print(p.Render())
-	fmt.Println()
-	fmt.Print(t.Render())
+	fmt.Fprint(w, p.Render())
+	fmt.Fprintln(w)
+	fmt.Fprint(w, t.Render())
 }
 
-func runFig2Right(float64) {
+func renderFig2Right(w io.Writer, _ spec.Entry, _ []*harness.Result) {
 	sweep := analysis.BlockSizeSweep()
 	p := &textplot.LinePlot{
 		Title:  "Fig. 2 (right): analytical throughput vs block size (c=500)",
@@ -746,106 +630,78 @@ func runFig2Right(float64) {
 	p.Add("Vanilla", xs, v)
 	p.Add("Compresschain", xs, c)
 	p.Add("Hashchain", xs, h)
-	fmt.Print(p.Render())
+	fmt.Fprint(w, p.Render())
 	t := &textplot.Table{Headers: []string{"Block MB", "Vanilla", "Compresschain", "Hashchain"}}
 	for _, pt := range sweep {
 		t.AddRow(fmt.Sprintf("%g", pt.BlockMB), fmt.Sprintf("%.0f", pt.Vanilla),
 			fmt.Sprintf("%.0f", pt.Compresschain), fmt.Sprintf("%.0f", pt.Hashchain))
 	}
-	fmt.Println()
-	fmt.Print(t.Render())
+	fmt.Fprintln(w)
+	fmt.Fprint(w, t.Render())
 }
 
-func effChart(title string, cells []harness.EfficiencyCell) {
+// effChart renders a Fig. 3 grid: one bar group per Group (the varied
+// parameter's value), three efficiency checkpoints per variant.
+func effChart(w io.Writer, e spec.Entry, results []*harness.Result) {
 	groups := map[string]*textplot.BarGroup{}
 	var order []string
-	for _, c := range cells {
-		g, ok := groups[c.Param]
+	for i, res := range results {
+		param, label := e.Cells[i].Group, res.Scenario.Spec.Label()
+		g, ok := groups[param]
 		if !ok {
-			g = &textplot.BarGroup{Label: c.Param}
-			groups[c.Param] = g
-			order = append(order, c.Param)
+			g = &textplot.BarGroup{Label: param}
+			groups[param] = g
+			order = append(order, param)
 		}
 		g.Bars = append(g.Bars,
-			textplot.Bar{Name: c.Spec.Label() + " @send-end", Value: c.Result.Eff50},
-			textplot.Bar{Name: c.Spec.Label() + " @1.5x", Value: c.Result.Eff75},
-			textplot.Bar{Name: c.Spec.Label() + " @2.0x", Value: c.Result.Eff100},
+			textplot.Bar{Name: label + " @send-end", Value: res.Eff50},
+			textplot.Bar{Name: label + " @1.5x", Value: res.Eff75},
+			textplot.Bar{Name: label + " @2.0x", Value: res.Eff100},
 		)
 	}
-	chart := &textplot.BarChart{Title: title, Max: 1}
+	chart := &textplot.BarChart{Title: gridTitles[e.Name], Max: 1}
 	for _, name := range order {
 		chart.Group = append(chart.Group, *groups[name])
 	}
-	fmt.Print(chart.Render())
+	fmt.Fprint(w, chart.Render())
 }
 
-// captureEff records a Fig. 3/5-style grid's cells into the current
-// -artifact experiment.
-func captureEff(name string, cells []harness.EfficiencyCell) {
-	rs := make([]*harness.Result, len(cells))
-	for i, c := range cells {
-		rs[i] = c.Result
-	}
-	captureCells(spec.MustGet(name).Cells, rs)
-}
-
-func runFig3a(scale float64) {
-	cells := harness.RunEfficiencyVsRate(scale)
-	captureEff("fig3a", cells)
-	effChart("Fig. 3a: efficiency vs sending rate (10 servers, no delay)", cells)
-}
-
-func runFig3b(scale float64) {
-	cells := harness.RunEfficiencyVsServers(scale)
-	captureEff("fig3b", cells)
-	effChart("Fig. 3b: efficiency vs number of servers (10,000 el/s, no delay)", cells)
-}
-
-func runFig3c(scale float64) {
-	cells := harness.RunEfficiencyVsDelay(scale)
-	captureEff("fig3c", cells)
-	effChart("Fig. 3c: efficiency vs network delay (10 servers, 10,000 el/s)", cells)
-}
-
-func runFig4(scale float64) {
-	curves := harness.RunLatencyStudy(scale)
-	rs := make([]*harness.Result, len(curves))
-	for i, lc := range curves {
-		rs[i] = lc.Result
-	}
-	captureCells(spec.MustGet("fig4").Cells, rs)
-	for _, lc := range curves {
+func renderFig4(w io.Writer, _ spec.Entry, results []*harness.Result) {
+	for _, res := range results {
 		data := map[string][]float64{}
 		reach := map[string]float64{}
 		for st := metrics.StageFirstMempool; st <= metrics.StageCommitted; st++ {
+			lats, frac := res.Recorder.LatencyCDF(st)
 			var xs []float64
-			for _, d := range lc.Stages[st] {
+			for _, d := range lats {
 				xs = append(xs, d.Seconds())
 			}
 			data[st.String()] = xs
-			reach[st.String()] = lc.Reach[st]
+			reach[st.String()] = frac
 		}
-		fmt.Print(textplot.CDF(
+		fmt.Fprint(w, textplot.CDF(
 			fmt.Sprintf("Fig. 4 (%s): latency CDF to five stages — 10 servers, 1250 el/s, c=100",
-				lc.Spec.Label()),
+				res.Scenario.Spec.Label()),
 			72, 18, data, reach))
-		commit := lc.Stages[metrics.StageCommitted]
-		fmt.Printf("  commit latency: p50=%v p95=%v p99=%v (paper: finality < 4 s w.p. ~1)\n\n",
+		commit, _ := res.Recorder.LatencyCDF(metrics.StageCommitted)
+		fmt.Fprintf(w, "  commit latency: p50=%v p95=%v p99=%v (paper: finality < 4 s w.p. ~1)\n\n",
 			metrics.LatencyQuantile(commit, 0.50).Round(time.Millisecond),
 			metrics.LatencyQuantile(commit, 0.95).Round(time.Millisecond),
 			metrics.LatencyQuantile(commit, 0.99).Round(time.Millisecond))
 	}
 }
 
-func commitChart(title string, cells []harness.EfficiencyCell) {
+// commitChart renders a Fig. 5 grid: the time each fraction of the added
+// elements had committed, one row per cell.
+func commitChart(w io.Writer, e spec.Entry, results []*harness.Result) {
 	t := &textplot.Table{
-		Title:   title,
+		Title:   gridTitles[e.Name],
 		Headers: []string{"Scenario", "Variant", "first", "10%", "20%", "30%", "40%", "50%"},
 	}
-	for _, c := range cells {
-		row := []string{c.Param, c.Spec.Label()}
+	for i, res := range results {
+		row := []string{e.Cells[i].Group, res.Scenario.Spec.Label()}
 		for _, pct := range []int{0, 10, 20, 30, 40, 50} {
-			if tm, ok := c.Result.CommitFrac[pct]; ok {
+			if tm, ok := res.CommitFrac[pct]; ok {
 				row = append(row, fmt.Sprintf("%.0fs", tm.Seconds()))
 			} else {
 				row = append(row, "-")
@@ -853,28 +709,10 @@ func commitChart(title string, cells []harness.EfficiencyCell) {
 		}
 		t.AddRow(row...)
 	}
-	fmt.Print(t.Render())
+	fmt.Fprint(w, t.Render())
 }
 
-func runFig5a(scale float64) {
-	cells := harness.RunCommitTimeStudy(harness.CommitVsRate, scale)
-	captureEff("fig5a", cells)
-	commitChart("Fig. 5a: commit times vs sending rate (10 servers, no delay)", cells)
-}
-
-func runFig5b(scale float64) {
-	cells := harness.RunCommitTimeStudy(harness.CommitVsServers, scale)
-	captureEff("fig5b", cells)
-	commitChart("Fig. 5b: commit times vs number of servers (10,000 el/s)", cells)
-}
-
-func runFig5c(scale float64) {
-	cells := harness.RunCommitTimeStudy(harness.CommitVsDelay, scale)
-	captureEff("fig5c", cells)
-	commitChart("Fig. 5c: commit times vs network delay (10 servers, 10,000 el/s)", cells)
-}
-
-func runD1(float64) {
+func renderD1(w io.Writer, _ spec.Entry, _ []*harness.Result) {
 	t := &textplot.Table{
 		Title: "Appendix D.1: analytical throughput (n=10, C=0.5 MiB, R=0.8 b/s, le=438, lp=lh=139)\n" +
 			"paper: Tv≈955, Tc[100]≈2497, Tc[500]≈3330, Th[100]≈27157, Th[500]≈147857",
@@ -889,10 +727,10 @@ func runD1(float64) {
 		}
 		t.AddRow(r.Label, c, fmt.Sprintf("%.0f", r.Throughput))
 	}
-	fmt.Print(t.Render())
+	fmt.Fprint(w, t.Render())
 	p := analysis.PaperParams()
 	p.CollectorSize = 500
-	fmt.Printf("\nheadline ratios: Th[500]/Tv = %.0f (paper ~155), Th[500]/Tc[500] = %.0f (paper ~44)\n",
+	fmt.Fprintf(w, "\nheadline ratios: Th[500]/Tv = %.0f (paper ~155), Th[500]/Tc[500] = %.0f (paper ~44)\n",
 		analysis.HashchainThroughput(p)/analysis.VanillaThroughput(p),
 		analysis.HashchainThroughput(p)/analysis.CompresschainThroughput(p))
 }

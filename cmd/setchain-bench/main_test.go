@@ -89,18 +89,29 @@ func TestScaleFlagIsValidated(t *testing.T) {
 	}
 }
 
-// The runner map must stay aligned with the registry: a runner keyed by a
-// name the registry does not know is unreachable, and an analytic entry
-// (no cells) without a figure-specific runner could never execute.
+// The renderer map must stay aligned with the registry: a renderer keyed by
+// a name the registry does not know is unreachable, an analytic entry (no
+// cells) without one would print an empty results table, and an analytic
+// entry has nothing for -matrix to expand.
 func TestRunnersAlignWithRegistry(t *testing.T) {
-	for name := range runners {
+	for name := range renderers {
 		if _, ok := spec.Get(name); !ok {
-			t.Errorf("runner %q has no registry entry", name)
+			t.Errorf("renderer %q has no registry entry", name)
 		}
 	}
 	for _, e := range spec.All() {
-		if _, ok := runners[e.Name]; !ok && len(e.Cells) == 0 {
-			t.Errorf("analytic entry %q has neither cells nor a runner", e.Name)
+		if len(e.Cells) > 0 {
+			continue
+		}
+		if _, ok := renderers[e.Name]; !ok {
+			t.Errorf("analytic entry %q has neither cells nor a renderer", e.Name)
+		}
+		stdout, stderr, exit := runBench(t, "-exp "+e.Name+" -matrix servers=4,7")
+		if exit != 2 || !strings.Contains(stderr, "is analytic") {
+			t.Errorf("-exp %s -matrix: exit %d, stderr %q; want 2 and the analytic-entry message", e.Name, exit, stderr)
+		}
+		if strings.Contains(strings.TrimSpace(stdout), "\n") {
+			t.Errorf("-exp %s -matrix printed more than the header line:\n%s", e.Name, stdout)
 		}
 	}
 }

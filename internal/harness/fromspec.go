@@ -16,8 +16,7 @@ import (
 
 // This file maps the declarative spec layer (internal/spec, DESIGN.md §7)
 // onto the executor's types: a ScenarioSpec — hand-written JSON or a
-// registry cell — becomes a Scenario, and the study functions become thin
-// expansions of registry entries through these helpers.
+// registry cell — becomes a Scenario, and RunSpecs runs a whole cell list.
 
 // ParseAlgorithm maps a spec algorithm name onto the core constant.
 func ParseAlgorithm(name string) (core.Algorithm, error) {
@@ -164,9 +163,8 @@ func nodeGroups(groups [][]int) [][]wire.NodeID {
 
 // FromSpecScaled converts the spec and applies a run-time scale factor on
 // top of the spec's own: Scale multiplies (shrinking rate and send window
-// at run time), and an explicitly-set horizon shrinks with it — exactly
-// the scaling rule the study functions have always used. scale 0 means 1;
-// a negative or non-finite scale is an error.
+// at run time), and an explicitly-set horizon shrinks with it. scale 0
+// means 1; a negative or non-finite scale is an error.
 func FromSpecScaled(sp spec.ScenarioSpec, scale float64) (Scenario, error) {
 	if err := spec.CheckScale(scale); err != nil {
 		return Scenario{}, err
@@ -175,7 +173,9 @@ func FromSpecScaled(sp spec.ScenarioSpec, scale float64) (Scenario, error) {
 	if err != nil {
 		return Scenario{}, err
 	}
-	scale = scaleOr1(scale)
+	if scale == 0 {
+		scale = 1
+	}
 	sc.Scale *= scale
 	if sc.Horizon != 0 {
 		sc.Horizon = time.Duration(float64(sc.Horizon) * scale)
@@ -208,17 +208,6 @@ func EntryScenarios(name string, scale float64) ([]Scenario, error) {
 		return nil, fmt.Errorf("entry %q is analytic: it has no simulation cells", name)
 	}
 	return FromSpecs(e.Cells, scale)
-}
-
-// mustEntryScenarios expands a compile-time-known registry entry; every
-// registered cell validates (Register panics otherwise), so conversion
-// cannot fail.
-func mustEntryScenarios(name string, scale float64) []Scenario {
-	scs, err := EntryScenarios(name, scale)
-	if err != nil {
-		panic(fmt.Sprintf("harness: registry entry %q: %v", name, err))
-	}
-	return scs
 }
 
 // RunSpecs converts and executes a scenario document on the worker pool,

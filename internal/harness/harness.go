@@ -4,9 +4,9 @@
 // (Fig. 2 left), efficiency bars (Fig. 3), latency CDFs (Fig. 4), the
 // Table 2 averages and the Appendix F commit-time charts (Fig. 5).
 //
-// Scenarios are data: the study functions expand entries of the
-// internal/spec registry into Scenario lists and fan them across the
-// RunMany worker pool. Every scenario, sharded or not, goes through the
+// Scenarios are data: RunSpecs converts the cells of an internal/spec
+// registry entry (or a scenario file) into Scenarios and fans them across
+// the RunMany worker pool. Every scenario, sharded or not, goes through the
 // one executor in this file (runScenario): it deploys max(Shards, 1)
 // Setchain instances with internal/shard, drives them, and harvests and
 // checks them in one loop. See DESIGN.md §2 (layering), §6 (the parallel

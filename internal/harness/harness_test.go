@@ -192,40 +192,46 @@ func TestFromSpecScaledValidatesScale(t *testing.T) {
 }
 
 func TestLatencyStudySmall(t *testing.T) {
-	curves := RunLatencyStudy(0.2)
-	if len(curves) != 3 {
-		t.Fatalf("curves = %d, want 3 algorithms", len(curves))
+	results, err := RunSpecs(spec.MustGet("fig4").Cells, 0.2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, lc := range curves {
+	if len(results) != 3 {
+		t.Fatalf("results = %d, want 3 algorithms", len(results))
+	}
+	stageLats := func(res *Result, st metrics.Stage) []time.Duration {
+		lats, _ := res.Recorder.LatencyCDF(st)
+		return lats
+	}
+	for _, res := range results {
+		label := res.Scenario.Spec.Label()
 		// Commit latency must be populated and the commit CDF must reach
 		// (nearly) everything at this low rate.
-		lats := lc.Stages[metrics.StageCommitted]
+		lats, reach := res.Recorder.LatencyCDF(metrics.StageCommitted)
 		if len(lats) == 0 {
-			t.Fatalf("%s: no commit latencies", lc.Spec.Label())
+			t.Fatalf("%s: no commit latencies", label)
 		}
-		if lc.Reach[metrics.StageCommitted] < 0.99 {
-			t.Fatalf("%s: commit CDF reaches only %.2f", lc.Spec.Label(),
-				lc.Reach[metrics.StageCommitted])
+		if reach < 0.99 {
+			t.Fatalf("%s: commit CDF reaches only %.2f", label, reach)
 		}
 		// Stage ordering: median first-mempool <= median ledger <= median
 		// committed.
 		med := func(st metrics.Stage) time.Duration {
-			return metrics.LatencyQuantile(lc.Stages[st], 0.5)
+			return metrics.LatencyQuantile(stageLats(res, st), 0.5)
 		}
 		if !(med(metrics.StageFirstMempool) <= med(metrics.StageLedger) &&
 			med(metrics.StageLedger) <= med(metrics.StageCommitted)) {
-			t.Fatalf("%s: stage medians out of order: %v %v %v", lc.Spec.Label(),
+			t.Fatalf("%s: stage medians out of order: %v %v %v", label,
 				med(metrics.StageFirstMempool), med(metrics.StageLedger),
 				med(metrics.StageCommitted))
 		}
 	}
 	// Commit latency below 4 s with probability ~1 for Compresschain and
 	// Hashchain (the paper's headline finality claim).
-	for _, lc := range curves[1:] {
-		lats := lc.Stages[metrics.StageCommitted]
-		p95 := metrics.LatencyQuantile(lats, 0.95)
+	for _, res := range results[1:] {
+		p95 := metrics.LatencyQuantile(stageLats(res, metrics.StageCommitted), 0.95)
 		if p95 > 6*time.Second {
-			t.Fatalf("%s: p95 commit latency %v, want within seconds", lc.Spec.Label(), p95)
+			t.Fatalf("%s: p95 commit latency %v, want within seconds", res.Scenario.Spec.Label(), p95)
 		}
 	}
 }
@@ -238,15 +244,39 @@ func TestPaperGridMatchesTable1(t *testing.T) {
 	}
 }
 
+// Fig. 1's cells form three panels by Group — (left) 5,000 el/s with all
+// three algorithms, (center) 10,000 el/s at c=100, (right) 10,000 el/s at
+// c=500 — and convert to scenarios with those parameters; Table 2 reads the
+// same cells.
 func TestFig1PanelsShape(t *testing.T) {
-	panels := Fig1Panels()
-	if len(panels) != 3 {
-		t.Fatalf("panels = %d, want 3", len(panels))
+	type cell struct {
+		Panel   string
+		Rate    float64
+		Spec    AlgSpec
+		Horizon time.Duration
 	}
-	if len(panels[0].Specs) != 3 {
-		t.Fatal("left panel must include all three algorithms")
+	want := []cell{
+		{"left", 5000, SpecVanilla, 350 * time.Second},
+		{"left", 5000, SpecCompress100, 350 * time.Second},
+		{"left", 5000, SpecHash100, 350 * time.Second},
+		{"center", 10000, SpecCompress100, 350 * time.Second},
+		{"center", 10000, SpecHash100, 350 * time.Second},
+		{"right", 10000, SpecCompress500, 250 * time.Second},
+		{"right", 10000, SpecHash500, 250 * time.Second},
 	}
-	if panels[1].Rate != 10000 || panels[2].Collector != 500 {
-		t.Fatal("panel parameters do not match Fig. 1")
+	cells := spec.MustGet("fig1").Cells
+	scs, err := FromSpecs(cells, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []cell
+	for i, sc := range scs {
+		got = append(got, cell{cells[i].Group, sc.Rate, sc.Spec, sc.Horizon})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Fig. 1 cells:\n got: %+v\nwant: %+v", got, want)
+	}
+	if !reflect.DeepEqual(spec.MustGet("table2").Cells, cells) {
+		t.Fatal("table2 cells diverged from fig1")
 	}
 }

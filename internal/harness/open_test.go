@@ -137,7 +137,11 @@ func TestOpenScenarioDeterminism(t *testing.T) {
 // safety holding and everything the gate admitted committing.
 func TestOpenRegistryEntries(t *testing.T) {
 	for _, entry := range []string{"open_ramp", "open_skew", "open_churn"} {
-		for _, res := range RunMany(mustEntryScenarios(entry, 0.1)) {
+		scs, err := EntryScenarios(entry, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range RunMany(scs) {
 			if res.Invariant != nil {
 				t.Errorf("%s %s: safety violated: %v", entry, res.Scenario.Name, res.Invariant)
 			}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -11,208 +10,12 @@ import (
 	"repro/internal/spec"
 )
 
-// This file pins the registry-expansion refactor: the scenario lists the
-// study functions now expand from internal/spec must match, cell for
-// cell, the hand-written lists the pre-registry implementations built
-// (reproduced below verbatim as legacy* fixtures), and running a spec
-// must produce metrics identical to the equivalent hand-built Scenario.
-
-// normalize strips presentation-only differences (the registry names
-// cells, the legacy code did not) and applies the run-time defaulting
-// both paths share.
-func normalize(scs []Scenario) []Scenario {
-	out := make([]Scenario, len(scs))
-	for i, sc := range scs {
-		sc = sc.withDefaults()
-		sc.Name = ""
-		out[i] = sc
-	}
-	return out
-}
-
-// legacyFig1Panels is the pre-registry Fig1Panels body.
-func legacyFig1Panels() []Fig1Panel {
-	return []Fig1Panel{
-		{
-			Name: "left", Rate: 5000, Collector: 100,
-			Specs: []AlgSpec{
-				SpecVanilla,
-				{Alg: core.Compresschain, Collector: 100},
-				{Alg: core.Hashchain, Collector: 100},
-			},
-			Horizon: 350 * time.Second,
-		},
-		{
-			Name: "center", Rate: 10000, Collector: 100,
-			Specs: []AlgSpec{
-				{Alg: core.Compresschain, Collector: 100},
-				{Alg: core.Hashchain, Collector: 100},
-			},
-			Horizon: 350 * time.Second,
-		},
-		{
-			Name: "right", Rate: 10000, Collector: 500,
-			Specs: []AlgSpec{
-				{Alg: core.Compresschain, Collector: 500},
-				{Alg: core.Hashchain, Collector: 500},
-			},
-			Horizon: 250 * time.Second,
-		},
-	}
-}
-
-// legacyLimitScenarios is the pre-registry RunLimitStudy cell list.
-func legacyLimitScenarios(scale float64) ([]string, []Scenario) {
-	scale = scaleOr1(scale)
-	type cell struct {
-		label string
-		spec  AlgSpec
-		rate  float64
-	}
-	cells := []cell{
-		{"Hashchain c=500 (hash-reversal on)", SpecHash500, 25000},
-		{"Hashchain Light c=500 (no hash-reversal)",
-			AlgSpec{Alg: core.Hashchain, Collector: 500, Light: true}, 150000},
-		{"Compresschain c=500", SpecCompress500, 25000},
-		{"Compresschain Light c=500",
-			AlgSpec{Alg: core.Compresschain, Collector: 500, Light: true}, 25000},
-		{"Vanilla", SpecVanilla, 5000},
-	}
-	labels := make([]string, len(cells))
-	scs := make([]Scenario, len(cells))
-	for i, c := range cells {
-		labels[i] = c.label
-		scs[i] = Scenario{
-			Spec:    c.spec,
-			Rate:    c.rate,
-			Horizon: time.Duration(90 * float64(time.Second) * scale),
-			Scale:   scale,
-		}
-	}
-	return labels, scs
-}
-
-// legacyEfficiencyScenarios rebuilds the pre-registry Fig. 3 grids.
-func legacyEfficiencyScenarios(dim string, scale float64) ([]Scenario, []string) {
-	var scs []Scenario
-	var params []string
-	switch dim {
-	case "rate":
-		for _, rate := range []float64{500, 1000, 5000, 10000} {
-			for _, spec := range EfficiencySpecs() {
-				scs = append(scs, Scenario{Spec: spec, Rate: rate, Scale: scale})
-				params = append(params, fmt.Sprintf("%.0f el/s", rate))
-			}
-		}
-	case "servers":
-		for _, n := range []int{4, 7, 10} {
-			for _, spec := range EfficiencySpecs() {
-				scs = append(scs, Scenario{Spec: spec, Rate: 10000, Servers: n, Scale: scale})
-				params = append(params, fmt.Sprintf("%d servers", n))
-			}
-		}
-	case "delay":
-		for _, delay := range []time.Duration{0, 30 * time.Millisecond, 100 * time.Millisecond} {
-			for _, spec := range EfficiencySpecs() {
-				scs = append(scs, Scenario{Spec: spec, Rate: 10000, NetworkDelay: delay, Scale: scale})
-				params = append(params, delay.String())
-			}
-		}
-	}
-	return scs, params
-}
-
-// legacyLatencyScenarios is the pre-registry RunLatencyStudy cell list.
-func legacyLatencyScenarios(scale float64) []Scenario {
-	specs := []AlgSpec{
-		SpecVanilla,
-		{Alg: core.Compresschain, Collector: 100},
-		{Alg: core.Hashchain, Collector: 100},
-	}
-	scs := make([]Scenario, len(specs))
-	for i, spec := range specs {
-		scs[i] = Scenario{
-			Spec:  spec,
-			Rate:  1250,
-			Level: metrics.LevelStages,
-			Scale: scale,
-		}
-	}
-	return scs
-}
-
-func TestRegistryExpansionMatchesLegacyStudies(t *testing.T) {
-	for _, scale := range []float64{0, 0.2, 1} {
-		got := Fig1Panels()
-		summaries := make([]Fig1Panel, len(got))
-		for i, p := range got {
-			p.Cells = nil // presentation summary only; cells checked below
-			summaries[i] = p
-		}
-		if want := legacyFig1Panels(); !reflect.DeepEqual(summaries, want) {
-			t.Fatalf("Fig1Panels diverged from legacy:\n got: %+v\nwant: %+v", summaries, want)
-		}
-		// The scenarios RunFig1Panel executes (built from registry cells)
-		// must match what the legacy summary-field construction built.
-		for i, p := range got {
-			legacy := legacyFig1Panels()[i]
-			var want []Scenario
-			for _, s := range legacy.Specs {
-				want = append(want, Scenario{
-					Spec:    s,
-					Rate:    legacy.Rate,
-					Horizon: time.Duration(float64(legacy.Horizon) * scaleOr1(scale)),
-					Scale:   scale,
-				})
-			}
-			if gotScs := normalize(panelScenarios(p, scale)); !reflect.DeepEqual(gotScs, normalize(want)) {
-				t.Fatalf("scale %v: panel %s scenarios diverged:\n got: %+v\nwant: %+v",
-					scale, p.Name, gotScs, normalize(want))
-			}
-		}
-
-		gotLabels := make([]string, 0, 5)
-		for _, c := range spec.MustGet("fig2left").Cells {
-			gotLabels = append(gotLabels, c.Label())
-		}
-		wantLabels, wantScs := legacyLimitScenarios(scale)
-		if !reflect.DeepEqual(gotLabels, wantLabels) {
-			t.Fatalf("fig2left labels diverged: %v vs %v", gotLabels, wantLabels)
-		}
-		if got := normalize(mustEntryScenarios("fig2left", scale)); !reflect.DeepEqual(got, normalize(wantScs)) {
-			t.Fatalf("scale %v: fig2left scenarios diverged:\n got: %+v\nwant: %+v",
-				scale, got, normalize(wantScs))
-		}
-
-		for entry, dim := range map[string]string{
-			"fig3a": "rate", "fig3b": "servers", "fig3c": "delay",
-			"fig5a": "rate", "fig5b": "servers", "fig5c": "delay",
-		} {
-			wantScs, wantParams := legacyEfficiencyScenarios(dim, scale)
-			got := normalize(mustEntryScenarios(entry, scale))
-			if !reflect.DeepEqual(got, normalize(wantScs)) {
-				t.Fatalf("scale %v: %s scenarios diverged from legacy %s grid:\n got: %+v\nwant: %+v",
-					scale, entry, dim, got, normalize(wantScs))
-			}
-			e := spec.MustGet(entry)
-			for i, c := range e.Cells {
-				if c.Group != wantParams[i] {
-					t.Fatalf("%s cell %d group = %q, want %q", entry, i, c.Group, wantParams[i])
-				}
-			}
-		}
-
-		if got := normalize(mustEntryScenarios("fig4", scale)); !reflect.DeepEqual(got, normalize(legacyLatencyScenarios(scale))) {
-			t.Fatalf("scale %v: fig4 scenarios diverged:\n got: %+v\nwant: %+v",
-				scale, got, normalize(legacyLatencyScenarios(scale)))
-		}
-	}
-
-	// table2 shares Fig. 1's cells; fig5 grids share Fig. 3's.
-	if !reflect.DeepEqual(spec.MustGet("table2").Cells, spec.MustGet("fig1").Cells) {
-		t.Fatal("table2 cells diverged from fig1")
-	}
-}
+// This file pins the spec layer to the executor: a scenario file and the
+// registry entry it mirrors run identically, FromSpec drops no field, and
+// a Byzantine spec runs like the hand-built Scenario it describes. (What
+// each registry cell is and measures is pinned by the generated
+// EXPERIMENTS.md and RESULTS.md, and cell 0 of every entry by
+// TestGoldenFingerprints.)
 
 // metricsOf projects a Result onto its measurement fields (everything
 // except the input scenario and the recorder handle).
@@ -249,10 +52,10 @@ func TestSpecFileMatchesRegistryFig4(t *testing.T) {
 	}
 }
 
-func TestSpecRunMatchesRegistryAndLegacyRun(t *testing.T) {
+func TestSpecRunMatchesRegistryRun(t *testing.T) {
 	// The acceptance check behind `setchain-bench -spec examples/specs/
-	// fig4.json`: running the file-loaded spec, the registry entry and a
-	// hand-built pre-refactor Scenario must yield identical metrics.
+	// fig4.json`: running the file-loaded spec and the registry entry must
+	// yield identical metrics.
 	const scale = 0.02
 	cells, err := spec.LoadFile("../../examples/specs/fig4.json")
 	if err != nil {
@@ -262,20 +65,18 @@ func TestSpecRunMatchesRegistryAndLegacyRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromRegistry := RunMany(mustEntryScenarios("fig4", scale))
-	fromLegacy := RunMany(legacyLatencyScenarios(scale))
+	fromRegistry, err := RunSpecs(spec.MustGet("fig4").Cells, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range fromFile {
 		if !reflect.DeepEqual(metricsOf(fromFile[i]), metricsOf(fromRegistry[i])) {
 			t.Fatalf("cell %d: spec-file metrics diverged from registry run:\nfile:     %+v\nregistry: %+v",
 				i, metricsOf(fromFile[i]), metricsOf(fromRegistry[i]))
 		}
-		if !reflect.DeepEqual(metricsOf(fromRegistry[i]), metricsOf(fromLegacy[i])) {
-			t.Fatalf("cell %d: registry metrics diverged from legacy hand-built run:\nregistry: %+v\nlegacy:   %+v",
-				i, metricsOf(fromRegistry[i]), metricsOf(fromLegacy[i]))
-		}
 		// Stage CDFs come from the recorder; spot-check the commit stage.
 		a, af := fromFile[i].Recorder.LatencyCDF(metrics.StageCommitted)
-		b, bf := fromLegacy[i].Recorder.LatencyCDF(metrics.StageCommitted)
+		b, bf := fromRegistry[i].Recorder.LatencyCDF(metrics.StageCommitted)
 		if !reflect.DeepEqual(a, b) || af != bf {
 			t.Fatalf("cell %d: commit-stage CDF diverged", i)
 		}

@@ -1,7 +1,6 @@
 // Package report turns study results into reviewable reproduction
 // evidence: a versioned machine-readable run artifact (results plus
-// provenance, the successor of the ad-hoc BENCH_*.json shapes) and a
-// deterministic Markdown report — per-experiment fidelity tables
+// provenance) and a deterministic Markdown report — per-experiment fidelity tables
 // comparing measured numbers against the registry's paper reference
 // values (internal/spec.Reference), unicode figures via
 // internal/textplot, and a provenance header. cmd/setchain-report
@@ -79,9 +78,6 @@ type ExperimentRecord struct {
 	// WallSeconds is the wall-clock cost of the whole experiment. Zero in
 	// deterministic artifacts (cmd/setchain-report strips it).
 	WallSeconds float64 `json:"wall_seconds,omitempty"`
-	// Metrics holds experiment-level measurements (the perf probe's
-	// virtual_s_per_wall_s family); cell measurements live on the cells.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Cells are the simulation runs, in the entry's cell order.
 	Cells []CellRecord `json:"cells,omitempty"`
 }

@@ -19,7 +19,6 @@ func sampleArtifact() *Artifact {
 		Experiments: []ExperimentRecord{{
 			Name:        "fig4",
 			WallSeconds: 1.25,
-			Metrics:     map[string]float64{"virtual_s_per_wall_s": 2002},
 			Cells: []CellRecord{{
 				Index: 0,
 				Label: "Hashchain c=100",

@@ -130,8 +130,8 @@ func renderProvenance(b *strings.Builder, paper, reduced *Artifact, opts Options
 	fmt.Fprintf(b, "| safety invariants | %s | %s |\n\n", safety(paper), safety(reduced))
 	b.WriteString("Measurements are virtual-time quantities: deterministic for a given\n")
 	b.WriteString("(code, seed, scale) triple and independent of the worker count, so no\n")
-	b.WriteString("wall-clock context appears in this file. Wall-clock numbers live in the\n")
-	b.WriteString("committed `BENCH_*.json` perf baselines (see the README's trajectory).\n\n")
+	b.WriteString("wall-clock context appears in this file. Wall-clock numbers come from the\n")
+	b.WriteString("benchmark, `bash bench/run.sh` (see bench/README.md).\n\n")
 }
 
 // renderFidelity writes one entry's measured-vs-expected table.

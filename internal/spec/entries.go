@@ -6,9 +6,8 @@ import (
 )
 
 // This file declares the paper's experiment catalog. Cell order inside an
-// entry is execution order and — for the entries the pre-registry study
-// functions covered — matches the order those functions built their
-// scenario lists in, which internal/harness's equivalence tests pin down.
+// entry is execution order, and the order cmd/setchain-bench's renderers
+// and the generated EXPERIMENTS.md and RESULTS.md list the cells in.
 
 // Variant constructors for the evaluation's standard legend entries.
 
@@ -350,20 +349,6 @@ func init() {
 			"Paper: Tv≈955, Tc[100]≈2,497, Tc[500]≈3,330, Th[100]≈27,157, " +
 			"Th[500]≈147,857 el/s. Analytic — no simulation runs.",
 	})
-	Register(Entry{
-		Name:   "perf",
-		Title:  "Simulator perf probe on the Fig. 4 workload",
-		Figure: "—",
-		Description: "Measures virtual seconds simulated per wall-clock second on " +
-			"the Fig. 4 Hashchain cell, plus a parallel sweep of that cell across " +
-			"the worker pool to expose executor scaling. Committed BENCH_*.json " +
-			"files track these numbers across changes.",
-		Cells: []ScenarioSpec{withRate(1250, hash(100))},
-		Refs: []Reference{
-			modelRef(0, MetricAvgTput, 1250, 0.1,
-				"rate-limited, not ceiling-limited: the probe must commit what it is sent"),
-		},
-	})
 	registerChaos()
 	registerScale()
 	registerSoak()
@@ -561,8 +546,7 @@ func registerMesh() {
 			"both transports: direct per-validator broadcast (cell 0) and the " +
 			"fanout-8 gossip mesh (cell 1). The mesh must commit the same workload " +
 			"with at most half the network messages per committed element — " +
-			"enforced by TestMeshMessageReduction and by the benchgate " +
-			"msgs_per_commit gate on every perf artifact.",
+			"enforced by TestMeshMessageReduction.",
 		Cells: []ScenarioSpec{
 			func() ScenarioSpec {
 				s := hash(100)
@@ -580,7 +564,7 @@ func registerMesh() {
 			repoRef(0, MetricMsgsPerCommit, 184.3, 0.3,
 				"broadcast at n=50: every proposal/vote/gossip batch costs n-1 sends"),
 			repoRef(1, MetricMsgsPerCommit, 58.1, 0.3,
-				"mesh f=8: a 3.2x reduction; must stay <= 0.5x the broadcast cell (benchgate-enforced)"),
+				"mesh f=8: a 3.2x reduction; must stay <= 0.5x the broadcast cell (TestMeshMessageReduction)"),
 		},
 	})
 	Register(Entry{

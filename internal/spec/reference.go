@@ -54,7 +54,7 @@ const (
 	// where the paper gives no measurement for a cell.
 	SourceModel = "model"
 	// SourceRepo is a regression anchor pinned from this repo's own
-	// paper-scale baseline, for entries beyond the paper (chaos_*, perf).
+	// paper-scale baseline, for entries beyond the paper (chaos_*, mesh_*).
 	SourceRepo = "repo"
 )
 

@@ -28,13 +28,12 @@ func TestRegistryEntriesAreDocumentedAndValid(t *testing.T) {
 }
 
 func TestRegistryCatalogShapes(t *testing.T) {
-	// The shapes the study functions rely on; see internal/harness for the
-	// full equivalence checks against the pre-registry implementations.
+	// The shapes cmd/setchain-bench's renderers rely on.
 	cases := map[string]int{
 		"fig1": 7, "table2": 7, "fig2left": 5,
 		"fig3a": 20, "fig3b": 15, "fig3c": 15,
 		"fig4": 3, "fig5a": 20, "fig5b": 15, "fig5c": 15,
-		"table1": 0, "fig2right": 0, "d1": 0, "perf": 1,
+		"table1": 0, "fig2right": 0, "d1": 0,
 	}
 	for name, want := range cases {
 		e, ok := Get(name)

@@ -3,8 +3,8 @@
 // algorithm variant, workload shape and rate, deployment size, network
 // latency/bandwidth, Byzantine faults, crypto fidelity and metric
 // granularity — with JSON encode/decode, validation and defaulting, plus
-// the named-experiment registry that the study functions in
-// internal/harness expand and cmd/specdoc renders into EXPERIMENTS.md.
+// the named-experiment registry that internal/harness runs cell by cell
+// and cmd/specdoc renders into EXPERIMENTS.md.
 // See DESIGN.md §7 (declarative scenarios and the experiment registry).
 //
 // The package is pure data: it imports nothing above the standard library,
