@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/spec"
 )
@@ -77,8 +78,9 @@ func TestFig1TitleTakesRateFromResults(t *testing.T) {
 	}}
 	var out strings.Builder
 	renderFig1(&out, e, []*harness.Result{
-		result(harness.SpecVanilla, 5000), result(harness.SpecHash100, 5000),
-		result(harness.SpecHash500, 10000),
+		result(harness.AlgSpec{Alg: core.Vanilla}, 5000),
+		result(harness.AlgSpec{Alg: core.Hashchain, Collector: 100}, 5000),
+		result(harness.AlgSpec{Alg: core.Hashchain, Collector: 500}, 10000),
 	})
 	for _, want := range []string{
 		"Fig. 1 (left): throughput over time — rate 5000 el/s, c=100, 10 servers",

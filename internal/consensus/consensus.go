@@ -243,9 +243,10 @@ const voteWireSize = 120
 // proposalOverhead is the proposal envelope beyond the block's tx bytes.
 const proposalOverhead = 200
 
-// Params configures the engine. Zero values take paper-calibrated defaults.
+// Params configures the engine. Build it from PaperParams and override
+// fields: NewNode uses every field as given and refuses the zero Params.
 type Params struct {
-	// MaxBlockBytes is the ledger block size C (paper default 0.5 MiB).
+	// MaxBlockBytes is the ledger block size C (PaperParams: 0.5 MiB).
 	MaxBlockBytes int
 	// TimeoutCommit is CometBFT's post-commit wait before starting the
 	// next height, so the inter-block interval is consensus latency +
@@ -263,7 +264,7 @@ type Params struct {
 	// TimeoutDelta is the per-round escalation added to each timeout.
 	TimeoutDelta time.Duration
 	// SyncChunkBytes is the fixed chunk size of state-sync snapshot
-	// transfers (default 64 KiB). Snapshots ship as ceil(Bytes/chunk)
+	// transfers (PaperParams: 64 KiB). Snapshots ship as ceil(Bytes/chunk)
 	// envelopes, each charged through netsim individually.
 	SyncChunkBytes int
 }
@@ -280,32 +281,6 @@ func PaperParams() Params {
 		TimeoutDelta:     500 * time.Millisecond,
 		SyncChunkBytes:   64 * 1024,
 	}
-}
-
-func (p Params) withDefaults() Params {
-	d := PaperParams()
-	if p.MaxBlockBytes == 0 {
-		p.MaxBlockBytes = d.MaxBlockBytes
-	}
-	if p.TimeoutCommit == 0 {
-		p.TimeoutCommit = d.TimeoutCommit
-	}
-	if p.TimeoutPropose == 0 {
-		p.TimeoutPropose = d.TimeoutPropose
-	}
-	if p.TimeoutPrevote == 0 {
-		p.TimeoutPrevote = d.TimeoutPrevote
-	}
-	if p.TimeoutPrecommit == 0 {
-		p.TimeoutPrecommit = d.TimeoutPrecommit
-	}
-	if p.TimeoutDelta == 0 {
-		p.TimeoutDelta = d.TimeoutDelta
-	}
-	if p.SyncChunkBytes == 0 {
-		p.SyncChunkBytes = d.SyncChunkBytes
-	}
-	return p
 }
 
 // ProposalMutator lets a Byzantine validator rewrite the transactions of
@@ -489,6 +464,9 @@ type Node struct {
 func NewNode(id wire.NodeID, validators []wire.NodeID, s *sim.Simulator, net *netsim.Network,
 	params Params, suite setcrypto.Suite, key setcrypto.KeyPair, registry *setcrypto.Registry,
 	pool *mempool.Mempool, app abci.Application) *Node {
+	if params == (Params{}) {
+		panic("consensus: zero Params; start from consensus.PaperParams()")
+	}
 	if app == nil {
 		app = abci.NopApplication{}
 	}
@@ -499,7 +477,7 @@ func NewNode(id wire.NodeID, validators []wire.NodeID, s *sim.Simulator, net *ne
 		validators:     append([]wire.NodeID(nil), validators...),
 		sim:            s,
 		net:            net,
-		params:         params.withDefaults(),
+		params:         params,
 		suite:          suite,
 		key:            key,
 		registry:       registry,
@@ -555,7 +533,7 @@ func (n *Node) SetRetainHorizon(h uint64) {
 	n.chainBase = h
 }
 
-// Params returns the node's effective (defaulted) parameters.
+// Params returns the node's parameters.
 func (n *Node) Params() Params { return n.params }
 
 // Quorum returns the 2f+1 vote threshold for the validator set.

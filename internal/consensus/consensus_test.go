@@ -17,11 +17,9 @@ import (
 func newCluster(t *testing.T, n int, seed int64) (*sim.Simulator, *ledger.Cluster) {
 	t.Helper()
 	s := sim.New(seed)
-	c := ledger.NewCluster(s, ledger.Config{
-		N:   n,
-		Net: netsim.DefaultLANConfig(),
-	})
-	return s, c
+	cfg := ledger.PaperConfig()
+	cfg.N = n
+	return s, ledger.NewCluster(s, cfg)
 }
 
 func elemTx(i int, size int) *wire.Tx {
@@ -104,9 +102,10 @@ func TestChainsConsistentUnderLoad(t *testing.T) {
 
 func TestBlockSizeLimitRespected(t *testing.T) {
 	s := sim.New(4)
-	params := consensus.PaperParams()
-	params.MaxBlockBytes = 2000
-	c := ledger.NewCluster(s, ledger.Config{N: 4, Net: netsim.DefaultLANConfig(), Consensus: params})
+	cfg := ledger.PaperConfig()
+	cfg.N = 4
+	cfg.Consensus.MaxBlockBytes = 2000
+	c := ledger.NewCluster(s, cfg)
 	c.Start()
 	s.After(0, func() {
 		for i := 0; i < 50; i++ {
@@ -264,8 +263,7 @@ func TestQuorumThresholds(t *testing.T) {
 	for _, tc := range []struct{ n, want int }{
 		{1, 1}, {4, 3}, {7, 5}, {10, 7},
 	} {
-		s := sim.New(1)
-		c := ledger.NewCluster(s, ledger.Config{N: tc.n})
+		_, c := newCluster(t, tc.n, 1)
 		if got := c.Nodes[0].Cons.Quorum(); got != tc.want {
 			t.Fatalf("n=%d quorum=%d, want %d", tc.n, got, tc.want)
 		}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/ledger"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -37,8 +36,8 @@ func (s *Server) EagerSyncMaps() (map[wire.ElementID]uint64, map[wire.ElementID]
 // only thing that varies between two calls is how much state the seal
 // happens on top of.
 func sealAllocBytes(elements int) uint64 {
-	d := Deploy(sim.New(1), 4, ledger.Config{Net: netsim.DefaultLANConfig()},
-		Options{Algorithm: Hashchain, CheckpointInterval: 2, Prune: true}, nil)
+	d := Deploy(sim.New(1), 4, ledger.PaperConfig(),
+		Options{Algorithm: Hashchain, CollectorLimit: 100, F: 1, CheckpointInterval: 2, Prune: true}, nil)
 	srv, cl := d.Servers[0], d.Clients[0]
 	epochs := func(count, size int) {
 		for i := 0; i < count; i++ {
@@ -104,8 +103,8 @@ func (s *Server) PendingSigners() map[wire.Digest][]wire.NodeID {
 // show.
 func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 	s := sim.New(5)
-	d := Deploy(s, 4, ledger.Config{Net: netsim.DefaultLANConfig()}, Options{
-		Algorithm: Hashchain, CollectorLimit: 10, CheckpointInterval: 2, Prune: true,
+	d := Deploy(s, 4, ledger.PaperConfig(), Options{
+		Algorithm: Hashchain, CollectorLimit: 10, F: 1, CheckpointInterval: 2, Prune: true,
 	}, nil)
 	d.Start()
 	defer d.Stop()

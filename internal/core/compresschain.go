@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/collector"
+	"repro/internal/compressor"
 	"repro/internal/wire"
 )
 
@@ -40,14 +41,14 @@ func (c *compressAlg) flushBatch(b *wire.Batch) {
 	cb := &wire.CompressedBatch{Origin: s.id, Seq: c.seq}
 	c.seq++
 	if s.opts.Mode == Full {
-		blob, err := s.opts.Deflate.Compress(codec.EncodeBatch(b))
+		blob, err := compressor.Deflate{}.Compress(codec.EncodeBatch(b))
 		if err != nil {
 			return // cannot happen with flate on valid input
 		}
 		cb.Data = blob
 		cb.CompSize = len(blob)
 	} else {
-		cb.CompSize = s.opts.Ratio.CompressedSize(b.Len(), raw)
+		cb.CompSize = compressor.PaperRatioModel().CompressedSize(b.Len(), raw)
 		cb.Original = b
 	}
 	s.chargeCPU(time.Duration(raw)*s.opts.Costs.CompressPerByte + s.opts.Costs.PerBatch)
@@ -62,7 +63,7 @@ func (c *compressAlg) flushBatch(b *wire.Batch) {
 // if the blob is corrupt (a Byzantine server's garbage).
 func (c *compressAlg) decode(cb *wire.CompressedBatch) *wire.Batch {
 	if c.s.opts.Mode == Full {
-		data, err := c.s.opts.Deflate.Decompress(cb.Data)
+		data, err := compressor.Deflate{}.Decompress(cb.Data)
 		if err != nil {
 			return nil
 		}

@@ -7,21 +7,20 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ledger"
-	"repro/internal/netsim"
 	"repro/internal/setcrypto"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
-// deployFull builds an n-server Full-mode deployment with real ed25519 and
-// a LAN network.
+// deployFull builds an n-server Full-mode deployment tolerating the most
+// faults n allows, with real ed25519 and the evaluation's ledger.
 func deployFull(seed int64, n int, opts core.Options) (*sim.Simulator, *core.Deployment) {
 	s := sim.New(seed)
 	opts.Mode = core.Full
-	d := core.Deploy(s, n, ledger.Config{
-		Net:   netsim.DefaultLANConfig(),
-		Suite: setcrypto.Ed25519Suite{},
-	}, opts, nil)
+	opts.F = (n - 1) / 2
+	lcfg := ledger.PaperConfig()
+	lcfg.Suite = setcrypto.Ed25519Suite{}
+	d := core.Deploy(s, n, lcfg, opts, nil)
 	d.Start()
 	return s, d
 }
@@ -49,7 +48,7 @@ func addElements(s *sim.Simulator, d *core.Deployment, count int) []wire.Element
 // 2/3/4/8 for the given element ids.
 func checkProperties(t *testing.T, d *core.Deployment, ids []wire.ElementID, expectLive bool) {
 	t.Helper()
-	f := d.F()
+	f := d.Opts.F
 	known := make(map[wire.ElementID]bool, len(ids))
 	for _, id := range ids {
 		known[id] = true
@@ -393,7 +392,7 @@ func TestByzantineCorruptProofsRejected(t *testing.T) {
 		// Correct servers alone still produce >= f+1 valid proofs, and the
 		// corrupt server's proofs never verify.
 		valid := cl.CountValidProofs(snap, ep.Number)
-		if valid < d.F()+1 {
+		if valid < d.Opts.F+1 {
 			t.Fatalf("epoch %d: %d valid proofs despite 3 correct servers", ep.Number, valid)
 		}
 		for signer, p := range snap.Proofs[ep.Number] {

@@ -29,7 +29,7 @@ func Deploy(s *sim.Simulator, n int, ledgerCfg ledger.Config, opts Options, rec 
 		ledgerCfg.OnTxEnterMempool = rec.TxEnteredMempool
 	}
 	lc := ledger.NewCluster(s, ledgerCfg)
-	opts = opts.withDefaults(n)
+	opts = opts.withTimeouts()
 	if opts.Algorithm == Hashchain && opts.Light && opts.SharedStore == nil {
 		opts.SharedStore = batchstore.New()
 	}
@@ -39,7 +39,7 @@ func Deploy(s *sim.Simulator, n int, ledgerCfg ledger.Config, opts Options, rec 
 		// node.Sim() is the partition queue owning this node in a
 		// partitioned run (ledger.Config.SimFor), the root simulator
 		// otherwise — the server's CPU resource and timers live there.
-		srv := NewServer(node, node.Sim(), n, lc.Suite, lc.Keys[i], lc.Registry, opts)
+		srv := newServer(node, node.Sim(), n, lc.Suite, lc.Keys[i], lc.Registry, opts)
 		if rec != nil {
 			srv.SetRecorder(rec)
 		}
@@ -88,6 +88,3 @@ func (d *Deployment) Drain() {
 		s.Drain()
 	}
 }
-
-// F returns the deployment's Setchain fault bound.
-func (d *Deployment) F() int { return d.Opts.F }

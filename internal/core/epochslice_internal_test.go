@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/ledger"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -63,7 +62,8 @@ func overlap(a, b []*wire.Element) bool {
 
 // quiet deploys n servers of one algorithm whose ledger is never started.
 func quiet(alg Algorithm, n int) *Deployment {
-	return Deploy(sim.New(1), n, ledger.Config{Net: netsim.DefaultLANConfig()}, Options{Algorithm: alg}, nil)
+	return Deploy(sim.New(1), n, ledger.PaperConfig(),
+		Options{Algorithm: alg, CollectorLimit: 100, F: (n - 1) / 2}, nil)
 }
 
 // A batch — or a block — that names one element twice commits it once: the
@@ -143,8 +143,8 @@ func TestBatchNamingAnElementTwiceCommitsItOnce(t *testing.T) {
 func drive(t *testing.T, opts Options, workers int, byzantine *Behavior, hook func(*wire.Tx)) *Deployment {
 	t.Helper()
 	const n = 4
-	opts.CollectorLimit = 10
-	lcfg := ledger.Config{Net: netsim.DefaultLANConfig()}
+	opts.CollectorLimit, opts.F = 10, 1
+	lcfg := ledger.PaperConfig()
 	if hook != nil {
 		lcfg.OnTxEnterMempool = func(_ wire.NodeID, tx *wire.Tx) { hook(tx) }
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/batchstore"
 	"repro/internal/ledger"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -16,8 +15,8 @@ import (
 // quietHashchain deploys n Hashchain servers whose ledger is never started:
 // nothing runs but what a test drives into one server by hand.
 func quietHashchain(n int, opts Options) (*Deployment, *hashchainAlg) {
-	opts.Algorithm = Hashchain
-	d := Deploy(sim.New(1), n, ledger.Config{Net: netsim.DefaultLANConfig()}, opts, nil)
+	opts.Algorithm, opts.CollectorLimit, opts.F = Hashchain, 100, (n-1)/2
+	d := Deploy(sim.New(1), n, ledger.PaperConfig(), opts, nil)
 	return d, d.Servers[0].alg.(*hashchainAlg)
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/batchstore"
-	"repro/internal/compressor"
 )
 
 // Algorithm selects which of the paper's three implementations a server
@@ -109,11 +108,14 @@ func PaperCostModel() CostModel {
 // IsZero reports whether no costs are charged.
 func (c CostModel) IsZero() bool { return c == CostModel{} }
 
-// Options configures a Setchain server.
+// Options configures a Setchain server. Deploy fills the three zero
+// timeouts and uses every other field as given: the entry points
+// (spec.WithDefaults and harness.deployConfig, setchain.Config) decide them.
 type Options struct {
 	// Algorithm selects Vanilla, Compresschain or Hashchain.
 	Algorithm Algorithm
-	// Mode selects Full or Modeled byte paths.
+	// Mode selects Full (compressor.Deflate) or Modeled
+	// (compressor.PaperRatioModel) byte paths.
 	Mode Mode
 	// Light disables the expensive half of the pipeline, reproducing the
 	// paper's Fig. 2 ablation: for Hashchain it removes hash-reversal and
@@ -122,28 +124,24 @@ type Options struct {
 	// and validation. Ignored by Vanilla.
 	Light bool
 	// CollectorLimit is the paper's collector size c (elements per batch;
-	// 100 or 500 in the evaluation). Unused by Vanilla.
+	// 100 or 500 in the evaluation), positive. Unused by Vanilla.
 	CollectorLimit int
-	// CollectorTimeout flushes a partial batch after this long.
+	// CollectorTimeout flushes a partial batch after this long (0 = 500 ms).
 	CollectorTimeout time.Duration
 	// RequestTimeout bounds one Request_batch attempt (the paper: "waits
-	// for a limited amount of time").
+	// for a limited amount of time"; 0 = 2 s).
 	RequestTimeout time.Duration
 	// RetryBackoff spaces retry cycles when a batch with f+1 signatures
-	// must be recovered before epoch processing can continue.
+	// must be recovered before epoch processing can continue (0 = 500 ms).
 	RetryBackoff time.Duration
 	// Costs charges simulated CPU time; zero charges nothing.
 	Costs CostModel
-	// Ratio is the modeled compression ratio model (Modeled mode).
-	Ratio compressor.RatioModel
-	// Deflate is the real compressor (Full mode).
-	Deflate compressor.Deflate
 	// SharedStore is the out-of-band batch oracle used by Hashchain Light
 	// (paper Fig. 2: hash-reversal removed). All Light servers must share
-	// one instance.
+	// one instance; Deploy makes one when it is nil.
 	SharedStore *batchstore.Store
 	// F is the Setchain fault bound (max Byzantine servers, f < n/2);
-	// commit and consolidation both use f+1. Defaults to (n-1)/2.
+	// commit and consolidation both use f+1.
 	F int
 	// CheckpointInterval seals a digest checkpoint every this many settled
 	// epochs (internal/checkpoint); 0 disables checkpointing. All servers
@@ -158,10 +156,8 @@ type Options struct {
 	Prune bool
 }
 
-func (o Options) withDefaults(n int) Options {
-	if o.CollectorLimit == 0 {
-		o.CollectorLimit = 100
-	}
+// withTimeouts fills the zero timeouts, which no entry point holds.
+func (o Options) withTimeouts() Options {
 	if o.CollectorTimeout == 0 {
 		o.CollectorTimeout = 500 * time.Millisecond
 	}
@@ -170,12 +166,6 @@ func (o Options) withDefaults(n int) Options {
 	}
 	if o.RetryBackoff == 0 {
 		o.RetryBackoff = 500 * time.Millisecond
-	}
-	if o.Ratio == (compressor.RatioModel{}) {
-		o.Ratio = compressor.PaperRatioModel()
-	}
-	if o.F == 0 {
-		o.F = (n - 1) / 2
 	}
 	return o
 }

@@ -146,8 +146,8 @@ func TestServerStatsProgress(t *testing.T) {
 	if rejects != 0 {
 		t.Fatalf("unexpected rejects: %d", rejects)
 	}
-	if d.Servers[0].F() != 1 {
-		t.Fatalf("F = %d, want 1", d.Servers[0].F())
+	if f := d.Servers[0].Options().F; f != 1 {
+		t.Fatalf("F = %d, want 1", f)
 	}
 	if d.Servers[0].ID() != 0 {
 		t.Fatal("server id wrong")

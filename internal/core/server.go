@@ -130,11 +130,11 @@ type Server struct {
 	proofsMade   uint64
 }
 
-// NewServer creates a Setchain server on a ledger node. The server installs
-// itself as the node's ABCI application and app-message handler.
-func NewServer(node *ledger.Node, s *sim.Simulator, n int, suite setcrypto.Suite,
+// newServer creates a Setchain server on a ledger node with the options
+// Deploy completed. The server installs itself as the node's ABCI
+// application and app-message handler.
+func newServer(node *ledger.Node, s *sim.Simulator, n int, suite setcrypto.Suite,
 	key setcrypto.KeyPair, registry *setcrypto.Registry, opts Options) *Server {
-	opts = opts.withDefaults(n)
 	srv := &Server{
 		id:       node.ID,
 		n:        n,
@@ -171,8 +171,8 @@ func (s *Server) SetBehavior(b *Behavior) { s.behavior = b }
 // ID returns the server's node id.
 func (s *Server) ID() wire.NodeID { return s.id }
 
-// F returns the Setchain fault bound in effect.
-func (s *Server) F() int { return s.opts.F }
+// Options returns the options the server runs with.
+func (s *Server) Options() Options { return s.opts }
 
 // CPU exposes the server's simulated CPU resource (diagnostics).
 func (s *Server) CPU() *sim.Resource { return s.cpu }

@@ -16,19 +16,19 @@ import (
 // checkpoints every 4 epochs while node 3 is crashed long enough that its
 // peers seal and prune past its gap — on restart the missing blocks are
 // unservable and the node must recover via checkpoint state-sync.
-func ckptRecoveryScenario(seed int64) Scenario {
-	return Scenario{
-		Name: fmt.Sprintf("ckpt-recovery seed=%d", seed),
-		Spec: SpecHash100, Servers: 4, Rate: 400,
-		SendFor: 20 * time.Second, Horizon: 60 * time.Second,
+func ckptRecoveryScenario(t *testing.T, seed int64) Scenario {
+	return fromSpec(t, spec.ScenarioSpec{
+		Name:      fmt.Sprintf("ckpt-recovery seed=%d", seed),
+		Algorithm: spec.AlgHashchain, Servers: 4, Rate: 400,
+		SendFor: spec.Duration(20 * time.Second), Horizon: spec.Duration(60 * time.Second),
 		Seed:               seed,
 		CheckpointInterval: 4,
 		Prune:              true,
-		Faults: FaultPlanFromSpec(&spec.FaultSpec{Events: []spec.FaultEventSpec{
+		Faults: &spec.FaultSpec{Events: []spec.FaultEventSpec{
 			{At: spec.Duration(3 * time.Second), Action: spec.FaultCrash, Nodes: []int{3}},
 			{At: spec.Duration(13 * time.Second), Action: spec.FaultRestart, Nodes: []int{3}},
-		}}),
-	}
+		}},
+	})
 }
 
 // Crash + restart + checkpoint state-sync is deterministic: across seeds,
@@ -39,7 +39,7 @@ func TestCheckpointRecoveryDeterminism(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	scs := make([]Scenario, len(seeds))
 	for i, seed := range seeds {
-		scs[i] = ckptRecoveryScenario(seed)
+		scs[i] = ckptRecoveryScenario(t, seed)
 	}
 	sequential := make([][]byte, len(scs))
 	for i, sc := range scs {
@@ -80,7 +80,7 @@ func TestCheckpointRecoveryDeterminism(t *testing.T) {
 // asserts this too; this test pins it directly against the deployment so
 // a checker regression cannot mask a recovery bug.
 func TestRecoveredNodeMatchesNeverCrashedPeer(t *testing.T) {
-	sc := ckptRecoveryScenario(7).withDefaults()
+	sc := ckptRecoveryScenario(t, 7).withDefaults()
 	s := sim.New(sc.Seed)
 	opts, lcfg := deployConfig(sc)
 	rec := metrics.New(s, sc.Level, sc.Servers, opts.F, 0)
@@ -162,15 +162,14 @@ func TestRecoveredNodeMatchesNeverCrashedPeer(t *testing.T) {
 // verification, so a pruned run can schedule fewer CPU events (never
 // more) when proofs straggle in after their epoch's seal.
 func TestPruneIsObservationallyIdentical(t *testing.T) {
-	base := Scenario{
-		Name: "prune-equiv", Spec: SpecHash100, Servers: 4, Rate: 400,
-		SendFor: 10 * time.Second, Horizon: 30 * time.Second, Seed: 5,
+	sp := spec.ScenarioSpec{
+		Name: "prune-equiv", Algorithm: spec.AlgHashchain, Servers: 4, Rate: 400,
+		SendFor: spec.Duration(10 * time.Second), Horizon: spec.Duration(30 * time.Second), Seed: 5,
 		CheckpointInterval: 4,
 	}
-	keep := Run(base)
-	pruned := base
-	pruned.Prune = true
-	prunedRes := Run(pruned)
+	keep := Run(fromSpec(t, sp))
+	sp.Prune = true
+	prunedRes := Run(fromSpec(t, sp))
 
 	if keep.Invariant != nil || prunedRes.Invariant != nil {
 		t.Fatalf("invariants violated: keep=%v pruned=%v", keep.Invariant, prunedRes.Invariant)

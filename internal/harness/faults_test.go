@@ -80,15 +80,15 @@ func TestByzantinePresetsSatisfyInvariants(t *testing.T) {
 	for _, name := range behaviors {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			cfg := ByzantineCfg{Faulty: 1, Behaviors: []string{name}}
+			byz := &spec.ByzantineSpec{Faulty: 1, Behaviors: []string{name}}
 			if name == "all-combined" {
-				cfg.Behaviors = append([]string(nil), spec.Behaviors...)
+				byz.Behaviors = append([]string(nil), spec.Behaviors...)
 			}
-			res := Run(Scenario{
-				Spec: SpecHash100, Servers: 4, Rate: 400,
-				SendFor: 8 * time.Second, Horizon: 40 * time.Second,
-				Byzantine: cfg,
-			})
+			res := Run(fromSpec(t, spec.ScenarioSpec{
+				Algorithm: spec.AlgHashchain, Servers: 4, Rate: 400,
+				SendFor: spec.Duration(8 * time.Second), Horizon: spec.Duration(40 * time.Second),
+				Byzantine: byz,
+			}))
 			if res.Invariant != nil {
 				t.Fatalf("invariants violated with behavior %q: %v", name, res.Invariant)
 			}
@@ -129,19 +129,18 @@ func TestChaosRegistryEntries(t *testing.T) {
 // only the plan's own crash. With the old single-flag SetDown, the restart
 // would revive the server and the run would commit measurably more.
 func TestSilentByzantineSurvivesPlanRestart(t *testing.T) {
-	base := Scenario{
-		Spec: SpecHash100, Servers: 7, Rate: 280,
-		SendFor: 8 * time.Second, Horizon: 40 * time.Second,
-		Byzantine: ByzantineCfg{Faulty: 1, Behaviors: []string{spec.BehaviorSilent}},
+	sp := spec.ScenarioSpec{
+		Algorithm: spec.AlgHashchain, Servers: 7, Rate: 280,
+		SendFor: spec.Duration(8 * time.Second), Horizon: spec.Duration(40 * time.Second),
+		Byzantine: &spec.ByzantineSpec{Faulty: 1, Behaviors: []string{spec.BehaviorSilent}},
 	}
-	silentOnly := Run(base)
+	silentOnly := Run(fromSpec(t, sp))
 
-	withPlan := base
-	withPlan.Faults = FaultPlanFromSpec(&spec.FaultSpec{Events: []spec.FaultEventSpec{
+	sp.Faults = &spec.FaultSpec{Events: []spec.FaultEventSpec{
 		{At: spec.Duration(2 * time.Second), Action: spec.FaultCrash, Nodes: []int{6}},
 		{At: spec.Duration(4 * time.Second), Action: spec.FaultRestart, Nodes: []int{6}},
-	}})
-	withPlanRes := Run(withPlan)
+	}}
+	withPlanRes := Run(fromSpec(t, sp))
 
 	// The plan's crash+restart of an already-silent server is a no-op on
 	// message flow: injection and commitment must match the silent-only

@@ -221,10 +221,12 @@ func RunSpecs(sps []spec.ScenarioSpec, scale float64) ([]*Result, error) {
 }
 
 // applyByzantine installs the configured fault behaviors on the
-// deployment's highest-indexed servers. Called between Deploy and Start;
-// a zero config is a no-op.
+// deployment's highest-indexed servers (cfg.faultyFrom). Called between
+// Deploy and Start; a zero config is a no-op.
 func applyByzantine(d *core.Deployment, cfg ByzantineCfg) {
-	if cfg.Faulty <= 0 || len(cfg.Behaviors) == 0 {
+	n := len(d.Servers)
+	first := cfg.faultyFrom(n)
+	if first == n {
 		return
 	}
 	var parts []*core.Behavior
@@ -234,11 +236,7 @@ func applyByzantine(d *core.Deployment, cfg ByzantineCfg) {
 		case spec.BehaviorSilent:
 			silent = true
 		case spec.BehaviorInjectInvalid:
-			n := cfg.InjectCount
-			if n == 0 {
-				n = spec.DefaultInjectCount
-			}
-			parts = append(parts, byzantine.InjectInvalid(n))
+			parts = append(parts, byzantine.InjectInvalid(cfg.InjectCount))
 		case spec.BehaviorWithholdBatches:
 			parts = append(parts, byzantine.WithholdBatches())
 		case spec.BehaviorWrongBatches:
@@ -253,11 +251,7 @@ func applyByzantine(d *core.Deployment, cfg ByzantineCfg) {
 			panic(fmt.Sprintf("harness: unknown byzantine behavior %q", name))
 		}
 	}
-	n := len(d.Servers)
-	for i := n - cfg.Faulty; i < n; i++ {
-		if i <= 0 {
-			continue // server 0 is the metrics observer; keep it correct
-		}
+	for i := first; i < n; i++ {
 		if len(parts) > 0 {
 			d.Servers[i].SetBehavior(byzantine.Combine(parts...))
 		}

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/checkpoint"
-	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/invariant"
@@ -58,15 +57,6 @@ func (a AlgSpec) Label() string {
 	return s
 }
 
-// The evaluation's standard variants.
-var (
-	SpecVanilla     = AlgSpec{Alg: core.Vanilla}
-	SpecCompress100 = AlgSpec{Alg: core.Compresschain, Collector: 100}
-	SpecCompress500 = AlgSpec{Alg: core.Compresschain, Collector: 500}
-	SpecHash100     = AlgSpec{Alg: core.Hashchain, Collector: 100}
-	SpecHash500     = AlgSpec{Alg: core.Hashchain, Collector: 500}
-)
-
 // AnalyticalThroughput returns the Appendix D model value for this variant
 // with n servers (the dotted reference lines in Figs. 1-2).
 func (a AlgSpec) AnalyticalThroughput(n int) float64 {
@@ -85,9 +75,11 @@ func (a AlgSpec) AnalyticalThroughput(n int) float64 {
 
 // Scenario is one experiment cell: an algorithm variant under a workload
 // and deployment configuration (one combination from Table 1, or any
-// spec.ScenarioSpec via FromSpec). Zero values select the paper's
-// defaults, so a Scenario built by hand and one decoded from a sparse
-// JSON spec run identically.
+// spec.ScenarioSpec). FromSpec builds it from a spec that spec.WithDefaults
+// filled, so every field is already decided: the executor derives only the
+// Horizon (when 0), applies Scale and names the cell. A Scenario built by
+// hand must be just as complete — start from FromSpec and set what a spec
+// cannot hold, such as a faults.Plan.
 type Scenario struct {
 	Name         string
 	Spec         AlgSpec
@@ -100,7 +92,7 @@ type Scenario struct {
 	Level        metrics.Level
 	// Scale multiplies Rate and SendFor and shrinks the Faults timeline
 	// (and leaves ceilings untouched); used to shrink the largest runs for
-	// quick regression passes. 0 = 1.
+	// quick regression passes.
 	Scale float64
 	// Shards splits the element space across this many independent
 	// Setchain instances — each a Servers-sized consensus group — inside
@@ -123,8 +115,8 @@ type Scenario struct {
 	// per-validator send loop; spec.TransportMesh routes it over the
 	// bounded-fanout gossip overlay (DESIGN.md §13).
 	Transport string
-	// Fanout is the mesh overlay's target node degree (default 8 when
-	// Transport is mesh, ignored otherwise).
+	// Fanout is the mesh overlay's target node degree (ignored unless
+	// Transport is mesh).
 	Fanout int
 	// Mode selects crypto fidelity: Modeled (default, the evaluation) or
 	// Full (real ed25519/SHA-512/Deflate over real payloads).
@@ -132,8 +124,9 @@ type Scenario struct {
 	// Bandwidth overrides per-node egress bandwidth in bytes/second;
 	// 0 keeps netsim's 1 Gbit/s LAN default.
 	Bandwidth float64
-	// Sizes shapes element sizes; the zero value is the paper's Arbitrum
-	// distribution. Tick batches injection bookkeeping (0 = 10 ms).
+	// Sizes shapes element sizes and Tick batches injection bookkeeping;
+	// the zero values are workload.Shape's (the paper's Arbitrum
+	// distribution, 10 ms).
 	Sizes workload.SizeModel
 	Tick  time.Duration
 	// Open adds open-system workload dynamics — Zipf source skew, session
@@ -179,8 +172,7 @@ type Scenario struct {
 type AdmissionCfg struct {
 	// Policy is spec.AdmissionReject or spec.AdmissionDelay ("" = off).
 	Policy string
-	// Watermark is the saturation threshold as a fraction of the caps
-	// (0 = 0.9).
+	// Watermark is the saturation threshold as a fraction of the caps.
 	Watermark float64
 	// MaxDelay / MaxDeferred tune the delay policy's bounded queue.
 	MaxDelay    time.Duration
@@ -203,27 +195,24 @@ type ByzantineCfg struct {
 	InjectCount int
 }
 
+// faultyFrom is the first faulty server's index among n — the Faulty
+// highest-indexed ones, never server 0 (the observer) — or n if none is.
+func (b ByzantineCfg) faultyFrom(n int) int {
+	if b.Faulty <= 0 || len(b.Behaviors) == 0 {
+		return n
+	}
+	return max(n-b.Faulty, 1)
+}
+
+// withDefaults derives what no spec holds: the horizon (SendFor + 100 s
+// when 0, from the unscaled window), the scaled rate and send window, and
+// the cell's name.
 func (sc Scenario) withDefaults() Scenario {
-	if sc.Servers == 0 {
-		sc.Servers = 10
-	}
-	if sc.SendFor == 0 {
-		sc.SendFor = 50 * time.Second
-	}
 	if sc.Horizon == 0 {
 		sc.Horizon = sc.SendFor + 100*time.Second
 	}
-	if sc.Seed == 0 {
-		sc.Seed = 1
-	}
-	if sc.Scale == 0 {
-		sc.Scale = 1
-	}
 	sc.Rate *= sc.Scale
 	sc.SendFor = time.Duration(float64(sc.SendFor) * sc.Scale)
-	if sc.Transport == spec.TransportMesh && sc.Fanout == 0 {
-		sc.Fanout = 8
-	}
 	if sc.Name == "" {
 		sc.Name = fmt.Sprintf("%s n=%d rate=%.0f delay=%v",
 			sc.Spec.Label(), sc.Servers, sc.Rate, sc.NetworkDelay)
@@ -326,16 +315,18 @@ type Result struct {
 	ExpiredTxs  uint64
 }
 
-// deployConfig derives the server options and ledger config a defaulted
-// scenario prescribes; every server of every shard gets the same, so a
-// scale_tput entry's S=1 and S=4 cells differ in nothing but the shard
-// count.
+// deployConfig translates a defaulted scenario into the server options and
+// ledger config it prescribes, starting from the Paper* constructors and
+// adding the one value no spec holds: F = (n−1)/2, the largest f < n/2.
+// Every server of every shard gets the same, so a scale_tput entry's S=1
+// and S=4 cells differ in nothing but the shard count.
 func deployConfig(sc Scenario) (core.Options, ledger.Config) {
-	netCfg := netsim.DefaultLANConfig()
-	netCfg.ExtraDelay = sc.NetworkDelay
+	lcfg := ledger.PaperConfig()
+	lcfg.Net.ExtraDelay = sc.NetworkDelay
 	if sc.Bandwidth > 0 {
-		netCfg.Bandwidth = sc.Bandwidth
+		lcfg.Net.Bandwidth = sc.Bandwidth
 	}
+	lcfg.Transport, lcfg.Fanout = sc.Transport, sc.Fanout
 	opts := core.Options{
 		Algorithm:          sc.Spec.Alg,
 		Mode:               sc.Mode,
@@ -345,13 +336,6 @@ func deployConfig(sc Scenario) (core.Options, ledger.Config) {
 		F:                  (sc.Servers - 1) / 2,
 		CheckpointInterval: sc.CheckpointInterval,
 		Prune:              sc.Prune,
-	}
-	lcfg := ledger.Config{
-		Net:       netCfg,
-		Consensus: consensus.PaperParams(),
-		Mempool:   mempool.PaperConfig(),
-		Transport: sc.Transport,
-		Fanout:    sc.Fanout,
 	}
 	if sc.SyncChunkBytes > 0 {
 		lcfg.Consensus.SyncChunkBytes = sc.SyncChunkBytes
@@ -395,55 +379,8 @@ func Run(sc Scenario) *Result {
 // instance is the one-shard deployment (DESIGN.md §10).
 func runScenario(sc Scenario) *Result {
 	sc = sc.withDefaults()
-	n, shards := sc.Servers, max(sc.Shards, 1)
-	opts, lcfg := deployConfig(sc)
-
-	// Partitioned execution (IntraWorkers > 1): every partition owns its own
-	// event queue, advanced concurrently in lookahead-bounded rounds; client
-	// injection, fault plans and the drain run on the home queue at round
-	// barriers. Byte-identical to the sequential path (DESIGN.md §12). One
-	// instance partitions per server node; several partition per shard —
-	// shards interact only through the shared fabric, whose minimum
-	// cross-shard link delay bounds each round.
-	var s *sim.Simulator
-	var world *sim.World
-	var engine runner
-	if iw := effectiveIntraWorkers(sc, opts); iw > 1 {
-		parts, nodesPerPart := n, 1
-		if shards > 1 {
-			parts, nodesPerPart = shards, n
-		}
-		world, lcfg.SimFor = newIntraWorld(sc.Seed, parts, iw,
-			func(id wire.NodeID) int { return int(id) / nodesPerPart })
-		s, engine = world.Home(), world
-	} else {
-		s = sim.New(sc.Seed)
-		engine = s
-	}
-
-	d := shard.Deploy(s, shards, n, lcfg, opts, sc.Level)
-	if world != nil {
-		world.SetLookahead(d.Net.Lookahead)
-	}
-	for _, sd := range d.Shards {
-		// The highest-indexed servers of EVERY shard misbehave; each
-		// shard's observer (its first server) stays correct.
-		applyByzantine(sd, sc.Byzantine)
-	}
-	// One shared fault controller: plan node ids are global, so a
-	// partition can just as well split a shard internally as cut across
-	// shard boundaries.
-	sc.Faults.Scaled(sc.Scale).Install(s, d.Net)
-
-	gen := shard.NewGenerator(d, shard.WorkloadConfig{
-		Rate:         sc.Rate,
-		Duration:     sc.SendFor,
-		Sizes:        sc.Sizes,
-		Tick:         sc.Tick,
-		FullPayloads: sc.Mode == core.Full,
-		Open:         sc.Open.Scaled(sc.Scale),
-		Seed:         sc.Seed,
-	})
+	engine, d, gen := deploy(sc)
+	n, shards := sc.Servers, d.Count()
 	d.Start()
 	gen.Start()
 	engine.RunUntil(sc.Horizon)
@@ -558,6 +495,60 @@ func runScenario(sc Scenario) *Result {
 	return res
 }
 
+// deploy builds a defaulted scenario on a fresh simulator, faulty servers
+// and fault plan installed, ready to start; engine runs it.
+func deploy(sc Scenario) (engine runner, d *shard.Deployment, gen *shard.Generator) {
+	n, shards := sc.Servers, max(sc.Shards, 1)
+	opts, lcfg := deployConfig(sc)
+
+	// Partitioned execution (IntraWorkers > 1): every partition owns its own
+	// event queue, advanced concurrently in lookahead-bounded rounds; client
+	// injection, fault plans and the drain run on the home queue at round
+	// barriers. Byte-identical to the sequential path (DESIGN.md §12). One
+	// instance partitions per server node; several partition per shard —
+	// shards interact only through the shared fabric, whose minimum
+	// cross-shard link delay bounds each round.
+	var s *sim.Simulator
+	var world *sim.World
+	if iw := effectiveIntraWorkers(sc, opts); iw > 1 {
+		parts, nodesPerPart := n, 1
+		if shards > 1 {
+			parts, nodesPerPart = shards, n
+		}
+		world, lcfg.SimFor = newIntraWorld(sc.Seed, parts, iw,
+			func(id wire.NodeID) int { return int(id) / nodesPerPart })
+		s, engine = world.Home(), world
+	} else {
+		s = sim.New(sc.Seed)
+		engine = s
+	}
+
+	d = shard.Deploy(s, shards, n, lcfg, opts, sc.Level)
+	if world != nil {
+		world.SetLookahead(d.Net.Lookahead)
+	}
+	for _, sd := range d.Shards {
+		// The highest-indexed servers of EVERY shard misbehave; each
+		// shard's observer (its first server) stays correct.
+		applyByzantine(sd, sc.Byzantine)
+	}
+	// One shared fault controller: plan node ids are global, so a
+	// partition can just as well split a shard internally as cut across
+	// shard boundaries.
+	sc.Faults.Scaled(sc.Scale).Install(s, d.Net)
+
+	gen = shard.NewGenerator(d, shard.WorkloadConfig{
+		Rate:         sc.Rate,
+		Duration:     sc.SendFor,
+		Sizes:        sc.Sizes,
+		Tick:         sc.Tick,
+		FullPayloads: sc.Mode == core.Full,
+		Open:         sc.Open.Scaled(sc.Scale),
+		Seed:         sc.Seed,
+	})
+	return engine, d, gen
+}
+
 // bucketEfficiency is the paper's efficiency metric over merged buckets:
 // committed by t divided by total injected. The bucket math itself is the
 // metrics package's (BucketCommittedBy and friends), the same a single
@@ -610,22 +601,13 @@ var invariantViolations atomic.Uint64
 func InvariantViolations() uint64 { return invariantViolations.Load() }
 
 // correctServerIDs lists the servers applyByzantine left correct in the
-// shard whose first server is first: all n of them, minus the Faulty
-// highest-indexed ones (the first server, the shard's metrics observer, is
-// never made faulty). Plan-scheduled crashes do NOT remove a server from
-// this list — a crashed-but-honest server's history must still be a
-// consistent prefix.
+// shard whose first server is first. Plan-scheduled crashes do NOT remove a
+// server from this list — a crashed-but-honest server's history must still
+// be a consistent prefix.
 func correctServerIDs(first wire.NodeID, n int, cfg ByzantineCfg) []wire.NodeID {
-	firstFaulty := n
-	if cfg.Faulty > 0 && len(cfg.Behaviors) > 0 {
-		firstFaulty = n - cfg.Faulty
-		if firstFaulty < 1 {
-			firstFaulty = 1 // mirror applyByzantine: the observer stays correct
-		}
-	}
-	ids := make([]wire.NodeID, 0, firstFaulty)
-	for i := 0; i < firstFaulty; i++ {
-		ids = append(ids, first+wire.NodeID(i))
+	ids := make([]wire.NodeID, cfg.faultyFrom(n))
+	for i := range ids {
+		ids[i] = first + wire.NodeID(i)
 	}
 	return ids
 }

@@ -28,11 +28,22 @@ func shortWindow(full, short time.Duration) time.Duration {
 	return full
 }
 
+// fromSpec converts a spec literal the way every run does — spec.WithDefaults
+// fills it, FromSpec translates it — failing the test on a bad spec.
+func fromSpec(t *testing.T, sp spec.ScenarioSpec) Scenario {
+	t.Helper()
+	sc, err := FromSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 func TestAlgSpecLabels(t *testing.T) {
 	cases := map[string]AlgSpec{
-		"Vanilla":                 SpecVanilla,
-		"Compresschain c=100":     SpecCompress100,
-		"Hashchain c=500":         SpecHash500,
+		"Vanilla":                 {Alg: core.Vanilla},
+		"Compresschain c=100":     {Alg: core.Compresschain, Collector: 100},
+		"Hashchain c=500":         {Alg: core.Hashchain, Collector: 500},
 		"Hashchain Light c=500":   {Alg: core.Hashchain, Collector: 500, Light: true},
 		"Compresschain Light c=5": {Alg: core.Compresschain, Collector: 5, Light: true},
 	}
@@ -44,10 +55,10 @@ func TestAlgSpecLabels(t *testing.T) {
 }
 
 func TestAnalyticalThroughputMatchesModel(t *testing.T) {
-	if v := SpecVanilla.AnalyticalThroughput(10); v < 950 || v > 960 {
+	if v := (AlgSpec{Alg: core.Vanilla}).AnalyticalThroughput(10); v < 950 || v > 960 {
 		t.Fatalf("Vanilla analytic = %v, want ~955", v)
 	}
-	if v := SpecHash500.AnalyticalThroughput(10); v < 147000 || v > 149000 {
+	if v := (AlgSpec{Alg: core.Hashchain, Collector: 500}).AnalyticalThroughput(10); v < 147000 || v > 149000 {
 		t.Fatalf("Hashchain c=500 analytic = %v, want ~147857", v)
 	}
 }
@@ -55,8 +66,8 @@ func TestAnalyticalThroughputMatchesModel(t *testing.T) {
 func TestRunUnstressedReachesFullEfficiency(t *testing.T) {
 	// 300 el/s Hashchain c=100 is far below every ceiling: everything must
 	// commit within the 2×SendFor window.
-	res := Run(Scenario{Spec: SpecHash100, Rate: 300, SendFor: 20 * time.Second,
-		Horizon: 80 * time.Second, Servers: 4})
+	res := Run(fromSpec(t, spec.ScenarioSpec{Algorithm: spec.AlgHashchain, Rate: 300,
+		SendFor: spec.Duration(20 * time.Second), Horizon: spec.Duration(80 * time.Second), Servers: 4}))
 	if res.Injected == 0 {
 		t.Fatal("nothing injected")
 	}
@@ -79,8 +90,8 @@ func TestRunStressedVanillaShowsLowEfficiency(t *testing.T) {
 	// "very low efficiency" case. Scaled to a 15 s window (8 s under
 	// -short; the 5x overload makes the assertion insensitive to it).
 	send := shortWindow(15*time.Second, 8*time.Second)
-	res := Run(Scenario{Spec: SpecVanilla, Rate: 5000, SendFor: send,
-		Horizon: 3 * send})
+	res := Run(fromSpec(t, spec.ScenarioSpec{Algorithm: spec.AlgVanilla, Rate: 5000,
+		SendFor: spec.Duration(send), Horizon: spec.Duration(3 * send)}))
 	if res.Eff50 > 0.3 {
 		t.Fatalf("stressed Vanilla eff@send-end = %v, want << 1", res.Eff50)
 	}
@@ -94,14 +105,11 @@ func TestAlgorithmOrderingUnderLoad(t *testing.T) {
 	// Vanilla << Compresschain << Hashchain in average throughput to the
 	// end of sending.
 	send := shortWindow(20*time.Second, 10*time.Second)
-	common := Scenario{Rate: 5000, SendFor: send, Horizon: 3 * send}
-	v := common
-	v.Spec = SpecVanilla
-	c := common
-	c.Spec = SpecCompress100
-	h := common
-	h.Spec = SpecHash100
-	rv, rc, rh := Run(v), Run(c), Run(h)
+	run := func(alg string) *Result {
+		return Run(fromSpec(t, spec.ScenarioSpec{Algorithm: alg, Rate: 5000,
+			SendFor: spec.Duration(send), Horizon: spec.Duration(3 * send)}))
+	}
+	rv, rc, rh := run(spec.AlgVanilla), run(spec.AlgCompresschain), run(spec.AlgHashchain)
 	if !(rv.AvgTput < rc.AvgTput && rc.AvgTput < rh.AvgTput) {
 		t.Fatalf("ordering violated: V=%.0f C=%.0f H=%.0f", rv.AvgTput, rc.AvgTput, rh.AvgTput)
 	}
@@ -119,10 +127,11 @@ func TestNetworkDelayReducesEfficiency(t *testing.T) {
 	// Fig. 3c: adding 100 ms to every message slows consensus and reduces
 	// efficiency under stress.
 	send := shortWindow(15*time.Second, 8*time.Second)
-	base := Run(Scenario{Spec: SpecCompress100, Rate: 5000, SendFor: send,
-		Horizon: 3 * send})
-	delayed := Run(Scenario{Spec: SpecCompress100, Rate: 5000, SendFor: send,
-		Horizon: 3 * send, NetworkDelay: 100 * time.Millisecond})
+	sp := spec.ScenarioSpec{Algorithm: spec.AlgCompresschain, Rate: 5000,
+		SendFor: spec.Duration(send), Horizon: spec.Duration(3 * send)}
+	base := Run(fromSpec(t, sp))
+	sp.NetworkDelay = spec.Duration(100 * time.Millisecond)
+	delayed := Run(fromSpec(t, sp))
 	if delayed.Eff100 >= base.Eff100 {
 		t.Fatalf("delay did not hurt efficiency: %v vs %v", delayed.Eff100, base.Eff100)
 	}
@@ -139,10 +148,11 @@ func TestHashchainCeilingAblation(t *testing.T) {
 	// variant's ~150k ceiling, so the gap is unambiguous even with a short
 	// send window.
 	send := shortWindow(15*time.Second, 8*time.Second)
-	heavy := Run(Scenario{Spec: SpecHash500, Rate: 40000, SendFor: send,
-		Horizon: 4 * send})
-	light := Run(Scenario{Spec: AlgSpec{Alg: core.Hashchain, Collector: 500, Light: true},
-		Rate: 40000, SendFor: send, Horizon: 4 * send})
+	sp := spec.ScenarioSpec{Algorithm: spec.AlgHashchain, Collector: 500, Rate: 40000,
+		SendFor: spec.Duration(send), Horizon: spec.Duration(4 * send)}
+	heavy := Run(fromSpec(t, sp))
+	sp.Light = true
+	light := Run(fromSpec(t, sp))
 	if light.Eff50 <= heavy.Eff50 {
 		t.Fatalf("Light (%.2f) not better than full (%.2f) at 25k el/s",
 			light.Eff50, heavy.Eff50)
@@ -161,7 +171,12 @@ func TestHashchainCeilingAblation(t *testing.T) {
 }
 
 func TestScaleShrinksRun(t *testing.T) {
-	res := Run(Scenario{Spec: SpecHash100, Rate: 1000, Scale: 0.1, Horizon: 30 * time.Second})
+	sc, err := FromSpecScaled(spec.ScenarioSpec{Algorithm: spec.AlgHashchain, Rate: 1000,
+		Horizon: spec.Duration(300 * time.Second)}, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Run(sc)
 	// 1000 el/s * 0.1 for 5 s => ~500 elements.
 	if res.Injected < 400 || res.Injected > 600 {
 		t.Fatalf("scaled injection = %d, want ~500", res.Injected)
@@ -256,13 +271,13 @@ func TestFig1PanelsShape(t *testing.T) {
 		Horizon time.Duration
 	}
 	want := []cell{
-		{"left", 5000, SpecVanilla, 350 * time.Second},
-		{"left", 5000, SpecCompress100, 350 * time.Second},
-		{"left", 5000, SpecHash100, 350 * time.Second},
-		{"center", 10000, SpecCompress100, 350 * time.Second},
-		{"center", 10000, SpecHash100, 350 * time.Second},
-		{"right", 10000, SpecCompress500, 250 * time.Second},
-		{"right", 10000, SpecHash500, 250 * time.Second},
+		{"left", 5000, AlgSpec{Alg: core.Vanilla}, 350 * time.Second},
+		{"left", 5000, AlgSpec{Alg: core.Compresschain, Collector: 100}, 350 * time.Second},
+		{"left", 5000, AlgSpec{Alg: core.Hashchain, Collector: 100}, 350 * time.Second},
+		{"center", 10000, AlgSpec{Alg: core.Compresschain, Collector: 100}, 350 * time.Second},
+		{"center", 10000, AlgSpec{Alg: core.Hashchain, Collector: 100}, 350 * time.Second},
+		{"right", 10000, AlgSpec{Alg: core.Compresschain, Collector: 500}, 250 * time.Second},
+		{"right", 10000, AlgSpec{Alg: core.Hashchain, Collector: 500}, 250 * time.Second},
 	}
 	cells := spec.MustGet("fig1").Cells
 	scs, err := FromSpecs(cells, 1)

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/mempool"
-	"repro/internal/workload"
+	"repro/internal/spec"
 )
 
 // The open-system battery (DESIGN.md §14). The registry's open_* cells run
@@ -15,18 +15,18 @@ import (
 // here build their own saturating scenarios: full rate, short window,
 // tight pool cap — CI-sized but decisively past the watermark.
 
-// saturatingScenario offers ~3.2x the Compresschain c=100 ceiling against
-// a 400-tx pool, so the admission gate MUST reject a large fraction.
-func saturatingScenario() Scenario {
-	return Scenario{
-		Name: "open-saturate", Spec: SpecCompress100, Servers: 4,
-		Rate: 8000, SendFor: 10 * time.Second, Horizon: 40 * time.Second,
-		Admission: AdmissionCfg{Policy: mempool.AdmissionReject, MaxTxs: 400},
+// saturatingSpec offers ~3.2x the Compresschain c=100 ceiling against a
+// 400-tx pool, so the admission gate MUST reject a large fraction.
+func saturatingSpec() spec.ScenarioSpec {
+	return spec.ScenarioSpec{
+		Name: "open-saturate", Algorithm: spec.AlgCompresschain, Servers: 4, Rate: 8000,
+		SendFor: spec.Duration(10 * time.Second), Horizon: spec.Duration(40 * time.Second),
+		Admission: &spec.AdmissionSpec{Policy: spec.AdmissionReject, MaxTxs: 400},
 	}
 }
 
 func TestAdmissionRejectsUnderSaturation(t *testing.T) {
-	res := Run(saturatingScenario())
+	res := Run(fromSpec(t, saturatingSpec()))
 	if res.Rejected == 0 {
 		t.Fatal("saturating run rejected nothing — the admission gate never closed")
 	}
@@ -52,9 +52,9 @@ func TestAdmissionRejectsUnderSaturation(t *testing.T) {
 // TestAdmissionRejectsUnderSaturation, and a fingerprint comparison
 // would notice the behavioral change.
 func TestBreakAdmissionForTest(t *testing.T) {
-	intact := Run(saturatingScenario())
+	intact := Run(fromSpec(t, saturatingSpec()))
 	mempool.BreakAdmissionForTest = true
-	broken := Run(saturatingScenario())
+	broken := Run(fromSpec(t, saturatingSpec()))
 	mempool.BreakAdmissionForTest = false
 	if intact.Rejected == 0 {
 		t.Fatal("intact gate rejected nothing")
@@ -71,11 +71,11 @@ func TestBreakAdmissionForTest(t *testing.T) {
 // shared Account when the router sends an element to another shard's
 // server, so Result.Rejected counts them at any shard count.
 func TestShardedAdmissionRejects(t *testing.T) {
-	sc := saturatingScenario()
-	sc.Name = "open-saturate-sharded"
-	sc.Shards = 2
-	sc.Rate = 16000 // keep each shard's 8,000 el/s share past its knee
-	res := Run(sc)
+	sp := saturatingSpec()
+	sp.Name = "open-saturate-sharded"
+	sp.Shards = 2
+	sp.Rate = 16000 // keep each shard's 8,000 el/s share past its knee
+	res := Run(fromSpec(t, sp))
 	if res.Rejected == 0 {
 		t.Fatal("sharded saturating run rejected nothing — routed adds drop rejections")
 	}
@@ -92,11 +92,11 @@ func TestShardedAdmissionRejects(t *testing.T) {
 // against a tight pool parks transactions in the deferred queue, commits
 // drain them, and everything still commits by the horizon.
 func TestDelayPolicyDefersInRun(t *testing.T) {
-	res := Run(Scenario{
-		Name: "open-delay", Spec: SpecHash100, Servers: 4,
-		Rate: 3000, SendFor: 10 * time.Second, Horizon: 40 * time.Second,
-		Admission: AdmissionCfg{Policy: mempool.AdmissionDelay, MaxTxs: 12},
-	})
+	res := Run(fromSpec(t, spec.ScenarioSpec{
+		Name: "open-delay", Algorithm: spec.AlgHashchain, Servers: 4, Rate: 3000,
+		SendFor: spec.Duration(10 * time.Second), Horizon: spec.Duration(40 * time.Second),
+		Admission: &spec.AdmissionSpec{Policy: spec.AdmissionDelay, MaxTxs: 12},
+	}))
 	if res.DeferredTxs == 0 {
 		t.Fatal("no transactions deferred — the delay policy never engaged")
 	}
@@ -113,17 +113,18 @@ func TestDelayPolicyDefersInRun(t *testing.T) {
 // rejections — is a pure function of the Scenario, fingerprint-identical
 // across fresh runs.
 func TestOpenScenarioDeterminism(t *testing.T) {
-	sc := saturatingScenario()
+	sp := saturatingSpec()
 	// Churn and the half-rate opening phase thin the offered load, so a
 	// tighter cap keeps the burst phase decisively past the watermark.
-	sc.Admission.MaxTxs = 100
-	sc.Open = workload.OpenConfig{
+	sp.Admission.MaxTxs = 100
+	sp.Open = &spec.OpenSpec{
 		Zipf:    1.1,
-		ChurnOn: 3 * time.Second, ChurnOff: 2 * time.Second,
-		Envelope: []workload.RatePhase{
-			{From: 0, Mult: 0.5}, {From: 5 * time.Second, Mult: 2},
+		ChurnOn: spec.Duration(3 * time.Second), ChurnOff: spec.Duration(2 * time.Second),
+		Envelope: []spec.RatePhaseSpec{
+			{From: 0, Mult: 0.5}, {From: spec.Duration(5 * time.Second), Mult: 2},
 		},
 	}
+	sc := fromSpec(t, sp)
 	a, b := Run(sc), Run(sc)
 	if a.Offered == 0 || a.Rejected == 0 {
 		t.Fatalf("open run offered %d / rejected %d — dynamics not engaged", a.Offered, a.Rejected)

@@ -101,8 +101,8 @@ func autoWorkers(scs []Scenario) int {
 // batch's largest cells cannot multiply peak memory past what the biggest
 // single cell already needs (autoWorkers). Pass a single scenario (or
 // SetWorkers(1)) for strictly sequential execution. Seeds are never
-// rewritten: each cell keeps the seed its Scenario carries (default 1 via
-// withDefaults), exactly as a sequential Run loop would.
+// rewritten: each cell keeps the seed its Scenario carries (1 unless its
+// spec set one), exactly as a sequential Run loop would.
 func RunMany(scs []Scenario) []*Result {
 	results := make([]*Result, len(scs))
 	if len(scs) == 0 {

@@ -3,6 +3,8 @@ package harness
 import (
 	"testing"
 	"time"
+
+	"repro/internal/spec"
 )
 
 // resultFingerprint delegates to the production Fingerprint (which the
@@ -16,11 +18,15 @@ func resultFingerprint(t *testing.T, res *Result) []byte {
 // The parallel executor must yield byte-identical results to the
 // sequential path for a fixed seed, regardless of worker count.
 func TestRunManyMatchesSequential(t *testing.T) {
+	cell := func(alg string, rate float64, seed int64) Scenario {
+		return fromSpec(t, spec.ScenarioSpec{Algorithm: alg, Rate: rate, Seed: seed,
+			SendFor: spec.Duration(8 * time.Second), Horizon: spec.Duration(30 * time.Second)})
+	}
 	scs := []Scenario{
-		{Spec: SpecHash100, Rate: 600, SendFor: 8 * time.Second, Horizon: 30 * time.Second, Seed: 7},
-		{Spec: SpecCompress100, Rate: 600, SendFor: 8 * time.Second, Horizon: 30 * time.Second, Seed: 7},
-		{Spec: SpecVanilla, Rate: 300, SendFor: 8 * time.Second, Horizon: 30 * time.Second, Seed: 7},
-		{Spec: SpecHash100, Rate: 600, SendFor: 8 * time.Second, Horizon: 30 * time.Second, Seed: 8},
+		cell(spec.AlgHashchain, 600, 7),
+		cell(spec.AlgCompresschain, 600, 7),
+		cell(spec.AlgVanilla, 300, 7),
+		cell(spec.AlgHashchain, 600, 8),
 	}
 	sequential := make([][]byte, len(scs))
 	for i, sc := range scs {
@@ -46,8 +52,8 @@ func TestRunManyMatchesSequential(t *testing.T) {
 // randomness only from the scenario seed), and different seeds must
 // actually change the event schedule.
 func TestRunDeterministicPerSeed(t *testing.T) {
-	sc := Scenario{Spec: SpecHash100, Rate: 500, SendFor: 6 * time.Second,
-		Horizon: 20 * time.Second, Seed: 42}
+	sc := fromSpec(t, spec.ScenarioSpec{Algorithm: spec.AlgHashchain, Rate: 500,
+		SendFor: spec.Duration(6 * time.Second), Horizon: spec.Duration(20 * time.Second), Seed: 42})
 	a, b := Run(sc), Run(sc)
 	if a.Events != b.Events || a.Committed != b.Committed {
 		t.Fatalf("same seed diverged: events %d vs %d, committed %d vs %d",
@@ -79,16 +85,15 @@ func TestWorkersOverride(t *testing.T) {
 // paper-scale cell materializes millions of elements) and stay at the
 // CPU-derived default for small ones; explicit overrides bypass the cap.
 func TestAutoWorkersCapsMemoryHeavyCells(t *testing.T) {
-	small := []Scenario{{Spec: SpecHash100, Rate: 500, SendFor: 10 * time.Second}}
+	small := []Scenario{fromSpec(t, spec.ScenarioSpec{Algorithm: spec.AlgHashchain, Rate: 500,
+		SendFor: spec.Duration(10 * time.Second)})}
 	if got := autoWorkers(small); got < 1 {
 		t.Fatalf("autoWorkers(small) = %d, want >= 1", got)
 	}
 	// 150k el/s for 50 s = 7.5M elements: two of them exceed the in-flight
 	// budget, so only one such cell may run at a time.
-	huge := []Scenario{
-		{Spec: SpecHash500, Rate: 150000},
-		{Spec: SpecHash500, Rate: 150000},
-	}
+	cell := fromSpec(t, spec.ScenarioSpec{Algorithm: spec.AlgHashchain, Collector: 500, Rate: 150000})
+	huge := []Scenario{cell, cell}
 	if got := autoWorkers(huge); got != 1 {
 		t.Fatalf("autoWorkers(huge) = %d, want 1 (two 7.5M-element cells exceed the budget)", got)
 	}

@@ -12,7 +12,7 @@ import (
 
 // This file pins the spec layer to the executor: a scenario file and the
 // registry entry it mirrors run identically, FromSpec drops no field, and
-// a Byzantine spec runs like the hand-built Scenario it describes. (What
+// a Byzantine spec runs the same through Run and through RunSpecs. (What
 // each registry cell is and measures is pinned by the generated
 // EXPERIMENTS.md and RESULTS.md, and cell 0 of every entry by
 // TestGoldenFingerprints.)
@@ -132,11 +132,12 @@ func TestByzantineScenariosRun(t *testing.T) {
 	// Withholding servers sign hashes but never serve batch data, so
 	// elements added through them never consolidate: the run must still
 	// commit the honest servers' elements.
-	withhold := Run(Scenario{
-		Spec: SpecHash100, Servers: 7, Rate: 210,
-		SendFor: 10 * time.Second, Horizon: 60 * time.Second,
-		Byzantine: ByzantineCfg{Faulty: 1, Behaviors: []string{spec.BehaviorWithholdBatches}},
-	})
+	sp := spec.ScenarioSpec{
+		Algorithm: spec.AlgHashchain, Servers: 7, Rate: 210,
+		SendFor: spec.Duration(10 * time.Second), Horizon: spec.Duration(60 * time.Second),
+		Byzantine: &spec.ByzantineSpec{Faulty: 1, Behaviors: []string{spec.BehaviorWithholdBatches}},
+	}
+	withhold := Run(fromSpec(t, sp))
 	if withhold.Committed == 0 {
 		t.Fatal("withholding server stalled the whole system")
 	}
@@ -147,21 +148,14 @@ func TestByzantineScenariosRun(t *testing.T) {
 
 	// A silent (network-down) server is a crash fault well inside the
 	// consensus bound for 7 nodes; the system keeps committing.
-	silent := Run(Scenario{
-		Spec: SpecHash100, Servers: 7, Rate: 210,
-		SendFor: 10 * time.Second, Horizon: 60 * time.Second,
-		Byzantine: ByzantineCfg{Faulty: 1, Behaviors: []string{spec.BehaviorSilent}},
-	})
+	silentSpec := sp
+	silentSpec.Byzantine = &spec.ByzantineSpec{Faulty: 1, Behaviors: []string{spec.BehaviorSilent}}
+	silent := Run(fromSpec(t, silentSpec))
 	if silent.Committed == 0 {
 		t.Fatal("one silent server of seven stalled the system")
 	}
 
-	// The same scenario through the spec layer runs identically.
-	sp := spec.ScenarioSpec{
-		Algorithm: spec.AlgHashchain, Collector: 100, Servers: 7, Rate: 210,
-		SendFor: spec.Duration(10 * time.Second), Horizon: spec.Duration(60 * time.Second),
-		Byzantine: &spec.ByzantineSpec{Faulty: 1, Behaviors: []string{spec.BehaviorWithholdBatches}},
-	}
+	// The same spec through RunSpecs (the worker pool) runs identically.
 	results, err := RunSpecs([]spec.ScenarioSpec{sp}, 0)
 	if err != nil {
 		t.Fatal(err)

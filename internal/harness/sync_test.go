@@ -56,23 +56,23 @@ func TestSyncRegistryEntries(t *testing.T) {
 // forged offer rejected, recovery completes honestly) and the sabotage
 // test (with the header-bind check disabled the forgery installs and the
 // safety checker must catch it).
-func syncForgedScenario(seed int64) Scenario {
-	return Scenario{
-		Name: fmt.Sprintf("sync-forged-gauntlet seed=%d", seed),
-		Spec: SpecHash100, Servers: 5, Rate: 400,
-		SendFor: 20 * time.Second, Horizon: 60 * time.Second,
+func syncForgedScenario(t *testing.T, seed int64) Scenario {
+	return fromSpec(t, spec.ScenarioSpec{
+		Name:      fmt.Sprintf("sync-forged-gauntlet seed=%d", seed),
+		Algorithm: spec.AlgHashchain, Servers: 5, Rate: 400,
+		SendFor: spec.Duration(20 * time.Second), Horizon: spec.Duration(60 * time.Second),
 		Seed:               seed,
 		CheckpointInterval: 4,
 		Prune:              true,
-		Byzantine: ByzantineCfg{
+		Byzantine: &spec.ByzantineSpec{
 			Faulty:    3,
 			Behaviors: []string{spec.BehaviorForgeSnapshot},
 		},
-		Faults: FaultPlanFromSpec(&spec.FaultSpec{Events: []spec.FaultEventSpec{
+		Faults: &spec.FaultSpec{Events: []spec.FaultEventSpec{
 			{At: spec.Duration(3 * time.Second), Action: spec.FaultCrash, Nodes: []int{1}},
 			{At: spec.Duration(13 * time.Second), Action: spec.FaultRestart, Nodes: []int{1}},
-		}}),
-	}
+		}},
+	})
 }
 
 // Post-fix behavior on the forged gauntlet: the recovering server verifies
@@ -81,7 +81,7 @@ func syncForgedScenario(seed int64) Scenario {
 // the seed is pinned so a forger demonstrably served it first), completes
 // recovery from an honest peer, and no safety invariant breaks.
 func TestSyncForgedSnapshotRejected(t *testing.T) {
-	res := Run(syncForgedScenario(1))
+	res := Run(syncForgedScenario(t, 1))
 	if res.Invariant != nil {
 		t.Fatalf("safety violated despite header binding: %v", res.Invariant)
 	}
@@ -106,7 +106,7 @@ func TestSyncForgedSnapshotRejected(t *testing.T) {
 func TestSyncSabotagedHeaderBindInstallsForgery(t *testing.T) {
 	consensus.BreakHeaderBindForTest = true
 	defer func() { consensus.BreakHeaderBindForTest = false }()
-	res := Run(syncForgedScenario(1))
+	res := Run(syncForgedScenario(t, 1))
 	if res.SyncInstalls == 0 {
 		t.Fatal("recovering server never state-synced; the sabotage run is vacuous")
 	}

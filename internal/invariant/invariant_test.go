@@ -168,7 +168,7 @@ func runSmallAdmission(t *testing.T) (*core.Deployment, Config) {
 	rec := metrics.New(s, metrics.LevelThroughput, n, f, 0)
 	mcfg := mempool.PaperConfig()
 	mcfg.MaxTxs = 30
-	mcfg.Admission = mempool.AdmissionConfig{Policy: mempool.AdmissionReject}
+	mcfg.Admission = mempool.AdmissionConfig{Policy: mempool.AdmissionReject, Watermark: 0.9}
 	d := core.Deploy(s, n, ledger.Config{
 		Net:       netsim.DefaultLANConfig(),
 		Consensus: consensus.PaperParams(),

@@ -113,7 +113,9 @@ func (n *Node) receiveGossiped(origin wire.NodeID, payload any, size int) {
 	n.receive(origin, payload, size)
 }
 
-// Config describes a ledger cluster.
+// Config describes a ledger cluster. Build it from PaperConfig: the
+// consensus and mempool blocks are used as given, and their zero values
+// are refused.
 type Config struct {
 	// N is the number of servers (validators).
 	N int
@@ -144,8 +146,9 @@ type Config struct {
 	// bounded-fanout overlay (DESIGN.md §13). Catch-up traffic is always
 	// point-to-point.
 	Transport string
-	// Fanout is the mesh's target node degree; values < 2 default to 8.
-	// Ignored unless Transport is "mesh".
+	// Fanout is the mesh's target node degree, at least 2 (a scenario's
+	// default of 8 is spec.WithDefaults'). Ignored unless Transport is
+	// "mesh".
 	Fanout int
 	// Suite selects real or fast crypto. Nil defaults to FastSuite.
 	Suite setcrypto.Suite
@@ -157,6 +160,16 @@ type Config struct {
 	// Ids mapped to nil (and all ids when SimFor is nil) run on the root
 	// simulator, which is exactly the sequential path.
 	SimFor func(wire.NodeID) *sim.Simulator
+}
+
+// PaperConfig returns the evaluation's ledger — a LAN, consensus.PaperParams
+// and mempool.PaperConfig over broadcast — for any N.
+func PaperConfig() Config {
+	return Config{
+		Net:       netsim.DefaultLANConfig(),
+		Consensus: consensus.PaperParams(),
+		Mempool:   mempool.PaperConfig(),
+	}
 }
 
 // simFor resolves the owning simulator for a node id.
@@ -236,11 +249,10 @@ func NewCluster(s *sim.Simulator, cfg Config) *Cluster {
 		c.Net.AddNode(id, node.receive)
 	}
 	if cfg.Transport == "mesh" {
-		fanout := cfg.Fanout
-		if fanout < 2 {
-			fanout = 8
+		if cfg.Fanout < 2 {
+			panic(fmt.Sprintf("ledger: mesh transport needs Fanout >= 2, got %d", cfg.Fanout))
 		}
-		c.Mesh = netsim.NewMesh(c.Net, validators, fanout)
+		c.Mesh = netsim.NewMesh(c.Net, validators, cfg.Fanout)
 		for _, node := range c.Nodes {
 			node.mesh = c.Mesh
 			c.Mesh.SetDeliver(node.ID, node.receiveGossiped)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/abci"
 	"repro/internal/ledger"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -36,7 +35,7 @@ func TestAppendEventualNotify(t *testing.T) {
 	// Property 9: an appended valid tx is eventually delivered to every
 	// correct server via FinalizeBlock, at the same position.
 	s := sim.New(1)
-	c := ledger.NewCluster(s, ledger.Config{N: 4, Net: netsim.DefaultLANConfig()})
+	c := paperCluster(s, 4)
 	apps := make([]*recordingApp, 4)
 	for i := range apps {
 		apps[i] = &recordingApp{}
@@ -76,7 +75,7 @@ func TestAppendEventualNotify(t *testing.T) {
 func TestConsistentNotificationOrder(t *testing.T) {
 	// Property 10: same blocks, same order, everywhere.
 	s := sim.New(2)
-	c := ledger.NewCluster(s, ledger.Config{N: 4, Net: netsim.DefaultLANConfig()})
+	c := paperCluster(s, 4)
 	apps := make([]*recordingApp, 4)
 	for i := range apps {
 		apps[i] = &recordingApp{}
@@ -113,7 +112,7 @@ func TestConsistentNotificationOrder(t *testing.T) {
 
 func TestCheckTxGatesAdmission(t *testing.T) {
 	s := sim.New(3)
-	c := ledger.NewCluster(s, ledger.Config{N: 4, Net: netsim.DefaultLANConfig()})
+	c := paperCluster(s, 4)
 	app := &recordingApp{reject: true}
 	c.SetApp(0, app)
 	c.Start()
@@ -131,7 +130,7 @@ func TestCheckTxGatesAdmission(t *testing.T) {
 
 func TestAppMsgRouting(t *testing.T) {
 	s := sim.New(4)
-	c := ledger.NewCluster(s, ledger.Config{N: 2, Net: netsim.DefaultLANConfig()})
+	c := paperCluster(s, 2)
 	type ping struct{ v int }
 	var got []int
 	c.Nodes[1].SetAppMsgHandler(func(from wire.NodeID, payload any, size int) {
@@ -151,7 +150,7 @@ func TestAppMsgRouting(t *testing.T) {
 
 func TestVerifyConsistentChainsDetectsDivergence(t *testing.T) {
 	s := sim.New(5)
-	c := ledger.NewCluster(s, ledger.Config{N: 2, Net: netsim.DefaultLANConfig()})
+	c := paperCluster(s, 2)
 	c.Start()
 	s.After(0, func() { c.Nodes[0].Append(elemTx(1, 100)) })
 	s.RunUntil(5 * time.Second)
@@ -163,7 +162,7 @@ func TestVerifyConsistentChainsDetectsDivergence(t *testing.T) {
 
 func TestDefaultAppIsNop(t *testing.T) {
 	s := sim.New(6)
-	c := ledger.NewCluster(s, ledger.Config{N: 1})
+	c := paperCluster(s, 1)
 	c.Start()
 	s.After(0, func() { c.Nodes[0].Append(elemTx(1, 50)) })
 	s.RunUntil(5 * time.Second)
@@ -185,4 +184,11 @@ func TestBadClusterConfigPanics(t *testing.T) {
 		}
 	}()
 	ledger.NewCluster(sim.New(1), ledger.Config{N: 0})
+}
+
+// paperCluster builds an n-validator cluster of the evaluation's ledger.
+func paperCluster(s *sim.Simulator, n int) *ledger.Cluster {
+	cfg := ledger.PaperConfig()
+	cfg.N = n
+	return ledger.NewCluster(s, cfg)
 }

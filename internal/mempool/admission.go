@@ -30,18 +30,20 @@ const (
 )
 
 // AdmissionConfig enables and tunes the admission policy; the zero value
-// (empty Policy) leaves admission off — the closed-system behavior.
+// (empty Policy) leaves admission off — the closed-system behavior. The
+// pool uses every field as given: a scenario's defaults (watermark 0.9, and
+// for the delay policy 5 s and 1,024) are spec.WithDefaults'.
 type AdmissionConfig struct {
 	// Policy is AdmissionReject or AdmissionDelay ("" = off).
 	Policy string
 	// Watermark is the saturation threshold as a fraction of MaxTxs and
-	// MaxBytes (default 0.9). It must stay below 1: the remainder is
+	// MaxBytes. It must stay below 1: the remainder is
 	// headroom for carriers of already-admitted elements.
 	Watermark float64
 	// MaxDelay bounds how long a deferred transaction may wait before it
-	// is dropped (delay policy; default 5s of virtual time).
+	// is dropped (delay policy, virtual time).
 	MaxDelay time.Duration
-	// MaxDeferred caps the deferred queue (delay policy; default 1024).
+	// MaxDeferred caps the deferred queue (delay policy).
 	MaxDeferred int
 }
 

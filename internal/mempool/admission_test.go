@@ -7,8 +7,12 @@ import (
 	"repro/internal/wire"
 )
 
+// admCfg is a pool of maxTxs transactions under the policy, saturating at
+// 90 % and deferring up to 1,024 transactions for 5 s.
 func admCfg(policy string, maxTxs int) Config {
-	return Config{MaxTxs: maxTxs, Admission: AdmissionConfig{Policy: policy}}
+	c := capped(maxTxs)
+	c.Admission = AdmissionConfig{Policy: policy, Watermark: 0.9, MaxDelay: 5 * time.Second, MaxDeferred: 1024}
+	return c
 }
 
 func fillPool(t *testing.T, p *Mempool, base, n int) {
@@ -34,7 +38,7 @@ func TestSaturatedWatermark(t *testing.T) {
 }
 
 func TestAdmissionOffNeverSaturates(t *testing.T) {
-	_, pools := newTestPools(t, 1, Config{MaxTxs: 10})
+	_, pools := newTestPools(t, 1, capped(10))
 	p := pools[0]
 	fillPool(t, p, 1000, 10)
 	if p.Saturated() {
@@ -127,7 +131,7 @@ func TestDelayPolicyExpiresAtDeadline(t *testing.T) {
 			t.Error("deferrable tx refused")
 		}
 	})
-	// No commit ever frees space: the default 5 s MaxDelay must drop it.
+	// No commit ever frees space: the 5 s MaxDelay must drop it.
 	s.RunUntil(time.Minute)
 	if p.DeferredLen() != 0 {
 		t.Fatalf("deferred len = %d after the deadline, want 0", p.DeferredLen())
@@ -142,8 +146,9 @@ func TestDelayPolicyExpiresAtDeadline(t *testing.T) {
 }
 
 func TestDelayQueueBounded(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{MaxTxs: 10,
-		Admission: AdmissionConfig{Policy: AdmissionDelay, MaxDeferred: 2}})
+	cfg := admCfg(AdmissionDelay, 10)
+	cfg.Admission.MaxDeferred = 2
+	s, pools := newTestPools(t, 1, cfg)
 	p := pools[0]
 	s.After(0, func() {
 		fillPool(t, p, 1000, 9)
@@ -163,17 +168,4 @@ func TestDelayQueueBounded(t *testing.T) {
 		}
 	})
 	s.RunUntil(time.Second)
-}
-
-func TestAdmissionDefaults(t *testing.T) {
-	_, pools := newTestPools(t, 1, admCfg(AdmissionDelay, 100))
-	cfg := pools[0].cfg.Admission
-	if cfg.Watermark != 0.9 || cfg.MaxDelay != 5*time.Second || cfg.MaxDeferred != 1024 {
-		t.Fatalf("defaults = %+v", cfg)
-	}
-	// Admission off: nothing defaulted, the zero config stays zero.
-	_, off := newTestPools(t, 1, Config{MaxTxs: 100})
-	if off[0].cfg.Admission != (AdmissionConfig{}) {
-		t.Fatalf("closed-system admission config = %+v", off[0].cfg.Admission)
-	}
 }

@@ -26,7 +26,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Config sets pool limits and gossip behavior.
+// Config sets pool limits and gossip behavior. Build it from PaperConfig
+// and override fields: New uses every field as given and refuses the zero
+// Config.
 type Config struct {
 	// MaxTxs caps the number of pooled transactions (paper: 10,000,000).
 	MaxTxs int
@@ -134,25 +136,8 @@ type tombstoneBatch struct {
 // New creates a mempool for a node. peers is the set of other nodes gossip
 // reaches. check may be nil (accept all); enter may be nil.
 func New(id wire.NodeID, s *sim.Simulator, net *netsim.Network, peers []wire.NodeID, cfg Config, check CheckFunc, enter EnterFunc) *Mempool {
-	if cfg.MaxTxs == 0 {
-		cfg.MaxTxs = PaperConfig().MaxTxs
-	}
-	if cfg.MaxBytes == 0 {
-		cfg.MaxBytes = PaperConfig().MaxBytes
-	}
-	if cfg.GossipInterval == 0 {
-		cfg.GossipInterval = PaperConfig().GossipInterval
-	}
-	if cfg.Admission.Policy != "" {
-		if cfg.Admission.Watermark == 0 {
-			cfg.Admission.Watermark = 0.9
-		}
-		if cfg.Admission.MaxDelay == 0 {
-			cfg.Admission.MaxDelay = 5 * time.Second
-		}
-		if cfg.Admission.MaxDeferred == 0 {
-			cfg.Admission.MaxDeferred = 1024
-		}
+	if cfg == (Config{}) {
+		panic("mempool: zero Config; start from mempool.PaperConfig()")
 	}
 	return &Mempool{
 		id:    id,
@@ -165,6 +150,9 @@ func New(id wire.NodeID, s *sim.Simulator, net *netsim.Network, peers []wire.Nod
 		peers: peers,
 	}
 }
+
+// Config returns the configuration the pool runs with.
+func (m *Mempool) Config() Config { return m.cfg }
 
 // SetCheck replaces the admission filter. Intended for wiring the
 // application's CheckTx after construction; not for use mid-run.

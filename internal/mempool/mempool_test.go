@@ -19,6 +19,20 @@ func elemTx(i int, size int) *wire.Tx {
 	return &wire.Tx{Kind: wire.TxElement, Element: e}
 }
 
+// capped is PaperConfig holding at most maxTxs transactions.
+func capped(maxTxs int) Config {
+	c := PaperConfig()
+	c.MaxTxs = maxTxs
+	return c
+}
+
+// gossiping is PaperConfig flushing gossip every interval.
+func gossiping(interval time.Duration) Config {
+	c := PaperConfig()
+	c.GossipInterval = interval
+	return c
+}
+
 func newTestPools(t *testing.T, n int, cfg Config) (*sim.Simulator, []*Mempool) {
 	t.Helper()
 	s := sim.New(1)
@@ -50,7 +64,7 @@ func newTestPools(t *testing.T, n int, cfg Config) (*sim.Simulator, []*Mempool) 
 }
 
 func TestAddAndReap(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{})
+	s, pools := newTestPools(t, 1, PaperConfig())
 	p := pools[0]
 	s.After(0, func() {
 		for i := 0; i < 10; i++ {
@@ -80,7 +94,7 @@ func TestAddAndReap(t *testing.T) {
 }
 
 func TestDuplicateRejected(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{})
+	s, pools := newTestPools(t, 1, PaperConfig())
 	p := pools[0]
 	s.After(0, func() {
 		tx := elemTx(1, 100)
@@ -102,7 +116,7 @@ func TestCheckTxRejection(t *testing.T) {
 	s := sim.New(1)
 	net := netsim.New(s, netsim.Config{})
 	net.AddNode(0, nil)
-	p := New(0, s, net, nil, Config{}, func(tx *wire.Tx) bool {
+	p := New(0, s, net, nil, PaperConfig(), func(tx *wire.Tx) bool {
 		return tx.Element.Size < 500 // "validity" rule
 	}, nil)
 	s.After(0, func() {
@@ -128,7 +142,7 @@ func TestCheckTxRejection(t *testing.T) {
 func TestMalformedTxRefused(t *testing.T) {
 	for _, kind := range []wire.TxKind{wire.TxElement, wire.TxProof, wire.TxCompressedBatch, wire.TxHashBatch, 0, 99} {
 		checked := 0
-		p := New(0, sim.New(1), nil, nil, Config{}, func(*wire.Tx) bool { checked++; return true }, nil)
+		p := New(0, sim.New(1), nil, nil, PaperConfig(), func(*wire.Tx) bool { checked++; return true }, nil)
 		tx := &wire.Tx{Kind: kind}
 		if p.AddTx(tx) {
 			t.Errorf("kind %v without payload admitted", kind)
@@ -145,7 +159,7 @@ func TestMalformedTxRefused(t *testing.T) {
 }
 
 func TestCapacityLimits(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{MaxTxs: 3, MaxBytes: 1 << 20})
+	s, pools := newTestPools(t, 1, capped(3))
 	p := pools[0]
 	s.After(0, func() {
 		for i := 0; i < 5; i++ {
@@ -163,7 +177,7 @@ func TestCapacityLimits(t *testing.T) {
 }
 
 func TestByteCapacity(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{MaxTxs: 100, MaxBytes: 250})
+	s, pools := newTestPools(t, 1, Config{MaxTxs: 100, MaxBytes: 250, GossipInterval: 10 * time.Millisecond})
 	p := pools[0]
 	s.After(0, func() {
 		for i := 0; i < 5; i++ {
@@ -177,7 +191,7 @@ func TestByteCapacity(t *testing.T) {
 }
 
 func TestGossipReplication(t *testing.T) {
-	s, pools := newTestPools(t, 4, Config{GossipInterval: 5 * time.Millisecond})
+	s, pools := newTestPools(t, 4, gossiping(5*time.Millisecond))
 	s.After(0, func() {
 		for i := 0; i < 20; i++ {
 			pools[0].AddTx(elemTx(i, 100))
@@ -192,7 +206,7 @@ func TestGossipReplication(t *testing.T) {
 }
 
 func TestGossipDoesNotLoopForever(t *testing.T) {
-	s, pools := newTestPools(t, 3, Config{GossipInterval: time.Millisecond})
+	s, pools := newTestPools(t, 3, gossiping(time.Millisecond))
 	s.After(0, func() { pools[0].AddTx(elemTx(1, 50)) })
 	s.Run() // termination itself is the assertion: re-gossip of known txs stops
 	for i, p := range pools {
@@ -203,7 +217,7 @@ func TestGossipDoesNotLoopForever(t *testing.T) {
 }
 
 func TestRemoveCommittedBlocksReentry(t *testing.T) {
-	s, pools := newTestPools(t, 2, Config{GossipInterval: time.Millisecond})
+	s, pools := newTestPools(t, 2, gossiping(time.Millisecond))
 	tx := elemTx(7, 100)
 	s.After(0, func() { pools[0].AddTx(tx) })
 	s.RunUntil(time.Second)
@@ -224,7 +238,7 @@ func TestRemoveCommittedBlocksReentry(t *testing.T) {
 }
 
 func TestRemoveCommittedNeverSeen(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{})
+	s, pools := newTestPools(t, 1, PaperConfig())
 	p := pools[0]
 	tx := elemTx(9, 100)
 	p.RemoveCommitted(1, []*wire.Tx{tx}) // seen-marking path
@@ -248,7 +262,7 @@ func TestRemoveCommittedNeverSeen(t *testing.T) {
 // second listing finds the tombstone the first one left: live and bytes go
 // down once, and the slot that is freed is the transaction's own.
 func TestRemoveCommittedSameTxTwice(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{})
+	s, pools := newTestPools(t, 1, PaperConfig())
 	p := pools[0]
 	var txs []*wire.Tx
 	s.After(0, func() {
@@ -273,7 +287,7 @@ func TestRemoveCommittedSameTxTwice(t *testing.T) {
 }
 
 func TestReapRespectsRemoval(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{})
+	s, pools := newTestPools(t, 1, PaperConfig())
 	p := pools[0]
 	var txs []*wire.Tx
 	s.After(0, func() {
@@ -298,7 +312,7 @@ func TestReapRespectsRemoval(t *testing.T) {
 // half of it: the survivors move to index 0, base moves by as much, and
 // every sequence number in the index still finds its own slot.
 func TestCompactKeepsOrder(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{})
+	s, pools := newTestPools(t, 1, PaperConfig())
 	p := pools[0]
 	var txs []*wire.Tx
 	s.After(0, func() {
@@ -344,7 +358,7 @@ func TestCompactKeepsOrder(t *testing.T) {
 }
 
 func TestHas(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{})
+	s, pools := newTestPools(t, 1, PaperConfig())
 	p := pools[0]
 	tx := elemTx(1, 10)
 	s.After(0, func() { p.AddTx(tx) })
@@ -363,7 +377,7 @@ func TestGossipBatchesManyTxsIntoFewMessages(t *testing.T) {
 	var delivered int
 	net.AddNode(0, nil)
 	net.AddNode(1, func(from wire.NodeID, payload any, size int) { delivered++ })
-	p := New(0, s, net, []wire.NodeID{1}, Config{GossipInterval: 10 * time.Millisecond}, nil, nil)
+	p := New(0, s, net, []wire.NodeID{1}, PaperConfig(), nil, nil)
 	s.After(0, func() {
 		for i := 0; i < 100; i++ {
 			p.AddTx(elemTx(i, 10))
@@ -380,7 +394,7 @@ func TestEnterHookFires(t *testing.T) {
 	net := netsim.New(s, netsim.Config{})
 	net.AddNode(0, nil)
 	var entered []string
-	p := New(0, s, net, nil, Config{}, nil, func(node wire.NodeID, tx *wire.Tx) {
+	p := New(0, s, net, nil, PaperConfig(), nil, func(node wire.NodeID, tx *wire.Tx) {
 		entered = append(entered, fmt.Sprintf("%d:%s", node, tx.Key()))
 	})
 	s.After(0, func() { p.AddTx(elemTx(1, 10)) })
@@ -394,7 +408,7 @@ func BenchmarkAddReapRemove(b *testing.B) {
 	s := sim.New(1)
 	net := netsim.New(s, netsim.Config{})
 	net.AddNode(0, nil)
-	p := New(0, s, net, nil, Config{}, nil, nil)
+	p := New(0, s, net, nil, PaperConfig(), nil, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tx := elemTx(i, 438)
@@ -408,7 +422,7 @@ func BenchmarkAddReapRemove(b *testing.B) {
 
 // benchPool returns one peerless pool holding n element transactions.
 func benchPool(n int) (*Mempool, []*wire.Tx) {
-	p := New(0, sim.New(1), nil, nil, Config{}, nil, nil)
+	p := New(0, sim.New(1), nil, nil, PaperConfig(), nil, nil)
 	txs := make([]*wire.Tx, n)
 	for i := range txs {
 		txs[i] = elemTx(i, 438)
@@ -513,7 +527,7 @@ func TestTombstoneLogAliasesBlock(t *testing.T) {
 // layers neutralize because everything it carried is settled below the
 // checkpoint.
 func TestPruneTombstonesBelow(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{})
+	s, pools := newTestPools(t, 1, PaperConfig())
 	p := pools[0]
 	var batches [][]*wire.Tx
 	s.After(0, func() {
@@ -564,7 +578,7 @@ func TestPruneTombstonesBelow(t *testing.T) {
 // heights is pruned with the first, re-admitted by late gossip, and is
 // live when the horizon passes the second. Pruning must leave it pooled.
 func TestPruneKeepsReadmittedKey(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{})
+	s, pools := newTestPools(t, 1, PaperConfig())
 	p := pools[0]
 	tx := elemTx(3, 100)
 	s.After(0, func() { p.AddTx(tx) })

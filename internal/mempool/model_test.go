@@ -192,9 +192,9 @@ func twinTx(tx *wire.Tx, constructed bool) *wire.Tx {
 // (nothing but the index and the ring), caps small enough to drop, and the
 // delay admission policy with a short deferred queue.
 var modelConfigs = []Config{
-	{},
-	{MaxTxs: 96, MaxBytes: 24_000},
-	{MaxTxs: 64, MaxBytes: 1 << 20, Admission: AdmissionConfig{
+	PaperConfig(),
+	{MaxTxs: 96, MaxBytes: 24_000, GossipInterval: 10 * time.Millisecond},
+	{MaxTxs: 64, MaxBytes: 1 << 20, GossipInterval: 10 * time.Millisecond, Admission: AdmissionConfig{
 		Policy: AdmissionDelay, Watermark: 0.75, MaxDelay: 2 * time.Second, MaxDeferred: 8}},
 }
 

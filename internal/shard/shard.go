@@ -62,7 +62,8 @@ type Deployment struct {
 // Deploy builds a sharded world: a shared network from lcfg.Net, then one
 // complete Setchain deployment per shard with disjoint node and client id
 // ranges, each with its own recorder at the given metrics level. opts
-// applies to every server of every shard. In Full crypto mode every
+// applies to every server of every shard, and the recorders count f+1
+// proofs with its F. In Full crypto mode every
 // client's key is registered in every shard's PKI, because the router may
 // send any client's element to any shard.
 func Deploy(s *sim.Simulator, shards, servers int, lcfg ledger.Config, opts core.Options, level metrics.Level) *Deployment {
@@ -84,7 +85,6 @@ func Deploy(s *sim.Simulator, shards, servers int, lcfg ledger.Config, opts core
 	if lcfg.SimFor != nil {
 		d.Net.SetSimResolver(lcfg.SimFor)
 	}
-	f := (servers - 1) / 2
 	for k := 0; k < shards; k++ {
 		rsim := s
 		if lcfg.SimFor != nil {
@@ -92,7 +92,7 @@ func Deploy(s *sim.Simulator, shards, servers int, lcfg ledger.Config, opts core
 				rsim = ps
 			}
 		}
-		rec := metrics.New(rsim, level, servers, f, d.Observer(k))
+		rec := metrics.New(rsim, level, servers, opts.F, d.Observer(k))
 		cfg := lcfg
 		cfg.Network = d.Net
 		cfg.FirstID = d.Observer(k)

@@ -30,7 +30,7 @@ type WorkloadConfig struct {
 	Duration time.Duration
 	// Sizes describes element sizes; zero value uses ArbitrumSizes.
 	Sizes workload.SizeModel
-	// Tick batches injection bookkeeping (0 = 10 ms).
+	// Tick batches injection bookkeeping; zero value uses 10 ms.
 	Tick time.Duration
 	// FullPayloads creates real signed payloads (Full mode deployments).
 	FullPayloads bool
@@ -54,12 +54,7 @@ type Generator struct {
 
 // NewGenerator creates a generator for the sharded deployment.
 func NewGenerator(d *Deployment, cfg WorkloadConfig) *Generator {
-	if cfg.Sizes == (workload.SizeModel{}) {
-		cfg.Sizes = workload.ArbitrumSizes()
-	}
-	if cfg.Tick == 0 {
-		cfg.Tick = 10 * time.Millisecond
-	}
+	cfg.Sizes, cfg.Tick = workload.Shape(cfg.Sizes, cfg.Tick)
 	return &Generator{
 		cfg:      cfg,
 		d:        d,
@@ -103,6 +98,9 @@ func (g *Generator) injectOne(k, i int) {
 	g.perShard[target]++
 	g.d.Recorders[target].Injected(e)
 }
+
+// Config returns the configuration the generator runs with.
+func (g *Generator) Config() WorkloadConfig { return g.cfg }
 
 // PerShardInjected returns the accepted count per shard (the router's
 // observed balance). The slice is live state; treat it as read-only.

@@ -151,7 +151,7 @@ func (f *FaultSpec) validate(n, shards int) error {
 				name string
 				v    float64
 			}{{"drop", ev.Drop}, {"duplicate", ev.Duplicate}, {"reorder", ev.Reorder}} {
-				if p.v < 0 || p.v > 1 {
+				if !(p.v >= 0 && p.v <= 1) {
 					return fail(fmt.Errorf("%s probability %g outside [0,1]", p.name, p.v))
 				}
 			}

@@ -97,11 +97,6 @@ var Behaviors = []string{
 	BehaviorWrongBatches, BehaviorCorruptProofs, BehaviorForgeSnapshot,
 }
 
-// DefaultInjectCount is the bogus-element count "inject-invalid" uses
-// when a spec leaves inject_count unset; the harness applies the same
-// default to hand-built scenarios.
-const DefaultInjectCount = 3
-
 // WorkloadSpec shapes the element stream. The zero value is the paper's
 // Arbitrum distribution at the default 10 ms injection tick; WithDefaults
 // fills unset fields with those same values, so a partially-specified
@@ -295,8 +290,8 @@ type ScenarioSpec struct {
 }
 
 // WithDefaults fills the paper's defaults into unset fields. It is
-// idempotent, and its choices mirror harness.Scenario's own defaulting so
-// a defaulted spec and a sparse one produce identical runs.
+// idempotent and the one place a scenario's defaults are written: the
+// layers below use what it decided as given (DESIGN.md §7).
 func (s ScenarioSpec) WithDefaults() ScenarioSpec {
 	if s.Servers == 0 {
 		s.Servers = 10
@@ -367,7 +362,7 @@ func (s ScenarioSpec) WithDefaults() ScenarioSpec {
 	if s.Byzantine != nil {
 		b := *s.Byzantine
 		if b.InjectCount == 0 && hasBehavior(b.Behaviors, BehaviorInjectInvalid) {
-			b.InjectCount = DefaultInjectCount
+			b.InjectCount = 3
 		}
 		s.Byzantine = &b
 	}
@@ -398,11 +393,15 @@ func hasBehavior(names []string, want string) bool {
 // -scale flag's: finite and >= 0, where 0 means 1. A negative or NaN scale
 // would otherwise run a cell that sends nothing and reports success.
 func CheckScale(scale float64) error {
-	if !(scale >= 0) || math.IsInf(scale, 1) {
+	if !nonNegative(scale) {
 		return fmt.Errorf("scale must be finite and >= 0, got %g", scale)
 	}
 	return nil
 }
+
+// nonNegative reports whether v is finite and >= 0, the rule for every
+// float field; NaN fails every comparison, so v < 0 lets it through.
+func nonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Validate reports the first problem with the spec, or nil. Call after
 // WithDefaults; a defaulted registry cell always validates.
@@ -419,8 +418,8 @@ func (s ScenarioSpec) Validate() error {
 	if s.Algorithm == AlgVanilla && s.Light {
 		return fmt.Errorf("light has no Vanilla variant (the ablation removes batch validation, which Vanilla does not have)")
 	}
-	if s.Rate <= 0 {
-		return fmt.Errorf("rate must be positive, got %g", s.Rate)
+	if !nonNegative(s.Rate) || s.Rate == 0 {
+		return fmt.Errorf("rate must be positive and finite, got %g", s.Rate)
 	}
 	if s.Servers < 1 {
 		return fmt.Errorf("servers must be >= 1, got %d", s.Servers)
@@ -462,8 +461,8 @@ func (s ScenarioSpec) Validate() error {
 	if s.Horizon != 0 && s.Horizon < s.SendFor {
 		return fmt.Errorf("horizon %v shorter than send window %v", s.Horizon.Std(), s.SendFor.Std())
 	}
-	if s.Bandwidth < 0 {
-		return fmt.Errorf("bandwidth must be >= 0, got %g", s.Bandwidth)
+	if !nonNegative(s.Bandwidth) {
+		return fmt.Errorf("bandwidth must be finite and >= 0, got %g", s.Bandwidth)
 	}
 	if s.SyncChunkBytes < 0 {
 		return fmt.Errorf("sync_chunk_bytes must be >= 0, got %d", s.SyncChunkBytes)
@@ -484,15 +483,15 @@ func (s ScenarioSpec) Validate() error {
 			s.Crypto, CryptoModeled, CryptoFull)
 	}
 	if w := s.Workload; w != nil {
-		if w.SizeMean < 0 || w.SizeStdDev < 0 || w.SizeMin < 0 || w.SizeMax < 0 || w.Tick < 0 {
-			return fmt.Errorf("workload parameters must be >= 0")
+		if !nonNegative(w.SizeMean) || !nonNegative(w.SizeStdDev) || w.SizeMin < 0 || w.SizeMax < 0 || w.Tick < 0 {
+			return fmt.Errorf("workload parameters must be finite and >= 0")
 		}
 		if w.SizeMax != 0 && w.SizeMin > w.SizeMax {
 			return fmt.Errorf("workload size_min %d > size_max %d", w.SizeMin, w.SizeMax)
 		}
 	}
 	if o := s.Open; o != nil {
-		if o.Zipf < 0 || o.Zipf > 8 {
+		if !(o.Zipf >= 0 && o.Zipf <= 8) {
 			return fmt.Errorf("open zipf must be in [0, 8], got %g", o.Zipf)
 		}
 		if o.ChurnOn < 0 || o.ChurnOff < 0 {
@@ -505,8 +504,8 @@ func (s ScenarioSpec) Validate() error {
 			if p.From < 0 {
 				return fmt.Errorf("open envelope phase %d: from must be >= 0", i)
 			}
-			if p.Mult < 0 {
-				return fmt.Errorf("open envelope phase %d: mult must be >= 0, got %g", i, p.Mult)
+			if !nonNegative(p.Mult) {
+				return fmt.Errorf("open envelope phase %d: mult must be finite and >= 0, got %g", i, p.Mult)
 			}
 			if i > 0 && p.From <= o.Envelope[i-1].From {
 				return fmt.Errorf("open envelope phases must have strictly ascending from times")
@@ -522,7 +521,7 @@ func (s ScenarioSpec) Validate() error {
 			return fmt.Errorf("unknown admission policy %q (want %q or %q)",
 				a.Policy, AdmissionReject, AdmissionDelay)
 		}
-		if a.Watermark < 0 || a.Watermark > 1 {
+		if !(a.Watermark >= 0 && a.Watermark <= 1) {
 			return fmt.Errorf("admission watermark must be in (0, 1], got %g", a.Watermark)
 		}
 		if a.MaxTxs < 0 || a.MaxBytes < 0 || a.MaxDeferred < 0 {

@@ -37,6 +37,18 @@ func ArbitrumSizes() SizeModel {
 	return SizeModel{Mean: 438, StdDev: 753.5, Min: 96, Max: 16384}
 }
 
+// Shape fills the injection shape both generators share: a zero size model
+// is ArbitrumSizes, a zero tick 10 ms.
+func Shape(sizes SizeModel, tick time.Duration) (SizeModel, time.Duration) {
+	if sizes == (SizeModel{}) {
+		sizes = ArbitrumSizes()
+	}
+	if tick == 0 {
+		tick = 10 * time.Millisecond
+	}
+	return sizes, tick
+}
+
 // lognormalParams converts the target mean m and stddev s into the
 // underlying normal's (mu, sigma): for X ~ LogNormal(mu, sigma),
 // E[X] = exp(mu + sigma²/2) and Var[X] = (exp(sigma²)-1)·exp(2mu+sigma²).
@@ -106,12 +118,7 @@ type Generator struct {
 
 // New creates a generator for the deployment; rec may be nil.
 func New(d *core.Deployment, rec *metrics.Recorder, cfg Config) *Generator {
-	if cfg.Sizes == (SizeModel{}) {
-		cfg.Sizes = ArbitrumSizes()
-	}
-	if cfg.Tick == 0 {
-		cfg.Tick = 10 * time.Millisecond
-	}
+	cfg.Sizes, cfg.Tick = Shape(cfg.Sizes, cfg.Tick)
 	return &Generator{cfg: cfg, d: d, rec: rec,
 		Account: NewAccount(len(d.Clients), cfg.TrackIDs)}
 }
@@ -152,9 +159,7 @@ func Ticks(s *sim.Simulator, n int, perClient float64, duration, tick time.Durat
 // extension from forking the workload's timing definition.
 func RatedTicks(s *sim.Simulator, n int, rate func(client int, now time.Duration) float64, duration, tick time.Duration, inject func(client int)) {
 	if tick <= 0 {
-		// A zero tick would re-arm at the current instant forever; fall
-		// back to the generators' default instead of wedging the simulator.
-		tick = 10 * time.Millisecond
+		panic("workload: tick must be positive (Shape fills a zero one)")
 	}
 	for i := 0; i < n; i++ {
 		i := i

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ledger"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -58,7 +57,7 @@ func deployModeled(seed int64, n int) (*sim.Simulator, *core.Deployment, *metric
 	s := sim.New(seed)
 	f := (n - 1) / 2
 	rec := metrics.New(s, metrics.LevelThroughput, n, f, 0)
-	d := core.Deploy(s, n, ledger.Config{Net: netsim.DefaultLANConfig()},
+	d := core.Deploy(s, n, ledger.PaperConfig(),
 		core.Options{Algorithm: core.Hashchain, Mode: core.Modeled, CollectorLimit: 50, F: f}, rec)
 	d.Start()
 	return s, d, rec
@@ -112,7 +111,7 @@ func TestGeneratorElementsCommit(t *testing.T) {
 func TestFullPayloadGeneration(t *testing.T) {
 	s := sim.New(4)
 	rec := metrics.New(s, metrics.LevelThroughput, 4, 1, 0)
-	d := core.Deploy(s, 4, ledger.Config{Net: netsim.DefaultLANConfig()},
+	d := core.Deploy(s, 4, ledger.PaperConfig(),
 		core.Options{Algorithm: core.Compresschain, Mode: core.Full, CollectorLimit: 20, F: 1}, rec)
 	d.Start()
 	g := New(d, rec, Config{Rate: 100, Duration: 3 * time.Second, FullPayloads: true})

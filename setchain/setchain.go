@@ -22,12 +22,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/ledger"
-	"repro/internal/mempool"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/setcrypto"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -60,8 +57,8 @@ type Byzantine = core.Behavior
 
 // Config describes a deployment.
 type Config struct {
-	// Algorithm selects Vanilla, Compresschain or Hashchain (default
-	// Hashchain, the paper's best performer).
+	// Algorithm selects Vanilla, Compresschain or Hashchain; the zero
+	// value is Vanilla.
 	Algorithm Algorithm
 	// Servers is the number of Setchain/ledger servers (default 4).
 	Servers int
@@ -82,6 +79,7 @@ type Config struct {
 	Seed int64
 }
 
+// withDefaults is the one place the public API's defaults are written.
 func (c Config) withDefaults() Config {
 	if c.Servers == 0 {
 		c.Servers = 4
@@ -113,23 +111,21 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Servers < 1 {
 		return nil, errors.New("setchain: need at least one server")
 	}
-	if cfg.F >= cfg.Servers {
-		return nil, fmt.Errorf("setchain: F=%d must be < Servers=%d", cfg.F, cfg.Servers)
+	if cfg.F < 0 || cfg.F >= cfg.Servers {
+		return nil, fmt.Errorf("setchain: F=%d must be in [0, Servers=%d)", cfg.F, cfg.Servers)
+	}
+	if cfg.CollectorSize < 0 || cfg.CollectorTimeout < 0 || cfg.NetworkDelay < 0 || cfg.BlockBytes < 0 {
+		return nil, errors.New("setchain: CollectorSize, CollectorTimeout, NetworkDelay and BlockBytes must be >= 0")
 	}
 	s := sim.New(cfg.Seed)
 	rec := metrics.New(s, metrics.LevelThroughput, cfg.Servers, cfg.F, 0)
-	netCfg := netsim.DefaultLANConfig()
-	netCfg.ExtraDelay = cfg.NetworkDelay
-	consParams := consensus.PaperParams()
+	lcfg := ledger.PaperConfig()
+	lcfg.Net.ExtraDelay = cfg.NetworkDelay
 	if cfg.BlockBytes > 0 {
-		consParams.MaxBlockBytes = cfg.BlockBytes
+		lcfg.Consensus.MaxBlockBytes = cfg.BlockBytes
 	}
-	dep := core.Deploy(s, cfg.Servers, ledger.Config{
-		Net:       netCfg,
-		Consensus: consParams,
-		Mempool:   mempool.PaperConfig(),
-		Suite:     setcrypto.Ed25519Suite{},
-	}, core.Options{
+	lcfg.Suite = setcrypto.Ed25519Suite{}
+	dep := core.Deploy(s, cfg.Servers, lcfg, core.Options{
 		Algorithm:        cfg.Algorithm,
 		Mode:             core.Full,
 		CollectorLimit:   cfg.CollectorSize,

@@ -50,6 +50,40 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// Bad input is an error from New, at once: a negative F used to build a
+// network that never settled, a negative collector size panicked inside the
+// collector.
+func TestConfigRejectsNegatives(t *testing.T) {
+	cases := map[string]setchain.Config{
+		"F vanilla":         {F: -1},
+		"F hashchain":       {Algorithm: setchain.Hashchain, F: -1},
+		"CollectorSize":     {Algorithm: setchain.Hashchain, CollectorSize: -1},
+		"CollectorTimeout":  {Algorithm: setchain.Compresschain, CollectorTimeout: -time.Second},
+		"NetworkDelay":      {NetworkDelay: -time.Millisecond},
+		"BlockBytes":        {BlockBytes: -1},
+		"Servers":           {Servers: -4},
+		"F equals Servers":  {Servers: 4, F: 4},
+		"F above Servers-1": {Servers: 2, F: 5},
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				_, err := setchain.New(cfg)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatalf("New(%+v) accepted", cfg)
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("New(%+v) did not return within a second", cfg)
+			}
+		})
+	}
+}
+
 func TestDefaults(t *testing.T) {
 	net, err := setchain.New(setchain.Config{})
 	if err != nil {
