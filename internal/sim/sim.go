@@ -8,6 +8,10 @@
 // components built on top (network, consensus, Setchain servers) atomic
 // per-event semantics without locks. CPU-bound work is modeled explicitly
 // with Resource (see resource.go) rather than by burning wall-clock time.
+// A callback-free resource job (a charge) is counted, not scheduled: it
+// draws a sequence number but never enters the heap. At every return from
+// Run, RunUntil and World.RunUntil, Executed, Now and Pending read as if
+// each charge had been a no-op event.
 //
 // The event queue is built for the allocation budget of multi-million-event
 // sweeps (DESIGN.md §6): event state lives in a slab recycled through a
@@ -22,6 +26,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -38,9 +43,11 @@ type Simulator struct {
 	seed   int64
 	halted bool
 
-	// Executed counts events run since creation; useful for budget checks
-	// and for asserting determinism across runs.
-	executed uint64
+	// Executed counts events run and charges counted since creation; useful
+	// for budget checks and for asserting determinism across runs.
+	executed  uint64
+	lastSeq   uint64      // seq of the last executed event: where a Halt cuts the charges
+	resources []*Resource // every resource on this queue, for the charge tally
 
 	// Partition identity when this simulator is one partition of a World
 	// (world.go). pidx is -1 for standalone simulators and the World's home
@@ -145,7 +152,8 @@ func (s *Simulator) Now() time.Duration { return s.now }
 // draw randomness only from here to preserve reproducibility.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
-// Executed reports how many events have run so far.
+// Executed reports how many events have run so far, counting every
+// completed resource job whether or not it runs code.
 func (s *Simulator) Executed() uint64 { return s.executed }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past (or at
@@ -200,20 +208,25 @@ func (s *Simulator) nextSeq() uint64 {
 	return s.seq
 }
 
-// After schedules fn d from now. Negative d behaves like d == 0.
+// After schedules fn d from now. Negative d behaves like d == 0; a d past
+// the end of time schedules at the end of time.
 func (s *Simulator) After(d time.Duration, fn func()) Event {
-	return s.At(s.now+d, fn)
+	return s.At(satAdd(s.now, d), fn)
 }
 
 // Halt stops the run loop after the current event completes. Pending events
 // remain queued; a subsequent Run or RunUntil resumes them.
 func (s *Simulator) Halt() { s.halted = true }
 
-// Run executes events until the queue is empty or Halt is called.
+// Run executes events until the queue is empty or Halt is called. A run
+// that empties the queue ends on the last completion, charges included.
 func (s *Simulator) Run() {
 	s.halted = false
 	for len(s.heap) > 0 && !s.halted {
 		s.step()
+	}
+	if last := s.settle(maxDuration); last > s.now {
+		s.now = last
 	}
 }
 
@@ -224,14 +237,35 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 	for len(s.heap) > 0 && !s.halted && s.heap[0].at <= deadline {
 		s.step()
 	}
+	s.settle(deadline)
 	if !s.halted && s.now < deadline {
 		s.now = deadline
 	}
 }
 
-// Pending reports the number of queued events. Canceled events are removed
-// eagerly and never counted.
-func (s *Simulator) Pending() int { return len(s.heap) }
+// settle counts, when a run returns, the charges it has passed: after a
+// Halt, those before the halting event in (at, seq) order; otherwise all up
+// to until. It returns the latest completion it counted.
+func (s *Simulator) settle(until time.Duration) (last time.Duration) {
+	cut := charge{at: until, seq: math.MaxUint64}
+	if s.halted {
+		cut = charge{at: s.now, seq: s.lastSeq}
+	}
+	for _, r := range s.resources {
+		last = max(last, r.retire(cut))
+	}
+	return last
+}
+
+// Pending reports the number of queued events and uncounted charges.
+// Canceled events are removed eagerly and never counted.
+func (s *Simulator) Pending() int {
+	n := len(s.heap)
+	for _, r := range s.resources {
+		n += len(r.charges) - r.head
+	}
+	return n
+}
 
 func (s *Simulator) step() {
 	top := s.heap[0]
@@ -243,6 +277,7 @@ func (s *Simulator) step() {
 	fn := n.fn
 	s.release(top.slot)
 	s.now = top.at
+	s.lastSeq = top.seq
 	s.executed++
 	fn()
 }
@@ -380,10 +415,11 @@ func (s *Simulator) runBefore(limit time.Duration) {
 	}
 }
 
-// finishAt advances the clock to deadline without executing anything, used
-// once at the end of a partitioned run so post-run reads of Now() match the
-// sequential path.
+// finishAt counts the charges up to deadline and advances the clock to it,
+// once at the end of a partitioned run, so post-run reads of Now(),
+// Executed() and Pending() match the sequential path.
 func (s *Simulator) finishAt(deadline time.Duration) {
+	s.settle(deadline)
 	if s.now < deadline {
 		s.now = deadline
 	}

@@ -220,6 +220,108 @@ func TestCancelAllocFree(t *testing.T) {
 	}
 }
 
+// Charges must be allocation-free too, submitted between runs and from
+// inside events: once the in-flight list has grown, it is reused.
+func TestChargeAllocFree(t *testing.T) {
+	s := New(1)
+	r := s.NewResource("cpu")
+	burst := func() {
+		for i := 0; i < 4; i++ {
+			r.Submit(time.Duration(i)*time.Microsecond, nil)
+		}
+	}
+	round := func() {
+		for i := 0; i < 16; i++ {
+			r.Submit(time.Microsecond, nil)
+			s.After(time.Duration(i)*time.Microsecond, burst)
+		}
+		s.Run()
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("charge path allocates %.2f/run, want 0", avg)
+	}
+}
+
+// A resource charged without pause for 10⁶ jobs holds no more than the
+// charges still in flight (completion at or after now), counted here by a
+// separate queue, and its list's capacity stays within a constant factor
+// of that.
+func TestChargeListHoldsOnlyInFlight(t *testing.T) {
+	const jobs = 1_000_000
+	s := New(1)
+	r := s.NewResource("cpu")
+	rng := rand.New(rand.NewSource(1))
+	var inFlight []time.Duration
+	maxInFlight, submitted := 0, 0
+	var tick func()
+	tick = func() {
+		// Costs average the tick period: the resource runs at capacity.
+		r.Submit(time.Duration(rng.Int63n(int64(2*time.Microsecond)+1)), nil)
+		for len(inFlight) > 0 && inFlight[0] < s.Now() {
+			inFlight = inFlight[1:]
+		}
+		inFlight = append(inFlight, r.busyUntil)
+		maxInFlight = max(maxInFlight, len(inFlight))
+		if live := len(r.charges) - r.head; live > len(inFlight) {
+			t.Fatalf("after %d jobs the resource holds %d charges, %d in flight", submitted, live, len(inFlight))
+		}
+		if submitted++; submitted < jobs {
+			s.After(time.Microsecond, tick)
+		}
+	}
+	s.At(0, tick)
+	s.Run()
+	if c := cap(r.charges); c > 4*maxInFlight+8 {
+		t.Fatalf("charge list capacity %d for at most %d in flight", c, maxInFlight)
+	}
+	if want := uint64(2 * jobs); s.Executed() != want || s.Pending() != 0 {
+		t.Fatalf("Executed = %d, Pending = %d; want %d, 0", s.Executed(), s.Pending(), want)
+	}
+	t.Logf("%d jobs, at most %d in flight, list capacity %d", jobs, maxInFlight, cap(r.charges))
+}
+
+// RunUntil to the end of time runs everything on a Simulator and on a
+// World alike: the World's strict bound deadline+1 must not wrap.
+func TestRunUntilEndOfTime(t *testing.T) {
+	schedule := func(q *Simulator) {
+		cpu := q.NewResource("cpu")
+		for i := 1; i <= 5; i++ {
+			q.At(time.Duration(i)*time.Second, func() {
+				cpu.Submit(time.Millisecond, nil)
+				cpu.Submit(time.Millisecond, func() {})
+			})
+		}
+	}
+	s := New(1)
+	schedule(s)
+	s.RunUntil(maxDuration)
+	w := NewWorld(1, 2, 2)
+	schedule(w.Part(1))
+	w.RunUntil(maxDuration)
+	if s.Executed() != 15 || w.Executed() != s.Executed() {
+		t.Fatalf("Executed: Simulator %d, World %d; want 15 on both", s.Executed(), w.Executed())
+	}
+	if s.Now() != maxDuration || w.Part(1).Now() != maxDuration {
+		t.Fatalf("clocks at %v and %v, want the end of time", s.Now(), w.Part(1).Now())
+	}
+}
+
+// After past the end of time saturates instead of wrapping negative and
+// firing at once.
+func TestAfterSaturatesAtEndOfTime(t *testing.T) {
+	s := New(1)
+	var ev Event
+	fired := false
+	s.At(time.Second, func() { ev = s.After(maxDuration, func() { fired = true }) })
+	s.RunUntil(time.Hour)
+	if fired || ev.At() != maxDuration || !ev.Scheduled() {
+		t.Fatalf("After(maxDuration) at 1s: fired %v, at %v; want pending at the end of time", fired, ev.At())
+	}
+}
+
 func TestScheduleInPastRunsNow(t *testing.T) {
 	s := New(1)
 	var at time.Duration = -1

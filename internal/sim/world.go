@@ -98,9 +98,10 @@ func (w *World) Parts() int { return len(w.parts) }
 // before RunUntil.
 func (w *World) SetLookahead(fn func() time.Duration) { w.lookahead = fn }
 
-// Executed reports events run across the home queue and all partitions.
-// A partitioned run executes exactly the event population of the sequential
-// schedule, so this matches (*Simulator).Executed of an IntraWorkers=1 run.
+// Executed reports events run and charges counted across the home queue and
+// all partitions. A partitioned run executes the sequential schedule's
+// events and, by RunUntil's return, has counted its charges, so this
+// matches (*Simulator).Executed of an IntraWorkers=1 run.
 func (w *World) Executed() uint64 {
 	total := w.home.executed
 	for _, p := range w.parts {
@@ -123,7 +124,7 @@ func (w *World) BreakHomeFenceForTest() { w.unsafeIgnoreHome = true }
 // and including deadline, then advances every clock to deadline, mirroring
 // (*Simulator).RunUntil on the sequential path.
 func (w *World) RunUntil(deadline time.Duration) {
-	limit := deadline + 1 // strict upper bound: run events with at <= deadline
+	limit := satAdd(deadline, 1) // strict upper bound: run events with at <= deadline
 
 	// Persistent workers for this run: rounds are short (often a handful of
 	// events per partition), so dispatch must be a channel send, not a
@@ -211,7 +212,7 @@ func (w *World) RunUntil(deadline time.Duration) {
 			w.home.runBefore(W)
 		} else if H == W && W < limit {
 			for _, p := range w.parts {
-				p.finishAt(W)
+				p.now = max(p.now, W)
 			}
 			w.mergeRunAt(W)
 		}
@@ -298,9 +299,10 @@ func (w *World) drainInboxes() {
 	}
 }
 
+// satAdd returns a+b, saturated at maxDuration when b > 0 overflows it.
 func satAdd(a, b time.Duration) time.Duration {
 	c := a + b
-	if c < a {
+	if b > 0 && c < a {
 		return maxDuration
 	}
 	return c

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -99,9 +100,12 @@ func TestWorldInboxMergeOrder(t *testing.T) {
 
 // TestWorldCrossTrafficDeterministicAcrossWorkers runs a cross-partition
 // ping-pong workload — each partition forwards a token to the next with the
-// lookahead delay, and home injects new tokens on a fixed cadence — at
-// several worker widths and requires identical per-partition execution
-// traces. Traces are recorded partition-locally (only that partition's
+// lookahead delay, and home injects new tokens on a fixed cadence — on one
+// queue and on a World at several worker widths, and requires identical
+// per-partition execution traces and Executed counts. Every hop charges
+// its partition's CPU and some queue a callback job behind the charge;
+// home events charge partition CPUs at barriers, the client-injection
+// shape. Traces are recorded partition-locally (only that partition's
 // events append), so recording is race-free by the same argument that makes
 // the execution correct.
 func TestWorldCrossTrafficDeterministicAcrossWorkers(t *testing.T) {
@@ -110,36 +114,76 @@ func TestWorldCrossTrafficDeterministicAcrossWorkers(t *testing.T) {
 		L        = 7 * time.Millisecond
 		deadline = 500 * time.Millisecond
 	)
-	run := func(workers int) []string {
-		w := NewWorld(42, parts, workers)
-		w.SetLookahead(func() time.Duration { return L })
+	// workers == 0 is the spec: every partition on one plain Simulator.
+	run := func(workers int) (string, uint64) {
+		var (
+			home    *Simulator
+			part    func(int) *Simulator
+			send    func(src, dst *Simulator, at time.Duration, fn func())
+			runTo   func(time.Duration)
+			execute func() uint64
+		)
+		if workers == 0 {
+			s := New(42)
+			home, part = s, func(int) *Simulator { return s }
+			send = func(_, _ *Simulator, at time.Duration, fn func()) { s.At(at, fn) }
+			runTo, execute = s.RunUntil, s.Executed
+		} else {
+			w := NewWorld(42, parts, workers)
+			w.SetLookahead(func() time.Duration { return L })
+			home, part = w.Home(), w.Part
+			send = (*Simulator).SendCross
+			runTo, execute = w.RunUntil, w.Executed
+		}
+		cpu := make([]*Resource, parts)
+		for p := range cpu {
+			cpu[p] = part(p).NewResource(fmt.Sprint("cpu", p))
+		}
 		logs := make([][]string, parts)
 		var hop func(p int, token int) func()
 		hop = func(p, token int) func() {
 			return func() {
-				self := w.Part(p)
+				self := part(p)
 				logs[p] = append(logs[p], fmt.Sprintf("%d@%v", token, self.Now()))
+				cpu[p].Submit(time.Duration(token+1)*300*time.Microsecond, nil)
+				if token != 1 {
+					cpu[p].Submit(100*time.Microsecond, func() {
+						logs[p] = append(logs[p], fmt.Sprintf("job%d@%v", token, self.Now()))
+					})
+				}
 				next := (p + 1) % parts
-				self.SendCross(w.Part(next), self.Now()+L, hop(next, token))
+				send(self, part(next), self.Now()+L, hop(next, token))
 			}
 		}
 		for token := 0; token < 3; token++ {
 			token := token
 			at := time.Duration(token+1) * 10 * time.Millisecond
-			w.Home().At(at, func() {
-				w.Part(token%parts).At(at, hop(token%parts, token))
+			home.At(at, func() {
+				cpu[token%parts].Submit(2*time.Millisecond, nil)
+				part(token%parts).At(at, hop(token%parts, token))
 			})
 		}
-		w.RunUntil(deadline)
-		if w.Home().Now() != deadline {
-			t.Fatalf("home clock %v, want %v", w.Home().Now(), deadline)
+		for at := 5 * time.Millisecond; at < deadline; at += 25 * time.Millisecond {
+			home.At(at, func() {
+				for _, r := range cpu {
+					r.Submit(time.Millisecond, nil)
+				}
+			})
 		}
-		return []string{fmt.Sprint(logs)}
+		runTo(deadline)
+		if home.Now() != deadline {
+			t.Fatalf("workers=%d: home clock %v, want %v", workers, home.Now(), deadline)
+		}
+		return fmt.Sprint(logs), execute()
 	}
-	want := run(1)[0]
-	for _, workers := range []int{2, 3, 4, 8} {
-		if got := run(workers)[0]; got != want {
+	want, wantExec := run(0)
+	for _, workers := range []int{1, 2, 3, 4, 8, runtime.NumCPU()} {
+		got, exec := run(workers)
+		if got != want {
 			t.Fatalf("workers=%d trace diverges\nwant %s\ngot  %s", workers, want, got)
+		}
+		if exec != wantExec {
+			t.Fatalf("workers=%d: World executed %d, single queue %d", workers, exec, wantExec)
 		}
 	}
 }
