@@ -55,11 +55,13 @@ func main() {
 	}
 	for i := 0; i < *byzantine; i++ {
 		srv := *servers - 1 - i
-		net.SetByzantine(srv, &setchain.Byzantine{
+		if err := net.SetByzantine(srv, &setchain.Byzantine{
 			InjectBogusElements: 2,
 			RefuseServe:         func(int, []byte) bool { return true },
 			CorruptProofs:       true,
-		})
+		}); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("server %d is Byzantine (injects junk, withholds batches, corrupts proofs)\n", srv)
 	}
 	fmt.Printf("%s on %d servers (f=%d), collector=%d, delay=%v, seed=%d\n\n",
@@ -95,6 +97,9 @@ func main() {
 		f+1, verified, len(ids))
 	if verified != len(ids) {
 		os.Exit(1)
+	}
+	if err := net.Check(); err != nil {
+		log.Fatal(err)
 	}
 
 	hist := net.History(0)

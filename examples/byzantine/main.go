@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	const evil = 3
-	net.SetByzantine(evil, &setchain.Byzantine{
+	if err := net.SetByzantine(evil, &setchain.Byzantine{
 		// Stuff every batch with invalid elements (no valid client
 		// signature). Correct servers must filter them in FinalizeBlock.
 		InjectBogusElements: 3,
@@ -36,7 +36,9 @@ func main() {
 		// Sign wrong epoch hashes: its epoch-proofs are rejected by
 		// servers and clients alike.
 		CorruptProofs: true,
-	})
+	}); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("4-server Hashchain, server %d fully Byzantine (f=%d tolerated)\n", evil, net.F())
 
 	// Honest clients use the three correct servers.
@@ -65,36 +67,13 @@ func main() {
 		log.Fatal("Byzantine server prevented honest progress")
 	}
 
-	// No forged element leaked into any correct server's history.
-	leaked := 0
-	for srv := 0; srv < 3; srv++ {
-		for _, ep := range net.History(srv) {
-			for _, e := range ep.Elements {
-				if len(e.Payload) < 6 || string(e.Payload[:6]) != "honest" {
-					leaked++
-				}
-			}
-		}
+	// No forged element leaked into a correct server's history, and the
+	// correct servers' histories agree epoch by epoch (Consistent-Gets)
+	// despite the ongoing attack: Check runs the safety checker every
+	// evaluation scenario ends with over servers 0-2.
+	if err := net.Check(); err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("forged elements in correct servers' epochs: %d\n", leaked)
-	if leaked > 0 {
-		log.Fatal("invalid elements leaked into history")
-	}
-
-	// Histories of the three correct servers are identical epoch by epoch
-	// (Consistent-Gets), despite the ongoing attack.
-	ref := net.History(0)
-	for srv := 1; srv < 3; srv++ {
-		h := net.History(srv)
-		n := len(ref)
-		if len(h) < n {
-			n = len(h)
-		}
-		for k := 0; k < n; k++ {
-			if len(ref[k].Elements) != len(h[k].Elements) {
-				log.Fatalf("server %d diverges at epoch %d", srv, k+1)
-			}
-		}
-	}
+	fmt.Println("forged elements in correct servers' epochs: 0")
 	fmt.Println("correct servers agree on every epoch — all Setchain properties held under attack")
 }

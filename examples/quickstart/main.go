@@ -52,6 +52,11 @@ func main() {
 	fmt.Printf("element committed in epoch %d (confirmed with %d+ epoch-proofs) at t=%v\n",
 		epoch, net.F()+1, net.Now())
 
+	// The safety checker every evaluation scenario ends with holds too.
+	if err := net.Check(); err != nil {
+		log.Fatal(err)
+	}
+
 	// Every server reports the same epoch content (Consistent-Gets).
 	for srv := 0; srv < net.Servers(); srv++ {
 		ep := net.Client(0).Find(srv, id)

@@ -35,7 +35,9 @@ func main() {
 	}
 	// Server 3 is Byzantine: it signs garbage epoch hashes. Verification
 	// must still succeed via the f+1 = 2 correct proofs rule.
-	net.SetByzantine(3, &setchain.Byzantine{CorruptProofs: true})
+	if err := net.SetByzantine(3, &setchain.Byzantine{CorruptProofs: true}); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("credential registry: %d servers, f=%d, server 3 Byzantine (corrupt proofs)\n",
 		net.Servers(), net.F())
 
@@ -91,5 +93,8 @@ func main() {
 		if len(ep.Elements) > 0 {
 			fmt.Printf("  epoch %d: %d credential(s)\n", ep.Number, len(ep.Elements))
 		}
+	}
+	if err := net.Check(); err != nil {
+		log.Fatal(err)
 	}
 }

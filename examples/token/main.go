@@ -88,5 +88,8 @@ func main() {
 	if voided != 1 {
 		log.Fatalf("expected exactly the overdraft voided, got %d", voided)
 	}
+	if err := net.Check(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("supply conserved, overdraft voided, all servers agree — blockchain semantics on Setchain")
 }

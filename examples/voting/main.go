@@ -106,5 +106,8 @@ func main() {
 			log.Fatalf("servers disagree on %s: %d vs %d", c, tally[c], other[c])
 		}
 	}
+	if err := net.Check(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("independent tally from server 5 matches — election result is final")
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ledger"
+	"repro/internal/metrics"
 	"repro/internal/setcrypto"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -444,5 +445,55 @@ func TestDeterministicDeployment(t *testing.T) {
 	e2, h2 := run()
 	if e1 != e2 || h1 != h2 {
 		t.Fatalf("nondeterministic: events %d/%d epochs %d/%d", e1, e2, h1, h2)
+	}
+}
+
+// The observer's recorder commits an epoch exactly when its server accepts
+// the epoch's f+1-th valid proof: acceptProof decides the rule and reports
+// once. With only f servers signing valid proofs nothing commits, with f+1
+// everything does, and at every sample the epochs the recorder booked are
+// those the server holds f+1 proofs for.
+func TestRecorderCommitsWhatServerSettles(t *testing.T) {
+	const n = 4
+	for _, valid := range []int{1, 2} { // signers of valid epoch-proofs; f = 1
+		s := sim.New(5)
+		opts := core.Options{Algorithm: core.Hashchain, Mode: core.Full, CollectorLimit: 5, F: (n - 1) / 2}
+		rec := metrics.New(s, metrics.LevelThroughput, n, opts.F, 0)
+		lcfg := ledger.PaperConfig()
+		lcfg.Suite = setcrypto.Ed25519Suite{}
+		d := core.Deploy(s, n, lcfg, opts, rec)
+		for i := valid; i < n; i++ {
+			d.Servers[i].SetBehavior(&core.Behavior{CorruptProofs: true})
+		}
+		d.Start()
+		addElements(s, d, 40)
+		for at := 100 * time.Millisecond; at <= 10*time.Second; at += 100 * time.Millisecond {
+			s.RunUntil(at)
+			snap := d.Servers[0].Get()
+			booked := rec.CommittedEpochSizes()
+			var committed uint64
+			for _, ep := range snap.History {
+				proofs := len(snap.Proofs[ep.Number])
+				if _, ok := booked[ep.Number]; ok != (proofs >= opts.F+1) {
+					t.Fatalf("%d valid signers, t=%v epoch %d: %d proofs at the server, booked by the recorder: %v",
+						valid, at, ep.Number, proofs, ok)
+				}
+				if proofs >= opts.F+1 {
+					committed += uint64(len(ep.Elements))
+				}
+			}
+			if rec.TotalCommitted() != committed {
+				t.Fatalf("%d valid signers, t=%v: recorder committed %d elements, the server's settled epochs hold %d",
+					valid, at, rec.TotalCommitted(), committed)
+			}
+		}
+		want := uint64(0)
+		if valid >= opts.F+1 {
+			want = 40
+		}
+		if got := rec.TotalCommitted(); got != want || d.Servers[0].Get().Epoch == 0 {
+			t.Fatalf("%d valid signers: %d committed in %d epochs, want %d",
+				valid, got, d.Servers[0].Get().Epoch, want)
+		}
 	}
 }

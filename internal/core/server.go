@@ -435,8 +435,8 @@ func (s *Server) acceptProof(p *wire.EpochProof) bool {
 		return false
 	}
 	bySigner[p.Signer] = p
-	if s.rec != nil {
-		s.rec.ProofOnLedger(s.id, p.Epoch, p.Signer)
+	if len(bySigner) == s.opts.F+1 && s.rec != nil {
+		s.rec.EpochCommitted(s.id, p.Epoch)
 	}
 	// Advance the settled prefix; any checkpoint interval it crossed is
 	// sealed at the end of the current block (processNext), never here —

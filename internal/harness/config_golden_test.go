@@ -88,7 +88,7 @@ func TestGoldenEffectiveConfig(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s cell %d: %v", e.Name, i, err)
 			}
-			_, d, gen := deploy(sc.withDefaults())
+			_, d, gen := Deploy(sc.withDefaults())
 			g := gen.Config()
 			fmt.Fprintf(&b, "%s/%d\n  generator %+v\n", e.Name, i, g)
 			for k, sd := range d.Shards {
@@ -140,7 +140,7 @@ func TestAdmissionDefaults(t *testing.T) {
 	sp := spec.ScenarioSpec{Algorithm: spec.AlgHashchain, Servers: 4, Rate: 100,
 		Admission: &spec.AdmissionSpec{Policy: spec.AdmissionDelay, MaxTxs: 100}}
 	pool := func() mempool.Config {
-		_, d, _ := deploy(fromSpec(t, sp).withDefaults())
+		_, d, _ := Deploy(fromSpec(t, sp).withDefaults())
 		return d.Shards[0].Ledger.Nodes[0].Pool.Config()
 	}
 	want := mempool.AdmissionConfig{Policy: mempool.AdmissionDelay,

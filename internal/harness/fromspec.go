@@ -9,6 +9,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/shard"
 	"repro/internal/spec"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -220,15 +221,16 @@ func RunSpecs(sps []spec.ScenarioSpec, scale float64) ([]*Result, error) {
 	return RunMany(scs), nil
 }
 
-// applyByzantine installs the configured fault behaviors on the
-// deployment's highest-indexed servers (cfg.faultyFrom). Called between
-// Deploy and Start; a zero config is a no-op.
-func applyByzantine(d *core.Deployment, cfg ByzantineCfg) {
-	n := len(d.Servers)
-	first := cfg.faultyFrom(n)
-	if first == n {
+// applyByzantine installs the configured fault behaviors on shard k's
+// cfg.Faulty highest-indexed servers, never server 0 (the observer), and
+// records them as faulty. Called between Deploy and Start; a zero config
+// is a no-op.
+func applyByzantine(d *shard.Deployment, k int, cfg ByzantineCfg) {
+	if cfg.Faulty <= 0 || len(cfg.Behaviors) == 0 {
 		return
 	}
+	sd, n := d.Shards[k], d.Servers
+	first := max(n-cfg.Faulty, 1)
 	var parts []*core.Behavior
 	silent := false
 	for _, name := range cfg.Behaviors {
@@ -253,10 +255,11 @@ func applyByzantine(d *core.Deployment, cfg ByzantineCfg) {
 	}
 	for i := first; i < n; i++ {
 		if len(parts) > 0 {
-			d.Servers[i].SetBehavior(byzantine.Combine(parts...))
+			sd.Servers[i].SetBehavior(byzantine.Combine(parts...))
 		}
 		if silent {
-			byzantine.Silent(d.Ledger.Net, d.Ledger.Nodes[i].ID, true)
+			byzantine.Silent(sd.Ledger.Net, sd.Ledger.Nodes[i].ID, true)
 		}
+		d.SetFaulty(sd.Ledger.Nodes[i].ID)
 	}
 }

@@ -8,9 +8,11 @@
 // registry entry (or a scenario file) into Scenarios and fans them across
 // the RunMany worker pool. Every scenario, sharded or not, goes through the
 // one executor in this file (runScenario): it deploys max(Shards, 1)
-// Setchain instances with internal/shard, drives them, and harvests and
-// checks them in one loop. See DESIGN.md §2 (layering), §6 (the parallel
-// executor), §7 (the spec/registry layer) and §10 (one executor).
+// Setchain instances with internal/shard (Deploy), drives them, harvests
+// them in one loop and checks them (Check). The public API (package
+// setchain) deploys and checks through the same two functions. See
+// DESIGN.md §2 (layering), §6 (the parallel executor), §7 (the
+// spec/registry layer) and §10 (one executor).
 package harness
 
 import (
@@ -79,7 +81,9 @@ func (a AlgSpec) AnalyticalThroughput(n int) float64 {
 // filled, so every field is already decided: the executor derives only the
 // Horizon (when 0), applies Scale and names the cell. A Scenario built by
 // hand must be just as complete — start from FromSpec and set what a spec
-// cannot hold, such as a faults.Plan.
+// cannot hold, such as a faults.Plan. The one exception is package
+// setchain's: its generator never starts, so the workload fields it leaves
+// zero are never read.
 type Scenario struct {
 	Name         string
 	Spec         AlgSpec
@@ -193,15 +197,6 @@ type ByzantineCfg struct {
 	Behaviors []string
 	// InjectCount is the bogus-element count for "inject-invalid".
 	InjectCount int
-}
-
-// faultyFrom is the first faulty server's index among n — the Faulty
-// highest-indexed ones, never server 0 (the observer) — or n if none is.
-func (b ByzantineCfg) faultyFrom(n int) int {
-	if b.Faulty <= 0 || len(b.Behaviors) == 0 {
-		return n
-	}
-	return max(n-b.Faulty, 1)
 }
 
 // withDefaults derives what no spec holds: the horizon (SendFor + 100 s
@@ -379,7 +374,7 @@ func Run(sc Scenario) *Result {
 // instance is the one-shard deployment (DESIGN.md §10).
 func runScenario(sc Scenario) *Result {
 	sc = sc.withDefaults()
-	engine, d, gen := deploy(sc)
+	engine, d, gen := Deploy(sc)
 	n, shards := sc.Servers, d.Count()
 	d.Start()
 	gen.Start()
@@ -403,16 +398,13 @@ func runScenario(sc Scenario) *Result {
 		res.Recorder = d.Recorders[0] // Fig. 4's stage CDFs read it
 	}
 
-	// Harvest the per-shard recorders and check each shard. Totals and
-	// counters sum; series and commit fractions come from the merged time
-	// buckets, so they keep exactly the bucket semantics of a single
-	// recorder (widths are reconciled by MergeBuckets when a long run
-	// coarsened a shard, and one shard's buckets merge to themselves).
-	// Safety invariants are checked on EVERY scenario — chaos or not — so
-	// any run of any study doubles as a machine-checked safety argument.
+	// Harvest the per-shard recorders. Totals and counters sum; series and
+	// commit fractions come from the merged time buckets, so they keep
+	// exactly the bucket semantics of a single recorder (widths are
+	// reconciled by MergeBuckets when a long run coarsened a shard, and one
+	// shard's buckets merge to themselves).
 	var buckets []uint64
 	var bw time.Duration
-	var errs []error
 	ckd := checkpoint.Seed()
 	for k, sd := range d.Shards {
 		rec := d.Recorders[k]
@@ -447,17 +439,6 @@ func runScenario(sc Scenario) *Result {
 		if sd.Ledger.Mesh != nil {
 			res.Gossip.Add(sd.Ledger.Mesh.Stats())
 		}
-		if err := invariant.Check(sd, invariant.Config{
-			Correct:         correctServerIDs(d.Observer(k), n, sc.Byzantine),
-			Injected:        gen.InjectedIDs(),
-			Rejected:        gen.RejectedIDs(),
-			CommittedEpochs: rec.CommittedEpochSizes(),
-			Observer:        d.Observer(k),
-			FoldedEpochs:    rec.FoldedEpochs(),
-			FoldedCommitted: rec.FoldedCommitted(),
-		}); err != nil {
-			errs = append(errs, err)
-		}
 	}
 	if sc.CheckpointInterval > 0 {
 		res.CkptDigest = ckd
@@ -473,21 +454,12 @@ func runScenario(sc Scenario) *Result {
 		}
 	}
 
-	// Several shards must also compose — router completeness, no
-	// cross-shard duplication or fabrication, superepoch integrity. All of
-	// it is vacuous for one shard (everything routes to shard 0 and the
-	// merge is the shard's own history), so the view is not built there.
 	if shards > 1 {
-		view := d.View()
-		res.SuperDigests = view.Digests()
-		if err := invariant.CheckCross(view, invariant.CrossConfig{
-			Shards:   shards,
-			Injected: gen.InjectedIDs(),
-		}); err != nil {
-			errs = append(errs, err)
-		}
+		res.SuperDigests = d.View().Digests()
 	}
-	res.Invariant = errors.Join(errs...)
+	// Safety invariants are checked on EVERY scenario — chaos or not — so
+	// any run of any study doubles as a machine-checked safety argument.
+	res.Invariant = Check(d, gen)
 	if res.Invariant != nil {
 		invariantViolations.Add(1)
 	}
@@ -495,9 +467,39 @@ func runScenario(sc Scenario) *Result {
 	return res
 }
 
-// deploy builds a defaulted scenario on a fresh simulator, faulty servers
-// and fault plan installed, ready to start; engine runs it.
-func deploy(sc Scenario) (engine runner, d *shard.Deployment, gen *shard.Generator) {
+// Check is the safety step every scenario run and public-API deployment
+// ends with: invariant.Check on every shard's correct servers, and with
+// several shards invariant.CheckCross (vacuous for one: everything routes
+// to shard 0 and the merge is its own history). Nil means all held.
+func Check(d *shard.Deployment, gen *shard.Generator) error {
+	var errs []error
+	for k, sd := range d.Shards {
+		rec := d.Recorders[k]
+		errs = append(errs, invariant.Check(sd, invariant.Config{
+			Correct:         d.Correct(k),
+			Injected:        gen.InjectedIDs(),
+			Rejected:        gen.RejectedIDs(),
+			CommittedEpochs: rec.CommittedEpochSizes(),
+			Observer:        d.Observer(k),
+			FoldedEpochs:    rec.FoldedEpochs(),
+			FoldedCommitted: rec.FoldedCommitted(),
+		}))
+	}
+	if d.Count() > 1 {
+		errs = append(errs, invariant.CheckCross(d.View(), invariant.CrossConfig{
+			Shards:   d.Count(),
+			Injected: gen.InjectedIDs(),
+		}))
+	}
+	return errors.Join(errs...)
+}
+
+// Deploy builds a scenario on a fresh simulator, faulty servers and fault
+// plan installed, ready to start; engine runs it. It is the one deployment
+// road: runScenario hands it the scenario withDefaults derived, and the
+// public API (package setchain) one that never starts the generator and
+// adds through Generator.Add instead.
+func Deploy(sc Scenario) (engine runner, d *shard.Deployment, gen *shard.Generator) {
 	n, shards := sc.Servers, max(sc.Shards, 1)
 	opts, lcfg := deployConfig(sc)
 
@@ -527,10 +529,10 @@ func deploy(sc Scenario) (engine runner, d *shard.Deployment, gen *shard.Generat
 	if world != nil {
 		world.SetLookahead(d.Net.Lookahead)
 	}
-	for _, sd := range d.Shards {
+	for k := range d.Shards {
 		// The highest-indexed servers of EVERY shard misbehave; each
 		// shard's observer (its first server) stays correct.
-		applyByzantine(sd, sc.Byzantine)
+		applyByzantine(d, k, sc.Byzantine)
 	}
 	// One shared fault controller: plan node ids are global, so a
 	// partition can just as well split a shard internally as cut across
@@ -599,18 +601,6 @@ var invariantViolations atomic.Uint64
 // InvariantViolations reports how many scenarios failed the end-of-run
 // safety check since process start.
 func InvariantViolations() uint64 { return invariantViolations.Load() }
-
-// correctServerIDs lists the servers applyByzantine left correct in the
-// shard whose first server is first. Plan-scheduled crashes do NOT remove a
-// server from this list — a crashed-but-honest server's history must still
-// be a consistent prefix.
-func correctServerIDs(first wire.NodeID, n int, cfg ByzantineCfg) []wire.NodeID {
-	ids := make([]wire.NodeID, cfg.faultyFrom(n))
-	for i := range ids {
-		ids[i] = first + wire.NodeID(i)
-	}
-	return ids
-}
 
 // ParameterGrid reproduces Table 1: the evaluation's parameter space.
 type ParameterGrid struct {

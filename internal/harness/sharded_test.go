@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/spec"
+	"repro/internal/wire"
 )
 
 // shardedFingerprint delegates to the production Fingerprint, which covers
@@ -149,5 +151,26 @@ func TestShardedByzantine(t *testing.T) {
 	}
 	if res.Committed == 0 {
 		t.Fatal("nothing committed — the check is vacuous")
+	}
+}
+
+// applyByzantine records the servers it makes faulty where it makes them
+// so, and the check reads that record: every shard's highest-indexed
+// servers leave the correct set, its observer never does.
+func TestByzantineServersRecordedFaulty(t *testing.T) {
+	sp := spec.ScenarioSpec{
+		Algorithm: spec.AlgHashchain, Servers: 4, Shards: 2, Rate: 100,
+		Byzantine: &spec.ByzantineSpec{Faulty: 1, Behaviors: []string{spec.BehaviorSilent}},
+	}
+	_, d, _ := Deploy(fromSpec(t, sp).withDefaults())
+	sp.Byzantine = nil
+	_, clean, _ := Deploy(fromSpec(t, sp).withDefaults())
+	for k, want := range [][]wire.NodeID{{0, 1, 2}, {4, 5, 6}} {
+		if got := d.Correct(k); !slices.Equal(got, want) {
+			t.Errorf("shard %d: correct servers %v, want %v", k, got, want)
+		}
+		if got := clean.Correct(k); len(got) != 4 || got[0] != d.Observer(k) {
+			t.Errorf("shard %d without Byzantine servers: correct servers %v", k, got)
+		}
 	}
 }

@@ -111,35 +111,31 @@ type Recorder struct {
 	foldedEpochs uint64 // highest epoch folded out of the per-epoch maps
 	foldedComm   uint64 // committed elements folded (sum of dropped sizes)
 
-	epochElems   map[uint64]int
-	epochIDs     map[uint64][]wire.ElementID
-	proofSigners map[uint64]map[wire.NodeID]bool
-	epochDone    map[uint64]bool
+	epochElems map[uint64]int
+	epochIDs   map[uint64][]wire.ElementID
+	epochDone  map[uint64]bool
 
 	txs   map[wire.TxKey]*txStageRec
 	elems map[wire.ElementID]*elemRec
-
-	lastCommit time.Duration
 }
 
 // New creates a recorder. n is the server count, f the Setchain fault bound
-// (commit requires f+1 epoch-proofs on the ledger); observer is the correct
-// server whose epoch/proof observations define global commit times.
+// (the "f+1 mempools" stage); observer is the correct server whose epoch
+// and commit reports define global commit times.
 func New(s *sim.Simulator, level Level, n, f int, observer wire.NodeID) *Recorder {
 	return &Recorder{
-		sim:          s,
-		level:        level,
-		n:            n,
-		f:            f,
-		observer:     observer,
-		bw:           bucketWidth,
-		budget:       defaultBucketBudget,
-		epochElems:   make(map[uint64]int),
-		epochIDs:     make(map[uint64][]wire.ElementID),
-		proofSigners: make(map[uint64]map[wire.NodeID]bool),
-		epochDone:    make(map[uint64]bool),
-		txs:          make(map[wire.TxKey]*txStageRec),
-		elems:        make(map[wire.ElementID]*elemRec),
+		sim:        s,
+		level:      level,
+		n:          n,
+		f:          f,
+		observer:   observer,
+		bw:         bucketWidth,
+		budget:     defaultBucketBudget,
+		epochElems: make(map[uint64]int),
+		epochIDs:   make(map[uint64][]wire.ElementID),
+		epochDone:  make(map[uint64]bool),
+		txs:        make(map[wire.TxKey]*txStageRec),
+		elems:      make(map[wire.ElementID]*elemRec),
 	}
 }
 
@@ -270,28 +266,17 @@ func (r *Recorder) EpochCreated(node wire.NodeID, epoch uint64, elems []*wire.El
 	}
 }
 
-// ProofOnLedger records the observer extracting a valid epoch-proof from a
-// committed block. When an epoch accumulates f+1 distinct signers its
-// elements become committed (the paper's commit definition).
-func (r *Recorder) ProofOnLedger(node wire.NodeID, epoch uint64, signer wire.NodeID) {
+// EpochCommitted records the observer's server accepting the f+1-th
+// distinct valid epoch-proof of an epoch from a committed block: the
+// epoch's elements become committed (the paper's commit definition). The
+// server decides the rule (core.Server.acceptProof) and reports each epoch
+// once; a repeated report is ignored.
+func (r *Recorder) EpochCommitted(node wire.NodeID, epoch uint64) {
 	if node != r.observer || r.epochDone[epoch] {
-		return
-	}
-	signers := r.proofSigners[epoch]
-	if signers == nil {
-		signers = make(map[wire.NodeID]bool)
-		r.proofSigners[epoch] = signers
-	}
-	if signers[signer] {
-		return
-	}
-	signers[signer] = true
-	if len(signers) < r.f+1 {
 		return
 	}
 	r.epochDone[epoch] = true
 	now := r.sim.Now()
-	r.lastCommit = now
 	count := r.epochElems[epoch]
 	r.totalComm += uint64(count)
 	for i := 0; i < count; i++ {
@@ -328,7 +313,6 @@ func (r *Recorder) CheckpointSealed(node wire.NodeID, ck checkpoint.Checkpoint, 
 		}
 		delete(r.epochElems, ep)
 		delete(r.epochIDs, ep)
-		delete(r.proofSigners, ep)
 		delete(r.epochDone, ep)
 	}
 	r.foldedEpochs = ck.Epoch
@@ -363,9 +347,6 @@ func (r *Recorder) TotalInjected() uint64 { return r.totalInj }
 
 // TotalCommitted returns elements whose epoch has f+1 proofs on the ledger.
 func (r *Recorder) TotalCommitted() uint64 { return r.totalComm }
-
-// LastCommitTime returns when the most recent epoch commit happened.
-func (r *Recorder) LastCommitTime() time.Duration { return r.lastCommit }
 
 // BucketWidth returns the current width of the recorder's time buckets —
 // one second until the bucket budget forces coarsening.

@@ -23,38 +23,36 @@ func elemAt(i int, at time.Duration) *wire.Element {
 	return e
 }
 
+// The recorder books an epoch's elements when the observer's server reports
+// the epoch's f+1-th proof (core.Server.acceptProof decides the rule), at
+// that instant, and only once.
 func TestCommitRequiresQuorumProofs(t *testing.T) {
 	s := sim.New(1)
-	r := New(s, LevelThroughput, 4, 1, 0) // f=1: commit needs 2 proofs
+	r := New(s, LevelThroughput, 4, 1, 0)
 	es := []*wire.Element{elem(1), elem(2)}
 	s.After(time.Second, func() {
 		for _, e := range es {
 			r.Injected(e)
 		}
 		r.EpochCreated(0, 1, es)
-		r.ProofOnLedger(0, 1, 0)
 	})
 	s.After(2*time.Second, func() {
 		if r.TotalCommitted() != 0 {
-			t.Error("committed with a single proof")
+			t.Error("committed before the quorum report")
 		}
-		r.ProofOnLedger(0, 1, 0) // duplicate signer ignored
-		if r.TotalCommitted() != 0 {
-			t.Error("duplicate signer counted")
-		}
-		r.ProofOnLedger(0, 1, 2) // second distinct signer: commit
+		r.EpochCommitted(0, 1)
 	})
 	s.Run()
 	if r.TotalCommitted() != 2 {
 		t.Fatalf("committed = %d, want 2", r.TotalCommitted())
 	}
-	if r.LastCommitTime() != 2*time.Second {
-		t.Fatalf("commit time = %v, want 2s", r.LastCommitTime())
+	if tm, ok := r.CommitTimeAtFraction(1); !ok || tm != 3*time.Second {
+		t.Fatalf("commit time = %v/%v, want the 2 s bucket's end, 3 s", tm, ok)
 	}
-	// Extra proofs after commit are ignored.
-	r.ProofOnLedger(0, 1, 3)
+	// A repeated report is ignored.
+	r.EpochCommitted(0, 1)
 	if r.TotalCommitted() != 2 {
-		t.Fatal("post-commit proof recounted elements")
+		t.Fatal("repeated report recounted elements")
 	}
 }
 
@@ -63,8 +61,7 @@ func TestNonObserverIgnored(t *testing.T) {
 	r := New(s, LevelThroughput, 4, 1, 0)
 	r.Injected(elem(1))
 	r.EpochCreated(3, 1, []*wire.Element{elem(1)}) // node 3 is not observer
-	r.ProofOnLedger(3, 1, 0)
-	r.ProofOnLedger(3, 1, 1)
+	r.EpochCommitted(3, 1)
 	if r.TotalCommitted() != 0 {
 		t.Fatal("non-observer observations counted")
 	}
@@ -84,14 +81,12 @@ func TestEfficiencyAndAvgThroughput(t *testing.T) {
 	// Half commit at t=10s.
 	s.After(10*time.Second, func() {
 		r.EpochCreated(0, 1, es[:50])
-		r.ProofOnLedger(0, 1, 1)
-		r.ProofOnLedger(0, 1, 2)
+		r.EpochCommitted(0, 1)
 	})
 	// Rest at t=60s.
 	s.After(60*time.Second, func() {
 		r.EpochCreated(0, 2, es[50:])
-		r.ProofOnLedger(0, 2, 1)
-		r.ProofOnLedger(0, 2, 2)
+		r.EpochCommitted(0, 2)
 	})
 	s.Run()
 	if eff := r.Efficiency(50 * time.Second); eff != 0.5 {
@@ -118,8 +113,7 @@ func TestCommitTimeAtFraction(t *testing.T) {
 	})
 	s.After(5*time.Second, func() {
 		r.EpochCreated(0, 1, es[:30])
-		r.ProofOnLedger(0, 1, 1)
-		r.ProofOnLedger(0, 1, 2)
+		r.EpochCommitted(0, 1)
 	})
 	s.Run()
 	if tm, ok := r.CommitTimeAtFraction(0); !ok || tm != 6*time.Second {
@@ -151,8 +145,7 @@ func TestThroughputSeriesRollingWindow(t *testing.T) {
 		s.After(time.Duration(sec)*time.Second+500*time.Millisecond, func() {
 			ep := uint64(sec + 1)
 			r.EpochCreated(0, ep, all[sec*10:(sec+1)*10])
-			r.ProofOnLedger(0, ep, 1)
-			r.ProofOnLedger(0, ep, 2)
+			r.EpochCommitted(0, ep)
 		})
 	}
 	s.Run()
@@ -189,8 +182,7 @@ func TestStageTracking(t *testing.T) {
 	})
 	s.After(4*time.Second, func() {
 		r.EpochCreated(0, 1, []*wire.Element{e})
-		r.ProofOnLedger(0, 1, 1)
-		r.ProofOnLedger(0, 1, 2)
+		r.EpochCommitted(0, 1)
 	})
 	s.Run()
 	expect := map[Stage]time.Duration{

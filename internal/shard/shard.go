@@ -57,6 +57,8 @@ type Deployment struct {
 	Recorders []*metrics.Recorder
 	// Servers is the per-shard server count n.
 	Servers int
+
+	faulty []bool // by global node id: ever made faulty (SetFaulty)
 }
 
 // Deploy builds a sharded world: a shared network from lcfg.Net, then one
@@ -77,6 +79,7 @@ func Deploy(s *sim.Simulator, shards, servers int, lcfg ledger.Config, opts core
 		Sim:     s,
 		Net:     netsim.New(s, lcfg.Net),
 		Servers: servers,
+		faulty:  make([]bool, shards*servers),
 	}
 	// Partitioned runs (harness IntraWorkers > 1) give every shard its own
 	// event queue: the resolver maps shard k's node ids to partition k. The
@@ -131,6 +134,24 @@ func (d *Deployment) Observer(k int) wire.NodeID {
 
 // Count returns the number of shards S.
 func (d *Deployment) Count() int { return len(d.Shards) }
+
+// SetFaulty records that server id (a global node id) was made faulty, by
+// whoever installed the behaviour. The record is never cleared: a server
+// that once misbehaved may hold arbitrary state.
+func (d *Deployment) SetFaulty(id wire.NodeID) { d.faulty[id] = true }
+
+// Correct lists shard k's servers never made faulty, ascending: those the
+// safety checker holds to the Setchain properties. A crash does not remove
+// one — a crashed-but-honest server's history must stay a consistent prefix.
+func (d *Deployment) Correct(k int) []wire.NodeID {
+	var ids []wire.NodeID
+	for id := d.Observer(k); id < d.Observer(k+1); id++ {
+		if !d.faulty[id] {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
 
 // Start launches every shard's ledger.
 func (d *Deployment) Start() {

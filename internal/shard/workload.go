@@ -3,6 +3,7 @@ package shard
 import (
 	"time"
 
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -49,7 +50,6 @@ type Generator struct {
 	// Account books every attempt; its accessors are promoted.
 	*workload.Account
 	perShard []uint64
-	done     bool
 }
 
 // NewGenerator creates a generator for the sharded deployment.
@@ -78,25 +78,29 @@ func (g *Generator) Start() {
 		perClient := g.cfg.Rate / float64(clients)
 		workload.Ticks(s, clients, perClient, g.cfg.Duration, g.cfg.Tick, inject)
 	}
-	s.At(g.cfg.Duration, func() {
-		g.done = true
-		g.d.Drain()
-	})
+	s.At(g.cfg.Duration, g.d.Drain)
 }
 
-// injectOne creates one element on client i of shard k and adds it to the
-// shard the router assigns.
+// injectOne creates one element on client i of shard k and adds it.
 func (g *Generator) injectOne(k, i int) {
 	cl := g.d.Shards[k].Clients[i]
-	e := workload.BuildElement(g.d.Sim, cl, g.cfg.Sizes, g.cfg.FullPayloads)
+	g.Add(workload.BuildElement(g.d.Sim, cl, g.cfg.Sizes, g.cfg.FullPayloads), k, i)
+}
+
+// Add submits an element client i of shard k created to server i of the
+// shard the router assigns, booking the attempt in the Account and an
+// accepted element in that shard's recorder. The tick loop and the public
+// API's Client.Add both add through here, so the checkers see every add.
+func (g *Generator) Add(e *wire.Element, k, i int) error {
 	target := Route(e.ID, g.d.Count())
 	if err := g.d.Shards[target].Servers[i].Add(e); err != nil {
 		g.Account.Reject(e, k*g.d.Servers+i)
-		return
+		return err
 	}
 	g.Account.Accept(e, k*g.d.Servers+i)
 	g.perShard[target]++
 	g.d.Recorders[target].Injected(e)
+	return nil
 }
 
 // Config returns the configuration the generator runs with.
@@ -105,6 +109,3 @@ func (g *Generator) Config() WorkloadConfig { return g.cfg }
 // PerShardInjected returns the accepted count per shard (the router's
 // observed balance). The slice is live state; treat it as read-only.
 func (g *Generator) PerShardInjected() []uint64 { return g.perShard }
-
-// Done reports whether the injection window has closed.
-func (g *Generator) Done() bool { return g.done }

@@ -7,7 +7,10 @@
 // A Network is a complete deployment (ledger validators, Setchain servers,
 // one client per server) running on a deterministic virtual-time simulator:
 // time advances only through Run/RunUntilSettled, so tests and examples are
-// exactly reproducible.
+// exactly reproducible. It is built like every evaluation scenario
+// (internal/harness.Deploy: the paper's CPU costs, f = (n−1)/2, 500 ms
+// collector timeout, 0.5 MiB blocks), and Check runs their safety checker.
+// Server 0 is the observer whose commit record Check audits.
 //
 // Quickstart:
 //
@@ -15,18 +18,19 @@
 //	id, _ := net.Client(0).Add([]byte("hello setchain"))
 //	net.RunUntilSettled(2 * time.Minute)
 //	epoch, err := net.Client(0).Confirm(1, id) // verify via f+1 epoch-proofs
+//	err = net.Check()                          // every safety property held
 package setchain
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ledger"
-	"repro/internal/metrics"
-	"repro/internal/setcrypto"
-	"repro/internal/sim"
+	"repro/internal/harness"
+	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -62,115 +66,104 @@ type Config struct {
 	Algorithm Algorithm
 	// Servers is the number of Setchain/ledger servers (default 4).
 	Servers int
-	// F is the maximum number of Byzantine servers tolerated by the
-	// Setchain layer (f < n/2); epoch confirmation requires f+1
-	// epoch-proofs. Defaults to (Servers-1)/2.
-	F int
 	// CollectorSize is the batch collector limit c (default 100).
 	CollectorSize int
-	// CollectorTimeout flushes partial batches (default 500 ms).
-	CollectorTimeout time.Duration
 	// NetworkDelay adds artificial latency to every server-to-server
 	// message, emulating WAN deployments (the paper's network_delay).
 	NetworkDelay time.Duration
-	// BlockBytes is the ledger block capacity (default 0.5 MiB).
-	BlockBytes int
 	// Seed makes the virtual-time simulation reproducible (default 1).
 	Seed int64
 }
 
 // withDefaults is the one place the public API's defaults are written.
 func (c Config) withDefaults() Config {
-	if c.Servers == 0 {
-		c.Servers = 4
-	}
-	if c.F == 0 {
-		c.F = (c.Servers - 1) / 2
-	}
-	if c.CollectorSize == 0 {
-		c.CollectorSize = 100
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.Servers = cmp.Or(c.Servers, 4)
+	c.CollectorSize = cmp.Or(c.CollectorSize, 100)
+	c.Seed = cmp.Or(c.Seed, 1)
 	return c
 }
 
+// errNoServer answers Add and Confirm for an index outside [0, Servers).
+var errNoServer = errors.New("setchain: no such server")
+
 // Network is a running Setchain deployment on a virtual-time simulator.
 type Network struct {
-	cfg Config
-	sim *sim.Simulator
-	dep *core.Deployment
-	rec *metrics.Recorder
+	d   *shard.Deployment // one shard: the paper's single instance
+	gen *shard.Generator  // never started; books every Client.Add
 }
 
 // New builds and starts a deployment with real cryptography (ed25519 +
 // SHA-512) and full payload fidelity.
 func New(cfg Config) (*Network, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Servers < 1 {
-		return nil, errors.New("setchain: need at least one server")
+	if cfg.Servers < 1 || cfg.CollectorSize < 0 || cfg.NetworkDelay < 0 {
+		return nil, errors.New("setchain: need Servers >= 1, CollectorSize >= 0 and NetworkDelay >= 0")
 	}
-	if cfg.F < 0 || cfg.F >= cfg.Servers {
-		return nil, fmt.Errorf("setchain: F=%d must be in [0, Servers=%d)", cfg.F, cfg.Servers)
+	_, d, gen := harness.Deploy(harness.Scenario{
+		Spec:         harness.AlgSpec{Alg: cfg.Algorithm, Collector: cfg.CollectorSize},
+		Servers:      cfg.Servers,
+		NetworkDelay: cfg.NetworkDelay,
+		Seed:         cfg.Seed,
+		Mode:         core.Full,
+	})
+	d.Start()
+	return &Network{d: d, gen: gen}, nil
+}
+
+// get returns server i's get() state; ok is false when there is no server i.
+func (n *Network) get(i int) (snap core.Snapshot, ok bool) {
+	if i < 0 || i >= n.d.Servers {
+		return snap, false
 	}
-	if cfg.CollectorSize < 0 || cfg.CollectorTimeout < 0 || cfg.NetworkDelay < 0 || cfg.BlockBytes < 0 {
-		return nil, errors.New("setchain: CollectorSize, CollectorTimeout, NetworkDelay and BlockBytes must be >= 0")
-	}
-	s := sim.New(cfg.Seed)
-	rec := metrics.New(s, metrics.LevelThroughput, cfg.Servers, cfg.F, 0)
-	lcfg := ledger.PaperConfig()
-	lcfg.Net.ExtraDelay = cfg.NetworkDelay
-	if cfg.BlockBytes > 0 {
-		lcfg.Consensus.MaxBlockBytes = cfg.BlockBytes
-	}
-	lcfg.Suite = setcrypto.Ed25519Suite{}
-	dep := core.Deploy(s, cfg.Servers, lcfg, core.Options{
-		Algorithm:        cfg.Algorithm,
-		Mode:             core.Full,
-		CollectorLimit:   cfg.CollectorSize,
-		CollectorTimeout: cfg.CollectorTimeout,
-		F:                cfg.F,
-	}, rec)
-	dep.Start()
-	return &Network{cfg: cfg, sim: s, dep: dep, rec: rec}, nil
+	return n.d.Shards[0].Servers[i].Get(), true
 }
 
 // Servers returns the deployment size n.
-func (n *Network) Servers() int { return n.cfg.Servers }
+func (n *Network) Servers() int { return n.d.Servers }
 
 // F returns the Byzantine fault bound.
-func (n *Network) F() int { return n.cfg.F }
+func (n *Network) F() int { return n.d.Shards[0].Opts.F }
 
 // Now returns the current virtual time.
-func (n *Network) Now() time.Duration { return n.sim.Now() }
+func (n *Network) Now() time.Duration { return n.d.Sim.Now() }
 
 // Run advances virtual time by d, delivering messages, committing ledger
 // blocks and consolidating epochs.
-func (n *Network) Run(d time.Duration) {
-	n.sim.RunUntil(n.sim.Now() + d)
-}
+func (n *Network) Run(d time.Duration) { n.d.Sim.RunUntil(n.Now() + d) }
 
 // RunUntilSettled advances time until every element added so far is
 // committed (in an epoch with f+1 proofs on the ledger) or maxWait
 // elapses. Returns whether everything settled.
 func (n *Network) RunUntilSettled(maxWait time.Duration) bool {
-	deadline := n.sim.Now() + maxWait
-	for n.sim.Now() < deadline {
-		if n.rec.TotalCommitted() >= n.rec.TotalInjected() && n.rec.TotalInjected() > 0 {
+	deadline := n.Now() + maxWait
+	for n.Now() < deadline {
+		if n.Committed() >= n.Added() && n.Added() > 0 {
 			return true
 		}
-		n.dep.Drain()
-		n.sim.RunUntil(n.sim.Now() + time.Second)
+		n.d.Drain()
+		n.Run(time.Second)
 	}
-	return n.rec.TotalCommitted() >= n.rec.TotalInjected()
+	return n.Committed() >= n.Added()
 }
 
-// SetByzantine installs faulty behavior on one server (nil restores
-// correct behavior). Use before or between Run calls.
-func (n *Network) SetByzantine(server int, b *Byzantine) {
-	n.dep.Servers[server].SetBehavior(b)
+// SetByzantine installs faulty behavior on server 1..Servers-1 (nil
+// restores correct behavior). Use before or between Run calls. A server
+// once made Byzantine stays excluded from Check.
+func (n *Network) SetByzantine(server int, b *Byzantine) error {
+	if server < 1 || server >= n.d.Servers {
+		return fmt.Errorf("setchain: server %d cannot be Byzantine (want 1..%d; 0 is the observer)", server, n.d.Servers-1)
+	}
+	n.d.Shards[0].Servers[server].SetBehavior(b)
+	if b != nil {
+		n.d.SetFaulty(wire.NodeID(server)) // one shard: node id = index
+	}
+	return nil
 }
+
+// Check runs the safety checker every evaluation scenario ends with
+// (internal/invariant) over the servers never made Byzantine; nil means
+// every Setchain safety property held.
+func (n *Network) Check() error { return harness.Check(n.d, n.gen) }
 
 // Client returns the client attached to a server (one per server, as in
 // the paper's deployment).
@@ -178,21 +171,23 @@ func (n *Network) Client(server int) *Client {
 	return &Client{net: n, server: server}
 }
 
-// History returns server's current epoch sequence (read-only view).
+// History returns a server's epoch sequence (read-only view; nil if none).
 func (n *Network) History(server int) []*Epoch {
-	return n.dep.Servers[server].Get().History
+	snap, _ := n.get(server)
+	return snap.History
 }
 
-// EpochCount returns the epoch counter at a server.
+// EpochCount returns the epoch counter at a server (0 when there is none).
 func (n *Network) EpochCount(server int) uint64 {
-	return n.dep.Servers[server].Get().Epoch
+	snap, _ := n.get(server)
+	return snap.Epoch
 }
 
 // Committed returns how many added elements are committed so far.
-func (n *Network) Committed() uint64 { return n.rec.TotalCommitted() }
+func (n *Network) Committed() uint64 { return n.d.Recorders[0].TotalCommitted() }
 
 // Added returns how many elements clients have added.
-func (n *Network) Added() uint64 { return n.rec.TotalInjected() }
+func (n *Network) Added() uint64 { return n.d.Recorders[0].TotalInjected() }
 
 // Client adds elements through one server and verifies commitment against
 // any (possibly different, possibly Byzantine) server using f+1
@@ -207,13 +202,14 @@ type Client struct {
 // The element is not yet durable when Add returns: advance time with
 // Network.Run or RunUntilSettled.
 func (c *Client) Add(payload []byte) (ElementID, error) {
-	cl := c.net.dep.Clients[c.server]
-	e := cl.NewElement(payload)
-	e.InjectedAt = int64(c.net.sim.Now())
-	if err := c.net.dep.Servers[c.server].Add(e); err != nil {
+	if _, ok := c.net.get(c.server); !ok {
+		return ElementID{}, errNoServer
+	}
+	e := c.net.d.Shards[0].Clients[c.server].NewElement(payload)
+	e.InjectedAt = int64(c.net.Now())
+	if err := c.net.gen.Add(e, 0, c.server); err != nil {
 		return ElementID{}, err
 	}
-	c.net.rec.Injected(e)
 	return e.ID, nil
 }
 
@@ -221,25 +217,26 @@ func (c *Client) Add(payload []byte) (ElementID, error) {
 // only the PKI — that the element is in an epoch carrying at least f+1
 // valid epoch-proofs. Returns the epoch number.
 func (c *Client) Confirm(askServer int, id ElementID) (uint64, error) {
-	cl := c.net.dep.Clients[c.server]
-	snap := c.net.dep.Servers[askServer].Get()
-	return cl.VerifyCommitted(snap, id)
+	snap, ok := c.net.get(askServer)
+	if _, mine := c.net.get(c.server); !mine || !ok {
+		return 0, errNoServer
+	}
+	return c.net.d.Shards[0].Clients[c.server].VerifyCommitted(snap, id)
 }
 
 // InSet reports whether a server's the_set contains the element (weaker
 // than Confirm: no proof verification).
 func (c *Client) InSet(askServer int, id ElementID) bool {
-	return c.net.dep.Servers[askServer].Get().TheSet.Has(id)
+	snap, ok := c.net.get(askServer)
+	return ok && snap.TheSet.Has(id)
 }
 
 // Find returns the epoch containing the element at a server, or nil.
 func (c *Client) Find(askServer int, id ElementID) *Epoch {
-	snap := c.net.dep.Servers[askServer].Get()
+	snap, _ := c.net.get(askServer)
 	for _, ep := range snap.History {
-		for _, e := range ep.Elements {
-			if e.ID == id {
-				return ep
-			}
+		if slices.ContainsFunc(ep.Elements, func(e *wire.Element) bool { return e.ID == id }) {
+			return ep
 		}
 	}
 	return nil

@@ -37,6 +37,9 @@ func TestQuickstartFlow(t *testing.T) {
 			if ep := net.Client(0).Find(3, id); ep == nil || ep.Number != epoch {
 				t.Fatal("Find disagrees with Confirm")
 			}
+			if err := net.Check(); err != nil {
+				t.Fatalf("Check: %v", err)
+			}
 		})
 	}
 }
@@ -45,25 +48,15 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := setchain.New(setchain.Config{Servers: -1}); err == nil {
 		t.Fatal("negative servers accepted")
 	}
-	if _, err := setchain.New(setchain.Config{Servers: 3, F: 3}); err == nil {
-		t.Fatal("F >= Servers accepted")
-	}
 }
 
-// Bad input is an error from New, at once: a negative F used to build a
-// network that never settled, a negative collector size panicked inside the
-// collector.
+// Bad input is an error from New, at once: a negative collector size used
+// to panic inside the collector.
 func TestConfigRejectsNegatives(t *testing.T) {
 	cases := map[string]setchain.Config{
-		"F vanilla":         {F: -1},
-		"F hashchain":       {Algorithm: setchain.Hashchain, F: -1},
-		"CollectorSize":     {Algorithm: setchain.Hashchain, CollectorSize: -1},
-		"CollectorTimeout":  {Algorithm: setchain.Compresschain, CollectorTimeout: -time.Second},
-		"NetworkDelay":      {NetworkDelay: -time.Millisecond},
-		"BlockBytes":        {BlockBytes: -1},
-		"Servers":           {Servers: -4},
-		"F equals Servers":  {Servers: 4, F: 4},
-		"F above Servers-1": {Servers: 2, F: 5},
+		"CollectorSize": {Algorithm: setchain.Hashchain, CollectorSize: -1},
+		"NetworkDelay":  {NetworkDelay: -time.Millisecond},
+		"Servers":       {Servers: -4},
 	}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -116,19 +109,9 @@ func TestManyClientsManyElements(t *testing.T) {
 			t.Fatalf("Confirm(%v): %v", id, err)
 		}
 	}
-	// Histories agree across servers (Consistent-Gets through the API).
-	h0 := net.History(0)
-	for srv := 1; srv < 4; srv++ {
-		h := net.History(srv)
-		m := len(h0)
-		if len(h) < m {
-			m = len(h)
-		}
-		for k := 0; k < m; k++ {
-			if len(h0[k].Elements) != len(h[k].Elements) {
-				t.Fatalf("server %d epoch %d differs", srv, k+1)
-			}
-		}
+	// Histories agree across servers (Consistent-Gets), among the rest.
+	if err := net.Check(); err != nil {
+		t.Fatalf("Check: %v", err)
 	}
 }
 
@@ -157,10 +140,12 @@ func TestByzantineServerThroughAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetByzantine(3, &setchain.Byzantine{
+	if err := net.SetByzantine(3, &setchain.Byzantine{
 		RefuseServe:         func(int, []byte) bool { return true },
 		InjectBogusElements: 2,
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	var ids []setchain.ElementID
 	for i := 0; i < 12; i++ {
 		id, err := net.Client(i % 3).Add([]byte(fmt.Sprintf("honest-%d", i)))
@@ -175,6 +160,9 @@ func TestByzantineServerThroughAPI(t *testing.T) {
 		if _, err := net.Client(0).Confirm(1, id); err != nil {
 			t.Fatalf("honest element not confirmed under Byzantine server: %v", err)
 		}
+	}
+	if err := net.Check(); err != nil {
+		t.Fatalf("Check: %v", err)
 	}
 }
 
@@ -231,23 +219,60 @@ func TestNetworkDelayConfig(t *testing.T) {
 	}
 }
 
-func TestCustomBlockBytes(t *testing.T) {
-	// A tiny block size still makes progress (elements span many blocks).
-	net, err := setchain.New(setchain.Config{
-		Algorithm: setchain.Vanilla, Servers: 4, BlockBytes: 2048,
-	})
+// A server index outside [0, Servers) is an error or a zero value, never a
+// panic: Add and Confirm return an error, the read-only queries return
+// their zero value, and SetByzantine refuses it.
+func TestServerIndexOutOfRange(t *testing.T) {
+	net, err := setchain.New(setchain.Config{Servers: 4, CollectorSize: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if _, err := net.Client(i % 4).Add([]byte(fmt.Sprintf("small-%d", i))); err != nil {
-			t.Fatal(err)
+	id, err := net.Client(0).Add([]byte("in range"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !net.RunUntilSettled(time.Minute) {
+		t.Fatal("never settled")
+	}
+	for _, bad := range []int{-1, 4, 7} {
+		if _, err := net.Client(bad).Add([]byte("x")); err == nil {
+			t.Errorf("Client(%d).Add accepted", bad)
+		}
+		if _, err := net.Client(bad).Confirm(1, id); err == nil {
+			t.Errorf("Client(%d).Confirm accepted", bad)
+		}
+		if _, err := net.Client(0).Confirm(bad, id); err == nil {
+			t.Errorf("Confirm(%d, …) accepted", bad)
+		}
+		if net.Client(0).InSet(bad, id) || net.Client(0).Find(bad, id) != nil {
+			t.Errorf("InSet/Find(%d) found the element", bad)
+		}
+		if net.History(bad) != nil || net.EpochCount(bad) != 0 {
+			t.Errorf("History/EpochCount(%d) not zero", bad)
+		}
+		if err := net.SetByzantine(bad, &setchain.Byzantine{CorruptProofs: true}); err == nil {
+			t.Errorf("SetByzantine(%d) accepted", bad)
 		}
 	}
-	if !net.RunUntilSettled(3 * time.Minute) {
-		t.Fatalf("small blocks stalled: %d of %d", net.Committed(), net.Added())
+	if net.Added() != 1 {
+		t.Fatalf("Added = %d after refused adds, want 1", net.Added())
 	}
-	if net.EpochCount(0) < 2 {
-		t.Fatalf("epochs = %d, want several with 2 KiB blocks", net.EpochCount(0))
+	if err := net.Check(); err != nil {
+		t.Fatalf("Check: %v", err)
+	}
+}
+
+// Server 0 is the observer whose commit record Check audits: it cannot be
+// made Byzantine, the same rule the scenario road applies.
+func TestObserverStaysCorrect(t *testing.T) {
+	net, err := setchain.New(setchain.Config{Servers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SetByzantine(0, &setchain.Byzantine{CorruptProofs: true}); err == nil {
+		t.Fatal("SetByzantine(0, …) accepted")
+	}
+	if err := net.SetByzantine(1, &setchain.Byzantine{CorruptProofs: true}); err != nil {
+		t.Fatalf("SetByzantine(1, …): %v", err)
 	}
 }
