@@ -40,17 +40,18 @@
 // entry through the generic results table.
 //
 // Every scenario — faulted or not — ends with the internal/invariant
-// safety check; any violation is reported and the process exits nonzero.
+// safety check; any violation, or a cell over its declared heap ceiling,
+// makes the process exit nonzero, naming the failing cells last on stderr.
 //
 // -scale shrinks sending rates, windows and fault schedules proportionally
 // (saturation relationships against the fixed ledger/CPU capacities are
 // preserved for rates near or above the ceilings; use 1 for the paper's
 // exact workloads).
 //
-// -workers caps the study executor's worker pool (default GOMAXPROCS);
-// independent study cells run concurrently, each simulation still
-// single-threaded and deterministic. -artifact FILE writes a versioned
-// machine-readable run artifact (internal/report schema: provenance,
+// Independent cells run concurrently on up to GOMAXPROCS workers (fewer
+// when their elements would not fit in memory side by side), each
+// simulation still single-threaded and deterministic. -artifact FILE
+// writes a versioned machine-readable run artifact (internal/report schema: provenance,
 // per-experiment wall time, and one record per simulation cell), the
 // format cmd/setchain-report reads for RESULTS.md's fidelity tables.
 package main
@@ -105,10 +106,6 @@ var gridTitles = map[string]string{
 	"fig5c": "Fig. 5c: commit times vs network delay (10 servers, 10,000 el/s)",
 }
 
-// currentRecord is the -artifact record of the experiment currently
-// running (see timed in main).
-var currentRecord *report.ExperimentRecord
-
 // matrixFlags accumulates repeated -matrix overrides into axes.
 type matrixFlags []spec.Axis
 
@@ -137,7 +134,6 @@ func main() {
 	faultsFile := flag.String("faults", "", "apply a JSON fault plan (spec.FaultSpec) on top of every cell")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (rates, send windows and fault schedules)")
 	list := flag.Bool("list", false, "list experiments with their descriptions")
-	workers := flag.Int("workers", 0, "study executor workers (0 = GOMAXPROCS)")
 	artifactOut := flag.String("artifact", "", "write a versioned run artifact (results + provenance) to this file")
 	flag.Parse()
 	// A bad -scale is a usage error (exit 2), caught before anything runs.
@@ -145,7 +141,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-scale: %v\n", err)
 		os.Exit(2)
 	}
-	harness.SetWorkers(*workers)
 
 	var faultPlan *spec.FaultSpec
 	if *faultsFile != "" {
@@ -172,15 +167,22 @@ func main() {
 		SchemaVersion: report.SchemaVersion,
 		Provenance:    report.Provenance{Tool: "setchain-bench", Scale: *scale},
 	}
-	timed := func(name, desc string, run func()) {
-		doc.Experiments = append(doc.Experiments, report.ExperimentRecord{Name: name})
-		currentRecord = &doc.Experiments[len(doc.Experiments)-1]
+	// overHeap names the cells whose live heap exceeded their ceiling; the
+	// safety verdicts live in doc's records.
+	var overHeap []string
+	timed := func(name, desc string, run func() ([]spec.ScenarioSpec, []*harness.Result)) {
 		t0 := time.Now()
 		fmt.Printf("==> %s — %s (scale %.2g)\n\n", name, desc, *scale)
-		run()
+		cells, results := run()
 		wall := time.Since(t0)
-		currentRecord.WallSeconds = wall.Seconds()
-		currentRecord = nil
+		rec := report.FromResults(name, cells, results)
+		rec.WallSeconds = wall.Seconds()
+		doc.Experiments = append(doc.Experiments, rec)
+		for i, res := range results {
+			if res.HeapViolation {
+				overHeap = append(overHeap, name+"/"+rec.Cells[i].Label)
+			}
+		}
 		fmt.Printf("\n[%s done in %v]\n\n", name, wall.Round(time.Millisecond))
 	}
 
@@ -196,8 +198,10 @@ func main() {
 			os.Exit(1)
 		}
 		cells = withFaults(cells, faultPlan)
-		timed(*specFile, "scenario document", func() {
-			renderTable(os.Stdout, spec.Entry{Cells: cells}, runCells(cells, *scale))
+		timed(*specFile, "scenario document", func() ([]spec.ScenarioSpec, []*harness.Result) {
+			results := runCells(cells, *scale)
+			renderTable(os.Stdout, spec.Entry{Cells: cells}, results)
+			return cells, results
 		})
 	case *exp == "all":
 		if len(matrix) > 0 || faultPlan != nil {
@@ -206,7 +210,9 @@ func main() {
 		}
 		for _, e := range spec.All() {
 			e := e
-			timed(e.Name, e.Figure+": "+e.Title, func() { runEntry(e, matrix, faultPlan, *scale) })
+			timed(e.Name, e.Figure+": "+e.Title, func() ([]spec.ScenarioSpec, []*harness.Result) {
+				return runEntry(e, matrix, faultPlan, *scale)
+			})
 		}
 	default:
 		e, ok := spec.Get(*exp)
@@ -217,7 +223,9 @@ func main() {
 			}
 			os.Exit(2)
 		}
-		timed(e.Name, e.Figure+": "+e.Title, func() { runEntry(e, matrix, faultPlan, *scale) })
+		timed(e.Name, e.Figure+": "+e.Title, func() ([]spec.ScenarioSpec, []*harness.Result) {
+			return runEntry(e, matrix, faultPlan, *scale)
+		})
 	}
 
 	if *artifactOut != "" {
@@ -236,14 +244,14 @@ func main() {
 	// Every scenario executed above ran the end-of-run safety check; a
 	// violation anywhere is a hard failure regardless of which renderer
 	// displayed the run.
-	if v := harness.InvariantViolations(); v > 0 {
-		fmt.Fprintf(os.Stderr, "SAFETY: %d scenario(s) violated Setchain invariants (see output above)\n", v)
+	if v := doc.Violations(); len(v) > 0 {
+		fmt.Fprintf(os.Stderr, "SAFETY: %d scenario(s) violated Setchain invariants: %s\n", len(v), strings.Join(v, ", "))
 		os.Exit(1)
 	}
 	// Soak cells declare a heap ceiling; exceeding it is an unbounded-memory
 	// regression and fails the run just like a safety violation.
-	if v := harness.HeapViolations(); v > 0 {
-		fmt.Fprintf(os.Stderr, "MEMORY: %d scenario(s) exceeded their declared heap ceiling (see output above)\n", v)
+	if len(overHeap) > 0 {
+		fmt.Fprintf(os.Stderr, "MEMORY: %d scenario(s) exceeded their declared heap ceiling: %s\n", len(overHeap), strings.Join(overHeap, ", "))
 		os.Exit(1)
 	}
 }
@@ -309,8 +317,10 @@ func wrap(s string, width int) []string {
 // runEntry runs one registry entry: its cells — crossed with -matrix and
 // layered with -faults when given — execute once on the worker pool, and
 // the results go to the entry's figure-specific renderer, or to the generic
-// results table when it has none or an override changed the cell list.
-func runEntry(e spec.Entry, matrix []spec.Axis, faultPlan *spec.FaultSpec, scale float64) {
+// results table when it has none or an override changed the cell list. It
+// returns the cells that ran and their results (none for an analytic
+// entry).
+func runEntry(e spec.Entry, matrix []spec.Axis, faultPlan *spec.FaultSpec, scale float64) ([]spec.ScenarioSpec, []*harness.Result) {
 	overridden := len(matrix) > 0 || faultPlan != nil
 	render, ok := renderers[e.Name]
 	if !ok || overridden {
@@ -322,7 +332,7 @@ func runEntry(e spec.Entry, matrix []spec.Axis, faultPlan *spec.FaultSpec, scale
 			os.Exit(2)
 		}
 		render(os.Stdout, e, nil)
-		return
+		return nil, nil
 	}
 	cells, err := spec.Expand(e.Cells, matrix...)
 	if err != nil {
@@ -330,20 +340,17 @@ func runEntry(e spec.Entry, matrix []spec.Axis, faultPlan *spec.FaultSpec, scale
 		os.Exit(1)
 	}
 	e.Cells = withFaults(cells, faultPlan)
-	render(os.Stdout, e, runCells(e.Cells, scale))
+	results := runCells(e.Cells, scale)
+	render(os.Stdout, e, results)
+	return e.Cells, results
 }
 
-// runCells executes expanded scenario cells on the worker pool and
-// attaches their records — defaulted spec, measurements, invariant verdict
-// — to the -artifact experiment currently running.
+// runCells executes expanded scenario cells on the worker pool.
 func runCells(cells []spec.ScenarioSpec, scale float64) []*harness.Result {
 	results, err := harness.RunSpecs(cells, scale)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
-	}
-	if currentRecord != nil {
-		currentRecord.Cells = report.FromResults(currentRecord.Name, cells, results).Cells
 	}
 	return results
 }

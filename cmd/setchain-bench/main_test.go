@@ -89,6 +89,21 @@ func TestScaleFlagIsValidated(t *testing.T) {
 	}
 }
 
+// A cell over its heap ceiling fails the run, and the end-of-run line names
+// it as experiment/label: a figure renderer prints no per-cell verdict, so
+// the line is the one place a failing cell is named for every entry. At
+// scale 1 the cell's live heap is several times the 1 MiB ceiling.
+func TestHeapCeilingFailureNamesTheCell(t *testing.T) {
+	_, stderr, exit := runBench(t, "-exp chaos_crash -scale 1 -matrix heap=1")
+	if exit != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", exit, stderr)
+	}
+	want := "MEMORY: 1 scenario(s) exceeded their declared heap ceiling: chaos_crash/crash-restart\n"
+	if !strings.HasSuffix(stderr, want) {
+		t.Fatalf("stderr does not end with %q:\n%s", want, stderr)
+	}
+}
+
 // The renderer map must stay aligned with the registry: a renderer keyed by
 // a name the registry does not know is unreachable, an analytic entry (no
 // cells) without one would print an empty results table, and an analytic

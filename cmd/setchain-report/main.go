@@ -35,7 +35,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/harness"
 	"repro/internal/report"
 	"repro/internal/spec"
 )
@@ -54,13 +53,11 @@ func main() {
 	scale := flag.Float64("scale", 0, "workload scale (default 0.1 for the report, 1 for -emit-artifact)")
 	emit := flag.String("emit-artifact", "", "run the catalog at -scale and write a run artifact here instead of a report")
 	entries := flag.String("entries", "", "with -emit-artifact: run only these comma-separated entries and merge their records into the existing artifact")
-	workers := flag.Int("workers", 0, "study executor workers (0 = GOMAXPROCS)")
 	flag.Parse()
 	if err := spec.CheckScale(*scale); err != nil {
 		fmt.Fprintf(os.Stderr, "setchain-report: -scale: %v\n", err)
 		os.Exit(2)
 	}
-	harness.SetWorkers(*workers)
 
 	if *emit != "" {
 		emitArtifact(*emit, scaleOr(*scale, emitScale), *entries)
@@ -98,8 +95,8 @@ func main() {
 	}
 	// The report records violations, but a safety failure must also stop
 	// go generate loudly rather than land as a table cell in a diff.
-	if v := harness.InvariantViolations(); v > 0 {
-		fatalf("SAFETY: %d scenario(s) violated Setchain invariants (see %s)", v, orStdout(*out))
+	if v := reduced.Violations(); len(v) > 0 {
+		fatalf("SAFETY: %d scenario(s) violated Setchain invariants: %s", len(v), strings.Join(v, ", "))
 	}
 }
 
@@ -119,6 +116,7 @@ func emitArtifact(path string, scale float64, entries string) {
 		fatalf("run catalog: %v", err)
 	}
 	report.StampRuntime(&art.Provenance)
+	violations := art.Violations() // this run's, before any merge
 	if entries != "" {
 		prev, err := report.ReadFile(path)
 		if err != nil {
@@ -138,8 +136,8 @@ func emitArtifact(path string, scale float64, entries string) {
 	}
 	fmt.Printf("artifact written to %s (%d experiments, %d cells)\n",
 		path, len(art.Experiments), art.CellCount())
-	if v := harness.InvariantViolations(); v > 0 {
-		fatalf("SAFETY: %d scenario(s) violated Setchain invariants", v)
+	if len(violations) > 0 {
+		fatalf("SAFETY: %d scenario(s) violated Setchain invariants: %s", len(violations), strings.Join(violations, ", "))
 	}
 }
 
@@ -171,13 +169,6 @@ func scaleOr(v, def float64) float64 {
 		return def
 	}
 	return v
-}
-
-func orStdout(path string) string {
-	if path == "" {
-		return "output above"
-	}
-	return path
 }
 
 func fatalf(format string, args ...any) {

@@ -195,14 +195,6 @@ type StateSyncer interface {
 	VerifyCommitment(epoch, fold uint64) bool
 }
 
-// BreakHeaderBindForTest disables the requester-side verification of
-// state-sync offers — the certificate check and the chain-fold binding —
-// restoring the pre-fix trust hole. Sabotage tests flip it to prove the
-// verification is non-vacuous: a forged snapshot MUST install with the
-// check broken and MUST be rejected with it intact. Never set outside
-// tests.
-var BreakHeaderBindForTest bool
-
 // syncFetch is an in-flight chunked snapshot transfer on the requester:
 // the verified offer, the serving peer, and the received-chunk bitmap
 // that makes the transfer resumable — a re-offer or retry resumes from
@@ -407,6 +399,8 @@ type Node struct {
 	// verification (bad certificate, or a chain that does not fold to the
 	// certified commitment) — the forged-snapshot defense firing.
 	syncRejects uint64
+	// trustOffers skips that verification (BreakHeaderBindForTest).
+	trustOffers bool
 
 	// Serve side of chunked state-sync: servableSnap is the newest local
 	// snapshot for which a commit certificate binding its chain fold was
@@ -1179,6 +1173,14 @@ func (n *Node) handleSyncChunkRequest(from wire.NodeID, req *SyncChunkRequest) {
 	}, size)
 }
 
+// BreakHeaderBindForTest disables this node's requester-side verification
+// of state-sync offers — the certificate check and the chain-fold binding —
+// restoring the pre-fix trust hole. A sabotage hook: tests call it on
+// deployed nodes to prove the verification is non-vacuous, since a forged
+// snapshot must install with the check broken and be rejected with it
+// intact.
+func (n *Node) BreakHeaderBindForTest() { n.trustOffers = true }
+
 // handleSyncOffer verifies a state-sync offer against its certified
 // header — the certificate must hold 2f+1 valid precommits for the
 // proposal, and the offered chain must fold to the commitment the
@@ -1193,7 +1195,7 @@ func (n *Node) handleSyncOffer(from wire.NodeID, offer *SyncOffer) {
 	if snap.Last.Height < n.height {
 		return // would not advance us; keep block-by-block catch-up
 	}
-	if !BreakHeaderBindForTest {
+	if !n.trustOffers {
 		p := offer.Proposal
 		if p == nil || p.Block == nil || !n.verifyCommitCert(p, offer.Commit) {
 			n.syncRejects++

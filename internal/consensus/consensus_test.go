@@ -14,6 +14,9 @@ import (
 // Consensus is exercised through the ledger cluster assembly, which wires
 // network, mempools and validators exactly as production code does.
 
+// causeTest tags the node crashes these tests install by hand.
+const causeTest netsim.Cause = "test"
+
 func newCluster(t *testing.T, n int, seed int64) (*sim.Simulator, *ledger.Cluster) {
 	t.Helper()
 	s := sim.New(seed)
@@ -41,7 +44,7 @@ func TestSingleTxCommitsEverywhere(t *testing.T) {
 		found := false
 		for _, b := range n.Cons.Chain() {
 			for _, btx := range b.Txs {
-				if btx.Key() == tx.Key() {
+				if btx.MapKey() == tx.MapKey() {
 					found = true
 				}
 			}
@@ -84,10 +87,10 @@ func TestChainsConsistentUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every tx committed exactly once (Properties 9+10).
-	seen := make(map[string]int)
+	seen := make(map[wire.TxKey]int)
 	for _, b := range c.Nodes[0].Cons.Chain() {
 		for _, tx := range b.Txs {
-			seen[tx.Key()]++
+			seen[tx.MapKey()]++
 		}
 	}
 	if len(seen) != 300 {
@@ -95,7 +98,7 @@ func TestChainsConsistentUnderLoad(t *testing.T) {
 	}
 	for k, cnt := range seen {
 		if cnt != 1 {
-			t.Fatalf("tx %q committed %d times", k, cnt)
+			t.Fatalf("tx %v committed %d times", k, cnt)
 		}
 	}
 }
@@ -129,7 +132,7 @@ func TestBlockSizeLimitRespected(t *testing.T) {
 func TestToleratesSilentByzantineMinority(t *testing.T) {
 	s, c := newCluster(t, 4, 5)
 	c.Start()
-	c.Net.SetDown(3, true) // f=1 silent validator
+	c.Net.Faults().SetDown(3, causeTest, true) // f=1 silent validator
 	tx := elemTx(1, 100)
 	s.After(100*time.Millisecond, func() { c.Nodes[0].Append(tx) })
 	s.RunUntil(40 * time.Second)
@@ -138,7 +141,7 @@ func TestToleratesSilentByzantineMinority(t *testing.T) {
 		found := false
 		for _, b := range c.Nodes[i].Cons.Chain() {
 			for _, btx := range b.Txs {
-				if btx.Key() == tx.Key() {
+				if btx.MapKey() == tx.MapKey() {
 					found = true
 				}
 			}
@@ -159,8 +162,8 @@ func TestToleratesSilentByzantineMinority(t *testing.T) {
 func TestHaltsWithoutQuorum(t *testing.T) {
 	s, c := newCluster(t, 4, 6)
 	c.Start()
-	c.Net.SetDown(2, true)
-	c.Net.SetDown(3, true) // 2 of 4 down: no 2f+1 quorum possible
+	c.Net.Faults().SetDown(2, causeTest, true)
+	c.Net.Faults().SetDown(3, causeTest, true) // 2 of 4 down: no 2f+1 quorum possible
 	s.After(0, func() { c.Nodes[0].Append(elemTx(1, 100)) })
 	s.RunUntil(30 * time.Second)
 	c.Stop()
@@ -176,9 +179,9 @@ func TestHaltsWithoutQuorum(t *testing.T) {
 func TestRecoversAfterPartitionHeals(t *testing.T) {
 	s, c := newCluster(t, 4, 7)
 	c.Start()
-	c.Net.SetDown(3, true)
+	c.Net.Faults().SetDown(3, causeTest, true)
 	s.After(5*time.Second, func() { c.Nodes[0].Append(elemTx(1, 100)) })
-	s.After(20*time.Second, func() { c.Net.SetDown(3, false) })
+	s.After(20*time.Second, func() { c.Net.Faults().SetDown(3, causeTest, false) })
 	s.RunUntil(90 * time.Second)
 	c.Stop()
 	if err := c.VerifyConsistentChains(); err != nil {
@@ -209,7 +212,7 @@ func TestByzantineProposerInjectsTxs(t *testing.T) {
 	found := false
 	for _, b := range c.Nodes[0].Cons.Chain() {
 		for _, tx := range b.Txs {
-			if tx.Key() == junk.Key() {
+			if tx.MapKey() == junk.MapKey() {
 				found = true
 			}
 		}
@@ -281,8 +284,8 @@ func TestCatchupAfterOutage(t *testing.T) {
 			c.Nodes[i%4].Append(elemTx(i, 200))
 		})
 	}
-	s.After(2*time.Second, func() { c.Net.SetDown(3, true) })
-	s.After(12*time.Second, func() { c.Net.SetDown(3, false) })
+	s.After(2*time.Second, func() { c.Net.Faults().SetDown(3, causeTest, true) })
+	s.After(12*time.Second, func() { c.Net.Faults().SetDown(3, causeTest, false) })
 	s.RunUntil(60 * time.Second)
 	c.Stop()
 	if err := c.VerifyConsistentChains(); err != nil {

@@ -115,7 +115,7 @@ func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 	victim, donor := d.Servers[3], d.Servers[0]
 	h := victim.alg.(*hashchainAlg)
 	s.RunUntil(3 * time.Second)
-	d.Ledger.Net.SetDown(victim.id, true)
+	d.Ledger.Net.Faults().SetDown(victim.id, "test", true)
 	s.RunUntil(3*time.Second + 100*time.Millisecond) // what was in flight settles
 
 	// Run on until the donor seals a snapshot that carries pending sets.

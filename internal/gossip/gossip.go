@@ -64,23 +64,6 @@ type Config struct {
 	MaxHops int
 }
 
-// Sabotage switches for the deliberate-failure tests (DESIGN.md §12
-// pattern): prove the equivalence/safety sweeps would catch a broken
-// relay by breaking it on purpose. Exported because the harness-level
-// sabotage tests live outside this package. Never set in production code.
-var (
-	breakDedup  bool
-	breakExpiry bool
-)
-
-// SetBreakDedupForTest makes every digest look fresh: the dedup cache
-// records nothing, so gossip storms until the hop backstop. Test-only.
-func SetBreakDedupForTest(v bool) { breakDedup = v }
-
-// SetBreakExpiryForTest makes every queued entry look expired: flushes
-// drain nothing, so gossip starves completely. Test-only.
-func SetBreakExpiryForTest(v bool) { breakExpiry = v }
-
 // Relay is one node's gossip state: the dedup cache of seen digests and a
 // bounded queue of entries awaiting relay toward each peer. It is not
 // safe for concurrent use — by design, since under PDES it must only be
@@ -96,6 +79,8 @@ type Relay struct {
 	dedupDrops uint64 // ingested entries discarded as already-seen
 	queueDrops uint64 // entries dropped because a peer queue was full
 	expired    uint64 // queued entries discarded past EntryTTL
+
+	expireAll bool // BreakExpiryForTest
 }
 
 // Stats is a point-in-time snapshot of a relay's counters.
@@ -115,6 +100,17 @@ func NewRelay(peers []wire.NodeID, cfg Config) *Relay {
 	}
 	return r
 }
+
+// BreakDedupForTest makes every digest look fresh to this relay: its dedup
+// cache records nothing, so gossip storms until the hop backstop. A
+// sabotage hook: tests call it to prove their exactly-once checks would
+// catch a broken cache.
+func (r *Relay) BreakDedupForTest() { r.dedup.forgetful = true }
+
+// BreakExpiryForTest makes every entry queued at this relay look expired:
+// its flushes drain nothing, so gossip through it starves. A sabotage hook:
+// tests call it to prove their liveness checks would catch a starved relay.
+func (r *Relay) BreakExpiryForTest() { r.expireAll = true }
 
 // Observe marks a digest as seen without relaying anything, reporting
 // whether it was fresh. Originators call it so their own message, looped
@@ -159,7 +155,7 @@ func (r *Relay) Enqueue(peer int, e Entry, now time.Duration) {
 // Flush drains the non-expired backlog queued toward peers[peer], in FIFO
 // order. Entries past EntryTTL are counted and discarded.
 func (r *Relay) Flush(peer int, now time.Duration) []Entry {
-	out, exp := r.queues[peer].drain(now, r.cfg.EntryTTL)
+	out, exp := r.queues[peer].drain(now, r.cfg.EntryTTL, r.expireAll)
 	r.expired += exp
 	return out
 }
@@ -206,6 +202,8 @@ type dedupCache struct {
 
 	fifo []dedupSlot
 	head int
+
+	forgetful bool // BreakDedupForTest: every digest is fresh
 }
 
 const (
@@ -250,7 +248,7 @@ func (c *dedupCache) page(d Digest) (p *seqPage, word int, mask uint64) {
 // mark records the digest as seen until now+ttl and reports whether it
 // was fresh (not present, or present but expired).
 func (c *dedupCache) mark(d Digest, now, ttl time.Duration) bool {
-	if breakDedup {
+	if c.forgetful {
 		return true
 	}
 	c.expire(now)
@@ -304,11 +302,12 @@ func (q *relayQueue) push(e Entry) bool {
 	return true
 }
 
-// drain removes and returns every queued entry still inside ttl, plus the
-// count it expired. The result is nil for an empty queue and otherwise a
-// fresh slice sized once to the backlog: it leaves inside an Envelope, so
-// it can be neither pooled nor a view of the queue's own storage.
-func (q *relayQueue) drain(now, ttl time.Duration) ([]Entry, uint64) {
+// drain removes and returns every queued entry still inside ttl (none when
+// expireAll), plus the count it expired. The result is nil for an empty
+// queue and otherwise a fresh slice sized once to the backlog: it leaves
+// inside an Envelope, so it can be neither pooled nor a view of the queue's
+// own storage.
+func (q *relayQueue) drain(now, ttl time.Duration, expireAll bool) ([]Entry, uint64) {
 	if q.len() == 0 {
 		return nil, 0
 	}
@@ -316,7 +315,7 @@ func (q *relayQueue) drain(now, ttl time.Duration) ([]Entry, uint64) {
 	var expired uint64
 	for ; q.head < len(q.entries); q.head++ {
 		e := q.entries[q.head]
-		if breakExpiry || (ttl > 0 && e.enqueued+ttl <= now) {
+		if expireAll || (ttl > 0 && e.enqueued+ttl <= now) {
 			expired++
 			continue
 		}

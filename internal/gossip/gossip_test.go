@@ -162,21 +162,19 @@ func TestMaxHopsBackstop(t *testing.T) {
 func TestSabotageHooks(t *testing.T) {
 	cfg := testConfig()
 
-	SetBreakDedupForTest(true)
 	r := NewRelay([]wire.NodeID{1}, cfg)
+	r.BreakDedupForTest()
 	e := entry(0, 1)
 	if !r.Ingest(2, e, 0) || !r.Ingest(2, e, 0) {
 		t.Fatal("broken dedup should report every ingest fresh")
 	}
-	SetBreakDedupForTest(false)
 
-	SetBreakExpiryForTest(true)
 	r = NewRelay([]wire.NodeID{1}, cfg)
+	r.BreakExpiryForTest()
 	r.Enqueue(0, entry(0, 2), 0)
 	if got := r.Flush(0, 0); len(got) != 0 {
 		t.Fatalf("broken expiry should drain nothing, got %v", got)
 	}
-	SetBreakExpiryForTest(false)
 }
 
 // oracleTTL is the dedup TTL of every model-checked run below.

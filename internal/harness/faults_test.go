@@ -60,9 +60,7 @@ func TestFaultScenarioDeterminism(t *testing.T) {
 		sequential[i] = resultFingerprint(t, res)
 	}
 	for _, workers := range []int{1, 4} {
-		SetWorkers(workers)
-		parallel := RunMany(scs)
-		SetWorkers(0)
+		parallel := runMany(scs, workers)
 		for i, res := range parallel {
 			if got := resultFingerprint(t, res); string(got) != string(sequential[i]) {
 				t.Fatalf("workers=%d: fault cell %d (%s) diverges from sequential run\nseq: %s\npar: %s",

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -250,8 +249,7 @@ type Result struct {
 	// joined, when Shards > 1, with the cross-shard check (router
 	// completeness, no cross-shard duplication or fabrication, superepoch
 	// integrity). A non-nil value is a safety violation — a bug
-	// in the system under test or the checker — and also increments the
-	// package-wide InvariantViolations counter.
+	// in the system under test or the checker.
 	Invariant error
 	// PerShard holds per-shard summaries when the scenario ran sharded
 	// (Shards > 1); nil otherwise.
@@ -283,8 +281,7 @@ type Result struct {
 	// HeapLiveMB is the process's live heap in MiB after a forced GC at
 	// the end of the run (deployment still reachable), measured only when
 	// the scenario sets HeapCeilingMB; -1 otherwise. HeapViolation is true
-	// when it exceeded the ceiling (also counted process-wide by
-	// HeapViolations).
+	// when it exceeded the ceiling.
 	HeapLiveMB    float64
 	HeapViolation bool
 	// NetMsgs/NetBytes are the fabric's total sent messages and bytes
@@ -375,6 +372,13 @@ func Run(sc Scenario) *Result {
 func runScenario(sc Scenario) *Result {
 	sc = sc.withDefaults()
 	engine, d, gen := Deploy(sc)
+	return drive(sc, engine, d, gen)
+}
+
+// drive is runScenario after Deploy: it runs the deployment to the horizon,
+// harvests it, checks it and measures the heap. Sabotage tests deploy,
+// break the deployed instance, then call it.
+func drive(sc Scenario, engine runner, d *shard.Deployment, gen *shard.Generator) *Result {
 	n, shards := sc.Servers, d.Count()
 	d.Start()
 	gen.Start()
@@ -460,9 +464,6 @@ func runScenario(sc Scenario) *Result {
 	// Safety invariants are checked on EVERY scenario — chaos or not — so
 	// any run of any study doubles as a machine-checked safety argument.
 	res.Invariant = Check(d, gen)
-	if res.Invariant != nil {
-		invariantViolations.Add(1)
-	}
 	measureHeap(res, d)
 	return res
 }
@@ -580,27 +581,8 @@ func measureHeap(res *Result, deployment any) {
 	res.HeapLiveMB = float64(ms.HeapAlloc) / (1 << 20)
 	if res.HeapLiveMB > float64(res.Scenario.HeapCeilingMB) {
 		res.HeapViolation = true
-		heapViolations.Add(1)
 	}
 }
-
-// heapViolations counts scenarios whose live heap exceeded their declared
-// ceiling, process-wide, mirroring invariantViolations so batch drivers
-// fail loudly on unbounded-memory regressions.
-var heapViolations atomic.Uint64
-
-// HeapViolations reports how many scenarios exceeded their heap ceiling
-// since process start.
-func HeapViolations() uint64 { return heapViolations.Load() }
-
-// invariantViolations counts scenarios whose end-of-run invariant check
-// failed, process-wide, so batch drivers (setchain-bench) can fail loudly
-// even when a study's renderer ignores individual Results.
-var invariantViolations atomic.Uint64
-
-// InvariantViolations reports how many scenarios failed the end-of-run
-// safety check since process start.
-func InvariantViolations() uint64 { return invariantViolations.Load() }
 
 // ParameterGrid reproduces Table 1: the evaluation's parameter space.
 type ParameterGrid struct {

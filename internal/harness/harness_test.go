@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/shard"
 	"repro/internal/spec"
 )
 
@@ -37,6 +38,16 @@ func fromSpec(t *testing.T, sp spec.ScenarioSpec) Scenario {
 		t.Fatal(err)
 	}
 	return sc
+}
+
+// runBroken runs sc the way Run does, except that sabotage gets the
+// deployment between Deploy and the run: a sabotage test breaks the
+// instance it deployed, and no other.
+func runBroken(sc Scenario, sabotage func(engine runner, d *shard.Deployment)) *Result {
+	sc = sc.withDefaults()
+	engine, d, gen := Deploy(sc)
+	sabotage(engine, d)
+	return drive(sc, engine, d, gen)
 }
 
 func TestAlgSpecLabels(t *testing.T) {

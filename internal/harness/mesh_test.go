@@ -3,7 +3,7 @@ package harness
 import (
 	"testing"
 
-	"repro/internal/gossip"
+	"repro/internal/shard"
 	"repro/internal/spec"
 )
 
@@ -119,9 +119,11 @@ func TestMeshBrokenExpiryStallsCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	mesh := cells[1]
-	gossip.SetBreakExpiryForTest(true)
-	defer gossip.SetBreakExpiryForTest(false)
-	res := Run(mesh)
+	res := runBroken(mesh, func(_ runner, d *shard.Deployment) {
+		for _, sd := range d.Shards {
+			sd.Ledger.Mesh.BreakExpiryForTest()
+		}
+	})
 	if res.Committed != 0 {
 		t.Fatalf("starved overlay still committed %d elements — the Committed>0 liveness checks are vacuous for mesh cells", res.Committed)
 	}

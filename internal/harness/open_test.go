@@ -2,10 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/mempool"
+	"repro/internal/shard"
 	"repro/internal/spec"
 )
 
@@ -53,9 +54,7 @@ func TestAdmissionRejectsUnderSaturation(t *testing.T) {
 // would notice the behavioral change.
 func TestBreakAdmissionForTest(t *testing.T) {
 	intact := Run(fromSpec(t, saturatingSpec()))
-	mempool.BreakAdmissionForTest = true
-	broken := Run(fromSpec(t, saturatingSpec()))
-	mempool.BreakAdmissionForTest = false
+	broken := runBroken(fromSpec(t, saturatingSpec()), breakAdmission)
 	if intact.Rejected == 0 {
 		t.Fatal("intact gate rejected nothing")
 	}
@@ -64,6 +63,39 @@ func TestBreakAdmissionForTest(t *testing.T) {
 	}
 	if bytes.Equal(Fingerprint(intact), Fingerprint(broken)) {
 		t.Fatal("sabotaged run fingerprints identical to the intact run")
+	}
+}
+
+// breakAdmission breaks the admission gate of every pool in the deployment.
+func breakAdmission(_ runner, d *shard.Deployment) {
+	for _, sd := range d.Shards {
+		for _, node := range sd.Ledger.Nodes {
+			node.Pool.BreakAdmissionForTest()
+		}
+	}
+}
+
+// TestSabotageStaysInItsDeployment runs the saturating scenario twice at
+// once, intact and with every pool's gate broken: the intact run must still
+// reject and match a solo run byte for byte, so a sabotage hook reaches the
+// deployment it was called on and no other.
+func TestSabotageStaysInItsDeployment(t *testing.T) {
+	sc := fromSpec(t, saturatingSpec())
+	solo := Run(sc)
+	var intact, broken *Result
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); intact = runScenario(sc) }()
+	go func() { defer wg.Done(); broken = runBroken(sc, breakAdmission) }()
+	wg.Wait()
+	if intact.Rejected == 0 {
+		t.Fatal("intact run beside a sabotaged one rejected nothing")
+	}
+	if !bytes.Equal(Fingerprint(intact), Fingerprint(solo)) {
+		t.Fatal("intact run beside a sabotaged one differs from a solo run")
+	}
+	if broken.Rejected != 0 {
+		t.Fatalf("sabotaged run still rejected %d elements", broken.Rejected)
 	}
 }
 

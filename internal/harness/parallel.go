@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -19,42 +17,6 @@ import (
 // results are byte-identical regardless of worker count or scheduling
 // order — TestRunManyMatchesSequential asserts this.
 
-// workersOverride, when positive, fixes the worker count. 0 = automatic.
-var workersOverride atomic.Int64
-
-// SetWorkers overrides the RunMany worker count. n <= 0 restores the
-// default (GOMAXPROCS, or the SETCHAIN_WORKERS environment variable).
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workersOverride.Store(int64(n))
-}
-
-// Workers reports the configured worker count RunMany starts from. When
-// neither SetWorkers nor SETCHAIN_WORKERS pins a count, RunMany may lower
-// this automatically for memory-heavy cells (see autoWorkers).
-func Workers() int {
-	if n := workersConfigured(); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// workersConfigured returns the explicitly requested worker count, or 0
-// when the choice is left to RunMany.
-func workersConfigured() int {
-	if n := int(workersOverride.Load()); n > 0 {
-		return n
-	}
-	if v := os.Getenv("SETCHAIN_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 0
-}
-
 // inFlightElementBudget bounds the elements materialized by concurrently
 // running cells when the worker count is chosen automatically. A paper-scale
 // cell keeps every element in per-server sets across 10 servers: measured,
@@ -63,8 +25,7 @@ func workersConfigured() int {
 // hash10k -trace 0` re-measures it), so 8M in-flight elements peak near 4 GB
 // — what 4M did while the same figure was 1.19 KB, and within what the
 // previously sequential studies already needed for their largest single
-// cell. Explicit SetWorkers / SETCHAIN_WORKERS / -workers settings bypass
-// this cap.
+// cell.
 const inFlightElementBudget = 8e6
 
 // estimatedElements approximates how many elements a cell materializes:
@@ -96,22 +57,19 @@ func autoWorkers(scs []Scenario) int {
 }
 
 // RunMany executes every scenario and returns the results in input order.
-// Scenarios run concurrently: on the explicitly configured worker count if
-// one was set, otherwise on GOMAXPROCS workers lowered automatically so the
-// batch's largest cells cannot multiply peak memory past what the biggest
-// single cell already needs (autoWorkers). Pass a single scenario (or
-// SetWorkers(1)) for strictly sequential execution. Seeds are never
-// rewritten: each cell keeps the seed its Scenario carries (1 unless its
-// spec set one), exactly as a sequential Run loop would.
+// Scenarios run concurrently on GOMAXPROCS workers, lowered so the batch's
+// largest cells cannot multiply peak memory past what the biggest single
+// cell already needs (autoWorkers); GOMAXPROCS=1 runs them one after
+// another. Seeds are never rewritten: each cell keeps the seed its Scenario
+// carries (1 unless its spec set one), exactly as a sequential Run loop
+// would.
 func RunMany(scs []Scenario) []*Result {
+	return runMany(scs, autoWorkers(scs))
+}
+
+// runMany is RunMany on a given worker count.
+func runMany(scs []Scenario, workers int) []*Result {
 	results := make([]*Result, len(scs))
-	if len(scs) == 0 {
-		return results
-	}
-	workers := workersConfigured()
-	if workers == 0 {
-		workers = autoWorkers(scs)
-	}
 	if workers > len(scs) {
 		workers = len(scs)
 	}

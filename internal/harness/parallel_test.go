@@ -33,9 +33,7 @@ func TestRunManyMatchesSequential(t *testing.T) {
 		sequential[i] = resultFingerprint(t, Run(sc))
 	}
 	for _, workers := range []int{1, 4} {
-		SetWorkers(workers)
-		parallel := RunMany(scs)
-		SetWorkers(0)
+		parallel := runMany(scs, workers)
 		if len(parallel) != len(scs) {
 			t.Fatalf("workers=%d: results = %d, want %d", workers, len(parallel), len(scs))
 		}
@@ -66,24 +64,9 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestWorkersOverride(t *testing.T) {
-	SetWorkers(3)
-	if Workers() != 3 {
-		t.Fatalf("Workers() = %d after SetWorkers(3)", Workers())
-	}
-	SetWorkers(0)
-	if Workers() < 1 {
-		t.Fatalf("default Workers() = %d, want >= 1", Workers())
-	}
-	t.Setenv("SETCHAIN_WORKERS", "5")
-	if Workers() != 5 {
-		t.Fatalf("Workers() = %d with SETCHAIN_WORKERS=5", Workers())
-	}
-}
-
 // The automatic worker count must shrink for memory-heavy cells (a
 // paper-scale cell materializes millions of elements) and stay at the
-// CPU-derived default for small ones; explicit overrides bypass the cap.
+// CPU-derived default for small ones.
 func TestAutoWorkersCapsMemoryHeavyCells(t *testing.T) {
 	small := []Scenario{fromSpec(t, spec.ScenarioSpec{Algorithm: spec.AlgHashchain, Rate: 500,
 		SendFor: spec.Duration(10 * time.Second)})}

@@ -55,16 +55,9 @@ func effectiveIntraWorkers(sc Scenario, opts core.Options) int {
 // newIntraWorld builds the World for a partitioned run: partitions
 // partition queues plus the home queue (workload ticks, fault plans, the
 // end-of-send drain), and a resolver mapping each server node id to its
-// partition via idx. The test-only sabotage switches below are applied
-// here so the mutation tests exercise the real executor path end to end.
+// partition via idx.
 func newIntraWorld(seed int64, partitions, workers int, idx func(wire.NodeID) int) (*sim.World, func(wire.NodeID) *sim.Simulator) {
 	w := sim.NewWorld(seed, partitions, workers)
-	if breakMergeOrder {
-		w.BreakMergeOrderForTest()
-	}
-	if breakHomeFence {
-		w.BreakHomeFenceForTest()
-	}
 	simFor := func(id wire.NodeID) *sim.Simulator {
 		if k := idx(id); k >= 0 && k < partitions {
 			return w.Part(k)
@@ -73,11 +66,3 @@ func newIntraWorld(seed int64, partitions, workers int, idx func(wire.NodeID) in
 	}
 	return w, simFor
 }
-
-// Test-only sabotage switches (set by pdes_test.go under its own cleanup):
-// deliberately break the inbox merge order / the home-event round fence so
-// the equivalence sweep's fingerprint comparison is proven non-vacuous.
-var (
-	breakMergeOrder bool
-	breakHomeFence  bool
-)

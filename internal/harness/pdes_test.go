@@ -4,6 +4,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/shard"
+	"repro/internal/sim"
 )
 
 type timedResult struct {
@@ -127,9 +130,10 @@ func TestIntraRunBrokenFenceDiverges(t *testing.T) {
 	sc := cells[1] // S=2: sharded, cross-partition traffic, two partitions
 	want := pdesFingerprint(t, runAtWorkers(sc, 1))
 
-	breakHomeFence = true
-	defer func() { breakHomeFence = false }()
-	broken := runAtWorkers(sc, 2)
+	sc.IntraWorkers = 2
+	broken := runBroken(sc, func(engine runner, _ *shard.Deployment) {
+		engine.(*sim.World).BreakHomeFenceForTest()
+	})
 	if got := pdesFingerprint(t, broken); string(got) == string(want) {
 		t.Fatalf("sabotaged executor (home fence removed) still matches the sequential fingerprint — the equivalence sweep is vacuous")
 	}

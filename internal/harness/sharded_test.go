@@ -71,9 +71,7 @@ func TestShardedScenarioDeterminism(t *testing.T) {
 	}
 	// And so must the worker pool at any width.
 	for _, workers := range []int{1, 4} {
-		SetWorkers(workers)
-		parallel := RunMany(scs)
-		SetWorkers(0)
+		parallel := runMany(scs, workers)
 		for i, res := range parallel {
 			if got := shardedFingerprint(t, res); string(got) != string(first[i]) {
 				t.Fatalf("workers=%d: cell %d (%s) diverges from sequential run",

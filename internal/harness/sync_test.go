@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/consensus"
+	"repro/internal/shard"
 	"repro/internal/spec"
 )
 
@@ -104,9 +104,13 @@ func TestSyncForgedSnapshotRejected(t *testing.T) {
 // no longer produces locally-installable snapshots or the safety checker
 // went blind below the prune horizon.
 func TestSyncSabotagedHeaderBindInstallsForgery(t *testing.T) {
-	consensus.BreakHeaderBindForTest = true
-	defer func() { consensus.BreakHeaderBindForTest = false }()
-	res := Run(syncForgedScenario(t, 1))
+	res := runBroken(syncForgedScenario(t, 1), func(_ runner, d *shard.Deployment) {
+		for _, sd := range d.Shards {
+			for _, node := range sd.Ledger.Nodes {
+				node.Cons.BreakHeaderBindForTest()
+			}
+		}
+	})
 	if res.SyncInstalls == 0 {
 		t.Fatal("recovering server never state-synced; the sabotage run is vacuous")
 	}

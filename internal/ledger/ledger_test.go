@@ -55,7 +55,7 @@ func TestAppendEventualNotify(t *testing.T) {
 		pos := -1
 		for _, b := range a.blocks {
 			for k, btx := range b.Txs {
-				if btx.Key() == tx.Key() {
+				if btx.MapKey() == tx.MapKey() {
 					pos = int(b.Height)*1_000_000 + k
 				}
 			}
@@ -102,7 +102,7 @@ func TestConsistentNotificationOrder(t *testing.T) {
 				t.Fatalf("app %d block %d differs", i, h)
 			}
 			for k := range ref[h].Txs {
-				if ref[h].Txs[k].Key() != other[h].Txs[k].Key() {
+				if ref[h].Txs[k].MapKey() != other[h].Txs[k].MapKey() {
 					t.Fatalf("app %d block %d tx %d differs", i, h, k)
 				}
 			}

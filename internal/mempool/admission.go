@@ -47,24 +47,24 @@ type AdmissionConfig struct {
 	MaxDeferred int
 }
 
-// BreakAdmissionForTest disables the admission gate process-wide. It is
-// the sabotage hook proving the open-system tests non-vacuous: with the
-// gate broken, a saturating run must report ZERO rejections and a
-// different fingerprint, or the rejection assertions were never testing
-// anything. Set only from tests, never mid-run.
-var BreakAdmissionForTest bool
-
 // deferredTx is one transaction parked by the delay policy.
 type deferredTx struct {
 	tx       *wire.Tx
 	deadline time.Duration // virtual-time deadline (sim.Now() + MaxDelay)
 }
 
+// BreakAdmissionForTest turns this pool's admission gate off, caps and
+// all else kept. A sabotage hook proving the open-system tests non-vacuous:
+// with every pool's gate broken, a saturating run must report ZERO
+// rejections and a different fingerprint, or the rejection assertions were
+// never testing anything. Call it before the run, never mid-run.
+func (m *Mempool) BreakAdmissionForTest() { m.cfg.Admission.Policy = "" }
+
 // Saturated reports whether the pool sits at or above the admission
-// watermark. Always false with admission off (or sabotaged): the closed
-// system never observes the gate.
+// watermark. Always false with admission off: the closed system never
+// observes the gate.
 func (m *Mempool) Saturated() bool {
-	if m.cfg.Admission.Policy == "" || BreakAdmissionForTest {
+	if m.cfg.Admission.Policy == "" {
 		return false
 	}
 	wm := m.cfg.Admission.Watermark

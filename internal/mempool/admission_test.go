@@ -71,8 +71,7 @@ func TestBreakAdmissionForTest(t *testing.T) {
 	_, pools := newTestPools(t, 1, admCfg(AdmissionReject, 10))
 	p := pools[0]
 	fillPool(t, p, 1000, 9)
-	BreakAdmissionForTest = true
-	defer func() { BreakAdmissionForTest = false }()
+	p.BreakAdmissionForTest()
 	if p.Saturated() {
 		t.Fatal("sabotaged gate still reports saturation")
 	}

@@ -395,7 +395,7 @@ func TestEnterHookFires(t *testing.T) {
 	net.AddNode(0, nil)
 	var entered []string
 	p := New(0, s, net, nil, PaperConfig(), nil, func(node wire.NodeID, tx *wire.Tx) {
-		entered = append(entered, fmt.Sprintf("%d:%s", node, tx.Key()))
+		entered = append(entered, fmt.Sprintf("%d:%x", node, tx.AppendKey(nil)))
 	})
 	s.After(0, func() { p.AddTx(elemTx(1, 10)) })
 	s.Run()
@@ -513,7 +513,7 @@ func TestTombstoneLogAliasesBlock(t *testing.T) {
 	}
 	for _, tx := range block {
 		if !p.AddTx(tx) {
-			t.Fatalf("%s: pruned key not re-admitted", tx.Key())
+			t.Fatalf("%x: pruned key not re-admitted", tx.AppendKey(nil))
 		}
 	}
 	if p.AddTx(txs[9]) {

@@ -367,7 +367,7 @@ func compareModel(t *testing.T, step int, p *Mempool, o *oracle, touched []*wire
 	}
 	for _, tx := range touched {
 		if got, want := p.Has(tx.MapKey()), o.state[tx.MapKey()] == 1; got != want {
-			t.Fatalf("step %d: Has(%s) = %v, oracle %v", step, tx.Key(), got, want)
+			t.Fatalf("step %d: Has(%x) = %v, oracle %v", step, tx.AppendKey(nil), got, want)
 		}
 	}
 }

@@ -23,9 +23,6 @@ type Cause string
 // The causes used by this repo's fault sources. Any non-empty string is a
 // valid cause; tests may invent their own.
 const (
-	// CauseManual tags faults installed through the legacy
-	// Network.SetDown entry point (tests, ad-hoc tooling).
-	CauseManual Cause = "manual"
 	// CauseByzantine tags faults installed by internal/byzantine presets
 	// (the always-on silent-server fault).
 	CauseByzantine Cause = "byzantine"

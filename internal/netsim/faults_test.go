@@ -34,23 +34,6 @@ func TestDownCausesCompose(t *testing.T) {
 	}
 }
 
-func TestLegacySetDownUsesManualCause(t *testing.T) {
-	s, n, boxes := setup(Config{BaseLatency: time.Millisecond})
-	n.SetDown(2, true)
-	if !n.Faults().Down(2) {
-		t.Fatal("SetDown(true) did not mark the node down")
-	}
-	s.After(0, func() { n.Send(0, 2, "x", 10) })
-	s.Run()
-	if len(*boxes[2]) != 0 {
-		t.Fatal("down node received a message")
-	}
-	n.SetDown(2, false)
-	if n.Faults().Down(2) {
-		t.Fatal("SetDown(false) did not revive the node")
-	}
-}
-
 func TestBlockedLinkDropsDirectionally(t *testing.T) {
 	s, n, boxes := setup(Config{BaseLatency: time.Millisecond})
 	f := n.Faults()

@@ -285,6 +285,16 @@ func (ep *meshEndpoint) flush() {
 	}
 }
 
+// BreakExpiryForTest breaks every relay of this mesh the way
+// gossip.Relay.BreakExpiryForTest does: no flush ships anything, so the
+// overlay starves. A sabotage hook for tests outside this package, called
+// between deployment and the run.
+func (m *Mesh) BreakExpiryForTest() {
+	for _, ep := range m.eps {
+		ep.relay.BreakExpiryForTest()
+	}
+}
+
 // Stats sums the mesh's counters across endpoints.
 func (m *Mesh) Stats() MeshStats {
 	var st MeshStats

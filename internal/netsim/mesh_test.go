@@ -170,9 +170,10 @@ func TestMeshExactlyOnceDelivery(t *testing.T) {
 // finite). If this passes cleanly, the delivery-count assertions are
 // vacuous.
 func TestMeshBrokenDedupDuplicates(t *testing.T) {
-	gossip.SetBreakDedupForTest(true)
-	defer gossip.SetBreakDedupForTest(false)
 	h := newMeshHarness(t, 5, 2, 42)
+	for _, ep := range h.mesh.eps {
+		ep.relay.BreakDedupForTest()
+	}
 	h.originate()
 	h.s.Run()
 	dup := false
@@ -193,9 +194,8 @@ func TestMeshBrokenDedupDuplicates(t *testing.T) {
 // receives anything. This is what the harness-level Committed>0 checks
 // key off.
 func TestMeshBrokenExpiryStarves(t *testing.T) {
-	gossip.SetBreakExpiryForTest(true)
-	defer gossip.SetBreakExpiryForTest(false)
 	h := newMeshHarness(t, 5, 2, 42)
+	h.mesh.BreakExpiryForTest()
 	h.originate()
 	h.s.Run()
 	for node, counts := range h.seen {

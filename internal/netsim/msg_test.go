@@ -75,13 +75,13 @@ func TestMessageRecordsReturnToTheReceiver(t *testing.T) {
 			got[1], free(0), free(1), n.Faults().Duplicated())
 	}
 
-	n.SetDown(2, true)
+	n.Faults().SetDown(2, causeTest, true)
 	n.Send(1, 2, "lost", 1)
 	s.Run()
 	if got[2] != 0 || free(1) != 1 || free(2) != 1 {
 		t.Fatalf("down node: %d delivered, spare records %d/%d; want 0, 1/1", got[2], free(1), free(2))
 	}
-	n.SetDown(2, false)
+	n.Faults().SetDown(2, causeTest, false)
 
 	for range maxFreeMsgs + 100 {
 		n.Send(1, 2, "flood", 1)

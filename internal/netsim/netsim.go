@@ -151,14 +151,6 @@ func (n *Network) AddNode(id wire.NodeID, h Handler) {
 	n.lookaheadValid = false
 }
 
-// SetDown marks a node as crashed: it neither sends nor receives. It is a
-// convenience shim over Faults().SetDown with CauseManual; fault sources
-// with their own lifecycle (Byzantine presets, scheduled plans) should use
-// the Faults controller directly so their state composes.
-func (n *Network) SetDown(id wire.NodeID, down bool) {
-	n.Faults().SetDown(id, CauseManual, down)
-}
-
 // NodeIDs returns the registered node ids in ascending order.
 func (n *Network) NodeIDs() []wire.NodeID {
 	ids := make([]wire.NodeID, 0, len(n.nodes))

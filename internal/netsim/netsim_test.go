@@ -14,6 +14,9 @@ type recv struct {
 	size int
 }
 
+// causeTest tags the node faults these tests install by hand.
+const causeTest Cause = "test"
+
 func setup(cfg Config) (*sim.Simulator, *Network, map[wire.NodeID]*[]recv) {
 	s := sim.New(1)
 	n := New(s, cfg)
@@ -103,7 +106,7 @@ func TestSelfSendLoopsBack(t *testing.T) {
 
 func TestDownNodeSendsAndReceivesNothing(t *testing.T) {
 	s, n, boxes := setup(Config{})
-	n.SetDown(1, true)
+	n.Faults().SetDown(1, causeTest, true)
 	s.After(0, func() {
 		n.Send(1, 0, "from-down", 5)
 		n.Send(0, 1, "to-down", 5)
@@ -116,7 +119,7 @@ func TestDownNodeSendsAndReceivesNothing(t *testing.T) {
 		t.Fatal("message to down node delivered")
 	}
 	// Revive: traffic flows again.
-	n.SetDown(1, false)
+	n.Faults().SetDown(1, causeTest, false)
 	s.After(0, func() { n.Send(0, 1, "again", 5) })
 	s.Run()
 	if len(*boxes[1]) != 1 {

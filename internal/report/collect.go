@@ -131,14 +131,15 @@ func GitDescribe() string {
 // StampRuntime fills the wall-clock context fields — git state, Go
 // toolchain, host, worker count — in one place for every artifact
 // emitter, so the two commands cannot drift in what the fields mean.
-// Run-defining fields (Tool, Scale, Seed, Mode) stay the caller's.
+// Run-defining fields (Tool, Scale, Seed, Mode) stay the caller's. The
+// worker count is GOMAXPROCS, the most harness.RunMany uses.
 func StampRuntime(p *Provenance) {
 	p.Git = GitDescribe()
 	p.GoVersion = runtime.Version()
 	p.GOOS = runtime.GOOS
 	p.GOARCH = runtime.GOARCH
 	p.CPUs = runtime.NumCPU()
-	p.Workers = harness.Workers()
+	p.Workers = runtime.GOMAXPROCS(0)
 }
 
 // cellKey canonicalizes a cell for cross-entry deduplication: two cells

@@ -57,7 +57,7 @@ func TestConstructorAndLiteralAgree(t *testing.T) {
 		if c.built.WireSize() != c.plain.WireSize() || c.built.WireSize() == 0 {
 			t.Errorf("%s: WireSize %d / %d", c.name, c.built.WireSize(), c.plain.WireSize())
 		}
-		if c.built.Kind != c.plain.Kind || c.built.Key() != c.plain.Key() {
+		if c.built.Kind != c.plain.Kind || c.built.MapKey() != c.plain.MapKey() {
 			t.Errorf("%s: Kind or Key differs", c.name)
 		}
 	}

@@ -99,11 +99,6 @@ type EpochProof struct {
 // WireSize returns the proof's ledger footprint (139 bytes per the paper).
 func (p *EpochProof) WireSize() int { return EpochProofWireSize }
 
-// Key renders the dedup key for logs. Hot paths use MapKey.
-func (p *EpochProof) Key() string {
-	return fmt.Sprintf("ep/%d/%d", p.Epoch, p.Signer)
-}
-
 // ProofKey is the comparable dedup identity of an epoch-proof: one proof
 // per (epoch, signer) pair.
 type ProofKey struct {
@@ -126,11 +121,6 @@ type HashBatch struct {
 
 // WireSize returns the hash-batch's ledger footprint (139 bytes).
 func (hb *HashBatch) WireSize() int { return HashBatchWireSize }
-
-// Key renders the dedup key for logs. Hot paths use Tx.MapKey.
-func (hb *HashBatch) Key() string {
-	return fmt.Sprintf("hb/%x/%d", hb.Hash, hb.Signer)
-}
 
 // DigestSize is the fixed capacity of an interned Digest: the 64 bytes of a
 // SHA-512-shaped batch hash (setcrypto.HashSize).
@@ -204,11 +194,6 @@ type CompressedBatch struct {
 
 // WireSize returns the compressed size that lands on the ledger.
 func (cb *CompressedBatch) WireSize() int { return cb.CompSize }
-
-// Key returns a dedup key unique per (origin, sequence).
-func (cb *CompressedBatch) Key() string {
-	return fmt.Sprintf("cb/%d/%d", cb.Origin, cb.Seq)
-}
 
 // TxKind discriminates ledger transaction payloads.
 type TxKind uint8
@@ -294,24 +279,6 @@ func (tx *Tx) WireSize() int {
 		return tx.HashBatch.WireSize()
 	default:
 		return 0
-	}
-}
-
-// Key renders the transaction's dedup key for logs and diagnostics. Hot
-// paths (mempool dedup, metrics carrier tracking, block hashing) use MapKey
-// and AppendKey, which do not allocate.
-func (tx *Tx) Key() string {
-	switch tx.Kind {
-	case TxElement:
-		return "el/" + string(tx.Element.ID[:])
-	case TxProof:
-		return tx.Proof.Key()
-	case TxCompressedBatch:
-		return tx.Compressed.Key()
-	case TxHashBatch:
-		return tx.HashBatch.Key()
-	default:
-		return ""
 	}
 }
 

@@ -72,14 +72,14 @@ func TestTxKeysDistinct(t *testing.T) {
 		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: []byte("h"), Signer: 1}},
 		{Kind: TxHashBatch, HashBatch: &HashBatch{Hash: []byte("h"), Signer: 2}},
 	}
-	seen := make(map[string]bool)
+	seen := make(map[TxKey]bool)
 	for i, tx := range txs {
-		k := tx.Key()
-		if k == "" {
-			t.Fatalf("tx %d has empty key", i)
+		k := tx.MapKey()
+		if k.IsZero() {
+			t.Fatalf("tx %d has a zero key", i)
 		}
 		if seen[k] {
-			t.Fatalf("tx %d key %q collides", i, k)
+			t.Fatalf("tx %d key %x collides", i, tx.AppendKey(nil))
 		}
 		seen[k] = true
 	}
