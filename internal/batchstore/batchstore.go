@@ -1,12 +1,14 @@
-// Package batchstore implements Hashchain's hash-reversal substrate: a
-// per-server store mapping batch hashes to batch contents (the pseudocode's
-// hash_to_batch map plus Register_batch), and the request/response message
-// types servers exchange to recover a batch from its hash (Request_batch).
+// Package batchstore holds Hashchain's hash-reversal substrate: the
+// request/response messages servers exchange to recover a batch from its
+// hash (Request_batch), and Store, the hash→batch oracle that Hashchain
+// Light's servers share.
 //
-// The store is the distributed service the paper identifies as Hashchain's
-// bottleneck: every server must obtain every batch to validate it before
-// co-signing its hash, so batches flow origin → n-1 peers for every
-// collector flush.
+// Hash reversal is the distributed service the paper identifies as
+// Hashchain's bottleneck: every server must obtain every batch to validate
+// it before co-signing its hash, so batches flow origin → n-1 peers for
+// every collector flush. A server's own hash→batch map is its batch records
+// (core's hashchainAlg); the Light ablation (paper Fig. 2) removes hash
+// reversal by reading one shared Store instead.
 //
 // See DESIGN.md §3 (algorithm refinements).
 package batchstore
@@ -15,14 +17,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Store holds batches by hash for one server.
+// Store holds batches by hash.
 type Store struct {
 	byHash map[wire.Digest]*wire.Batch
-
-	// Stats.
-	registered uint64
-	hits       uint64
-	misses     uint64
 }
 
 // New returns an empty store.
@@ -31,40 +28,18 @@ func New() *Store {
 }
 
 // Register saves a batch under its hash (Register_batch in the paper).
-// Re-registering the same hash is a no-op.
+// Re-registering the same hash is a no-op: the first batch stands.
 func (s *Store) Register(hash []byte, b *wire.Batch) {
 	key := wire.DigestOf(hash)
-	if _, ok := s.byHash[key]; ok {
-		return
+	if _, ok := s.byHash[key]; !ok {
+		s.byHash[key] = b
 	}
-	s.byHash[key] = b
-	s.registered++
 }
 
 // Get returns the batch for a hash, or nil (the paper's
 // hash_to_batch[h] lookup).
 func (s *Store) Get(hash []byte) *wire.Batch {
-	b, ok := s.byHash[wire.DigestOf(hash)]
-	if ok {
-		s.hits++
-	} else {
-		s.misses++
-	}
-	return b
-}
-
-// Has reports whether the hash is registered without touching hit counters.
-func (s *Store) Has(hash []byte) bool {
-	_, ok := s.byHash[wire.DigestOf(hash)]
-	return ok
-}
-
-// Len returns the number of stored batches.
-func (s *Store) Len() int { return len(s.byHash) }
-
-// Stats returns (registered, hits, misses).
-func (s *Store) Stats() (registered, hits, misses uint64) {
-	return s.registered, s.hits, s.misses
+	return s.byHash[wire.DigestOf(hash)]
 }
 
 // Request asks the receiver for the batch whose hash is Hash. ReqID lets

@@ -27,13 +27,6 @@ func TestRegisterAndGet(t *testing.T) {
 	if s.Get([]byte("missing")) != nil {
 		t.Fatal("missing hash returned a batch")
 	}
-	if s.Len() != 1 {
-		t.Fatalf("len = %d, want 1", s.Len())
-	}
-	reg, hits, misses := s.Stats()
-	if reg != 1 || hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d/%d/%d, want 1/1/1", reg, hits, misses)
-	}
 }
 
 func TestReRegisterIsNoop(t *testing.T) {
@@ -44,22 +37,6 @@ func TestReRegisterIsNoop(t *testing.T) {
 	s.Register(h, batchOf(9))
 	if s.Get(h) != first {
 		t.Fatal("re-register replaced the original batch")
-	}
-	reg, _, _ := s.Stats()
-	if reg != 1 {
-		t.Fatalf("registered = %d, want 1", reg)
-	}
-}
-
-func TestHasDoesNotTouchCounters(t *testing.T) {
-	s := New()
-	s.Register([]byte("h"), batchOf(1))
-	if !s.Has([]byte("h")) || s.Has([]byte("x")) {
-		t.Fatal("Has wrong")
-	}
-	_, hits, misses := s.Stats()
-	if hits != 0 || misses != 0 {
-		t.Fatal("Has touched hit/miss counters")
 	}
 }
 

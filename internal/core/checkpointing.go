@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -90,7 +92,7 @@ func (s *Server) seal(target uint64) {
 }
 
 // prune drops settled state at or below the checkpoint horizon: the
-// server's epoch slices and proof maps, the ledger node's per-height
+// server's epochs with their proofs, the ledger node's per-height
 // blocks and commit certificates, and the mempool's committed-key
 // tombstones. The element index — the_set and each id's epoch — stays: it IS
 // the replicated set and the exactly-once filter; what pruning removes is
@@ -99,9 +101,6 @@ func (s *Server) prune(ck checkpoint.Checkpoint) {
 	drop := ck.Epoch - s.prunedEpochs
 	if drop == 0 {
 		return
-	}
-	for e := s.prunedEpochs + 1; e <= ck.Epoch; e++ {
-		delete(s.proofs, e)
 	}
 	// Copy the tail so the pruned prefix's backing array is released.
 	s.history = append([]*Epoch(nil), s.history[drop:]...)
@@ -117,37 +116,32 @@ func (s *Server) prune(ck checkpoint.Checkpoint) {
 // §12):
 //
 //   - the small half — whatever is mutable as of the seal height: suffix
-//     epochs, their proof-signer sets, Hashchain's pending signers,
-//     LastEpoch, CkptBytes — is copied at the seal (freezeSyncState), the
-//     only moment it has its seal-height value;
-//   - the big half — Members and Set, O(total state) — is built the first
-//     time the snapshot is offered to a peer (ServeSnapshot). The element
-//     index it is filtered from is grow-only and an entry, once stamped,
-//     never changes, so the filter returns the seal-time index at any later
+//     epochs with their proofs, Hashchain's pending signers, LastEpoch,
+//     CkptBytes — is copied at the seal (freezeSyncState), the only moment
+//     it has its seal-height value;
+//   - the big half — Members, O(total state) — is built the first time the
+//     snapshot is offered to a peer (ServeSnapshot). The element index it
+//     is filtered from is grow-only and an entry, once stamped, never
+//     changes, so the filter returns the seal-time index at any later
 //     moment.
 //
 // Nothing is written after the first hand-off: a requester on another
 // partition reads the snapshot while the serving server keeps mutating its
-// live index, and re-serving the same snapshot only reads it. Only the leaf
-// *wire.Element and *wire.EpochProof pointers are shared with the server —
-// immutable wire payloads, exactly what the read-only-shared-payload
-// convention permits.
+// live index, re-serving the same snapshot only reads it, and an installer
+// adopts copies of its epochs (InstallSync). Only the leaf *wire.Element and
+// *wire.EpochProof pointers are shared with the server — immutable wire
+// payloads, exactly what the read-only-shared-payload convention permits.
 type SyncState struct {
-	// Epochs are frozen copies of the created epochs above the checkpoint
-	// as of the seal height, ascending by number.
+	// Epochs are frozen copies of the created epochs above the checkpoint,
+	// with the proofs accepted for them, as of the seal height, ascending by
+	// number.
 	Epochs []*Epoch
-	// Proofs are the proof-signer sets for epochs above the checkpoint as
-	// of the seal height.
-	Proofs map[uint64]map[wire.NodeID]*wire.EpochProof
 	// LastEpoch is the highest created epoch at seal time (the checkpoint
 	// epoch when Epochs is empty).
 	LastEpoch uint64
-	// Members is the id→epoch index through LastEpoch. Nil until the
-	// snapshot is first served.
-	Members map[wire.ElementID]uint64
-	// Set is the_set restricted to Members' keys. Nil until the snapshot is
-	// first served.
-	Set map[wire.ElementID]*wire.Element
+	// Members is the membership index through LastEpoch: each element in an
+	// epoch, by id, with the epoch. Nil until the snapshot is first served.
+	Members map[wire.ElementID]Member
 	// PendingSigners carries Hashchain's ledger signer sets for batches
 	// not yet consolidated at seal time: their remaining signatures arrive
 	// in the replayed suffix and must count on top of these. Sorted per
@@ -159,44 +153,37 @@ type SyncState struct {
 	CkptBytes uint64
 }
 
+// Member is one entry of SyncState.Members: an element and its epoch.
+type Member struct {
+	Element *wire.Element
+	Epoch   uint64
+}
+
 var _ consensus.StateSyncer = (*Server)(nil)
 
 // freezeSyncState captures the seal-time half of the snapshot for this
 // checkpoint, at a cost bounded by the checkpoint interval: the epochs
-// above the checkpoint and their proof state are live structures that
-// keep changing, so they are copied now. Members and Set are left to
-// ServeSnapshot, and Chain is a capped prefix of the append-only
-// checkpoint chain — later seals append past it (or reallocate), never
-// into it.
+// above the checkpoint and their proofs are live structures that keep
+// changing, so they are copied now. Members is left to ServeSnapshot, and
+// Chain is a capped prefix of the append-only checkpoint chain — later
+// seals append past it (or reallocate), never into it.
 func (s *Server) freezeSyncState(ck checkpoint.Checkpoint) {
 	created := s.prunedEpochs + uint64(len(s.history))
-	st := &SyncState{
-		LastEpoch: created,
-		Proofs:    make(map[uint64]map[wire.NodeID]*wire.EpochProof),
-		CkptBytes: s.ckptBytes,
-	}
+	st := &SyncState{LastEpoch: created, CkptBytes: s.ckptBytes}
 	size := int(s.ckptBytes) + len(s.checkpoints)*checkpointBinSize
 	for e := ck.Epoch + 1; e <= created; e++ {
 		ep := s.history[e-1-s.prunedEpochs]
-		// Copy the epoch struct and its element-slice header; the element
-		// pointers themselves are immutable shared payloads.
-		cp := &Epoch{
+		// Copy the epoch struct, its element and its proof slices; the
+		// element and proof pointers themselves are immutable shared payloads.
+		st.Epochs = append(st.Epochs, &Epoch{
 			Number:   ep.Number,
 			Elements: append([]*wire.Element(nil), ep.Elements...),
 			Hash:     append([]byte(nil), ep.Hash...),
-		}
-		st.Epochs = append(st.Epochs, cp)
-		size += epochFrameSize
+			Proofs:   append([]*wire.EpochProof(nil), ep.Proofs...),
+		})
+		size += epochFrameSize + len(ep.Proofs)*proofWireSize
 		for _, el := range ep.Elements {
 			size += el.Size
-		}
-		if by := s.proofs[e]; len(by) > 0 {
-			cp := make(map[wire.NodeID]*wire.EpochProof, len(by))
-			for id, p := range by {
-				cp[id] = p
-			}
-			st.Proofs[e] = cp
-			size += len(by) * proofWireSize
 		}
 	}
 	if h, ok := s.alg.(*hashchainAlg); ok {
@@ -223,13 +210,12 @@ func (s *Server) SyncSnapshot() (*checkpoint.Snapshot, bool) {
 
 // ServeSnapshot implements consensus.StateSyncer: complete a snapshot this
 // server sealed — the newest, or an older one consensus still holds a
-// certificate for — by building its Members and Set, once, from the live
-// element index. That is exact at any time after the seal: the index only
-// grows, never rebinds an id and never restamps one, and epochs are created
-// in number order, so the entries stamped at or below LastEpoch are
-// precisely the seal-time index. (Set-only entries, added but not yet in an
-// epoch at the seal, are not carried: InstallSync ignores them and Bytes
-// never counted them.)
+// certificate for — by building its Members, once, from the live element
+// index. That is exact at any time after the seal: the index only grows,
+// never rebinds an id and never restamps one, and epochs are created in
+// number order, so the entries stamped at or below LastEpoch are precisely
+// the seal-time index. (Elements of the_set not yet in an epoch at the seal
+// are not carried, and Bytes never counted them.)
 // Under the ForgeSnapshot behavior the offer is a forgery built on top.
 func (s *Server) ServeSnapshot(snap *checkpoint.Snapshot) *checkpoint.Snapshot {
 	st := snap.State.(*SyncState)
@@ -238,15 +224,13 @@ func (s *Server) ServeSnapshot(snap *checkpoint.Snapshot) *checkpoint.Snapshot {
 		for _, ep := range st.Epochs {
 			n += uint64(len(ep.Elements))
 		}
-		members := make(map[wire.ElementID]uint64, n)
-		set := make(map[wire.ElementID]*wire.Element, n)
+		members := make(map[wire.ElementID]Member, n)
 		for id, ent := range s.elems.m.All() {
 			if ent.epoch != 0 && ent.epoch <= st.LastEpoch {
-				members[id] = ent.epoch
-				set[id] = ent.e
+				members[id] = Member{Element: ent.e, Epoch: ent.epoch}
 			}
 		}
-		st.Members, st.Set = members, set
+		st.Members = members
 	}
 	if s.behavior != nil && s.behavior.ForgeSnapshot {
 		return s.forgeSnapshot(snap, st)
@@ -285,18 +269,17 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	// the checkpoint: the membership index must account for exactly that
 	// many elements at or below ck.Epoch (and none beyond LastEpoch), so a
 	// peer cannot pad the set with elements hidden below the prune horizon.
-	// Set-only entries (added but not yet stamped into an epoch) are legal
-	// and ignored at adoption; an INDEXED element missing from the set, or
-	// filed under an id that is not its own, is not — the index would dangle.
+	// An element filed under an id that is not its own would land beside the
+	// entry the index promised.
 	var below uint64
-	for id, epn := range st.Members {
-		if el := st.Set[id]; el == nil || el.ID != id {
+	for id, m := range st.Members {
+		if m.Element.ID != id {
 			return false
 		}
 		switch {
-		case epn > st.LastEpoch:
+		case m.Epoch > st.LastEpoch:
 			return false
-		case epn <= ck.Epoch:
+		case m.Epoch <= ck.Epoch:
 			below++
 		}
 	}
@@ -355,7 +338,7 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	var above uint64
 	for _, ep := range st.Epochs {
 		for _, el := range ep.Elements {
-			if epn, ok := st.Members[el.ID]; !ok || epn != ep.Number {
+			if m, ok := st.Members[el.ID]; !ok || m.Epoch != ep.Number {
 				return false
 			}
 			above++
@@ -366,29 +349,26 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	}
 	s.chargeCPU(cost)
 
-	// Adopt: checkpoint chain, suffix history, membership through
-	// LastEpoch, proof state as of the seal height.
+	// Adopt: checkpoint chain, suffix history with its proofs as of the
+	// seal height, membership through LastEpoch. Each adopted epoch is this
+	// server's own copy, its proofs capped at their length: acceptProof
+	// appends to them, and the snapshot may be served to other peers too.
 	s.checkpoints = append([]checkpoint.Checkpoint(nil), snap.Chain...)
 	s.ckptFold = checkpoint.FoldChain(s.checkpoints)
 	s.prunedEpochs = ck.Epoch
 	s.prunedElements = ck.Elements
 	s.ckptBytes = st.CkptBytes
-	s.history = append([]*Epoch(nil), st.Epochs...)
-	for id, epn := range st.Members {
-		s.elems.Stamp(st.Set[id], epn)
+	s.history = make([]*Epoch, len(st.Epochs))
+	for i, ep := range st.Epochs {
+		cp := *ep
+		cp.Proofs = slices.Clip(ep.Proofs)
+		s.history[i] = &cp
 	}
-	s.proofs = make(map[uint64]map[wire.NodeID]*wire.EpochProof, len(st.Proofs))
-	for e, by := range st.Proofs {
-		cp := make(map[wire.NodeID]*wire.EpochProof, len(by))
-		for id, p := range by {
-			cp[id] = p
-		}
-		s.proofs[e] = cp
+	for _, m := range st.Members {
+		s.elems.Stamp(m.Element, m.Epoch)
 	}
 	s.settled = ck.Epoch
-	for len(s.proofs[s.settled+1]) >= s.opts.F+1 {
-		s.settled++
-	}
+	s.settle()
 	if h, ok := s.alg.(*hashchainAlg); ok {
 		h.installPending(st.PendingSigners)
 	}
@@ -530,23 +510,15 @@ func (s *Server) forgeSnapshot(snap *checkpoint.Snapshot, st *SyncState) *checkp
 
 	fst := &SyncState{
 		LastEpoch: forgedNum,
-		Members:   make(map[wire.ElementID]uint64, len(st.Members)+bogusN),
-		Set:       make(map[wire.ElementID]*wire.Element, len(st.Set)+bogusN),
-		Proofs:    make(map[uint64]map[wire.NodeID]*wire.EpochProof),
-		// Everything is claimed sealed, so no suffix epochs and no pending
-		// proof state survive the fabricated horizon.
+		Members:   make(map[wire.ElementID]Member, len(st.Members)+bogusN),
+		// Everything is claimed sealed, so no suffix epochs survive the
+		// fabricated horizon.
 		PendingSigners: st.PendingSigners,
 		CkptBytes:      bytes,
 	}
-	for id, epn := range st.Members {
-		fst.Members[id] = epn
-	}
-	for id, el := range st.Set {
-		fst.Set[id] = el
-	}
+	maps.Copy(fst.Members, st.Members)
 	for _, el := range bogus {
-		fst.Members[el.ID] = forgedNum
-		fst.Set[el.ID] = el
+		fst.Members[el.ID] = Member{Element: el, Epoch: forgedNum}
 	}
 	return &checkpoint.Snapshot{
 		Last:  ckF,

@@ -14,19 +14,17 @@ import (
 	"repro/internal/wire"
 )
 
-// EagerSyncMaps is the copy of the membership index and the_set that every
-// seal used to make, kept as the reference implementation
-// TestLateServeEquivalence holds ServeSnapshot's serve-time filter against.
-func (s *Server) EagerSyncMaps() (map[wire.ElementID]uint64, map[wire.ElementID]*wire.Element) {
-	members := make(map[wire.ElementID]uint64)
-	set := make(map[wire.ElementID]*wire.Element, s.elems.Len())
+// EagerSyncMembers is the copy of the membership index that every seal used
+// to make, kept as the reference implementation TestLateServeEquivalence
+// holds ServeSnapshot's serve-time filter against.
+func (s *Server) EagerSyncMembers() map[wire.ElementID]Member {
+	members := make(map[wire.ElementID]Member)
 	for id, ent := range s.elems.m.All() {
 		if ent.epoch != 0 {
-			members[id] = ent.epoch
+			members[id] = Member{Element: ent.e, Epoch: ent.epoch}
 		}
-		set[id] = ent.e
 	}
-	return members, set
+	return members
 }
 
 // sealAllocBytes grows one server's state to the given number of elements
@@ -216,5 +214,79 @@ func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 	if !h.recs[mine].signedOwn || h.recs[theirs].signedOwn {
 		t.Fatalf("own-signature memory: %v for the set with the installer's id, %v for the set without",
 			h.recs[mine].signedOwn, h.recs[theirs].signedOwn)
+	}
+}
+
+// Every epoch InstallSync adopts is the installer's own: a struct copy whose
+// proofs are capped at their length. Two servers install one snapshot and
+// each accepts another signer's proof for the same adopted epoch: the
+// snapshot's epoch is never written, and neither installer sees the other's
+// proof.
+func TestInstallSyncAdoptsCopiesOfEpochs(t *testing.T) {
+	opts := Options{Algorithm: Hashchain, CollectorLimit: 10, F: 1, CheckpointInterval: 2, Prune: true}
+	s := sim.New(7)
+	d := Deploy(s, 4, ledger.PaperConfig(), opts, nil)
+	d.Start()
+	for i := 0; i < 200; i++ {
+		e := d.Clients[i%4].NewModeledElement(438)
+		s.After(time.Duration(i)*25*time.Millisecond, func() { _ = d.Servers[i%4].Add(e) })
+	}
+	// Run until the donor seals a snapshot with a suffix epoch that at least
+	// two signers have not proven yet.
+	var snap *checkpoint.Snapshot
+	var ep *Epoch
+	for s.Now() < 10*time.Second && ep == nil {
+		s.RunUntil(s.Now() + 50*time.Millisecond)
+		if sealed, ok := d.Servers[0].SyncSnapshot(); ok {
+			for _, e := range sealed.State.(*SyncState).Epochs {
+				if len(e.Proofs) <= 1 {
+					snap, ep = d.Servers[0].ServeSnapshot(sealed), e
+					break
+				}
+			}
+		}
+	}
+	d.Stop()
+	if ep == nil {
+		t.Fatal("no sealed snapshot with a suffix epoch two signers still owe; tune the workload")
+	}
+	// Room to append behind the sealed proofs, as a freeze of five or more
+	// proofs has (allocation size classes round the capacity up).
+	ep.Proofs = append(make([]*wire.EpochProof, 0, len(ep.Proofs)+4), ep.Proofs...)
+	held := slices.Clone(ep.Proofs)
+	var missing []wire.NodeID
+	for id := wire.NodeID(0); id < 4; id++ {
+		if !slices.ContainsFunc(held, func(p *wire.EpochProof) bool { return p.Signer == id }) {
+			missing = append(missing, id)
+		}
+	}
+
+	vd := Deploy(sim.New(1), 4, ledger.PaperConfig(), opts, nil)
+	installers := vd.Servers[:2]
+	for i, v := range installers {
+		if !v.InstallSync(snap) {
+			t.Fatalf("installer %d rejects the snapshot", i)
+		}
+		mine := v.history[ep.Number-1-v.prunedEpochs]
+		if mine == ep || cap(mine.Proofs) != len(mine.Proofs) {
+			t.Fatalf("installer %d adopted epoch %d as the snapshot's own struct (%v) or with room to append into its proofs (len %d, cap %d)",
+				i, ep.Number, mine == ep, len(mine.Proofs), cap(mine.Proofs))
+		}
+		signer := missing[i]
+		p := &wire.EpochProof{Epoch: ep.Number, EpochHash: ep.Hash,
+			Sig: vd.Ledger.Suite.Sign(vd.Ledger.Keys[signer], ep.Hash), Signer: signer}
+		if !v.acceptProof(p) {
+			t.Fatalf("installer %d rejects signer %d's proof of epoch %d", i, signer, ep.Number)
+		}
+	}
+	if !slices.Equal(ep.Proofs, held) || slices.ContainsFunc(ep.Proofs[len(held):cap(ep.Proofs)], func(p *wire.EpochProof) bool { return p != nil }) {
+		t.Fatalf("the snapshot's epoch %d was written: it lists %d proofs, sealed with %d", ep.Number, len(ep.Proofs), len(held))
+	}
+	for i, v := range installers {
+		got := v.history[ep.Number-1-v.prunedEpochs].Proofs
+		if len(got) != len(held)+1 || !slices.Equal(got[:len(held)], held) || got[len(held)].Signer != missing[i] {
+			t.Fatalf("installer %d holds %d proofs of epoch %d, want the snapshot's %d and then signer %d's",
+				i, len(got), ep.Number, len(held), missing[i])
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/setcrypto"
 	"repro/internal/wire"
@@ -74,52 +75,36 @@ var (
 
 // VerifyCommitted checks — trusting nothing but the PKI — that the element
 // is committed according to a server's get() response: the element must be
-// in some epoch of the returned history, and the returned proofs must
-// contain at least f+1 valid signatures over that epoch's recomputed hash
+// in some epoch of the returned history, and that epoch's proofs must hold
+// valid signatures of at least f+1 distinct servers over its recomputed hash
 // (paper §2, Epoch-proofs). Returns the epoch number on success.
 func (c *Client) VerifyCommitted(snap Snapshot, id wire.ElementID) (uint64, error) {
 	for _, ep := range snap.History {
 		for _, e := range ep.Elements {
-			if e.ID == id {
-				return ep.Number, c.verifyEpoch(snap, ep)
+			if e.ID != id {
+				continue
 			}
+			if valid := c.CountValidProofs(ep); valid < c.f+1 {
+				return ep.Number, fmt.Errorf("%w: %d of %d", ErrInsufficientProofs, valid, c.f+1)
+			}
+			return ep.Number, nil
 		}
 	}
 	return 0, ErrNotInEpoch
 }
 
-func (c *Client) verifyEpoch(snap Snapshot, ep *Epoch) error {
-	// Recompute the epoch hash from the server-supplied content; a
-	// Byzantine server cannot fabricate f+1 signatures over a fake epoch.
+// CountValidProofs returns how many distinct servers signed a valid proof
+// among the epoch's proofs, verified against the hash recomputed from its
+// content: a Byzantine server cannot fabricate f+1 signatures over a fake
+// epoch, nor count one signer twice by listing its proof again.
+func (c *Client) CountValidProofs(ep *Epoch) int {
 	want := c.suite.HashData(wire.EpochHashInput(ep.Number, ep.Elements))
-	valid := 0
-	for signer, p := range snap.Proofs[ep.Number] {
-		if p == nil || p.Signer != signer {
-			continue
-		}
-		if wire.VerifyEpochProof(c.suite, c.registry, p, want) {
-			valid++
+	var signers []wire.NodeID
+	for _, p := range ep.Proofs {
+		if p != nil && !slices.Contains(signers, p.Signer) &&
+			wire.VerifyEpochProof(c.suite, c.registry, p, want) {
+			signers = append(signers, p.Signer)
 		}
 	}
-	if valid < c.f+1 {
-		return fmt.Errorf("%w: %d of %d", ErrInsufficientProofs, valid, c.f+1)
-	}
-	return nil
-}
-
-// CountValidProofs returns how many of the snapshot's proofs for an epoch
-// verify against the recomputed epoch hash.
-func (c *Client) CountValidProofs(snap Snapshot, epoch uint64) int {
-	if epoch < 1 || epoch > uint64(len(snap.History)) {
-		return 0
-	}
-	ep := snap.History[epoch-1]
-	want := c.suite.HashData(wire.EpochHashInput(ep.Number, ep.Elements))
-	valid := 0
-	for _, p := range snap.Proofs[epoch] {
-		if wire.VerifyEpochProof(c.suite, c.registry, p, want) {
-			valid++
-		}
-	}
-	return valid
+	return len(signers)
 }

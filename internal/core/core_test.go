@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -125,7 +127,7 @@ func checkProperties(t *testing.T, d *core.Deployment, ids []wire.ElementID, exp
 		// Property 8 (Valid-Epoch): every epoch has >= f+1 valid proofs.
 		cl := d.Clients[0]
 		for _, ep := range snap.History {
-			if got := cl.CountValidProofs(snap, ep.Number); got < f+1 {
+			if got := cl.CountValidProofs(ep); got < f+1 {
 				t.Fatalf("server %d: epoch %d has %d valid proofs, want >= %d",
 					si, ep.Number, got, f+1)
 			}
@@ -232,6 +234,34 @@ func TestClientRejectsTamperedEpoch(t *testing.T) {
 	tampered.History = hist
 	if _, err := cl.VerifyCommitted(tampered, forged.ID); err == nil {
 		t.Fatal("client accepted a tampered epoch")
+	}
+}
+
+// Each signer counts once: an epoch that lists one valid proof f+1 times is
+// not committed. (Proofs used to be keyed by signer, which made a repeat
+// impossible; a slice does not.)
+func TestClientCountsEachSignerOnce(t *testing.T) {
+	s, d := deployFull(13, 4, core.Options{Algorithm: core.Compresschain, CollectorLimit: 5})
+	cl := d.Clients[0]
+	e := cl.NewElement([]byte("once"))
+	s.After(time.Second, func() { _ = d.Servers[0].Add(e) })
+	runQuiesce(s, d, 20*time.Second)
+	d.Stop()
+	snap := d.Servers[0].Get()
+	epoch, err := cl.VerifyCommitted(snap, e.ID)
+	if err != nil {
+		t.Fatalf("VerifyCommitted: %v", err)
+	}
+	ep := *snap.History[epoch-1]
+	ep.Proofs = slices.Repeat(ep.Proofs[:1], d.Opts.F+1)
+	repeated := snap
+	repeated.History = slices.Clone(snap.History)
+	repeated.History[epoch-1] = &ep
+	if got := cl.CountValidProofs(&ep); got != 1 {
+		t.Fatalf("one proof listed %d times counts %d, want 1", d.Opts.F+1, got)
+	}
+	if _, err := cl.VerifyCommitted(repeated, e.ID); !errors.Is(err, core.ErrInsufficientProofs) {
+		t.Fatalf("one proof listed %d times: VerifyCommitted = %v, want ErrInsufficientProofs", d.Opts.F+1, err)
 	}
 }
 
@@ -392,17 +422,14 @@ func TestByzantineCorruptProofsRejected(t *testing.T) {
 	for _, ep := range snap.History {
 		// Correct servers alone still produce >= f+1 valid proofs, and the
 		// corrupt server's proofs never verify.
-		valid := cl.CountValidProofs(snap, ep.Number)
+		valid := cl.CountValidProofs(ep)
 		if valid < d.Opts.F+1 {
 			t.Fatalf("epoch %d: %d valid proofs despite 3 correct servers", ep.Number, valid)
 		}
-		for signer, p := range snap.Proofs[ep.Number] {
-			if signer == 3 && p != nil {
-				// If present at all it must have failed verification...
-				want := snap.History[ep.Number-1].Hash
-				if wire.VerifyEpochProof(d.Ledger.Suite, d.Ledger.Registry, p, want) {
-					t.Fatalf("corrupt proof from server 3 verified for epoch %d", ep.Number)
-				}
+		for _, p := range ep.Proofs {
+			// If present at all it must have failed verification...
+			if p.Signer == 3 && wire.VerifyEpochProof(d.Ledger.Suite, d.Ledger.Registry, p, ep.Hash) {
+				t.Fatalf("corrupt proof from server 3 verified for epoch %d", ep.Number)
 			}
 		}
 	}
@@ -473,7 +500,7 @@ func TestRecorderCommitsWhatServerSettles(t *testing.T) {
 			booked := rec.CommittedEpochSizes()
 			var committed uint64
 			for _, ep := range snap.History {
-				proofs := len(snap.Proofs[ep.Number])
+				proofs := len(ep.Proofs)
 				if _, ok := booked[ep.Number]; ok != (proofs >= opts.F+1) {
 					t.Fatalf("%d valid signers, t=%v epoch %d: %d proofs at the server, booked by the recorder: %v",
 						valid, at, ep.Number, proofs, ok)

@@ -111,7 +111,7 @@ func TestBatchNamingAnElementTwiceCommitsItOnce(t *testing.T) {
 		content, want := newContent(d)
 		batch := &wire.Batch{Elements: content}
 		hash := h.batchHash(batch)
-		srv.store.Register(hash, batch)
+		h.rec(hash).register(batch)
 		finalize(t, d, signedHashBatch(d, 1, hash), signedHashBatch(d, 2, hash))
 		check(t, srv, want)
 	})
@@ -197,7 +197,7 @@ func TestEpochsAliasBatch(t *testing.T) {
 			for _, srv := range d.Servers {
 				batchOf := make(map[**wire.Element]*wire.Batch)
 				for _, r := range srv.alg.(*hashchainAlg).recs {
-					if b := srv.store.Get(r.hash); b != nil && len(b.Elements) > 0 {
+					if b := r.batch; b != nil && len(b.Elements) > 0 {
 						batchOf[&b.Elements[0]] = b
 					}
 				}
@@ -208,7 +208,7 @@ func TestEpochsAliasBatch(t *testing.T) {
 				for i, ep := range srv.history {
 					b := batchOf[&ep.Elements[0]]
 					if b == nil || len(ep.Elements) != len(b.Elements) {
-						t.Fatalf("server %d epoch %d is not the slice of a batch in its store", srv.id, ep.Number)
+						t.Fatalf("server %d epoch %d is not the slice of a batch in its records", srv.id, ep.Number)
 					}
 					if cap(ep.Elements) != len(ep.Elements) {
 						t.Fatalf("server %d epoch %d: cap %d over len %d leaves an append room in the batch's array",
@@ -265,7 +265,7 @@ func TestBatchesStayFrozen(t *testing.T) {
 			for _, srv := range d.Servers {
 				h := srv.alg.(*hashchainAlg)
 				for _, r := range h.recs {
-					b := srv.store.Get(r.hash)
+					b := r.batch
 					if b == nil {
 						continue
 					}

@@ -14,8 +14,8 @@ import (
 )
 
 // hashchainAlg implements Algorithm Hashchain (paper §3), the paper's
-// primary contribution: a ready batch is hashed; the batch is stored in the
-// local batch store (Register_batch) and the signed 139-byte hash-batch
+// primary contribution: a ready batch is hashed; the batch is stored in its
+// batch record (Register_batch) and the signed 139-byte hash-batch
 // ⟨h, sig, v⟩ is appended to the ledger. On seeing a hash-batch in a
 // committed block, a server recovers the batch (locally or by Request_batch
 // to a signer), verifies it, co-signs the hash, and counts signers; when
@@ -55,7 +55,9 @@ type hashchainAlg struct {
 	hashBuf []byte // scratch for modeled batch hashing, reused across flushes
 
 	// recs holds one record per batch hash this server has met, in a block,
-	// in its mempool or in a snapshot. Records are never deleted.
+	// in its mempool or in a snapshot. Records are never deleted. With each
+	// record's batch it is the server's hash→batch map, the pseudocode's
+	// hash_to_batch.
 	recs map[wire.Digest]*batchRec
 	// pending lists the records with a non-empty signer set, in no
 	// particular order: what a state-sync snapshot ships (pendingSigners).
@@ -78,8 +80,9 @@ type hashchainAlg struct {
 // batchRec is one server's whole state for one batch hash.
 type batchRec struct {
 	hash []byte
-	// batch caches the store's answer once it has one (the store never
-	// deletes); nil means "ask again".
+	// batch is the batch's content once this server has it: from its own
+	// flush, a verified fetch response or the Light oracle (register). Nil
+	// until then; never replaced once set.
 	batch *wire.Batch
 	// valid is the batch's valid elements between content extraction and
 	// consolidation.
@@ -158,7 +161,6 @@ func newHashchainAlg(s *Server) *hashchainAlg {
 	h := &hashchainAlg{s: s, recs: make(map[wire.Digest]*batchRec)}
 	h.stepFn = h.step
 	s.coll = collector.New(s.sim, s.opts.CollectorLimit, s.opts.CollectorTimeout, h.flushBatch)
-	s.store = batchstore.New()
 	return h
 }
 
@@ -173,12 +175,11 @@ func (h *hashchainAlg) rec(hash []byte) *batchRec {
 	return r
 }
 
-// content returns the record's batch if the local store has it.
-func (h *hashchainAlg) content(r *batchRec) *wire.Batch {
+// register is Register_batch: the first batch registered for a hash stands.
+func (r *batchRec) register(b *wire.Batch) {
 	if r.batch == nil {
-		r.batch = h.s.store.Get(r.hash)
+		r.batch = b
 	}
-	return r.batch
 }
 
 // addSigner counts id as a ledger signer of r.
@@ -235,13 +236,13 @@ func (h *hashchainAlg) flushBatch(b *wire.Batch) {
 	s := h.s
 	s.injectBogus(b)
 	hash := h.batchHash(b)
-	s.store.Register(hash, b)
+	r := h.rec(hash)
+	r.register(b)
 	if s.opts.Light && s.opts.SharedStore != nil {
 		s.opts.SharedStore.Register(hash, b)
 	}
 	// Our own elements were validated at Add; cache them as this batch's
 	// valid set so consolidation does not re-verify.
-	r := h.rec(hash)
 	r.valid = s.valid(b.Elements)
 	r.contentDone = true
 	r.signedOwn = true
@@ -268,7 +269,7 @@ func (h *hashchainAlg) checkTx(tx *wire.Tx) bool {
 		return false
 	}
 	if !h.s.opts.Light {
-		if r := h.rec(hb.Hash); h.content(r) == nil {
+		if r := h.rec(hb.Hash); r.batch == nil {
 			h.prefetch(r, hb.Signer)
 		}
 	}
@@ -331,7 +332,7 @@ func (h *hashchainAlg) step() {
 		h.lightProcess(r)
 		return
 	}
-	if h.content(r) != nil {
+	if r.batch != nil {
 		h.withContent(r)
 		return
 	}
@@ -356,7 +357,7 @@ func (h *hashchainAlg) step() {
 }
 
 func (h *hashchainAlg) retryUntilRecovered(r *batchRec) {
-	if h.content(r) != nil {
+	if r.batch != nil {
 		h.withContent(r)
 		return
 	}
@@ -379,13 +380,10 @@ func (h *hashchainAlg) retryUntilRecovered(r *batchRec) {
 // without verification; batch content comes from the shared oracle.
 func (h *hashchainAlg) lightProcess(r *batchRec) {
 	s := h.s
-	b := h.content(r)
-	if b == nil && s.opts.SharedStore != nil {
-		if b = s.opts.SharedStore.Get(r.hash); b != nil {
-			s.store.Register(r.hash, b)
-			r.batch = b
-		}
+	if r.batch == nil && s.opts.SharedStore != nil {
+		r.register(s.opts.SharedStore.Get(r.hash))
 	}
+	b := r.batch
 	h.cosign(r)
 	if b != nil && !r.contentDone {
 		r.contentDone = true
@@ -428,7 +426,7 @@ func (h *hashchainAlg) extractProofsOnce(r *batchRec, b *wire.Batch) {
 // consolidation check for a locally available batch, then continues.
 func (h *hashchainAlg) withContent(r *batchRec) {
 	s := h.s
-	b := h.content(r)
+	b := r.batch
 	if b == nil { // raced with nothing: treat as recovery failure
 		h.next()
 		return
@@ -509,7 +507,7 @@ func (h *hashchainAlg) prefetch(r *batchRec, signer wire.NodeID) {
 // its cursor on that promise (next). hint names a known signer to try first
 // (-1 for none); known ledger signers follow in ascending id order.
 func (h *hashchainAlg) fetch(r *batchRec, hint wire.NodeID, cb func(ok bool)) {
-	if h.content(r) != nil {
+	if r.batch != nil {
 		cb(true)
 		return
 	}
@@ -569,7 +567,7 @@ func (h *hashchainAlg) tryNextCandidate(st *fetchState) {
 	})
 }
 
-// resolveFetch completes a successful recovery: the batch is registered,
+// resolveFetch completes a successful recovery: the batch is in the record,
 // so the state can be discarded entirely.
 func (h *hashchainAlg) resolveFetch(st *fetchState) {
 	st.rec.fetch = nil
@@ -614,7 +612,11 @@ func (h *hashchainAlg) serveRequest(from wire.NodeID, req *batchstore.Request) {
 		s.behavior.RefuseServe(int(from), req.Hash) {
 		return // Byzantine silence: requester's timeout handles it
 	}
-	b := s.store.Get(req.Hash)
+	// A plain lookup: a request must not create a record.
+	var b *wire.Batch
+	if r := h.recs[wire.DigestOf(req.Hash)]; r != nil {
+		b = r.batch
+	}
 	resp := &batchstore.Response{Hash: req.Hash, ReqID: req.ReqID, Found: b != nil, Batch: b}
 	if b != nil && s.behavior != nil && s.behavior.ServeWrongBatch {
 		// A copy: the stored batch is shared with every server and epoch.
@@ -655,7 +657,7 @@ func (h *hashchainAlg) handleResponse(from wire.NodeID, resp *batchstore.Respons
 			h.tryNextCandidate(st)
 			return
 		}
-		s.store.Register(resp.Hash, batch)
+		st.rec.register(batch)
 		h.resolveFetch(st)
 	})
 }

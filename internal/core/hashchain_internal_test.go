@@ -80,8 +80,8 @@ func TestConsolidatedBlockAllocatesNothingPerTransaction(t *testing.T) {
 	block := &wire.Block{Height: 1}
 	for i := 0; i < txs; i++ {
 		hash := testHash(i)
-		srv.store.Register(hash, &wire.Batch{})
 		r := h.rec(hash)
+		r.register(&wire.Batch{})
 		r.contentDone, r.signedOwn, r.consolidated = true, true, true
 		block.Txs = append(block.Txs, signedHashBatch(d, 1+i%3, hash))
 	}
@@ -103,7 +103,7 @@ func TestConsolidatedBlockAllocatesNothingPerTransaction(t *testing.T) {
 	}
 }
 
-// Light mode through the record: content comes from the shared store on
+// Light mode through the record: content comes from the shared oracle on
 // first contact, a proof-only batch consolidates without an epoch, and a
 // hash with no content anywhere is co-signed, stays pending, and is picked
 // up when the content appears.
@@ -120,7 +120,7 @@ func TestLightBlockThroughTheRecord(t *testing.T) {
 		}
 	}
 
-	// 1. Elements, found in the shared store at the first hash-batch.
+	// 1. Elements, found in the shared oracle at the first hash-batch.
 	elems := &wire.Batch{}
 	for i := 0; i < 5; i++ {
 		elems.Elements = append(elems.Elements, d.Clients[1].NewModeledElement(100))
@@ -129,8 +129,8 @@ func TestLightBlockThroughTheRecord(t *testing.T) {
 	shared.Register(h1, elems)
 	finalize(signedHashBatch(d, 1, h1))
 	r1 := h.recs[wire.DigestOf(h1)]
-	if r1 == nil || r1.batch != elems || !srv.store.Has(h1) {
-		t.Fatal("first contact did not bring the batch from the shared store into the record and the local store")
+	if r1 == nil || r1.batch != elems {
+		t.Fatal("first contact did not bring the batch from the shared oracle into the record")
 	}
 	if !r1.contentDone || !r1.proofsDone || !r1.signedOwn || r1.consolidated || len(r1.valid) != 5 {
 		t.Fatalf("after one signer: %+v", *r1)
@@ -156,8 +156,8 @@ func TestLightBlockThroughTheRecord(t *testing.T) {
 	shared.Register(h2, proofs)
 	finalize(signedHashBatch(d, 2, h2), signedHashBatch(d, 1, h2))
 	r2 := h.recs[wire.DigestOf(h2)]
-	if !r2.consolidated || !r2.proofsDone || srv.proofs[1][2] == nil || len(srv.history) != 1 {
-		t.Fatalf("proof-only batch: %+v, proof recorded %v, epochs %d", *r2, srv.proofs[1][2] != nil, len(srv.history))
+	if got := srv.history[0].Proofs; !r2.consolidated || !r2.proofsDone || len(got) != 1 || got[0].Signer != 2 || len(srv.history) != 1 {
+		t.Fatalf("proof-only batch: %+v, epoch 1 proofs %v, epochs %d", *r2, got, len(srv.history))
 	}
 
 	// 3. No content anywhere: co-signed blind, pending past f+1 signers,

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 // that passes BOTH layers may smuggle a bogus element or a different
 // sealed chain into the victim. Mutations stay within the catchable
 // classes — forged digests, truncations, count inflation, epoch splices,
-// index smuggling; element-value swaps below the horizon are the
+// index smuggling, elements filed under another id; element-value swaps below the horizon are the
 // documented residual hole (they need Merkle state proofs) and are not
 // generated.
 func FuzzInstallSync(f *testing.F) {
@@ -92,29 +93,15 @@ func mutateSnapshot(snap *checkpoint.Snapshot, data []byte) *checkpoint.Snapshot
 	st := &core.SyncState{
 		LastEpoch:      base.LastEpoch,
 		CkptBytes:      base.CkptBytes,
-		Members:        make(map[wire.ElementID]uint64, len(base.Members)),
-		Set:            make(map[wire.ElementID]*wire.Element, len(base.Set)),
-		Proofs:         make(map[uint64]map[wire.NodeID]*wire.EpochProof, len(base.Proofs)),
+		Members:        maps.Clone(base.Members),
 		PendingSigners: base.PendingSigners,
-	}
-	for id, epn := range base.Members {
-		st.Members[id] = epn
-	}
-	for id, el := range base.Set {
-		st.Set[id] = el
-	}
-	for e, by := range base.Proofs {
-		cp := make(map[wire.NodeID]*wire.EpochProof, len(by))
-		for id, p := range by {
-			cp[id] = p
-		}
-		st.Proofs[e] = cp
 	}
 	for _, ep := range base.Epochs {
 		st.Epochs = append(st.Epochs, &core.Epoch{
 			Number:   ep.Number,
 			Elements: append([]*wire.Element(nil), ep.Elements...),
 			Hash:     append([]byte(nil), ep.Hash...),
+			Proofs:   append([]*wire.EpochProof(nil), ep.Proofs...),
 		})
 	}
 	mut := &checkpoint.Snapshot{
@@ -142,7 +129,7 @@ func mutateSnapshot(snap *checkpoint.Snapshot, data []byte) *checkpoint.Snapshot
 			mut.Last = mut.Chain[len(mut.Chain)-1]
 		case 3: // inflate the claimed top epoch
 			st.LastEpoch += uint64(arg%3) + 1
-		case 4: // smuggle a bogus element through the index and set
+		case 4: // smuggle a bogus element through the index
 			e := &wire.Element{Client: wire.ClientID(-1), Size: 100, Bogus: true}
 			e.ID[0], e.ID[1], e.ID[2] = 0xFE, arg, byte(bogusN)
 			bogusN++
@@ -150,8 +137,7 @@ func mutateSnapshot(snap *checkpoint.Snapshot, data []byte) *checkpoint.Snapshot
 			if arg%2 == 1 && len(st.Epochs) > 0 {
 				epn = st.Epochs[int(arg/2)%len(st.Epochs)].Number // suffix range
 			}
-			st.Members[e.ID] = epn
-			st.Set[e.ID] = e
+			st.Members[e.ID] = core.Member{Element: e, Epoch: epn}
 		case 5: // splice a suffix epoch's number
 			if len(st.Epochs) > 0 {
 				st.Epochs[int(arg)%len(st.Epochs)].Number++
@@ -160,10 +146,15 @@ func mutateSnapshot(snap *checkpoint.Snapshot, data []byte) *checkpoint.Snapshot
 			if len(st.Epochs) > 0 {
 				st.Epochs = st.Epochs[:len(st.Epochs)-1]
 			}
-		case 7: // index-only smuggle: Members entry with no Set element
-			e := &wire.Element{Client: wire.ClientID(-1), Size: 100, Bogus: true}
-			e.ID[0], e.ID[1] = 0xFC, arg
-			st.Members[e.ID] = mut.Last.Epoch
+		case 7: // file two suffix elements under each other's id
+			if len(st.Epochs) > 0 && len(st.Epochs[0].Elements) > 1 {
+				els := st.Epochs[0].Elements
+				i := int(arg) % len(els)
+				idA, idB := els[i].ID, els[(i+1)%len(els)].ID
+				a, b := st.Members[idA], st.Members[idB]
+				a.Element, b.Element = b.Element, a.Element
+				st.Members[idA], st.Members[idB] = a, b
+			}
 		case 8: // duplicate a suffix element into another suffix epoch
 			if len(st.Epochs) > 1 {
 				src := st.Epochs[0]

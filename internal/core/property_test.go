@@ -152,9 +152,6 @@ func TestServerStatsProgress(t *testing.T) {
 	if d.Servers[0].ID() != 0 {
 		t.Fatal("server id wrong")
 	}
-	if d.Servers[0].Store() == nil {
-		t.Fatal("hashchain server lacks a batch store")
-	}
 	if d.Servers[0].CPU() == nil {
 		t.Fatal("server lacks a CPU resource")
 	}

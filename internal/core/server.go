@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/batchstore"
 	"repro/internal/checkpoint"
 	"repro/internal/collector"
 	"repro/internal/ledger"
@@ -22,20 +21,26 @@ var (
 	ErrAdmission      = errors.New("setchain: admission control refused element (mempool saturated)")
 )
 
-// Epoch is one entry of the Setchain history: an epoch number and the set
-// of elements stamped with it. Elements keep their ledger order so all
-// servers hash the epoch identically. Elements is read-only: an epoch made
-// of a whole batch is the batch's own slice, the same array on every server
-// (filter), and only an epoch some element was dropped from is a copy.
+// Epoch is one entry of the Setchain history: an epoch number, the set of
+// elements stamped with it, and the epoch-proofs this server has accepted for
+// it. Elements keep their ledger order so all servers hash the epoch
+// identically. Elements is read-only: an epoch made of a whole batch is the
+// batch's own slice, the same array on every server (filter), and only an
+// epoch some element was dropped from is a copy. The Epoch struct itself is
+// one server's own, since Proofs grows as that server accepts proofs.
 type Epoch struct {
 	Number   uint64
 	Elements []*wire.Element
 	Hash     []byte // canonical Hash(number, elements)
+	// Proofs holds one valid proof per distinct signer, in acceptance order
+	// (acceptProof). The epoch is committed once it holds f+1.
+	Proofs []*wire.EpochProof
 }
 
-// Snapshot is the result of S.get(): (the_set, history, epoch, proofs).
-// It is a zero-copy view of live server state, valid until the next
-// simulator event; callers must treat it as read-only.
+// Snapshot is the result of S.get(): (the_set, history, epoch, proofs), the
+// proofs riding on their epochs (Epoch.Proofs). It is a zero-copy view of
+// live server state, valid until the next simulator event; callers must
+// treat it as read-only.
 type Snapshot struct {
 	Server wire.NodeID
 	// TheSet is the server's own element index, not a copy. Even reading it
@@ -44,7 +49,6 @@ type Snapshot struct {
 	TheSet  *ElemIndex
 	History []*Epoch
 	Epoch   uint64
-	Proofs  map[uint64]map[wire.NodeID]*wire.EpochProof
 	// PrunedEpochs is the settled prefix dropped below the checkpoint
 	// horizon: History[0] is epoch PrunedEpochs+1 and Epoch counts the
 	// pruned prefix too. Zero when pruning never ran.
@@ -85,10 +89,10 @@ type Server struct {
 	registry *setcrypto.Registry
 
 	// Setchain state (paper §2): the_set, history, epoch, proofs. elems is
-	// the_set and the id→epoch index over history in one container.
+	// the_set and the id→epoch index over history in one container; each
+	// epoch carries its own proofs.
 	elems   ElemIndex
 	history []*Epoch
-	proofs  map[uint64]map[wire.NodeID]*wire.EpochProof
 
 	// Checkpointing state (checkpointing.go). history is base-offset:
 	// history[i] is epoch prunedEpochs+i+1; epochs at or below
@@ -112,7 +116,6 @@ type Server struct {
 
 	alg      algorithm
 	coll     *collector.Collector
-	store    *batchstore.Store
 	rec      *metrics.Recorder
 	behavior *Behavior
 
@@ -145,7 +148,6 @@ func newServer(node *ledger.Node, s *sim.Simulator, n int, suite setcrypto.Suite
 		suite:    suite,
 		key:      key,
 		registry: registry,
-		proofs:   make(map[uint64]map[wire.NodeID]*wire.EpochProof),
 		ckptFold: checkpoint.Seed(),
 	}
 	switch opts.Algorithm {
@@ -176,9 +178,6 @@ func (s *Server) Options() Options { return s.opts }
 
 // CPU exposes the server's simulated CPU resource (diagnostics).
 func (s *Server) CPU() *sim.Resource { return s.cpu }
-
-// Store exposes the Hashchain batch store (nil for other algorithms).
-func (s *Server) Store() *batchstore.Store { return s.store }
 
 // Add implements S.add_v(e): validate, insert into the_set, and hand the
 // element to the algorithm pipeline (direct append for Vanilla, collector
@@ -218,7 +217,6 @@ func (s *Server) Get() Snapshot {
 		TheSet:         &s.elems,
 		History:        s.history,
 		Epoch:          s.prunedEpochs + uint64(len(s.history)),
-		Proofs:         s.proofs,
 		PrunedEpochs:   s.prunedEpochs,
 		PrunedElements: s.prunedElements,
 		Checkpoints:    s.checkpoints,
@@ -391,9 +389,6 @@ func (s *Server) createEpoch(elems []*wire.Element) *wire.EpochProof {
 	hash := s.epochHashFor(number, g)
 	s.history = append(s.history, &Epoch{Number: number, Elements: g, Hash: hash})
 	s.epochsMade++
-	if s.rec != nil {
-		s.rec.EpochCreated(s.id, number, g)
-	}
 	signHash := hash
 	if s.behavior != nil && s.behavior.CorruptProofs {
 		signHash = s.suite.HashData([]byte("corrupt"), hash)
@@ -421,30 +416,33 @@ func (s *Server) acceptProof(p *wire.EpochProof) bool {
 	if p.Epoch > s.prunedEpochs+uint64(len(s.history)) {
 		return false
 	}
-	want := s.history[p.Epoch-1-s.prunedEpochs].Hash
+	ep := s.history[p.Epoch-1-s.prunedEpochs]
 	s.chargeCPU(s.opts.Costs.VerifySig)
-	if !wire.VerifyEpochProof(s.suite, s.registry, p, want) {
+	if !wire.VerifyEpochProof(s.suite, s.registry, p, ep.Hash) {
 		return false
 	}
-	bySigner := s.proofs[p.Epoch]
-	if bySigner == nil {
-		bySigner = make(map[wire.NodeID]*wire.EpochProof)
-		s.proofs[p.Epoch] = bySigner
+	for _, q := range ep.Proofs {
+		if q.Signer == p.Signer {
+			return false
+		}
 	}
-	if _, dup := bySigner[p.Signer]; dup {
-		return false
+	ep.Proofs = append(ep.Proofs, p)
+	if len(ep.Proofs) == s.opts.F+1 && s.rec != nil {
+		s.rec.EpochCommitted(s.id, ep.Number, ep.Elements)
 	}
-	bySigner[p.Signer] = p
-	if len(bySigner) == s.opts.F+1 && s.rec != nil {
-		s.rec.EpochCommitted(s.id, p.Epoch)
-	}
-	// Advance the settled prefix; any checkpoint interval it crossed is
-	// sealed at the end of the current block (processNext), never here —
-	// a mid-block seal would freeze a snapshot that cuts the block in two.
-	for len(s.proofs[s.settled+1]) >= s.opts.F+1 {
+	// Any checkpoint interval the settled prefix crosses is sealed at the
+	// end of the current block (processNext), never here — a mid-block seal
+	// would freeze a snapshot that cuts the block in two.
+	s.settle()
+	return true
+}
+
+// settle advances the settled prefix over the epochs that hold f+1 proofs.
+func (s *Server) settle() {
+	top := s.prunedEpochs + uint64(len(s.history))
+	for s.settled < top && len(s.history[s.settled-s.prunedEpochs].Proofs) >= s.opts.F+1 {
 		s.settled++
 	}
-	return true
 }
 
 // injectBogus appends Byzantine junk elements to a batch when configured. It

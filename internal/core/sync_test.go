@@ -126,10 +126,10 @@ func TestForgedSnapshotInstallsLocallyButBreaksFold(t *testing.T) {
 // running: the seal-time half of SyncState is a copy, the serve-time half
 // is built once from the live maps and never written again, so concurrent
 // iteration by an installer (another partition in a parallel run) must not
-// race the server mutating its live maps, sealing further checkpoints, or
-// serving the same snapshot again. Run under -race; handing out the live
-// maps, or rebuilding Members/Set on a second serve, fails here
-// deterministically.
+// race the server mutating its live maps, accepting further proofs, sealing
+// further checkpoints, or serving the same snapshot again. Run under -race;
+// handing out the live maps or epochs, or rebuilding Members on a second
+// serve, fails here deterministically.
 func TestSyncSnapshotReadsDoNotRaceServingServer(t *testing.T) {
 	s, d := deployFull(14, 4, checkpointedOpts)
 	addElements(s, d, 200) // 50ms spacing: injection runs to t=10s
@@ -140,8 +140,8 @@ func TestSyncSnapshotReadsDoNotRaceServingServer(t *testing.T) {
 	}
 	snap := d.Servers[0].ServeSnapshot(sealed)
 	st := snap.State.(*core.SyncState)
-	if len(st.Members) == 0 || len(st.Set) != len(st.Members) {
-		t.Fatalf("served snapshot carries %d members, %d set entries", len(st.Members), len(st.Set))
+	if len(st.Members) == 0 {
+		t.Fatal("served snapshot carries no members")
 	}
 
 	// Walk every structure of the served snapshot for the entire remainder
@@ -158,14 +158,17 @@ func TestSyncSnapshotReadsDoNotRaceServingServer(t *testing.T) {
 			default:
 			}
 			var n int
-			for id, epn := range st.Members {
-				if epn > st.LastEpoch {
+			for _, m := range st.Members {
+				if m.Epoch > st.LastEpoch {
 					panic("served index entry above LastEpoch")
 				}
-				n += st.Set[id].Size
+				n += m.Element.Size
 			}
 			for _, ep := range st.Epochs {
 				n += len(ep.Elements) + len(ep.Hash)
+				for _, p := range ep.Proofs {
+					n += int(p.Signer)
+				}
 			}
 			for _, ck := range snap.Chain {
 				n += int(ck.Epoch)
@@ -198,9 +201,8 @@ func TestSealDoesNotBuildMembersOrSet(t *testing.T) {
 		if !ok {
 			t.Fatalf("server %d sealed no snapshot; the laziness test is vacuous", i)
 		}
-		if st := snap.State.(*core.SyncState); st.Members != nil || st.Set != nil {
-			t.Fatalf("server %d built Members (%d) / Set (%d) for a snapshot nobody asked for",
-				i, len(st.Members), len(st.Set))
+		if st := snap.State.(*core.SyncState); st.Members != nil {
+			t.Fatalf("server %d built Members (%d) for a snapshot nobody asked for", i, len(st.Members))
 		}
 	}
 }
@@ -209,8 +211,8 @@ func TestSealDoesNotBuildMembersOrSet(t *testing.T) {
 // after more epochs, more seals and a prune — is the snapshot that would
 // have been served at once. Two same-seed deployments take the snapshot
 // at t1; A serves it there, B runs to quiescence first. B's late Members
-// and Set must match both A's and the eager copy of B's own maps taken at
-// t1 (element pointers included: a key is never rebound), the chain of
+// must match both A's and the eager copy of B's own index taken at t1
+// (element pointers included: a key is never rebound), the chain of
 // the t1 snapshot must not have moved under B's later seals, and fresh
 // victims installing either must end in identical state.
 func TestLateServeEquivalence(t *testing.T) {
@@ -234,7 +236,7 @@ func TestLateServeEquivalence(t *testing.T) {
 	da.Stop()
 
 	srvB := db.Servers[0]
-	refMembers, refSet := srvB.EagerSyncMaps()
+	refMembers := srvB.EagerSyncMembers()
 	chainT1 := append([]checkpoint.Checkpoint(nil), sealedB.Chain...)
 	before := srvB.Get()
 	runQuiesce(sb, db, 20*time.Second)
@@ -257,35 +259,31 @@ func TestLateServeEquivalence(t *testing.T) {
 	}
 
 	est, lst := early.State.(*core.SyncState), late.State.(*core.SyncState)
-	if len(lst.Members) == 0 || len(lst.Set) != len(lst.Members) {
-		t.Fatalf("late snapshot carries %d members, %d set entries", len(lst.Members), len(lst.Set))
+	if len(lst.Members) == 0 {
+		t.Fatal("late snapshot carries no members")
 	}
 	// Against the eager copy: exactly its entries through LastEpoch, same
 	// epoch numbers, same element pointers.
 	var through int
-	for id, epn := range refMembers {
-		if epn > lst.LastEpoch {
+	for id, ref := range refMembers {
+		if ref.Epoch > lst.LastEpoch {
 			continue
 		}
 		through++
-		if got, ok := lst.Members[id]; !ok || got != epn {
-			t.Fatalf("member %x: late index says %d (present %v), the t1 copy says %d", id[:4], got, ok, epn)
+		got, ok := lst.Members[id]
+		if !ok || got.Epoch != ref.Epoch {
+			t.Fatalf("member %x: late index says %d (present %v), the t1 copy says %d", id[:4], got.Epoch, ok, ref.Epoch)
 		}
-		if lst.Set[id] != refSet[id] {
-			t.Fatalf("member %x: late Set holds a different element than the_set did at t1", id[:4])
+		if got.Element != ref.Element {
+			t.Fatalf("member %x: late index holds a different element than the_set did at t1", id[:4])
 		}
 	}
 	if through != len(lst.Members) {
 		t.Fatalf("late index has %d entries, the t1 copy %d through epoch %d", len(lst.Members), through, lst.LastEpoch)
 	}
-	// Against A's immediate serve.
+	// Against A's immediate serve (DeepEqual follows the element pointers).
 	if !reflect.DeepEqual(est.Members, lst.Members) {
 		t.Fatalf("Members differ between the immediate (%d) and the late (%d) serve", len(est.Members), len(lst.Members))
-	}
-	for id := range est.Members {
-		if !reflect.DeepEqual(est.Set[id], lst.Set[id]) {
-			t.Fatalf("member %x: Set differs between the immediate and the late serve", id[:4])
-		}
 	}
 
 	install := func(snap *checkpoint.Snapshot) (core.Snapshot, uint64) {
@@ -314,10 +312,10 @@ func TestLateServeEquivalence(t *testing.T) {
 	}
 }
 
-// A snapshot whose Set files an element under an id that is not the
-// element's own must not install: the installer's index is keyed by the
-// element's id, so the entry would land beside the one the membership index
-// promised.
+// A snapshot whose membership index files an element under an id that is
+// not the element's own must not install: the installer's index is keyed by
+// the element's id, so the entry would land beside the one the snapshot's
+// index promised.
 func TestInstallSyncRejectsElementFiledUnderAnotherID(t *testing.T) {
 	d := deployCheckpointed(t, 16)
 	sealed, ok := d.Servers[0].SyncSnapshot()
@@ -327,11 +325,11 @@ func TestInstallSyncRejectsElementFiledUnderAnotherID(t *testing.T) {
 	mut := mutateSnapshot(d.Servers[0].ServeSnapshot(sealed), nil)
 	st := mut.State.(*core.SyncState)
 	var a, b *wire.Element
-	for _, el := range st.Set {
+	for _, m := range st.Members {
 		if a == nil {
-			a = el
+			a = m.Element
 		} else if b == nil {
-			b = el
+			b = m.Element
 		}
 	}
 	if b == nil {
@@ -342,8 +340,39 @@ func TestInstallSyncRejectsElementFiledUnderAnotherID(t *testing.T) {
 	if !fresh.Servers[1].InstallSync(mutateSnapshot(mut, nil)) {
 		t.Fatal("the unmutated copy does not install; the test is vacuous")
 	}
-	st.Set[a.ID], st.Set[b.ID] = b, a
+	ma, mb := st.Members[a.ID], st.Members[b.ID]
+	ma.Element, mb.Element = b, a
+	st.Members[a.ID], st.Members[b.ID] = ma, mb
 	if fresh.Servers[0].InstallSync(mut) {
-		t.Fatal("a snapshot with two Set entries swapped installed")
+		t.Fatal("a snapshot with two index entries' elements swapped installed")
+	}
+}
+
+// A client counts an epoch's proofs on the epoch itself, so a pruned
+// snapshot — whose History[0] is epoch PrunedEpochs+1 — verifies like any
+// other. (Counting by epoch number read History[epoch-1]: it hashed the
+// wrong epoch or ran off the end, and counted 0.)
+func TestCountValidProofsAbovePruneHorizon(t *testing.T) {
+	s, d := deployFull(18, 4, checkpointedOpts)
+	addElements(s, d, 200)
+	s.RunUntil(4 * time.Second) // between two seals: settled past the horizon
+	d.Stop()
+	srv, cl, f := d.Servers[0], d.Clients[0], d.Opts.F
+	snap := srv.Get()
+	if snap.PrunedEpochs == 0 || len(snap.History) == 0 || srv.Settled() <= snap.PrunedEpochs {
+		t.Fatalf("pruned %d epochs, kept %d, settled %d: no settled epoch above the horizon; tune the workload",
+			snap.PrunedEpochs, len(snap.History), srv.Settled())
+	}
+	for _, ep := range snap.History {
+		if ep.Number > srv.Settled() {
+			break
+		}
+		if got := cl.CountValidProofs(ep); got < f+1 {
+			t.Fatalf("settled epoch %d above the horizon %d counts %d valid proofs, want >= %d",
+				ep.Number, snap.PrunedEpochs, got, f+1)
+		}
+		if n, err := cl.VerifyCommitted(snap, ep.Elements[0].ID); err != nil || n != ep.Number {
+			t.Fatalf("element of settled epoch %d: VerifyCommitted = %d, %v", ep.Number, n, err)
+		}
 	}
 }

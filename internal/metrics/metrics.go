@@ -9,10 +9,15 @@
 // buckets (cheap enough for multi-million-element runs), while LevelStages
 // additionally tracks per-element stage timestamps for latency CDFs.
 //
+// The recorder keeps no copy of the observer's history: the observer's
+// server hands it an epoch's elements at the moment the epoch commits
+// (EpochCommitted), and the recorder keeps only each committed epoch's size.
+//
 // See DESIGN.md §2 (layering).
 package metrics
 
 import (
+	"maps"
 	"sort"
 	"time"
 
@@ -108,12 +113,12 @@ type Recorder struct {
 
 	// Checkpoint accounting (CheckpointSealed).
 	ckptSeals    uint64
-	foldedEpochs uint64 // highest epoch folded out of the per-epoch maps
+	foldedEpochs uint64 // highest epoch folded out of committedEpochs
 	foldedComm   uint64 // committed elements folded (sum of dropped sizes)
 
-	epochElems map[uint64]int
-	epochIDs   map[uint64][]wire.ElementID
-	epochDone  map[uint64]bool
+	// committedEpochs maps each epoch the observer committed, above the
+	// fold, to its element count.
+	committedEpochs map[uint64]int
 
 	txs   map[wire.TxKey]*txStageRec
 	elems map[wire.ElementID]*elemRec
@@ -124,18 +129,16 @@ type Recorder struct {
 // and commit reports define global commit times.
 func New(s *sim.Simulator, level Level, n, f int, observer wire.NodeID) *Recorder {
 	return &Recorder{
-		sim:        s,
-		level:      level,
-		n:          n,
-		f:          f,
-		observer:   observer,
-		bw:         bucketWidth,
-		budget:     defaultBucketBudget,
-		epochElems: make(map[uint64]int),
-		epochIDs:   make(map[uint64][]wire.ElementID),
-		epochDone:  make(map[uint64]bool),
-		txs:        make(map[wire.TxKey]*txStageRec),
-		elems:      make(map[wire.ElementID]*elemRec),
+		sim:             s,
+		level:           level,
+		n:               n,
+		f:               f,
+		observer:        observer,
+		bw:              bucketWidth,
+		budget:          defaultBucketBudget,
+		committedEpochs: make(map[uint64]int),
+		txs:             make(map[wire.TxKey]*txStageRec),
+		elems:           make(map[wire.ElementID]*elemRec),
 	}
 }
 
@@ -251,40 +254,27 @@ func (r *Recorder) BlockCommitted(node wire.NodeID, b *wire.Block) {
 	}
 }
 
-// EpochCreated records the observer server assigning elements to an epoch.
-func (r *Recorder) EpochCreated(node wire.NodeID, epoch uint64, elems []*wire.Element) {
-	if node != r.observer {
-		return
-	}
-	r.epochElems[epoch] = len(elems)
-	if r.level >= LevelStages {
-		ids := make([]wire.ElementID, len(elems))
-		for i, e := range elems {
-			ids[i] = e.ID
-		}
-		r.epochIDs[epoch] = ids
-	}
-}
-
 // EpochCommitted records the observer's server accepting the f+1-th
 // distinct valid epoch-proof of an epoch from a committed block: the
 // epoch's elements become committed (the paper's commit definition). The
-// server decides the rule (core.Server.acceptProof) and reports each epoch
-// once; a repeated report is ignored.
-func (r *Recorder) EpochCommitted(node wire.NodeID, epoch uint64) {
-	if node != r.observer || r.epochDone[epoch] {
+// server decides the rule (core.Server.acceptProof), hands over the epoch's
+// elements and reports each epoch once; a repeated report is ignored.
+func (r *Recorder) EpochCommitted(node wire.NodeID, epoch uint64, elems []*wire.Element) {
+	if node != r.observer {
 		return
 	}
-	r.epochDone[epoch] = true
+	if _, done := r.committedEpochs[epoch]; done {
+		return
+	}
+	r.committedEpochs[epoch] = len(elems)
 	now := r.sim.Now()
-	count := r.epochElems[epoch]
-	r.totalComm += uint64(count)
-	for i := 0; i < count; i++ {
+	r.totalComm += uint64(len(elems))
+	for range elems {
 		r.bucket(&r.committed, now)
 	}
 	if r.level >= LevelStages {
-		for _, id := range r.epochIDs[epoch] {
-			if er := r.elems[id]; er != nil && er.committed == unset {
+		for _, e := range elems {
+			if er := r.elems[e.ID]; er != nil && er.committed == unset {
 				er.committed = now
 			}
 		}
@@ -293,9 +283,9 @@ func (r *Recorder) EpochCommitted(node wire.NodeID, epoch uint64) {
 
 // CheckpointSealed records the observer sealing an epoch checkpoint.
 // When the deployment prunes, the recorder folds its own settled state in
-// lockstep: per-epoch maps for epochs at or below the checkpoint horizon
-// are dropped (their committed counts are already in the totals), keeping
-// the recorder's epoch-keyed memory bounded by the retention window. The
+// lockstep: committed epochs at or below the checkpoint horizon are dropped
+// (their counts are already in the totals), keeping the recorder's
+// epoch-keyed memory bounded by the retention window. The
 // folded totals stay available via FoldedEpochs/FoldedCommitted so the
 // invariant checker can reconcile them against the checkpoint's
 // cumulative element count.
@@ -308,12 +298,8 @@ func (r *Recorder) CheckpointSealed(node wire.NodeID, ck checkpoint.Checkpoint, 
 		return
 	}
 	for ep := r.foldedEpochs + 1; ep <= ck.Epoch; ep++ {
-		if r.epochDone[ep] {
-			r.foldedComm += uint64(r.epochElems[ep])
-		}
-		delete(r.epochElems, ep)
-		delete(r.epochIDs, ep)
-		delete(r.epochDone, ep)
+		r.foldedComm += uint64(r.committedEpochs[ep])
+		delete(r.committedEpochs, ep)
 	}
 	r.foldedEpochs = ck.Epoch
 }
@@ -329,17 +315,13 @@ func (r *Recorder) FoldedEpochs() uint64 { return r.foldedEpochs }
 func (r *Recorder) FoldedCommitted() uint64 { return r.foldedComm }
 
 // CommittedEpochSizes returns, for every epoch the observer saw reach f+1
-// epoch-proofs on the ledger, the element count the observer recorded at
-// epoch creation. The invariant checker replays this against the servers'
-// final histories (no committed element lost). Epochs folded below a
+// epoch-proofs on the ledger, its element count. The invariant checker
+// replays this against the servers' final histories (no committed element
+// lost). Epochs folded below a
 // prune horizon are absent — FoldedEpochs/FoldedCommitted account for
 // them in aggregate.
 func (r *Recorder) CommittedEpochSizes() map[uint64]int {
-	out := make(map[uint64]int, len(r.epochDone))
-	for ep := range r.epochDone {
-		out[ep] = r.epochElems[ep]
-	}
-	return out
+	return maps.Clone(r.committedEpochs)
 }
 
 // TotalInjected returns the number of elements clients created.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -25,7 +26,7 @@ func elemAt(i int, at time.Duration) *wire.Element {
 
 // The recorder books an epoch's elements when the observer's server reports
 // the epoch's f+1-th proof (core.Server.acceptProof decides the rule), at
-// that instant, and only once.
+// that instant, and only once; a fold drops the epoch into the folded total.
 func TestCommitRequiresQuorumProofs(t *testing.T) {
 	s := sim.New(1)
 	r := New(s, LevelThroughput, 4, 1, 0)
@@ -34,13 +35,12 @@ func TestCommitRequiresQuorumProofs(t *testing.T) {
 		for _, e := range es {
 			r.Injected(e)
 		}
-		r.EpochCreated(0, 1, es)
 	})
 	s.After(2*time.Second, func() {
 		if r.TotalCommitted() != 0 {
 			t.Error("committed before the quorum report")
 		}
-		r.EpochCommitted(0, 1)
+		r.EpochCommitted(0, 1, es)
 	})
 	s.Run()
 	if r.TotalCommitted() != 2 {
@@ -50,9 +50,17 @@ func TestCommitRequiresQuorumProofs(t *testing.T) {
 		t.Fatalf("commit time = %v/%v, want the 2 s bucket's end, 3 s", tm, ok)
 	}
 	// A repeated report is ignored.
-	r.EpochCommitted(0, 1)
+	r.EpochCommitted(0, 1, es)
 	if r.TotalCommitted() != 2 {
 		t.Fatal("repeated report recounted elements")
+	}
+	if got := r.CommittedEpochSizes(); len(got) != 1 || got[1] != 2 {
+		t.Fatalf("committed epoch sizes %v, want epoch 1 of 2", got)
+	}
+	r.CheckpointSealed(0, checkpoint.Checkpoint{Epoch: 1}, true)
+	if got := r.CommittedEpochSizes(); len(got) != 0 || r.FoldedEpochs() != 1 || r.FoldedCommitted() != 2 {
+		t.Fatalf("after the fold: sizes %v, folded %d epochs and %d elements, want none, 1 and 2",
+			got, r.FoldedEpochs(), r.FoldedCommitted())
 	}
 }
 
@@ -60,8 +68,7 @@ func TestNonObserverIgnored(t *testing.T) {
 	s := sim.New(1)
 	r := New(s, LevelThroughput, 4, 1, 0)
 	r.Injected(elem(1))
-	r.EpochCreated(3, 1, []*wire.Element{elem(1)}) // node 3 is not observer
-	r.EpochCommitted(3, 1)
+	r.EpochCommitted(3, 1, []*wire.Element{elem(1)}) // node 3 is not observer
 	if r.TotalCommitted() != 0 {
 		t.Fatal("non-observer observations counted")
 	}
@@ -80,13 +87,11 @@ func TestEfficiencyAndAvgThroughput(t *testing.T) {
 	})
 	// Half commit at t=10s.
 	s.After(10*time.Second, func() {
-		r.EpochCreated(0, 1, es[:50])
-		r.EpochCommitted(0, 1)
+		r.EpochCommitted(0, 1, es[:50])
 	})
 	// Rest at t=60s.
 	s.After(60*time.Second, func() {
-		r.EpochCreated(0, 2, es[50:])
-		r.EpochCommitted(0, 2)
+		r.EpochCommitted(0, 2, es[50:])
 	})
 	s.Run()
 	if eff := r.Efficiency(50 * time.Second); eff != 0.5 {
@@ -112,8 +117,7 @@ func TestCommitTimeAtFraction(t *testing.T) {
 		}
 	})
 	s.After(5*time.Second, func() {
-		r.EpochCreated(0, 1, es[:30])
-		r.EpochCommitted(0, 1)
+		r.EpochCommitted(0, 1, es[:30])
 	})
 	s.Run()
 	if tm, ok := r.CommitTimeAtFraction(0); !ok || tm != 6*time.Second {
@@ -144,8 +148,7 @@ func TestThroughputSeriesRollingWindow(t *testing.T) {
 		sec := sec
 		s.After(time.Duration(sec)*time.Second+500*time.Millisecond, func() {
 			ep := uint64(sec + 1)
-			r.EpochCreated(0, ep, all[sec*10:(sec+1)*10])
-			r.EpochCommitted(0, ep)
+			r.EpochCommitted(0, ep, all[sec*10:(sec+1)*10])
 		})
 	}
 	s.Run()
@@ -181,8 +184,7 @@ func TestStageTracking(t *testing.T) {
 		r.BlockCommitted(0, &wire.Block{Height: 1, Txs: []*wire.Tx{tx}})
 	})
 	s.After(4*time.Second, func() {
-		r.EpochCreated(0, 1, []*wire.Element{e})
-		r.EpochCommitted(0, 1)
+		r.EpochCommitted(0, 1, []*wire.Element{e})
 	})
 	s.Run()
 	expect := map[Stage]time.Duration{
