@@ -454,15 +454,13 @@ type Node struct {
 	equivocations uint64
 }
 
-// NewNode constructs a validator. Call Start once the network is wired.
+// NewNode constructs a validator whose application is abci.NopApplication
+// until SetApp installs one. Call Start once the network is wired.
 func NewNode(id wire.NodeID, validators []wire.NodeID, s *sim.Simulator, net *netsim.Network,
 	params Params, suite setcrypto.Suite, key setcrypto.KeyPair, registry *setcrypto.Registry,
-	pool *mempool.Mempool, app abci.Application) *Node {
+	pool *mempool.Mempool) *Node {
 	if params == (Params{}) {
 		panic("consensus: zero Params; start from consensus.PaperParams()")
-	}
-	if app == nil {
-		app = abci.NopApplication{}
 	}
 	return &Node{
 		decidedProps:   make(map[uint64]*Proposal),
@@ -476,7 +474,7 @@ func NewNode(id wire.NodeID, validators []wire.NodeID, s *sim.Simulator, net *ne
 		key:            key,
 		registry:       registry,
 		pool:           pool,
-		app:            app,
+		app:            abci.NopApplication{},
 		height:         1,
 		proposals:      make(map[int32]*Proposal),
 		votes:          make(map[int32]*roundVotes),
@@ -488,6 +486,9 @@ func NewNode(id wire.NodeID, validators []wire.NodeID, s *sim.Simulator, net *ne
 		futureSender: -1,
 	}
 }
+
+// SetApp installs the application committed blocks are finalized into.
+func (n *Node) SetApp(app abci.Application) { n.app = app }
 
 // SetProposalMutator installs a Byzantine proposal rewrite (tests/faults).
 func (n *Node) SetProposalMutator(m ProposalMutator) { n.mutator = m }
@@ -1318,13 +1319,10 @@ func (n *Node) handleSyncChunk(c *SyncChunk) {
 
 func (n *Node) commit(p *Proposal) {
 	n.decided = true
-	// Copy the block header before stamping the local commit time: the
-	// proposal is a shared broadcast payload (read-only by convention), and
-	// in partitioned runs other nodes commit it concurrently. Txs stay
-	// shared — they are never mutated.
-	blk := *p.Block
-	block := &blk
-	block.Time = int64(n.sim.Now())
+	// The proposal's block is committed as it is: a block is never written
+	// after it is proposed (wire.Block), so every node — concurrently, in a
+	// partitioned run — holds the one object.
+	block := p.Block
 	n.chain = append(n.chain, block)
 	n.totalTxBytes += uint64(block.Bytes)
 	if len(block.Txs) == 0 {

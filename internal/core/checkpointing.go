@@ -147,6 +147,13 @@ type SyncState struct {
 	// in the replayed suffix and must count on top of these. Sorted per
 	// batch for determinism; nil for other algorithms.
 	PendingSigners map[wire.Digest][]wire.NodeID
+	// LightBatches carries, under Light, the batch of each pending record.
+	// A Light server gets a batch only on its origin's hash-batch, and an
+	// installer never replays the blocks at or below the seal height, so
+	// without these the rest of the signatures would find no content. Like
+	// the hash-batch's own batch, they are not counted in the snapshot's
+	// bytes. Nil otherwise.
+	LightBatches map[wire.Digest]*wire.Batch
 	// CkptBytes is the serving server's modeled element-byte total through
 	// the checkpoint, so the installer's next seal sizes its own snapshot
 	// consistently.
@@ -188,6 +195,9 @@ func (s *Server) freezeSyncState(ck checkpoint.Checkpoint) {
 	}
 	if h, ok := s.alg.(*hashchainAlg); ok {
 		st.PendingSigners = h.pendingSigners()
+		if s.opts.Light {
+			st.LightBatches = h.pendingBatches()
+		}
 		for _, ids := range st.PendingSigners {
 			size += len(ids) * proofWireSize
 		}
@@ -370,7 +380,7 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	s.settled = ck.Epoch
 	s.settle()
 	if h, ok := s.alg.(*hashchainAlg); ok {
-		h.installPending(st.PendingSigners)
+		h.installPending(st.PendingSigners, st.LightBatches)
 	}
 	// Queued blocks predate the checkpoint and are fully covered by the
 	// installed state; the replayed suffix arrives through consensus.
@@ -392,16 +402,32 @@ func (h *hashchainAlg) pendingSigners() map[wire.Digest][]wire.NodeID {
 	return out
 }
 
+// pendingBatches is what a Light snapshot ships with the pending signer
+// sets: the batch of each pending record that has one.
+func (h *hashchainAlg) pendingBatches() map[wire.Digest]*wire.Batch {
+	out := make(map[wire.Digest]*wire.Batch, len(h.pending))
+	for _, r := range h.pending {
+		if r.batch != nil {
+			out[wire.DigestOf(r.hash)] = r.batch
+		}
+	}
+	return out
+}
+
 // installPending replaces the signer state with a snapshot's pending
 // sets: signatures in blocks at or below the seal height are invisible to
 // the installing node, so the suffix replay must count on top of these.
 // Everything else a record holds — content, consolidation, a fetch in
-// flight — is this server's own and stays. Own-signature memory is rebuilt
-// from the sets to avoid double-signing. A signer the registry does not
-// know cannot have signed anything and is skipped.
-func (h *hashchainAlg) installPending(pending map[wire.Digest][]wire.NodeID) {
+// flight — is this server's own and stays, except that a record without a
+// batch takes the one a Light snapshot carries for it. Own-signature memory
+// is rebuilt from the sets to avoid double-signing. A signer the registry
+// does not know cannot have signed anything and is skipped.
+func (h *hashchainAlg) installPending(pending map[wire.Digest][]wire.NodeID, batches map[wire.Digest]*wire.Batch) {
 	for len(h.pending) > 0 {
 		h.releaseSigners(h.pending[len(h.pending)-1])
+	}
+	for key, b := range batches {
+		h.rec(key.Bytes()).register(b)
 	}
 	for key, ids := range pending {
 		r := h.rec(key.Bytes())
@@ -514,6 +540,7 @@ func (s *Server) forgeSnapshot(snap *checkpoint.Snapshot, st *SyncState) *checkp
 		// Everything is claimed sealed, so no suffix epochs survive the
 		// fabricated horizon.
 		PendingSigners: st.PendingSigners,
+		LightBatches:   st.LightBatches,
 		CkptBytes:      bytes,
 	}
 	maps.Copy(fst.Members, st.Members)

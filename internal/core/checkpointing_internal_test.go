@@ -203,7 +203,7 @@ func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 		mine:                     {1, victim.id},
 		theirs:                   {1, 2, 9999},
 	}
-	h.installPending(crafted)
+	h.installPending(crafted, nil)
 	crafted[theirs] = []wire.NodeID{1, 2}
 	if got := h.pendingSigners(); !reflect.DeepEqual(got, crafted) {
 		t.Fatalf("pending signer sets after the crafted install:\n got %v\nwant %v", got, crafted)

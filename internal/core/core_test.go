@@ -172,6 +172,14 @@ func TestHashchainEndToEnd(t *testing.T) {
 	if fetched == 0 {
 		t.Fatal("no Request_batch traffic despite multi-server Hashchain")
 	}
+	// Only Light puts the batch on the hash-batch.
+	for _, b := range d.Ledger.Nodes[0].Cons.Chain() {
+		for _, tx := range b.Txs {
+			if tx.HashBatch != nil && tx.HashBatch.Batch != nil {
+				t.Fatalf("hash-batch at height %d carries its batch outside Light", b.Height)
+			}
+		}
+	}
 }
 
 func TestHashchainSevenServers(t *testing.T) {

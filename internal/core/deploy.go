@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/batchstore"
 	"repro/internal/ledger"
 	"repro/internal/metrics"
 	"repro/internal/setcrypto"
@@ -30,9 +29,6 @@ func Deploy(s *sim.Simulator, n int, ledgerCfg ledger.Config, opts Options, rec 
 	}
 	lc := ledger.NewCluster(s, ledgerCfg)
 	opts = opts.withTimeouts()
-	if opts.Algorithm == Hashchain && opts.Light && opts.SharedStore == nil {
-		opts.SharedStore = batchstore.New()
-	}
 	d := &Deployment{Sim: s, Ledger: lc, Opts: opts}
 	for i := 0; i < n; i++ {
 		node := lc.Nodes[i]

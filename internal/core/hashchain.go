@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"time"
 
-	"repro/internal/batchstore"
 	"repro/internal/codec"
 	"repro/internal/collector"
 	"repro/internal/sim"
@@ -39,9 +38,11 @@ import (
 //     inside block processing. The paper's servers achieve the same overlap
 //     by handling batch distribution concurrently with CometBFT.
 //
-// The Light variant removes hash-reversal and validation (paper Fig. 2):
-// batches come from a shared oracle store and servers co-sign unseen hashes
-// without verification, isolating the hash-reversal bottleneck.
+// The Light variant removes the cost of hash reversal and validation (paper
+// Fig. 2), isolating the hash-reversal bottleneck: the origin's hash-batch
+// carries its batch (wire.HashBatch.Batch, never counted on the wire), and
+// servers co-sign without checking the signature and charge nothing for
+// element validation, though they still drop invalid elements.
 //
 // Every batch costs n hash-batch transactions and every one of them is
 // processed by n servers, so the step below runs n² times per batch. It is
@@ -81,8 +82,8 @@ type hashchainAlg struct {
 type batchRec struct {
 	hash []byte
 	// batch is the batch's content once this server has it: from its own
-	// flush, a verified fetch response or the Light oracle (register). Nil
-	// until then; never replaced once set.
+	// flush, a verified fetch response or, under Light, the origin's
+	// hash-batch (register). Nil until then; never replaced once set.
 	batch *wire.Batch
 	// valid is the batch's valid elements between content extraction and
 	// consolidation.
@@ -238,9 +239,6 @@ func (h *hashchainAlg) flushBatch(b *wire.Batch) {
 	hash := h.batchHash(b)
 	r := h.rec(hash)
 	r.register(b)
-	if s.opts.Light && s.opts.SharedStore != nil {
-		s.opts.SharedStore.Register(hash, b)
-	}
 	// Our own elements were validated at Add; cache them as this batch's
 	// valid set so consolidation does not re-verify.
 	r.valid = s.valid(b.Elements)
@@ -250,6 +248,9 @@ func (h *hashchainAlg) flushBatch(b *wire.Batch) {
 	s.chargeCPU(time.Duration(b.RawSize())*s.opts.Costs.HashPerByte +
 		s.opts.Costs.SignCost + s.opts.Costs.PerBatch)
 	hb := &wire.HashBatch{Hash: hash, Sig: s.suite.Sign(s.key, hash), Signer: s.id}
+	if s.opts.Light {
+		hb.Batch = b
+	}
 	tx := wire.NewHashBatchTx(hb)
 	if s.rec != nil {
 		s.rec.RegisterCarrier(tx.MapKey(), b.Elements)
@@ -329,6 +330,10 @@ func (h *hashchainAlg) step() {
 	}
 	h.addSigner(r, hb.Signer)
 	if s.opts.Light {
+		// Only the origin's hash-batch carries the batch, and every server
+		// processes it before any co-signature of the hash: a co-signer
+		// signs only after processing a hash-batch for it.
+		r.register(hb.Batch)
 		h.lightProcess(r)
 		return
 	}
@@ -376,18 +381,16 @@ func (h *hashchainAlg) retryUntilRecovered(r *batchRec) {
 	})
 }
 
-// lightProcess handles a hash-batch with hash-reversal disabled: co-sign
-// without verification; batch content comes from the shared oracle.
+// lightProcess handles a hash-batch with hash reversal disabled: co-sign
+// without verification; the content is the batch the record holds, whose
+// invalid elements are dropped as withContent drops them, at no cost.
 func (h *hashchainAlg) lightProcess(r *batchRec) {
 	s := h.s
-	if r.batch == nil && s.opts.SharedStore != nil {
-		r.register(s.opts.SharedStore.Get(r.hash))
-	}
 	b := r.batch
 	h.cosign(r)
 	if b != nil && !r.contentDone {
 		r.contentDone = true
-		valid := b.Elements // Light: all servers correct, skip validation
+		valid := s.valid(b.Elements)
 		r.valid = valid
 		cost := time.Duration(len(valid)) * s.opts.Costs.PerElement
 		s.runCosted(cost, func() {
@@ -556,8 +559,7 @@ func (h *hashchainAlg) tryNextCandidate(st *fetchState) {
 	h.seq++
 	st.reqID = h.seq
 	h.requestsSent++
-	h.s.node.Send(target, &batchstore.Request{Hash: st.rec.hash, ReqID: st.reqID},
-		batchstore.RequestWireSize)
+	h.s.node.Send(target, &batchRequest{hash: st.rec.hash, reqID: st.reqID}, batchRequestWireSize)
 	reqID := st.reqID
 	st.timer = h.s.sim.After(h.s.opts.RequestTimeout, func() {
 		if st.inFlight && st.reqID == reqID {
@@ -596,64 +598,92 @@ func (h *hashchainAlg) failFetch(st *fetchState) {
 	}
 }
 
+// batchRequest asks the receiver for the batch whose hash is hash
+// (Request_batch). reqID lets the requester correlate the response and
+// detect late replies.
+type batchRequest struct {
+	hash  []byte
+	reqID uint64
+}
+
+// batchRequestWireSize is the bytes a batch request occupies on the network.
+const batchRequestWireSize = 80
+
+// batchResponse answers a batchRequest with the batch, or with a nil batch
+// when the receiver does not have it (a Byzantine server may also never
+// answer).
+type batchResponse struct {
+	hash  []byte
+	reqID uint64
+	batch *wire.Batch
+}
+
+// wireSize is the response's network footprint.
+func (r *batchResponse) wireSize() int {
+	if r.batch == nil {
+		return 96
+	}
+	return 96 + r.batch.RawSize()
+}
+
 // onAppMsg handles the Request_batch protocol traffic.
 func (h *hashchainAlg) onAppMsg(from wire.NodeID, payload any, size int) {
 	switch msg := payload.(type) {
-	case *batchstore.Request:
+	case *batchRequest:
 		h.serveRequest(from, msg)
-	case *batchstore.Response:
+	case *batchResponse:
 		h.handleResponse(from, msg)
 	}
 }
 
-func (h *hashchainAlg) serveRequest(from wire.NodeID, req *batchstore.Request) {
+func (h *hashchainAlg) serveRequest(from wire.NodeID, req *batchRequest) {
 	s := h.s
 	if s.behavior != nil && s.behavior.RefuseServe != nil &&
-		s.behavior.RefuseServe(int(from), req.Hash) {
+		s.behavior.RefuseServe(int(from), req.hash) {
 		return // Byzantine silence: requester's timeout handles it
 	}
 	// A plain lookup: a request must not create a record.
 	var b *wire.Batch
-	if r := h.recs[wire.DigestOf(req.Hash)]; r != nil {
+	if r := h.recs[wire.DigestOf(req.hash)]; r != nil {
 		b = r.batch
 	}
-	resp := &batchstore.Response{Hash: req.Hash, ReqID: req.ReqID, Found: b != nil, Batch: b}
+	resp := &batchResponse{hash: req.hash, reqID: req.reqID, batch: b}
 	if b != nil && s.behavior != nil && s.behavior.ServeWrongBatch {
 		// A copy: the stored batch is shared with every server and epoch.
 		wrong := &wire.Batch{Elements: append([]*wire.Element(nil), b.Elements...)}
 		junk := &wire.Element{Size: 438, Bogus: true}
 		junk.ID[0] = 0xEE
 		wrong.Elements = append(wrong.Elements, junk)
-		resp.Batch = wrong
+		resp.batch = wrong
 	}
 	h.requestsServed++
 	s.chargeCPU(s.opts.Costs.PerBatch)
-	s.node.Send(from, resp, resp.ResponseWireSize())
+	s.node.Send(from, resp, resp.wireSize())
 }
 
-func (h *hashchainAlg) handleResponse(from wire.NodeID, resp *batchstore.Response) {
+func (h *hashchainAlg) handleResponse(from wire.NodeID, resp *batchResponse) {
 	s := h.s
 	// A plain lookup: an unsolicited response must not create a record.
-	r := h.recs[wire.DigestOf(resp.Hash)]
+	r := h.recs[wire.DigestOf(resp.hash)]
 	if r == nil {
 		return
 	}
 	st := r.fetch
-	if st == nil || !st.inFlight || st.reqID != resp.ReqID {
+	if st == nil || !st.inFlight || st.reqID != resp.reqID {
 		return // stale or unsolicited
 	}
 	st.inFlight = false
 	st.timer.Cancel()
-	if !resp.Found || resp.Batch == nil {
+	if resp.batch == nil {
 		h.tryNextCandidate(st)
 		return
 	}
 	// Verify Hash(batch_original) == h before accepting (pseudocode line
 	// 28); a Byzantine server may serve a wrong batch.
-	batch := resp.Batch
+	batch := resp.batch
 	cost := time.Duration(batch.RawSize()) * s.opts.Costs.HashPerByte
 	s.runCosted(cost, func() {
-		if !bytes.Equal(h.batchHash(batch), resp.Hash) {
+		if !bytes.Equal(h.batchHash(batch), resp.hash) {
 			h.tryNextCandidate(st)
 			return
 		}

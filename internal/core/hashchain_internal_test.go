@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/batchstore"
 	"repro/internal/ledger"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -27,6 +26,13 @@ func signedHashBatch(d *Deployment, signer int, hash []byte) *wire.Tx {
 		HashBatch: &wire.HashBatch{Hash: hash, Sig: sig, Signer: wire.NodeID(signer)}}
 }
 
+// withBatch is tx with b riding on its hash-batch, as an origin sends it
+// under Light.
+func withBatch(tx *wire.Tx, b *wire.Batch) *wire.Tx {
+	tx.HashBatch.Batch = b
+	return tx
+}
+
 func testHash(i int) []byte {
 	h := bytes.Repeat([]byte{0xA5}, wire.DigestSize)
 	h[0], h[1] = byte(i), byte(i>>8)
@@ -45,10 +51,10 @@ func TestFetchAsksHintThenSignersAscending(t *testing.T) {
 		var asked []wire.NodeID
 		for id := wire.NodeID(1); id < 5; id++ {
 			net.AddNode(id, func(from wire.NodeID, payload any, _ int) {
-				req := payload.(*batchstore.Request)
+				req := payload.(*batchRequest)
 				asked = append(asked, id)
 				if id != origin {
-					net.Send(id, from, &batchstore.Response{Hash: req.Hash, ReqID: req.ReqID}, 96)
+					net.Send(id, from, &batchResponse{hash: req.hash, reqID: req.reqID}, 96)
 				}
 			})
 		}
@@ -103,13 +109,13 @@ func TestConsolidatedBlockAllocatesNothingPerTransaction(t *testing.T) {
 	}
 }
 
-// Light mode through the record: content comes from the shared oracle on
-// first contact, a proof-only batch consolidates without an epoch, and a
-// hash with no content anywhere is co-signed, stays pending, and is picked
-// up when the content appears.
+// Light mode through the record: content rides on the hash-batch that
+// first names the hash, a proof-only batch consolidates without an epoch,
+// and a hash whose hash-batches carry no batch is co-signed, stays pending,
+// and is picked up when a hash-batch brings the content.
 func TestLightBlockThroughTheRecord(t *testing.T) {
 	d, h := quietHashchain(4, Options{Light: true})
-	srv, shared := d.Servers[0], d.Opts.SharedStore
+	srv := d.Servers[0]
 	height := uint64(0)
 	finalize := func(txs ...*wire.Tx) {
 		height++
@@ -120,17 +126,16 @@ func TestLightBlockThroughTheRecord(t *testing.T) {
 		}
 	}
 
-	// 1. Elements, found in the shared oracle at the first hash-batch.
+	// 1. Elements, carried by the first hash-batch.
 	elems := &wire.Batch{}
 	for i := 0; i < 5; i++ {
 		elems.Elements = append(elems.Elements, d.Clients[1].NewModeledElement(100))
 	}
 	h1 := testHash(1)
-	shared.Register(h1, elems)
-	finalize(signedHashBatch(d, 1, h1))
+	finalize(withBatch(signedHashBatch(d, 1, h1), elems))
 	r1 := h.recs[wire.DigestOf(h1)]
 	if r1 == nil || r1.batch != elems {
-		t.Fatal("first contact did not bring the batch from the shared oracle into the record")
+		t.Fatal("first contact did not bring the batch from the hash-batch into the record")
 	}
 	if !r1.contentDone || !r1.proofsDone || !r1.signedOwn || r1.consolidated || len(r1.valid) != 5 {
 		t.Fatalf("after one signer: %+v", *r1)
@@ -153,15 +158,14 @@ func TestLightBlockThroughTheRecord(t *testing.T) {
 		Epoch: 1, EpochHash: ehash, Sig: d.Ledger.Suite.Sign(d.Ledger.Keys[2], ehash), Signer: 2,
 	}}}
 	h2 := testHash(2)
-	shared.Register(h2, proofs)
-	finalize(signedHashBatch(d, 2, h2), signedHashBatch(d, 1, h2))
+	finalize(withBatch(signedHashBatch(d, 2, h2), proofs), signedHashBatch(d, 1, h2))
 	r2 := h.recs[wire.DigestOf(h2)]
 	if got := srv.history[0].Proofs; !r2.consolidated || !r2.proofsDone || len(got) != 1 || got[0].Signer != 2 || len(srv.history) != 1 {
 		t.Fatalf("proof-only batch: %+v, epoch 1 proofs %v, epochs %d", *r2, got, len(srv.history))
 	}
 
-	// 3. No content anywhere: co-signed blind, pending past f+1 signers,
-	// consolidated by the first hash-batch after the content shows up.
+	// 3. No batch on the hash-batches: co-signed blind, pending past f+1
+	// signers, consolidated by the hash-batch that brings the content.
 	h3 := testHash(3)
 	finalize(signedHashBatch(d, 1, h3), signedHashBatch(d, 2, h3))
 	r3 := h.recs[wire.DigestOf(h3)]
@@ -170,12 +174,45 @@ func TestLightBlockThroughTheRecord(t *testing.T) {
 		t.Fatalf("contentless hash: %+v, pending %v", *r3, h.pendingSigners())
 	}
 	late := &wire.Batch{Elements: []*wire.Element{d.Clients[2].NewModeledElement(100)}}
-	shared.Register(h3, late)
-	finalize(signedHashBatch(d, 3, h3))
+	finalize(withBatch(signedHashBatch(d, 3, h3), late))
 	if !r3.consolidated || len(srv.history) != 2 || len(h.pending) != 0 {
 		t.Fatalf("late content: %+v, epochs %d, pending %d", *r3, len(srv.history), len(h.pending))
 	}
 	if st := srv.HashchainStats(); st.Consolidated != 3 || st.RequestsSent != 0 {
 		t.Fatalf("stats %+v, want 3 consolidated and no batch request", st)
+	}
+}
+
+// Register_batch: the first batch a record gets stands. A later hash-batch
+// carrying a different batch for the same hash leaves it in place.
+func TestLaterHashBatchKeepsTheFirstBatch(t *testing.T) {
+	d, h := quietHashchain(4, Options{Light: true})
+	hash := testHash(7)
+	first := &wire.Batch{Elements: []*wire.Element{d.Clients[1].NewModeledElement(100)}}
+	other := &wire.Batch{Elements: []*wire.Element{d.Clients[2].NewModeledElement(100)}}
+	d.Servers[0].FinalizeBlock(&wire.Block{Height: 1, Txs: []*wire.Tx{
+		withBatch(signedHashBatch(d, 1, hash), first),
+		withBatch(signedHashBatch(d, 2, hash), other),
+	}})
+	d.Sim.RunUntil(time.Second)
+	if r := h.recs[wire.DigestOf(hash)]; r == nil || r.batch != first {
+		t.Fatal("a later hash-batch replaced the record's batch")
+	}
+}
+
+// A batch response costs 96 bytes plus the batch's raw size, and 96 bytes
+// when the server does not have the batch.
+func TestBatchResponseWireSize(t *testing.T) {
+	b := &wire.Batch{}
+	for i := 0; i < 10; i++ {
+		e := &wire.Element{Size: 438}
+		e.ID[0] = byte(i)
+		b.Elements = append(b.Elements, e)
+	}
+	if got := (&batchResponse{hash: []byte("h"), batch: b}).wireSize(); got != 96+b.RawSize() {
+		t.Fatalf("size = %d, want %d", got, 96+b.RawSize())
+	}
+	if got := (&batchResponse{hash: []byte("h")}).wireSize(); got != 96 {
+		t.Fatalf("not-found size = %d, want 96", got)
 	}
 }

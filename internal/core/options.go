@@ -8,11 +8,7 @@
 // implementation deliberately refines the paper's pseudocode).
 package core
 
-import (
-	"time"
-
-	"repro/internal/batchstore"
-)
+import "time"
 
 // Algorithm selects which of the paper's three implementations a server
 // runs.
@@ -117,11 +113,13 @@ type Options struct {
 	// Mode selects Full (compressor.Deflate) or Modeled
 	// (compressor.PaperRatioModel) byte paths.
 	Mode Mode
-	// Light disables the expensive half of the pipeline, reproducing the
-	// paper's Fig. 2 ablation: for Hashchain it removes hash-reversal and
-	// hash-batch validation (all servers assumed correct, batches come
-	// from a shared oracle); for Compresschain it removes decompression
-	// and validation. Ignored by Vanilla.
+	// Light reproduces the paper's Fig. 2 ablation by charging nothing for
+	// the expensive half of the pipeline: for Hashchain, hash reversal (the
+	// origin's hash-batch carries its batch, so no server requests one); for
+	// Compresschain, decompression. Element validation is free in both, but
+	// invalid elements are still dropped. Hashchain Light also skips the
+	// ledger-time check of hash-batch signatures, though it still pays the
+	// modeled charge for it. Ignored by Vanilla.
 	Light bool
 	// CollectorLimit is the paper's collector size c (elements per batch;
 	// 100 or 500 in the evaluation), positive. Unused by Vanilla.
@@ -136,10 +134,6 @@ type Options struct {
 	RetryBackoff time.Duration
 	// Costs charges simulated CPU time; zero charges nothing.
 	Costs CostModel
-	// SharedStore is the out-of-band batch oracle used by Hashchain Light
-	// (paper Fig. 2: hash-reversal removed). All Light servers must share
-	// one instance; Deploy makes one when it is nil.
-	SharedStore *batchstore.Store
 	// F is the Setchain fault bound (max Byzantine servers, f < n/2);
 	// commit and consolidation both use f+1.
 	F int

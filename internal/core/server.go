@@ -202,7 +202,8 @@ func (s *Server) Add(e *wire.Element) error {
 	s.addsAccepted++
 	addCost := s.opts.Costs.VerifyElement + s.opts.Costs.PerElement
 	if s.opts.Light {
-		// The Light ablations remove element validation entirely.
+		// The Light ablations remove the cost of element validation; the
+		// check above still runs.
 		addCost = s.opts.Costs.PerElement
 	}
 	s.chargeCPU(addCost)

@@ -17,7 +17,11 @@ import (
 // peers seal and prune past its gap — on restart the missing blocks are
 // unservable and the node must recover via checkpoint state-sync.
 func ckptRecoveryScenario(t *testing.T, seed int64) Scenario {
-	return fromSpec(t, spec.ScenarioSpec{
+	return fromSpec(t, ckptRecoverySpec(seed))
+}
+
+func ckptRecoverySpec(seed int64) spec.ScenarioSpec {
+	return spec.ScenarioSpec{
 		Name:      fmt.Sprintf("ckpt-recovery seed=%d", seed),
 		Algorithm: spec.AlgHashchain, Servers: 4, Rate: 400,
 		SendFor: spec.Duration(20 * time.Second), Horizon: spec.Duration(60 * time.Second),
@@ -28,7 +32,7 @@ func ckptRecoveryScenario(t *testing.T, seed int64) Scenario {
 			{At: spec.Duration(3 * time.Second), Action: spec.FaultCrash, Nodes: []int{3}},
 			{At: spec.Duration(13 * time.Second), Action: spec.FaultRestart, Nodes: []int{3}},
 		}},
-	})
+	}
 }
 
 // Crash + restart + checkpoint state-sync is deterministic: across seeds,
@@ -66,6 +70,28 @@ func TestCheckpointRecoveryDeterminism(t *testing.T) {
 				t.Fatalf("workers=%d: seed %d diverges from sequential run\nseq: %s\npar: %s",
 					workers, scs[i].Seed, sequential[i], got)
 			}
+		}
+	}
+}
+
+// Under Light a batch reaches a server on its origin's hash-batch, and a
+// server that recovers by state-sync never replays the blocks at or below the
+// seal height. The snapshot carries the batches of the records still pending
+// there, or the installer co-signs them blind, never consolidates them, and
+// numbers every later epoch differently from its peers.
+func TestLightRecoversThroughStateSync(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		sp := ckptRecoverySpec(seed)
+		sp.Light = true
+		res := Run(fromSpec(t, sp))
+		if res.SyncInstalls == 0 {
+			t.Fatalf("seed %d: the restarted node recovered without state-sync", seed)
+		}
+		if res.Invariant != nil {
+			t.Fatalf("seed %d: Light across a state-sync violates safety invariants: %v", seed, res.Invariant)
+		}
+		if res.Committed == 0 {
+			t.Fatalf("seed %d committed nothing", seed)
 		}
 	}
 }

@@ -97,6 +97,24 @@ func TestByzantinePresetsSatisfyInvariants(t *testing.T) {
 	}
 }
 
+// Light removes the cost of validation, not the check: with an
+// inject-invalid server, neither Light algorithm commits a bogus element.
+func TestLightDropsInvalidElements(t *testing.T) {
+	for _, alg := range []string{spec.AlgHashchain, spec.AlgCompresschain} {
+		res := Run(fromSpec(t, spec.ScenarioSpec{
+			Algorithm: alg, Light: true, Servers: 4, Rate: 500,
+			SendFor: spec.Duration(10 * time.Second), Horizon: spec.Duration(40 * time.Second),
+			Byzantine: &spec.ByzantineSpec{Faulty: 1, Behaviors: []string{spec.BehaviorInjectInvalid}},
+		}))
+		if res.Invariant != nil {
+			t.Fatalf("%s Light with an inject-invalid server: %v", alg, res.Invariant)
+		}
+		if res.Committed == 0 {
+			t.Fatalf("%s Light committed nothing", alg)
+		}
+	}
+}
+
 // The chaos_* registry entries run end to end at reduced scale, commit,
 // and hold every invariant.
 func TestChaosRegistryEntries(t *testing.T) {

@@ -111,7 +111,7 @@ type Scenario struct {
 	// sequential schedule — this knob may only change wall-clock time.
 	// 0 or 1 runs exactly today's single-queue path; configurations the
 	// partitioned executor cannot preserve bit-for-bit (LevelStages
-	// metrics, Hashchain Light's shared store) silently degrade to it.
+	// metrics) silently degrade to it.
 	IntraWorkers int
 	// Transport selects the fan-out path for consensus and mempool
 	// traffic: "" or spec.TransportBroadcast is the classic direct
@@ -513,7 +513,7 @@ func Deploy(sc Scenario) (engine runner, d *shard.Deployment, gen *shard.Generat
 	// cross-shard link delay bounds each round.
 	var s *sim.Simulator
 	var world *sim.World
-	if iw := effectiveIntraWorkers(sc, opts); iw > 1 {
+	if iw := effectiveIntraWorkers(sc); iw > 1 {
 		parts, nodesPerPart := n, 1
 		if shards > 1 {
 			parts, nodesPerPart = shards, n

@@ -12,7 +12,6 @@ package harness
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -31,19 +30,14 @@ type runner interface {
 //
 //   - LevelStages metrics mutate recorder state from every node, so the
 //     recorder is only partition-confined at LevelThroughput;
-//   - Hashchain Light shares one batch store across all servers
-//     (core.Options.SharedStore) — cross-partition mutable state;
 //   - a single-server, single-shard run has one partition and nothing to
 //     overlap.
-func effectiveIntraWorkers(sc Scenario, opts core.Options) int {
+func effectiveIntraWorkers(sc Scenario) int {
 	iw := sc.IntraWorkers
 	if iw <= 1 {
 		return 1
 	}
 	if sc.Level >= metrics.LevelStages {
-		return 1
-	}
-	if opts.Algorithm == core.Hashchain && opts.Light {
 		return 1
 	}
 	if sc.Shards <= 1 && sc.Servers < 2 {

@@ -118,6 +118,38 @@ func TestIntraRunEquivalenceSweep(t *testing.T) {
 	}
 }
 
+// Hashchain Light runs partitioned: its batches ride on the hash-batches,
+// so no server reads state another partition writes. fig2left's Light cell
+// gets a World at IntraWorkers 2 and matches the sequential run.
+func TestIntraRunLightPartitioned(t *testing.T) {
+	cells, err := EntryScenarios("fig2left", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := cells[1]
+	if want := "Hashchain Light c=500"; sc.Spec.Label() != want {
+		t.Fatalf("fig2left cell 1 is %q, want %q", sc.Spec.Label(), want)
+	}
+	seq := runAtWorkers(sc, 1)
+	if seq.Committed == 0 {
+		t.Fatal("the sequential run committed nothing")
+	}
+	sc.IntraWorkers = 2
+	partitioned := false
+	par := runBroken(sc, func(engine runner, _ *shard.Deployment) {
+		_, partitioned = engine.(*sim.World)
+	})
+	if !partitioned {
+		t.Fatal("Hashchain Light at IntraWorkers 2 ran on one queue")
+	}
+	if got, want := pdesFingerprint(t, par), pdesFingerprint(t, seq); string(got) != string(want) {
+		t.Fatalf("IntraWorkers=2 diverges from sequential\nseq: %s\ngot: %s", want, got)
+	}
+	if par.Events != seq.Events {
+		t.Fatalf("IntraWorkers=2 executed %d events, sequential %d", par.Events, seq.Events)
+	}
+}
+
 // A deliberately broken home fence — partitions running past pending
 // injections and fault events — must be caught by the fingerprint
 // comparison, or the sweep above is vacuous. The run still terminates and

@@ -363,6 +363,33 @@ func checkPrefix(rep *report, id wire.NodeID, snap core.Snapshot, ref wire.NodeI
 			rep.addf("servers %d and %d diverge at epoch %d: %w", id, ref, num, err)
 		}
 	}
+	// Epochs this server retains past its own chain, where the reference
+	// sealed further: the reference's later checkpoints witness them even
+	// when it pruned them. Fold them on from this server's last checkpoint
+	// and compare at each of those seal points they reach.
+	total := snap.PrunedEpochs + uint64(len(snap.History))
+	last := checkpoint.Checkpoint{Digest: checkpoint.Seed()}
+	if len(cks) > 0 {
+		last = cks[len(cks)-1]
+	}
+	if len(cks) >= len(refCks) || last.Epoch < snap.PrunedEpochs || last.Epoch > total {
+		return
+	}
+	d, num := last.Digest, last.Epoch
+	for _, rc := range refCks[len(cks):] {
+		if rc.Epoch > total {
+			break
+		}
+		for ; num < rc.Epoch; num++ {
+			ep := snap.History[num-snap.PrunedEpochs]
+			d = checkpoint.ChainEpoch(d, ep.Number, ep.Hash)
+		}
+		if d != rc.Digest {
+			rep.addf("servers %d and %d diverge: epochs through %d do not fold to the reference's checkpoint %+v",
+				id, ref, rc.Epoch, rc)
+			return
+		}
+	}
 }
 
 // checkCheckpoints verifies one server's sealed checkpoint chain against

@@ -332,6 +332,52 @@ func TestCheckerDetectsCheckpointCorruption(t *testing.T) {
 	}
 }
 
+// A server that retains epochs past its own last checkpoint, where the
+// reference sealed and pruned further, is held to the reference's later
+// checkpoints: its retained epochs must fold to their digests. Here the
+// reference (server 0) keeps only what lies above its last checkpoint, and
+// server 1 keeps its whole history but only its first checkpoint, as a
+// server recovered by state-sync that never sealed again does. A changed
+// epoch hash in between has no other witness.
+func TestCheckerFoldsRetainedEpochsIntoReferenceCheckpoints(t *testing.T) {
+	d, cfg := runSmallCkpt(t)
+	snaps := make(map[wire.NodeID]core.Snapshot, len(cfg.Correct))
+	for _, id := range cfg.Correct {
+		snaps[id] = d.Server(id).Get()
+	}
+	ref, behind := snaps[0], snaps[1]
+	cks := ref.Checkpoints
+	if len(cks) < 3 {
+		t.Fatalf("the run sealed %d checkpoints, want at least 3", len(cks))
+	}
+	last := cks[len(cks)-1]
+	ref.History = ref.History[last.Epoch:]
+	ref.PrunedEpochs, ref.PrunedElements = last.Epoch, last.Elements
+	snaps[0] = ref
+	behind.Checkpoints = cks[:1:1]
+	snaps[1] = behind
+
+	rep := &report{}
+	checkSnaps(rep, snaps, cfg)
+	if err := rep.err(); err != nil {
+		t.Fatalf("an honest server with a shorter chain is flagged: %v", err)
+	}
+
+	num := cks[1].Epoch // above the behind server's chain, below the reference's horizon
+	behind.History = slices.Clone(behind.History)
+	changed := *behind.History[num-1]
+	changed.Hash = slices.Clone(changed.Hash)
+	changed.Hash[0] ^= 1
+	behind.History[num-1] = &changed
+	snaps[1] = behind
+	rep = &report{}
+	checkSnaps(rep, snaps, cfg)
+	want := fmt.Sprintf("servers 1 and 0 diverge: epochs through %d do not fold", cks[1].Epoch)
+	if err := rep.err(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("epoch %d's hash changed on server 1 below the reference's horizon: got %v, want %q", num, err, want)
+	}
+}
+
 // idWords splits an id into the two words the paged id containers key on:
 // the client word, kept whole, and the sequence word, whose top 58 bits
 // name the page.

@@ -244,7 +244,7 @@ func NewCluster(s *sim.Simulator, cfg Config) *Cluster {
 		node := &Node{ID: id, net: c.Net, sim: ns}
 		node.Pool = mempool.New(id, ns, c.Net, peers, cfg.Mempool, nil, cfg.OnTxEnterMempool)
 		node.Cons = consensus.NewNode(id, validators, ns, c.Net, cfg.Consensus,
-			suite, c.Keys[i], c.Registry, node.Pool, abci.NopApplication{})
+			suite, c.Keys[i], c.Registry, node.Pool)
 		c.Nodes = append(c.Nodes, node)
 		c.Net.AddNode(id, node.receive)
 	}
@@ -263,7 +263,7 @@ func NewCluster(s *sim.Simulator, cfg Config) *Cluster {
 }
 
 // installMeshBroadcaster points the node's consensus engine and mempool at
-// the mesh publish path. Re-run whenever Cons is rebuilt (SetApp).
+// the mesh publish path.
 func (n *Node) installMeshBroadcaster() {
 	mesh, id := n.mesh, n.ID
 	pub := func(payload any, size int) { mesh.Gossip(id, payload, size) }
@@ -271,19 +271,13 @@ func (n *Node) installMeshBroadcaster() {
 	n.Pool.SetBroadcaster(pub)
 }
 
-// SetApp installs the application (and its CheckTx) on one node. Must be
-// called before Start. id is the node's (possibly FirstID-offset) id.
+// SetApp installs the application on one node's consensus engine, and its
+// CheckTx as the mempool's admission filter. Must be called before Start.
+// id is the node's (possibly FirstID-offset) id.
 func (c *Cluster) SetApp(id wire.NodeID, app abci.Application) {
-	node, key := c.node(id)
-	// Rebuild the consensus node with the real app; mempool gets the app's
-	// CheckTx as its admission filter.
-	validators := make([]wire.NodeID, 0, len(c.Nodes))
-	for _, n := range c.Nodes {
-		validators = append(validators, n.ID)
-	}
+	node := c.node(id)
 	node.Pool.SetCheck(app.CheckTx)
-	node.Cons = consensus.NewNode(id, validators, node.sim, c.Net, node.Cons.Params(),
-		c.Suite, key, c.Registry, node.Pool, app)
+	node.Cons.SetApp(app)
 	// Applications that checkpoint (core.Server) also serve and install
 	// state-sync snapshots for deep catch-up. Applications without
 	// checkpoints fail the assertion on purpose; core.Server pins its own
@@ -292,17 +286,13 @@ func (c *Cluster) SetApp(id wire.NodeID, app abci.Application) {
 	if syncer, ok := app.(consensus.StateSyncer); ok {
 		node.Cons.SetStateSyncer(syncer)
 	}
-	// The rebuild above discarded the old engine's transport wiring.
-	if c.Mesh != nil {
-		node.installMeshBroadcaster()
-	}
 }
 
-// node resolves a node id to the cluster's node and its keypair.
-func (c *Cluster) node(id wire.NodeID) (*Node, setcrypto.KeyPair) {
-	for i, n := range c.Nodes {
+// node resolves a node id to the cluster's node.
+func (c *Cluster) node(id wire.NodeID) *Node {
+	for _, n := range c.Nodes {
 		if n.ID == id {
-			return n, c.Keys[i]
+			return n
 		}
 	}
 	panic(fmt.Sprintf("ledger: no node %d in cluster", id))

@@ -110,6 +110,50 @@ func TestConsistentNotificationOrder(t *testing.T) {
 	}
 }
 
+// Every node commits the one proposed block: at each height all chains hold
+// the same *wire.Block, never a per-node copy.
+func TestNodesCommitTheSameBlock(t *testing.T) {
+	s := sim.New(7)
+	c := paperCluster(s, 4)
+	c.Start()
+	for i := 0; i < 20; i++ {
+		i := i
+		s.After(time.Duration(i)*100*time.Millisecond, func() { c.Nodes[i%4].Append(elemTx(i, 200)) })
+	}
+	s.RunUntil(10 * time.Second)
+	c.Stop()
+	ref := c.Nodes[0].Cons.Chain()
+	if len(ref) == 0 {
+		t.Fatal("nothing committed")
+	}
+	for i, n := range c.Nodes[1:] {
+		chain := n.Cons.Chain()
+		for h := 0; h < min(len(ref), len(chain)); h++ {
+			if chain[h] != ref[h] {
+				t.Fatalf("node %d committed its own copy of height %d", i+1, h+1)
+			}
+		}
+	}
+}
+
+// SetApp installs the application on the node's consensus engine in place:
+// a commit listener installed before it still fires after it.
+func TestSetAppKeepsTheConsensusNode(t *testing.T) {
+	s := sim.New(8)
+	c := paperCluster(s, 4)
+	commits := 0
+	c.Nodes[0].Cons.SetCommitListener(func(wire.NodeID, *wire.Block) { commits++ })
+	app := &recordingApp{}
+	c.SetApp(0, app)
+	c.Start()
+	s.After(0, func() { c.Nodes[0].Append(elemTx(1, 100)) })
+	s.RunUntil(5 * time.Second)
+	c.Stop()
+	if commits == 0 || commits != len(app.blocks) {
+		t.Fatalf("listener saw %d commits, app %d blocks", commits, len(app.blocks))
+	}
+}
+
 func TestCheckTxGatesAdmission(t *testing.T) {
 	s := sim.New(3)
 	c := paperCluster(s, 4)

@@ -117,6 +117,11 @@ type HashBatch struct {
 	Hash   []byte
 	Sig    []byte
 	Signer NodeID
+
+	// Batch is the hashed batch, set by the origin only under Hashchain
+	// Light, where it stands in for hash reversal (paper Fig. 2). It is not
+	// on the wire: WireSize stays 139 whether it is set or not.
+	Batch *Batch
 }
 
 // WireSize returns the hash-batch's ledger footprint (139 bytes).
@@ -311,7 +316,7 @@ const TxKeyHashPrefix = 22
 // its signer, its hash length (capped at DigestSize, as DigestOf caps it)
 // and the hash prefix; the signer stays in the key, so a Byzantine sender
 // that grinds a shared prefix can only shadow its own hash-batches. Code
-// that needs the whole hash (batchstore, hashchain) keys by Digest.
+// that needs the whole hash (Hashchain's batch records) keys by Digest.
 type TxKey struct {
 	a    uint64
 	h    [TxKeyHashPrefix]byte
@@ -402,7 +407,6 @@ type Block struct {
 	Proposer  NodeID
 	Txs       []*Tx
 	Bytes     int    // sum of tx wire sizes
-	Time      int64  // virtual commit time in nanoseconds
 	CkptEpoch uint64 // latest sealed checkpoint epoch at propose time
 	CkptFold  uint64 // checkpoint chain fold through CkptEpoch
 }

@@ -15,7 +15,8 @@ func TestWireSizeConstantsMatchPaper(t *testing.T) {
 	if p.WireSize() != 139 {
 		t.Fatalf("epoch-proof wire size = %d, want 139 (paper §4)", p.WireSize())
 	}
-	hb := &HashBatch{}
+	// The batch a Light origin hangs on its hash-batch is not on the wire.
+	hb := &HashBatch{Batch: &Batch{Elements: []*Element{{Size: 438}}}}
 	if hb.WireSize() != 139 {
 		t.Fatalf("hash-batch wire size = %d, want 139 (paper §4)", hb.WireSize())
 	}
