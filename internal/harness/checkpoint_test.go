@@ -63,13 +63,10 @@ func TestCheckpointRecoveryDeterminism(t *testing.T) {
 		}
 		sequential[i] = resultFingerprint(t, res)
 	}
-	for _, workers := range []int{1, 4} {
-		parallel := runMany(scs, workers)
-		for i, res := range parallel {
-			if got := resultFingerprint(t, res); string(got) != string(sequential[i]) {
-				t.Fatalf("workers=%d: seed %d diverges from sequential run\nseq: %s\npar: %s",
-					workers, scs[i].Seed, sequential[i], got)
-			}
+	for i, res := range runMany(scs, 4) {
+		if got := resultFingerprint(t, res); string(got) != string(sequential[i]) {
+			t.Fatalf("workers=4: seed %d diverges from sequential run\nseq: %s\npar: %s",
+				scs[i].Seed, sequential[i], got)
 		}
 	}
 }
@@ -237,7 +234,7 @@ func TestSoakRegistryEntries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, res := range RunMany(scs) {
+			for _, res := range runShared(t, scs) {
 				if res.Invariant != nil {
 					t.Fatalf("%s violates safety invariants: %v", tc.entry, res.Invariant)
 				}

@@ -59,13 +59,10 @@ func TestFaultScenarioDeterminism(t *testing.T) {
 		}
 		sequential[i] = resultFingerprint(t, res)
 	}
-	for _, workers := range []int{1, 4} {
-		parallel := runMany(scs, workers)
-		for i, res := range parallel {
-			if got := resultFingerprint(t, res); string(got) != string(sequential[i]) {
-				t.Fatalf("workers=%d: fault cell %d (%s) diverges from sequential run\nseq: %s\npar: %s",
-					workers, i, scs[i].Name, sequential[i], got)
-			}
+	for i, res := range runMany(scs, 4) {
+		if got := resultFingerprint(t, res); string(got) != string(sequential[i]) {
+			t.Fatalf("workers=4: fault cell %d (%s) diverges from sequential run\nseq: %s\npar: %s",
+				i, scs[i].Name, sequential[i], got)
 		}
 	}
 }
@@ -128,7 +125,7 @@ func TestChaosRegistryEntries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, res := range RunMany(scs) {
+			for _, res := range runShared(t, scs) {
 				if res.Invariant != nil {
 					t.Fatalf("%s violates safety invariants: %v", entry, res.Invariant)
 				}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/byzantine"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/mempool"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/shard"
@@ -92,12 +93,14 @@ func FromSpec(sp spec.ScenarioSpec) (Scenario, error) {
 	}
 	if a := sp.Admission; a != nil {
 		sc.Admission = AdmissionCfg{
-			Policy:      a.Policy,
-			Watermark:   a.Watermark,
-			MaxTxs:      a.MaxTxs,
-			MaxBytes:    a.MaxBytes,
-			MaxDelay:    a.MaxDelay.Std(),
-			MaxDeferred: a.MaxDeferred,
+			AdmissionConfig: mempool.AdmissionConfig{
+				Policy:      a.Policy,
+				Watermark:   a.Watermark,
+				MaxDelay:    a.MaxDelay.Std(),
+				MaxDeferred: a.MaxDeferred,
+			},
+			MaxTxs:   a.MaxTxs,
+			MaxBytes: a.MaxBytes,
 		}
 	}
 	if b := sp.Byzantine; b != nil {

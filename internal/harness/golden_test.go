@@ -41,7 +41,7 @@ func TestGoldenFingerprints(t *testing.T) {
 		scs = append(scs, sc)
 	}
 	got := make(map[string]string, len(names))
-	for i, res := range RunMany(scs) {
+	for i, res := range runShared(t, scs) {
 		if res.Invariant != nil {
 			t.Errorf("%s cell 0 violates safety invariants: %v", names[i], res.Invariant)
 		}

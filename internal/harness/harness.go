@@ -173,13 +173,7 @@ type Scenario struct {
 // off. Behavior names are the spec package's (spec.AdmissionReject,
 // spec.AdmissionDelay).
 type AdmissionCfg struct {
-	// Policy is spec.AdmissionReject or spec.AdmissionDelay ("" = off).
-	Policy string
-	// Watermark is the saturation threshold as a fraction of the caps.
-	Watermark float64
-	// MaxDelay / MaxDeferred tune the delay policy's bounded queue.
-	MaxDelay    time.Duration
-	MaxDeferred int
+	mempool.AdmissionConfig
 	// MaxTxs / MaxBytes override the mempool caps (0 keeps the paper's).
 	MaxTxs   int
 	MaxBytes int
@@ -333,12 +327,7 @@ func deployConfig(sc Scenario) (core.Options, ledger.Config) {
 		lcfg.Consensus.SyncChunkBytes = sc.SyncChunkBytes
 	}
 	if sc.Admission.Policy != "" {
-		lcfg.Mempool.Admission = mempool.AdmissionConfig{
-			Policy:      sc.Admission.Policy,
-			Watermark:   sc.Admission.Watermark,
-			MaxDelay:    sc.Admission.MaxDelay,
-			MaxDeferred: sc.Admission.MaxDeferred,
-		}
+		lcfg.Mempool.Admission = sc.Admission.AdmissionConfig
 		if sc.Admission.MaxTxs > 0 {
 			lcfg.Mempool.MaxTxs = sc.Admission.MaxTxs
 		}

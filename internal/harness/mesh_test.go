@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/shard"
@@ -26,16 +27,14 @@ func TestMeshMessageReduction(t *testing.T) {
 	if len(cells) != 2 {
 		t.Fatalf("mesh_vs_broadcast has %d cells, want 2", len(cells))
 	}
-	results := make([]*Result, len(cells))
-	for i, sc := range cells {
-		res := Run(sc)
+	results := runShared(t, cells)
+	for i, res := range results {
 		if res.Invariant != nil {
-			t.Fatalf("%s violates safety: %v", sc.Name, res.Invariant)
+			t.Fatalf("%s violates safety: %v", cells[i].Name, res.Invariant)
 		}
 		if res.Committed == 0 {
-			t.Fatalf("%s committed nothing", sc.Name)
+			t.Fatalf("%s committed nothing", cells[i].Name)
 		}
-		results[i] = res
 	}
 	bcast, mesh := results[0], results[1]
 	if mesh.Gossip.Originated == 0 || mesh.Gossip.Delivered == 0 {
@@ -89,22 +88,29 @@ func TestMeshRegistryEntries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole mesh_* family; skipped under -short")
 	}
+	// One request for the whole family, so the worker pool overlaps the
+	// n=50 cells of different entries.
+	var cells []Scenario
+	var labels []string
 	for _, entry := range []string{"mesh_scale", "mesh_vs_broadcast", "mesh_chaos", "mesh_shards"} {
-		cells, err := EntryScenarios(entry, 0.1)
+		scs, err := EntryScenarios(entry, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, sc := range cells {
-			res := Run(sc)
-			if res.Invariant != nil {
-				t.Fatalf("%s cell %d (%s) violates safety: %v", entry, i, sc.Name, res.Invariant)
-			}
-			if res.Committed == 0 {
-				t.Fatalf("%s cell %d (%s) committed nothing", entry, i, sc.Name)
-			}
-			if sc.Transport == spec.TransportMesh && res.Gossip.Delivered == 0 {
-				t.Fatalf("%s cell %d (%s) shows no gossip deliveries — overlay not in the path", entry, i, sc.Name)
-			}
+		for i, sc := range scs {
+			cells = append(cells, sc)
+			labels = append(labels, fmt.Sprintf("%s cell %d (%s)", entry, i, sc.Name))
+		}
+	}
+	for i, res := range runShared(t, cells) {
+		if res.Invariant != nil {
+			t.Fatalf("%s violates safety: %v", labels[i], res.Invariant)
+		}
+		if res.Committed == 0 {
+			t.Fatalf("%s committed nothing", labels[i])
+		}
+		if cells[i].Transport == spec.TransportMesh && res.Gossip.Delivered == 0 {
+			t.Fatalf("%s shows no gossip deliveries — overlay not in the path", labels[i])
 		}
 	}
 }

@@ -174,7 +174,7 @@ func TestOpenRegistryEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, res := range RunMany(scs) {
+		for _, res := range runShared(t, scs) {
 			if res.Invariant != nil {
 				t.Errorf("%s %s: safety violated: %v", entry, res.Scenario.Name, res.Invariant)
 			}

@@ -65,6 +65,11 @@ func pdesCells(t *testing.T, scale float64) []Scenario {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if raceBuild {
+			// One cell per family keeps `go test -race -short` of this
+			// package inside go test's default timeout.
+			cells = cells[:1]
+		}
 		scs = append(scs, cells...)
 	}
 	return scs
@@ -87,16 +92,19 @@ func runAtWorkers(sc Scenario, iw int) *Result {
 
 // TestIntraRunEquivalenceSweep is the headline test: every covered registry
 // cell, IntraWorkers 1 vs 2 vs NumCPU, byte-identical results. Each distinct
-// width runs once: on a host with at most two CPUs that is 1 vs 2. It is NOT
-// -short-skipped — CI's race job runs it at full worker width, because this
-// is the first shared-memory concurrency inside a single run.
+// width runs once: on a host with at most two CPUs that is 1 vs 2. The
+// sequential side is the cell as the registry builds it, read from the
+// shared memo. It is NOT -short-skipped — CI's race job runs it at full
+// worker width (one cell per family), because this is the first
+// shared-memory concurrency inside a single run.
 func TestIntraRunEquivalenceSweep(t *testing.T) {
 	widths := []int{2}
 	if n := runtime.NumCPU(); n > 2 {
 		widths = append(widths, n)
 	}
-	for i, sc := range pdesCells(t, 0.1) {
-		seq := runAtWorkers(sc, 1)
+	scs := pdesCells(t, 0.1)
+	for i, seq := range runShared(t, scs) {
+		sc := scs[i]
 		if seq.Invariant != nil {
 			t.Fatalf("cell %d (%s): sequential run violates safety: %v", i, sc.Name, seq.Invariant)
 		}
@@ -161,7 +169,7 @@ func TestIntraRunBrokenFenceDiverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := cells[1] // S=2: sharded, cross-partition traffic, two partitions
-	want := pdesFingerprint(t, runAtWorkers(sc, 1))
+	want := pdesFingerprint(t, runShared(t, cells[1:2])[0])
 
 	sc.IntraWorkers = 2
 	broken := runBroken(sc, func(engine runner, _ *shard.Deployment) {

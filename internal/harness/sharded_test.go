@@ -35,16 +35,16 @@ func scaleCells(t *testing.T, scale float64) []Scenario {
 }
 
 // Same seed ⇒ same superepoch sequence: a sharded cell's metrics AND its
-// cross-shard superepoch digests must be byte-identical across two fresh
-// sequential runs and across worker counts 1 and 4 — the sharded
+// cross-shard superepoch digests must be byte-identical between the worker
+// pool's run (the shared memo) and a fresh sequential run — the sharded
 // extension of TestFaultScenarioDeterminism. All shards share one
 // simulator, so the guarantee is exactly the single-instance one: a
 // result is a pure function of the Scenario.
 func TestShardedScenarioDeterminism(t *testing.T) {
 	scs := scaleCells(t, 0.1)
-	first := make([][]byte, len(scs))
+	pooled := runShared(t, scs)
 	for i, sc := range scs {
-		res := Run(sc)
+		res := pooled[i]
 		if res.Invariant != nil {
 			t.Fatalf("cell %d (%s) violates safety invariants: %v", i, sc.Name, res.Invariant)
 		}
@@ -60,23 +60,13 @@ func TestShardedScenarioDeterminism(t *testing.T) {
 					i, sc.Name, len(res.PerShard), sc.Shards)
 			}
 		}
-		first[i] = shardedFingerprint(t, res)
 	}
-	// A second fresh sequential pass must reproduce every byte.
+	// A fresh sequential pass must reproduce every byte of the pool's run.
 	for i, sc := range scs {
-		if got := shardedFingerprint(t, Run(sc)); string(got) != string(first[i]) {
-			t.Fatalf("fresh rerun of cell %d (%s) diverges\nfirst: %s\nagain: %s",
-				i, sc.Name, first[i], got)
-		}
-	}
-	// And so must the worker pool at any width.
-	for _, workers := range []int{1, 4} {
-		parallel := runMany(scs, workers)
-		for i, res := range parallel {
-			if got := shardedFingerprint(t, res); string(got) != string(first[i]) {
-				t.Fatalf("workers=%d: cell %d (%s) diverges from sequential run",
-					workers, i, scs[i].Name)
-			}
+		want := shardedFingerprint(t, pooled[i])
+		if got := shardedFingerprint(t, Run(sc)); string(got) != string(want) {
+			t.Fatalf("fresh sequential rerun of cell %d (%s) diverges from the worker pool's run\npool:  %s\nrerun: %s",
+				i, sc.Name, want, got)
 		}
 	}
 }
@@ -85,7 +75,7 @@ func TestShardedScenarioDeterminism(t *testing.T) {
 // every shard, and hold both the per-shard and the cross-shard
 // invariants.
 func TestScaleRegistryEntries(t *testing.T) {
-	for _, res := range RunMany(scaleCells(t, 0.1)) {
+	for _, res := range runShared(t, scaleCells(t, 0.1)) {
 		if res.Invariant != nil {
 			t.Errorf("%s: safety violated: %v", res.Scenario.Name, res.Invariant)
 		}
@@ -119,7 +109,8 @@ func TestShardedThroughputScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cells are S=1/2/4/8 in order; run the first and third.
-	s1, s4 := Run(cells[0]), Run(cells[2])
+	res := runShared(t, []Scenario{cells[0], cells[2]})
+	s1, s4 := res[0], res[1]
 	if s1.Invariant != nil || s4.Invariant != nil {
 		t.Fatalf("safety violated: S=1 %v, S=4 %v", s1.Invariant, s4.Invariant)
 	}

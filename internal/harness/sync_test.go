@@ -25,7 +25,7 @@ func TestSyncRegistryEntries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, res := range RunMany(scs) {
+			for _, res := range runShared(t, scs) {
 				if res.Invariant != nil {
 					t.Fatalf("%s (%s) violates safety invariants: %v",
 						entry, res.Scenario.Name, res.Invariant)

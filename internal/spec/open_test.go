@@ -73,6 +73,9 @@ func TestOpenValidation(t *testing.T) {
 		{"admission bad policy", func(s *ScenarioSpec) { s.Admission.Policy = "drop" }, "policy"},
 		{"admission empty policy", func(s *ScenarioSpec) { s.Admission.Policy = "" }, "policy"},
 		{"watermark above one", func(s *ScenarioSpec) { s.Admission.Watermark = 1.5 }, "watermark"},
+		// At 1 the pool has no headroom: a collector's batch carrying
+		// admitted elements is capacity-dropped and they never commit.
+		{"watermark one", func(s *ScenarioSpec) { s.Admission.Watermark = 1 }, "watermark"},
 		{"negative max_txs", func(s *ScenarioSpec) { s.Admission.MaxTxs = -1 }, "caps"},
 	}
 	for _, tc := range cases {

@@ -521,8 +521,8 @@ func (s ScenarioSpec) Validate() error {
 			return fmt.Errorf("unknown admission policy %q (want %q or %q)",
 				a.Policy, AdmissionReject, AdmissionDelay)
 		}
-		if !(a.Watermark >= 0 && a.Watermark <= 1) {
-			return fmt.Errorf("admission watermark must be in (0, 1], got %g", a.Watermark)
+		if !(a.Watermark > 0 && a.Watermark < 1) {
+			return fmt.Errorf("admission watermark must be in (0, 1), got %g", a.Watermark)
 		}
 		if a.MaxTxs < 0 || a.MaxBytes < 0 || a.MaxDeferred < 0 {
 			return fmt.Errorf("admission caps must be >= 0")
