@@ -3,29 +3,66 @@ package mempool
 import (
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
-// indexKeys is the fuzz driver's key universe: 24 keys of all four kinds,
-// few enough that the table never grows past 32 slots, so a probe run
-// reaches the end of the slot array and wraps every few operations.
-var indexKeys = func() (keys [24]wire.TxKey) {
-	for i := range keys {
-		keys[i] = modelTx(i).MapKey()
+// txVals is the txSource of an index driven on its own: the transaction
+// each value was stored for.
+type txVals map[int64]*wire.Tx
+
+func (v txVals) txAt(val int64) *wire.Tx { return v[val] }
+
+// collidingProofs returns two proof transactions whose keys differ and whose
+// hashes are equal. hashKey is linear in the key's words, a proof's epoch is
+// the first word and its signer the second, so (epoch+1, signer − K0·K1⁻¹
+// mod 2⁶⁴) lands on the same sum as (epoch, signer); K0 and K1 are read off
+// hashKey itself.
+func collidingProofs(epoch uint64, signer wire.NodeID) (a, b *wire.Tx) {
+	proof := func(e uint64, s wire.NodeID) *wire.Tx {
+		return wire.NewProofTx(&wire.EpochProof{Epoch: e, Signer: s})
 	}
-	return keys
+	h := func(e uint64, s wire.NodeID) uint64 { k := proof(e, s).MapKey(); return hashKey(&k) }
+	k0, k1 := h(1, 0)-h(0, 0), h(0, 1)-h(0, 0)
+	// k1⁻¹ by Newton's iteration: an odd k1 is its own inverse mod 2³, and
+	// each step doubles the bits that are right.
+	inv := k1
+	for range 5 {
+		inv *= 2 - k1*inv
+	}
+	return proof(epoch, signer), proof(epoch+1, signer-wire.NodeID(k0*inv))
+}
+
+// indexTxs is the fuzz driver's universe: 21 transactions of all four kinds
+// and two proofs whose hashes collide. 23 keys are few enough that the
+// table never grows past 32 slots (24 would: a swap grows before it
+// probes), so a probe run reaches the end of the slot array and wraps every
+// few operations. indexTwins[i] has indexTxs[i]'s key and is another
+// *wire.Tx, built the other way (constructor or literal).
+var indexTxs, indexTwins = func() (txs, twins [23]*wire.Tx) {
+	for i := range 21 {
+		txs[i] = modelTx(i)
+	}
+	txs[21], txs[22] = collidingProofs(1000, 3)
+	for i, tx := range txs {
+		twins[i] = twinTx(tx, i%2 == 0)
+	}
+	return txs, twins
 }()
 
-// runsPastEnd reports whether the run of occupied slots that starts at
-// key's position continues from the last slot into slot 0: deleting key
+// runsPastEnd reports whether the run of occupied slots that starts at the
+// position of tx's key continues from the last slot into slot 0: deleting key
 // then has to shift entries back across the wrap.
-func runsPastEnd(t *txIndex, key *wire.TxKey) bool {
+func runsPastEnd(t *txIndex, tx *wire.Tx) bool {
 	if len(t.slots) == 0 {
 		return false
 	}
-	i := t.probe(key)
+	key := tx.MapKey()
+	i := t.probe(tx, &key)
 	for n := 0; n < len(t.slots) && t.slots[i].val != 0; n++ {
 		if i == len(t.slots)-1 {
 			return t.slots[0].val != 0
@@ -35,46 +72,67 @@ func runsPastEnd(t *txIndex, key *wire.TxKey) bool {
 	return false
 }
 
-// runIndexOps interprets data as get / insert / overwrite / delete
+// runIndexOps interprets data as get / insert / tombstone / delete
 // operations, two bytes each, applied to a txIndex and to a Go map, and
 // compares every answer, the length, and after every operation every key
-// of the universe. It returns how many deletions crossed the wrap.
+// of the universe. An operation names its key by the universe's
+// transaction, by that transaction's twin or by no transaction at all, so
+// a slot has to be found by its key as well as by its *wire.Tx. Values are
+// positive sequence numbers or negative tombstones, each stored once, and
+// locate the transaction they were stored with; only a tombstone is
+// deleted. It returns how many deletions crossed the wrap.
 func runIndexOps(t *testing.T, data []byte) (wrapped int) {
 	t.Helper()
-	var idx txIndex
+	vals := txVals{}
+	idx := txIndex{txs: vals}
 	want := make(map[wire.TxKey]int64)
 	for step := 0; step+1 < len(data); step += 2 {
-		op, key := data[step]%4, indexKeys[int(data[step+1])%len(indexKeys)]
+		op, i := data[step]%4, int(data[step+1])%len(indexTxs)
+		tx, stored := indexTxs[i], indexTxs[i]
+		switch data[step] / 4 % 3 {
+		case 1:
+			tx, stored = indexTwins[i], indexTwins[i]
+		case 2:
+			tx = nil
+		}
+		key := stored.MapKey()
 		switch op {
 		case 0:
-			if got := idx.get(&key); got != want[key] {
+			if got := idx.get(tx, &key); got != want[key] {
 				t.Fatalf("step %d: get = %d, map has %d", step/2, got, want[key])
 			}
-		case 1, 2: // a new sequence number, or the tombstone over whatever is there
+		case 1, 2: // a new sequence number, or a tombstone over whatever is there
 			val := int64(step + 1)
 			if op == 2 {
-				val = tombstone
+				val = -val
 			}
-			if got := idx.swap(&key, val); got != want[key] {
+			vals[val] = stored
+			if got := idx.swap(tx, &key, val); got != want[key] {
 				t.Fatalf("step %d: swap returned %d, map had %d", step/2, got, want[key])
 			}
 			want[key] = val
 		case 3:
-			if want[key] != 0 && runsPastEnd(&idx, &key) {
+			tombstoned := want[key] < 0
+			if tombstoned && runsPastEnd(&idx, stored) {
 				wrapped++
 			}
-			idx.del(&key)
-			delete(want, key)
+			if got := idx.delTombstone(tx, &key); got != tombstoned {
+				t.Fatalf("step %d: delTombstone = %v, map holds %d", step/2, got, want[key])
+			}
+			if tombstoned {
+				delete(want, key)
+			}
 		}
 		if idx.n != len(want) {
 			t.Fatalf("step %d: len = %d, map has %d", step/2, idx.n, len(want))
 		}
 		if len(idx.slots) > 32 {
-			t.Fatalf("step %d: %d slots for at most %d keys", step/2, len(idx.slots), len(indexKeys))
+			t.Fatalf("step %d: %d slots for at most %d keys", step/2, len(idx.slots), len(indexTxs))
 		}
-		for i := range indexKeys {
-			if got := idx.get(&indexKeys[i]); got != want[indexKeys[i]] {
-				t.Fatalf("step %d (op %d): key %d reads %d, map has %d", step/2, op, i, got, want[indexKeys[i]])
+		for i, tx := range indexTxs {
+			key := tx.MapKey()
+			if got, byKey := idx.get(tx, &key), idx.get(nil, &key); got != want[key] || byKey != want[key] {
+				t.Fatalf("step %d (op %d): key %d reads %d (by key alone %d), map has %d", step/2, op, i, got, byKey, want[key])
 			}
 		}
 	}
@@ -116,7 +174,7 @@ func probeStats(t *txIndex) (longest int, mean float64, cluster int) {
 		run++
 		cluster = max(cluster, run)
 		if i < len(t.slots) {
-			d := (i-t.home(&s.key))&mask + 1
+			d := (i-int(s.fp>>t.shift))&mask + 1
 			longest = max(longest, d)
 			total += d
 		}
@@ -131,35 +189,35 @@ func probeStats(t *txIndex) (longest int, mean float64, cluster int) {
 // multiply-mix does better on sequential ids, and a mix that ignored the
 // word that varies would put all of them in one run.
 func TestTxIndexProbeRuns(t *testing.T) {
-	elements := func(n int) []wire.TxKey { // four clients' consecutive ids, interleaved as they arrive
-		keys := make([]wire.TxKey, n)
-		for i := range keys {
-			keys[i] = wire.NewElementTx(&wire.Element{ID: wire.NewElementID(wire.ClientID(10+i%4), uint64(i/4))}).MapKey()
+	elements := func(n int) []*wire.Tx { // four clients' consecutive ids, interleaved as they arrive
+		txs := make([]*wire.Tx, n)
+		for i := range txs {
+			txs[i] = wire.NewElementTx(&wire.Element{ID: wire.NewElementID(wire.ClientID(10+i%4), uint64(i/4))})
 		}
-		return keys
+		return txs
 	}
-	cosigned := func(n int) []wire.TxKey { // 50 signers × random batch hashes
+	cosigned := func(n int) []*wire.Tx { // 50 signers × random batch hashes
 		rng := rand.New(rand.NewSource(1))
-		keys := make([]wire.TxKey, 0, n)
-		for len(keys) < n {
+		txs := make([]*wire.Tx, 0, n)
+		for len(txs) < n {
 			hash := make([]byte, wire.DigestSize)
 			binary.LittleEndian.PutUint64(hash, rng.Uint64())
-			for signer := 0; signer < 50 && len(keys) < n; signer++ {
-				keys = append(keys, wire.NewHashBatchTx(&wire.HashBatch{Hash: hash, Signer: wire.NodeID(signer)}).MapKey())
+			for signer := 0; signer < 50 && len(txs) < n; signer++ {
+				txs = append(txs, wire.NewHashBatchTx(&wire.HashBatch{Hash: hash, Signer: wire.NodeID(signer)}))
 			}
 		}
-		return keys
+		return txs
 	}
-	proofs := func(n int) []wire.TxKey { // 10 signers × consecutive epochs
-		keys := make([]wire.TxKey, n)
-		for i := range keys {
-			keys[i] = wire.NewProofTx(&wire.EpochProof{Epoch: uint64(1 + i/10), Signer: wire.NodeID(i % 10)}).MapKey()
+	proofs := func(n int) []*wire.Tx { // 10 signers × consecutive epochs
+		txs := make([]*wire.Tx, n)
+		for i := range txs {
+			txs[i] = wire.NewProofTx(&wire.EpochProof{Epoch: uint64(1 + i/10), Signer: wire.NodeID(i % 10)})
 		}
-		return keys
+		return txs
 	}
 	cases := []struct {
 		name                 string
-		keys                 []wire.TxKey
+		txs                  []*wire.Tx
 		maxLongest, maxClust int
 		maxMean              float64
 	}{
@@ -170,12 +228,15 @@ func TestTxIndexProbeRuns(t *testing.T) {
 		{"12,288 proofs (3/4 of 16,384)", proofs(12_288), 32, 64, 2.0},
 	}
 	for _, c := range cases {
-		var idx txIndex
-		for i := range c.keys {
-			idx.swap(&c.keys[i], int64(i+1))
+		vals := txVals{}
+		idx := txIndex{txs: vals}
+		for i, tx := range c.txs {
+			vals[int64(i+1)] = tx
+			key := tx.MapKey()
+			idx.swap(tx, &key, int64(i+1))
 		}
-		if idx.n != len(c.keys) {
-			t.Fatalf("%s: %d keys stored, want %d", c.name, idx.n, len(c.keys))
+		if idx.n != len(c.txs) {
+			t.Fatalf("%s: %d keys stored, want %d", c.name, idx.n, len(c.txs))
 		}
 		longest, mean, cluster := probeStats(&idx)
 		t.Logf("%s in %d slots: longest probe run %d, mean %.2f, longest cluster %d", c.name, len(idx.slots), longest, mean, cluster)
@@ -183,5 +244,63 @@ func TestTxIndexProbeRuns(t *testing.T) {
 			t.Errorf("%s: longest probe run %d (bound %d), mean %.2f (bound %.1f), longest cluster %d (bound %d)",
 				c.name, longest, c.maxLongest, mean, c.maxMean, cluster, c.maxClust)
 		}
+	}
+}
+
+// A slot is 16 bytes of plain integers, as wire_test.go pins TxKey: the
+// table is then one allocation the garbage collector never scans, and a
+// field that would grow it back fails here.
+func TestTxSlotLayout(t *testing.T) {
+	if got := unsafe.Sizeof(txSlot{}); got != 16 {
+		t.Fatalf("sizeof(txSlot) = %d, want 16", got)
+	}
+	typ := reflect.TypeOf(txSlot{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.Type.Kind() != reflect.Uint64 && f.Type.Kind() != reflect.Int64 {
+			t.Errorf("txSlot.%s is a %s: a slot holds 64-bit integers only", f.Name, f.Type)
+		}
+	}
+}
+
+// Two keys with one hash are two entries all the way through the pool:
+// admitted, tombstoned, pruned one at a time, and told apart by Has. They
+// share a probe run, so every verdict on the one found past the other's
+// slot rests on the key comparison that confirms a hash match.
+func TestTxIndexHashCollision(t *testing.T) {
+	a, b := collidingProofs(7, 2)
+	ka, kb := a.MapKey(), b.MapKey()
+	if ka == kb || hashKey(&ka) != hashKey(&kb) {
+		t.Fatalf("keys equal %v, hashes %x and %x: want distinct keys with one hash", ka == kb, hashKey(&ka), hashKey(&kb))
+	}
+	t.Logf("both keys hash to %x", hashKey(&ka))
+	p := New(0, sim.New(1), nil, nil, PaperConfig(), nil, nil)
+	if !p.AddTx(a) || !p.AddTx(b) || p.Size() != 2 || !p.Has(ka) || !p.Has(kb) {
+		t.Fatalf("size %d, has %v/%v: both transactions must be admitted", p.Size(), p.Has(ka), p.Has(kb))
+	}
+	if p.AddTx(twinTx(b, false)) || p.AddTx(a) {
+		t.Fatal("a second offer of either key was admitted")
+	}
+	p.RemoveCommitted(1, []*wire.Tx{b})
+	if p.Size() != 1 || !p.Has(ka) || p.Has(kb) || p.TombstonedKeys() != 1 {
+		t.Fatalf("size/tombstones %d/%d, has %v/%v after committing b, want 1/1 true/false",
+			p.Size(), p.TombstonedKeys(), p.Has(ka), p.Has(kb))
+	}
+	p.RemoveCommitted(2, []*wire.Tx{twinTx(a, false)})
+	if p.Size() != 0 || p.Bytes() != 0 || p.TombstonedKeys() != 2 || p.Has(ka) || p.Has(kb) {
+		t.Fatalf("size/bytes/tombstones %d/%d/%d after committing both, want 0/0/2", p.Size(), p.Bytes(), p.TombstonedKeys())
+	}
+	p.PruneTombstonesBelow(1) // b's tombstone goes, a's stays
+	if p.TombstonedKeys() != 1 || p.TombstonesPruned() != 1 {
+		t.Fatalf("tombstones/pruned = %d/%d after pruning height 1, want 1/1", p.TombstonedKeys(), p.TombstonesPruned())
+	}
+	if p.AddTx(a) {
+		t.Fatal("a's tombstone was pruned with b's")
+	}
+	if !p.AddTx(twinTx(b, true)) || !p.Has(kb) || p.Has(ka) {
+		t.Fatalf("after re-admitting b: has %v/%v, want false/true", p.Has(ka), p.Has(kb))
+	}
+	_, _, _, dup := p.Stats()
+	if dup != 3 {
+		t.Fatalf("duplicates = %d, want 3", dup)
 	}
 }

@@ -4,16 +4,14 @@
 // 10,000,000 transactions or 2 GB), gossip replication to peers, and
 // reaping for block proposals.
 //
-// The pool is an index, a ring and a log. entries (index.go) is an open-addressing
-// table from a transaction's 32-byte wire.TxKey to its admission sequence
-// number, or to a tombstone once the transaction committed; a slot is the
-// key and the value, 40 bytes without pointers, so the garbage collector
-// never scans the table, and it is probed once per arrival — most arrivals
-// being gossip duplicates, which carry their key ready-made (wire.Tx). order
-// is the FIFO ring of pooled transactions in admission order, indexed by
-// sequence number, which Reap walks without touching the table. The log of
-// what each block tombstoned, kept for pruning, is the block's own
-// transaction slice.
+// The pool is a ring, a log and an index. order is the FIFO ring of pooled
+// transactions by admission sequence number, which Reap walks. The log of
+// what each block tombstoned is the block's own transaction slice. entries
+// (index.go) maps a wire.TxKey to a sequence number, or once committed to a
+// tombstone naming its place in the log, in 16-byte slots of the key's hash
+// and that value: no pointers for the garbage collector to scan, and a hash
+// match confirmed against the transaction the value locates. It is probed
+// once per arrival, most arrivals being gossip duplicates.
 //
 // See DESIGN.md §4 (ledger stack).
 package mempool
@@ -74,10 +72,9 @@ type Mempool struct {
 	enter EnterFunc
 
 	// entries is pool ∪ committed in one table: a positive value is a
-	// pooled transaction's admission sequence number, tombstone marks a
-	// committed key that must never re-enter. One table instead of a pool
-	// index plus a seen-set halves the hot-path key inserts, and slots
-	// without pointers keep it out of the garbage collector's scan.
+	// pooled transaction's admission sequence number, a negative one
+	// (tombstoneAt) a committed key that must never re-enter. One table
+	// instead of a pool index plus a seen-set halves the hot-path inserts.
 	entries txIndex
 	// order is the admission-order ring: the transaction with sequence
 	// number seq sits at order[seq-base] until it commits, when its slot is
@@ -89,12 +86,11 @@ type Mempool struct {
 	live  int   // entries with a positive value
 	bytes int
 
-	// tombstones logs committed blocks by commit height so checkpointing can
-	// drop tombstones below the prune horizon (PruneTombstonesBelow).
-	// Without pruning the log — like the tombstones themselves — grows with
-	// total committed transactions, which is exactly the unbounded growth
-	// soak runs must not have.
+	// tombstones logs committed blocks by commit height. The tombstones
+	// locate their keys in it, and checkpointing drops both below the prune
+	// horizon (PruneTombstonesBelow), which keeps soak runs bounded.
 	tombstones []tombstoneBatch
+	logBase    int64 // batches ever cut off the log's front
 
 	pendingGossip []*wire.Tx
 	flushArmed    bool
@@ -121,8 +117,17 @@ type Mempool struct {
 	tombstonesPruned uint64
 }
 
-// tombstone is the entries value of a committed key.
-const tombstone int64 = -1
+// tombstoneAt is the entries value of a committed key: position i of log
+// batch b, counting cut batches, complemented to be negative.
+func tombstoneAt(b int64, i int) int64 { return ^(b<<32 | int64(i)) }
+
+// txAt returns the transaction an entries value locates (txSource).
+func (m *Mempool) txAt(val int64) *wire.Tx {
+	if val > 0 {
+		return m.order[val-m.base]
+	}
+	return m.tombstones[^val>>32-m.logBase].txs[uint32(^val)]
+}
 
 // tombstoneBatch records what one committed block tombstoned: the block's
 // own transaction slice, not a copy of its keys. The block is immutable and
@@ -139,7 +144,7 @@ func New(id wire.NodeID, s *sim.Simulator, net *netsim.Network, peers []wire.Nod
 	if cfg == (Config{}) {
 		panic("mempool: zero Config; start from mempool.PaperConfig()")
 	}
-	return &Mempool{
+	m := &Mempool{
 		id:    id,
 		sim:   s,
 		net:   net,
@@ -149,6 +154,8 @@ func New(id wire.NodeID, s *sim.Simulator, net *netsim.Network, peers []wire.Nod
 		base:  1,
 		peers: peers,
 	}
+	m.entries.txs = m
+	return m
 }
 
 // Config returns the configuration the pool runs with.
@@ -199,7 +206,7 @@ func (m *Mempool) add(tx *wire.Tx, gossip bool) bool {
 		m.rejected++
 		return false
 	}
-	if m.entries.get(&key) != 0 {
+	if m.entries.get(tx, &key) != 0 {
 		m.duplicate++
 		return false
 	}
@@ -213,7 +220,7 @@ func (m *Mempool) add(tx *wire.Tx, gossip bool) bool {
 	}
 	// A second probe rather than a slot remembered from the first: check
 	// runs application code between the two.
-	m.entries.swap(&key, m.base+int64(len(m.order)))
+	m.entries.swap(tx, &key, m.base+int64(len(m.order)))
 	m.live++
 	m.order = append(m.order, tx)
 	m.bytes += tx.WireSize()
@@ -285,7 +292,11 @@ func (m *Mempool) Reap(maxBytes int) []*wire.Tx {
 // caller must not modify the slice afterwards. A committed block's Txs
 // never change, which is what consensus passes.
 func (m *Mempool) RemoveCommitted(height uint64, txs []*wire.Tx) {
-	for _, tx := range txs {
+	b := m.logBase + int64(len(m.tombstones))
+	if len(txs) > 0 { // logged first: the tombstones locate their keys in it
+		m.tombstones = append(m.tombstones, tombstoneBatch{height: height, txs: txs})
+	}
+	for i, tx := range txs {
 		key := tx.MapKey()
 		if key.IsZero() {
 			continue // malformed: never pooled, nothing to tombstone
@@ -294,15 +305,12 @@ func (m *Mempool) RemoveCommitted(height uint64, txs []*wire.Tx) {
 		// proposed by another node before gossip arrived). Tombstone it so
 		// late gossip is dropped. A block that lists a tx twice finds the
 		// tombstone the second time and frees its slot only once.
-		if seq := m.entries.swap(&key, tombstone); seq > 0 {
+		if seq := m.entries.swap(tx, &key, tombstoneAt(b, i)); seq > 0 {
 			slot := seq - m.base
 			m.bytes -= m.order[slot].WireSize()
 			m.live--
 			m.order[slot] = nil
 		}
-	}
-	if len(txs) > 0 {
-		m.tombstones = append(m.tombstones, tombstoneBatch{height: height, txs: txs})
 	}
 	m.compact()
 	// Commits free pool space: let deferred transactions in.
@@ -322,16 +330,15 @@ func (m *Mempool) PruneTombstonesBelow(height uint64) {
 		for _, tx := range m.tombstones[cut].txs {
 			// A key pruned earlier, re-admitted by late gossip and live
 			// again has a positive entry and stays.
-			key := tx.MapKey()
-			if m.entries.get(&key) == tombstone {
-				m.entries.del(&key)
+			if key := tx.MapKey(); m.entries.delTombstone(tx, &key) {
 				m.tombstonesPruned++
 			}
 		}
 		cut++
 	}
-	if cut > 0 {
+	if cut > 0 { // after the deletions: no tombstone locates a batch cut off
 		m.tombstones = append([]tombstoneBatch(nil), m.tombstones[cut:]...)
+		m.logBase += int64(cut)
 	}
 }
 
@@ -369,7 +376,7 @@ func (m *Mempool) Bytes() int { return m.bytes }
 
 // Has reports whether the pool currently holds the given tx key.
 func (m *Mempool) Has(key wire.TxKey) bool {
-	return m.entries.get(&key) > 0
+	return m.entries.get(nil, &key) > 0
 }
 
 // Stats returns counters (admitted, rejected by CheckTx, dropped by

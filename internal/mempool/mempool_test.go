@@ -442,6 +442,21 @@ func BenchmarkAddDuplicate(b *testing.B) {
 	}
 }
 
+// A re-offer of a committed transaction: the tombstone's hash matches, and
+// confirming it reads the log, the block's slice and the Tx — the one
+// lookup that chases a pointer further than a pooled key's ring slot.
+func BenchmarkAddDuplicateTombstoned(b *testing.B) {
+	p, txs := benchPool(60_000)
+	for h := 0; h < len(txs)/1000; h++ {
+		p.RemoveCommitted(uint64(h+1), txs[h*1000:][:1000])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.AddTx(txs[i%len(txs)])
+	}
+}
+
 // One block's worth of Reap from the head of a 60,000-transaction backlog
 // whose first third and a band in the middle have committed.
 func BenchmarkReapUnderBacklog(b *testing.B) {
@@ -454,6 +469,37 @@ func BenchmarkReapUnderBacklog(b *testing.B) {
 		if got := p.Reap(1 << 20); len(got) == 0 {
 			b.Fatal("empty reap")
 		}
+	}
+}
+
+// Two separately built *wire.Tx with one key are one entry: the second is
+// a duplicate while the first is pooled, commits it, and is a duplicate of
+// the tombstone after. The shortcut that matches a slot by the arriving
+// *wire.Tx's address only ever answers "same"; a different address falls
+// back to the key.
+func TestDistinctTxSameKey(t *testing.T) {
+	p := New(0, sim.New(1), nil, nil, PaperConfig(), nil, nil)
+	first := elemTx(5, 100)
+	second := wire.NewElementTx(first.Element)
+	if first == second || first.MapKey() != second.MapKey() {
+		t.Fatal("want two transactions with one key")
+	}
+	if !p.AddTx(first) || p.AddTx(second) {
+		t.Fatal("want the first admitted and the second refused")
+	}
+	p.ReceiveGossip(&GossipMsg{Txs: []*wire.Tx{second}})
+	if _, _, _, dup := p.Stats(); dup != 2 || p.Size() != 1 || p.Bytes() != 100 {
+		t.Fatalf("duplicates/size/bytes = %d/%d/%d before commit, want 2/1/100", dup, p.Size(), p.Bytes())
+	}
+	p.RemoveCommitted(1, []*wire.Tx{second})
+	if p.Size() != 0 || p.Bytes() != 0 || p.TombstonedKeys() != 1 || len(p.Reap(1<<20)) != 0 {
+		t.Fatalf("size/bytes/tombstones = %d/%d/%d after committing the second, want 0/0/1", p.Size(), p.Bytes(), p.TombstonedKeys())
+	}
+	if p.AddTx(first) || p.AddTx(second) {
+		t.Fatal("a committed key was admitted")
+	}
+	if _, _, _, dup := p.Stats(); dup != 4 || p.Has(first.MapKey()) {
+		t.Fatalf("duplicates = %d after commit, want 4, and the key not pooled", dup)
 	}
 }
 
