@@ -28,6 +28,7 @@ package consensus
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math/rand"
 	"sort"
 	"time"
@@ -442,8 +443,9 @@ type Node struct {
 
 	futureMsgs []any // buffered messages for heights beyond the current one
 
-	keyBuf  []byte // scratch for blockID hashing, reused across calls
-	signBuf []byte // scratch for vote/proposal sign bytes, reused across calls
+	idHash  hash.Hash // the suite's stream, reused by every blockID/valueID
+	keyBuf  []byte    // scratch for one transaction's key or a header, reused
+	signBuf []byte    // scratch for vote/proposal sign bytes, reused across calls
 
 	// Stats.
 	roundsUsed    uint64
@@ -471,6 +473,7 @@ func NewNode(id wire.NodeID, validators []wire.NodeID, s *sim.Simulator, net *ne
 		net:            net,
 		params:         params,
 		suite:          suite,
+		idHash:         suite.NewHash(),
 		key:            key,
 		registry:       registry,
 		pool:           pool,
@@ -686,6 +689,10 @@ func (n *Node) timeout(base time.Duration, round int32) time.Duration {
 // commitment (CkptEpoch, CkptFold): prevotes and precommits are cast on
 // the id, so a 2f+1 commit certificate certifies the commitment — the
 // root of trust for state-sync verification (DESIGN.md §15).
+//
+// The id is the suite's HashData over the header words followed by every
+// transaction's AppendKey record, streamed one record at a time, so the
+// scratch buffer holds one key, never the block.
 func (n *Node) blockID(height uint64, round int32, proposer wire.NodeID, ckptEpoch, ckptFold uint64, txs []*wire.Tx) string {
 	buf := n.keyBuf[:0]
 	buf = binary.LittleEndian.AppendUint64(buf, height)
@@ -693,11 +700,7 @@ func (n *Node) blockID(height uint64, round int32, proposer wire.NodeID, ckptEpo
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(proposer))
 	buf = binary.LittleEndian.AppendUint64(buf, ckptEpoch)
 	buf = binary.LittleEndian.AppendUint64(buf, ckptFold)
-	for _, tx := range txs {
-		buf = tx.AppendKey(buf)
-	}
-	n.keyBuf = buf
-	return string(n.suite.HashData(buf))
+	return n.hashTxs(buf, txs)
 }
 
 // valueID is the round- and proposer-independent identity of a block's
@@ -705,13 +708,23 @@ func (n *Node) blockID(height uint64, round int32, proposer wire.NodeID, ckptEpo
 // re-proposal of the same transactions in a later round is recognized as
 // the locked value.
 func (n *Node) valueID(height uint64, txs []*wire.Tx) string {
-	buf := n.keyBuf[:0]
-	buf = binary.LittleEndian.AppendUint64(buf, height)
+	return n.hashTxs(binary.LittleEndian.AppendUint64(n.keyBuf[:0], height), txs)
+}
+
+// hashTxs streams header, then each transaction's key, through the node's
+// hash and returns the sum as an id. header is n.keyBuf's storage.
+func (n *Node) hashTxs(header []byte, txs []*wire.Tx) string {
+	h := n.idHash
+	h.Reset()
+	h.Write(header)
+	buf := header
 	for _, tx := range txs {
-		buf = tx.AppendKey(buf)
+		buf = tx.AppendKey(buf[:0])
+		h.Write(buf)
 	}
+	buf = h.Sum(buf[:0])
 	n.keyBuf = buf
-	return string(n.suite.HashData(buf))
+	return string(buf)
 }
 
 func (n *Node) propose(r int32) {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/consensus"
+	"repro/internal/setcrypto"
 	"repro/internal/wire"
 )
 
@@ -421,16 +422,23 @@ func (h *hashchainAlg) pendingBatches() map[wire.Digest]*wire.Batch {
 // flight — is this server's own and stays, except that a record without a
 // batch takes the one a Light snapshot carries for it. Own-signature memory
 // is rebuilt from the sets to avoid double-signing. A signer the registry
-// does not know cannot have signed anything and is skipped.
+// does not know cannot have signed anything and is skipped, and so is a
+// hash that is not setcrypto.HashSize long: no hash-batch carries one.
 func (h *hashchainAlg) installPending(pending map[wire.Digest][]wire.NodeID, batches map[wire.Digest]*wire.Batch) {
 	for len(h.pending) > 0 {
 		h.releaseSigners(h.pending[len(h.pending)-1])
 	}
 	for key, b := range batches {
-		h.rec(key.Bytes()).register(b)
+		if hash := key.Bytes(); len(hash) == setcrypto.HashSize {
+			h.rec(hash).register(b)
+		}
 	}
 	for key, ids := range pending {
-		r := h.rec(key.Bytes())
+		hash := key.Bytes()
+		if len(hash) != setcrypto.HashSize {
+			continue
+		}
+		r := h.rec(hash)
 		for _, id := range ids {
 			if h.s.registry.Lookup(int(id)) == nil {
 				continue

@@ -135,9 +135,9 @@ func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 	h.fetch(stray, 1, func(bool) {})
 
 	type before struct{ signedOwn, consolidated, contentDone bool }
-	was := make(map[*batchRec]before, len(h.recs))
+	was := make(map[*batchRec]before, len(h.records()))
 	var own, consolidated, pendingBefore int
-	for _, r := range h.recs {
+	for _, r := range h.records() {
 		was[r] = before{r.signedOwn, r.consolidated, r.contentDone}
 		if r.signedOwn {
 			own++
@@ -167,7 +167,8 @@ func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 	if h.consolidated != consolidated {
 		t.Fatalf("consolidated counter moved %d -> %d", consolidated, h.consolidated)
 	}
-	for key, r := range h.recs {
+	for _, r := range h.records() {
+		key := wire.DigestOf(r.hash)
 		ownInSnapshot := slices.Contains(want[key], victim.id)
 		b, known := was[r]
 		if r.consolidated != b.consolidated || r.contentDone != b.contentDone {
@@ -190,7 +191,7 @@ func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 	// cannot contain: a set on a record that is already consolidated here, the
 	// installer's own id in a set, and a signer no registry knows.
 	var done *batchRec
-	for _, r := range h.recs {
+	for _, r := range h.records() {
 		if r.consolidated {
 			done = r
 			break
@@ -211,9 +212,9 @@ func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 	if !done.consolidated || h.consolidated != consolidated {
 		t.Fatalf("a signer set un-consolidated a record: %+v, counter %d", *done, h.consolidated)
 	}
-	if !h.recs[mine].signedOwn || h.recs[theirs].signedOwn {
+	if !h.lookup(mine.Bytes()).signedOwn || h.lookup(theirs.Bytes()).signedOwn {
 		t.Fatalf("own-signature memory: %v for the set with the installer's id, %v for the set without",
-			h.recs[mine].signedOwn, h.recs[theirs].signedOwn)
+			h.lookup(mine.Bytes()).signedOwn, h.lookup(theirs.Bytes()).signedOwn)
 	}
 }
 

@@ -196,7 +196,7 @@ func TestEpochsAliasBatch(t *testing.T) {
 			d := drive(t, Options{Algorithm: Hashchain}, workers, nil, nil)
 			for _, srv := range d.Servers {
 				batchOf := make(map[**wire.Element]*wire.Batch)
-				for _, r := range srv.alg.(*hashchainAlg).recs {
+				for _, r := range srv.alg.(*hashchainAlg).records() {
 					if b := r.batch; b != nil && len(b.Elements) > 0 {
 						batchOf[&b.Elements[0]] = b
 					}
@@ -264,7 +264,7 @@ func TestBatchesStayFrozen(t *testing.T) {
 			var batches []*wire.Batch
 			for _, srv := range d.Servers {
 				h := srv.alg.(*hashchainAlg)
-				for _, r := range h.recs {
+				for _, r := range h.records() {
 					b := r.batch
 					if b == nil {
 						continue

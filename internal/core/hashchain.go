@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/collector"
+	"repro/internal/setcrypto"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -46,9 +47,9 @@ import (
 //
 // Every batch costs n hash-batch transactions and every one of them is
 // processed by n servers, so the step below runs n² times per batch. It is
-// kept to one map probe and no allocation: everything a server knows about
-// a batch hash lives in one batchRec, and the walk over a block is one
-// cursor whose callback is bound once (DESIGN.md §3).
+// kept to one map probe on a word and no allocation: everything a server
+// knows about a batch hash lives in one batchRec, and the walk over a block
+// is one cursor whose callback is bound once (DESIGN.md §3).
 type hashchainAlg struct {
 	s   *Server
 	seq uint64 // request ids
@@ -56,10 +57,14 @@ type hashchainAlg struct {
 	hashBuf []byte // scratch for modeled batch hashing, reused across flushes
 
 	// recs holds one record per batch hash this server has met, in a block,
-	// in its mempool or in a snapshot. Records are never deleted. With each
-	// record's batch it is the server's hash→batch map, the pseudocode's
-	// hash_to_batch.
-	recs map[wire.Digest]*batchRec
+	// in its mempool or in a snapshot, keyed by the hash's first word
+	// (recKey); records whose first words collide are chained through next,
+	// and a hit is confirmed against the whole hash. Every hash here is
+	// setcrypto.HashSize long: checkTx, step and installPending turn away
+	// any other length before a lookup. Records are never deleted. With
+	// each record's batch it is the server's hash→batch map, the
+	// pseudocode's hash_to_batch.
+	recs map[uint64]*batchRec
 	// pending lists the records with a non-empty signer set, in no
 	// particular order: what a state-sync snapshot ships (pendingSigners).
 	pending []*batchRec
@@ -81,6 +86,7 @@ type hashchainAlg struct {
 // batchRec is one server's whole state for one batch hash.
 type batchRec struct {
 	hash []byte
+	next *batchRec // the next record whose hash has the same first word
 	// batch is the batch's content once this server has it: from its own
 	// flush, a verified fetch response or, under Light, the origin's
 	// hash-batch (register). Nil until then; never replaced once set.
@@ -159,20 +165,44 @@ type fetchState struct {
 }
 
 func newHashchainAlg(s *Server) *hashchainAlg {
-	h := &hashchainAlg{s: s, recs: make(map[wire.Digest]*batchRec)}
+	h := &hashchainAlg{s: s, recs: make(map[uint64]*batchRec)}
 	h.stepFn = h.step
 	s.coll = collector.New(s.sim, s.opts.CollectorLimit, s.opts.CollectorTimeout, h.flushBatch)
 	return h
 }
 
-// rec returns the record for a batch hash, creating it on first sight.
-func (h *hashchainAlg) rec(hash []byte) *batchRec {
-	key := wire.DigestOf(hash)
-	r := h.recs[key]
-	if r == nil {
-		r = &batchRec{hash: hash}
-		h.recs[key] = r
+// recKey is a batch hash's key in recs: its first word. A 64-byte hash has
+// its entropy spread over every word (a FastSuite digest is one word
+// expanded), so the word alone spreads the records; the rest of the hash
+// only confirms a hit.
+func recKey(hash []byte) uint64 { return binary.LittleEndian.Uint64(hash) }
+
+// lookup returns the record for a batch hash, or nil if there is none. A
+// hash of any length but setcrypto.HashSize is a miss: no record has one.
+func (h *hashchainAlg) lookup(hash []byte) *batchRec {
+	if len(hash) != setcrypto.HashSize {
+		return nil
 	}
+	for r := h.recs[recKey(hash)]; r != nil; r = r.next {
+		if bytes.Equal(r.hash, hash) {
+			return r
+		}
+	}
+	return nil
+}
+
+// rec returns the record for a batch hash, creating it on first sight. The
+// hash must be setcrypto.HashSize long.
+func (h *hashchainAlg) rec(hash []byte) *batchRec {
+	if r := h.lookup(hash); r != nil {
+		return r
+	}
+	if len(hash) != setcrypto.HashSize {
+		panic("core: a batch record for a hash that is not setcrypto.HashSize long")
+	}
+	k := recKey(hash)
+	r := &batchRec{hash: hash, next: h.recs[k]}
+	h.recs[k] = r
 	return r
 }
 
@@ -260,9 +290,12 @@ func (h *hashchainAlg) flushBatch(b *wire.Batch) {
 
 // checkTx validates a hash-batch at mempool admission and prefetches the
 // batch so it is usually local by the time the block commits.
+//
+// A hash that is not setcrypto.HashSize long is refused before anything
+// else: no batch hashes to it, so no server could ever recover its batch.
 func (h *hashchainAlg) checkTx(tx *wire.Tx) bool {
 	hb := tx.HashBatch
-	if hb == nil || len(hb.Hash) == 0 {
+	if hb == nil || len(hb.Hash) != setcrypto.HashSize {
 		return false
 	}
 	h.s.chargeCPU(h.s.opts.Costs.VerifySig)
@@ -317,7 +350,9 @@ func (h *hashchainAlg) step() {
 	s := h.s
 	hb := h.cur.txs[h.cur.i].HashBatch
 	h.cur.i++
-	if !s.opts.Light && !h.validHashBatchSig(hb) {
+	// A hash of the wrong length is skipped like a bad signature (checkTx
+	// refuses both, but a Byzantine proposer's block carries what it likes).
+	if len(hb.Hash) != setcrypto.HashSize || !s.opts.Light && !h.validHashBatchSig(hb) {
 		h.next()
 		return
 	}
@@ -644,7 +679,7 @@ func (h *hashchainAlg) serveRequest(from wire.NodeID, req *batchRequest) {
 	}
 	// A plain lookup: a request must not create a record.
 	var b *wire.Batch
-	if r := h.recs[wire.DigestOf(req.hash)]; r != nil {
+	if r := h.lookup(req.hash); r != nil {
 		b = r.batch
 	}
 	resp := &batchResponse{hash: req.hash, reqID: req.reqID, batch: b}
@@ -664,7 +699,7 @@ func (h *hashchainAlg) serveRequest(from wire.NodeID, req *batchRequest) {
 func (h *hashchainAlg) handleResponse(from wire.NodeID, resp *batchResponse) {
 	s := h.s
 	// A plain lookup: an unsolicited response must not create a record.
-	r := h.recs[wire.DigestOf(resp.hash)]
+	r := h.lookup(resp.hash)
 	if r == nil {
 		return
 	}

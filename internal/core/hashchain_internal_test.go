@@ -33,6 +33,17 @@ func withBatch(tx *wire.Tx, b *wire.Batch) *wire.Tx {
 	return tx
 }
 
+// records returns every batch record of h, the chained ones included.
+func (h *hashchainAlg) records() []*batchRec {
+	var out []*batchRec
+	for _, head := range h.recs {
+		for r := head; r != nil; r = r.next {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 func testHash(i int) []byte {
 	h := bytes.Repeat([]byte{0xA5}, wire.DigestSize)
 	h[0], h[1] = byte(i), byte(i>>8)
@@ -133,7 +144,7 @@ func TestLightBlockThroughTheRecord(t *testing.T) {
 	}
 	h1 := testHash(1)
 	finalize(withBatch(signedHashBatch(d, 1, h1), elems))
-	r1 := h.recs[wire.DigestOf(h1)]
+	r1 := h.lookup(h1)
 	if r1 == nil || r1.batch != elems {
 		t.Fatal("first contact did not bring the batch from the hash-batch into the record")
 	}
@@ -159,7 +170,7 @@ func TestLightBlockThroughTheRecord(t *testing.T) {
 	}}}
 	h2 := testHash(2)
 	finalize(withBatch(signedHashBatch(d, 2, h2), proofs), signedHashBatch(d, 1, h2))
-	r2 := h.recs[wire.DigestOf(h2)]
+	r2 := h.lookup(h2)
 	if got := srv.history[0].Proofs; !r2.consolidated || !r2.proofsDone || len(got) != 1 || got[0].Signer != 2 || len(srv.history) != 1 {
 		t.Fatalf("proof-only batch: %+v, epoch 1 proofs %v, epochs %d", *r2, got, len(srv.history))
 	}
@@ -168,7 +179,7 @@ func TestLightBlockThroughTheRecord(t *testing.T) {
 	// signers, consolidated by the hash-batch that brings the content.
 	h3 := testHash(3)
 	finalize(signedHashBatch(d, 1, h3), signedHashBatch(d, 2, h3))
-	r3 := h.recs[wire.DigestOf(h3)]
+	r3 := h.lookup(h3)
 	if !r3.signedOwn || r3.contentDone || r3.consolidated || r3.batch != nil ||
 		!reflect.DeepEqual(h.pendingSigners(), map[wire.Digest][]wire.NodeID{wire.DigestOf(h3): {1, 2}}) {
 		t.Fatalf("contentless hash: %+v, pending %v", *r3, h.pendingSigners())
@@ -195,7 +206,7 @@ func TestLaterHashBatchKeepsTheFirstBatch(t *testing.T) {
 		withBatch(signedHashBatch(d, 2, hash), other),
 	}})
 	d.Sim.RunUntil(time.Second)
-	if r := h.recs[wire.DigestOf(hash)]; r == nil || r.batch != first {
+	if r := h.lookup(hash); r == nil || r.batch != first {
 		t.Fatal("a later hash-batch replaced the record's batch")
 	}
 }
@@ -214,5 +225,53 @@ func TestBatchResponseWireSize(t *testing.T) {
 	}
 	if got := (&batchResponse{hash: []byte("h")}).wireSize(); got != 96 {
 		t.Fatalf("not-found size = %d, want 96", got)
+	}
+}
+
+// A hash-batch over a hash that is not 64 bytes long — H‖x, where H is a
+// batch hash the server holds, or a prefix of H — must stay clear of H's
+// record: refused at admission, skipped in a block (no signer counted, no
+// co-signature), a miss for batch requests. Keyed by the hash truncated to
+// 64 bytes, H‖x used to land in H's record, count its signer toward H and
+// have the server co-sign and fetch a hash no batch can match.
+func TestHashOfWrongLengthDoesNotAliasARecord(t *testing.T) {
+	d, h := quietHashchain(4, Options{})
+	srv := d.Servers[0]
+	hash := testHash(1)
+	r := h.rec(hash)
+	r.register(&wire.Batch{})
+	long := append(append([]byte(nil), hash...), 0x01)
+	for i, bad := range [][]byte{long, hash[:wire.DigestSize-1]} {
+		tx := signedHashBatch(d, 3, bad)
+		if h.checkTx(tx) {
+			t.Fatalf("a validly signed hash-batch over a %d-byte hash was admitted", len(bad))
+		}
+		srv.FinalizeBlock(&wire.Block{Height: uint64(i + 1), Txs: []*wire.Tx{tx}})
+		d.Sim.RunUntil(d.Sim.Now() + time.Second)
+		if h.lookup(bad) != nil {
+			t.Fatalf("a %d-byte hash finds a record", len(bad))
+		}
+	}
+	if len(r.hash) != wire.DigestSize || r.signers.n != 0 || r.signedOwn || len(h.records()) != 1 {
+		t.Fatalf("H's record after the hash-batches: hash %d bytes, signers %v, co-signed %v; %d records",
+			len(r.hash), r.signers.ids(), r.signedOwn, len(h.records()))
+	}
+	if srv.node.Pool.Size() != 0 || h.requestsSent != 0 {
+		t.Fatalf("the server co-signed (%d own hash-batches) or fetched (%d requests)", srv.node.Pool.Size(), h.requestsSent)
+	}
+}
+
+// Two hashes with the same first word are two records, chained under one
+// key; each is found again by its own hash.
+func TestRecordsSharingAFirstWordAreChained(t *testing.T) {
+	_, h := quietHashchain(4, Options{})
+	a, b := testHash(9), testHash(9)
+	b[wire.DigestSize-1] ^= 0xFF
+	ra, rb := h.rec(a), h.rec(b)
+	if ra == rb || len(h.recs) != 1 || len(h.records()) != 2 {
+		t.Fatalf("records %p %p, %d keys, %d records: want two records under one key", ra, rb, len(h.recs), len(h.records()))
+	}
+	if h.rec(a) != ra || h.rec(b) != rb || h.lookup(a) != ra || h.lookup(b) != rb {
+		t.Fatal("a chained record is not found again by its hash")
 	}
 }

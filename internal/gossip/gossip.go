@@ -1,12 +1,12 @@
 // Package gossip implements the votepool-style relay that backs the mesh
 // transport (DESIGN.md §13): a dedup cache — one bit per (origin, sequence
-// number), with TTL expiry — plus bounded, expiring per-peer relay queues.
-// The design follows CometBFT's votepool — entries carry a digest, a relay
-// remembers which digests it has seen, fresh entries are re-queued to every
-// peer except the one they arrived from, and both the memory of seen
-// digests and the queued entries expire — with the CAC framing from
-// PAPERS.md: a relay queue is a finite, droppable resource, never an
-// unbounded mailbox.
+// number), with TTL expiry — plus a bounded, expiring relay log whose every
+// flush is shared by all peers' envelopes. The design follows CometBFT's
+// votepool — entries carry a digest, a relay remembers which digests it has
+// seen, fresh entries are relayed to every peer except the one they arrived
+// from, and both the memory of seen digests and the queued entries expire —
+// with the CAC framing from PAPERS.md: a peer's backlog is a finite,
+// droppable resource, never an unbounded mailbox.
 //
 // The package is pure bookkeeping over virtual timestamps: no timers, no
 // simulator, no network. All expiry happens lazily against the caller's
@@ -38,17 +38,28 @@ type Entry struct {
 	Payload any
 	Size    int
 
-	// enqueued is the virtual time the entry entered a relay queue; the
-	// queue's drain uses it to expire stale entries. Queue-local, never
-	// serialized.
+	// from is the link the entry arrived on at the relay that queued it
+	// (its origin, for an entry originated there), and enqueued the
+	// virtual time it was queued; a flush expires entries by it. Set by
+	// the queuing relay, never serialized.
+	from     wire.NodeID
 	enqueued time.Duration
+}
+
+// For reports whether a flushed entry is meant for peer. A flush hands
+// every peer the same window, and a relay sends an entry neither back on
+// the link it arrived on nor to its origin — both have it by construction
+// — so each receiver skips the entries for which For(self) is false.
+func (e *Entry) For(peer wire.NodeID) bool {
+	return peer != e.from && peer != e.Digest.Origin
 }
 
 // Config bounds a relay's resources.
 type Config struct {
-	// QueueCap caps each per-peer queue; a push to a full queue drops the
-	// NEW entry (the queued backlog is older and closer to expiring anyway,
-	// and dropping the newcomer keeps the operation O(1)).
+	// QueueCap caps each peer's backlog between two flushes; an entry
+	// queued toward a peer whose backlog is full is dropped for that peer
+	// (the queued backlog is older and closer to expiring anyway, and
+	// dropping the newcomer keeps the operation O(1)).
 	QueueCap int
 	// EntryTTL expires queued entries that waited too long for a flush:
 	// relaying them would spend bandwidth on messages every correct node
@@ -64,23 +75,52 @@ type Config struct {
 	MaxHops int
 }
 
-// Relay is one node's gossip state: the dedup cache of seen digests and a
-// bounded queue of entries awaiting relay toward each peer. It is not
-// safe for concurrent use — by design, since under PDES it must only be
-// touched by its owning node's events.
+// Relay is one node's gossip state: the dedup cache of seen digests and
+// the log of entries queued since the last flush. The log stores each entry
+// once, whatever the number of peers it is meant for; a peer's backlog is
+// the log's entries meant for it (Entry.For), up to QueueCap of them. It is
+// not safe for concurrent use — by design, since under PDES it must only be
+// touched by its owning node's events — and the clock its callers pass
+// never decreases.
 type Relay struct {
 	cfg    Config
 	peers  []wire.NodeID
 	dedup  dedupCache
-	queues []relayQueue // queues[i] holds the backlog toward peers[i]
+	log    []Entry     // entries queued since the last flush, oldest first
+	queues []peerQueue // queues[i] is peers[i]'s backlog in log
+	shares []Share     // Flush's result, reused
+	// lastLen is the length of the last flushed log: the capacity the next
+	// log starts with, so a steady burst allocates its log once.
+	lastLen int
 
 	// Stats counters, all monotone.
-	relayed    uint64 // fresh entries fanned out to peer queues
+	relayed    uint64 // fresh entries fanned out toward peers
 	dedupDrops uint64 // ingested entries discarded as already-seen
-	queueDrops uint64 // entries dropped because a peer queue was full
-	expired    uint64 // queued entries discarded past EntryTTL
+	queueDrops uint64 // (entry, peer) pairs dropped at a full backlog
+	expired    uint64 // queued (entry, peer) pairs discarded past EntryTTL
 
 	expireAll bool // BreakExpiryForTest
+}
+
+// peerQueue is one peer's backlog: the entries of the log meant for it and
+// queued before it filled.
+type peerQueue struct {
+	n     int // entries queued toward the peer
+	bytes int // their payload bytes (Entry.Size)
+	// cut is 0 while the backlog has room. Once it holds QueueCap entries,
+	// cut is the log's length at that moment: later entries are dropped
+	// toward the peer, so its envelope ends there.
+	cut int
+}
+
+// Share is one peer's part of a flushed window: the prefix of the window
+// its envelope carries, and how many entries of that prefix are meant for
+// the peer (Entry.For) with their payload bytes. A share with N = 0 has
+// nothing to send.
+type Share struct {
+	Entries []Entry
+	N       int
+	Bytes   int
 }
 
 // Stats is a point-in-time snapshot of a relay's counters.
@@ -91,14 +131,15 @@ type Stats struct {
 	Expired    uint64
 }
 
-// NewRelay builds a relay with one queue per peer. Enqueue and Flush name a
-// peer by its index in peers.
+// NewRelay builds a relay toward the given peers. Flush reports a peer's
+// share at its index in peers.
 func NewRelay(peers []wire.NodeID, cfg Config) *Relay {
-	r := &Relay{cfg: cfg, peers: peers, queues: make([]relayQueue, len(peers))}
-	for i := range r.queues {
-		r.queues[i].cap = cfg.QueueCap
+	return &Relay{
+		cfg:    cfg,
+		peers:  peers,
+		queues: make([]peerQueue, len(peers)),
+		shares: make([]Share, len(peers)),
 	}
-	return r
 }
 
 // BreakDedupForTest makes every digest look fresh to this relay: its dedup
@@ -108,7 +149,7 @@ func NewRelay(peers []wire.NodeID, cfg Config) *Relay {
 func (r *Relay) BreakDedupForTest() { r.dedup.forgetful = true }
 
 // BreakExpiryForTest makes every entry queued at this relay look expired:
-// its flushes drain nothing, so gossip through it starves. A sabotage hook:
+// its flushes ship nothing, so gossip through it starves. A sabotage hook:
 // tests call it to prove their liveness checks would catch a starved relay.
 func (r *Relay) BreakExpiryForTest() { r.expireAll = true }
 
@@ -119,45 +160,103 @@ func (r *Relay) Observe(d Digest, now time.Duration) bool {
 	return r.dedup.mark(d, now, r.cfg.DedupTTL)
 }
 
+// Originate queues a new message (hop 0) toward every peer.
+func (r *Relay) Originate(e Entry, now time.Duration) {
+	e.from = e.Digest.Origin
+	r.push(e, now)
+}
+
 // Ingest processes an entry received from a peer. A stale digest is
 // counted and discarded. A fresh one is remembered and — if the entry has
-// hops left — re-queued, with one more hop, toward every peer except the
-// link it arrived on and its origin (both have it by construction). The
-// caller delivers the payload locally exactly when Ingest returns true.
+// hops left — queued, with one more hop, toward every peer except the link
+// it arrived on and its origin. The caller delivers the payload locally
+// exactly when Ingest returns true.
 func (r *Relay) Ingest(from wire.NodeID, e Entry, now time.Duration) bool {
 	if !r.dedup.mark(e.Digest, now, r.cfg.DedupTTL) {
 		r.dedupDrops++
 		return false
 	}
 	if e.Hops < r.cfg.MaxHops {
-		fwd := e
-		fwd.Hops++
-		for i, p := range r.peers {
-			if p == from || p == e.Digest.Origin {
-				continue
-			}
-			r.Enqueue(i, fwd, now)
-		}
+		e.Hops++
+		e.from = from
+		r.push(e, now)
 		r.relayed++
 	}
 	return true
 }
 
-// Enqueue queues an entry toward peers[peer], for originators fanning out a
-// new message (hop 0) to their whole neighborhood.
-func (r *Relay) Enqueue(peer int, e Entry, now time.Duration) {
+// push queues e toward every peer it is meant for that has room, and
+// stores it in the log once if any does.
+func (r *Relay) push(e Entry, now time.Duration) {
 	e.enqueued = now
-	if !r.queues[peer].push(e) {
-		r.queueDrops++
+	stored := false
+	for i, p := range r.peers {
+		if !e.For(p) {
+			continue
+		}
+		q := &r.queues[i]
+		if q.cut != 0 {
+			r.queueDrops++
+			continue
+		}
+		if !stored {
+			if r.log == nil {
+				r.log = make([]Entry, 0, max(r.lastLen, 1))
+			}
+			r.log = append(r.log, e)
+			stored = true
+		}
+		q.n++
+		q.bytes += e.Size
+		if q.n == r.cfg.QueueCap {
+			q.cut = len(r.log)
+		}
 	}
 }
 
-// Flush drains the non-expired backlog queued toward peers[peer], in FIFO
-// order. Entries past EntryTTL are counted and discarded.
-func (r *Relay) Flush(peer int, now time.Duration) []Entry {
-	out, exp := r.queues[peer].drain(now, r.cfg.EntryTTL, r.expireAll)
-	r.expired += exp
-	return out
+// Flush closes the log of entries queued since the last flush and returns
+// every peer's share of it, shares[i] for peers[i]. The expired prefix of
+// the log — every entry under BreakExpiryForTest, else those queued
+// EntryTTL or longer ago; queue times never decrease — is counted per peer
+// it was meant for and left out of every share. The shares alias one
+// window, which nothing writes again (the next entry queued starts a new
+// log), so envelopes on every partition may read it; the returned slice is
+// the relay's own and the next Flush overwrites it.
+func (r *Relay) Flush(now time.Duration) []Share {
+	log := r.log
+	pre := 0
+	switch {
+	case r.expireAll:
+		pre = len(log)
+	case r.cfg.EntryTTL > 0:
+		for pre < len(log) && log[pre].enqueued+r.cfg.EntryTTL <= now {
+			pre++
+		}
+	}
+	for i, p := range r.peers {
+		q := &r.queues[i]
+		end := len(log)
+		if q.cut != 0 {
+			end = q.cut
+		}
+		for k := 0; k < min(pre, end); k++ {
+			if log[k].For(p) {
+				q.n--
+				q.bytes -= log[k].Size
+				r.expired++
+			}
+		}
+		r.shares[i] = Share{N: q.n, Bytes: q.bytes}
+		if q.n > 0 {
+			r.shares[i].Entries = log[pre:end]
+		}
+		*q = peerQueue{}
+	}
+	if log != nil {
+		r.lastLen = len(log)
+	}
+	r.log = nil
+	return r.shares
 }
 
 // Stats snapshots the relay's counters.
@@ -282,46 +381,4 @@ func (c *dedupCache) clear(d Digest) {
 		delete(c.pages, cur.key)
 		cur.p = nil
 	}
-}
-
-// relayQueue is one bounded FIFO of entries awaiting flush toward a peer.
-type relayQueue struct {
-	cap     int
-	entries []Entry
-	head    int
-}
-
-func (q *relayQueue) len() int { return len(q.entries) - q.head }
-
-// push appends an entry, reporting false (drop) when the queue is full.
-func (q *relayQueue) push(e Entry) bool {
-	if q.cap > 0 && q.len() >= q.cap {
-		return false
-	}
-	q.entries = append(q.entries, e)
-	return true
-}
-
-// drain removes and returns every queued entry still inside ttl (none when
-// expireAll), plus the count it expired. The result is nil for an empty
-// queue and otherwise a fresh slice sized once to the backlog: it leaves
-// inside an Envelope, so it can be neither pooled nor a view of the queue's
-// own storage.
-func (q *relayQueue) drain(now, ttl time.Duration, expireAll bool) ([]Entry, uint64) {
-	if q.len() == 0 {
-		return nil, 0
-	}
-	out := make([]Entry, 0, q.len())
-	var expired uint64
-	for ; q.head < len(q.entries); q.head++ {
-		e := q.entries[q.head]
-		if expireAll || (ttl > 0 && e.enqueued+ttl <= now) {
-			expired++
-			continue
-		}
-		out = append(out, e)
-	}
-	q.entries = q.entries[:0]
-	q.head = 0
-	return out, expired
 }

@@ -37,19 +37,33 @@ func TestIngestDedup(t *testing.T) {
 	}
 }
 
+// meant returns the entries of a flushed share meant for peer, in order:
+// what the peer's envelope delivers.
+func meant(sh Share, peer wire.NodeID) []Entry {
+	var out []Entry
+	for i := range sh.Entries {
+		if sh.Entries[i].For(peer) {
+			out = append(out, sh.Entries[i])
+		}
+	}
+	return out
+}
+
 func TestIngestSkipsSourceAndOrigin(t *testing.T) {
 	// Peer ids equal their index in the relay's peer list.
-	r := NewRelay([]wire.NodeID{0, 1, 2, 3}, testConfig())
+	peers := []wire.NodeID{0, 1, 2, 3}
+	r := NewRelay(peers, testConfig())
 	r.Ingest(1, entry(0, 7), 0) // arrived from 1, originated at 0
+	shares := r.Flush(0)
 	for _, p := range []int{0, 1} {
-		if got := r.Flush(p, 0); len(got) != 0 {
+		if shares[p].N != 0 || len(meant(shares[p], peers[p])) != 0 {
 			t.Fatalf("entry re-queued toward %d (origin/source)", p)
 		}
 	}
 	for _, p := range []int{2, 3} {
-		got := r.Flush(p, 0)
-		if len(got) != 1 || got[0].Hops != 1 {
-			t.Fatalf("peer %d: got %v, want one entry at hop 1", p, got)
+		got := meant(shares[p], peers[p])
+		if shares[p].N != 1 || len(got) != 1 || got[0].Hops != 1 {
+			t.Fatalf("peer %d: got %v (N %d), want one entry at hop 1", p, got, shares[p].N)
 		}
 	}
 }
@@ -73,14 +87,15 @@ func TestQueueCapDropsNewest(t *testing.T) {
 	cfg := testConfig()
 	r := NewRelay([]wire.NodeID{1}, cfg)
 	for seq := uint64(0); seq < uint64(cfg.QueueCap)+3; seq++ {
-		r.Enqueue(0, entry(0, seq), 0)
+		r.Originate(entry(0, seq), 0)
 	}
 	if got := r.Stats().QueueDrops; got != 3 {
 		t.Fatalf("queueDrops = %d, want 3", got)
 	}
-	out := r.Flush(0, 0)
-	if len(out) != cfg.QueueCap {
-		t.Fatalf("flushed %d entries, want %d", len(out), cfg.QueueCap)
+	sh := r.Flush(0)[0]
+	out := meant(sh, 1)
+	if len(out) != cfg.QueueCap || sh.N != cfg.QueueCap {
+		t.Fatalf("flushed %d entries (N %d), want %d", len(out), sh.N, cfg.QueueCap)
 	}
 	for i, e := range out {
 		if e.Digest.Seq != uint64(i) {
@@ -89,50 +104,83 @@ func TestQueueCapDropsNewest(t *testing.T) {
 	}
 }
 
+// A peer whose backlog fills is cut there while the others read on: the
+// cut is per peer, over the one shared window.
+func TestQueueCapCutsPerPeer(t *testing.T) {
+	cfg := testConfig()
+	r := NewRelay([]wire.NodeID{1, 2}, cfg)
+	for seq := uint64(0); seq < uint64(cfg.QueueCap); seq++ {
+		r.Ingest(2, entry(0, seq), 0) // meant for 1 only
+	}
+	r.Ingest(1, entry(0, 100), 0) // meant for 2 only
+	r.Ingest(3, entry(0, 101), 0) // meant for both: 1 is full
+	if got := r.Stats().QueueDrops; got != 1 {
+		t.Fatalf("queueDrops = %d, want 1", got)
+	}
+	shares := r.Flush(0)
+	if got := meant(shares[0], 1); len(got) != cfg.QueueCap || got[len(got)-1].Digest.Seq != uint64(cfg.QueueCap)-1 {
+		t.Fatalf("peer 1 reads %v, want its first %d entries", got, cfg.QueueCap)
+	}
+	got := meant(shares[1], 2)
+	if len(got) != 2 || got[0].Digest.Seq != 100 || got[1].Digest.Seq != 101 || shares[1].N != 2 {
+		t.Fatalf("peer 2 reads %v (N %d), want seqs 100 and 101", got, shares[1].N)
+	}
+}
+
 func TestEntryTTLExpiry(t *testing.T) {
 	cfg := testConfig()
 	r := NewRelay([]wire.NodeID{1}, cfg)
-	r.Enqueue(0, entry(0, 1), 0)
-	r.Enqueue(0, entry(0, 2), cfg.EntryTTL/2)
-	out := r.Flush(0, cfg.EntryTTL)
-	if len(out) != 1 || out[0].Digest.Seq != 2 {
-		t.Fatalf("flush = %v, want only the young entry (seq 2)", out)
+	r.Originate(entry(0, 1), 0)
+	r.Originate(entry(0, 2), cfg.EntryTTL/2)
+	sh := r.Flush(cfg.EntryTTL)[0]
+	if out := meant(sh, 1); len(out) != 1 || out[0].Digest.Seq != 2 || sh.N != 1 || sh.Bytes != out[0].Size {
+		t.Fatalf("flush = %v (N %d, %d B), want only the young entry (seq 2)", out, sh.N, sh.Bytes)
 	}
 	if got := r.Stats().Expired; got != 1 {
 		t.Fatalf("expired = %d, want 1", got)
 	}
 }
 
-// A flush allocates its result once, at the backlog's size, and a flush of
-// an empty queue allocates nothing and returns nil. Each result is its own
-// slice: it leaves in an Envelope, so a later flush must not write over it.
+// A flush allocates once, not once per peer: every peer's share views the
+// one log, which is allocated once at the previous burst's size, and a
+// flush of an empty log allocates nothing and hands out nothing. Each
+// window is its own array: it leaves in Envelopes, so a later flush must
+// not write over it.
 func TestFlushAllocatesResultOnce(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueCap = 0
-	r := NewRelay([]wire.NodeID{1}, cfg)
-	if got := r.Flush(0, 0); got != nil {
-		t.Fatalf("flush of an empty queue = %v, want nil", got)
+	peers := []wire.NodeID{1, 2, 3, 4, 5, 6, 7, 8}
+	r := NewRelay(peers, cfg)
+	for i, sh := range r.Flush(0) {
+		if sh.N != 0 || sh.Entries != nil {
+			t.Fatalf("flush of an empty log gives peer %d %v (N %d), want nothing", i, sh.Entries, sh.N)
+		}
 	}
 	var first []Entry
 	var seq uint64
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 100; i++ {
-			r.Enqueue(0, entry(0, seq), 0)
+			r.Originate(entry(0, seq), 0)
 			seq++
 		}
-		out := r.Flush(0, 0)
-		if len(out) != 100 || cap(out) != 100 {
-			t.Fatalf("flush len/cap = %d/%d, want 100/100", len(out), cap(out))
+		shares := r.Flush(0)
+		for i, sh := range shares {
+			if sh.N != 100 || len(sh.Entries) != 100 || &sh.Entries[0] != &shares[0].Entries[0] {
+				t.Fatalf("peer %d: N %d, %d entries, shared %v; want 100 of the one window", i,
+					sh.N, len(sh.Entries), &sh.Entries[0] == &shares[0].Entries[0])
+			}
 		}
 		if first == nil {
-			first = out
+			first = shares[0].Entries
 		}
-		if r.Flush(0, 0) != nil {
-			t.Fatal("second flush not nil")
+		for _, sh := range r.Flush(0) {
+			if sh.N != 0 || sh.Entries != nil {
+				t.Fatal("second flush not empty")
+			}
 		}
 	})
 	if allocs != 1 {
-		t.Fatalf("enqueue 100 + flush allocates %.1f times, want 1 (the result)", allocs)
+		t.Fatalf("originate 100 toward %d peers + flush allocates %.1f times, want 1 (the log)", len(peers), allocs)
 	}
 	for i, e := range first {
 		if e.Digest.Seq != uint64(i) {
@@ -149,9 +197,9 @@ func TestMaxHopsBackstop(t *testing.T) {
 	if !r.Ingest(3, e, 0) {
 		t.Fatal("entry at hop cap should still be fresh (delivered locally)")
 	}
-	for p := range 2 {
-		if got := r.Flush(p, 0); len(got) != 0 {
-			t.Fatalf("entry at hop cap was re-queued: %v", got)
+	for p, sh := range r.Flush(0) {
+		if sh.N != 0 || len(sh.Entries) != 0 {
+			t.Fatalf("entry at hop cap was re-queued toward peer %d: %v", p, sh.Entries)
 		}
 	}
 	if got := r.Stats().Relayed; got != 0 {
@@ -171,9 +219,12 @@ func TestSabotageHooks(t *testing.T) {
 
 	r = NewRelay([]wire.NodeID{1}, cfg)
 	r.BreakExpiryForTest()
-	r.Enqueue(0, entry(0, 2), 0)
-	if got := r.Flush(0, 0); len(got) != 0 {
-		t.Fatalf("broken expiry should drain nothing, got %v", got)
+	r.Originate(entry(0, 2), 0)
+	if sh := r.Flush(0)[0]; sh.N != 0 || len(sh.Entries) != 0 {
+		t.Fatalf("broken expiry should ship nothing, got %v", sh.Entries)
+	}
+	if got := r.Stats().Expired; got != 1 {
+		t.Fatalf("broken expiry counted %d expired, want 1", got)
 	}
 }
 
@@ -264,8 +315,8 @@ func markDirect(c *dedupCache) func(dedupOp, time.Duration) bool {
 // input, and requires the verdict of a literal digest→expiry table on
 // every single call — so a cache that forgets early, remembers too long or
 // always says "stale" fails at the first step that shows it. It then checks
-// what the mesh needs of the queues: no flushed backlog contains a
-// duplicate digest or an entry queued toward its own origin.
+// what the mesh needs of the flushed window: no peer's share contains a
+// duplicate digest or an entry meant for its own origin.
 func FuzzGossipDedup(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 9, 9, 9})
@@ -295,11 +346,12 @@ func FuzzGossipDedup(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Ingest: %v", err)
 		}
-		// Every queued backlog must be duplicate-free and must not target
+		// Every peer's backlog must be duplicate-free and must not target
 		// the entry's own origin.
-		for i, p := range peers {
+		for i, sh := range r.Flush(now) {
+			p := peers[i]
 			seen := map[Digest]bool{}
-			for _, e := range r.Flush(i, now) {
+			for _, e := range meant(sh, p) {
 				if seen[e.Digest] {
 					t.Fatalf("peer %d queue holds digest %v twice", p, e.Digest)
 				}
@@ -393,8 +445,7 @@ func TestDedupFarApartMarksCostPages(t *testing.T) {
 // The steady-state paths of a relay allocate nothing of their own: a mark
 // of a digest already seen is a bit test, and a fresh ingest costs its
 // share of a page (one per seqPageSize sequence numbers) plus growth of the
-// expiry FIFO and the peer queues, which stop growing once they have seen
-// their peak.
+// expiry FIFO, and each flush allocates the next burst's log once.
 func TestRelaySteadyStateAllocations(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueCap = 0
@@ -407,15 +458,13 @@ func TestRelaySteadyStateAllocations(t *testing.T) {
 			r.Ingest(1, entry(0, seq), 0)
 			seq++
 		}
-		for p := range 3 {
-			r.Flush(p, 0)
-		}
+		r.Flush(0)
 	}
-	ingestBurst() // the queues reach their peak capacity
+	ingestBurst() // the log learns the burst's size
 	perBurst := testing.AllocsPerRun(4, ingestBurst)
-	// 4 pages, 2 flush results, and the FIFO doubling now and then.
-	if perBurst > 4+2+2 {
-		t.Fatalf("%d fresh ingests allocate %.0f times, want their 4 pages and 2 flush results", burst, perBurst)
+	// 4 pages, 1 log, and the FIFO doubling now and then.
+	if perBurst > 4+1+2 {
+		t.Fatalf("%d fresh ingests allocate %.0f times, want their 4 pages and 1 log", burst, perBurst)
 	}
 	seen := entry(0, seq-1)
 	if a := testing.AllocsPerRun(100, func() {

@@ -13,9 +13,9 @@ import (
 // Mesh is the bounded-fanout gossip overlay (DESIGN.md §13): a
 // deterministic peer graph over the network's nodes, one gossip.Relay per
 // node, and a short flush timer that batches each node's pending relay
-// backlog into per-peer Envelopes. Protocol layers publish through
-// Gossip() and receive through a DeliverFunc; the mesh owns dedup,
-// forwarding, and expiry in between.
+// log into one Envelope per peer, all of them views of the same window.
+// Protocol layers publish through Gossip() and receive through a
+// DeliverFunc; the mesh owns dedup, forwarding, and expiry in between.
 //
 // The message-complexity win over Broadcast is the batching: a flood
 // alone costs ~n·fanout links per payload (worse than broadcast's n-1),
@@ -41,8 +41,10 @@ type Mesh struct {
 // protocol-level sender checks keep working.
 type DeliverFunc func(origin wire.NodeID, payload any, size int)
 
-// Envelope is the mesh's wire message: the batch of relay entries one
-// flush ships toward one peer.
+// Envelope is the mesh's wire message: what one flush ships toward one
+// peer. Entries is the peer's view of the sender's window, shared
+// read-only with the flush's other envelopes; the receiver reads only the
+// entries meant for it (gossip.Entry.For).
 type Envelope struct {
 	Entries []gossip.Entry
 }
@@ -229,25 +231,27 @@ func (m *Mesh) Gossip(from wire.NodeID, payload any, size int) {
 	ep.seq++
 	ep.relay.Observe(d, now)
 	ep.originated++
-	e := gossip.Entry{Digest: d, Payload: payload, Size: size}
-	for i := range ep.peers {
-		ep.relay.Enqueue(i, e, now)
-	}
+	ep.relay.Originate(gossip.Entry{Digest: d, Payload: payload, Size: size}, now)
 	ep.armFlush()
 }
 
 // Receive ingests an envelope that arrived at self from a mesh neighbor.
-// Fresh entries are delivered locally (with their ORIGIN as the sender)
-// and re-queued toward the rest of the neighborhood; stale ones are
-// dropped by the relay's dedup cache.
+// Of the sender's shared window it reads the entries meant for self
+// (gossip.Entry.For). Fresh ones are delivered locally (with their ORIGIN
+// as the sender) and re-queued toward the rest of the neighborhood; stale
+// ones are dropped by the relay's dedup cache.
 func (m *Mesh) Receive(self, from wire.NodeID, env *Envelope) {
 	ep, ok := m.eps[self]
 	if !ok {
 		panic("netsim: Receive on node outside the mesh")
 	}
 	now := ep.sim.Now()
-	for _, e := range env.Entries {
-		if ep.relay.Ingest(from, e, now) {
+	for i := range env.Entries {
+		e := &env.Entries[i]
+		if !e.For(self) {
+			continue
+		}
+		if ep.relay.Ingest(from, *e, now) {
 			ep.delivered++
 			if ep.deliver != nil {
 				ep.deliver(e.Digest.Origin, e.Payload, e.Size)
@@ -267,21 +271,19 @@ func (ep *meshEndpoint) armFlush() {
 	ep.sim.After(meshFlushInterval, ep.flush)
 }
 
-// flush ships each neighbor's queued backlog as one envelope. Peer order
-// is the sorted slice, never map order, so the send sequence — and with
-// it the sender-rng fault/jitter draw sequence — is deterministic.
+// flush ships each neighbor's share of the relay's window as one envelope;
+// every envelope of a flush views the same window, and its wire size
+// counts only the entries meant for its receiver. Peer order is the sorted
+// slice, never map order, so the send sequence — and with it the
+// sender-rng fault/jitter draw sequence — is deterministic.
 func (ep *meshEndpoint) flush() {
 	ep.flushArmed = false
-	for i, p := range ep.peers {
-		entries := ep.relay.Flush(i, ep.sim.Now())
-		if len(entries) == 0 {
+	for i, sh := range ep.relay.Flush(ep.sim.Now()) {
+		if sh.N == 0 {
 			continue
 		}
-		size := meshEnvelopeOverhead
-		for _, e := range entries {
-			size += e.Size + meshEntryOverhead
-		}
-		ep.mesh.net.Send(ep.id, p, &Envelope{Entries: entries}, size)
+		size := meshEnvelopeOverhead + sh.Bytes + sh.N*meshEntryOverhead
+		ep.mesh.net.Send(ep.id, ep.peers[i], &Envelope{Entries: sh.Entries}, size)
 	}
 }
 

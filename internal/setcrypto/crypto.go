@@ -17,6 +17,7 @@ import (
 	"crypto/sha512"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math/rand"
 )
 
@@ -38,6 +39,10 @@ type Suite interface {
 	Verify(pub PublicKey, msg []byte, sig []byte) bool
 	// HashData returns the 64-byte digest of the concatenation of chunks.
 	HashData(chunks ...[]byte) []byte
+	// NewHash returns HashData in streaming form: its sum over the bytes
+	// written so far equals HashData of their concatenation as one chunk,
+	// wherever the writes split them.
+	NewHash() hash.Hash
 	// Name identifies the suite in logs and experiment metadata.
 	Name() string
 }
@@ -53,29 +58,43 @@ type KeyPair struct {
 
 // Registry is the PKI: it maps process indices (servers 0..n-1 and any
 // number of clients) to their public keys. The paper assumes all processes
-// know all public keys upfront.
+// know all public keys upfront. Ids are dense — servers, then clients, from
+// zero up (core.RegisterClientKey) — so the keys live in a slice indexed by
+// id: every signature check reads one.
 type Registry struct {
-	keys map[int]PublicKey
+	keys []PublicKey // keys[id], nil where no key is registered
+	n    int         // registered ids
 }
 
 // NewRegistry returns an empty PKI registry.
-func NewRegistry() *Registry {
-	return &Registry{keys: make(map[int]PublicKey)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Register records the public key for a process id, replacing any previous
-// key for that id.
+// key for that id. The id must be non-negative.
 func (r *Registry) Register(id int, pub PublicKey) {
+	if id < 0 {
+		panic(fmt.Sprintf("setcrypto: registering negative process id %d", id))
+	}
+	if id >= len(r.keys) {
+		r.keys = append(r.keys, make([]PublicKey, id+1-len(r.keys))...)
+	}
+	if r.keys[id] == nil {
+		r.n++
+	}
 	r.keys[id] = pub
 }
 
-// Lookup returns the public key for id, or nil if unknown.
+// Lookup returns the public key for id, or nil if unknown — also for an id
+// that is negative or past every registered one.
 func (r *Registry) Lookup(id int) PublicKey {
+	if uint(id) >= uint(len(r.keys)) {
+		return nil
+	}
 	return r.keys[id]
 }
 
 // Len reports how many processes are registered.
-func (r *Registry) Len() int { return len(r.keys) }
+func (r *Registry) Len() int { return r.n }
 
 // Ed25519Suite is the real-cryptography suite.
 type Ed25519Suite struct{}
@@ -118,6 +137,9 @@ func (Ed25519Suite) HashData(chunks ...[]byte) []byte {
 	}
 	return h.Sum(nil)
 }
+
+// NewHash implements Suite: SHA-512 is a stream already.
+func (Ed25519Suite) NewHash() hash.Hash { return sha512.New() }
 
 // FastSuite is a non-cryptographic stand-in with identical artifact sizes.
 // A "signature" is a 64-byte tag binding (key, msg) through a seeded
@@ -233,10 +255,67 @@ func (FastSuite) HashData(chunks ...[]byte) []byte {
 		h = fastAbsorb(h, c)
 		h = fastMix(h, uint64(len(c)))
 	}
-	base := fastFinal(h)
-	d := make([]byte, HashSize)
-	for i := 0; i < HashSize/8; i++ {
-		binary.LittleEndian.PutUint64(d[i*8:], base+uint64(i)*fastPrime1)
-	}
-	return d
+	return appendFastDigest(make([]byte, 0, HashSize), fastFinal(h))
 }
+
+// appendFastDigest appends the 64-byte digest expanded from a finalized
+// word-hash state.
+func appendFastDigest(dst []byte, base uint64) []byte {
+	for i := 0; i < HashSize/8; i++ {
+		dst = binary.LittleEndian.AppendUint64(dst, base+uint64(i)*fastPrime1)
+	}
+	return dst
+}
+
+// NewHash implements Suite.
+func (FastSuite) NewHash() hash.Hash {
+	s := &fastStream{}
+	s.Reset()
+	return s
+}
+
+// fastStream is FastSuite.HashData over one chunk, absorbed as it is
+// written: whole words go into the state at once, and the bytes of a word
+// split across writes wait in tail (at most 7 of them) until it completes.
+type fastStream struct {
+	h    uint64
+	tail [8]byte
+	nt   int    // bytes waiting in tail
+	n    uint64 // bytes written since Reset
+}
+
+func (s *fastStream) Write(p []byte) (int, error) {
+	written := len(p)
+	s.n += uint64(written)
+	if s.nt > 0 {
+		c := copy(s.tail[s.nt:], p)
+		if s.nt += c; s.nt < 8 {
+			return written, nil
+		}
+		s.h = fastMix(s.h, binary.LittleEndian.Uint64(s.tail[:]))
+		s.nt, p = 0, p[c:]
+	}
+	for len(p) >= 8 {
+		s.h = fastMix(s.h, binary.LittleEndian.Uint64(p))
+		p = p[8:]
+	}
+	s.nt = copy(s.tail[:], p)
+	return written, nil
+}
+
+// Sum appends the digest of the bytes written so far, without changing
+// the stream: the waiting tail is absorbed zero-padded and tagged with its
+// length, then the total length, exactly as HashData absorbs one chunk.
+func (s *fastStream) Sum(b []byte) []byte {
+	h := s.h
+	if s.nt > 0 {
+		var tail [8]byte
+		copy(tail[:], s.tail[:s.nt])
+		h = fastMix(h, binary.LittleEndian.Uint64(tail[:])^uint64(s.nt))
+	}
+	return appendFastDigest(b, fastFinal(fastMix(h, s.n)))
+}
+
+func (s *fastStream) Reset()         { *s = fastStream{h: fastSeed} }
+func (s *fastStream) Size() int      { return HashSize }
+func (s *fastStream) BlockSize() int { return 8 }

@@ -118,6 +118,81 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// Lookup answers nil for every id it holds no key for — negative, far past
+// the table, or inside it but never registered — and Len counts ids, not
+// registrations.
+func TestRegistryEdges(t *testing.T) {
+	reg := NewRegistry()
+	kp := FastKeyPair(5)
+	reg.Register(5, kp.Public)
+	for _, id := range []int{-1, 1 << 40, 0, 4, 6} {
+		if got := reg.Lookup(id); got != nil {
+			t.Fatalf("Lookup(%d) = %x, want nil", id, got)
+		}
+	}
+	reg.Register(2, FastKeyPair(2).Public)
+	reg.Register(5, FastKeyPair(50).Public)
+	if got := reg.Lookup(5); !bytes.Equal(got, FastKeyPair(50).Public) {
+		t.Fatal("Register did not replace id 5's key")
+	}
+	if got := reg.Lookup(2); !bytes.Equal(got, FastKeyPair(2).Public) {
+		t.Fatal("registering id 2 after id 5 lost it")
+	}
+	if reg.Len() != 2 {
+		t.Fatalf("Len = %d after three registrations of two ids, want 2", reg.Len())
+	}
+}
+
+// A suite's stream sums to HashData over the concatenation of what was
+// written, however the writes split it: empty writes, tails of 1 to 7
+// bytes, whole words, writes that complete a waiting tail and writes that
+// do not. Sum leaves the stream as it was, and Reset starts it over.
+func TestStreamEqualsHashData(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	data := make([]byte, 200)
+	rng.Read(data)
+	fixed := [][]int{
+		{},
+		{0, 0, 0},
+		{1}, {7}, {8}, {9}, {16}, {24, 0, 8},
+		{3, 5}, {1, 1, 1, 1, 1, 1, 1, 1, 1},
+		{7, 1, 7, 1}, {5, 0, 6, 0, 13}, {64, 64, 72},
+	}
+	for _, suite := range []Suite{FastSuite{}, Ed25519Suite{}} {
+		h := suite.NewHash()
+		if h.Size() != HashSize {
+			t.Fatalf("%s: stream size %d", suite.Name(), h.Size())
+		}
+		check := func(chunks []int) {
+			t.Helper()
+			h.Reset()
+			off := 0
+			for _, c := range chunks {
+				h.Write(data[off : off+c])
+				off += c
+				if got, want := h.Sum(nil), suite.HashData(data[:off]); !bytes.Equal(got, want) {
+					t.Fatalf("%s: chunks %v, after %d bytes: stream %x, HashData %x", suite.Name(), chunks, off, got[:8], want[:8])
+				}
+			}
+			if got, want := h.Sum([]byte{0xAB}), append([]byte{0xAB}, suite.HashData(data[:off])...); !bytes.Equal(got, want) {
+				t.Fatalf("%s: chunks %v: Sum does not append to its argument", suite.Name(), chunks)
+			}
+		}
+		for _, chunks := range fixed {
+			check(chunks)
+		}
+		for range 200 {
+			var chunks []int
+			for left := rng.Intn(len(data) + 1); left > 0; {
+				c := min(left, rng.Intn(20))
+				chunks = append(chunks, c)
+				left -= c
+			}
+			check(chunks)
+		}
+	}
+}
+
 func TestVerifyRejectsMalformedInputs(t *testing.T) {
 	suites := []Suite{Ed25519Suite{}, FastSuite{}}
 	for _, s := range suites {

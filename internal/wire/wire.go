@@ -316,7 +316,8 @@ const TxKeyHashPrefix = 22
 // its signer, its hash length (capped at DigestSize, as DigestOf caps it)
 // and the hash prefix; the signer stays in the key, so a Byzantine sender
 // that grinds a shared prefix can only shadow its own hash-batches. Code
-// that needs the whole hash (Hashchain's batch records) keys by Digest.
+// that needs the whole hash compares it whole (Hashchain's batch records)
+// or keys by Digest (a state-sync snapshot's pending sets).
 type TxKey struct {
 	a    uint64
 	h    [TxKeyHashPrefix]byte
