@@ -124,6 +124,10 @@ func FoldEntry(h uint64, c Checkpoint) uint64 {
 	return Mix64(h, c.Digest)
 }
 
+// EntryWireSize is the modeled wire size of one checkpoint-chain entry:
+// its four 64-bit words.
+const EntryWireSize = 32
+
 // Snapshot is a state-sync payload: the serving peer's checkpoint chain
 // plus its application state as of the latest checkpoint's seal height.
 // The simulation ships Go references in State; Bytes models the wire size

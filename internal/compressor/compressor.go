@@ -29,33 +29,13 @@ import (
 // ErrCorrupt reports undecodable compressed input.
 var ErrCorrupt = errors.New("compressor: corrupt input")
 
-// Compressor turns raw batch bytes into a smaller blob and back.
-type Compressor interface {
-	// Compress returns the compressed form of data.
-	Compress(data []byte) ([]byte, error)
-	// Decompress reverses Compress.
-	Decompress(blob []byte) ([]byte, error)
-	// Name identifies the compressor in experiment metadata.
-	Name() string
-}
+// Deflate is the real, stdlib compressor, at flate's default level.
+type Deflate struct{}
 
-// Deflate is the real, stdlib compressor.
-type Deflate struct {
-	// Level is the flate compression level; 0 means flate.DefaultCompression.
-	Level int
-}
-
-// Name implements Compressor.
-func (Deflate) Name() string { return "deflate" }
-
-// Compress implements Compressor.
-func (d Deflate) Compress(data []byte) ([]byte, error) {
-	level := d.Level
-	if level == 0 {
-		level = flate.DefaultCompression
-	}
+// Compress returns the compressed form of data.
+func (Deflate) Compress(data []byte) ([]byte, error) {
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, level)
+	w, err := flate.NewWriter(&buf, flate.DefaultCompression)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +48,7 @@ func (d Deflate) Compress(data []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decompress implements Compressor.
+// Decompress reverses Compress.
 func (Deflate) Decompress(blob []byte) ([]byte, error) {
 	r := flate.NewReader(bytes.NewReader(blob))
 	defer r.Close()

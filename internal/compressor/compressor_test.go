@@ -48,26 +48,6 @@ func TestDeflateCorruptInput(t *testing.T) {
 	}
 }
 
-func TestDeflateLevels(t *testing.T) {
-	data := bytes.Repeat([]byte("abcdefgh"), 500)
-	fast := Deflate{Level: 1}
-	best := Deflate{Level: 9}
-	bf, err := fast.Compress(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := best.Compress(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, blob := range [][]byte{bf, bb} {
-		out, err := Deflate{}.Decompress(blob)
-		if err != nil || !bytes.Equal(out, data) {
-			t.Fatal("level variant failed round trip")
-		}
-	}
-}
-
 // Property: any byte string round-trips through deflate.
 func TestQuickDeflateRoundTrip(t *testing.T) {
 	d := Deflate{}

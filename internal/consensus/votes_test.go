@@ -5,17 +5,15 @@ import "testing"
 func TestVoteBookkeeping(t *testing.T) {
 	rv := newRoundVotes()
 	v := &Vote{Height: 1, Round: 0, Type: VotePrevote, BlockID: "abc", Voter: 1}
-	if !rv.add(v) {
-		t.Fatal("first vote rejected")
+	if rv.voteOf(VotePrevote, 1) != nil {
+		t.Fatal("vote found before any was cast")
 	}
-	if rv.add(v) {
-		t.Fatal("duplicate vote accepted")
+	rv.add(v)
+	if rv.voteOf(VotePrevote, 1) != v {
+		t.Fatal("voter's vote not indexed")
 	}
-	if rv.count(VotePrevote, "abc") != 1 {
-		t.Fatal("count wrong")
-	}
-	if rv.totalVoters(VotePrevote) != 1 {
-		t.Fatal("total voters wrong")
+	if rv.voteOf(VotePrecommit, 1) != nil || rv.voteOf(VotePrevote, 2) != nil {
+		t.Fatal("vote indexed under another type or voter")
 	}
 	if _, ok := rv.quorumBlockID(VotePrevote, 2); ok {
 		t.Fatal("quorum found with one vote")

@@ -33,9 +33,8 @@ import (
 // Modeled wire sizes for the state-sync snapshot: a real transfer ships
 // the set's elements plus per-epoch and per-proof framing.
 const (
-	proofWireSize     = 139 // same envelope class as a signed hash-batch
-	epochFrameSize    = 80  // number + hash + element-count framing
-	checkpointBinSize = 32  // four 64-bit words
+	proofWireSize  = 139 // same envelope class as a signed hash-batch
+	epochFrameSize = 80  // number + hash + element-count framing
 )
 
 // maybeSeal seals every checkpoint interval the settled prefix has
@@ -51,6 +50,21 @@ func (s *Server) maybeSeal() {
 	for s.settled >= s.lastCheckpointEpoch()+k {
 		s.seal(s.lastCheckpointEpoch() + k)
 	}
+}
+
+// extendCheckpoint chains eps, the epochs right after ck in number order,
+// onto ck: the result is the checkpoint covering them too, and bytes
+// grows by their elements' bytes. Height is left as ck's.
+func extendCheckpoint(ck checkpoint.Checkpoint, bytes uint64, eps []*Epoch) (checkpoint.Checkpoint, uint64) {
+	for _, ep := range eps {
+		ck.Epoch = ep.Number
+		ck.Digest = checkpoint.ChainEpoch(ck.Digest, ep.Number, ep.Hash)
+		ck.Elements += uint64(len(ep.Elements))
+		for _, el := range ep.Elements {
+			bytes += uint64(el.Size)
+		}
+	}
+	return ck, bytes
 }
 
 func (s *Server) lastCheckpointEpoch() uint64 {
@@ -69,16 +83,8 @@ func (s *Server) seal(target uint64) {
 	if len(s.checkpoints) > 0 {
 		prev = s.checkpoints[len(s.checkpoints)-1]
 	}
-	d, elems, bytes := prev.Digest, prev.Elements, s.ckptBytes
-	for e := prev.Epoch + 1; e <= target; e++ {
-		ep := s.history[e-1-s.prunedEpochs]
-		d = checkpoint.ChainEpoch(d, ep.Number, ep.Hash)
-		elems += uint64(len(ep.Elements))
-		for _, el := range ep.Elements {
-			bytes += uint64(el.Size)
-		}
-	}
-	ck := checkpoint.Checkpoint{Epoch: target, Height: s.curHeight, Elements: elems, Digest: d}
+	ck, bytes := extendCheckpoint(prev, s.ckptBytes, s.history[prev.Epoch-s.prunedEpochs:target-s.prunedEpochs])
+	ck.Height = s.curHeight
 	s.checkpoints = append(s.checkpoints, ck)
 	s.ckptFold = checkpoint.FoldEntry(s.ckptFold, ck)
 	s.ckptBytes = bytes
@@ -178,7 +184,7 @@ var _ consensus.StateSyncer = (*Server)(nil)
 func (s *Server) freezeSyncState(ck checkpoint.Checkpoint) {
 	created := s.prunedEpochs + uint64(len(s.history))
 	st := &SyncState{LastEpoch: created, CkptBytes: s.ckptBytes}
-	size := int(s.ckptBytes) + len(s.checkpoints)*checkpointBinSize
+	size := int(s.ckptBytes) + len(s.checkpoints)*checkpoint.EntryWireSize
 	for e := ck.Epoch + 1; e <= created; e++ {
 		ep := s.history[e-1-s.prunedEpochs]
 		// Copy the epoch struct, its element and its proof slices; the
@@ -306,20 +312,18 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	}
 	// Recompute chain digests over locally retained epochs: every chain
 	// entry whose covered range (prev, entry] lies within local history
-	// must match what the local epochs hash to.
+	// must match what the local epochs hash to. The chain must ascend.
 	prev := checkpoint.Checkpoint{Digest: checkpoint.Seed()}
 	for _, entry := range snap.Chain {
 		if entry.Epoch > total {
 			break
 		}
+		if entry.Epoch <= prev.Epoch {
+			return false
+		}
 		if prev.Epoch >= s.prunedEpochs {
-			d, elems := prev.Digest, prev.Elements
-			for e := prev.Epoch + 1; e <= entry.Epoch; e++ {
-				ep := s.history[e-1-s.prunedEpochs]
-				d = checkpoint.ChainEpoch(d, ep.Number, ep.Hash)
-				elems += uint64(len(ep.Elements))
-			}
-			if d != entry.Digest || elems != entry.Elements {
+			got, _ := extendCheckpoint(prev, 0, s.history[prev.Epoch-s.prunedEpochs:entry.Epoch-s.prunedEpochs])
+			if got.Digest != entry.Digest || got.Elements != entry.Elements {
 				return false
 			}
 		}
@@ -527,20 +531,7 @@ func (s *Server) forgeSnapshot(snap *checkpoint.Snapshot, st *SyncState) *checkp
 	// Fabricated checkpoint covering (Last.Epoch, forgedNum]: chain the
 	// honest suffix epochs, then the forged one — internally consistent,
 	// provably unsigned.
-	d, elems, bytes := snap.Last.Digest, snap.Last.Elements, st.CkptBytes
-	for _, ep := range st.Epochs {
-		d = checkpoint.ChainEpoch(d, ep.Number, ep.Hash)
-		elems += uint64(len(ep.Elements))
-		for _, el := range ep.Elements {
-			bytes += uint64(el.Size)
-		}
-	}
-	d = checkpoint.ChainEpoch(d, forgedEp.Number, forgedEp.Hash)
-	elems += bogusN
-	for _, el := range bogus {
-		bytes += uint64(el.Size)
-	}
-	ckF := checkpoint.Checkpoint{Epoch: forgedNum, Height: snap.Last.Height, Elements: elems, Digest: d}
+	ckF, bytes := extendCheckpoint(snap.Last, st.CkptBytes, append(slices.Clip(st.Epochs), forgedEp))
 
 	fst := &SyncState{
 		LastEpoch: forgedNum,

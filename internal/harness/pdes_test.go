@@ -57,7 +57,7 @@ func pdesCells(t *testing.T, scale float64) []Scenario {
 		"open_ramp", "open_skew", "open_churn",
 		// The sync_* families exercise the chunked state-sync transfer and
 		// the catch-up retry backoff — per-node protocol state (chunk
-		// bitmaps, retry counters, the jitter RNG) that must be
+		// counts, retry counters, the jitter RNG) that must be
 		// partition-invariant (DESIGN.md §15).
 		"sync_transfer", "sync_forged",
 	} {

@@ -149,6 +149,12 @@ func Set(s *ScenarioSpec, key, value string) error {
 			return fail(err)
 		}
 		s.HeapCeilingMB = v
+	case "sync_chunk_bytes":
+		v, err := strconv.Atoi(value)
+		if err != nil {
+			return fail(err)
+		}
+		s.SyncChunkBytes = v
 	case "zipf":
 		v, err := strconv.ParseFloat(value, 64)
 		if err != nil {
@@ -187,6 +193,18 @@ func Set(s *ScenarioSpec, key, value string) error {
 			return fail(err)
 		}
 		admissionOf(s).MaxBytes = v
+	case "max_delay":
+		v, err := parseDuration(value)
+		if err != nil {
+			return fail(err)
+		}
+		admissionOf(s).MaxDelay = v
+	case "max_deferred":
+		v, err := strconv.Atoi(value)
+		if err != nil {
+			return fail(err)
+		}
+		admissionOf(s).MaxDeferred = v
 	case "drop":
 		v, err := strconv.ParseFloat(value, 64)
 		if err != nil {
@@ -218,9 +236,9 @@ var overrideKeys = []string{
 	"intra_workers", "transport", "fanout", "rate",
 	"send_for", "horizon", "network_delay", "bandwidth", "seed", "scale",
 	"metrics", "crypto", "faulty", "behaviors", "inject_count",
-	"checkpoint_interval", "prune", "heap_ceiling_mb",
+	"checkpoint_interval", "prune", "heap_ceiling_mb", "sync_chunk_bytes",
 	"zipf", "churn_on", "churn_off", "admission", "watermark",
-	"max_txs", "max_bytes",
+	"max_txs", "max_bytes", "max_delay", "max_deferred",
 	"drop", "duplicate", "reorder",
 }
 

@@ -240,6 +240,66 @@ func TestSetAndParseAxis(t *testing.T) {
 	}
 }
 
+// The three spec JSON fields Set once lacked a key for: each sets its
+// field, and the admission ones default the policy as watermark does.
+func TestSetSyncAndDelayKeys(t *testing.T) {
+	for _, tc := range []struct {
+		key, value string
+		ok         func(s ScenarioSpec) bool
+	}{
+		{"sync_chunk_bytes", "16384", func(s ScenarioSpec) bool { return s.SyncChunkBytes == 16384 }},
+		{"max_delay", "2s", func(s ScenarioSpec) bool {
+			return s.Admission != nil && s.Admission.MaxDelay.Std() == 2*time.Second &&
+				s.Admission.Policy == AdmissionReject
+		}},
+		{"max_deferred", "64", func(s ScenarioSpec) bool {
+			return s.Admission != nil && s.Admission.MaxDeferred == 64 &&
+				s.Admission.Policy == AdmissionReject
+		}},
+	} {
+		t.Run(tc.key, func(t *testing.T) {
+			var s ScenarioSpec
+			if err := Set(&s, tc.key, tc.value); err != nil {
+				t.Fatalf("Set(%s=%s): %v", tc.key, tc.value, err)
+			}
+			if !tc.ok(s) {
+				t.Fatalf("Set(%s=%s) left %+v admission=%+v", tc.key, tc.value, s, s.Admission)
+			}
+			if err := Set(&s, tc.key, "x"); err == nil {
+				t.Fatalf("Set(%s=x) accepted", tc.key)
+			}
+		})
+	}
+}
+
+// Every key the unknown-key error lists is one Set accepts.
+func TestEveryOverrideKeySets(t *testing.T) {
+	samples := map[string]string{
+		"name": "x", "group": "g", "algorithm": "hashchain", "collector": "100",
+		"light": "true", "servers": "4", "shards": "2", "intra_workers": "2",
+		"transport": "mesh", "fanout": "8", "rate": "100", "send_for": "10s",
+		"horizon": "20s", "network_delay": "30ms", "bandwidth": "1e9", "seed": "7",
+		"scale": "0.5", "metrics": "full", "crypto": "full", "faulty": "1",
+		"behaviors": "withhold-batches", "inject_count": "3",
+		"checkpoint_interval": "4", "prune": "true", "heap_ceiling_mb": "512",
+		"sync_chunk_bytes": "16384", "zipf": "1.1", "churn_on": "10s",
+		"churn_off": "5s", "admission": "delay", "watermark": "0.8",
+		"max_txs": "400", "max_bytes": "1000000", "max_delay": "2s",
+		"max_deferred": "64", "drop": "0.01", "duplicate": "0.01", "reorder": "0.01",
+	}
+	for _, k := range overrideKeys {
+		v, ok := samples[k]
+		if !ok {
+			t.Errorf("override key %q has no sample value here", k)
+			continue
+		}
+		var s ScenarioSpec
+		if err := Set(&s, k, v); err != nil {
+			t.Errorf("Set(%s=%s): %v", k, v, err)
+		}
+	}
+}
+
 func TestExpandCrossProduct(t *testing.T) {
 	ax1, _ := ParseAxis("servers=4,8")
 	ax2, _ := ParseAxis("delay=0s,30ms,100ms")
