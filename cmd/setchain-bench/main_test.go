@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -144,5 +145,74 @@ func TestWrap(t *testing.T) {
 	}
 	if got := wrap("", 10); len(got) != 0 {
 		t.Fatalf("wrap(empty) = %v", got)
+	}
+}
+
+// safetyCells returns the Safety column of every results-table row.
+func safetyCells(stdout string) []string {
+	var cells []string
+	col := -1
+	for _, line := range strings.Split(stdout, "\n") {
+		r := []rune(line)
+		switch {
+		case strings.HasPrefix(line, "Scenario ") && strings.Contains(line, " Safety "):
+			col = len([]rune(line[:strings.Index(line, " Safety ")])) + 1
+		case col < 0 || strings.HasPrefix(line, "---"):
+		case strings.TrimSpace(line) == "" || len(r) <= col:
+			col = -1
+		default:
+			cells = append(cells, strings.Fields(string(r[col:]))[0])
+		}
+	}
+	return cells
+}
+
+// Every shipped example document runs: a scenario document with -spec, the
+// standalone fault plan layered onto fig4 with -faults.
+func TestExampleSpecsRun(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/specs/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example specs: %v", err)
+	}
+	for _, path := range paths {
+		args := "-spec " + path + " -scale 0.01"
+		if filepath.Base(path) == "partition.json" {
+			args = "-exp fig4 -faults " + path + " -scale 0.01"
+		}
+		stdout, stderr, exit := runBench(t, args)
+		if exit != 0 {
+			t.Errorf("%s: exit %d (stderr %q)", args, exit, stderr)
+			continue
+		}
+		cells := safetyCells(stdout)
+		if len(cells) == 0 {
+			t.Errorf("%s: no results rows:\n%s", args, stdout)
+		}
+		for _, c := range cells {
+			if c != "ok" {
+				t.Errorf("%s: Safety %q:\n%s", args, c, stdout)
+			}
+		}
+	}
+}
+
+// A spec or fault-plan file is one JSON value: a second value after the
+// first fails the run and names the file instead of being dropped.
+func TestDocumentWithTwoValuesFails(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ flag, doc string }{
+		{"-spec", `{"algorithm":"vanilla","rate":100}` + "\n" + `{"algorithm":"hashchain","rate":100}`},
+		{"-spec", `{"algorithm":"vanilla","rate":100} trailing garbage`},
+		{"-exp fig4 -faults", `{"events":[{"at":"10s","action":"crash","nodes":[3]}]}` + "\n" +
+			`{"events":[{"at":"20s","action":"restart","nodes":[3]}]}`},
+	} {
+		path := filepath.Join(dir, "two.json")
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, stderr, exit := runBench(t, tc.flag+" "+path+" -scale 0.01")
+		if exit != 1 || !strings.Contains(stderr, path) {
+			t.Errorf("%s %q: exit %d, stderr %q; want 1 naming the file", tc.flag, tc.doc, exit, stderr)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package spec
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -65,19 +63,6 @@ type FaultEventSpec struct {
 type FaultSpec struct {
 	// Events execute in timestamp order; ties execute in list order.
 	Events []FaultEventSpec `json:"events"`
-}
-
-// withDefaults fills derived defaults into a copy of the spec.
-func (f *FaultSpec) withDefaults() *FaultSpec {
-	out := FaultSpec{Events: make([]FaultEventSpec, len(f.Events))}
-	copy(out.Events, f.Events)
-	for i := range out.Events {
-		ev := &out.Events[i]
-		if ev.Reorder > 0 && ev.ReorderDelay == 0 {
-			ev.ReorderDelay = DefaultReorderDelay
-		}
-	}
-	return &out
 }
 
 // validate reports the first problem with the plan for a deployment of n
@@ -175,10 +160,8 @@ func LoadFaultFile(path string) (*FaultSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(blob))
-	dec.DisallowUnknownFields()
 	var fs FaultSpec
-	if err := dec.Decode(&fs); err != nil {
+	if err := decodeStrict(blob, &fs); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(fs.Events) == 0 {

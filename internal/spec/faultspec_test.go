@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -127,5 +129,26 @@ func TestExpandCopiesFaults(t *testing.T) {
 	}
 	if base.Faults.Events[0].Drop != 0.5 {
 		t.Fatal("Expand mutated the input cell's fault plan")
+	}
+}
+
+// A fault-plan file holds one plan: a second concatenated plan used to be
+// dropped, so only the first plan's events ran.
+func TestLoadFaultFileRejectsTrailingData(t *testing.T) {
+	plan := `{"events":[{"at":"5s","action":"crash","nodes":[3]}]}`
+	path := filepath.Join(t.TempDir(), "two.json")
+	for _, doc := range []string{plan + "\n" + plan, plan + " trailing"} {
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFaultFile(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("LoadFaultFile(%q) error %v, want one naming the file", doc, err)
+		}
+	}
+	if err := os.WriteFile(path, []byte(plan+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if fs, err := LoadFaultFile(path); err != nil || len(fs.Events) != 1 {
+		t.Errorf("single plan: %+v, %v", fs, err)
 	}
 }

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -68,7 +69,9 @@ func TestNonFiniteFloatsFailValidation(t *testing.T) {
 }
 
 // FuzzOverrideValidates: whatever key=value Set accepts either fails
-// Validate or leaves every float of the defaulted spec finite.
+// Validate or leaves every float of the defaulted spec finite, and
+// whatever it rejects leaves the spec as it was — no nested block is
+// created for a value that does not parse.
 func FuzzOverrideValidates(f *testing.F) {
 	for _, k := range overrideKeys {
 		f.Add(k, "NaN")
@@ -78,8 +81,15 @@ func FuzzOverrideValidates(f *testing.F) {
 	f.Add("watermark", "-0")
 	f.Add("drop", "1e-320")
 	f.Fuzz(func(t *testing.T, key, value string) {
+		var zero ScenarioSpec
+		if Set(&zero, key, value) != nil && !reflect.DeepEqual(zero, ScenarioSpec{}) {
+			t.Fatalf("rejected %s=%q changed a zero spec: %+v", key, value, zero)
+		}
 		s := floatBase()
 		if Set(&s, key, value) != nil {
+			if !reflect.DeepEqual(s, floatBase()) {
+				t.Fatalf("rejected %s=%q changed the spec: %+v", key, value, s)
+			}
 			return
 		}
 		s = s.WithDefaults()

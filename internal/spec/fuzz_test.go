@@ -2,6 +2,7 @@ package spec
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,8 +10,8 @@ import (
 )
 
 // FuzzScenarioSpecJSON fuzzes the scenario-document pipeline: whatever
-// bytes Decode accepts must survive a marshal/decode round trip as a fixed
-// point — parse → default+validate → marshal → parse yields the same
+// bytes Decode accepts must be exactly one valid JSON value and survive a
+// marshal/decode round trip as a fixed point — parse → default+validate → marshal → parse yields the same
 // cells — and nothing may panic on arbitrary input. Seeds come from the
 // checked-in example scenario documents plus hand-written edge cases.
 func FuzzScenarioSpecJSON(f *testing.F) {
@@ -33,11 +34,17 @@ func FuzzScenarioSpecJSON(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"algorithm":"hashchain","rate":1e309}`))
+	f.Add([]byte(`{"algorithm":"vanilla","rate":100}` + "\n" + `{"algorithm":"hashchain","rate":100}`))
+	f.Add([]byte(`[{"algorithm":"vanilla","rate":1}] [{"algorithm":"vanilla","rate":2}]`))
+	f.Add([]byte(`{"algorithm":"vanilla","rate":100} trailing garbage`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cells, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input: only panics count as failures
+		}
+		if !json.Valid(data) {
+			t.Fatalf("Decode accepted a document that is not one JSON value: %q", data)
 		}
 		// Decode returns defaulted, validated cells; defaulting must be
 		// idempotent from here on.

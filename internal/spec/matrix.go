@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,232 +15,115 @@ import (
 // behaviors join with '+' ("withhold-batches+corrupt-proofs") so commas
 // stay free for matrix value lists.
 func Set(s *ScenarioSpec, key, value string) error {
-	fail := func(err error) error {
-		return fmt.Errorf("%s=%s: %w", key, value, err)
-	}
-	switch strings.ToLower(key) {
-	case "name":
-		s.Name = value
-	case "group":
-		s.Group = value
-	case "algorithm", "alg":
-		s.Algorithm = strings.ToLower(value)
-	case "collector", "c":
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fail(err)
-		}
-		s.Collector = v
-	case "light":
-		v, err := strconv.ParseBool(value)
-		if err != nil {
-			return fail(err)
-		}
-		s.Light = v
-	case "servers", "n":
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fail(err)
-		}
-		s.Servers = v
-	case "shards", "s":
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fail(err)
-		}
-		s.Shards = v
-	case "intra_workers", "iw":
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fail(err)
-		}
-		s.IntraWorkers = v
-	case "transport":
-		s.Transport = strings.ToLower(value)
-	case "fanout":
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fail(err)
-		}
-		s.Fanout = v
-	case "rate":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return fail(err)
-		}
-		s.Rate = v
-	case "send_for", "sendfor", "send":
-		v, err := parseDuration(value)
-		if err != nil {
-			return fail(err)
-		}
-		s.SendFor = v
-	case "horizon":
-		v, err := parseDuration(value)
-		if err != nil {
-			return fail(err)
-		}
-		s.Horizon = v
-	case "network_delay", "delay":
-		v, err := parseDuration(value)
-		if err != nil {
-			return fail(err)
-		}
-		s.NetworkDelay = v
-	case "bandwidth":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return fail(err)
-		}
-		s.Bandwidth = v
-	case "seed":
-		v, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return fail(err)
-		}
-		s.Seed = v
-	case "scale":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return fail(err)
-		}
-		s.Scale = v
-	case "metrics":
-		s.Metrics = strings.ToLower(value)
-	case "crypto":
-		s.Crypto = strings.ToLower(value)
-	case "faulty":
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fail(err)
-		}
-		if s.Byzantine == nil {
-			s.Byzantine = &ByzantineSpec{}
-		}
-		s.Byzantine.Faulty = v
-	case "behaviors", "behavior":
-		if s.Byzantine == nil {
-			s.Byzantine = &ByzantineSpec{Faulty: 1}
-		}
-		s.Byzantine.Behaviors = strings.Split(value, "+")
-	case "inject_count":
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fail(err)
-		}
-		if s.Byzantine == nil {
-			s.Byzantine = &ByzantineSpec{Faulty: 1}
-		}
-		s.Byzantine.InjectCount = v
-	case "checkpoint_interval", "ckpt":
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fail(err)
-		}
-		s.CheckpointInterval = v
-	case "prune":
-		v, err := strconv.ParseBool(value)
-		if err != nil {
-			return fail(err)
-		}
-		s.Prune = v
-	case "heap_ceiling_mb", "heap":
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fail(err)
-		}
-		s.HeapCeilingMB = v
-	case "sync_chunk_bytes":
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fail(err)
-		}
-		s.SyncChunkBytes = v
-	case "zipf":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return fail(err)
-		}
-		openOf(s).Zipf = v
-	case "churn_on", "churn":
-		v, err := parseDuration(value)
-		if err != nil {
-			return fail(err)
-		}
-		openOf(s).ChurnOn = v
-	case "churn_off":
-		v, err := parseDuration(value)
-		if err != nil {
-			return fail(err)
-		}
-		openOf(s).ChurnOff = v
-	case "admission", "policy":
-		admissionOf(s).Policy = strings.ToLower(value)
-	case "watermark":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return fail(err)
-		}
-		admissionOf(s).Watermark = v
-	case "max_txs":
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fail(err)
-		}
-		admissionOf(s).MaxTxs = v
-	case "max_bytes":
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fail(err)
-		}
-		admissionOf(s).MaxBytes = v
-	case "max_delay":
-		v, err := parseDuration(value)
-		if err != nil {
-			return fail(err)
-		}
-		admissionOf(s).MaxDelay = v
-	case "max_deferred":
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fail(err)
-		}
-		admissionOf(s).MaxDeferred = v
-	case "drop":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return fail(err)
-		}
-		baseLinkEvent(s).Drop = v
-	case "duplicate", "dup":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return fail(err)
-		}
-		baseLinkEvent(s).Duplicate = v
-	case "reorder":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return fail(err)
-		}
-		baseLinkEvent(s).Reorder = v
-	default:
+	o, ok := lookupOverride(strings.ToLower(key))
+	if !ok {
 		return fmt.Errorf("unknown spec field %q (known: %s)",
 			key, strings.Join(overrideKeys, ", "))
+	}
+	if err := o.set(s, value); err != nil {
+		return fmt.Errorf("%s=%s: %w", key, value, err)
 	}
 	return nil
 }
 
+// override is one Set key: the JSON name of the field it sets, its short
+// aliases, and the setter that parses a value into the field.
+type override struct {
+	key     string
+	aliases []string
+	set     func(s *ScenarioSpec, value string) error
+}
+
+// field builds a setter that parses the value first and only then finds
+// (or creates) the field, so a rejected value leaves the spec untouched.
+func field[T any](parse func(string) (T, error), at func(*ScenarioSpec) *T) func(*ScenarioSpec, string) error {
+	return func(s *ScenarioSpec, value string) error {
+		v, err := parse(value)
+		if err != nil {
+			return err
+		}
+		*at(s) = v
+		return nil
+	}
+}
+
+// The value parsers, one per field type.
+func text(v string) (string, error)       { return v, nil }
+func lower(v string) (string, error)      { return strings.ToLower(v), nil }
+func plusList(v string) ([]string, error) { return strings.Split(v, "+"), nil }
+func float(v string) (float64, error)     { return strconv.ParseFloat(v, 64) }
+func int64s(v string) (int64, error)      { return strconv.ParseInt(v, 10, 64) }
+
+// overrides is every Set key, in the order the unknown-key error lists
+// them. Each key is the JSON name of the field it sets.
+var overrides = []override{
+	{"name", nil, field(text, func(s *ScenarioSpec) *string { return &s.Name })},
+	{"group", nil, field(text, func(s *ScenarioSpec) *string { return &s.Group })},
+	{"algorithm", []string{"alg"}, field(lower, func(s *ScenarioSpec) *string { return &s.Algorithm })},
+	{"collector", []string{"c"}, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &s.Collector })},
+	{"light", nil, field(strconv.ParseBool, func(s *ScenarioSpec) *bool { return &s.Light })},
+	{"servers", []string{"n"}, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &s.Servers })},
+	{"shards", []string{"s"}, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &s.Shards })},
+	{"intra_workers", []string{"iw"}, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &s.IntraWorkers })},
+	{"transport", nil, field(lower, func(s *ScenarioSpec) *string { return &s.Transport })},
+	{"fanout", nil, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &s.Fanout })},
+	{"rate", nil, field(float, func(s *ScenarioSpec) *float64 { return &s.Rate })},
+	{"send_for", []string{"sendfor", "send"}, field(parseDuration, func(s *ScenarioSpec) *Duration { return &s.SendFor })},
+	{"horizon", nil, field(parseDuration, func(s *ScenarioSpec) *Duration { return &s.Horizon })},
+	{"network_delay", []string{"delay"}, field(parseDuration, func(s *ScenarioSpec) *Duration { return &s.NetworkDelay })},
+	{"bandwidth", nil, field(float, func(s *ScenarioSpec) *float64 { return &s.Bandwidth })},
+	{"seed", nil, field(int64s, func(s *ScenarioSpec) *int64 { return &s.Seed })},
+	{"scale", nil, field(float, func(s *ScenarioSpec) *float64 { return &s.Scale })},
+	{"metrics", nil, field(lower, func(s *ScenarioSpec) *string { return &s.Metrics })},
+	{"crypto", nil, field(lower, func(s *ScenarioSpec) *string { return &s.Crypto })},
+	{"faulty", nil, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &byzantineOf(s, 0).Faulty })},
+	{"behaviors", []string{"behavior"}, field(plusList, func(s *ScenarioSpec) *[]string { return &byzantineOf(s, 1).Behaviors })},
+	{"inject_count", nil, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &byzantineOf(s, 1).InjectCount })},
+	{"checkpoint_interval", []string{"ckpt"}, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &s.CheckpointInterval })},
+	{"prune", nil, field(strconv.ParseBool, func(s *ScenarioSpec) *bool { return &s.Prune })},
+	{"heap_ceiling_mb", []string{"heap"}, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &s.HeapCeilingMB })},
+	{"sync_chunk_bytes", nil, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &s.SyncChunkBytes })},
+	{"zipf", nil, field(float, func(s *ScenarioSpec) *float64 { return &openOf(s).Zipf })},
+	{"churn_on", []string{"churn"}, field(parseDuration, func(s *ScenarioSpec) *Duration { return &openOf(s).ChurnOn })},
+	{"churn_off", nil, field(parseDuration, func(s *ScenarioSpec) *Duration { return &openOf(s).ChurnOff })},
+	{"admission", []string{"policy"}, field(lower, func(s *ScenarioSpec) *string { return &admissionOf(s).Policy })},
+	{"watermark", nil, field(float, func(s *ScenarioSpec) *float64 { return &admissionOf(s).Watermark })},
+	{"max_txs", nil, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &admissionOf(s).MaxTxs })},
+	{"max_bytes", nil, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &admissionOf(s).MaxBytes })},
+	{"max_delay", nil, field(parseDuration, func(s *ScenarioSpec) *Duration { return &admissionOf(s).MaxDelay })},
+	{"max_deferred", nil, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &admissionOf(s).MaxDeferred })},
+	{"drop", nil, field(float, func(s *ScenarioSpec) *float64 { return &baseLinkEvent(s).Drop })},
+	{"duplicate", []string{"dup"}, field(float, func(s *ScenarioSpec) *float64 { return &baseLinkEvent(s).Duplicate })},
+	{"reorder", nil, field(float, func(s *ScenarioSpec) *float64 { return &baseLinkEvent(s).Reorder })},
+}
+
 // overrideKeys lists the canonical Set keys for error messages.
-var overrideKeys = []string{
-	"name", "group", "algorithm", "collector", "light", "servers", "shards",
-	"intra_workers", "transport", "fanout", "rate",
-	"send_for", "horizon", "network_delay", "bandwidth", "seed", "scale",
-	"metrics", "crypto", "faulty", "behaviors", "inject_count",
-	"checkpoint_interval", "prune", "heap_ceiling_mb", "sync_chunk_bytes",
-	"zipf", "churn_on", "churn_off", "admission", "watermark",
-	"max_txs", "max_bytes", "max_delay", "max_deferred",
-	"drop", "duplicate", "reorder",
+var overrideKeys = func() []string {
+	keys := make([]string, len(overrides))
+	for i, o := range overrides {
+		keys[i] = o.key
+	}
+	return keys
+}()
+
+// lookupOverride finds the row a lower-cased key or alias names.
+func lookupOverride(key string) (override, bool) {
+	for _, o := range overrides {
+		if o.key == key || slices.Contains(o.aliases, key) {
+			return o, true
+		}
+	}
+	return override{}, false
+}
+
+// byzantineOf finds (or creates) the spec's Byzantine block. A block
+// created by the faulty key starts with no faulty server; one created by
+// the behavior keys starts with one, so behaviors=silent runs on its own.
+func byzantineOf(s *ScenarioSpec, faulty int) *ByzantineSpec {
+	if s.Byzantine == nil {
+		s.Byzantine = &ByzantineSpec{Faulty: faulty}
+	}
+	return s.Byzantine
 }
 
 // openOf finds (or creates) the spec's open-system block for the
@@ -330,24 +214,7 @@ func Expand(cells []ScenarioSpec, axes ...Axis) ([]ScenarioSpec, error) {
 		next := make([]ScenarioSpec, 0, len(out)*len(ax.Values))
 		for _, cell := range out {
 			for _, v := range ax.Values {
-				c := cell
-				if c.Byzantine != nil {
-					b := *c.Byzantine
-					c.Byzantine = &b
-				}
-				if c.Faults != nil {
-					f := FaultSpec{Events: append([]FaultEventSpec(nil), c.Faults.Events...)}
-					c.Faults = &f
-				}
-				if c.Open != nil {
-					o := *c.Open
-					o.Envelope = append([]RatePhaseSpec(nil), c.Open.Envelope...)
-					c.Open = &o
-				}
-				if c.Admission != nil {
-					a := *c.Admission
-					c.Admission = &a
-				}
+				c := cell.clone()
 				if err := Set(&c, ax.Key, v); err != nil {
 					return nil, err
 				}

@@ -110,23 +110,16 @@ func Decode(r io.Reader) ([]ScenarioSpec, error) {
 		return nil, err
 	}
 	var cells []ScenarioSpec
-	var one ScenarioSpec
-	dec := func(v any) error {
-		d := json.NewDecoder(bytes.NewReader(blob))
-		d.DisallowUnknownFields()
-		return d.Decode(v)
-	}
-	if err := dec(&cells); err != nil {
-		if errOne := dec(&one); errOne != nil {
-			// Report the error for the form the document actually uses, so
-			// an unknown-field typo in a single object surfaces as such
-			// instead of as "cannot unmarshal object into []ScenarioSpec".
-			if trimmed := bytes.TrimLeft(blob, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '{' {
-				return nil, fmt.Errorf("scenario object: %w", errOne)
-			}
-			return nil, fmt.Errorf("want a scenario object or array: %w", err)
+	if trimmed := bytes.TrimLeft(blob, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '{' {
+		// Report a single object's errors as such, so an unknown-field typo
+		// does not surface as "cannot unmarshal object into []ScenarioSpec".
+		var one ScenarioSpec
+		if err := decodeStrict(blob, &one); err != nil {
+			return nil, fmt.Errorf("scenario object: %w", err)
 		}
 		cells = []ScenarioSpec{one}
+	} else if err := decodeStrict(blob, &cells); err != nil {
+		return nil, fmt.Errorf("want a scenario object or array: %w", err)
 	}
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("empty scenario document")
@@ -138,6 +131,20 @@ func Decode(r io.Reader) ([]ScenarioSpec, error) {
 		}
 	}
 	return cells, nil
+}
+
+// decodeStrict decodes a document that is exactly one JSON value: an
+// unknown field, or anything but whitespace after the value, is an error.
+func decodeStrict(blob []byte, v any) error {
+	d := json.NewDecoder(bytes.NewReader(blob))
+	d.DisallowUnknownFields()
+	if err := d.Decode(v); err != nil {
+		return err
+	}
+	if _, err := d.Token(); err != io.EOF {
+		return fmt.Errorf("unexpected data after the document's JSON value")
+	}
+	return nil
 }
 
 // LoadFile reads a scenario document from disk (see Decode).

@@ -293,6 +293,7 @@ type ScenarioSpec struct {
 // idempotent and the one place a scenario's defaults are written: the
 // layers below use what it decided as given (DESIGN.md §7).
 func (s ScenarioSpec) WithDefaults() ScenarioSpec {
+	s = s.clone()
 	if s.Servers == 0 {
 		s.Servers = 10
 	}
@@ -317,8 +318,7 @@ func (s ScenarioSpec) WithDefaults() ScenarioSpec {
 	if s.Transport == TransportMesh && s.Fanout == 0 {
 		s.Fanout = 8
 	}
-	if s.Workload != nil {
-		w := *s.Workload
+	if w := s.Workload; w != nil {
 		if w.SizeMean == 0 {
 			w.SizeMean = 438
 		}
@@ -334,18 +334,11 @@ func (s ScenarioSpec) WithDefaults() ScenarioSpec {
 		if w.Tick == 0 {
 			w.Tick = Duration(10 * time.Millisecond)
 		}
-		s.Workload = &w
 	}
-	if s.Open != nil {
-		o := *s.Open
-		if o.ChurnOn > 0 && o.ChurnOff == 0 {
-			o.ChurnOff = o.ChurnOn
-		}
-		o.Envelope = append([]RatePhaseSpec(nil), o.Envelope...)
-		s.Open = &o
+	if o := s.Open; o != nil && o.ChurnOn > 0 && o.ChurnOff == 0 {
+		o.ChurnOff = o.ChurnOn
 	}
-	if s.Admission != nil {
-		a := *s.Admission
+	if a := s.Admission; a != nil {
 		if a.Watermark == 0 {
 			a.Watermark = 0.9
 		}
@@ -357,17 +350,43 @@ func (s ScenarioSpec) WithDefaults() ScenarioSpec {
 				a.MaxDeferred = 1024
 			}
 		}
+	}
+	if b := s.Byzantine; b != nil && b.InjectCount == 0 && hasBehavior(b.Behaviors, BehaviorInjectInvalid) {
+		b.InjectCount = 3
+	}
+	if s.Faults != nil {
+		for i := range s.Faults.Events {
+			if ev := &s.Faults.Events[i]; ev.Reorder > 0 && ev.ReorderDelay == 0 {
+				ev.ReorderDelay = DefaultReorderDelay
+			}
+		}
+	}
+	return s
+}
+
+// clone copies the spec with nested blocks of its own, so defaulting or an
+// override on the copy never writes through to the original.
+func (s ScenarioSpec) clone() ScenarioSpec {
+	if s.Workload != nil {
+		w := *s.Workload
+		s.Workload = &w
+	}
+	if s.Open != nil {
+		o := *s.Open
+		o.Envelope = append([]RatePhaseSpec(nil), o.Envelope...)
+		s.Open = &o
+	}
+	if s.Admission != nil {
+		a := *s.Admission
 		s.Admission = &a
 	}
 	if s.Byzantine != nil {
 		b := *s.Byzantine
-		if b.InjectCount == 0 && hasBehavior(b.Behaviors, BehaviorInjectInvalid) {
-			b.InjectCount = 3
-		}
 		s.Byzantine = &b
 	}
 	if s.Faults != nil {
-		s.Faults = s.Faults.withDefaults()
+		// Never nil: "events" has no omitempty, and a plan encodes as [].
+		s.Faults = &FaultSpec{Events: append(make([]FaultEventSpec, 0, len(s.Faults.Events)), s.Faults.Events...)}
 	}
 	return s
 }

@@ -100,6 +100,11 @@ func TestDecodeRejectsUnknownFieldsAndBadCells(t *testing.T) {
 		`[]`,                                                             // empty document
 		`{"algorithm": "vanilla", "rate": 100, "light": true}`,           // vanilla light
 		`{"algorithm": "hashchain", "rate": 1, "metrics": "everything"}`, // bad level
+		// A document is one JSON value: nothing may follow it.
+		`{"algorithm": "vanilla", "rate": 100}` + "\n" + `{"algorithm": "hashchain", "rate": 100}`,
+		`{"algorithm": "vanilla", "rate": 100} trailing garbage`,
+		`{"algorithm": "vanilla", "rate": 100}}`,
+		`[{"algorithm": "vanilla", "rate": 100}] []`,
 	}
 	for _, doc := range cases {
 		if _, err := Decode(strings.NewReader(doc)); err == nil {
@@ -279,7 +284,7 @@ func TestEveryOverrideKeySets(t *testing.T) {
 		"light": "true", "servers": "4", "shards": "2", "intra_workers": "2",
 		"transport": "mesh", "fanout": "8", "rate": "100", "send_for": "10s",
 		"horizon": "20s", "network_delay": "30ms", "bandwidth": "1e9", "seed": "7",
-		"scale": "0.5", "metrics": "full", "crypto": "full", "faulty": "1",
+		"scale": "0.5", "metrics": "stages", "crypto": "full", "faulty": "1",
 		"behaviors": "withhold-batches", "inject_count": "3",
 		"checkpoint_interval": "4", "prune": "true", "heap_ceiling_mb": "512",
 		"sync_chunk_bytes": "16384", "zipf": "1.1", "churn_on": "10s",
