@@ -242,10 +242,8 @@ func (s *Server) ServeSnapshot(snap *checkpoint.Snapshot) *checkpoint.Snapshot {
 			n += uint64(len(ep.Elements))
 		}
 		members := make(map[wire.ElementID]Member, n)
-		for id, ent := range s.elems.m.All() {
-			if ent.epoch != 0 && ent.epoch <= st.LastEpoch {
-				members[id] = Member{Element: ent.e, Epoch: ent.epoch}
-			}
+		for id, m := range s.elems.members(st.LastEpoch) {
+			members[id] = m
 		}
 		st.Members = members
 	}
@@ -287,20 +285,22 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	// many elements at or below ck.Epoch (and none beyond LastEpoch), so a
 	// peer cannot pad the set with elements hidden below the prune horizon.
 	// An element filed under an id that is not its own would land beside the
-	// entry the index promised.
+	// entry the index promised. Every epoch holds at least one element, so
+	// the checkpoint covers no more epochs than that count — which also bounds
+	// the epoch numbers the index registers by the snapshot's size.
 	var below uint64
 	for id, m := range st.Members {
-		if m.Element.ID != id {
+		if m.Element == nil || m.Element.ID != id {
 			return false
 		}
 		switch {
-		case m.Epoch > st.LastEpoch:
+		case m.Epoch == 0 || m.Epoch > st.LastEpoch:
 			return false
 		case m.Epoch <= ck.Epoch:
 			below++
 		}
 	}
-	if below != ck.Elements {
+	if below != ck.Elements || ck.Epoch > ck.Elements {
 		return false
 	}
 	for i, mine := range s.checkpoints {
@@ -335,6 +335,9 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	var cost time.Duration
 	for _, ep := range st.Epochs {
 		num++
+		if ep == nil || slices.Contains(ep.Elements, nil) {
+			return false
+		}
 		if ep.Number != num || !bytes.Equal(ep.Hash, s.epochHashFor(ep.Number, ep.Elements)) {
 			return false
 		}
@@ -368,19 +371,21 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	// seal height, membership through LastEpoch. Each adopted epoch is this
 	// server's own copy, its proofs capped at their length: acceptProof
 	// appends to them, and the snapshot may be served to other peers too.
+	// The index stamps the members at or below the checkpoint an epoch at a
+	// time and the suffix through the adopted epochs, whose elements the
+	// checks above matched to the rest of the members one for one.
 	s.checkpoints = append([]checkpoint.Checkpoint(nil), snap.Chain...)
 	s.ckptFold = checkpoint.FoldChain(s.checkpoints)
 	s.prunedEpochs = ck.Epoch
 	s.prunedElements = ck.Elements
 	s.ckptBytes = st.CkptBytes
+	s.elems.stampMembers(st.Members, ck.Epoch)
 	s.history = make([]*Epoch, len(st.Epochs))
 	for i, ep := range st.Epochs {
 		cp := *ep
 		cp.Proofs = slices.Clip(ep.Proofs)
 		s.history[i] = &cp
-	}
-	for _, m := range st.Members {
-		s.elems.Stamp(m.Element, m.Epoch)
+		s.elems.stampEpoch(cp.Number, cp.Elements)
 	}
 	s.settled = ck.Epoch
 	s.settle()

@@ -19,9 +19,9 @@ import (
 // holds ServeSnapshot's serve-time filter against.
 func (s *Server) EagerSyncMembers() map[wire.ElementID]Member {
 	members := make(map[wire.ElementID]Member)
-	for id, ent := range s.elems.m.All() {
-		if ent.epoch != 0 {
-			members[id] = Member{Element: ent.e, Epoch: ent.epoch}
+	for id, loc := range s.elems.m.All() {
+		if loc.epoch != 0 {
+			members[id] = Member{Element: s.elems.at(loc), Epoch: uint64(loc.epoch)}
 		}
 	}
 	return members

@@ -22,6 +22,12 @@ type Client struct {
 	f        int
 	mode     Mode
 	seq      uint64
+	// slab holds the modeled elements not handed out yet. Each refill is
+	// twice the last, from 16 up to 1,024 elements, so a client that makes
+	// a few elements allocates little and one that makes many allocates
+	// once per thousand.
+	slab     []wire.Element
+	slabSize int
 }
 
 // NewClient creates a client. n and f describe the deployment; the
@@ -61,25 +67,38 @@ func (c *Client) NewElement(payload []byte) *wire.Element {
 }
 
 // NewModeledElement creates a payload-free element with the given wire
-// size, for Modeled-mode simulations.
+// size, for Modeled-mode simulations. It is taken from the client's slab.
 func (c *Client) NewModeledElement(size int) *wire.Element {
+	if len(c.slab) == 0 {
+		c.slabSize = min(max(2*c.slabSize, 16), 1024)
+		c.slab = make([]wire.Element, c.slabSize)
+	}
+	e := &c.slab[0]
+	c.slab = c.slab[1:]
 	c.seq++
-	return &wire.Element{ID: wire.NewElementID(c.id, c.seq), Client: c.id, Seq: c.seq, Size: size}
+	*e = wire.Element{ID: wire.NewElementID(c.id, c.seq), Client: c.id, Seq: c.seq, Size: size}
+	return e
 }
 
 // Verification errors.
 var (
 	ErrNotInEpoch         = errors.New("setchain: element not assigned to an epoch yet")
 	ErrInsufficientProofs = errors.New("setchain: fewer than f+1 valid epoch-proofs")
+	ErrMalformedHistory   = errors.New("setchain: history holds a nil epoch or element")
 )
 
 // VerifyCommitted checks — trusting nothing but the PKI — that the element
 // is committed according to a server's get() response: the element must be
 // in some epoch of the returned history, and that epoch's proofs must hold
 // valid signatures of at least f+1 distinct servers over its recomputed hash
-// (paper §2, Epoch-proofs). Returns the epoch number on success.
+// (paper §2, Epoch-proofs). Returns the epoch number on success. A history
+// with a nil epoch or element before the element's epoch, or in it, is
+// malformed.
 func (c *Client) VerifyCommitted(snap Snapshot, id wire.ElementID) (uint64, error) {
 	for _, ep := range snap.History {
+		if ep == nil || slices.Contains(ep.Elements, nil) {
+			return 0, ErrMalformedHistory
+		}
 		for _, e := range ep.Elements {
 			if e.ID != id {
 				continue
@@ -96,8 +115,12 @@ func (c *Client) VerifyCommitted(snap Snapshot, id wire.ElementID) (uint64, erro
 // CountValidProofs returns how many distinct servers signed a valid proof
 // among the epoch's proofs, verified against the hash recomputed from its
 // content: a Byzantine server cannot fabricate f+1 signatures over a fake
-// epoch, nor count one signer twice by listing its proof again.
+// epoch, nor count one signer twice by listing its proof again. A nil epoch,
+// or one holding a nil element, has none.
 func (c *Client) CountValidProofs(ep *Epoch) int {
+	if ep == nil || slices.Contains(ep.Elements, nil) {
+		return 0
+	}
 	want := c.suite.HashData(wire.EpochHashInput(ep.Number, ep.Elements))
 	var signers []wire.NodeID
 	for _, p := range ep.Proofs {

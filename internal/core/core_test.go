@@ -273,6 +273,76 @@ func TestClientCountsEachSignerOnce(t *testing.T) {
 	}
 }
 
+// A Byzantine server's get() may hold nil where an epoch or an element
+// belongs: VerifyCommitted reports a malformed history instead of
+// panicking, wherever the nil sits relative to the element, and
+// CountValidProofs counts no proof for such an epoch.
+func TestClientRejectsNilEntries(t *testing.T) {
+	s, d := deployFull(14, 4, core.Options{Algorithm: core.Compresschain, CollectorLimit: 5})
+	cl := d.Clients[0]
+	e := cl.NewElement([]byte("nil neighbours"))
+	s.After(time.Second, func() { _ = d.Servers[0].Add(e) })
+	runQuiesce(s, d, 20*time.Second)
+	d.Stop()
+	snap := d.Servers[0].Get()
+	epoch, err := cl.VerifyCommitted(snap, e.ID)
+	if err != nil {
+		t.Fatalf("VerifyCommitted: %v", err)
+	}
+	withElements := func(elems []*wire.Element) core.Snapshot {
+		ep := *snap.History[epoch-1]
+		ep.Elements = elems
+		bad := snap
+		bad.History = slices.Clone(snap.History)
+		bad.History[epoch-1] = &ep
+		return bad
+	}
+	own := snap.History[epoch-1].Elements
+	nilEpoch := snap
+	nilEpoch.History = append([]*core.Epoch{nil}, snap.History...)
+	for name, bad := range map[string]core.Snapshot{
+		"nil epoch before the element's":     nilEpoch,
+		"nil element before the element":     withElements(append([]*wire.Element{nil}, own...)),
+		"nil element after the element":      withElements(append(slices.Clone(own), nil)),
+		"nil element in the element's place": withElements(slices.Repeat([]*wire.Element{nil}, len(own))),
+	} {
+		if _, err := cl.VerifyCommitted(bad, e.ID); !errors.Is(err, core.ErrMalformedHistory) {
+			t.Errorf("%s: VerifyCommitted = %v, want ErrMalformedHistory", name, err)
+		}
+	}
+	if got := cl.CountValidProofs(withElements(append(slices.Clone(own), nil)).History[epoch-1]); got != 0 {
+		t.Errorf("an epoch holding a nil element counts %d valid proofs, want 0", got)
+	}
+	if got := cl.CountValidProofs(nil); got != 0 {
+		t.Errorf("a nil epoch counts %d valid proofs, want 0", got)
+	}
+}
+
+// Modeled elements come from per-client slabs: once the slab has reached its
+// full size, a client allocates at most once per 16 elements, and every
+// element it hands out stays its own.
+func TestModeledElementsComeFromSlabs(t *testing.T) {
+	cl := core.NewClient(3, setcrypto.FastSuite{}, setcrypto.FastKeyPair(7), nil, 4, 1, core.Modeled)
+	first := cl.NewModeledElement(438)
+	for range 2047 {
+		cl.NewModeledElement(438)
+	}
+	const perRun = 1024
+	allocs := testing.AllocsPerRun(10, func() {
+		for range perRun {
+			cl.NewModeledElement(438)
+		}
+	})
+	if per := allocs / perRun; per > 1.0/16 {
+		t.Fatalf("%.4f allocations per modeled element once warm, want at most 1/16", per)
+	}
+	next := cl.NewModeledElement(100)
+	if first.Seq != 1 || first.ID != wire.NewElementID(3, 1) || first.Size != 438 || first == next ||
+		next.Seq != 2048+11*perRun+1 || next.Size != 100 {
+		t.Fatalf("first element %+v, latest %+v: a slab slot was handed out twice or numbered wrongly", first, next)
+	}
+}
+
 func TestInvalidAndDuplicateAdds(t *testing.T) {
 	s, d := deployFull(7, 4, core.Options{Algorithm: core.Vanilla})
 	cl := d.Clients[0]

@@ -19,7 +19,8 @@ import (
 // that passes BOTH layers may smuggle a bogus element or a different
 // sealed chain into the victim. Mutations stay within the catchable
 // classes — forged digests, truncations, count inflation, epoch splices,
-// index smuggling, elements filed under another id; element-value swaps below the horizon are the
+// index smuggling, elements filed under another id, nil members and nil
+// suffix elements; element-value swaps below the horizon are the
 // documented residual hole (they need Merkle state proofs) and are not
 // generated.
 func FuzzInstallSync(f *testing.F) {
@@ -53,7 +54,8 @@ func FuzzInstallSync(f *testing.F) {
 
 	for _, seed := range [][]byte{
 		{}, {0, 0}, {1, 0}, {1, 1}, {2, 3}, {3, 1}, {4, 0}, {4, 1},
-		{5, 0}, {6, 0}, {7, 0}, {8, 0}, {4, 1, 1, 0}, {2, 0, 5, 1},
+		{5, 0}, {6, 0}, {7, 0}, {8, 0}, {9, 0}, {9, 1}, {4, 1, 1, 0}, {2, 0, 5, 1},
+		{9, 1, 7, 0}, {9, 1, 9, 0},
 	} {
 		f.Add(seed)
 	}
@@ -112,7 +114,7 @@ func mutateSnapshot(snap *checkpoint.Snapshot, data []byte) *checkpoint.Snapshot
 	}
 	bogusN := 0
 	for i := 0; i+1 < len(data); i += 2 {
-		op, arg := data[i]%9, data[i+1]
+		op, arg := data[i]%10, data[i+1]
 		switch op {
 		case 0: // truncate the chain (older snapshot — gate must reject)
 			if len(mut.Chain) > 1 {
@@ -150,6 +152,9 @@ func mutateSnapshot(snap *checkpoint.Snapshot, data []byte) *checkpoint.Snapshot
 			if len(st.Epochs) > 0 && len(st.Epochs[0].Elements) > 1 {
 				els := st.Epochs[0].Elements
 				i := int(arg) % len(els)
+				if els[i] == nil || els[(i+1)%len(els)] == nil {
+					break // class 9 got there first
+				}
 				idA, idB := els[i].ID, els[(i+1)%len(els)].ID
 				a, b := st.Members[idA], st.Members[idB]
 				a.Element, b.Element = b.Element, a.Element
@@ -161,6 +166,21 @@ func mutateSnapshot(snap *checkpoint.Snapshot, data []byte) *checkpoint.Snapshot
 				dst := st.Epochs[1]
 				if len(src.Elements) > 0 {
 					dst.Elements = append(dst.Elements, src.Elements[int(arg)%len(src.Elements)])
+				}
+			}
+		case 9: // a nil entry: a member without its element, or a nil suffix element
+			if len(st.Epochs) > 0 && len(st.Epochs[0].Elements) > 0 {
+				els := st.Epochs[0].Elements
+				k := int(arg/2) % len(els)
+				if els[k] == nil {
+					break
+				}
+				if arg%2 == 0 {
+					m := st.Members[els[k].ID]
+					m.Element = nil
+					st.Members[els[k].ID] = m
+				} else {
+					els[k] = nil
 				}
 			}
 		}

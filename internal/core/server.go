@@ -378,12 +378,13 @@ func (s *Server) valid(elems []*wire.Element) []*wire.Element {
 
 // createEpoch makes the next epoch of those of the given valid elements that
 // no epoch holds yet, in their given order, and returns its epoch-proof
-// signed by this server — or nil, creating nothing, when none is fresh. It
-// stamps as it filters: a second occurrence of an id within elems meets the
-// first one's stamp and is dropped like any other element already in history.
+// signed by this server — or nil, creating nothing, when none is fresh. The
+// index stamps as it filters (ElemIndex.stampEpoch): a second occurrence of
+// an id within elems meets the first one's stamp and is dropped like any
+// other element already in history.
 func (s *Server) createEpoch(elems []*wire.Element) *wire.EpochProof {
 	number := s.prunedEpochs + uint64(len(s.history)) + 1
-	g := filter(elems, func(e *wire.Element) bool { return s.elems.Stamp(e, number) })
+	g := s.elems.stampEpoch(number, elems)
 	if len(g) == 0 {
 		return nil
 	}

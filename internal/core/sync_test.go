@@ -348,6 +348,35 @@ func TestInstallSyncRejectsElementFiledUnderAnotherID(t *testing.T) {
 	}
 }
 
+// Every epoch holds an element, so a checkpoint that covers more epochs than
+// elements is forged, even when its members add up: one member filed under
+// the checkpoint's own epoch, 2^40, would make the installer's index
+// register an epoch its locators cannot hold. InstallSync must reject such a
+// snapshot, not panic on it or install it.
+func TestInstallSyncRejectsMoreEpochsThanElements(t *testing.T) {
+	d := deployCheckpointed(t, 19)
+	sealed, ok := d.Servers[0].SyncSnapshot()
+	if !ok {
+		t.Fatal("no sealed snapshot to serve")
+	}
+	mut := mutateSnapshot(d.Servers[0].ServeSnapshot(sealed), nil)
+	st := mut.State.(*core.SyncState)
+	ck := mut.Last
+	ck.Epoch, ck.Elements = 1<<40, uint64(len(st.Members))
+	mut.Last, mut.Chain = ck, []checkpoint.Checkpoint{ck}
+	st.Epochs, st.LastEpoch = nil, ck.Epoch
+	for id, m := range st.Members {
+		m.Epoch = ck.Epoch
+		st.Members[id] = m
+		break
+	}
+	_, fresh := deployFull(20, 4, checkpointedOpts)
+	defer fresh.Stop()
+	if fresh.Servers[0].InstallSync(mut) {
+		t.Fatal("a checkpoint of 2^40 epochs over a few hundred elements installed")
+	}
+}
+
 // A client counts an epoch's proofs on the epoch itself, so a pruned
 // snapshot — whose History[0] is epoch PrunedEpochs+1 — verifies like any
 // other. (Counting by epoch number read History[epoch-1]: it hashed the

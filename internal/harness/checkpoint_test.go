@@ -157,6 +157,14 @@ func TestRecoveredNodeMatchesNeverCrashedPeer(t *testing.T) {
 			t.Fatalf("element %x missing from recovered node's set", id[:4])
 		}
 	}
+	// Bounded memory: once the run quiesced, every element of every set is
+	// in an epoch, so no server's index still holds a pending element — the
+	// recovered one included, whose install stamped what it held pending.
+	for i, srv := range d.Servers {
+		if n := srv.Get().TheSet.Pending(); n != 0 {
+			t.Fatalf("server %d still holds %d pending elements after the run quiesced", i, n)
+		}
+	}
 	// Bounded memory under pruning: tombstones were actually dropped and
 	// the retained tombstone count is a small fraction of everything ever
 	// committed (without pruning every committed tx key lingers forever).
