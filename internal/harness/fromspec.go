@@ -173,14 +173,16 @@ func FromSpecScaled(sp spec.ScenarioSpec, scale float64) (Scenario, error) {
 	if err := spec.CheckScale(scale); err != nil {
 		return Scenario{}, err
 	}
+	if scale == 0 {
+		scale = 1
+	}
+	// Validated at the scale it runs at: the offered-load bound grows with it.
+	sp = sp.WithDefaults()
+	sp.Scale *= scale
 	sc, err := FromSpec(sp)
 	if err != nil {
 		return Scenario{}, err
 	}
-	if scale == 0 {
-		scale = 1
-	}
-	sc.Scale *= scale
 	if sc.Horizon != 0 {
 		sc.Horizon = time.Duration(float64(sc.Horizon) * scale)
 	}

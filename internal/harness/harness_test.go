@@ -215,6 +215,15 @@ func TestFromSpecScaledValidatesScale(t *testing.T) {
 	if !reflect.DeepEqual(zero, one) {
 		t.Errorf("scale 0 and scale 1 convert differently:\n%+v\n%+v", zero, one)
 	}
+	// The spec is validated at the scale it runs at: a cell exactly at the
+	// offered-load bound passes at scale 1 and is refused just above it.
+	atBound := spec.ScenarioSpec{Algorithm: spec.AlgVanilla, Servers: 2, Rate: 2e6, SendFor: spec.Duration(100 * time.Second)}
+	if _, err := FromSpecScaled(atBound, 1); err != nil {
+		t.Errorf("cell at the offered-load bound refused at scale 1: %v", err)
+	}
+	if _, err := FromSpecScaled(atBound, 1.001); err == nil {
+		t.Error("cell past the offered-load bound at run-time scale 1.001 accepted")
+	}
 }
 
 func TestLatencyStudySmall(t *testing.T) {

@@ -2,6 +2,7 @@ package mempool
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -18,11 +19,11 @@ type txVals map[int64]*wire.Tx
 func (v txVals) txAt(val int64) *wire.Tx { return v[val] }
 
 // collidingProofs returns two proof transactions whose keys differ and whose
-// hashes are equal. hashKey is linear in the key's words, a proof's epoch is
-// the first word and its signer the second, so (epoch+1, signer − K0·K1⁻¹
-// mod 2⁶⁴) lands on the same sum as (epoch, signer); K0 and K1 are read off
-// hashKey itself.
-func collidingProofs(epoch uint64, signer wire.NodeID) (a, b *wire.Tx) {
+// hashes differ by delta, 0 for equal hashes. hashKey is linear in the key's
+// words, a proof's epoch is the first word and its signer the second, so
+// (epoch+1, signer + (delta − K0)·K1⁻¹ mod 2⁶⁴) lands on the sum of (epoch,
+// signer) plus delta; K0 and K1 are read off hashKey itself.
+func collidingProofs(epoch uint64, signer wire.NodeID, delta uint64) (a, b *wire.Tx) {
 	proof := func(e uint64, s wire.NodeID) *wire.Tx {
 		return wire.NewProofTx(&wire.EpochProof{Epoch: e, Signer: s})
 	}
@@ -34,7 +35,7 @@ func collidingProofs(epoch uint64, signer wire.NodeID) (a, b *wire.Tx) {
 	for range 5 {
 		inv *= 2 - k1*inv
 	}
-	return proof(epoch, signer), proof(epoch+1, signer-wire.NodeID(k0*inv))
+	return proof(epoch, signer), proof(epoch+1, signer+wire.NodeID((delta-k0)*inv))
 }
 
 // indexTxs is the fuzz driver's universe: 21 transactions of all four kinds
@@ -47,7 +48,7 @@ var indexTxs, indexTwins = func() (txs, twins [23]*wire.Tx) {
 	for i := range 21 {
 		txs[i] = modelTx(i)
 	}
-	txs[21], txs[22] = collidingProofs(1000, 3)
+	txs[21], txs[22] = collidingProofs(1000, 3, 0)
 	for i, tx := range txs {
 		twins[i] = twinTx(tx, i%2 == 0)
 	}
@@ -174,7 +175,7 @@ func probeStats(t *txIndex) (longest int, mean float64, cluster int) {
 		run++
 		cluster = max(cluster, run)
 		if i < len(t.slots) {
-			d := (i-int(s.fp>>t.shift))&mask + 1
+			d := (i-int(s.tag>>t.shift))&mask + 1
 			longest = max(longest, d)
 			total += d
 		}
@@ -247,60 +248,91 @@ func TestTxIndexProbeRuns(t *testing.T) {
 	}
 }
 
-// A slot is 16 bytes of plain integers, as wire_test.go pins TxKey: the
-// table is then one allocation the garbage collector never scans, and a
+// A slot is 8 bytes of plain 32-bit integers, as wire_test.go pins TxKey:
+// the table is then one allocation the garbage collector never scans, and a
 // field that would grow it back fails here.
 func TestTxSlotLayout(t *testing.T) {
-	if got := unsafe.Sizeof(txSlot{}); got != 16 {
-		t.Fatalf("sizeof(txSlot) = %d, want 16", got)
+	if got := unsafe.Sizeof(txSlot{}); got != 8 {
+		t.Fatalf("sizeof(txSlot) = %d, want 8", got)
 	}
 	typ := reflect.TypeOf(txSlot{})
 	for i := range typ.NumField() {
-		if f := typ.Field(i); f.Type.Kind() != reflect.Uint64 && f.Type.Kind() != reflect.Int64 {
-			t.Errorf("txSlot.%s is a %s: a slot holds 64-bit integers only", f.Name, f.Type)
+		if f := typ.Field(i); f.Type.Kind() != reflect.Uint32 && f.Type.Kind() != reflect.Int32 {
+			t.Errorf("txSlot.%s is a %s: a slot holds 32-bit integers only", f.Name, f.Type)
 		}
 	}
 }
 
-// Two keys with one hash are two entries all the way through the pool:
-// admitted, tombstoned, pruned one at a time, and told apart by Has. They
-// share a probe run, so every verdict on the one found past the other's
-// slot rests on the key comparison that confirms a hash match.
+// A value wider than a slot's 32 bits is a bug in the pool, which keeps its
+// sequence numbers and log ordinals below 2³¹: storing one panics instead of
+// wrapping into a value that locates another transaction. The extremes that
+// fit are stored and read back.
+func TestTxIndexRefusesWideValues(t *testing.T) {
+	tx := modelTx(1)
+	key := tx.MapKey()
+	for _, val := range []int64{math.MaxInt32 + 1, math.MinInt32 - 1, 1 << 32, math.MinInt64} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("swap of %d did not panic", val)
+				}
+			}()
+			idx := txIndex{txs: txVals{val: tx}}
+			idx.swap(tx, &key, val)
+		}()
+	}
+	for _, val := range []int64{math.MaxInt32, math.MinInt32} {
+		idx := txIndex{txs: txVals{val: tx}}
+		if idx.swap(tx, &key, val); idx.get(nil, &key) != val {
+			t.Errorf("stored %d, read %d", val, idx.get(nil, &key))
+		}
+	}
+}
+
+// Two keys with one tag are two entries all the way through the pool:
+// admitted, tombstoned, pruned one at a time, and told apart by Has. Both
+// pairs share a probe run, so every verdict on the one found past the other's
+// slot rests on the key comparison that confirms a tag match: one pair has
+// equal 64-bit hashes, the other hashes that agree only in the top 32 bits a
+// slot keeps.
 func TestTxIndexHashCollision(t *testing.T) {
-	a, b := collidingProofs(7, 2)
-	ka, kb := a.MapKey(), b.MapKey()
-	if ka == kb || hashKey(&ka) != hashKey(&kb) {
-		t.Fatalf("keys equal %v, hashes %x and %x: want distinct keys with one hash", ka == kb, hashKey(&ka), hashKey(&kb))
-	}
-	t.Logf("both keys hash to %x", hashKey(&ka))
-	p := New(0, sim.New(1), nil, nil, PaperConfig(), nil, nil)
-	if !p.AddTx(a) || !p.AddTx(b) || p.Size() != 2 || !p.Has(ka) || !p.Has(kb) {
-		t.Fatalf("size %d, has %v/%v: both transactions must be admitted", p.Size(), p.Has(ka), p.Has(kb))
-	}
-	if p.AddTx(twinTx(b, false)) || p.AddTx(a) {
-		t.Fatal("a second offer of either key was admitted")
-	}
-	p.RemoveCommitted(1, []*wire.Tx{b})
-	if p.Size() != 1 || !p.Has(ka) || p.Has(kb) || p.TombstonedKeys() != 1 {
-		t.Fatalf("size/tombstones %d/%d, has %v/%v after committing b, want 1/1 true/false",
-			p.Size(), p.TombstonedKeys(), p.Has(ka), p.Has(kb))
-	}
-	p.RemoveCommitted(2, []*wire.Tx{twinTx(a, false)})
-	if p.Size() != 0 || p.Bytes() != 0 || p.TombstonedKeys() != 2 || p.Has(ka) || p.Has(kb) {
-		t.Fatalf("size/bytes/tombstones %d/%d/%d after committing both, want 0/0/2", p.Size(), p.Bytes(), p.TombstonedKeys())
-	}
-	p.PruneTombstonesBelow(1) // b's tombstone goes, a's stays
-	if p.TombstonedKeys() != 1 || p.TombstonesPruned() != 1 {
-		t.Fatalf("tombstones/pruned = %d/%d after pruning height 1, want 1/1", p.TombstonedKeys(), p.TombstonesPruned())
-	}
-	if p.AddTx(a) {
-		t.Fatal("a's tombstone was pruned with b's")
-	}
-	if !p.AddTx(twinTx(b, true)) || !p.Has(kb) || p.Has(ka) {
-		t.Fatalf("after re-admitting b: has %v/%v, want false/true", p.Has(ka), p.Has(kb))
-	}
-	_, _, _, dup := p.Stats()
-	if dup != 3 {
-		t.Fatalf("duplicates = %d, want 3", dup)
+	for _, delta := range []uint64{0, 1} {
+		a, b := collidingProofs(7, 2, delta)
+		ka, kb := a.MapKey(), b.MapKey()
+		if ka == kb || keyTag(&ka) != keyTag(&kb) || hashKey(&kb)-hashKey(&ka) != delta {
+			t.Fatalf("keys equal %v, hashes %x and %x: want distinct keys whose hashes differ by %d in the low 32 bits",
+				ka == kb, hashKey(&ka), hashKey(&kb), delta)
+		}
+		t.Logf("hashes %x and %x", hashKey(&ka), hashKey(&kb))
+		p := New(0, sim.New(1), nil, nil, PaperConfig(), nil, nil)
+		if !p.AddTx(a) || !p.AddTx(b) || p.Size() != 2 || !p.Has(ka) || !p.Has(kb) {
+			t.Fatalf("delta %d: size %d, has %v/%v: both transactions must be admitted", delta, p.Size(), p.Has(ka), p.Has(kb))
+		}
+		if p.AddTx(twinTx(b, false)) || p.AddTx(a) {
+			t.Fatalf("delta %d: a second offer of either key was admitted", delta)
+		}
+		p.RemoveCommitted(1, []*wire.Tx{b})
+		if p.Size() != 1 || !p.Has(ka) || p.Has(kb) || p.TombstonedKeys() != 1 {
+			t.Fatalf("delta %d: size/tombstones %d/%d, has %v/%v after committing b, want 1/1 true/false",
+				delta, p.Size(), p.TombstonedKeys(), p.Has(ka), p.Has(kb))
+		}
+		p.RemoveCommitted(2, []*wire.Tx{twinTx(a, false)})
+		if p.Size() != 0 || p.Bytes() != 0 || p.TombstonedKeys() != 2 || p.Has(ka) || p.Has(kb) {
+			t.Fatalf("delta %d: size/bytes/tombstones %d/%d/%d after committing both, want 0/0/2",
+				delta, p.Size(), p.Bytes(), p.TombstonedKeys())
+		}
+		p.PruneTombstonesBelow(1) // b's tombstone goes, a's stays
+		if p.TombstonedKeys() != 1 || p.TombstonesPruned() != 1 {
+			t.Fatalf("delta %d: tombstones/pruned = %d/%d after pruning height 1, want 1/1", delta, p.TombstonedKeys(), p.TombstonesPruned())
+		}
+		if p.AddTx(a) {
+			t.Fatalf("delta %d: a's tombstone was pruned with b's", delta)
+		}
+		if !p.AddTx(twinTx(b, true)) || !p.Has(kb) || p.Has(ka) {
+			t.Fatalf("delta %d: after re-admitting b: has %v/%v, want false/true", delta, p.Has(ka), p.Has(kb))
+		}
+		if _, _, _, dup := p.Stats(); dup != 3 {
+			t.Fatalf("delta %d: duplicates = %d, want 3", delta, dup)
+		}
 	}
 }

@@ -8,15 +8,16 @@
 // transactions by admission sequence number, which Reap walks. The log of
 // what each block tombstoned is the block's own transaction slice. entries
 // (index.go) maps a wire.TxKey to a sequence number, or once committed to a
-// tombstone naming its place in the log, in 16-byte slots of the key's hash
-// and that value: no pointers for the garbage collector to scan, and a hash
-// match confirmed against the transaction the value locates. It is probed
-// once per arrival, most arrivals being gossip duplicates.
+// tombstone naming its ordinal in the log, in 8-byte slots of a 32-bit tag
+// of the key's hash and that value: no pointers for the garbage collector to
+// scan, and a tag match confirmed against the transaction the value locates.
+// It is probed once per arrival, most arrivals being gossip duplicates.
 //
 // See DESIGN.md §4 (ledger stack).
 package mempool
 
 import (
+	"sort"
 	"time"
 
 	"repro/internal/netsim"
@@ -72,9 +73,10 @@ type Mempool struct {
 	enter EnterFunc
 
 	// entries is pool ∪ committed in one table: a positive value is a
-	// pooled transaction's admission sequence number, a negative one
-	// (tombstoneAt) a committed key that must never re-enter. One table
-	// instead of a pool index plus a seen-set halves the hot-path inserts.
+	// pooled transaction's admission sequence number, a negative one the
+	// complemented log ordinal of a committed key that must never re-enter.
+	// One table instead of a pool index plus a seen-set halves the hot-path
+	// inserts.
 	entries txIndex
 	// order is the admission-order ring: the transaction with sequence
 	// number seq sits at order[seq-base] until it commits, when its slot is
@@ -90,7 +92,7 @@ type Mempool struct {
 	// locate their keys in it, and checkpointing drops both below the prune
 	// horizon (PruneTombstonesBelow), which keeps soak runs bounded.
 	tombstones []tombstoneBatch
-	logBase    int64 // batches ever cut off the log's front
+	logged     int64 // transactions ever logged: the next one's ordinal
 
 	pendingGossip []*wire.Tx
 	flushArmed    bool
@@ -117,16 +119,18 @@ type Mempool struct {
 	tombstonesPruned uint64
 }
 
-// tombstoneAt is the entries value of a committed key: position i of log
-// batch b, counting cut batches, complemented to be negative.
-func tombstoneAt(b int64, i int) int64 { return ^(b<<32 | int64(i)) }
-
-// txAt returns the transaction an entries value locates (txSource).
+// txAt returns the transaction an entries value locates (txSource). A
+// tombstone is the complement of its transaction's ordinal in the log, the
+// number of transactions logged before it; the batch holding it is the last
+// one whose first ordinal is not past it.
 func (m *Mempool) txAt(val int64) *wire.Tx {
 	if val > 0 {
 		return m.order[val-m.base]
 	}
-	return m.tombstones[^val>>32-m.logBase].txs[uint32(^val)]
+	ord := ^val
+	i := sort.Search(len(m.tombstones), func(i int) bool { return m.tombstones[i].first > ord }) - 1
+	b := &m.tombstones[i]
+	return b.txs[ord-b.first]
 }
 
 // tombstoneBatch records what one committed block tombstoned: the block's
@@ -135,6 +139,7 @@ func (m *Mempool) txAt(val int64) *wire.Tx {
 // log and consensus's chain at the same height.
 type tombstoneBatch struct {
 	height uint64
+	first  int64 // ordinal of txs[0]
 	txs    []*wire.Tx
 }
 
@@ -292,9 +297,10 @@ func (m *Mempool) Reap(maxBytes int) []*wire.Tx {
 // caller must not modify the slice afterwards. A committed block's Txs
 // never change, which is what consensus passes.
 func (m *Mempool) RemoveCommitted(height uint64, txs []*wire.Tx) {
-	b := m.logBase + int64(len(m.tombstones))
+	first := m.logged
 	if len(txs) > 0 { // logged first: the tombstones locate their keys in it
-		m.tombstones = append(m.tombstones, tombstoneBatch{height: height, txs: txs})
+		m.tombstones = append(m.tombstones, tombstoneBatch{height: height, first: first, txs: txs})
+		m.logged += int64(len(txs))
 	}
 	for i, tx := range txs {
 		key := tx.MapKey()
@@ -305,7 +311,7 @@ func (m *Mempool) RemoveCommitted(height uint64, txs []*wire.Tx) {
 		// proposed by another node before gossip arrived). Tombstone it so
 		// late gossip is dropped. A block that lists a tx twice finds the
 		// tombstone the second time and frees its slot only once.
-		if seq := m.entries.swap(tx, &key, tombstoneAt(b, i)); seq > 0 {
+		if seq := m.entries.swap(tx, &key, ^(first + int64(i))); seq > 0 {
 			slot := seq - m.base
 			m.bytes -= m.order[slot].WireSize()
 			m.live--
@@ -338,7 +344,6 @@ func (m *Mempool) PruneTombstonesBelow(height uint64) {
 	}
 	if cut > 0 { // after the deletions: no tombstone locates a batch cut off
 		m.tombstones = append([]tombstoneBatch(nil), m.tombstones[cut:]...)
-		m.logBase += int64(cut)
 	}
 }
 

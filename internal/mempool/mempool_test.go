@@ -457,6 +457,26 @@ func BenchmarkAddDuplicateTombstoned(b *testing.B) {
 	}
 }
 
+// Late gossip against tombstones spread over 300 committed batches, a
+// sixth of them pruned: confirming each one finds its batch by binary search
+// over the log.
+func BenchmarkAddTombstonedAcrossBatches(b *testing.B) {
+	p, txs := benchPool(60_000)
+	const batch = 200
+	for h := 0; h < len(txs)/batch; h++ {
+		p.RemoveCommitted(uint64(h+1), txs[h*batch:][:batch])
+	}
+	p.PruneTombstonesBelow(50)
+	late := txs[50*batch:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p.AddTx(late[i%len(late)]) {
+			b.Fatal("a tombstoned transaction was admitted")
+		}
+	}
+}
+
 // One block's worth of Reap from the head of a 60,000-transaction backlog
 // whose first third and a band in the middle have committed.
 func BenchmarkReapUnderBacklog(b *testing.B) {
@@ -564,6 +584,56 @@ func TestTombstoneLogAliasesBlock(t *testing.T) {
 	}
 	if p.AddTx(txs[9]) {
 		t.Fatal("a tombstone above the horizon was pruned")
+	}
+}
+
+// A tombstone names its transaction's ordinal in the log, found by binary
+// search over the batches' first ordinals: an empty block logs nothing and
+// takes no ordinal, a block listing a transaction twice takes two (the
+// tombstone keeps the second), and pruning the front batches renumbers
+// nothing. Late gossip of the first, a middle and the last transaction of
+// every batch left must find its tombstone, by its own *Tx and by a twin.
+func TestTombstoneOrdinalsAcrossBatches(t *testing.T) {
+	p, txs := benchPool(40)
+	blocks := [][]*wire.Tx{
+		txs[0:5],
+		txs[5:8],
+		nil,
+		{txs[8], txs[9], txs[10], txs[10], txs[11], txs[12], txs[13], txs[14]},
+		txs[15:16],
+		txs[16:25],
+		txs[25:40],
+	}
+	for h, block := range blocks {
+		p.RemoveCommitted(uint64(h+1), block)
+	}
+	if p.Size() != 0 || p.TombstonedKeys() != 40 || len(p.tombstones) != 6 || p.logged != 41 {
+		t.Fatalf("size/tombstones/batches/logged = %d/%d/%d/%d, want 0/40/6/41",
+			p.Size(), p.TombstonedKeys(), len(p.tombstones), p.logged)
+	}
+	p.PruneTombstonesBelow(2)
+	if p.TombstonedKeys() != 32 || p.TombstonesPruned() != 8 || len(p.tombstones) != 4 || p.tombstones[0].first != 8 {
+		t.Fatalf("tombstones/pruned/batches/first = %d/%d/%d/%d after pruning heights 1-2, want 32/8/4/8",
+			p.TombstonedKeys(), p.TombstonesPruned(), len(p.tombstones), p.tombstones[0].first)
+	}
+	offered := 0
+	for _, block := range blocks[3:] {
+		for _, tx := range []*wire.Tx{block[0], block[len(block)/2], block[len(block)-1]} {
+			p.ReceiveGossip(&GossipMsg{Txs: []*wire.Tx{tx, twinTx(tx, offered%2 == 0)}})
+			offered += 2
+		}
+	}
+	if admitted, _, _, dup := p.Stats(); dup != uint64(offered) || admitted != 40 || p.Size() != 0 {
+		t.Fatalf("late gossip: %d duplicates of %d offers, %d admitted, size %d: a tombstone was missed",
+			dup, offered, admitted, p.Size())
+	}
+	for _, tx := range txs[:8] {
+		if !p.AddTx(tx) {
+			t.Fatalf("%x: pruned key not re-admitted", tx.AppendKey(nil))
+		}
+	}
+	if p.Size() != 8 || p.TombstonedKeys() != 32 {
+		t.Fatalf("size/tombstones = %d/%d after re-admitting the pruned keys, want 8/32", p.Size(), p.TombstonedKeys())
 	}
 }
 

@@ -584,7 +584,37 @@ func (s ScenarioSpec) Validate() error {
 	if s.HeapCeilingMB < 0 {
 		return fmt.Errorf("heap_ceiling_mb must be >= 0, got %d", s.HeapCeilingMB)
 	}
+	if n := s.offeredTxs(); n > maxOfferedTxs {
+		return fmt.Errorf("offered load of %.0f ledger transactions exceeds the limit of %d; lower rate, send_for, scale or servers",
+			n, maxOfferedTxs)
+	}
 	return nil
+}
+
+// maxOfferedTxs bounds offeredTxs. A mempool numbers the transactions it
+// admits and the ones it logs as committed in 31 bits, and a server's
+// element index numbers epochs and positions in an epoch in 32; 10⁹, under
+// half of 2³¹, leaves the pools room for transactions proposed twice or
+// re-admitted after a prune.
+const maxOfferedTxs = 1_000_000_000
+
+// offeredTxs returns the most ledger transactions the defaulted spec lets
+// its clients and servers offer, summed over shards. Clients send rate × scale²
+// × send_for elements at most (scale shrinks the rate and the window), times
+// the envelope's peak multiplier. Each element rides in at most one
+// transaction of its own or one batch, every batch and every epoch holds at
+// least one element, and every server of its shard posts at most one proof
+// per epoch and one co-signature per batch: (1 + 2·servers) transactions
+// per element.
+func (s ScenarioSpec) offeredTxs() float64 {
+	peak := 1.0
+	if s.Open != nil {
+		for _, p := range s.Open.Envelope {
+			peak = max(peak, p.Mult)
+		}
+	}
+	elements := s.Rate * s.Scale * s.Scale * s.SendFor.Std().Seconds() * peak
+	return elements * float64(1+2*s.Servers)
 }
 
 // TotalServers returns the deployment's node count across all shards:

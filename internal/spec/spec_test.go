@@ -3,6 +3,7 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -194,6 +195,46 @@ func TestValidateCatchesByzantineMistakes(t *testing.T) {
 	sp.Byzantine = &ByzantineSpec{Faulty: 1}
 	if err := sp.Validate(); err == nil {
 		t.Error("faulty without behaviors accepted")
+	}
+}
+
+// The offered-load bound keeps every pool's 31-bit numbering and every
+// element index's 32-bit locators out of reach: 2 servers send at most 5
+// transactions per element, so 2·10⁸ elements are exactly the limit, and
+// one element more, or an envelope peak or a scale that adds one, is past
+// it. The error names the limit.
+func TestValidateBoundsOfferedLoad(t *testing.T) {
+	atBound := func() ScenarioSpec {
+		return ScenarioSpec{Algorithm: AlgVanilla, Servers: 2, Rate: 2e6, SendFor: Duration(100 * time.Second)}.WithDefaults()
+	}
+	sp := atBound()
+	if n := sp.offeredTxs(); n != maxOfferedTxs {
+		t.Fatalf("offered %.0f, want exactly the limit %d", n, maxOfferedTxs)
+	}
+	if err := sp.Validate(); err != nil {
+		t.Fatalf("spec at the bound refused: %v", err)
+	}
+	halfRateDoublePeak := atBound()
+	halfRateDoublePeak.Rate /= 2
+	halfRateDoublePeak.Open = &OpenSpec{Envelope: []RatePhaseSpec{{From: Duration(time.Second), Mult: 2}}}
+	if err := halfRateDoublePeak.Validate(); err != nil {
+		t.Fatalf("half the rate at an envelope peak of 2 refused: %v", err)
+	}
+	past := map[string]func(*ScenarioSpec){
+		"one element more":    func(s *ScenarioSpec) { s.Rate += 0.01 },
+		"a longer window":     func(s *ScenarioSpec) { s.SendFor += Duration(time.Millisecond) },
+		"an envelope peak":    func(s *ScenarioSpec) { s.Open = &OpenSpec{Envelope: []RatePhaseSpec{{Mult: 1.000001}}} },
+		"a larger scale":      func(s *ScenarioSpec) { s.Scale = 1.000001 },
+		"a third server":      func(s *ScenarioSpec) { s.Servers = 3 },
+		"an overflowing load": func(s *ScenarioSpec) { s.Rate = math.MaxFloat64 },
+	}
+	for name, change := range past {
+		sp := atBound()
+		change(&sp)
+		err := sp.Validate()
+		if err == nil || !strings.Contains(err.Error(), "limit of 1000000000") {
+			t.Errorf("%s: Validate = %v, want the offered-load error naming the limit", name, err)
+		}
 	}
 }
 
