@@ -72,7 +72,7 @@ func main() {
 			log.Fatalf("epoch %d unverifiable: %v", ep.Number, err)
 		}
 		for _, e := range ep.Elements {
-			parts := strings.Split(string(e.Payload), "/")
+			parts := strings.Split(string(e.Payload()), "/")
 			if len(parts) == 3 && parts[0] == "vote" {
 				tally[parts[2]]++
 				counted++
@@ -95,7 +95,7 @@ func main() {
 			break
 		}
 		for _, e := range ep.Elements {
-			parts := strings.Split(string(e.Payload), "/")
+			parts := strings.Split(string(e.Payload()), "/")
 			if len(parts) == 3 {
 				other[parts[2]]++
 			}

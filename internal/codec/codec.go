@@ -82,11 +82,14 @@ func AppendElement(buf []byte, e *wire.Element) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Client))
 	buf = binary.LittleEndian.AppendUint64(buf, e.Seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Size))
-	buf = appendLenBytes(buf, e.Payload)
-	buf = appendLenBytes(buf, e.Sig)
+	buf = appendLenBytes(buf, e.Payload())
+	buf = appendLenBytes(buf, e.Sig())
 	return buf
 }
 
+// decodeElement reads one element. Payload and signature are copied into
+// one buffer, the payload capped at its own length, and the body is
+// allocated with the element; an element with neither is a bare header.
 func decodeElement(r *reader) (*wire.Element, error) {
 	idb, err := r.bytes(16)
 	if err != nil {
@@ -106,22 +109,24 @@ func decodeElement(r *reader) (*wire.Element, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.Size = int(size)
+	if size > wire.MaxElementSize {
+		return nil, fmt.Errorf("%w: element size %d", ErrTooLarge, size)
+	}
+	e.Size = int32(size)
 	payload, err := r.lenBytes()
 	if err != nil {
 		return nil, err
-	}
-	if len(payload) > 0 {
-		e.Payload = append([]byte(nil), payload...)
 	}
 	sig, err := r.lenBytes()
 	if err != nil {
 		return nil, err
 	}
-	if len(sig) > 0 {
-		e.Sig = append([]byte(nil), sig...)
+	if len(payload) == 0 && len(sig) == 0 {
+		bare := e
+		return &bare, nil
 	}
-	return &e, nil
+	body := append(append(make([]byte, 0, len(payload)+len(sig)), payload...), sig...)
+	return e.WithBody(body[:len(payload):len(payload)], body[len(payload):]), nil
 }
 
 // AppendProof encodes an epoch-proof onto buf.

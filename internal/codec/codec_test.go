@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,18 +13,17 @@ import (
 )
 
 func randElement(rng *rand.Rand) *wire.Element {
-	e := &wire.Element{
+	hdr := wire.Element{
 		Client: wire.ClientID(rng.Intn(100)),
 		Seq:    rng.Uint64(),
 	}
-	rng.Read(e.ID[:])
-	n := rng.Intn(599) + 1 // decode normalizes empty payloads to nil
-	e.Payload = make([]byte, n)
-	rng.Read(e.Payload)
-	e.Sig = make([]byte, 64)
-	rng.Read(e.Sig)
-	e.Size = wire.ElementHeaderSize + n + 64
-	return e
+	rng.Read(hdr.ID[:])
+	n := rng.Intn(599) + 1 // non-empty: decode does not tell a nil payload from an empty one
+	payload, sig := make([]byte, n), make([]byte, 64)
+	rng.Read(payload)
+	rng.Read(sig)
+	hdr.Size = int32(wire.ElementHeaderSize + n + 64)
+	return hdr.WithBody(payload, sig)
 }
 
 func randProof(rng *rand.Rand) *wire.EpochProof {
@@ -93,11 +94,30 @@ func TestDecodeBatchTrailingGarbage(t *testing.T) {
 	}
 }
 
+// batchDeclaringSize encodes a one-element batch whose element declares the
+// given wire size. The size is the element's fourth field, after the batch's
+// element count, the id, the client and the sequence number.
+func batchDeclaringSize(size uint32) []byte {
+	e := randElement(rand.New(rand.NewSource(5)))
+	enc := EncodeBatch(&wire.Batch{Elements: []*wire.Element{e}})
+	binary.LittleEndian.PutUint32(enc[4+16+8+8:], size)
+	return enc
+}
+
 func TestDecodeBatchHostileLengths(t *testing.T) {
 	// A batch claiming 2^31 elements must fail fast, not allocate.
 	hostile := []byte{0xFF, 0xFF, 0xFF, 0x7F}
 	if _, err := DecodeBatch(hostile); err == nil {
 		t.Fatal("hostile element count accepted")
+	}
+	// An element size past 2^31-1 is refused, not wrapped negative; the
+	// largest size an element can hold decodes.
+	if _, err := DecodeBatch(batchDeclaringSize(wire.MaxElementSize + 1)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("element size 2^31 decoded (err %v), want ErrTooLarge", err)
+	}
+	b, err := DecodeBatch(batchDeclaringSize(wire.MaxElementSize))
+	if err != nil || b.Elements[0].Size != wire.MaxElementSize {
+		t.Fatalf("element size 2^31-1: err %v, want it decoded whole", err)
 	}
 }
 

@@ -19,6 +19,8 @@ func FuzzDecodeBatch(f *testing.F) {
 	b := &wire.Batch{Elements: []*wire.Element{randElement(rng)},
 		Proofs: []*wire.EpochProof{randProof(rng)}}
 	f.Add(EncodeBatch(b))
+	f.Add(batchDeclaringSize(wire.MaxElementSize))
+	f.Add(batchDeclaringSize(wire.MaxElementSize + 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batch, err := DecodeBatch(data)
 		if err != nil {
@@ -48,10 +50,12 @@ func FuzzTxCodecRoundTrip(f *testing.F) {
 		var tx *wire.Tx
 		switch wire.TxKind(kind) {
 		case wire.TxElement:
-			e := &wire.Element{Client: wire.ClientID(id), Seq: seq, Size: size,
-				Payload: blobA, Sig: blobB}
-			binary.LittleEndian.PutUint64(e.ID[:], seq)
-			tx = &wire.Tx{Kind: wire.TxElement, Element: e}
+			if size < 0 || size > wire.MaxElementSize {
+				return // no element holds this size; decoding refuses it (TestDecodeBatchHostileLengths)
+			}
+			hdr := wire.Element{Client: wire.ClientID(id), Seq: seq, Size: int32(size)}
+			binary.LittleEndian.PutUint64(hdr.ID[:], seq)
+			tx = &wire.Tx{Kind: wire.TxElement, Element: hdr.WithBody(blobA, blobB)}
 		case wire.TxProof:
 			tx = &wire.Tx{Kind: wire.TxProof, Proof: &wire.EpochProof{
 				Epoch: seq, EpochHash: blobA, Sig: blobB, Signer: wire.NodeID(id)}}

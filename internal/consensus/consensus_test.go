@@ -26,7 +26,7 @@ func newCluster(t *testing.T, n int, seed int64) (*sim.Simulator, *ledger.Cluste
 }
 
 func elemTx(i int, size int) *wire.Tx {
-	e := &wire.Element{Size: size}
+	e := &wire.Element{Size: int32(size)}
 	e.ID[0] = byte(i)
 	e.ID[1] = byte(i >> 8)
 	e.ID[2] = byte(i >> 16)

@@ -197,7 +197,7 @@ func (s *Server) freezeSyncState(ck checkpoint.Checkpoint) {
 		})
 		size += epochFrameSize + len(ep.Proofs)*proofWireSize
 		for _, el := range ep.Elements {
-			size += el.Size
+			size += el.WireSize()
 		}
 	}
 	if h, ok := s.alg.(*hashchainAlg); ok {

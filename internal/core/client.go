@@ -55,20 +55,18 @@ func (c *Client) PublicKey() setcrypto.PublicKey { return c.key.Public }
 // NewElement creates and signs a full-fidelity element carrying payload.
 func (c *Client) NewElement(payload []byte) *wire.Element {
 	c.seq++
-	e := &wire.Element{
-		ID:      wire.NewElementID(c.id, c.seq),
-		Client:  c.id,
-		Seq:     c.seq,
-		Payload: payload,
-	}
-	e.Sig = c.suite.Sign(c.key, e.SigningBytes())
-	e.Size = wire.ElementHeaderSize + len(payload) + len(e.Sig)
-	return e
+	hdr := wire.Element{ID: wire.NewElementID(c.id, c.seq), Client: c.id, Seq: c.seq}
+	return wire.NewSignedElement(hdr, payload, func(msg []byte) []byte { return c.suite.Sign(c.key, msg) })
 }
 
 // NewModeledElement creates a payload-free element with the given wire
 // size, for Modeled-mode simulations. It is taken from the client's slab.
+// A size past wire.MaxElementSize panics; spec validation keeps sampled
+// sizes below it.
 func (c *Client) NewModeledElement(size int) *wire.Element {
+	if size > wire.MaxElementSize {
+		panic(fmt.Sprintf("core: modeled element of %d bytes exceeds wire.MaxElementSize", size))
+	}
 	if len(c.slab) == 0 {
 		c.slabSize = min(max(2*c.slabSize, 16), 1024)
 		c.slab = make([]wire.Element, c.slabSize)
@@ -76,7 +74,7 @@ func (c *Client) NewModeledElement(size int) *wire.Element {
 	e := &c.slab[0]
 	c.slab = c.slab[1:]
 	c.seq++
-	*e = wire.Element{ID: wire.NewElementID(c.id, c.seq), Client: c.id, Seq: c.seq, Size: size}
+	*e = wire.Element{ID: wire.NewElementID(c.id, c.seq), Client: c.id, Seq: c.seq, Size: int32(size)}
 	return e
 }
 

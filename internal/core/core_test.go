@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -318,6 +319,41 @@ func TestClientRejectsNilEntries(t *testing.T) {
 	}
 }
 
+// A full-fidelity element costs three allocations, with either suite: the
+// element and its body as one object, the signing bytes and the signature.
+func TestNewElementAllocations(t *testing.T) {
+	payload := make([]byte, 300)
+	for _, suite := range []setcrypto.Suite{setcrypto.FastSuite{}, setcrypto.Ed25519Suite{}} {
+		kp := setcrypto.FastKeyPair(7)
+		if suite.Name() != (setcrypto.FastSuite{}).Name() {
+			kp = setcrypto.GenerateKeyPair(rand.New(rand.NewSource(1)))
+		}
+		cl := core.NewClient(3, suite, kp, nil, 4, 1, core.Full)
+		if allocs := testing.AllocsPerRun(100, func() { cl.NewElement(payload) }); allocs != 3 {
+			t.Errorf("%s: %v allocations per element, want 3", suite.Name(), allocs)
+		}
+		e := cl.NewElement(payload)
+		if len(e.Sig()) != setcrypto.SignatureSize || e.WireSize() != wire.ElementHeaderSize+len(payload)+setcrypto.SignatureSize {
+			t.Errorf("%s: signature of %d bytes, wire size %d", suite.Name(), len(e.Sig()), e.WireSize())
+		}
+	}
+}
+
+// A modeled element holds the largest 32-bit size and refuses one more
+// rather than wrap it.
+func TestModeledElementSizeBound(t *testing.T) {
+	cl := core.NewClient(3, setcrypto.FastSuite{}, setcrypto.FastKeyPair(7), nil, 4, 1, core.Modeled)
+	if e := cl.NewModeledElement(wire.MaxElementSize); e.WireSize() != wire.MaxElementSize {
+		t.Fatalf("wire size %d, want %d", e.WireSize(), wire.MaxElementSize)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a modeled element of 2^31 bytes was made")
+		}
+	}()
+	cl.NewModeledElement(wire.MaxElementSize + 1)
+}
+
 // Modeled elements come from per-client slabs: once the slab has reached its
 // full size, a client allocates at most once per 16 elements, and every
 // element it hands out stays its own.
@@ -354,10 +390,15 @@ func TestInvalidAndDuplicateAdds(t *testing.T) {
 		if err := d.Servers[0].Add(good); err != core.ErrDuplicate {
 			t.Errorf("duplicate add: err = %v, want ErrDuplicate", err)
 		}
-		bad := cl.NewElement([]byte("tampered"))
-		bad.Payload = []byte("evil") // breaks the signature
+		signed := cl.NewElement([]byte("tampered"))
+		bad := signed.WithBody([]byte("evil"), signed.Sig()) // breaks the signature
 		if err := d.Servers[0].Add(bad); err != core.ErrInvalidElement {
 			t.Errorf("invalid add: err = %v, want ErrInvalidElement", err)
+		}
+		// The tampered copy got a body of its own: the original still
+		// carries what its client signed.
+		if err := d.Servers[0].Add(signed); err != nil {
+			t.Errorf("untampered add after the tamper: %v", err)
 		}
 	})
 	s.RunUntil(time.Second)

@@ -33,7 +33,8 @@ type Epoch struct {
 	Elements []*wire.Element
 	Hash     []byte // canonical Hash(number, elements)
 	// Proofs holds one valid proof per distinct signer, in acceptance order
-	// (acceptProof). The epoch is committed once it holds f+1.
+	// (acceptProof). The epoch is committed once it holds f+1. createEpoch
+	// sizes it for n, the most a run collects.
 	Proofs []*wire.EpochProof
 }
 
@@ -332,7 +333,7 @@ func (s *Server) validElement(e *wire.Element) bool {
 		if pub == nil {
 			return false
 		}
-		return s.suite.Verify(pub, e.SigningBytes(), e.Sig)
+		return s.suite.Verify(pub, e.SigningBytes(), e.Sig())
 	}
 	return !e.Bogus
 }
@@ -389,7 +390,8 @@ func (s *Server) createEpoch(elems []*wire.Element) *wire.EpochProof {
 		return nil
 	}
 	hash := s.epochHashFor(number, g)
-	s.history = append(s.history, &Epoch{Number: number, Elements: g, Hash: hash})
+	s.history = append(s.history, &Epoch{Number: number, Elements: g, Hash: hash,
+		Proofs: make([]*wire.EpochProof, 0, s.n)})
 	s.epochsMade++
 	signHash := hash
 	if s.behavior != nil && s.behavior.CorruptProofs {

@@ -162,7 +162,7 @@ func TestSyncSnapshotReadsDoNotRaceServingServer(t *testing.T) {
 				if m.Epoch > st.LastEpoch {
 					panic("served index entry above LastEpoch")
 				}
-				n += m.Element.Size
+				n += m.Element.WireSize()
 			}
 			for _, ep := range st.Epochs {
 				n += len(ep.Elements) + len(ep.Hash)

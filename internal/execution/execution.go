@@ -129,10 +129,10 @@ func ValidateParallel(elems []*wire.Element, workers int) []bool {
 }
 
 func validateOne(e *wire.Element) bool {
-	if e == nil || len(e.Payload) == 0 {
+	if e == nil || len(e.Payload()) == 0 {
 		return false
 	}
-	t, err := DecodeTransfer(e.Payload)
+	t, err := DecodeTransfer(e.Payload())
 	if err != nil {
 		return false
 	}
@@ -235,7 +235,7 @@ func (st *State) ApplyEpoch(ep *core.Epoch) ([]Receipt, error) {
 	receipts := make([]Receipt, 0, len(ep.Elements))
 	for i, e := range ep.Elements {
 		r := Receipt{Element: e.ID, Epoch: ep.Number, Index: i}
-		t, err := DecodeTransfer(e.Payload)
+		t, err := DecodeTransfer(e.Payload())
 		switch {
 		case err != nil:
 			r.Status = Rejected

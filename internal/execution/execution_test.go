@@ -11,10 +11,10 @@ import (
 )
 
 func elemWithTransfer(i int, t Transfer) *wire.Element {
-	e := &wire.Element{Payload: EncodeTransfer(t), Size: 100}
-	e.ID[0] = byte(i)
-	e.ID[1] = byte(i >> 8)
-	return e
+	hdr := wire.Element{Size: 100}
+	hdr.ID[0] = byte(i)
+	hdr.ID[1] = byte(i >> 8)
+	return hdr.WithBody(EncodeTransfer(t), nil)
 }
 
 func epoch(n uint64, elems ...*wire.Element) *core.Epoch {
@@ -119,7 +119,7 @@ func TestOrderWithinEpochMatters(t *testing.T) {
 
 func TestRejectedPayloads(t *testing.T) {
 	st := NewState(nil)
-	junk := &wire.Element{Payload: []byte("not a transfer"), Size: 14}
+	junk := wire.Element{Size: 14}.WithBody([]byte("not a transfer"), nil)
 	selfSend := elemWithTransfer(2, Transfer{From: "x", To: "x", Amount: 5})
 	zero := elemWithTransfer(3, Transfer{From: "x", To: "y", Amount: 0})
 	receipts, err := st.ApplyEpoch(epoch(1, junk, selfSend, zero))
@@ -184,7 +184,7 @@ func TestValidateParallelMatchesSequential(t *testing.T) {
 		case 0:
 			elems = append(elems, elemWithTransfer(i, Transfer{From: "a", To: "b", Amount: 1}))
 		case 1:
-			elems = append(elems, &wire.Element{Payload: []byte("garbage")})
+			elems = append(elems, wire.Element{}.WithBody([]byte("garbage"), nil))
 		case 2:
 			elems = append(elems, elemWithTransfer(i, Transfer{From: "a", To: "a", Amount: 1}))
 		default:

@@ -11,7 +11,7 @@ import (
 )
 
 func elemTx(i, size int) *wire.Tx {
-	e := &wire.Element{Size: size}
+	e := &wire.Element{Size: int32(size)}
 	e.ID[0] = byte(i)
 	e.ID[1] = byte(i >> 8)
 	return &wire.Tx{Kind: wire.TxElement, Element: e}

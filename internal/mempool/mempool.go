@@ -94,8 +94,11 @@ type Mempool struct {
 	tombstones []tombstoneBatch
 	logged     int64 // transactions ever logged: the next one's ordinal
 
+	// pendingGossip waits for the next gossip flush; flushFn is the flush
+	// method bound once, handed to every timer armFlush sets.
 	pendingGossip []*wire.Tx
 	flushArmed    bool
+	flushFn       func()
 	peers         []wire.NodeID
 
 	// bcast, when set, replaces the per-peer gossip send loop (the mesh
@@ -160,6 +163,7 @@ func New(id wire.NodeID, s *sim.Simulator, net *netsim.Network, peers []wire.Nod
 		peers: peers,
 	}
 	m.entries.txs = m
+	m.flushFn = m.flush
 	return m
 }
 
@@ -245,7 +249,7 @@ func (m *Mempool) armFlush() {
 		return
 	}
 	m.flushArmed = true
-	m.sim.After(m.cfg.GossipInterval, m.flush)
+	m.sim.After(m.cfg.GossipInterval, m.flushFn)
 }
 
 func (m *Mempool) flush() {

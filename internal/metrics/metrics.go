@@ -178,17 +178,16 @@ func pairSum(b []uint64) []uint64 {
 	return out
 }
 
-// Injected records a client creating an element. The timestamp comes from
-// the element itself (stamped by workload.BuildElement at creation, always
-// the instant Injected is called) rather than r.sim.Now(): in a partitioned
-// run injection happens on the home queue while r.sim is the observer's
-// partition clock, which may lag the barrier time.
-func (r *Recorder) Injected(e *wire.Element) {
-	now := time.Duration(e.InjectedAt)
+// Injected records a client creating an element at virtual time at. The
+// caller passes the instant from its home queue rather than the recorder
+// reading r.sim.Now(): in a partitioned run injection happens on the home
+// queue while r.sim is the observer's partition clock, which may lag the
+// barrier time.
+func (r *Recorder) Injected(e *wire.Element, at time.Duration) {
 	r.totalInj++
-	r.bucket(&r.injected, now)
+	r.bucket(&r.injected, at)
 	if r.level >= LevelStages {
-		r.elems[e.ID] = &elemRec{injected: now, committed: unset}
+		r.elems[e.ID] = &elemRec{injected: at, committed: unset}
 	}
 }
 

@@ -16,12 +16,11 @@ func elem(i int) *wire.Element {
 	return e
 }
 
-// elemAt stamps the injection time the way workload.BuildElement does;
-// Injected buckets by the element's own timestamp (see Recorder.Injected).
-func elemAt(i int, at time.Duration) *wire.Element {
-	e := elem(i)
-	e.InjectedAt = int64(at)
-	return e
+// elemAt injects element i at the given instant, which the caller passes
+// the way the generators pass their home queue's clock: Injected buckets
+// by that time, not the recorder's own clock (see Recorder.Injected).
+func elemAt(r *Recorder, i int, at time.Duration) {
+	r.Injected(elem(i), at)
 }
 
 // The recorder books an epoch's elements when the observer's server reports
@@ -33,7 +32,7 @@ func TestCommitRequiresQuorumProofs(t *testing.T) {
 	es := []*wire.Element{elem(1), elem(2)}
 	s.After(time.Second, func() {
 		for _, e := range es {
-			r.Injected(e)
+			r.Injected(e, s.Now())
 		}
 	})
 	s.After(2*time.Second, func() {
@@ -67,7 +66,7 @@ func TestCommitRequiresQuorumProofs(t *testing.T) {
 func TestNonObserverIgnored(t *testing.T) {
 	s := sim.New(1)
 	r := New(s, LevelThroughput, 4, 1, 0)
-	r.Injected(elem(1))
+	r.Injected(elem(1), s.Now())
 	r.EpochCommitted(3, 1, []*wire.Element{elem(1)}) // node 3 is not observer
 	if r.TotalCommitted() != 0 {
 		t.Fatal("non-observer observations counted")
@@ -82,7 +81,7 @@ func TestEfficiencyAndAvgThroughput(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			e := elem(i)
 			es = append(es, e)
-			r.Injected(e)
+			r.Injected(e, s.Now())
 		}
 	})
 	// Half commit at t=10s.
@@ -113,7 +112,7 @@ func TestCommitTimeAtFraction(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			e := elem(i)
 			es = append(es, e)
-			r.Injected(e)
+			r.Injected(e, s.Now())
 		}
 	})
 	s.After(5*time.Second, func() {
@@ -141,7 +140,7 @@ func TestThroughputSeriesRollingWindow(t *testing.T) {
 	}
 	s.After(0, func() {
 		for _, e := range all {
-			r.Injected(e)
+			r.Injected(e, s.Now())
 		}
 	})
 	for sec := 0; sec < 20; sec++ {
@@ -172,7 +171,7 @@ func TestStageTracking(t *testing.T) {
 	e := elem(1)
 	tx := &wire.Tx{Kind: wire.TxElement, Element: e}
 	s.After(0, func() {
-		r.Injected(e)
+		r.Injected(e, s.Now())
 		r.RegisterCarrier(tx.MapKey(), []*wire.Element{e})
 	})
 	s.After(100*time.Millisecond, func() { r.TxEnteredMempool(0, tx) })
@@ -211,8 +210,8 @@ func TestStageCDFOmitsUnreached(t *testing.T) {
 	e1, e2 := elem(1), elem(2)
 	tx1 := &wire.Tx{Kind: wire.TxElement, Element: e1}
 	s.After(0, func() {
-		r.Injected(e1)
-		r.Injected(e2)
+		r.Injected(e1, s.Now())
+		r.Injected(e2, s.Now())
 		r.RegisterCarrier(tx1.MapKey(), []*wire.Element{e1})
 		r.TxEnteredMempool(0, tx1)
 	})
@@ -231,7 +230,7 @@ func TestThroughputLevelSkipsStageWork(t *testing.T) {
 	r := New(s, LevelThroughput, 4, 1, 0)
 	e := elem(1)
 	tx := &wire.Tx{Kind: wire.TxElement, Element: e}
-	r.Injected(e)
+	r.Injected(e, s.Now())
 	r.RegisterCarrier(tx.MapKey(), []*wire.Element{e})
 	r.TxEnteredMempool(0, tx)
 	lats, _ := r.LatencyCDF(StageFirstMempool)
@@ -300,7 +299,7 @@ func TestBucketBudgetCoarsens(t *testing.T) {
 	const events = 16
 	for i := 0; i < events; i++ {
 		at := time.Duration(i)*time.Second + 500*time.Millisecond
-		s.After(at, func() { r.Injected(elemAt(i, at)) })
+		s.After(at, func() { elemAt(r, i, at) })
 	}
 	s.Run()
 	// 16 one-second buckets under a budget of 4 force two doublings.
@@ -326,7 +325,7 @@ func TestBucketBudgetZeroDisablesCoarsening(t *testing.T) {
 	s := sim.New(1)
 	r := New(s, LevelThroughput, 4, 1, 0)
 	r.SetBucketBudget(0)
-	s.After(5000*time.Second, func() { r.Injected(elemAt(1, 5000*time.Second)) })
+	s.After(5000*time.Second, func() { elemAt(r, 1, 5000*time.Second) })
 	s.Run()
 	if r.BucketWidth() != time.Second {
 		t.Fatalf("BucketWidth = %v with budget 0, want 1s", r.BucketWidth())

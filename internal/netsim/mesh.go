@@ -13,7 +13,8 @@ import (
 // Mesh is the bounded-fanout gossip overlay (DESIGN.md §13): a
 // deterministic peer graph over the network's nodes, one gossip.Relay per
 // node, and a short flush timer that batches each node's pending relay
-// log into one Envelope per peer, all of them views of the same window.
+// log into one Envelope that every peer receives (a peer cut at its queue
+// cap gets a shorter one of its own).
 // Protocol layers publish through Gossip() and receive through a
 // DeliverFunc; the mesh owns dedup, forwarding, and expiry in between.
 //
@@ -41,10 +42,10 @@ type Mesh struct {
 // protocol-level sender checks keep working.
 type DeliverFunc func(origin wire.NodeID, payload any, size int)
 
-// Envelope is the mesh's wire message: what one flush ships toward one
-// peer. Entries is the peer's view of the sender's window, shared
-// read-only with the flush's other envelopes; the receiver reads only the
-// entries meant for it (gossip.Entry.For).
+// Envelope is the mesh's wire message: what one flush ships toward its
+// peers. Entries is a view of the sender's window, and the envelope itself
+// is shared read-only by every peer the window is whole for; the receiver
+// reads only the entries meant for it (gossip.Entry.For).
 type Envelope struct {
 	Entries []gossip.Entry
 }
@@ -167,6 +168,7 @@ type meshEndpoint struct {
 
 	seq        uint64
 	flushArmed bool
+	flushFn    func() // flush, bound once for every timer armFlush sets
 	originated uint64
 	delivered  uint64
 }
@@ -194,13 +196,15 @@ func NewMesh(net *Network, ids []wire.NodeID, fanout int) *Mesh {
 		MaxHops: len(sorted),
 	}
 	for _, id := range sorted {
-		m.eps[id] = &meshEndpoint{
+		ep := &meshEndpoint{
 			mesh:  m,
 			id:    id,
 			sim:   net.simOf(id),
 			peers: m.peers[id],
 			relay: gossip.NewRelay(m.peers[id], cfg),
 		}
+		ep.flushFn = ep.flush
+		m.eps[id] = ep
 	}
 	return m
 }
@@ -268,22 +272,38 @@ func (ep *meshEndpoint) armFlush() {
 		return
 	}
 	ep.flushArmed = true
-	ep.sim.After(meshFlushInterval, ep.flush)
+	ep.sim.After(meshFlushInterval, ep.flushFn)
 }
 
-// flush ships each neighbor's share of the relay's window as one envelope;
-// every envelope of a flush views the same window, and its wire size
-// counts only the entries meant for its receiver. Peer order is the sorted
-// slice, never map order, so the send sequence — and with it the
-// sender-rng fault/jitter draw sequence — is deterministic.
+// flush ships each neighbor's share of the relay's window. Every share
+// starts where the window does, and all but those of peers cut at QueueCap
+// run to its end, so the uncut peers receive one envelope between them and
+// a cut peer its own, shorter one. An envelope's wire size counts only the
+// entries meant for its receiver. Peer order is the sorted slice, never map
+// order, so the send sequence — and with it the sender-rng fault/jitter
+// draw sequence — is deterministic.
 func (ep *meshEndpoint) flush() {
 	ep.flushArmed = false
-	for i, sh := range ep.relay.Flush(ep.sim.Now()) {
+	shares := ep.relay.Flush(ep.sim.Now())
+	longest := 0
+	for _, sh := range shares {
+		longest = max(longest, len(sh.Entries))
+	}
+	var whole *Envelope // the envelope of every share that views the whole window
+	for i, sh := range shares {
 		if sh.N == 0 {
 			continue
 		}
+		env := whole
+		switch {
+		case len(sh.Entries) < longest:
+			env = &Envelope{Entries: sh.Entries}
+		case whole == nil:
+			whole = &Envelope{Entries: sh.Entries}
+			env = whole
+		}
 		size := meshEnvelopeOverhead + sh.Bytes + sh.N*meshEntryOverhead
-		ep.mesh.net.Send(ep.id, ep.peers[i], &Envelope{Entries: sh.Entries}, size)
+		ep.mesh.net.Send(ep.id, ep.peers[i], env, size)
 	}
 }
 

@@ -221,3 +221,51 @@ func TestMeshDeterministicAcrossRuns(t *testing.T) {
 		t.Fatalf("identical seeds diverged: %s/%d vs %s/%d", s1, m1, s2, m2)
 	}
 }
+
+// TestMeshFlushSharesOneEnvelope pins what one flush allocates: every peer
+// whose share is the whole window receives the same *Envelope, and a peer
+// cut at QueueCap receives one of its own, holding the window up to its
+// cut.
+func TestMeshFlushSharesOneEnvelope(t *testing.T) {
+	s := sim.New(1)
+	net := New(s, Config{BaseLatency: time.Millisecond})
+	ids := []wire.NodeID{0, 1, 2, 3}
+	got := map[wire.NodeID][]*Envelope{}
+	for _, id := range ids {
+		net.AddNode(id, func(from wire.NodeID, payload any, size int) {
+			if env, ok := payload.(*Envelope); ok && from == 0 {
+				got[id] = append(got[id], env)
+			}
+		})
+	}
+	m := NewMesh(net, ids, 3) // the full mesh: node 0's peers are 1, 2 and 3
+
+	m.Gossip(0, "uncut", 10)
+	s.Run()
+	for _, p := range ids[1:] {
+		if len(got[p]) != 1 || got[p][0] != got[1][0] || len(got[p][0].Entries) != 1 {
+			t.Fatalf("uncut flush: peer %d received %v, want the one envelope peer 1 received", p, got[p])
+		}
+	}
+
+	// Node 0 relays, from peer 1, QueueCap+1 entries that originated at
+	// node 2: only peer 3 lacks them, so its backlog is cut at QueueCap.
+	// Its own next message is then queued toward peers 1 and 2 only.
+	src := gossip.NewRelay([]wire.NodeID{0}, gossip.Config{
+		QueueCap: meshQueueCap + 1, EntryTTL: time.Hour, DedupTTL: time.Hour, MaxHops: len(ids)})
+	for i := range meshQueueCap + 1 {
+		src.Originate(gossip.Entry{Digest: gossip.Digest{Origin: 2, Seq: uint64(i)}, Payload: i, Size: 1}, s.Now())
+	}
+	m.Receive(0, 1, &Envelope{Entries: src.Flush(s.Now())[0].Entries})
+	m.Gossip(0, "after the cut", 10)
+	s.Run()
+	whole, cut := got[1][1], got[3][1]
+	if len(got[2]) != 2 || got[2][1] != whole || len(whole.Entries) != meshQueueCap+1 {
+		t.Fatalf("cut flush: peers 1 and 2 received %p and %v, want one envelope of the whole %d-entry window",
+			whole, got[2], meshQueueCap+1)
+	}
+	if cut == whole || len(cut.Entries) != meshQueueCap {
+		t.Fatalf("cut flush: peer 3 received %d entries (shared with peer 1: %v), want its own envelope of %d",
+			len(cut.Entries), cut == whole, meshQueueCap)
+	}
+}

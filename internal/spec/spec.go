@@ -508,6 +508,9 @@ func (s ScenarioSpec) Validate() error {
 		if w.SizeMax != 0 && w.SizeMin > w.SizeMax {
 			return fmt.Errorf("workload size_min %d > size_max %d", w.SizeMin, w.SizeMax)
 		}
+		if w.SizeMin > maxElementSize || w.SizeMax > maxElementSize {
+			return fmt.Errorf("workload size_min and size_max must be at most %d, the largest element size", maxElementSize)
+		}
 	}
 	if o := s.Open; o != nil {
 		if !(o.Zipf >= 0 && o.Zipf <= 8) {
@@ -590,6 +593,10 @@ func (s ScenarioSpec) Validate() error {
 	}
 	return nil
 }
+
+// maxElementSize is wire.MaxElementSize, the largest size an element's
+// 32-bit Size holds.
+const maxElementSize = math.MaxInt32
 
 // maxOfferedTxs bounds offeredTxs. A mempool numbers the transactions it
 // admits and the ones it logs as committed in 31 bits, and a server's

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // fullSpec exercises every field of the schema.
@@ -234,6 +236,33 @@ func TestValidateBoundsOfferedLoad(t *testing.T) {
 		err := sp.Validate()
 		if err == nil || !strings.Contains(err.Error(), "limit of 1000000000") {
 			t.Errorf("%s: Validate = %v, want the offered-load error naming the limit", name, err)
+		}
+	}
+}
+
+// An element's size is 32 bits wide: size_min and size_max may reach
+// 2³¹−1 and no further, so no spec makes a generator wrap a sampled size.
+func TestValidateBoundsElementSize(t *testing.T) {
+	if maxElementSize != wire.MaxElementSize {
+		t.Fatalf("maxElementSize %d, want wire.MaxElementSize %d", maxElementSize, wire.MaxElementSize)
+	}
+	withSizes := func(lo, hi int) ScenarioSpec {
+		sp := withRate(100, hash(100))
+		sp.Workload = &WorkloadSpec{SizeMin: lo, SizeMax: hi}
+		return sp.WithDefaults()
+	}
+	if sp := withSizes(96, math.MaxInt32); sp.Validate() != nil {
+		t.Fatalf("size_max 2^31-1 refused: %v", sp.Validate())
+	}
+	if sp := withSizes(math.MaxInt32, math.MaxInt32); sp.Validate() != nil {
+		t.Fatalf("size_min = size_max = 2^31-1 refused: %v", sp.Validate())
+	}
+	for name, sp := range map[string]ScenarioSpec{
+		"size_max 2^31":            withSizes(96, math.MaxInt32+1),
+		"size_min = size_max 2^31": withSizes(math.MaxInt32+1, math.MaxInt32+1),
+	} {
+		if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "at most 2147483647") {
+			t.Errorf("%s: Validate = %v, want the element-size error", name, err)
 		}
 	}
 }

@@ -11,6 +11,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/setcrypto"
 )
@@ -51,38 +52,92 @@ const (
 	ElementHeaderSize  = 16 + 8 + 8 + 4 // id + client + seq + length prefix
 )
 
-// Element is a Setchain element created and signed by a client.
+// MaxElementSize is the largest wire size an element can declare: Size is
+// 32 bits wide, and the codec, spec validation and the public API refuse
+// anything larger rather than wrap it.
+const MaxElementSize = math.MaxInt32
+
+// Element is a Setchain element created and signed by a client. It is 48
+// bytes with one pointer word: a Modeled-mode element is its id, its
+// client, its sequence number and its wire size, and its body is nil.
 type Element struct {
-	ID      ElementID
-	Client  ClientID
-	Seq     uint64
-	Size    int    // full wire size in bytes (header + payload + signature)
-	Payload []byte // nil in modeled mode
-	Sig     []byte // client signature; nil in modeled mode
+	ID     ElementID
+	Client ClientID
+	Seq    uint64
+	body   *ElementBody
+	Size   int32 // full wire size in bytes (header + payload + signature)
 
 	// Bogus marks an element as invalid in modeled mode (where there is no
 	// real signature to fail verification); Byzantine servers inject such
 	// elements and correct servers must filter them. Always false for
 	// elements created by correct clients.
 	Bogus bool
+}
 
-	// InjectedAt records the virtual time the client created the element;
-	// used only by metrics, never by protocol logic.
-	InjectedAt int64
+// ElementBody is what a Full-mode element carries beyond its header. A body
+// is never changed once an element holds it: copies of an Element share
+// their body, so a changed copy gets a new one (WithBody).
+type ElementBody struct {
+	Payload []byte
+	Sig     []byte // client signature
+}
+
+// Payload returns the element's payload; nil in Modeled mode.
+func (e *Element) Payload() []byte {
+	if e.body == nil {
+		return nil
+	}
+	return e.body.Payload
+}
+
+// Sig returns the client's signature; nil in Modeled mode.
+func (e *Element) Sig() []byte {
+	if e.body == nil {
+		return nil
+	}
+	return e.body.Sig
+}
+
+// WithBody returns a copy of e carrying payload and sig, allocated together
+// with its body as one object.
+func (e Element) WithBody(payload, sig []byte) *Element {
+	p := &struct {
+		e Element
+		b ElementBody
+	}{e, ElementBody{Payload: payload, Sig: sig}}
+	p.e.body = &p.b
+	return &p.e
+}
+
+// NewSignedElement returns the Full-mode element with hdr's id, client and
+// sequence number carrying payload, signed by sign over its SigningBytes.
+// The element and its body are one object; Size is the full wire size. A
+// payload too large for MaxElementSize panics: callers taking outside input
+// refuse it first.
+func NewSignedElement(hdr Element, payload []byte, sign func(msg []byte) []byte) *Element {
+	e := hdr.WithBody(payload, nil)
+	e.body.Sig = sign(e.SigningBytes())
+	size := ElementHeaderSize + len(payload) + len(e.body.Sig)
+	if size > MaxElementSize {
+		panic(fmt.Sprintf("wire: element of %d bytes exceeds MaxElementSize", size))
+	}
+	e.Size = int32(size)
+	return e
 }
 
 // WireSize returns the element's size on the ledger/network.
-func (e *Element) WireSize() int { return e.Size }
+func (e *Element) WireSize() int { return int(e.Size) }
 
 // SigningBytes returns the byte string a client signs: the element header
 // plus payload.
 func (e *Element) SigningBytes() []byte {
-	buf := make([]byte, 0, ElementHeaderSize+len(e.Payload))
+	payload := e.Payload()
+	buf := make([]byte, 0, ElementHeaderSize+len(payload))
 	buf = append(buf, e.ID[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Client))
 	buf = binary.LittleEndian.AppendUint64(buf, e.Seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Payload)))
-	buf = append(buf, e.Payload...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
 	return buf
 }
 

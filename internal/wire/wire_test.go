@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -22,26 +23,48 @@ func TestWireSizeConstantsMatchPaper(t *testing.T) {
 	}
 }
 
+// An element is 48 bytes with one pointer word, its body: the header fields
+// are plain values, and a modeled element carries no body at all.
+func TestElementLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Element{}); size != 48 {
+		t.Fatalf("Element is %d bytes, want 48", size)
+	}
+	typ := reflect.TypeFor[Element]()
+	var pointers []string
+	for i := range typ.NumField() {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.String, reflect.Map, reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			pointers = append(pointers, f.Name)
+		}
+	}
+	if len(pointers) != 1 || pointers[0] != "body" {
+		t.Fatalf("fields holding pointers: %v, want only body", pointers)
+	}
+	modeled := &Element{ID: NewElementID(3, 1), Client: 3, Seq: 1, Size: 438}
+	if modeled.body != nil || modeled.Payload() != nil || modeled.Sig() != nil {
+		t.Fatal("a modeled element carries a body")
+	}
+	full := modeled.WithBody([]byte("p"), []byte("s"))
+	if modeled.body != nil || string(full.Payload()) != "p" || string(full.Sig()) != "s" ||
+		full.ID != modeled.ID || full.Size != modeled.Size {
+		t.Fatalf("WithBody: copy %+v of %+v", full, modeled)
+	}
+}
+
 func TestElementSigningBytesBindAllFields(t *testing.T) {
-	e := &Element{Client: 7, Seq: 3, Payload: []byte("data")}
-	e.ID[0] = 1
+	data := []byte("data")
+	e := Element{ID: ElementID{1}, Client: 7, Seq: 3}.WithBody(data, nil)
 	base := e.SigningBytes()
 	variants := []*Element{
-		{Client: 8, Seq: 3, Payload: []byte("data")},
-		{Client: 7, Seq: 4, Payload: []byte("data")},
-		{Client: 7, Seq: 3, Payload: []byte("datb")},
+		Element{ID: ElementID{1}, Client: 8, Seq: 3}.WithBody(data, nil),
+		Element{ID: ElementID{1}, Client: 7, Seq: 4}.WithBody(data, nil),
+		Element{ID: ElementID{1}, Client: 7, Seq: 3}.WithBody([]byte("datb"), nil),
+		Element{ID: ElementID{2}, Client: 7, Seq: 3}.WithBody(data, nil),
 	}
-	variants[0].ID[0] = 1
-	variants[1].ID[0] = 1
-	variants[2].ID[0] = 1
 	for i, v := range variants {
 		if bytes.Equal(base, v.SigningBytes()) {
 			t.Fatalf("variant %d has identical signing bytes", i)
 		}
-	}
-	e2 := &Element{Client: 7, Seq: 3, Payload: []byte("data")}
-	if bytes.Equal(base, e2.SigningBytes()) {
-		t.Fatal("different IDs produced identical signing bytes") // e2.ID zero
 	}
 }
 

@@ -184,9 +184,9 @@ func RatedTicks(s *sim.Simulator, n int, rate func(client int, now time.Duration
 
 // BuildElement draws one element of the canonical workload shape on the
 // given client — a log-normally sampled wire size, realized as a real
-// signed payload in full mode or a modeled-size element otherwise — and
-// stamps its injection time. Shared with the sharded generator for the
-// same reason as Ticks: element construction must not fork.
+// signed payload in full mode or a modeled-size element otherwise. Shared
+// with the sharded generator for the same reason as Ticks: element
+// construction must not fork.
 func BuildElement(s *sim.Simulator, cl *core.Client, sizes SizeModel, fullPayloads bool) *wire.Element {
 	size := sizes.Sample(s.Rand())
 	var e *wire.Element
@@ -201,7 +201,6 @@ func BuildElement(s *sim.Simulator, cl *core.Client, sizes SizeModel, fullPayloa
 	} else {
 		e = cl.NewModeledElement(size)
 	}
-	e.InjectedAt = int64(s.Now())
 	return e
 }
 
@@ -213,7 +212,7 @@ func (g *Generator) injectOne(i int) {
 	}
 	g.Account.Accept(e, i)
 	if g.rec != nil {
-		g.rec.Injected(e)
+		g.rec.Injected(e, g.d.Sim.Now())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/setcrypto"
 	"repro/internal/wire"
 )
 
@@ -62,5 +63,27 @@ func TestCheckNamesCorruptedServer(t *testing.T) {
 				t.Fatalf("Check blames a server other than 2: %v", err)
 			}
 		})
+	}
+}
+
+// Client.Add refuses a payload whose element would not fit a 32-bit wire
+// size rather than wrap it; a payload of exactly MaxPayload makes an
+// element of wire.MaxElementSize bytes.
+func TestAddBoundsPayload(t *testing.T) {
+	if MaxPayload+wire.ElementHeaderSize+setcrypto.SignatureSize != wire.MaxElementSize {
+		t.Fatalf("MaxPayload %d does not make a %d-byte element", MaxPayload, wire.MaxElementSize)
+	}
+	if err := checkPayload(MaxPayload); err != nil {
+		t.Fatalf("payload of MaxPayload bytes refused: %v", err)
+	}
+	if err := checkPayload(MaxPayload + 1); err == nil || !strings.Contains(err.Error(), "exceeds MaxPayload") {
+		t.Fatalf("payload of MaxPayload+1 bytes: err = %v, want the MaxPayload error", err)
+	}
+	net, err := New(Config{Algorithm: Vanilla, Servers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Client(0).Add(make([]byte, 1024)); err != nil {
+		t.Fatalf("a 1 KiB payload refused: %v", err)
 	}
 }

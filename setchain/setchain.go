@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/setcrypto"
 	"repro/internal/shard"
 	"repro/internal/wire"
 )
@@ -85,6 +86,18 @@ func (c Config) withDefaults() Config {
 
 // errNoServer answers Add and Confirm for an index outside [0, Servers).
 var errNoServer = errors.New("setchain: no such server")
+
+// MaxPayload is the largest payload Client.Add accepts: with its header and
+// signature, the element must fit an element's 32-bit wire size.
+const MaxPayload = wire.MaxElementSize - wire.ElementHeaderSize - setcrypto.SignatureSize
+
+// checkPayload refuses a payload of n bytes when its element would not fit.
+func checkPayload(n int) error {
+	if n > MaxPayload {
+		return fmt.Errorf("setchain: payload of %d bytes exceeds MaxPayload (%d)", n, MaxPayload)
+	}
+	return nil
+}
 
 // Network is a running Setchain deployment on a virtual-time simulator.
 type Network struct {
@@ -200,13 +213,15 @@ type Client struct {
 // Add creates a signed element carrying payload and submits it to the
 // client's server. The returned id is used to confirm commitment later.
 // The element is not yet durable when Add returns: advance time with
-// Network.Run or RunUntilSettled.
+// Network.Run or RunUntilSettled. A payload over MaxPayload is an error.
 func (c *Client) Add(payload []byte) (ElementID, error) {
 	if _, ok := c.net.get(c.server); !ok {
 		return ElementID{}, errNoServer
 	}
+	if err := checkPayload(len(payload)); err != nil {
+		return ElementID{}, err
+	}
 	e := c.net.d.Shards[0].Clients[c.server].NewElement(payload)
-	e.InjectedAt = int64(c.net.Now())
 	if err := c.net.gen.Add(e, 0, c.server); err != nil {
 		return ElementID{}, err
 	}
