@@ -451,8 +451,7 @@ func (n *Node) tryCommitID(round int32, blockID string) {
 func (n *Node) commit(p *Proposal) {
 	n.decided = true
 	// The proposal's block is committed as it is: a block is never written
-	// after it is proposed (wire.Block), so every node — concurrently, in a
-	// partitioned run — holds the one object.
+	// after it is proposed (wire.Block), so every node holds the one object.
 	block := p.Block
 	n.chain = append(n.chain, block)
 	n.totalTxBytes += uint64(block.Bytes)

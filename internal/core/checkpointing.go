@@ -119,8 +119,7 @@ func (s *Server) prune(ck checkpoint.Checkpoint) {
 // SyncState is the application half of a state-sync snapshot: the
 // Setchain state needed on top of the checkpoint chain to resume from the
 // seal height. It is built in two halves, both inside the serving server's
-// own events, and shares nothing mutable with that server (DESIGN.md §11,
-// §12):
+// own events, and shares nothing mutable with that server (DESIGN.md §11):
 //
 //   - the small half — whatever is mutable as of the seal height: suffix
 //     epochs with their proofs, Hashchain's pending signers, LastEpoch,
@@ -132,9 +131,8 @@ func (s *Server) prune(ck checkpoint.Checkpoint) {
 //     changes, so the filter returns the seal-time index at any later
 //     moment.
 //
-// Nothing is written after the first hand-off: a requester on another
-// partition reads the snapshot while the serving server keeps mutating its
-// live index, re-serving the same snapshot only reads it, and an installer
+// Nothing is written after the first hand-off: a requester reads the
+// snapshot while the serving server keeps mutating its live index, re-serving the same snapshot only reads it, and an installer
 // adopts copies of its epochs (InstallSync). Only the leaf *wire.Element and
 // *wire.EpochProof pointers are shared with the server — immutable wire
 // payloads, exactly what the read-only-shared-payload convention permits.

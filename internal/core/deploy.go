@@ -32,10 +32,7 @@ func Deploy(s *sim.Simulator, n int, ledgerCfg ledger.Config, opts Options, rec 
 	d := &Deployment{Sim: s, Ledger: lc, Opts: opts}
 	for i := 0; i < n; i++ {
 		node := lc.Nodes[i]
-		// node.Sim() is the partition queue owning this node in a
-		// partitioned run (ledger.Config.SimFor), the root simulator
-		// otherwise — the server's CPU resource and timers live there.
-		srv := newServer(node, node.Sim(), n, lc.Suite, lc.Keys[i], lc.Registry, opts)
+		srv := newServer(node, s, n, lc.Suite, lc.Keys[i], lc.Registry, opts)
 		if rec != nil {
 			srv.SetRecorder(rec)
 		}

@@ -135,12 +135,9 @@ func TestBatchNamingAnElementTwiceCommitsItOnce(t *testing.T) {
 }
 
 // drive runs a four-server deployment: 240 modeled elements added round-robin
-// over six virtual seconds, then a drain and time to quiesce. workers > 1
-// runs it partitioned, one event queue per server advanced by that many
-// goroutines (DESIGN.md §12) — under -race that is the test that servers on
-// different goroutines only ever read the slices they share. hook, if not
-// nil, sees every transaction entering a mempool (sequential runs only).
-func drive(t *testing.T, opts Options, workers int, byzantine *Behavior, hook func(*wire.Tx)) *Deployment {
+// over six virtual seconds, then a drain and time to quiesce. hook, if not
+// nil, sees every transaction entering a mempool.
+func drive(t *testing.T, opts Options, byzantine *Behavior, hook func(*wire.Tx)) *Deployment {
 	t.Helper()
 	const n = 4
 	opts.CollectorLimit, opts.F = 10, 1
@@ -148,33 +145,23 @@ func drive(t *testing.T, opts Options, workers int, byzantine *Behavior, hook fu
 	if hook != nil {
 		lcfg.OnTxEnterMempool = func(_ wire.NodeID, tx *wire.Tx) { hook(tx) }
 	}
-	home := sim.New(1)
-	run := home.RunUntil
-	var world *sim.World
-	if workers > 1 {
-		world = sim.NewWorld(1, n, workers)
-		lcfg.SimFor = func(id wire.NodeID) *sim.Simulator { return world.Part(int(id)) }
-		home, run = world.Home(), world.RunUntil
-	}
-	d := Deploy(home, n, lcfg, opts, nil)
-	if world != nil {
-		world.SetLookahead(d.Ledger.Net.Lookahead)
-	}
+	s := sim.New(1)
+	d := Deploy(s, n, lcfg, opts, nil)
 	if byzantine != nil {
 		d.Servers[3].SetBehavior(byzantine)
 	}
 	d.Start()
 	for i := 0; i < 240; i++ {
 		srv, e := d.Servers[i%len(d.Servers)], d.Clients[i%len(d.Clients)].NewModeledElement(100)
-		home.After(time.Duration(i)*25*time.Millisecond, func() {
+		s.After(time.Duration(i)*25*time.Millisecond, func() {
 			if err := srv.Add(e); err != nil {
 				panic(err)
 			}
 		})
 	}
-	run(8 * time.Second)
+	s.RunUntil(8 * time.Second)
 	d.Drain()
-	run(40 * time.Second)
+	s.RunUntil(40 * time.Second)
 	d.Stop()
 	if len(d.Servers[0].history) == 0 {
 		t.Fatal("the run created no epoch")
@@ -184,42 +171,33 @@ func drive(t *testing.T, opts Options, workers int, byzantine *Behavior, hook fu
 
 // On a clean run an epoch IS its batch's slice — the same array on every
 // server, not a copy per server — capped at its length, so that no append
-// can ever write through it into the batch. Sequentially, and partitioned
-// across goroutines.
+// can ever write through it into the batch.
 func TestEpochsAliasBatch(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		name := "sequential"
-		if workers > 1 {
-			name = "partitioned"
-		}
-		t.Run(name, func(t *testing.T) {
-			d := drive(t, Options{Algorithm: Hashchain}, workers, nil, nil)
-			for _, srv := range d.Servers {
-				batchOf := make(map[**wire.Element]*wire.Batch)
-				for _, r := range srv.alg.(*hashchainAlg).records() {
-					if b := r.batch; b != nil && len(b.Elements) > 0 {
-						batchOf[&b.Elements[0]] = b
-					}
-				}
-				if len(srv.history) != len(d.Servers[0].history) {
-					t.Fatalf("server %d ends with %d epochs, server 0 with %d: tune the run",
-						srv.id, len(srv.history), len(d.Servers[0].history))
-				}
-				for i, ep := range srv.history {
-					b := batchOf[&ep.Elements[0]]
-					if b == nil || len(ep.Elements) != len(b.Elements) {
-						t.Fatalf("server %d epoch %d is not the slice of a batch in its records", srv.id, ep.Number)
-					}
-					if cap(ep.Elements) != len(ep.Elements) {
-						t.Fatalf("server %d epoch %d: cap %d over len %d leaves an append room in the batch's array",
-							srv.id, ep.Number, cap(ep.Elements), len(ep.Elements))
-					}
-					if &ep.Elements[0] != &d.Servers[0].history[i].Elements[0] {
-						t.Fatalf("server %d epoch %d is another array than server 0's", srv.id, ep.Number)
-					}
-				}
+	d := drive(t, Options{Algorithm: Hashchain}, nil, nil)
+	for _, srv := range d.Servers {
+		batchOf := make(map[**wire.Element]*wire.Batch)
+		for _, r := range srv.alg.(*hashchainAlg).records() {
+			if b := r.batch; b != nil && len(b.Elements) > 0 {
+				batchOf[&b.Elements[0]] = b
 			}
-		})
+		}
+		if len(srv.history) != len(d.Servers[0].history) {
+			t.Fatalf("server %d ends with %d epochs, server 0 with %d: tune the run",
+				srv.id, len(srv.history), len(d.Servers[0].history))
+		}
+		for i, ep := range srv.history {
+			b := batchOf[&ep.Elements[0]]
+			if b == nil || len(ep.Elements) != len(b.Elements) {
+				t.Fatalf("server %d epoch %d is not the slice of a batch in its records", srv.id, ep.Number)
+			}
+			if cap(ep.Elements) != len(ep.Elements) {
+				t.Fatalf("server %d epoch %d: cap %d over len %d leaves an append room in the batch's array",
+					srv.id, ep.Number, cap(ep.Elements), len(ep.Elements))
+			}
+			if &ep.Elements[0] != &d.Servers[0].history[i].Elements[0] {
+				t.Fatalf("server %d epoch %d is another array than server 0's", srv.id, ep.Number)
+			}
+		}
 	}
 }
 
@@ -260,7 +238,7 @@ func TestBatchesStayFrozen(t *testing.T) {
 
 	for name, byz := range map[string]*Behavior{"hashchain, padded batches": pads, "hashchain, altered responses": alters} {
 		t.Run(name, func(t *testing.T) {
-			d := drive(t, Options{Algorithm: Hashchain, RequestTimeout: 500 * time.Millisecond}, 1, byz, nil)
+			d := drive(t, Options{Algorithm: Hashchain, RequestTimeout: 500 * time.Millisecond}, byz, nil)
 			var batches []*wire.Batch
 			for _, srv := range d.Servers {
 				h := srv.alg.(*hashchainAlg)
@@ -289,7 +267,7 @@ func TestBatchesStayFrozen(t *testing.T) {
 		// flush that made it) and compare at the end.
 		var batches []*wire.Batch
 		var held [][]*wire.Element
-		d := drive(t, Options{Algorithm: Compresschain}, 1, pads, func(tx *wire.Tx) {
+		d := drive(t, Options{Algorithm: Compresschain}, pads, func(tx *wire.Tx) {
 			if tx.Kind == wire.TxCompressedBatch && !slices.Contains(batches, tx.Compressed.Original) {
 				batches = append(batches, tx.Compressed.Original)
 				held = append(held, slices.Clone(tx.Compressed.Original.Elements))

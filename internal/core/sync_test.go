@@ -124,9 +124,9 @@ func TestForgedSnapshotInstallsLocallyButBreaksFold(t *testing.T) {
 
 // A served snapshot must stay readable while the serving server keeps
 // running: the seal-time half of SyncState is a copy, the serve-time half
-// is built once from the live maps and never written again, so concurrent
-// iteration by an installer (another partition in a parallel run) must not
-// race the server mutating its live maps, accepting further proofs, sealing
+// is built once from the live maps and never written again, so an
+// installer iterating it concurrently must not race the server mutating
+// its live maps, accepting further proofs, sealing
 // further checkpoints, or serving the same snapshot again. Run under -race;
 // handing out the live maps or epochs, or rebuilding Members on a second
 // serve, fails here deterministically.

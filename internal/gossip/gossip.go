@@ -10,9 +10,8 @@
 //
 // The package is pure bookkeeping over virtual timestamps: no timers, no
 // simulator, no network. All expiry happens lazily against the caller's
-// clock, which is what makes a relay partition-safe under intra-run PDES
-// (DESIGN.md §12) — it is only ever touched by its own node's events, and
-// it never observes time except through those events.
+// clock: a relay is only ever touched by its own node's events, and it
+// never observes time except through those events.
 package gossip
 
 import (
@@ -79,9 +78,8 @@ type Config struct {
 // the log of entries queued since the last flush. The log stores each entry
 // once, whatever the number of peers it is meant for; a peer's backlog is
 // the log's entries meant for it (Entry.For), up to QueueCap of them. It is
-// not safe for concurrent use — by design, since under PDES it must only be
-// touched by its owning node's events — and the clock its callers pass
-// never decreases.
+// not safe for concurrent use, it is touched only by its owning node's
+// events, and the clock its callers pass never decreases.
 type Relay struct {
 	cfg    Config
 	peers  []wire.NodeID
@@ -220,7 +218,7 @@ func (r *Relay) push(e Entry, now time.Duration) {
 // EntryTTL or longer ago; queue times never decrease — is counted per peer
 // it was meant for and left out of every share. The shares alias one
 // window, which nothing writes again (the next entry queued starts a new
-// log), so envelopes on every partition may read it; the returned slice is
+// log), so every receiver of an envelope may read it; the returned slice is
 // the relay's own and the next Flush overwrites it.
 func (r *Relay) Flush(now time.Duration) []Share {
 	log := r.log
@@ -279,8 +277,7 @@ func (r *Relay) Stats() Stats {
 //
 // Expiry is lazy: a FIFO of (digest, expiry) slots is scanned from the head
 // on every mark, so the cache needs no timers and its state advances only
-// on its owning node's events — the PDES-safety property. Amortized O(1) per
-// mark.
+// on its owning node's events. Amortized O(1) per mark.
 //
 // The bitmap stores no expiry and needs none. A bit is set only by a mark
 // that found it clear, and that mark queues exactly one slot; a bit is

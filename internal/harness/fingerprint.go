@@ -13,11 +13,10 @@ import (
 // verdict — into a canonical byte string. Two runs are
 // "byte-identical" exactly when their fingerprints are equal.
 //
-// Scenario.IntraWorkers is normalized away before serializing: it is an
-// executor knob, never a semantics knob, and the intra-run parallel PDES
-// contract (DESIGN.md §12) is precisely that fingerprints are invariant
-// under it. Host-dependent measurements (live-heap peaks, wall time) are
-// excluded for the same reason.
+// Scenario.IntraWorkers is normalized away before serializing: the field
+// is ignored by every run, so it cannot tell two results apart.
+// Host-dependent measurements (live-heap peaks, wall time) are excluded
+// for the same reason.
 func Fingerprint(res *Result) []byte {
 	clone := *res
 	clone.Scenario.IntraWorkers = 0

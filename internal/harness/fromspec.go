@@ -51,7 +51,6 @@ func FromSpec(sp spec.ScenarioSpec) (Scenario, error) {
 		Spec:               AlgSpec{Alg: alg, Collector: sp.Collector, Light: sp.Light},
 		Servers:            sp.Servers,
 		Shards:             sp.Shards,
-		IntraWorkers:       sp.IntraWorkers,
 		Transport:          sp.Transport,
 		Fanout:             sp.Fanout,
 		Rate:               sp.Rate,

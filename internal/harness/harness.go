@@ -34,7 +34,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -104,14 +103,9 @@ type Scenario struct {
 	// is the paper's single instance: the same deployment with one shard,
 	// without the cross-shard view and check that only several shards need.
 	Shards int
-	// IntraWorkers runs the scenario's own event population on this many
-	// concurrent workers via lookahead-bounded partitioned execution
-	// (DESIGN.md §12): one partition per server node with one instance, one
-	// per shard when Shards > 1. Results are byte-identical to the
-	// sequential schedule — this knob may only change wall-clock time.
-	// 0 or 1 runs exactly today's single-queue path; configurations the
-	// partitioned executor cannot preserve bit-for-bit (LevelStages
-	// metrics) silently degrade to it.
+	// Deprecated: IntraWorkers is ignored; every run has one event queue
+	// and RunMany's cells are the only parallelism (DESIGN.md §12). It is
+	// kept only for the benchmark's driver, which still sets it.
 	IntraWorkers int
 	// Transport selects the fan-out path for consensus and mempool
 	// traffic: "" or spec.TransportBroadcast is the classic direct
@@ -360,18 +354,18 @@ func Run(sc Scenario) *Result {
 // instance is the one-shard deployment (DESIGN.md §10).
 func runScenario(sc Scenario) *Result {
 	sc = sc.withDefaults()
-	engine, d, gen := Deploy(sc)
-	return drive(sc, engine, d, gen)
+	s, d, gen := Deploy(sc)
+	return drive(sc, s, d, gen)
 }
 
 // drive is runScenario after Deploy: it runs the deployment to the horizon,
 // harvests it, checks it and measures the heap. Sabotage tests deploy,
 // break the deployed instance, then call it.
-func drive(sc Scenario, engine runner, d *shard.Deployment, gen *shard.Generator) *Result {
+func drive(sc Scenario, s *sim.Simulator, d *shard.Deployment, gen *shard.Generator) *Result {
 	n, shards := sc.Servers, d.Count()
 	d.Start()
 	gen.Start()
-	engine.RunUntil(sc.Horizon)
+	s.RunUntil(sc.Horizon)
 	d.Stop()
 
 	res := &Result{
@@ -380,7 +374,7 @@ func drive(sc Scenario, engine runner, d *shard.Deployment, gen *shard.Generator
 		// Shards are independent instances, so the Appendix D model value
 		// for the aggregate is S times the per-instance one.
 		Analytical: sc.Spec.AnalyticalThroughput(n) * float64(shards),
-		Events:     engine.Executed(),
+		Events:     s.Executed(),
 		NetMsgs:    d.Net.Messages(),
 		NetBytes:   d.Net.BytesSent(),
 		Offered:    gen.Offered(),
@@ -485,40 +479,14 @@ func Check(d *shard.Deployment, gen *shard.Generator) error {
 }
 
 // Deploy builds a scenario on a fresh simulator, faulty servers and fault
-// plan installed, ready to start; engine runs it. It is the one deployment
-// road: runScenario hands it the scenario withDefaults derived, and the
-// public API (package setchain) one that never starts the generator and
-// adds through Generator.Add instead.
-func Deploy(sc Scenario) (engine runner, d *shard.Deployment, gen *shard.Generator) {
-	n, shards := sc.Servers, max(sc.Shards, 1)
+// plan installed, ready to start on the simulator it returns. It is the one
+// deployment road: runScenario hands it the scenario withDefaults derived,
+// and the public API (package setchain) one that never starts the generator
+// and adds through Generator.Add instead.
+func Deploy(sc Scenario) (s *sim.Simulator, d *shard.Deployment, gen *shard.Generator) {
 	opts, lcfg := deployConfig(sc)
-
-	// Partitioned execution (IntraWorkers > 1): every partition owns its own
-	// event queue, advanced concurrently in lookahead-bounded rounds; client
-	// injection, fault plans and the drain run on the home queue at round
-	// barriers. Byte-identical to the sequential path (DESIGN.md §12). One
-	// instance partitions per server node; several partition per shard —
-	// shards interact only through the shared fabric, whose minimum
-	// cross-shard link delay bounds each round.
-	var s *sim.Simulator
-	var world *sim.World
-	if iw := effectiveIntraWorkers(sc); iw > 1 {
-		parts, nodesPerPart := n, 1
-		if shards > 1 {
-			parts, nodesPerPart = shards, n
-		}
-		world, lcfg.SimFor = newIntraWorld(sc.Seed, parts, iw,
-			func(id wire.NodeID) int { return int(id) / nodesPerPart })
-		s, engine = world.Home(), world
-	} else {
-		s = sim.New(sc.Seed)
-		engine = s
-	}
-
-	d = shard.Deploy(s, shards, n, lcfg, opts, sc.Level)
-	if world != nil {
-		world.SetLookahead(d.Net.Lookahead)
-	}
+	s = sim.New(sc.Seed)
+	d = shard.Deploy(s, max(sc.Shards, 1), sc.Servers, lcfg, opts, sc.Level)
 	for k := range d.Shards {
 		// The highest-indexed servers of EVERY shard misbehave; each
 		// shard's observer (its first server) stays correct.
@@ -538,7 +506,7 @@ func Deploy(sc Scenario) (engine runner, d *shard.Deployment, gen *shard.Generat
 		Open:         sc.Open.Scaled(sc.Scale),
 		Seed:         sc.Seed,
 	})
-	return engine, d, gen
+	return s, d, gen
 }
 
 // bucketEfficiency is the paper's efficiency metric over merged buckets:

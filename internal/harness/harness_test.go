@@ -43,11 +43,11 @@ func fromSpec(t *testing.T, sp spec.ScenarioSpec) Scenario {
 // runBroken runs sc the way Run does, except that sabotage gets the
 // deployment between Deploy and the run: a sabotage test breaks the
 // instance it deployed, and no other.
-func runBroken(sc Scenario, sabotage func(engine runner, d *shard.Deployment)) *Result {
+func runBroken(sc Scenario, sabotage func(d *shard.Deployment)) *Result {
 	sc = sc.withDefaults()
-	engine, d, gen := Deploy(sc)
-	sabotage(engine, d)
-	return drive(sc, engine, d, gen)
+	s, d, gen := Deploy(sc)
+	sabotage(d)
+	return drive(sc, s, d, gen)
 }
 
 func TestAlgSpecLabels(t *testing.T) {

@@ -84,10 +84,10 @@ func TestMeshLivenessUnderLoss(t *testing.T) {
 // TestMeshRegistryEntries is the mesh counterpart of
 // TestScaleRegistryEntries: every mesh_* cell runs end to end at reduced
 // scale, commits, passes safety, and actually exercises the overlay.
+// Under -short it runs one cell: mesh_chaos's partition that heals, the one
+// mesh fault path no other short test reaches (the golden fingerprints run
+// cell 0 of each entry).
 func TestMeshRegistryEntries(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the whole mesh_* family; skipped under -short")
-	}
 	// One request for the whole family, so the worker pool overlaps the
 	// n=50 cells of different entries.
 	var cells []Scenario
@@ -98,6 +98,9 @@ func TestMeshRegistryEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, sc := range scs {
+			if testing.Short() && (entry != "mesh_chaos" || i != 1) {
+				continue
+			}
 			cells = append(cells, sc)
 			labels = append(labels, fmt.Sprintf("%s cell %d (%s)", entry, i, sc.Name))
 		}
@@ -125,7 +128,7 @@ func TestMeshBrokenExpiryStallsCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	mesh := cells[1]
-	res := runBroken(mesh, func(_ runner, d *shard.Deployment) {
+	res := runBroken(mesh, func(d *shard.Deployment) {
 		for _, sd := range d.Shards {
 			sd.Ledger.Mesh.BreakExpiryForTest()
 		}

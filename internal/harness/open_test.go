@@ -67,7 +67,7 @@ func TestBreakAdmissionForTest(t *testing.T) {
 }
 
 // breakAdmission breaks the admission gate of every pool in the deployment.
-func breakAdmission(_ runner, d *shard.Deployment) {
+func breakAdmission(d *shard.Deployment) {
 	for _, sd := range d.Shards {
 		for _, node := range sd.Ledger.Nodes {
 			node.Pool.BreakAdmissionForTest()

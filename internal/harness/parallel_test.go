@@ -7,8 +7,7 @@ import (
 	"repro/internal/spec"
 )
 
-// resultFingerprint delegates to the production Fingerprint (which the
-// intra-run PDES probe in cmd/setchain-bench also uses), keeping one
+// resultFingerprint delegates to the production Fingerprint, keeping one
 // definition of the byte-identity contract.
 func resultFingerprint(t *testing.T, res *Result) []byte {
 	t.Helper()

@@ -8,9 +8,9 @@ import (
 
 // shared memoizes cell results for the whole test process, keyed by the
 // Scenario's JSON — the form Fingerprint serializes. A result is a pure
-// function of its Scenario, so the golden digests, the registry-entry tests
-// and the sequential side of the PDES sweep all read one run of a cell
-// instead of each simulating it again (and `-count=2` reads the memo too).
+// function of its Scenario, so the golden digests and the registry-entry
+// tests all read one run of a cell instead of each simulating it again (and
+// `-count=2` reads the memo too).
 var shared = struct {
 	sync.Mutex
 	results map[string]*Result
@@ -21,8 +21,7 @@ var shared = struct {
 // read-only, and each is stored with its Recorder dropped so no deployment
 // outlives its run: a test that mutates a Result, sabotages a deployment or
 // reads a Recorder runs its own cells. Request cells as EntryScenarios
-// returns them; a sequential reference leaves IntraWorkers unset, as every
-// registry cell does.
+// returns them: a changed field is a different key and a second run.
 func runShared(t *testing.T, scs []Scenario) []*Result {
 	t.Helper()
 	shared.Lock()

@@ -104,7 +104,7 @@ func TestSyncForgedSnapshotRejected(t *testing.T) {
 // no longer produces locally-installable snapshots or the safety checker
 // went blind below the prune horizon.
 func TestSyncSabotagedHeaderBindInstallsForgery(t *testing.T) {
-	res := runBroken(syncForgedScenario(t, 1), func(_ runner, d *shard.Deployment) {
+	res := runBroken(syncForgedScenario(t, 1), func(d *shard.Deployment) {
 		for _, sd := range d.Shards {
 			for _, node := range sd.Ledger.Nodes {
 				node.Cons.BreakHeaderBindForTest()

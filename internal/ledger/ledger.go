@@ -38,14 +38,9 @@ type Node struct {
 	Cons *consensus.Node
 
 	net    *netsim.Network
-	sim    *sim.Simulator // the queue owning this node's events
 	appMsg AppMsgHandler
 	mesh   *netsim.Mesh // non-nil iff the cluster runs the mesh transport
 }
-
-// Sim returns the simulator owning this node's events: the partition queue
-// in a partitioned run, the cluster's root simulator otherwise.
-func (n *Node) Sim() *sim.Simulator { return n.sim }
 
 // Append submits a transaction to this node's ledger (the paper's
 // L.append / CometBFT BroadcastTxAsync). Returns whether the local mempool
@@ -154,12 +149,6 @@ type Config struct {
 	Suite setcrypto.Suite
 	// OnTxEnterMempool observes transactions entering each node's pool.
 	OnTxEnterMempool mempool.EnterFunc
-	// SimFor, when non-nil, maps each node id to the simulator (partition)
-	// that owns it in a partitioned run (DESIGN.md §12): the node's mempool,
-	// consensus engine, and network endpoint all schedule on that queue.
-	// Ids mapped to nil (and all ids when SimFor is nil) run on the root
-	// simulator, which is exactly the sequential path.
-	SimFor func(wire.NodeID) *sim.Simulator
 }
 
 // PaperConfig returns the evaluation's ledger — a LAN, consensus.PaperParams
@@ -170,16 +159,6 @@ func PaperConfig() Config {
 		Consensus: consensus.PaperParams(),
 		Mempool:   mempool.PaperConfig(),
 	}
-}
-
-// simFor resolves the owning simulator for a node id.
-func (cfg Config) simFor(root *sim.Simulator, id wire.NodeID) *sim.Simulator {
-	if cfg.SimFor != nil {
-		if s := cfg.SimFor(id); s != nil {
-			return s
-		}
-	}
-	return root
 }
 
 // Cluster is a full n-node ledger deployment on one simulator.
@@ -210,9 +189,6 @@ func NewCluster(s *sim.Simulator, cfg Config) *Cluster {
 	net := cfg.Network
 	if net == nil {
 		net = netsim.New(s, cfg.Net)
-		if cfg.SimFor != nil {
-			net.SetSimResolver(cfg.SimFor)
-		}
 	}
 	c := &Cluster{
 		Sim:      s,
@@ -240,10 +216,9 @@ func NewCluster(s *sim.Simulator, cfg Config) *Cluster {
 				peers = append(peers, v)
 			}
 		}
-		ns := cfg.simFor(s, id)
-		node := &Node{ID: id, net: c.Net, sim: ns}
-		node.Pool = mempool.New(id, ns, c.Net, peers, cfg.Mempool, nil, cfg.OnTxEnterMempool)
-		node.Cons = consensus.NewNode(id, validators, ns, c.Net, cfg.Consensus,
+		node := &Node{ID: id, net: c.Net}
+		node.Pool = mempool.New(id, s, c.Net, peers, cfg.Mempool, nil, cfg.OnTxEnterMempool)
+		node.Cons = consensus.NewNode(id, validators, s, c.Net, cfg.Consensus,
 			suite, c.Keys[i], c.Registry, node.Pool)
 		c.Nodes = append(c.Nodes, node)
 		c.Net.AddNode(id, node.receive)

@@ -178,12 +178,9 @@ func pairSum(b []uint64) []uint64 {
 	return out
 }
 
-// Injected records a client creating an element at virtual time at. The
-// caller passes the instant from its home queue rather than the recorder
-// reading r.sim.Now(): in a partitioned run injection happens on the home
-// queue while r.sim is the observer's partition clock, which may lag the
-// barrier time.
-func (r *Recorder) Injected(e *wire.Element, at time.Duration) {
+// Injected records a client creating an element now.
+func (r *Recorder) Injected(e *wire.Element) {
+	at := r.sim.Now()
 	r.totalInj++
 	r.bucket(&r.injected, at)
 	if r.level >= LevelStages {

@@ -172,19 +172,8 @@ func (f *Faults) Heal(cause Cause) {
 // SetLink installs the probabilistic fault configuration for the directed
 // link from→to, replacing whatever was set before. A zero LinkFault
 // restores the perfect link.
-//
-// Partitioned-execution interaction: a LinkFault.ExtraDelay change can
-// change the network's conservative lookahead window, so SetLink
-// invalidates the cached window in the same sim event that applies the
-// change. This is safe precisely because of the single-owner rule: all
-// fault mutation flows through this controller, and scheduled fault plans
-// run as events on the World's HOME queue — at a round barrier, with no
-// partition executing — so no partition can be mid-round with a window that
-// the mutation just widened or narrowed. The World re-reads
-// Network.Lookahead when it forms the next round.
 func (f *Faults) SetLink(from, to wire.NodeID, lf LinkFault) {
 	k := linkKey{from, to}
-	f.net.lookaheadValid = false
 	if lf.IsZero() {
 		delete(f.links, k)
 		return
@@ -198,8 +187,7 @@ func (f *Faults) Link(from, to wire.NodeID) LinkFault {
 }
 
 // Dropped returns how many messages link faults discarded (blocks + drops).
-// Counters live on the sending node (so concurrent partitions never share
-// one) and are summed on read.
+// Counters live on the sending node and are summed on read.
 func (f *Faults) Dropped() uint64 {
 	var total uint64
 	for _, nd := range f.net.nodes {

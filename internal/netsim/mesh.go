@@ -24,11 +24,9 @@ import (
 // consensus height generates, so envelopes-per-committed-element drops to
 // O(n·fanout / burst) — measured by the mesh_* registry entries.
 //
-// Determinism under intra-run PDES: every endpoint's state (relay, seq,
-// flush timer) is touched only by its own node's events on its own
-// partition queue; the peer graph is a pure function of the root seed
-// computed once at deploy time; flush iterates a sorted peer slice, never
-// map order. See DESIGN.md §12/§13.
+// Determinism: the peer graph is a pure function of the root seed computed
+// once at deploy time, and flush iterates a sorted peer slice, never map
+// order. See DESIGN.md §13.
 type Mesh struct {
 	net    *Network
 	fanout int
@@ -95,7 +93,7 @@ const (
 // offsets are drawn without replacement from [2, n/2] using an RNG stream
 // derived from the seed, so the graph is "k-regular-ish" — every node has
 // the same degree ~= fanout — and identical for identical (seed, ids,
-// fanout) regardless of partitioning or worker count. A fanout >= n-1
+// fanout). A fanout >= n-1
 // degenerates to the full mesh (gossip over it behaves like broadcast
 // plus dedup).
 func MeshPeers(seed int64, ids []wire.NodeID, fanout int) map[wire.NodeID][]wire.NodeID {
@@ -199,7 +197,7 @@ func NewMesh(net *Network, ids []wire.NodeID, fanout int) *Mesh {
 		ep := &meshEndpoint{
 			mesh:  m,
 			id:    id,
-			sim:   net.simOf(id),
+			sim:   net.sim,
 			peers: m.peers[id],
 			relay: gossip.NewRelay(m.peers[id], cfg),
 		}

@@ -64,16 +64,6 @@ type Network struct {
 	cfg    Config
 	nodes  map[wire.NodeID]*node
 	faults *Faults // lazily created by Faults(); nil until any fault exists
-
-	// simFor maps a node to the simulator (partition) that owns it. nil
-	// means every node runs on the root simulator (the sequential path).
-	simFor func(wire.NodeID) *sim.Simulator
-
-	// Cached conservative lookahead window for partitioned execution;
-	// invalidated whenever topology or link delays change (AddNode,
-	// SetSimResolver, Faults.SetLink).
-	lookahead      time.Duration
-	lookaheadValid bool
 }
 
 type node struct {
@@ -81,14 +71,10 @@ type node struct {
 	id      wire.NodeID
 	handler Handler
 	egress  *sim.Resource
-	// sim is the simulator (partition) owning this node: all of its sends,
-	// deliveries, and egress grants execute as events on this queue.
-	sim *sim.Simulator
 	// rng is the node's private random stream, seeded from
 	// sim.ChildSeed(rootSeed, id). Link-fault and jitter draws for messages
 	// this node SENDS come from here, so the draw sequence depends only on
-	// the node's own event order — identical whether the run is sequential
-	// or partitioned, and whatever the worker interleaving.
+	// the node's own event order.
 	rng *rand.Rand
 	// down caches whether any fault cause currently holds the node down;
 	// only Faults.SetDown writes it (single fault-state owner).
@@ -98,8 +84,8 @@ type node struct {
 	free  *msg
 	nfree int
 
-	// Per-node stats, attributed to the sending node so concurrent
-	// partitions never share a counter; network totals are summed on read.
+	// Per-node stats, attributed to the sending node; network totals are
+	// summed on read.
 	bytesOut   uint64
 	msgsOut    uint64
 	dropped    uint64
@@ -112,26 +98,6 @@ func New(s *sim.Simulator, cfg Config) *Network {
 	return &Network{sim: s, cfg: cfg, nodes: make(map[wire.NodeID]*node)}
 }
 
-// SetSimResolver installs the node→partition mapping for partitioned runs.
-// It must be called before any AddNode; nodes the resolver maps to nil run
-// on the root simulator.
-func (n *Network) SetSimResolver(f func(wire.NodeID) *sim.Simulator) {
-	if len(n.nodes) > 0 {
-		panic("netsim: SetSimResolver after AddNode")
-	}
-	n.simFor = f
-	n.lookaheadValid = false
-}
-
-func (n *Network) simOf(id wire.NodeID) *sim.Simulator {
-	if n.simFor != nil {
-		if s := n.simFor(id); s != nil {
-			return s
-		}
-	}
-	return n.sim
-}
-
 // AddNode registers a node and its delivery handler. Registering an id
 // twice replaces the handler (used by tests to interpose).
 func (n *Network) AddNode(id wire.NodeID, h Handler) {
@@ -139,16 +105,13 @@ func (n *Network) AddNode(id wire.NodeID, h Handler) {
 		existing.handler = h
 		return
 	}
-	ns := n.simOf(id)
 	n.nodes[id] = &node{
 		net:     n,
 		id:      id,
 		handler: h,
-		sim:     ns,
-		rng:     sim.ChildRand(ns.Seed(), uint64(id)),
-		egress:  ns.NewResource(fmt.Sprintf("egress-%d", id)),
+		rng:     sim.ChildRand(n.sim.Seed(), uint64(id)),
+		egress:  n.sim.NewResource(fmt.Sprintf("egress-%d", id)),
 	}
-	n.lookaheadValid = false
 }
 
 // NodeIDs returns the registered node ids in ascending order.
@@ -191,14 +154,13 @@ func (n *Network) Send(from, to wire.NodeID, payload any, size int) {
 	if from == to {
 		m := src.takeMsg()
 		m.src, m.dst, m.payload, m.size = src, dst, payload, size
-		src.sim.After(time.Microsecond, m.deliverFn)
+		n.sim.After(time.Microsecond, m.deliverFn)
 		return
 	}
 
 	// Link faults. All probability draws happen here, at send time, from the
 	// SENDER's private random stream, so the draw sequence depends only on
-	// the sender's own event order — deterministic per seed and identical
-	// across IntraWorkers settings (DESIGN.md §12).
+	// the sender's own event order.
 	var lf LinkFault
 	if n.faults != nil && n.faults.linkActive() {
 		if n.faults.Blocked(from, to) {
@@ -225,7 +187,7 @@ func (n *Network) Send(from, to wire.NodeID, payload any, size int) {
 	dup := lf.Duplicate > 0 && src.rng.Float64() < lf.Duplicate
 	var txTime time.Duration
 	if n.cfg.Bandwidth > 0 {
-		txTime = time.Duration(float64(size) / n.cfg.Bandwidth * float64(time.Second))
+		txTime = transmitTime(size, n.cfg.Bandwidth)
 	}
 	// The sender's egress serializes transmissions; propagation then runs
 	// concurrently with later transmissions.
@@ -234,15 +196,24 @@ func (n *Network) Send(from, to wire.NodeID, payload any, size int) {
 	src.egress.Submit(txTime, m.grantFn)
 }
 
+// transmitTime returns how long size bytes take on an egress of bandwidth
+// bytes/second, saturated at the end of time: a float past int64 would
+// convert to a negative Duration and transmit at once.
+func transmitTime(size int, bandwidth float64) time.Duration {
+	if t := float64(size) / bandwidth * float64(time.Second); t < math.MaxInt64 {
+		return time.Duration(t)
+	}
+	return math.MaxInt64
+}
+
 // msg is one message on its way from Send to its handler. The two events
 // of its life — the sender's egress grant, then delivery — are its own
 // methods, bound once when the record is made, so a message schedules no
 // closure; and the record itself is reused: Send takes one from the SENDING
 // node's free list and delivery returns it to the RECEIVING node's. Each
-// list is therefore touched only by events of the node that owns it, which
-// is the partitioned executor's rule (DESIGN.md §12) — no shared pool, no
-// lock. Records drift toward nodes that receive more than they send; a full
-// list (maxFreeMsgs) leaves the surplus to the collector.
+// list is therefore touched only by events of the node that owns it.
+// Records drift toward nodes that receive more than they send; a full list
+// (maxFreeMsgs) leaves the surplus to the collector.
 type msg struct {
 	src, dst *node
 	prop     time.Duration
@@ -284,18 +255,9 @@ func (m *msg) granted() {
 	m.propagate()
 }
 
-// propagate schedules delivery prop after the egress grant. When source and
-// destination live on different partitions the delivery crosses queues via
-// the destination's inbox; prop includes the cross-partition link floor
-// (BaseLatency + ExtraDelay + LinkFault.ExtraDelay), which is what makes
-// the Lookahead window safe.
+// propagate schedules delivery prop after the egress grant.
 func (m *msg) propagate() {
-	src := m.src.sim
-	if dst := m.dst.sim; src != dst {
-		src.SendCross(dst, src.Now()+m.prop, m.deliverFn)
-		return
-	}
-	src.After(m.prop, m.deliverFn)
+	m.src.net.sim.After(m.prop, m.deliverFn)
 }
 
 // deliver hands the message to the destination's handler, after giving the
@@ -338,61 +300,6 @@ func (n *Network) BytesSent() uint64 {
 		total += nd.bytesOut
 	}
 	return total
-}
-
-// Lookahead returns the conservative PDES window: a lower bound on the
-// propagation delay of any message that crosses partition boundaries. A
-// partition may execute all events below min(other clocks) + Lookahead
-// without missing an incoming message. The value is BaseLatency +
-// ExtraDelay, raised by the minimum LinkFault.ExtraDelay only when EVERY
-// cross-partition directed link carries one (a single uncovered link pins
-// the floor at the base). Jitter, reordering, and duplication only ever add
-// delay, and egress queueing only delays the grant, so the floor is safe.
-//
-// The value is cached; AddNode, SetSimResolver, and Faults.SetLink
-// invalidate it. Fault-plan events apply link changes and invalidate in the
-// same sim event (see faults.go), and the World re-reads Lookahead every
-// round, so a delay change is honored from the next round on.
-func (n *Network) Lookahead() time.Duration {
-	if !n.lookaheadValid {
-		n.lookahead = n.computeLookahead()
-		n.lookaheadValid = true
-	}
-	return n.lookahead
-}
-
-func (n *Network) computeLookahead() time.Duration {
-	cross := 0
-	for _, u := range n.nodes {
-		for _, v := range n.nodes {
-			if u.sim != v.sim {
-				cross++
-			}
-		}
-	}
-	if cross == 0 {
-		// All nodes share one queue: no message ever crosses partitions.
-		return time.Duration(math.MaxInt64)
-	}
-	base := n.cfg.BaseLatency + n.cfg.ExtraDelay
-	covered := 0
-	minExtra := time.Duration(math.MaxInt64)
-	if n.faults != nil {
-		for k, lf := range n.faults.links {
-			u, okU := n.nodes[k.from]
-			v, okV := n.nodes[k.to]
-			if okU && okV && u.sim != v.sim && lf.ExtraDelay > 0 {
-				covered++
-				if lf.ExtraDelay < minExtra {
-					minExtra = lf.ExtraDelay
-				}
-			}
-		}
-	}
-	if covered == cross {
-		base += minExtra
-	}
-	return base
 }
 
 // NodeBytesOut returns the egress byte count for one node.

@@ -77,6 +77,24 @@ func TestBandwidthSerializesEgress(t *testing.T) {
 	}
 }
 
+// A transmission time past the end of time saturates there: at 1e-8 B/s a
+// 100-byte message takes 10¹⁹ s, which as an int64 of nanoseconds wraps
+// negative and would be delivered at once.
+func TestTinyBandwidthNeverDelivers(t *testing.T) {
+	s, n, boxes := setup(Config{BaseLatency: time.Millisecond, Bandwidth: 1e-8})
+	s.After(0, func() {
+		n.Send(0, 1, "a", 100)
+		n.Send(0, 2, "b", 100)
+	})
+	s.RunUntil(1000 * time.Hour)
+	if got := len(*boxes[1]) + len(*boxes[2]); got != 0 {
+		t.Fatalf("%d deliveries before the horizon, want 0", got)
+	}
+	if s.Pending() == 0 {
+		t.Fatal("the transmissions left the queue")
+	}
+}
+
 func TestBroadcastReachesAllOthers(t *testing.T) {
 	s, n, boxes := setup(Config{BaseLatency: time.Millisecond})
 	s.After(0, func() { n.Broadcast(2, "blk", 64) })

@@ -81,21 +81,8 @@ func Deploy(s *sim.Simulator, shards, servers int, lcfg ledger.Config, opts core
 		Servers: servers,
 		faulty:  make([]bool, shards*servers),
 	}
-	// Partitioned runs (harness IntraWorkers > 1) give every shard its own
-	// event queue: the resolver maps shard k's node ids to partition k. The
-	// shared fabric then routes cross-shard traffic through partition
-	// inboxes, and each shard's recorder lives on its observer's queue.
-	if lcfg.SimFor != nil {
-		d.Net.SetSimResolver(lcfg.SimFor)
-	}
 	for k := 0; k < shards; k++ {
-		rsim := s
-		if lcfg.SimFor != nil {
-			if ps := lcfg.SimFor(d.Observer(k)); ps != nil {
-				rsim = ps
-			}
-		}
-		rec := metrics.New(rsim, level, servers, opts.F, d.Observer(k))
+		rec := metrics.New(s, level, servers, opts.F, d.Observer(k))
 		cfg := lcfg
 		cfg.Network = d.Net
 		cfg.FirstID = d.Observer(k)

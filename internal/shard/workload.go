@@ -99,7 +99,7 @@ func (g *Generator) Add(e *wire.Element, k, i int) error {
 	}
 	g.Account.Accept(e, k*g.d.Servers+i)
 	g.perShard[target]++
-	g.d.Recorders[target].Injected(e, g.d.Sim.Now())
+	g.d.Recorders[target].Injected(e)
 	return nil
 }
 

@@ -47,7 +47,8 @@ func (r *Resource) Name() string { return r.name }
 // Submit enqueues a job of the given cost; done fires when the job
 // completes (after all previously submitted jobs). A nil done is allowed
 // when only the time occupancy matters: the job is then a charge, which
-// is never an event. Negative costs are treated as zero.
+// is never an event. Negative costs are treated as zero; a completion past
+// the end of time saturates there.
 func (r *Resource) Submit(cost time.Duration, done func()) {
 	if cost < 0 {
 		cost = 0
@@ -60,7 +61,7 @@ func (r *Resource) Submit(cost time.Duration, done func()) {
 	if backlog := start - now; backlog > r.maxQueued {
 		r.maxQueued = backlog
 	}
-	finish := start + cost
+	finish := satAdd(start, cost)
 	r.busyUntil = finish
 	r.busyTime += cost
 	r.jobs++
@@ -69,7 +70,7 @@ func (r *Resource) Submit(cost time.Duration, done func()) {
 		return
 	}
 	// A charge draws the seq its event would have had, so every other event
-	// keeps its (at, seq) and cross-queue merges keep their order (§12).
+	// keeps its (at, seq).
 	r.retire(charge{at: now}) // every charge strictly before now
 	r.charges = append(r.charges, charge{at: finish, seq: r.sim.nextSeq()})
 }

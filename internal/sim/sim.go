@@ -10,8 +10,8 @@
 // with Resource (see resource.go) rather than by burning wall-clock time.
 // A callback-free resource job (a charge) is counted, not scheduled: it
 // draws a sequence number but never enters the heap. At every return from
-// Run, RunUntil and World.RunUntil, Executed, Now and Pending read as if
-// each charge had been a no-op event.
+// Run and RunUntil, Executed, Now and Pending read as if each charge had
+// been a no-op event.
 //
 // The event queue is built for the allocation budget of multi-million-event
 // sweeps (DESIGN.md §6): event state lives in a slab recycled through a
@@ -28,9 +28,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 )
+
+const maxDuration = time.Duration(math.MaxInt64)
 
 // Simulator owns the virtual clock and the pending-event queue.
 type Simulator struct {
@@ -38,7 +39,7 @@ type Simulator struct {
 	heap   []heapEntry // 4-ary min-heap ordered by (at, seq)
 	nodes  []eventNode // slab of event state, indexed by slot
 	free   []int32     // recycled slots
-	seq    uint64      // standalone: next-seq counter; in a World: per-round creation count (see nextSeq)
+	seq    uint64      // creation counter: the tie-break among same-time events
 	rng    *rand.Rand
 	seed   int64
 	halted bool
@@ -48,32 +49,6 @@ type Simulator struct {
 	executed  uint64
 	lastSeq   uint64      // seq of the last executed event: where a Halt cuts the charges
 	resources []*Resource // every resource on this queue, for the charge tally
-
-	// Partition identity when this simulator is one partition of a World
-	// (world.go). pidx is -1 for standalone simulators and the World's home
-	// queue. crossSeq numbers this partition's outgoing cross-partition
-	// events so inbox merges have a deterministic per-source order.
-	world    *World
-	pidx     int
-	crossSeq uint64
-
-	// inbox holds cross-partition events sent to this partition during a
-	// round. It is the ONLY concurrently touched state of a Simulator:
-	// source partitions append under the mutex while this partition runs,
-	// and the World drains it into the heap at the next round barrier.
-	inboxMu sync.Mutex
-	inbox   []inboxEntry
-}
-
-// inboxEntry is one cross-partition event awaiting the round barrier.
-// (srcPart, srcSeq) is the deterministic merge key: srcSeq is assigned in
-// the source partition's execution order, which does not depend on how
-// partitions are scheduled onto workers.
-type inboxEntry struct {
-	at      time.Duration
-	srcPart int
-	srcSeq  uint64
-	fn      func()
 }
 
 // heapEntry is one queue position. Keeping the ordering key inline (rather
@@ -136,13 +111,12 @@ func (e Event) Scheduled() bool {
 
 // New creates a simulator whose random stream is derived from seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed)), seed: seed, pidx: -1}
+	return &Simulator{rng: rand.New(rand.NewSource(seed)), seed: seed}
 }
 
-// Seed returns the seed the simulator (or its World) was created with.
-// Components that need their own decorrelated random streams (e.g. the
-// per-node streams in netsim) derive them from this value so the streams
-// are identical whether or not the run is partitioned.
+// Seed returns the seed the simulator was created with. Components that
+// need their own decorrelated random streams (the per-node streams in
+// netsim) derive them from this value with ChildSeed.
 func (s *Simulator) Seed() int64 { return s.seed }
 
 // Now returns the current virtual time.
@@ -184,26 +158,9 @@ func (s *Simulator) At(t time.Duration, fn func()) Event {
 	return Event{s: s, at: t, slot: slot, gen: n.gen}
 }
 
-// nextSeq allocates the event's position in the (at, seq) total order. A
-// standalone simulator numbers from its own counter. Simulators belonging
-// to a World share ONE counter, so an event created later in the run's
-// sequential order sorts later at timestamp ties no matter which queue it
-// lands on — this is what makes a barrier's merged execution byte-identical
-// to the single-queue schedule. During a concurrent round each partition
-// allocates from a private window above the shared base (base + its own
-// creation count); the values are deterministic because each partition's
-// creation order is, and windows of different partitions may overlap only
-// for events that never share a queue (the barrier merge breaks the
-// residual cross-queue tie by partition index).
+// nextSeq allocates the event's position in the (at, seq) total order:
+// an event created later sorts later among same-time events.
 func (s *Simulator) nextSeq() uint64 {
-	if w := s.world; w != nil {
-		if w.inRound {
-			s.seq++
-			return w.seqBase + s.seq
-		}
-		w.seqBase++
-		return w.seqBase
-	}
 	s.seq++
 	return s.seq
 }
@@ -368,59 +325,29 @@ func (s *Simulator) int32HeapIdx(slot int32) int {
 	return int(s.nodes[slot].heapIdx)
 }
 
-// --- partitioned execution (see world.go) ---
-
-// Partition returns the index of this simulator within its World, or -1 for
-// standalone simulators and a World's home queue.
-func (s *Simulator) Partition() int { return s.pidx }
-
-// SendCross schedules fn at absolute time at on the destination partition's
-// queue. It must be called from an event executing on s (the source
-// partition); the destination only sees the event after the next round
-// barrier, which is safe as long as at is at least the World's lookahead
-// ahead of the source clock — the caller (netsim) guarantees that by
-// construction, since at includes the cross-partition link delay.
-//
-// The (source partition, source sequence) pair recorded here is the merge
-// key: inboxes are drained in (at, srcPart, srcSeq) order at barriers, so
-// the destination's schedule is independent of worker interleaving.
-func (s *Simulator) SendCross(dst *Simulator, at time.Duration, fn func()) {
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	s.crossSeq++
-	e := inboxEntry{at: at, srcPart: s.pidx, srcSeq: s.crossSeq, fn: fn}
-	dst.inboxMu.Lock()
-	dst.inbox = append(dst.inbox, e)
-	dst.inboxMu.Unlock()
-}
-
-// nextAt returns the timestamp of the earliest pending event, or maxDuration
-// when the queue is empty. Inbox entries are not visible until drained.
-func (s *Simulator) nextAt() time.Duration {
-	if len(s.heap) == 0 {
+// satAdd returns a+b, saturated at maxDuration when b > 0 overflows it.
+func satAdd(a, b time.Duration) time.Duration {
+	c := a + b
+	if b > 0 && c < a {
 		return maxDuration
 	}
-	return s.heap[0].at
+	return c
 }
 
-// runBefore executes every pending event with timestamp strictly below
-// limit. Unlike RunUntil it leaves the clock at the last executed event
-// (the partition's local clock only advances through events; the round
-// barrier uses nextAt, not the clock, to bound the next window).
-func (s *Simulator) runBefore(limit time.Duration) {
-	s.halted = false
-	for len(s.heap) > 0 && !s.halted && s.heap[0].at < limit {
-		s.step()
-	}
+// ChildSeed derives a decorrelated child seed from a root seed and a small
+// integer identity (splitmix64 finalizer). netsim uses this for per-node
+// random streams, so a node's draws depend only on its own event order.
+func ChildSeed(seed int64, id uint64) int64 {
+	z := uint64(seed) + 0x9e3779b97f4a7c15*(id+1)
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return int64(z)
 }
 
-// finishAt counts the charges up to deadline and advances the clock to it,
-// once at the end of a partitioned run, so post-run reads of Now(),
-// Executed() and Pending() match the sequential path.
-func (s *Simulator) finishAt(deadline time.Duration) {
-	s.settle(deadline)
-	if s.now < deadline {
-		s.now = deadline
-	}
+// ChildRand returns a rand.Rand seeded with ChildSeed.
+func ChildRand(seed int64, id uint64) *rand.Rand {
+	return rand.New(rand.NewSource(ChildSeed(seed, id)))
 }

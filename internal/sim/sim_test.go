@@ -283,29 +283,22 @@ func TestChargeListHoldsOnlyInFlight(t *testing.T) {
 	t.Logf("%d jobs, at most %d in flight, list capacity %d", jobs, maxInFlight, cap(r.charges))
 }
 
-// RunUntil to the end of time runs everything on a Simulator and on a
-// World alike: the World's strict bound deadline+1 must not wrap.
+// RunUntil to the end of time runs everything, charges included.
 func TestRunUntilEndOfTime(t *testing.T) {
-	schedule := func(q *Simulator) {
-		cpu := q.NewResource("cpu")
-		for i := 1; i <= 5; i++ {
-			q.At(time.Duration(i)*time.Second, func() {
-				cpu.Submit(time.Millisecond, nil)
-				cpu.Submit(time.Millisecond, func() {})
-			})
-		}
-	}
 	s := New(1)
-	schedule(s)
-	s.RunUntil(maxDuration)
-	w := NewWorld(1, 2, 2)
-	schedule(w.Part(1))
-	w.RunUntil(maxDuration)
-	if s.Executed() != 15 || w.Executed() != s.Executed() {
-		t.Fatalf("Executed: Simulator %d, World %d; want 15 on both", s.Executed(), w.Executed())
+	cpu := s.NewResource("cpu")
+	for i := 1; i <= 5; i++ {
+		s.At(time.Duration(i)*time.Second, func() {
+			cpu.Submit(time.Millisecond, nil)
+			cpu.Submit(time.Millisecond, func() {})
+		})
 	}
-	if s.Now() != maxDuration || w.Part(1).Now() != maxDuration {
-		t.Fatalf("clocks at %v and %v, want the end of time", s.Now(), w.Part(1).Now())
+	s.RunUntil(maxDuration)
+	if s.Executed() != 15 {
+		t.Fatalf("Executed = %d, want 15", s.Executed())
+	}
+	if s.Now() != maxDuration {
+		t.Fatalf("clock at %v, want the end of time", s.Now())
 	}
 }
 

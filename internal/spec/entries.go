@@ -624,9 +624,8 @@ func registerMesh() {
 		Description: "Hashchain c=100 on 2 shards of 10 servers (20 nodes, one " +
 			"shared network) at an aggregate 2,000 el/s, each shard's consensus " +
 			"group running its own fanout-4 mesh over the shared fabric. Pins " +
-			"that per-shard overlays compose with the digest router, the " +
-			"cross-shard safety checker, and partitioned (IntraWorkers) " +
-			"execution.",
+			"that per-shard overlays compose with the digest router and the " +
+			"cross-shard safety checker.",
 		Cells: []ScenarioSpec{func() ScenarioSpec {
 			s := meshCell("mesh-sharded", 10, 4, 2000)
 			s.Group = ""

@@ -80,6 +80,9 @@ func FuzzOverrideValidates(f *testing.F) {
 	f.Add("rate", "+Inf")
 	f.Add("watermark", "-0")
 	f.Add("drop", "1e-320")
+	// The deleted executor's key and alias are unknown keys now.
+	f.Add("intra_workers", "2")
+	f.Add("iw", "2")
 	f.Fuzz(func(t *testing.T, key, value string) {
 		var zero ScenarioSpec
 		if Set(&zero, key, value) != nil && !reflect.DeepEqual(zero, ScenarioSpec{}) {

@@ -64,7 +64,6 @@ var overrides = []override{
 	{"light", nil, field(strconv.ParseBool, func(s *ScenarioSpec) *bool { return &s.Light })},
 	{"servers", []string{"n"}, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &s.Servers })},
 	{"shards", []string{"s"}, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &s.Shards })},
-	{"intra_workers", []string{"iw"}, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &s.IntraWorkers })},
 	{"transport", nil, field(lower, func(s *ScenarioSpec) *string { return &s.Transport })},
 	{"fanout", nil, field(strconv.Atoi, func(s *ScenarioSpec) *int { return &s.Fanout })},
 	{"rate", nil, field(float, func(s *ScenarioSpec) *float64 { return &s.Rate })},

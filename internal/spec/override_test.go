@@ -43,7 +43,6 @@ func TestSetPinsEveryKey(t *testing.T) {
 		{[]string{"light"}, "true", ScenarioSpec{Light: true}, errBool},
 		{[]string{"servers", "n"}, "16", ScenarioSpec{Servers: 16}, errInt},
 		{[]string{"shards", "s"}, "4", ScenarioSpec{Shards: 4}, errInt},
-		{[]string{"intra_workers", "iw"}, "2", ScenarioSpec{IntraWorkers: 2}, errInt},
 		{[]string{"transport"}, "MESH", ScenarioSpec{Transport: "mesh"}, ""},
 		{[]string{"fanout"}, "8", ScenarioSpec{Fanout: 8}, errInt},
 		{[]string{"rate"}, "2.5e3", ScenarioSpec{Rate: 2500}, errFloat},
@@ -101,15 +100,19 @@ func TestSetPinsEveryKey(t *testing.T) {
 	}
 
 	const known = "name, group, algorithm, collector, light, servers, shards, " +
-		"intra_workers, transport, fanout, rate, send_for, horizon, network_delay, " +
+		"transport, fanout, rate, send_for, horizon, network_delay, " +
 		"bandwidth, seed, scale, metrics, crypto, faulty, behaviors, inject_count, " +
 		"checkpoint_interval, prune, heap_ceiling_mb, sync_chunk_bytes, zipf, " +
 		"churn_on, churn_off, admission, watermark, max_txs, max_bytes, max_delay, " +
 		"max_deferred, drop, duplicate, reorder"
-	var s ScenarioSpec
-	err := Set(&s, "Warp", "9")
-	if want := `unknown spec field "Warp" (known: ` + known + `)`; err == nil || err.Error() != want {
-		t.Errorf("unknown key error %v, want %q", err, want)
+	// The deleted partitioned executor's key and its alias are unknown keys
+	// like any other.
+	for _, key := range []string{"Warp", "intra_workers", "iw"} {
+		var s ScenarioSpec
+		err := Set(&s, key, "9")
+		if want := `unknown spec field "` + key + `" (known: ` + known + `)`; err == nil || err.Error() != want {
+			t.Errorf("unknown key error %v, want %q", err, want)
+		}
 	}
 }
 

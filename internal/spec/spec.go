@@ -211,14 +211,6 @@ type ScenarioSpec struct {
 	// the zero value stays unset so pre-sharding specs and artifacts
 	// round-trip unchanged.
 	Shards int `json:"shards,omitempty"`
-	// IntraWorkers runs the scenario's own event population on this many
-	// concurrent workers via lookahead-bounded partitioned execution (one
-	// partition per server node, or per shard when Shards > 1). Purely an
-	// executor knob: results are byte-identical to the sequential schedule,
-	// only wall-clock time may change. 0 or 1 is the classic single-queue
-	// path; the zero value stays unset so existing specs and artifacts
-	// round-trip unchanged.
-	IntraWorkers int `json:"intra_workers,omitempty"`
 	// Transport selects how consensus and mempool traffic fans out:
 	// "broadcast" (direct per-validator sends, the paper's model) or
 	// "mesh" (bounded-fanout gossip overlay with digest-keyed dedup,
@@ -332,7 +324,7 @@ func (s ScenarioSpec) WithDefaults() ScenarioSpec {
 			w.SizeMax = 16384
 		}
 		if w.Tick == 0 {
-			w.Tick = Duration(10 * time.Millisecond)
+			w.Tick = Duration(defaultTick)
 		}
 	}
 	if o := s.Open; o != nil && o.ChurnOn > 0 && o.ChurnOff == 0 {
@@ -452,12 +444,6 @@ func (s ScenarioSpec) Validate() error {
 	if s.Shards > 1 && s.Metrics == MetricsStages {
 		return fmt.Errorf("stages metrics are per-instance and are not aggregated across shards yet (use %q)",
 			MetricsThroughput)
-	}
-	if s.IntraWorkers < 0 {
-		return fmt.Errorf("intra_workers must be >= 0, got %d", s.IntraWorkers)
-	}
-	if s.IntraWorkers > 256 {
-		return fmt.Errorf("intra_workers must be <= 256, got %d", s.IntraWorkers)
 	}
 	switch s.Transport {
 	case "", TransportBroadcast, TransportMesh:
@@ -591,7 +577,29 @@ func (s ScenarioSpec) Validate() error {
 		return fmt.Errorf("offered load of %.0f ledger transactions exceeds the limit of %d; lower rate, send_for, scale or servers",
 			n, maxOfferedTxs)
 	}
+	if n := s.injectionTicks(); n > maxOfferedTxs {
+		return fmt.Errorf("%.0f injection ticks exceed the limit of %d; raise tick or lower send_for, scale, servers or shards",
+			n, maxOfferedTxs)
+	}
 	return nil
+}
+
+// defaultTick is the injection tick of a spec that sets none (the same
+// value workload.Shape fills in).
+const defaultTick = 10 * time.Millisecond
+
+// injectionTicks returns how many injection events the defaulted spec
+// schedules: every client (one per server of every shard) fires once per
+// tick over the scaled send window, whether or not the tick adds an
+// element. maxOfferedTxs bounds it too, so a tiny tick is refused at load
+// time instead of running for hours.
+func (s ScenarioSpec) injectionTicks() float64 {
+	tick := defaultTick
+	if s.Workload != nil && s.Workload.Tick > 0 {
+		tick = s.Workload.Tick.Std()
+	}
+	clients := s.Servers * max(s.Shards, 1)
+	return float64(clients) * float64(s.SendFor) * s.Scale / float64(tick)
 }
 
 // maxElementSize is wire.MaxElementSize, the largest size an element's

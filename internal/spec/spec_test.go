@@ -102,6 +102,7 @@ func TestDecodeRejectsUnknownFieldsAndBadCells(t *testing.T) {
 		`{"algorithm": "hashchain"}`,                                     // no rate
 		`[]`,                                                             // empty document
 		`{"algorithm": "vanilla", "rate": 100, "light": true}`,           // vanilla light
+		`{"algorithm": "vanilla", "rate": 100, "intra_workers": 2}`,      // field of the deleted partitioned executor
 		`{"algorithm": "hashchain", "rate": 1, "metrics": "everything"}`, // bad level
 		// A document is one JSON value: nothing may follow it.
 		`{"algorithm": "vanilla", "rate": 100}` + "\n" + `{"algorithm": "hashchain", "rate": 100}`,
@@ -240,6 +241,47 @@ func TestValidateBoundsOfferedLoad(t *testing.T) {
 	}
 }
 
+// The injection loop fires once per client per tick, so the same 10⁹ limit
+// bounds clients × send window × scale ÷ tick: 4 servers × 2 shards
+// sending for 10 s at an 80 ns tick are exactly the limit, and a shorter
+// tick, a longer window, a larger scale or one more shard is past it.
+func TestValidateBoundsInjectionTicks(t *testing.T) {
+	atBound := func() ScenarioSpec {
+		return ScenarioSpec{Algorithm: AlgVanilla, Servers: 4, Shards: 2, Rate: 1, SendFor: Duration(10 * time.Second),
+			Workload: &WorkloadSpec{Tick: Duration(80 * time.Nanosecond)}}.WithDefaults()
+	}
+	sp := atBound()
+	if n := sp.injectionTicks(); n != maxOfferedTxs {
+		t.Fatalf("%.0f ticks, want exactly the limit %d", n, maxOfferedTxs)
+	}
+	if err := sp.Validate(); err != nil {
+		t.Fatalf("spec at the bound refused: %v", err)
+	}
+	past := map[string]func(*ScenarioSpec){
+		"a shorter tick":  func(s *ScenarioSpec) { s.Workload.Tick-- },
+		"a longer window": func(s *ScenarioSpec) { s.SendFor += Duration(time.Nanosecond) },
+		"a larger scale":  func(s *ScenarioSpec) { s.Scale = 1.000001 },
+		"a third shard":   func(s *ScenarioSpec) { s.Shards = 3 },
+		"the default tick": func(s *ScenarioSpec) {
+			s.Workload = nil
+			s.SendFor = Duration(time.Duration(maxOfferedTxs/8+1) * defaultTick)
+		},
+	}
+	for name, change := range past {
+		sp := atBound()
+		change(&sp)
+		err := sp.Validate()
+		if err == nil || !strings.Contains(err.Error(), "injection ticks exceed the limit of 1000000000") {
+			t.Errorf("%s: Validate = %v, want the injection-tick error naming the limit", name, err)
+		}
+	}
+	// A 1 ns tick over a one-second window: 4·10⁹ ticks.
+	doc := `{"algorithm":"vanilla","servers":4,"rate":40,"send_for":"1s","workload":{"tick":"1ns"}}`
+	if _, err := Decode(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "injection ticks") {
+		t.Errorf("Decode(%s) = %v, want the injection-tick error", doc, err)
+	}
+}
+
 // An element's size is 32 bits wide: size_min and size_max may reach
 // 2³¹−1 and no further, so no spec makes a generator wrap a sampled size.
 func TestValidateBoundsElementSize(t *testing.T) {
@@ -308,7 +350,7 @@ func TestSetAndParseAxis(t *testing.T) {
 	if _, err := ParseAxis("servers=4,8,16"); err != nil {
 		t.Fatalf("ParseAxis: %v", err)
 	}
-	for _, bad := range []string{"servers", "servers=", "=4", "servers=4,,8", "servers=x"} {
+	for _, bad := range []string{"servers", "servers=", "=4", "servers=4,,8", "servers=x", "iw=1,2"} {
 		if _, err := ParseAxis(bad); err == nil {
 			t.Errorf("ParseAxis(%q) accepted", bad)
 		}
@@ -351,7 +393,7 @@ func TestSetSyncAndDelayKeys(t *testing.T) {
 func TestEveryOverrideKeySets(t *testing.T) {
 	samples := map[string]string{
 		"name": "x", "group": "g", "algorithm": "hashchain", "collector": "100",
-		"light": "true", "servers": "4", "shards": "2", "intra_workers": "2",
+		"light": "true", "servers": "4", "shards": "2",
 		"transport": "mesh", "fanout": "8", "rate": "100", "send_for": "10s",
 		"horizon": "20s", "network_delay": "30ms", "bandwidth": "1e9", "seed": "7",
 		"scale": "0.5", "metrics": "stages", "crypto": "full", "faulty": "1",

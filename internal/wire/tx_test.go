@@ -137,10 +137,10 @@ func TestTxKeyWordsCoverEveryByte(t *testing.T) {
 	}
 }
 
-// One *Tx is in every server's pool and block at once, and under PDES
-// those servers run on different goroutines: MapKey is a pure read for a
-// constructor-built Tx and for a literal. Run with -race (CI does), this
-// fails the day someone fills the key in lazily.
+// One *Tx is in every server's pool and block at once, so MapKey is a pure
+// read for a constructor-built Tx and for a literal. Concurrent readers make
+// a write visible: run with -race (CI does), this fails the day someone
+// fills the key in lazily.
 func TestMapKeyConcurrentReaders(t *testing.T) {
 	pairs := txPairs()
 	var wg sync.WaitGroup

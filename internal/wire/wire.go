@@ -292,8 +292,8 @@ func (k TxKind) String() string {
 // wire size is 0, and a mempool refuses it before CheckTx sees it.
 //
 // A *Tx is immutable once built and is shared by every server's pool and
-// block — under PDES by every partition's goroutine — which is why key is
-// written by the constructors only and never filled in lazily by a reader.
+// block, which is why key is written by the constructors only and never
+// filled in lazily by a reader.
 type Tx struct {
 	Kind       TxKind
 	Element    *Element

@@ -4,9 +4,8 @@
 // a Zipf(α) hot-key skew, and the aggregate rate is shaped by a piecewise
 // envelope (bursts, diurnal swells). All randomness beyond the closed
 // generator's own draws comes from dedicated sim.ChildSeed streams, so an
-// open run is exactly as deterministic — and as PDES-safe — as a closed
-// one: the extra draws are keyed to the scenario seed, never to scheduler
-// interleaving.
+// open run is exactly as deterministic as a closed one: the extra draws are
+// keyed to the scenario seed, never to another component's draw order.
 //
 // See DESIGN.md §14 (open-system workloads and admission control).
 package workload
@@ -19,8 +18,8 @@ import (
 )
 
 // Stream ids for the open-system ChildSeed streams. They sit far above
-// any plausible partition/source index so they can never collide with the
-// per-partition streams the PDES world derives from the same seed.
+// any plausible node id so they can never collide with the per-node
+// streams netsim derives from the same seed.
 const (
 	zipfStream  uint64 = 1 << 40
 	churnStream uint64 = 1<<40 + 1<<20 // + source index

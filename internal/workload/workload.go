@@ -212,7 +212,7 @@ func (g *Generator) injectOne(i int) {
 	}
 	g.Account.Accept(e, i)
 	if g.rec != nil {
-		g.rec.Injected(e, g.d.Sim.Now())
+		g.rec.Injected(e)
 	}
 }
 

@@ -68,7 +68,7 @@ func TestZipfRankFrequencySlope(t *testing.T) {
 // workload builds on: the sample sequence is a pure function of (n, alpha,
 // seed stream), so two generators over the same scenario seed draw
 // identical source sequences — which is what keeps open-system runs
-// byte-identical across IntraWorkers settings.
+// byte-identical across repeats.
 func TestZipfDeterministicStream(t *testing.T) {
 	const seed, n = 42, 30
 	draw := func() []int {
