@@ -173,32 +173,35 @@ func drive(t *testing.T, opts Options, byzantine *Behavior, hook func(*wire.Tx))
 // server, not a copy per server — capped at its length, so that no append
 // can ever write through it into the batch.
 func TestEpochsAliasBatch(t *testing.T) {
-	d := drive(t, Options{Algorithm: Hashchain}, nil, nil)
-	for _, srv := range d.Servers {
-		batchOf := make(map[**wire.Element]*wire.Batch)
-		for _, r := range srv.alg.(*hashchainAlg).records() {
-			if b := r.batch; b != nil && len(b.Elements) > 0 {
-				batchOf[&b.Elements[0]] = b
+	// Runs on the one event queue, the only executor a run has.
+	t.Run("sequential", func(t *testing.T) {
+		d := drive(t, Options{Algorithm: Hashchain}, nil, nil)
+		for _, srv := range d.Servers {
+			batchOf := make(map[**wire.Element]*wire.Batch)
+			for _, r := range srv.alg.(*hashchainAlg).records() {
+				if b := r.batch; b != nil && len(b.Elements) > 0 {
+					batchOf[&b.Elements[0]] = b
+				}
+			}
+			if len(srv.history) != len(d.Servers[0].history) {
+				t.Fatalf("server %d ends with %d epochs, server 0 with %d: tune the run",
+					srv.id, len(srv.history), len(d.Servers[0].history))
+			}
+			for i, ep := range srv.history {
+				b := batchOf[&ep.Elements[0]]
+				if b == nil || len(ep.Elements) != len(b.Elements) {
+					t.Fatalf("server %d epoch %d is not the slice of a batch in its records", srv.id, ep.Number)
+				}
+				if cap(ep.Elements) != len(ep.Elements) {
+					t.Fatalf("server %d epoch %d: cap %d over len %d leaves an append room in the batch's array",
+						srv.id, ep.Number, cap(ep.Elements), len(ep.Elements))
+				}
+				if &ep.Elements[0] != &d.Servers[0].history[i].Elements[0] {
+					t.Fatalf("server %d epoch %d is another array than server 0's", srv.id, ep.Number)
+				}
 			}
 		}
-		if len(srv.history) != len(d.Servers[0].history) {
-			t.Fatalf("server %d ends with %d epochs, server 0 with %d: tune the run",
-				srv.id, len(srv.history), len(d.Servers[0].history))
-		}
-		for i, ep := range srv.history {
-			b := batchOf[&ep.Elements[0]]
-			if b == nil || len(ep.Elements) != len(b.Elements) {
-				t.Fatalf("server %d epoch %d is not the slice of a batch in its records", srv.id, ep.Number)
-			}
-			if cap(ep.Elements) != len(ep.Elements) {
-				t.Fatalf("server %d epoch %d: cap %d over len %d leaves an append room in the batch's array",
-					srv.id, ep.Number, cap(ep.Elements), len(ep.Elements))
-			}
-			if &ep.Elements[0] != &d.Servers[0].history[i].Elements[0] {
-				t.Fatalf("server %d epoch %d is another array than server 0's", srv.id, ep.Number)
-			}
-		}
-	}
+	})
 }
 
 // What aliasing rests on: a batch's Elements never change once the batch is
