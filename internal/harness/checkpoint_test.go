@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mempool"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -168,6 +169,21 @@ func TestRecoveredNodeMatchesNeverCrashedPeer(t *testing.T) {
 	// Bounded memory under pruning: tombstones were actually dropped and
 	// the retained tombstone count is a small fraction of everything ever
 	// committed (without pruning every committed tx key lingers forever).
+	// The ledger's key table holds exactly the union of the keys its pools
+	// still hold a state for, each counted once per pool that holds it, and
+	// keeps no transaction whose key they all let go.
+	pools := make([]*mempool.Mempool, len(d.Ledger.Nodes))
+	held := 0
+	for i, node := range d.Ledger.Nodes {
+		pools[i] = node.Pool
+		held = max(held, node.Pool.Size()+node.Pool.TombstonedKeys())
+	}
+	if err := d.Ledger.TxKeys.Verify(pools); err != nil {
+		t.Fatal(err)
+	}
+	if keys := d.Ledger.TxKeys.Len(); keys < held {
+		t.Fatalf("the ledger's key table holds %d keys, a pool alone %d", keys, held)
+	}
 	for i, node := range d.Ledger.Nodes {
 		pool := node.Pool
 		if pool.TombstonesPruned() == 0 {

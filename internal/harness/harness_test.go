@@ -96,6 +96,27 @@ func TestRunUnstressedReachesFullEfficiency(t *testing.T) {
 	}
 }
 
+// A transaction larger than a block is refused at admission: Reap stops at
+// the first transaction that does not fit, so one that fits no block used
+// to sit at the head of every pool and hold back everything behind it,
+// with safety still reading ok. On this stream of elements up to 2 MB,
+// Vanilla committed 10 of 500 and Compresschain, whose batches carry the
+// elements, 28; Hashchain, whose batches travel off the ledger, 500. Now
+// only the elements of the transactions too large for a block are lost.
+func TestOversizedTxDoesNotStallTheLedger(t *testing.T) {
+	for _, c := range []struct {
+		alg       string
+		committed uint64
+	}{{spec.AlgVanilla, 494}, {spec.AlgCompresschain, 486}, {spec.AlgHashchain, 500}} {
+		res := Run(fromSpec(t, spec.ScenarioSpec{Name: "hol", Algorithm: c.alg, Servers: 4, Rate: 50,
+			SendFor: spec.Duration(10 * time.Second), Horizon: spec.Duration(60 * time.Second),
+			Workload: &spec.WorkloadSpec{SizeMin: 100, SizeMax: 2_000_000, SizeMean: 50_000, SizeStdDev: 150_000}}))
+		if res.Injected != 500 || res.Committed != c.committed || res.Invariant != nil {
+			t.Errorf("%s: committed %d of %d, want %d of 500 (safety: %v)", c.alg, res.Committed, res.Injected, c.committed, res.Invariant)
+		}
+	}
+}
+
 func TestRunStressedVanillaShowsLowEfficiency(t *testing.T) {
 	// 5000 el/s against Vanilla's ~955 el/s capacity: the paper's Fig. 3a
 	// "very low efficiency" case. Scaled to a 15 s window (8 s under

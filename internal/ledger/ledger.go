@@ -173,11 +173,16 @@ type Cluster struct {
 	// mempool fan-out; nil on the classic broadcast transport. Sharded
 	// worlds build one mesh per shard over the shared fabric.
 	Mesh *netsim.Mesh
+	// TxKeys is the transaction-key table every node's mempool shares: a
+	// key is interned once per ledger, and each pool keeps 4 bytes of its
+	// own state per key (DESIGN.md §4).
+	TxKeys *mempool.Keys
 }
 
 // NewCluster builds the network, PKI, mempools and consensus nodes. The
-// application for each node defaults to a no-op; install real apps with
-// SetApp before calling Start.
+// mempools share one key table and refuse a transaction larger than a
+// block. The application for each node defaults to a no-op; install real
+// apps with SetApp before calling Start.
 func NewCluster(s *sim.Simulator, cfg Config) *Cluster {
 	if cfg.N <= 0 {
 		panic("ledger: cluster needs at least one node")
@@ -195,6 +200,7 @@ func NewCluster(s *sim.Simulator, cfg Config) *Cluster {
 		Net:      net,
 		Suite:    suite,
 		Registry: setcrypto.NewRegistry(),
+		TxKeys:   mempool.NewKeys(),
 	}
 	validators := make([]wire.NodeID, cfg.N)
 	for i := 0; i < cfg.N; i++ {
@@ -218,6 +224,8 @@ func NewCluster(s *sim.Simulator, cfg Config) *Cluster {
 		}
 		node := &Node{ID: id, net: c.Net}
 		node.Pool = mempool.New(id, s, c.Net, peers, cfg.Mempool, nil, cfg.OnTxEnterMempool)
+		node.Pool.ShareKeys(c.TxKeys)
+		node.Pool.SetMaxTxBytes(cfg.Consensus.MaxBlockBytes)
 		node.Cons = consensus.NewNode(id, validators, s, c.Net, cfg.Consensus,
 			suite, c.Keys[i], c.Registry, node.Pool)
 		c.Nodes = append(c.Nodes, node)

@@ -8,30 +8,48 @@ import (
 	"repro/internal/wire"
 )
 
-// txIndex is the pool's index: an open-addressing table from a
-// transaction's key to a 32-bit value that is never 0, the mark of an empty
-// slot. A slot is a tag, the top 32 bits of the key's hash, and the value,
-// 8 bytes without pointers; the value locates a transaction with the key,
-// which the pool holds anyway, and a lookup confirms a tag match against it,
-// so a hit is exact as in a Go map. The table doubles when an insert would
-// take it past 3/4 full (DESIGN.md §6 has why not 1/2).
-type txIndex struct {
+// Keys is a ledger's transaction-key table, shared by the pools of one
+// ledger (ledger.NewCluster builds one per cluster): an open-addressing
+// table from a wire.TxKey to a dense 32-bit ordinal. A slot is a tag, the
+// top 32 bits of the key's hash, and the ordinal, 8 bytes without pointers.
+// For each ordinal the table keeps the first transaction interned with its
+// key, which confirms a tag match, so a hit is exact as in a Go map, and
+// how many pools hold a state for it; the key leaves the table when the
+// last of them lets go. Each pool keeps its own states in a window over
+// the ordinals (Mempool.entries), 4 bytes per key. The table holds no
+// pool's state, only key → ordinal, which is why sharing it changes no
+// pool's verdicts. It doubles when an insert would take it past 3/4 full
+// (DESIGN.md §6 has why not 1/2).
+//
+// Ordinals are handed out in order and never reused. first and refs are a
+// window over them that starts at the oldest ordinal still held: a pool
+// that stops pruning holds that window open, 12 bytes per ordinal interned
+// since, but the window keeps no transaction whose key was let go.
+type Keys struct {
 	slots []txSlot // length 0 or a power of two
-	n     int      // slots whose val is not 0
+	n     int      // slots whose ord is not 0
 	shift uint     // 32 − log2(len(slots)): a tag's top bits are its home slot
-	txs   txSource
+
+	lo    int32      // the ordinal of first[0] and refs[0]; the next one is lo+len(first)
+	first []*wire.Tx // the first transaction interned with each ordinal's key, nil once let go
+	refs  []int32    // pools holding a state for each ordinal
 }
 
 type txSlot struct {
 	tag uint32 // keyTag of the key
-	val int32
+	ord int32
 }
-
-// txSource returns the transaction a value locates (Mempool.txAt).
-type txSource interface{ txAt(val int64) *wire.Tx }
 
 // indexMinSlots is the capacity the first insert allocates.
 const indexMinSlots = 8
+
+// NewKeys returns an empty table; its first ordinal is 1, since 0 marks an
+// empty slot.
+func NewKeys() *Keys { return &Keys{lo: 1} }
+
+// Len returns how many keys the table holds: those some pool holds a state
+// for.
+func (k *Keys) Len() int { return k.n }
 
 // hashKey is a multiply-mix of all four words of the key. Which word varies
 // depends on the transaction kind — an element's sequence number is in the
@@ -52,95 +70,153 @@ func hashKey(k *wire.TxKey) uint64 {
 // home slot of every table shorter than 2³² slots.
 func keyTag(k *wire.TxKey) uint32 { return uint32(hashKey(k) >> 32) }
 
-// get returns the value stored under key, 0 when there is none. tx is a
+// find returns key's ordinal, 0 when the table does not hold it. tx is a
 // transaction with that key, or nil.
-func (t *txIndex) get(tx *wire.Tx, key *wire.TxKey) int64 {
-	if len(t.slots) == 0 {
+func (k *Keys) find(tx *wire.Tx, key *wire.TxKey) int32 {
+	if len(k.slots) == 0 {
 		return 0
 	}
-	return int64(t.slots[t.probe(tx, key)].val)
+	return k.slots[k.probe(tx, key)].ord
 }
 
-// swap stores val (not 0) under key and returns what was there before, 0 if
-// the key is new. val must fit in 32 bits: spec's offered-load bound keeps
-// the pool's sequence numbers and log ordinals below 2³¹, so a wider one is
-// a bug, not an input.
-func (t *txIndex) swap(tx *wire.Tx, key *wire.TxKey, val int64) int64 {
-	if val < math.MinInt32 || val > math.MaxInt32 {
-		panic(fmt.Sprintf("mempool: index value %d does not fit in 32 bits", val))
-	}
-	if (t.n+1)*4 > len(t.slots)*3 {
+// acquire returns key's ordinal, interning the key under the next one if
+// the table does not hold it, and counts one more pool holding it. Ordinals
+// are 31 bits and never reused: spec's offered-load bound keeps a ledger's
+// interned keys below 2³¹, so one past it is a bug, not an input.
+func (k *Keys) acquire(tx *wire.Tx, key *wire.TxKey) int32 {
+	if (k.n+1)*4 > len(k.slots)*3 {
 		// Grown before the probe even if key turns out to be present: at
 		// worst one doubling a single insert early.
-		t.grow()
+		k.grow()
 	}
-	s := &t.slots[t.probe(tx, key)]
-	old := int64(s.val)
-	if old == 0 {
-		s.tag = keyTag(key)
-		t.n++
+	s := &k.slots[k.probe(tx, key)]
+	if s.ord == 0 {
+		next := int64(k.lo) + int64(len(k.first))
+		if next > math.MaxInt32 {
+			panic(fmt.Sprintf("mempool: key ordinal %d does not fit in 32 bits", next))
+		}
+		*s = txSlot{tag: keyTag(key), ord: int32(next)}
+		k.n++
+		k.first = append(k.first, tx)
+		k.refs = append(k.refs, 0)
 	}
-	s.val = int32(val)
-	return old
+	k.refs[s.ord-k.lo]++
+	return s.ord
+}
+
+// release drops one pool's hold on ordinal ord, whose key is key. The last
+// one removes the key: every later entry of the probe run that the hole
+// would cut off from its home slot is shifted back into it, so lookups need
+// no "deleted" marker and a table pruned as fast as it fills stays as short
+// to probe as a fresh one.
+func (k *Keys) release(ord int32, key *wire.TxKey) {
+	i := ord - k.lo
+	if k.refs[i]--; k.refs[i] > 0 {
+		return
+	}
+	k.first[i] = nil
+	mask := len(k.slots) - 1
+	hole := int(keyTag(key) >> k.shift)
+	for k.slots[hole].ord != ord {
+		hole = (hole + 1) & mask
+	}
+	for j := (hole + 1) & mask; k.slots[j].ord != 0; j = (j + 1) & mask {
+		// The entry at j may move back to hole unless its home lies in
+		// (hole, j], cyclically: a probe from there never looks at hole.
+		if (j-int(k.slots[j].tag>>k.shift))&mask < (j-hole)&mask {
+			continue
+		}
+		k.slots[hole] = k.slots[j]
+		hole = j
+	}
+	k.slots[hole] = txSlot{}
+	k.n--
+	if i == 0 { // advance the window past every ordinal let go
+		n := 0
+		for n < len(k.refs) && k.refs[n] == 0 {
+			n++
+		}
+		k.first, k.refs = k.first[n:], k.refs[n:]
+		k.lo += int32(n)
+	}
 }
 
 // probe returns the position of key's slot, or of the empty slot that ends
-// its probe run. A slot with key's tag holds key if its transaction is tx
-// (one *wire.Tx is shared by every pool) or has key. The table must have an
-// empty slot, which the load bound guarantees once it has any.
-func (t *txIndex) probe(tx *wire.Tx, key *wire.TxKey) int {
-	tag, mask := keyTag(key), len(t.slots)-1
-	for i := int(tag >> t.shift); ; i = (i + 1) & mask {
-		if s := &t.slots[i]; s.val == 0 || s.tag == tag && t.holds(s.val, tx, key) {
+// its probe run. A slot with key's tag holds key if its first transaction
+// is tx (one *wire.Tx is shared by every pool) or has key. The table must
+// have an empty slot, which the load bound guarantees once it has any.
+func (k *Keys) probe(tx *wire.Tx, key *wire.TxKey) int {
+	tag, mask := keyTag(key), len(k.slots)-1
+	for i := int(tag >> k.shift); ; i = (i + 1) & mask {
+		if s := &k.slots[i]; s.ord == 0 || s.tag == tag && k.holds(s.ord, tx, key) {
 			return i
 		}
 	}
 }
 
-func (t *txIndex) holds(val int32, tx *wire.Tx, key *wire.TxKey) bool {
-	x := t.txs.txAt(int64(val))
+func (k *Keys) holds(ord int32, tx *wire.Tx, key *wire.TxKey) bool {
+	x := k.first[ord-k.lo]
 	return x == tx || x.MapKey() == *key
 }
 
 // grow doubles the table, placing each entry by its stored tag.
-func (t *txIndex) grow() {
-	old := t.slots
-	t.slots = make([]txSlot, max(2*len(old), indexMinSlots))
-	t.shift = uint(32 - bits.TrailingZeros(uint(len(t.slots))))
+func (k *Keys) grow() {
+	old := k.slots
+	k.slots = make([]txSlot, max(2*len(old), indexMinSlots))
+	k.shift = uint(32 - bits.TrailingZeros(uint(len(k.slots))))
 	for _, s := range old {
-		for i := int(s.tag >> t.shift); s.val != 0; i = (i + 1) & (len(t.slots) - 1) {
-			if t.slots[i].val == 0 {
-				t.slots[i] = s
+		for i := int(s.tag >> k.shift); s.ord != 0; i = (i + 1) & (len(k.slots) - 1) {
+			if k.slots[i].ord == 0 {
+				k.slots[i] = s
 				break
 			}
 		}
 	}
 }
 
-// delTombstone removes key if its value is negative, a tombstone, and
-// reports whether it did. Every later entry of the probe run that the hole
-// would cut off from its home slot is shifted back into it, so lookups need
-// no "deleted" marker and a table pruned as fast as it fills stays as short
-// to probe as a fresh one.
-func (t *txIndex) delTombstone(tx *wire.Tx, key *wire.TxKey) bool {
-	if len(t.slots) == 0 {
-		return false
-	}
-	hole := t.probe(tx, key)
-	if t.slots[hole].val >= 0 {
-		return false
-	}
-	mask := len(t.slots) - 1
-	for i := (hole + 1) & mask; t.slots[i].val != 0; i = (i + 1) & mask {
-		// The entry at i may move back to hole unless its home lies in
-		// (hole, i], cyclically: a probe from there never looks at hole.
-		if (i-int(t.slots[i].tag>>t.shift))&mask < (i-hole)&mask {
-			continue
+// Verify reports the first way the table disagrees with the pools that
+// share it, nil if none: an ordinal's count of holders differs from the
+// number of pools with a state for it, the table keeps a transaction for an
+// ordinal nobody holds or holds a key no pool has a state for, or a key no
+// longer finds its own ordinal. pools must be every pool the table was
+// handed to.
+func (k *Keys) Verify(pools []*Mempool) error {
+	holders := make([]int32, len(k.refs))
+	for pi, p := range pools {
+		if p.keys != k {
+			return fmt.Errorf("pool %d does not share the table", pi)
 		}
-		t.slots[hole] = t.slots[i]
-		hole = i
+		for i, st := range p.entries {
+			if st == 0 {
+				continue
+			}
+			j := int(p.entLo) + i - int(k.lo)
+			if j < 0 || j >= len(holders) {
+				return fmt.Errorf("pool %d holds ordinal %d outside the table's window [%d, %d)",
+					pi, int(p.entLo)+i, k.lo, int(k.lo)+len(k.first))
+			}
+			holders[j]++
+		}
 	}
-	t.slots[hole] = txSlot{}
-	t.n--
-	return true
+	held := 0
+	for i, n := range holders {
+		ord := k.lo + int32(i)
+		switch tx := k.first[i]; {
+		case n != k.refs[i]:
+			return fmt.Errorf("ordinal %d counts %d holders, %d pools hold it", ord, k.refs[i], n)
+		case n == 0 && tx != nil:
+			return fmt.Errorf("ordinal %d is held by no pool and still keeps its transaction", ord)
+		case n > 0 && tx == nil:
+			return fmt.Errorf("ordinal %d is held by %d pools and keeps no transaction", ord, n)
+		case n > 0:
+			held++
+			if key := tx.MapKey(); k.find(nil, &key) != ord {
+				return fmt.Errorf("ordinal %d: its key finds ordinal %d", ord, k.find(nil, &key))
+			}
+		}
+	}
+	if held != k.n {
+		return fmt.Errorf("the table holds %d keys, the pools hold %d", k.n, held)
+	}
+	return nil
 }

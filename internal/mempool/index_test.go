@@ -12,12 +12,6 @@ import (
 	"repro/internal/wire"
 )
 
-// txVals is the txSource of an index driven on its own: the transaction
-// each value was stored for.
-type txVals map[int64]*wire.Tx
-
-func (v txVals) txAt(val int64) *wire.Tx { return v[val] }
-
 // collidingProofs returns two proof transactions whose keys differ and whose
 // hashes differ by delta, 0 for equal hashes. hashKey is linear in the key's
 // words, a proof's epoch is the first word and its signer the second, so
@@ -58,82 +52,107 @@ var indexTxs, indexTwins = func() (txs, twins [23]*wire.Tx) {
 // runsPastEnd reports whether the run of occupied slots that starts at the
 // position of tx's key continues from the last slot into slot 0: deleting key
 // then has to shift entries back across the wrap.
-func runsPastEnd(t *txIndex, tx *wire.Tx) bool {
-	if len(t.slots) == 0 {
+func runsPastEnd(k *Keys, tx *wire.Tx) bool {
+	if len(k.slots) == 0 {
 		return false
 	}
 	key := tx.MapKey()
-	i := t.probe(tx, &key)
-	for n := 0; n < len(t.slots) && t.slots[i].val != 0; n++ {
-		if i == len(t.slots)-1 {
-			return t.slots[0].val != 0
+	i := k.probe(tx, &key)
+	for n := 0; n < len(k.slots) && k.slots[i].ord != 0; n++ {
+		if i == len(k.slots)-1 {
+			return k.slots[0].ord != 0
 		}
 		i++
 	}
 	return false
 }
 
-// runIndexOps interprets data as get / insert / tombstone / delete
-// operations, two bytes each, applied to a txIndex and to a Go map, and
-// compares every answer, the length, and after every operation every key
-// of the universe. An operation names its key by the universe's
-// transaction, by that transaction's twin or by no transaction at all, so
-// a slot has to be found by its key as well as by its *wire.Tx. Values are
-// positive sequence numbers or negative tombstones, each stored once, and
-// locate the transaction they were stored with; only a tombstone is
-// deleted. It returns how many deletions crossed the wrap.
+// keyModel is what runIndexOps holds the table to: a key's ordinal and how
+// many holders it has.
+type keyModel struct{ ord, refs int32 }
+
+// runIndexOps interprets data as find / acquire / release operations, two
+// bytes each, applied to a Keys table and to a Go map, and compares every
+// answer, the length, and after every operation every key of the universe
+// and the table's window of ordinals. An operation names its key by the
+// universe's transaction, by that transaction's twin or, for a find, by no
+// transaction at all, so a slot has to be found by its key as well as by
+// the *wire.Tx it was interned with. A new key takes the next ordinal, and
+// the last release of a key deletes it. It returns how many deletions
+// crossed the wrap.
 func runIndexOps(t *testing.T, data []byte) (wrapped int) {
 	t.Helper()
-	vals := txVals{}
-	idx := txIndex{txs: vals}
-	want := make(map[wire.TxKey]int64)
+	k := NewKeys()
+	want := make(map[wire.TxKey]keyModel)
+	next := int32(1)
 	for step := 0; step+1 < len(data); step += 2 {
 		op, i := data[step]%4, int(data[step+1])%len(indexTxs)
-		tx, stored := indexTxs[i], indexTxs[i]
+		tx := indexTxs[i]
 		switch data[step] / 4 % 3 {
 		case 1:
-			tx, stored = indexTwins[i], indexTwins[i]
+			tx = indexTwins[i]
 		case 2:
-			tx = nil
+			if op == 0 {
+				tx = nil
+			}
 		}
-		key := stored.MapKey()
+		key := indexTxs[i].MapKey()
+		m := want[key]
 		switch op {
 		case 0:
-			if got := idx.get(tx, &key); got != want[key] {
-				t.Fatalf("step %d: get = %d, map has %d", step/2, got, want[key])
+			if got := k.find(tx, &key); got != m.ord {
+				t.Fatalf("step %d: find = %d, map has %d", step/2, got, m.ord)
 			}
-		case 1, 2: // a new sequence number, or a tombstone over whatever is there
-			val := int64(step + 1)
-			if op == 2 {
-				val = -val
+		case 1, 2:
+			if m.refs == 0 {
+				m.ord = next
+				next++
 			}
-			vals[val] = stored
-			if got := idx.swap(tx, &key, val); got != want[key] {
-				t.Fatalf("step %d: swap returned %d, map had %d", step/2, got, want[key])
+			if got := k.acquire(tx, &key); got != m.ord {
+				t.Fatalf("step %d: acquire = %d, map has %d", step/2, got, m.ord)
 			}
-			want[key] = val
+			m.refs++
+			want[key] = m
 		case 3:
-			tombstoned := want[key] < 0
-			if tombstoned && runsPastEnd(&idx, stored) {
+			if m.refs == 0 {
+				break
+			}
+			if m.refs == 1 && runsPastEnd(k, indexTxs[i]) {
 				wrapped++
 			}
-			if got := idx.delTombstone(tx, &key); got != tombstoned {
-				t.Fatalf("step %d: delTombstone = %v, map holds %d", step/2, got, want[key])
-			}
-			if tombstoned {
+			k.release(m.ord, &key)
+			if m.refs--; m.refs == 0 {
 				delete(want, key)
+			} else {
+				want[key] = m
 			}
 		}
-		if idx.n != len(want) {
-			t.Fatalf("step %d: len = %d, map has %d", step/2, idx.n, len(want))
+		if k.Len() != len(want) {
+			t.Fatalf("step %d: len = %d, map has %d", step/2, k.Len(), len(want))
 		}
-		if len(idx.slots) > 32 {
-			t.Fatalf("step %d: %d slots for at most %d keys", step/2, len(idx.slots), len(indexTxs))
+		if len(k.slots) > 32 {
+			t.Fatalf("step %d: %d slots for at most %d keys", step/2, len(k.slots), len(indexTxs))
 		}
 		for i, tx := range indexTxs {
 			key := tx.MapKey()
-			if got, byKey := idx.get(tx, &key), idx.get(nil, &key); got != want[key] || byKey != want[key] {
-				t.Fatalf("step %d (op %d): key %d reads %d (by key alone %d), map has %d", step/2, op, i, got, byKey, want[key])
+			m := want[key]
+			if got, byKey := k.find(tx, &key), k.find(nil, &key); got != m.ord || byKey != m.ord {
+				t.Fatalf("step %d (op %d): key %d finds %d (by key alone %d), map has %d", step/2, op, i, got, byKey, m.ord)
+			}
+			if m.refs == 0 {
+				continue
+			}
+			if j := int(m.ord - k.lo); j < 0 || j >= len(k.refs) || k.refs[j] != m.refs || k.first[j].MapKey() != key {
+				t.Fatalf("step %d: key %d, ordinal %d, is not in the window [%d, %d) with %d holders and its transaction",
+					step/2, i, m.ord, k.lo, int(k.lo)+len(k.refs), m.refs)
+			}
+		}
+		if len(k.refs) > 0 && k.refs[0] == 0 {
+			t.Fatalf("step %d: the window starts at ordinal %d, which nobody holds", step/2, k.lo)
+		}
+		for j, x := range k.first {
+			if (x == nil) != (k.refs[j] == 0) {
+				t.Fatalf("step %d: ordinal %d has %d holders and transaction %p", step/2, int(k.lo)+j, k.refs[j], x)
 			}
 		}
 	}
@@ -163,12 +182,12 @@ func FuzzTxIndex(f *testing.F) {
 // probeStats returns the longest probe run of a stored key (slots read to
 // find it), the mean over all keys, and the longest stretch of occupied
 // slots, which is what a miss can be made to read.
-func probeStats(t *txIndex) (longest int, mean float64, cluster int) {
+func probeStats(t *Keys) (longest int, mean float64, cluster int) {
 	mask := len(t.slots) - 1
 	total, run := 0, 0
 	for i := 0; i < 2*len(t.slots); i++ { // twice round: a cluster may wrap
 		s := &t.slots[i&mask]
-		if s.val == 0 {
+		if s.ord == 0 {
 			run = 0
 			continue
 		}
@@ -229,17 +248,15 @@ func TestTxIndexProbeRuns(t *testing.T) {
 		{"12,288 proofs (3/4 of 16,384)", proofs(12_288), 32, 64, 2.0},
 	}
 	for _, c := range cases {
-		vals := txVals{}
-		idx := txIndex{txs: vals}
-		for i, tx := range c.txs {
-			vals[int64(i+1)] = tx
+		idx := NewKeys()
+		for _, tx := range c.txs {
 			key := tx.MapKey()
-			idx.swap(tx, &key, int64(i+1))
+			idx.acquire(tx, &key)
 		}
 		if idx.n != len(c.txs) {
 			t.Fatalf("%s: %d keys stored, want %d", c.name, idx.n, len(c.txs))
 		}
-		longest, mean, cluster := probeStats(&idx)
+		longest, mean, cluster := probeStats(idx)
 		t.Logf("%s in %d slots: longest probe run %d, mean %.2f, longest cluster %d", c.name, len(idx.slots), longest, mean, cluster)
 		if longest > c.maxLongest || cluster > c.maxClust || mean > c.maxMean {
 			t.Errorf("%s: longest probe run %d (bound %d), mean %.2f (bound %.1f), longest cluster %d (bound %d)",
@@ -263,30 +280,41 @@ func TestTxSlotLayout(t *testing.T) {
 	}
 }
 
-// A value wider than a slot's 32 bits is a bug in the pool, which keeps its
-// sequence numbers and log ordinals below 2³¹: storing one panics instead of
-// wrapping into a value that locates another transaction. The extremes that
-// fit are stored and read back.
+// An ordinal or a sequence number wider than 31 bits is a bug, not an
+// input: spec's offered-load bound keeps a ledger's interned keys and a
+// pool's admissions below 2³¹. Taking one panics instead of wrapping into a
+// value that names another key or transaction; the last ones that fit are
+// stored and read back.
 func TestTxIndexRefusesWideValues(t *testing.T) {
-	tx := modelTx(1)
-	key := tx.MapKey()
-	for _, val := range []int64{math.MaxInt32 + 1, math.MinInt32 - 1, 1 << 32, math.MinInt64} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("swap of %d did not panic", val)
-				}
-			}()
-			idx := txIndex{txs: txVals{val: tx}}
-			idx.swap(tx, &key, val)
+	tx, other := modelTx(1), modelTx(2)
+	key, otherKey := tx.MapKey(), other.MapKey()
+	k := NewKeys()
+	k.lo = math.MaxInt32 // every ordinal below it was handed out and let go
+	if ord := k.acquire(tx, &key); ord != math.MaxInt32 || k.find(nil, &key) != math.MaxInt32 {
+		t.Fatalf("the last ordinal: acquired %d, found %d", ord, k.find(nil, &key))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("an ordinal past 2³¹−1 was handed out")
+			}
 		}()
+		k.acquire(other, &otherKey)
+	}()
+
+	p := New(0, sim.New(1), nil, nil, PaperConfig(), nil, nil)
+	p.base = math.MaxInt32 // the next admission's sequence number
+	if !p.AddTx(tx) || !p.Has(key) || p.state(p.keys.find(tx, &key)) != math.MaxInt32 {
+		t.Fatal("the last sequence number that fits was not stored")
 	}
-	for _, val := range []int64{math.MaxInt32, math.MinInt32} {
-		idx := txIndex{txs: txVals{val: tx}}
-		if idx.swap(tx, &key, val); idx.get(nil, &key) != val {
-			t.Errorf("stored %d, read %d", val, idx.get(nil, &key))
-		}
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a sequence number past 2³¹−1 was stored")
+			}
+		}()
+		p.AddTx(other)
+	}()
 }
 
 // Two keys with one tag are two entries all the way through the pool:

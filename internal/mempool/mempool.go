@@ -1,23 +1,27 @@
 // Package mempool implements the CometBFT-style transaction pool: local
 // submission (BroadcastTxAsync in the paper's mapping), CheckTx validation,
 // deduplication, capacity limits (the paper raises CometBFT's default to
-// 10,000,000 transactions or 2 GB), gossip replication to peers, and
-// reaping for block proposals.
+// 10,000,000 transactions or 2 GB), a per-transaction size limit of one
+// block, gossip replication to peers, and reaping for block proposals.
 //
-// The pool is a ring, a log and an index. order is the FIFO ring of pooled
-// transactions by admission sequence number, which Reap walks. The log of
-// what each block tombstoned is the block's own transaction slice. entries
-// (index.go) maps a wire.TxKey to a sequence number, or once committed to a
-// tombstone naming its ordinal in the log, in 8-byte slots of a 32-bit tag
-// of the key's hash and that value: no pointers for the garbage collector to
-// scan, and a tag match confirmed against the transaction the value locates.
-// It is probed once per arrival, most arrivals being gossip duplicates.
+// The pool is a ring, a log and a window of states over a shared key
+// table. order is the FIFO ring of pooled transactions by admission
+// sequence number, which Reap walks. The log of what each block tombstoned
+// is the block's own transaction slice. Keys (index.go), one per ledger,
+// maps a wire.TxKey to a dense 32-bit ordinal in 8-byte slots of a 32-bit
+// tag of the key's hash and the ordinal, and confirms a tag match against
+// the first transaction interned with the key. entries is the pool's own
+// state for each ordinal — absent, a sequence number, or a tombstone once
+// committed — 4 bytes per key and no pointers for the garbage collector to
+// scan. A key is probed once per arrival, most arrivals being gossip
+// duplicates.
 //
 // See DESIGN.md §4 (ledger stack).
 package mempool
 
 import (
-	"sort"
+	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/netsim"
@@ -72,12 +76,21 @@ type Mempool struct {
 	check CheckFunc
 	enter EnterFunc
 
-	// entries is pool ∪ committed in one table: a positive value is a
-	// pooled transaction's admission sequence number, a negative one the
-	// complemented log ordinal of a committed key that must never re-enter.
-	// One table instead of a pool index plus a seen-set halves the hot-path
-	// inserts.
-	entries txIndex
+	// keys maps a transaction key to its ordinal: the ledger's shared
+	// table, or the pool's own when it runs alone.
+	keys *Keys
+	// entries[o-entLo] is the pool's state for the key of ordinal o, pool ∪
+	// committed in one window: a positive value is a pooled transaction's
+	// admission sequence number, tombstone marks a committed key that must
+	// never re-enter, and 0 — also every ordinal outside the window — a key
+	// the pool does not hold. held counts the nonzero states, and the pool
+	// holds each of those keys in the table.
+	entries []int32
+	entLo   int32
+	held    int
+	// maxTxBytes, when positive, refuses a larger transaction at admission:
+	// one that no block could carry would stop Reap for good.
+	maxTxBytes int
 	// order is the admission-order ring: the transaction with sequence
 	// number seq sits at order[seq-base] until it commits, when its slot is
 	// set to nil in place. Everything before head is nil; compact advances
@@ -88,11 +101,10 @@ type Mempool struct {
 	live  int   // entries with a positive value
 	bytes int
 
-	// tombstones logs committed blocks by commit height. The tombstones
-	// locate their keys in it, and checkpointing drops both below the prune
-	// horizon (PruneTombstonesBelow), which keeps soak runs bounded.
+	// tombstones logs committed blocks by commit height, so that
+	// checkpointing can drop the tombstones below the prune horizon
+	// (PruneTombstonesBelow), which keeps soak runs bounded.
 	tombstones []tombstoneBatch
-	logged     int64 // transactions ever logged: the next one's ordinal
 
 	// pendingGossip waits for the next gossip flush; flushFn is the flush
 	// method bound once, handed to every timer armFlush sets.
@@ -122,31 +134,20 @@ type Mempool struct {
 	tombstonesPruned uint64
 }
 
-// txAt returns the transaction an entries value locates (txSource). A
-// tombstone is the complement of its transaction's ordinal in the log, the
-// number of transactions logged before it; the batch holding it is the last
-// one whose first ordinal is not past it.
-func (m *Mempool) txAt(val int64) *wire.Tx {
-	if val > 0 {
-		return m.order[val-m.base]
-	}
-	ord := ^val
-	i := sort.Search(len(m.tombstones), func(i int) bool { return m.tombstones[i].first > ord }) - 1
-	b := &m.tombstones[i]
-	return b.txs[ord-b.first]
-}
-
 // tombstoneBatch records what one committed block tombstoned: the block's
 // own transaction slice, not a copy of its keys. The block is immutable and
 // consensus holds it at least as long — ledger.Node.Checkpointed cuts this
 // log and consensus's chain at the same height.
 type tombstoneBatch struct {
 	height uint64
-	first  int64 // ordinal of txs[0]
 	txs    []*wire.Tx
 }
 
-// New creates a mempool for a node. peers is the set of other nodes gossip
+// tombstone is the state of a committed key.
+const tombstone int32 = -1
+
+// New creates a mempool for a node, with a key table of its own until
+// ShareKeys hands it a ledger's. peers is the set of other nodes gossip
 // reaches. check may be nil (accept all); enter may be nil.
 func New(id wire.NodeID, s *sim.Simulator, net *netsim.Network, peers []wire.NodeID, cfg Config, check CheckFunc, enter EnterFunc) *Mempool {
 	if cfg == (Config{}) {
@@ -161,14 +162,29 @@ func New(id wire.NodeID, s *sim.Simulator, net *netsim.Network, peers []wire.Nod
 		enter: enter,
 		base:  1,
 		peers: peers,
+		keys:  NewKeys(),
 	}
-	m.entries.txs = m
 	m.flushFn = m.flush
 	return m
 }
 
 // Config returns the configuration the pool runs with.
 func (m *Mempool) Config() Config { return m.cfg }
+
+// ShareKeys makes the pool use k, the key table of the ledger it belongs
+// to, in place of its own. It must come before the pool's first add.
+func (m *Mempool) ShareKeys(k *Keys) {
+	if m.held != 0 {
+		panic("mempool: ShareKeys after the pool took its first key")
+	}
+	m.keys = k
+}
+
+// SetMaxTxBytes refuses, from now on, every transaction larger than n bytes
+// at admission, counted as rejected, as CometBFT's PreCheckMaxBytes does.
+// The ledger passes its block size: Reap stops at the first transaction
+// that does not fit, so one that fits no block would stall every later one.
+func (m *Mempool) SetMaxTxBytes(n int) { m.maxTxBytes = n }
 
 // SetCheck replaces the admission filter. Intended for wiring the
 // application's CheckTx after construction; not for use mid-run.
@@ -209,13 +225,14 @@ func (m *Mempool) ReceiveGossip(msg *GossipMsg) {
 
 func (m *Mempool) add(tx *wire.Tx, gossip bool) bool {
 	key := tx.MapKey()
-	if key.IsZero() {
+	if key.IsZero() || m.maxTxBytes > 0 && tx.WireSize() > m.maxTxBytes {
 		// No payload of the kind it names, or no known kind: nothing to
-		// identify it by and nothing CheckTx could inspect.
+		// identify it by and nothing CheckTx could inspect. Or larger than
+		// a block: never reaped, it would block the pool's head.
 		m.rejected++
 		return false
 	}
-	if m.entries.get(tx, &key) != 0 {
+	if m.state(m.keys.find(tx, &key)) != 0 {
 		m.duplicate++
 		return false
 	}
@@ -229,7 +246,11 @@ func (m *Mempool) add(tx *wire.Tx, gossip bool) bool {
 	}
 	// A second probe rather than a slot remembered from the first: check
 	// runs application code between the two.
-	m.entries.swap(tx, &key, m.base+int64(len(m.order)))
+	seq := m.base + int64(len(m.order))
+	if seq > math.MaxInt32 {
+		panic(fmt.Sprintf("mempool: sequence number %d does not fit in 32 bits", seq))
+	}
+	m.hold(m.keys.acquire(tx, &key), int32(seq))
 	m.live++
 	m.order = append(m.order, tx)
 	m.bytes += tx.WireSize()
@@ -301,12 +322,10 @@ func (m *Mempool) Reap(maxBytes int) []*wire.Tx {
 // caller must not modify the slice afterwards. A committed block's Txs
 // never change, which is what consensus passes.
 func (m *Mempool) RemoveCommitted(height uint64, txs []*wire.Tx) {
-	first := m.logged
-	if len(txs) > 0 { // logged first: the tombstones locate their keys in it
-		m.tombstones = append(m.tombstones, tombstoneBatch{height: height, first: first, txs: txs})
-		m.logged += int64(len(txs))
+	if len(txs) > 0 {
+		m.tombstones = append(m.tombstones, tombstoneBatch{height: height, txs: txs})
 	}
-	for i, tx := range txs {
+	for _, tx := range txs {
 		key := tx.MapKey()
 		if key.IsZero() {
 			continue // malformed: never pooled, nothing to tombstone
@@ -315,11 +334,16 @@ func (m *Mempool) RemoveCommitted(height uint64, txs []*wire.Tx) {
 		// proposed by another node before gossip arrived). Tombstone it so
 		// late gossip is dropped. A block that lists a tx twice finds the
 		// tombstone the second time and frees its slot only once.
-		if seq := m.entries.swap(tx, &key, ^(first + int64(i))); seq > 0 {
-			slot := seq - m.base
+		ord := m.keys.find(tx, &key)
+		switch seq := m.state(ord); {
+		case seq == 0:
+			m.hold(m.keys.acquire(tx, &key), tombstone)
+		case seq > 0:
+			slot := int64(seq) - m.base
 			m.bytes -= m.order[slot].WireSize()
 			m.live--
 			m.order[slot] = nil
+			m.entries[ord-m.entLo] = tombstone
 		}
 	}
 	m.compact()
@@ -340,20 +364,65 @@ func (m *Mempool) PruneTombstonesBelow(height uint64) {
 		for _, tx := range m.tombstones[cut].txs {
 			// A key pruned earlier, re-admitted by late gossip and live
 			// again has a positive entry and stays.
-			if key := tx.MapKey(); m.entries.delTombstone(tx, &key) {
+			key := tx.MapKey()
+			if ord := m.keys.find(tx, &key); m.state(ord) < 0 {
+				m.drop(ord, &key)
 				m.tombstonesPruned++
 			}
 		}
 		cut++
 	}
-	if cut > 0 { // after the deletions: no tombstone locates a batch cut off
+	if cut > 0 {
 		m.tombstones = append([]tombstoneBatch(nil), m.tombstones[cut:]...)
 	}
 }
 
+// state returns the pool's state for ordinal ord: 0 for a key it does not
+// hold, and for ord 0, the ordinal of no key.
+func (m *Mempool) state(ord int32) int32 {
+	if i := int(ord) - int(m.entLo); ord != 0 && i >= 0 && i < len(m.entries) {
+		return m.entries[i]
+	}
+	return 0
+}
+
+// hold sets the pool's state for ord, a key it did not hold and has just
+// acquired in the table, to st (not 0), widening the window to take it in.
+func (m *Mempool) hold(ord, st int32) {
+	if len(m.entries) == 0 {
+		m.entLo = ord
+	} else if ord < m.entLo { // a key the table interned before any the pool holds
+		m.entries = append(make([]int32, m.entLo-ord), m.entries...)
+		m.entLo = ord
+	}
+	if i := int(ord - m.entLo); i >= len(m.entries) {
+		m.entries = append(m.entries, make([]int32, i+1-len(m.entries))...)
+	}
+	m.entries[ord-m.entLo] = st
+	m.held++
+}
+
+// drop clears the pool's state for ord, whose key is key, lets the table
+// know, and narrows the window past every ordinal the pool no longer holds
+// at its front.
+func (m *Mempool) drop(ord int32, key *wire.TxKey) {
+	m.entries[ord-m.entLo] = 0
+	m.held--
+	m.keys.release(ord, key)
+	if ord != m.entLo {
+		return
+	}
+	n := 0
+	for n < len(m.entries) && m.entries[n] == 0 {
+		n++
+	}
+	m.entries = m.entries[n:]
+	m.entLo += int32(n)
+}
+
 // TombstonedKeys returns how many committed-key tombstones the pool holds
 // (soak assertions pin this as bounded under pruning).
-func (m *Mempool) TombstonedKeys() int { return m.entries.n - m.live }
+func (m *Mempool) TombstonedKeys() int { return m.held - m.live }
 
 // TombstonesPruned returns how many tombstones pruning has dropped.
 func (m *Mempool) TombstonesPruned() uint64 { return m.tombstonesPruned }
@@ -385,7 +454,7 @@ func (m *Mempool) Bytes() int { return m.bytes }
 
 // Has reports whether the pool currently holds the given tx key.
 func (m *Mempool) Has(key wire.TxKey) bool {
-	return m.entries.get(nil, &key) > 0
+	return m.state(m.keys.find(nil, &key)) > 0
 }
 
 // Stats returns counters (admitted, rejected by CheckTx, dropped by

@@ -442,9 +442,9 @@ func BenchmarkAddDuplicate(b *testing.B) {
 	}
 }
 
-// A re-offer of a committed transaction: the tombstone's hash matches, and
-// confirming it reads the log, the block's slice and the Tx — the one
-// lookup that chases a pointer further than a pooled key's ring slot.
+// A re-offer of a committed transaction: the same probe as a pooled
+// duplicate's, and the same confirmation against the key's first
+// transaction; only the state it reads differs.
 func BenchmarkAddDuplicateTombstoned(b *testing.B) {
 	p, txs := benchPool(60_000)
 	for h := 0; h < len(txs)/1000; h++ {
@@ -458,8 +458,8 @@ func BenchmarkAddDuplicateTombstoned(b *testing.B) {
 }
 
 // Late gossip against tombstones spread over 300 committed batches, a
-// sixth of them pruned: confirming each one finds its batch by binary search
-// over the log.
+// sixth of them pruned, so the window of states starts past the first
+// ordinal the table handed out.
 func BenchmarkAddTombstonedAcrossBatches(b *testing.B) {
 	p, txs := benchPool(60_000)
 	const batch = 200
@@ -587,12 +587,12 @@ func TestTombstoneLogAliasesBlock(t *testing.T) {
 	}
 }
 
-// A tombstone names its transaction's ordinal in the log, found by binary
-// search over the batches' first ordinals: an empty block logs nothing and
-// takes no ordinal, a block listing a transaction twice takes two (the
-// tombstone keeps the second), and pruning the front batches renumbers
-// nothing. Late gossip of the first, a middle and the last transaction of
-// every batch left must find its tombstone, by its own *Tx and by a twin.
+// A tombstone is the pool's state at its key's ordinal, whichever batch
+// logged it: an empty block logs nothing, a block listing a transaction
+// twice tombstones it once, and pruning the front batches lets go of their
+// keys in the table and of nothing else. Late gossip of the first, a middle
+// and the last transaction of every batch left must find its tombstone, by
+// its own *Tx and by a twin.
 func TestTombstoneOrdinalsAcrossBatches(t *testing.T) {
 	p, txs := benchPool(40)
 	blocks := [][]*wire.Tx{
@@ -607,14 +607,17 @@ func TestTombstoneOrdinalsAcrossBatches(t *testing.T) {
 	for h, block := range blocks {
 		p.RemoveCommitted(uint64(h+1), block)
 	}
-	if p.Size() != 0 || p.TombstonedKeys() != 40 || len(p.tombstones) != 6 || p.logged != 41 {
-		t.Fatalf("size/tombstones/batches/logged = %d/%d/%d/%d, want 0/40/6/41",
-			p.Size(), p.TombstonedKeys(), len(p.tombstones), p.logged)
+	if p.Size() != 0 || p.TombstonedKeys() != 40 || len(p.tombstones) != 6 || p.keys.Len() != 40 {
+		t.Fatalf("size/tombstones/batches/keys = %d/%d/%d/%d, want 0/40/6/40",
+			p.Size(), p.TombstonedKeys(), len(p.tombstones), p.keys.Len())
 	}
 	p.PruneTombstonesBelow(2)
-	if p.TombstonedKeys() != 32 || p.TombstonesPruned() != 8 || len(p.tombstones) != 4 || p.tombstones[0].first != 8 {
-		t.Fatalf("tombstones/pruned/batches/first = %d/%d/%d/%d after pruning heights 1-2, want 32/8/4/8",
-			p.TombstonedKeys(), p.TombstonesPruned(), len(p.tombstones), p.tombstones[0].first)
+	if p.TombstonedKeys() != 32 || p.TombstonesPruned() != 8 || len(p.tombstones) != 4 || p.keys.Len() != 32 || p.entLo != 9 {
+		t.Fatalf("tombstones/pruned/batches/keys/window = %d/%d/%d/%d/%d after pruning heights 1-2, want 32/8/4/32/9",
+			p.TombstonedKeys(), p.TombstonesPruned(), len(p.tombstones), p.keys.Len(), p.entLo)
+	}
+	if err := p.keys.Verify([]*Mempool{p}); err != nil {
+		t.Fatal(err)
 	}
 	offered := 0
 	for _, block := range blocks[3:] {

@@ -333,6 +333,12 @@ func runModel(t *testing.T, cfg Config, data []byte, cov *modelCoverage) {
 			cov.slides++
 		}
 		compareModel(t, step, p, o, touched)
+		if p.keys.Len() != len(o.state) {
+			t.Fatalf("step %d: the pool's table holds %d keys, the oracle %d", step, p.keys.Len(), len(o.state))
+		}
+		if err := p.keys.Verify([]*Mempool{p}); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
 	compareModel(t, -1, p, o, universe)
 	cov.readmitted += o.readmitted
