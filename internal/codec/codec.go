@@ -1,7 +1,8 @@
 // Package codec provides the deterministic binary encoding of Setchain
-// wire objects. The full-fidelity code path uses it to turn batches into
-// the byte strings that get compressed (Compresschain) or hashed
-// (Hashchain), and to reconstruct them on the receiving side. Encodings are
+// batches: their elements and epoch-proofs. The full-fidelity code path
+// uses it to turn batches into the byte strings that get compressed
+// (Compresschain) or hashed (Hashchain), and to reconstruct them on the
+// receiving side. Encodings are
 // length-prefixed, little-endian, and contain no maps, so they are
 // byte-for-byte reproducible — a requirement for hashing batches and
 // epochs consistently across servers.
@@ -20,7 +21,6 @@ import (
 // Encoding errors.
 var (
 	ErrTruncated = errors.New("codec: truncated input")
-	ErrBadKind   = errors.New("codec: unknown object kind")
 	ErrTooLarge  = errors.New("codec: length prefix exceeds limit")
 )
 
@@ -76,8 +76,8 @@ func appendLenBytes(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
-// AppendElement encodes e onto buf.
-func AppendElement(buf []byte, e *wire.Element) []byte {
+// appendElement encodes e onto buf.
+func appendElement(buf []byte, e *wire.Element) []byte {
 	buf = append(buf, e.ID[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Client))
 	buf = binary.LittleEndian.AppendUint64(buf, e.Seq)
@@ -129,8 +129,8 @@ func decodeElement(r *reader) (*wire.Element, error) {
 	return e.WithBody(body[:len(payload):len(payload)], body[len(payload):]), nil
 }
 
-// AppendProof encodes an epoch-proof onto buf.
-func AppendProof(buf []byte, p *wire.EpochProof) []byte {
+// appendProof encodes an epoch-proof onto buf.
+func appendProof(buf []byte, p *wire.EpochProof) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, p.Epoch)
 	buf = appendLenBytes(buf, p.EpochHash)
 	buf = appendLenBytes(buf, p.Sig)
@@ -168,11 +168,11 @@ func EncodeBatch(b *wire.Batch) []byte {
 	buf := make([]byte, 0, b.RawSize()+16)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Elements)))
 	for _, e := range b.Elements {
-		buf = AppendElement(buf, e)
+		buf = appendElement(buf, e)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Proofs)))
 	for _, p := range b.Proofs {
-		buf = AppendProof(buf, p)
+		buf = appendProof(buf, p)
 	}
 	return buf
 }
@@ -213,96 +213,4 @@ func DecodeBatch(data []byte) (*wire.Batch, error) {
 		return nil, fmt.Errorf("codec: %d trailing bytes", r.remaining())
 	}
 	return b, nil
-}
-
-// EncodeTx serializes a ledger transaction envelope.
-func EncodeTx(tx *wire.Tx) ([]byte, error) {
-	buf := []byte{byte(tx.Kind)}
-	switch tx.Kind {
-	case wire.TxElement:
-		buf = AppendElement(buf, tx.Element)
-	case wire.TxProof:
-		buf = AppendProof(buf, tx.Proof)
-	case wire.TxCompressedBatch:
-		cb := tx.Compressed
-		buf = appendLenBytes(buf, cb.Data)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(cb.CompSize))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(cb.Origin))
-		buf = binary.LittleEndian.AppendUint64(buf, cb.Seq)
-	case wire.TxHashBatch:
-		hb := tx.HashBatch
-		buf = appendLenBytes(buf, hb.Hash)
-		buf = appendLenBytes(buf, hb.Sig)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(hb.Signer))
-	default:
-		return nil, ErrBadKind
-	}
-	return buf, nil
-}
-
-// DecodeTx reverses EncodeTx. The transaction comes from the wire
-// constructors, so it carries its dedup key like one built locally.
-func DecodeTx(data []byte) (*wire.Tx, error) {
-	if len(data) == 0 {
-		return nil, ErrTruncated
-	}
-	r := &reader{buf: data, off: 1}
-	var tx *wire.Tx
-	switch wire.TxKind(data[0]) {
-	case wire.TxElement:
-		e, err := decodeElement(r)
-		if err != nil {
-			return nil, err
-		}
-		tx = wire.NewElementTx(e)
-	case wire.TxProof:
-		p, err := decodeProof(r)
-		if err != nil {
-			return nil, err
-		}
-		tx = wire.NewProofTx(p)
-	case wire.TxCompressedBatch:
-		data, err := r.lenBytes()
-		if err != nil {
-			return nil, err
-		}
-		cb := &wire.CompressedBatch{Data: append([]byte(nil), data...)}
-		size, err := r.uint32()
-		if err != nil {
-			return nil, err
-		}
-		cb.CompSize = int(size)
-		origin, err := r.uint64()
-		if err != nil {
-			return nil, err
-		}
-		cb.Origin = wire.NodeID(origin)
-		if cb.Seq, err = r.uint64(); err != nil {
-			return nil, err
-		}
-		tx = wire.NewCompressedTx(cb)
-	case wire.TxHashBatch:
-		h, err := r.lenBytes()
-		if err != nil {
-			return nil, err
-		}
-		hb := &wire.HashBatch{Hash: append([]byte(nil), h...)}
-		sig, err := r.lenBytes()
-		if err != nil {
-			return nil, err
-		}
-		hb.Sig = append([]byte(nil), sig...)
-		signer, err := r.uint64()
-		if err != nil {
-			return nil, err
-		}
-		hb.Signer = wire.NodeID(signer)
-		tx = wire.NewHashBatchTx(hb)
-	default:
-		return nil, ErrBadKind
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("codec: %d trailing bytes", r.remaining())
-	}
-	return tx, nil
 }
