@@ -29,18 +29,33 @@ const renderScale = "0.02"
 // doneLine is the one line of a run's stdout that carries wall-clock time.
 var doneLine = regexp.MustCompile(`(?m)^\[\S+ done in [^\]]*\]$`)
 
+// tableSpec is the -spec document behind the generic results table's
+// golden run. Its two cells turn on every optional column whose figures are
+// the same on any host: S with the per-shard breakdown, Ckpts/Syncs,
+// Faults, Offered/Rej%/Fair and p50/p99 commit, and one of them is
+// group-prefixed. Heap MiB is left out: a live-heap reading is the host's.
+var tableSpec = filepath.Join("testdata", "render", "table.json")
+
 // TestGoldenRender pins what setchain-bench prints for every paper entry,
 // byte for byte: the stdout of `-exp <entry> -scale 0.02` must equal
 // testdata/render/<entry>.txt (the "[<entry> done in …]" line blanked).
 // The files were written by this test, with -update, against the last
 // main.go whose renderers each ran their own study function; a renderer
 // refactor that moves a title, a label, a row or a plotted point fails here.
+// The "table" case does the same for `-spec testdata/render/table.json`,
+// the results table every other entry, -spec and -matrix run prints
+// through; table.txt was written before that renderer was last refactored.
 // Regenerate with `go test ./cmd/setchain-bench -run TestGoldenRender
 // -update` only for a change that is meant to alter the output.
 func TestGoldenRender(t *testing.T) {
+	runs := [][2]string{{"table", "-spec " + tableSpec}}
 	for _, name := range paperEntries {
+		runs = append(runs, [2]string{name, "-exp " + name + " -scale " + renderScale})
+	}
+	for _, run := range runs {
+		name := run[0]
 		t.Run(name, func(t *testing.T) {
-			stdout, stderr, exit := runBench(t, "-exp "+name+" -scale "+renderScale)
+			stdout, stderr, exit := runBench(t, run[1])
 			if exit != 0 {
 				t.Fatalf("exit %d, stderr %q", exit, stderr)
 			}
