@@ -13,7 +13,7 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/execution"
+	"repro/examples/token/execution"
 	"repro/setchain"
 )
 

@@ -31,7 +31,7 @@ func TestNoPackageLevelState(t *testing.T) {
 	report := func(pos token.Pos, format string, args ...any) {
 		found = append(found, fmt.Sprintf("%s: %s", fset.Position(pos), fmt.Sprintf(format, args...)))
 	}
-	for _, root := range []string{"internal", "cmd", "setchain"} {
+	for _, root := range []string{"internal", "cmd", "setchain", "examples"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
