@@ -83,7 +83,6 @@ const unset = time.Duration(-1)
 
 type txStageRec struct {
 	elems   []wire.ElementID
-	count   int // number of element copies (modeled counting when ids untracked)
 	mempool map[wire.NodeID]bool
 	first   time.Duration
 	quorum  time.Duration
@@ -208,7 +207,6 @@ func (r *Recorder) RegisterCarrier(txKey wire.TxKey, elems []*wire.Element) {
 	for _, e := range elems {
 		rec.elems = append(rec.elems, e.ID)
 	}
-	rec.count = len(rec.elems)
 }
 
 // TxEnteredMempool is wired to each node's mempool admission hook.
