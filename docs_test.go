@@ -178,3 +178,58 @@ func TestDocFilesExist(t *testing.T) {
 		}
 	}
 }
+
+// layoutRow is one row of README's Layout table; its first cell names
+// packages as `internal/x`, `y`, … (later names share the first's parent).
+var layoutRow = regexp.MustCompile("^\\| (`[^|]*`) \\|")
+
+// README's Layout table names every package under internal/ and nothing
+// that is gone: a package added, moved or deleted without its row fails here.
+func TestLayoutNamesEveryPackage(t *testing.T) {
+	blob, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(blob), "\n## Layout\n")
+	table, _, _ = strings.Cut(table, "\n## ")
+	listed := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		m := layoutRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		parent := ""
+		for _, name := range strings.Split(m[1], ", ") {
+			name = strings.Trim(name, "`")
+			if dir, _, ok := strings.Cut(name, "/"); ok {
+				parent = dir + "/"
+			} else {
+				name = parent + name
+			}
+			if strings.HasPrefix(name, "internal/") {
+				listed[name] = true
+			}
+		}
+	}
+	pkgs := map[string]bool{}
+	err = filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		pkgs[filepath.ToSlash(filepath.Dir(path))] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pkg := range pkgs {
+		if !listed[pkg] {
+			t.Errorf("README's Layout table does not name %s", pkg)
+		}
+	}
+	for pkg := range listed {
+		if !pkgs[pkg] {
+			t.Errorf("README's Layout table names %s, which is not a package", pkg)
+		}
+	}
+}
