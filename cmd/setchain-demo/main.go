@@ -49,12 +49,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	f := net.F()
+	// The deployment's size, not the flag: -servers 0 means the default.
+	n, f := net.Servers(), net.F()
 	if *byzantine > f {
 		log.Fatalf("%d Byzantine servers exceeds the tolerated f=%d", *byzantine, f)
 	}
 	for i := 0; i < *byzantine; i++ {
-		srv := *servers - 1 - i
+		srv := n - 1 - i
 		if err := net.SetByzantine(srv, &setchain.Byzantine{
 			InjectBogusElements: 2,
 			RefuseServe:         func(int, []byte) bool { return true },
@@ -65,9 +66,9 @@ func main() {
 		fmt.Printf("server %d is Byzantine (injects junk, withholds batches, corrupts proofs)\n", srv)
 	}
 	fmt.Printf("%s on %d servers (f=%d), collector=%d, delay=%v, seed=%d\n\n",
-		alg, *servers, f, *collector, *delay, *seed)
+		alg, n, f, *collector, *delay, *seed)
 
-	honest := *servers - *byzantine
+	honest := n - *byzantine
 	var ids []setchain.ElementID
 	start := time.Now()
 	for i := 0; i < *elements; i++ {
@@ -92,7 +93,7 @@ func main() {
 	// deployment has only server 0 to ask.
 	verified := 0
 	for _, id := range ids {
-		if _, err := net.Client(0).Confirm(1%*servers, id); err == nil {
+		if _, err := net.Client(0).Confirm(1%n, id); err == nil {
 			verified++
 		}
 	}

@@ -23,22 +23,29 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// A one-server deployment verifies its elements against the one server it
-// has: the demo used to confirm against server 1 whatever the server
-// count, so -servers 1 committed everything, verified 0/3 and exited 1.
-func TestOneServerVerifies(t *testing.T) {
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), demoArgsEnv+"=-servers 1 -elements 3")
-	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	if err := cmd.Run(); err != nil {
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) {
-			t.Fatal(err)
+// Every element verifies whatever the server count. The demo used to
+// confirm against server 1 and size its loops by the -servers flag: -servers
+// 1 committed everything, verified 0/3 and exited 1, and -servers 0 (the
+// default deployment of 4) divided by zero.
+func TestServerCountsVerify(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-servers 1 -elements 3", "client verification with f+1=1 epoch-proofs: 3/3 elements\n"},
+		{"-servers 0 -elements 3", "client verification with f+1=2 epoch-proofs: 3/3 elements\n"},
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), demoArgsEnv+"="+tc.args)
+		var out, errb bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		if err := cmd.Run(); err != nil {
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) {
+				t.Fatal(err)
+			}
+			t.Errorf("%s: exit %d, want 0\nstdout:\n%s\nstderr:\n%s", tc.args, ee.ExitCode(), out.String(), errb.String())
+			continue
 		}
-		t.Fatalf("exit %d, want 0\nstdout:\n%s\nstderr:\n%s", ee.ExitCode(), out.String(), errb.String())
-	}
-	if want := "client verification with f+1=1 epoch-proofs: 3/3 elements\n"; !strings.Contains(out.String(), want) {
-		t.Fatalf("stdout lacks %q:\n%s", want, out.String())
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%s: stdout lacks %q:\n%s", tc.args, tc.want, out.String())
+		}
 	}
 }
