@@ -2,10 +2,9 @@
 // batches: their elements and epoch-proofs. The full-fidelity code path
 // uses it to turn batches into the byte strings that get compressed
 // (Compresschain) or hashed (Hashchain), and to reconstruct them on the
-// receiving side. Encodings are
-// length-prefixed, little-endian, and contain no maps, so they are
-// byte-for-byte reproducible — a requirement for hashing batches and
-// epochs consistently across servers.
+// receiving side. Encodings are length-prefixed, little-endian, and
+// contain no maps, so they are byte-for-byte reproducible — a requirement
+// for hashing batches and epochs consistently across servers.
 //
 // See DESIGN.md §1 (fidelity substitutions).
 package codec
