@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/byzantine"
 	"repro/internal/core"
 	"repro/internal/wire"
 )
@@ -20,13 +19,11 @@ func TestRandomizedFaultSchedules(t *testing.T) {
 	algs := []core.Algorithm{core.Vanilla, core.Compresschain, core.Hashchain}
 	faults := []func() *core.Behavior{
 		nil,
-		func() *core.Behavior { return byzantine.InjectInvalid(2) },
-		func() *core.Behavior { return byzantine.WithholdBatches() },
-		func() *core.Behavior { return byzantine.WrongBatches() },
-		func() *core.Behavior { return byzantine.CorruptProofs() },
-		func() *core.Behavior {
-			return byzantine.Combine(byzantine.InjectInvalid(1), byzantine.CorruptProofs())
-		},
+		func() *core.Behavior { return &core.Behavior{InjectBogusElements: 2} },
+		func() *core.Behavior { return &core.Behavior{RefuseServe: func(int, []byte) bool { return true }} },
+		func() *core.Behavior { return &core.Behavior{ServeWrongBatch: true} },
+		func() *core.Behavior { return &core.Behavior{CorruptProofs: true} },
+		func() *core.Behavior { return &core.Behavior{InjectBogusElements: 1, CorruptProofs: true} },
 	}
 	// Under -short, run a reduced pass instead of skipping outright: 6
 	// rounds still exercise every algorithm (twice) and every fault preset
@@ -249,11 +246,11 @@ func TestMaximumByzantineBoundary(t *testing.T) {
 		RequestTimeout: time.Second,
 	})
 	for _, byz := range []int{4, 5, 6} {
-		d.Servers[byz].SetBehavior(byzantine.Combine(
-			byzantine.WithholdBatches(),
-			byzantine.CorruptProofs(),
-			byzantine.InjectInvalid(1),
-		))
+		d.Servers[byz].SetBehavior(&core.Behavior{
+			RefuseServe:         func(int, []byte) bool { return true },
+			CorruptProofs:       true,
+			InjectBogusElements: 1,
+		})
 	}
 	var ids []wire.ElementID
 	for k := 0; k < 28; k++ {

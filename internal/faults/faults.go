@@ -8,9 +8,9 @@
 // same plan ⇒ same schedule, bit for bit.
 //
 // The plan drives netsim's Faults controller under netsim.CausePlan, so it
-// composes with the always-on Byzantine presets of internal/byzantine
-// (which use netsim.CauseByzantine): restarting a node the plan crashed
-// never revives a node a Byzantine preset silenced.
+// composes with the always-on silent Byzantine servers (which use
+// netsim.CauseByzantine): restarting a node the plan crashed never
+// revives a node a Byzantine spec silenced.
 //
 // Plans are usually written as JSON (spec.FaultSpec, a "faults" block in
 // any scenario document or a standalone file for setchain-bench -faults)

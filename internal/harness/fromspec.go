@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/byzantine"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mempool"
@@ -235,34 +234,38 @@ func applyByzantine(d *shard.Deployment, k int, cfg ByzantineCfg) {
 	}
 	sd, n := d.Shards[k], d.Servers
 	first := max(n-cfg.Faulty, 1)
-	var parts []*core.Behavior
-	silent := false
+	var b core.Behavior
+	silent, misbehaves := false, false
 	for _, name := range cfg.Behaviors {
 		switch name {
 		case spec.BehaviorSilent:
 			silent = true
+			continue
 		case spec.BehaviorInjectInvalid:
-			parts = append(parts, byzantine.InjectInvalid(cfg.InjectCount))
+			b.InjectBogusElements = cfg.InjectCount
 		case spec.BehaviorWithholdBatches:
-			parts = append(parts, byzantine.WithholdBatches())
+			b.RefuseServe = func(int, []byte) bool { return true }
 		case spec.BehaviorWrongBatches:
-			parts = append(parts, byzantine.WrongBatches())
+			b.ServeWrongBatch = true
 		case spec.BehaviorCorruptProofs:
-			parts = append(parts, byzantine.CorruptProofs())
+			b.CorruptProofs = true
 		case spec.BehaviorForgeSnapshot:
-			parts = append(parts, byzantine.ForgeSnapshot())
+			b.ForgeSnapshot = true
 		default:
 			// Unknown names are caught by spec.Validate before any
 			// scenario reaches the executor.
 			panic(fmt.Sprintf("harness: unknown byzantine behavior %q", name))
 		}
+		misbehaves = true
 	}
 	for i := first; i < n; i++ {
-		if len(parts) > 0 {
-			sd.Servers[i].SetBehavior(byzantine.Combine(parts...))
+		if misbehaves {
+			sd.Servers[i].SetBehavior(&b)
 		}
 		if silent {
-			byzantine.Silent(sd.Ledger.Net, sd.Ledger.Nodes[i].ID, true)
+			// Tagged CauseByzantine, so a fault plan's restart of this
+			// server cannot revive it (DESIGN.md §8).
+			sd.Ledger.Net.Faults().SetDown(sd.Ledger.Nodes[i].ID, netsim.CauseByzantine, true)
 		}
 		d.SetFaulty(sd.Ledger.Nodes[i].ID)
 	}

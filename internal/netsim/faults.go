@@ -5,7 +5,7 @@ package netsim
 // probabilistic loss/duplication/reordering, delay spikes) are mutated only
 // through the Faults controller, and every mutation is tagged with a Cause.
 // That makes independently written fault sources compose: a Byzantine
-// preset that silences a server (CauseByzantine) and a scheduled fault plan
+// behavior that silences a server (CauseByzantine) and a scheduled fault plan
 // that crashes and later restarts the same server (CausePlan) each retract
 // only their own contribution — the restart does not revive the
 // still-Byzantine-silent node. See DESIGN.md §8 (fault model).
@@ -23,8 +23,8 @@ type Cause string
 // The causes used by this repo's fault sources. Any non-empty string is a
 // valid cause; tests may invent their own.
 const (
-	// CauseByzantine tags faults installed by internal/byzantine presets
-	// (the always-on silent-server fault).
+	// CauseByzantine tags the always-on silent-server fault a Byzantine
+	// spec's "silent" behavior installs.
 	CauseByzantine Cause = "byzantine"
 	// CausePlan tags faults installed by internal/faults scheduled plans
 	// (crash/restart, partition/heal, link events).
@@ -85,7 +85,7 @@ func (n *Network) Faults() *Faults {
 
 // SetDown marks a node down (or back up) on behalf of one cause. The node
 // stays down while any cause is active: a fault plan's restart cannot
-// revive a node a Byzantine preset silenced, and vice versa. Unknown node
+// revive a silent Byzantine node, and vice versa. Unknown node
 // ids are ignored.
 func (f *Faults) SetDown(id wire.NodeID, cause Cause, down bool) {
 	nd, ok := f.net.nodes[id]

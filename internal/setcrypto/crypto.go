@@ -146,7 +146,7 @@ func (Ed25519Suite) NewHash() hash.Hash { return sha512.New() }
 // multiply-rotate word hash; forging it would be trivial for a real
 // adversary, but inside the simulation the only adversaries are the
 // Byzantine behaviors we inject ourselves, and those are modeled at the
-// protocol level (internal/byzantine), not at the bit level. Its purpose is
+// protocol level (core.Behavior), not at the bit level. Its purpose is
 // to keep large simulations cheap while the cost model charges realistic
 // crypto time to the virtual CPU. The hash consumes 8 input bytes per step
 // (versus FNV's one) and Verify checks the tag wordwise without

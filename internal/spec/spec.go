@@ -80,8 +80,9 @@ const (
 	TransportMesh      = "mesh"      // bounded-fanout gossip overlay
 )
 
-// Byzantine behavior names (ByzantineSpec.Behaviors); each maps onto one
-// preset of internal/byzantine.
+// Byzantine behavior names (ByzantineSpec.Behaviors); each sets one
+// core.Behavior field, except silent, which takes the server's network
+// down.
 const (
 	BehaviorSilent          = "silent"           // network-down (crash-like)
 	BehaviorInjectInvalid   = "inject-invalid"   // bogus elements in every batch
