@@ -59,40 +59,38 @@ func (Deflate) Decompress(blob []byte) ([]byte, error) {
 	return out, nil
 }
 
-// RatioModel maps a batch's raw size to its modeled compressed size using
-// the paper's measured ratios (§4: r ≈ 2.7 at c=100 growing to ≈ 3.5 at
-// c=500, because larger batches give the compressor more shared context).
-type RatioModel struct {
-	// RatioAt100 and RatioAt500 anchor a linear interpolation in the
-	// collector size; outside [100,500] the nearest anchor is used.
-	RatioAt100 float64
-	RatioAt500 float64
-}
+// The paper's measured compression ratios (§4): r ≈ 2.7 at c=100 growing
+// to ≈ 3.5 at c=500, because larger batches give the compressor more
+// shared context.
+const (
+	ratioAt100 = 2.7
+	ratioAt500 = 3.5
+)
 
-// PaperRatioModel returns the model fitted to the paper's measurements.
-func PaperRatioModel() RatioModel {
-	return RatioModel{RatioAt100: 2.7, RatioAt500: 3.5}
-}
-
-// Ratio returns the modeled compression ratio for a batch of n items.
-func (m RatioModel) Ratio(n int) float64 {
+// Ratio returns the modeled compression ratio for a batch of n items: a
+// linear interpolation in the collector size between the paper's two
+// anchors, clamped to the nearest anchor outside [100,500].
+func Ratio(n int) float64 {
 	switch {
 	case n <= 100:
-		return m.RatioAt100
+		return ratioAt100
 	case n >= 500:
-		return m.RatioAt500
+		return ratioAt500
 	default:
+		// Subtract in float64 at run time: the untyped constant
+		// ratioAt500-ratioAt100 would fold to exactly 0.8 and move every
+		// modeled size (and run digest) of a 101–499-item batch.
+		lo, hi := ratioAt100, ratioAt500
 		frac := float64(n-100) / 400.0
-		return m.RatioAt100 + frac*(m.RatioAt500-m.RatioAt100)
+		return lo + frac*(hi-lo)
 	}
 }
 
 // CompressedSize returns the modeled on-ledger size for a batch of n items
 // with the given raw byte size. A minimum of 64 bytes models framing
 // overhead on tiny batches.
-func (m RatioModel) CompressedSize(n, rawSize int) int {
-	r := m.Ratio(n)
-	size := int(float64(rawSize) / r)
+func CompressedSize(n, rawSize int) int {
+	size := int(float64(rawSize) / Ratio(n))
 	if size < 64 {
 		size = 64
 	}

@@ -68,20 +68,19 @@ func TestQuickDeflateRoundTrip(t *testing.T) {
 }
 
 func TestRatioModelAnchors(t *testing.T) {
-	m := PaperRatioModel()
-	if r := m.Ratio(100); r != 2.7 {
+	if r := Ratio(100); r != 2.7 {
 		t.Fatalf("Ratio(100) = %v, want 2.7", r)
 	}
-	if r := m.Ratio(500); r != 3.5 {
+	if r := Ratio(500); r != 3.5 {
 		t.Fatalf("Ratio(500) = %v, want 3.5", r)
 	}
-	if r := m.Ratio(50); r != 2.7 {
+	if r := Ratio(50); r != 2.7 {
 		t.Fatalf("Ratio(50) = %v, want clamp to 2.7", r)
 	}
-	if r := m.Ratio(1000); r != 3.5 {
+	if r := Ratio(1000); r != 3.5 {
 		t.Fatalf("Ratio(1000) = %v, want clamp to 3.5", r)
 	}
-	mid := m.Ratio(300)
+	mid := Ratio(300)
 	if mid <= 2.7 || mid >= 3.5 {
 		t.Fatalf("Ratio(300) = %v, want strictly between anchors", mid)
 	}
@@ -91,33 +90,30 @@ func TestRatioModelMatchesPaperBatchSizes(t *testing.T) {
 	// Paper §4: c=100 batches average ~16,000 compressed bytes from ~100
 	// elements of ~438 B; c=500 averages ~66,000 bytes. Check the model
 	// lands in the right neighborhood (±25%).
-	m := PaperRatioModel()
 	raw100 := 100 * 438
-	got100 := m.CompressedSize(100, raw100)
+	got100 := CompressedSize(100, raw100)
 	if got100 < 12000 || got100 > 20000 {
 		t.Fatalf("modeled c=100 compressed size = %d, want ~16000", got100)
 	}
 	raw500 := 500 * 438
-	got500 := m.CompressedSize(500, raw500)
+	got500 := CompressedSize(500, raw500)
 	if got500 < 50000 || got500 > 82000 {
 		t.Fatalf("modeled c=500 compressed size = %d, want ~66000", got500)
 	}
 }
 
 func TestCompressedSizeFloor(t *testing.T) {
-	m := PaperRatioModel()
-	if got := m.CompressedSize(1, 10); got != 64 {
+	if got := CompressedSize(1, 10); got != 64 {
 		t.Fatalf("tiny batch compressed size = %d, want floor 64", got)
 	}
 }
 
 // Property: modeled compression is monotone in raw size and always positive.
 func TestQuickRatioModelMonotone(t *testing.T) {
-	m := PaperRatioModel()
 	f := func(n uint16, raw uint32) bool {
 		nn := int(n)%600 + 1
-		r1 := m.CompressedSize(nn, int(raw)%1_000_000)
-		r2 := m.CompressedSize(nn, int(raw)%1_000_000+1000)
+		r1 := CompressedSize(nn, int(raw)%1_000_000)
+		r2 := CompressedSize(nn, int(raw)%1_000_000+1000)
 		return r1 > 0 && r2 >= r1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

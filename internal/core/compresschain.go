@@ -48,7 +48,7 @@ func (c *compressAlg) flushBatch(b *wire.Batch) {
 		cb.Data = blob
 		cb.CompSize = len(blob)
 	} else {
-		cb.CompSize = compressor.PaperRatioModel().CompressedSize(b.Len(), raw)
+		cb.CompSize = compressor.CompressedSize(b.Len(), raw)
 		cb.Original = b
 	}
 	s.chargeCPU(time.Duration(raw)*s.opts.Costs.CompressPerByte + s.opts.Costs.PerBatch)
