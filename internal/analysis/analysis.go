@@ -15,8 +15,6 @@
 // See DESIGN.md §2 (layering).
 package analysis
 
-import "fmt"
-
 // Params are the model inputs (Appendix D / §4 defaults).
 type Params struct {
 	N             int     // servers
@@ -92,21 +90,6 @@ func HashchainThroughput(p Params) float64 {
 		return 0
 	}
 	return p.BlockRate * (c - n) * p.BlockBytes / (n * p.HashBatchLen)
-}
-
-// Throughput dispatches on an algorithm name ("vanilla", "compresschain",
-// "hashchain").
-func Throughput(alg string, p Params) (float64, error) {
-	switch alg {
-	case "vanilla":
-		return VanillaThroughput(p), nil
-	case "compresschain":
-		return CompresschainThroughput(p), nil
-	case "hashchain":
-		return HashchainThroughput(p), nil
-	default:
-		return 0, fmt.Errorf("analysis: unknown algorithm %q", alg)
-	}
 }
 
 // D1Row is one line of the Appendix D.1 table.

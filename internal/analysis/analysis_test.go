@@ -111,20 +111,6 @@ func TestCompressionRatioInterpolation(t *testing.T) {
 	}
 }
 
-func TestThroughputDispatch(t *testing.T) {
-	p := PaperParams()
-	p.CollectorSize = 100
-	for _, alg := range []string{"vanilla", "compresschain", "hashchain"} {
-		v, err := Throughput(alg, p)
-		if err != nil || v <= 0 {
-			t.Fatalf("Throughput(%s) = %v, %v", alg, v, err)
-		}
-	}
-	if _, err := Throughput("nope", p); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-}
-
 func TestDegenerateParams(t *testing.T) {
 	p := PaperParams()
 	p.CollectorSize = 5 // c <= n

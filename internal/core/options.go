@@ -101,9 +101,6 @@ func PaperCostModel() CostModel {
 	}
 }
 
-// IsZero reports whether no costs are charged.
-func (c CostModel) IsZero() bool { return c == CostModel{} }
-
 // Options configures a Setchain server. Deploy fills the three zero
 // timeouts and uses every other field as given: the entry points
 // (spec.WithDefaults and harness.deployConfig, setchain.Config) decide them.
@@ -111,7 +108,7 @@ type Options struct {
 	// Algorithm selects Vanilla, Compresschain or Hashchain.
 	Algorithm Algorithm
 	// Mode selects Full (compressor.Deflate) or Modeled
-	// (compressor.PaperRatioModel) byte paths.
+	// (compressor.CompressedSize) byte paths.
 	Mode Mode
 	// Light reproduces the paper's Fig. 2 ablation by charging nothing for
 	// the expensive half of the pipeline: for Hashchain, hash reversal (the

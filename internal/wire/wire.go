@@ -154,18 +154,6 @@ type EpochProof struct {
 // WireSize returns the proof's ledger footprint (139 bytes per the paper).
 func (p *EpochProof) WireSize() int { return EpochProofWireSize }
 
-// ProofKey is the comparable dedup identity of an epoch-proof: one proof
-// per (epoch, signer) pair.
-type ProofKey struct {
-	Epoch  uint64
-	Signer NodeID
-}
-
-// MapKey returns the proof's comparable dedup key.
-func (p *EpochProof) MapKey() ProofKey {
-	return ProofKey{Epoch: p.Epoch, Signer: p.Signer}
-}
-
 // HashBatch is Hashchain's ledger transaction: the hash of a batch, signed
 // by a server, with the signer's identity.
 type HashBatch struct {
