@@ -30,12 +30,10 @@ import (
 // the batch locally, so heights may trail by a block under faults —
 // cross-server comparisons use checkpoint.Same, which ignores Height.
 
-// Modeled wire sizes for the state-sync snapshot: a real transfer ships
-// the set's elements plus per-epoch and per-proof framing.
-const (
-	proofWireSize  = 139 // same envelope class as a signed hash-batch
-	epochFrameSize = 80  // number + hash + element-count framing
-)
+// epochFrameSize is a snapshot epoch's modeled framing (number, hash and
+// element count): a real transfer ships the set's elements plus per-epoch
+// framing and wire.EpochProofWireSize per proof.
+const epochFrameSize = 80
 
 // maybeSeal seals every checkpoint interval the settled prefix has
 // crossed. Called only at block-processing boundaries (processNext), so a
@@ -193,7 +191,7 @@ func (s *Server) freezeSyncState(ck checkpoint.Checkpoint) {
 			Hash:     append([]byte(nil), ep.Hash...),
 			Proofs:   append([]*wire.EpochProof(nil), ep.Proofs...),
 		})
-		size += epochFrameSize + len(ep.Proofs)*proofWireSize
+		size += epochFrameSize + len(ep.Proofs)*wire.EpochProofWireSize
 		for _, el := range ep.Elements {
 			size += el.WireSize()
 		}
@@ -204,7 +202,7 @@ func (s *Server) freezeSyncState(ck checkpoint.Checkpoint) {
 			st.LightBatches = h.pendingBatches()
 		}
 		for _, ids := range st.PendingSigners {
-			size += len(ids) * proofWireSize
+			size += len(ids) * wire.EpochProofWireSize
 		}
 	}
 	n := len(s.checkpoints)
@@ -521,12 +519,7 @@ func (s *Server) forgeSnapshot(snap *checkpoint.Snapshot, st *SyncState) *checkp
 	forgedNum := st.LastEpoch + 1
 	bogus := make([]*wire.Element, 0, bogusN)
 	for i := 0; i < bogusN; i++ {
-		e := &wire.Element{Client: wire.ClientID(-1), Size: 438, Bogus: true}
-		e.ID[0] = 0xFD // forged-snapshot marker, distinct from injectBogus's 0xBB
-		e.ID[1] = byte(s.id)
-		e.ID[2] = byte(forgedNum)
-		e.ID[3] = byte(i)
-		bogus = append(bogus, e)
+		bogus = append(bogus, bogusElement(0xFD, byte(s.id), byte(forgedNum), byte(i)))
 	}
 	forgedEp := &Epoch{Number: forgedNum, Elements: bogus}
 	forgedEp.Hash = s.epochHashFor(forgedNum, bogus)
@@ -553,6 +546,6 @@ func (s *Server) forgeSnapshot(snap *checkpoint.Snapshot, st *SyncState) *checkp
 		Last:  ckF,
 		Chain: append(append([]checkpoint.Checkpoint(nil), snap.Chain...), ckF),
 		State: fst,
-		Bytes: snap.Bytes + bogusN*438,
+		Bytes: snap.Bytes + bogusN*bogusSize,
 	}
 }

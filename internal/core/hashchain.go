@@ -686,9 +686,7 @@ func (h *hashchainAlg) serveRequest(from wire.NodeID, req *batchRequest) {
 	if b != nil && s.behavior != nil && s.behavior.ServeWrongBatch {
 		// A copy: the stored batch is shared with every server and epoch.
 		wrong := &wire.Batch{Elements: append([]*wire.Element(nil), b.Elements...)}
-		junk := &wire.Element{Size: 438, Bogus: true}
-		junk.ID[0] = 0xEE
-		wrong.Elements = append(wrong.Elements, junk)
+		wrong.Elements = append(wrong.Elements, bogusElement(0xEE))
 		resp.batch = wrong
 	}
 	h.requestsServed++

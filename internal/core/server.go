@@ -457,14 +457,23 @@ func (s *Server) injectBogus(b *wire.Batch) {
 		return
 	}
 	for i := 0; i < s.behavior.InjectBogusElements; i++ {
-		e := &wire.Element{Client: wire.ClientID(-1), Size: 438, Bogus: true}
-		e.ID[0] = 0xBB
-		e.ID[1] = byte(s.id)
-		e.ID[2] = byte(s.epochsMade)
-		e.ID[3] = byte(i)
-		e.ID[4] = byte(s.blocksSeen)
-		b.Elements = append(b.Elements, e)
+		b.Elements = append(b.Elements,
+			bogusElement(0xBB, byte(s.id), byte(s.epochsMade), byte(i), byte(s.blocksSeen)))
 	}
+}
+
+// bogusSize is a Byzantine junk element's size: the paper's ~438-byte
+// average element.
+const bogusSize = 438
+
+// bogusElement builds an invalid element whose ID begins with the given
+// bytes. The first is the attack's marker — 0xBB injected into batches,
+// 0xEE in a wrong served batch, 0xFD in a forged snapshot — so the
+// attacks' elements never collide.
+func bogusElement(id ...byte) *wire.Element {
+	e := &wire.Element{Client: wire.ClientID(-1), Size: bogusSize, Bogus: true}
+	copy(e.ID[:], id)
+	return e
 }
 
 // Stats returns server counters.

@@ -580,31 +580,13 @@ func registerMesh() {
 			"passes non-vacuously (commits > 0) on both cells.",
 		Cells: []ScenarioSpec{
 			func() ScenarioSpec {
-				s := chaosCell("mesh-lossy", 7, 2000, &FaultSpec{
-					Events: []FaultEventSpec{
-						{Action: FaultLink, Drop: 0.02, Duplicate: 0.01,
-							Reorder: 0.2, ReorderDelay: Duration(25 * time.Millisecond)},
-						{At: Duration(15 * time.Second), Action: FaultLink,
-							Drop: 0.02, Duplicate: 0.01, Reorder: 0.2,
-							ReorderDelay: Duration(25 * time.Millisecond),
-							Delay:        Duration(150 * time.Millisecond)},
-						{At: Duration(25 * time.Second), Action: FaultLink,
-							Drop: 0.02, Duplicate: 0.01, Reorder: 0.2,
-							ReorderDelay: Duration(25 * time.Millisecond)},
-					},
-				})
+				s := chaosCell("mesh-lossy", 7, 2000, lossyWAN())
 				s.Transport = TransportMesh
 				s.Fanout = 4
 				return s
 			}(),
 			func() ScenarioSpec {
-				s := chaosCell("mesh-partition", 4, 1500, &FaultSpec{
-					Events: []FaultEventSpec{
-						{At: Duration(10 * time.Second), Action: FaultPartition,
-							Groups: [][]int{{0, 1, 2}, {3}}},
-						{At: Duration(30 * time.Second), Action: FaultHeal},
-					},
-				})
+				s := chaosCell("mesh-partition", 4, 1500, minorityPartition())
 				s.Transport = TransportMesh
 				s.Fanout = 2
 				return s
@@ -696,14 +678,10 @@ func registerSoak() {
 		Cells: []ScenarioSpec{func() ScenarioSpec {
 			s := soakCell("soak-chaos", 4, 400, 3400*time.Second, 3600*time.Second, 4096)
 			s.Shards = 2
-			s.Faults = &FaultSpec{Events: []FaultEventSpec{
-				{At: Duration(300 * time.Second), Action: FaultCrash, Nodes: []int{3}},
-				{At: Duration(600 * time.Second), Action: FaultRestart, Nodes: []int{3}},
-				{At: Duration(1200 * time.Second), Action: FaultCrash, Nodes: []int{6}},
-				{At: Duration(1500 * time.Second), Action: FaultRestart, Nodes: []int{6}},
-				{At: Duration(2100 * time.Second), Action: FaultCrash, Nodes: []int{3}},
-				{At: Duration(2400 * time.Second), Action: FaultRestart, Nodes: []int{3}},
-			}}
+			s.Faults = crashPlan(
+				outage{3, 300 * time.Second, 600 * time.Second},
+				outage{6, 1200 * time.Second, 1500 * time.Second},
+				outage{3, 2100 * time.Second, 2400 * time.Second})
 			return s
 		}()},
 		Refs: []Reference{
@@ -725,10 +703,7 @@ func registerSoak() {
 		Cells: []ScenarioSpec{func() ScenarioSpec {
 			s := soakCell("soak-smoke", 4, 800, 60*time.Second, 120*time.Second, 1024)
 			s.CheckpointInterval = 4
-			s.Faults = &FaultSpec{Events: []FaultEventSpec{
-				{At: Duration(15 * time.Second), Action: FaultCrash, Nodes: []int{3}},
-				{At: Duration(35 * time.Second), Action: FaultRestart, Nodes: []int{3}},
-			}}
+			s.Faults = crashPlan(outage{3, 15 * time.Second, 35 * time.Second})
 			return s
 		}()},
 		Refs: []Reference{
@@ -753,10 +728,7 @@ func syncCell(name string, servers int, rate float64, crashed int) ScenarioSpec 
 	s.Horizon = Duration(120 * time.Second)
 	s.CheckpointInterval = 4
 	s.Prune = true
-	s.Faults = &FaultSpec{Events: []FaultEventSpec{
-		{At: Duration(15 * time.Second), Action: FaultCrash, Nodes: []int{crashed}},
-		{At: Duration(35 * time.Second), Action: FaultRestart, Nodes: []int{crashed}},
-	}}
+	s.Faults = crashPlan(outage{crashed, 15 * time.Second, 35 * time.Second})
 	return s
 }
 
@@ -914,10 +886,7 @@ func registerScale() {
 			s.Shards = 2
 			s.Rate = 2400
 			s.SendFor = Duration(30 * time.Second)
-			s.Faults = &FaultSpec{Events: []FaultEventSpec{
-				{At: Duration(8 * time.Second), Action: FaultCrash, Nodes: []int{6}},
-				{At: Duration(20 * time.Second), Action: FaultRestart, Nodes: []int{6}},
-			}}
+			s.Faults = crashPlan(outage{6, 8 * time.Second, 20 * time.Second})
 			return s
 		}()},
 		Refs: []Reference{
@@ -943,6 +912,43 @@ func chaosCell(name string, servers int, rate float64, fs *FaultSpec) ScenarioSp
 	return s
 }
 
+// outage is one crash/restart pair: node is down from down to up.
+type outage struct {
+	node     int
+	down, up time.Duration
+}
+
+// crashPlan crashes and restarts each outage's node, in order.
+func crashPlan(outs ...outage) *FaultSpec {
+	fs := &FaultSpec{}
+	for _, o := range outs {
+		fs.Events = append(fs.Events,
+			FaultEventSpec{At: Duration(o.down), Action: FaultCrash, Nodes: []int{o.node}},
+			FaultEventSpec{At: Duration(o.up), Action: FaultRestart, Nodes: []int{o.node}})
+	}
+	return fs
+}
+
+// minorityPartition cuts server 3 off from the majority {0,1,2} at t=10s
+// and heals at t=30s.
+func minorityPartition() *FaultSpec {
+	return &FaultSpec{Events: []FaultEventSpec{
+		{At: Duration(10 * time.Second), Action: FaultPartition, Groups: [][]int{{0, 1, 2}, {3}}},
+		{At: Duration(30 * time.Second), Action: FaultHeal},
+	}}
+}
+
+// lossyWAN makes every link drop 2%, duplicate 1% and reorder 20% of
+// messages by up to 25 ms, with a 150 ms delay spike from t=15s to t=25s.
+func lossyWAN() *FaultSpec {
+	link := FaultEventSpec{Action: FaultLink, Drop: 0.02, Duplicate: 0.01,
+		Reorder: 0.2, ReorderDelay: Duration(25 * time.Millisecond)}
+	spike, calm := link, link
+	spike.At, spike.Delay = Duration(15*time.Second), Duration(150*time.Millisecond)
+	calm.At = Duration(25 * time.Second)
+	return &FaultSpec{Events: []FaultEventSpec{link, spike, calm}}
+}
+
 // registerChaos declares the scheduled-fault experiment family. Paper
 // coverage stops at always-on Byzantine servers; these entries exercise
 // the crash/partition/lossy-network scenarios a deployment actually
@@ -964,12 +970,8 @@ func registerChaos() {
 			repoRef(0, MetricEffSend, 0.75, 0.15,
 				"the send-end dent measures the 20 s outage on a 3/4 quorum"),
 		},
-		Cells: []ScenarioSpec{chaosCell("crash-restart", 4, 1500, &FaultSpec{
-			Events: []FaultEventSpec{
-				{At: Duration(10 * time.Second), Action: FaultCrash, Nodes: []int{3}},
-				{At: Duration(30 * time.Second), Action: FaultRestart, Nodes: []int{3}},
-			},
-		})},
+		Cells: []ScenarioSpec{chaosCell("crash-restart", 4, 1500,
+			crashPlan(outage{3, 10 * time.Second, 30 * time.Second}))},
 	})
 	Register(Entry{
 		Name:   "chaos_partition",
@@ -986,13 +988,7 @@ func registerChaos() {
 			repoRef(0, MetricEffSend, 0.75, 0.15,
 				"the send-end dent measures the 20 s minority partition"),
 		},
-		Cells: []ScenarioSpec{chaosCell("minority-partition", 4, 1500, &FaultSpec{
-			Events: []FaultEventSpec{
-				{At: Duration(10 * time.Second), Action: FaultPartition,
-					Groups: [][]int{{0, 1, 2}, {3}}},
-				{At: Duration(30 * time.Second), Action: FaultHeal},
-			},
-		})},
+		Cells: []ScenarioSpec{chaosCell("minority-partition", 4, 1500, minorityPartition())},
 	})
 	Register(Entry{
 		Name:   "chaos_majority",
@@ -1033,18 +1029,6 @@ func registerChaos() {
 			repoRef(0, MetricEffSend, 0.81, 0.15,
 				"the send-end dent is the loss+delay-spike tax on commit latency"),
 		},
-		Cells: []ScenarioSpec{chaosCell("lossy-wan", 7, 2000, &FaultSpec{
-			Events: []FaultEventSpec{
-				{Action: FaultLink, Drop: 0.02, Duplicate: 0.01,
-					Reorder: 0.2, ReorderDelay: Duration(25 * time.Millisecond)},
-				{At: Duration(15 * time.Second), Action: FaultLink,
-					Drop: 0.02, Duplicate: 0.01, Reorder: 0.2,
-					ReorderDelay: Duration(25 * time.Millisecond),
-					Delay:        Duration(150 * time.Millisecond)},
-				{At: Duration(25 * time.Second), Action: FaultLink,
-					Drop: 0.02, Duplicate: 0.01, Reorder: 0.2,
-					ReorderDelay: Duration(25 * time.Millisecond)},
-			},
-		})},
+		Cells: []ScenarioSpec{chaosCell("lossy-wan", 7, 2000, lossyWAN())},
 	})
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/setcrypto"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -191,7 +192,7 @@ func BuildElement(s *sim.Simulator, cl *core.Client, sizes SizeModel, fullPayloa
 	size := sizes.Sample(s.Rand())
 	var e *wire.Element
 	if fullPayloads {
-		plen := size - wire.ElementHeaderSize - 64 // header + ed25519 signature
+		plen := size - wire.ElementHeaderSize - setcrypto.SignatureSize
 		if plen < 1 {
 			plen = 1
 		}
