@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/shard"
 	"repro/internal/spec"
 )
 
@@ -107,5 +108,32 @@ func TestFig1TitleTakesRateFromResults(t *testing.T) {
 	}
 	if n := strings.Count(out.String(), "Fig. 1 ("); n != 2 {
 		t.Errorf("%d panels rendered, want 2 (cells sharing a Group form one)", n)
+	}
+}
+
+// The per-shard breakdown counts the superepochs a run formed, not only
+// those left after pruning: SuperDigests covers just the epochs above the
+// highest checkpoint base, so a checkpoint+prune run used to print
+// "2 superepochs" under shards that formed 158 and 156 epochs.
+func TestTableCountsSuperepochsFormed(t *testing.T) {
+	result := func(kept int, epochs ...int) *harness.Result {
+		res := &harness.Result{SuperDigests: make([]uint64, kept)}
+		for k, n := range epochs {
+			res.PerShard = append(res.PerShard, shard.Stats{Shard: k, Epochs: n})
+		}
+		return res
+	}
+	e := spec.Entry{Cells: []spec.ScenarioSpec{
+		{Name: "pruned", Shards: 2}, {Name: "whole", Shards: 2},
+	}}
+	var out strings.Builder
+	renderTable(&out, e, []*harness.Result{result(2, 158, 156), result(40, 40, 39)})
+	for _, want := range []string{
+		"pruned — 158 superepochs (2 retained); per shard:",
+		"whole — 40 superepochs; per shard:",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
 	}
 }

@@ -131,10 +131,25 @@ func renderTable(w io.Writer, e spec.Entry, results []*harness.Result) {
 		if len(res.PerShard) == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "\n%s — %d superepochs; per shard:\n", labels[i], len(res.SuperDigests))
+		fmt.Fprintf(w, "\n%s — %s; per shard:\n", labels[i], superepochCount(res))
 		for _, st := range res.PerShard {
 			fmt.Fprintf(w, "  shard %d: injected %d, committed %d, avg %.0f el/s, %d epochs, %d blocks\n",
 				st.Shard, st.Injected, st.Committed, st.AvgTput, st.Epochs, st.Blocks)
 		}
 	}
+}
+
+// superepochCount reports how many superepochs a sharded run formed: one
+// per epoch number any shard reached. Pruning drops the prefix below the
+// highest checkpoint base from SuperDigests, so the retained count is
+// added when it is smaller.
+func superepochCount(res *harness.Result) string {
+	formed := 0
+	for _, st := range res.PerShard {
+		formed = max(formed, st.Epochs)
+	}
+	if kept := len(res.SuperDigests); kept != formed {
+		return fmt.Sprintf("%d superepochs (%d retained)", formed, kept)
+	}
+	return fmt.Sprintf("%d superepochs", formed)
 }
