@@ -25,7 +25,9 @@ func renderTable(w io.Writer, e spec.Entry, results []*harness.Result) {
 		sharded = sharded || c.Shards > 1
 		ckpt = ckpt || c.CheckpointInterval > 0
 		heap = heap || c.HeapCeilingMB > 0
-		open = open || c.Admission != nil || c.Open != nil
+		// Refused adds show too: an element too large for a ledger
+		// transaction is refused without any admission block.
+		open = open || c.Admission != nil || c.Open != nil || results[i].Rejected > 0
 		labels[i] = c.Label()
 		if c.Group != "" {
 			labels[i] = c.Group + " " + labels[i]

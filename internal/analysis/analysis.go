@@ -15,6 +15,8 @@
 // See DESIGN.md §2 (layering).
 package analysis
 
+import "repro/internal/compressor"
+
 // Params are the model inputs (Appendix D / §4 defaults).
 type Params struct {
 	N             int     // servers
@@ -40,20 +42,6 @@ func PaperParams() Params {
 	}
 }
 
-// CompressionRatioFor returns the paper's measured ratio for a collector
-// size (§D.1: r ≈ 2.7 at c=100, r ≈ 3.5 at c=500), interpolating linearly
-// in between and clamping outside.
-func CompressionRatioFor(c int) float64 {
-	switch {
-	case c <= 100:
-		return 2.7
-	case c >= 500:
-		return 3.5
-	default:
-		return 2.7 + (3.5-2.7)*float64(c-100)/400.0
-	}
-}
-
 // VanillaThroughput returns Tv in elements/second: each block carries n
 // epoch-proofs plus elements.
 func VanillaThroughput(p Params) float64 {
@@ -66,7 +54,9 @@ func VanillaThroughput(p Params) float64 {
 
 // CompresschainThroughput returns Tc in elements/second for the given
 // collector size: each epoch batch holds c−n elements and n proofs,
-// compressed with ratio r.
+// compressed with ratio r — p.CompressRatio, or when zero the modeled
+// codec's ratio for c (compressor.Ratio: the paper's r ≈ 2.7 at c = 100
+// and r ≈ 3.5 at c = 500, §D.1).
 func CompresschainThroughput(p Params) float64 {
 	c := float64(p.CollectorSize)
 	n := float64(p.N)
@@ -75,7 +65,7 @@ func CompresschainThroughput(p Params) float64 {
 	}
 	r := p.CompressRatio
 	if r == 0 {
-		r = CompressionRatioFor(p.CollectorSize)
+		r = compressor.Ratio(p.CollectorSize)
 	}
 	l := ((c-n)*p.ElementLen + n*p.ProofLen) / r
 	return p.BlockRate * (c - n) * p.BlockBytes / l

@@ -93,24 +93,6 @@ func TestBlockSizeSweepAnchors(t *testing.T) {
 	}
 }
 
-func TestCompressionRatioInterpolation(t *testing.T) {
-	if r := CompressionRatioFor(100); r != 2.7 {
-		t.Fatalf("r(100) = %v", r)
-	}
-	if r := CompressionRatioFor(500); r != 3.5 {
-		t.Fatalf("r(500) = %v", r)
-	}
-	if r := CompressionRatioFor(300); r <= 2.7 || r >= 3.5 {
-		t.Fatalf("r(300) = %v not between anchors", r)
-	}
-	if r := CompressionRatioFor(10); r != 2.7 {
-		t.Fatalf("r(10) = %v, want clamp", r)
-	}
-	if r := CompressionRatioFor(9999); r != 3.5 {
-		t.Fatalf("r(9999) = %v, want clamp", r)
-	}
-}
-
 func TestDegenerateParams(t *testing.T) {
 	p := PaperParams()
 	p.CollectorSize = 5 // c <= n

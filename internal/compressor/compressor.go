@@ -48,6 +48,12 @@ func (Deflate) Compress(data []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// DeflateBound is the most Deflate.Compress returns for n input bytes.
+// Deflate never codes a block larger than storing it, which costs 5 bytes
+// of header per block of at least 16 KiB (or the whole tail); n/1024 + 64
+// covers that with room to spare.
+func DeflateBound(n int) int { return n + n/1024 + 64 }
+
 // Decompress reverses Compress.
 func (Deflate) Decompress(blob []byte) ([]byte, error) {
 	r := flate.NewReader(bytes.NewReader(blob))

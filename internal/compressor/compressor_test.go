@@ -141,3 +141,20 @@ func BenchmarkDeflateCompressBatch(b *testing.B) {
 		}
 	}
 }
+
+// Incompressible input is where Deflate expands most: its output stays
+// within DeflateBound at every size, across block boundaries.
+func TestDeflateBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 100, 16383, 16384, 65535, 65536, 200_000, 600_000} {
+		data := make([]byte, n)
+		rng.Read(data)
+		blob, err := Deflate{}.Compress(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blob) > DeflateBound(n) {
+			t.Fatalf("%d random bytes deflate to %d, above the bound %d", n, len(blob), DeflateBound(n))
+		}
+	}
+}

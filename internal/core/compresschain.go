@@ -19,6 +19,7 @@ import (
 type compressAlg struct {
 	s   *Server
 	seq uint64
+	raw int // wire bytes of the items in the pending batch
 }
 
 func newCompressAlg(s *Server) *compressAlg {
@@ -27,7 +28,39 @@ func newCompressAlg(s *Server) *compressAlg {
 	return c
 }
 
-func (c *compressAlg) onAdd(e *wire.Element) { c.s.coll.AddElement(e) }
+func (c *compressAlg) onAdd(e *wire.Element) {
+	c.makeRoom(e.WireSize())
+	c.s.coll.AddElement(e)
+}
+
+// fits reports whether e, alone in a batch, compresses into a transaction
+// the pools accept.
+func (c *compressAlg) fits(e *wire.Element) bool { return c.txFits(1, e.WireSize()) }
+
+// txFits reports whether a batch of items items with raw wire bytes
+// compresses into a transaction no larger than the pools accept: the
+// modeled size, or in Full mode the most Deflate makes of the batch's
+// encoding, which adds at most 16 bytes per item and 8 per batch.
+func (c *compressAlg) txFits(items, raw int) bool {
+	limit := c.s.node.Pool.MaxTxBytes()
+	if limit <= 0 {
+		return true
+	}
+	if c.s.opts.Mode == Full {
+		return compressor.DeflateBound(raw+16*items+8) <= limit
+	}
+	return compressor.CompressedSize(items, raw) <= limit
+}
+
+// makeRoom closes the pending batch before an item of size wire bytes
+// would make its transaction too large for the pools, which would refuse
+// the whole batch: Reap stops at a transaction no block can carry.
+func (c *compressAlg) makeRoom(size int) {
+	if n := c.s.coll.Pending(); n > 0 && !c.txFits(n+1, c.raw+size) {
+		c.s.coll.Flush()
+	}
+	c.raw += size
+}
 
 func (c *compressAlg) checkTx(tx *wire.Tx) bool { return true }
 
@@ -36,6 +69,7 @@ func (c *compressAlg) drain() { c.s.coll.Flush() }
 // flushBatch is the isReady(batch) handler: compress and append.
 func (c *compressAlg) flushBatch(b *wire.Batch) {
 	s := c.s
+	c.raw = 0
 	s.injectBogus(b)
 	raw := b.RawSize()
 	cb := &wire.CompressedBatch{Origin: s.id, Seq: c.seq}
@@ -115,6 +149,7 @@ func (c *compressAlg) processBlock(b *wire.Block, done func()) {
 			// Proof-only (or fully duplicate) batches contribute no epoch;
 			// see the quiescence note on vanillaAlg.
 			if p := s.createEpoch(s.valid(batch.Elements)); p != nil {
+				c.makeRoom(p.WireSize())
 				s.coll.AddProof(p)
 			}
 		}

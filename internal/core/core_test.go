@@ -405,6 +405,41 @@ func TestInvalidAndDuplicateAdds(t *testing.T) {
 	d.Stop()
 }
 
+// An element whose own transaction is larger than the pools accept (a
+// block) is refused at Add, and a Compresschain batch closes before its
+// transaction would grow past it, so every element Add accepts commits.
+// Real payloads of random bytes: Deflate cannot shrink them.
+func TestOversizedElements(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	payload := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	for _, alg := range []core.Algorithm{core.Vanilla, core.Compresschain} {
+		s, d := deployFull(3, 4, core.Options{Algorithm: alg, CollectorLimit: 10})
+		huge := d.Clients[0].NewElement(payload(600 << 10))
+		var ids []wire.ElementID
+		for i := range 4 {
+			e := d.Clients[i].NewElement(payload(200 << 10))
+			ids = append(ids, e.ID)
+			s.After(0, func() {
+				if err := d.Servers[0].Add(e); err != nil {
+					t.Errorf("%v: a 200 KiB element is refused: %v", alg, err)
+				}
+			})
+		}
+		s.After(0, func() {
+			if err := d.Servers[0].Add(huge); !errors.Is(err, core.ErrTooLarge) {
+				t.Errorf("%v: a 600 KiB element: err = %v, want ErrTooLarge", alg, err)
+			}
+		})
+		runQuiesce(s, d, 20*time.Second)
+		d.Stop()
+		checkProperties(t, d, ids, true)
+	}
+}
+
 func TestByzantineBogusElementsFiltered(t *testing.T) {
 	// A Byzantine server injects invalid elements into its batches; correct
 	// servers must filter them during FinalizeBlock (paper §3).

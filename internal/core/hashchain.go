@@ -238,6 +238,10 @@ func (h *hashchainAlg) releaseSigners(r *batchRec) {
 
 func (h *hashchainAlg) onAdd(e *wire.Element) { h.s.coll.AddElement(e) }
 
+// fits is always true: a batch travels off the ledger, which carries only
+// its 139-byte hash-batch.
+func (h *hashchainAlg) fits(*wire.Element) bool { return true }
+
 func (h *hashchainAlg) drain() { h.s.coll.Flush() }
 
 // batchHash computes the canonical hash of a batch: over its full encoding

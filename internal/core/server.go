@@ -19,6 +19,7 @@ var (
 	ErrInvalidElement = errors.New("setchain: invalid element")
 	ErrDuplicate      = errors.New("setchain: element already in the_set")
 	ErrAdmission      = errors.New("setchain: admission control refused element (mempool saturated)")
+	ErrTooLarge       = errors.New("setchain: element too large for a ledger transaction")
 )
 
 // Epoch is one entry of the Setchain history: an epoch number, the set of
@@ -66,6 +67,10 @@ type Snapshot struct {
 type algorithm interface {
 	// onAdd runs after a valid fresh element entered the_set.
 	onAdd(e *wire.Element)
+	// fits reports whether the algorithm can put e on the ledger: whether
+	// the transaction that carries e alone is no larger than the pools
+	// accept (mempool.Mempool.MaxTxBytes).
+	fits(e *wire.Element) bool
 	// checkTx is the algorithm part of ABCI CheckTx.
 	checkTx(tx *wire.Tx) bool
 	// processBlock handles one committed block and calls done when state
@@ -191,6 +196,13 @@ func (s *Server) Add(e *wire.Element) error {
 	if s.elems.Has(e.ID) {
 		s.addsRejected++
 		return ErrDuplicate
+	}
+	// An element no transaction can carry would never commit: refuse it
+	// here, so its client knows, rather than lose it in a refused
+	// transaction.
+	if !s.alg.fits(e) {
+		s.addsRejected++
+		return ErrTooLarge
 	}
 	// Admission gate (DESIGN.md §14): refused elements never enter
 	// the_set or any collector, so they structurally cannot commit — the

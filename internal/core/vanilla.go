@@ -29,6 +29,13 @@ func (v *vanillaAlg) onAdd(e *wire.Element) {
 	v.s.node.Append(tx)
 }
 
+// fits reports whether e's own transaction is no larger than the pools
+// accept.
+func (v *vanillaAlg) fits(e *wire.Element) bool {
+	limit := v.s.node.Pool.MaxTxBytes()
+	return limit <= 0 || e.WireSize() <= limit
+}
+
 func (v *vanillaAlg) checkTx(tx *wire.Tx) bool { return true }
 
 func (v *vanillaAlg) drain() {}

@@ -84,7 +84,7 @@ func (n *Node) receive(from wire.NodeID, payload any, size int) {
 	switch msg := payload.(type) {
 	case *netsim.Envelope:
 		// Mesh transport: unwrap, dedup and relay; fresh payloads come
-		// back through receiveGossiped with their origin as the sender.
+		// back through receive with their origin as the sender.
 		n.mesh.Receive(n.ID, from, msg)
 	case *mempool.GossipMsg:
 		n.Pool.ReceiveGossip(msg)
@@ -97,15 +97,6 @@ func (n *Node) receive(from wire.NodeID, payload any, size int) {
 			n.appMsg(from, payload, size)
 		}
 	}
-}
-
-// receiveGossiped is the mesh's local delivery callback: a fresh gossiped
-// payload, attributed to its ORIGINATOR (not the relaying neighbor), so
-// consensus sender checks and catch-up targeting behave exactly as under
-// direct sends. Envelopes never nest, so routing back through receive is
-// terminal.
-func (n *Node) receiveGossiped(origin wire.NodeID, payload any, size int) {
-	n.receive(origin, payload, size)
 }
 
 // Config describes a ledger cluster. Build it from PaperConfig: the
@@ -237,21 +228,20 @@ func NewCluster(s *sim.Simulator, cfg Config) *Cluster {
 		}
 		c.Mesh = netsim.NewMesh(c.Net, validators, cfg.Fanout)
 		for _, node := range c.Nodes {
+			// A fresh gossiped payload is attributed to its ORIGINATOR, not
+			// the relaying neighbor, so consensus sender checks and
+			// catch-up targeting behave exactly as under direct sends.
+			// Envelopes never nest, so routing back through receive is
+			// terminal. Consensus and mempool publish through the mesh.
 			node.mesh = c.Mesh
-			c.Mesh.SetDeliver(node.ID, node.receiveGossiped)
-			node.installMeshBroadcaster()
+			c.Mesh.SetDeliver(node.ID, node.receive)
+			mesh, id := c.Mesh, node.ID
+			pub := func(payload any, size int) { mesh.Gossip(id, payload, size) }
+			node.Cons.SetBroadcaster(pub)
+			node.Pool.SetBroadcaster(pub)
 		}
 	}
 	return c
-}
-
-// installMeshBroadcaster points the node's consensus engine and mempool at
-// the mesh publish path.
-func (n *Node) installMeshBroadcaster() {
-	mesh, id := n.mesh, n.ID
-	pub := func(payload any, size int) { mesh.Gossip(id, payload, size) }
-	n.Cons.SetBroadcaster(pub)
-	n.Pool.SetBroadcaster(pub)
 }
 
 // SetApp installs the application on one node's consensus engine, and its

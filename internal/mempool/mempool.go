@@ -186,6 +186,9 @@ func (m *Mempool) ShareKeys(k *Keys) {
 // that does not fit, so one that fits no block would stall every later one.
 func (m *Mempool) SetMaxTxBytes(n int) { m.maxTxBytes = n }
 
+// MaxTxBytes returns the admission bound SetMaxTxBytes set, 0 for none.
+func (m *Mempool) MaxTxBytes() int { return m.maxTxBytes }
+
 // SetCheck replaces the admission filter. Intended for wiring the
 // application's CheckTx after construction; not for use mid-run.
 func (m *Mempool) SetCheck(check CheckFunc) { m.check = check }

@@ -5,16 +5,15 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/gossip"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
 // Mesh is the bounded-fanout gossip overlay (DESIGN.md §13): a
-// deterministic peer graph over the network's nodes, one gossip.Relay per
-// node, and a short flush timer that batches each node's pending relay
-// log into one Envelope that every peer receives (a peer cut at its queue
-// cap gets a shorter one of its own).
+// deterministic peer graph over the network's nodes, a relay per node
+// (relay.go), and a short flush timer that batches each node's pending
+// relay log into one Envelope that every peer receives (a peer cut at its
+// queue cap gets a shorter one of its own).
 // Protocol layers publish through Gossip() and receive through a
 // DeliverFunc; the mesh owns dedup, forwarding, and expiry in between.
 //
@@ -28,11 +27,8 @@ import (
 // once at deploy time, and flush iterates a sorted peer slice, never map
 // order. See DESIGN.md §13.
 type Mesh struct {
-	net    *Network
 	fanout int
-	ids    []wire.NodeID // sorted
-	peers  map[wire.NodeID][]wire.NodeID
-	eps    map[wire.NodeID]*meshEndpoint
+	nodes  map[wire.NodeID]*meshNode
 }
 
 // DeliverFunc receives a gossiped payload on a node. origin is the node
@@ -41,14 +37,14 @@ type Mesh struct {
 type DeliverFunc func(origin wire.NodeID, payload any, size int)
 
 // Envelope is the mesh's wire message: what one flush ships toward its
-// peers. Entries is a view of the sender's window, and the envelope itself
-// is shared read-only by every peer the window is whole for; the receiver
-// reads only the entries meant for it (gossip.Entry.For).
+// peers. Its entries are a view of the sender's window, and the envelope
+// itself is shared read-only by every peer the window is whole for; the
+// receiver reads only the entries meant for it (meshEntry.isFor).
 type Envelope struct {
-	Entries []gossip.Entry
+	entries []meshEntry
 }
 
-// MeshStats aggregates the endpoint and relay counters across a mesh.
+// MeshStats counts one mesh node's traffic, or a whole mesh's (Mesh.Stats).
 type MeshStats struct {
 	Originated uint64 // payloads published via Gossip
 	Delivered  uint64 // fresh payloads handed to DeliverFuncs
@@ -58,7 +54,7 @@ type MeshStats struct {
 	Expired    uint64 // queued entries dropped past their TTL
 }
 
-// Add accumulates another snapshot (per-shard aggregation).
+// Add accumulates another node's or mesh's counters.
 func (s *MeshStats) Add(o MeshStats) {
 	s.Originated += o.Originated
 	s.Delivered += o.Delivered
@@ -70,9 +66,13 @@ func (s *MeshStats) Add(o MeshStats) {
 
 // Mesh tuning. The flush interval is the batching window: a payload waits
 // at most meshFlushInterval per hop, ~hops·5ms end to end — negligible
-// against the ~1.25s consensus block interval. Dedup memory far outlives
-// any plausible redelivery path; the entry TTL only discards backlog that
-// missed many consecutive flushes (a down or saturated peer link).
+// against the ~1.25s consensus block interval. Dedup memory (meshDedupTTL)
+// far outlives any plausible redelivery path; after it lapses a digest
+// counts as fresh again, and the hop backstop (the overlay size: any
+// connected graph's diameter is < n) bounds the re-circulation that
+// permits. The entry TTL only discards backlog that missed many
+// consecutive flushes (a down or saturated peer link); meshQueueCap caps
+// each peer's backlog between two flushes.
 const (
 	meshFlushInterval = 5 * time.Millisecond
 	meshDedupTTL      = 60 * time.Second
@@ -89,11 +89,11 @@ const (
 
 // MeshPeers builds the deterministic peer graph: a circulant topology
 // over the sorted ids. Offset 1 (the ring) is always included, which
-// guarantees connectivity at any fanout >= 2; the remaining fanout/2 - 1
+// guarantees connectivity at any fanout >= 2; the remaining ⌈fanout/2⌉ - 1
 // offsets are drawn without replacement from [2, n/2] using an RNG stream
-// derived from the seed, so the graph is "k-regular-ish" — every node has
-// the same degree ~= fanout — and identical for identical (seed, ids,
-// fanout). A fanout >= n-1
+// derived from the seed, so the graph is regular — every node has degree
+// 2·⌈fanout/2⌉, one less when the n/2 offset (its own mirror) is drawn —
+// and identical for identical (seed, ids, fanout). A fanout >= n-1
 // degenerates to the full mesh (gossip over it behaves like broadcast
 // plus dedup).
 func MeshPeers(seed int64, ids []wire.NodeID, fanout int) map[wire.NodeID][]wire.NodeID {
@@ -119,10 +119,7 @@ func MeshPeers(seed int64, ids []wire.NodeID, fanout int) map[wire.NodeID][]wire
 		}
 		return peers
 	}
-	m := fanout / 2
-	if m < 1 {
-		m = 1
-	}
+	m := max((fanout+1)/2, 1)
 	offsets := []int{1}
 	if m > 1 {
 		candidates := make([]int, 0, n/2)
@@ -154,21 +151,47 @@ func MeshPeers(seed int64, ids []wire.NodeID, fanout int) map[wire.NodeID][]wire
 	return peers
 }
 
-// meshEndpoint is one node's slice of the mesh. All of its state is
-// mutated only by events on its own node's simulator queue.
-type meshEndpoint struct {
-	mesh    *Mesh
-	id      wire.NodeID
+// meshNode is one node's part of the mesh: its endpoint (delivery
+// callback, sequence numbers, flush timer) and its relay (relay.go). All
+// of its state is mutated only by events on its own node's simulator
+// queue.
+type meshNode struct {
 	sim     *sim.Simulator
 	peers   []wire.NodeID
-	relay   *gossip.Relay
 	deliver DeliverFunc
 
 	seq        uint64
 	flushArmed bool
-	flushFn    func() // flush, bound once for every timer armFlush sets
-	originated uint64
-	delivered  uint64
+	flushFn    func()                                        // the flush timer's callback, bound once
+	sendFn     func(to wire.NodeID, env *Envelope, size int) // Network.Send from this node, bound once
+
+	// The relay's limits: the mesh* constants and the overlay size, which
+	// tests lower to reach the caps.
+	queueCap int
+	entryTTL time.Duration
+	dedupTTL time.Duration
+	maxHops  int
+
+	dedup   dedupCache
+	log     []meshEntry // entries queued since the last flush, oldest first
+	queues  []peerQueue // queues[i] is peers[i]'s backlog in log
+	lastLen int         // the last flushed log's length: the next log's capacity
+	st      MeshStats   // this node's counters, all monotone
+
+	expireAll bool // BreakExpiryForTest
+}
+
+// newMeshNode builds a node's relay toward peers, with maxHops the size of
+// the overlay; NewMesh attaches it to the network.
+func newMeshNode(peers []wire.NodeID, maxHops int) *meshNode {
+	return &meshNode{
+		peers:    peers,
+		queueCap: meshQueueCap,
+		entryTTL: meshEntryTTL,
+		dedupTTL: meshDedupTTL,
+		maxHops:  maxHops,
+		queues:   make([]peerQueue, len(peers)),
+	}
 }
 
 // NewMesh builds the overlay over the given node ids with the given
@@ -176,33 +199,17 @@ type meshEndpoint struct {
 // the ids are registered with AddNode; install receivers with SetDeliver
 // and route *Envelope payloads arriving at a node into Receive.
 func NewMesh(net *Network, ids []wire.NodeID, fanout int) *Mesh {
-	sorted := append([]wire.NodeID(nil), ids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	m := &Mesh{
-		net:    net,
-		fanout: fanout,
-		ids:    sorted,
-		peers:  MeshPeers(net.sim.Seed(), sorted, fanout),
-		eps:    make(map[wire.NodeID]*meshEndpoint, len(sorted)),
-	}
-	cfg := gossip.Config{
-		QueueCap: meshQueueCap,
-		EntryTTL: meshEntryTTL,
-		DedupTTL: meshDedupTTL,
-		// Any connected graph's diameter is < n, so n hops is a pure
-		// re-circulation backstop, never a reachability limit.
-		MaxHops: len(sorted),
-	}
-	for _, id := range sorted {
-		ep := &meshEndpoint{
-			mesh:  m,
-			id:    id,
-			sim:   net.sim,
-			peers: m.peers[id],
-			relay: gossip.NewRelay(m.peers[id], cfg),
+	peers := MeshPeers(net.sim.Seed(), ids, fanout)
+	m := &Mesh{fanout: fanout, nodes: make(map[wire.NodeID]*meshNode, len(ids))}
+	for _, id := range ids {
+		mn := newMeshNode(peers[id], len(ids))
+		mn.sim = net.sim
+		mn.flushFn = func() {
+			mn.flushArmed = false
+			mn.flush(mn.sim.Now(), mn.sendFn)
 		}
-		ep.flushFn = ep.flush
-		m.eps[id] = ep
+		mn.sendFn = func(to wire.NodeID, env *Envelope, size int) { net.Send(id, to, env, size) }
+		m.nodes[id] = mn
 	}
 	return m
 }
@@ -210,123 +217,83 @@ func NewMesh(net *Network, ids []wire.NodeID, fanout int) *Mesh {
 // Fanout returns the configured fanout.
 func (m *Mesh) Fanout() int { return m.fanout }
 
-// SetDeliver installs the local delivery callback for a node.
-func (m *Mesh) SetDeliver(id wire.NodeID, fn DeliverFunc) {
-	ep, ok := m.eps[id]
+// node resolves a node id, panicking for one outside the mesh.
+func (m *Mesh) node(id wire.NodeID, op string) *meshNode {
+	mn, ok := m.nodes[id]
 	if !ok {
-		panic("netsim: SetDeliver for node outside the mesh")
+		panic("netsim: " + op + " for node outside the mesh")
 	}
-	ep.deliver = fn
+	return mn
 }
+
+// SetDeliver installs the local delivery callback for a node.
+func (m *Mesh) SetDeliver(id wire.NodeID, fn DeliverFunc) { m.node(id, "SetDeliver").deliver = fn }
 
 // Gossip publishes a payload from a node into the mesh. The message gets
 // a fresh digest, is remembered locally (so the looped-back copy is not
 // re-delivered to its originator), and is queued toward every neighbor
 // for the next flush. Like Broadcast, it does not deliver to self.
 func (m *Mesh) Gossip(from wire.NodeID, payload any, size int) {
-	ep, ok := m.eps[from]
-	if !ok {
-		panic("netsim: Gossip from node outside the mesh")
-	}
-	now := ep.sim.Now()
-	d := gossip.Digest{Origin: from, Seq: ep.seq}
-	ep.seq++
-	ep.relay.Observe(d, now)
-	ep.originated++
-	ep.relay.Originate(gossip.Entry{Digest: d, Payload: payload, Size: size}, now)
-	ep.armFlush()
+	mn := m.node(from, "Gossip")
+	now := mn.sim.Now()
+	d := digest{origin: from, seq: mn.seq}
+	mn.seq++
+	mn.observe(d, now)
+	mn.st.Originated++
+	mn.originate(meshEntry{d: d, payload: payload, size: size}, now)
+	mn.armFlush()
 }
 
 // Receive ingests an envelope that arrived at self from a mesh neighbor.
-// Of the sender's shared window it reads the entries meant for self
-// (gossip.Entry.For). Fresh ones are delivered locally (with their ORIGIN
-// as the sender) and re-queued toward the rest of the neighborhood; stale
-// ones are dropped by the relay's dedup cache.
+// Of the sender's shared window it reads the entries meant for self.
+// Fresh ones are delivered locally (with their ORIGIN as the sender) and
+// re-queued toward the rest of the neighborhood; stale ones are dropped by
+// the relay's dedup cache.
 func (m *Mesh) Receive(self, from wire.NodeID, env *Envelope) {
-	ep, ok := m.eps[self]
-	if !ok {
-		panic("netsim: Receive on node outside the mesh")
-	}
-	now := ep.sim.Now()
-	for i := range env.Entries {
-		e := &env.Entries[i]
-		if !e.For(self) {
+	mn := m.node(self, "Receive")
+	now := mn.sim.Now()
+	for i := range env.entries {
+		e := &env.entries[i]
+		if !e.isFor(self) {
 			continue
 		}
-		if ep.relay.Ingest(from, *e, now) {
-			ep.delivered++
-			if ep.deliver != nil {
-				ep.deliver(e.Digest.Origin, e.Payload, e.Size)
+		if mn.ingest(from, *e, now) {
+			mn.st.Delivered++
+			if mn.deliver != nil {
+				mn.deliver(e.d.origin, e.payload, e.size)
 			}
 		}
 	}
-	ep.armFlush()
+	mn.armFlush()
 }
 
-// armFlush schedules the endpoint's next flush on its own node's
-// simulator queue, if one is not already pending.
-func (ep *meshEndpoint) armFlush() {
-	if ep.flushArmed {
+// armFlush schedules the node's next flush on its own simulator queue, if
+// one is not already pending. Peer order in a flush is the sorted peer
+// slice, never map order, so the send sequence — and with it the
+// sender-rng fault/jitter draw sequence — is deterministic.
+func (mn *meshNode) armFlush() {
+	if mn.flushArmed {
 		return
 	}
-	ep.flushArmed = true
-	ep.sim.After(meshFlushInterval, ep.flushFn)
+	mn.flushArmed = true
+	mn.sim.After(meshFlushInterval, mn.flushFn)
 }
 
-// flush ships each neighbor's share of the relay's window. Every share
-// starts where the window does, and all but those of peers cut at QueueCap
-// run to its end, so the uncut peers receive one envelope between them and
-// a cut peer its own, shorter one. An envelope's wire size counts only the
-// entries meant for its receiver. Peer order is the sorted slice, never map
-// order, so the send sequence — and with it the sender-rng fault/jitter
-// draw sequence — is deterministic.
-func (ep *meshEndpoint) flush() {
-	ep.flushArmed = false
-	shares := ep.relay.Flush(ep.sim.Now())
-	longest := 0
-	for _, sh := range shares {
-		longest = max(longest, len(sh.Entries))
-	}
-	var whole *Envelope // the envelope of every share that views the whole window
-	for i, sh := range shares {
-		if sh.N == 0 {
-			continue
-		}
-		env := whole
-		switch {
-		case len(sh.Entries) < longest:
-			env = &Envelope{Entries: sh.Entries}
-		case whole == nil:
-			whole = &Envelope{Entries: sh.Entries}
-			env = whole
-		}
-		size := meshEnvelopeOverhead + sh.Bytes + sh.N*meshEntryOverhead
-		ep.mesh.net.Send(ep.id, ep.peers[i], env, size)
-	}
-}
-
-// BreakExpiryForTest breaks every relay of this mesh the way
-// gossip.Relay.BreakExpiryForTest does: no flush ships anything, so the
-// overlay starves. A sabotage hook for tests outside this package, called
-// between deployment and the run.
+// BreakExpiryForTest makes every entry queued at every node of this mesh
+// look expired: no flush ships anything, so the overlay starves. A
+// sabotage hook for tests outside this package, called between deployment
+// and the run.
 func (m *Mesh) BreakExpiryForTest() {
-	for _, ep := range m.eps {
-		ep.relay.BreakExpiryForTest()
+	for _, mn := range m.nodes {
+		mn.expireAll = true
 	}
 }
 
-// Stats sums the mesh's counters across endpoints.
+// Stats sums the mesh's counters across nodes.
 func (m *Mesh) Stats() MeshStats {
 	var st MeshStats
-	for _, id := range m.ids {
-		ep := m.eps[id]
-		st.Originated += ep.originated
-		st.Delivered += ep.delivered
-		rs := ep.relay.Stats()
-		st.Relayed += rs.Relayed
-		st.DedupDrops += rs.DedupDrops
-		st.QueueDrops += rs.QueueDrops
-		st.Expired += rs.Expired
+	for _, mn := range m.nodes {
+		st.Add(mn.st)
 	}
 	return st
 }

@@ -1,105 +1,132 @@
-package gossip
+package netsim
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/wire"
 )
 
-func testConfig() Config {
-	return Config{
-		QueueCap: 4,
-		EntryTTL: 100 * time.Millisecond,
-		DedupTTL: time.Second,
-		MaxHops:  8,
-	}
+// testNode is a relay at node 0 toward peers with small limits: a queue
+// cap of 4, a 100 ms entry TTL, a 1 s dedup TTL and 8 hops.
+func testNode(peers ...wire.NodeID) *meshNode {
+	r := newMeshNode(peers, 8)
+	r.queueCap, r.entryTTL, r.dedupTTL = 4, 100*time.Millisecond, time.Second
+	return r
 }
 
-func entry(origin wire.NodeID, seq uint64) Entry {
-	return Entry{Digest: Digest{Origin: origin, Seq: seq}, Payload: "x", Size: 10}
+func entry(origin wire.NodeID, seq uint64) meshEntry {
+	return meshEntry{d: digest{origin: origin, seq: seq}, payload: "x", size: 10}
 }
 
-func TestIngestDedup(t *testing.T) {
-	r := NewRelay([]wire.NodeID{1, 2, 3}, testConfig())
-	e := entry(0, 7)
-	if !r.Ingest(1, e, 0) {
-		t.Fatal("first ingest not fresh")
-	}
-	if r.Ingest(2, e, time.Millisecond) {
-		t.Fatal("second ingest of same digest reported fresh")
-	}
-	st := r.Stats()
-	if st.DedupDrops != 1 || st.Relayed != 1 {
-		t.Fatalf("stats = %+v, want 1 dedup drop and 1 relayed", st)
-	}
+// sent is what one flush handed one peer: its envelope (nil when the peer
+// had nothing to read) and the envelope's wire size.
+type sent struct {
+	env  *Envelope
+	size int
 }
 
-// meant returns the entries of a flushed share meant for peer, in order:
-// what the peer's envelope delivers.
-func meant(sh Share, peer wire.NodeID) []Entry {
-	var out []Entry
-	for i := range sh.Entries {
-		if sh.Entries[i].For(peer) {
-			out = append(out, sh.Entries[i])
+// flushTo flushes r at now and returns what each peer was sent, at the
+// peer's index in r.peers.
+func flushTo(r *meshNode, now time.Duration) []sent {
+	out := make([]sent, len(r.peers))
+	r.flush(now, func(to wire.NodeID, env *Envelope, size int) {
+		out[slices.Index(r.peers, to)] = sent{env, size}
+	})
+	return out
+}
+
+// meant returns the entries of a flushed envelope meant for peer, in
+// order: what the peer reads.
+func meant(s sent, peer wire.NodeID) []meshEntry {
+	var out []meshEntry
+	if s.env == nil {
+		return nil
+	}
+	for i := range s.env.entries {
+		if s.env.entries[i].isFor(peer) {
+			out = append(out, s.env.entries[i])
 		}
 	}
 	return out
 }
 
+// wireSize is the size of an envelope whose receiver reads entries: the
+// header, and per entry its payload and framing.
+func wireSize(entries []meshEntry) int {
+	size := meshEnvelopeOverhead
+	for _, e := range entries {
+		size += e.size + meshEntryOverhead
+	}
+	return size
+}
+
+func TestIngestDedup(t *testing.T) {
+	r := testNode(1, 2, 3)
+	e := entry(0, 7)
+	if !r.ingest(1, e, 0) {
+		t.Fatal("first ingest not fresh")
+	}
+	if r.ingest(2, e, time.Millisecond) {
+		t.Fatal("second ingest of same digest reported fresh")
+	}
+	if r.st.DedupDrops != 1 || r.st.Relayed != 1 {
+		t.Fatalf("stats = %+v, want 1 dedup drop and 1 relayed", r.st)
+	}
+}
+
 func TestIngestSkipsSourceAndOrigin(t *testing.T) {
 	// Peer ids equal their index in the relay's peer list.
 	peers := []wire.NodeID{0, 1, 2, 3}
-	r := NewRelay(peers, testConfig())
-	r.Ingest(1, entry(0, 7), 0) // arrived from 1, originated at 0
-	shares := r.Flush(0)
+	r := testNode(peers...)
+	r.ingest(1, entry(0, 7), 0) // arrived from 1, originated at 0
+	got := flushTo(r, 0)
 	for _, p := range []int{0, 1} {
-		if shares[p].N != 0 || len(meant(shares[p], peers[p])) != 0 {
+		if got[p].env != nil {
 			t.Fatalf("entry re-queued toward %d (origin/source)", p)
 		}
 	}
 	for _, p := range []int{2, 3} {
-		got := meant(shares[p], peers[p])
-		if shares[p].N != 1 || len(got) != 1 || got[0].Hops != 1 {
-			t.Fatalf("peer %d: got %v (N %d), want one entry at hop 1", p, got, shares[p].N)
+		m := meant(got[p], peers[p])
+		if len(m) != 1 || m[0].hops != 1 || got[p].size != wireSize(m) {
+			t.Fatalf("peer %d: got %v (%d B), want one entry at hop 1", p, m, got[p].size)
 		}
 	}
 }
 
 func TestDedupTTLExpiry(t *testing.T) {
-	cfg := testConfig()
-	r := NewRelay([]wire.NodeID{1}, cfg)
-	d := Digest{Origin: 0, Seq: 1}
-	if !r.Observe(d, 0) {
+	r := testNode(1)
+	d := digest{origin: 0, seq: 1}
+	if !r.observe(d, 0) {
 		t.Fatal("first observe not fresh")
 	}
-	if r.Observe(d, cfg.DedupTTL-1) {
+	if r.observe(d, r.dedupTTL-1) {
 		t.Fatal("observe inside TTL reported fresh")
 	}
-	if !r.Observe(d, cfg.DedupTTL) {
+	if !r.observe(d, r.dedupTTL) {
 		t.Fatal("observe after TTL lapse not fresh again")
 	}
 }
 
 func TestQueueCapDropsNewest(t *testing.T) {
-	cfg := testConfig()
-	r := NewRelay([]wire.NodeID{1}, cfg)
-	for seq := uint64(0); seq < uint64(cfg.QueueCap)+3; seq++ {
-		r.Originate(entry(0, seq), 0)
+	r := testNode(1)
+	for seq := uint64(0); seq < uint64(r.queueCap)+3; seq++ {
+		r.originate(entry(0, seq), 0)
 	}
-	if got := r.Stats().QueueDrops; got != 3 {
+	if got := r.st.QueueDrops; got != 3 {
 		t.Fatalf("queueDrops = %d, want 3", got)
 	}
-	sh := r.Flush(0)[0]
-	out := meant(sh, 1)
-	if len(out) != cfg.QueueCap || sh.N != cfg.QueueCap {
-		t.Fatalf("flushed %d entries (N %d), want %d", len(out), sh.N, cfg.QueueCap)
+	s := flushTo(r, 0)[0]
+	out := meant(s, 1)
+	if len(out) != r.queueCap || s.size != wireSize(out) {
+		t.Fatalf("flushed %d entries (%d B), want %d", len(out), s.size, r.queueCap)
 	}
 	for i, e := range out {
-		if e.Digest.Seq != uint64(i) {
-			t.Fatalf("entry %d has seq %d: queue dropped old entries instead of new", i, e.Digest.Seq)
+		if e.d.seq != uint64(i) {
+			t.Fatalf("entry %d has seq %d: queue dropped old entries instead of new", i, e.d.seq)
 		}
 	}
 }
@@ -107,123 +134,118 @@ func TestQueueCapDropsNewest(t *testing.T) {
 // A peer whose backlog fills is cut there while the others read on: the
 // cut is per peer, over the one shared window.
 func TestQueueCapCutsPerPeer(t *testing.T) {
-	cfg := testConfig()
-	r := NewRelay([]wire.NodeID{1, 2}, cfg)
-	for seq := uint64(0); seq < uint64(cfg.QueueCap); seq++ {
-		r.Ingest(2, entry(0, seq), 0) // meant for 1 only
+	r := testNode(1, 2)
+	for seq := uint64(0); seq < uint64(r.queueCap); seq++ {
+		r.ingest(2, entry(0, seq), 0) // meant for 1 only
 	}
-	r.Ingest(1, entry(0, 100), 0) // meant for 2 only
-	r.Ingest(3, entry(0, 101), 0) // meant for both: 1 is full
-	if got := r.Stats().QueueDrops; got != 1 {
+	r.ingest(1, entry(0, 100), 0) // meant for 2 only
+	r.ingest(3, entry(0, 101), 0) // meant for both: 1 is full
+	if got := r.st.QueueDrops; got != 1 {
 		t.Fatalf("queueDrops = %d, want 1", got)
 	}
-	shares := r.Flush(0)
-	if got := meant(shares[0], 1); len(got) != cfg.QueueCap || got[len(got)-1].Digest.Seq != uint64(cfg.QueueCap)-1 {
-		t.Fatalf("peer 1 reads %v, want its first %d entries", got, cfg.QueueCap)
+	s := flushTo(r, 0)
+	if got := meant(s[0], 1); len(got) != r.queueCap || got[len(got)-1].d.seq != uint64(r.queueCap)-1 {
+		t.Fatalf("peer 1 reads %v, want its first %d entries", got, r.queueCap)
 	}
-	got := meant(shares[1], 2)
-	if len(got) != 2 || got[0].Digest.Seq != 100 || got[1].Digest.Seq != 101 || shares[1].N != 2 {
-		t.Fatalf("peer 2 reads %v (N %d), want seqs 100 and 101", got, shares[1].N)
+	got := meant(s[1], 2)
+	if len(got) != 2 || got[0].d.seq != 100 || got[1].d.seq != 101 || s[1].size != wireSize(got) {
+		t.Fatalf("peer 2 reads %v (%d B), want seqs 100 and 101", got, s[1].size)
 	}
 }
 
 func TestEntryTTLExpiry(t *testing.T) {
-	cfg := testConfig()
-	r := NewRelay([]wire.NodeID{1}, cfg)
-	r.Originate(entry(0, 1), 0)
-	r.Originate(entry(0, 2), cfg.EntryTTL/2)
-	sh := r.Flush(cfg.EntryTTL)[0]
-	if out := meant(sh, 1); len(out) != 1 || out[0].Digest.Seq != 2 || sh.N != 1 || sh.Bytes != out[0].Size {
-		t.Fatalf("flush = %v (N %d, %d B), want only the young entry (seq 2)", out, sh.N, sh.Bytes)
+	r := testNode(1)
+	r.originate(entry(0, 1), 0)
+	r.originate(entry(0, 2), r.entryTTL/2)
+	s := flushTo(r, r.entryTTL)[0]
+	if out := meant(s, 1); len(out) != 1 || out[0].d.seq != 2 || s.size != wireSize(out) {
+		t.Fatalf("flush = %v (%d B), want only the young entry (seq 2)", out, s.size)
 	}
-	if got := r.Stats().Expired; got != 1 {
+	if got := r.st.Expired; got != 1 {
 		t.Fatalf("expired = %d, want 1", got)
 	}
 }
 
-// A flush allocates once, not once per peer: every peer's share views the
-// one log, which is allocated once at the previous burst's size, and a
-// flush of an empty log allocates nothing and hands out nothing. Each
-// window is its own array: it leaves in Envelopes, so a later flush must
-// not write over it.
+// A flush allocates twice, not once per peer: every peer's envelope is the
+// one envelope viewing the one log, which is allocated once at the
+// previous burst's size, and a flush of an empty log allocates nothing and
+// sends nothing. Each window is its own array: it leaves in Envelopes, so
+// a later flush must not write over it.
 func TestFlushAllocatesResultOnce(t *testing.T) {
-	cfg := testConfig()
-	cfg.QueueCap = 0
 	peers := []wire.NodeID{1, 2, 3, 4, 5, 6, 7, 8}
-	r := NewRelay(peers, cfg)
-	for i, sh := range r.Flush(0) {
-		if sh.N != 0 || sh.Entries != nil {
-			t.Fatalf("flush of an empty log gives peer %d %v (N %d), want nothing", i, sh.Entries, sh.N)
-		}
+	r := testNode(peers...)
+	r.queueCap = 0
+	var got [9]*Envelope // by peer id
+	var sends int
+	record := func(to wire.NodeID, env *Envelope, _ int) { got[to] = env; sends++ }
+	if r.flush(0, record); sends != 0 {
+		t.Fatalf("flush of an empty log sends %d envelopes, want none", sends)
 	}
-	var first []Entry
+	var first []meshEntry
 	var seq uint64
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 100; i++ {
-			r.Originate(entry(0, seq), 0)
+			r.originate(entry(0, seq), 0)
 			seq++
 		}
-		shares := r.Flush(0)
-		for i, sh := range shares {
-			if sh.N != 100 || len(sh.Entries) != 100 || &sh.Entries[0] != &shares[0].Entries[0] {
-				t.Fatalf("peer %d: N %d, %d entries, shared %v; want 100 of the one window", i,
-					sh.N, len(sh.Entries), &sh.Entries[0] == &shares[0].Entries[0])
+		r.flush(0, record)
+		for _, p := range peers {
+			if len(got[p].entries) != 100 || got[p] != got[1] {
+				t.Fatalf("peer %d: %d entries, shared %v; want the one envelope of 100", p,
+					len(got[p].entries), got[p] == got[1])
 			}
 		}
 		if first == nil {
-			first = shares[0].Entries
+			first = got[1].entries
 		}
-		for _, sh := range r.Flush(0) {
-			if sh.N != 0 || sh.Entries != nil {
-				t.Fatal("second flush not empty")
-			}
+		sends = 0
+		if r.flush(0, record); sends != 0 {
+			t.Fatal("second flush not empty")
 		}
 	})
-	if allocs != 1 {
-		t.Fatalf("originate 100 toward %d peers + flush allocates %.1f times, want 1 (the log)", len(peers), allocs)
+	if allocs != 2 {
+		t.Fatalf("originate 100 toward %d peers + flush allocates %.1f times, want 2 (the log and its envelope)", len(peers), allocs)
 	}
 	for i, e := range first {
-		if e.Digest.Seq != uint64(i) {
+		if e.d.seq != uint64(i) {
 			t.Fatalf("first flush's entry %d was overwritten by a later one", i)
 		}
 	}
 }
 
 func TestMaxHopsBackstop(t *testing.T) {
-	cfg := testConfig()
-	r := NewRelay([]wire.NodeID{1, 2}, cfg)
+	r := testNode(1, 2)
 	e := entry(0, 1)
-	e.Hops = cfg.MaxHops
-	if !r.Ingest(3, e, 0) {
+	e.hops = r.maxHops
+	if !r.ingest(3, e, 0) {
 		t.Fatal("entry at hop cap should still be fresh (delivered locally)")
 	}
-	for p, sh := range r.Flush(0) {
-		if sh.N != 0 || len(sh.Entries) != 0 {
-			t.Fatalf("entry at hop cap was re-queued toward peer %d: %v", p, sh.Entries)
+	for p, s := range flushTo(r, 0) {
+		if s.env != nil {
+			t.Fatalf("entry at hop cap was re-queued toward peer %d: %v", p, s.env.entries)
 		}
 	}
-	if got := r.Stats().Relayed; got != 0 {
+	if got := r.st.Relayed; got != 0 {
 		t.Fatalf("relayed = %d, want 0", got)
 	}
 }
 
 func TestSabotageHooks(t *testing.T) {
-	cfg := testConfig()
-
-	r := NewRelay([]wire.NodeID{1}, cfg)
-	r.BreakDedupForTest()
+	r := testNode(1)
+	r.dedup.forgetful = true
 	e := entry(0, 1)
-	if !r.Ingest(2, e, 0) || !r.Ingest(2, e, 0) {
+	if !r.ingest(2, e, 0) || !r.ingest(2, e, 0) {
 		t.Fatal("broken dedup should report every ingest fresh")
 	}
 
-	r = NewRelay([]wire.NodeID{1}, cfg)
-	r.BreakExpiryForTest()
-	r.Originate(entry(0, 2), 0)
-	if sh := r.Flush(0)[0]; sh.N != 0 || len(sh.Entries) != 0 {
-		t.Fatalf("broken expiry should ship nothing, got %v", sh.Entries)
+	r = testNode(1)
+	m := &Mesh{nodes: map[wire.NodeID]*meshNode{0: r}}
+	m.BreakExpiryForTest()
+	r.originate(entry(0, 2), 0)
+	if s := flushTo(r, 0)[0]; s.env != nil {
+		t.Fatalf("broken expiry should ship nothing, got %v", s.env.entries)
 	}
-	if got := r.Stats().Expired; got != 1 {
+	if got := r.st.Expired; got != 1 {
 		t.Fatalf("broken expiry counted %d expired, want 1", got)
 	}
 }
@@ -234,9 +256,9 @@ const oracleTTL = 200 * time.Millisecond
 // dedupOp is one step of a model-checked run: digest d is marked dt after
 // the previous step, or — atExpiry — dt after the moment the model forgets d
 // (dt may be negative; ignored if that moment is unknown or already past).
-// from and hops only matter when the step is played through Relay.Ingest.
+// from and hops only matter when the step is played through ingest.
 type dedupOp struct {
-	d        Digest
+	d        digest
 	atExpiry bool
 	dt       time.Duration
 	from     wire.NodeID
@@ -260,7 +282,7 @@ func decodeDedupOps(data []byte) []dedupOp {
 	for i := 0; i+3 < len(data); i += 4 {
 		sel, when := data[i+1], data[i+3]
 		op := dedupOp{
-			d:    Digest{Origin: oracleOrigins[data[i]%6], Seq: oracleSeqBases[sel>>4%8] + uint64(sel&15)},
+			d:    digest{origin: oracleOrigins[data[i]%6], seq: oracleSeqBases[sel>>4%8] + uint64(sel&15)},
 			from: wire.NodeID(data[i+2] % 6),
 			hops: int(data[i+2] % 4),
 		}
@@ -284,7 +306,7 @@ func decodeDedupOps(data []byte) []dedupOp {
 // returns the first step on which the two disagree. It returns the final
 // clock too.
 func checkAgainstModel(ops []dedupOp, mark func(op dedupOp, now time.Duration) bool) (time.Duration, error) {
-	model := map[Digest]time.Duration{}
+	model := map[digest]time.Duration{}
 	now := time.Duration(0)
 	for i, op := range ops {
 		exp, seen := model[op.d]
@@ -310,12 +332,12 @@ func markDirect(c *dedupCache) func(dedupOp, time.Duration) bool {
 	return func(op dedupOp, now time.Duration) bool { return c.mark(op.d, now, oracleTTL) }
 }
 
-// FuzzGossipDedup drives the dedup cache, directly and through
-// Relay.Ingest, with an arbitrary stream of marks decoded from the fuzz
+// FuzzGossipDedup drives the dedup cache, directly and through a mesh
+// node's ingest, with an arbitrary stream of marks decoded from the fuzz
 // input, and requires the verdict of a literal digest→expiry table on
 // every single call — so a cache that forgets early, remembers too long or
 // always says "stale" fails at the first step that shows it. It then checks
-// what the mesh needs of the flushed window: no peer's share contains a
+// what the mesh needs of the flushed window: no peer's envelope holds a
 // duplicate digest or an entry meant for its own origin.
 func FuzzGossipDedup(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
@@ -334,29 +356,25 @@ func FuzzGossipDedup(f *testing.F) {
 		}
 
 		peers := []wire.NodeID{0, 1, 2, 3}
-		r := NewRelay(peers, Config{
-			QueueCap: 16,
-			EntryTTL: 50 * time.Millisecond,
-			DedupTTL: oracleTTL,
-			MaxHops:  6,
-		})
+		r := newMeshNode(peers, 6)
+		r.queueCap, r.entryTTL, r.dedupTTL = 16, 50*time.Millisecond, oracleTTL
 		now, err := checkAgainstModel(ops, func(op dedupOp, now time.Duration) bool {
-			return r.Ingest(op.from, Entry{Digest: op.d, Hops: op.hops, Payload: "p", Size: 1}, now)
+			return r.ingest(op.from, meshEntry{d: op.d, hops: op.hops, payload: "p", size: 1}, now)
 		})
 		if err != nil {
-			t.Fatalf("Ingest: %v", err)
+			t.Fatalf("ingest: %v", err)
 		}
 		// Every peer's backlog must be duplicate-free and must not target
 		// the entry's own origin.
-		for i, sh := range r.Flush(now) {
+		for i, s := range flushTo(r, now) {
 			p := peers[i]
-			seen := map[Digest]bool{}
-			for _, e := range meant(sh, p) {
-				if seen[e.Digest] {
-					t.Fatalf("peer %d queue holds digest %v twice", p, e.Digest)
+			seen := map[digest]bool{}
+			for _, e := range meant(s, p) {
+				if seen[e.d] {
+					t.Fatalf("peer %d queue holds digest %v twice", p, e.d)
 				}
-				seen[e.Digest] = true
-				if e.Digest.Origin == p {
+				seen[e.d] = true
+				if e.d.origin == p {
 					t.Fatalf("entry from origin %d queued back toward its origin", p)
 				}
 			}
@@ -370,7 +388,7 @@ func FuzzGossipDedup(f *testing.F) {
 // slots without clearing their bits, one releases a slot's page although
 // other bits in it are still live.
 func TestDedupOracleCatchesBrokenCaches(t *testing.T) {
-	popLapsed := func(c *dedupCache, now time.Duration, forget func(Digest)) {
+	popLapsed := func(c *dedupCache, now time.Duration, forget func(digest)) {
 		for c.head < len(c.fifo) && c.fifo[c.head].exp <= now {
 			forget(c.fifo[c.head].d)
 			c.head++
@@ -378,16 +396,16 @@ func TestDedupOracleCatchesBrokenCaches(t *testing.T) {
 	}
 	mutants := map[string]func(*dedupCache, time.Duration){
 		"expire leaves the bit set": func(c *dedupCache, now time.Duration) {
-			popLapsed(c, now, func(Digest) {})
+			popLapsed(c, now, func(digest) {})
 		},
 		"a page is released with live bits": func(c *dedupCache, now time.Duration) {
-			popLapsed(c, now, func(d Digest) {
-				delete(c.pages, seqPageKey{d.Origin, d.Seq >> seqPageShift})
-				c.cur[uint(d.Origin)%dedupCursors].p = nil
+			popLapsed(c, now, func(d digest) {
+				delete(c.pages, seqPageKey{d.origin, d.seq >> seqPageShift})
+				c.cur[uint(d.origin)%dedupCursors].p = nil
 			})
 		},
 	}
-	seq := func(n uint64) Digest { return Digest{Origin: 3, Seq: n} }
+	seq := func(n uint64) digest { return digest{origin: 3, seq: n} }
 	ops := []dedupOp{
 		{d: seq(64)},
 		{d: seq(65), dt: oracleTTL / 2},
@@ -421,7 +439,7 @@ func TestDedupFarApartMarksCostPages(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		var c dedupCache
 		for _, seq := range []uint64{0, 1 << 40, ^uint64(0)} {
-			if !c.mark(Digest{Origin: 1, Seq: seq}, 0, time.Second) {
+			if !c.mark(digest{origin: 1, seq: seq}, 0, time.Second) {
 				t.Fatalf("seq %d not fresh", seq)
 			}
 		}
@@ -445,30 +463,29 @@ func TestDedupFarApartMarksCostPages(t *testing.T) {
 // The steady-state paths of a relay allocate nothing of their own: a mark
 // of a digest already seen is a bit test, and a fresh ingest costs its
 // share of a page (one per seqPageSize sequence numbers) plus growth of the
-// expiry FIFO, and each flush allocates the next burst's log once.
+// expiry FIFO, and each flush allocates the next burst's log and its one
+// envelope once.
 func TestRelaySteadyStateAllocations(t *testing.T) {
-	cfg := testConfig()
-	cfg.QueueCap = 0
-	cfg.DedupTTL = time.Hour
-	r := NewRelay([]wire.NodeID{1, 2, 3}, cfg)
+	r := testNode(1, 2, 3)
+	r.queueCap, r.dedupTTL = 0, time.Hour
 	const burst = 4 * seqPageSize
 	var seq uint64
 	ingestBurst := func() {
 		for range burst {
-			r.Ingest(1, entry(0, seq), 0)
+			r.ingest(1, entry(0, seq), 0)
 			seq++
 		}
-		r.Flush(0)
+		r.flush(0, func(wire.NodeID, *Envelope, int) {})
 	}
 	ingestBurst() // the log learns the burst's size
 	perBurst := testing.AllocsPerRun(4, ingestBurst)
-	// 4 pages, 1 log, and the FIFO doubling now and then.
-	if perBurst > 4+1+2 {
-		t.Fatalf("%d fresh ingests allocate %.0f times, want their 4 pages and 1 log", burst, perBurst)
+	// 4 pages, 1 log, 1 envelope, and the FIFO doubling now and then.
+	if perBurst > 4+1+1+2 {
+		t.Fatalf("%d fresh ingests allocate %.0f times, want their 4 pages, 1 log and 1 envelope", burst, perBurst)
 	}
 	seen := entry(0, seq-1)
 	if a := testing.AllocsPerRun(100, func() {
-		if r.Ingest(2, seen, 0) || r.Observe(seen.Digest, 0) {
+		if r.ingest(2, seen, 0) || r.observe(seen.d, 0) {
 			t.Fatal("seen digest reported fresh")
 		}
 	}); a != 0 {

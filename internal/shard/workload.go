@@ -9,9 +9,9 @@ import (
 
 // The routed workload generator — the one the harness drives every
 // scenario with — IS internal/workload's injection shape: it schedules
-// through workload.Ticks (or workload.OpenTicks for open-system cells) and
-// builds elements through workload.BuildElement, so timing and element
-// construction cannot fork from workload.Generator, with one difference:
+// through workload.OpenTicks and builds elements through
+// workload.BuildElement, so timing and element construction cannot fork
+// from workload.Generator, with one difference:
 // after a client creates an element, the ROUTER decides which shard
 // commits it. The client then adds it to its local-index server on the
 // owning shard (client i of any shard talks to server i of the target
@@ -72,12 +72,7 @@ func (g *Generator) Start() {
 	s := g.d.Sim
 	clients := g.d.Count() * g.d.Servers
 	inject := func(c int) { g.injectOne(c/g.d.Servers, c%g.d.Servers) }
-	if g.cfg.Open.Enabled() {
-		workload.OpenTicks(s, g.cfg.Seed, clients, g.cfg.Rate, g.cfg.Duration, g.cfg.Tick, g.cfg.Open, inject)
-	} else {
-		perClient := g.cfg.Rate / float64(clients)
-		workload.Ticks(s, clients, perClient, g.cfg.Duration, g.cfg.Tick, inject)
-	}
+	workload.OpenTicks(s, g.cfg.Seed, clients, g.cfg.Rate, g.cfg.Duration, g.cfg.Tick, g.cfg.Open, inject)
 	s.At(g.cfg.Duration, g.d.Drain)
 }
 

@@ -86,50 +86,63 @@ func (c OpenConfig) Scaled(f float64) OpenConfig {
 	return out
 }
 
-// openState is the churn bookkeeping shared by the arrival loop and the
-// per-client session timers.
-type openState struct {
-	active  []bool
-	thinned uint64
-}
-
-// OpenTicks schedules the open-system injection loop. It is the closed
-// Ticks shape — the same staggered slots, the same carry arithmetic —
-// with three seams opened: the per-slot rate follows the envelope, the
-// arriving element's source is drawn from the Zipf sampler (uniform slot
-// identity otherwise), and arrivals for off-session sources are dropped.
-// seed keys the extra ChildSeed streams (one for the skew, one per client
-// for churn); inject receives the SOURCE client index.
+// OpenTicks schedules the injection loop — the ONE definition of the
+// workload's timing shape, shared by Generator and the routed generator
+// (internal/shard) so the two cannot inject differently. Each of n slots
+// starts at a random offset within one tick (no lockstep bursts) and
+// converts its share of rate, times the envelope's multiplier, into
+// integer bursts per tick with a fractional carry, preserving per-second
+// totals at any rate. An arrival's source is its slot, or a Zipf draw
+// under skew, and arrivals for off-session sources are dropped. seed keys
+// the extra ChildSeed streams (one for the skew, one per client for
+// churn); inject receives the SOURCE client index.
+//
+// The zero cfg is the closed system bit for bit: the multiplier is exactly
+// 1, so every slot's carry sequence is the flat rate's, and no extra
+// stream is drawn and no session timer scheduled.
 func OpenTicks(s *sim.Simulator, seed int64, n int, rate float64, duration, tick time.Duration, cfg OpenConfig, inject func(source int)) {
+	if tick <= 0 {
+		panic("workload: tick must be positive (Shape fills a zero one)")
+	}
 	var zipf *ZipfSampler
 	var zipfRng *rand.Rand
 	if cfg.Zipf > 0 {
 		zipf = NewZipf(n, cfg.Zipf)
 		zipfRng = sim.ChildRand(seed, zipfStream)
 	}
-	st := &openState{active: make([]bool, n)}
-	for i := range st.active {
-		st.active[i] = true
-	}
+	var active []bool // per source, under churn: whether it is in session
 	if cfg.ChurnOn > 0 {
-		for i := 0; i < n; i++ {
-			scheduleChurn(s, st, i, sim.ChildRand(seed, churnStream+uint64(i)), cfg, duration)
+		active = make([]bool, n)
+		for i := range active {
+			active[i] = true
+			scheduleChurn(s, active, i, sim.ChildRand(seed, churnStream+uint64(i)), cfg, duration)
 		}
 	}
 	perClient := rate / float64(n)
-	RatedTicks(s, n, func(_ int, now time.Duration) float64 {
-		return perClient * cfg.Mult(now)
-	}, duration, tick, func(slot int) {
-		src := slot
-		if zipf != nil {
-			src = zipf.Sample(zipfRng)
+	for i := range n {
+		offset := time.Duration(s.Rand().Int63n(int64(tick) + 1))
+		var carry float64
+		var fire func()
+		fire = func() {
+			if s.Now() >= duration {
+				return
+			}
+			carry += perClient * cfg.Mult(s.Now()) * tick.Seconds()
+			burst := int(carry)
+			carry -= float64(burst)
+			for k := 0; k < burst; k++ {
+				src := i
+				if zipf != nil {
+					src = zipf.Sample(zipfRng)
+				}
+				if active == nil || active[src] {
+					inject(src)
+				}
+			}
+			s.After(tick, fire)
 		}
-		if !st.active[src] {
-			st.thinned++
-			return
-		}
-		inject(src)
-	})
+		s.At(offset, fire)
+	}
 }
 
 // scheduleChurn runs one client's session chain: in-session for
@@ -137,7 +150,7 @@ func OpenTicks(s *sim.Simulator, seed int64, n int, rate float64, duration, tick
 // window closes. Each client owns its rng stream and has exactly one
 // outstanding timer, so the draw order inside the stream is fixed
 // regardless of how the executor interleaves other events.
-func scheduleChurn(s *sim.Simulator, st *openState, i int, rng *rand.Rand, cfg OpenConfig, duration time.Duration) {
+func scheduleChurn(s *sim.Simulator, active []bool, i int, rng *rand.Rand, cfg OpenConfig, duration time.Duration) {
 	expDur := func(mean time.Duration) time.Duration {
 		d := time.Duration(rng.ExpFloat64() * float64(mean))
 		if d < time.Millisecond {
@@ -150,14 +163,14 @@ func scheduleChurn(s *sim.Simulator, st *openState, i int, rng *rand.Rand, cfg O
 		if s.Now() >= duration {
 			return
 		}
-		st.active[i] = false
+		active[i] = false
 		s.After(expDur(cfg.ChurnOff), arrive)
 	}
 	arrive = func() {
 		if s.Now() >= duration {
 			return
 		}
-		st.active[i] = true
+		active[i] = true
 		s.After(expDur(cfg.ChurnOn), depart)
 	}
 	s.After(expDur(cfg.ChurnOn), depart)

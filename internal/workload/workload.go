@@ -124,69 +124,22 @@ func New(d *core.Deployment, rec *metrics.Recorder, cfg Config) *Generator {
 		Account: NewAccount(len(d.Clients), cfg.TrackIDs)}
 }
 
-// Start schedules the injection. Clients add elements from virtual time 0
-// until cfg.Duration, then the generator drains the servers' collectors.
-// Open-system dynamics, when configured, route through OpenTicks — the
-// same staggered-slot loop with the envelope/skew/churn seams opened.
+// Start schedules the injection through OpenTicks: clients add elements
+// from virtual time 0 until cfg.Duration, then the generator drains the
+// servers' collectors.
 func (g *Generator) Start() {
 	s := g.d.Sim
-	if g.cfg.Open.Enabled() {
-		OpenTicks(s, g.cfg.Seed, len(g.d.Clients), g.cfg.Rate, g.cfg.Duration, g.cfg.Tick, g.cfg.Open, g.injectOne)
-	} else {
-		perClient := g.cfg.Rate / float64(len(g.d.Clients))
-		Ticks(s, len(g.d.Clients), perClient, g.cfg.Duration, g.cfg.Tick, g.injectOne)
-	}
+	OpenTicks(s, g.cfg.Seed, len(g.d.Clients), g.cfg.Rate, g.cfg.Duration, g.cfg.Tick, g.cfg.Open, g.injectOne)
 	s.At(g.cfg.Duration, func() {
 		g.done = true
 		g.d.Drain()
 	})
 }
 
-// Ticks schedules the canonical staggered injection loop — the ONE
-// definition of the workload's timing shape, shared with the routed
-// generator (internal/shard) so the two cannot inject differently: each
-// of n clients starts at a random offset within one
-// tick (no lockstep bursts) and converts its per-client rate into
-// integer bursts per tick with a fractional carry, preserving per-second
-// totals at any rate.
-func Ticks(s *sim.Simulator, n int, perClient float64, duration, tick time.Duration, inject func(client int)) {
-	RatedTicks(s, n, func(int, time.Duration) float64 { return perClient }, duration, tick, inject)
-}
-
-// RatedTicks is Ticks with a time-varying per-client rate: each tick asks
-// rate(client, now) for the current el/s before updating the carry. With
-// a constant-rate closure the arithmetic is bit-for-bit the closed loop
-// (same offsets, same carry sequence), which is what keeps the open
-// extension from forking the workload's timing definition.
-func RatedTicks(s *sim.Simulator, n int, rate func(client int, now time.Duration) float64, duration, tick time.Duration, inject func(client int)) {
-	if tick <= 0 {
-		panic("workload: tick must be positive (Shape fills a zero one)")
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		offset := time.Duration(s.Rand().Int63n(int64(tick) + 1))
-		var carry float64
-		var fire func()
-		fire = func() {
-			if s.Now() >= duration {
-				return
-			}
-			carry += rate(i, s.Now()) * tick.Seconds()
-			burst := int(carry)
-			carry -= float64(burst)
-			for k := 0; k < burst; k++ {
-				inject(i)
-			}
-			s.After(tick, fire)
-		}
-		s.At(offset, fire)
-	}
-}
-
 // BuildElement draws one element of the canonical workload shape on the
 // given client — a log-normally sampled wire size, realized as a real
 // signed payload in full mode or a modeled-size element otherwise. Shared
-// with the sharded generator for the same reason as Ticks: element
+// with the sharded generator for the same reason as OpenTicks: element
 // construction must not fork.
 func BuildElement(s *sim.Simulator, cl *core.Client, sizes SizeModel, fullPayloads bool) *wire.Element {
 	size := sizes.Sample(s.Rand())
