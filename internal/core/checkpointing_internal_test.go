@@ -16,12 +16,24 @@ import (
 
 // EagerSyncMembers is the copy of the membership index that every seal used
 // to make, kept as the reference implementation TestLateServeEquivalence
-// holds ServeSnapshot's serve-time filter against.
+// holds ServeSnapshot's serve-time filter against. It takes the members from
+// the id table's stamped bits and finds each one's element and epoch by its
+// own scan of the epoch slices, the first occurrence of an id winning, so it
+// shares no walk with ServeSnapshot's. A stamped id the scan does not find
+// gets a zero Member, which no snapshot's entry equals.
 func (s *Server) EagerSyncMembers() map[wire.ElementID]Member {
+	scanned := make(map[wire.ElementID]Member)
+	for n, elems := range s.elems.epochs {
+		for _, e := range elems {
+			if _, ok := scanned[e.ID]; !ok {
+				scanned[e.ID] = Member{Element: e, Epoch: uint64(n)}
+			}
+		}
+	}
 	members := make(map[wire.ElementID]Member)
-	for id, loc := range s.elems.m.All() {
-		if loc.epoch != 0 {
-			members[id] = Member{Element: s.elems.at(loc), Epoch: uint64(loc.epoch)}
+	for id, stamped := range s.elems.m.All() {
+		if stamped {
+			members[id] = scanned[id]
 		}
 	}
 	return members

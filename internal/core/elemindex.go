@@ -3,25 +3,12 @@ package core
 import (
 	"bytes"
 	"cmp"
-	"fmt"
 	"iter"
-	"math"
 	"reflect"
 	"slices"
 
 	"repro/internal/wire"
 )
-
-// elemLoc is what a server knows about one element id: where the element is,
-// not the element itself, so that no page of the index holds a pointer for
-// the collector to mark. A stamped element is Elements[pos] of epoch epoch,
-// in the slice the index registered for that number; a pending one (epoch
-// 0: in the_set, in no epoch yet) is the element with sequence number pos in
-// the pending ring.
-type elemLoc struct {
-	epoch uint32
-	pos   uint32
-}
 
 // ElemIndex is a server's the_set and its id→epoch membership index in one
 // container, keyed by the element's own id: the two questions every
@@ -32,58 +19,58 @@ type elemLoc struct {
 // owner, the server; a Snapshot hands it out for reading under the rules of
 // wire.IDMap.
 type ElemIndex struct {
-	m wire.IDMap[elemLoc]
-	// epochs[n] is the slice epoch n's stamps locate into: the epoch's own
-	// Elements when one stampEpoch made it (under Hashchain the batch's array,
-	// shared by every server), the index's copy once a later stamp of the same
-	// number appended to it. Entries outlive pruning, so an element below the
-	// prune horizon is still located.
+	// m's keys are the_set; an id's value says whether an epoch holds it.
+	// The elements themselves are found through epochs and pending, so no
+	// page of m holds a pointer for the collector to mark.
+	m wire.IDMap[bool]
+	// epochs[n] holds the elements epoch n stamped: the epoch's own Elements
+	// when one stampEpoch made it (under Hashchain the batch's array, shared
+	// by every server), the index's copy once a later stamp of the same
+	// number appended to it. Entries outlive pruning, so an element below
+	// the prune horizon is still found.
 	epochs [][]*wire.Element
-	// pending holds the elements of the_set no epoch holds yet.
-	pending pendingRing
-}
-
-// pendingRing is a power-of-two ring of the pending elements, indexed by
-// sequence number: the element with sequence number seq sits at
-// slots[seq&(len(slots)-1)] until a stamp releases it. Sequence numbers are
-// uint32 and wrap; [head, next) never spans more than the ring, so the mask
-// stays unambiguous. Every slot outside [head, next) is nil, and so is every
-// released slot inside it; head is always live unless the ring is empty.
-type pendingRing struct {
-	slots      []*wire.Element
-	head, next uint32
-	live       int
-}
-
-// at returns the element loc locates.
-func (x *ElemIndex) at(loc elemLoc) *wire.Element {
-	if loc.epoch == 0 {
-		return x.pending.slots[loc.pos&uint32(len(x.pending.slots)-1)]
-	}
-	return x.epochs[loc.epoch][loc.pos]
+	// pending holds, in add order, the elements of the_set no epoch held
+	// when they were added; live of them are still unstamped. A stamped one
+	// stays, dead, until the slice fills (makeRoom).
+	pending []*wire.Element
+	live    int
 }
 
 // Add puts e in the_set unless its id is already there, and reports whether
 // it was new. A new element is pending: in the_set, in no epoch.
 func (x *ElemIndex) Add(e *wire.Element) bool {
-	loc, fresh := x.m.Slot(e.ID)
+	_, fresh := x.m.Slot(e.ID)
 	if fresh {
-		// push may compact, which rewrites the locators of other pending
-		// ids; that inserts nothing, so loc stays valid.
-		*loc = elemLoc{pos: x.push(e)}
+		if len(x.pending) == cap(x.pending) {
+			x.makeRoom()
+		}
+		x.pending = append(x.pending, e)
+		x.live++
 	}
 	return fresh
 }
 
-// Stamp records that epoch contains e, adding e to the_set if this server
-// never saw its add (Get-Global/Consistent-Sets), and reports whether it did:
-// the first stamp stands, and an id that already has one is left as it is.
-// A pending id keeps the element it was added with.
-func (x *ElemIndex) Stamp(e *wire.Element, epoch uint64) bool {
-	if loc, ok := x.m.Get(e.ID); ok && loc.epoch == 0 {
-		e = x.at(loc)
+// makeRoom frees room in the full pending slice. When more than half of it
+// is live it doubles the array; otherwise it drops the dead entries, so
+// elements that are never stamped cannot make it grow without bound. It
+// keeps the live ones in order, probing from the newest entry back and
+// stopping at the oldest live one, all before it being dead: stamps mostly
+// follow adds, so what is still live is mostly the tail.
+func (x *ElemIndex) makeRoom() {
+	if len(x.pending) == 0 || 2*x.live > len(x.pending) {
+		x.pending = append(make([]*wire.Element, 0, max(16, 2*len(x.pending))), x.pending...)
+		return
 	}
-	return len(x.stampEpoch(epoch, []*wire.Element{e})) == 1
+	w := len(x.pending)
+	for r := w - 1; w > len(x.pending)-x.live; r-- {
+		if stamped, _ := x.m.Get(x.pending[r].ID); !stamped {
+			w--
+			x.pending[w] = x.pending[r]
+		}
+	}
+	n := copy(x.pending, x.pending[w:])
+	clear(x.pending[n:])
+	x.pending = x.pending[:n]
 }
 
 // stampEpoch stamps number on those elements of elems that no epoch holds
@@ -91,35 +78,25 @@ func (x *ElemIndex) Stamp(e *wire.Element, epoch uint64) bool {
 // and returns them — under filter's aliasing rule, so elems itself when it
 // stamps them all. A second occurrence of an id within elems meets the
 // first one's stamp and is dropped like any other element already in an
-// epoch. The returned slice is what the stamps locate into: a pending id is
-// bound from now on to the epoch's element of that id. Epoch numbers wider
-// than the locator's 32 bits panic rather than wrap.
+// epoch. The returned slice is where the index finds them: a pending id is
+// bound from now on to the epoch's element of that id.
 func (x *ElemIndex) stampEpoch(number uint64, elems []*wire.Element) []*wire.Element {
-	if number == 0 || number > math.MaxUint32 {
-		panic(fmt.Sprintf("core: epoch %d does not fit the element index's 32-bit epoch field", number))
-	}
 	n := int(number)
 	if n >= len(x.epochs) {
 		x.epochs = append(x.epochs, make([][]*wire.Element, n+1-len(x.epochs))...)
 	}
-	base := len(x.epochs[n])
-	if uint64(base)+uint64(len(elems)) > math.MaxUint32 {
-		panic(fmt.Sprintf("core: epoch %d outgrows the element index's 32-bit position field", number))
-	}
-	pos := uint32(base)
 	g := filter(elems, func(e *wire.Element) bool {
-		loc, fresh := x.m.Slot(e.ID)
-		if !fresh {
-			if loc.epoch != 0 {
-				return false
-			}
-			x.release(loc.pos)
+		stamped, fresh := x.m.Slot(e.ID)
+		if *stamped {
+			return false
 		}
-		*loc = elemLoc{epoch: uint32(n), pos: pos}
-		pos++
+		if !fresh {
+			x.live--
+		}
+		*stamped = true
 		return true
 	})
-	if base == 0 {
+	if len(x.epochs[n]) == 0 {
 		// Capped, so that a later stamp of this number copies instead of
 		// appending into an array some epoch or batch owns.
 		x.epochs[n] = slices.Clip(g)
@@ -129,100 +106,67 @@ func (x *ElemIndex) stampEpoch(number uint64, elems []*wire.Element) []*wire.Ele
 	return g
 }
 
-// push puts e in the pending ring and returns its sequence number. A full
-// ring grows when more than half of it is live and is compacted otherwise,
-// so elements that are never stamped cannot make it grow without bound.
-func (x *ElemIndex) push(e *wire.Element) uint32 {
-	r := &x.pending
-	if int(r.next-r.head) == len(r.slots) {
-		if 2*r.live > len(r.slots) || len(r.slots) == 0 {
-			r.grow()
-		} else {
-			x.compact()
-		}
-	}
-	seq := r.next
-	r.slots[seq&uint32(len(r.slots)-1)] = e
-	r.next++
-	r.live++
-	return seq
-}
-
-// grow doubles the ring. Every live element keeps its sequence number, so no
-// locator changes.
-func (r *pendingRing) grow() {
-	slots := make([]*wire.Element, max(16, 2*len(r.slots)))
-	oldMask, mask := uint32(len(r.slots)-1), uint32(len(slots)-1)
-	for seq := r.head; seq != r.next; seq++ {
-		slots[seq&mask] = r.slots[seq&oldMask]
-	}
-	r.slots = slots
-}
-
-// compact slides the live elements of a full ring down over the released
-// slots between them, in order, and rewrites the locators of those that
-// moved. It runs only when at most half the ring is live, so it frees at
-// least half the ring for what it costs.
-func (x *ElemIndex) compact() {
-	r := &x.pending
-	mask := uint32(len(r.slots) - 1)
-	to := r.head
-	for seq := r.head; seq != r.next; seq++ {
-		e := r.slots[seq&mask]
-		if e == nil {
-			continue
-		}
-		if seq != to {
-			r.slots[to&mask], r.slots[seq&mask] = e, nil
-			loc, _ := x.m.Slot(e.ID)
-			loc.pos = to
-		}
-		to++
-	}
-	r.next = to
-}
-
-// release frees the pending slot of sequence number seq, whose element has
-// just been stamped, and moves head past every released slot.
-func (x *ElemIndex) release(seq uint32) {
-	r := &x.pending
-	mask := uint32(len(r.slots) - 1)
-	r.slots[seq&mask] = nil
-	r.live--
-	for r.head != r.next && r.slots[r.head&mask] == nil {
-		r.head++
-	}
-}
-
-// Epoch returns the epoch that stamped id, or 0 if none has (whether or not
-// id is in the_set).
-func (x *ElemIndex) Epoch(id wire.ElementID) uint64 {
-	loc, _ := x.m.Get(id)
-	return uint64(loc.epoch)
-}
-
 // Has reports whether id is in the_set.
 func (x *ElemIndex) Has(id wire.ElementID) bool { return x.m.Has(id) }
 
 // Len returns the size of the_set.
 func (x *ElemIndex) Len() int { return x.m.Len() }
 
-// Pending returns how many elements of the_set no epoch holds yet: the live
-// entries of the pending ring, none on a correct server once a run has
-// quiesced.
-func (x *ElemIndex) Pending() int { return x.pending.live }
+// Pending returns how many elements of the_set no epoch holds yet: none on
+// a correct server once a run has quiesced.
+func (x *ElemIndex) Pending() int { return x.live }
+
+// entries iterates over the_set, each id once with its element and the
+// epoch that stamped it (0: pending): the live pending elements in add
+// order, then the epochs in number order.
+func (x *ElemIndex) entries() iter.Seq2[wire.ElementID, Member] {
+	return func(yield func(wire.ElementID, Member) bool) {
+		for _, e := range x.pending {
+			if stamped, _ := x.m.Get(e.ID); !stamped && !yield(e.ID, Member{Element: e}) {
+				return
+			}
+		}
+		for id, m := range x.members(uint64(len(x.epochs))) {
+			if !yield(id, m) {
+				return
+			}
+		}
+	}
+}
 
 // All iterates over the_set in unspecified order.
 func (x *ElemIndex) All() iter.Seq2[wire.ElementID, *wire.Element] {
-	return x.Without(&wire.IDMap[uint64]{})
+	return func(yield func(wire.ElementID, *wire.Element) bool) {
+		for id, m := range x.entries() {
+			if !yield(id, m.Element) {
+				return
+			}
+		}
+	}
 }
 
 // Without iterates over the_set ∖ ids: the entries of the_set whose id is
-// not a key of ids, a page at a time (wire.Diff).
+// not a key of ids. It counts them first off the two maps' page bitmaps
+// (wire.Diff), so a the_set inside ids — every server whose history was
+// never pruned, against the ids of its history — costs no element; only
+// otherwise does it walk the_set for them, and it stops at the last one.
 func (x *ElemIndex) Without(ids *wire.IDMap[uint64]) iter.Seq2[wire.ElementID, *wire.Element] {
 	return func(yield func(wire.ElementID, *wire.Element) bool) {
-		for id, loc := range wire.Diff(&x.m, ids) {
-			if !yield(id, x.at(loc)) {
+		left := 0
+		for range wire.Diff(&x.m, ids) {
+			left++
+		}
+		if left == 0 {
+			return
+		}
+		for id, m := range x.entries() {
+			if ids.Has(id) {
+				continue
+			}
+			if !yield(id, m.Element) {
+				return
+			}
+			if left--; left == 0 {
 				return
 			}
 		}
@@ -235,14 +179,15 @@ func (x *ElemIndex) Missing(ids *wire.IDMap[uint64]) iter.Seq2[wire.ElementID, u
 	return wire.Diff(ids, &x.m)
 }
 
-// members iterates over the stamped entries of epochs 1..through, in
-// unspecified order: a state-sync snapshot's Members.
+// members iterates over the stamped entries of epochs 1..through, in epoch
+// order: a state-sync snapshot's Members.
 func (x *ElemIndex) members(through uint64) iter.Seq2[wire.ElementID, Member] {
 	return func(yield func(wire.ElementID, Member) bool) {
-		for id, loc := range x.m.All() {
-			if loc.epoch != 0 && uint64(loc.epoch) <= through &&
-				!yield(id, Member{Element: x.at(loc), Epoch: uint64(loc.epoch)}) {
-				return
+		for n := 1; n < len(x.epochs) && uint64(n) <= through; n++ {
+			for _, e := range x.epochs[n] {
+				if !yield(e.ID, Member{Element: e, Epoch: uint64(n)}) {
+					return
+				}
 			}
 		}
 	}
@@ -257,7 +202,7 @@ func (x *ElemIndex) members(through uint64) iter.Seq2[wire.ElementID, Member] {
 func (x *ElemIndex) stampMembers(members map[wire.ElementID]Member, through uint64) {
 	var below []Member
 	for id, m := range members {
-		if m.Epoch <= through && x.Epoch(id) == 0 {
+		if stamped, _ := x.m.Get(id); m.Epoch <= through && !stamped {
 			below = append(below, m)
 		}
 	}
@@ -283,15 +228,19 @@ func (x *ElemIndex) stampMembers(members map[wire.ElementID]Member, through uint
 
 // Equal reports whether x and y hold the same ids, bound to equal elements
 // and stamped with the same epochs. Two indexes with equal contents differ
-// in their cursors, page arrays and rings, so this, not reflect.DeepEqual on
-// the index, is how to compare them.
+// in their cursors, page arrays and slices, so this, not reflect.DeepEqual
+// on the index, is how to compare them.
 func (x *ElemIndex) Equal(y *ElemIndex) bool {
 	if x.Len() != y.Len() {
 		return false
 	}
-	for id, loc := range x.m.All() {
-		other, ok := y.m.Get(id)
-		if !ok || other.epoch != loc.epoch || !reflect.DeepEqual(y.at(other), x.at(loc)) {
+	theirs := make(map[wire.ElementID]Member, y.Len())
+	for id, m := range y.entries() {
+		theirs[id] = m
+	}
+	for id, m := range x.entries() {
+		other, ok := theirs[id]
+		if !ok || other.Epoch != m.Epoch || !reflect.DeepEqual(other.Element, m.Element) {
 			return false
 		}
 	}

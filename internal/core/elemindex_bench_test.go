@@ -1,0 +1,46 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/wire"
+)
+
+// BenchmarkElemIndex times one server's index over the 300,000 dense ids of
+// the hash10k benchmark workload: adding each epoch's 500 and then stamping
+// them, the path every element takes, and installing them all as a
+// state-sync snapshot's members into an empty index.
+func BenchmarkElemIndex(b *testing.B) {
+	const ids, perEpoch = 300_000, 500
+	elems := make([]wire.Element, ids)
+	for i := range elems {
+		client, seq := wire.ClientID(i%perEpoch), uint64(i/perEpoch+1)
+		elems[i] = wire.Element{ID: wire.NewElementID(client, seq), Client: client, Seq: seq, Size: 438}
+	}
+	epochs := make([][]*wire.Element, ids/perEpoch)
+	members := make(map[wire.ElementID]Member, ids)
+	for i := range elems {
+		e := &elems[i]
+		epochs[i/perEpoch] = append(epochs[i/perEpoch], e)
+		members[e.ID] = Member{Element: e, Epoch: uint64(i/perEpoch + 1)}
+	}
+	b.Run("add-stamp", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			var x ElemIndex
+			for n, g := range epochs {
+				for _, e := range g {
+					x.Add(e)
+				}
+				x.stampEpoch(uint64(n+1), g)
+			}
+		}
+	})
+	b.Run("install", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			var x ElemIndex
+			x.stampMembers(members, uint64(len(epochs)))
+		}
+	})
+}

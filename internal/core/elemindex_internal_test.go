@@ -2,13 +2,44 @@ package core
 
 import (
 	"maps"
-	"math"
 	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/wire"
 )
+
+// Stamp records that epoch contains e, adding e to the_set if the index
+// never saw its add, and reports whether it did: the first stamp stands, and
+// an id that already has one is left as it is. A pending id keeps the
+// element it was added with. It is stampEpoch for one element, as tests use
+// it.
+func (x *ElemIndex) Stamp(e *wire.Element, epoch uint64) bool {
+	if stamped, ok := x.m.Get(e.ID); ok && !stamped {
+		for _, p := range x.pending {
+			if p.ID == e.ID {
+				e = p
+				break
+			}
+		}
+	}
+	return len(x.stampEpoch(epoch, []*wire.Element{e})) == 1
+}
+
+// Epoch returns the epoch that stamped id, or 0 if none has (whether or not
+// id is in the_set), by a scan of the epoch slices.
+func (x *ElemIndex) Epoch(id wire.ElementID) uint64 {
+	if stamped, _ := x.m.Get(id); stamped {
+		for n, elems := range x.epochs {
+			for _, e := range elems {
+				if e.ID == id {
+					return uint64(n)
+				}
+			}
+		}
+	}
+	return 0
+}
 
 // modelEntry is the reference model's view of one id: the element the id is
 // bound to and the epoch that stamped it (0: pending).
@@ -17,15 +48,15 @@ type modelEntry struct {
 	epoch uint64
 }
 
-// indexReach counts what a driven sequence made the pending ring do.
+// indexReach counts what a driven sequence made the pending slice do: grow
+// its array, or drop its dead entries to make room.
 type indexReach struct {
-	grows, compactions, wraps, seqWraps int
+	grows, compactions int
 }
 
 // elemIndexSeeds are FuzzElemIndex's seeds, and TestElemIndexModel's table:
-// each names the ring behavior it must reach. Byte 0 bit 0 starts the ring's
-// sequence numbers just below the uint32 wrap; the rest is (op, arg) pairs
-// (driveElemIndex).
+// each names the pending-slice behavior it must reach. Byte 0 is not read;
+// the rest is (op, arg) pairs (driveElemIndex).
 var elemIndexSeeds = []struct {
 	name string
 	data []byte
@@ -33,20 +64,20 @@ var elemIndexSeeds = []struct {
 }{
 	{"empty", []byte{0}, indexReach{}},
 	{"adds then one epoch", []byte{0, 0, 20, 1, 3}, indexReach{grows: 2}},
-	// One straggler pins the head, the eight ids after it are stamped, and
-	// the next run of adds fills a ring half of which is released.
+	// One straggler stays pending, the eight ids after it are stamped, and
+	// the next run of adds fills a slice half of which is dead.
 	{"a straggler forces a compaction", []byte{0, 4, 0, 0, 7, 1, 7, 0, 31}, indexReach{grows: 2, compactions: 1}},
 	{"sequence numbers wrap", []byte{1,
 		0, 31, 1, 2, 1, 4, 0, 12, 1, 6, 0, 31, 3, 5, 2, 9, 2, 200, 1, 8,
-	}, indexReach{grows: 3, wraps: 1, seqWraps: 1}},
+	}, indexReach{grows: 3}},
 	{"install-style groups beside epochs", []byte{0,
 		0, 25, 3, 0, 3, 7, 1, 5, 2, 40, 2, 41, 3, 130, 4, 9, 0, 3, 3, 255,
 	}, indexReach{grows: 2}},
 }
 
 // driveElemIndex applies the ops encoded in data to an index and to a
-// map-of-ids model, and fails t as soon as the two disagree or the ring
-// breaks its own invariants. Ops, chosen by op%5 with argument arg:
+// map-of-ids model, and fails t as soon as the two disagree or the pending
+// slice breaks its own invariants. Ops, chosen by op%5 with argument arg:
 //
 //	0: Add a run of arg%32+1 fresh ids, then re-Add an old one with another object;
 //	1: stampEpoch a fresh epoch number over a selection of known ids (pending,
@@ -63,12 +94,9 @@ func driveElemIndex(t testing.TB, data []byte) indexReach {
 		known    []wire.ElementID // ids ops 1–3 may select, in first-seen order
 		seq      = map[wire.ClientID]uint64{}
 		topEpoch uint64
+		peak     int // the most ids the model has held pending at once
 		reach    indexReach
 	)
-	if len(data) > 0 && data[0]&1 == 1 {
-		x.pending.head = math.MaxUint32 - 40
-		x.pending.next = x.pending.head
-	}
 	fresh := func(client wire.ClientID) *wire.Element {
 		seq[client]++
 		return &wire.Element{ID: wire.NewElementID(client, seq[client]), Client: client, Seq: seq[client], Size: 1}
@@ -92,8 +120,7 @@ func driveElemIndex(t testing.TB, data []byte) indexReach {
 		return ids
 	}
 	add := func(e *wire.Element, straggler bool) {
-		r := &x.pending
-		slots, span := len(r.slots), r.next-r.head
+		n, c := len(x.pending), cap(x.pending)
 		_, had := model[e.ID]
 		if got := x.Add(e); got == had {
 			t.Fatalf("Add(%v) = %v with the id present=%v", e.ID, got, had)
@@ -104,14 +131,11 @@ func driveElemIndex(t testing.TB, data []byte) indexReach {
 				known = append(known, e.ID)
 			}
 		}
-		switch {
-		case len(r.slots) > slots:
-			reach.grows++
-		case r.next-r.head < span:
+		if len(x.pending) <= n && !had {
 			reach.compactions++
 		}
-		if r.next < r.head {
-			reach.seqWraps++
+		if cap(x.pending) > c {
+			reach.grows++
 		}
 	}
 	// stampModel stamps e's id with epoch unless an epoch holds it already;
@@ -188,17 +212,22 @@ func driveElemIndex(t testing.TB, data []byte) indexReach {
 				add(fresh(2), true)
 			}
 		}
-		checkAgainstModel(t, &x, model, topEpoch)
-		if r := &x.pending; r.live > 0 && r.head&uint32(len(r.slots)-1) > (r.next-1)&uint32(len(r.slots)-1) {
-			reach.wraps++
+		pending := 0
+		for _, ent := range model {
+			if ent.epoch == 0 {
+				pending++
+			}
 		}
+		peak = max(peak, pending)
+		checkAgainstModel(t, &x, model, topEpoch, peak)
 	}
 	return reach
 }
 
 // checkAgainstModel compares every reading of x with the model, and the
-// pending ring with its invariants.
-func checkAgainstModel(t testing.TB, x *ElemIndex, model map[wire.ElementID]modelEntry, topEpoch uint64) {
+// pending slice with its invariants; peak is the most ids the model has held
+// pending at once.
+func checkAgainstModel(t testing.TB, x *ElemIndex, model map[wire.ElementID]modelEntry, topEpoch uint64, peak int) {
 	t.Helper()
 	if x.Len() != len(model) {
 		t.Fatalf("Len %d, the model holds %d", x.Len(), len(model))
@@ -213,34 +242,41 @@ func checkAgainstModel(t testing.TB, x *ElemIndex, model map[wire.ElementID]mode
 		}
 	}
 	if x.Pending() != pending {
-		t.Fatalf("the ring holds %d live elements, the model %d pending ones", x.Pending(), pending)
+		t.Fatalf("the index counts %d live pending elements, the model %d pending ones", x.Pending(), pending)
 	}
-	r := &x.pending
-	if int(r.next-r.head) > len(r.slots) || len(r.slots)&(len(r.slots)-1) != 0 {
-		t.Fatalf("ring spans %d sequence numbers over %d slots", r.next-r.head, len(r.slots))
-	}
-	if r.live > 0 && r.slots[r.head&uint32(len(r.slots)-1)] == nil {
-		t.Fatal("the ring's head is a released slot")
-	}
-	inSpan := 0
-	for seq := r.head; seq != r.next; seq++ {
-		if r.slots[seq&uint32(len(r.slots)-1)] != nil {
-			inSpan++
+	// Each id is in the slice at most once, a live entry is the element the
+	// model's pending id is bound to, and the live entries are as many as
+	// the count says. Dead entries are dropped only when the slice fills, so
+	// its array is bounded by the most elements ever pending at once, not by
+	// how many are pending now: it doubles only a full slice more than half
+	// of which is live, from 16.
+	inSlice, live := map[wire.ElementID]bool{}, 0
+	for _, e := range x.pending {
+		if inSlice[e.ID] {
+			t.Fatalf("id %v is in the pending slice twice", e.ID)
+		}
+		inSlice[e.ID] = true
+		if ent := model[e.ID]; ent.epoch == 0 {
+			if ent.e != e {
+				t.Fatalf("pending id %v is bound to %p in the slice, %p in the model", e.ID, e, ent.e)
+			}
+			live++
 		}
 	}
-	nonNil := 0
-	for _, e := range r.slots {
-		if e != nil {
-			nonNil++
-		}
+	if live != pending {
+		t.Fatalf("the pending slice holds %d live entries, the model %d pending ids", live, pending)
 	}
-	if inSpan != r.live || nonNil != r.live {
-		t.Fatalf("%d live elements, %d in [head, next), %d slots hold one", r.live, inSpan, nonNil)
+	if cap(x.pending) > max(16, 4*peak) {
+		t.Fatalf("the pending slice's array holds %d entries; at most %d ids were ever pending at once", cap(x.pending), peak)
 	}
 
-	got := map[wire.ElementID]*wire.Element{}
+	got, yields := map[wire.ElementID]*wire.Element{}, 0
 	for id, e := range x.All() {
 		got[id] = e
+		yields++
+	}
+	if yields != x.Len() || len(got) != x.Len() {
+		t.Fatalf("All yields %d entries of %d ids, want each of the %d once", yields, len(got), x.Len())
 	}
 	want := map[wire.ElementID]*wire.Element{}
 	for id, ent := range model {
@@ -263,8 +299,13 @@ func checkAgainstModel(t testing.TB, x *ElemIndex, model map[wire.ElementID]mode
 		ids.Put(wire.NewElementID(9, uint64(k+1)), 7)
 	}
 	without := map[wire.ElementID]*wire.Element{}
+	yields = 0
 	for id, e := range x.Without(&ids) {
 		without[id] = e
+		yields++
+	}
+	if yields != len(without) {
+		t.Fatalf("Without yields %d entries of %d ids", yields, len(without))
 	}
 	missing := map[wire.ElementID]uint64{}
 	for id, epoch := range x.Missing(&ids) {
@@ -303,16 +344,15 @@ func checkAgainstModel(t testing.TB, x *ElemIndex, model map[wire.ElementID]mode
 }
 
 // The element index against a map of ids: every op of the table's seeds
-// agrees with the model, and each seed reaches the ring behavior it is
-// there for — growth, compaction of stragglers, a span that wraps the
-// ring, sequence numbers that wrap uint32.
+// agrees with the model, and each seed reaches the pending-slice behavior it
+// is there for — growth, and dropping the dead entries a straggler sits
+// among.
 func TestElemIndexModel(t *testing.T) {
 	for _, tc := range elemIndexSeeds {
 		t.Run(tc.name, func(t *testing.T) {
 			got := driveElemIndex(t, tc.data)
 			t.Logf("reached %+v", got)
-			if got.grows < tc.want.grows || got.compactions < tc.want.compactions ||
-				got.wraps < tc.want.wraps || got.seqWraps < tc.want.seqWraps {
+			if got.grows < tc.want.grows || got.compactions < tc.want.compactions {
 				t.Fatalf("reached %+v, want at least %+v", got, tc.want)
 			}
 		})
@@ -331,8 +371,8 @@ func FuzzElemIndex(f *testing.F) {
 	})
 }
 
-// The index's page value locates an element instead of holding it: a walk of
-// its type finds nothing the collector would have to follow.
+// The index's page value is one stamped bit, not the element: a walk of its
+// type finds nothing the collector would have to follow, and it is 1 byte.
 func TestElemIndexValueHoldsNoPointer(t *testing.T) {
 	var walk func(reflect.Type) bool
 	walk = func(typ reflect.Type) bool {
@@ -356,13 +396,13 @@ func TestElemIndexValueHoldsNoPointer(t *testing.T) {
 	}
 	var x ElemIndex
 	value := reflect.TypeOf(x.m).Field(0).Type.Elem().Elem().Field(2).Type.Elem() // pages → *idPage → inline → V
-	if value != reflect.TypeOf(elemLoc{}) {
+	if value != reflect.TypeOf(false) {
 		t.Fatalf("the walk reached %v, not the index's value type", value)
 	}
 	if !walk(value) {
 		t.Fatalf("%v holds a pointer", value)
 	}
-	if size := value.Size(); size != 8 {
-		t.Fatalf("%v is %d bytes, want 8", value, size)
+	if size := value.Size(); size != 1 {
+		t.Fatalf("%v is %d bytes, want 1", value, size)
 	}
 }

@@ -20,13 +20,13 @@ import (
 // inFlightElementBudget bounds the elements materialized by concurrently
 // running cells when the worker count is chosen automatically. A paper-scale
 // cell keeps every element in per-server sets across 10 servers: measured,
-// 195 bytes of live heap per element all-in (bench workload hash10k, n = 10:
-// live_heap_mb 55.6 MiB ÷ attempted 300,000, with the 48-byte element;
-// `bash bench/run.sh -workload hash10k -trace 0` re-measures it), so 8M
-// in-flight elements peak near 1.6 GB. The budget was set while the figure
-// was 474 B, 4 GB at 8M, within what the previously sequential studies
-// already needed for their largest single cell; it counts elements only, not
-// what else a cell retains.
+// 114 bytes of live heap per element all-in (bench workload hash10k, n = 10:
+// live_heap_mb 32.7 MiB ÷ attempted 300,000, with the 48-byte element and a
+// stamped flag per id in each server's index; `bash bench/run.sh -workload
+// hash10k -trace 0` re-measures it), so 8M in-flight elements peak near
+// 0.9 GB. The budget was set while the figure was 474 B, 4 GB at 8M, within
+// what the previously sequential studies already needed for their largest
+// single cell; it counts elements only, not what else a cell retains.
 const inFlightElementBudget = 8e6
 
 // estimatedElements approximates how many elements a cell materializes:
