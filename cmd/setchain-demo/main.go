@@ -38,6 +38,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algName)
 		os.Exit(2)
 	}
+	if *byzantine < 0 || *elements < 0 {
+		fmt.Fprintf(os.Stderr, "-byzantine %d, -elements %d: neither may be negative\n", *byzantine, *elements)
+		os.Exit(2)
+	}
 
 	net, err := setchain.New(setchain.Config{
 		Algorithm:     alg,
@@ -49,7 +53,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The deployment's size, not the flag: -servers 0 means the default.
+	// What the deployment runs, not the flags: a zero -servers, -collector
+	// or -seed means the default.
 	n, f := net.Servers(), net.F()
 	if *byzantine > f {
 		log.Fatalf("%d Byzantine servers exceeds the tolerated f=%d", *byzantine, f)
@@ -66,7 +71,7 @@ func main() {
 		fmt.Printf("server %d is Byzantine (injects junk, withholds batches, corrupts proofs)\n", srv)
 	}
 	fmt.Printf("%s on %d servers (f=%d), collector=%d, delay=%v, seed=%d\n\n",
-		alg, n, f, *collector, *delay, *seed)
+		alg, n, f, net.CollectorSize(), *delay, net.Seed())
 
 	honest := n - *byzantine
 	var ids []setchain.ElementID

@@ -246,6 +246,18 @@ var docIdentFiles = []string{"DESIGN.md", "README.md"}
 // `pkg.Name` or `Type.Member`, optionally called: `sim.Now()`.
 var docIdentRE = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*)\\.([A-Za-z_][A-Za-z0-9_]*)(?:\\(\\))?`")
 
+// profileFrames are profile frames DESIGN.md quotes that name no code of
+// the module: the Go runtime's, and those of types deleted since they were
+// measured. They record what a profile showed, not where code is.
+var profileFrames = map[string]bool{
+	// The Go runtime.
+	"mspan.base": true, "typePointers.next": true,
+	// Mempool's former key index, core's former pending ring and the
+	// former gossip package's relay.
+	"txIndex.probe": true, "txIndex.grow": true, "txIndex.get": true,
+	"pendingRing.grow": true, "relayQueue.drain": true, "meshEndpoint.flush": true,
+}
+
 // closureRE matches the name the Go toolchain gives a function literal in
 // profiles: processTx.func2 is the second closure inside processTx.
 var closureRE = regexp.MustCompile(`^func[0-9]+$`)
@@ -256,7 +268,7 @@ type codeIndex struct {
 	pkgs    map[string]map[string]bool // package name → top-level names and methods
 	members map[string]map[string]bool // type name → fields and methods
 	embeds  map[string][]string        // type name → embedded type names
-	any     map[string]bool            // every field and method name
+	vars    map[string]map[string]bool // receiver, parameter or field name → its type names
 	funcs   map[string]bool            // every function and method name
 	std     map[string]bool            // names of imported standard packages
 	strs    map[string]bool            // every string literal's value
@@ -268,7 +280,7 @@ func indexModule(t *testing.T, root string) *codeIndex {
 	t.Helper()
 	idx := &codeIndex{
 		pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{},
-		embeds: map[string][]string{}, any: map[string]bool{}, funcs: map[string]bool{},
+		embeds: map[string][]string{}, vars: map[string]map[string]bool{}, funcs: map[string]bool{},
 		std: map[string]bool{}, strs: map[string]bool{}, files: map[string]bool{},
 	}
 	fset := token.NewFileSet()
@@ -292,6 +304,9 @@ func indexModule(t *testing.T, root string) *codeIndex {
 			return err
 		}
 		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		// Names are given types by production code only: a test's
+		// parameter names nothing a document describes.
+		prod := !strings.HasSuffix(name, "_test.go")
 		if idx.pkgs[pkg] == nil {
 			idx.pkgs[pkg] = map[string]bool{}
 		}
@@ -316,6 +331,9 @@ func indexModule(t *testing.T, root string) *codeIndex {
 				idx.pkgs[pkg][decl.Name.Name] = true
 				if decl.Recv != nil {
 					idx.addMember(receiverType(decl.Recv.List[0].Type), decl.Name.Name)
+					if prod {
+						idx.addVars(decl.Recv)
+					}
 				}
 			case *ast.GenDecl:
 				for _, spec := range decl.Specs {
@@ -339,11 +357,13 @@ func indexModule(t *testing.T, root string) *codeIndex {
 						idx.strs[s] = true
 					}
 				}
-			case *ast.StructType: // anonymous structs' fields count too
-				for _, fld := range n.Fields.List {
-					for _, nm := range fld.Names {
-						idx.any[nm.Name] = true
-					}
+			case *ast.FuncType:
+				if prod {
+					idx.addVars(n.Params)
+				}
+			case *ast.StructType:
+				if prod {
+					idx.addVars(n.Fields)
 				}
 			}
 			return true
@@ -362,7 +382,20 @@ func (idx *codeIndex) addMember(typ, name string) {
 		idx.members[typ] = map[string]bool{}
 	}
 	idx.members[typ][name] = true
-	idx.any[name] = true
+}
+
+// addVars records the type of each name a receiver, parameter or field
+// list declares.
+func (idx *codeIndex) addVars(fields *ast.FieldList) {
+	for _, fld := range fields.List {
+		typ := receiverType(fld.Type)
+		for _, nm := range fld.Names {
+			if idx.vars[nm.Name] == nil {
+				idx.vars[nm.Name] = map[string]bool{}
+			}
+			idx.vars[nm.Name][typ] = true
+		}
+	}
 }
 
 // addType records a named type with its fields, embedded types and
@@ -437,10 +470,12 @@ func (idx *codeIndex) hasMember(typ, name string, seen map[string]bool) bool {
 // string the code spells (a benchmark counter such as `sim.events`), a
 // module package's top-level name or method, a standard package's anything, a
 // closure of a named function, or a field or method — of type x when x is
-// a type, of some type when x is a lower-case variable.
+// a type, of a type the code gives x when x is a lower-case receiver,
+// parameter or field name. A profile frame of no module code resolves only
+// through profileFrames.
 func (idx *codeIndex) resolves(x, y string) bool {
 	switch {
-	case idx.files[x+"."+y], idx.strs[x+"."+y]:
+	case idx.files[x+"."+y], idx.strs[x+"."+y], profileFrames[x+"."+y]:
 		return true
 	case idx.pkgs[x] != nil && idx.pkgs[x][y]:
 		return true
@@ -453,7 +488,12 @@ func (idx *codeIndex) resolves(x, y string) bool {
 	case idx.pkgs[x] != nil || unicode.IsUpper(rune(x[0])):
 		return false
 	}
-	return idx.any[y]
+	for typ := range idx.vars[x] {
+		if idx.hasMember(typ, y, map[string]bool{}) {
+			return true
+		}
+	}
+	return false
 }
 
 // staleIdents lists a document's qualified identifiers that resolve to
@@ -486,9 +526,12 @@ func TestDocIdentifiers(t *testing.T) {
 	idx := indexModule(t, ".")
 	// The checker itself: a reference to a deleted package, a missing
 	// member of a real type and a missing name of a real package are
-	// stale; live ones of each kind are not.
+	// stale, and so is a member no type production code gives that name
+	// has (`byzantine` is only a local of setchain-demo's); live ones of
+	// each kind are not.
 	for text, want := range map[string]int{
 		"`byzantine.Combine`":                            1,
+		"`byzantine.ForgeSnapshot()`":                    1,
 		"`Behavior.Combine` and `core.Combine`":          2,
 		"`core.Behavior`, `Behavior.ForgeSnapshot`":      0,
 		"`s.behavior`, `time.Duration`, `sim.events`":    0,

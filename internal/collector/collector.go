@@ -30,12 +30,6 @@ type Collector struct {
 
 	batch *wire.Batch
 	timer sim.Event
-
-	// Stats.
-	flushes        uint64
-	sizeFlushes    uint64
-	timeoutFlushes uint64
-	items          uint64
 }
 
 // New creates a collector. limit is the paper's collector_limit counted in
@@ -59,7 +53,6 @@ func New(s *sim.Simulator, limit int, timeout time.Duration, ready ReadyFunc) *C
 // AddElement appends a client element to the pending batch.
 func (c *Collector) AddElement(e *wire.Element) {
 	c.batch.Elements = append(c.batch.Elements, e)
-	c.items++
 	c.afterAdd()
 }
 
@@ -67,26 +60,23 @@ func (c *Collector) AddElement(e *wire.Element) {
 // add_to_batch(⟨epoch, p, v⟩)).
 func (c *Collector) AddProof(p *wire.EpochProof) {
 	c.batch.Proofs = append(c.batch.Proofs, p)
-	c.items++
 	c.afterAdd()
 }
 
 func (c *Collector) afterAdd() {
 	if c.batch.Len() >= c.limit {
-		c.flush(true)
+		c.flush()
 		return
 	}
 	if !c.timer.Scheduled() && c.timeout > 0 {
-		c.timer = c.sim.After(c.timeout, func() {
-			c.flush(false)
-		})
+		c.timer = c.sim.After(c.timeout, c.flush)
 	}
 }
 
 // Flush forces the pending batch out (end-of-experiment drain).
-func (c *Collector) Flush() { c.flush(false) }
+func (c *Collector) Flush() { c.flush() }
 
-func (c *Collector) flush(bySize bool) {
+func (c *Collector) flush() {
 	c.timer.Cancel()
 	c.timer = sim.Event{}
 	if c.batch.Empty() {
@@ -94,19 +84,8 @@ func (c *Collector) flush(bySize bool) {
 	}
 	b := c.batch
 	c.batch = &wire.Batch{}
-	c.flushes++
-	if bySize {
-		c.sizeFlushes++
-	} else {
-		c.timeoutFlushes++
-	}
 	c.ready(b)
 }
 
 // Pending returns the number of items currently collected.
 func (c *Collector) Pending() int { return c.batch.Len() }
-
-// Stats returns flush counters (total, by-size, by-timeout) and total items.
-func (c *Collector) Stats() (flushes, bySize, byTimeout, items uint64) {
-	return c.flushes, c.sizeFlushes, c.timeoutFlushes, c.items
-}

@@ -52,18 +52,18 @@ func TestIDsEqualBufferedHash(t *testing.T) {
 				buf = tx.AppendKey(buf)
 			}
 			if got, want := n.blockID(9, 2, 3, 4, 5, block), string(suite.HashData(buf)); got != want {
-				t.Fatalf("%s: blockID of %d txs differs from HashData over the buffered input", suite.Name(), len(block))
+				t.Fatalf("%T: blockID of %d txs differs from HashData over the buffered input", suite, len(block))
 			}
 			buf = binary.LittleEndian.AppendUint64(buf[:0], 9)
 			for _, tx := range block {
 				buf = tx.AppendKey(buf)
 			}
 			if got, want := n.valueID(9, block), string(suite.HashData(buf)); got != want {
-				t.Fatalf("%s: valueID of %d txs differs from HashData over the buffered input", suite.Name(), len(block))
+				t.Fatalf("%T: valueID of %d txs differs from HashData over the buffered input", suite, len(block))
 			}
 		}
 		if cap(n.keyBuf) > 128 {
-			t.Fatalf("%s: the id scratch grew to %d bytes, a block's size; want one key's", suite.Name(), cap(n.keyBuf))
+			t.Fatalf("%T: the id scratch grew to %d bytes, a block's size; want one key's", suite, cap(n.keyBuf))
 		}
 	}
 }

@@ -200,7 +200,6 @@ func (n *Node) handleCertifiedBlock(resp *BlockResponse) {
 		return
 	}
 	if !n.verifyCommitCert(p, resp.Commit) {
-		n.invalidMsgs++
 		return
 	}
 	n.catchupPending = false

@@ -207,9 +207,6 @@ func PaperParams() Params {
 // the paper's algorithms must filter in FinalizeBlock).
 type ProposalMutator func(txs []*wire.Tx) []*wire.Tx
 
-// CommitListener observes committed blocks (metrics, tests).
-type CommitListener func(node wire.NodeID, b *wire.Block)
-
 // decision is a committed height's proposal and the precommit certificate
 // this node observed for it (nil when the block arrived already certified
 // by a peer).
@@ -260,8 +257,7 @@ type Node struct {
 
 	// syncer is the application's checkpoint state-sync hook (nil = no
 	// state-sync; deep catch-up then only works within the decided window).
-	syncer       StateSyncer
-	syncInstalls uint64
+	syncer StateSyncer
 	// syncRejects counts state-sync offers dropped by the certified-header
 	// verification (bad certificate, or a chain that does not fold to the
 	// certified commitment) — the forged-snapshot defense firing.
@@ -300,7 +296,6 @@ type Node struct {
 	catchupRng     *rand.Rand
 	stopped        bool
 	mutator        ProposalMutator
-	onCommit       CommitListener
 
 	// bcast, when set, replaces the per-validator send loop for
 	// proposal/vote fan-out (the mesh transport seam, DESIGN.md §13).
@@ -314,12 +309,9 @@ type Node struct {
 	signBuf []byte    // scratch for vote/proposal sign bytes, reused across calls
 
 	// Stats.
-	roundsUsed    uint64
-	catchupReqs   uint64
-	invalidMsgs   uint64
-	emptyBlocks   uint64
-	totalTxBytes  uint64
-	equivocations uint64
+	roundsUsed  uint64
+	catchupReqs uint64
+	emptyBlocks uint64
 }
 
 // NewNode constructs a validator whose application is abci.NopApplication
@@ -359,9 +351,6 @@ func (n *Node) SetApp(app abci.Application) { n.app = app }
 
 // SetProposalMutator installs a Byzantine proposal rewrite (tests/faults).
 func (n *Node) SetProposalMutator(m ProposalMutator) { n.mutator = m }
-
-// SetCommitListener installs a block-commit observer.
-func (n *Node) SetCommitListener(l CommitListener) { n.onCommit = l }
 
 // SetStateSyncer installs the application's checkpoint state-sync hook.
 func (n *Node) SetStateSyncer(s StateSyncer) { n.syncer = s }
@@ -403,9 +392,6 @@ func (n *Node) faults() int { return (len(n.validators) - 1) / 3 }
 // Quorum returns the 2f+1 vote threshold for the validator set.
 func (n *Node) Quorum() int { return 2*n.faults() + 1 }
 
-// Height returns the height currently being decided.
-func (n *Node) Height() uint64 { return n.height }
-
 // Chain returns the retained committed blocks in order: heights
 // ChainBase()+1 onward (all heights from 1 when nothing was pruned).
 func (n *Node) Chain() []*wire.Block { return n.chain }
@@ -418,9 +404,6 @@ func (n *Node) ChainBase() uint64 { return n.chainBase }
 // adopted via checkpoint install (ChainBase + retained blocks).
 func (n *Node) HeightCommitted() uint64 { return n.chainBase + uint64(len(n.chain)) }
 
-// SyncInstalls returns how many checkpoint snapshots this node installed.
-func (n *Node) SyncInstalls() uint64 { return n.syncInstalls }
-
 // SyncRejects returns how many state-sync offers this node rejected at
 // the certified-header check (forged or unprovable snapshots).
 func (n *Node) SyncRejects() uint64 { return n.syncRejects }
@@ -432,26 +415,8 @@ func (n *Node) RoundsUsed() uint64 { return n.roundsUsed }
 // CatchupRequests returns how many block-recovery requests this node sent.
 func (n *Node) CatchupRequests() uint64 { return n.catchupReqs }
 
-// InvalidMessages returns how many malformed/forged consensus messages
-// were dropped.
-func (n *Node) InvalidMessages() uint64 { return n.invalidMsgs }
-
 // EmptyBlocks returns how many committed blocks carried no transactions.
 func (n *Node) EmptyBlocks() uint64 { return n.emptyBlocks }
-
-// TotalTxBytes returns the cumulative transaction bytes committed.
-func (n *Node) TotalTxBytes() uint64 { return n.totalTxBytes }
-
-// Equivocations returns how many conflicting double-votes were detected
-// and discarded.
-func (n *Node) Equivocations() uint64 { return n.equivocations }
-
-// SignVote signs a vote's canonical bytes; exported for tooling and fault
-// injection in tests.
-func SignVote(suite setcrypto.Suite, key setcrypto.KeyPair, v *Vote) []byte {
-	n := &Node{}
-	return suite.Sign(key, n.voteSignBytes(v))
-}
 
 // Stop freezes the node (end of experiment).
 func (n *Node) Stop() { n.stopped = true }
@@ -539,7 +504,6 @@ func (n *Node) Receive(from wire.NodeID, payload any) {
 		return
 	}
 	if !n.isValidator(from) {
-		n.invalidMsgs++
 		return
 	}
 	switch msg := payload.(type) {

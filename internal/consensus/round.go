@@ -260,12 +260,10 @@ func (n *Node) handleProposal(p *Proposal) {
 		return
 	}
 	if p.Proposer != n.proposerFor(p.Height, p.Round) {
-		n.invalidMsgs++
 		return
 	}
 	pub := n.registry.Lookup(int(p.Proposer))
 	if pub == nil || !n.suite.Verify(pub, n.proposalSignBytes(p), p.Sig) {
-		n.invalidMsgs++
 		return
 	}
 	// Structural check: the block must match the announced id and respect
@@ -273,7 +271,6 @@ func (n *Node) handleProposal(p *Proposal) {
 	// the paper's model explicitly allows Byzantine servers to put invalid
 	// elements on the ledger; Setchain filters them in FinalizeBlock.)
 	if !n.wellFormed(p) || p.Block.Bytes > n.params.MaxBlockBytes {
-		n.invalidMsgs++
 		return
 	}
 	// Header-commitment check: a claimed checkpoint chain at or below this
@@ -283,7 +280,6 @@ func (n *Node) handleProposal(p *Proposal) {
 	// falsify state it hasn't computed, and 2f+1 such checks are exactly
 	// the light-client trust state-sync leans on.
 	if n.syncer != nil && !n.syncer.VerifyCommitment(p.Block.CkptEpoch, p.Block.CkptFold) {
-		n.invalidMsgs++
 		return
 	}
 	if _, dup := n.proposals[p.Round]; dup {
@@ -336,7 +332,6 @@ func (n *Node) handleVote(v *Vote) {
 		return
 	}
 	if !n.validVote(v) {
-		n.invalidMsgs++
 		return
 	}
 	rv := n.votes[v.Round]
@@ -347,11 +342,8 @@ func (n *Node) handleVote(v *Vote) {
 	// Equivocation defense: a validator's first vote per (round, type)
 	// wins; a conflicting second vote is evidence of Byzantine behavior
 	// and is not counted (Tendermint would additionally gossip the
-	// evidence for slashing; here we record it).
-	if prev := rv.voteOf(v.Type, v.Voter); prev != nil {
-		if prev.BlockID != v.BlockID {
-			n.equivocations++
-		}
+	// evidence for slashing).
+	if rv.voteOf(v.Type, v.Voter) != nil {
 		return
 	}
 	rv.add(v)
@@ -454,14 +446,10 @@ func (n *Node) commit(p *Proposal) {
 	// after it is proposed (wire.Block), so every node holds the one object.
 	block := p.Block
 	n.chain = append(n.chain, block)
-	n.totalTxBytes += uint64(block.Bytes)
 	if len(block.Txs) == 0 {
 		n.emptyBlocks++
 	}
 	n.pool.RemoveCommitted(p.Height, block.Txs)
-	if n.onCommit != nil {
-		n.onCommit(n.id, block)
-	}
 	n.app.FinalizeBlock(block)
 
 	// Retain the decided proposal and its precommit certificate so lagging

@@ -189,7 +189,6 @@ func (n *Node) handleSyncOffer(from wire.NodeID, offer *SyncOffer) {
 	fold := checkpoint.FoldChain(snap.Chain)
 	if !n.offerValid(offer, fold, cb) {
 		n.syncRejects++
-		n.invalidMsgs++
 		return
 	}
 	if f := n.fetch; f != nil {
@@ -223,15 +222,14 @@ func (n *Node) requestChunk(f *syncFetch) {
 // either requests the next chunk or, once all arrived, installs the
 // assembled snapshot and resumes consensus after the checkpoint height.
 // Any other chunk is a duplicate or names another snapshot and is
-// ignored; one failing verification is dropped and counted, and the
-// retry backoff re-requests it.
+// ignored; one failing verification is dropped, and the retry backoff
+// re-requests it.
 func (n *Node) handleSyncChunk(c *SyncChunk) {
 	f := n.fetch
 	if f == nil || n.stopped || n.decided || c.Epoch != f.snap.Last.Epoch || c.Fold != f.fold || c.Seq != f.next {
 		return
 	}
 	if c.Size != syncChunkSize(f.snap.Bytes, f.chunkBytes, c.Seq) || c.Sum != chunkSum(f.fold, c.Seq, c.Size) {
-		n.invalidMsgs++
 		return
 	}
 	f.next++
@@ -248,7 +246,6 @@ func (n *Node) handleSyncChunk(c *SyncChunk) {
 	if snap.Last.Height < n.height || !n.syncer.InstallSync(snap) {
 		return
 	}
-	n.syncInstalls++
 	// Heights through the checkpoint are now covered by the installed
 	// state; retained blocks below it are superseded.
 	n.chain = nil

@@ -459,10 +459,6 @@ func (h *hashchainAlg) installPending(pending map[wire.Digest][]wire.NodeID, bat
 // Checkpoints returns the sealed checkpoint chain (read-only).
 func (s *Server) Checkpoints() []checkpoint.Checkpoint { return s.checkpoints }
 
-// Settled returns the settled-prefix watermark: epochs 1..Settled have
-// f+1 proofs locally.
-func (s *Server) Settled() uint64 { return s.settled }
-
 // SyncInstalls returns how many checkpoint snapshots this server has
 // installed (state-sync recoveries).
 func (s *Server) SyncInstalls() uint64 { return s.syncInstalls }

@@ -31,7 +31,7 @@ func (s *Server) EagerSyncMembers() map[wire.ElementID]Member {
 		}
 	}
 	members := make(map[wire.ElementID]Member)
-	for id, stamped := range s.elems.m.All() {
+	for id, stamped := range wire.Diff(&s.elems.m, &wire.IDMap[struct{}]{}) {
 		if stamped {
 			members[id] = scanned[id]
 		}

@@ -325,16 +325,16 @@ func TestNewElementAllocations(t *testing.T) {
 	payload := make([]byte, 300)
 	for _, suite := range []setcrypto.Suite{setcrypto.FastSuite{}, setcrypto.Ed25519Suite{}} {
 		kp := setcrypto.FastKeyPair(7)
-		if suite.Name() != (setcrypto.FastSuite{}).Name() {
+		if suite == setcrypto.Suite(setcrypto.Ed25519Suite{}) {
 			kp = setcrypto.GenerateKeyPair(rand.New(rand.NewSource(1)))
 		}
 		cl := core.NewClient(3, suite, kp, nil, 4, 1, core.Full)
 		if allocs := testing.AllocsPerRun(100, func() { cl.NewElement(payload) }); allocs != 3 {
-			t.Errorf("%s: %v allocations per element, want 3", suite.Name(), allocs)
+			t.Errorf("%T: %v allocations per element, want 3", suite, allocs)
 		}
 		e := cl.NewElement(payload)
 		if len(e.Sig()) != setcrypto.SignatureSize || e.WireSize() != wire.ElementHeaderSize+len(payload)+setcrypto.SignatureSize {
-			t.Errorf("%s: signature of %d bytes, wire size %d", suite.Name(), len(e.Sig()), e.WireSize())
+			t.Errorf("%T: signature of %d bytes, wire size %d", suite, len(e.Sig()), e.WireSize())
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"iter"
-	"reflect"
 	"slices"
 
 	"repro/internal/wire"
@@ -109,9 +108,6 @@ func (x *ElemIndex) stampEpoch(number uint64, elems []*wire.Element) []*wire.Ele
 // Has reports whether id is in the_set.
 func (x *ElemIndex) Has(id wire.ElementID) bool { return x.m.Has(id) }
 
-// Len returns the size of the_set.
-func (x *ElemIndex) Len() int { return x.m.Len() }
-
 // Pending returns how many elements of the_set no epoch holds yet: none on
 // a correct server once a run has quiesced.
 func (x *ElemIndex) Pending() int { return x.live }
@@ -128,17 +124,6 @@ func (x *ElemIndex) entries() iter.Seq2[wire.ElementID, Member] {
 		}
 		for id, m := range x.members(uint64(len(x.epochs))) {
 			if !yield(id, m) {
-				return
-			}
-		}
-	}
-}
-
-// All iterates over the_set in unspecified order.
-func (x *ElemIndex) All() iter.Seq2[wire.ElementID, *wire.Element] {
-	return func(yield func(wire.ElementID, *wire.Element) bool) {
-		for id, m := range x.entries() {
-			if !yield(id, m.Element) {
 				return
 			}
 		}
@@ -224,25 +209,4 @@ func (x *ElemIndex) stampMembers(members map[wire.ElementID]Member, through uint
 		x.stampEpoch(below[i].Epoch, elems[i:j:j])
 		i = j
 	}
-}
-
-// Equal reports whether x and y hold the same ids, bound to equal elements
-// and stamped with the same epochs. Two indexes with equal contents differ
-// in their cursors, page arrays and slices, so this, not reflect.DeepEqual
-// on the index, is how to compare them.
-func (x *ElemIndex) Equal(y *ElemIndex) bool {
-	if x.Len() != y.Len() {
-		return false
-	}
-	theirs := make(map[wire.ElementID]Member, y.Len())
-	for id, m := range y.entries() {
-		theirs[id] = m
-	}
-	for id, m := range x.entries() {
-		other, ok := theirs[id]
-		if !ok || other.Epoch != m.Epoch || !reflect.DeepEqual(other.Element, m.Element) {
-			return false
-		}
-	}
-	return true
 }

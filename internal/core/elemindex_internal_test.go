@@ -1,6 +1,7 @@
 package core
 
 import (
+	"iter"
 	"maps"
 	"reflect"
 	"slices"
@@ -39,6 +40,47 @@ func (x *ElemIndex) Epoch(id wire.ElementID) uint64 {
 		}
 	}
 	return 0
+}
+
+// Len returns the size of the_set.
+func (x *ElemIndex) Len() int {
+	n := 0
+	for range wire.Diff(&x.m, &wire.IDMap[struct{}]{}) {
+		n++
+	}
+	return n
+}
+
+// All iterates over the_set in unspecified order.
+func (x *ElemIndex) All() iter.Seq2[wire.ElementID, *wire.Element] {
+	return func(yield func(wire.ElementID, *wire.Element) bool) {
+		for id, m := range x.entries() {
+			if !yield(id, m.Element) {
+				return
+			}
+		}
+	}
+}
+
+// Equal reports whether x and y hold the same ids, bound to equal elements
+// and stamped with the same epochs. Two indexes with equal contents differ
+// in their cursors, page arrays and slices, so this, not reflect.DeepEqual
+// on the index, is how to compare them.
+func (x *ElemIndex) Equal(y *ElemIndex) bool {
+	if x.Len() != y.Len() {
+		return false
+	}
+	theirs := make(map[wire.ElementID]Member, y.Len())
+	for id, m := range y.entries() {
+		theirs[id] = m
+	}
+	for id, m := range x.entries() {
+		other, ok := theirs[id]
+		if !ok || other.Epoch != m.Epoch || !reflect.DeepEqual(other.Element, m.Element) {
+			return false
+		}
+	}
+	return true
 }
 
 // modelEntry is the reference model's view of one id: the element the id is
@@ -317,7 +359,7 @@ func checkAgainstModel(t testing.TB, x *ElemIndex, model map[wire.ElementID]mode
 			wantWithout[id] = ent.e
 		}
 	}
-	for id, v := range ids.All() {
+	for id, v := range wire.Diff(&ids, &wire.IDMap[struct{}]{}) {
 		if _, ok := model[id]; !ok {
 			wantMissing[id] = v
 		}

@@ -107,10 +107,10 @@ func TestConsolidatedBlockAllocatesNothingPerTransaction(t *testing.T) {
 		d.Sim.Run()
 	}
 	finalize() // the event slab and the CPU queue reach their size
-	jobs := srv.cpu.Jobs()
+	events := d.Sim.Executed()
 	allocs := testing.AllocsPerRun(10, finalize)
-	if got := (srv.cpu.Jobs() - jobs) / 11; got != txs {
-		t.Fatalf("a block ran %d costed steps, want one per transaction (%d)", got, txs)
+	if got := (d.Sim.Executed() - events) / 11; got != txs {
+		t.Fatalf("a block ran %d events and costed steps, want one per transaction (%d)", got, txs)
 	}
 	if allocs > 2 {
 		t.Fatalf("finalizing a block of %d consolidated hash-batches allocates %.0f times, want the 2 of an empty block", txs, allocs)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -149,7 +148,7 @@ func newServer(node *ledger.Node, s *sim.Simulator, n int, suite setcrypto.Suite
 		n:        n,
 		opts:     opts,
 		sim:      s,
-		cpu:      s.NewResource(fmt.Sprintf("setchain-cpu-%d", node.ID)),
+		cpu:      s.NewResource("setchain-cpu"),
 		node:     node,
 		suite:    suite,
 		key:      key,

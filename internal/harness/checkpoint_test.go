@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/spec"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -150,12 +151,14 @@ func TestRecoveredNodeMatchesNeverCrashedPeer(t *testing.T) {
 		}
 	}
 	// The replicated set: identical membership.
-	if cs.TheSet.Len() != ps.TheSet.Len() {
-		t.Fatalf("set sizes differ: recovered %d, peer %d", cs.TheSet.Len(), ps.TheSet.Len())
-	}
-	for id := range ps.TheSet.All() {
+	for id := range ps.TheSet.Without(&wire.IDMap[uint64]{}) { // the_set ∖ ∅
 		if !cs.TheSet.Has(id) {
 			t.Fatalf("element %x missing from recovered node's set", id[:4])
+		}
+	}
+	for id := range cs.TheSet.Without(&wire.IDMap[uint64]{}) {
+		if !ps.TheSet.Has(id) {
+			t.Fatalf("element %x in the recovered node's set only", id[:4])
 		}
 	}
 	// Bounded memory: once the run quiesced, every element of every set is
@@ -166,9 +169,9 @@ func TestRecoveredNodeMatchesNeverCrashedPeer(t *testing.T) {
 			t.Fatalf("server %d still holds %d pending elements after the run quiesced", i, n)
 		}
 	}
-	// Bounded memory under pruning: tombstones were actually dropped and
-	// the retained tombstone count is a small fraction of everything ever
-	// committed (without pruning every committed tx key lingers forever).
+	// Bounded memory under pruning: a pool keeps a tombstone only for a
+	// transaction of a block its node still retains above the checkpoint
+	// horizon (without pruning every committed tx key lingers forever).
 	// The ledger's key table holds exactly the union of the keys its pools
 	// still hold a state for, each counted once per pool that holds it, and
 	// keeps no transaction whose key they all let go.
@@ -185,13 +188,16 @@ func TestRecoveredNodeMatchesNeverCrashedPeer(t *testing.T) {
 		t.Fatalf("the ledger's key table holds %d keys, a pool alone %d", keys, held)
 	}
 	for i, node := range d.Ledger.Nodes {
-		pool := node.Pool
-		if pool.TombstonesPruned() == 0 {
-			t.Fatalf("node %d pruned no mempool tombstones", i)
+		if node.Cons.ChainBase() == 0 {
+			t.Fatalf("node %d pruned no block", i)
 		}
-		if kept, pruned := pool.TombstonedKeys(), pool.TombstonesPruned(); uint64(kept) > pruned {
-			t.Fatalf("node %d keeps %d tombstones but pruned only %d — retention is not bounded",
-				i, kept, pruned)
+		retained := 0
+		for _, b := range node.Cons.Chain() {
+			retained += len(b.Txs)
+		}
+		if kept := node.Pool.TombstonedKeys(); kept > retained {
+			t.Fatalf("node %d keeps %d tombstones for the %d transactions of its retained blocks — retention is not bounded",
+				i, kept, retained)
 		}
 	}
 }

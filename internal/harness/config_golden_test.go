@@ -47,7 +47,7 @@ func optionsOf(o core.Options) effectiveOptions {
 // poolOf is what a pool reads of its mempool.Config: the deferred queue's
 // bounds only under the delay policy, the one that has a queue.
 func poolOf(c mempool.Config) mempool.Config {
-	if c.Admission.Policy != mempool.AdmissionDelay {
+	if c.Admission.Policy != spec.AdmissionDelay {
 		c.Admission.MaxDelay, c.Admission.MaxDeferred = 0, 0
 	}
 	return c
@@ -143,7 +143,7 @@ func TestAdmissionDefaults(t *testing.T) {
 		_, d, _ := Deploy(fromSpec(t, sp).withDefaults())
 		return d.Shards[0].Ledger.Nodes[0].Pool.Config()
 	}
-	want := mempool.AdmissionConfig{Policy: mempool.AdmissionDelay,
+	want := mempool.AdmissionConfig{Policy: spec.AdmissionDelay,
 		Watermark: 0.9, MaxDelay: 5 * time.Second, MaxDeferred: 1024}
 	if got := pool(); got.Admission != want || got.MaxTxs != 100 {
 		t.Fatalf("delay-policy pool = %+v, want admission %+v and 100 txs", got, want)

@@ -201,19 +201,6 @@ func FromSpecs(sps []spec.ScenarioSpec, scale float64) ([]Scenario, error) {
 	return out, nil
 }
 
-// EntryScenarios expands a registry entry into its executable scenarios
-// at the given scale.
-func EntryScenarios(name string, scale float64) ([]Scenario, error) {
-	e, ok := spec.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("no registry entry %q", name)
-	}
-	if len(e.Cells) == 0 {
-		return nil, fmt.Errorf("entry %q is analytic: it has no simulation cells", name)
-	}
-	return FromSpecs(e.Cells, scale)
-}
-
 // RunSpecs converts and executes a scenario document on the worker pool,
 // returning results in input order.
 func RunSpecs(sps []spec.ScenarioSpec, scale float64) ([]*Result, error) {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -20,6 +21,29 @@ import (
 // (sending rates stay put, so every above-ceiling relationship the
 // assertions rely on is preserved) and the whole package finishes in a few
 // seconds.
+
+// EntryScenarios expands a registry entry into its executable scenarios
+// at the given scale.
+func EntryScenarios(name string, scale float64) ([]Scenario, error) {
+	e, ok := spec.Get(name)
+	if !ok {
+		return nil, fmt.Errorf("no registry entry %q", name)
+	}
+	if len(e.Cells) == 0 {
+		return nil, fmt.Errorf("entry %q is analytic: it has no simulation cells", name)
+	}
+	return FromSpecs(e.Cells, scale)
+}
+
+// entryCells returns the cells of a registry entry fixed at compile time.
+func entryCells(t *testing.T, name string) []spec.ScenarioSpec {
+	t.Helper()
+	e, ok := spec.Get(name)
+	if !ok {
+		t.Fatalf("no registry entry %q", name)
+	}
+	return e.Cells
+}
 
 // shortWindow returns the full window, or the reduced one under -short.
 func shortWindow(full, short time.Duration) time.Duration {
@@ -224,7 +248,7 @@ func TestScaleShrinksRun(t *testing.T) {
 // meaning 1. A negative or NaN scale used to convert into a cell that sent
 // nothing and passed every check.
 func TestFromSpecScaledValidatesScale(t *testing.T) {
-	cell := spec.MustGet("chaos_crash").Cells[0]
+	cell := entryCells(t, "chaos_crash")[0]
 	for _, bad := range []float64{-1, -0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := FromSpecScaled(cell, bad); err == nil {
 			t.Errorf("FromSpecScaled accepted scale %v", bad)
@@ -253,7 +277,7 @@ func TestFromSpecScaledValidatesScale(t *testing.T) {
 }
 
 func TestLatencyStudySmall(t *testing.T) {
-	results, err := RunSpecs(spec.MustGet("fig4").Cells, 0.2)
+	results, err := RunSpecs(entryCells(t, "fig4"), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +349,7 @@ func TestFig1PanelsShape(t *testing.T) {
 		{"right", 10000, AlgSpec{Alg: core.Compresschain, Collector: 500}, 250 * time.Second},
 		{"right", 10000, AlgSpec{Alg: core.Hashchain, Collector: 500}, 250 * time.Second},
 	}
-	cells := spec.MustGet("fig1").Cells
+	cells := entryCells(t, "fig1")
 	scs, err := FromSpecs(cells, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +361,7 @@ func TestFig1PanelsShape(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Fig. 1 cells:\n got: %+v\nwant: %+v", got, want)
 	}
-	if !reflect.DeepEqual(spec.MustGet("table2").Cells, cells) {
+	if !reflect.DeepEqual(entryCells(t, "table2"), cells) {
 		t.Fatal("table2 cells diverged from fig1")
 	}
 }

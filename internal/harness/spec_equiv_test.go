@@ -40,7 +40,7 @@ func TestSpecFileMatchesRegistryFig4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := spec.MustGet("fig4").Cells
+	want := entryCells(t, "fig4")
 	if len(cells) != len(want) {
 		t.Fatalf("file has %d cells, registry %d", len(cells), len(want))
 	}
@@ -65,7 +65,7 @@ func TestSpecRunMatchesRegistryRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromRegistry, err := RunSpecs(spec.MustGet("fig4").Cells, scale)
+	fromRegistry, err := RunSpecs(entryCells(t, "fig4"), scale)
 	if err != nil {
 		t.Fatal(err)
 	}

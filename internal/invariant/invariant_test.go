@@ -3,6 +3,7 @@ package invariant
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"slices"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -34,6 +36,11 @@ func TestCheckerPassesOnCorrectRun(t *testing.T) {
 }
 
 // lastEpoch returns a server's last epoch with at least one element.
+// theSet iterates over a server's the_set: the_set ∖ ∅.
+func theSet(x *core.ElemIndex) iter.Seq2[wire.ElementID, *wire.Element] {
+	return x.Without(&wire.IDMap[uint64]{})
+}
+
 func lastEpoch(t *testing.T, d *core.Deployment, id int) *core.Epoch {
 	t.Helper()
 	hist := d.Servers[id].Get().History
@@ -168,7 +175,7 @@ func runSmallAdmission(t *testing.T) (*core.Deployment, Config) {
 	rec := metrics.New(s, metrics.LevelThroughput, n, f, 0)
 	mcfg := mempool.PaperConfig()
 	mcfg.MaxTxs = 30
-	mcfg.Admission = mempool.AdmissionConfig{Policy: mempool.AdmissionReject, Watermark: 0.9}
+	mcfg.Admission = mempool.AdmissionConfig{Policy: spec.AdmissionReject, Watermark: 0.9}
 	d := core.Deploy(s, n, ledger.Config{
 		Net:       netsim.DefaultLANConfig(),
 		Consensus: consensus.PaperParams(),
@@ -210,7 +217,8 @@ func TestCheckerDetectsCommittedRejectedElement(t *testing.T) {
 	if err := Check(d, cfg); err != nil {
 		t.Fatalf("correct admission run violates invariants: %v", err)
 	}
-	for id := range cfg.Rejected.All() {
+	rejected := wire.Diff(cfg.Rejected, &wire.IDMap[struct{}]{})
+	for id := range rejected {
 		if cfg.Injected.Has(id) {
 			t.Fatalf("id %v booked both injected and rejected", id)
 		}
@@ -218,7 +226,7 @@ func TestCheckerDetectsCommittedRejectedElement(t *testing.T) {
 	// Splice a rejected element into a committed epoch on one server: the
 	// checker must name the admission violation precisely.
 	var rejID wire.ElementID
-	for id := range cfg.Rejected.All() {
+	for id := range rejected {
 		rejID = id
 		break
 	}
@@ -460,7 +468,7 @@ func TestCheckerDetectsCorruptionWithinAPage(t *testing.T) {
 				// one bit away from ids that are both.
 				snap := d.Servers[3].Get()
 				var free *wire.ElementID
-				for id := range snap.TheSet.All() {
+				for id := range theSet(snap.TheSet) {
 					next := id
 					next[8]++
 					if next[8] != 0 && samePage(id, next) && !cfg.Injected.Has(next) {

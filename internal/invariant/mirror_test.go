@@ -139,7 +139,7 @@ func filled(snap core.Snapshot) []*core.Epoch {
 func (w world) withSet(id wire.NodeID, skip *wire.ElementID, extra ...*wire.Element) {
 	snap := w.snaps[id]
 	set := &core.ElemIndex{}
-	for eid, e := range snap.TheSet.All() {
+	for eid, e := range theSet(snap.TheSet) {
 		if skip == nil || eid != *skip {
 			set.Add(e)
 		}

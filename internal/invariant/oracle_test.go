@@ -51,7 +51,7 @@ func oracleSnaps(rep *report, snaps map[wire.NodeID]core.Snapshot, cfg Config) {
 				}
 			}
 		}
-		for eid, e := range snap.TheSet.All() {
+		for eid, e := range theSet(snap.TheSet) {
 			if _, inHistory := seen[eid]; inHistory {
 				continue
 			}

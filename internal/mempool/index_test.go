@@ -345,13 +345,13 @@ func TestTxIndexHashCollision(t *testing.T) {
 				delta, p.Size(), p.TombstonedKeys(), p.Has(ka), p.Has(kb))
 		}
 		p.RemoveCommitted(2, []*wire.Tx{twinTx(a, false)})
-		if p.Size() != 0 || p.Bytes() != 0 || p.TombstonedKeys() != 2 || p.Has(ka) || p.Has(kb) {
+		if p.Size() != 0 || p.bytes != 0 || p.TombstonedKeys() != 2 || p.Has(ka) || p.Has(kb) {
 			t.Fatalf("delta %d: size/bytes/tombstones %d/%d/%d after committing both, want 0/0/2",
-				delta, p.Size(), p.Bytes(), p.TombstonedKeys())
+				delta, p.Size(), p.bytes, p.TombstonedKeys())
 		}
 		p.PruneTombstonesBelow(1) // b's tombstone goes, a's stays
-		if p.TombstonedKeys() != 1 || p.TombstonesPruned() != 1 {
-			t.Fatalf("delta %d: tombstones/pruned = %d/%d after pruning height 1, want 1/1", delta, p.TombstonedKeys(), p.TombstonesPruned())
+		if p.TombstonedKeys() != 1 {
+			t.Fatalf("delta %d: tombstones = %d after pruning height 1, want 1", delta, p.TombstonedKeys())
 		}
 		if p.AddTx(a) {
 			t.Fatalf("delta %d: a's tombstone was pruned with b's", delta)

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/wire"
 )
 
@@ -127,11 +128,10 @@ type Mempool struct {
 	expired       uint64
 
 	// Stats.
-	admitted         uint64
-	rejected         uint64
-	dropped          uint64 // capacity drops
-	duplicate        uint64
-	tombstonesPruned uint64
+	admitted  uint64
+	rejected  uint64
+	dropped   uint64 // capacity drops
+	duplicate uint64
 }
 
 // tombstoneBatch records what one committed block tombstoned: the block's
@@ -209,7 +209,7 @@ func (m *Mempool) SetBroadcaster(b func(payload any, size int)) { m.bcast = b }
 // and the transactions that still arrive here carry admitted elements
 // and enter using the watermark headroom.
 func (m *Mempool) AddTx(tx *wire.Tx) bool {
-	if m.cfg.Admission.Policy == AdmissionDelay && m.Saturated() {
+	if m.cfg.Admission.Policy == spec.AdmissionDelay && m.Saturated() {
 		return m.deferTx(tx)
 	}
 	return m.add(tx, true)
@@ -370,7 +370,6 @@ func (m *Mempool) PruneTombstonesBelow(height uint64) {
 			key := tx.MapKey()
 			if ord := m.keys.find(tx, &key); m.state(ord) < 0 {
 				m.drop(ord, &key)
-				m.tombstonesPruned++
 			}
 		}
 		cut++
@@ -427,9 +426,6 @@ func (m *Mempool) drop(ord int32, key *wire.TxKey) {
 // (soak assertions pin this as bounded under pruning).
 func (m *Mempool) TombstonedKeys() int { return m.held - m.live }
 
-// TombstonesPruned returns how many tombstones pruning has dropped.
-func (m *Mempool) TombstonesPruned() uint64 { return m.tombstonesPruned }
-
 // compact advances head past the freed slots at the front of the ring
 // and, once they are more than half of it, slides the remainder down to
 // index 0. A slide copies fewer slots than head advanced since the last
@@ -451,14 +447,6 @@ func (m *Mempool) compact() {
 
 // Size returns the number of pooled transactions.
 func (m *Mempool) Size() int { return m.live }
-
-// Bytes returns the pooled byte total.
-func (m *Mempool) Bytes() int { return m.bytes }
-
-// Has reports whether the pool currently holds the given tx key.
-func (m *Mempool) Has(key wire.TxKey) bool {
-	return m.state(m.keys.find(nil, &key)) > 0
-}
 
 // Stats returns counters (admitted, rejected by CheckTx, dropped by
 // capacity, duplicates ignored).

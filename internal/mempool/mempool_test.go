@@ -74,8 +74,8 @@ func TestAddAndReap(t *testing.T) {
 		}
 	})
 	s.Run()
-	if p.Size() != 10 || p.Bytes() != 1000 {
-		t.Fatalf("size=%d bytes=%d, want 10/1000", p.Size(), p.Bytes())
+	if p.Size() != 10 || p.bytes != 1000 {
+		t.Fatalf("size=%d bytes=%d, want 10/1000", p.Size(), p.bytes)
 	}
 	got := p.Reap(450)
 	if len(got) != 4 {
@@ -151,9 +151,9 @@ func TestMalformedTxRefused(t *testing.T) {
 		p.RemoveCommitted(1, []*wire.Tx{tx})
 		p.PruneTombstonesBelow(1)
 		_, rejected, _, duplicate := p.Stats()
-		if rejected != 3 || duplicate != 0 || checked != 0 || p.Size() != 0 || p.TombstonedKeys() != 0 || p.TombstonesPruned() != 0 {
-			t.Errorf("kind %v: rejected/duplicate/CheckTx calls = %d/%d/%d, size/tombstones/pruned = %d/%d/%d, want 3/0/0 and 0/0/0",
-				kind, rejected, duplicate, checked, p.Size(), p.TombstonedKeys(), p.TombstonesPruned())
+		if rejected != 3 || duplicate != 0 || checked != 0 || p.Size() != 0 || p.TombstonedKeys() != 0 {
+			t.Errorf("kind %v: rejected/duplicate/CheckTx calls = %d/%d/%d, size/tombstones = %d/%d, want 3/0/0 and 0/0",
+				kind, rejected, duplicate, checked, p.Size(), p.TombstonedKeys())
 		}
 	}
 }
@@ -242,9 +242,9 @@ func TestRemoveCommittedNeverSeen(t *testing.T) {
 	p := pools[0]
 	tx := elemTx(9, 100)
 	p.RemoveCommitted(1, []*wire.Tx{tx}) // seen-marking path
-	if p.Size() != 0 || p.Bytes() != 0 || p.TombstonedKeys() != 1 {
+	if p.Size() != 0 || p.bytes != 0 || p.TombstonedKeys() != 1 {
 		t.Fatalf("size/bytes/tombstones = %d/%d/%d after committing a never-seen tx, want 0/0/1",
-			p.Size(), p.Bytes(), p.TombstonedKeys())
+			p.Size(), p.bytes, p.TombstonedKeys())
 	}
 	s.After(0, func() {
 		if p.AddTx(tx) {
@@ -273,16 +273,16 @@ func TestRemoveCommittedSameTxTwice(t *testing.T) {
 	})
 	s.Run()
 	p.RemoveCommitted(1, []*wire.Tx{txs[1], txs[1]})
-	if p.Size() != 3 || p.Bytes() != 100+102+103 || p.TombstonedKeys() != 1 {
-		t.Fatalf("size/bytes/tombstones = %d/%d/%d, want 3/305/1", p.Size(), p.Bytes(), p.TombstonedKeys())
+	if p.Size() != 3 || p.bytes != 100+102+103 || p.TombstonedKeys() != 1 {
+		t.Fatalf("size/bytes/tombstones = %d/%d/%d, want 3/305/1", p.Size(), p.bytes, p.TombstonedKeys())
 	}
 	got := p.Reap(1 << 20)
 	if len(got) != 3 || got[0] != txs[0] || got[1] != txs[2] || got[2] != txs[3] {
 		t.Fatalf("reap after the double listing = %v, want txs 0, 2, 3", got)
 	}
 	p.PruneTombstonesBelow(1)
-	if p.TombstonesPruned() != 1 || p.TombstonedKeys() != 0 {
-		t.Fatalf("pruned/tombstones = %d/%d, want 1/0", p.TombstonesPruned(), p.TombstonedKeys())
+	if p.TombstonedKeys() != 0 {
+		t.Fatalf("tombstones = %d after pruning, want 0", p.TombstonedKeys())
 	}
 }
 
@@ -352,8 +352,8 @@ func TestCompactKeepsOrder(t *testing.T) {
 	s.Run()
 	p.RemoveCommitted(4, []*wire.Tx{txs[199], txs[150]})
 	want = append(slices.Clone(want[1:39]), late)
-	if got := p.Reap(1 << 20); !slices.Equal(got, want) || p.Size() != 39 || p.Bytes() != 390 {
-		t.Fatalf("after the slide: reaped %d txs, size %d, bytes %d; want 39/39/390", len(got), p.Size(), p.Bytes())
+	if got := p.Reap(1 << 20); !slices.Equal(got, want) || p.Size() != 39 || p.bytes != 390 {
+		t.Fatalf("after the slide: reaped %d txs, size %d, bytes %d; want 39/39/390", len(got), p.Size(), p.bytes)
 	}
 }
 
@@ -508,12 +508,12 @@ func TestDistinctTxSameKey(t *testing.T) {
 		t.Fatal("want the first admitted and the second refused")
 	}
 	p.ReceiveGossip(&GossipMsg{Txs: []*wire.Tx{second}})
-	if _, _, _, dup := p.Stats(); dup != 2 || p.Size() != 1 || p.Bytes() != 100 {
-		t.Fatalf("duplicates/size/bytes = %d/%d/%d before commit, want 2/1/100", dup, p.Size(), p.Bytes())
+	if _, _, _, dup := p.Stats(); dup != 2 || p.Size() != 1 || p.bytes != 100 {
+		t.Fatalf("duplicates/size/bytes = %d/%d/%d before commit, want 2/1/100", dup, p.Size(), p.bytes)
 	}
 	p.RemoveCommitted(1, []*wire.Tx{second})
-	if p.Size() != 0 || p.Bytes() != 0 || p.TombstonedKeys() != 1 || len(p.Reap(1<<20)) != 0 {
-		t.Fatalf("size/bytes/tombstones = %d/%d/%d after committing the second, want 0/0/1", p.Size(), p.Bytes(), p.TombstonedKeys())
+	if p.Size() != 0 || p.bytes != 0 || p.TombstonedKeys() != 1 || len(p.Reap(1<<20)) != 0 {
+		t.Fatalf("size/bytes/tombstones = %d/%d/%d after committing the second, want 0/0/1", p.Size(), p.bytes, p.TombstonedKeys())
 	}
 	if p.AddTx(first) || p.AddTx(second) {
 		t.Fatal("a committed key was admitted")
@@ -573,9 +573,9 @@ func TestTombstoneLogAliasesBlock(t *testing.T) {
 		t.Fatalf("size/tombstones = %d/%d, want 2/10", p.Size(), p.TombstonedKeys())
 	}
 	p.PruneTombstonesBelow(4)
-	if p.TombstonedKeys() != 3 || p.TombstonesPruned() != 7 || len(p.tombstones) != 1 {
-		t.Fatalf("tombstones/pruned/log = %d/%d/%d after pruning the block's height, want 3/7/1",
-			p.TombstonedKeys(), p.TombstonesPruned(), len(p.tombstones))
+	if p.TombstonedKeys() != 3 || len(p.tombstones) != 1 {
+		t.Fatalf("tombstones/log = %d/%d after pruning the block's height, want 3/1",
+			p.TombstonedKeys(), len(p.tombstones))
 	}
 	for _, tx := range block {
 		if !p.AddTx(tx) {
@@ -612,9 +612,9 @@ func TestTombstoneOrdinalsAcrossBatches(t *testing.T) {
 			p.Size(), p.TombstonedKeys(), len(p.tombstones), p.keys.Len())
 	}
 	p.PruneTombstonesBelow(2)
-	if p.TombstonedKeys() != 32 || p.TombstonesPruned() != 8 || len(p.tombstones) != 4 || p.keys.Len() != 32 || p.entLo != 9 {
-		t.Fatalf("tombstones/pruned/batches/keys/window = %d/%d/%d/%d/%d after pruning heights 1-2, want 32/8/4/32/9",
-			p.TombstonedKeys(), p.TombstonesPruned(), len(p.tombstones), p.keys.Len(), p.entLo)
+	if p.TombstonedKeys() != 32 || len(p.tombstones) != 4 || p.keys.Len() != 32 || p.entLo != 9 {
+		t.Fatalf("tombstones/batches/keys/window = %d/%d/%d/%d after pruning heights 1-2, want 32/4/32/9",
+			p.TombstonedKeys(), len(p.tombstones), p.keys.Len(), p.entLo)
 	}
 	if err := p.keys.Verify([]*Mempool{p}); err != nil {
 		t.Fatal(err)
@@ -672,9 +672,6 @@ func TestPruneTombstonesBelow(t *testing.T) {
 	if got := p.TombstonedKeys(); got != 4 {
 		t.Fatalf("tombstones after prune = %d, want 4 (height 3 only)", got)
 	}
-	if got := p.TombstonesPruned(); got != 8 {
-		t.Fatalf("pruned counter = %d, want 8", got)
-	}
 	// Height-3 tombstones still block re-entry; pruned keys re-admit.
 	s.After(0, func() {
 		if p.AddTx(batches[2][0]) {
@@ -688,8 +685,8 @@ func TestPruneTombstonesBelow(t *testing.T) {
 
 	// Pruning is idempotent and monotone: a lower horizon is a no-op.
 	p.PruneTombstonesBelow(2)
-	if got := p.TombstonesPruned(); got != 8 {
-		t.Fatalf("re-prune moved the counter: %d, want 8", got)
+	if got := p.TombstonedKeys(); got != 4 || p.Size() != 1 {
+		t.Fatalf("re-prune: tombstones/size = %d/%d, want 4/1", got, p.Size())
 	}
 }
 
@@ -705,8 +702,8 @@ func TestPruneKeepsReadmittedKey(t *testing.T) {
 	p.RemoveCommitted(1, []*wire.Tx{tx})
 	p.RemoveCommitted(5, []*wire.Tx{tx}) // re-proposed: logged again at height 5
 	p.PruneTombstonesBelow(3)
-	if p.TombstonedKeys() != 0 || p.TombstonesPruned() != 1 {
-		t.Fatalf("tombstones/pruned = %d/%d after the first prune, want 0/1", p.TombstonedKeys(), p.TombstonesPruned())
+	if p.TombstonedKeys() != 0 {
+		t.Fatalf("tombstones = %d after the first prune, want 0", p.TombstonedKeys())
 	}
 	s.After(0, func() {
 		if !p.AddTx(tx) {
@@ -715,9 +712,9 @@ func TestPruneKeepsReadmittedKey(t *testing.T) {
 	})
 	s.Run()
 	p.PruneTombstonesBelow(5)
-	if !p.Has(tx.MapKey()) || p.Size() != 1 || p.Bytes() != 100 || p.TombstonesPruned() != 1 {
-		t.Fatalf("prune touched a live key: has=%v size=%d bytes=%d pruned=%d, want true/1/100/1",
-			p.Has(tx.MapKey()), p.Size(), p.Bytes(), p.TombstonesPruned())
+	if !p.Has(tx.MapKey()) || p.Size() != 1 || p.bytes != 100 || p.TombstonedKeys() != 0 {
+		t.Fatalf("prune touched a live key: has=%v size=%d bytes=%d tombstones=%d, want true/1/100/0",
+			p.Has(tx.MapKey()), p.Size(), p.bytes, p.TombstonedKeys())
 	}
 	if got := p.Reap(1 << 20); len(got) != 1 || got[0] != tx {
 		t.Fatalf("re-admitted tx not reaped: %v", got)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/wire"
 )
 
@@ -22,8 +23,8 @@ type oracle struct {
 	log      []oracleBatch
 	deferred []deferredTx
 
-	admitted, rejected, dropped, duplicate, pruned uint64
-	admRejected, deferredTotal, expired            uint64
+	admitted, rejected, dropped, duplicate uint64
+	admRejected, deferredTotal, expired    uint64
 
 	everPruned map[wire.TxKey]bool
 	readmitted int // admissions of a key an earlier prune had dropped
@@ -44,7 +45,7 @@ func (o *oracle) saturated() bool {
 }
 
 func (o *oracle) addTx(tx *wire.Tx, now time.Duration) bool {
-	if o.cfg.Admission.Policy != AdmissionDelay || !o.saturated() {
+	if o.cfg.Admission.Policy != spec.AdmissionDelay || !o.saturated() {
 		return o.add(tx)
 	}
 	if len(o.deferred) >= o.cfg.Admission.MaxDeferred {
@@ -125,7 +126,6 @@ func (o *oracle) prune(height uint64) {
 				o.keptLive++
 			case 2:
 				delete(o.state, key)
-				o.pruned++
 				o.everPruned[key] = true
 			}
 		}
@@ -195,7 +195,7 @@ var modelConfigs = []Config{
 	PaperConfig(),
 	{MaxTxs: 96, MaxBytes: 24_000, GossipInterval: 10 * time.Millisecond},
 	{MaxTxs: 64, MaxBytes: 1 << 20, GossipInterval: 10 * time.Millisecond, Admission: AdmissionConfig{
-		Policy: AdmissionDelay, Watermark: 0.75, MaxDelay: 2 * time.Second, MaxDeferred: 8}},
+		Policy: spec.AdmissionDelay, Watermark: 0.75, MaxDelay: 2 * time.Second, MaxDeferred: 8}},
 }
 
 // modelCoverage counts what runs of the driver reached, so the seeded
@@ -352,14 +352,11 @@ func compareModel(t *testing.T, step int, p *Mempool, o *oracle, touched []*wire
 	if got := p.Reap(1 << 30); !slices.Equal(got, o.pool) {
 		t.Fatalf("step %d: Reap returned %d txs, oracle pools %d (or a different order)", step, len(got), len(o.pool))
 	}
-	if p.Size() != len(o.pool) || p.Bytes() != o.bytes {
-		t.Fatalf("step %d: Size/Bytes = %d/%d, oracle %d/%d", step, p.Size(), p.Bytes(), len(o.pool), o.bytes)
+	if p.Size() != len(o.pool) || p.bytes != o.bytes {
+		t.Fatalf("step %d: Size/Bytes = %d/%d, oracle %d/%d", step, p.Size(), p.bytes, len(o.pool), o.bytes)
 	}
 	if got, want := p.TombstonedKeys(), len(o.state)-len(o.pool); got != want {
 		t.Fatalf("step %d: TombstonedKeys = %d, oracle %d", step, got, want)
-	}
-	if got := p.TombstonesPruned(); got != o.pruned {
-		t.Fatalf("step %d: TombstonesPruned = %d, oracle %d", step, got, o.pruned)
 	}
 	a, r, d, dup := p.Stats()
 	if a != o.admitted || r != o.rejected || d != o.dropped || dup != o.duplicate {
@@ -367,9 +364,9 @@ func compareModel(t *testing.T, step int, p *Mempool, o *oracle, touched []*wire
 			o.admitted, o.rejected, o.dropped, o.duplicate)
 	}
 	ar, ad, ae := p.AdmissionStats()
-	if p.DeferredLen() != len(o.deferred) || ar != o.admRejected || ad != o.deferredTotal || ae != o.expired {
+	if len(p.deferred) != len(o.deferred) || ar != o.admRejected || ad != o.deferredTotal || ae != o.expired {
 		t.Fatalf("step %d: deferred len %d stats %d/%d/%d, oracle len %d stats %d/%d/%d", step,
-			p.DeferredLen(), ar, ad, ae, len(o.deferred), o.admRejected, o.deferredTotal, o.expired)
+			len(p.deferred), ar, ad, ae, len(o.deferred), o.admRejected, o.deferredTotal, o.expired)
 	}
 	for _, tx := range touched {
 		if got, want := p.Has(tx.MapKey()), o.state[tx.MapKey()] == 1; got != want {

@@ -70,13 +70,13 @@ func (s Stage) String() string {
 
 const bucketWidth = time.Second
 
-// defaultBucketBudget caps the per-series bucket count. When a run's
+// bucketBudget caps the per-series bucket count. When a run's
 // horizon outgrows the budget the recorder coarsens: adjacent buckets are
 // pair-summed and the width doubles (widths are always bucketWidth·2^k),
 // keeping memory O(budget) for arbitrarily long soak runs. Runs shorter
 // than the budget — every pre-soak scenario — never coarsen, so their
 // bucket math is bit-identical to the uncapped recorder.
-const defaultBucketBudget = 1024
+const bucketBudget = 1024
 
 // unset marks a stage timestamp that has not occurred.
 const unset = time.Duration(-1)
@@ -106,7 +106,6 @@ type Recorder struct {
 	injected  []uint64 // time buckets, bw wide (per-second until coarsened)
 	committed []uint64
 	bw        time.Duration // current bucket width (bucketWidth·2^k)
-	budget    int           // max buckets per series; 0 = unbounded
 	totalInj  uint64
 	totalComm uint64
 
@@ -134,20 +133,15 @@ func New(s *sim.Simulator, level Level, n, f int, observer wire.NodeID) *Recorde
 		f:               f,
 		observer:        observer,
 		bw:              bucketWidth,
-		budget:          defaultBucketBudget,
 		committedEpochs: make(map[uint64]int),
 		txs:             make(map[wire.TxKey]*txStageRec),
 		elems:           make(map[wire.ElementID]*elemRec),
 	}
 }
 
-// SetBucketBudget overrides the bucket-count cap (0 disables coarsening).
-// Call before the run starts.
-func (r *Recorder) SetBucketBudget(n int) { r.budget = n }
-
 func (r *Recorder) bucket(slice *[]uint64, t time.Duration) {
 	idx := int(t / r.bw)
-	for r.budget > 0 && idx >= r.budget {
+	for idx >= bucketBudget {
 		r.coarsen()
 		idx = int(t / r.bw)
 	}

@@ -288,19 +288,19 @@ func TestPairSum(t *testing.T) {
 func TestBucketBudgetCoarsens(t *testing.T) {
 	s := sim.New(1)
 	r := New(s, LevelThroughput, 4, 1, 0)
-	r.SetBucketBudget(4)
 	const events = 16
+	step := bucketBudget / 4 * bucketWidth
 	for i := 0; i < events; i++ {
-		at := time.Duration(i)*time.Second + 500*time.Millisecond
+		at := time.Duration(i)*step + 500*time.Millisecond
 		s.After(at, func() { r.Injected(elem(i)) })
 	}
 	s.Run()
-	// 16 one-second buckets under a budget of 4 force two doublings.
+	// A horizon of four budgets of one-second buckets forces two doublings.
 	if r.BucketWidth() != 4*time.Second {
 		t.Fatalf("BucketWidth = %v after coarsening, want 4s", r.BucketWidth())
 	}
-	if len(r.injected) > 4 {
-		t.Fatalf("injected series holds %d buckets, budget is 4", len(r.injected))
+	if len(r.injected) > bucketBudget {
+		t.Fatalf("injected series holds %d buckets, budget is %d", len(r.injected), bucketBudget)
 	}
 	var sum uint64
 	for _, c := range r.injected {
@@ -309,22 +309,6 @@ func TestBucketBudgetCoarsens(t *testing.T) {
 	if sum != events || r.TotalInjected() != events {
 		t.Fatalf("coarsening lost counts: bucket sum %d, total %d, want %d",
 			sum, r.TotalInjected(), events)
-	}
-}
-
-// A zero budget disables coarsening entirely: the width pins at one
-// second no matter how long the run gets.
-func TestBucketBudgetZeroDisablesCoarsening(t *testing.T) {
-	s := sim.New(1)
-	r := New(s, LevelThroughput, 4, 1, 0)
-	r.SetBucketBudget(0)
-	s.After(5000*time.Second, func() { r.Injected(elem(1)) })
-	s.Run()
-	if r.BucketWidth() != time.Second {
-		t.Fatalf("BucketWidth = %v with budget 0, want 1s", r.BucketWidth())
-	}
-	if len(r.injected) != 5001 {
-		t.Fatalf("injected series holds %d buckets, want 5001", len(r.injected))
 	}
 }
 

@@ -105,14 +105,6 @@ func (f *Faults) SetDown(id wire.NodeID, cause Cause, down bool) {
 	nd.down = len(causes) > 0
 }
 
-// Down reports whether the node is currently down (any cause active).
-func (f *Faults) Down(id wire.NodeID) bool {
-	return len(f.down[id]) > 0
-}
-
-// DownCauses returns how many distinct causes currently hold the node down.
-func (f *Faults) DownCauses(id wire.NodeID) int { return len(f.down[id]) }
-
 // Block stops all delivery on the directed link from→to on behalf of one
 // cause, until the same cause unblocks it (or Heal clears the cause).
 func (f *Faults) Block(cause Cause, from, to wire.NodeID) {
@@ -123,17 +115,6 @@ func (f *Faults) Block(cause Cause, from, to wire.NodeID) {
 		f.blocks[k] = causes
 	}
 	causes[cause] = true
-}
-
-// Unblock retracts one cause's block on the directed link. The link stays
-// blocked while other causes remain.
-func (f *Faults) Unblock(cause Cause, from, to wire.NodeID) {
-	k := linkKey{from, to}
-	causes := f.blocks[k]
-	delete(causes, cause)
-	if len(causes) == 0 {
-		delete(f.blocks, k)
-	}
 }
 
 // Blocked reports whether the directed link is currently blocked.
@@ -184,34 +165,6 @@ func (f *Faults) SetLink(from, to wire.NodeID, lf LinkFault) {
 // Link returns the link's current fault configuration (zero = perfect).
 func (f *Faults) Link(from, to wire.NodeID) LinkFault {
 	return f.links[linkKey{from, to}]
-}
-
-// Dropped returns how many messages link faults discarded (blocks + drops).
-// Counters live on the sending node and are summed on read.
-func (f *Faults) Dropped() uint64 {
-	var total uint64
-	for _, nd := range f.net.nodes {
-		total += nd.dropped
-	}
-	return total
-}
-
-// Duplicated returns how many duplicate deliveries link faults created.
-func (f *Faults) Duplicated() uint64 {
-	var total uint64
-	for _, nd := range f.net.nodes {
-		total += nd.duplicated
-	}
-	return total
-}
-
-// Reordered returns how many messages were held back for reordering.
-func (f *Faults) Reordered() uint64 {
-	var total uint64
-	for _, nd := range f.net.nodes {
-		total += nd.reordered
-	}
-	return total
 }
 
 // linkActive reports whether any link-level fault state exists at all; the

@@ -86,11 +86,8 @@ type node struct {
 
 	// Per-node stats, attributed to the sending node; network totals are
 	// summed on read.
-	bytesOut   uint64
-	msgsOut    uint64
-	dropped    uint64
-	duplicated uint64
-	reordered  uint64
+	bytesOut uint64
+	msgsOut  uint64
 }
 
 // New creates an empty network on the given simulator.
@@ -110,7 +107,7 @@ func (n *Network) AddNode(id wire.NodeID, h Handler) {
 		id:      id,
 		handler: h,
 		rng:     sim.ChildRand(n.sim.Seed(), uint64(id)),
-		egress:  n.sim.NewResource(fmt.Sprintf("egress-%d", id)),
+		egress:  n.sim.NewResource("egress"),
 	}
 }
 
@@ -164,12 +161,10 @@ func (n *Network) Send(from, to wire.NodeID, payload any, size int) {
 	var lf LinkFault
 	if n.faults != nil && n.faults.linkActive() {
 		if n.faults.Blocked(from, to) {
-			src.dropped++
 			return
 		}
 		lf = n.faults.Link(from, to)
 		if lf.Drop > 0 && src.rng.Float64() < lf.Drop {
-			src.dropped++
 			return
 		}
 	}
@@ -178,11 +173,8 @@ func (n *Network) Send(from, to wire.NodeID, payload any, size int) {
 	if n.cfg.Jitter > 0 {
 		prop += time.Duration(src.rng.Int63n(int64(n.cfg.Jitter)))
 	}
-	if lf.Reorder > 0 && src.rng.Float64() < lf.Reorder {
-		src.reordered++
-		if lf.ReorderDelay > 0 {
-			prop += time.Duration(src.rng.Int63n(int64(lf.ReorderDelay)))
-		}
+	if lf.Reorder > 0 && src.rng.Float64() < lf.Reorder && lf.ReorderDelay > 0 {
+		prop += time.Duration(src.rng.Int63n(int64(lf.ReorderDelay)))
 	}
 	dup := lf.Duplicate > 0 && src.rng.Float64() < lf.Duplicate
 	var txTime time.Duration
@@ -244,7 +236,6 @@ func (nd *node) takeMsg() *msg {
 func (m *msg) granted() {
 	if m.dup {
 		// The duplicate is a message of its own, a base latency behind.
-		m.src.duplicated++
 		d := m.src.takeMsg()
 		d.src, d.dst, d.payload, d.size = m.src, m.dst, m.payload, m.size
 		d.prop = m.prop + m.src.net.cfg.BaseLatency
@@ -300,12 +291,4 @@ func (n *Network) BytesSent() uint64 {
 		total += nd.bytesOut
 	}
 	return total
-}
-
-// NodeBytesOut returns the egress byte count for one node.
-func (n *Network) NodeBytesOut(id wire.NodeID) uint64 {
-	if nd, ok := n.nodes[id]; ok {
-		return nd.bytesOut
-	}
-	return 0
 }

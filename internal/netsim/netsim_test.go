@@ -175,11 +175,8 @@ func TestStatsAccounting(t *testing.T) {
 	if n.BytesSent() != 350 {
 		t.Fatalf("bytes = %d, want 350", n.BytesSent())
 	}
-	if n.NodeBytesOut(0) != 300 {
-		t.Fatalf("node 0 egress = %d, want 300", n.NodeBytesOut(0))
-	}
-	if n.NodeBytesOut(9) != 0 {
-		t.Fatal("unknown node has egress bytes")
+	if n.nodes[0].bytesOut != 300 {
+		t.Fatalf("node 0 egress = %d, want 300", n.nodes[0].bytesOut)
 	}
 }
 

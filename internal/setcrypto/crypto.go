@@ -43,8 +43,6 @@ type Suite interface {
 	// written so far equals HashData of their concatenation as one chunk,
 	// wherever the writes split them.
 	NewHash() hash.Hash
-	// Name identifies the suite in logs and experiment metadata.
-	Name() string
 }
 
 // PublicKey is an opaque verification key.
@@ -63,7 +61,6 @@ type KeyPair struct {
 // id: every signature check reads one.
 type Registry struct {
 	keys []PublicKey // keys[id], nil where no key is registered
-	n    int         // registered ids
 }
 
 // NewRegistry returns an empty PKI registry.
@@ -78,9 +75,6 @@ func (r *Registry) Register(id int, pub PublicKey) {
 	if id >= len(r.keys) {
 		r.keys = append(r.keys, make([]PublicKey, id+1-len(r.keys))...)
 	}
-	if r.keys[id] == nil {
-		r.n++
-	}
 	r.keys[id] = pub
 }
 
@@ -93,14 +87,8 @@ func (r *Registry) Lookup(id int) PublicKey {
 	return r.keys[id]
 }
 
-// Len reports how many processes are registered.
-func (r *Registry) Len() int { return r.n }
-
 // Ed25519Suite is the real-cryptography suite.
 type Ed25519Suite struct{}
-
-// Name implements Suite.
-func (Ed25519Suite) Name() string { return "ed25519+sha512" }
 
 // GenerateKeyPair creates an ed25519 keypair from the deterministic rng so
 // simulations with the same seed use the same keys.
@@ -155,9 +143,6 @@ func (Ed25519Suite) NewHash() hash.Hash { return sha512.New() }
 // deterministic constant of the input — never seeded per process — so study
 // results stay byte-identical across runs and machines.
 type FastSuite struct{}
-
-// Name implements Suite.
-func (FastSuite) Name() string { return "fast-wordhash" }
 
 // FastKeyPair derives a FastSuite keypair for a process id.
 func FastKeyPair(id int) KeyPair {

@@ -14,6 +14,15 @@ import (
 	"repro/internal/wire"
 )
 
+// Elements returns the superepoch's total element count across parts.
+func (se *Superepoch) Elements() int {
+	n := 0
+	for _, p := range se.Parts {
+		n += len(p.Epoch.Elements)
+	}
+	return n
+}
+
 // epoch builds a test epoch with the given number and element ids.
 func epoch(number uint64, ids ...byte) *core.Epoch {
 	ep := &core.Epoch{Number: number, Hash: []byte{byte(number), 0xaa}}
@@ -148,20 +157,19 @@ func deployTestWorld(t *testing.T, shards int, rate float64) (*Deployment, *Gene
 // superepoch sequence must be the merge of the observer histories.
 func TestDeploymentRoutesAndCommits(t *testing.T) {
 	d, gen := deployTestWorld(t, 2, 800)
-	if gen.Injected() == 0 {
+	injected := gen.Offered() - gen.Rejected()
+	if injected == 0 {
 		t.Fatal("nothing injected")
 	}
 	var perShard uint64
-	for _, n := range gen.PerShardInjected() {
-		perShard += n
-	}
-	if perShard != gen.Injected() {
-		t.Fatalf("per-shard injections sum to %d, total is %d", perShard, gen.Injected())
-	}
-	for k := range gen.PerShardInjected() {
-		if gen.PerShardInjected()[k] == 0 {
+	for k, rec := range d.Recorders {
+		if rec.TotalInjected() == 0 {
 			t.Fatalf("shard %d received no elements: router starved it", k)
 		}
+		perShard += rec.TotalInjected()
+	}
+	if perShard != injected {
+		t.Fatalf("per-shard injections sum to %d, total is %d", perShard, injected)
 	}
 	view := d.View()
 	committed := 0

@@ -37,15 +37,6 @@ type Superepoch struct {
 	Digest uint64
 }
 
-// Elements returns the superepoch's total element count across parts.
-func (se *Superepoch) Elements() int {
-	n := 0
-	for _, p := range se.Parts {
-		n += len(p.Epoch.Elements)
-	}
-	return n
-}
-
 // View is the cross-shard aggregate over the per-shard observer
 // histories: the input streams and their superepoch merge. The checker
 // (invariant.CheckCross) treats the fields as the claim under test, so

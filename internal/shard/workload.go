@@ -49,17 +49,15 @@ type Generator struct {
 
 	// Account books every attempt; its accessors are promoted.
 	*workload.Account
-	perShard []uint64
 }
 
 // NewGenerator creates a generator for the sharded deployment.
 func NewGenerator(d *Deployment, cfg WorkloadConfig) *Generator {
 	cfg.Sizes, cfg.Tick = workload.Shape(cfg.Sizes, cfg.Tick)
 	return &Generator{
-		cfg:      cfg,
-		d:        d,
-		perShard: make([]uint64, d.Count()),
-		Account:  workload.NewAccount(d.Count()*d.Servers, true),
+		cfg:     cfg,
+		d:       d,
+		Account: workload.NewAccount(d.Count()*d.Servers, true),
 	}
 }
 
@@ -93,14 +91,9 @@ func (g *Generator) Add(e *wire.Element, k, i int) error {
 		return err
 	}
 	g.Account.Accept(e, k*g.d.Servers+i)
-	g.perShard[target]++
 	g.d.Recorders[target].Injected(e)
 	return nil
 }
 
 // Config returns the configuration the generator runs with.
 func (g *Generator) Config() WorkloadConfig { return g.cfg }
-
-// PerShardInjected returns the accepted count per shard (the router's
-// observed balance). The slice is live state; treat it as read-only.
-func (g *Generator) PerShardInjected() []uint64 { return g.perShard }

@@ -16,7 +16,6 @@ type refKernel struct {
 	clock  time.Duration
 	seq    uint64
 	execd  uint64
-	halted bool
 	events []*refEvent
 	busy   []time.Duration // per resource: busyUntil
 }
@@ -79,21 +78,17 @@ func (k *refKernel) head() time.Duration {
 	return h
 }
 
-func (k *refKernel) halt() { k.halted = true }
-
 func (k *refKernel) run() {
-	k.halted = false
-	for len(k.events) > 0 && !k.halted {
+	for len(k.events) > 0 {
 		k.step()
 	}
 }
 
 func (k *refKernel) runUntil(deadline time.Duration) {
-	k.halted = false
-	for len(k.events) > 0 && !k.halted && k.head() <= deadline {
+	for len(k.events) > 0 && k.head() <= deadline {
 		k.step()
 	}
-	if !k.halted && k.clock < deadline {
+	if k.clock < deadline {
 		k.clock = deadline
 	}
 }
@@ -111,7 +106,6 @@ type simKernel struct {
 func (k *simKernel) at(t time.Duration, fn func()) func()        { return k.s.At(t, fn).Cancel }
 func (k *simKernel) after(d time.Duration, fn func()) func()     { return k.s.After(d, fn).Cancel }
 func (k *simKernel) submit(r int, cost time.Duration, fn func()) { k.rs[r].Submit(cost, fn) }
-func (k *simKernel) halt()                                       { k.s.Halt() }
 func (k *simKernel) run()                                        { k.s.Run() }
 func (k *simKernel) runUntil(deadline time.Duration)             { k.s.RunUntil(deadline) }
 func (k *simKernel) now() time.Duration                          { return k.s.Now() }
@@ -122,7 +116,6 @@ type kernel interface {
 	at(t time.Duration, fn func()) func()
 	after(d time.Duration, fn func()) func()
 	submit(r int, cost time.Duration, fn func())
-	halt()
 	run()
 	runUntil(deadline time.Duration)
 	now() time.Duration
@@ -144,10 +137,9 @@ const modelResources = 3
 //	4 r c a   Submit(int8(c)%8, callback running action a)
 //	5         Run
 //	6 d       RunUntil(now+int8(d)%16) (a deadline in the past included)
-//	7         Halt outside any event (the next run clears it)
 //
-// An action byte a picks what the callback does after logging: nothing,
-// Halt, a charge, a callback job, an After, or a cancel. What an action
+// An action byte a picks what the callback does after logging: nothing, a
+// charge, a callback job, an After, or a cancel. What an action
 // schedules only logs, so every script terminates.
 func runScript(k kernel, script []byte) string {
 	var trace strings.Builder
@@ -168,21 +160,19 @@ func runScript(k kernel, script []byte) string {
 	}
 	act := func(a byte) func() {
 		log := logOnly()
-		r, arg := int(a/6)%modelResources, time.Duration(a/18%4)
+		r, arg := int(a/5)%modelResources, time.Duration(a/15%4)
 		return func() {
 			log()
-			switch a % 6 {
+			switch a % 5 {
 			case 1:
-				k.halt()
-			case 2:
 				k.submit(r, arg, nil)
-			case 3:
+			case 2:
 				k.submit(r, arg, logOnly())
-			case 4:
+			case 3:
 				cancels = append(cancels, k.after(arg, logOnly()))
-			case 5:
+			case 4:
 				if len(cancels) > 0 {
-					cancels[int(a/6)%len(cancels)]()
+					cancels[int(a/5)%len(cancels)]()
 				}
 			}
 		}
@@ -191,7 +181,7 @@ func runScript(k kernel, script []byte) string {
 		fmt.Fprintf(&trace, "| exec=%d now=%d pend=%d\n", k.executed(), k.now(), k.pending())
 	}
 	for pos < len(script) {
-		switch next() % 8 {
+		switch next() % 7 {
 		case 0:
 			t := k.now() + time.Duration(next()%16)
 			cancels = append(cancels, k.at(t, act(next())))
@@ -214,8 +204,6 @@ func runScript(k kernel, script []byte) string {
 		case 6:
 			k.runUntil(k.now() + time.Duration(int8(next())%16))
 			boundary()
-		case 7:
-			k.halt()
 		}
 	}
 	k.run()
@@ -250,13 +238,13 @@ func FuzzKernelModel(f *testing.F) {
 	for _, script := range [][]byte{
 		{3, 0, 5, 5},                                  // a charge, then Run ends on its completion
 		{3, 0, 5, 3, 1, 5, 6, 2},                      // charges on two resources, RunUntil short of them
-		{0, 4, 1, 3, 0, 4, 5},                         // an event that halts at the charge's completion time
-		{0, 2, 8, 0, 2, 1, 5, 5},                      // an event charging a zero-cost job, then a Halt at the same time
+		{0, 4, 0, 3, 0, 4, 5},                         // an event at the charge's completion time
+		{0, 2, 6, 0, 2, 0, 5, 5},                      // an event charging a zero-cost job, then another at the same time
 		{3, 0, 0xfc, 3, 0, 0xfb, 6, 0},                // negative costs are zero
-		{3, 1, 3, 4, 1, 2, 0, 3, 1, 1, 4, 1, 0, 1, 5}, // callback jobs between charges on one resource
-		{1, 0xf4, 0, 1, 3, 2, 2, 1, 5},                // a negative After, and a cancel
-		{0, 5, 1, 3, 0, 2, 3, 0, 3, 6, 9, 6, 0xf6},    // a deadline in the past after a halted run
-		{7, 3, 2, 5, 6, 9, 0, 3, 1, 5},                // a Halt outside a run is cleared by the next
+		{3, 1, 3, 4, 1, 2, 0, 3, 1, 1, 4, 1, 0, 0, 5}, // callback jobs between charges on one resource
+		{1, 0xf4, 0, 1, 3, 1, 2, 1, 5},                // a negative After, and a cancel
+		{0, 5, 0, 3, 0, 2, 3, 0, 3, 6, 9, 6, 0xf6},    // a deadline in the past after a RunUntil
+		{3, 0, 4, 6, 4, 5},                            // a RunUntil whose deadline is a charge's completion
 	} {
 		f.Add(script)
 	}

@@ -12,8 +12,7 @@ import "time"
 // A job without a callback is a charge: counted, not scheduled (see the
 // package doc and DESIGN.md §6).
 type Resource struct {
-	sim  *Simulator
-	name string
+	sim *Simulator
 
 	busyUntil time.Duration
 
@@ -24,7 +23,6 @@ type Resource struct {
 
 	// Accounting.
 	busyTime  time.Duration
-	jobs      uint64
 	maxQueued time.Duration // largest backlog observed (busyUntil - now at submit)
 }
 
@@ -34,15 +32,13 @@ type charge struct {
 	seq uint64
 }
 
-// NewResource creates a serial resource attached to the simulator.
-func (s *Simulator) NewResource(name string) *Resource {
-	r := &Resource{sim: s, name: name}
+// NewResource creates a serial resource attached to the simulator. The
+// label names the resource at the call site only; nothing keeps it.
+func (s *Simulator) NewResource(label string) *Resource {
+	r := &Resource{sim: s}
 	s.resources = append(s.resources, r)
 	return r
 }
-
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 // Submit enqueues a job of the given cost; done fires when the job
 // completes (after all previously submitted jobs). A nil done is allowed
@@ -64,7 +60,6 @@ func (r *Resource) Submit(cost time.Duration, done func()) {
 	finish := satAdd(start, cost)
 	r.busyUntil = finish
 	r.busyTime += cost
-	r.jobs++
 	if done != nil {
 		r.sim.At(finish, done)
 		return
@@ -95,21 +90,6 @@ func (r *Resource) retire(cut charge) (last time.Duration) {
 	r.head = i
 	return last
 }
-
-// Backlog returns how far in the future the resource is currently booked.
-func (r *Resource) Backlog() time.Duration {
-	b := r.busyUntil - r.sim.Now()
-	if b < 0 {
-		return 0
-	}
-	return b
-}
-
-// BusyTime returns the total virtual time spent executing jobs.
-func (r *Resource) BusyTime() time.Duration { return r.busyTime }
-
-// Jobs returns the number of jobs submitted.
-func (r *Resource) Jobs() uint64 { return r.jobs }
 
 // MaxBacklog returns the largest backlog observed at submission time.
 func (r *Resource) MaxBacklog() time.Duration { return r.maxQueued }

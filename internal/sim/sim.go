@@ -35,19 +35,17 @@ const maxDuration = time.Duration(math.MaxInt64)
 
 // Simulator owns the virtual clock and the pending-event queue.
 type Simulator struct {
-	now    time.Duration
-	heap   []heapEntry // 4-ary min-heap ordered by (at, seq)
-	nodes  []eventNode // slab of event state, indexed by slot
-	free   []int32     // recycled slots
-	seq    uint64      // creation counter: the tie-break among same-time events
-	rng    *rand.Rand
-	seed   int64
-	halted bool
+	now   time.Duration
+	heap  []heapEntry // 4-ary min-heap ordered by (at, seq)
+	nodes []eventNode // slab of event state, indexed by slot
+	free  []int32     // recycled slots
+	seq   uint64      // creation counter: the tie-break among same-time events
+	rng   *rand.Rand
+	seed  int64
 
 	// Executed counts events run and charges counted since creation; useful
 	// for budget checks and for asserting determinism across runs.
 	executed  uint64
-	lastSeq   uint64      // seq of the last executed event: where a Halt cuts the charges
 	resources []*Resource // every resource on this queue, for the charge tally
 }
 
@@ -64,7 +62,6 @@ type heapEntry struct {
 // handles detect that their event already fired or was canceled.
 type eventNode struct {
 	fn      func()
-	at      time.Duration
 	gen     uint32
 	heapIdx int32 // position in Simulator.heap, -1 when not queued
 }
@@ -76,7 +73,6 @@ type eventNode struct {
 // has been recycled for a newer event.
 type Event struct {
 	s    *Simulator
-	at   time.Duration
 	slot int32
 	gen  uint32
 }
@@ -95,9 +91,6 @@ func (e Event) Cancel() {
 	e.s.removeAt(int(n.heapIdx))
 	e.s.release(e.slot)
 }
-
-// At returns the virtual time the event was scheduled for.
-func (e Event) At() time.Duration { return e.at }
 
 // Scheduled reports whether the handle refers to an event still pending in
 // the queue.
@@ -151,11 +144,10 @@ func (s *Simulator) At(t time.Duration, fn func()) Event {
 	}
 	n := &s.nodes[slot]
 	n.fn = fn
-	n.at = t
 	n.heapIdx = int32(len(s.heap))
 	s.heap = append(s.heap, heapEntry{at: t, seq: seq, slot: slot})
 	s.siftUp(len(s.heap) - 1)
-	return Event{s: s, at: t, slot: slot, gen: n.gen}
+	return Event{s: s, slot: slot, gen: n.gen}
 }
 
 // nextSeq allocates the event's position in the (at, seq) total order:
@@ -171,15 +163,10 @@ func (s *Simulator) After(d time.Duration, fn func()) Event {
 	return s.At(satAdd(s.now, d), fn)
 }
 
-// Halt stops the run loop after the current event completes. Pending events
-// remain queued; a subsequent Run or RunUntil resumes them.
-func (s *Simulator) Halt() { s.halted = true }
-
-// Run executes events until the queue is empty or Halt is called. A run
-// that empties the queue ends on the last completion, charges included.
+// Run executes events until the queue is empty, and ends on the last
+// completion, charges included.
 func (s *Simulator) Run() {
-	s.halted = false
-	for len(s.heap) > 0 && !s.halted {
+	for len(s.heap) > 0 {
 		s.step()
 	}
 	if last := s.settle(maxDuration); last > s.now {
@@ -190,24 +177,19 @@ func (s *Simulator) Run() {
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to deadline. Events scheduled beyond the deadline stay queued.
 func (s *Simulator) RunUntil(deadline time.Duration) {
-	s.halted = false
-	for len(s.heap) > 0 && !s.halted && s.heap[0].at <= deadline {
+	for len(s.heap) > 0 && s.heap[0].at <= deadline {
 		s.step()
 	}
 	s.settle(deadline)
-	if !s.halted && s.now < deadline {
+	if s.now < deadline {
 		s.now = deadline
 	}
 }
 
-// settle counts, when a run returns, the charges it has passed: after a
-// Halt, those before the halting event in (at, seq) order; otherwise all up
-// to until. It returns the latest completion it counted.
+// settle counts, when a run returns, the charges it has passed: all up to
+// until. It returns the latest completion it counted.
 func (s *Simulator) settle(until time.Duration) (last time.Duration) {
 	cut := charge{at: until, seq: math.MaxUint64}
-	if s.halted {
-		cut = charge{at: s.now, seq: s.lastSeq}
-	}
 	for _, r := range s.resources {
 		last = max(last, r.retire(cut))
 	}
@@ -234,7 +216,6 @@ func (s *Simulator) step() {
 	fn := n.fn
 	s.release(top.slot)
 	s.now = top.at
-	s.lastSeq = top.seq
 	s.executed++
 	fn()
 }

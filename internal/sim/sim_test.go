@@ -310,8 +310,11 @@ func TestAfterSaturatesAtEndOfTime(t *testing.T) {
 	fired := false
 	s.At(time.Second, func() { ev = s.After(maxDuration, func() { fired = true }) })
 	s.RunUntil(time.Hour)
-	if fired || ev.At() != maxDuration || !ev.Scheduled() {
-		t.Fatalf("After(maxDuration) at 1s: fired %v, at %v; want pending at the end of time", fired, ev.At())
+	if !ev.Scheduled() {
+		t.Fatal("After(maxDuration) at 1s: not pending")
+	}
+	if at := s.heap[s.nodes[ev.slot].heapIdx].at; fired || at != maxDuration {
+		t.Fatalf("After(maxDuration) at 1s: fired %v, at %v; want pending at the end of time", fired, at)
 	}
 }
 
@@ -349,27 +352,6 @@ func TestRunUntil(t *testing.T) {
 	}
 	if s.Now() != 20*time.Second {
 		t.Fatalf("Now advanced to %v, want 20s", s.Now())
-	}
-}
-
-func TestHalt(t *testing.T) {
-	s := New(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 after Halt", count)
-	}
-	s.Run() // resumes
-	if count != 10 {
-		t.Fatalf("count = %d after resume, want 10", count)
 	}
 }
 
@@ -441,11 +423,8 @@ func TestResourceSerialization(t *testing.T) {
 			t.Fatalf("completions = %v, want %v", done, want)
 		}
 	}
-	if r.Jobs() != 3 {
-		t.Fatalf("jobs = %d, want 3", r.Jobs())
-	}
-	if r.BusyTime() != 600*time.Millisecond {
-		t.Fatalf("busy = %v, want 600ms", r.BusyTime())
+	if r.busyTime != 600*time.Millisecond {
+		t.Fatalf("busy = %v, want 600ms", r.busyTime)
 	}
 }
 
@@ -462,8 +441,8 @@ func TestResourceIdleGap(t *testing.T) {
 	if want := 1050 * time.Millisecond; second != want {
 		t.Fatalf("second completion = %v, want %v", second, want)
 	}
-	if r.Backlog() != 0 {
-		t.Fatalf("backlog = %v, want 0 at end", r.Backlog())
+	if r.busyUntil > s.Now() {
+		t.Fatalf("booked until %v, past the end at %v", r.busyUntil, s.Now())
 	}
 }
 

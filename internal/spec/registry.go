@@ -75,16 +75,6 @@ func Get(name string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// MustGet returns the named entry or panics; for registry names fixed at
-// compile time.
-func MustGet(name string) Entry {
-	e, ok := Get(name)
-	if !ok {
-		panic(fmt.Sprintf("spec: no registry entry %q", name))
-	}
-	return e
-}
-
 // All returns the catalog in registration order. The slice is shared;
 // treat it as read-only.
 func All() []Entry { return registry }
@@ -159,15 +149,4 @@ func LoadFile(path string) ([]ScenarioSpec, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return cells, nil
-}
-
-// Encode writes the cells as indented JSON — the inverse of Decode, used
-// to export registry entries as editable starting points.
-func Encode(w io.Writer, cells []ScenarioSpec) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if len(cells) == 1 {
-		return enc.Encode(cells[0])
-	}
-	return enc.Encode(cells)
 }

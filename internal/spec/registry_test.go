@@ -1,10 +1,33 @@
 package spec
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
 )
+
+// MustGet returns the named entry or panics; for registry names fixed at
+// compile time.
+func MustGet(name string) Entry {
+	e, ok := Get(name)
+	if !ok {
+		panic(fmt.Sprintf("spec: no registry entry %q", name))
+	}
+	return e
+}
+
+// Encode writes the cells as indented JSON, the inverse of Decode.
+func Encode(w io.Writer, cells []ScenarioSpec) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if len(cells) == 1 {
+		return enc.Encode(cells[0])
+	}
+	return enc.Encode(cells)
+}
 
 func TestRegistryEntriesAreDocumentedAndValid(t *testing.T) {
 	if len(All()) < 14 {

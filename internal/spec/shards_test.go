@@ -89,12 +89,4 @@ func TestShardsZeroValueStable(t *testing.T) {
 	if s.Shards != 0 {
 		t.Fatalf("WithDefaults set Shards=%d; it must stay 0", s.Shards)
 	}
-	if s.TotalServers() != s.Servers {
-		t.Fatalf("TotalServers %d != Servers %d for the single-instance world",
-			s.TotalServers(), s.Servers)
-	}
-	sharded := shardedSpec(4)
-	if sharded.TotalServers() != 16 {
-		t.Fatalf("TotalServers = %d, want 16", sharded.TotalServers())
-	}
 }

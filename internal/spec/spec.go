@@ -633,16 +633,6 @@ func (s ScenarioSpec) offeredTxs() float64 {
 	return elements * float64(1+2*s.Servers)
 }
 
-// TotalServers returns the deployment's node count across all shards:
-// Servers per shard times the shard count (0 or 1 shards = one instance).
-// Fault-plan node ids live in this global space.
-func (s ScenarioSpec) TotalServers() int {
-	if s.Shards > 1 {
-		return s.Servers * s.Shards
-	}
-	return s.Servers
-}
-
 // Label renders the paper's legend label for the variant ("Hashchain
 // c=500", "Vanilla", "Compresschain Light c=100"), or Name when set.
 func (s ScenarioSpec) Label() string {

@@ -44,7 +44,6 @@ type idPage[V any] struct {
 // must not be copied after first use.
 type IDMap[V any] struct {
 	pages map[idPageKey]*idPage[V]
-	n     int
 
 	curKey idPageKey
 	cur    *idPage[V]
@@ -67,9 +66,6 @@ func (m *IDMap[V]) page(k idPageKey) *idPage[V] {
 	}
 	return p
 }
-
-// Len returns the number of ids present.
-func (m *IDMap[V]) Len() int { return m.n }
 
 // Has reports whether id is present.
 func (m *IDMap[V]) Has(id ElementID) bool {
@@ -126,14 +122,7 @@ func (m *IDMap[V]) Slot(id ElementID) (slot *V, fresh bool) {
 	var zero V
 	p.vals[rank] = zero
 	p.bits |= bit
-	m.n++
 	return &p.vals[rank], true
-}
-
-// All iterates over every (id, value) pair. The map must not be inserted
-// into while the iteration runs.
-func (m *IDMap[V]) All() iter.Seq2[ElementID, V] {
-	return Diff(m, &IDMap[struct{}]{})
 }
 
 // Diff iterates over the (id, value) pairs of a whose id is absent from b —
@@ -170,5 +159,4 @@ func (m *IDMap[V]) Reset() {
 		p.vals = p.vals[:0]
 		p.bits = 0
 	}
-	m.n = 0
 }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"encoding/binary"
+	"iter"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -209,6 +211,20 @@ func compareDiff[V comparable, W any](t *testing.T, step int, a *IDMap[V], b *ID
 		t.Fatalf("step %d: Diff yields %d pairs, want %d (%d ids, %d of them in the second map)", step, kept, len(inA)-removed, len(inA), removed)
 	}
 	return kept, removed
+}
+
+// Len returns the number of ids present.
+func (m *IDMap[V]) Len() int {
+	n := 0
+	for _, p := range m.pages {
+		n += bits.OnesCount64(p.bits)
+	}
+	return n
+}
+
+// All iterates over every (id, value) pair: m ∖ ∅.
+func (m *IDMap[V]) All() iter.Seq2[ElementID, V] {
+	return Diff(m, &IDMap[struct{}]{})
 }
 
 // compareIDMap checks Len, All (every pair once, none missing), and Get and

@@ -179,13 +179,13 @@ func TestEpochHashDoesNotRetainItsInput(t *testing.T) {
 		}
 		buf = AppendEpochHashInput(buf[:0], 4, []*Element{b, a})
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: digest changed when its input buffer was reused", suite.Name())
+			t.Fatalf("%T: digest changed when its input buffer was reused", suite)
 		}
 		if !bytes.Equal(want, suite.HashData(EpochHashInput(3, []*Element{a, b}))) {
-			t.Fatalf("%s: digest of the reused buffer differs from a fresh one's", suite.Name())
+			t.Fatalf("%T: digest of the reused buffer differs from a fresh one's", suite)
 		}
 		if bytes.Equal(want, suite.HashData(buf)) {
-			t.Fatalf("%s: two epochs hash alike", suite.Name())
+			t.Fatalf("%T: two epochs hash alike", suite)
 		}
 	}
 }

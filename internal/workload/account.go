@@ -55,9 +55,6 @@ func (a *Account) Reject(e *wire.Element, source int) {
 	}
 }
 
-// Injected returns how many elements servers accepted.
-func (a *Account) Injected() uint64 { return a.injected }
-
 // Rejected returns how many adds servers refused.
 func (a *Account) Rejected() uint64 { return a.rejected }
 

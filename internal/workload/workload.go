@@ -114,7 +114,6 @@ type Generator struct {
 	// Account books every attempt (accepted/rejected/offered, ids,
 	// fairness); its accessors are promoted onto the generator.
 	*Account
-	done bool
 }
 
 // New creates a generator for the deployment; rec may be nil.
@@ -130,10 +129,7 @@ func New(d *core.Deployment, rec *metrics.Recorder, cfg Config) *Generator {
 func (g *Generator) Start() {
 	s := g.d.Sim
 	OpenTicks(s, g.cfg.Seed, len(g.d.Clients), g.cfg.Rate, g.cfg.Duration, g.cfg.Tick, g.cfg.Open, g.injectOne)
-	s.At(g.cfg.Duration, func() {
-		g.done = true
-		g.d.Drain()
-	})
+	s.At(g.cfg.Duration, g.d.Drain)
 }
 
 // BuildElement draws one element of the canonical workload shape on the
@@ -169,6 +165,3 @@ func (g *Generator) injectOne(i int) {
 		g.rec.Injected(e)
 	}
 }
-
-// Done reports whether the injection window has closed.
-func (g *Generator) Done() bool { return g.done }

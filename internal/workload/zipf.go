@@ -15,8 +15,7 @@ import (
 // the generator keeps the skew on its own sim.ChildSeed stream,
 // independent of the timing draws.
 type ZipfSampler struct {
-	alpha float64
-	cum   []float64 // cum[k] = P(rank ≤ k); cum[n-1] == 1
+	cum []float64 // cum[k] = P(rank ≤ k); cum[n-1] == 1
 }
 
 // NewZipf builds a sampler over n ranks with exponent alpha. alpha = 0
@@ -39,21 +38,7 @@ func NewZipf(n int, alpha float64) *ZipfSampler {
 		cum[k] /= total
 	}
 	cum[n-1] = 1 // exact, so Sample can never fall off the end
-	return &ZipfSampler{alpha: alpha, cum: cum}
-}
-
-// N returns the number of ranks.
-func (z *ZipfSampler) N() int { return len(z.cum) }
-
-// Alpha returns the exponent the sampler was built with.
-func (z *ZipfSampler) Alpha() float64 { return z.alpha }
-
-// Prob returns the probability mass of one rank.
-func (z *ZipfSampler) Prob(rank int) float64 {
-	if rank == 0 {
-		return z.cum[0]
-	}
-	return z.cum[rank] - z.cum[rank-1]
+	return &ZipfSampler{cum: cum}
 }
 
 // Sample draws one rank. Sequences are fully determined by the rng's

@@ -134,6 +134,12 @@ func (n *Network) get(i int) (snap core.Snapshot, ok bool) {
 // Servers returns the deployment size n.
 func (n *Network) Servers() int { return n.d.Servers }
 
+// CollectorSize returns the collector limit c the servers run with.
+func (n *Network) CollectorSize() int { return n.d.Shards[0].Opts.CollectorLimit }
+
+// Seed returns the seed the simulation runs with.
+func (n *Network) Seed() int64 { return n.d.Sim.Seed() }
+
 // F returns the Byzantine fault bound.
 func (n *Network) F() int { return n.d.Shards[0].Opts.F }
 

@@ -13,10 +13,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/stdout/*.txt from this build")
 
-// stdoutPrograms are the public API's own consumers: the five examples and
-// the demo, run with no arguments.
-var stdoutPrograms = []string{"quickstart", "byzantine", "registry", "token", "voting", "setchain-demo"}
-
 // wallField is the one part of any of their outputs that carries wall-clock
 // time (setchain-demo's "(wall 68ms)").
 var wallField = regexp.MustCompile(`\(wall [^)]*\)`)
@@ -30,7 +26,18 @@ var wallField = regexp.MustCompile(`\(wall [^)]*\)`)
 // with `go test ./setchain -run TestGoldenStdout -update` only for a change
 // that is meant to alter what the programs print.
 func TestGoldenStdout(t *testing.T) {
+	// The public API's own consumers, run with no arguments: every command
+	// under examples/, and the demo.
 	pkgs := []string{"repro/examples/...", "repro/cmd/setchain-demo"}
+	mains, err := exec.Command("go", append([]string{"list", "-f",
+		`{{if eq .Name "main"}}{{.ImportPath}}{{end}}`}, pkgs...)...).Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	var programs []string
+	for _, path := range strings.Fields(string(mains)) {
+		programs = append(programs, path[strings.LastIndex(path, "/")+1:])
+	}
 	// The child go command's reads are invisible to the test cache: stat
 	// every source file the programs compile from, so that editing any of
 	// them invalidates a cached pass.
@@ -49,7 +56,7 @@ func TestGoldenStdout(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, name := range stdoutPrograms {
+	for _, name := range programs {
 		t.Run(name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			cmd := exec.Command(filepath.Join(bin, name))
