@@ -42,23 +42,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-byzantine %d, -elements %d: neither may be negative\n", *byzantine, *elements)
 		os.Exit(2)
 	}
-
-	net, err := setchain.New(setchain.Config{
+	if *servers < 0 || *collector < 0 || *delay < 0 {
+		fmt.Fprintf(os.Stderr, "-servers %d, -collector %d, -delay %v: none may be negative\n", *servers, *collector, *delay)
+		os.Exit(2)
+	}
+	cfg := setchain.Config{
 		Algorithm:     alg,
 		Servers:       *servers,
 		CollectorSize: *collector,
 		NetworkDelay:  *delay,
 		Seed:          *seed,
-	})
+	}
+	if *byzantine > cfg.F() {
+		fmt.Fprintf(os.Stderr, "-byzantine %d exceeds the tolerated f=%d\n", *byzantine, cfg.F())
+		os.Exit(2)
+	}
+
+	net, err := setchain.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// What the deployment runs, not the flags: a zero -servers, -collector
 	// or -seed means the default.
 	n, f := net.Servers(), net.F()
-	if *byzantine > f {
-		log.Fatalf("%d Byzantine servers exceeds the tolerated f=%d", *byzantine, f)
-	}
 	for i := 0; i < *byzantine; i++ {
 		srv := n - 1 - i
 		if err := net.SetByzantine(srv, &setchain.Byzantine{

@@ -61,9 +61,11 @@ func TestServerCountsVerify(t *testing.T) {
 	}
 }
 
-// A negative -byzantine or -elements is refused before anything deploys,
-// as an unknown -alg is: -byzantine -1 used to print the header and die
-// adding to a server that does not exist, and -elements -5 added nothing.
+// A negative count or delay, and more Byzantine servers than the
+// deployment's f, are refused before anything deploys, as an unknown -alg
+// is: -byzantine -1 used to print the header and die adding to a server
+// that does not exist, -elements -5 added nothing, and -servers -1,
+// -collector -3, -delay -1s and -byzantine 2 on 4 servers died with exit 1.
 // The header prints what the deployment runs: -collector 0 and -seed 0 run
 // the defaults, c = 100 and seed 1.
 func TestFlagsAsRun(t *testing.T) {
@@ -74,6 +76,12 @@ func TestFlagsAsRun(t *testing.T) {
 		{"-byzantine -1", "-byzantine -1, -elements 20: neither may be negative\n", 2},
 		{"-elements -5", "-byzantine 0, -elements -5: neither may be negative\n", 2},
 		{"-alg foo", "unknown algorithm \"foo\"\n", 2},
+		{"-servers -1", "-servers -1, -collector 10, -delay 0s: none may be negative\n", 2},
+		{"-collector -3", "-servers 4, -collector -3, -delay 0s: none may be negative\n", 2},
+		{"-delay -1s", "-servers 4, -collector 10, -delay -1s: none may be negative\n", 2},
+		{"-byzantine 2", "-byzantine 2 exceeds the tolerated f=1\n", 2},
+		{"-servers 0 -byzantine 2", "-byzantine 2 exceeds the tolerated f=1\n", 2},
+		{"-servers 5 -byzantine 3", "-byzantine 3 exceeds the tolerated f=2\n", 2},
 		{"-collector 0 -elements 2", "Hashchain on 4 servers (f=1), collector=100, delay=0s, seed=1\n", 0},
 		{"-seed 0 -elements 2", "Hashchain on 4 servers (f=1), collector=10, delay=0s, seed=1\n", 0},
 	} {

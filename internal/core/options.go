@@ -147,6 +147,10 @@ type Options struct {
 	Prune bool
 }
 
+// MaxFaulty is the fault bound F a deployment of n servers runs with: the
+// largest f < n/2.
+func MaxFaulty(n int) int { return (n - 1) / 2 }
+
 // withTimeouts fills the zero timeouts, which no entry point holds.
 func (o Options) withTimeouts() Options {
 	if o.CollectorTimeout == 0 {

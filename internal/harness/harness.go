@@ -297,7 +297,7 @@ type Result struct {
 
 // deployConfig translates a defaulted scenario into the server options and
 // ledger config it prescribes, starting from the Paper* constructors and
-// adding the one value no spec holds: F = (n−1)/2, the largest f < n/2.
+// adding the one value no spec holds: F = core.MaxFaulty(n).
 // Every server of every shard gets the same, so a scale_tput entry's S=1
 // and S=4 cells differ in nothing but the shard count.
 func deployConfig(sc Scenario) (core.Options, ledger.Config) {
@@ -313,7 +313,7 @@ func deployConfig(sc Scenario) (core.Options, ledger.Config) {
 		Light:              sc.Spec.Light,
 		CollectorLimit:     sc.Spec.Collector,
 		Costs:              core.PaperCostModel(),
-		F:                  (sc.Servers - 1) / 2,
+		F:                  core.MaxFaulty(sc.Servers),
 		CheckpointInterval: sc.CheckpointInterval,
 		Prune:              sc.Prune,
 	}

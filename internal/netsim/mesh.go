@@ -42,6 +42,7 @@ type DeliverFunc func(origin wire.NodeID, payload any, size int)
 // receiver reads only the entries meant for it (meshEntry.isFor).
 type Envelope struct {
 	entries []meshEntry
+	w       *window // the window the entries view
 }
 
 // MeshStats counts one mesh node's traffic, or a whole mesh's (Mesh.Stats).
@@ -162,8 +163,8 @@ type meshNode struct {
 
 	seq        uint64
 	flushArmed bool
-	flushFn    func()                                        // the flush timer's callback, bound once
-	sendFn     func(to wire.NodeID, env *Envelope, size int) // Network.Send from this node, bound once
+	flushFn    func()                                            // the flush timer's callback, bound once
+	sendFn     func(to wire.NodeID, env *Envelope, size int) int // Network.Send from this node, bound once
 
 	// The relay's limits: the mesh* constants and the overlay size, which
 	// tests lower to reach the caps.
@@ -172,11 +173,12 @@ type meshNode struct {
 	dedupTTL time.Duration
 	maxHops  int
 
-	dedup   dedupCache
-	log     []meshEntry // entries queued since the last flush, oldest first
-	queues  []peerQueue // queues[i] is peers[i]'s backlog in log
-	lastLen int         // the last flushed log's length: the next log's capacity
-	st      MeshStats   // this node's counters, all monotone
+	dedup  dedupCache
+	open   *window     // the entries queued since the last flush; nil until the first
+	queues []peerQueue // queues[i] is peers[i]'s backlog in open's log
+	free   *window     // spare windows, handed back by their last receivers
+	nfree  int
+	st     MeshStats // this node's counters, all monotone
 
 	expireAll bool // BreakExpiryForTest
 }
@@ -208,7 +210,7 @@ func NewMesh(net *Network, ids []wire.NodeID, fanout int) *Mesh {
 			mn.flushArmed = false
 			mn.flush(mn.sim.Now(), mn.sendFn)
 		}
-		mn.sendFn = func(to wire.NodeID, env *Envelope, size int) { net.Send(id, to, env, size) }
+		mn.sendFn = func(to wire.NodeID, env *Envelope, size int) int { return net.Send(id, to, env, size) }
 		m.nodes[id] = mn
 	}
 	return m
@@ -248,7 +250,8 @@ func (m *Mesh) Gossip(from wire.NodeID, payload any, size int) {
 // Of the sender's shared window it reads the entries meant for self.
 // Fresh ones are delivered locally (with their ORIGIN as the sender) and
 // re-queued toward the rest of the neighborhood; stale ones are dropped by
-// the relay's dedup cache.
+// the relay's dedup cache. Call it once per delivery of the envelope: the
+// window goes back to its sender after its last scheduled delivery is read.
 func (m *Mesh) Receive(self, from wire.NodeID, env *Envelope) {
 	mn := m.node(self, "Receive")
 	now := mn.sim.Now()
@@ -264,6 +267,7 @@ func (m *Mesh) Receive(self, from wire.NodeID, env *Envelope) {
 			}
 		}
 	}
+	env.w.received()
 	mn.armFlush()
 }
 

@@ -257,7 +257,7 @@ func TestMeshFlushSharesOneEnvelope(t *testing.T) {
 		src.originate(meshEntry{d: digest{origin: 2, seq: uint64(i)}, payload: i, size: 1}, s.Now())
 	}
 	var relayed *Envelope
-	src.flush(s.Now(), func(_ wire.NodeID, env *Envelope, _ int) { relayed = env })
+	src.flush(s.Now(), func(_ wire.NodeID, env *Envelope, _ int) int { relayed = env; return 1 })
 	m.Receive(0, 1, relayed)
 	m.Gossip(0, "after the cut", 10)
 	s.Run()

@@ -133,7 +133,12 @@ func (n *Network) NodeIDs() []wire.NodeID {
 // duplicate, hold back (reorder) or further delay the message. Sending to
 // self delivers after a negligible loopback delay, does not consume egress
 // bandwidth, and is never subject to link faults.
-func (n *Network) Send(from, to wire.NodeID, payload any, size int) {
+//
+// Send returns how many deliveries it scheduled: 0 from a node that is
+// down, on a blocked link or for a dropped message, 2 for a duplicated one,
+// else 1. A delivery to a node that is down when it arrives is scheduled,
+// and reaches no handler.
+func (n *Network) Send(from, to wire.NodeID, payload any, size int) int {
 	src, ok := n.nodes[from]
 	if !ok {
 		panic(fmt.Sprintf("netsim: send from unknown node %d", from))
@@ -143,7 +148,7 @@ func (n *Network) Send(from, to wire.NodeID, payload any, size int) {
 		panic(fmt.Sprintf("netsim: send to unknown node %d", to))
 	}
 	if src.down {
-		return // crashed nodes emit nothing
+		return 0 // crashed nodes emit nothing
 	}
 	src.msgsOut++
 	src.bytesOut += uint64(size)
@@ -152,7 +157,7 @@ func (n *Network) Send(from, to wire.NodeID, payload any, size int) {
 		m := src.takeMsg()
 		m.src, m.dst, m.payload, m.size = src, dst, payload, size
 		n.sim.After(time.Microsecond, m.deliverFn)
-		return
+		return 1
 	}
 
 	// Link faults. All probability draws happen here, at send time, from the
@@ -161,11 +166,11 @@ func (n *Network) Send(from, to wire.NodeID, payload any, size int) {
 	var lf LinkFault
 	if n.faults != nil && n.faults.linkActive() {
 		if n.faults.Blocked(from, to) {
-			return
+			return 0
 		}
 		lf = n.faults.Link(from, to)
 		if lf.Drop > 0 && src.rng.Float64() < lf.Drop {
-			return
+			return 0
 		}
 	}
 
@@ -186,6 +191,10 @@ func (n *Network) Send(from, to wire.NodeID, payload any, size int) {
 	m := src.takeMsg()
 	m.src, m.dst, m.prop, m.payload, m.size, m.dup = src, dst, prop, payload, size, dup
 	src.egress.Submit(txTime, m.grantFn)
+	if dup {
+		return 2
+	}
+	return 1
 }
 
 // transmitTime returns how long size bytes take on an egress of bandwidth

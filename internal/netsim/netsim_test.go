@@ -235,3 +235,35 @@ func BenchmarkBroadcast(b *testing.B) {
 	}
 	s.Run()
 }
+
+// Send returns how many deliveries it scheduled, on every path a message
+// can take; each one reaches the receiver's handler unless the receiver is
+// down when it arrives.
+func TestSendReturnsScheduledDeliveries(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		to        wire.NodeID
+		fault     func(*Faults)
+		scheduled int
+		handled   int
+	}{
+		{"plain", 1, func(*Faults) {}, 1, 1},
+		{"self", 0, func(*Faults) {}, 1, 1},
+		{"duplicate", 1, func(f *Faults) { f.SetLink(0, 1, LinkFault{Duplicate: 1}) }, 2, 2},
+		{"reordered", 1, func(f *Faults) { f.SetLink(0, 1, LinkFault{Reorder: 1, ReorderDelay: time.Millisecond}) }, 1, 1},
+		{"blocked", 1, func(f *Faults) { f.Block(causeTest, 0, 1) }, 0, 0},
+		{"dropped", 1, func(f *Faults) { f.SetLink(0, 1, LinkFault{Drop: 1}) }, 0, 0},
+		{"sender down", 1, func(f *Faults) { f.SetDown(0, causeTest, true) }, 0, 0},
+		{"receiver down", 1, func(f *Faults) { f.SetDown(1, causeTest, true) }, 1, 0},
+	} {
+		s, n, boxes := setup(Config{BaseLatency: time.Millisecond})
+		tc.fault(n.Faults())
+		if got := n.Send(0, tc.to, "x", 10); got != tc.scheduled {
+			t.Errorf("%s: Send returns %d, want %d", tc.name, got, tc.scheduled)
+		}
+		s.Run()
+		if got := len(*boxes[tc.to]); got != tc.handled {
+			t.Errorf("%s: %d deliveries handled, want %d", tc.name, got, tc.handled)
+		}
+	}
+}

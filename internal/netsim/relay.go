@@ -7,16 +7,16 @@ import (
 )
 
 // The relay half of a mesh node (DESIGN.md §13), modeled on CometBFT's
-// votepool: a dedup cache — one bit per (origin, sequence number), with TTL
-// expiry — plus a bounded, expiring log of entries to forward whose every
-// flush is shared by all peers' envelopes. A peer's backlog is a finite,
-// droppable resource, never an unbounded mailbox (the CAC framing of
-// PAPERS.md).
+// votepool: a dedup cache — one expiry per (origin, sequence number) — plus
+// a bounded, expiring log of entries to forward whose every flush is shared
+// by all peers' envelopes. A peer's backlog is a finite, droppable resource,
+// never an unbounded mailbox (the CAC framing of PAPERS.md).
 //
 // The methods in this file are pure bookkeeping over the virtual clock
 // their callers pass in: no timers, no simulator, no network. A relay is
-// only ever touched by its own node's events, and the clock its callers
-// pass never decreases.
+// touched by its own node's events, and by one more write: the last
+// receiver of a flushed window returns it to the relay's free list. The
+// clock its callers pass never decreases.
 
 // digest identifies a gossiped message. The simulated fabric is trusted
 // (the network delivers what was sent; Byzantine behavior lives at the
@@ -95,9 +95,9 @@ func (mn *meshNode) ingest(from wire.NodeID, e meshEntry, now time.Duration) boo
 }
 
 // push queues e toward every peer it is meant for that has room, and
-// stores it in the log once if any does. A peer whose backlog is full
-// drops the newcomer: the queued backlog is older and closer to expiring
-// anyway, and dropping the newcomer keeps the operation O(1).
+// stores it in the open window once if any does. A peer whose backlog is
+// full drops the newcomer: the queued backlog is older and closer to
+// expiring anyway, and dropping the newcomer keeps the operation O(1).
 func (mn *meshNode) push(e meshEntry, now time.Duration) {
 	e.enqueued = now
 	stored := false
@@ -111,37 +111,41 @@ func (mn *meshNode) push(e meshEntry, now time.Duration) {
 			continue
 		}
 		if !stored {
-			if mn.log == nil {
-				mn.log = make([]meshEntry, 0, max(mn.lastLen, 1))
+			if mn.open == nil {
+				mn.open = mn.takeWindow()
 			}
-			mn.log = append(mn.log, e)
+			mn.open.log = append(mn.open.log, e)
 			stored = true
 		}
 		q.n++
 		q.bytes += e.size
 		if q.n == mn.queueCap {
-			q.cut = len(mn.log)
+			q.cut = len(mn.open.log)
 		}
 	}
 }
 
-// flush closes the log of entries queued since the last flush and hands
+// flush closes the window of entries queued since the last flush and hands
 // each peer with something to read its envelope, in peer order, through
-// send. The expired prefix of the log — every entry under
-// BreakExpiryForTest, else those queued entryTTL or longer ago; queue
-// times never decrease — is counted per peer it was meant for and left
-// out of every envelope. Every envelope starts where the rest of the log
-// does, and all but those of peers cut at queueCap run to its end, so the
-// uncut peers share one envelope and a cut peer gets its own, shorter one.
-// The envelopes alias one window, which nothing writes again (the next
-// entry queued starts a new log), so every receiver may read it. An
+// send, which returns how many deliveries of it the network scheduled. The
+// expired prefix of the log — every entry under BreakExpiryForTest, else
+// those queued entryTTL or longer ago; queue times never decrease — is
+// counted per peer it was meant for and left out of every envelope. Every
+// envelope starts where the rest of the log does, and all but those of
+// peers cut at queueCap run to its end, so the uncut peers share the
+// window's envelope and a cut peer gets its own, shorter one. An
 // envelope's wire size counts only the entries meant for its receiver.
-func (mn *meshNode) flush(now time.Duration, send func(to wire.NodeID, env *Envelope, size int)) {
-	log := mn.log
-	if log != nil {
-		mn.lastLen = len(log)
+//
+// The window counts its scheduled deliveries, and nothing writes it until
+// the last of them is received (window.received); a flush that scheduled
+// none recycles it at once.
+func (mn *meshNode) flush(now time.Duration, send func(to wire.NodeID, env *Envelope, size int) int) {
+	w := mn.open
+	if w == nil {
+		return
 	}
-	mn.log = nil
+	mn.open = nil
+	log := w.log
 	pre := 0
 	switch {
 	case mn.expireAll:
@@ -151,7 +155,7 @@ func (mn *meshNode) flush(now time.Duration, send func(to wire.NodeID, env *Enve
 			pre++
 		}
 	}
-	var whole *Envelope // the envelope of every peer that reads to the window's end
+	w.whole.entries = log[pre:]
 	for i, p := range mn.peers {
 		q := &mn.queues[i]
 		end := len(log)
@@ -166,57 +170,105 @@ func (mn *meshNode) flush(now time.Duration, send func(to wire.NodeID, env *Enve
 			}
 		}
 		if q.n > 0 {
-			env := whole
-			switch {
-			case end < len(log):
-				env = &Envelope{entries: log[pre:end]}
-			case whole == nil:
-				whole = &Envelope{entries: log[pre:]}
-				env = whole
+			env := &w.whole
+			if end < len(log) {
+				env = &Envelope{entries: log[pre:end], w: w}
 			}
-			send(p, env, meshEnvelopeOverhead+q.bytes+q.n*meshEntryOverhead)
+			w.pending += send(p, env, meshEnvelopeOverhead+q.bytes+q.n*meshEntryOverhead)
 		}
 		*q = peerQueue{}
+	}
+	if w.pending == 0 {
+		mn.recycle(w)
+	}
+}
+
+// window is one flush's log and the envelope that views it whole, reused
+// flush after flush by the node that owns it. Between a flush and the last
+// scheduled delivery of its envelopes the window is read-only; then the
+// receiver that read last returns it to its owner's free list. A delivery
+// that never reaches Mesh.Receive (a receiver that is down) keeps its
+// window off the list for good, and the collector takes it.
+type window struct {
+	log     []meshEntry // the entries queued toward the flush, oldest first
+	whole   Envelope    // the envelope of every peer that reads to the log's end
+	pending int         // deliveries scheduled and not yet received
+	owner   *meshNode
+	next    *window // free-list link
+}
+
+// maxFreeWindows bounds a node's free list; a window returned to a full
+// one is left to the collector.
+const maxFreeWindows = 8
+
+// takeWindow returns a spare window of the node's, or a new one.
+func (mn *meshNode) takeWindow() *window {
+	w := mn.free
+	if w == nil {
+		w = &window{owner: mn}
+		w.whole.w = w
+		return w
+	}
+	mn.free, w.next = w.next, nil
+	mn.nfree--
+	return w
+}
+
+// received records that one scheduled delivery of the window has been
+// read; the last one hands the window back to its owner.
+func (w *window) received() {
+	if w.pending--; w.pending == 0 {
+		w.owner.recycle(w)
+	}
+}
+
+// recycle clears a window nobody reads any more and keeps it, if the free
+// list has room.
+func (mn *meshNode) recycle(w *window) {
+	clear(w.log)
+	w.log, w.whole.entries = w.log[:0], nil
+	if mn.nfree < maxFreeWindows {
+		w.next, mn.free = mn.free, w
+		mn.nfree++
 	}
 }
 
 // dedupCache remembers seen digests until their expiry. A digest's two
-// halves are a node id and a counter, so the memory is a bitmap over seq,
-// not a hash table of pairs: a page holds the bits of seqPageSize
+// halves are a node id and a counter, so the memory is an array over seq,
+// not a hash table of pairs: a page holds the expiries of seqPageSize
 // consecutive sequence numbers of one origin, and pages — the only thing
 // hashed — are few enough to stay in cache. seq is arbitrary to the cache:
 // a sequence number far from every other costs one page, whatever the
-// distance, and a page whose last bit clears is released.
+// distance.
 //
-// Expiry is lazy: a FIFO of (digest, expiry) slots is scanned from the head
-// on every mark, so the cache needs no timers and its state advances only
-// on its owning node's events. Amortized O(1) per mark.
+// A digest is fresh iff its stored expiry is at or before now; a page not
+// made, or released, reads as all zero, and virtual time never runs below
+// zero. That is the verdict of a digest→expiry table on every call, by
+// construction: the page is that table, split by origin and seq.
 //
-// The bitmap stores no expiry and needs none. A bit is set only by a mark
-// that found it clear, and that mark queues exactly one slot; a bit is
-// cleared only when its slot is popped. So a set bit always has exactly one
-// queued slot, that slot carries the digest's one live expiry, and because
-// expire runs before every lookup, "bit set" is "marked and not yet
-// expired" — the verdict a digest→expiry table gives, on every call.
+// Expiry is lazy, so the cache needs no timers and its state advances only
+// on its owning node's events. A queue holds one slot per page, carrying an
+// expiry no later than the page's newest. expire pops the slots that have
+// lapsed: a page whose newest expiry has passed is released — every digest
+// in it reads fresh, as it would with the page gone — and any other is
+// queued again at its newest expiry. Each re-queue consumes a distinct,
+// later expiry some mark stored, so the work is amortized O(1) per mark.
 type dedupCache struct {
 	pages map[seqPageKey]*seqPage
 	// cur remembers the page last touched for each origin (direct-mapped by
 	// origin, so two origins may share a slot and evict each other): an
 	// origin's consecutive sequence numbers reach their page without
 	// hashing, however the origins interleave.
-	cur [dedupCursors]struct {
-		key seqPageKey
-		p   *seqPage
-	}
+	cur [dedupCursors]*seqPage
 
-	fifo []dedupSlot
-	head int
+	queue []pageSlot // one slot per page in pages, from head on
+	head  int
 
 	forgetful bool // a sabotage switch for tests: every digest is fresh
 }
 
 const (
-	seqPageShift = 9
+	seqPageShift = 6
 	seqPageSize  = 1 << seqPageShift
 	dedupCursors = 64
 )
@@ -226,32 +278,36 @@ type seqPageKey struct {
 	page   uint64 // seq >> seqPageShift
 }
 
-type seqPage [seqPageSize / 64]uint64
+type seqPage struct {
+	key    seqPageKey
+	newest time.Duration // the latest expiry in exp
+	exp    [seqPageSize]time.Duration
+}
 
-type dedupSlot struct {
-	d   digest
+type pageSlot struct {
+	p   *seqPage
 	exp time.Duration
 }
 
-// page returns the page holding d's bit, made if need be, and d's word and
-// mask within it, and leaves the origin's cursor on it.
-func (c *dedupCache) page(d digest) (p *seqPage, word int, mask uint64) {
+// page returns the page holding d's expiry and leaves the origin's cursor
+// on it. A page it makes is queued at exp, the expiry its first mark stores.
+func (c *dedupCache) page(d digest, exp time.Duration) *seqPage {
 	k := seqPageKey{d.origin, d.seq >> seqPageShift}
-	word, mask = int(d.seq%seqPageSize)/64, 1<<(d.seq%64)
 	cur := &c.cur[uint(d.origin)%dedupCursors]
-	if cur.p != nil && cur.key == k {
-		return cur.p, word, mask
+	if p := *cur; p != nil && p.key == k {
+		return p
 	}
-	p = c.pages[k]
+	p := c.pages[k]
 	if p == nil {
 		if c.pages == nil {
 			c.pages = make(map[seqPageKey]*seqPage)
 		}
-		p = new(seqPage)
+		p = &seqPage{key: k}
 		c.pages[k] = p
+		c.queue = append(c.queue, pageSlot{p, exp})
 	}
-	cur.key, cur.p = k, p
-	return p, word, mask
+	*cur = p
+	return p
 }
 
 // mark records the digest as seen until now+ttl and reports whether it
@@ -261,34 +317,41 @@ func (c *dedupCache) mark(d digest, now, ttl time.Duration) bool {
 		return true
 	}
 	c.expire(now)
-	p, word, mask := c.page(d)
-	if p[word]&mask != 0 {
+	exp := now + ttl
+	p := c.page(d, exp)
+	slot := &p.exp[d.seq%seqPageSize]
+	if *slot > now {
 		return false
 	}
-	p[word] |= mask
-	c.fifo = append(c.fifo, dedupSlot{d: d, exp: now + ttl})
+	*slot = exp
+	p.newest = max(p.newest, exp)
 	return true
 }
 
-// expire pops lapsed slots off the FIFO head, clearing each one's bit.
+// expire pops the lapsed slots off the queue head, releasing each page
+// whose newest expiry has passed and queueing every other one again.
 func (c *dedupCache) expire(now time.Duration) {
-	for c.head < len(c.fifo) && c.fifo[c.head].exp <= now {
-		c.clear(c.fifo[c.head].d)
+	for c.head < len(c.queue) && c.queue[c.head].exp <= now {
+		p := c.queue[c.head].p
+		c.queue[c.head] = pageSlot{}
 		c.head++
+		if p.newest > now {
+			c.queue = append(c.queue, pageSlot{p, p.newest})
+		} else {
+			c.release(p)
+		}
 	}
-	if c.head > len(c.fifo)/2 && c.head > 32 {
-		c.fifo = append(c.fifo[:0:0], c.fifo[c.head:]...)
-		c.head = 0
+	if c.head > len(c.queue)/2 && c.head > 32 {
+		n := copy(c.queue, c.queue[c.head:])
+		clear(c.queue[n:])
+		c.queue, c.head = c.queue[:n], 0
 	}
 }
 
-// clear forgets d, releasing its page if that was the page's last bit.
-func (c *dedupCache) clear(d digest) {
-	p, word, mask := c.page(d) // there already: a queued slot's bit is set
-	p[word] &^= mask
-	if *p == (seqPage{}) {
-		cur := &c.cur[uint(d.origin)%dedupCursors]
-		delete(c.pages, cur.key)
-		cur.p = nil
+// release forgets a page, and with it every digest in it.
+func (c *dedupCache) release(p *seqPage) {
+	delete(c.pages, p.key)
+	if cur := &c.cur[uint(p.key.origin)%dedupCursors]; *cur == p {
+		*cur = nil
 	}
 }

@@ -203,7 +203,7 @@ func BenchmarkRelayFanout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.ingest(peers[i%len(peers)], meshEntry{d: digest{origin: 9, seq: uint64(i)}, payload: "p", size: 200}, now)
 		if i%burst == burst-1 {
-			r.flush(now, func(wire.NodeID, *Envelope, int) {})
+			r.flush(now, func(wire.NodeID, *Envelope, int) int { return 0 })
 			now += time.Millisecond
 		}
 	}

@@ -30,11 +30,13 @@ type sent struct {
 }
 
 // flushTo flushes r at now and returns what each peer was sent, at the
-// peer's index in r.peers.
+// peer's index in r.peers. Each envelope counts as one delivery that is
+// never received, so no window flushed here is reused.
 func flushTo(r *meshNode, now time.Duration) []sent {
 	out := make([]sent, len(r.peers))
-	r.flush(now, func(to wire.NodeID, env *Envelope, size int) {
+	r.flush(now, func(to wire.NodeID, env *Envelope, size int) int {
 		out[slices.Index(r.peers, to)] = sent{env, size}
+		return 1
 	})
 	return out
 }
@@ -166,50 +168,57 @@ func TestEntryTTLExpiry(t *testing.T) {
 	}
 }
 
-// A flush allocates twice, not once per peer: every peer's envelope is the
-// one envelope viewing the one log, which is allocated once at the
-// previous burst's size, and a flush of an empty log allocates nothing and
-// sends nothing. Each window is its own array: it leaves in Envelopes, so
-// a later flush must not write over it.
+// A flush allocates nothing once a window has come back: every peer's
+// envelope is the window's one envelope, and when its last delivery is
+// received the window returns to the node to hold the next burst. A flush
+// of an empty log allocates nothing and sends nothing. A window with a
+// delivery outstanding is its readers': the next flush takes another.
 func TestFlushAllocatesResultOnce(t *testing.T) {
 	peers := []wire.NodeID{1, 2, 3, 4, 5, 6, 7, 8}
 	r := testNode(peers...)
 	r.queueCap = 0
 	var got [9]*Envelope // by peer id
 	var sends int
-	record := func(to wire.NodeID, env *Envelope, _ int) { got[to] = env; sends++ }
+	record := func(to wire.NodeID, env *Envelope, _ int) int { got[to] = env; sends++; return 1 }
 	if r.flush(0, record); sends != 0 {
 		t.Fatalf("flush of an empty log sends %d envelopes, want none", sends)
 	}
-	var first []meshEntry
 	var seq uint64
-	allocs := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 100; i++ {
+	burst := func() {
+		from := seq
+		for range 100 {
 			r.originate(entry(0, seq), 0)
 			seq++
 		}
 		r.flush(0, record)
 		for _, p := range peers {
-			if len(got[p].entries) != 100 || got[p] != got[1] {
-				t.Fatalf("peer %d: %d entries, shared %v; want the one envelope of 100", p,
-					len(got[p].entries), got[p] == got[1])
+			if len(got[p].entries) != 100 || got[p] != got[1] || got[p].entries[99].d.seq != from+99 {
+				t.Fatalf("peer %d: %d entries, shared %v; want the one envelope of seqs %d..%d", p,
+					len(got[p].entries), got[p] == got[1], from, from+99)
 			}
 		}
-		if first == nil {
-			first = got[1].entries
+	}
+	burst()
+	held := got[1] // never received
+	heldCopy := slices.Clone(held.entries)
+	allocs := testing.AllocsPerRun(10, func() {
+		burst()
+		if got[1] == held {
+			t.Fatal("a window with deliveries outstanding was flushed again")
+		}
+		for _, p := range peers {
+			got[p].w.received()
 		}
 		sends = 0
 		if r.flush(0, record); sends != 0 {
 			t.Fatal("second flush not empty")
 		}
 	})
-	if allocs != 2 {
-		t.Fatalf("originate 100 toward %d peers + flush allocates %.1f times, want 2 (the log and its envelope)", len(peers), allocs)
+	if allocs != 0 {
+		t.Fatalf("originate 100 toward %d peers + flush into a recycled window allocates %.1f times, want 0", len(peers), allocs)
 	}
-	for i, e := range first {
-		if e.d.seq != uint64(i) {
-			t.Fatalf("first flush's entry %d was overwritten by a later one", i)
-		}
+	if !slices.Equal(held.entries, heldCopy) {
+		t.Fatal("a window with deliveries outstanding was written")
 	}
 }
 
@@ -266,9 +275,9 @@ type dedupOp struct {
 }
 
 // oracleSeqBases are where decodeDedupOps draws sequence numbers from, each
-// plus 0..15: dense from zero, across a word boundary (63/64), across a page
-// boundary (511/512), and far apart up to the end of the range, where the
-// offset wraps around to zero.
+// plus 0..15: dense from zero, across page boundaries (63/64, 511/512), and
+// far apart up to the end of the range, where the offset wraps around to
+// zero.
 var oracleSeqBases = [...]uint64{0, 56, 504, 1 << 20, 1 << 40, 1<<40 + 504, 1 << 63, ^uint64(0) - 7}
 
 // oracleOrigins are the origins decodeDedupOps draws from: 0, 64 and 128
@@ -302,7 +311,7 @@ func decodeDedupOps(data []byte) []dedupOp {
 }
 
 // checkAgainstModel plays ops through mark and through the structure the
-// bitmap replaced — a literal digest→expiry table, never pruned — and
+// pages stand for — a literal digest→expiry table, never pruned — and
 // returns the first step on which the two disagree. It returns the final
 // clock too.
 func checkAgainstModel(ops []dedupOp, mark func(op dedupOp, now time.Duration) bool) (time.Duration, error) {
@@ -383,45 +392,38 @@ func FuzzGossipDedup(f *testing.F) {
 }
 
 // The model check is only worth its slot in CI if a broken cache fails it.
-// Two mutants, each the real cache with one line of expire changed, built
-// here by doing expire's work before the real mark gets to: one pops lapsed
-// slots without clearing their bits, one releases a slot's page although
-// other bits in it are still live.
+// Two mutants, each the real cache with one line changed, built here around
+// the real mark: one releases a page when its queue slot lapses although a
+// later expiry in it is live; one reads an expiry equal to now as live —
+// marking at now−1 with a TTL one longer stores the same expiry and turns
+// the verdict "expiry ≤ now is fresh" into "expiry < now is fresh".
 func TestDedupOracleCatchesBrokenCaches(t *testing.T) {
-	popLapsed := func(c *dedupCache, now time.Duration, forget func(digest)) {
-		for c.head < len(c.fifo) && c.fifo[c.head].exp <= now {
-			forget(c.fifo[c.head].d)
-			c.head++
-		}
-	}
-	mutants := map[string]func(*dedupCache, time.Duration){
-		"expire leaves the bit set": func(c *dedupCache, now time.Duration) {
-			popLapsed(c, now, func(digest) {})
+	mutants := map[string]func(c *dedupCache, d digest, now time.Duration) bool{
+		"a page is released while one of its expiries is live": func(c *dedupCache, d digest, now time.Duration) bool {
+			for c.head < len(c.queue) && c.queue[c.head].exp <= now {
+				c.release(c.queue[c.head].p)
+				c.head++
+			}
+			return c.mark(d, now, oracleTTL)
 		},
-		"a page is released with live bits": func(c *dedupCache, now time.Duration) {
-			popLapsed(c, now, func(d digest) {
-				delete(c.pages, seqPageKey{d.origin, d.seq >> seqPageShift})
-				c.cur[uint(d.origin)%dedupCursors].p = nil
-			})
+		"an expiry at now reads as live": func(c *dedupCache, d digest, now time.Duration) bool {
+			return c.mark(d, now-1, oracleTTL+1)
 		},
 	}
 	seq := func(n uint64) digest { return digest{origin: 3, seq: n} }
 	ops := []dedupOp{
-		{d: seq(64)},
+		{d: seq(64), dt: time.Millisecond}, // after 0, where a page never made reads 0 too
 		{d: seq(65), dt: oracleTTL / 2},
-		{d: seq(64), atExpiry: true},       // fresh again exactly at expiry; (3, 65) is still live
+		{d: seq(64), atExpiry: true},       // fresh again exactly at expiry; (3, 65), on its page, is still live
 		{d: seq(65), dt: time.Millisecond}, // and must still read stale
 	}
 	var c dedupCache
 	if _, err := checkAgainstModel(ops, markDirect(&c)); err != nil {
 		t.Fatalf("the real cache fails the sequence meant for the mutants: %v", err)
 	}
-	for name, expire := range mutants {
+	for name, mark := range mutants {
 		var c dedupCache
-		_, err := checkAgainstModel(ops, func(op dedupOp, now time.Duration) bool {
-			expire(&c, now)
-			return c.mark(op.d, now, oracleTTL)
-		})
+		_, err := checkAgainstModel(ops, func(op dedupOp, now time.Duration) bool { return mark(&c, op.d, now) })
 		if err == nil {
 			t.Errorf("mutant %q passes the model check", name)
 		} else {
@@ -450,7 +452,7 @@ func TestDedupFarApartMarksCostPages(t *testing.T) {
 		}
 		// Once everything has expired the pages are gone too.
 		c.expire(time.Second)
-		if len(c.pages) != 0 || c.cur[1].p != nil {
+		if len(c.pages) != 0 || c.cur[1] != nil || c.head != len(c.queue) {
 			t.Fatalf("%d pages left after every digest expired", len(c.pages))
 		}
 	}
@@ -461,10 +463,9 @@ func TestDedupFarApartMarksCostPages(t *testing.T) {
 }
 
 // The steady-state paths of a relay allocate nothing of their own: a mark
-// of a digest already seen is a bit test, and a fresh ingest costs its
-// share of a page (one per seqPageSize sequence numbers) plus growth of the
-// expiry FIFO, and each flush allocates the next burst's log and its one
-// envelope once.
+// of a digest already seen is an expiry test, a fresh ingest costs its share
+// of a page (one per seqPageSize sequence numbers) and of the page queue's
+// growth, and a flush reuses the window its last receiver handed back.
 func TestRelaySteadyStateAllocations(t *testing.T) {
 	r := testNode(1, 2, 3)
 	r.queueCap, r.dedupTTL = 0, time.Hour
@@ -475,13 +476,13 @@ func TestRelaySteadyStateAllocations(t *testing.T) {
 			r.ingest(1, entry(0, seq), 0)
 			seq++
 		}
-		r.flush(0, func(wire.NodeID, *Envelope, int) {})
+		r.flush(0, func(wire.NodeID, *Envelope, int) int { return 0 })
 	}
-	ingestBurst() // the log learns the burst's size
+	ingestBurst() // the window learns the burst's size
 	perBurst := testing.AllocsPerRun(4, ingestBurst)
-	// 4 pages, 1 log, 1 envelope, and the FIFO doubling now and then.
-	if perBurst > 4+1+1+2 {
-		t.Fatalf("%d fresh ingests allocate %.0f times, want their 4 pages, 1 log and 1 envelope", burst, perBurst)
+	// 4 pages, and the page queue or the page map growing now and then.
+	if perBurst > 4+1 {
+		t.Fatalf("%d fresh ingests allocate %.2f times, want their 4 pages", burst, perBurst)
 	}
 	seen := entry(0, seq-1)
 	if a := testing.AllocsPerRun(100, func() {

@@ -84,6 +84,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// F returns the Byzantine fault bound a deployment of c runs with, the
+// largest f < n/2 for its n servers: what Network.F reports once it runs.
+func (c Config) F() int { return core.MaxFaulty(c.withDefaults().Servers) }
+
 // errNoServer answers Add and Confirm for an index outside [0, Servers).
 var errNoServer = errors.New("setchain: no such server")
 

@@ -87,6 +87,21 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
+// Config.F, read before anything deploys, is the bound the deployment runs
+// with.
+func TestConfigFIsTheDeployedBound(t *testing.T) {
+	for _, servers := range []int{0, 1, 2, 3, 4, 5, 7} {
+		cfg := setchain.Config{Servers: servers}
+		net, err := setchain.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.F() != net.F() {
+			t.Errorf("%d servers: Config.F = %d, the deployment runs f = %d", servers, cfg.F(), net.F())
+		}
+	}
+}
+
 func TestManyClientsManyElements(t *testing.T) {
 	net, err := setchain.New(setchain.Config{Algorithm: setchain.Hashchain, Servers: 4, CollectorSize: 10})
 	if err != nil {
