@@ -15,24 +15,27 @@ import (
 // For each ordinal the table keeps the first transaction interned with its
 // key, which confirms a tag match, so a hit is exact as in a Go map, and
 // how many pools hold a state for it; the key leaves the table when the
-// last of them lets go. Each pool keeps its own states in a window over
-// the ordinals (Mempool.entries), 4 bytes per key. The table holds no
+// last of them lets go. Each pool keeps its own states in a paged window
+// over the ordinals (Mempool.entries), 4 bytes per key. The table holds no
 // pool's state, only key → ordinal, which is why sharing it changes no
 // pool's verdicts. It doubles when an insert would take it past 3/4 full
 // (DESIGN.md §6 has why not 1/2).
 //
-// Ordinals are handed out in order and never reused. first and refs are a
-// window over them that starts at the oldest ordinal still held: a pool
-// that stops pruning holds that window open, 12 bytes per ordinal interned
-// since, but the window keeps no transaction whose key was let go.
+// Ordinals are handed out in order and never reused. first and refs are
+// paged windows over them (paged.go) whose pages start at the page of lo,
+// the oldest ordinal still held: letting go of it releases the pages the
+// window has passed, and interning takes them back. A pool that stops
+// pruning holds that window open, 12 bytes per ordinal interned since, but
+// the window keeps no transaction whose key was let go.
 type Keys struct {
 	slots []txSlot // length 0 or a power of two
 	n     int      // slots whose ord is not 0
 	shift uint     // 32 − log2(len(slots)): a tag's top bits are its home slot
 
-	lo    int32      // the ordinal of first[0] and refs[0]; the next one is lo+len(first)
-	first []*wire.Tx // the first transaction interned with each ordinal's key, nil once let go
-	refs  []int32    // pools holding a state for each ordinal
+	lo    int             // the oldest ordinal held, or next if none is
+	next  int             // the ordinal the next key interned gets
+	first paged[*wire.Tx] // the first transaction interned with each ordinal's key, nil once let go
+	refs  paged[int32]    // pools holding a state for each ordinal
 }
 
 type txSlot struct {
@@ -45,7 +48,7 @@ const indexMinSlots = 8
 
 // NewKeys returns an empty table; its first ordinal is 1, since 0 marks an
 // empty slot.
-func NewKeys() *Keys { return &Keys{lo: 1} }
+func NewKeys() *Keys { return &Keys{lo: 1, next: 1} }
 
 // Len returns how many keys the table holds: those some pool holds a state
 // for.
@@ -91,16 +94,16 @@ func (k *Keys) acquire(tx *wire.Tx, key *wire.TxKey) int32 {
 	}
 	s := &k.slots[k.probe(tx, key)]
 	if s.ord == 0 {
-		next := int64(k.lo) + int64(len(k.first))
-		if next > math.MaxInt32 {
-			panic(fmt.Sprintf("mempool: key ordinal %d does not fit in 32 bits", next))
+		if k.next > math.MaxInt32 {
+			panic(fmt.Sprintf("mempool: key ordinal %d does not fit in 32 bits", k.next))
 		}
-		*s = txSlot{tag: keyTag(key), ord: int32(next)}
+		*s = txSlot{tag: keyTag(key), ord: int32(k.next)}
 		k.n++
-		k.first = append(k.first, tx)
-		k.refs = append(k.refs, 0)
+		*k.first.slot(k.next) = tx
+		*k.refs.slot(k.next) = 0
+		k.next++
 	}
-	k.refs[s.ord-k.lo]++
+	*k.refs.at(int(s.ord))++
 	return s.ord
 }
 
@@ -110,11 +113,11 @@ func (k *Keys) acquire(tx *wire.Tx, key *wire.TxKey) int32 {
 // no "deleted" marker and a table pruned as fast as it fills stays as short
 // to probe as a fresh one.
 func (k *Keys) release(ord int32, key *wire.TxKey) {
-	i := ord - k.lo
-	if k.refs[i]--; k.refs[i] > 0 {
+	refs := k.refs.at(int(ord))
+	if *refs--; *refs > 0 {
 		return
 	}
-	k.first[i] = nil
+	*k.first.at(int(ord)) = nil
 	mask := len(k.slots) - 1
 	hole := int(keyTag(key) >> k.shift)
 	for k.slots[hole].ord != ord {
@@ -131,13 +134,12 @@ func (k *Keys) release(ord int32, key *wire.TxKey) {
 	}
 	k.slots[hole] = txSlot{}
 	k.n--
-	if i == 0 { // advance the window past every ordinal let go
-		n := 0
-		for n < len(k.refs) && k.refs[n] == 0 {
-			n++
+	if int(ord) == k.lo { // advance the window past every ordinal let go
+		for k.lo < k.next && k.refs.get(k.lo) == 0 {
+			k.lo++
 		}
-		k.first, k.refs = k.first[n:], k.refs[n:]
-		k.lo += int32(n)
+		k.first.releaseBelow(k.lo)
+		k.refs.releaseBelow(k.lo)
 	}
 }
 
@@ -155,7 +157,7 @@ func (k *Keys) probe(tx *wire.Tx, key *wire.TxKey) int {
 }
 
 func (k *Keys) holds(ord int32, tx *wire.Tx, key *wire.TxKey) bool {
-	x := k.first[ord-k.lo]
+	x := *k.first.at(int(ord))
 	return x == tx || x.MapKey() == *key
 }
 
@@ -177,46 +179,70 @@ func (k *Keys) grow() {
 // Verify reports the first way the table disagrees with the pools that
 // share it, nil if none: an ordinal's count of holders differs from the
 // number of pools with a state for it, the table keeps a transaction for an
-// ordinal nobody holds or holds a key no pool has a state for, or a key no
-// longer finds its own ordinal. pools must be every pool the table was
-// handed to.
+// ordinal nobody holds or holds a key no pool has a state for, a key no
+// longer finds its own ordinal, or a window keeps a page its front has
+// passed. pools must be every pool the table was handed to.
 func (k *Keys) Verify(pools []*Mempool) error {
-	holders := make([]int32, len(k.refs))
+	if err := frontPage(&k.refs, k.lo); err != nil {
+		return fmt.Errorf("the table's counts: %v", err)
+	}
+	if err := frontPage(&k.first, k.lo); err != nil {
+		return fmt.Errorf("the table's transactions: %v", err)
+	}
+	holders := make([]int32, k.next-k.lo)
 	for pi, p := range pools {
 		if p.keys != k {
 			return fmt.Errorf("pool %d does not share the table", pi)
 		}
-		for i, st := range p.entries {
-			if st == 0 {
-				continue
+		if p.held == 0 && len(p.entries.dir) > 0 {
+			return fmt.Errorf("pool %d holds no key and keeps %d pages of states", pi, len(p.entries.dir))
+		}
+		if err := frontPage(&p.entries, int(p.entLo)); err != nil {
+			return fmt.Errorf("pool %d's states: %v", pi, err)
+		}
+		for j, pg := range p.entries.dir {
+			for i, st := range pg {
+				ord := p.entries.base + j<<pageShift + i
+				switch {
+				case st == 0:
+					continue
+				case ord < int(p.entLo):
+					return fmt.Errorf("pool %d holds ordinal %d below its window's start %d", pi, ord, p.entLo)
+				case ord < k.lo || ord >= k.next:
+					return fmt.Errorf("pool %d holds ordinal %d outside the table's window [%d, %d)", pi, ord, k.lo, k.next)
+				}
+				holders[ord-k.lo]++
 			}
-			j := int(p.entLo) + i - int(k.lo)
-			if j < 0 || j >= len(holders) {
-				return fmt.Errorf("pool %d holds ordinal %d outside the table's window [%d, %d)",
-					pi, int(p.entLo)+i, k.lo, int(k.lo)+len(k.first))
-			}
-			holders[j]++
 		}
 	}
 	held := 0
 	for i, n := range holders {
-		ord := k.lo + int32(i)
-		switch tx := k.first[i]; {
-		case n != k.refs[i]:
-			return fmt.Errorf("ordinal %d counts %d holders, %d pools hold it", ord, k.refs[i], n)
+		ord := k.lo + i
+		switch tx, refs := k.first.get(ord), k.refs.get(ord); {
+		case n != refs:
+			return fmt.Errorf("ordinal %d counts %d holders, %d pools hold it", ord, refs, n)
 		case n == 0 && tx != nil:
 			return fmt.Errorf("ordinal %d is held by no pool and still keeps its transaction", ord)
 		case n > 0 && tx == nil:
 			return fmt.Errorf("ordinal %d is held by %d pools and keeps no transaction", ord, n)
 		case n > 0:
 			held++
-			if key := tx.MapKey(); k.find(nil, &key) != ord {
+			if key := tx.MapKey(); int(k.find(nil, &key)) != ord {
 				return fmt.Errorf("ordinal %d: its key finds ordinal %d", ord, k.find(nil, &key))
 			}
 		}
 	}
 	if held != k.n {
 		return fmt.Errorf("the table holds %d keys, the pools hold %d", k.n, held)
+	}
+	return nil
+}
+
+// frontPage reports a window whose pages do not start at the page of lo,
+// its oldest index.
+func frontPage[T any](p *paged[T], lo int) error {
+	if len(p.dir) > 0 && p.base != lo&^pageMask {
+		return fmt.Errorf("%d pages from %d for a window from %d", len(p.dir), p.base, lo)
 	}
 	return nil
 }

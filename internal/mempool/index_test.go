@@ -142,18 +142,29 @@ func runIndexOps(t *testing.T, data []byte) (wrapped int) {
 			if m.refs == 0 {
 				continue
 			}
-			if j := int(m.ord - k.lo); j < 0 || j >= len(k.refs) || k.refs[j] != m.refs || k.first[j].MapKey() != key {
+			if ord := int(m.ord); ord < k.lo || ord >= k.next || k.refs.get(ord) != m.refs || k.first.get(ord).MapKey() != key {
 				t.Fatalf("step %d: key %d, ordinal %d, is not in the window [%d, %d) with %d holders and its transaction",
-					step/2, i, m.ord, k.lo, int(k.lo)+len(k.refs), m.refs)
+					step/2, i, m.ord, k.lo, k.next, m.refs)
 			}
 		}
-		if len(k.refs) > 0 && k.refs[0] == 0 {
+		if k.lo < k.next && k.refs.get(k.lo) == 0 {
 			t.Fatalf("step %d: the window starts at ordinal %d, which nobody holds", step/2, k.lo)
 		}
-		for j, x := range k.first {
-			if (x == nil) != (k.refs[j] == 0) {
-				t.Fatalf("step %d: ordinal %d has %d holders and transaction %p", step/2, int(k.lo)+j, k.refs[j], x)
+		if k.next != int(next) {
+			t.Fatalf("step %d: the next ordinal is %d, the map's %d", step/2, k.next, next)
+		}
+		for ord := k.lo; ord < k.next; ord++ {
+			if x, refs := k.first.get(ord), k.refs.get(ord); (x == nil) != (refs == 0) {
+				t.Fatalf("step %d: ordinal %d has %d holders and transaction %p", step/2, ord, refs, x)
 			}
+		}
+		for _, w := range []error{frontPage(&k.first, k.lo), frontPage(&k.refs, k.lo)} {
+			if w != nil {
+				t.Fatalf("step %d: %v", step/2, w)
+			}
+		}
+		if len(k.first.dir) > 1+(k.next-k.lo)>>pageShift+1 {
+			t.Fatalf("step %d: %d pages for the window [%d, %d)", step/2, len(k.first.dir), k.lo, k.next)
 		}
 	}
 	return wrapped
@@ -289,7 +300,7 @@ func TestTxIndexRefusesWideValues(t *testing.T) {
 	tx, other := modelTx(1), modelTx(2)
 	key, otherKey := tx.MapKey(), other.MapKey()
 	k := NewKeys()
-	k.lo = math.MaxInt32 // every ordinal below it was handed out and let go
+	k.lo, k.next = math.MaxInt32, math.MaxInt32 // every ordinal below it was handed out and let go
 	if ord := k.acquire(tx, &key); ord != math.MaxInt32 || k.find(nil, &key) != math.MaxInt32 {
 		t.Fatalf("the last ordinal: acquired %d, found %d", ord, k.find(nil, &key))
 	}
@@ -303,7 +314,7 @@ func TestTxIndexRefusesWideValues(t *testing.T) {
 	}()
 
 	p := New(0, sim.New(1), nil, nil, PaperConfig(), nil, nil)
-	p.base = math.MaxInt32 // the next admission's sequence number
+	p.head, p.next = math.MaxInt32, math.MaxInt32 // the next admission's sequence number
 	if !p.AddTx(tx) || !p.Has(key) || p.state(p.keys.find(tx, &key)) != math.MaxInt32 {
 		t.Fatal("the last sequence number that fits was not stored")
 	}

@@ -16,6 +16,13 @@
 // scan. A key is probed once per arrival, most arrivals being gossip
 // duplicates.
 //
+// The ring, the states and the table's per-ordinal transaction and count
+// are windows of fixed pages (paged.go), indexed by sequence number or by
+// ordinal: each grows a page at a time, releases the pages its front has
+// passed, and takes its next pages from the ones it released, so a pool
+// that admits and commits at a steady backlog allocates no memory for
+// them.
+//
 // See DESIGN.md §4 (ledger stack).
 package mempool
 
@@ -80,26 +87,29 @@ type Mempool struct {
 	// keys maps a transaction key to its ordinal: the ledger's shared
 	// table, or the pool's own when it runs alone.
 	keys *Keys
-	// entries[o-entLo] is the pool's state for the key of ordinal o, pool ∪
+	// entries.get(o) is the pool's state for the key of ordinal o, pool ∪
 	// committed in one window: a positive value is a pooled transaction's
 	// admission sequence number, tombstone marks a committed key that must
-	// never re-enter, and 0 — also every ordinal outside the window — a key
+	// never re-enter, and 0 — also every ordinal outside the pages — a key
 	// the pool does not hold. held counts the nonzero states, and the pool
-	// holds each of those keys in the table.
-	entries []int32
+	// holds each of those keys in the table. entLo is the oldest ordinal
+	// the pool holds, while it holds any: the pages start at its page, and
+	// a pool that holds nothing keeps none.
+	entries paged[int32]
 	entLo   int32
 	held    int
 	// maxTxBytes, when positive, refuses a larger transaction at admission:
 	// one that no block could carry would stop Reap for good.
 	maxTxBytes int
 	// order is the admission-order ring: the transaction with sequence
-	// number seq sits at order[seq-base] until it commits, when its slot is
-	// set to nil in place. Everything before head is nil; compact advances
-	// head and slides the live tail down once head passes the midpoint.
-	order []*wire.Tx
+	// number seq sits at order.at(seq) until it commits, when its slot is
+	// set to nil in place. Every slot before head is nil; compact advances
+	// head and releases the pages it has passed. next is the sequence
+	// number the next admission gets, the first one 1.
+	order paged[*wire.Tx]
 	head  int
-	base  int64 // sequence number of order[0]; the first admission gets 1
-	live  int   // entries with a positive value
+	next  int
+	live  int // entries with a positive value
 	bytes int
 
 	// tombstones logs committed blocks by commit height, so that
@@ -107,8 +117,9 @@ type Mempool struct {
 	// (PruneTombstonesBelow), which keeps soak runs bounded.
 	tombstones []tombstoneBatch
 
-	// pendingGossip waits for the next gossip flush; flushFn is the flush
-	// method bound once, handed to every timer armFlush sets.
+	// pendingGossip waits for the next gossip flush, which copies it into
+	// the message and keeps the buffer; flushFn is the flush method bound
+	// once, handed to every timer armFlush sets.
 	pendingGossip []*wire.Tx
 	flushArmed    bool
 	flushFn       func()
@@ -160,7 +171,8 @@ func New(id wire.NodeID, s *sim.Simulator, net *netsim.Network, peers []wire.Nod
 		cfg:   cfg,
 		check: check,
 		enter: enter,
-		base:  1,
+		head:  1,
+		next:  1,
 		peers: peers,
 		keys:  NewKeys(),
 	}
@@ -249,13 +261,14 @@ func (m *Mempool) add(tx *wire.Tx, gossip bool) bool {
 	}
 	// A second probe rather than a slot remembered from the first: check
 	// runs application code between the two.
-	seq := m.base + int64(len(m.order))
+	seq := m.next
 	if seq > math.MaxInt32 {
 		panic(fmt.Sprintf("mempool: sequence number %d does not fit in 32 bits", seq))
 	}
 	m.hold(m.keys.acquire(tx, &key), int32(seq))
 	m.live++
-	m.order = append(m.order, tx)
+	*m.order.slot(seq) = tx
+	m.next++
 	m.bytes += tx.WireSize()
 	m.admitted++
 	if m.enter != nil {
@@ -281,12 +294,16 @@ func (m *Mempool) flush() {
 	if len(m.pendingGossip) == 0 {
 		return
 	}
-	msg := &GossipMsg{Txs: m.pendingGossip}
+	// The message owns its slice: receivers read it after the flush, and
+	// a mesh relay keeps it while the entry is queued.
+	msg := &GossipMsg{Txs: make([]*wire.Tx, len(m.pendingGossip))}
+	copy(msg.Txs, m.pendingGossip)
+	clear(m.pendingGossip)
+	m.pendingGossip = m.pendingGossip[:0]
 	size := 0
 	for _, tx := range msg.Txs {
 		size += tx.WireSize()
 	}
-	m.pendingGossip = nil
 	if m.bcast != nil {
 		m.bcast(msg, size)
 		return
@@ -301,18 +318,23 @@ func (m *Mempool) flush() {
 func (m *Mempool) Reap(maxBytes int) []*wire.Tx {
 	var out []*wire.Tx
 	total := 0
-	for _, tx := range m.order[m.head:] {
-		if tx == nil {
-			continue
+	for seq := m.head; seq < m.next; {
+		span := m.order.span(seq, m.next)
+		seq += len(span)
+		for _, tx := range span {
+			if tx == nil {
+				continue
+			}
+			sz := tx.WireSize()
+			if total+sz > maxBytes {
+				// Txs are admitted in arbitrary size order; stop at the
+				// first overflow to keep reaping O(block size) and
+				// FIFO-fair.
+				return out
+			}
+			out = append(out, tx)
+			total += sz
 		}
-		sz := tx.WireSize()
-		if total+sz > maxBytes {
-			// Txs are admitted in arbitrary size order; stop at the first
-			// overflow to keep reaping O(block size) and FIFO-fair.
-			break
-		}
-		out = append(out, tx)
-		total += sz
 	}
 	return out
 }
@@ -342,11 +364,11 @@ func (m *Mempool) RemoveCommitted(height uint64, txs []*wire.Tx) {
 		case seq == 0:
 			m.hold(m.keys.acquire(tx, &key), tombstone)
 		case seq > 0:
-			slot := int64(seq) - m.base
-			m.bytes -= m.order[slot].WireSize()
+			slot := m.order.at(int(seq))
+			m.bytes -= (*slot).WireSize()
 			m.live--
-			m.order[slot] = nil
-			m.entries[ord-m.entLo] = tombstone
+			*slot = nil
+			*m.entries.at(int(ord)) = tombstone
 		}
 	}
 	m.compact()
@@ -374,75 +396,57 @@ func (m *Mempool) PruneTombstonesBelow(height uint64) {
 		}
 		cut++
 	}
-	if cut > 0 {
-		m.tombstones = append([]tombstoneBatch(nil), m.tombstones[cut:]...)
-	}
+	n := copy(m.tombstones, m.tombstones[cut:])
+	clear(m.tombstones[n:])
+	m.tombstones = m.tombstones[:n]
 }
 
 // state returns the pool's state for ordinal ord: 0 for a key it does not
 // hold, and for ord 0, the ordinal of no key.
-func (m *Mempool) state(ord int32) int32 {
-	if i := int(ord) - int(m.entLo); ord != 0 && i >= 0 && i < len(m.entries) {
-		return m.entries[i]
-	}
-	return 0
-}
+func (m *Mempool) state(ord int32) int32 { return m.entries.get(int(ord)) }
 
 // hold sets the pool's state for ord, a key it did not hold and has just
-// acquired in the table, to st (not 0), widening the window to take it in.
+// acquired in the table, to st (not 0), adding the pages that take it in:
+// at the front for a key the table interned before any the pool holds.
 func (m *Mempool) hold(ord, st int32) {
-	if len(m.entries) == 0 {
-		m.entLo = ord
-	} else if ord < m.entLo { // a key the table interned before any the pool holds
-		m.entries = append(make([]int32, m.entLo-ord), m.entries...)
+	if m.held == 0 || ord < m.entLo {
 		m.entLo = ord
 	}
-	if i := int(ord - m.entLo); i >= len(m.entries) {
-		m.entries = append(m.entries, make([]int32, i+1-len(m.entries))...)
-	}
-	m.entries[ord-m.entLo] = st
+	*m.entries.slot(int(ord)) = st
 	m.held++
 }
 
 // drop clears the pool's state for ord, whose key is key, lets the table
-// know, and narrows the window past every ordinal the pool no longer holds
-// at its front.
+// know, and moves entLo past every ordinal the pool no longer holds at its
+// front, releasing the pages it passes: all of them once the pool holds
+// nothing.
 func (m *Mempool) drop(ord int32, key *wire.TxKey) {
-	m.entries[ord-m.entLo] = 0
+	*m.entries.at(int(ord)) = 0
 	m.held--
 	m.keys.release(ord, key)
-	if ord != m.entLo {
-		return
+	switch {
+	case m.held == 0:
+		m.entries.releaseAll()
+	case ord == m.entLo:
+		for m.entries.get(int(m.entLo)) == 0 {
+			m.entLo++
+		}
+		m.entries.releaseBelow(int(m.entLo))
 	}
-	n := 0
-	for n < len(m.entries) && m.entries[n] == 0 {
-		n++
-	}
-	m.entries = m.entries[n:]
-	m.entLo += int32(n)
 }
 
 // TombstonedKeys returns how many committed-key tombstones the pool holds
 // (soak assertions pin this as bounded under pruning).
 func (m *Mempool) TombstonedKeys() int { return m.held - m.live }
 
-// compact advances head past the freed slots at the front of the ring
-// and, once they are more than half of it, slides the remainder down to
-// index 0. A slide copies fewer slots than head advanced since the last
-// one, so compaction is amortized O(1) per committed transaction and does
-// no index lookups.
+// compact advances head past the freed slots at the front of the ring and
+// releases the pages wholly behind it: amortized O(1) per committed
+// transaction, no index lookups and no copying.
 func (m *Mempool) compact() {
-	for m.head < len(m.order) && m.order[m.head] == nil {
+	for m.head < m.next && *m.order.at(m.head) == nil {
 		m.head++
 	}
-	if m.head < 64 || m.head*2 <= len(m.order) {
-		return
-	}
-	n := copy(m.order, m.order[m.head:])
-	clear(m.order[n:]) // release the transactions the stale tail still points at
-	m.order = m.order[:n]
-	m.base += int64(m.head)
-	m.head = 0
+	m.order.releaseBelow(m.head)
 }
 
 // Size returns the number of pooled transactions.

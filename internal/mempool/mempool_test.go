@@ -308,52 +308,58 @@ func TestReapRespectsRemoval(t *testing.T) {
 	}
 }
 
-// The ring slides once the freed front is at least 64 slots and more than
-// half of it: the survivors move to index 0, base moves by as much, and
-// every sequence number in the index still finds its own slot.
+// The ring releases a page once head has passed all of it: commits at the
+// front move head past the freed slots, a hole in the middle waits for head
+// to reach it, a released page goes to the free list cleared and comes back
+// for the next admissions, and every sequence number still finds its slot.
 func TestCompactKeepsOrder(t *testing.T) {
-	s, pools := newTestPools(t, 1, PaperConfig())
-	p := pools[0]
-	var txs []*wire.Tx
-	s.After(0, func() {
-		for i := 0; i < 200; i++ {
-			tx := elemTx(i, 10)
-			txs = append(txs, tx)
-			p.AddTx(tx)
-		}
-	})
-	s.Run()
-	p.RemoveCommitted(1, txs[:100]) // head reaches the midpoint: no slide yet
-	if p.head != 100 || p.base != 1 || len(p.order) != 200 {
-		t.Fatalf("head/base/len = %d/%d/%d at the midpoint, want 100/1/200", p.head, p.base, len(p.order))
+	p, txs := benchPool(3*pageSize - 1) // sequence numbers 1 to 3·pageSize−1: three pages
+	if p.head != 1 || p.next != 3*pageSize || p.order.base != 0 || len(p.order.dir) != 3 {
+		t.Fatalf("head/next/base/pages = %d/%d/%d/%d after the admissions, want 1/%d/0/3",
+			p.head, p.next, p.order.base, len(p.order.dir), 3*pageSize)
 	}
-	// A hole in the middle does not move head and is not compacted away.
-	p.RemoveCommitted(2, txs[170:180])
-	if p.head != 100 || len(p.order) != 200 {
-		t.Fatalf("head/len = %d/%d after a mid-ring commit, want 100/200", p.head, len(p.order))
+	p.RemoveCommitted(1, txs[:pageSize-2]) // head stops one short of the page's end: nothing released
+	if p.head != pageSize-1 || p.order.base != 0 || len(p.order.dir) != 3 {
+		t.Fatalf("head/base/pages = %d/%d/%d before the page boundary, want %d/0/3",
+			p.head, p.order.base, len(p.order.dir), pageSize-1)
 	}
-	p.RemoveCommitted(3, txs[100:150]) // head passes the midpoint: slide
-	if p.head != 0 || p.base != 151 || len(p.order) != 50 {
-		t.Fatalf("head/base/len = %d/%d/%d after the slide, want 0/151/50", p.head, p.base, len(p.order))
+	// A hole in the middle does not move head and releases nothing.
+	p.RemoveCommitted(2, txs[pageSize+100:pageSize+200])
+	if p.head != pageSize-1 || len(p.order.dir) != 3 {
+		t.Fatalf("head/pages = %d/%d after a mid-ring commit, want %d/3", p.head, len(p.order.dir), pageSize-1)
 	}
-	for _, tx := range p.order[len(p.order):200] {
+	p.RemoveCommitted(3, txs[pageSize-2:pageSize+100]) // head crosses the boundary and the hole
+	if p.head != pageSize+201 || p.order.base != pageSize || len(p.order.dir) != 2 || len(p.order.free) != 1 {
+		t.Fatalf("head/base/pages/free = %d/%d/%d/%d past the boundary, want %d/%d/2/1",
+			p.head, p.order.base, len(p.order.dir), len(p.order.free), pageSize+201, pageSize)
+	}
+	for _, tx := range p.order.free[0] {
 		if tx != nil {
-			t.Fatal("slide left a transaction pointer in the stale tail")
+			t.Fatal("a released page still points at a transaction")
 		}
 	}
-	want := slices.Concat(txs[150:170], txs[180:])
-	if got := p.Reap(1 << 20); !slices.Equal(got, want) {
-		t.Fatalf("reaped %d txs after the slide, want the 40 survivors in admission order", len(got))
+	want := txs[pageSize+200:]
+	if got := p.Reap(1 << 30); !slices.Equal(got, want) {
+		t.Fatalf("reaped %d txs after the release, want the %d survivors in admission order", len(got), len(want))
 	}
-	// Sequence numbers issued before the slide still address their slots,
-	// and ones issued after it continue the same numbering.
-	late := elemTx(500, 10)
-	s.After(0, func() { p.AddTx(late) })
-	s.Run()
-	p.RemoveCommitted(4, []*wire.Tx{txs[199], txs[150]})
-	want = append(slices.Clone(want[1:39]), late)
-	if got := p.Reap(1 << 20); !slices.Equal(got, want) || p.Size() != 39 || p.bytes != 390 {
-		t.Fatalf("after the slide: reaped %d txs, size %d, bytes %d; want 39/39/390", len(got), p.Size(), p.bytes)
+	// Sequence numbers issued before the release still address their
+	// slots, and the ones after it continue the numbering in the released
+	// page, taken back from the free list.
+	released := p.order.free[0]
+	late := elemTx(1<<20, 10)
+	p.AddTx(late)
+	if p.next != 3*pageSize+1 || len(p.order.dir) != 3 || p.order.dir[2] != released || len(p.order.free) != 0 {
+		t.Fatal("the admission past the last page did not take the released one")
+	}
+	p.RemoveCommitted(4, []*wire.Tx{txs[len(txs)-1], txs[pageSize+200]})
+	want = append(slices.Clone(want[1:len(want)-1]), late)
+	bytes := 0
+	for _, tx := range want {
+		bytes += tx.WireSize()
+	}
+	if got := p.Reap(1 << 30); !slices.Equal(got, want) || p.Size() != len(want) || p.bytes != bytes {
+		t.Fatalf("after the release: reaped %d txs, size %d, bytes %d; want %d/%d/%d",
+			len(got), p.Size(), p.bytes, len(want), len(want), bytes)
 	}
 }
 
@@ -612,9 +618,9 @@ func TestTombstoneOrdinalsAcrossBatches(t *testing.T) {
 			p.Size(), p.TombstonedKeys(), len(p.tombstones), p.keys.Len())
 	}
 	p.PruneTombstonesBelow(2)
-	if p.TombstonedKeys() != 32 || len(p.tombstones) != 4 || p.keys.Len() != 32 || p.entLo != 9 {
-		t.Fatalf("tombstones/batches/keys/window = %d/%d/%d/%d after pruning heights 1-2, want 32/4/32/9",
-			p.TombstonedKeys(), len(p.tombstones), p.keys.Len(), p.entLo)
+	if p.TombstonedKeys() != 32 || len(p.tombstones) != 4 || p.keys.Len() != 32 || p.entLo != 9 || len(p.entries.dir) != 1 {
+		t.Fatalf("tombstones/batches/keys/window/pages = %d/%d/%d/%d/%d after pruning heights 1-2, want 32/4/32/9/1",
+			p.TombstonedKeys(), len(p.tombstones), p.keys.Len(), p.entLo, len(p.entries.dir))
 	}
 	if err := p.keys.Verify([]*Mempool{p}); err != nil {
 		t.Fatal(err)
@@ -718,5 +724,98 @@ func TestPruneKeepsReadmittedKey(t *testing.T) {
 	}
 	if got := p.Reap(1 << 20); len(got) != 1 || got[0] != tx {
 		t.Fatalf("re-admitted tx not reaped: %v", got)
+	}
+}
+
+// A pool that admits, gossips, reaps, commits and prunes at a steady
+// backlog takes every page of its ring, its states and its table from the
+// pages it released, and reuses its gossip buffer and tombstone log: after
+// warm-up a cycle allocates the gossip message and its slice, and Reap's
+// block, and nothing else.
+func TestSteadyBacklogAllocatesOnlyMessages(t *testing.T) {
+	const perCycle, backlog, lag = 1000, 10 * pageSize, 2
+	s := sim.New(1)
+	p := New(0, s, nil, nil, PaperConfig(), nil, nil)
+	flushes := 0
+	p.SetBroadcaster(func(any, int) { flushes++ })
+	txs := make([]*wire.Tx, backlog+40*perCycle)
+	for i := range txs {
+		txs[i] = elemTx(i, 100)
+	}
+	for _, tx := range txs[:backlog] {
+		p.AddTx(tx)
+	}
+	next, height := backlog, uint64(0)
+	blockBytes := perCycle * txs[0].WireSize()
+	cycle := func() {
+		for _, tx := range txs[next : next+perCycle] {
+			p.AddTx(tx)
+		}
+		next += perCycle
+		s.Run()
+		height++
+		p.RemoveCommitted(height, p.Reap(blockBytes))
+		p.PruneTombstonesBelow(height - min(height, lag))
+	}
+	for range 10 {
+		cycle()
+	}
+	reap := testing.AllocsPerRun(10, func() { p.Reap(blockBytes) })
+	avg := testing.AllocsPerRun(20, cycle)
+	if p.Size() != backlog || p.TombstonedKeys() != lag*perCycle || flushes != 31 {
+		t.Fatalf("size/tombstones/flushes = %d/%d/%d, want %d/%d/31: the cycle is not steady",
+			p.Size(), p.TombstonedKeys(), flushes, backlog, lag*perCycle)
+	}
+	if avg != reap+2 {
+		t.Fatalf("a cycle allocates %.1f times, want %.0f: the gossip message, its slice and Reap's block", avg, reap+2)
+	}
+}
+
+// Ten pools on one key table build a 40,000-transaction backlog by gossip
+// and drain it by commits, pruning as they go: vanilla_backlog's mempool
+// work without the network. Every iteration re-admits the same
+// transactions, whose keys the last one pruned, under new sequence numbers
+// and ordinals.
+func BenchmarkMempoolBacklog(b *testing.B) {
+	const pools, backlog, gossipBatch = 10, 40_000, 100
+	keys := NewKeys()
+	ps := make([]*Mempool, pools)
+	for i := range ps {
+		ps[i] = New(wire.NodeID(i), sim.New(1), nil, nil, PaperConfig(), nil, nil)
+		ps[i].ShareKeys(keys)
+	}
+	txs := make([]*wire.Tx, backlog)
+	for i := range txs {
+		txs[i] = elemTx(i, 438)
+	}
+	blockBytes := 1 << 20
+	height := uint64(0)
+	msg := &GossipMsg{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for i := 0; i < backlog; i += gossipBatch {
+			msg.Txs = txs[i : i+gossipBatch]
+			for _, tx := range msg.Txs {
+				ps[0].AddTx(tx)
+			}
+			for _, p := range ps[1:] {
+				p.ReceiveGossip(msg)
+			}
+		}
+		for ps[0].Size() > 0 {
+			block := ps[0].Reap(blockBytes)
+			height++
+			for _, p := range ps {
+				p.RemoveCommitted(height, block)
+				p.PruneTombstonesBelow(height - 1)
+			}
+		}
+		for _, p := range ps {
+			p.PruneTombstonesBelow(height)
+		}
+	}
+	if keys.Len() != 0 {
+		b.Fatalf("%d keys left after the drain", keys.Len())
 	}
 }

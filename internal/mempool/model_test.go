@@ -198,19 +198,56 @@ var modelConfigs = []Config{
 		Policy: spec.AdmissionDelay, Watermark: 0.75, MaxDelay: 2 * time.Second, MaxDeferred: 8}},
 }
 
+// nearPageEnd is where a driver asked to start late starts its pools'
+// sequence numbers and its table's ordinals: a few short of a page
+// boundary, as if every one below had been handed out and let go, so that
+// the windows of a short sequence cross the boundary too.
+const nearPageEnd = 3*pageSize - 12
+
+// startLate starts keys and the pools that use it at nearPageEnd, before
+// their first admission.
+func startLate(keys *Keys, pools ...*Mempool) {
+	keys.lo, keys.next = nearPageEnd, nearPageEnd
+	for _, p := range pools {
+		p.head, p.next = nearPageEnd, nearPageEnd
+	}
+}
+
 // modelCoverage counts what runs of the driver reached, so the seeded
-// test can refuse to pass on sequences that never slid the ring.
+// test can refuse to pass on sequences whose ring, states or table never
+// moved their front onto a later page.
 type modelCoverage struct {
-	slides, readmitted, keptLive, holes, deferred, expired, twins int
+	readmitted, keptLive, holes, deferred, expired, twins int
+	pages                                                 [3]int // see movedPages
+}
+
+// frontPages returns the pages the fronts of p's ring, p's states and its
+// table are on.
+func frontPages(p *Mempool) [3]int {
+	return [3]int{p.head >> pageShift, int(p.entLo) >> pageShift, p.keys.lo >> pageShift}
+}
+
+// movedPages counts in n each of those fronts that moved onto a later page
+// since they were on was.
+func movedPages(p *Mempool, was [3]int, n *[3]int) {
+	for i, now := range frontPages(p) {
+		if now > was[i] {
+			n[i]++
+		}
+	}
 }
 
 // runModel interprets data as a sequence of pool operations, applies each
 // to a Mempool and to the oracle, and compares everything the pool exposes
-// after every step. What the sequence reached is added to cov.
-func runModel(t *testing.T, cfg Config, data []byte, cov *modelCoverage) {
+// after every step; late starts the pool at nearPageEnd. What the sequence
+// reached is added to cov.
+func runModel(t *testing.T, cfg Config, late bool, data []byte, cov *modelCoverage) {
 	t.Helper()
 	s := sim.New(1)
 	p := New(0, s, nil, nil, cfg, modelCheck, nil)
+	if late {
+		startLate(p.keys, p)
+	}
 	o := &oracle{cfg: p.cfg, state: make(map[wire.TxKey]int8), everPruned: make(map[wire.TxKey]bool)}
 	var (
 		universe []*wire.Tx
@@ -265,7 +302,7 @@ func runModel(t *testing.T, cfg Config, data []byte, cov *modelCoverage) {
 
 	for step := 0; pos < len(data); step++ {
 		touched = touched[:0]
-		base := p.base
+		pages := frontPages(p)
 		switch next() % 8 {
 		case 0:
 			for n := next()%32 + 1; n > 0; n-- {
@@ -329,9 +366,7 @@ func runModel(t *testing.T, cfg Config, data []byte, cov *modelCoverage) {
 				t.Fatalf("step %d: Reap(%d) returned %d txs, oracle %d (or a different order)", step, budget, len(got), len(want))
 			}
 		}
-		if p.base != base {
-			cov.slides++
-		}
+		movedPages(p, pages, &cov.pages)
 		compareModel(t, step, p, o, touched)
 		if p.keys.Len() != len(o.state) {
 			t.Fatalf("step %d: the pool's table holds %d keys, the oracle %d", step, p.keys.Len(), len(o.state))
@@ -386,28 +421,32 @@ func modelStream(seed int64, n int) []byte {
 // sequences: commits out of admission order, holes in the middle of the
 // ring, blocks that list a tx twice or list txs the pool never saw,
 // pruning, re-admission of pruned keys, drops at the caps and the delay
-// policy's deferred queue.
+// policy's deferred queue. Every other sequence starts near a page
+// boundary.
 func TestMempoolModel(t *testing.T) {
 	var cov modelCoverage
 	for _, cfg := range modelConfigs {
 		for seed := int64(1); seed <= 6; seed++ {
-			runModel(t, cfg, modelStream(seed, 3000), &cov)
+			runModel(t, cfg, seed%2 == 0, modelStream(seed, 3000), &cov)
 		}
 	}
 	t.Logf("reached: %+v", cov)
-	if cov.slides < 3 || cov.readmitted == 0 || cov.keptLive == 0 || cov.holes == 0 || cov.deferred == 0 || cov.expired == 0 || cov.twins == 0 {
+	if slices.Min(cov.pages[:]) < 3 || cov.readmitted == 0 || cov.keptLive == 0 || cov.holes == 0 || cov.deferred == 0 || cov.expired == 0 || cov.twins == 0 {
 		t.Errorf("the sequences no longer reach every case the model is for: %+v", cov)
 	}
 }
 
 // The seed streams are short on purpose: the fuzzing engine minimizes every
 // input that reaches new coverage, at a cost that grows faster than the
-// input's length, and 300 bytes already slide the ring.
+// input's length. cfg picks the configuration and, past the first
+// len(modelConfigs), a late start, whose windows 300 bytes take across a
+// page boundary.
 func FuzzMempoolModel(f *testing.F) {
-	for i := range modelConfigs {
+	for i := range 2 * len(modelConfigs) {
 		f.Add(uint8(i), modelStream(int64(100+i), 300))
 	}
 	f.Fuzz(func(t *testing.T, cfg uint8, data []byte) {
-		runModel(t, modelConfigs[int(cfg)%len(modelConfigs)], data, new(modelCoverage))
+		n := len(modelConfigs)
+		runModel(t, modelConfigs[int(cfg)%n], int(cfg)/n%2 == 1, data, new(modelCoverage))
 	})
 }

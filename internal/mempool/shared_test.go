@@ -1,6 +1,7 @@
 package mempool
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -27,10 +28,12 @@ var sharedTxs, sharedTwins = func() (txs, twins [23]*wire.Tx) {
 // sharedCoverage counts what runs of the shared driver reached.
 type sharedCoverage struct {
 	ledgerCommits, wrapped, keptForOthers, twins int
+	pages                                        [3]int // see movedPages
 }
 
 // runShared interprets data as operations on k ∈ [2, 4] pools (the first
-// byte picks k) that share one Keys table, each pool checked against its
+// byte picks k, and whether they start at nearPageEnd) that share one Keys
+// table, each pool checked against its
 // own oracle after every step: adds and gossip of one transaction to
 // several pools, its twin one time in four; blocks committed on one pool
 // or on every pool, each listing a transaction twice and one the pool may
@@ -51,6 +54,9 @@ func runShared(t *testing.T, data []byte, cov *sharedCoverage) {
 		pools[i] = New(wire.NodeID(i), s, nil, nil, PaperConfig(), modelCheck, nil)
 		pools[i].ShareKeys(keys)
 		oracles[i] = &oracle{cfg: pools[i].cfg, state: make(map[wire.TxKey]int8), everPruned: make(map[wire.TxKey]bool)}
+	}
+	if data[0]/3%2 == 1 {
+		startLate(keys, pools...)
 	}
 	pos := 1
 	next := func() int {
@@ -86,6 +92,10 @@ func runShared(t *testing.T, data []byte, cov *sharedCoverage) {
 	}
 
 	for step := 0; pos < len(data); step++ {
+		pages := make([][3]int, len(pools))
+		for q, p := range pools {
+			pages[q] = frontPages(p)
+		}
 		switch p := next() % len(pools); next() % 5 {
 		case 0:
 			tx := pick()
@@ -116,6 +126,7 @@ func runShared(t *testing.T, data []byte, cov *sharedCoverage) {
 		}
 		union := make(map[wire.TxKey]bool)
 		for q, p := range pools {
+			movedPages(p, pages[q], &cov.pages)
 			compareModel(t, step, p, oracles[q], sharedTxs[:])
 			for key := range oracles[q].state {
 				union[key] = true
@@ -148,7 +159,7 @@ func countPruneDeletions(keys *Keys, p *Mempool, h uint64, cov *sharedCoverage) 
 			if p.state(ord) >= 0 {
 				continue
 			}
-			if keys.refs[ord-keys.lo] > 1 {
+			if keys.refs.get(int(ord)) > 1 {
 				cov.keptForOthers++
 			} else if runsPastEnd(keys, tx) {
 				cov.wrapped++
@@ -165,14 +176,21 @@ func TestSharedKeys(t *testing.T) {
 		runShared(t, modelStream(seed, 3000), &cov)
 	}
 	t.Logf("reached: %+v", cov)
-	if cov.ledgerCommits == 0 || cov.wrapped < 10 || cov.keptForOthers == 0 || cov.twins == 0 {
+	if cov.ledgerCommits == 0 || cov.wrapped < 10 || cov.keptForOthers == 0 || cov.twins == 0 || slices.Min(cov.pages[:]) == 0 {
 		t.Errorf("the sequences no longer reach every case the driver is for: %+v", cov)
 	}
 }
 
+// Each seed stream runs twice: its pools started at the first sequence
+// number and ordinal, and at nearPageEnd, where 300 bytes take the windows
+// across a page boundary.
 func FuzzSharedKeys(f *testing.F) {
 	for seed := int64(100); seed < 103; seed++ {
-		f.Add(modelStream(seed, 300))
+		for _, late := range []byte{0, 3} {
+			data := modelStream(seed, 300)
+			data[0] = data[0]%3 + late
+			f.Add(data)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { runShared(t, data, new(sharedCoverage)) })
 }
@@ -211,32 +229,43 @@ func TestStalledPoolPinsNoReleasedTx(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinned := 0
-	for _, tx := range keys.first {
-		if tx != nil {
+	for ord := keys.lo; ord < keys.next; ord++ {
+		if keys.first.get(ord) != nil {
 			pinned++
 		}
 	}
 	interned := len(first) + blocks*perBlock
-	if keys.lo != 1 || len(keys.first) != interned || pinned != len(first)+perBlock || keys.Len() != pinned {
+	if keys.lo != 1 || keys.next != interned+1 || pinned != len(first)+perBlock || keys.Len() != pinned {
 		t.Fatalf("window [%d, %d), %d transactions pinned, %d keys: want [1, %d), %d and %d",
-			keys.lo, int(keys.lo)+len(keys.first), pinned, keys.Len(), interned+1, len(first)+perBlock, len(first)+perBlock)
+			keys.lo, keys.next, pinned, keys.Len(), interned+1, len(first)+perBlock, len(first)+perBlock)
 	}
-	if live.entLo != int32(interned-perBlock+1) || len(live.entries) != perBlock {
-		t.Fatalf("the live pool's window starts at %d and spans %d ordinals, want %d and %d",
-			live.entLo, len(live.entries), interned-perBlock+1, perBlock)
+	if n := len(keys.first.dir); n != pagesOf(keys.lo, keys.next) || len(keys.refs.dir) != n {
+		t.Fatalf("the table keeps %d and %d pages for the window [%d, %d), want %d",
+			n, len(keys.refs.dir), keys.lo, keys.next, pagesOf(keys.lo, keys.next))
 	}
-	t.Logf("a stalled pool holding %d keys keeps the table's window at %d ordinals, %d bytes",
-		stalled.held, len(keys.first), len(keys.first)*8+len(keys.refs)*4)
+	lo := interned - perBlock + 1
+	if live.entLo != int32(lo) || live.state(int32(lo+perBlock-1)) == 0 || live.state(int32(lo+perBlock)) != 0 ||
+		len(live.entries.dir) != pagesOf(lo, lo+perBlock) {
+		t.Fatalf("the live pool's window starts at %d in %d pages, want %d, %d ordinals in %d pages",
+			live.entLo, len(live.entries.dir), lo, perBlock, pagesOf(lo, lo+perBlock))
+	}
+	t.Logf("a stalled pool holding %d keys keeps the table's window at %d ordinals, %d pages, %d bytes",
+		stalled.held, keys.next-keys.lo, len(keys.first.dir), len(keys.first.dir)*pageSize*(8+4))
 
 	stalled.PruneTombstonesBelow(1) // back, and checkpointing again
 	if err := keys.Verify(pools); err != nil {
 		t.Fatal(err)
 	}
-	if keys.Len() != perBlock || len(keys.first) != perBlock || stalled.held != 0 || len(stalled.entries) != 0 {
-		t.Fatalf("after the stalled pool prunes: %d keys, window of %d, stalled pool holds %d in %d: want %d, %d, 0 and 0",
-			keys.Len(), len(keys.first), stalled.held, len(stalled.entries), perBlock, perBlock)
+	if keys.Len() != perBlock || keys.next-keys.lo != perBlock || len(keys.first.dir) != pagesOf(keys.lo, keys.next) ||
+		stalled.held != 0 || len(stalled.entries.dir) != 0 {
+		t.Fatalf("after the stalled pool prunes: %d keys, window of %d in %d pages, stalled pool holds %d in %d pages: want %d, %d in %d, 0 and 0",
+			keys.Len(), keys.next-keys.lo, len(keys.first.dir), stalled.held, len(stalled.entries.dir),
+			perBlock, perBlock, pagesOf(keys.lo, keys.next))
 	}
 }
+
+// pagesOf returns how many pages cover the indices [lo, hi), hi > lo.
+func pagesOf(lo, hi int) int { return (hi-1)>>pageShift - lo>>pageShift + 1 }
 
 // A transaction larger than the pool's limit, a block, is refused and
 // counted as rejected, and the next one is admitted and reaped: before the

@@ -261,7 +261,9 @@ func (m *msg) propagate() {
 }
 
 // deliver hands the message to the destination's handler, after giving the
-// record back: the handler may send, and may as well reuse it.
+// record back: the handler may send, and may as well reuse it. A mesh
+// envelope that reaches no handler counts as read, so its window still
+// goes back to its owner after the last delivery.
 func (m *msg) deliver() {
 	from, dst, payload, size := m.src.id, m.dst, m.payload, m.size
 	m.src, m.dst, m.payload = nil, nil, nil
@@ -270,6 +272,9 @@ func (m *msg) deliver() {
 		dst.nfree++
 	}
 	if dst.down || dst.handler == nil {
+		if env, ok := payload.(*Envelope); ok {
+			env.w.received()
+		}
 		return
 	}
 	dst.handler(from, payload, size)

@@ -187,8 +187,8 @@ func (mn *meshNode) flush(now time.Duration, send func(to wire.NodeID, env *Enve
 // flush after flush by the node that owns it. Between a flush and the last
 // scheduled delivery of its envelopes the window is read-only; then the
 // receiver that read last returns it to its owner's free list. A delivery
-// that never reaches Mesh.Receive (a receiver that is down) keeps its
-// window off the list for good, and the collector takes it.
+// that reaches no handler (a receiver that is down when it arrives) counts
+// as read there (msg.deliver).
 type window struct {
 	log     []meshEntry // the entries queued toward the flush, oldest first
 	whole   Envelope    // the envelope of every peer that reads to the log's end
@@ -253,6 +253,8 @@ func (mn *meshNode) recycle(w *window) {
 // in it reads fresh, as it would with the page gone — and any other is
 // queued again at its newest expiry. Each re-queue consumes a distinct,
 // later expiry some mark stored, so the work is amortized O(1) per mark.
+// A released page goes to a bounded free list, and the next page made is
+// that one, cleared.
 type dedupCache struct {
 	pages map[seqPageKey]*seqPage
 	// cur remembers the page last touched for each origin (direct-mapped by
@@ -263,6 +265,7 @@ type dedupCache struct {
 
 	queue []pageSlot // one slot per page in pages, from head on
 	head  int
+	free  []*seqPage // released pages, at most maxFreeSeqPages
 
 	forgetful bool // a sabotage switch for tests: every digest is fresh
 }
@@ -271,6 +274,9 @@ const (
 	seqPageShift = 6
 	seqPageSize  = 1 << seqPageShift
 	dedupCursors = 64
+	// maxFreeSeqPages bounds a cache's free list; a page released to a
+	// full one is left to the collector.
+	maxFreeSeqPages = 16
 )
 
 type seqPageKey struct {
@@ -302,7 +308,12 @@ func (c *dedupCache) page(d digest, exp time.Duration) *seqPage {
 		if c.pages == nil {
 			c.pages = make(map[seqPageKey]*seqPage)
 		}
-		p = &seqPage{key: k}
+		if n := len(c.free); n > 0 {
+			p, c.free = c.free[n-1], c.free[:n-1]
+			*p = seqPage{key: k}
+		} else {
+			p = &seqPage{key: k}
+		}
 		c.pages[k] = p
 		c.queue = append(c.queue, pageSlot{p, exp})
 	}
@@ -348,10 +359,14 @@ func (c *dedupCache) expire(now time.Duration) {
 	}
 }
 
-// release forgets a page, and with it every digest in it.
+// release forgets a page, and with it every digest in it, and keeps the
+// page for reuse if the free list has room.
 func (c *dedupCache) release(p *seqPage) {
 	delete(c.pages, p.key)
 	if cur := &c.cur[uint(p.key.origin)%dedupCursors]; *cur == p {
 		*cur = nil
+	}
+	if len(c.free) < maxFreeSeqPages {
+		c.free = append(c.free, p)
 	}
 }

@@ -54,10 +54,12 @@ type windowRig struct {
 	got   map[wire.NodeID]map[*published]int
 	trace []delivery
 	err   error
+	// windows holds, per node, every window its flushes have sent.
+	windows map[wire.NodeID]map[*window]bool
 }
 
 func newWindowRig(n, fanout int, seed int64, mode windowMode) *windowRig {
-	r := &windowRig{s: sim.New(seed), got: map[wire.NodeID]map[*published]int{}}
+	r := &windowRig{s: sim.New(seed), got: map[wire.NodeID]map[*published]int{}, windows: map[wire.NodeID]map[*window]bool{}}
 	r.net = New(r.s, DefaultLANConfig())
 	for i := range n {
 		id := wire.NodeID(i)
@@ -85,6 +87,12 @@ func newWindowRig(n, fanout int, seed int64, mode windowMode) *windowRig {
 				}
 				return min(k, 1)
 			}
+		}
+		r.windows[id] = map[*window]bool{}
+		counted := mn.sendFn
+		mn.sendFn = func(to wire.NodeID, env *Envelope, size int) int {
+			r.windows[id][env.w] = true
+			return counted(to, env, size)
 		}
 	}
 	return r
@@ -200,6 +208,15 @@ func TestMeshWindowsRecycleSafely(t *testing.T) {
 		t.Fatal("no window came back to its owner: the run exercised no reuse")
 	}
 	t.Logf("%d deliveries; %d windows on the free lists at the end", len(r.trace), spare)
+	// A delivery to node 6, which is down, counts as read where it arrives,
+	// so its neighbours' windows come back as everyone else's do.
+	for _, id := range r.mesh.nodes[6].peers {
+		made := len(r.windows[id])
+		t.Logf("node %d, a neighbour of node 6, made %d windows", id, made)
+		if made > maxFreeWindows+2 {
+			t.Errorf("node %d made %d windows, want at most %d", id, made, maxFreeWindows+2)
+		}
+	}
 
 	err := checkFaultyWindowRun(releasedEarly)
 	if err == nil {
