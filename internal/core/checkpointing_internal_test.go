@@ -17,7 +17,7 @@ import (
 // EagerSyncMembers is the copy of the membership index that every seal used
 // to make, kept as the reference implementation TestLateServeEquivalence
 // holds ServeSnapshot's serve-time filter against. It takes the members from
-// the id table's stamped bits and finds each one's element and epoch by its
+// the id table's marks and finds each one's element and epoch by its
 // own scan of the epoch slices, the first occurrence of an id winning, so it
 // shares no walk with ServeSnapshot's. A stamped id the scan does not find
 // gets a zero Member, which no snapshot's entry equals.
@@ -31,8 +31,8 @@ func (s *Server) EagerSyncMembers() map[wire.ElementID]Member {
 		}
 	}
 	members := make(map[wire.ElementID]Member)
-	for id, stamped := range wire.Diff(&s.elems.m, &wire.IDMap[struct{}]{}) {
-		if stamped {
+	for id := range wire.Diff(&s.elems.m, &wire.IDMap[struct{}]{}) {
+		if s.elems.m.Marked(id) {
 			members[id] = scanned[id]
 		}
 	}

@@ -18,58 +18,164 @@ import (
 // owner, the server; a Snapshot hands it out for reading under the rules of
 // wire.IDMap.
 type ElemIndex struct {
-	// m's keys are the_set; an id's value says whether an epoch holds it.
-	// The elements themselves are found through epochs and pending, so no
-	// page of m holds a pointer for the collector to mark.
-	m wire.IDMap[bool]
+	// m's keys are the_set, and an id's mark says that an epoch holds it.
+	// Its values are empty: the elements themselves are found through
+	// epochs and pending, so no page of m holds a pointer for the collector
+	// to mark, nor a value array.
+	m wire.IDMap[struct{}]
 	// epochs[n] holds the elements epoch n stamped: the epoch's own Elements
 	// when one stampEpoch made it (under Hashchain the batch's array, shared
 	// by every server), the index's copy once a later stamp of the same
 	// number appended to it. Entries outlive pruning, so an element below
 	// the prune horizon is still found.
 	epochs [][]*wire.Element
-	// pending holds, in add order, the elements of the_set no epoch held
-	// when they were added; live of them are still unstamped. A stamped one
-	// stays, dead, until the slice fills (makeRoom).
-	pending []*wire.Element
-	live    int
+	// pending holds, in chunks, the elements of the_set no epoch held when
+	// they were added; live of them are still unstamped. pending[0] is the
+	// run of single adds (Add), in an array the index owns; each later chunk
+	// is one batch's new elements (addBatch), under filter's aliasing rule,
+	// in add order. A batch's chunk leaves when stampEpoch stamps exactly its
+	// slice; any other stamped element stays, dead, until the run's array
+	// fills (push) or the chunks would hold more than room elements
+	// (makeRoom). held counts what they hold.
+	pending          [][]*wire.Element
+	held, room, live int
 }
 
 // Add puts e in the_set unless its id is already there, and reports whether
 // it was new. A new element is pending: in the_set, in no epoch.
 func (x *ElemIndex) Add(e *wire.Element) bool {
-	_, fresh := x.m.Slot(e.ID)
-	if fresh {
-		if len(x.pending) == cap(x.pending) {
-			x.makeRoom()
-		}
-		x.pending = append(x.pending, e)
-		x.live++
+	if !x.insert(e) {
+		return false
 	}
+	x.makeRoom(1)
+	x.push(e)
+	x.held++
+	x.live++
+	return true
+}
+
+// addBatch puts the elements of elems whose id is not in the_set yet into
+// it, as Add would one by one, and keeps them pending as one chunk: under
+// filter's aliasing rule (filterFrom), so elems itself when every id was
+// new. A second occurrence of an id within elems meets the first and is
+// left out.
+func (x *ElemIndex) addBatch(elems []*wire.Element) {
+	g := elems[:len(elems):len(elems)]
+	for i, e := range elems {
+		if !x.insert(e) {
+			g = filterFrom(elems, i, x.insert)
+			break
+		}
+	}
+	if len(g) == 0 {
+		return
+	}
+	x.makeRoom(len(g))
+	x.pending = append(x.pending, g)
+	x.held += len(g)
+	x.live += len(g)
+}
+
+// insert puts e's id in the_set and reports whether it was not there yet.
+func (x *ElemIndex) insert(e *wire.Element) bool {
+	_, fresh := x.m.Slot(e.ID)
 	return fresh
 }
 
-// makeRoom frees room in the full pending slice. When more than half of it
-// is live it doubles the array; otherwise it drops the dead entries, so
-// elements that are never stamped cannot make it grow without bound. It
-// keeps the live ones in order, probing from the newest entry back and
-// stopping at the oldest live one, all before it being dead: stamps mostly
-// follow adds, so what is still live is mostly the tail.
-func (x *ElemIndex) makeRoom() {
-	if len(x.pending) == 0 || 2*x.live > len(x.pending) {
-		x.pending = append(make([]*wire.Element, 0, max(16, 2*len(x.pending))), x.pending...)
+// push appends e to the run of single adds. When the run's array is full it
+// first drops the run's stamped elements, and doubles the array only if
+// that leaves it more than half full.
+func (x *ElemIndex) push(e *wire.Element) {
+	if run := x.pending[0]; len(run) == cap(run) {
+		x.compactRun()
+		if run = x.pending[0]; 2*len(run) >= cap(run) {
+			x.pending[0] = append(make([]*wire.Element, 0, max(16, 2*cap(run))), run...)
+		}
+	}
+	x.pending[0] = append(x.pending[0], e)
+}
+
+// makeRoom makes the chunks able to take k more elements within room. When
+// at most half of room is live it drops the stamped elements first
+// (compact); otherwise, or if that is not enough, it doubles room. So room
+// never passes four times the most elements ever pending at once (or 16),
+// and elements that are never stamped cannot make it grow without bound.
+func (x *ElemIndex) makeRoom(k int) {
+	if len(x.pending) == 0 {
+		x.pending = append(x.pending, nil)
+	}
+	if x.held+k <= x.room {
+		return
+	}
+	if 2*x.live <= x.room {
+		x.compact()
+	}
+	for x.held+k > x.room {
+		x.room = max(16, 2*x.room)
+	}
+}
+
+// compactRun drops the stamped elements of the run of single adds, keeping
+// the live ones in order, and returns how many live elements the batch
+// chunks hold. It probes from the newest back and stops once it has found
+// every live element, all before it being dead: stamps mostly follow adds,
+// so what is still live is mostly the tail.
+func (x *ElemIndex) compactRun() int {
+	run := x.pending[0]
+	left, w := x.live, len(run)
+	for r := len(run) - 1; r >= 0 && left > 0; r-- {
+		if !x.m.Marked(run[r].ID) {
+			left--
+			w--
+			run[w] = run[r]
+		}
+	}
+	n := copy(run, run[w:])
+	clear(run[n:])
+	x.pending[0] = run[:n]
+	x.held -= len(run) - n
+	return left
+}
+
+// compact drops every stamped element from the chunks, leaving held = live.
+// The batch chunks cost no probe while all their elements are live, which
+// the live count tells: a batch's chunk leaves pending when the batch is
+// stamped. Otherwise they are probed from the newest back, as the run is,
+// and the probing stops once every live element is found. A dead chunk
+// goes, and the live elements of one only part of which is live move to the
+// run.
+func (x *ElemIndex) compact() {
+	left := x.compactRun()
+	if left == x.held-len(x.pending[0]) {
 		return
 	}
 	w := len(x.pending)
-	for r := w - 1; w > len(x.pending)-x.live; r-- {
-		if stamped, _ := x.m.Get(x.pending[r].ID); !stamped {
+	for r := len(x.pending) - 1; r >= 1; r-- {
+		c := x.pending[r]
+		x.pending[r] = nil
+		live := 0
+		for i := 0; i < len(c) && live < left; i++ {
+			if !x.m.Marked(c[i].ID) {
+				live++
+			}
+		}
+		left -= live
+		switch {
+		case live == len(c):
 			w--
-			x.pending[w] = x.pending[r]
+			x.pending[w] = c
+		case live > 0:
+			for _, e := range c {
+				if !x.m.Marked(e.ID) {
+					x.push(e)
+				}
+			}
 		}
 	}
-	n := copy(x.pending, x.pending[w:])
-	clear(x.pending[n:])
-	x.pending = x.pending[:n]
+	n := copy(x.pending[1:], x.pending[w:])
+	clear(x.pending[1+n:])
+	x.pending = x.pending[:1+n]
+	x.held = x.live
 }
 
 // stampEpoch stamps number on those elements of elems that no epoch holds
@@ -78,23 +184,25 @@ func (x *ElemIndex) makeRoom() {
 // stamps them all. A second occurrence of an id within elems meets the
 // first one's stamp and is dropped like any other element already in an
 // epoch. The returned slice is where the index finds them: a pending id is
-// bound from now on to the epoch's element of that id.
+// bound from now on to the epoch's element of that id. If elems is a batch
+// chunk of pending, every element of that chunk is stamped now, and the
+// chunk leaves.
 func (x *ElemIndex) stampEpoch(number uint64, elems []*wire.Element) []*wire.Element {
 	n := int(number)
 	if n >= len(x.epochs) {
 		x.epochs = append(x.epochs, make([][]*wire.Element, n+1-len(x.epochs))...)
 	}
-	g := filter(elems, func(e *wire.Element) bool {
-		stamped, fresh := x.m.Slot(e.ID)
-		if *stamped {
-			return false
+	g := elems[:len(elems):len(elems)]
+	for i, e := range elems {
+		fresh, stamped := x.m.Mark(e.ID) // x.stamp(e), without a call
+		if stamped {
+			g = filterFrom(elems, i, x.stamp)
+			break
 		}
 		if !fresh {
 			x.live--
 		}
-		*stamped = true
-		return true
-	})
+	}
 	if len(x.epochs[n]) == 0 {
 		// Capped, so that a later stamp of this number copies instead of
 		// appending into an array some epoch or batch owns.
@@ -102,7 +210,29 @@ func (x *ElemIndex) stampEpoch(number uint64, elems []*wire.Element) []*wire.Ele
 	} else {
 		x.epochs[n] = append(x.epochs[n], g...)
 	}
+	if len(elems) > 0 {
+		for i := 1; i < len(x.pending); i++ {
+			if c := x.pending[i]; len(c) == len(elems) && &c[0] == &elems[0] {
+				x.held -= len(c)
+				x.pending = slices.Delete(x.pending, i, i+1)
+				break
+			}
+		}
+	}
 	return g
+}
+
+// stamp marks e's id as held by an epoch, adding it to the_set if it is
+// not there, and reports whether an epoch did not hold it yet.
+func (x *ElemIndex) stamp(e *wire.Element) bool {
+	fresh, stamped := x.m.Mark(e.ID)
+	if stamped {
+		return false
+	}
+	if !fresh {
+		x.live--
+	}
+	return true
 }
 
 // Has reports whether id is in the_set.
@@ -113,13 +243,15 @@ func (x *ElemIndex) Has(id wire.ElementID) bool { return x.m.Has(id) }
 func (x *ElemIndex) Pending() int { return x.live }
 
 // entries iterates over the_set, each id once with its element and the
-// epoch that stamped it (0: pending): the live pending elements in add
-// order, then the epochs in number order.
+// epoch that stamped it (0: pending): the live pending elements chunk by
+// chunk, then the epochs in number order.
 func (x *ElemIndex) entries() iter.Seq2[wire.ElementID, Member] {
 	return func(yield func(wire.ElementID, Member) bool) {
-		for _, e := range x.pending {
-			if stamped, _ := x.m.Get(e.ID); !stamped && !yield(e.ID, Member{Element: e}) {
-				return
+		for _, c := range x.pending {
+			for _, e := range c {
+				if !x.m.Marked(e.ID) && !yield(e.ID, Member{Element: e}) {
+					return
+				}
 			}
 		}
 		for id, m := range x.members(uint64(len(x.epochs))) {
@@ -187,7 +319,7 @@ func (x *ElemIndex) members(through uint64) iter.Seq2[wire.ElementID, Member] {
 func (x *ElemIndex) stampMembers(members map[wire.ElementID]Member, through uint64) {
 	var below []Member
 	for id, m := range members {
-		if stamped, _ := x.m.Get(id); m.Epoch <= through && !stamped {
+		if m.Epoch <= through && !x.m.Marked(id) {
 			below = append(below, m)
 		}
 	}

@@ -7,9 +7,12 @@ import (
 )
 
 // BenchmarkElemIndex times one server's index over the 300,000 dense ids of
-// the hash10k benchmark workload: adding each epoch's 500 and then stamping
-// them, the path every element takes, and installing them all as a
-// state-sync snapshot's members into an empty index.
+// the hash10k benchmark workload: adding each epoch's 500 one by one, each
+// of another client, and then stamping them, the scattered worst case
+// (add-stamp); adding them as one batch of one client's consecutive sequence
+// numbers, as a server reverses a batch hash, and then stamping that batch
+// (batch-stamp); and installing them all as a state-sync snapshot's members
+// into an empty index.
 func BenchmarkElemIndex(b *testing.B) {
 	const ids, perEpoch = 300_000, 500
 	elems := make([]wire.Element, ids)
@@ -32,6 +35,23 @@ func BenchmarkElemIndex(b *testing.B) {
 				for _, e := range g {
 					x.Add(e)
 				}
+				x.stampEpoch(uint64(n+1), g)
+			}
+		}
+	})
+	batches := make([][]*wire.Element, ids/perEpoch)
+	consecutive := make([]wire.Element, ids)
+	for i := range consecutive {
+		seq := uint64(i + 1)
+		consecutive[i] = wire.Element{ID: wire.NewElementID(0, seq), Seq: seq, Size: 438}
+		batches[i/perEpoch] = append(batches[i/perEpoch], &consecutive[i])
+	}
+	b.Run("batch-stamp", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			var x ElemIndex
+			for n, g := range batches {
+				x.addBatch(g)
 				x.stampEpoch(uint64(n+1), g)
 			}
 		}

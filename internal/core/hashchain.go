@@ -434,9 +434,7 @@ func (h *hashchainAlg) lightProcess(r *batchRec) {
 		cost := time.Duration(len(valid)) * s.opts.Costs.PerElement
 		s.runCosted(cost, func() {
 			h.extractProofsOnce(r, b)
-			for _, e := range valid {
-				s.elems.Add(e)
-			}
+			s.elems.addBatch(valid)
 			h.maybeConsolidate(r)
 			h.next()
 		})
@@ -487,9 +485,7 @@ func (h *hashchainAlg) withContent(r *batchRec) {
 	s.runCosted(cost, func() {
 		r.valid = s.valid(b.Elements)
 		h.extractProofsOnce(r, b)
-		for _, e := range r.valid {
-			s.elems.Add(e)
-		}
+		s.elems.addBatch(r.valid)
 		h.cosignAndConsolidate(r)
 	})
 }

@@ -369,18 +369,25 @@ func (s *Server) epochHashFor(number uint64, elems []*wire.Element) []byte {
 // batch's own slice on every server instead of a copy per server.
 func filter(elems []*wire.Element, keep func(*wire.Element) bool) []*wire.Element {
 	for i, e := range elems {
-		if keep(e) {
-			continue
+		if !keep(e) {
+			return filterFrom(elems, i, keep)
 		}
-		out := append(make([]*wire.Element, 0, len(elems)-1), elems[:i]...)
-		for _, e := range elems[i+1:] {
-			if keep(e) {
-				out = append(out, e)
-			}
-		}
-		return out
 	}
 	return elems[:len(elems):len(elems)]
+}
+
+// filterFrom is filter's result once keep has accepted elems[:i] and
+// refused elems[i]: a fresh slice. A hot loop that calls its own keep
+// directly, rather than through a func value, and hands over here at the
+// first refusal keeps filter's rule without an indirect call per element.
+func filterFrom(elems []*wire.Element, i int, keep func(*wire.Element) bool) []*wire.Element {
+	out := append(make([]*wire.Element, 0, len(elems)-1), elems[:i]...)
+	for _, e := range elems[i+1:] {
+		if keep(e) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // valid returns the valid elements of elems (filter's aliasing rule applies).

@@ -45,14 +45,15 @@ func (v *vanillaAlg) processBlock(b *wire.Block, done func()) {
 	// Charge the block's element re-validation up front: a Byzantine
 	// server may have appended invalid elements directly, so FinalizeBlock
 	// cannot trust mempool CheckTx (paper §3).
-	var cost time.Duration
+	n := 0
 	for _, tx := range b.Txs {
 		if tx.Kind == wire.TxElement {
-			cost += s.opts.Costs.VerifyElement + s.opts.Costs.PerElement
+			n++
 		}
 	}
+	cost := time.Duration(n) * (s.opts.Costs.VerifyElement + s.opts.Costs.PerElement)
 	s.runCosted(cost, func() {
-		var elems []*wire.Element
+		elems := make([]*wire.Element, 0, n)
 		for _, tx := range b.Txs {
 			switch tx.Kind {
 			case wire.TxProof:

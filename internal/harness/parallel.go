@@ -20,11 +20,11 @@ import (
 // inFlightElementBudget bounds the elements materialized by concurrently
 // running cells when the worker count is chosen automatically. A paper-scale
 // cell keeps every element in per-server sets across 10 servers: measured,
-// 114 bytes of live heap per element all-in (bench workload hash10k, n = 10:
-// live_heap_mb 32.7 MiB ÷ attempted 300,000, with the 48-byte element and a
-// stamped flag per id in each server's index; `bash bench/run.sh -workload
+// 98 bytes of live heap per element all-in (bench workload hash10k, n = 10:
+// live_heap_mb 27.9 MiB ÷ attempted 300,000, with the 48-byte element and
+// two bits per id in each server's index; `bash bench/run.sh -workload
 // hash10k -trace 0` re-measures it), so 8M in-flight elements peak near
-// 0.9 GB. The budget was set while the figure was 474 B, 4 GB at 8M, within
+// 0.8 GB. The budget was set while the figure was 474 B, 4 GB at 8M, within
 // what the previously sequential studies already needed for their largest
 // single cell; it counts elements only, not what else a cell retains.
 const inFlightElementBudget = 8e6

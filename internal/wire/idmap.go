@@ -7,9 +7,9 @@ import (
 )
 
 // Page geometry. A page covers the 64 ids that agree on id[0:8] and on
-// id[8:16] >> 6, so one uint64 is its occupancy bitmap. A page's first
-// idPageInline values live inside the page itself; the next insertion moves
-// them, once, into an array with room for all 64.
+// id[8:16] >> 6, so one uint64 is its occupancy bitmap and another its mark
+// word. A page's first idPageInline values live inside the page itself; the
+// next insertion moves them, once, into an array with room for all 64.
 const (
 	idPageShift  = 6
 	idPageSize   = 1 << idPageShift
@@ -21,11 +21,12 @@ type idPageKey struct{ hi, lo uint64 }
 // idPage holds the values of the ids present in one page, compactly: the
 // value of the id at bit b is vals[popcount(bits & (1<<b - 1))], its rank
 // among the page's present ids. vals starts as a slice of inline, so a page
-// is never copied.
+// is never copied. marks has the bit of each marked id, a subset of bits.
 type idPage[V any] struct {
 	bits   uint64
+	marks  uint64
+	inline [idPageInline]V // before vals: a zero-size last field pads a struct
 	vals   []V
-	inline [idPageInline]V
 }
 
 // IDMap is a map from ElementID to V for the tables on the element path,
@@ -36,6 +37,10 @@ type idPage[V any] struct {
 // 16 bytes: any ElementID is a legal key, and ids that share no page cost a
 // page each (DESIGN.md §6 has the measured bytes per entry at every
 // occupancy).
+//
+// Beside its value each id carries one mark bit, set by Mark and read by
+// Marked, which costs nothing per id but its bit: an IDMap[struct{}] with
+// marks is a set with a flag per member and no value array at all.
 //
 // There is no delete, only Reset. Like a Go map an IDMap has one owner at a
 // time; unlike one, even its read methods write (the last-page cursor), so
@@ -74,16 +79,6 @@ func (m *IDMap[V]) Has(id ElementID) bool {
 	return p != nil && p.bits&bit != 0
 }
 
-// Get returns id's value and whether id is present.
-func (m *IDMap[V]) Get(id ElementID) (v V, ok bool) {
-	k, bit := splitID(id)
-	p := m.page(k)
-	if p == nil || p.bits&bit == 0 {
-		return v, false
-	}
-	return p.vals[bits.OnesCount64(p.bits&(bit-1))], true
-}
-
 // Put sets id's value, inserting id if it is absent.
 func (m *IDMap[V]) Put(id ElementID, v V) {
 	slot, _ := m.Slot(id)
@@ -95,6 +90,37 @@ func (m *IDMap[V]) Put(id ElementID, v V) {
 // "look up, then insert or update". The pointer is valid until the next
 // insertion into the map.
 func (m *IDMap[V]) Slot(id ElementID) (slot *V, fresh bool) {
+	p, bit := m.insert(id)
+	rank := bits.OnesCount64(p.bits & (bit - 1))
+	if p.bits&bit != 0 {
+		return &p.vals[rank], false
+	}
+	return p.add(bit, rank), true
+}
+
+// Mark sets id's mark, first inserting id with the zero value if it is
+// absent. fresh reports that id was absent, marked that its mark was set
+// already.
+func (m *IDMap[V]) Mark(id ElementID) (fresh, marked bool) {
+	p, bit := m.insert(id)
+	if p.bits&bit == 0 {
+		p.add(bit, bits.OnesCount64(p.bits&(bit-1)))
+		fresh = true
+	}
+	marked = p.marks&bit != 0
+	p.marks |= bit
+	return fresh, marked
+}
+
+// Marked reports whether id is present with its mark set.
+func (m *IDMap[V]) Marked(id ElementID) bool {
+	k, bit := splitID(id)
+	p := m.page(k)
+	return p != nil && p.marks&bit != 0
+}
+
+// insert returns id's page, making it if there is none, and id's bit in it.
+func (m *IDMap[V]) insert(id ElementID) (*idPage[V], uint64) {
 	k, bit := splitID(id)
 	p := m.page(k)
 	if p == nil {
@@ -106,10 +132,12 @@ func (m *IDMap[V]) Slot(id ElementID) (slot *V, fresh bool) {
 		m.pages[k] = p
 		m.curKey, m.cur = k, p
 	}
-	rank := bits.OnesCount64(p.bits & (bit - 1))
-	if p.bits&bit != 0 {
-		return &p.vals[rank], false
-	}
+	return p, bit
+}
+
+// add inserts the absent id at bit, of the given rank, with the zero value
+// and returns a pointer to that value.
+func (p *idPage[V]) add(bit uint64, rank int) *V {
 	n := len(p.vals)
 	if n == cap(p.vals) {
 		grown := make([]V, n, idPageSize)
@@ -122,7 +150,7 @@ func (m *IDMap[V]) Slot(id ElementID) (slot *V, fresh bool) {
 	var zero V
 	p.vals[rank] = zero
 	p.bits |= bit
-	return &p.vals[rank], true
+	return &p.vals[rank]
 }
 
 // Diff iterates over the (id, value) pairs of a whose id is absent from b —
@@ -150,13 +178,13 @@ func Diff[V, W any](a *IDMap[V], b *IDMap[W]) iter.Seq2[ElementID, V] {
 	}
 }
 
-// Reset empties the map but keeps its pages and their arrays, so filling it
-// again with ids from the same pages — the checker's next server — allocates
-// nothing.
+// Reset empties the map, marks included, but keeps its pages and their
+// arrays, so filling it again with ids from the same pages — the checker's
+// next server — allocates nothing.
 func (m *IDMap[V]) Reset() {
 	for _, p := range m.pages {
 		clear(p.vals)
 		p.vals = p.vals[:0]
-		p.bits = 0
+		p.bits, p.marks = 0, 0
 	}
 }

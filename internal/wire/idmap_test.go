@@ -14,6 +14,9 @@ import (
 // can refuse to pass on sequences that stopped exercising a path.
 type idModelCoverage struct {
 	inserts, middle, grown, overwrites, resets, absent int
+	// Mark on an absent id, on a present unmarked one and on a marked one;
+	// Resets that cleared at least one mark.
+	markFresh, marks, remarks, markResets int
 	// Diff against the second map: ids kept and ids removed, comparisons
 	// made while the second map was empty, pages of the first map that the
 	// second lacks, and pages with all 64 ids present.
@@ -21,8 +24,8 @@ type idModelCoverage struct {
 }
 
 // runIDMapModel interprets data as a sequence of operations on an IDMap[V],
-// applies each to a map[ElementID]V as well, and compares the whole contents
-// after every step. val makes the value stored by the k-th write. Ids come
+// applies each to a map[ElementID]V and a set of marked ids as well, and
+// compares the whole contents after every step. val makes the value stored by the k-th write. Ids come
 // from the shapes the index meets and the ones that would expose a page
 // that confuses two ids:
 //
@@ -44,6 +47,7 @@ func runIDMapModel[V comparable](t *testing.T, data []byte, val func(k uint64) V
 	var (
 		m      IDMap[V]
 		oracle = make(map[ElementID]V)
+		marked = make(map[ElementID]bool)
 		other  IDMap[struct{}]
 		others = make(map[ElementID]struct{})
 		seen   []ElementID
@@ -130,12 +134,28 @@ func runIDMapModel[V comparable](t *testing.T, data []byte, val func(k uint64) V
 				writes++
 				*slot = val(writes)
 				oracle[id] = val(writes)
-			default: // reads only
+			case op == 6: // reads only
 				if !present {
 					cov.absent++
 				}
+			default: // Mark
+				fresh, was := m.Mark(id)
+				if fresh == present || was != marked[id] {
+					t.Fatalf("step %d: Mark(%x) = %v, %v; oracle has the id: %v, marked: %v", step, id[:], fresh, was, present, marked[id])
+				}
+				switch {
+				case fresh:
+					cov.markFresh++
+					var zero V
+					oracle[id] = zero
+				case was:
+					cov.remarks++
+				default:
+					cov.marks++
+				}
+				marked[id] = true
 			}
-			if got, ok := m.Get(id); ok != (op <= 5 || present) {
+			if got, ok := m.Get(id); ok != (op != 6 || present) {
 				t.Fatalf("step %d: Get(%x) = %v, %v after op %d on an id the oracle had: %v", step, id[:], got, ok, op, present)
 			}
 			switch {
@@ -156,6 +176,10 @@ func runIDMapModel[V comparable](t *testing.T, data []byte, val func(k uint64) V
 		case 0:
 			m.Reset()
 			clear(oracle)
+			if len(marked) > 0 {
+				cov.markResets++
+			}
+			clear(marked)
 			cov.resets++
 		case 1:
 			other.Reset()
@@ -172,7 +196,7 @@ func runIDMapModel[V comparable](t *testing.T, data []byte, val func(k uint64) V
 		if len(seen) > 256 {
 			seen = seen[len(seen)-256:]
 		}
-		compareIDMap(t, step, &m, oracle, seen)
+		compareIDMap(t, step, &m, oracle, marked, seen)
 		kept, removed := compareDiff(t, step, &m, &other, oracle, others)
 		compareDiff(t, step, &other, &m, others, oracle)
 		cov.diffKept += kept
@@ -213,6 +237,16 @@ func compareDiff[V comparable, W any](t *testing.T, step int, a *IDMap[V], b *ID
 	return kept, removed
 }
 
+// Get returns id's value and whether id is present.
+func (m *IDMap[V]) Get(id ElementID) (v V, ok bool) {
+	k, bit := splitID(id)
+	p := m.page(k)
+	if p == nil || p.bits&bit == 0 {
+		return v, false
+	}
+	return p.vals[bits.OnesCount64(p.bits&(bit-1))], true
+}
+
 // Len returns the number of ids present.
 func (m *IDMap[V]) Len() int {
 	n := 0
@@ -227,9 +261,9 @@ func (m *IDMap[V]) All() iter.Seq2[ElementID, V] {
 	return Diff(m, &IDMap[struct{}]{})
 }
 
-// compareIDMap checks Len, All (every pair once, none missing), and Get and
-// Has on every recently used id, present or not.
-func compareIDMap[V comparable](t *testing.T, step int, m *IDMap[V], oracle map[ElementID]V, probe []ElementID) {
+// compareIDMap checks Len, All (every pair once, none missing), and Get, Has
+// and Marked on every recently used id, present or not.
+func compareIDMap[V comparable](t *testing.T, step int, m *IDMap[V], oracle map[ElementID]V, marked map[ElementID]bool, probe []ElementID) {
 	t.Helper()
 	if m.Len() != len(oracle) {
 		t.Fatalf("step %d: Len = %d, oracle %d", step, m.Len(), len(oracle))
@@ -253,6 +287,9 @@ func compareIDMap[V comparable](t *testing.T, step int, m *IDMap[V], oracle map[
 		if m.Has(id) != present {
 			t.Fatalf("step %d: Has(%x) = %v, oracle %v", step, id[:], !present, present)
 		}
+		if m.Marked(id) != marked[id] {
+			t.Fatalf("step %d: Marked(%x) = %v, oracle %v", step, id[:], !marked[id], marked[id])
+		}
 	}
 }
 
@@ -273,6 +310,7 @@ func TestIDMapModel(t *testing.T) {
 	}
 	t.Logf("reached: %+v", cov)
 	if cov.inserts < 1000 || cov.middle < 100 || cov.grown < 10 || cov.overwrites < 100 || cov.resets < 3 || cov.absent < 100 ||
+		cov.markFresh < 100 || cov.marks < 100 || cov.remarks < 50 || cov.markResets < 3 ||
 		cov.diffKept < 1000 || cov.diffRemoved < 1000 || cov.diffEmptyOther < 10 || cov.diffLonePages < 100 || cov.fullPages < 10 {
 		t.Errorf("the sequences no longer reach every case the model is for: %+v", cov)
 	}
