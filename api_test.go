@@ -67,23 +67,7 @@ var apiAllowlist = map[string]string{
 }
 
 func TestProductionAPI(t *testing.T) {
-	var pkgs []*apiPackage
-	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	loaded := map[string]*types.Package{}
-	for _, dir := range []string{".", "bench"} {
-		for _, lp := range goList(t, dir) {
-			if lp.Standard || loaded[lp.ImportPath] != nil {
-				continue
-			}
-			p, err := checkPackage(fset, lp.ImportPath, lp.Dir, lp.GoFiles, nil, loaded, std)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loaded[lp.ImportPath] = p.pkg
-			pkgs = append(pkgs, p)
-		}
-	}
+	pkgs := loadModules(t)
 	use := exportedUse(pkgs, func(path string) bool { return strings.HasPrefix(path, "repro/internal/") })
 	for _, msg := range apiFindings(use, apiAllowlist) {
 		t.Error(msg)
@@ -143,6 +127,29 @@ func TestProductionAPISelfCheck(t *testing.T) {
 	}
 }
 
+// loadModules type-checks the non-test files of every package of this
+// module and of bench/, and of the module packages they import.
+func loadModules(t *testing.T) []*apiPackage {
+	var pkgs []*apiPackage
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	loaded := map[string]*types.Package{}
+	for _, dir := range []string{".", "bench"} {
+		for _, lp := range goList(t, dir) {
+			if lp.Standard || loaded[lp.ImportPath] != nil {
+				continue
+			}
+			p, err := checkPackage(fset, lp.ImportPath, lp.Dir, lp.GoFiles, nil, loaded, std)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded[lp.ImportPath] = p.pkg
+			pkgs = append(pkgs, p)
+		}
+	}
+	return pkgs
+}
+
 // listedPackage is what `go list -json` says of one package.
 type listedPackage struct {
 	ImportPath, Dir string
@@ -173,8 +180,9 @@ func goList(t *testing.T, dir string) []listedPackage {
 
 // apiPackage is one type-checked package.
 type apiPackage struct {
-	pkg  *types.Package
-	info *types.Info
+	pkg   *types.Package
+	info  *types.Info
+	files []*ast.File
 }
 
 // checkPackage parses the named files of dir (or, where src holds them, the
@@ -205,7 +213,7 @@ func checkPackage(fset *token.FileSet, path, dir string, files []string, src map
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	return &apiPackage{pkg, info}, nil
+	return &apiPackage{pkg, info, syntax}, nil
 }
 
 type importerFunc func(path, dir string) (*types.Package, error)

@@ -551,3 +551,122 @@ func TestDocIdentifiers(t *testing.T) {
 		}
 	}
 }
+
+// docLineFiles are the documents whose backticked `path:line` references
+// must point into files that exist.
+var docLineFiles = []string{"DESIGN.md", "README.md", "ROADMAP.md"}
+
+// lineRefRE matches an inline code span that names a file and a line or a
+// range of lines: `bench/README.md:322`, `bench/traced.go:98–140`.
+var lineRefRE = regexp.MustCompile("`([\\w./-]+):([0-9]+)(?:[–-]([0-9]+))?`")
+
+// treeFiles maps every file under root (hidden directories other than
+// .github skipped) to its line count, by its slash-separated path relative
+// to root, and counts the files that share each base name.
+func treeFiles(t *testing.T, root string) (lines map[string]int, bases map[string]int) {
+	t.Helper()
+	lines, bases = map[string]int{}, map[string]int{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") && d.Name() != ".github" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		n := strings.Count(string(blob), "\n")
+		if len(blob) > 0 && blob[len(blob)-1] != '\n' {
+			n++
+		}
+		lines[filepath.ToSlash(rel)] = n
+		bases[d.Name()]++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines, bases
+}
+
+// badLineRefs lists a document's line references that name no file, name
+// by its base name a file whose base name others share, or point past the
+// end of their file. Fenced code blocks are skipped.
+func badLineRefs(text string, lines, bases map[string]int) []string {
+	byBase := map[string]string{}
+	for path := range lines {
+		if base := filepath.Base(path); bases[base] == 1 {
+			byBase[base] = path
+		}
+	}
+	var bad []string
+	inFence := false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			inFence = !inFence
+			continue
+		}
+		if inFence {
+			continue
+		}
+		for _, m := range lineRefRE.FindAllStringSubmatch(line, -1) {
+			path, last := m[1], m[2]
+			if m[3] != "" {
+				last = m[3]
+			}
+			if _, ok := lines[path]; !ok && !strings.Contains(path, "/") {
+				path = byBase[path]
+			}
+			n, ok := lines[path]
+			switch end, _ := strconv.Atoi(last); {
+			case !ok:
+				bad = append(bad, m[0]+" names no file, or a base name several files share")
+			case end > n:
+				bad = append(bad, fmt.Sprintf("%s points past the end of %s (%d lines)", m[0], path, n))
+			}
+		}
+	}
+	return bad
+}
+
+// Every backticked `path:line` and `path:line–line` in DESIGN.md, README.md
+// and ROADMAP.md names a file of the tree, by its path or by a base name
+// no other file has, and a line the file has: an edit that shortens or
+// moves a file leaves no reference pointing past it.
+func TestDocLineRefs(t *testing.T) {
+	lines, bases := treeFiles(t, ".")
+	// The checker itself: a missing file, a shared base name, a line and a
+	// range past the end are bad; a path, a unique base name and a range
+	// inside the file are not.
+	for text, want := range map[string]int{
+		"`no/such.go:1`":                                   1,
+		"`main.go:1`":                                      1,
+		"`docs_test.go:100000`":                            1,
+		"`docs_test.go:1–100000`":                          1,
+		"`bench/go.mod:1`, `docs_test.go:1–2`":             0,
+		"`internal/harness/fingerprint.go:1`":              0,
+		"`fingerprint.go:1`, `.github/workflows/ci.yml:1`": 0,
+	} {
+		if got := badLineRefs(text, lines, bases); len(got) != want {
+			t.Errorf("badLineRefs(%s) = %q, want %d bad", text, got, want)
+		}
+	}
+	for _, doc := range docLineFiles {
+		blob, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, msg := range badLineRefs(string(blob), lines, bases) {
+			t.Errorf("%s: %s", doc, msg)
+		}
+	}
+}

@@ -21,20 +21,22 @@ import (
 // (wire.Batch) — so the collector must not turn into a buffer it reuses.
 type ReadyFunc func(b *wire.Batch)
 
-// Collector accumulates a batch and signals readiness by size or timeout.
+// Timeout bounds how long a partial batch waits before it is flushed.
+const Timeout = 500 * time.Millisecond
+
+// Collector accumulates a batch and signals readiness by size or Timeout.
 type Collector struct {
-	sim     *sim.Simulator
-	limit   int
-	timeout time.Duration
-	ready   ReadyFunc
+	sim   *sim.Simulator
+	limit int
+	ready ReadyFunc
 
 	batch *wire.Batch
 	timer sim.Event
 }
 
 // New creates a collector. limit is the paper's collector_limit counted in
-// items (elements + proofs); timeout bounds how long a partial batch waits.
-func New(s *sim.Simulator, limit int, timeout time.Duration, ready ReadyFunc) *Collector {
+// items (elements + proofs).
+func New(s *sim.Simulator, limit int, ready ReadyFunc) *Collector {
 	if limit <= 0 {
 		panic("collector: limit must be positive")
 	}
@@ -42,11 +44,10 @@ func New(s *sim.Simulator, limit int, timeout time.Duration, ready ReadyFunc) *C
 		panic("collector: ready callback required")
 	}
 	return &Collector{
-		sim:     s,
-		limit:   limit,
-		timeout: timeout,
-		ready:   ready,
-		batch:   &wire.Batch{},
+		sim:   s,
+		limit: limit,
+		ready: ready,
+		batch: &wire.Batch{},
 	}
 }
 
@@ -68,8 +69,8 @@ func (c *Collector) afterAdd() {
 		c.flush()
 		return
 	}
-	if !c.timer.Scheduled() && c.timeout > 0 {
-		c.timer = c.sim.After(c.timeout, c.flush)
+	if !c.timer.Scheduled() {
+		c.timer = c.sim.After(Timeout, c.flush)
 	}
 }
 

@@ -23,7 +23,7 @@ func proof(epoch uint64) *wire.EpochProof {
 func TestFlushBySize(t *testing.T) {
 	s := sim.New(1)
 	var got []*wire.Batch
-	c := New(s, 5, time.Second, func(b *wire.Batch) { got = append(got, b) })
+	c := New(s, 5, func(b *wire.Batch) { got = append(got, b) })
 	s.After(0, func() {
 		for i := 0; i < 12; i++ {
 			c.AddElement(elem(i))
@@ -47,7 +47,7 @@ func TestFlushByTimeout(t *testing.T) {
 	s := sim.New(1)
 	var got []*wire.Batch
 	var at time.Duration
-	c := New(s, 100, 500*time.Millisecond, func(b *wire.Batch) {
+	c := New(s, 100, func(b *wire.Batch) {
 		got = append(got, b)
 		at = s.Now()
 	})
@@ -64,7 +64,7 @@ func TestFlushByTimeout(t *testing.T) {
 func TestTimeoutTimerResetAfterSizeFlush(t *testing.T) {
 	s := sim.New(1)
 	var flushes int
-	c := New(s, 2, time.Second, func(b *wire.Batch) { flushes++ })
+	c := New(s, 2, func(b *wire.Batch) { flushes++ })
 	s.After(0, func() {
 		c.AddElement(elem(1))
 		c.AddElement(elem(2)) // size flush; timer must be canceled
@@ -78,7 +78,7 @@ func TestTimeoutTimerResetAfterSizeFlush(t *testing.T) {
 func TestProofsCountTowardLimit(t *testing.T) {
 	s := sim.New(1)
 	var got *wire.Batch
-	c := New(s, 3, time.Hour, func(b *wire.Batch) { got = b })
+	c := New(s, 3, func(b *wire.Batch) { got = b })
 	s.After(0, func() {
 		c.AddElement(elem(1))
 		c.AddProof(proof(1))
@@ -96,7 +96,7 @@ func TestProofsCountTowardLimit(t *testing.T) {
 func TestManualFlushAndEmptyFlushNoop(t *testing.T) {
 	s := sim.New(1)
 	var flushes int
-	c := New(s, 100, 0, func(b *wire.Batch) { flushes++ })
+	c := New(s, 100, func(b *wire.Batch) { flushes++ })
 	c.Flush() // empty: no-op
 	if flushes != 0 {
 		t.Fatal("empty flush produced a batch")
@@ -112,25 +112,11 @@ func TestManualFlushAndEmptyFlushNoop(t *testing.T) {
 	}
 }
 
-func TestZeroTimeoutNeverArmsTimer(t *testing.T) {
-	s := sim.New(1)
-	var flushes int
-	c := New(s, 10, 0, func(b *wire.Batch) { flushes++ })
-	s.After(0, func() { c.AddElement(elem(1)) })
-	s.Run()
-	if flushes != 0 {
-		t.Fatal("flush happened without timeout or limit")
-	}
-	if c.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", c.Pending())
-	}
-}
-
 func TestBadConstruction(t *testing.T) {
 	s := sim.New(1)
 	for _, fn := range []func(){
-		func() { New(s, 0, time.Second, func(*wire.Batch) {}) },
-		func() { New(s, 10, time.Second, nil) },
+		func() { New(s, 0, func(*wire.Batch) {}) },
+		func() { New(s, 10, nil) },
 	} {
 		func() {
 			defer func() {
@@ -151,7 +137,7 @@ func TestQuickNoLossNoDup(t *testing.T) {
 		lim := int(limit)%50 + 1
 		s := sim.New(1)
 		var flushed []*wire.Batch
-		c := New(s, lim, 0, func(b *wire.Batch) { flushed = append(flushed, b) })
+		c := New(s, lim, func(b *wire.Batch) { flushed = append(flushed, b) })
 		s.After(0, func() {
 			for i := 0; i < n; i++ {
 				c.AddElement(elem(i))

@@ -162,43 +162,42 @@ const voteWireSize = 120
 // proposalOverhead is the proposal envelope beyond the block's tx bytes.
 const proposalOverhead = 200
 
-// Params configures the engine. Build it from PaperParams and override
-// fields: NewNode uses every field as given and refuses the zero Params.
-type Params struct {
-	// MaxBlockBytes is the ledger block size C (PaperParams: 0.5 MiB).
-	MaxBlockBytes int
+// CometBFT's round timeouts, fixed as in the paper's deployment.
+const (
 	// TimeoutCommit is CometBFT's post-commit wait before starting the
 	// next height, so the inter-block interval is consensus latency +
 	// TimeoutCommit. 1.24 s yields the paper's ~0.8 blocks/s on a LAN and,
 	// as in the real system, the block rate degrades as network delay
 	// stretches consensus.
-	TimeoutCommit time.Duration
+	TimeoutCommit = 1240 * time.Millisecond
 	// TimeoutPropose is how long validators wait for a proposal in round 0
 	// before prevoting nil; each later round adds TimeoutDelta.
-	TimeoutPropose time.Duration
+	TimeoutPropose = 3 * time.Second
 	// TimeoutPrevote / TimeoutPrecommit bound the voting phases after a
 	// quorum of conflicting/absent votes is seen.
-	TimeoutPrevote   time.Duration
-	TimeoutPrecommit time.Duration
+	TimeoutPrevote   = time.Second
+	TimeoutPrecommit = time.Second
 	// TimeoutDelta is the per-round escalation added to each timeout.
-	TimeoutDelta time.Duration
+	TimeoutDelta = 500 * time.Millisecond
+)
+
+// Params configures the engine. Build it from PaperParams and override
+// fields: NewNode uses every field as given and refuses the zero Params.
+type Params struct {
+	// MaxBlockBytes is the ledger block size C (PaperParams: 0.5 MiB).
+	MaxBlockBytes int
 	// SyncChunkBytes is the fixed chunk size of state-sync snapshot
 	// transfers (PaperParams: 64 KiB). Snapshots ship as ceil(Bytes/chunk)
 	// envelopes, each charged through netsim individually.
 	SyncChunkBytes int
 }
 
-// PaperParams returns the evaluation configuration (C = 0.5 MiB, one block
-// every 1.25 s).
+// PaperParams returns the evaluation configuration (C = 0.5 MiB; with
+// TimeoutCommit, one block every 1.25 s).
 func PaperParams() Params {
 	return Params{
-		MaxBlockBytes:    512 * 1024,
-		TimeoutCommit:    1240 * time.Millisecond,
-		TimeoutPropose:   3 * time.Second,
-		TimeoutPrevote:   time.Second,
-		TimeoutPrecommit: time.Second,
-		TimeoutDelta:     500 * time.Millisecond,
-		SyncChunkBytes:   64 * 1024,
+		MaxBlockBytes:  512 * 1024,
+		SyncChunkBytes: 64 * 1024,
 	}
 }
 

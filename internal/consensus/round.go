@@ -106,7 +106,7 @@ func (n *Node) enterRound(r int32) {
 	// Even the proposer arms the timeout: if its own proposal somehow fails
 	// to gather votes the round must still advance.
 	h, round := n.height, r
-	n.sim.After(n.timeout(n.params.TimeoutPropose, r), func() {
+	n.sim.After(timeout(TimeoutPropose, r), func() {
 		n.onTimeoutPropose(h, round)
 	})
 	// Proposals and votes for this round may have arrived before we
@@ -156,8 +156,8 @@ func sortedRounds(votes map[int32]*roundVotes) []int32 {
 	return rounds
 }
 
-func (n *Node) timeout(base time.Duration, round int32) time.Duration {
-	return base + time.Duration(round)*n.params.TimeoutDelta
+func timeout(base time.Duration, round int32) time.Duration {
+	return base + time.Duration(round)*TimeoutDelta
 }
 
 // blockID hashes a block's full header identity, INCLUDING the checkpoint
@@ -311,7 +311,7 @@ func (n *Node) tryPrevote(p *Proposal) {
 	n.step = StepPrevote
 	n.castVote(VotePrevote, id)
 	h, r := n.height, n.round
-	n.sim.After(n.timeout(n.params.TimeoutPrevote, r), func() {
+	n.sim.After(timeout(TimeoutPrevote, r), func() {
 		n.onTimeoutPrevote(h, r)
 	})
 }
@@ -412,7 +412,7 @@ func (n *Node) advanceToPrecommit(blockID string) {
 	n.step = StepPrecommit
 	n.castVote(VotePrecommit, blockID)
 	h, r := n.height, n.round
-	n.sim.After(n.timeout(n.params.TimeoutPrecommit, r), func() {
+	n.sim.After(timeout(TimeoutPrecommit, r), func() {
 		n.onTimeoutPrecommit(h, r)
 	})
 }
@@ -471,7 +471,7 @@ func (n *Node) commit(p *Proposal) {
 
 	// Pace the chain: CometBFT waits TimeoutCommit after committing before
 	// starting the next height, so block rate = 1/(consensus + timeout).
-	n.sim.After(n.params.TimeoutCommit, func() { n.enterHeight(h) })
+	n.sim.After(TimeoutCommit, func() { n.enterHeight(h) })
 }
 
 // precommitCert returns the precommits of the lowest round holding a
@@ -500,7 +500,7 @@ func (n *Node) onTimeoutPropose(h uint64, r int32) {
 	// No acceptable proposal in time: prevote nil (or the locked block).
 	n.step = StepPrevote
 	n.castVote(VotePrevote, n.lockedID)
-	n.sim.After(n.timeout(n.params.TimeoutPrevote, r), func() {
+	n.sim.After(timeout(TimeoutPrevote, r), func() {
 		n.onTimeoutPrevote(h, r)
 	})
 }

@@ -24,7 +24,7 @@ type compressAlg struct {
 
 func newCompressAlg(s *Server) *compressAlg {
 	c := &compressAlg{s: s}
-	s.coll = collector.New(s.sim, s.opts.CollectorLimit, s.opts.CollectorTimeout, c.flushBatch)
+	s.coll = collector.New(s.sim, s.opts.CollectorLimit, c.flushBatch)
 	return c
 }
 

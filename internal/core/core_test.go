@@ -515,12 +515,7 @@ func TestHashchainSelectiveServingKeepsEpochsConsistent(t *testing.T) {
 	// the hash to f+1 signatures; servers 0 and 2 must then recover the
 	// batch via retries (from server 1) to consolidate at the same ledger
 	// position — the ordering subtlety DESIGN.md documents.
-	s, d := deployFull(10, 4, core.Options{
-		Algorithm:      core.Hashchain,
-		CollectorLimit: 5,
-		RequestTimeout: 500 * time.Millisecond,
-		RetryBackoff:   200 * time.Millisecond,
-	})
+	s, d := deployFull(10, 4, core.Options{Algorithm: core.Hashchain, CollectorLimit: 5})
 	d.Servers[3].SetBehavior(&core.Behavior{
 		RefuseServe: func(to int, _ []byte) bool { return to != 1 },
 	})
@@ -592,8 +587,7 @@ func TestByzantineCorruptProofsRejected(t *testing.T) {
 func TestHashchainWrongBatchRejected(t *testing.T) {
 	// A Byzantine server responds to Request_batch with a batch whose hash
 	// does not match; requesters must reject it and recover elsewhere.
-	s, d := deployFull(12, 4, core.Options{Algorithm: core.Hashchain, CollectorLimit: 5,
-		RequestTimeout: 500 * time.Millisecond})
+	s, d := deployFull(12, 4, core.Options{Algorithm: core.Hashchain, CollectorLimit: 5})
 	d.Servers[3].SetBehavior(&core.Behavior{ServeWrongBatch: true})
 	ids := addElements(s, d, 20)
 	runQuiesce(s, d, 40*time.Second)

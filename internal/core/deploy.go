@@ -28,7 +28,6 @@ func Deploy(s *sim.Simulator, n int, ledgerCfg ledger.Config, opts Options, rec 
 		ledgerCfg.OnTxEnterMempool = rec.TxEnteredMempool
 	}
 	lc := ledger.NewCluster(s, ledgerCfg)
-	opts = opts.withTimeouts()
 	d := &Deployment{Sim: s, Ledger: lc, Opts: opts}
 	for i := 0; i < n; i++ {
 		node := lc.Nodes[i]

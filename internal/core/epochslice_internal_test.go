@@ -241,7 +241,7 @@ func TestBatchesStayFrozen(t *testing.T) {
 
 	for name, byz := range map[string]*Behavior{"hashchain, padded batches": pads, "hashchain, altered responses": alters} {
 		t.Run(name, func(t *testing.T) {
-			d := drive(t, Options{Algorithm: Hashchain, RequestTimeout: 500 * time.Millisecond}, byz, nil)
+			d := drive(t, Options{Algorithm: Hashchain}, byz, nil)
 			var batches []*wire.Batch
 			for _, srv := range d.Servers {
 				h := srv.alg.(*hashchainAlg)

@@ -13,6 +13,16 @@ import (
 	"repro/internal/wire"
 )
 
+// Request_batch recovery timing (DESIGN.md §3).
+const (
+	// RequestTimeout bounds one Request_batch attempt (the paper: "waits
+	// for a limited amount of time").
+	RequestTimeout = 2 * time.Second
+	// RetryBackoff spaces retry cycles when a batch with f+1 signatures
+	// must be recovered before epoch processing can continue.
+	RetryBackoff = 500 * time.Millisecond
+)
+
 // hashchainAlg implements Algorithm Hashchain (paper §3), the paper's
 // primary contribution: a ready batch is hashed; the batch is stored in its
 // batch record (Register_batch) and the signed 139-byte hash-batch
@@ -167,7 +177,7 @@ type fetchState struct {
 func newHashchainAlg(s *Server) *hashchainAlg {
 	h := &hashchainAlg{s: s, recs: make(map[uint64]*batchRec)}
 	h.stepFn = h.step
-	s.coll = collector.New(s.sim, s.opts.CollectorLimit, s.opts.CollectorTimeout, h.flushBatch)
+	s.coll = collector.New(s.sim, s.opts.CollectorLimit, h.flushBatch)
 	return h
 }
 
@@ -396,7 +406,7 @@ func (h *hashchainAlg) step() {
 			return
 		}
 		h.stallRetries++
-		s.sim.After(s.opts.RetryBackoff, func() { h.retryUntilRecovered(r) })
+		s.sim.After(RetryBackoff, func() { h.retryUntilRecovered(r) })
 	})
 }
 
@@ -416,7 +426,7 @@ func (h *hashchainAlg) retryUntilRecovered(r *batchRec) {
 			return
 		}
 		h.stallRetries++
-		h.s.sim.After(h.s.opts.RetryBackoff, func() { h.retryUntilRecovered(r) })
+		h.s.sim.After(RetryBackoff, func() { h.retryUntilRecovered(r) })
 	})
 }
 
@@ -596,7 +606,7 @@ func (h *hashchainAlg) tryNextCandidate(st *fetchState) {
 	h.requestsSent++
 	h.s.node.Send(target, &batchRequest{hash: st.rec.hash, reqID: st.reqID}, batchRequestWireSize)
 	reqID := st.reqID
-	st.timer = h.s.sim.After(h.s.opts.RequestTimeout, func() {
+	st.timer = h.s.sim.After(RequestTimeout, func() {
 		if st.inFlight && st.reqID == reqID {
 			st.inFlight = false
 			h.tryNextCandidate(st)

@@ -101,9 +101,9 @@ func PaperCostModel() CostModel {
 	}
 }
 
-// Options configures a Setchain server. Deploy fills the three zero
-// timeouts and uses every other field as given: the entry points
-// (spec.WithDefaults and harness.deployConfig, setchain.Config) decide them.
+// Options configures a Setchain server. Deploy uses every field as given:
+// the entry points (spec.WithDefaults and harness.deployConfig,
+// setchain.Config) decide them.
 type Options struct {
 	// Algorithm selects Vanilla, Compresschain or Hashchain.
 	Algorithm Algorithm
@@ -121,14 +121,6 @@ type Options struct {
 	// CollectorLimit is the paper's collector size c (elements per batch;
 	// 100 or 500 in the evaluation), positive. Unused by Vanilla.
 	CollectorLimit int
-	// CollectorTimeout flushes a partial batch after this long (0 = 500 ms).
-	CollectorTimeout time.Duration
-	// RequestTimeout bounds one Request_batch attempt (the paper: "waits
-	// for a limited amount of time"; 0 = 2 s).
-	RequestTimeout time.Duration
-	// RetryBackoff spaces retry cycles when a batch with f+1 signatures
-	// must be recovered before epoch processing can continue (0 = 500 ms).
-	RetryBackoff time.Duration
 	// Costs charges simulated CPU time; zero charges nothing.
 	Costs CostModel
 	// F is the Setchain fault bound (max Byzantine servers, f < n/2);
@@ -150,20 +142,6 @@ type Options struct {
 // MaxFaulty is the fault bound F a deployment of n servers runs with: the
 // largest f < n/2.
 func MaxFaulty(n int) int { return (n - 1) / 2 }
-
-// withTimeouts fills the zero timeouts, which no entry point holds.
-func (o Options) withTimeouts() Options {
-	if o.CollectorTimeout == 0 {
-		o.CollectorTimeout = 500 * time.Millisecond
-	}
-	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 2 * time.Second
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 500 * time.Millisecond
-	}
-	return o
-}
 
 // Behavior injects Byzantine behavior into a server. A nil *Behavior (or
 // the zero value) is a correct server. All hooks are optional.

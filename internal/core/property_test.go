@@ -40,12 +40,7 @@ func TestRandomizedFaultSchedules(t *testing.T) {
 		name := fmt.Sprintf("seed=%d/%s/fault=%d", i, alg, i%len(faults))
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			s, d := deployFull(int64(100+i), 4, core.Options{
-				Algorithm:      alg,
-				CollectorLimit: 5 + i%7,
-				RequestTimeout: time.Second,
-				RetryBackoff:   300 * time.Millisecond,
-			})
+			s, d := deployFull(int64(100+i), 4, core.Options{Algorithm: alg, CollectorLimit: 5 + i%7})
 			byzID := 3
 			if mkFault != nil {
 				d.Servers[byzID].SetBehavior(mkFault())
@@ -208,12 +203,14 @@ func TestElementSizesFlowToLedgerBlocks(t *testing.T) {
 }
 
 func TestDrainFlushesPartialBatches(t *testing.T) {
-	// Without Drain a partial batch below the collector limit would wait
-	// for the timeout; Drain forces it out immediately.
+	// Without Drain a partial batch below the collector limit waits for the
+	// collector's timeout; Drain forces it out immediately. Drained 100 ms
+	// after the add, the batch makes the block at ~1.25 s; left to the
+	// timer (1.5 s), it would miss that block and the next one closes after
+	// the 2 s horizon.
 	s, d := deployFull(66, 4, core.Options{
-		Algorithm:        core.Hashchain,
-		CollectorLimit:   1000,      // never reached
-		CollectorTimeout: time.Hour, // never fires
+		Algorithm:      core.Hashchain,
+		CollectorLimit: 1000, // never reached
 	})
 	cl := d.Clients[0]
 	e := cl.NewElement([]byte("stuck?"))
@@ -222,9 +219,9 @@ func TestDrainFlushesPartialBatches(t *testing.T) {
 			t.Errorf("Add: %v", err)
 		}
 	})
-	s.RunUntil(10 * time.Second)
+	s.RunUntil(1100 * time.Millisecond)
 	d.Drain()
-	s.RunUntil(40 * time.Second)
+	s.RunUntil(2 * time.Second)
 	d.Stop()
 	snap := d.Servers[1].Get()
 	if !snap.TheSet.Has(e.ID) {
@@ -240,11 +237,7 @@ func TestMaximumByzantineBoundary(t *testing.T) {
 	// (The misbehaving servers still run consensus correctly — the ledger
 	// itself tolerates only 2 of 7 — which matches the paper's layering:
 	// Setchain faults and ledger faults are separate budgets.)
-	s, d := deployFull(70, 7, core.Options{
-		Algorithm:      core.Hashchain,
-		CollectorLimit: 6,
-		RequestTimeout: time.Second,
-	})
+	s, d := deployFull(70, 7, core.Options{Algorithm: core.Hashchain, CollectorLimit: 6})
 	for _, byz := range []int{4, 5, 6} {
 		d.Servers[byz].SetBehavior(&core.Behavior{
 			RefuseServe:         func(int, []byte) bool { return true },

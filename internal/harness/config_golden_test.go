@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/collector"
+	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/mempool"
 	"repro/internal/spec"
@@ -34,8 +36,8 @@ type effectiveOptions struct {
 func optionsOf(o core.Options) effectiveOptions {
 	e := effectiveOptions{
 		Algorithm: o.Algorithm, Mode: o.Mode, Light: o.Light,
-		CollectorLimit: o.CollectorLimit, CollectorTimeout: o.CollectorTimeout,
-		RequestTimeout: o.RequestTimeout, RetryBackoff: o.RetryBackoff,
+		CollectorLimit: o.CollectorLimit, CollectorTimeout: collector.Timeout,
+		RequestTimeout: core.RequestTimeout, RetryBackoff: core.RetryBackoff,
 		Costs: o.Costs, F: o.F, Checkpoint: o.CheckpointInterval, Prune: o.Prune,
 	}
 	if o.Algorithm == core.Vanilla {
@@ -44,13 +46,44 @@ func optionsOf(o core.Options) effectiveOptions {
 	return e
 }
 
+// effectiveParams is what a node's consensus engine runs with: its
+// consensus.Params and the package's round timeouts.
+type effectiveParams struct {
+	MaxBlockBytes    int
+	TimeoutCommit    time.Duration
+	TimeoutPropose   time.Duration
+	TimeoutPrevote   time.Duration
+	TimeoutPrecommit time.Duration
+	TimeoutDelta     time.Duration
+	SyncChunkBytes   int
+}
+
+func paramsOf(p consensus.Params) effectiveParams {
+	return effectiveParams{
+		MaxBlockBytes: p.MaxBlockBytes, TimeoutCommit: consensus.TimeoutCommit,
+		TimeoutPropose: consensus.TimeoutPropose, TimeoutPrevote: consensus.TimeoutPrevote,
+		TimeoutPrecommit: consensus.TimeoutPrecommit, TimeoutDelta: consensus.TimeoutDelta,
+		SyncChunkBytes: p.SyncChunkBytes,
+	}
+}
+
+// effectivePool is what a pool runs with: its mempool.Config and the
+// package's gossip interval.
+type effectivePool struct {
+	MaxTxs         int
+	MaxBytes       int
+	GossipInterval time.Duration
+	Admission      mempool.AdmissionConfig
+}
+
 // poolOf is what a pool reads of its mempool.Config: the deferred queue's
 // bounds only under the delay policy, the one that has a queue.
-func poolOf(c mempool.Config) mempool.Config {
+func poolOf(c mempool.Config) effectivePool {
 	if c.Admission.Policy != spec.AdmissionDelay {
 		c.Admission.MaxDelay, c.Admission.MaxDeferred = 0, 0
 	}
-	return c
+	return effectivePool{MaxTxs: c.MaxTxs, MaxBytes: c.MaxBytes,
+		GossipInterval: mempool.GossipInterval, Admission: c.Admission}
 }
 
 // runs renders one value per node as "0-3: v; 4: w", collapsing runs of
@@ -96,7 +129,7 @@ func TestGoldenEffectiveConfig(t *testing.T) {
 				for j, srv := range sd.Servers {
 					node := sd.Ledger.Nodes[j]
 					opts = append(opts, fmt.Sprintf("%+v", optionsOf(srv.Options())))
-					params = append(params, fmt.Sprintf("%+v", node.Cons.Params()))
+					params = append(params, fmt.Sprintf("%+v", paramsOf(node.Cons.Params())))
 					pools = append(pools, fmt.Sprintf("%+v", poolOf(node.Pool.Config())))
 				}
 				transport := "broadcast"

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -174,17 +173,14 @@ func FromSpecScaled(sp spec.ScenarioSpec, scale float64) (Scenario, error) {
 	if scale == 0 {
 		scale = 1
 	}
-	// Validated at the scale it runs at: the offered-load bound grows with it.
+	// Validated at the scale and horizon it runs at: the offered-load and
+	// idle-consensus bounds grow with them.
 	sp = sp.WithDefaults()
 	sp.Scale *= scale
-	sc, err := FromSpec(sp)
-	if err != nil {
-		return Scenario{}, err
+	if sp.Horizon != 0 {
+		sp.Horizon = spec.Duration(float64(sp.Horizon) * scale)
 	}
-	if sc.Horizon != 0 {
-		sc.Horizon = time.Duration(float64(sc.Horizon) * scale)
-	}
-	return sc, nil
+	return FromSpec(sp)
 }
 
 // FromSpecs converts a whole scenario document, failing on the first bad

@@ -186,12 +186,12 @@ type ByzantineCfg struct {
 	InjectCount int
 }
 
-// withDefaults derives what no spec holds: the horizon (SendFor + 100 s
-// when 0, from the unscaled window), the scaled rate and send window, and
-// the cell's name.
+// withDefaults derives what no spec holds: the horizon (SendFor +
+// spec.DefaultDrain when 0, from the unscaled window), the scaled rate and
+// send window, and the cell's name.
 func (sc Scenario) withDefaults() Scenario {
 	if sc.Horizon == 0 {
-		sc.Horizon = sc.SendFor + 100*time.Second
+		sc.Horizon = sc.SendFor + spec.DefaultDrain
 	}
 	sc.Rate *= sc.Scale
 	sc.SendFor = time.Duration(float64(sc.SendFor) * sc.Scale)

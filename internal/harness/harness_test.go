@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/shard"
@@ -273,6 +274,17 @@ func TestFromSpecScaledValidatesScale(t *testing.T) {
 	}
 	if _, err := FromSpecScaled(atBound, 1.001); err == nil {
 		t.Error("cell past the offered-load bound at run-time scale 1.001 accepted")
+	}
+	// So is the explicit horizon, which the run-time scale stretches: ten
+	// servers idling for 10⁶ blocks, one per consensus.TimeoutCommit, are
+	// exactly the idle-consensus bound.
+	longHorizon := spec.ScenarioSpec{Algorithm: spec.AlgVanilla, Servers: 10, Rate: 1,
+		SendFor: spec.Duration(time.Second), Horizon: spec.Duration(1_000_000 * consensus.TimeoutCommit)}
+	if _, err := FromSpecScaled(longHorizon, 1); err != nil {
+		t.Errorf("cell at the idle-consensus bound refused at scale 1: %v", err)
+	}
+	if _, err := FromSpecScaled(longHorizon, 1.001); err == nil {
+		t.Error("cell past the idle-consensus bound at run-time scale 1.001 accepted")
 	}
 }
 

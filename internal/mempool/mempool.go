@@ -37,7 +37,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Config sets pool limits and gossip behavior. Build it from PaperConfig
+// Config sets pool limits and admission. Build it from PaperConfig
 // and override fields: New uses every field as given and refuses the zero
 // Config.
 type Config struct {
@@ -45,10 +45,6 @@ type Config struct {
 	MaxTxs int
 	// MaxBytes caps pooled bytes (paper: 2 GB).
 	MaxBytes int
-	// GossipInterval batches first-seen transactions and forwards them to
-	// all peers once per interval, approximating CometBFT's continuous
-	// per-peer gossip without per-transaction message explosion.
-	GossipInterval time.Duration
 	// Admission enables backpressure below the hard caps (admission.go);
 	// the zero value leaves admission off.
 	Admission AdmissionConfig
@@ -57,11 +53,15 @@ type Config struct {
 // PaperConfig returns the evaluation's mempool settings.
 func PaperConfig() Config {
 	return Config{
-		MaxTxs:         10_000_000,
-		MaxBytes:       2 << 30,
-		GossipInterval: 10 * time.Millisecond,
+		MaxTxs:   10_000_000,
+		MaxBytes: 2 << 30,
 	}
 }
+
+// GossipInterval batches first-seen transactions and forwards them to all
+// peers once per interval, approximating CometBFT's continuous per-peer
+// gossip without per-transaction message explosion.
+const GossipInterval = 10 * time.Millisecond
 
 // CheckFunc validates a transaction for admission (ABCI CheckTx).
 type CheckFunc func(tx *wire.Tx) bool
@@ -286,7 +286,7 @@ func (m *Mempool) armFlush() {
 		return
 	}
 	m.flushArmed = true
-	m.sim.After(m.cfg.GossipInterval, m.flushFn)
+	m.sim.After(GossipInterval, m.flushFn)
 }
 
 func (m *Mempool) flush() {

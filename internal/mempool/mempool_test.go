@@ -26,13 +26,6 @@ func capped(maxTxs int) Config {
 	return c
 }
 
-// gossiping is PaperConfig flushing gossip every interval.
-func gossiping(interval time.Duration) Config {
-	c := PaperConfig()
-	c.GossipInterval = interval
-	return c
-}
-
 func newTestPools(t *testing.T, n int, cfg Config) (*sim.Simulator, []*Mempool) {
 	t.Helper()
 	s := sim.New(1)
@@ -177,7 +170,7 @@ func TestCapacityLimits(t *testing.T) {
 }
 
 func TestByteCapacity(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{MaxTxs: 100, MaxBytes: 250, GossipInterval: 10 * time.Millisecond})
+	s, pools := newTestPools(t, 1, Config{MaxTxs: 100, MaxBytes: 250})
 	p := pools[0]
 	s.After(0, func() {
 		for i := 0; i < 5; i++ {
@@ -191,7 +184,7 @@ func TestByteCapacity(t *testing.T) {
 }
 
 func TestGossipReplication(t *testing.T) {
-	s, pools := newTestPools(t, 4, gossiping(5*time.Millisecond))
+	s, pools := newTestPools(t, 4, PaperConfig())
 	s.After(0, func() {
 		for i := 0; i < 20; i++ {
 			pools[0].AddTx(elemTx(i, 100))
@@ -206,7 +199,7 @@ func TestGossipReplication(t *testing.T) {
 }
 
 func TestGossipDoesNotLoopForever(t *testing.T) {
-	s, pools := newTestPools(t, 3, gossiping(time.Millisecond))
+	s, pools := newTestPools(t, 3, PaperConfig())
 	s.After(0, func() { pools[0].AddTx(elemTx(1, 50)) })
 	s.Run() // termination itself is the assertion: re-gossip of known txs stops
 	for i, p := range pools {
@@ -217,7 +210,7 @@ func TestGossipDoesNotLoopForever(t *testing.T) {
 }
 
 func TestRemoveCommittedBlocksReentry(t *testing.T) {
-	s, pools := newTestPools(t, 2, gossiping(time.Millisecond))
+	s, pools := newTestPools(t, 2, PaperConfig())
 	tx := elemTx(7, 100)
 	s.After(0, func() { pools[0].AddTx(tx) })
 	s.RunUntil(time.Second)

@@ -193,8 +193,8 @@ func twinTx(tx *wire.Tx, constructed bool) *wire.Tx {
 // delay admission policy with a short deferred queue.
 var modelConfigs = []Config{
 	PaperConfig(),
-	{MaxTxs: 96, MaxBytes: 24_000, GossipInterval: 10 * time.Millisecond},
-	{MaxTxs: 64, MaxBytes: 1 << 20, GossipInterval: 10 * time.Millisecond, Admission: AdmissionConfig{
+	{MaxTxs: 96, MaxBytes: 24_000},
+	{MaxTxs: 64, MaxBytes: 1 << 20, Admission: AdmissionConfig{
 		Policy: spec.AdmissionDelay, Watermark: 0.75, MaxDelay: 2 * time.Second, MaxDeferred: 8}},
 }
 

@@ -31,7 +31,8 @@ type Level int
 
 // Tracking levels.
 const (
-	// LevelThroughput records injected/committed counts in time buckets.
+	// LevelThroughput counts injected and committed elements, the latter
+	// in time buckets.
 	LevelThroughput Level = iota
 	// LevelStages additionally tracks per-element latency stages.
 	LevelStages
@@ -103,8 +104,7 @@ type Recorder struct {
 	f        int
 	observer wire.NodeID
 
-	injected  []uint64 // time buckets, bw wide (per-second until coarsened)
-	committed []uint64
+	committed []uint64      // time buckets, bw wide (per-second until coarsened)
 	bw        time.Duration // current bucket width (bucketWidth·2^k)
 	totalInj  uint64
 	totalComm uint64
@@ -139,24 +139,17 @@ func New(s *sim.Simulator, level Level, n, f int, observer wire.NodeID) *Recorde
 	}
 }
 
-func (r *Recorder) bucket(slice *[]uint64, t time.Duration) {
+// fit coarsens until time t falls inside the bucket budget and returns its
+// bucket. Injections as well as commits call it, so the width is set by
+// the latest of either.
+func (r *Recorder) fit(t time.Duration) int {
 	idx := int(t / r.bw)
 	for idx >= bucketBudget {
-		r.coarsen()
+		r.committed = pairSum(r.committed)
+		r.bw *= 2
 		idx = int(t / r.bw)
 	}
-	for len(*slice) <= idx {
-		*slice = append(*slice, 0)
-	}
-	(*slice)[idx]++
-}
-
-// coarsen halves both series in place by pair-summing and doubles the
-// width. Both series share one width so merged readouts stay consistent.
-func (r *Recorder) coarsen() {
-	r.injected = pairSum(r.injected)
-	r.committed = pairSum(r.committed)
-	r.bw *= 2
+	return idx
 }
 
 func pairSum(b []uint64) []uint64 {
@@ -175,7 +168,7 @@ func pairSum(b []uint64) []uint64 {
 func (r *Recorder) Injected(e *wire.Element) {
 	at := r.sim.Now()
 	r.totalInj++
-	r.bucket(&r.injected, at)
+	r.fit(at)
 	if r.level >= LevelStages {
 		r.elems[e.ID] = &elemRec{injected: at, committed: unset}
 	}
@@ -257,8 +250,12 @@ func (r *Recorder) EpochCommitted(node wire.NodeID, epoch uint64, elems []*wire.
 	r.committedEpochs[epoch] = len(elems)
 	now := r.sim.Now()
 	r.totalComm += uint64(len(elems))
-	for range elems {
-		r.bucket(&r.committed, now)
+	if len(elems) > 0 {
+		idx := r.fit(now)
+		for len(r.committed) <= idx {
+			r.committed = append(r.committed, 0)
+		}
+		r.committed[idx] += uint64(len(elems))
 	}
 	if r.level >= LevelStages {
 		for _, e := range elems {

@@ -284,31 +284,44 @@ func TestPairSum(t *testing.T) {
 
 // When the horizon outgrows the bucket budget the recorder coarsens
 // instead of growing: the width doubles (staying bucketWidth·2^k), the
-// bucket count stays under the budget and no count is lost.
+// bucket count stays under the budget and no count is lost. Injections
+// alone coarsen too, so a run's width is the same whether or not its late
+// elements commit.
 func TestBucketBudgetCoarsens(t *testing.T) {
-	s := sim.New(1)
-	r := New(s, LevelThroughput, 4, 1, 0)
 	const events = 16
 	step := bucketBudget / 4 * bucketWidth
-	for i := 0; i < events; i++ {
-		at := time.Duration(i)*step + 500*time.Millisecond
-		s.After(at, func() { r.Injected(elem(i)) })
-	}
-	s.Run()
-	// A horizon of four budgets of one-second buckets forces two doublings.
-	if r.BucketWidth() != 4*time.Second {
-		t.Fatalf("BucketWidth = %v after coarsening, want 4s", r.BucketWidth())
-	}
-	if len(r.injected) > bucketBudget {
-		t.Fatalf("injected series holds %d buckets, budget is %d", len(r.injected), bucketBudget)
-	}
-	var sum uint64
-	for _, c := range r.injected {
-		sum += c
-	}
-	if sum != events || r.TotalInjected() != events {
-		t.Fatalf("coarsening lost counts: bucket sum %d, total %d, want %d",
-			sum, r.TotalInjected(), events)
+	for _, commit := range []bool{true, false} {
+		s := sim.New(1)
+		r := New(s, LevelThroughput, 4, 1, 0)
+		for i := 0; i < events; i++ {
+			at := time.Duration(i)*step + 500*time.Millisecond
+			s.After(at, func() {
+				r.Injected(elem(i))
+				if commit {
+					r.EpochCommitted(0, uint64(i+1), []*wire.Element{elem(i)})
+				}
+			})
+		}
+		s.Run()
+		// A horizon of four budgets of one-second buckets forces two doublings.
+		if r.BucketWidth() != 4*time.Second {
+			t.Fatalf("commit=%v: BucketWidth = %v after coarsening, want 4s", commit, r.BucketWidth())
+		}
+		if len(r.committed) > bucketBudget {
+			t.Fatalf("committed series holds %d buckets, budget is %d", len(r.committed), bucketBudget)
+		}
+		var sum uint64
+		for _, c := range r.committed {
+			sum += c
+		}
+		want := uint64(0)
+		if commit {
+			want = events
+		}
+		if sum != want || r.TotalCommitted() != want || r.TotalInjected() != events {
+			t.Fatalf("commit=%v: coarsening lost counts: bucket sum %d, committed %d, injected %d, want %d and %d",
+				commit, sum, r.TotalCommitted(), r.TotalInjected(), want, events)
+		}
 	}
 }
 

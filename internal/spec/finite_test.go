@@ -80,6 +80,8 @@ func FuzzOverrideValidates(f *testing.F) {
 	f.Add("rate", "+Inf")
 	f.Add("watermark", "-0")
 	f.Add("drop", "1e-320")
+	// Validate refuses a horizon that would idle for minutes.
+	f.Add("horizon", "2000000s")
 	// The deleted executor's key and alias are unknown keys now.
 	f.Add("intra_workers", "2")
 	f.Add("iw", "2")

@@ -226,8 +226,8 @@ type ScenarioSpec struct {
 	// SendFor is how long clients keep adding (default 50s).
 	SendFor Duration `json:"send_for,omitempty"`
 	// Horizon is the total virtual time simulated; 0 derives
-	// SendFor + 100s at run time (and is never scaled — explicit horizons
-	// shrink with the run-time scale factor).
+	// SendFor + DefaultDrain at run time (and is never scaled — explicit
+	// horizons shrink with the run-time scale factor).
 	Horizon Duration `json:"horizon,omitempty"`
 	// NetworkDelay is the paper's network_delay: artificial latency added
 	// to every link (0, 30ms, 100ms in the evaluation).
@@ -464,8 +464,8 @@ func (s ScenarioSpec) Validate() error {
 	if s.SendFor < 0 || s.Horizon < 0 || s.NetworkDelay < 0 {
 		return fmt.Errorf("durations must be >= 0")
 	}
-	if s.Horizon != 0 && s.Horizon < s.SendFor {
-		return fmt.Errorf("horizon %v shorter than send window %v", s.Horizon.Std(), s.SendFor.Std())
+	if window := time.Duration(float64(s.SendFor) * s.Scale); s.Horizon != 0 && s.Horizon.Std() < window {
+		return fmt.Errorf("horizon %v shorter than send window %v", s.Horizon.Std(), window)
 	}
 	if !nonNegative(s.Bandwidth) {
 		return fmt.Errorf("bandwidth must be finite and >= 0, got %g", s.Bandwidth)
@@ -582,7 +582,42 @@ func (s ScenarioSpec) Validate() error {
 		return fmt.Errorf("%.0f injection ticks exceed the limit of %d; raise tick or lower send_for, scale, servers or shards",
 			n, maxOfferedTxs)
 	}
+	if w := s.idleConsensusWork(); w > maxIdleConsensusWork {
+		return fmt.Errorf("horizon costs %.0f idle consensus messages, over the limit of %d; lower horizon (or send_for when horizon is unset), servers or shards",
+			w, maxIdleConsensusWork)
+	}
 	return nil
+}
+
+// DefaultDrain is how long a run whose spec sets no horizon goes on after
+// its unscaled send window, for the commit pipeline to drain.
+const DefaultDrain = 100 * time.Second
+
+// blockInterval is consensus.TimeoutCommit, the least virtual time between
+// two blocks of one consensus group (consensus imports this package, so the
+// value is restated here).
+const blockInterval = 1240 * time.Millisecond
+
+// maxIdleConsensusWork bounds idleConsensusWork at 10⁸, 103 times the
+// largest registry cell's 967,742 (mesh_scale's n=100 cell, 120 s). An idle
+// 4-server Vanilla run for 200,000 s (2.6·10⁶ messages) takes 7.9 s of wall
+// time on a 2-vCPU VM, about 3 µs a message, so a spec within the bound
+// idles for about five minutes at most.
+const maxIdleConsensusWork = 100_000_000
+
+// idleConsensusWork returns the consensus messages the defaulted spec's
+// horizon costs with no load at all: every consensus group cuts a block
+// every blockInterval until the horizon, empty or not, and each block costs
+// a vote from every server to every server: horizon ÷ blockInterval ×
+// servers² × shards. Validate refuses a spec over maxIdleConsensusWork, so
+// a long horizon fails at load time instead of idling for hours.
+func (s ScenarioSpec) idleConsensusWork() float64 {
+	horizon := float64(s.Horizon)
+	if horizon == 0 {
+		horizon = float64(s.SendFor) + float64(DefaultDrain)
+	}
+	groups := float64(max(s.Shards, 1))
+	return horizon / float64(blockInterval) * float64(s.Servers) * float64(s.Servers) * groups
 }
 
 // defaultTick is the injection tick of a spec that sets none (the same

@@ -282,6 +282,53 @@ func TestValidateBoundsInjectionTicks(t *testing.T) {
 	}
 }
 
+// Consensus cuts a block every blockInterval until the horizon, loaded or
+// not, so a long horizon is refused at load time instead of idling for
+// minutes: ten servers for 10⁶ blocks are exactly the limit, and a longer
+// horizon, an eleventh server, a second shard, or an unset horizon behind a
+// long send window is past it. The error names the limit.
+func TestValidateBoundsIdleConsensus(t *testing.T) {
+	atBound := func() ScenarioSpec {
+		return ScenarioSpec{Algorithm: AlgVanilla, Servers: 10, Rate: 1, SendFor: Duration(time.Second),
+			Horizon: Duration(1_000_000 * blockInterval)}.WithDefaults()
+	}
+	sp := atBound()
+	if w := sp.idleConsensusWork(); w != maxIdleConsensusWork {
+		t.Fatalf("%.0f idle messages, want exactly the limit %d", w, maxIdleConsensusWork)
+	}
+	if err := sp.Validate(); err != nil {
+		t.Fatalf("spec at the bound refused: %v", err)
+	}
+	past := map[string]func(*ScenarioSpec){
+		"a longer horizon": func(s *ScenarioSpec) { s.Horizon += Duration(time.Millisecond) },
+		"an 11th server":   func(s *ScenarioSpec) { s.Servers = 11 },
+		"a second shard":   func(s *ScenarioSpec) { s.Shards = 2 },
+		"the derived horizon": func(s *ScenarioSpec) {
+			s.Horizon = 0
+			s.SendFor = Duration(1_000_000*blockInterval - DefaultDrain + time.Millisecond)
+			s.Scale = 1e-6
+		},
+	}
+	for name, change := range past {
+		sp := atBound()
+		change(&sp)
+		err := sp.Validate()
+		if err == nil || !strings.Contains(err.Error(), "over the limit of 100000000") {
+			t.Errorf("%s: Validate = %v, want the idle-consensus error naming the limit", name, err)
+		}
+	}
+	// The horizons that ran for 7 s and for more than two minutes: four
+	// servers for 200,000 s are under the limit, ten for 2,000,000 s over it.
+	short := `{"algorithm":"vanilla","servers":4,"rate":1,"send_for":"1s","horizon":"200000s"}`
+	if _, err := Decode(strings.NewReader(short)); err != nil {
+		t.Errorf("Decode(%s) = %v", short, err)
+	}
+	long := `{"algorithm":"vanilla","servers":10,"rate":1,"send_for":"1s","horizon":"2000000s"}`
+	if _, err := Decode(strings.NewReader(long)); err == nil || !strings.Contains(err.Error(), "idle consensus") {
+		t.Errorf("Decode(%s) = %v, want the idle-consensus error", long, err)
+	}
+}
+
 // An element's size is 32 bits wide: size_min and size_max may reach
 // 2³¹−1 and no further, so no spec makes a generator wrap a sampled size.
 func TestValidateBoundsElementSize(t *testing.T) {
