@@ -19,7 +19,17 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 	"unicode"
+	"unsafe"
+
+	"repro/internal/collector"
+	"repro/internal/compressor"
+	"repro/internal/consensus"
+	"repro/internal/core"
+	"repro/internal/mempool"
+	"repro/internal/setcrypto"
+	"repro/internal/wire"
 )
 
 // docFiles are the checked documents; generated ones included.
@@ -246,17 +256,12 @@ var docIdentFiles = []string{"DESIGN.md", "README.md"}
 // `pkg.Name` or `Type.Member`, optionally called: `sim.Now()`.
 var docIdentRE = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*)\\.([A-Za-z_][A-Za-z0-9_]*)(?:\\(\\))?`")
 
-// profileFrames are profile frames DESIGN.md quotes that name no code of
-// the module: the Go runtime's, and those of types deleted since they were
-// measured. They record what a profile showed, not where code is.
-var profileFrames = map[string]bool{
-	// The Go runtime.
-	"mspan.base": true, "typePointers.next": true,
-	// Mempool's former key index, core's former pending ring and the
-	// former gossip package's relay.
-	"txIndex.probe": true, "txIndex.grow": true, "txIndex.get": true,
-	"pendingRing.grow": true, "relayQueue.drain": true, "meshEndpoint.flush": true,
-}
+// testFuncRE matches the name of a test, fuzz target or benchmark.
+var testFuncRE = regexp.MustCompile(`^(?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*$`)
+
+// docTestRE matches an inline code span that is a bare test, fuzz target or
+// benchmark name: `TestGoldenFingerprints`.
+var docTestRE = regexp.MustCompile("`((?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*)`")
 
 // closureRE matches the name the Go toolchain gives a function literal in
 // profiles: processTx.func2 is the second closure inside processTx.
@@ -273,6 +278,7 @@ type codeIndex struct {
 	std     map[string]bool            // names of imported standard packages
 	strs    map[string]bool            // every string literal's value
 	files   map[string]bool            // every file's base name
+	tests   map[string]bool            // every Test, Fuzz and Benchmark function
 }
 
 // indexModule parses every Go file under root, bench/ included.
@@ -282,6 +288,7 @@ func indexModule(t *testing.T, root string) *codeIndex {
 		pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{},
 		embeds: map[string][]string{}, vars: map[string]map[string]bool{}, funcs: map[string]bool{},
 		std: map[string]bool{}, strs: map[string]bool{}, files: map[string]bool{},
+		tests: map[string]bool{},
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -329,6 +336,9 @@ func indexModule(t *testing.T, root string) *codeIndex {
 				// to `sim.step`.
 				idx.funcs[decl.Name.Name] = true
 				idx.pkgs[pkg][decl.Name.Name] = true
+				if !prod && decl.Recv == nil && testFuncRE.MatchString(decl.Name.Name) {
+					idx.tests[decl.Name.Name] = true
+				}
 				if decl.Recv != nil {
 					idx.addMember(receiverType(decl.Recv.List[0].Type), decl.Name.Name)
 					if prod {
@@ -471,11 +481,10 @@ func (idx *codeIndex) hasMember(typ, name string, seen map[string]bool) bool {
 // module package's top-level name or method, a standard package's anything, a
 // closure of a named function, or a field or method — of type x when x is
 // a type, of a type the code gives x when x is a lower-case receiver,
-// parameter or field name. A profile frame of no module code resolves only
-// through profileFrames.
+// parameter or field name.
 func (idx *codeIndex) resolves(x, y string) bool {
 	switch {
-	case idx.files[x+"."+y], idx.strs[x+"."+y], profileFrames[x+"."+y]:
+	case idx.files[x+"."+y], idx.strs[x+"."+y]:
 		return true
 	case idx.pkgs[x] != nil && idx.pkgs[x][y]:
 		return true
@@ -497,8 +506,8 @@ func (idx *codeIndex) resolves(x, y string) bool {
 }
 
 // staleIdents lists a document's qualified identifiers that resolve to
-// nothing. Fenced code blocks are skipped: they hold shell sessions and
-// sample output, not references.
+// nothing and its test names that no test file declares. Fenced code blocks
+// are skipped: they hold shell sessions and sample output, not references.
 func (idx *codeIndex) staleIdents(text string) []string {
 	var stale []string
 	inFence := false
@@ -515,27 +524,37 @@ func (idx *codeIndex) staleIdents(text string) []string {
 				stale = append(stale, m[0])
 			}
 		}
+		for _, m := range docTestRE.FindAllStringSubmatch(line, -1) {
+			if !idx.tests[m[1]] {
+				stale = append(stale, m[0])
+			}
+		}
 	}
 	return stale
 }
 
 // Every backticked `pkg.Name` and `Type.Member` in DESIGN.md and README.md
-// names code that exists: a rename or deletion that leaves a doc pointing
-// at nothing fails here.
+// names code that exists, and every backticked `TestX`, `FuzzX` and
+// `BenchmarkX` a function a test file declares: a rename or deletion that
+// leaves a doc pointing at nothing, or citing a guard that is gone, fails
+// here.
 func TestDocIdentifiers(t *testing.T) {
 	idx := indexModule(t, ".")
 	// The checker itself: a reference to a deleted package, a missing
 	// member of a real type and a missing name of a real package are
 	// stale, and so is a member no type production code gives that name
-	// has (`byzantine` is only a local of setchain-demo's); live ones of
-	// each kind are not.
+	// has (`byzantine` is only a local of setchain-demo's), and so is a
+	// test name no test file declares; live ones of each kind are not.
 	for text, want := range map[string]int{
-		"`byzantine.Combine`":                            1,
-		"`byzantine.ForgeSnapshot()`":                    1,
-		"`Behavior.Combine` and `core.Combine`":          2,
-		"`core.Behavior`, `Behavior.ForgeSnapshot`":      0,
-		"`s.behavior`, `time.Duration`, `sim.events`":    0,
-		"`withContent.func1`, `catchup.go`, `sim.Now()`": 0,
+		"`byzantine.Combine`":                                 1,
+		"`byzantine.ForgeSnapshot()`":                         1,
+		"`Behavior.Combine` and `core.Combine`":               2,
+		"`core.Behavior`, `Behavior.ForgeSnapshot`":           0,
+		"`s.behavior`, `time.Duration`, `sim.events`":         0,
+		"`withContent.func1`, `catchup.go`, `sim.Now()`":      0,
+		"`TestNoSuchGuard`, `FuzzNoSuchModel`":                2,
+		"`TestDocLinks`, `FuzzIDMap`, `BenchmarkRelayFanout`": 0,
+		"`TestDocIdentifiers` is not `testing.T`":             0,
 	} {
 		if got := idx.staleIdents(text); len(got) != want {
 			t.Errorf("staleIdents(%s) = %q, want %d stale", text, got, want)
@@ -668,5 +687,246 @@ func TestDocLineRefs(t *testing.T) {
 		for _, msg := range badLineRefs(string(blob), lines, bases) {
 			t.Errorf("%s: %s", doc, msg)
 		}
+	}
+}
+
+// designHeadingRE matches one of DESIGN.md's numbered section headings.
+var designHeadingRE = regexp.MustCompile(`(?m)^## §([0-9]+) `)
+
+// designRefRE matches "DESIGN.md" and the list of sections that follows it,
+// each with an optional subject in parentheses: "DESIGN.md §2 (layering),
+// §6 (the RunMany pool) and §10". A markdown link to the file counts too.
+var designRefRE = regexp.MustCompile(`DESIGN\.md(?:\]\(DESIGN\.md\))?((?:(?:\s*,\s*|\s+and\s+|\s+)§[0-9]+(?:\s*\([^()]*\))?)+)`)
+
+// sectionRE matches one section number.
+var sectionRE = regexp.MustCompile(`§([0-9]+)`)
+
+// badSectionRefs lists the section numbers text cites that name no heading
+// of sections. With bare, every §N counts (DESIGN.md's own cross-references);
+// otherwise only those a "DESIGN.md" introduces, so a paper section ("paper
+// §3") is not taken for one of ours.
+func badSectionRefs(text string, sections map[string]bool, bare bool) []string {
+	var cited []string
+	if bare {
+		cited = []string{text}
+	} else {
+		for _, m := range designRefRE.FindAllStringSubmatch(text, -1) {
+			cited = append(cited, m[1])
+		}
+	}
+	var bad []string
+	for _, c := range cited {
+		for _, m := range sectionRE.FindAllStringSubmatch(c, -1) {
+			if !sections[m[1]] {
+				bad = append(bad, m[0])
+			}
+		}
+	}
+	return bad
+}
+
+// goComments returns the text of every comment in the Go files under root,
+// bench/ and testdata skipped, keyed by path.
+func goComments(t *testing.T, root string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == filepath.Join(root, "bench")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		var b strings.Builder
+		for _, cg := range f.Comments {
+			b.WriteString(cg.Text())
+			b.WriteString("\n")
+		}
+		out[path] = b.String()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// Every "DESIGN.md §N" in a Go comment outside bench/, in README.md and in
+// ROADMAP.md, and every §N inside DESIGN.md, names a section DESIGN.md has:
+// a renumbered or deleted section leaves no reference pointing at nothing.
+// CHANGES.md is history and is not checked.
+func TestDocSectionRefs(t *testing.T) {
+	blob, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := string(blob)
+	sections := map[string]bool{}
+	for _, m := range designHeadingRE.FindAllStringSubmatch(design, -1) {
+		sections[m[1]] = true
+	}
+	if len(sections) == 0 {
+		t.Fatal("DESIGN.md has no numbered section")
+	}
+	// The checker itself: a section past the last, in a list or alone, is
+	// bad; a list of real ones over a line break, a link to the file and a
+	// paper section are not; bare mode counts every §N.
+	for _, c := range []struct {
+		text string
+		bare bool
+		want int
+	}{
+		{"See DESIGN.md §2 (layering), §6 (the\nRunMany pool) and §99.", false, 1},
+		{"DESIGN.md §98 has it", false, 1},
+		{"[DESIGN.md](DESIGN.md) §9 and §10; paper §97", false, 0},
+		{"DESIGN.md §1's table", false, 0},
+		{"as §3 says, and §96", true, 1},
+	} {
+		if got := badSectionRefs(c.text, sections, c.bare); len(got) != c.want {
+			t.Errorf("badSectionRefs(%q, bare=%v) = %q, want %d bad", c.text, c.bare, got, c.want)
+		}
+	}
+	for _, ref := range badSectionRefs(design, sections, true) {
+		t.Errorf("DESIGN.md: %s names no section", ref)
+	}
+	for _, doc := range []string{"README.md", "ROADMAP.md"} {
+		blob, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ref := range badSectionRefs(string(blob), sections, false) {
+			t.Errorf("%s: DESIGN.md %s names no section", doc, ref)
+		}
+	}
+	for path, text := range goComments(t, ".") {
+		for _, ref := range badSectionRefs(text, sections, false) {
+			t.Errorf("%s: a comment cites DESIGN.md %s, which names no section", path, ref)
+		}
+	}
+}
+
+// designSection returns section §n of DESIGN.md with its whitespace
+// collapsed to single spaces, or "" if there is no such section.
+func designSection(doc string, n int) string {
+	head := fmt.Sprintf("## §%d ", n)
+	i := strings.Index(doc, head)
+	if i < 0 {
+		return ""
+	}
+	sec := doc[i+len(head):]
+	if j := strings.Index(sec, "\n## §"); j >= 0 {
+		sec = sec[:j]
+	}
+	return strings.Join(strings.Fields(sec), " ")
+}
+
+// statedNumber is a number DESIGN.md states beside the code name that holds
+// it, written "`name` (value …)" in section sec.
+type statedNumber struct {
+	sec   int
+	name  string
+	value string
+}
+
+// unstated lists the numbers doc does not state as want says.
+func unstated(doc string, want []statedNumber) []string {
+	var bad []string
+	for _, w := range want {
+		if !strings.Contains(designSection(doc, w.sec), "`"+w.name+"` ("+w.value) {
+			bad = append(bad, fmt.Sprintf("§%d does not state `%s` (%s", w.sec, w.name, w.value))
+		}
+	}
+	return bad
+}
+
+// fmtDuration writes a duration the way DESIGN.md does: "1.24 s", "500 ms",
+// "34 µs", "3 ns".
+func fmtDuration(d time.Duration) string {
+	unit, div := "ns", 1.0
+	switch {
+	case d >= time.Second:
+		unit, div = "s", float64(time.Second)
+	case d >= time.Millisecond:
+		unit, div = "ms", float64(time.Millisecond)
+	case d >= time.Microsecond:
+		unit, div = "µs", float64(time.Microsecond)
+	}
+	return strconv.FormatFloat(float64(d)/div, 'f', -1, 64) + " " + unit
+}
+
+// TestDocNumbersMatchCode is DESIGN.md's known-answer check: every modeled
+// constant §1 states (wire sizes, hash and signature lengths, the compression
+// ratios, the cost model's charges) and every fixed timing §3, §4 and §7
+// state is read back from code, and the section must state it beside the
+// name that holds it. A constant that changes, or a section that stops
+// stating it, fails here. §13's numbers have their own check,
+// TestMeshNumbersMatchDesign.
+func TestDocNumbersMatchCode(t *testing.T) {
+	bytes := func(n uintptr) string { return fmt.Sprintf("%d bytes", n) }
+	costs := core.PaperCostModel()
+	want := []statedNumber{
+		{1, "wire.Element", bytes(unsafe.Sizeof(wire.Element{}))},
+		{1, "wire.ElementHeaderSize", bytes(wire.ElementHeaderSize)},
+		{1, "wire.EpochProofWireSize", bytes(wire.EpochProofWireSize)},
+		{1, "wire.HashBatchWireSize", bytes(wire.HashBatchWireSize)},
+		{1, "setcrypto.HashSize", bytes(setcrypto.HashSize)},
+		{1, "setcrypto.SignatureSize", bytes(setcrypto.SignatureSize)},
+		{1, "setcrypto.PublicKeySize", bytes(setcrypto.PublicKeySize)},
+		{1, "compressor.Ratio", fmt.Sprintf("%g at 100 items, %g at 500", compressor.Ratio(100), compressor.Ratio(500))},
+		{1, "CostModel.VerifyElement", fmtDuration(costs.VerifyElement)},
+		{1, "CostModel.PerElement", fmtDuration(costs.PerElement)},
+		{1, "CostModel.SignCost", fmtDuration(costs.SignCost)},
+		{1, "CostModel.VerifySig", fmtDuration(costs.VerifySig)},
+		{1, "CostModel.HashPerByte", fmtDuration(costs.HashPerByte)},
+		{1, "CostModel.CompressPerByte", fmtDuration(costs.CompressPerByte)},
+		{1, "CostModel.DecompressPerByte", fmtDuration(costs.DecompressPerByte)},
+		{1, "CostModel.PerBatch", fmtDuration(costs.PerBatch)},
+		{3, "core.RequestTimeout", fmtDuration(core.RequestTimeout)},
+		{3, "core.RetryBackoff", fmtDuration(core.RetryBackoff)},
+		{4, "consensus.TimeoutCommit", fmtDuration(consensus.TimeoutCommit)},
+		{4, "consensus.TimeoutPropose", fmtDuration(consensus.TimeoutPropose)},
+		{4, "consensus.TimeoutPrevote", fmtDuration(consensus.TimeoutPrevote)},
+		{4, "consensus.TimeoutPrecommit", fmtDuration(consensus.TimeoutPrecommit)},
+		{4, "consensus.TimeoutDelta", fmtDuration(consensus.TimeoutDelta)},
+		{4, "mempool.GossipInterval", fmtDuration(mempool.GossipInterval)},
+		{7, "collector.Timeout", fmtDuration(collector.Timeout)},
+	}
+	// The checker itself: a wrong value, a value stated in another section
+	// and a section that does not exist are unstated; a value over a line
+	// break is stated.
+	fixture := "## §1 A\n`x.A` (2\ns), `x.B` (5 s)\n## §2 B\n`x.C` (7 ms)\n"
+	for _, c := range []struct {
+		want statedNumber
+		bad  int
+	}{
+		{statedNumber{1, "x.A", "2 s"}, 0},
+		{statedNumber{1, "x.B", "6 s"}, 1},
+		{statedNumber{1, "x.C", "7 ms"}, 1},
+		{statedNumber{3, "x.A", "2 s"}, 1},
+	} {
+		if got := unstated(fixture, []statedNumber{c.want}); len(got) != c.bad {
+			t.Errorf("unstated(%+v) = %q, want %d", c.want, got, c.bad)
+		}
+	}
+	if got := fmtDuration(1240 * time.Millisecond); got != "1.24 s" {
+		t.Errorf("fmtDuration(1.24 s) = %q", got)
+	}
+	blob, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range unstated(string(blob), want) {
+		t.Error("DESIGN.md " + msg)
 	}
 }

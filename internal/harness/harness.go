@@ -11,7 +11,7 @@
 // Setchain instances with internal/shard (Deploy), drives them, harvests
 // them in one loop and checks them (Check). The public API (package
 // setchain) deploys and checks through the same two functions. See
-// DESIGN.md §2 (layering), §6 (the parallel executor), §7 (the
+// DESIGN.md §2 (layering), §6 (the RunMany pool), §7 (the
 // spec/registry layer) and §10 (one executor).
 package harness
 

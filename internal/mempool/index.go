@@ -19,7 +19,7 @@ import (
 // over the ordinals (Mempool.entries), 4 bytes per key. The table holds no
 // pool's state, only key → ordinal, which is why sharing it changes no
 // pool's verdicts. It doubles when an insert would take it past 3/4 full
-// (DESIGN.md §6 has why not 1/2).
+// (DESIGN.md §4 has why not 1/2).
 //
 // Ordinals are handed out in order and never reused. first and refs are
 // paged windows over them (paged.go) whose pages start at the page of lo,
@@ -62,7 +62,7 @@ func (k *Keys) Len() int { return k.n }
 // golden ratio, √7). A run of consecutive ids then walks the table in equal
 // strides that never line up with a power of two — Fibonacci hashing — and
 // fills it more evenly than a random function or a scrambling final round
-// would (DESIGN.md §6 has both). Multiplication carries low bits upward, so
+// would (DESIGN.md §4 has both). Multiplication carries low bits upward, so
 // the sum's top bits, the ones home takes, depend on every input bit.
 func hashKey(k *wire.TxKey) uint64 {
 	w0, w1, w2, w3 := k.Words()

@@ -5,7 +5,7 @@
 // accounting operate on; in modeled mode the payload bytes themselves can
 // be omitted while size accounting stays exact.
 //
-// See DESIGN.md §6 (performance engineering: interned hot-path keys).
+// See DESIGN.md §6 (performance engineering: keys built once).
 package wire
 
 import (
