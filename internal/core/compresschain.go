@@ -62,7 +62,10 @@ func (c *compressAlg) makeRoom(size int) {
 	c.raw += size
 }
 
-func (c *compressAlg) checkTx(tx *wire.Tx) bool { return true }
+// checkTx admits compressed batches, by shape.
+func (c *compressAlg) checkTx(tx *wire.Tx) bool {
+	return tx.Kind == wire.TxCompressedBatch && tx.Compressed != nil && tx.Compressed.CompSize > 0
+}
 
 func (c *compressAlg) drain() { c.s.coll.Flush() }
 

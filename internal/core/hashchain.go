@@ -302,14 +302,14 @@ func (h *hashchainAlg) flushBatch(b *wire.Batch) {
 	s.node.Append(tx)
 }
 
-// checkTx validates a hash-batch at mempool admission and prefetches the
-// batch so it is usually local by the time the block commits.
+// checkTx admits hash-batches and prefetches the batch so it is usually
+// local by the time the block commits.
 //
 // A hash that is not setcrypto.HashSize long is refused before anything
 // else: no batch hashes to it, so no server could ever recover its batch.
 func (h *hashchainAlg) checkTx(tx *wire.Tx) bool {
 	hb := tx.HashBatch
-	if hb == nil || len(hb.Hash) != setcrypto.HashSize {
+	if tx.Kind != wire.TxHashBatch || hb == nil || len(hb.Hash) != setcrypto.HashSize {
 		return false
 	}
 	h.s.chargeCPU(h.s.opts.Costs.VerifySig)

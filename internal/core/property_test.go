@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/setcrypto"
 	"repro/internal/wire"
 )
 
@@ -150,28 +151,37 @@ func TestServerStatsProgress(t *testing.T) {
 }
 
 func TestCheckTxRejectsCrossAlgorithmTraffic(t *testing.T) {
-	// A hash-batch tx must not enter a Vanilla deployment's mempool and
-	// vice versa (a Byzantine server cannot smuggle foreign tx kinds).
-	s, d := deployFull(64, 4, core.Options{Algorithm: core.Vanilla})
-	_ = s
-	srv := d.Servers[0]
-	hb := &wire.Tx{Kind: wire.TxHashBatch, HashBatch: &wire.HashBatch{Hash: []byte("h")}}
-	if srv.CheckTx(hb) {
-		t.Fatal("Vanilla accepted a hash-batch tx")
+	// Each algorithm admits its own transaction kinds only: a Byzantine
+	// server cannot smuggle a foreign kind into a pool. Every tx below is
+	// well formed for its kind, so a refusal is the kind's.
+	for _, alg := range []core.Algorithm{core.Vanilla, core.Compresschain, core.Hashchain} {
+		_, d := deployFull(64, 4, core.Options{Algorithm: alg, CollectorLimit: 10})
+		srv := d.Servers[0]
+		txs := []*wire.Tx{
+			wire.NewElementTx(d.Clients[0].NewElement([]byte("e"))),
+			{Kind: wire.TxProof, Proof: &wire.EpochProof{Epoch: 1, Sig: []byte("s")}},
+			{Kind: wire.TxCompressedBatch, Compressed: &wire.CompressedBatch{CompSize: 5}},
+			{Kind: wire.TxHashBatch, HashBatch: &wire.HashBatch{Hash: make([]byte, setcrypto.HashSize)}},
+			{Kind: 99},
+		}
+		for _, tx := range txs {
+			own := map[core.Algorithm]bool{
+				core.Vanilla:       tx.Kind == wire.TxElement || tx.Kind == wire.TxProof,
+				core.Compresschain: tx.Kind == wire.TxCompressedBatch,
+			}[alg]
+			// The hash-batch is unsigned, so even Hashchain refuses it.
+			if got := srv.CheckTx(tx); got != own {
+				t.Errorf("%v: CheckTx(kind %d) = %v, want %v", alg, tx.Kind, got, own)
+			}
+		}
+		if alg == core.Vanilla {
+			epoch0 := &wire.Tx{Kind: wire.TxProof, Proof: &wire.EpochProof{Epoch: 0, Sig: []byte("s")}}
+			if srv.CheckTx(epoch0) {
+				t.Error("Vanilla accepted an epoch-0 proof")
+			}
+		}
+		d.Stop()
 	}
-	cb := &wire.Tx{Kind: wire.TxCompressedBatch, Compressed: &wire.CompressedBatch{CompSize: 5}}
-	if srv.CheckTx(cb) {
-		t.Fatal("Vanilla accepted a compressed-batch tx")
-	}
-	bad := &wire.Tx{Kind: 99}
-	if srv.CheckTx(bad) {
-		t.Fatal("unknown tx kind accepted")
-	}
-	proofShape := &wire.Tx{Kind: wire.TxProof, Proof: &wire.EpochProof{Epoch: 0, Sig: []byte("s")}}
-	if srv.CheckTx(proofShape) {
-		t.Fatal("epoch-0 proof accepted")
-	}
-	d.Stop()
 }
 
 func TestElementSizesFlowToLedgerBlocks(t *testing.T) {

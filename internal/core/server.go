@@ -70,7 +70,8 @@ type algorithm interface {
 	// the transaction that carries e alone is no larger than the pools
 	// accept (mempool.Mempool.MaxTxBytes).
 	fits(e *wire.Element) bool
-	// checkTx is the algorithm part of ABCI CheckTx.
+	// checkTx is ABCI CheckTx: it admits the algorithm's own transaction
+	// kinds, charging their verification, and refuses every other kind.
 	checkTx(tx *wire.Tx) bool
 	// processBlock handles one committed block and calls done when state
 	// is fully updated (Hashchain may stall on batch recovery in between).
@@ -242,37 +243,9 @@ func (s *Server) Drain() { s.alg.drain() }
 
 // --- ABCI ---
 
-// CheckTx validates transactions at mempool admission on every node.
-func (s *Server) CheckTx(tx *wire.Tx) bool {
-	switch tx.Kind {
-	case wire.TxElement:
-		if s.opts.Algorithm != Vanilla {
-			return false
-		}
-		s.chargeCPU(s.opts.Costs.VerifyElement)
-		return s.validElement(tx.Element)
-	case wire.TxProof:
-		if s.opts.Algorithm != Vanilla {
-			return false
-		}
-		// Deep validation needs history[j] and happens in FinalizeBlock;
-		// here we check shape only.
-		s.chargeCPU(s.opts.Costs.VerifySig)
-		return tx.Proof != nil && tx.Proof.Epoch >= 1 && len(tx.Proof.Sig) > 0
-	case wire.TxCompressedBatch:
-		if s.opts.Algorithm != Compresschain {
-			return false
-		}
-		return tx.Compressed != nil && tx.Compressed.CompSize > 0
-	case wire.TxHashBatch:
-		if s.opts.Algorithm != Hashchain {
-			return false
-		}
-		return s.alg.checkTx(tx)
-	default:
-		return false
-	}
-}
+// CheckTx validates transactions at mempool admission on every node: the
+// algorithm admits its own transaction kinds and refuses every other.
+func (s *Server) CheckTx(tx *wire.Tx) bool { return s.alg.checkTx(tx) }
 
 // FinalizeBlock receives committed blocks in ledger order and feeds the
 // ordered processing queue.

@@ -36,7 +36,20 @@ func (v *vanillaAlg) fits(e *wire.Element) bool {
 	return limit <= 0 || e.WireSize() <= limit
 }
 
-func (v *vanillaAlg) checkTx(tx *wire.Tx) bool { return true }
+// checkTx admits element and proof transactions. A proof is checked for
+// shape only: its deep validation needs history[j] and happens when its
+// block is processed.
+func (v *vanillaAlg) checkTx(tx *wire.Tx) bool {
+	switch tx.Kind {
+	case wire.TxElement:
+		v.s.chargeCPU(v.s.opts.Costs.VerifyElement)
+		return v.s.validElement(tx.Element)
+	case wire.TxProof:
+		v.s.chargeCPU(v.s.opts.Costs.VerifySig)
+		return tx.Proof != nil && tx.Proof.Epoch >= 1 && len(tx.Proof.Sig) > 0
+	}
+	return false
+}
 
 func (v *vanillaAlg) drain() {}
 

@@ -12,66 +12,28 @@
 // netsim.CauseByzantine): restarting a node the plan crashed never
 // revives a node a Byzantine spec silenced.
 //
-// Plans are usually written as JSON (spec.FaultSpec, a "faults" block in
-// any scenario document or a standalone file for setchain-bench -faults)
-// and converted by internal/harness; the chaos_* registry entries ship
-// ready-made schedules. Determinism is what makes faulted runs usable as
-// regression pins in the generated RESULTS.md.
+// Plans are written as JSON (spec.FaultSpec, a "faults" block in any
+// scenario document or a standalone file for setchain-bench -faults), and a
+// plan is that block's event list as it is: this package only executes it.
+// The chaos_* registry entries ship ready-made schedules. Determinism is
+// what makes faulted runs usable as regression pins in the generated
+// RESULTS.md.
 //
 // See DESIGN.md §8 (fault model and the invariant checker).
 package faults
 
 import (
-	"time"
-
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/wire"
 )
 
-// Kind names a fault event's action.
-type Kind string
-
-// The fault event kinds.
-const (
-	// Crash takes Nodes down (they neither send nor receive).
-	Crash Kind = "crash"
-	// Restart brings Nodes back up (unless another cause holds them down).
-	Restart Kind = "restart"
-	// Partition blocks every link between nodes in different Groups.
-	Partition Kind = "partition"
-	// Heal removes every link BLOCK the plan installed (i.e. undoes
-	// Partition). It does not touch LinkFaults: restoring a link that a
-	// Link event degraded takes another Link event with a zero Fault.
-	Heal Kind = "heal"
-	// Link sets the LinkFault for every directed link in From×To (both
-	// directions; empty From/To mean "all nodes"), replacing whatever the
-	// plan set on those links before — repeat every field a later event
-	// (e.g. a delay spike) should keep. A zero Fault restores perfect
-	// links.
-	Link Kind = "link"
-)
-
-// Event is one scheduled fault action.
-type Event struct {
-	// At is the virtual time the action executes.
-	At time.Duration
-	// Kind selects the action; the fields below apply per kind.
-	Kind Kind
-	// Nodes are the targets of Crash/Restart.
-	Nodes []wire.NodeID
-	// Groups are Partition's sides; nodes absent from every group keep
-	// full connectivity.
-	Groups [][]wire.NodeID
-	// From/To scope a Link event; empty means every registered node.
-	From, To []wire.NodeID
-	// Fault is the link behavior a Link event installs.
-	Fault netsim.LinkFault
-}
-
-// Plan is a deterministic fault schedule. The zero value is a no-op.
+// Plan is a deterministic fault schedule: a scenario spec's fault events
+// (spec.FaultEventSpec; the action names are spec's Fault* constants). The
+// zero value is a no-op.
 type Plan struct {
-	Events []Event
+	Events []spec.FaultEventSpec
 }
 
 // Empty reports whether the plan schedules nothing.
@@ -85,10 +47,10 @@ func (p Plan) Scaled(f float64) Plan {
 	if f == 1 || f <= 0 || p.Empty() {
 		return p
 	}
-	out := Plan{Events: make([]Event, len(p.Events))}
+	out := Plan{Events: make([]spec.FaultEventSpec, len(p.Events))}
 	copy(out.Events, p.Events)
 	for i := range out.Events {
-		out.Events[i].At = time.Duration(float64(out.Events[i].At) * f)
+		out.Events[i].At = spec.Duration(float64(out.Events[i].At) * f)
 	}
 	return out
 }
@@ -96,8 +58,8 @@ func (p Plan) Scaled(f float64) Plan {
 // Plans carry no validator of their own: spec.FaultSpec.validate is the
 // single authority (every production path — JSON documents, registry
 // cells, -faults files, matrix axes — flows through it before FromSpec
-// converts to a Plan). Install is tolerant of out-of-range ids: netsim
-// ignores fault state for nodes that do not exist.
+// copies the events into a Plan). Install is tolerant of out-of-range ids:
+// netsim ignores fault state for nodes that do not exist.
 
 // Install schedules every event of the plan on the simulator, acting on
 // the network's fault controller under netsim.CausePlan. Call it after the
@@ -109,27 +71,36 @@ func (p Plan) Install(s *sim.Simulator, net *netsim.Network) {
 	}
 	f := net.Faults()
 	for _, ev := range p.Events {
-		ev := ev
-		s.At(ev.At, func() { apply(f, net, ev) })
+		s.At(ev.At.Std(), func() { apply(f, net, ev) })
 	}
 }
 
-func apply(f *netsim.Faults, net *netsim.Network, ev Event) {
-	switch ev.Kind {
-	case Crash:
+// apply executes one event. Server indices become node ids here, when the
+// event fires.
+func apply(f *netsim.Faults, net *netsim.Network, ev spec.FaultEventSpec) {
+	switch ev.Action {
+	case spec.FaultCrash, spec.FaultRestart:
 		for _, id := range ev.Nodes {
-			f.SetDown(id, netsim.CausePlan, true)
+			f.SetDown(wire.NodeID(id), netsim.CausePlan, ev.Action == spec.FaultCrash)
 		}
-	case Restart:
-		for _, id := range ev.Nodes {
-			f.SetDown(id, netsim.CausePlan, false)
+	case spec.FaultPartition:
+		// Nodes absent from every group keep full connectivity.
+		groups := make([][]wire.NodeID, len(ev.Groups))
+		for i, g := range ev.Groups {
+			groups[i] = nodeIDs(g)
 		}
-	case Partition:
-		f.Partition(netsim.CausePlan, ev.Groups...)
-	case Heal:
+		f.Partition(netsim.CausePlan, groups...)
+	case spec.FaultHeal:
+		// Removes every link block the plan installed, not its link faults:
+		// restoring a degraded link takes another link event.
 		f.Heal(netsim.CausePlan)
-	case Link:
-		from, to := ev.From, ev.To
+	case spec.FaultLink:
+		// Replaces whatever the plan set on these links before, in both
+		// directions; an empty side means every node, and an event with no
+		// fault field set restores perfect links.
+		lf := netsim.LinkFault{Drop: ev.Drop, Duplicate: ev.Duplicate, Reorder: ev.Reorder,
+			ReorderDelay: ev.ReorderDelay.Std(), ExtraDelay: ev.Delay.Std()}
+		from, to := nodeIDs(ev.From), nodeIDs(ev.To)
 		if len(from) == 0 {
 			from = net.NodeIDs()
 		}
@@ -141,9 +112,17 @@ func apply(f *netsim.Faults, net *netsim.Network, ev Event) {
 				if u == v {
 					continue
 				}
-				f.SetLink(u, v, ev.Fault)
-				f.SetLink(v, u, ev.Fault)
+				f.SetLink(u, v, lf)
+				f.SetLink(v, u, lf)
 			}
 		}
 	}
+}
+
+func nodeIDs(ids []int) []wire.NodeID {
+	out := make([]wire.NodeID, len(ids))
+	for i, id := range ids {
+		out[i] = wire.NodeID(id)
+	}
+	return out
 }

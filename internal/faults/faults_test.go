@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/wire"
 )
 
@@ -28,14 +29,14 @@ func down(net *netsim.Network, id wire.NodeID) bool {
 
 func TestInstallExecutesOnSchedule(t *testing.T) {
 	s, net := network(t, 4)
-	p := Plan{Events: []Event{
-		{At: 10 * time.Millisecond, Kind: Crash, Nodes: []wire.NodeID{3}},
-		{At: 20 * time.Millisecond, Kind: Partition,
-			Groups: [][]wire.NodeID{{0, 1}, {2}}},
-		{At: 30 * time.Millisecond, Kind: Restart, Nodes: []wire.NodeID{3}},
-		{At: 40 * time.Millisecond, Kind: Heal},
-		{At: 50 * time.Millisecond, Kind: Link, From: []wire.NodeID{0},
-			To: []wire.NodeID{1}, Fault: netsim.LinkFault{Drop: 0.5}},
+	ms := func(n int) spec.Duration { return spec.Duration(time.Duration(n) * time.Millisecond) }
+	p := Plan{Events: []spec.FaultEventSpec{
+		{At: ms(10), Action: spec.FaultCrash, Nodes: []int{3}},
+		{At: ms(20), Action: spec.FaultPartition, Groups: [][]int{{0, 1}, {2}}},
+		{At: ms(30), Action: spec.FaultRestart, Nodes: []int{3}},
+		{At: ms(40), Action: spec.FaultHeal},
+		{At: ms(50), Action: spec.FaultLink, From: []int{0}, To: []int{1},
+			Drop: 0.5, Duplicate: 0.25, Reorder: 0.125, ReorderDelay: ms(7), Delay: ms(9)},
 	}}
 	p.Install(s, net)
 	f := net.Faults()
@@ -60,14 +61,16 @@ func TestInstallExecutesOnSchedule(t *testing.T) {
 		t.Fatal("heal event did not clear the partition")
 	}
 	s.RunUntil(55 * time.Millisecond)
-	if f.Link(0, 1).Drop != 0.5 || f.Link(1, 0).Drop != 0.5 {
-		t.Fatal("link event did not install the fault in both directions")
+	want := netsim.LinkFault{Drop: 0.5, Duplicate: 0.25, Reorder: 0.125,
+		ReorderDelay: 7 * time.Millisecond, ExtraDelay: 9 * time.Millisecond}
+	if f.Link(0, 1) != want || f.Link(1, 0) != want {
+		t.Fatalf("link event installed %+v and %+v, want %+v in both directions", f.Link(0, 1), f.Link(1, 0), want)
 	}
 }
 
 func TestLinkEventEmptyScopeMeansAllLinks(t *testing.T) {
 	s, net := network(t, 3)
-	Plan{Events: []Event{{Kind: Link, Fault: netsim.LinkFault{Drop: 0.1}}}}.Install(s, net)
+	Plan{Events: []spec.FaultEventSpec{{Action: spec.FaultLink, Drop: 0.1}}}.Install(s, net)
 	s.RunUntil(time.Millisecond)
 	f := net.Faults()
 	for _, u := range net.NodeIDs() {
@@ -99,9 +102,9 @@ func TestEmptyPlanIsNoOp(t *testing.T) {
 // spec layer's job; netsim ignores fault state for unknown nodes).
 func TestInstallToleratesUnknownNodes(t *testing.T) {
 	s, net := network(t, 2)
-	Plan{Events: []Event{
-		{Kind: Crash, Nodes: []wire.NodeID{9}},
-		{Kind: Partition, Groups: [][]wire.NodeID{{0}, {9}}},
+	Plan{Events: []spec.FaultEventSpec{
+		{Action: spec.FaultCrash, Nodes: []int{9}},
+		{Action: spec.FaultPartition, Groups: [][]int{{0}, {9}}},
 	}}.Install(s, net)
 	s.RunUntil(time.Millisecond)
 	if down(net, 0) || down(net, 1) {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -168,31 +169,25 @@ func TestSilentByzantineSurvivesPlanRestart(t *testing.T) {
 	}
 }
 
-// FromSpec maps the declarative fault schedule onto the executable plan.
+// FromSpec copies the spec's fault events into the plan as they are, with
+// the reorder-delay default WithDefaults filled.
 func TestFromSpecMapsFaults(t *testing.T) {
 	sp := faultSpecCells(t)[1] // partition-heal
 	sc, err := FromSpec(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sc.Faults.Events) != 2 {
-		t.Fatalf("plan has %d events, want 2", len(sc.Faults.Events))
-	}
-	part := sc.Faults.Events[0]
-	if part.At != 2*time.Second || string(part.Kind) != spec.FaultPartition ||
-		len(part.Groups) != 2 || len(part.Groups[0]) != 3 {
-		t.Fatalf("partition event mapped wrong: %+v", part)
+	if !reflect.DeepEqual(sc.Faults.Events, sp.Faults.Events) {
+		t.Fatalf("plan %+v, want the spec's events %+v", sc.Faults.Events, sp.Faults.Events)
 	}
 
-	// Link fields map onto netsim.LinkFault, with the reorder-delay
-	// default filled by WithDefaults.
-	lossy, err := FromSpec(faultSpecCells(t)[2])
+	lossy := faultSpecCells(t)[2]
+	lossy.Faults.Events[0].ReorderDelay = 0
+	sc, err = FromSpec(lossy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf := lossy.Faults.Events[0].Fault
-	if lf.Drop != 0.05 || lf.Duplicate != 0.02 || lf.Reorder != 0.3 ||
-		lf.ReorderDelay != 15*time.Millisecond {
-		t.Fatalf("link fault mapped wrong: %+v", lf)
+	if got := sc.Faults.Events[0].ReorderDelay; got != spec.DefaultReorderDelay {
+		t.Fatalf("reorder delay %v, want the default %v", got.Std(), spec.DefaultReorderDelay.Std())
 	}
 }

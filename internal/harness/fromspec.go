@@ -4,13 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/mempool"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/shard"
 	"repro/internal/spec"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -88,78 +85,16 @@ func FromSpec(sp spec.ScenarioSpec) (Scenario, error) {
 			})
 		}
 	}
-	if a := sp.Admission; a != nil {
-		sc.Admission = AdmissionCfg{
-			AdmissionConfig: mempool.AdmissionConfig{
-				Policy:      a.Policy,
-				Watermark:   a.Watermark,
-				MaxDelay:    a.MaxDelay.Std(),
-				MaxDeferred: a.MaxDeferred,
-			},
-			MaxTxs:   a.MaxTxs,
-			MaxBytes: a.MaxBytes,
-		}
+	if sp.Admission != nil {
+		sc.Admission = *sp.Admission
 	}
-	if b := sp.Byzantine; b != nil {
-		sc.Byzantine = ByzantineCfg{
-			Faulty:      b.Faulty,
-			Behaviors:   append([]string(nil), b.Behaviors...),
-			InjectCount: b.InjectCount,
-		}
+	if sp.Byzantine != nil {
+		sc.Byzantine = *sp.Byzantine
 	}
-	sc.Faults = FaultPlanFromSpec(sp.Faults)
+	if sp.Faults != nil && len(sp.Faults.Events) > 0 { // no events: the zero plan
+		sc.Faults.Events = sp.Faults.Events
+	}
 	return sc, nil
-}
-
-// FaultPlanFromSpec converts the declarative fault schedule into the
-// executable plan the simulator installs. The spec's action names are the
-// plan's Kind strings, so the mapping is mechanical; spec.Validate has
-// already checked ranges and probabilities by the time FromSpec calls this.
-func FaultPlanFromSpec(fs *spec.FaultSpec) faults.Plan {
-	if fs == nil || len(fs.Events) == 0 {
-		return faults.Plan{}
-	}
-	plan := faults.Plan{Events: make([]faults.Event, len(fs.Events))}
-	for i, ev := range fs.Events {
-		plan.Events[i] = faults.Event{
-			At:     ev.At.Std(),
-			Kind:   faults.Kind(ev.Action),
-			Nodes:  nodeIDs(ev.Nodes),
-			Groups: nodeGroups(ev.Groups),
-			From:   nodeIDs(ev.From),
-			To:     nodeIDs(ev.To),
-			Fault: netsim.LinkFault{
-				Drop:         ev.Drop,
-				Duplicate:    ev.Duplicate,
-				Reorder:      ev.Reorder,
-				ReorderDelay: ev.ReorderDelay.Std(),
-				ExtraDelay:   ev.Delay.Std(),
-			},
-		}
-	}
-	return plan
-}
-
-func nodeIDs(ids []int) []wire.NodeID {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]wire.NodeID, len(ids))
-	for i, id := range ids {
-		out[i] = wire.NodeID(id)
-	}
-	return out
-}
-
-func nodeGroups(groups [][]int) [][]wire.NodeID {
-	if len(groups) == 0 {
-		return nil
-	}
-	out := make([][]wire.NodeID, len(groups))
-	for i, g := range groups {
-		out[i] = nodeIDs(g)
-	}
-	return out
 }
 
 // FromSpecScaled converts the spec and applies a run-time scale factor on
@@ -211,7 +146,7 @@ func RunSpecs(sps []spec.ScenarioSpec, scale float64) ([]*Result, error) {
 // cfg.Faulty highest-indexed servers, never server 0 (the observer), and
 // records them as faulty. Called between Deploy and Start; a zero config
 // is a no-op.
-func applyByzantine(d *shard.Deployment, k int, cfg ByzantineCfg) {
+func applyByzantine(d *shard.Deployment, k int, cfg spec.ByzantineSpec) {
 	if cfg.Faulty <= 0 || len(cfg.Behaviors) == 0 {
 		return
 	}

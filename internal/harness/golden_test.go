@@ -12,7 +12,7 @@ import (
 	"repro/internal/spec"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/fingerprints.json from this build")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from this build")
 
 // goldenScale keeps the whole catalog's first cells to a few seconds while
 // every one of them still commits elements.

@@ -131,14 +131,15 @@ type Scenario struct {
 	// zero value is the closed system; time axes scale with Scale like
 	// the send window does.
 	Open workload.OpenConfig
-	// Admission enables mempool admission control; the zero value keeps
-	// admission off.
-	Admission AdmissionCfg
-	// Byzantine makes the highest-indexed servers faulty.
-	Byzantine ByzantineCfg
+	// Admission enables mempool admission control (the spec's block as
+	// spec.WithDefaults left it); the zero value keeps admission off.
+	Admission spec.AdmissionSpec
+	// Byzantine makes the highest-indexed servers faulty; server 0, the
+	// metrics observer, never is. The zero value means all are correct.
+	Byzantine spec.ByzantineSpec
 	// Faults schedules deterministic network fault injection (crashes,
 	// partitions, link loss) as simulator events; the zero Plan is
-	// fault-free. Usually built from a spec.FaultSpec by FromSpec.
+	// fault-free. FromSpec sets it to the spec's fault events.
 	Faults faults.Plan
 	// CheckpointInterval seals a pruning checkpoint on every server each
 	// time this many further epochs settle (core.Options.CheckpointInterval;
@@ -158,32 +159,6 @@ type Scenario struct {
 	// protocol (consensus.Params.SyncChunkBytes); 0 keeps the 64 KiB
 	// default.
 	SyncChunkBytes int
-}
-
-// AdmissionCfg configures mempool admission control for a scenario: the
-// mempool.AdmissionConfig knobs plus pool-cap overrides (the paper's
-// 10M-tx/2GB caps are unreachable; an admission experiment picks caps
-// the workload can actually saturate). The zero value keeps admission
-// off. Behavior names are the spec package's (spec.AdmissionReject,
-// spec.AdmissionDelay).
-type AdmissionCfg struct {
-	mempool.AdmissionConfig
-	// MaxTxs / MaxBytes override the mempool caps (0 keeps the paper's).
-	MaxTxs   int
-	MaxBytes int
-}
-
-// ByzantineCfg configures faulty servers for a scenario. The zero value
-// means all servers are correct. Behavior names are the spec package's
-// (spec.BehaviorSilent etc.); server 0, the metrics observer, is never
-// made faulty.
-type ByzantineCfg struct {
-	// Faulty is how many of the highest-indexed servers misbehave.
-	Faulty int
-	// Behaviors lists the preset fault behaviors every faulty server runs.
-	Behaviors []string
-	// InjectCount is the bogus-element count for "inject-invalid".
-	InjectCount int
 }
 
 // withDefaults derives what no spec holds: the horizon (SendFor +
@@ -320,13 +295,14 @@ func deployConfig(sc Scenario) (core.Options, ledger.Config) {
 	if sc.SyncChunkBytes > 0 {
 		lcfg.Consensus.SyncChunkBytes = sc.SyncChunkBytes
 	}
-	if sc.Admission.Policy != "" {
-		lcfg.Mempool.Admission = sc.Admission.AdmissionConfig
-		if sc.Admission.MaxTxs > 0 {
-			lcfg.Mempool.MaxTxs = sc.Admission.MaxTxs
+	if a := sc.Admission; a.Policy != "" {
+		lcfg.Mempool.Admission = mempool.AdmissionConfig{Policy: a.Policy, Watermark: a.Watermark,
+			MaxDelay: a.MaxDelay.Std(), MaxDeferred: a.MaxDeferred}
+		if a.MaxTxs > 0 {
+			lcfg.Mempool.MaxTxs = a.MaxTxs
 		}
-		if sc.Admission.MaxBytes > 0 {
-			lcfg.Mempool.MaxBytes = sc.Admission.MaxBytes
+		if a.MaxBytes > 0 {
+			lcfg.Mempool.MaxBytes = a.MaxBytes
 		}
 	}
 	if sc.Mode == core.Full {

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -189,6 +190,46 @@ func TestRenderRejectsStaleArtifact(t *testing.T) {
 	if _, err := Render(unmeasured, paper, reduced, Options{}); err == nil ||
 		!strings.Contains(err.Error(), "not measured") {
 		t.Fatalf("unmeasured reference must fail rendering, got %v", err)
+	}
+}
+
+// ValidateAgainst is setchain-report's check, before any simulation, that
+// the committed artifact still covers the catalog: it refuses an artifact
+// without a simulated entry's record, and one whose cell ran another spec
+// than the registry's defaulted one, naming the entry either way. The
+// analytic entry needs no record.
+func TestValidateAgainstRefusesStaleArtifact(t *testing.T) {
+	catalog := miniCatalog()
+	artifact := func() *Artifact {
+		a := &Artifact{}
+		for _, e := range catalog {
+			if len(e.Cells) == 0 {
+				continue
+			}
+			rec := ExperimentRecord{Name: e.Name}
+			for i, c := range e.Cells {
+				rec.Cells = append(rec.Cells, CellRecord{Index: i, Spec: c.WithDefaults()})
+			}
+			a.Experiments = append(a.Experiments, rec)
+		}
+		return a
+	}
+	if err := ValidateAgainst(catalog, artifact()); err != nil {
+		t.Fatalf("an artifact recorded from the catalog refused: %v", err)
+	}
+
+	missing := artifact()
+	missing.Experiments = slices.DeleteFunc(missing.Experiments,
+		func(r ExperimentRecord) bool { return r.Name == "mini_grid" })
+	if err := ValidateAgainst(catalog, missing); err == nil || !strings.Contains(err.Error(), `"mini_grid"`) {
+		t.Errorf("artifact without mini_grid's record: ValidateAgainst = %v, want an error naming it", err)
+	}
+
+	stale := artifact()
+	stale.Experiments[0].Cells[1].Spec.Rate = 999
+	if err := ValidateAgainst(catalog, stale); err == nil ||
+		!strings.Contains(err.Error(), `"mini_tput"`) || !strings.Contains(err.Error(), "different spec") {
+		t.Errorf("artifact with an edited mini_tput cell: ValidateAgainst = %v, want a different-spec error naming it", err)
 	}
 }
 

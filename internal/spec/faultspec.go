@@ -7,10 +7,10 @@ import (
 )
 
 // This file is the pure-data form of scheduled fault injection: a
-// FaultSpec serializes the fault plan a scenario runs under, and
-// internal/harness converts it into an executable faults.Plan. Keeping
-// the JSON shape here (stdlib-only) and the executor in internal/faults
-// preserves the package's layering rule: spec describes, harness runs.
+// FaultSpec serializes the fault plan a scenario runs under, and its
+// events are the executable faults.Plan as they are. Keeping the JSON
+// shape here (stdlib-only) and the executor in internal/faults preserves
+// the package's layering rule: spec describes, faults runs.
 // See DESIGN.md §7 (declarative scenarios) and §8 (fault model).
 
 // Fault actions (FaultEventSpec.Action).

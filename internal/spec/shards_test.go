@@ -24,6 +24,11 @@ func TestShardsValidation(t *testing.T) {
 		{"negative", func(s *ScenarioSpec) { s.Shards = -1 }, "shards must be >= 0"},
 		{"huge", func(s *ScenarioSpec) { s.Shards = 65 }, "shards must be <= 64"},
 		{"stages", func(s *ScenarioSpec) { s.Metrics = MetricsStages }, "not aggregated across shards"},
+		// A fanout is refused on any transport but the mesh, the unset one
+		// included, naming the transport the cell runs.
+		{"fanout unset transport", func(s *ScenarioSpec) { s.Fanout = 8 }, `fanout is a mesh parameter; transport is "broadcast"`},
+		{"fanout broadcast", func(s *ScenarioSpec) { s.Transport, s.Fanout = TransportBroadcast, 8 }, `transport is "broadcast"`},
+		{"mesh fanout 1", func(s *ScenarioSpec) { s.Transport, s.Fanout = TransportMesh, 1 }, "fanout >= 2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := shardedSpec(4)
