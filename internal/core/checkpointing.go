@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"maps"
 	"slices"
 	"time"
 
@@ -116,93 +115,75 @@ func (s *Server) prune(ck checkpoint.Checkpoint) {
 
 // SyncState is the application half of a state-sync snapshot: the
 // Setchain state needed on top of the checkpoint chain to resume from the
-// seal height. It is built in two halves, both inside the serving server's
-// own events, and shares nothing mutable with that server (DESIGN.md §11):
+// seal height. It states each fact once — the elements of an epoch at or
+// below the checkpoint in Members, of one above it in Epochs — and shares
+// with the serving server only what that server never writes again
+// (DESIGN.md §11):
 //
-//   - the small half — whatever is mutable as of the seal height: suffix
-//     epochs with their proofs, Hashchain's pending signers, LastEpoch,
-//     CkptBytes — is copied at the seal (freezeSyncState), the only moment
-//     it has its seal-height value;
-//   - the big half — Members, O(total state) — is built the first time the
-//     snapshot is offered to a peer (ServeSnapshot). The element index it
-//     is filtered from is grow-only and an entry, once stamped, never
-//     changes, so the filter returns the seal-time index at any later
-//     moment.
+//   - Epochs and Pending are taken at the seal (freezeSyncState), the only
+//     moment they have their seal-height value. An epoch's Elements and Hash
+//     never change, so a sealed epoch shares them with the live one; only
+//     its Proofs grow, by appends past the length the seal clipped them to.
+//   - Members is filled the first time the snapshot is offered to a peer
+//     (ServeSnapshot), with views of the element index's epoch slices. The
+//     index is grow-only and never restamps an id, so those slices are the
+//     seal-time membership at any later moment.
 //
 // Nothing is written after the first hand-off: a requester reads the
-// snapshot while the serving server keeps mutating its live index, re-serving the same snapshot only reads it, and an installer
-// adopts copies of its epochs (InstallSync). Only the leaf *wire.Element and
-// *wire.EpochProof pointers are shared with the server — immutable wire
-// payloads, exactly what the read-only-shared-payload convention permits.
+// snapshot while the serving server keeps running, re-serving the same
+// snapshot only reads it, and an installer adopts copies of its epochs
+// (InstallSync).
 type SyncState struct {
-	// Epochs are frozen copies of the created epochs above the checkpoint,
-	// with the proofs accepted for them, as of the seal height, ascending by
-	// number.
+	// Members holds, for each epoch n from 1 through the checkpoint, the
+	// elements stamped with n at Members[n-1]. Nil until the snapshot is
+	// first served.
+	Members [][]*wire.Element
+	// Epochs are the created epochs above the checkpoint, with the proofs
+	// accepted for them as of the seal height, ascending by number.
 	Epochs []*Epoch
-	// LastEpoch is the highest created epoch at seal time (the checkpoint
-	// epoch when Epochs is empty).
-	LastEpoch uint64
-	// Members is the membership index through LastEpoch: each element in an
-	// epoch, by id, with the epoch. Nil until the snapshot is first served.
-	Members map[wire.ElementID]Member
-	// PendingSigners carries Hashchain's ledger signer sets for batches
-	// not yet consolidated at seal time: their remaining signatures arrive
-	// in the replayed suffix and must count on top of these. Sorted per
-	// batch for determinism; nil for other algorithms.
-	PendingSigners map[wire.Digest][]wire.NodeID
-	// LightBatches carries, under Light, the batch of each pending record.
-	// A Light server gets a batch only on its origin's hash-batch, and an
-	// installer never replays the blocks at or below the seal height, so
-	// without these the rest of the signatures would find no content. Like
-	// the hash-batch's own batch, they are not counted in the snapshot's
-	// bytes. Nil otherwise.
-	LightBatches map[wire.Digest]*wire.Batch
-	// CkptBytes is the serving server's modeled element-byte total through
-	// the checkpoint, so the installer's next seal sizes its own snapshot
-	// consistently.
-	CkptBytes uint64
+	// Pending lists Hashchain's batches not yet consolidated at seal time:
+	// their remaining signatures arrive in the replayed suffix and must
+	// count on top of these. Nil for other algorithms.
+	Pending []PendingBatch
 }
 
-// Member is one entry of SyncState.Members: an element and its epoch.
-type Member struct {
-	Element *wire.Element
-	Epoch   uint64
+// PendingBatch is one unconsolidated Hashchain batch of a snapshot.
+type PendingBatch struct {
+	Hash []byte
+	// Signers are the servers whose hash-batch the ledger holds, ascending.
+	Signers []wire.NodeID
+	// Batch is, under Light, the batch itself. A Light server gets a batch
+	// only on its origin's hash-batch, and an installer never replays the
+	// blocks at or below the seal height, so without it the rest of the
+	// signatures would find no content. Like the hash-batch's own batch, it
+	// is not counted in the snapshot's bytes. Nil otherwise.
+	Batch *wire.Batch
 }
 
 var _ consensus.StateSyncer = (*Server)(nil)
 
 // freezeSyncState captures the seal-time half of the snapshot for this
-// checkpoint, at a cost bounded by the checkpoint interval: the epochs
-// above the checkpoint and their proofs are live structures that keep
-// changing, so they are copied now. Members is left to ServeSnapshot, and
-// Chain is a capped prefix of the append-only checkpoint chain — later
+// checkpoint, at a cost bounded by the checkpoint interval: each epoch
+// above the checkpoint is kept as a struct copy with its proofs clipped, and
+// Hashchain's pending batches are listed. Members is left to ServeSnapshot,
+// and Chain is a capped prefix of the append-only checkpoint chain — later
 // seals append past it (or reallocate), never into it.
 func (s *Server) freezeSyncState(ck checkpoint.Checkpoint) {
-	created := s.prunedEpochs + uint64(len(s.history))
-	st := &SyncState{LastEpoch: created, CkptBytes: s.ckptBytes}
+	st := &SyncState{}
 	size := int(s.ckptBytes) + len(s.checkpoints)*checkpoint.EntryWireSize
-	for e := ck.Epoch + 1; e <= created; e++ {
-		ep := s.history[e-1-s.prunedEpochs]
-		// Copy the epoch struct, its element and its proof slices; the
-		// element and proof pointers themselves are immutable shared payloads.
-		st.Epochs = append(st.Epochs, &Epoch{
-			Number:   ep.Number,
-			Elements: append([]*wire.Element(nil), ep.Elements...),
-			Hash:     append([]byte(nil), ep.Hash...),
-			Proofs:   append([]*wire.EpochProof(nil), ep.Proofs...),
-		})
+	for _, ep := range s.history[ck.Epoch-s.prunedEpochs:] {
+		cp := *ep
+		cp.Proofs = slices.Clip(ep.Proofs)
+		st.Epochs = append(st.Epochs, &cp)
 		size += epochFrameSize + len(ep.Proofs)*wire.EpochProofWireSize
 		for _, el := range ep.Elements {
 			size += el.WireSize()
 		}
 	}
 	if h, ok := s.alg.(*hashchainAlg); ok {
-		st.PendingSigners = h.pendingSigners()
-		if s.opts.Light {
-			st.LightBatches = h.pendingBatches()
-		}
-		for _, ids := range st.PendingSigners {
-			size += len(ids) * wire.EpochProofWireSize
+		st.Pending = h.pendingBatches()
+		for _, p := range st.Pending {
+			size += len(p.Signers) * wire.EpochProofWireSize
 		}
 	}
 	n := len(s.checkpoints)
@@ -223,25 +204,19 @@ func (s *Server) SyncSnapshot() (*checkpoint.Snapshot, bool) {
 
 // ServeSnapshot implements consensus.StateSyncer: complete a snapshot this
 // server sealed — the newest, or an older one consensus still holds a
-// certificate for — by building its Members, once, from the live element
-// index. That is exact at any time after the seal: the index only grows,
-// never rebinds an id and never restamps one, and epochs are created in
-// number order, so the entries stamped at or below LastEpoch are precisely
-// the seal-time index. (Elements of the_set not yet in an epoch at the seal
-// are not carried, and Bytes never counted them.)
+// certificate for — by filling its Members, once, with clipped views of the
+// element index's epoch slices through the checkpoint. That is exact at any
+// time after the seal: the index never rebinds or restamps an id, so an
+// epoch's slice only ever gains what a later stamp of its own number adds,
+// which on a correct server is nothing once the epoch exists.
 // Under the ForgeSnapshot behavior the offer is a forgery built on top.
 func (s *Server) ServeSnapshot(snap *checkpoint.Snapshot) *checkpoint.Snapshot {
 	st := snap.State.(*SyncState)
 	if st.Members == nil {
-		n := snap.Last.Elements
-		for _, ep := range st.Epochs {
-			n += uint64(len(ep.Elements))
+		st.Members = make([][]*wire.Element, snap.Last.Epoch)
+		for i := range st.Members {
+			st.Members[i] = slices.Clip(s.elems.epochs[i+1])
 		}
-		members := make(map[wire.ElementID]Member, n)
-		for id, m := range s.elems.members(st.LastEpoch) {
-			members[id] = m
-		}
-		st.Members = members
 	}
 	if s.behavior != nil && s.behavior.ForgeSnapshot {
 		return s.forgeSnapshot(snap, st)
@@ -255,14 +230,14 @@ func (s *Server) ServeSnapshot(snap *checkpoint.Snapshot) *checkpoint.Snapshot {
 // snapshot's chain folds to the checkpoint commitment a 2f+1-certified
 // block header binds — a peer cannot forge sealed history, even history
 // this server never saw. What remains here is everything locally
-// checkable: the local checkpoint chain must be a prefix of the
-// snapshot's, chain digests covering locally retained epochs must
-// recompute, the membership index must account for exactly the certified
-// cumulative element count, and the snapshot's suffix epochs must hash
-// correctly and agree with any local epochs of the same number. The
-// end-of-run invariant checker cross-validates every install on top.
-// Returns false, leaving state untouched, when the snapshot is stale or
-// inconsistent.
+// checkable: the membership must account for exactly the certified epochs
+// and cumulative element count, the local checkpoint chain must be a prefix
+// of the snapshot's, chain digests covering locally retained epochs must
+// recompute, and the snapshot's suffix epochs must hash correctly, agree
+// with any local epochs of the same number and carry only proofs
+// acceptProof would take. The end-of-run invariant checker cross-validates
+// every install on top. Returns false, leaving state untouched, when the
+// snapshot is stale or inconsistent.
 func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	st, ok := snap.State.(*SyncState)
 	if !ok || st == nil {
@@ -273,30 +248,41 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	if len(snap.Chain) == 0 || snap.Chain[len(snap.Chain)-1] != ck {
 		return false
 	}
-	if st.LastEpoch < total || ck.Epoch+uint64(len(st.Epochs)) != st.LastEpoch {
-		return false // snapshot older than local state, or malformed
+	if ck.Epoch+uint64(len(st.Epochs)) < total {
+		return false // snapshot older than local state
 	}
-	// The certified chain commits to the cumulative element count through
-	// the checkpoint: the membership index must account for exactly that
-	// many elements at or below ck.Epoch (and none beyond LastEpoch), so a
+	// The certified chain commits to the epoch count and the cumulative
+	// element count through the checkpoint: the membership must list exactly
+	// that many epochs, each holding an element, and that many elements, so a
 	// peer cannot pad the set with elements hidden below the prune horizon.
-	// An element filed under an id that is not its own would land beside the
-	// entry the index promised. Every epoch holds at least one element, so
-	// the checkpoint covers no more epochs than that count — which also bounds
-	// the epoch numbers the index registers by the snapshot's size.
-	var below uint64
-	for id, m := range st.Members {
-		if m.Element == nil || m.Element.ID != id {
+	// No id may appear twice, there or in the suffix: the installer's index
+	// would keep only the first.
+	if uint64(len(st.Members)) != ck.Epoch {
+		return false
+	}
+	var seen wire.IDMap[struct{}]
+	fresh := func(elems []*wire.Element) bool {
+		for _, el := range elems {
+			if el == nil {
+				return false
+			}
+			if _, ok := seen.Slot(el.ID); !ok {
+				return false
+			}
+		}
+		return true
+	}
+	var count, ckptBytes uint64
+	for _, elems := range st.Members {
+		if len(elems) == 0 || !fresh(elems) {
 			return false
 		}
-		switch {
-		case m.Epoch == 0 || m.Epoch > st.LastEpoch:
-			return false
-		case m.Epoch <= ck.Epoch:
-			below++
+		count += uint64(len(elems))
+		for _, el := range elems {
+			ckptBytes += uint64(el.Size)
 		}
 	}
-	if below != ck.Elements || ck.Epoch > ck.Elements {
+	if count != ck.Elements {
 		return false
 	}
 	for i, mine := range s.checkpoints {
@@ -326,12 +312,13 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 		prev = entry
 	}
 	// Verify the suffix epochs: contiguous numbering, recomputable hashes,
-	// and agreement with local epochs of the same number.
+	// agreement with local epochs of the same number, and proofs as
+	// acceptProof takes them.
 	num := ck.Epoch
 	var cost time.Duration
 	for _, ep := range st.Epochs {
 		num++
-		if ep == nil || slices.Contains(ep.Elements, nil) {
+		if ep == nil || !fresh(ep.Elements) {
 			return false
 		}
 		if ep.Number != num || !bytes.Equal(ep.Hash, s.epochHashFor(ep.Number, ep.Elements)) {
@@ -342,40 +329,26 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 				return false
 			}
 		}
-		cost += time.Duration(len(ep.Elements)) * s.opts.Costs.PerElement
-	}
-	// The suffix must account for the rest of the membership index: every
-	// index entry above the checkpoint names a suffix epoch, and that epoch
-	// must actually contain the element — otherwise a peer could smuggle
-	// elements into the set through the index while every epoch hash still
-	// verified.
-	var above uint64
-	for _, ep := range st.Epochs {
-		for _, el := range ep.Elements {
-			if m, ok := st.Members[el.ID]; !ok || m.Epoch != ep.Number {
-				return false
-			}
-			above++
+		if !s.validProofs(ep) {
+			return false
 		}
-	}
-	if below+above != uint64(len(st.Members)) {
-		return false
+		cost += time.Duration(len(ep.Elements)) * s.opts.Costs.PerElement
 	}
 	s.chargeCPU(cost)
 
-	// Adopt: checkpoint chain, suffix history with its proofs as of the
-	// seal height, membership through LastEpoch. Each adopted epoch is this
-	// server's own copy, its proofs capped at their length: acceptProof
-	// appends to them, and the snapshot may be served to other peers too.
-	// The index stamps the members at or below the checkpoint an epoch at a
-	// time and the suffix through the adopted epochs, whose elements the
-	// checks above matched to the rest of the members one for one.
+	// Adopt: checkpoint chain, membership through the checkpoint an epoch at
+	// a time, suffix history with its proofs as of the seal height. Each
+	// adopted epoch is this server's own copy, its proofs capped at their
+	// length: acceptProof appends to them, and the snapshot may be served to
+	// other peers too.
 	s.checkpoints = append([]checkpoint.Checkpoint(nil), snap.Chain...)
 	s.ckptFold = checkpoint.FoldChain(s.checkpoints)
 	s.prunedEpochs = ck.Epoch
 	s.prunedElements = ck.Elements
-	s.ckptBytes = st.CkptBytes
-	s.elems.stampMembers(st.Members, ck.Epoch)
+	s.ckptBytes = ckptBytes
+	for i, elems := range st.Members {
+		s.elems.stampEpoch(uint64(i+1), elems)
+	}
 	s.history = make([]*Epoch, len(st.Epochs))
 	for i, ep := range st.Epochs {
 		cp := *ep
@@ -386,7 +359,7 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	s.settled = ck.Epoch
 	s.settle()
 	if h, ok := s.alg.(*hashchainAlg); ok {
-		h.installPending(st.PendingSigners, st.LightBatches)
+		h.installPending(st.Pending)
 	}
 	// Queued blocks predate the checkpoint and are fully covered by the
 	// installed state; the replayed suffix arrives through consensus.
@@ -398,53 +371,59 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 	return true
 }
 
-// pendingSigners snapshots Hashchain's per-batch ledger signer sets for
-// unconsolidated batches, each ascending for deterministic installs.
-func (h *hashchainAlg) pendingSigners() map[wire.Digest][]wire.NodeID {
-	out := make(map[wire.Digest][]wire.NodeID, len(h.pending))
-	for _, r := range h.pending {
-		out[wire.DigestOf(r.hash)] = r.signers.ids()
+// validProofs reports whether every proof of ep is one acceptProof would
+// have taken for it: of ep's number, validly signed over ep's hash, and
+// from a signer no earlier proof of ep names. It charges nothing: the
+// serving server paid for each of them when it accepted it.
+func (s *Server) validProofs(ep *Epoch) bool {
+	for i, p := range ep.Proofs {
+		if p == nil || p.Epoch != ep.Number || !wire.VerifyEpochProof(s.suite, s.registry, p, ep.Hash) {
+			return false
+		}
+		for _, q := range ep.Proofs[:i] {
+			if q.Signer == p.Signer {
+				return false
+			}
+		}
 	}
-	return out
+	return true
 }
 
-// pendingBatches is what a Light snapshot ships with the pending signer
-// sets: the batch of each pending record that has one.
-func (h *hashchainAlg) pendingBatches() map[wire.Digest]*wire.Batch {
-	out := make(map[wire.Digest]*wire.Batch, len(h.pending))
-	for _, r := range h.pending {
-		if r.batch != nil {
-			out[wire.DigestOf(r.hash)] = r.batch
+// pendingBatches lists Hashchain's unconsolidated batches in pending order,
+// each with its ledger signers ascending and, under Light, its batch.
+func (h *hashchainAlg) pendingBatches() []PendingBatch {
+	out := make([]PendingBatch, len(h.pending))
+	for i, r := range h.pending {
+		out[i] = PendingBatch{Hash: r.hash, Signers: r.signers.ids()}
+		if h.s.opts.Light {
+			out[i].Batch = r.batch
 		}
 	}
 	return out
 }
 
 // installPending replaces the signer state with a snapshot's pending
-// sets: signatures in blocks at or below the seal height are invisible to
-// the installing node, so the suffix replay must count on top of these.
+// batches: signatures in blocks at or below the seal height are invisible
+// to the installing node, so the suffix replay must count on top of these.
 // Everything else a record holds — content, consolidation, a fetch in
 // flight — is this server's own and stays, except that a record without a
 // batch takes the one a Light snapshot carries for it. Own-signature memory
 // is rebuilt from the sets to avoid double-signing. A signer the registry
 // does not know cannot have signed anything and is skipped, and so is a
 // hash that is not setcrypto.HashSize long: no hash-batch carries one.
-func (h *hashchainAlg) installPending(pending map[wire.Digest][]wire.NodeID, batches map[wire.Digest]*wire.Batch) {
+func (h *hashchainAlg) installPending(pending []PendingBatch) {
 	for len(h.pending) > 0 {
 		h.releaseSigners(h.pending[len(h.pending)-1])
 	}
-	for key, b := range batches {
-		if hash := key.Bytes(); len(hash) == setcrypto.HashSize {
-			h.rec(hash).register(b)
-		}
-	}
-	for key, ids := range pending {
-		hash := key.Bytes()
-		if len(hash) != setcrypto.HashSize {
+	for _, p := range pending {
+		if len(p.Hash) != setcrypto.HashSize {
 			continue
 		}
-		r := h.rec(hash)
-		for _, id := range ids {
+		r := h.rec(p.Hash)
+		if p.Batch != nil {
+			r.register(p.Batch)
+		}
+		for _, id := range p.Signers {
 			if h.s.registry.Lookup(int(id)) == nil {
 				continue
 			}
@@ -501,18 +480,18 @@ func (s *Server) VerifyCommitment(epoch, fold uint64) bool {
 	return epoch == 0 && fold == h
 }
 
-// forgeSnapshot is the ForgeSnapshot behavior's offer: a deep copy of a
-// served snapshot extended with one fabricated checkpoint that "settles"
-// the honest suffix plus a forged epoch of bogus elements. The forgery is
-// crafted to pass every LOCAL check a behind requester can run —
-// internally consistent digests, hashes, and element counts — so before
-// the header binding it installed cleanly and smuggled bogus elements into
-// the requester's set; the certified fold check rejects it because the
-// fabricated chain cannot fold to any quorum-signed commitment. It keeps
-// Last.Height, so it is offered exactly when the honest snapshot would be.
+// forgeSnapshot is the ForgeSnapshot behavior's offer: a served snapshot
+// extended with one fabricated checkpoint that "settles" the honest suffix
+// plus a forged epoch of bogus elements. The forgery is crafted to pass
+// every LOCAL check a behind requester can run — internally consistent
+// digests, hashes, and element counts — so before the header binding it
+// installed cleanly and smuggled bogus elements into the requester's set;
+// the certified fold check rejects it because the fabricated chain cannot
+// fold to any quorum-signed commitment. It keeps Last.Height, so it is
+// offered exactly when the honest snapshot would be.
 func (s *Server) forgeSnapshot(snap *checkpoint.Snapshot, st *SyncState) *checkpoint.Snapshot {
 	const bogusN = 3
-	forgedNum := st.LastEpoch + 1
+	forgedNum := snap.Last.Epoch + uint64(len(st.Epochs)) + 1
 	bogus := make([]*wire.Element, 0, bogusN)
 	for i := 0; i < bogusN; i++ {
 		bogus = append(bogus, bogusElement(0xFD, byte(s.id), byte(forgedNum), byte(i)))
@@ -522,26 +501,18 @@ func (s *Server) forgeSnapshot(snap *checkpoint.Snapshot, st *SyncState) *checkp
 
 	// Fabricated checkpoint covering (Last.Epoch, forgedNum]: chain the
 	// honest suffix epochs, then the forged one — internally consistent,
-	// provably unsigned.
-	ckF, bytes := extendCheckpoint(snap.Last, st.CkptBytes, append(slices.Clip(st.Epochs), forgedEp))
-
-	fst := &SyncState{
-		LastEpoch: forgedNum,
-		Members:   make(map[wire.ElementID]Member, len(st.Members)+bogusN),
-		// Everything is claimed sealed, so no suffix epochs survive the
-		// fabricated horizon.
-		PendingSigners: st.PendingSigners,
-		LightBatches:   st.LightBatches,
-		CkptBytes:      bytes,
-	}
-	maps.Copy(fst.Members, st.Members)
-	for _, el := range bogus {
-		fst.Members[el.ID] = Member{Element: el, Epoch: forgedNum}
+	// provably unsigned. Everything is claimed sealed, so the suffix epochs
+	// join the membership and none survive the fabricated horizon.
+	eps := append(slices.Clip(st.Epochs), forgedEp)
+	ckF, _ := extendCheckpoint(snap.Last, 0, eps)
+	members := slices.Clip(st.Members)
+	for _, ep := range eps {
+		members = append(members, ep.Elements)
 	}
 	return &checkpoint.Snapshot{
 		Last:  ckF,
-		Chain: append(append([]checkpoint.Checkpoint(nil), snap.Chain...), ckF),
-		State: fst,
+		Chain: append(slices.Clip(snap.Chain), ckF),
+		State: &SyncState{Members: members, Pending: st.Pending},
 		Bytes: snap.Bytes + bogusN*bogusSize,
 	}
 }

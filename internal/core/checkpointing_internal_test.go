@@ -10,46 +10,52 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/ledger"
+	"repro/internal/setcrypto"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
-// EagerSyncMembers is the copy of the membership index that every seal used
-// to make, kept as the reference implementation TestLateServeEquivalence
-// holds ServeSnapshot's serve-time filter against. It takes the members from
-// the id table's marks and finds each one's element and epoch by its
-// own scan of the epoch slices, the first occurrence of an id winning, so it
-// shares no walk with ServeSnapshot's. A stamped id the scan does not find
-// gets a zero Member, which no snapshot's entry equals.
-func (s *Server) EagerSyncMembers() map[wire.ElementID]Member {
-	scanned := make(map[wire.ElementID]Member)
+// EagerSyncMembers is the membership a snapshot sealed at epoch through
+// carries, taken at once, as the reference TestLateServeEquivalence holds
+// ServeSnapshot's serve-time lists against.
+// It takes the members from the id table's marks and finds each one's
+// element and epoch by its own scan of the epoch slices, the first
+// occurrence of an id winning, so it shares no walk with ServeSnapshot's.
+// Entry n maps the ids of epoch n to their elements; entry 0 holds the
+// stamped ids the scan does not find, which no snapshot carries.
+func (s *Server) EagerSyncMembers(through uint64) []map[wire.ElementID]*wire.Element {
+	type member struct {
+		e     *wire.Element
+		epoch uint64
+	}
+	scanned := make(map[wire.ElementID]member)
 	for n, elems := range s.elems.epochs {
 		for _, e := range elems {
 			if _, ok := scanned[e.ID]; !ok {
-				scanned[e.ID] = Member{Element: e, Epoch: uint64(n)}
+				scanned[e.ID] = member{e, uint64(n)}
 			}
 		}
 	}
-	members := make(map[wire.ElementID]Member)
+	members := make([]map[wire.ElementID]*wire.Element, through+1)
+	for n := range members {
+		members[n] = make(map[wire.ElementID]*wire.Element)
+	}
 	for id := range wire.Diff(&s.elems.m, &wire.IDMap[struct{}]{}) {
-		if s.elems.m.Marked(id) {
-			members[id] = scanned[id]
+		if m := scanned[id]; s.elems.m.Marked(id) && m.epoch <= through {
+			members[m.epoch][id] = m.e
 		}
 	}
 	return members
 }
 
-// sealAllocBytes grows one server's state to the given number of elements
-// through the real epoch and seal path — eight epochs, four seals — then
-// returns the bytes allocated by one further seal covering two ten-element
-// epochs. The chain is equally long whatever the element count, so the
-// only thing that varies between two calls is how much state the seal
-// happens on top of.
-func sealAllocBytes(elements int) uint64 {
-	d := Deploy(sim.New(1), 4, ledger.PaperConfig(),
+// grownServer grows one server's state to the given number of elements
+// through the real epoch and seal path — eight epochs, four seals — and
+// then creates two ten-element epochs; epochs creates more.
+func grownServer(elements int) (d *Deployment, epochs func(count, size int)) {
+	d = Deploy(sim.New(1), 4, ledger.PaperConfig(),
 		Options{Algorithm: Hashchain, CollectorLimit: 100, F: 1, CheckpointInterval: 2, Prune: true}, nil)
 	srv, cl := d.Servers[0], d.Clients[0]
-	epochs := func(count, size int) {
+	epochs = func(count, size int) {
 		for i := 0; i < count; i++ {
 			g := make([]*wire.Element, size)
 			for j := range g {
@@ -62,6 +68,16 @@ func sealAllocBytes(elements int) uint64 {
 	epochs(8, elements/8)
 	srv.maybeSeal()
 	epochs(2, 10)
+	return d, epochs
+}
+
+// sealAllocBytes returns the bytes allocated by the seal that follows
+// grownServer(elements): one covering two ten-element epochs. The chain is
+// equally long whatever the element count, so the only thing that varies
+// between two calls is how much state the seal happens on top of.
+func sealAllocBytes(elements int) uint64 {
+	d, _ := grownServer(elements)
+	srv := d.Servers[0]
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	srv.maybeSeal()
@@ -97,10 +113,86 @@ func TestSealAllocationIndependentOfSetSize(t *testing.T) {
 	}
 }
 
-// PendingSigners is hashchainAlg.pendingSigners for the external tests: what
-// a snapshot sealed now would ship as SyncState.PendingSigners.
-func (s *Server) PendingSigners() map[wire.Digest][]wire.NodeID {
-	return s.alg.(*hashchainAlg).pendingSigners()
+// Completing a snapshot costs O(epochs), not O(state): ServeSnapshot
+// allocates one list of the checkpoint's epochs, whose entries view the
+// index's own epoch slices, whether the epochs hold 2,000 elements or
+// 20,000.
+func TestServeSnapshotAllocatesPerEpoch(t *testing.T) {
+	for _, elements := range []int{2000, 20000} {
+		d, _ := grownServer(elements)
+		srv := d.Servers[0]
+		snap, _ := srv.SyncSnapshot()
+		st := snap.State.(*SyncState)
+		// Spare room behind one epoch's slice, as a second stamp of its
+		// number leaves it: the list must not offer it to an append.
+		srv.elems.epochs[1] = slices.Grow(srv.elems.epochs[1], 4)
+		var before, after runtime.MemStats
+		allocs := testing.AllocsPerRun(5, func() {
+			st.Members = nil
+			runtime.ReadMemStats(&before)
+			srv.ServeSnapshot(snap)
+			runtime.ReadMemStats(&after)
+		})
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d elements in %d epochs: %.0f allocations, %d B", elements, len(st.Members), allocs, bytes)
+		if allocs > 1 || bytes > uint64(len(st.Members))*24+64 {
+			t.Fatalf("serving a snapshot of %d epochs over %d elements allocates %.0f times, %d B; want one list of the epochs",
+				len(st.Members), elements, allocs, bytes)
+		}
+		for i, elems := range st.Members {
+			live := srv.elems.epochs[i+1]
+			if len(elems) == 0 || &elems[0] != &live[0] || cap(elems) != len(elems) {
+				t.Fatalf("epoch %d's list is not a clipped view of the index's slice", i+1)
+			}
+		}
+	}
+}
+
+// A sealed snapshot shares what never changes with the live epochs and
+// copies nothing else: each suffix epoch is a struct of its own whose
+// Elements and Hash are the live epoch's arrays, and whose Proofs view the
+// live array clipped at the seal, so a proof the server accepts afterwards,
+// appended into that same array, does not show in the snapshot.
+func TestSealSharesEpochArrays(t *testing.T) {
+	d, epochs := grownServer(2000)
+	srv := d.Servers[0]
+	srv.settled = srv.lastCheckpointEpoch()
+	epochs(1, 10)
+	srv.settled = srv.lastCheckpointEpoch()
+	live := srv.history[len(srv.history)-1]
+	p := func(signer wire.NodeID) *wire.EpochProof {
+		return &wire.EpochProof{Epoch: live.Number, EpochHash: live.Hash,
+			Sig: d.Ledger.Suite.Sign(d.Ledger.Keys[signer], live.Hash), Signer: signer}
+	}
+	if !srv.acceptProof(p(1)) {
+		t.Fatal("the live epoch refuses a proof")
+	}
+	srv.settled = srv.prunedEpochs + uint64(len(srv.history)) - 1 // seal everything below the last epoch
+	srv.maybeSeal()
+	snap, _ := srv.SyncSnapshot()
+	st := snap.State.(*SyncState)
+	sealed := st.Epochs[len(st.Epochs)-1]
+	if sealed == live || sealed.Number != live.Number {
+		t.Fatalf("the sealed epoch %d is the live struct (%v)", sealed.Number, sealed == live)
+	}
+	if &sealed.Elements[0] != &live.Elements[0] || &sealed.Hash[0] != &live.Hash[0] {
+		t.Fatal("the sealed epoch copies its elements or its hash")
+	}
+	if len(sealed.Proofs) != 1 || cap(sealed.Proofs) != 1 || &sealed.Proofs[0] != &live.Proofs[0] {
+		t.Fatalf("the sealed proofs (len %d, cap %d) are not the live array clipped at the seal", len(sealed.Proofs), cap(sealed.Proofs))
+	}
+	if !srv.acceptProof(p(2)) || len(live.Proofs) != 2 || &live.Proofs[0] != &sealed.Proofs[0] {
+		t.Fatal("the live epoch did not take a second proof into the same array")
+	}
+	if len(sealed.Proofs) != 1 || sealed.Proofs[0].Signer != 1 {
+		t.Fatalf("the snapshot shows %d proofs after the seal, want the 1 it was sealed with", len(sealed.Proofs))
+	}
+}
+
+// PendingBatches is hashchainAlg.pendingBatches for the external tests: what
+// a snapshot sealed now would ship as SyncState.Pending.
+func (s *Server) PendingBatches() []PendingBatch {
+	return s.alg.(*hashchainAlg).pendingBatches()
 }
 
 // A state-sync install replaces the signer sets of a server's batch records
@@ -133,7 +225,7 @@ func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 	for s.Now() < 12*time.Second {
 		s.RunUntil(s.Now() + 50*time.Millisecond)
 		if sealed, ok := donor.SyncSnapshot(); ok && sealed.Last.Epoch > victim.lastCheckpointEpoch() &&
-			len(sealed.State.(*SyncState).PendingSigners) > 0 {
+			len(sealed.State.(*SyncState).Pending) > 0 {
 			snap = donor.ServeSnapshot(sealed)
 			break
 		}
@@ -141,9 +233,9 @@ func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 	if snap == nil {
 		t.Fatal("the donor sealed no snapshot with pending signer sets; tune the workload")
 	}
-	want := snap.State.(*SyncState).PendingSigners
+	want := snap.State.(*SyncState).Pending
 	// A recovery in flight (the request went nowhere: the node is down).
-	stray := h.rec(bytes.Repeat([]byte{0x5C}, wire.DigestSize))
+	stray := h.rec(bytes.Repeat([]byte{0x5C}, setcrypto.HashSize))
 	h.fetch(stray, 1, func(bool) {})
 
 	type before struct{ signedOwn, consolidated, contentDone bool }
@@ -168,7 +260,7 @@ func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 	t.Logf("victim had %d records (%d consolidated, %d pending); the snapshot carries %d pending sets",
 		len(was), consolidated, pendingBefore, len(want))
 
-	if got := h.pendingSigners(); !reflect.DeepEqual(got, want) {
+	if got := h.pendingBatches(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("pending signer sets after the install:\n got %v\nwant %v", got, want)
 	}
 	for i, r := range h.pending {
@@ -179,20 +271,28 @@ func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 	if h.consolidated != consolidated {
 		t.Fatalf("consolidated counter moved %d -> %d", consolidated, h.consolidated)
 	}
+	signersOf := func(hash []byte) ([]wire.NodeID, bool) {
+		for _, p := range want {
+			if bytes.Equal(p.Hash, hash) {
+				return p.Signers, true
+			}
+		}
+		return nil, false
+	}
 	for _, r := range h.records() {
-		key := wire.DigestOf(r.hash)
-		ownInSnapshot := slices.Contains(want[key], victim.id)
+		signers, pending := signersOf(r.hash)
+		ownInSnapshot := slices.Contains(signers, victim.id)
 		b, known := was[r]
 		if r.consolidated != b.consolidated || r.contentDone != b.contentDone {
-			t.Fatalf("record %x: consolidated %v -> %v, contentDone %v -> %v", key.Bytes()[:4],
+			t.Fatalf("record %x: consolidated %v -> %v, contentDone %v -> %v", r.hash[:4],
 				b.consolidated, r.consolidated, b.contentDone, r.contentDone)
 		}
 		if r.signedOwn != (b.signedOwn || ownInSnapshot) {
 			t.Fatalf("record %x (known before: %v): signedOwn %v -> %v with own id in the snapshot's set: %v",
-				key.Bytes()[:4], known, b.signedOwn, r.signedOwn, ownInSnapshot)
+				r.hash[:4], known, b.signedOwn, r.signedOwn, ownInSnapshot)
 		}
-		if _, pending := want[key]; !pending && r.signers.n != 0 {
-			t.Fatalf("record %x keeps %d signers the snapshot does not list", key.Bytes()[:4], r.signers.n)
+		if !pending && r.signers.n != 0 {
+			t.Fatalf("record %x keeps %d signers the snapshot does not list", r.hash[:4], r.signers.n)
 		}
 	}
 	if stray.fetch == nil || !stray.fetch.inFlight {
@@ -201,7 +301,8 @@ func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 
 	// installPending on its own, with the cases an honest snapshot of this run
 	// cannot contain: a set on a record that is already consolidated here, the
-	// installer's own id in a set, and a signer no registry knows.
+	// installer's own id in a set, a signer no registry knows and a hash of
+	// the wrong length.
 	var done *batchRec
 	for _, r := range h.records() {
 		if r.consolidated {
@@ -209,24 +310,26 @@ func TestInstallSyncReplacesOnlySignerSets(t *testing.T) {
 			break
 		}
 	}
-	mine := wire.DigestOf(bytes.Repeat([]byte{0x77}, wire.DigestSize))
-	theirs := wire.DigestOf(bytes.Repeat([]byte{0x78}, wire.DigestSize))
-	crafted := map[wire.Digest][]wire.NodeID{
-		wire.DigestOf(done.hash): {0, 1},
-		mine:                     {1, victim.id},
-		theirs:                   {1, 2, 9999},
+	mine := bytes.Repeat([]byte{0x77}, setcrypto.HashSize)
+	theirs := bytes.Repeat([]byte{0x78}, setcrypto.HashSize)
+	crafted := []PendingBatch{
+		{Hash: done.hash, Signers: []wire.NodeID{0, 1}},
+		{Hash: mine, Signers: []wire.NodeID{1, victim.id}},
+		{Hash: theirs, Signers: []wire.NodeID{1, 2, 9999}},
+		{Hash: theirs[:setcrypto.HashSize-1], Signers: []wire.NodeID{1}},
 	}
-	h.installPending(crafted, nil)
-	crafted[theirs] = []wire.NodeID{1, 2}
-	if got := h.pendingSigners(); !reflect.DeepEqual(got, crafted) {
+	h.installPending(crafted)
+	crafted[2].Signers = []wire.NodeID{1, 2}
+	crafted = crafted[:3]
+	if got := h.pendingBatches(); !reflect.DeepEqual(got, crafted) {
 		t.Fatalf("pending signer sets after the crafted install:\n got %v\nwant %v", got, crafted)
 	}
 	if !done.consolidated || h.consolidated != consolidated {
 		t.Fatalf("a signer set un-consolidated a record: %+v, counter %d", *done, h.consolidated)
 	}
-	if !h.lookup(mine.Bytes()).signedOwn || h.lookup(theirs.Bytes()).signedOwn {
+	if !h.lookup(mine).signedOwn || h.lookup(theirs).signedOwn {
 		t.Fatalf("own-signature memory: %v for the set with the installer's id, %v for the set without",
-			h.lookup(mine.Bytes()).signedOwn, h.lookup(theirs.Bytes()).signedOwn)
+			h.lookup(mine).signedOwn, h.lookup(theirs).signedOwn)
 	}
 }
 

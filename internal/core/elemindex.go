@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"cmp"
 	"iter"
 	"slices"
 
@@ -242,21 +240,23 @@ func (x *ElemIndex) Has(id wire.ElementID) bool { return x.m.Has(id) }
 // a correct server once a run has quiesced.
 func (x *ElemIndex) Pending() int { return x.live }
 
-// entries iterates over the_set, each id once with its element and the
-// epoch that stamped it (0: pending): the live pending elements chunk by
-// chunk, then the epochs in number order.
-func (x *ElemIndex) entries() iter.Seq2[wire.ElementID, Member] {
-	return func(yield func(wire.ElementID, Member) bool) {
+// entries iterates over the_set, each element once with the epoch that
+// stamped it (0: pending): the live pending elements chunk by chunk, then
+// the epochs in number order.
+func (x *ElemIndex) entries() iter.Seq2[*wire.Element, uint64] {
+	return func(yield func(*wire.Element, uint64) bool) {
 		for _, c := range x.pending {
 			for _, e := range c {
-				if !x.m.Marked(e.ID) && !yield(e.ID, Member{Element: e}) {
+				if !x.m.Marked(e.ID) && !yield(e, 0) {
 					return
 				}
 			}
 		}
-		for id, m := range x.members(uint64(len(x.epochs))) {
-			if !yield(id, m) {
-				return
+		for n, elems := range x.epochs {
+			for _, e := range elems {
+				if !yield(e, uint64(n)) {
+					return
+				}
 			}
 		}
 	}
@@ -276,11 +276,11 @@ func (x *ElemIndex) Without(ids *wire.IDMap[uint64]) iter.Seq2[wire.ElementID, *
 		if left == 0 {
 			return
 		}
-		for id, m := range x.entries() {
-			if ids.Has(id) {
+		for e := range x.entries() {
+			if ids.Has(e.ID) {
 				continue
 			}
-			if !yield(id, m.Element) {
+			if !yield(e.ID, e) {
 				return
 			}
 			if left--; left == 0 {
@@ -294,51 +294,4 @@ func (x *ElemIndex) Without(ids *wire.IDMap[uint64]) iter.Seq2[wire.ElementID, *
 // the_set.
 func (x *ElemIndex) Missing(ids *wire.IDMap[uint64]) iter.Seq2[wire.ElementID, uint64] {
 	return wire.Diff(ids, &x.m)
-}
-
-// members iterates over the stamped entries of epochs 1..through, in epoch
-// order: a state-sync snapshot's Members.
-func (x *ElemIndex) members(through uint64) iter.Seq2[wire.ElementID, Member] {
-	return func(yield func(wire.ElementID, Member) bool) {
-		for n := 1; n < len(x.epochs) && uint64(n) <= through; n++ {
-			for _, e := range x.epochs[n] {
-				if !yield(e.ID, Member{Element: e, Epoch: uint64(n)}) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// stampMembers stamps a state-sync snapshot's members of epochs 1..through,
-// one stampEpoch per epoch, each epoch's elements sorted by id so that the
-// result does not depend on the map's order. Members whose id an epoch
-// already holds here are left out first, so that a server that kept most
-// of its history registers only what it missed. The grouped elements share
-// one array, each epoch's part capped at its length.
-func (x *ElemIndex) stampMembers(members map[wire.ElementID]Member, through uint64) {
-	var below []Member
-	for id, m := range members {
-		if m.Epoch <= through && !x.m.Marked(id) {
-			below = append(below, m)
-		}
-	}
-	slices.SortFunc(below, func(a, b Member) int {
-		if c := cmp.Compare(a.Epoch, b.Epoch); c != 0 {
-			return c
-		}
-		return bytes.Compare(a.Element.ID[:], b.Element.ID[:])
-	})
-	elems := make([]*wire.Element, len(below))
-	for i, m := range below {
-		elems[i] = m.Element
-	}
-	for i := 0; i < len(below); {
-		j := i + 1
-		for j < len(below) && below[j].Epoch == below[i].Epoch {
-			j++
-		}
-		x.stampEpoch(below[i].Epoch, elems[i:j:j])
-		i = j
-	}
 }

@@ -11,8 +11,8 @@ import (
 // of another client, and then stamping them, the scattered worst case
 // (add-stamp); adding them as one batch of one client's consecutive sequence
 // numbers, as a server reverses a batch hash, and then stamping that batch
-// (batch-stamp); and installing them all as a state-sync snapshot's members
-// into an empty index.
+// (batch-stamp); and installing them all as a state-sync snapshot's member
+// lists into an empty index, one stampEpoch per epoch as InstallSync does.
 func BenchmarkElemIndex(b *testing.B) {
 	const ids, perEpoch = 300_000, 500
 	elems := make([]wire.Element, ids)
@@ -21,11 +21,8 @@ func BenchmarkElemIndex(b *testing.B) {
 		elems[i] = wire.Element{ID: wire.NewElementID(client, seq), Client: client, Seq: seq, Size: 438}
 	}
 	epochs := make([][]*wire.Element, ids/perEpoch)
-	members := make(map[wire.ElementID]Member, ids)
 	for i := range elems {
-		e := &elems[i]
-		epochs[i/perEpoch] = append(epochs[i/perEpoch], e)
-		members[e.ID] = Member{Element: e, Epoch: uint64(i/perEpoch + 1)}
+		epochs[i/perEpoch] = append(epochs[i/perEpoch], &elems[i])
 	}
 	b.Run("add-stamp", func(b *testing.B) {
 		b.ReportAllocs()
@@ -60,7 +57,9 @@ func BenchmarkElemIndex(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			var x ElemIndex
-			x.stampMembers(members, uint64(len(epochs)))
+			for n, g := range epochs {
+				x.stampEpoch(uint64(n+1), g)
+			}
 		}
 	})
 }

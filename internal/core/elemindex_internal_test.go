@@ -55,8 +55,8 @@ func (x *ElemIndex) Len() int {
 // All iterates over the_set in unspecified order.
 func (x *ElemIndex) All() iter.Seq2[wire.ElementID, *wire.Element] {
 	return func(yield func(wire.ElementID, *wire.Element) bool) {
-		for id, m := range x.entries() {
-			if !yield(id, m.Element) {
+		for e := range x.entries() {
+			if !yield(e.ID, e) {
 				return
 			}
 		}
@@ -71,13 +71,13 @@ func (x *ElemIndex) Equal(y *ElemIndex) bool {
 	if x.Len() != y.Len() {
 		return false
 	}
-	theirs := make(map[wire.ElementID]Member, y.Len())
-	for id, m := range y.entries() {
-		theirs[id] = m
+	theirs := make(map[wire.ElementID]modelEntry, y.Len())
+	for e, epoch := range y.entries() {
+		theirs[e.ID] = modelEntry{e, epoch}
 	}
-	for id, m := range x.entries() {
-		other, ok := theirs[id]
-		if !ok || other.Epoch != m.Epoch || !reflect.DeepEqual(other.Element, m.Element) {
+	for e, epoch := range x.entries() {
+		other, ok := theirs[e.ID]
+		if !ok || other.epoch != epoch || !reflect.DeepEqual(other.e, e) {
 			return false
 		}
 	}
@@ -141,8 +141,9 @@ var elemIndexSeeds = []struct {
 //	   stamped and repeated ones, each other object of an id when arg&2), plus a
 //	   never-added id when arg&1;
 //	2: Stamp one id — known or fresh — with an arbitrary epoch;
-//	3: stampMembers over a selection of ids spread across epochs, some above
-//	   the cut, the way InstallSync installs a snapshot;
+//	3: stampEpoch each epoch 1..through, in number order, over a list of a
+//	   selection of ids (possibly empty, possibly naming an id twice), the way
+//	   InstallSync installs a snapshot's members;
 //	4: Add a run of stragglers: ids no stamp ever selects;
 //	5: with arg&0x80, stampEpoch a fresh epoch number over an earlier batch
 //	   (batch arg&0x1f modulo their count): its own slice, or all but its last
@@ -300,17 +301,23 @@ func driveElemIndex(t testing.TB, data []byte) indexReach {
 			}
 		case 3:
 			through := topEpoch + uint64(arg%4)
-			members := map[wire.ElementID]Member{}
+			members := make([][]*wire.Element, through)
 			for j, id := range selectIDs(arg) {
-				epoch := uint64(j%5) + 1 + uint64(arg%3)
-				members[id] = Member{Element: object(id, arg&4 != 0), Epoch: epoch}
-			}
-			for _, m := range members {
-				if m.Epoch <= through {
-					stampModel(m.Element, m.Epoch, false)
+				if epoch := uint64(j%5) + 1 + uint64(arg%3); epoch <= through {
+					members[epoch-1] = append(members[epoch-1], object(id, arg&4 != 0))
 				}
 			}
-			x.stampMembers(members, through)
+			for i, elems := range members {
+				var want []*wire.Element
+				for _, e := range elems {
+					if stampModel(e, uint64(i+1), false) {
+						want = append(want, e)
+					}
+				}
+				if got := x.stampEpoch(uint64(i+1), elems); !slices.Equal(got, want) {
+					t.Fatalf("stampEpoch(%d) of a member list kept %d elements, the model %d", i+1, len(got), len(want))
+				}
+			}
 			topEpoch = max(topEpoch, through)
 		case 4:
 			for range int(arg%16) + 1 {
@@ -367,7 +374,7 @@ func driveElemIndex(t testing.TB, data []byte) indexReach {
 			}
 		}
 		peak = max(peak, pending)
-		checkAgainstModel(t, &x, model, topEpoch, peak)
+		checkAgainstModel(t, &x, model, peak)
 	}
 	return reach
 }
@@ -375,7 +382,7 @@ func driveElemIndex(t testing.TB, data []byte) indexReach {
 // checkAgainstModel compares every reading of x with the model, and the
 // pending chunks with their invariants; peak is the most ids the model has
 // held pending at once.
-func checkAgainstModel(t testing.TB, x *ElemIndex, model map[wire.ElementID]modelEntry, topEpoch uint64, peak int) {
+func checkAgainstModel(t testing.TB, x *ElemIndex, model map[wire.ElementID]modelEntry, peak int) {
 	t.Helper()
 	if x.Len() != len(model) {
 		t.Fatalf("Len %d, the model holds %d", x.Len(), len(model))
@@ -483,21 +490,6 @@ func checkAgainstModel(t testing.TB, x *ElemIndex, model map[wire.ElementID]mode
 	if !maps.Equal(without, wantWithout) || !maps.Equal(missing, wantMissing) {
 		t.Fatalf("Without yields %d (model %d), Missing %d (model %d)",
 			len(without), len(wantWithout), len(missing), len(wantMissing))
-	}
-
-	through := topEpoch / 2
-	members := map[wire.ElementID]Member{}
-	for id, m := range x.members(through) {
-		members[id] = m
-	}
-	wantMembers := map[wire.ElementID]Member{}
-	for id, ent := range model {
-		if ent.epoch != 0 && ent.epoch <= through {
-			wantMembers[id] = Member{Element: ent.e, Epoch: ent.epoch}
-		}
-	}
-	if !maps.Equal(members, wantMembers) {
-		t.Fatalf("members(%d) yields %d entries, the model %d", through, len(members), len(wantMembers))
 	}
 }
 

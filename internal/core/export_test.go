@@ -35,3 +35,7 @@ func ServeSubsetBatches(srv *Server) {
 		srv.node.Send(from, resp, resp.wireSize())
 	})
 }
+
+// CreateEpoch makes the next epoch of elems, as a consolidated batch or a
+// processed block would.
+func (s *Server) CreateEpoch(elems []*wire.Element) { s.createEpoch(elems) }

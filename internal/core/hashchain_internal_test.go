@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ledger"
+	"repro/internal/setcrypto"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -45,7 +46,7 @@ func (h *hashchainAlg) records() []*batchRec {
 }
 
 func testHash(i int) []byte {
-	h := bytes.Repeat([]byte{0xA5}, wire.DigestSize)
+	h := bytes.Repeat([]byte{0xA5}, setcrypto.HashSize)
 	h[0], h[1] = byte(i), byte(i>>8)
 	return h
 }
@@ -181,8 +182,8 @@ func TestLightBlockThroughTheRecord(t *testing.T) {
 	finalize(signedHashBatch(d, 1, h3), signedHashBatch(d, 2, h3))
 	r3 := h.lookup(h3)
 	if !r3.signedOwn || r3.contentDone || r3.consolidated || r3.batch != nil ||
-		!reflect.DeepEqual(h.pendingSigners(), map[wire.Digest][]wire.NodeID{wire.DigestOf(h3): {1, 2}}) {
-		t.Fatalf("contentless hash: %+v, pending %v", *r3, h.pendingSigners())
+		!reflect.DeepEqual(h.pendingBatches(), []PendingBatch{{Hash: h3, Signers: []wire.NodeID{1, 2}}}) {
+		t.Fatalf("contentless hash: %+v, pending %v", *r3, h.pendingBatches())
 	}
 	late := &wire.Batch{Elements: []*wire.Element{d.Clients[2].NewModeledElement(100)}}
 	finalize(withBatch(signedHashBatch(d, 3, h3), late))
@@ -241,7 +242,7 @@ func TestHashOfWrongLengthDoesNotAliasARecord(t *testing.T) {
 	r := h.rec(hash)
 	r.register(&wire.Batch{})
 	long := append(append([]byte(nil), hash...), 0x01)
-	for i, bad := range [][]byte{long, hash[:wire.DigestSize-1]} {
+	for i, bad := range [][]byte{long, hash[:setcrypto.HashSize-1]} {
 		tx := signedHashBatch(d, 3, bad)
 		if h.checkTx(tx) {
 			t.Fatalf("a validly signed hash-batch over a %d-byte hash was admitted", len(bad))
@@ -252,7 +253,7 @@ func TestHashOfWrongLengthDoesNotAliasARecord(t *testing.T) {
 			t.Fatalf("a %d-byte hash finds a record", len(bad))
 		}
 	}
-	if len(r.hash) != wire.DigestSize || r.signers.n != 0 || r.signedOwn || len(h.records()) != 1 {
+	if len(r.hash) != setcrypto.HashSize || r.signers.n != 0 || r.signedOwn || len(h.records()) != 1 {
 		t.Fatalf("H's record after the hash-batches: hash %d bytes, signers %v, co-signed %v; %d records",
 			len(r.hash), r.signers.ids(), r.signedOwn, len(h.records()))
 	}
@@ -266,7 +267,7 @@ func TestHashOfWrongLengthDoesNotAliasARecord(t *testing.T) {
 func TestRecordsSharingAFirstWordAreChained(t *testing.T) {
 	_, h := quietHashchain(4, Options{})
 	a, b := testHash(9), testHash(9)
-	b[wire.DigestSize-1] ^= 0xFF
+	b[setcrypto.HashSize-1] ^= 0xFF
 	ra, rb := h.rec(a), h.rec(b)
 	if ra == rb || len(h.recs) != 1 || len(h.records()) != 2 {
 		t.Fatalf("records %p %p, %d keys, %d records: want two records under one key", ra, rb, len(h.recs), len(h.records()))

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -123,13 +125,14 @@ func TestForgedSnapshotInstallsLocallyButBreaksFold(t *testing.T) {
 }
 
 // A served snapshot must stay readable while the serving server keeps
-// running: the seal-time half of SyncState is a copy, the serve-time half
-// is built once from the live maps and never written again, so an
-// installer iterating it concurrently must not race the server mutating
-// its live maps, accepting further proofs, sealing
-// further checkpoints, or serving the same snapshot again. Run under -race;
-// handing out the live maps or epochs, or rebuilding Members on a second
-// serve, fails here deterministically.
+// running: it shares with the server only what the server never writes
+// again — epoch elements and hashes, proofs below the length the seal
+// clipped them to, the index's epoch slices — so an installer iterating it
+// concurrently must not race the server mutating its index, accepting
+// further proofs, sealing further checkpoints, or serving the same snapshot
+// again. Run under -race; handing out the live epoch structs or unclipped
+// proofs, or rebuilding Members on a second serve, fails here
+// deterministically.
 func TestSyncSnapshotReadsDoNotRaceServingServer(t *testing.T) {
 	s, d := deployFull(14, 4, checkpointedOpts)
 	addElements(s, d, 200) // 50ms spacing: injection runs to t=10s
@@ -158,11 +161,10 @@ func TestSyncSnapshotReadsDoNotRaceServingServer(t *testing.T) {
 			default:
 			}
 			var n int
-			for _, m := range st.Members {
-				if m.Epoch > st.LastEpoch {
-					panic("served index entry above LastEpoch")
+			for _, elems := range st.Members {
+				for _, e := range elems {
+					n += e.WireSize()
 				}
-				n += m.Element.WireSize()
 			}
 			for _, ep := range st.Epochs {
 				n += len(ep.Elements) + len(ep.Hash)
@@ -236,7 +238,7 @@ func TestLateServeEquivalence(t *testing.T) {
 	da.Stop()
 
 	srvB := db.Servers[0]
-	refMembers := srvB.EagerSyncMembers()
+	refMembers := srvB.EagerSyncMembers(sealedB.Last.Epoch)
 	chainT1 := append([]checkpoint.Checkpoint(nil), sealedB.Chain...)
 	before := srvB.Get()
 	runQuiesce(sb, db, 20*time.Second)
@@ -259,35 +261,39 @@ func TestLateServeEquivalence(t *testing.T) {
 	}
 
 	est, lst := early.State.(*core.SyncState), late.State.(*core.SyncState)
-	if len(lst.Members) == 0 {
-		t.Fatal("late snapshot carries no members")
+	// Against the eager copy: exactly its entries, epoch by epoch, same
+	// element pointers.
+	if len(refMembers[0]) != 0 {
+		t.Fatalf("%d stamped ids are in no epoch slice", len(refMembers[0]))
 	}
-	// Against the eager copy: exactly its entries through LastEpoch, same
-	// epoch numbers, same element pointers.
-	var through int
-	for id, ref := range refMembers {
-		if ref.Epoch > lst.LastEpoch {
-			continue
-		}
-		through++
-		got, ok := lst.Members[id]
-		if !ok || got.Epoch != ref.Epoch {
-			t.Fatalf("member %x: late index says %d (present %v), the t1 copy says %d", id[:4], got.Epoch, ok, ref.Epoch)
-		}
-		if got.Element != ref.Element {
-			t.Fatalf("member %x: late index holds a different element than the_set did at t1", id[:4])
-		}
+	if uint64(len(lst.Members)) != sealedB.Last.Epoch {
+		t.Fatalf("late snapshot lists %d epochs, its checkpoint covers %d", len(lst.Members), sealedB.Last.Epoch)
 	}
-	if through != len(lst.Members) {
-		t.Fatalf("late index has %d entries, the t1 copy %d through epoch %d", len(lst.Members), through, lst.LastEpoch)
+	installed := 0
+	for i, elems := range lst.Members {
+		ref := refMembers[i+1]
+		for _, e := range elems {
+			if ref[e.ID] != e {
+				t.Fatalf("epoch %d lists %x; the t1 copy holds %p under that id", i+1, e.ID[:4], ref[e.ID])
+			}
+		}
+		if len(elems) != len(ref) {
+			t.Fatalf("epoch %d lists %d elements, the t1 copy holds %d", i+1, len(elems), len(ref))
+		}
+		installed += len(elems)
 	}
 	// Against A's immediate serve (DeepEqual follows the element pointers).
 	if !reflect.DeepEqual(est.Members, lst.Members) {
 		t.Fatalf("Members differ between the immediate (%d) and the late (%d) serve", len(est.Members), len(lst.Members))
 	}
+	for _, ep := range lst.Epochs {
+		installed += len(ep.Elements)
+	}
 
+	// The victims are fresh servers of a deployment of the same seed: the
+	// same keys, so the suffix proofs verify.
 	install := func(snap *checkpoint.Snapshot) (core.Snapshot, uint64) {
-		_, fresh := deployFull(32, 4, checkpointedOpts)
+		_, fresh := deployFull(31, 4, checkpointedOpts)
 		defer fresh.Stop()
 		victim := fresh.Servers[0]
 		if !victim.InstallSync(snap) {
@@ -306,53 +312,17 @@ func TestLateServeEquivalence(t *testing.T) {
 			settledA, settledB, gotA.Epoch, gotB.Epoch, setA.Len(), setB.Len(),
 			len(gotA.Checkpoints), len(gotB.Checkpoints))
 	}
-	if setB.Len() != len(lst.Members) || len(gotB.Checkpoints) != len(chainT1) {
+	if setB.Len() != installed || len(gotB.Checkpoints) != len(chainT1) {
 		t.Fatalf("victim holds %d elements and %d checkpoints; the snapshot carried %d and %d",
-			setB.Len(), len(gotB.Checkpoints), len(lst.Members), len(chainT1))
-	}
-}
-
-// A snapshot whose membership index files an element under an id that is
-// not the element's own must not install: the installer's index is keyed by
-// the element's id, so the entry would land beside the one the snapshot's
-// index promised.
-func TestInstallSyncRejectsElementFiledUnderAnotherID(t *testing.T) {
-	d := deployCheckpointed(t, 16)
-	sealed, ok := d.Servers[0].SyncSnapshot()
-	if !ok {
-		t.Fatal("no sealed snapshot to serve")
-	}
-	mut := mutateSnapshot(d.Servers[0].ServeSnapshot(sealed), nil)
-	st := mut.State.(*core.SyncState)
-	var a, b *wire.Element
-	for _, m := range st.Members {
-		if a == nil {
-			a = m.Element
-		} else if b == nil {
-			b = m.Element
-		}
-	}
-	if b == nil {
-		t.Fatal("snapshot carries fewer than two elements; tune the workload")
-	}
-	_, fresh := deployFull(17, 4, checkpointedOpts)
-	defer fresh.Stop()
-	if !fresh.Servers[1].InstallSync(mutateSnapshot(mut, nil)) {
-		t.Fatal("the unmutated copy does not install; the test is vacuous")
-	}
-	ma, mb := st.Members[a.ID], st.Members[b.ID]
-	ma.Element, mb.Element = b, a
-	st.Members[a.ID], st.Members[b.ID] = ma, mb
-	if fresh.Servers[0].InstallSync(mut) {
-		t.Fatal("a snapshot with two index entries' elements swapped installed")
+			setB.Len(), len(gotB.Checkpoints), installed, len(chainT1))
 	}
 }
 
 // Every epoch holds an element, so a checkpoint that covers more epochs than
-// elements is forged, even when its members add up: one member filed under
-// the checkpoint's own epoch, 2^40, would make the installer's index
-// register an epoch its locators cannot hold. InstallSync must reject such a
-// snapshot, not panic on it or install it.
+// elements is forged, even when its members add up: a checkpoint at epoch
+// 2^40 would make the installer's index register an epoch its epoch table
+// cannot hold. InstallSync must reject such a snapshot, not panic on it or
+// install it.
 func TestInstallSyncRejectsMoreEpochsThanElements(t *testing.T) {
 	d := deployCheckpointed(t, 19)
 	sealed, ok := d.Servers[0].SyncSnapshot()
@@ -362,14 +332,13 @@ func TestInstallSyncRejectsMoreEpochsThanElements(t *testing.T) {
 	mut := mutateSnapshot(d.Servers[0].ServeSnapshot(sealed), nil)
 	st := mut.State.(*core.SyncState)
 	ck := mut.Last
-	ck.Epoch, ck.Elements = 1<<40, uint64(len(st.Members))
-	mut.Last, mut.Chain = ck, []checkpoint.Checkpoint{ck}
-	st.Epochs, st.LastEpoch = nil, ck.Epoch
-	for id, m := range st.Members {
-		m.Epoch = ck.Epoch
-		st.Members[id] = m
-		break
+	last := len(st.Members) - 1
+	for _, ep := range st.Epochs {
+		st.Members[last] = append(st.Members[last], ep.Elements...)
+		ck.Elements += uint64(len(ep.Elements))
 	}
+	ck.Epoch = 1 << 40
+	mut.Last, mut.Chain, st.Epochs = ck, []checkpoint.Checkpoint{ck}, nil
 	_, fresh := deployFull(20, 4, checkpointedOpts)
 	defer fresh.Stop()
 	if fresh.Servers[0].InstallSync(mut) {
@@ -403,5 +372,215 @@ func TestCountValidProofsAbovePruneHorizon(t *testing.T) {
 		if n, err := cl.VerifyCommitted(snap, ep.Elements[0].ID); err != nil || n != ep.Number {
 			t.Fatalf("element of settled epoch %d: VerifyCommitted = %d, %v", ep.Number, n, err)
 		}
+	}
+}
+
+// refusalFixture is a run of deployFull(23) with two snapshots server 0
+// sealed: the first with a suffix proof and no epoch created since, taken
+// at at, and the first after it with a longer chain. Victims are server 0 of
+// same-seed deployments run to a chosen moment, so their state agrees with
+// the snapshots' and their keys verify the proofs: a victim run to at holds
+// the first snapshot's suffix epochs, and a strict prefix of the second's
+// chain with the epochs of that chain's next entry still retained.
+type refusalFixture struct {
+	snap, later *checkpoint.Snapshot
+	at          time.Duration
+}
+
+func newRefusalFixture(t *testing.T) refusalFixture {
+	t.Helper()
+	s, d := deployFull(23, 4, checkpointedOpts)
+	defer d.Stop()
+	addElements(s, d, 200)
+	var fx refusalFixture
+	srv := d.Servers[0]
+	var kept []checkpoint.Checkpoint
+	for s.Now() < 10*time.Second && fx.later == nil {
+		s.RunUntil(s.Now() + 20*time.Millisecond)
+		sealed, ok := srv.SyncSnapshot()
+		if !ok {
+			continue
+		}
+		st := sealed.State.(*core.SyncState)
+		if fx.snap == nil {
+			if len(sealed.Chain) >= 2 && len(st.Epochs) >= 2 && len(st.Epochs[0].Proofs) > 0 &&
+				srv.Get().Epoch == sealed.Last.Epoch+uint64(len(st.Epochs)) {
+				fx.snap, fx.at = srv.ServeSnapshot(sealed), s.Now()
+				g := srv.Get()
+				kept = g.Checkpoints
+				if g.PrunedEpochs != kept[len(kept)-1].Epoch {
+					t.Fatal("the victim at the first snapshot is not pruned to its checkpoint")
+				}
+			}
+			continue
+		}
+		if len(sealed.Chain) > len(kept)+1 && sealed.Chain[len(kept)].Epoch <= fx.snap.Last.Epoch+uint64(len(fx.snap.State.(*core.SyncState).Epochs)) {
+			fx.later = srv.ServeSnapshot(sealed)
+		}
+	}
+	if fx.later == nil {
+		t.Fatalf("no pair of snapshots the refusals need (first %v); tune the workload", fx.snap != nil)
+	}
+	return fx
+}
+
+// victim returns server 0 of a deployFull(23): run to fx.at with at set, a
+// fresh server otherwise.
+func (fx refusalFixture) victim(t *testing.T, at bool) (*core.Server, *core.Deployment) {
+	s, d := deployFull(23, 4, checkpointedOpts)
+	t.Cleanup(d.Stop)
+	if at {
+		addElements(s, d, 200)
+		s.RunUntil(fx.at)
+	}
+	return d.Servers[0], d
+}
+
+// Every check InstallSync makes refuses the snapshot that only it can
+// catch, and a refused snapshot leaves the server as it was. Each case
+// mutates a copy of one served snapshot that installs on the same victim
+// unmutated; a suffix epoch a case rebuilds is rehashed and stripped of
+// its proofs, so that only the check under test sees it.
+func TestInstallSyncRefusals(t *testing.T) {
+	fx := newRefusalFixture(t)
+	t.Logf("snapshot at %v: checkpoint %d of %d, %d suffix epochs; the later one: checkpoint %d of %d", fx.at,
+		fx.snap.Last.Epoch, len(fx.snap.Chain), len(fx.snap.State.(*core.SyncState).Epochs),
+		fx.later.Last.Epoch, len(fx.later.Chain))
+	rehash := func(d *core.Deployment, ep *core.Epoch) {
+		ep.Hash = d.Ledger.Suite.HashData(wire.EpochHashInput(ep.Number, ep.Elements))
+		ep.Proofs = nil
+	}
+	bogus := &wire.Element{Client: wire.ClientID(-1), Size: 100, Bogus: true}
+	bogus.ID[0] = 0xFE
+	type mutation func(d *core.Deployment, mut *checkpoint.Snapshot, st *core.SyncState)
+	// A case's victim is a fresh server, or with at set the one run to
+	// fx.at, which prep changes further; later picks the later snapshot.
+	cases := []struct {
+		name      string
+		at, later bool
+		prep      func(v *core.Server, d *core.Deployment)
+		mut       mutation
+	}{
+		{"no state", false, false, nil, func(_ *core.Deployment, mut *checkpoint.Snapshot, _ *core.SyncState) { mut.State = nil }},
+		{"nil state", false, false, nil, func(_ *core.Deployment, mut *checkpoint.Snapshot, _ *core.SyncState) {
+			mut.State = (*core.SyncState)(nil)
+		}},
+		{"empty chain", false, false, nil, func(_ *core.Deployment, mut *checkpoint.Snapshot, _ *core.SyncState) { mut.Chain = nil }},
+		{"chain ends before Last", false, false, nil, func(_ *core.Deployment, mut *checkpoint.Snapshot, _ *core.SyncState) {
+			mut.Last.Digest ^= 1
+		}},
+		{"older than local state", true, false, func(v *core.Server, d *core.Deployment) {
+			v.CreateEpoch([]*wire.Element{d.Clients[0].NewElement([]byte("one epoch more"))})
+		}, func(*core.Deployment, *checkpoint.Snapshot, *core.SyncState) {}},
+		{"a member list missing", false, false, nil, func(_ *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			st.Members = st.Members[:len(st.Members)-1]
+		}},
+		{"an empty member list", false, false, nil, func(_ *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			st.Members[1] = append(st.Members[1], st.Members[0]...)
+			st.Members[0] = nil
+		}},
+		{"a nil member", false, false, nil, func(_ *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) { st.Members[0][0] = nil }},
+		{"an id twice in the member lists", false, false, nil, func(_ *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			st.Members[1][0] = st.Members[0][0]
+		}},
+		{"an id in the member lists and the suffix", false, false, nil, func(_ *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			st.Members[0][0] = st.Epochs[0].Elements[0]
+		}},
+		{"a member more than certified", false, false, nil, func(_ *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			st.Members[0] = append(st.Members[0], bogus)
+		}},
+		{"a local checkpoint differs", true, true, nil, func(_ *core.Deployment, mut *checkpoint.Snapshot, _ *core.SyncState) {
+			mut.Chain[0].Digest ^= 1
+		}},
+		{"the chain descends", true, true, nil, func(d *core.Deployment, mut *checkpoint.Snapshot, _ *core.SyncState) {
+			k := len(d.Servers[0].Checkpoints())
+			mut.Chain = slices.Insert(mut.Chain, k, mut.Chain[0])
+		}},
+		{"retained epochs do not fold", true, true, nil, func(d *core.Deployment, mut *checkpoint.Snapshot, _ *core.SyncState) {
+			mut.Chain[len(d.Servers[0].Checkpoints())].Digest ^= 1
+			mut.Last = mut.Chain[len(mut.Chain)-1]
+		}},
+		{"a nil suffix epoch", false, false, nil, func(_ *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) { st.Epochs[0] = nil }},
+		{"a nil suffix element", false, false, nil, func(_ *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			st.Epochs[0].Elements[0] = nil
+		}},
+		{"a suffix epoch misnumbered", false, false, nil, func(d *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			ep := st.Epochs[len(st.Epochs)-1]
+			ep.Number++
+			rehash(d, ep)
+		}},
+		{"a suffix hash that does not recompute", false, false, nil, func(d *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			ep := st.Epochs[len(st.Epochs)-1]
+			rehash(d, ep)
+			ep.Hash[0] ^= 1
+		}},
+		{"a suffix epoch unlike the local one", true, false, nil, func(d *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			ep := st.Epochs[len(st.Epochs)-1]
+			ep.Elements = ep.Elements[:len(ep.Elements)-1]
+			rehash(d, ep)
+		}},
+		{"a proof with a bad signature", false, false, nil, func(_ *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			ep := st.Epochs[0]
+			signer := wire.NodeID(0)
+			for slices.ContainsFunc(ep.Proofs, func(p *wire.EpochProof) bool { return p.Signer == signer }) {
+				signer++
+			}
+			ep.Proofs = append(ep.Proofs, &wire.EpochProof{Epoch: ep.Number, EpochHash: ep.Hash,
+				Sig: bytes.Repeat([]byte{7}, 64), Signer: signer})
+		}},
+		{"two bad proofs from one signer", false, false, nil, func(_ *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			ep := st.Epochs[0]
+			for range 2 {
+				ep.Proofs = append(ep.Proofs, &wire.EpochProof{Epoch: ep.Number, EpochHash: ep.Hash,
+					Sig: bytes.Repeat([]byte{7}, 64), Signer: 3})
+			}
+		}},
+		{"a proof listed twice", false, false, nil, func(_ *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			ep := st.Epochs[0]
+			ep.Proofs = append(ep.Proofs, ep.Proofs[0])
+		}},
+		{"a proof of another epoch", false, false, nil, func(_ *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			p := *st.Epochs[0].Proofs[0]
+			p.Epoch++
+			st.Epochs[0].Proofs[0] = &p
+		}},
+		{"a nil proof", false, false, nil, func(_ *core.Deployment, _ *checkpoint.Snapshot, st *core.SyncState) {
+			st.Epochs[0].Proofs = append(st.Epochs[0].Proofs, nil)
+		}},
+	}
+	// The unmutated snapshots install on the victims the cases use.
+	for _, base := range []struct {
+		at   bool
+		snap *checkpoint.Snapshot
+	}{{false, fx.snap}, {true, fx.snap}, {true, fx.later}} {
+		if v, _ := fx.victim(t, base.at); !v.InstallSync(mutateSnapshot(base.snap, nil)) {
+			t.Fatalf("a snapshot at checkpoint %d does not install unmutated on the victim (at %v); the cases are vacuous",
+				base.snap.Last.Epoch, base.at)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v, d := fx.victim(t, tc.at)
+			if tc.prep != nil {
+				tc.prep(v, d)
+			}
+			snap := fx.snap
+			if tc.later {
+				snap = fx.later
+			}
+			mut := mutateSnapshot(snap, nil)
+			tc.mut(d, mut, mut.State.(*core.SyncState))
+			before, settled, set := v.Get(), v.Settled(), v.Get().TheSet.Len()
+			if v.InstallSync(mut) {
+				t.Fatal("installed")
+			}
+			after := v.Get()
+			if after.Epoch != before.Epoch || after.PrunedEpochs != before.PrunedEpochs ||
+				len(after.Checkpoints) != len(before.Checkpoints) || v.Settled() != settled || after.TheSet.Len() != set {
+				t.Fatalf("a refused install changed the server: epoch %d -> %d, pruned %d -> %d, checkpoints %d -> %d, settled %d -> %d, set %d -> %d",
+					before.Epoch, after.Epoch, before.PrunedEpochs, after.PrunedEpochs,
+					len(before.Checkpoints), len(after.Checkpoints), settled, v.Settled(), set, after.TheSet.Len())
+			}
+		})
 	}
 }

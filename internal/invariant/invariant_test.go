@@ -386,6 +386,72 @@ func TestCheckerFoldsRetainedEpochsIntoReferenceCheckpoints(t *testing.T) {
 	}
 }
 
+// The pruned-prefix checks fire on hand-built snapshots: a run without
+// pruning keeps every epoch, so each case prunes a copy of a server's
+// snapshot by hand, as the server would at one of its checkpoints, and
+// then breaks what the check is there for. The honestly pruned copies
+// report nothing.
+func TestCheckerDetectsPrunedPrefixFaults(t *testing.T) {
+	d, _ := runSmallCkpt(t)
+	full0, full1 := d.Servers[0].Get(), d.Servers[1].Get()
+	cks := full0.Checkpoints
+	if len(cks) < 2 {
+		t.Fatalf("the run sealed %d checkpoints; want two", len(cks))
+	}
+	prune := func(snap core.Snapshot, epoch, elements uint64) core.Snapshot {
+		snap.History = snap.History[epoch-snap.PrunedEpochs:]
+		snap.PrunedEpochs, snap.PrunedElements = epoch, elements
+		return snap
+	}
+	horizon := cks[len(cks)-2] // the epochs up to the last seal stay retained
+	honest0 := prune(full0, horizon.Epoch, horizon.Elements)
+	honest1 := prune(full1, horizon.Epoch, horizon.Elements)
+	check := func(f func(rep *report)) error {
+		rep := &report{}
+		f(rep)
+		return rep.err()
+	}
+	if err := check(func(rep *report) {
+		checkCheckpoints(rep, 0, honest0)
+		checkCheckpoints(rep, 1, honest1)
+		checkPrefix(rep, 1, honest1, 0, honest0, false)
+	}); err != nil {
+		t.Fatalf("honestly pruned snapshots are flagged: %v", err)
+	}
+
+	t.Run("pruned count off the horizon checkpoint", func(t *testing.T) {
+		snap := prune(full1, horizon.Epoch, horizon.Elements+1)
+		err := check(func(rep *report) { checkCheckpoints(rep, 1, snap) })
+		want := fmt.Sprintf("server 1: pruned %d elements but horizon checkpoint at epoch %d holds %d",
+			horizon.Elements+1, horizon.Epoch, horizon.Elements)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("got %v, want %q", err, want)
+		}
+	})
+	t.Run("pruned to no seal point", func(t *testing.T) {
+		at := horizon.Epoch + 1
+		snap := prune(full1, at, horizon.Elements+uint64(len(full1.History[horizon.Epoch].Elements)))
+		err := check(func(rep *report) { checkCheckpoints(rep, 1, snap) })
+		want := fmt.Sprintf("server 1: history pruned to epoch %d with no checkpoint sealing it", at)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("got %v, want %q", err, want)
+		}
+	})
+	t.Run("pruned servers' epoch hashes differ", func(t *testing.T) {
+		snap := honest1
+		snap.History = slices.Clone(snap.History)
+		changed := *snap.History[0]
+		changed.Hash = slices.Clone(changed.Hash)
+		changed.Hash[0] ^= 1
+		snap.History[0] = &changed
+		err := check(func(rep *report) { checkPrefix(rep, 1, snap, 0, honest0, true) })
+		want := fmt.Sprintf("servers 1 and 0 diverge: epoch %d hashes differ", changed.Number)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("got %v, want %q", err, want)
+		}
+	})
+}
+
 // idWords splits an id into the two words the paged id containers key on:
 // the client word, kept whole, and the sequence word, whose top 58 bits
 // name the page.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/setcrypto"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -231,7 +232,7 @@ func TestTxIndexProbeRuns(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		txs := make([]*wire.Tx, 0, n)
 		for len(txs) < n {
-			hash := make([]byte, wire.DigestSize)
+			hash := make([]byte, setcrypto.HashSize)
 			binary.LittleEndian.PutUint64(hash, rng.Uint64())
 			for signer := 0; signer < 50 && len(txs) < n; signer++ {
 				txs = append(txs, wire.NewHashBatchTx(&wire.HashBatch{Hash: hash, Signer: wire.NodeID(signer)}))

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"repro/internal/setcrypto"
 )
 
 // txPair is one transaction identity built both ways.
@@ -16,7 +18,7 @@ type txPair struct {
 
 // txPairs covers the four kinds, and for a hash-batch the hash lengths the
 // key treats differently: none, exactly the kept prefix, a real digest, and
-// one longer than DigestSize.
+// one longer than setcrypto.HashSize.
 func txPairs() []txPair {
 	e := &Element{ID: NewElementID(7, 41), Client: 7, Seq: 41, Size: 438}
 	p := &EpochProof{Epoch: 1 << 40, Signer: 9, Sig: []byte{1}}
@@ -26,7 +28,7 @@ func txPairs() []txPair {
 		{"proof", NewProofTx(p), &Tx{Kind: TxProof, Proof: p}},
 		{"compressed", NewCompressedTx(cb), &Tx{Kind: TxCompressedBatch, Compressed: cb}},
 	}
-	for _, n := range []int{0, TxKeyHashPrefix, DigestSize, DigestSize + 36} {
+	for _, n := range []int{0, TxKeyHashPrefix, setcrypto.HashSize, setcrypto.HashSize + 36} {
 		hash := make([]byte, n)
 		for i := range hash {
 			hash[i] = byte(i + 1)

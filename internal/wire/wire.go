@@ -170,31 +170,6 @@ type HashBatch struct {
 // WireSize returns the hash-batch's ledger footprint (139 bytes).
 func (hb *HashBatch) WireSize() int { return HashBatchWireSize }
 
-// DigestSize is the fixed capacity of an interned Digest: the 64 bytes of a
-// SHA-512-shaped batch hash (setcrypto.HashSize).
-const DigestSize = 64
-
-// Digest interns a variable-length hash as a fixed-size comparable value,
-// usable directly as a map key without a per-lookup string conversion. The
-// explicit length keeps inputs of different lengths distinct (a digest and
-// its zero-padded extension never collide). Inputs longer than DigestSize —
-// which only a Byzantine sender can produce, since real digests are exactly
-// 64 bytes — are truncated.
-type Digest struct {
-	b [DigestSize]byte
-	n uint8
-}
-
-// DigestOf interns h.
-func DigestOf(h []byte) Digest {
-	var d Digest
-	d.n = uint8(copy(d.b[:], h))
-	return d
-}
-
-// Bytes returns the interned hash bytes.
-func (d Digest) Bytes() []byte { return d.b[:d.n] }
-
 // Batch is a collector's accumulated content: client elements plus
 // epoch-proofs generated by this server since the last flush.
 //
@@ -356,11 +331,11 @@ const TxKeyHashPrefix = 22
 //
 // The first three are exact: every identifying field is stored whole, so
 // distinct transactions have distinct keys. A hash-batch is identified by
-// its signer, its hash length (capped at DigestSize, as DigestOf caps it)
-// and the hash prefix; the signer stays in the key, so a Byzantine sender
-// that grinds a shared prefix can only shadow its own hash-batches. Code
-// that needs the whole hash compares it whole (Hashchain's batch records)
-// or keys by Digest (a state-sync snapshot's pending sets).
+// its signer, its hash length (capped at setcrypto.HashSize, the length of
+// every real batch hash) and the hash prefix; the signer stays in the key,
+// so a Byzantine sender that grinds a shared prefix can only shadow its own
+// hash-batches. Code that needs the whole hash compares it whole
+// (Hashchain's batch records).
 type TxKey struct {
 	a    uint64
 	h    [TxKeyHashPrefix]byte
@@ -406,7 +381,7 @@ func (tx *Tx) buildKey() TxKey {
 		binary.LittleEndian.PutUint64(k.h[:], tx.Compressed.Seq)
 	case tx.Kind == TxHashBatch && tx.HashBatch != nil:
 		k.a = uint64(tx.HashBatch.Signer)
-		k.n = uint8(min(len(tx.HashBatch.Hash), DigestSize))
+		k.n = uint8(min(len(tx.HashBatch.Hash), setcrypto.HashSize))
 		copy(k.h[:], tx.HashBatch.Hash)
 	default:
 		return TxKey{}

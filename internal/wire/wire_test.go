@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
-	"testing/quick"
 	"unsafe"
 
 	"repro/internal/setcrypto"
@@ -221,41 +220,6 @@ func TestVerifyEpochProof(t *testing.T) {
 	}
 }
 
-// Property: interned digests are injective on inputs up to DigestSize bytes
-// (real digests are exactly 64 bytes; the explicit length keeps shorter
-// test hashes from colliding with their zero-padded extensions).
-func TestQuickDigestInjective(t *testing.T) {
-	f := func(a, b []byte) bool {
-		if len(a) > DigestSize {
-			a = a[:DigestSize]
-		}
-		if len(b) > DigestSize {
-			b = b[:DigestSize]
-		}
-		if bytes.Equal(a, b) {
-			return DigestOf(a) == DigestOf(b)
-		}
-		return DigestOf(a) != DigestOf(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Digest round-trips the interned bytes.
-func TestDigestBytesRoundTrip(t *testing.T) {
-	for _, in := range [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 64), bytes.Repeat([]byte{7}, 100)} {
-		d := DigestOf(in)
-		want := in
-		if len(want) > DigestSize {
-			want = want[:DigestSize]
-		}
-		if !bytes.Equal(d.Bytes(), want) {
-			t.Fatalf("DigestOf(%d bytes).Bytes() = %d bytes, want %d", len(in), len(d.Bytes()), len(want))
-		}
-	}
-}
-
 // TxKey is 32 bytes with no padding between or after its fields. That is
 // the reason a map keyed by it takes Go's fast path: a struct of plain
 // memory without padding is hashed and compared as one run of bytes
@@ -374,9 +338,9 @@ func TestHashBatchKeyIsSignerLengthPrefix(t *testing.T) {
 	if key(a, 1) == key(b, 1) {
 		t.Fatal("a hash-batch key ignores the last kept prefix byte")
 	}
-	// Over-long hashes are capped at DigestSize, as DigestOf caps them.
+	// Over-long hashes are capped at setcrypto.HashSize.
 	if long := append(bytes.Clone(a), 9, 9); key(long, 1) != key(a, 1) {
-		t.Fatal("a hash longer than DigestSize is not capped like DigestOf caps it")
+		t.Fatal("a hash longer than setcrypto.HashSize is not capped")
 	}
 }
 

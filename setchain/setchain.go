@@ -116,6 +116,9 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Servers < 1 || cfg.CollectorSize < 0 || cfg.NetworkDelay < 0 {
 		return nil, errors.New("setchain: need Servers >= 1, CollectorSize >= 0 and NetworkDelay >= 0")
 	}
+	if cfg.Algorithm < Vanilla || cfg.Algorithm > Hashchain {
+		return nil, fmt.Errorf("setchain: unknown Algorithm %d (want Vanilla, Compresschain or Hashchain)", int(cfg.Algorithm))
+	}
 	_, d, gen := harness.Deploy(harness.Scenario{
 		Spec:         harness.AlgSpec{Alg: cfg.Algorithm, Collector: cfg.CollectorSize},
 		Servers:      cfg.Servers,

@@ -2,6 +2,7 @@ package setchain_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,6 +75,17 @@ func TestConfigRejectsNegatives(t *testing.T) {
 				t.Fatalf("New(%+v) did not return within a second", cfg)
 			}
 		})
+	}
+}
+
+// An algorithm outside the three is an error naming the value, not a panic
+// inside the deployment.
+func TestConfigRejectsUnknownAlgorithm(t *testing.T) {
+	for _, alg := range []setchain.Algorithm{3, -1} {
+		_, err := setchain.New(setchain.Config{Algorithm: alg})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("Algorithm %d", alg)) {
+			t.Fatalf("New with Algorithm %d: error %v, want one naming the value", alg, err)
+		}
 	}
 }
 
