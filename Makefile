@@ -2,7 +2,7 @@
 # edits nothing under bench/; profiles go to the git-ignored .bench_build/.
 PROFILE_DIR ?= $(CURDIR)/.bench_build/profile
 
-.PHONY: bench bench-aa profile verify
+.PHONY: bench bench-aa pairs profile verify
 
 # The whole benchmark: untraced pass, traced pass, cells, differentials.
 bench:
@@ -11,6 +11,17 @@ bench:
 # Two untraced suites back to back, each metric's difference beside its bound.
 bench-aa:
 	bash bench/run.sh -aa
+
+# One workload in alternating pairs, the working tree against BASE (a git
+# revision, unpacked under .bench_build/pairs/): medians, quartiles and pairs
+# won for every end-to-end metric.
+#   make pairs W=mesh50 BASE=HEAD~1 N=10 SEED=1
+BASE ?= HEAD
+N ?= 10
+SEED ?= 1
+pairs:
+	@test -n "$(W)" || { echo "usage: make pairs W=<workload> [BASE=<rev>] [N=10] [SEED=1]" >&2; exit 2; }
+	go run ./cmd/benchpairs -workload $(W) -base $(BASE) -n $(N) -seed $(SEED)
 
 # CPU and allocation profiles of one workload's timed repeats, untraced, seed 1:
 #   make profile W=shard_ckpt

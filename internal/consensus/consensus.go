@@ -82,6 +82,10 @@ type Proposal struct {
 	BlockID  string
 	Proposer wire.NodeID
 	Sig      []byte
+
+	// verified holds that Sig is Proposer's signature and that BlockID
+	// re-derives from Block, once a validator has checked both.
+	verified wire.Verdict[Proposal]
 }
 
 // Vote is a prevote or precommit for a block id (or nil) at (height, round).

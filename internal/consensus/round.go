@@ -209,6 +209,20 @@ func (n *Node) wellFormed(p *Proposal) bool {
 		n.blockID(p.Height, p.Round, p.Proposer, b.CkptEpoch, b.CkptFold, b.Txs) == p.BlockID
 }
 
+// signedAndWellFormed reports whether p carries its proposer's signature and
+// is wellFormed, through p's verdict.
+func (n *Node) signedAndWellFormed(p *Proposal) bool {
+	if p.verified.Holds(n.registry, p) {
+		return true
+	}
+	pub := n.registry.Lookup(int(p.Proposer))
+	if pub == nil || !n.suite.Verify(pub, n.proposalSignBytes(p), p.Sig) || !n.wellFormed(p) {
+		return false
+	}
+	p.verified.Record(n.registry, p)
+	return true
+}
+
 func (n *Node) propose(r int32) {
 	// A locked proposer re-proposes the locked value verbatim (Tendermint's
 	// proof-of-lock rule, simplified): without this, a round-0 lock split
@@ -262,15 +276,13 @@ func (n *Node) handleProposal(p *Proposal) {
 	if p.Proposer != n.proposerFor(p.Height, p.Round) {
 		return
 	}
-	pub := n.registry.Lookup(int(p.Proposer))
-	if pub == nil || !n.suite.Verify(pub, n.proposalSignBytes(p), p.Sig) {
-		return
-	}
-	// Structural check: the block must match the announced id and respect
-	// the size limit. (Application-level tx validity is NOT checked here:
-	// the paper's model explicitly allows Byzantine servers to put invalid
-	// elements on the ledger; Setchain filters them in FinalizeBlock.)
-	if !n.wellFormed(p) || p.Block.Bytes > n.params.MaxBlockBytes {
+	// Signature and structure: the block must match the announced id and
+	// respect the size limit. (Application-level tx validity is NOT checked
+	// here: the paper's model explicitly allows Byzantine servers to put
+	// invalid elements on the ledger; Setchain filters them in
+	// FinalizeBlock.) Every validator receives the same proposal, and only
+	// the first checks the signature and re-derives the id (wire.Verdict).
+	if !n.signedAndWellFormed(p) || p.Block.Bytes > n.params.MaxBlockBytes {
 		return
 	}
 	// Header-commitment check: a claimed checkpoint chain at or below this

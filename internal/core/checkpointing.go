@@ -377,7 +377,7 @@ func (s *Server) InstallSync(snap *checkpoint.Snapshot) bool {
 // serving server paid for each of them when it accepted it.
 func (s *Server) validProofs(ep *Epoch) bool {
 	for i, p := range ep.Proofs {
-		if p == nil || p.Epoch != ep.Number || !wire.VerifyEpochProof(s.suite, s.registry, p, ep.Hash) {
+		if p == nil || p.Epoch != ep.Number || !s.validProof(p, ep.Hash) {
 			return false
 		}
 		for _, q := range ep.Proofs[:i] {

@@ -30,7 +30,7 @@ type ElemIndex struct {
 	// pending holds, in chunks, the elements of the_set no epoch held when
 	// they were added; live of them are still unstamped. pending[0] is the
 	// run of single adds (Add), in an array the index owns; each later chunk
-	// is one batch's new elements (addBatch), under filter's aliasing rule,
+	// is one batch's new elements (addBatch), under filterFrom's aliasing rule,
 	// in add order. A batch's chunk leaves when stampEpoch stamps exactly its
 	// slice; any other stamped element stays, dead, until the run's array
 	// fills (push) or the chunks would hold more than room elements
@@ -54,9 +54,8 @@ func (x *ElemIndex) Add(e *wire.Element) bool {
 
 // addBatch puts the elements of elems whose id is not in the_set yet into
 // it, as Add would one by one, and keeps them pending as one chunk: under
-// filter's aliasing rule (filterFrom), so elems itself when every id was
-// new. A second occurrence of an id within elems meets the first and is
-// left out.
+// filterFrom's aliasing rule, so elems itself when every id was new. A
+// second occurrence of an id within elems meets the first and is left out.
 func (x *ElemIndex) addBatch(elems []*wire.Element) {
 	g := elems[:len(elems):len(elems)]
 	for i, e := range elems {
@@ -178,7 +177,7 @@ func (x *ElemIndex) compact() {
 
 // stampEpoch stamps number on those elements of elems that no epoch holds
 // yet, in order, adding each to the_set if this server never saw its add,
-// and returns them — under filter's aliasing rule, so elems itself when it
+// and returns them — under filterFrom's aliasing rule, so elems itself when it
 // stamps them all. A second occurrence of an id within elems meets the
 // first one's stamp and is dropped like any other element already in an
 // epoch. The returned slice is where the index finds them: a pending id is

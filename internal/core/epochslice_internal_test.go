@@ -6,19 +6,23 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/consensus"
 	"repro/internal/ledger"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
-// filter's contract: everything kept is the input itself, capped at its
-// length; anything dropped is a fresh slice that shares nothing with it.
+// filterFrom's aliasing rule, as Server.valid keeps it: everything kept is
+// the input itself, capped at its length; anything dropped is a fresh slice
+// that shares nothing with it. filterFrom asks keep about each element after
+// the first refusal once, in order.
 func TestFilterAliasesOrCopies(t *testing.T) {
+	srv := quiet(Vanilla, 4).Servers[0]
 	elems := make([]*wire.Element, 6, 10)
 	for i := range elems {
 		elems[i] = &wire.Element{ID: wire.NewElementID(1, uint64(i+1)), Size: 1}
 	}
-	all := filter(elems, func(*wire.Element) bool { return true })
+	all := srv.valid(elems)
 	if len(all) != 6 || cap(all) != 6 || &all[0] != &elems[0] {
 		t.Fatalf("nothing dropped: len %d cap %d, same array %v; want the input capped at its length",
 			len(all), cap(all), &all[0] == &elems[0])
@@ -27,21 +31,31 @@ func TestFilterAliasesOrCopies(t *testing.T) {
 		t.Fatal("an append to the result wrote into the input's array")
 	}
 	for drop := range elems {
-		calls := 0
-		got := filter(elems, func(e *wire.Element) bool { calls++; return e != elems[drop] })
+		elems[drop].Bogus = true
+		got := srv.valid(elems)
+		var asked []*wire.Element
+		fromDrop := filterFrom(elems, drop, func(e *wire.Element) bool { asked = append(asked, e); return !e.Bogus })
+		elems[drop].Bogus = false
 		want := slices.Delete(slices.Clone(elems), drop, drop+1)
-		if !slices.Equal(got, want) || calls != len(elems) {
-			t.Fatalf("dropping element %d: got %d elements after %d calls, want the other %d in order after %d",
-				drop, len(got), calls, len(want), len(elems))
+		if !slices.Equal(got, want) || !slices.Equal(fromDrop, want) {
+			t.Fatalf("dropping element %d: got %d elements (%d from filterFrom), want the other %d in order",
+				drop, len(got), len(fromDrop), len(want))
+		}
+		if !slices.Equal(asked, elems[drop+1:]) {
+			t.Fatalf("dropping element %d: filterFrom asked about %d elements, want the %d after it",
+				drop, len(asked), len(elems)-drop-1)
 		}
 		if overlap(got, elems) {
 			t.Fatalf("dropping element %d: the result shares memory with the input", drop)
 		}
 	}
-	if none := filter(elems, func(*wire.Element) bool { return false }); len(none) != 0 {
+	for _, e := range elems {
+		e.Bogus = true
+	}
+	if none := srv.valid(elems); len(none) != 0 {
 		t.Fatalf("everything dropped: %d elements left", len(none))
 	}
-	if empty := filter(nil, func(*wire.Element) bool { return true }); len(empty) != 0 {
+	if empty := srv.valid(nil); len(empty) != 0 {
 		t.Fatalf("nil input: %d elements", len(empty))
 	}
 }
@@ -136,8 +150,9 @@ func TestBatchNamingAnElementTwiceCommitsItOnce(t *testing.T) {
 
 // drive runs a four-server deployment: 240 modeled elements added round-robin
 // over six virtual seconds, then a drain and time to quiesce. hook, if not
-// nil, sees every transaction entering a mempool.
-func drive(t *testing.T, opts Options, byzantine *Behavior, hook func(*wire.Tx)) *Deployment {
+// nil, sees every transaction entering a mempool; proposed, if not nil, every
+// proposal as its proposer broadcasts it.
+func drive(t *testing.T, opts Options, byzantine *Behavior, hook func(*wire.Tx), proposed func(*consensus.Proposal)) *Deployment {
 	t.Helper()
 	const n = 4
 	opts.CollectorLimit, opts.F = 10, 1
@@ -149,6 +164,22 @@ func drive(t *testing.T, opts Options, byzantine *Behavior, hook func(*wire.Tx))
 	d := Deploy(s, n, lcfg, opts, nil)
 	if byzantine != nil {
 		d.Servers[3].SetBehavior(byzantine)
+	}
+	if proposed != nil {
+		// The broadcast transport's own send loop, with a look at each proposal.
+		for _, srv := range d.Servers {
+			from := srv.id
+			srv.node.Cons.SetBroadcaster(func(payload any, size int) {
+				if p, ok := payload.(*consensus.Proposal); ok {
+					proposed(p)
+				}
+				for _, to := range d.Servers {
+					if to.id != from {
+						d.Ledger.Net.Send(from, to.id, payload, size)
+					}
+				}
+			})
+		}
 	}
 	d.Start()
 	for i := 0; i < 240; i++ {
@@ -175,7 +206,7 @@ func drive(t *testing.T, opts Options, byzantine *Behavior, hook func(*wire.Tx))
 func TestEpochsAliasBatch(t *testing.T) {
 	// Runs on the one event queue, the only executor a run has.
 	t.Run("sequential", func(t *testing.T) {
-		d := drive(t, Options{Algorithm: Hashchain}, nil, nil)
+		d := drive(t, Options{Algorithm: Hashchain}, nil, nil, nil)
 		for _, srv := range d.Servers {
 			batchOf := make(map[**wire.Element]*wire.Batch)
 			for _, r := range srv.alg.(*hashchainAlg).records() {
@@ -241,7 +272,9 @@ func TestBatchesStayFrozen(t *testing.T) {
 
 	for name, byz := range map[string]*Behavior{"hashchain, padded batches": pads, "hashchain, altered responses": alters} {
 		t.Run(name, func(t *testing.T) {
-			d := drive(t, Options{Algorithm: Hashchain}, byz, nil)
+			sent := newSentObjects()
+			d := drive(t, Options{Algorithm: Hashchain}, byz, sent.tx, sent.proposal)
+			sent.check(t)
 			var batches []*wire.Batch
 			for _, srv := range d.Servers {
 				h := srv.alg.(*hashchainAlg)
@@ -275,7 +308,7 @@ func TestBatchesStayFrozen(t *testing.T) {
 				batches = append(batches, tx.Compressed.Original)
 				held = append(held, slices.Clone(tx.Compressed.Original.Elements))
 			}
-		})
+		}, nil)
 		for i, b := range batches {
 			if !slices.Equal(b.Elements, held[i]) {
 				t.Fatalf("batch %d changed after it was flushed", i)
@@ -283,4 +316,86 @@ func TestBatchesStayFrozen(t *testing.T) {
 		}
 		epochsShareOnlyWholeBatches(t, d, batches, true)
 	})
+	// Vanilla's epoch-proofs travel as transactions of their own.
+	t.Run("vanilla, proofs", func(t *testing.T) {
+		sent := newSentObjects()
+		drive(t, Options{Algorithm: Vanilla}, nil, sent.tx, sent.proposal)
+		if len(sent.proofs) == 0 {
+			t.Fatal("no epoch-proof was sent")
+		}
+		sent.check(t)
+	})
+}
+
+// sentObjects remembers what each signed object — hash-batch, epoch-proof,
+// proposal — held when it was first sent, so that a check at the end of the
+// run shows that none changed afterwards, which is what lets one verdict on
+// the object stand for every receiver (wire.Verdict). The verdict is the one
+// field a receiver writes, and is not compared. A Hashchain batch's own
+// proofs are covered by its hash (the check on stored batches).
+type sentObjects struct {
+	hashBatches map[*wire.HashBatch]wire.HashBatch
+	proofs      map[*wire.EpochProof]wire.EpochProof
+	proposals   map[*consensus.Proposal]sentProposal
+}
+
+// sentProposal is a proposal as sent, and the block it carried.
+type sentProposal struct {
+	p     consensus.Proposal
+	block wire.Block
+}
+
+func newSentObjects() *sentObjects {
+	return &sentObjects{hashBatches: map[*wire.HashBatch]wire.HashBatch{},
+		proofs: map[*wire.EpochProof]wire.EpochProof{}, proposals: map[*consensus.Proposal]sentProposal{}}
+}
+
+func (o *sentObjects) tx(tx *wire.Tx) {
+	if hb := tx.HashBatch; hb != nil {
+		if _, seen := o.hashBatches[hb]; !seen {
+			o.hashBatches[hb] = wire.HashBatch{Hash: slices.Clone(hb.Hash), Sig: slices.Clone(hb.Sig),
+				Signer: hb.Signer, Batch: hb.Batch}
+		}
+	}
+	if p := tx.Proof; p != nil {
+		if _, seen := o.proofs[p]; !seen {
+			o.proofs[p] = wire.EpochProof{Epoch: p.Epoch, EpochHash: slices.Clone(p.EpochHash),
+				Sig: slices.Clone(p.Sig), Signer: p.Signer}
+		}
+	}
+}
+
+func (o *sentObjects) proposal(p *consensus.Proposal) {
+	if _, seen := o.proposals[p]; !seen {
+		block := *p.Block
+		block.Txs = slices.Clone(block.Txs)
+		o.proposals[p] = sentProposal{consensus.Proposal{Height: p.Height, Round: p.Round, Block: p.Block,
+			BlockID: p.BlockID, Proposer: p.Proposer, Sig: slices.Clone(p.Sig)}, block}
+	}
+}
+
+func (o *sentObjects) check(t *testing.T) {
+	t.Helper()
+	if len(o.proposals) == 0 {
+		t.Fatal("no proposal was sent")
+	}
+	for hb, was := range o.hashBatches {
+		if !bytes.Equal(hb.Hash, was.Hash) || !bytes.Equal(hb.Sig, was.Sig) || hb.Signer != was.Signer || hb.Batch != was.Batch {
+			t.Fatalf("server %d's hash-batch changed after it was sent", was.Signer)
+		}
+	}
+	for p, was := range o.proofs {
+		if p.Epoch != was.Epoch || !bytes.Equal(p.EpochHash, was.EpochHash) || !bytes.Equal(p.Sig, was.Sig) || p.Signer != was.Signer {
+			t.Fatalf("server %d's proof of epoch %d changed after it was sent", was.Signer, was.Epoch)
+		}
+	}
+	for p, was := range o.proposals {
+		b := p.Block
+		if p.Height != was.p.Height || p.Round != was.p.Round || b != was.p.Block || p.BlockID != was.p.BlockID ||
+			p.Proposer != was.p.Proposer || !bytes.Equal(p.Sig, was.p.Sig) ||
+			b.Height != was.block.Height || b.Proposer != was.block.Proposer || !slices.Equal(b.Txs, was.block.Txs) ||
+			b.Bytes != was.block.Bytes || b.CkptEpoch != was.block.CkptEpoch || b.CkptFold != was.block.CkptFold {
+			t.Fatalf("server %d's proposal for height %d round %d changed after it was sent", was.p.Proposer, was.p.Height, was.p.Round)
+		}
+	}
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/ledger"
+	"repro/internal/setcrypto"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -167,5 +169,130 @@ func TestStalledBatchRecoversWhenOriginRestarts(t *testing.T) {
 	}
 	if len(srv.history) != 1 || !slices.Equal(srv.history[0].Elements, batch.Elements) {
 		t.Fatalf("%d epochs, want the recovered batch as epoch 1", len(srv.history))
+	}
+}
+
+// signedProof is signer's epoch-proof of the given epoch hash, signed with
+// key's key: signer's own proof when key == signer, a forgery otherwise.
+func signedProof(d *Deployment, epoch uint64, hash []byte, signer, key int) *wire.EpochProof {
+	return &wire.EpochProof{Epoch: epoch, EpochHash: hash, Signer: wire.NodeID(signer),
+		Sig: d.Ledger.Suite.Sign(d.Ledger.Keys[key], hash)}
+}
+
+// oneEpoch finalizes a block of one element on d's server 0 and returns the
+// epoch it makes.
+func oneEpoch(t *testing.T, d *Deployment) *Epoch {
+	t.Helper()
+	srv := d.Servers[0]
+	srv.FinalizeBlock(&wire.Block{Height: 1, Txs: []*wire.Tx{wire.NewElementTx(d.Clients[1].NewModeledElement(100))}})
+	d.Sim.RunUntil(d.Sim.Now() + time.Second)
+	if len(srv.history) != 1 {
+		t.Fatalf("%d epochs after one element block, want 1", len(srv.history))
+	}
+	return srv.history[0]
+}
+
+// Guard: acceptProof's signature check. A proof of the right epoch hash that
+// names signer 1 but carries signer 2's signature, or no signature, counts
+// for nobody; signer 1's own proof counts.
+func TestForgedEpochProofIsNotCounted(t *testing.T) {
+	d := quiet(Vanilla, 4)
+	srv := d.Servers[0]
+	ep := oneEpoch(t, d)
+	forged := signedProof(d, 1, ep.Hash, 1, 2)
+	unsigned := &wire.EpochProof{Epoch: 1, EpochHash: ep.Hash, Signer: 1}
+	for name, p := range map[string]*wire.EpochProof{"signed by another server": forged, "unsigned": unsigned} {
+		if srv.acceptProof(p) || len(ep.Proofs) != 0 {
+			t.Fatalf("a proof %s was counted: %d proofs", name, len(ep.Proofs))
+		}
+	}
+	if !srv.acceptProof(signedProof(d, 1, ep.Hash, 1, 1)) || len(ep.Proofs) != 1 {
+		t.Fatalf("signer 1's own proof was refused: %d proofs", len(ep.Proofs))
+	}
+}
+
+// A verdict belongs to the object it was recorded on (wire.Verdict). After
+// server 0 has verified a genuine hash-batch and epoch-proof, struct copies
+// of them with one field changed are verified again by server 1, and
+// refused. The genuine objects still pass there.
+func TestVerdictIsNotCopied(t *testing.T) {
+	d := quiet(Hashchain, 4)
+	s0, s1 := d.Servers[0], d.Servers[1]
+	hash := testHash(3)
+	hb := signedHashBatch(d, 1, hash).HashBatch
+	if !s0.CheckTx(wire.NewHashBatchTx(hb)) {
+		t.Fatal("CheckTx refused a genuine hash-batch")
+	}
+	for name, change := range map[string]func(*wire.HashBatch){
+		"Sig":    func(c *wire.HashBatch) { c.Sig = d.Ledger.Suite.Sign(d.Ledger.Keys[2], hash) },
+		"Signer": func(c *wire.HashBatch) { c.Signer = 2 },
+		"Hash":   func(c *wire.HashBatch) { c.Hash = testHash(4) },
+	} {
+		c := *hb
+		change(&c)
+		if s1.CheckTx(wire.NewHashBatchTx(&c)) {
+			t.Errorf("a copy of a verified hash-batch with another %s was admitted", name)
+		}
+	}
+	if !s1.CheckTx(wire.NewHashBatchTx(hb)) {
+		t.Fatal("the verified hash-batch was refused by the next server")
+	}
+
+	// Both servers make the same epoch of the same block.
+	d = quiet(Vanilla, 4)
+	s0, s1 = d.Servers[0], d.Servers[1]
+	block := &wire.Block{Height: 1, Txs: []*wire.Tx{wire.NewElementTx(d.Clients[1].NewModeledElement(100))}}
+	s0.FinalizeBlock(block)
+	s1.FinalizeBlock(block)
+	d.Sim.RunUntil(time.Second)
+	ep0, ep1 := s0.history[0], s1.history[0]
+	p := signedProof(d, 1, ep0.Hash, 2, 2)
+	if !s0.acceptProof(p) {
+		t.Fatal("server 0 refused a genuine proof")
+	}
+	for name, change := range map[string]func(*wire.EpochProof){
+		"Sig":       func(c *wire.EpochProof) { c.Sig = d.Ledger.Suite.Sign(d.Ledger.Keys[3], ep0.Hash) },
+		"Signer":    func(c *wire.EpochProof) { c.Signer = 3 },
+		"EpochHash": func(c *wire.EpochProof) { c.EpochHash = testHash(5) },
+	} {
+		c := *p
+		change(&c)
+		if s1.acceptProof(&c) {
+			t.Errorf("a copy of a verified proof with another %s was counted", name)
+		}
+	}
+	if !s1.acceptProof(p) || len(ep1.Proofs) != 1 {
+		t.Fatalf("the verified proof was refused by the next server: %d proofs", len(ep1.Proofs))
+	}
+}
+
+// A verdict recorded under one deployment's registry does not hold under
+// another's: there, where signer 1 has another key, the hash-batch and the
+// proof that verified in the first deployment are verified again, and
+// refused.
+func TestVerdictIsPerRegistry(t *testing.T) {
+	a, b := quiet(Vanilla, 4), quiet(Vanilla, 4)
+	b.Ledger.Registry.Register(1, setcrypto.FastKeyPair(99).Public)
+	epA, epB := oneEpoch(t, a), oneEpoch(t, b)
+	if !bytes.Equal(epA.Hash, epB.Hash) {
+		t.Fatal("the two deployments made different epochs")
+	}
+	p := signedProof(a, 1, epA.Hash, 1, 1)
+	if !a.Servers[0].acceptProof(p) {
+		t.Fatal("the first deployment refused signer 1's proof")
+	}
+	if b.Servers[0].acceptProof(p) {
+		t.Fatal("a deployment where signer 1 has another key counted the proof")
+	}
+
+	ha, _ := quietHashchain(4, Options{})
+	hb, _ := quietHashchain(4, Options{})
+	hb.Ledger.Registry.Register(1, setcrypto.FastKeyPair(99).Public)
+	tx := signedHashBatch(ha, 1, testHash(6))
+	if !ha.Servers[0].CheckTx(tx) {
+		t.Fatal("the first deployment refused signer 1's hash-batch")
+	}
+	if hb.Servers[0].CheckTx(tx) {
+		t.Fatal("a deployment where signer 1 has another key admitted the hash-batch")
 	}
 }

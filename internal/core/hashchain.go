@@ -324,12 +324,21 @@ func (h *hashchainAlg) checkTx(tx *wire.Tx) bool {
 	return true
 }
 
+// validHashBatchSig reports whether hb carries its signer's signature of its
+// hash. Every server meets the same hash-batch twice, at admission and in a
+// block; the first check of the shared object records its verdict, and every
+// later one reads it (wire.Verdict). The callers charge the modeled cost.
 func (h *hashchainAlg) validHashBatchSig(hb *wire.HashBatch) bool {
-	pub := h.s.registry.Lookup(int(hb.Signer))
-	if pub == nil {
+	reg := h.s.registry
+	if hb.Verified.Holds(reg, hb) {
+		return true
+	}
+	pub := reg.Lookup(int(hb.Signer))
+	if pub == nil || !h.s.suite.Verify(pub, hb.Hash, hb.Sig) {
 		return false
 	}
-	return h.s.suite.Verify(pub, hb.Hash, hb.Sig)
+	hb.Verified.Record(reg, hb)
+	return true
 }
 
 // processBlock walks the block's hash-batches strictly in order, keeping

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"time"
 
@@ -25,9 +26,9 @@ var (
 // elements stamped with it, and the epoch-proofs this server has accepted for
 // it. Elements keep their ledger order so all servers hash the epoch
 // identically. Elements is read-only: an epoch made of a whole batch is the
-// batch's own slice, the same array on every server (filter), and only an
-// epoch some element was dropped from is a copy. The Epoch struct itself is
-// one server's own, since Proofs grows as that server accepts proofs.
+// batch's own slice, the same array on every server (Server.valid), and only
+// an epoch some element was dropped from is a copy. The Epoch struct itself
+// is one server's own, since Proofs grows as that server accepts proofs.
 type Epoch struct {
 	Number   uint64
 	Elements []*wire.Element
@@ -333,26 +334,28 @@ func (s *Server) epochHashFor(number uint64, elems []*wire.Element) []byte {
 	return s.suite.HashData(s.epochBuf)
 }
 
-// filter returns the elements of elems that keep accepts, in order; keep is
-// called once per element, in order. When it accepts them all the result is
-// elems itself, capped at its length so that an append to the result can
-// never write into the array behind elems; otherwise it is a fresh slice
-// that shares nothing with elems. A batch's Elements are frozen once hashed
-// (wire.Batch), so the common case — nothing dropped — makes an epoch the
-// batch's own slice on every server instead of a copy per server.
-func filter(elems []*wire.Element, keep func(*wire.Element) bool) []*wire.Element {
+// valid returns the valid elements of elems, in order, under filterFrom's
+// aliasing rule. It calls validElement directly, not through a func value,
+// and hands over to filterFrom at the first refusal.
+func (s *Server) valid(elems []*wire.Element) []*wire.Element {
 	for i, e := range elems {
-		if !keep(e) {
-			return filterFrom(elems, i, keep)
+		if !s.validElement(e) {
+			return filterFrom(elems, i, s.validElement)
 		}
 	}
 	return elems[:len(elems):len(elems)]
 }
 
-// filterFrom is filter's result once keep has accepted elems[:i] and
-// refused elems[i]: a fresh slice. A hot loop that calls its own keep
-// directly, rather than through a func value, and hands over here at the
-// first refusal keeps filter's rule without an indirect call per element.
+// filterFrom returns the elements of elems that keep accepts, in order, once
+// keep has accepted elems[:i] and refused elems[i]; it calls keep once for
+// each later element. Its caller's loop, which calls its own keep directly,
+// returns elems[:len(elems):len(elems)] when keep accepts them all. That is
+// the aliasing rule: everything kept is elems itself, capped at its length so
+// that an append to the result can never write into the array behind elems;
+// otherwise the result is a fresh slice that shares nothing with elems. A
+// batch's Elements are frozen once hashed (wire.Batch), so the common case —
+// nothing dropped — makes an epoch the batch's own slice on every server
+// instead of a copy per server.
 func filterFrom(elems []*wire.Element, i int, keep func(*wire.Element) bool) []*wire.Element {
 	out := append(make([]*wire.Element, 0, len(elems)-1), elems[:i]...)
 	for _, e := range elems[i+1:] {
@@ -361,11 +364,6 @@ func filterFrom(elems []*wire.Element, i int, keep func(*wire.Element) bool) []*
 		}
 	}
 	return out
-}
-
-// valid returns the valid elements of elems (filter's aliasing rule applies).
-func (s *Server) valid(elems []*wire.Element) []*wire.Element {
-	return filter(elems, s.validElement)
 }
 
 // createEpoch makes the next epoch of those of the given valid elements that
@@ -413,7 +411,7 @@ func (s *Server) acceptProof(p *wire.EpochProof) bool {
 	}
 	ep := s.history[p.Epoch-1-s.prunedEpochs]
 	s.chargeCPU(s.opts.Costs.VerifySig)
-	if !wire.VerifyEpochProof(s.suite, s.registry, p, ep.Hash) {
+	if !s.validProof(p, ep.Hash) {
 		return false
 	}
 	for _, q := range ep.Proofs {
@@ -429,6 +427,20 @@ func (s *Server) acceptProof(p *wire.EpochProof) bool {
 	// end of the current block (processNext), never here — a mid-block seal
 	// would freeze a snapshot that cuts the block in two.
 	s.settle()
+	return true
+}
+
+// validProof is wire.VerifyEpochProof through the proof's verdict: every
+// server checks the same shared proof against its own epoch hash, and only
+// the first verifies its signature (wire.Verdict). It charges nothing.
+func (s *Server) validProof(p *wire.EpochProof, hash []byte) bool {
+	if p.Verified.Holds(s.registry, p) {
+		return bytes.Equal(p.EpochHash, hash)
+	}
+	if !wire.VerifyEpochProof(s.suite, s.registry, p, hash) {
+		return false
+	}
+	p.Verified.Record(s.registry, p)
 	return true
 }
 

@@ -24,9 +24,11 @@ import (
 //     is a finite-state difference this check catches.
 //
 // Like Check, CheckCross must not be vacuously green: its mutation tests
-// corrupt a merged ledger five ways (cross-shard duplicate, dropped shard
-// epoch, misrouted id, fabricated element, reordered superepochs) and
-// assert each corruption fails. See DESIGN.md §10.
+// corrupt a merged ledger ten ways, one per violation it reports
+// (cross-shard duplicate, dropped shard epoch, misrouted id, fabricated
+// element, reordered superepochs, a shard count off, a prune no checkpoint
+// seals, a retained history off its base, a superepoch count off, parts out
+// of shard order) and assert each fails with its message. See DESIGN.md §10.
 
 // CrossConfig scopes a cross-shard check.
 type CrossConfig struct {

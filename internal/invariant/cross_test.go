@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/ledger"
@@ -73,9 +74,10 @@ func TestCheckCrossPassesOnCorrectRun(t *testing.T) {
 	}
 }
 
-// TestCheckCrossDetectsCorruption corrupts the merged ledger five ways
-// and proves the checker fails each one. Every mutation first asserts the
-// state it corrupts exists, so no case can pass vacuously.
+// TestCheckCrossDetectsCorruption corrupts the merged ledger ten ways, one
+// for each violation CheckCross reports, and proves the checker fails each
+// with its own message. Every mutation first asserts the state it corrupts
+// exists, so no case can pass vacuously.
 func TestCheckCrossDetectsCorruption(t *testing.T) {
 	view, cfg := runSharded(t)
 
@@ -165,6 +167,55 @@ func TestCheckCrossDetectsCorruption(t *testing.T) {
 				v.Supers[0], v.Supers[1] = v.Supers[1], v.Supers[0]
 			},
 			want: "contiguous 1..K",
+		},
+		{
+			name: "shard-count",
+			mutate: func(v *shard.View) {
+				// A third, empty history: the view names a shard the
+				// deployment never ran.
+				v.Histories = append(v.Histories, nil)
+			},
+			want: "view has 3 shard histories, deployment ran 2 shards",
+		},
+		{
+			name: "pruned-below-seal",
+			mutate: func(v *shard.View) {
+				// Shard 0 drops its first epoch as if pruned, with no
+				// checkpoint sealing it: the prefix has no witness.
+				v.Histories[0] = v.Histories[0][1:]
+				v.Bases = []uint64{1, 0}
+				v.Supers = shard.MergeFrom(v.Histories, v.Bases)
+			},
+			want: "shard 0: history pruned below epoch 2 but checkpoints only seal through 0",
+		},
+		{
+			name: "retained-history-start",
+			mutate: func(v *shard.View) {
+				// Shard 0 claims a sealed, pruned epoch 1 but still holds it
+				// at the front of its history.
+				v.Bases = []uint64{1, 0}
+				v.Checkpoints = [][]checkpoint.Checkpoint{{{Epoch: 1}}, nil}
+				v.Supers = shard.MergeFrom(v.Histories, v.Bases)
+			},
+			want: "shard 0: retained history starts at epoch 1, base says 2",
+		},
+		{
+			name: "superepoch-count",
+			mutate: func(v *shard.View) {
+				v.Supers = v.Supers[:len(v.Supers)-1]
+			},
+			want: "superepoch sequence has",
+		},
+		{
+			name: "part-shard-order",
+			mutate: func(v *shard.View) {
+				se := v.Supers[0]
+				if len(se.Parts) != 2 {
+					t.Fatalf("superepoch 1 has %d parts, want both shards", len(se.Parts))
+				}
+				se.Parts[0], se.Parts[1] = se.Parts[1], se.Parts[0]
+			},
+			want: "superepoch 1 part 0 comes from shard 1, want shard 0",
 		},
 	}
 	for _, tc := range cases {

@@ -5,10 +5,16 @@
 // accounting operate on; in modeled mode the payload bytes themselves can
 // be omitted while size accounting stays exact.
 //
+// A signed object is never changed once sent. Every receiver holds the
+// sender's pointer, not a copy, so one Verdict recorded on the object stands
+// for all of them; a sender that wants to say something else sends a new
+// object.
+//
 // See DESIGN.md §6 (performance engineering: keys built once).
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -149,6 +155,10 @@ type EpochProof struct {
 	EpochHash []byte // Hash(epoch number, epoch elements)
 	Sig       []byte
 	Signer    NodeID
+
+	// Verified holds that Sig is Signer's signature of EpochHash, once a
+	// receiver has checked it (not on the wire).
+	Verified Verdict[EpochProof]
 }
 
 // WireSize returns the proof's ledger footprint (139 bytes per the paper).
@@ -165,6 +175,10 @@ type HashBatch struct {
 	// Light, where it stands in for hash reversal (paper Fig. 2). It is not
 	// on the wire: WireSize stays 139 whether it is set or not.
 	Batch *Batch
+
+	// Verified holds that Sig is Signer's signature of Hash, once a
+	// receiver has checked it (not on the wire).
+	Verified Verdict[HashBatch]
 }
 
 // WireSize returns the hash-batch's ledger footprint (139 bytes).
@@ -175,9 +189,9 @@ func (hb *HashBatch) WireSize() int { return HashBatchWireSize }
 //
 // A Batch's Elements are frozen from the moment the batch is hashed (or
 // compressed): every server that receives the batch, and every epoch made
-// of it, holds this very slice, not a copy (core's filter). Whatever changes
-// a batch does so before that moment (a Byzantine server padding its own
-// flush) or to a copy (a Byzantine server answering a request with an
+// of it, holds this very slice, not a copy (core's Server.valid). Whatever
+// changes a batch does so before that moment (a Byzantine server padding its
+// own flush) or to a copy (a Byzantine server answering a request with an
 // altered batch); nothing appends to or writes into Elements afterwards.
 type Batch struct {
 	Elements []*Element
@@ -449,18 +463,11 @@ func EpochHashInput(epoch uint64, elems []*Element) []byte {
 }
 
 // VerifyEpochProof checks an epoch-proof against the expected epoch hash
-// using the signer's registered public key.
+// using the signer's registered public key. It is pure: it neither reads nor
+// records p.Verified.
 func VerifyEpochProof(suite setcrypto.Suite, reg *setcrypto.Registry, p *EpochProof, expectedHash []byte) bool {
-	if p == nil || len(expectedHash) == 0 {
+	if p == nil || len(expectedHash) == 0 || !bytes.Equal(p.EpochHash, expectedHash) {
 		return false
-	}
-	if len(p.EpochHash) != len(expectedHash) {
-		return false
-	}
-	for i := range expectedHash {
-		if p.EpochHash[i] != expectedHash[i] {
-			return false
-		}
 	}
 	pub := reg.Lookup(int(p.Signer))
 	if pub == nil {
@@ -468,3 +475,27 @@ func VerifyEpochProof(suite setcrypto.Suite, reg *setcrypto.Registry, p *EpochPr
 	}
 	return suite.Verify(pub, p.EpochHash, p.Sig)
 }
+
+// Verdict is a signed object's record that its signature checked out, kept
+// on the object itself. A deployment's n servers receive one shared pointer
+// (see the package comment); the first to verify it records the verdict, and
+// the others skip the host computation — each still charges its own modeled
+// verification cost. A verdict names the object's own address and the
+// registry it was checked under, and only a success is recorded: a struct
+// copy, whose address differs, is checked again, and so is the object under
+// another deployment's registry, or after a failure.
+//
+// The fields are typed pointers, not an unsafe.Pointer, so that
+// reflect.DeepEqual compares two objects' verdicts by content.
+type Verdict[T any] struct {
+	reg  *setcrypto.Registry
+	self *T
+}
+
+// Holds reports whether self verified under reg.
+func (v *Verdict[T]) Holds(reg *setcrypto.Registry, self *T) bool {
+	return v.self == self && v.reg == reg && self != nil
+}
+
+// Record notes that self verified under reg.
+func (v *Verdict[T]) Record(reg *setcrypto.Registry, self *T) { v.reg, v.self = reg, self }
