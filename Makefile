@@ -33,9 +33,12 @@ profile:
 	@echo "read with: go tool pprof -top -cum .bench_build/bench $(PROFILE_DIR)/$(W).cpu.prof"
 	@echo "      and: go tool pprof -sample_index=alloc_space -top .bench_build/bench $(PROFILE_DIR)/$(W).mem.prof"
 
-# Tier-1, the benchmark module's own vet and tests, and the generated
-# documents regenerated and compared with the committed copies.
+# CI's first two steps (vet, and gofmt printing nothing), tier-1, the
+# benchmark module's own vet and tests, and the generated documents
+# regenerated and compared with the committed copies.
 verify:
+	go vet ./...
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt would rewrite:"; echo "$$unformatted"; exit 1; }
 	go build ./... && go test ./...
 	cd bench && go vet ./... && go test ./...
 	go generate ./...

@@ -49,7 +49,7 @@ var gridTitles = map[string]string{
 }
 
 func renderTable1(w io.Writer, _ spec.Entry, _ []*harness.Result) {
-	g := harness.PaperGrid()
+	g := spec.PaperGrid()
 	t := &textplot.Table{
 		Title:   "Table 1: Parameters for Setchain evaluation",
 		Headers: []string{"Name", "Description", "Values"},

@@ -232,11 +232,9 @@ func (h *hashchainAlg) addSigner(r *batchRec, id wire.NodeID) {
 	r.signers.add(id)
 }
 
-// releaseSigners empties r's signer set and takes r off the pending list.
+// releaseSigners empties r's signer set, which holds at least one signer,
+// and takes r off the pending list.
 func (h *hashchainAlg) releaseSigners(r *batchRec) {
-	if r.signers.n == 0 {
-		return
-	}
 	last := len(h.pending) - 1
 	moved := h.pending[last]
 	h.pending[r.pendIdx] = moved
@@ -486,10 +484,6 @@ func (h *hashchainAlg) extractProofsOnce(r *batchRec, b *wire.Batch) {
 func (h *hashchainAlg) withContent(r *batchRec) {
 	s := h.s
 	b := r.batch
-	if b == nil { // raced with nothing: treat as recovery failure
-		h.next()
-		return
-	}
 	if r.contentDone {
 		h.extractProofsOnce(r, b)
 		h.cosignAndConsolidate(r)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -67,23 +68,32 @@ func paramsOf(p consensus.Params) effectiveParams {
 	}
 }
 
-// effectivePool is what a pool runs with: its mempool.Config and the
-// package's gossip interval.
+// effectivePool is what a pool runs with: its caps, the package's gossip
+// interval and its admission policy.
 type effectivePool struct {
 	MaxTxs         int
 	MaxBytes       int
 	GossipInterval time.Duration
-	Admission      mempool.AdmissionConfig
+	Admission      struct {
+		Policy      string
+		Watermark   float64
+		MaxDelay    spec.Duration
+		MaxDeferred int
+	}
 }
 
-// poolOf is what a pool reads of its mempool.Config: the deferred queue's
-// bounds only under the delay policy, the one that has a queue.
+// poolOf is what a pool reads of its mempool.Config: the admission block's
+// caps where it sets them, the package's elsewhere, and the deferred
+// queue's bounds only under the delay policy, the one that has a queue.
 func poolOf(c mempool.Config) effectivePool {
-	if c.Admission.Policy != spec.AdmissionDelay {
-		c.Admission.MaxDelay, c.Admission.MaxDeferred = 0, 0
+	a := c.Admission
+	e := effectivePool{MaxTxs: cmp.Or(a.MaxTxs, mempool.MaxTxs), MaxBytes: cmp.Or(a.MaxBytes, mempool.MaxBytes),
+		GossipInterval: mempool.GossipInterval}
+	e.Admission.Policy, e.Admission.Watermark = a.Policy, a.Watermark
+	if a.Policy == spec.AdmissionDelay {
+		e.Admission.MaxDelay, e.Admission.MaxDeferred = a.MaxDelay, a.MaxDeferred
 	}
-	return effectivePool{MaxTxs: c.MaxTxs, MaxBytes: c.MaxBytes,
-		GossipInterval: mempool.GossipInterval, Admission: c.Admission}
+	return e
 }
 
 // runs renders one value per node as "0-3: v; 4: w", collapsing runs of
@@ -176,10 +186,10 @@ func TestAdmissionDefaults(t *testing.T) {
 		_, d, _ := Deploy(fromSpec(t, sp).withDefaults())
 		return d.Shards[0].Ledger.Nodes[0].Pool.Config()
 	}
-	want := mempool.AdmissionConfig{Policy: spec.AdmissionDelay,
-		Watermark: 0.9, MaxDelay: 5 * time.Second, MaxDeferred: 1024}
-	if got := pool(); got.Admission != want || got.MaxTxs != 100 {
-		t.Fatalf("delay-policy pool = %+v, want admission %+v and 100 txs", got, want)
+	want := spec.AdmissionSpec{Policy: spec.AdmissionDelay, Watermark: 0.9, MaxTxs: 100,
+		MaxDelay: spec.Duration(5 * time.Second), MaxDeferred: 1024}
+	if got := pool(); got.Admission != want {
+		t.Fatalf("delay-policy pool admission = %+v, want %+v", got.Admission, want)
 	}
 	sp.Admission = nil
 	if got := pool(); got != mempool.PaperConfig() {

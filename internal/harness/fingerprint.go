@@ -7,7 +7,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/spec"
-	"repro/internal/workload"
 )
 
 // Fingerprint serializes every deterministic field of a Result — scenario,
@@ -135,7 +134,7 @@ func Fingerprint(res *Result) []byte {
 			sc.Shards, 0, sc.Transport, sc.Fanout, int(sc.Mode), sc.Bandwidth,
 			sizes{sc.Sizes.Mean, sc.Sizes.StdDev, sc.Sizes.Min, sc.Sizes.Max}, int64(sc.Tick),
 			open{o.Zipf, int64(o.ChurnOn), int64(o.ChurnOff),
-				each(o.Envelope, func(p workload.RatePhase) phase { return phase{int64(p.From), p.Mult} })},
+				each(o.Envelope, func(p spec.RatePhaseSpec) phase { return phase{int64(p.From), p.Mult} })},
 			admission{a.Policy, a.Watermark, int64(a.MaxDelay), a.MaxDeferred, a.MaxTxs, a.MaxBytes},
 			byzantine{b.Faulty, orNil(b.Behaviors), b.InjectCount},
 			faultPlan{each(sc.Faults.Events, func(ev spec.FaultEventSpec) faultEvent {

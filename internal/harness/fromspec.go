@@ -73,17 +73,8 @@ func FromSpec(sp spec.ScenarioSpec) (Scenario, error) {
 		}
 		sc.Tick = w.Tick.Std()
 	}
-	if o := sp.Open; o != nil {
-		sc.Open = workload.OpenConfig{
-			Zipf:     o.Zipf,
-			ChurnOn:  o.ChurnOn.Std(),
-			ChurnOff: o.ChurnOff.Std(),
-		}
-		for _, ph := range o.Envelope {
-			sc.Open.Envelope = append(sc.Open.Envelope, workload.RatePhase{
-				From: ph.From.Std(), Mult: ph.Mult,
-			})
-		}
+	if sp.Open != nil {
+		sc.Open = *sp.Open
 	}
 	if sp.Admission != nil {
 		sc.Admission = *sp.Admission

@@ -27,7 +27,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/invariant"
 	"repro/internal/ledger"
-	"repro/internal/mempool"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/setcrypto"
@@ -127,10 +126,10 @@ type Scenario struct {
 	Sizes workload.SizeModel
 	Tick  time.Duration
 	// Open adds open-system workload dynamics — Zipf source skew, session
-	// churn, rate envelopes (workload.OpenConfig, DESIGN.md §14). The
-	// zero value is the closed system; time axes scale with Scale like
-	// the send window does.
-	Open workload.OpenConfig
+	// churn, rate envelopes (the spec's block, DESIGN.md §14). The zero
+	// value is the closed system; time axes scale with Scale like the
+	// send window does.
+	Open spec.OpenSpec
 	// Admission enables mempool admission control (the spec's block as
 	// spec.WithDefaults left it); the zero value keeps admission off.
 	Admission spec.AdmissionSpec
@@ -295,16 +294,7 @@ func deployConfig(sc Scenario) (core.Options, ledger.Config) {
 	if sc.SyncChunkBytes > 0 {
 		lcfg.Consensus.SyncChunkBytes = sc.SyncChunkBytes
 	}
-	if a := sc.Admission; a.Policy != "" {
-		lcfg.Mempool.Admission = mempool.AdmissionConfig{Policy: a.Policy, Watermark: a.Watermark,
-			MaxDelay: a.MaxDelay.Std(), MaxDeferred: a.MaxDeferred}
-		if a.MaxTxs > 0 {
-			lcfg.Mempool.MaxTxs = a.MaxTxs
-		}
-		if a.MaxBytes > 0 {
-			lcfg.Mempool.MaxBytes = a.MaxBytes
-		}
-	}
+	lcfg.Mempool.Admission = sc.Admission
 	if sc.Mode == core.Full {
 		lcfg.Suite = setcrypto.Ed25519Suite{}
 	}
@@ -514,23 +504,5 @@ func measureHeap(res *Result, deployment any) {
 	res.HeapLiveMB = float64(ms.HeapAlloc) / (1 << 20)
 	if res.HeapLiveMB > float64(res.Scenario.HeapCeilingMB) {
 		res.HeapViolation = true
-	}
-}
-
-// ParameterGrid reproduces Table 1: the evaluation's parameter space.
-type ParameterGrid struct {
-	SendingRates  []float64
-	Collectors    []int
-	ServerCounts  []int
-	NetworkDelays []time.Duration
-}
-
-// PaperGrid returns Table 1's values.
-func PaperGrid() ParameterGrid {
-	return ParameterGrid{
-		SendingRates:  []float64{10000, 5000, 1000, 500},
-		Collectors:    []int{100, 500},
-		ServerCounts:  []int{4, 7, 10},
-		NetworkDelays: []time.Duration{0, 30 * time.Millisecond, 100 * time.Millisecond},
 	}
 }

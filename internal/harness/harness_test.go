@@ -334,7 +334,7 @@ func TestLatencyStudySmall(t *testing.T) {
 }
 
 func TestPaperGridMatchesTable1(t *testing.T) {
-	g := PaperGrid()
+	g := spec.PaperGrid()
 	if len(g.SendingRates) != 4 || len(g.Collectors) != 2 ||
 		len(g.ServerCounts) != 3 || len(g.NetworkDelays) != 3 {
 		t.Fatalf("grid dimensions wrong: %+v", g)

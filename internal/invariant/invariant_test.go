@@ -155,6 +155,16 @@ func TestCheckerFlagsMissingObserver(t *testing.T) {
 	}
 }
 
+// A correct server the deployment does not hold is reported, not skipped.
+func TestCheckerFlagsUnknownCorrectServer(t *testing.T) {
+	d, cfg := runSmall(t)
+	cfg.Correct = append(cfg.Correct, 9)
+	err := Check(d, cfg)
+	if want := "correct server 9 not in deployment of 4"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %v, want %q", err, want)
+	}
+}
+
 func TestCheckerNilSetsSkipOptionalChecks(t *testing.T) {
 	d, cfg := runSmall(t)
 	cfg.Injected = nil
@@ -173,13 +183,11 @@ func runSmallAdmission(t *testing.T) (*core.Deployment, Config) {
 	const n = 4
 	f := (n - 1) / 2
 	rec := metrics.New(s, metrics.LevelThroughput, n, f, 0)
-	mcfg := mempool.PaperConfig()
-	mcfg.MaxTxs = 30
-	mcfg.Admission = mempool.AdmissionConfig{Policy: spec.AdmissionReject, Watermark: 0.9}
 	d := core.Deploy(s, n, ledger.Config{
 		Net:       netsim.DefaultLANConfig(),
 		Consensus: consensus.PaperParams(),
-		Mempool:   mcfg,
+		Mempool: mempool.Config{Admission: spec.AdmissionSpec{
+			Policy: spec.AdmissionReject, Watermark: 0.9, MaxTxs: 30}},
 	}, core.Options{
 		Algorithm:      core.Hashchain,
 		CollectorLimit: 100,
@@ -411,10 +419,18 @@ func TestCheckerDetectsPrunedPrefixFaults(t *testing.T) {
 		f(rep)
 		return rep.err()
 	}
+	// The recorder's fold through the horizon, as the observer's pruning
+	// makes it: the horizon's epochs leave CommittedEpochs, their count
+	// goes to FoldedCommitted.
+	folded := func(epoch, elements uint64) Config {
+		return Config{CommittedEpochs: map[uint64]int{}, FoldedEpochs: epoch, FoldedCommitted: elements}
+	}
+	observer := map[wire.NodeID]core.Snapshot{0: honest0}
 	if err := check(func(rep *report) {
 		checkCheckpoints(rep, 0, honest0)
 		checkCheckpoints(rep, 1, honest1)
 		checkPrefix(rep, 1, honest1, 0, honest0, false)
+		checkLoss(rep, observer, folded(horizon.Epoch, horizon.Elements))
 	}); err != nil {
 		t.Fatalf("honestly pruned snapshots are flagged: %v", err)
 	}
@@ -433,6 +449,22 @@ func TestCheckerDetectsPrunedPrefixFaults(t *testing.T) {
 		snap := prune(full1, at, horizon.Elements+uint64(len(full1.History[horizon.Epoch].Elements)))
 		err := check(func(rep *report) { checkCheckpoints(rep, 1, snap) })
 		want := fmt.Sprintf("server 1: history pruned to epoch %d with no checkpoint sealing it", at)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("got %v, want %q", err, want)
+		}
+	})
+	t.Run("folded count off the observer checkpoint", func(t *testing.T) {
+		err := check(func(rep *report) { checkLoss(rep, observer, folded(horizon.Epoch, horizon.Elements+1)) })
+		want := fmt.Sprintf("folded committed elements through epoch %d: recorder saw %d, observer checkpoint holds %d",
+			horizon.Epoch, horizon.Elements+1, horizon.Elements)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("got %v, want %q", err, want)
+		}
+	})
+	t.Run("folded to no observer checkpoint", func(t *testing.T) {
+		at := horizon.Epoch + 1
+		err := check(func(rep *report) { checkLoss(rep, observer, folded(at, horizon.Elements)) })
+		want := fmt.Sprintf("recorder folded epochs through %d but observer 0 has no checkpoint there", at)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("got %v, want %q", err, want)
 		}

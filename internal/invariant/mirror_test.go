@@ -15,9 +15,9 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/setcrypto"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/wire"
-	"repro/internal/workload"
 )
 
 // run executes a small fault-free four-server run of the given options
@@ -27,8 +27,6 @@ func run(tb testing.TB, opts core.Options) (*core.Deployment, Config) {
 	tb.Helper()
 	s := sim.New(1)
 	const n = 4
-	f := (n - 1) / 2
-	rec := metrics.New(s, metrics.LevelThroughput, n, f, 0)
 	lcfg := ledger.Config{
 		Net:       netsim.DefaultLANConfig(),
 		Consensus: consensus.PaperParams(),
@@ -37,15 +35,16 @@ func run(tb testing.TB, opts core.Options) (*core.Deployment, Config) {
 	if opts.Mode == core.Full {
 		lcfg.Suite = setcrypto.Ed25519Suite{}
 	}
-	opts.CollectorLimit, opts.Costs, opts.F = 100, core.PaperCostModel(), f
-	d := core.Deploy(s, n, lcfg, opts, rec)
-	gen := workload.New(d, rec, workload.Config{
-		Rate: 400, Duration: 6 * time.Second, TrackIDs: true, FullPayloads: opts.Mode == core.Full,
+	opts.CollectorLimit, opts.Costs, opts.F = 100, core.PaperCostModel(), (n-1)/2
+	sd := shard.Deploy(s, 1, n, lcfg, opts, metrics.LevelThroughput)
+	gen := shard.NewGenerator(sd, shard.WorkloadConfig{
+		Rate: 400, Duration: 6 * time.Second, FullPayloads: opts.Mode == core.Full,
 	})
-	d.Start()
+	sd.Start()
 	gen.Start()
 	s.RunUntil(25 * time.Second)
-	d.Stop()
+	sd.Stop()
+	d, rec := sd.Shards[0], sd.Recorders[0]
 	if rec.TotalCommitted() == 0 {
 		tb.Fatal("small run committed nothing; checker would be vacuous")
 	}

@@ -19,29 +19,6 @@ import (
 	"repro/internal/wire"
 )
 
-// AdmissionConfig enables and tunes the admission policy; the zero value
-// (empty Policy) leaves admission off — the closed-system behavior. The
-// pool uses every field as given: a scenario's defaults (watermark 0.9, and
-// for the delay policy 5 s and 1,024) are spec.WithDefaults'.
-type AdmissionConfig struct {
-	// Policy is spec.AdmissionReject or spec.AdmissionDelay ("" = off).
-	// Reject refuses new elements while the pool is saturated; the client
-	// observes an error and the element is never retried. Delay keeps
-	// admitting elements while the bounded deferred queue has room: their
-	// transactions wait out the saturation and enter when commits free
-	// space, unless MaxDelay expires first.
-	Policy string
-	// Watermark is the saturation threshold as a fraction of MaxTxs and
-	// MaxBytes. It must stay below 1: the remainder is
-	// headroom for carriers of already-admitted elements.
-	Watermark float64
-	// MaxDelay bounds how long a deferred transaction may wait before it
-	// is dropped (delay policy, virtual time).
-	MaxDelay time.Duration
-	// MaxDeferred caps the deferred queue (delay policy).
-	MaxDeferred int
-}
-
 // deferredTx is one transaction parked by the delay policy.
 type deferredTx struct {
 	tx       *wire.Tx
@@ -63,8 +40,8 @@ func (m *Mempool) Saturated() bool {
 		return false
 	}
 	wm := m.cfg.Admission.Watermark
-	return float64(m.live) >= wm*float64(m.cfg.MaxTxs) ||
-		float64(m.bytes) >= wm*float64(m.cfg.MaxBytes)
+	return float64(m.live) >= wm*float64(m.maxTxs) ||
+		float64(m.bytes) >= wm*float64(m.maxBytes)
 }
 
 // AdmitElement is the element-level admission gate, consulted by
@@ -91,7 +68,7 @@ func (m *Mempool) deferTx(tx *wire.Tx) bool {
 		m.admRejected++
 		return false
 	}
-	m.deferred = append(m.deferred, deferredTx{tx: tx, deadline: m.sim.Now() + m.cfg.Admission.MaxDelay})
+	m.deferred = append(m.deferred, deferredTx{tx: tx, deadline: m.sim.Now() + m.cfg.Admission.MaxDelay.Std()})
 	m.deferredTotal++
 	m.armDeferExpiry()
 	return true

@@ -11,9 +11,8 @@ import (
 // admCfg is a pool of maxTxs transactions under the policy, saturating at
 // 90 % and deferring up to 1,024 transactions for 5 s.
 func admCfg(policy string, maxTxs int) Config {
-	c := capped(maxTxs)
-	c.Admission = AdmissionConfig{Policy: policy, Watermark: 0.9, MaxDelay: 5 * time.Second, MaxDeferred: 1024}
-	return c
+	return Config{Admission: spec.AdmissionSpec{Policy: policy, Watermark: 0.9, MaxTxs: maxTxs,
+		MaxDelay: spec.Duration(5 * time.Second), MaxDeferred: 1024}}
 }
 
 func fillPool(t *testing.T, p *Mempool, base, n int) {

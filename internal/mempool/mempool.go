@@ -27,6 +27,7 @@
 package mempool
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"time"
@@ -37,26 +38,25 @@ import (
 	"repro/internal/wire"
 )
 
-// Config sets pool limits and admission. Build it from PaperConfig
-// and override fields: New uses every field as given and refuses the zero
-// Config.
+// Config sets a pool's admission control. The zero Config is the paper's
+// pool: admission off, caps MaxTxs and MaxBytes.
 type Config struct {
-	// MaxTxs caps the number of pooled transactions (paper: 10,000,000).
-	MaxTxs int
-	// MaxBytes caps pooled bytes (paper: 2 GB).
-	MaxBytes int
-	// Admission enables backpressure below the hard caps (admission.go);
-	// the zero value leaves admission off.
-	Admission AdmissionConfig
+	// Admission is the scenario's admission block as spec.WithDefaults
+	// left it (admission.go): its policy, watermark and deferred-queue
+	// bounds, and its max_txs/max_bytes, which override MaxTxs/MaxBytes
+	// when positive. The zero value leaves admission off.
+	Admission spec.AdmissionSpec
 }
 
-// PaperConfig returns the evaluation's mempool settings.
-func PaperConfig() Config {
-	return Config{
-		MaxTxs:   10_000_000,
-		MaxBytes: 2 << 30,
-	}
-}
+// PaperConfig returns the evaluation's mempool settings: the zero Config.
+func PaperConfig() Config { return Config{} }
+
+// MaxTxs and MaxBytes cap the pooled transactions and bytes: the paper
+// raises CometBFT's defaults to 10,000,000 transactions or 2 GB.
+const (
+	MaxTxs   = 10_000_000
+	MaxBytes = 2 << 30
+)
 
 // GossipInterval batches first-seen transactions and forwards them to all
 // peers once per interval, approximating CometBFT's continuous per-peer
@@ -83,6 +83,9 @@ type Mempool struct {
 	cfg   Config
 	check CheckFunc
 	enter EnterFunc
+	// maxTxs and maxBytes are the caps: MaxTxs and MaxBytes, or the
+	// admission block's overrides.
+	maxTxs, maxBytes int
 
 	// keys maps a transaction key to its ordinal: the ledger's shared
 	// table, or the pool's own when it runs alone.
@@ -161,20 +164,19 @@ const tombstone int32 = -1
 // ShareKeys hands it a ledger's. peers is the set of other nodes gossip
 // reaches. check may be nil (accept all); enter may be nil.
 func New(id wire.NodeID, s *sim.Simulator, net *netsim.Network, peers []wire.NodeID, cfg Config, check CheckFunc, enter EnterFunc) *Mempool {
-	if cfg == (Config{}) {
-		panic("mempool: zero Config; start from mempool.PaperConfig()")
-	}
 	m := &Mempool{
-		id:    id,
-		sim:   s,
-		net:   net,
-		cfg:   cfg,
-		check: check,
-		enter: enter,
-		head:  1,
-		next:  1,
-		peers: peers,
-		keys:  NewKeys(),
+		id:       id,
+		sim:      s,
+		net:      net,
+		cfg:      cfg,
+		maxTxs:   cmp.Or(cfg.Admission.MaxTxs, MaxTxs),
+		maxBytes: cmp.Or(cfg.Admission.MaxBytes, MaxBytes),
+		check:    check,
+		enter:    enter,
+		head:     1,
+		next:     1,
+		peers:    peers,
+		keys:     NewKeys(),
 	}
 	m.flushFn = m.flush
 	return m
@@ -255,7 +257,7 @@ func (m *Mempool) add(tx *wire.Tx, gossip bool) bool {
 		m.rejected++
 		return false
 	}
-	if m.live >= m.cfg.MaxTxs || m.bytes+tx.WireSize() > m.cfg.MaxBytes {
+	if m.live >= m.maxTxs || m.bytes+tx.WireSize() > m.maxBytes {
 		m.dropped++
 		return false
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/wire"
 )
 
@@ -19,11 +20,9 @@ func elemTx(i int, size int) *wire.Tx {
 	return &wire.Tx{Kind: wire.TxElement, Element: e}
 }
 
-// capped is PaperConfig holding at most maxTxs transactions.
+// capped is a pool holding at most maxTxs transactions, admission off.
 func capped(maxTxs int) Config {
-	c := PaperConfig()
-	c.MaxTxs = maxTxs
-	return c
+	return Config{Admission: spec.AdmissionSpec{MaxTxs: maxTxs}}
 }
 
 func newTestPools(t *testing.T, n int, cfg Config) (*sim.Simulator, []*Mempool) {
@@ -170,7 +169,7 @@ func TestCapacityLimits(t *testing.T) {
 }
 
 func TestByteCapacity(t *testing.T) {
-	s, pools := newTestPools(t, 1, Config{MaxTxs: 100, MaxBytes: 250})
+	s, pools := newTestPools(t, 1, Config{Admission: spec.AdmissionSpec{MaxTxs: 100, MaxBytes: 250}})
 	p := pools[0]
 	s.After(0, func() {
 		for i := 0; i < 5; i++ {

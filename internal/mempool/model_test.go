@@ -1,6 +1,7 @@
 package mempool
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -38,10 +39,16 @@ type oracleBatch struct {
 	keys   []wire.TxKey
 }
 
+// caps returns the pool's caps: the admission block's, or the paper's.
+func (o *oracle) caps() (maxTxs, maxBytes int) {
+	return cmp.Or(o.cfg.Admission.MaxTxs, MaxTxs), cmp.Or(o.cfg.Admission.MaxBytes, MaxBytes)
+}
+
 func (o *oracle) saturated() bool {
 	a := o.cfg.Admission
-	return a.Policy != "" && (float64(len(o.pool)) >= a.Watermark*float64(o.cfg.MaxTxs) ||
-		float64(o.bytes) >= a.Watermark*float64(o.cfg.MaxBytes))
+	maxTxs, maxBytes := o.caps()
+	return a.Policy != "" && (float64(len(o.pool)) >= a.Watermark*float64(maxTxs) ||
+		float64(o.bytes) >= a.Watermark*float64(maxBytes))
 }
 
 func (o *oracle) addTx(tx *wire.Tx, now time.Duration) bool {
@@ -52,19 +59,20 @@ func (o *oracle) addTx(tx *wire.Tx, now time.Duration) bool {
 		o.admRejected++
 		return false
 	}
-	o.deferred = append(o.deferred, deferredTx{tx: tx, deadline: now + o.cfg.Admission.MaxDelay})
+	o.deferred = append(o.deferred, deferredTx{tx: tx, deadline: now + o.cfg.Admission.MaxDelay.Std()})
 	o.deferredTotal++
 	return true
 }
 
 func (o *oracle) add(tx *wire.Tx) bool {
 	key := tx.MapKey()
+	maxTxs, maxBytes := o.caps()
 	switch {
 	case o.state[key] != 0:
 		o.duplicate++
 	case !modelCheck(tx):
 		o.rejected++
-	case len(o.pool) >= o.cfg.MaxTxs || o.bytes+tx.WireSize() > o.cfg.MaxBytes:
+	case len(o.pool) >= maxTxs || o.bytes+tx.WireSize() > maxBytes:
 		o.dropped++
 	default:
 		o.pool = append(o.pool, tx)
@@ -193,9 +201,9 @@ func twinTx(tx *wire.Tx, constructed bool) *wire.Tx {
 // delay admission policy with a short deferred queue.
 var modelConfigs = []Config{
 	PaperConfig(),
-	{MaxTxs: 96, MaxBytes: 24_000},
-	{MaxTxs: 64, MaxBytes: 1 << 20, Admission: AdmissionConfig{
-		Policy: spec.AdmissionDelay, Watermark: 0.75, MaxDelay: 2 * time.Second, MaxDeferred: 8}},
+	{Admission: spec.AdmissionSpec{MaxTxs: 96, MaxBytes: 24_000}},
+	{Admission: spec.AdmissionSpec{MaxTxs: 64, MaxBytes: 1 << 20,
+		Policy: spec.AdmissionDelay, Watermark: 0.75, MaxDelay: spec.Duration(2 * time.Second), MaxDeferred: 8}},
 }
 
 // nearPageEnd is where a driver asked to start late starts its pools'

@@ -291,3 +291,79 @@ func TestOversizedTxRefused(t *testing.T) {
 		t.Fatalf("Reap(1000) after the commit = %d txs, want the small one", len(got))
 	}
 }
+
+// Keys.Verify reports each way a shared table can disagree with its pools.
+// Every case builds the same two pools over one table, ordinals 1-4 held
+// by pool 0 and 1-2 by pool 1 too, breaks one thing, and expects the
+// verdict that names it.
+func TestKeysVerifyReportsEachCorruption(t *testing.T) {
+	build := func() (*Keys, []*Mempool, []*wire.Tx) {
+		keys := NewKeys()
+		pools := []*Mempool{New(0, sim.New(1), nil, nil, PaperConfig(), nil, nil), New(1, sim.New(1), nil, nil, PaperConfig(), nil, nil)}
+		txs := make([]*wire.Tx, 4)
+		for i := range txs {
+			txs[i] = elemTx(i, 100)
+		}
+		for i, p := range pools {
+			p.ShareKeys(keys)
+			for _, tx := range txs[:4-2*i] {
+				p.AddTx(tx)
+			}
+		}
+		return keys, pools, txs
+	}
+	if keys, pools, _ := build(); keys.Verify(pools) != nil {
+		t.Fatalf("the intact table is reported: %v", keys.Verify(pools))
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(keys *Keys, pools []*Mempool, txs []*wire.Tx)
+		want    string
+	}{
+		{"counts' pages start off the window", func(keys *Keys, pools []*Mempool, _ []*wire.Tx) {
+			keys.refs.base += pageSize
+		}, "the table's counts: 1 pages from 256 for a window from 1"},
+		{"transactions' pages start off the window", func(keys *Keys, pools []*Mempool, _ []*wire.Tx) {
+			keys.first.base += pageSize
+		}, "the table's transactions: 1 pages from 256 for a window from 1"},
+		{"a pool with a table of its own", func(_ *Keys, pools []*Mempool, _ []*wire.Tx) {
+			pools[1].keys = NewKeys()
+		}, "pool 1 does not share the table"},
+		{"a pool that holds no key keeps a page", func(_ *Keys, pools []*Mempool, _ []*wire.Tx) {
+			pools[1].held = 0
+		}, "pool 1 holds no key and keeps 1 pages of states"},
+		{"states' pages start off the window", func(_ *Keys, pools []*Mempool, _ []*wire.Tx) {
+			pools[0].entries.base += pageSize
+		}, "pool 0's states: 1 pages from 256 for a window from 1"},
+		{"a state below the pool's window", func(_ *Keys, pools []*Mempool, _ []*wire.Tx) {
+			pools[0].entLo = 2
+		}, "pool 0 holds ordinal 1 below its window's start 2"},
+		{"a state past the table's window", func(_ *Keys, pools []*Mempool, _ []*wire.Tx) {
+			*pools[0].entries.slot(5) = 99
+		}, "pool 0 holds ordinal 5 outside the table's window [1, 5)"},
+		{"a count off by one", func(keys *Keys, pools []*Mempool, _ []*wire.Tx) {
+			*keys.refs.at(3) = 2
+		}, "ordinal 3 counts 2 holders, 1 pools hold it"},
+		{"a released key keeps its transaction", func(keys *Keys, pools []*Mempool, _ []*wire.Tx) {
+			*pools[0].entries.at(3), *keys.refs.at(3) = 0, 0
+		}, "ordinal 3 is held by no pool and still keeps its transaction"},
+		{"a held key lost its transaction", func(keys *Keys, pools []*Mempool, _ []*wire.Tx) {
+			*keys.first.at(3) = nil
+		}, "ordinal 3 is held by 1 pools and keeps no transaction"},
+		{"a transaction under another key's ordinal", func(keys *Keys, pools []*Mempool, txs []*wire.Tx) {
+			*keys.first.at(3) = txs[3]
+		}, "ordinal 3: its key finds ordinal 4"},
+		{"a key count off by one", func(keys *Keys, pools []*Mempool, _ []*wire.Tx) {
+			keys.n++
+		}, "the table holds 5 keys, the pools hold 4"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			keys, pools, txs := build()
+			tc.corrupt(keys, pools, txs)
+			err := keys.Verify(pools)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("got %v, want %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package shard
 import (
 	"time"
 
+	"repro/internal/spec"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -21,8 +22,9 @@ import (
 // set. All accounting — accepted, rejected, offered, fairness — goes
 // through workload.Account.
 
-// WorkloadConfig drives a sharded generation run; the fields mirror
-// workload.Config.
+// WorkloadConfig drives a sharded generation run: workload.Config's
+// fields without TrackIDs (ids are always tracked), plus the full payloads
+// and open-system dynamics that only the routed generator runs.
 type WorkloadConfig struct {
 	// Rate is the aggregate sending rate in elements/second across ALL
 	// shards; each of the S·n clients injects at Rate/(S·n).
@@ -35,9 +37,9 @@ type WorkloadConfig struct {
 	Tick time.Duration
 	// FullPayloads creates real signed payloads (Full mode deployments).
 	FullPayloads bool
-	// Open adds open-system dynamics (workload.OpenConfig); the zero
-	// value is the closed system.
-	Open workload.OpenConfig
+	// Open adds open-system dynamics (workload.OpenTicks), its time axes
+	// already scaled; the zero value is the closed system.
+	Open spec.OpenSpec
 	// Seed keys the open extension's ChildSeed streams.
 	Seed int64
 }

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -23,9 +24,35 @@ func hash(c int) ScenarioSpec {
 
 func light(s ScenarioSpec) ScenarioSpec { s.Light = true; return s }
 
-// effVariants is the variant set of Fig. 3/5's legends.
+// ParameterGrid is the evaluation's parameter space (paper Table 1).
+type ParameterGrid struct {
+	SendingRates  []float64
+	Collectors    []int
+	ServerCounts  []int
+	NetworkDelays []time.Duration
+}
+
+// PaperGrid returns Table 1's values in the paper's order: the one copy
+// the table1 entry renders and the Fig. 3/5 grids sweep.
+func PaperGrid() ParameterGrid {
+	return ParameterGrid{
+		SendingRates:  []float64{10000, 5000, 1000, 500},
+		Collectors:    []int{100, 500},
+		ServerCounts:  []int{4, 7, 10},
+		NetworkDelays: []time.Duration{0, 30 * time.Millisecond, 100 * time.Millisecond},
+	}
+}
+
+// effVariants is the variant set of Fig. 3/5's legends: Vanilla, then
+// Compresschain and Hashchain at each collector size.
 func effVariants() []ScenarioSpec {
-	return []ScenarioSpec{vanilla(), compress(100), compress(500), hash(100), hash(500)}
+	vs := []ScenarioSpec{vanilla()}
+	for _, alg := range []func(int) ScenarioSpec{compress, hash} {
+		for _, c := range PaperGrid().Collectors {
+			vs = append(vs, alg(c))
+		}
+	}
+	return vs
 }
 
 // grid crosses parameter points with the Fig. 3 variant set: for every
@@ -62,7 +89,7 @@ func fig1Cells() []ScenarioSpec {
 }
 
 func fig3aCells() []ScenarioSpec {
-	rates := []float64{500, 1000, 5000, 10000}
+	rates := slices.Sorted(slices.Values(PaperGrid().SendingRates))
 	points := make([]string, len(rates))
 	for i, r := range rates {
 		points[i] = fmt.Sprintf("%.0f el/s", r)
@@ -74,7 +101,7 @@ func fig3aCells() []ScenarioSpec {
 }
 
 func fig3bCells() []ScenarioSpec {
-	servers := []int{4, 7, 10}
+	servers := PaperGrid().ServerCounts
 	points := make([]string, len(servers))
 	for i, n := range servers {
 		points[i] = fmt.Sprintf("%d servers", n)
@@ -87,7 +114,7 @@ func fig3bCells() []ScenarioSpec {
 }
 
 func fig3cCells() []ScenarioSpec {
-	delays := []time.Duration{0, 30 * time.Millisecond, 100 * time.Millisecond}
+	delays := PaperGrid().NetworkDelays
 	points := make([]string, len(delays))
 	for i, d := range delays {
 		points[i] = d.String()

@@ -154,3 +154,50 @@ func TestExpandCopiesOpenAndAdmission(t *testing.T) {
 		t.Fatal("cells share an envelope backing array")
 	}
 }
+
+func TestEnvelopeMult(t *testing.T) {
+	cfg := OpenSpec{Envelope: []RatePhaseSpec{
+		{From: 0, Mult: 0.5},
+		{From: Duration(10 * time.Second), Mult: 2},
+		{From: Duration(20 * time.Second), Mult: 1},
+	}}
+	for _, tc := range []struct {
+		at   time.Duration
+		want float64
+	}{
+		{0, 0.5}, {9 * time.Second, 0.5},
+		{10 * time.Second, 2}, {19 * time.Second, 2},
+		{20 * time.Second, 1}, {time.Hour, 1},
+	} {
+		if m := cfg.Mult(tc.at); m != tc.want {
+			t.Fatalf("Mult(%v) = %g, want %g", tc.at, m, tc.want)
+		}
+	}
+	// No phase before the first boundary: multiplier 1.
+	late := OpenSpec{Envelope: []RatePhaseSpec{{From: Duration(5 * time.Second), Mult: 3}}}
+	if m := late.Mult(2 * time.Second); m != 1 {
+		t.Fatalf("pre-envelope Mult = %g, want 1", m)
+	}
+}
+
+func TestOpenSpecScaled(t *testing.T) {
+	cfg := OpenSpec{
+		ChurnOn:  Duration(10 * time.Second),
+		ChurnOff: Duration(5 * time.Second),
+		Envelope: []RatePhaseSpec{{From: Duration(10 * time.Second), Mult: 2}},
+	}
+	s := cfg.Scaled(0.1)
+	if s.ChurnOn != Duration(time.Second) || s.ChurnOff != Duration(500*time.Millisecond) {
+		t.Fatalf("scaled churn = %v/%v", s.ChurnOn, s.ChurnOff)
+	}
+	if s.Envelope[0].From != Duration(time.Second) || s.Envelope[0].Mult != 2 {
+		t.Fatalf("scaled phase = %+v", s.Envelope[0])
+	}
+	// The original must be untouched (cells share config values).
+	if cfg.Envelope[0].From != Duration(10*time.Second) {
+		t.Fatal("Scaled mutated the receiver's envelope")
+	}
+	if (OpenSpec{}).Scaled(0.1).Enabled() {
+		t.Fatal("scaling an empty block enabled it")
+	}
+}

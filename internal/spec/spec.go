@@ -55,6 +55,9 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // Std returns the standard-library duration.
 func (d Duration) Std() time.Duration { return time.Duration(d) }
 
+// String renders the duration as time.Duration does ("50s", "30ms").
+func (d Duration) String() string { return time.Duration(d).String() }
+
 // Algorithm names (the canonical strings of ScenarioSpec.Algorithm).
 const (
 	AlgVanilla       = "vanilla"
@@ -145,6 +148,42 @@ type OpenSpec struct {
 	// Envelope shapes the aggregate rate over the send window; phases
 	// must be in ascending From order.
 	Envelope []RatePhaseSpec `json:"envelope,omitempty"`
+}
+
+// Enabled reports whether any open-system dynamic is configured.
+func (o OpenSpec) Enabled() bool {
+	return o.Zipf > 0 || o.ChurnOn > 0 || len(o.Envelope) > 0
+}
+
+// Mult returns the envelope's rate multiplier at the given time: 1 before
+// the first phase.
+func (o OpenSpec) Mult(now time.Duration) float64 {
+	m := 1.0
+	for _, p := range o.Envelope {
+		if now < p.From.Std() {
+			break
+		}
+		m = p.Mult
+	}
+	return m
+}
+
+// Scaled shrinks the block's time axes by the scenario scale factor, the
+// same way send windows and fault schedules scale: session lengths and
+// envelope phase boundaries keep their position relative to the window.
+// Zipf and the multipliers are shape parameters and do not scale.
+func (o OpenSpec) Scaled(f float64) OpenSpec {
+	if f == 1 || !o.Enabled() {
+		return o
+	}
+	o.ChurnOn = Duration(float64(o.ChurnOn) * f)
+	o.ChurnOff = Duration(float64(o.ChurnOff) * f)
+	env := make([]RatePhaseSpec, len(o.Envelope))
+	for i, p := range o.Envelope {
+		env[i] = RatePhaseSpec{From: Duration(float64(p.From) * f), Mult: p.Mult}
+	}
+	o.Envelope = env
+	return o
 }
 
 // AdmissionSpec enables mempool admission control (DESIGN.md §14): when

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // Stream ids for the open-system ChildSeed streams. They sit far above
@@ -24,67 +25,6 @@ const (
 	zipfStream  uint64 = 1 << 40
 	churnStream uint64 = 1<<40 + 1<<20 // + source index
 )
-
-// RatePhase scales the base sending rate by Mult from From onward (until
-// the next phase). Times before the first phase use multiplier 1.
-type RatePhase struct {
-	From time.Duration
-	Mult float64
-}
-
-// OpenConfig describes the open-system dynamics; the zero value is the
-// closed system (fixed pool, uniform sources, flat rate).
-type OpenConfig struct {
-	// Zipf skews element sources: each arrival draws its source client
-	// with P(rank k) ∝ 1/(k+1)^Zipf instead of belonging to a fixed
-	// uniform slot. 0 = uniform (closed behavior).
-	Zipf float64
-	// ChurnOn is the mean in-session time. When > 0, every client cycles
-	// through exponentially distributed on/off sessions; arrivals drawn
-	// for an off-session client are dropped (the client is gone — the
-	// load it would have offered disappears with it).
-	ChurnOn time.Duration
-	// ChurnOff is the mean departed time between sessions (defaulted to
-	// ChurnOn by spec when churn is enabled but ChurnOff is unset).
-	ChurnOff time.Duration
-	// Envelope shapes the aggregate rate over the send window.
-	Envelope []RatePhase
-}
-
-// Enabled reports whether any open-system dynamic is configured.
-func (c OpenConfig) Enabled() bool {
-	return c.Zipf > 0 || c.ChurnOn > 0 || len(c.Envelope) > 0
-}
-
-// Mult returns the envelope's rate multiplier at the given time.
-func (c OpenConfig) Mult(now time.Duration) float64 {
-	m := 1.0
-	for _, p := range c.Envelope {
-		if now < p.From {
-			break
-		}
-		m = p.Mult
-	}
-	return m
-}
-
-// Scaled shrinks the config's time axes by the scenario scale factor, the
-// same way send windows and fault schedules scale: session lengths and
-// envelope phase boundaries keep their position relative to the window.
-// Zipf and the multipliers are shape parameters and do not scale.
-func (c OpenConfig) Scaled(f float64) OpenConfig {
-	if f == 1 || !c.Enabled() {
-		return c
-	}
-	out := c
-	out.ChurnOn = time.Duration(float64(c.ChurnOn) * f)
-	out.ChurnOff = time.Duration(float64(c.ChurnOff) * f)
-	out.Envelope = make([]RatePhase, len(c.Envelope))
-	for i, p := range c.Envelope {
-		out.Envelope[i] = RatePhase{From: time.Duration(float64(p.From) * f), Mult: p.Mult}
-	}
-	return out
-}
 
 // OpenTicks schedules the injection loop — the ONE definition of the
 // workload's timing shape, shared by Generator and the routed generator
@@ -97,10 +37,10 @@ func (c OpenConfig) Scaled(f float64) OpenConfig {
 // the extra ChildSeed streams (one for the skew, one per client for
 // churn); inject receives the SOURCE client index.
 //
-// The zero cfg is the closed system bit for bit: the multiplier is exactly
+// The zero block is the closed system bit for bit: the multiplier is exactly
 // 1, so every slot's carry sequence is the flat rate's, and no extra
 // stream is drawn and no session timer scheduled.
-func OpenTicks(s *sim.Simulator, seed int64, n int, rate float64, duration, tick time.Duration, cfg OpenConfig, inject func(source int)) {
+func OpenTicks(s *sim.Simulator, seed int64, n int, rate float64, duration, tick time.Duration, cfg spec.OpenSpec, inject func(source int)) {
 	if tick <= 0 {
 		panic("workload: tick must be positive (Shape fills a zero one)")
 	}
@@ -150,7 +90,7 @@ func OpenTicks(s *sim.Simulator, seed int64, n int, rate float64, duration, tick
 // window closes. Each client owns its rng stream and has exactly one
 // outstanding timer, so the draw order inside the stream is fixed
 // regardless of how the executor interleaves other events.
-func scheduleChurn(s *sim.Simulator, active []bool, i int, rng *rand.Rand, cfg OpenConfig, duration time.Duration) {
+func scheduleChurn(s *sim.Simulator, active []bool, i int, rng *rand.Rand, cfg spec.OpenSpec, duration time.Duration) {
 	expDur := func(mean time.Duration) time.Duration {
 		d := time.Duration(rng.ExpFloat64() * float64(mean))
 		if d < time.Millisecond {
@@ -164,14 +104,14 @@ func scheduleChurn(s *sim.Simulator, active []bool, i int, rng *rand.Rand, cfg O
 			return
 		}
 		active[i] = false
-		s.After(expDur(cfg.ChurnOff), arrive)
+		s.After(expDur(cfg.ChurnOff.Std()), arrive)
 	}
 	arrive = func() {
 		if s.Now() >= duration {
 			return
 		}
 		active[i] = true
-		s.After(expDur(cfg.ChurnOn), depart)
+		s.After(expDur(cfg.ChurnOn.Std()), depart)
 	}
-	s.After(expDur(cfg.ChurnOn), depart)
+	s.After(expDur(cfg.ChurnOn.Std()), depart)
 }

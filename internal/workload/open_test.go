@@ -6,58 +6,12 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
-
-func TestEnvelopeMult(t *testing.T) {
-	cfg := OpenConfig{Envelope: []RatePhase{
-		{From: 0, Mult: 0.5},
-		{From: 10 * time.Second, Mult: 2},
-		{From: 20 * time.Second, Mult: 1},
-	}}
-	for _, tc := range []struct {
-		at   time.Duration
-		want float64
-	}{
-		{0, 0.5}, {9 * time.Second, 0.5},
-		{10 * time.Second, 2}, {19 * time.Second, 2},
-		{20 * time.Second, 1}, {time.Hour, 1},
-	} {
-		if m := cfg.Mult(tc.at); m != tc.want {
-			t.Fatalf("Mult(%v) = %g, want %g", tc.at, m, tc.want)
-		}
-	}
-	// No phase before the first boundary: multiplier 1.
-	late := OpenConfig{Envelope: []RatePhase{{From: 5 * time.Second, Mult: 3}}}
-	if m := late.Mult(2 * time.Second); m != 1 {
-		t.Fatalf("pre-envelope Mult = %g, want 1", m)
-	}
-}
-
-func TestOpenConfigScaled(t *testing.T) {
-	cfg := OpenConfig{
-		ChurnOn:  10 * time.Second,
-		ChurnOff: 5 * time.Second,
-		Envelope: []RatePhase{{From: 10 * time.Second, Mult: 2}},
-	}
-	s := cfg.Scaled(0.1)
-	if s.ChurnOn != time.Second || s.ChurnOff != 500*time.Millisecond {
-		t.Fatalf("scaled churn = %v/%v", s.ChurnOn, s.ChurnOff)
-	}
-	if s.Envelope[0].From != time.Second || s.Envelope[0].Mult != 2 {
-		t.Fatalf("scaled phase = %+v", s.Envelope[0])
-	}
-	// The original must be untouched (cells share config values).
-	if cfg.Envelope[0].From != 10*time.Second {
-		t.Fatal("Scaled mutated the receiver's envelope")
-	}
-	if (OpenConfig{}).Scaled(0.1).Enabled() {
-		t.Fatal("scaling an empty config enabled it")
-	}
-}
 
 // runOpenTicks drives OpenTicks on a bare simulator and returns the
 // injection sequence (source per arrival, in order).
-func runOpenTicks(seed int64, n int, rate float64, cfg OpenConfig) []int {
+func runOpenTicks(seed int64, n int, rate float64, cfg spec.OpenSpec) []int {
 	s := sim.New(seed)
 	var seq []int
 	OpenTicks(s, seed, n, rate, 10*time.Second, 10*time.Millisecond, cfg, func(src int) {
@@ -71,11 +25,11 @@ func runOpenTicks(seed int64, n int, rate float64, cfg OpenConfig) []int {
 // full arrival sequence — timing, skewed source draws, churn thinning —
 // is a pure function of the scenario seed.
 func TestOpenTicksDeterministic(t *testing.T) {
-	cfg := OpenConfig{
+	cfg := spec.OpenSpec{
 		Zipf:     1.1,
-		ChurnOn:  2 * time.Second,
-		ChurnOff: time.Second,
-		Envelope: []RatePhase{{From: 0, Mult: 0.5}, {From: 5 * time.Second, Mult: 2}},
+		ChurnOn:  spec.Duration(2 * time.Second),
+		ChurnOff: spec.Duration(time.Second),
+		Envelope: []spec.RatePhaseSpec{{From: 0, Mult: 0.5}, {From: spec.Duration(5 * time.Second), Mult: 2}},
 	}
 	a := runOpenTicks(11, 8, 500, cfg)
 	b := runOpenTicks(11, 8, 500, cfg)
@@ -105,7 +59,7 @@ func TestOpenTicksDeterministic(t *testing.T) {
 }
 
 func TestOpenTicksZipfSkewsSources(t *testing.T) {
-	seq := runOpenTicks(3, 16, 2000, OpenConfig{Zipf: 1.2})
+	seq := runOpenTicks(3, 16, 2000, spec.OpenSpec{Zipf: 1.2})
 	counts := make([]int, 16)
 	for _, src := range seq {
 		counts[src]++
@@ -116,8 +70,8 @@ func TestOpenTicksZipfSkewsSources(t *testing.T) {
 }
 
 func TestOpenTicksChurnThinsLoad(t *testing.T) {
-	closed := runOpenTicks(5, 8, 1000, OpenConfig{Envelope: []RatePhase{{From: 0, Mult: 1}}})
-	churned := runOpenTicks(5, 8, 1000, OpenConfig{ChurnOn: 2 * time.Second, ChurnOff: 2 * time.Second})
+	closed := runOpenTicks(5, 8, 1000, spec.OpenSpec{Envelope: []spec.RatePhaseSpec{{From: 0, Mult: 1}}})
+	churned := runOpenTicks(5, 8, 1000, spec.OpenSpec{ChurnOn: spec.Duration(2 * time.Second), ChurnOff: spec.Duration(2 * time.Second)})
 	// Expected duty cycle ~1/2; anything between 20% and 90% of the closed
 	// count proves thinning without over-fitting the exponential draws.
 	if len(churned) >= len(closed)*9/10 || len(churned) < len(closed)/5 {
@@ -126,8 +80,8 @@ func TestOpenTicksChurnThinsLoad(t *testing.T) {
 }
 
 func TestEnvelopeShapesRate(t *testing.T) {
-	flat := runOpenTicks(6, 4, 1000, OpenConfig{Envelope: []RatePhase{{From: 0, Mult: 1}}})
-	halved := runOpenTicks(6, 4, 1000, OpenConfig{Envelope: []RatePhase{{From: 0, Mult: 0.5}}})
+	flat := runOpenTicks(6, 4, 1000, spec.OpenSpec{Envelope: []spec.RatePhaseSpec{{From: 0, Mult: 1}}})
+	halved := runOpenTicks(6, 4, 1000, spec.OpenSpec{Envelope: []spec.RatePhaseSpec{{From: 0, Mult: 0.5}}})
 	ratio := float64(len(halved)) / float64(len(flat))
 	if math.Abs(ratio-0.5) > 0.05 {
 		t.Fatalf("halved envelope delivered %.2fx the flat load, want ~0.5x", ratio)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/setcrypto"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/wire"
 )
 
@@ -90,22 +91,19 @@ type Config struct {
 	// into ⌈rate·tick⌉-element bursts per tick, which keeps the event count
 	// manageable at 6-figure rates without changing per-second totals.
 	Tick time.Duration
-	// FullPayloads creates real signed payloads (Full mode deployments).
-	FullPayloads bool
 	// TrackIDs records the id of every accepted element so the invariant
 	// checker can compare the servers' final histories against exactly
 	// what was injected (no fabrication, no loss). Costs one map insert
 	// per element; the harness always enables it.
 	TrackIDs bool
-	// Open adds open-system dynamics — Zipf source skew, session churn,
-	// rate envelopes (open.go). The zero value is the closed system.
-	Open OpenConfig
-	// Seed keys the open extension's dedicated ChildSeed streams; only
-	// consulted when Open is enabled.
+	// Seed keys OpenTicks' open-system ChildSeed streams, which this
+	// closed-system generator never draws from.
 	Seed int64
 }
 
-// Generator injects the workload into a deployment.
+// Generator injects the closed workload into a deployment, with modeled
+// payloads; the harness's open-system and full-payload runs go through the
+// routed generator (internal/shard).
 type Generator struct {
 	cfg Config
 	d   *core.Deployment
@@ -128,7 +126,7 @@ func New(d *core.Deployment, rec *metrics.Recorder, cfg Config) *Generator {
 // servers' collectors.
 func (g *Generator) Start() {
 	s := g.d.Sim
-	OpenTicks(s, g.cfg.Seed, len(g.d.Clients), g.cfg.Rate, g.cfg.Duration, g.cfg.Tick, g.cfg.Open, g.injectOne)
+	OpenTicks(s, g.cfg.Seed, len(g.d.Clients), g.cfg.Rate, g.cfg.Duration, g.cfg.Tick, spec.OpenSpec{}, g.injectOne)
 	s.At(g.cfg.Duration, g.d.Drain)
 }
 
@@ -155,7 +153,7 @@ func BuildElement(s *sim.Simulator, cl *core.Client, sizes SizeModel, fullPayloa
 }
 
 func (g *Generator) injectOne(i int) {
-	e := BuildElement(g.d.Sim, g.d.Clients[i], g.cfg.Sizes, g.cfg.FullPayloads)
+	e := BuildElement(g.d.Sim, g.d.Clients[i], g.cfg.Sizes, false)
 	if err := g.d.Servers[i].Add(e); err != nil {
 		g.Account.Reject(e, i)
 		return

@@ -107,21 +107,3 @@ func TestGeneratorElementsCommit(t *testing.T) {
 		t.Fatalf("committed %d of %d injected", rec.TotalCommitted(), g.Injected())
 	}
 }
-
-func TestFullPayloadGeneration(t *testing.T) {
-	s := sim.New(4)
-	rec := metrics.New(s, metrics.LevelThroughput, 4, 1, 0)
-	d := core.Deploy(s, 4, ledger.PaperConfig(),
-		core.Options{Algorithm: core.Compresschain, Mode: core.Full, CollectorLimit: 20, F: 1}, rec)
-	d.Start()
-	g := New(d, rec, Config{Rate: 100, Duration: 3 * time.Second, FullPayloads: true})
-	g.Start()
-	s.RunUntil(30 * time.Second)
-	d.Stop()
-	if g.Rejected() != 0 {
-		t.Fatalf("full-payload rejects = %d (signature path broken?)", g.Rejected())
-	}
-	if rec.TotalCommitted() == 0 {
-		t.Fatal("no full-payload elements committed")
-	}
-}

@@ -7,7 +7,7 @@ import (
 )
 
 // ZipfSampler draws ranks 0..n-1 with P(rank k) ∝ 1/(k+1)^α — the
-// hot-key skew of the open-system workload (OpenConfig.Zipf). It is a
+// hot-key skew of the open-system workload (spec.OpenSpec.Zipf). It is a
 // plain cumulative-probability table with binary-search inversion, so it
 // accepts any α ≥ 0 (math/rand's Zipf requires s > 1 and excludes the
 // classic α = 1 web-trace skew) and consumes exactly one uniform draw
